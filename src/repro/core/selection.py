@@ -197,6 +197,30 @@ class SelectionResult:
             "verdicts": [v.to_dict() for v in self.verdicts],
         }
 
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> "SelectionResult":
+        """Inverse of :meth:`to_dict` (what a ledger ``selection`` event
+        records); probe diagnostics are not recorded, so the verdicts
+        come back without their fits and R-Q prediction objects."""
+        chosen = CompressorSpec.from_dict(d["chosen"])
+        return cls(
+            field=d["field"],
+            eb_avg=float(d["eb_avg"]),
+            chosen=chosen,
+            compressor=resolve_compressor(chosen),
+            # A verdict's record keys are its field names.
+            verdicts=[
+                CandidateVerdict(
+                    **{
+                        **v,
+                        "spec": CompressorSpec.from_dict(v["spec"]),
+                        "predicted_quality": None,
+                    }
+                )
+                for v in d["verdicts"]
+            ],
+        )
+
 
 #: Relative slack on the model-mode quality gate.  The admissible bound
 #: comes from bisecting the *same* spectrum-distortion model to equality

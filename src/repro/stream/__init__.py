@@ -13,6 +13,9 @@ that machinery:
   outcome, the subsystem's persistent state,
 - :mod:`repro.stream.drift` — standardized-residual drift detection
   between model-predicted and achieved bitrate/quality,
+- :mod:`repro.stream.state` — the run state as a pure fold of the
+  ledger, ``state' = apply(state, event)``: one reducer for the live
+  run, ``resume`` and replay,
 - :mod:`repro.stream.controller` — the :class:`InSituController` that
   warm-starts configurations snapshot to snapshot, re-calibrates only on
   drift, governs a run-level storage budget, and whose decisions can be

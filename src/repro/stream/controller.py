@@ -23,9 +23,11 @@ closes the loop the batch campaign leaves open —
   scales every field's error bound through the rate model's own power
   law to land on it;
 - **an append-only ledger**: every calibration, decision, outcome and
-  budget step is recorded (:mod:`repro.stream.ledger`), and
-  :func:`replay_ledger` re-executes the decision logic from the ledger
-  alone — byte-identical bounds, no field data touched.
+  budget step is recorded (:mod:`repro.stream.ledger`), and the
+  controller's decision state is only ever the fold of those events
+  (:func:`repro.stream.state.apply`) — the reducer :meth:`InSituController.
+  resume` and :func:`replay_ledger` fold too, so a resumed or replayed
+  run is the live run by construction (``docs/resilience.md``).
 
 Per-field compression fans out over the PR 1
 :class:`~repro.parallel.backends.ExecutionBackend` registry exactly as
@@ -35,11 +37,10 @@ CompressionCampaign` is now a thin client of this controller.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict
 from types import MappingProxyType
 from typing import Any
 
@@ -53,11 +54,8 @@ from repro.compression.api import (
     spec_of,
 )
 from repro.core.config import FieldSpec, HaloQualitySpec, OptimizerSettings
-from repro.core.features import PartitionFeatures
-from repro.core.optimizer import optimize_combined, optimize_for_spectrum
 from repro.core.pipeline import AdaptiveCompressionPipeline, SnapshotResult
 from repro.core.selection import (
-    CandidateVerdict,
     SelectionResult,
     derive_eb_budget,
     derive_halo_params,
@@ -70,7 +68,6 @@ from repro.models.calibration import (
     RateModelBank,
     calibrate_rate_model,
 )
-from repro.models.rate_model import RateModel
 from repro.parallel.backends import (
     ExecutionBackend,
     ProcessBackend,
@@ -80,7 +77,7 @@ from repro.parallel.backends import (
 from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience.retry import RetryExhaustedError, RetryPolicy
 from repro.sim.nyx import NyxSnapshot
-from repro.stream.drift import DriftConfig, DriftDetector, DriftSignal
+from repro.stream.drift import DriftConfig, DriftSignal
 from repro.stream.ledger import (
     LEDGER_SCHEMA_VERSION,
     LedgerError,
@@ -88,8 +85,15 @@ from repro.stream.ledger import (
     RunLedger,
 )
 from repro.stream.source import SnapshotStream, as_stream
-from repro.util.tables import format_table
-from repro.util.timer import TimingBreakdown
+from repro.stream.state import (
+    BudgetGovernor,
+    ReplayedDecision,
+    RunState,
+    StreamOutcome,
+    StreamReport,
+    apply,
+    rederive,
+)
 
 __all__ = [
     "derive_eb_budget",
@@ -101,250 +105,6 @@ __all__ = [
     "ReplayedDecision",
     "replay_ledger",
 ]
-
-
-# -- run-level storage budget governor ---------------------------------------
-
-
-class BudgetGovernor:
-    """Steers cumulative compressed bytes onto a total-run byte budget.
-
-    After every snapshot the governor re-derives the per-snapshot
-    allowance from the *remaining* budget and remaining dump count, and
-    converts the byte mismatch into an error-bound scale through the
-    calibrated power law: bytes scale as ``eb**c`` (Eq. 15), so landing
-    on an allowance ``a`` from achieved bytes ``b`` requires scaling
-    every bound by ``(a/b) ** (gain/c)``.  Overspending therefore
-    *raises* bounds (coarser, cheaper snapshots); underspending relaxes
-    them back.  The scale is clamped to ``[1/max_scale, max_scale]`` so
-    one misbehaved snapshot cannot swing the quality configuration
-    arbitrarily.
-
-    The governor is a pure, deterministic function of the observed byte
-    counts and calibrated exponents — both of which the run ledger
-    records — so replay reproduces its trajectory exactly.
-    """
-
-    def __init__(
-        self,
-        total_bytes: int,
-        n_snapshots: int,
-        gain: float = 1.0,
-        max_scale: float = 4.0,
-    ) -> None:
-        if total_bytes <= 0:
-            raise ValueError(f"total_bytes must be positive, got {total_bytes}")
-        if n_snapshots <= 0:
-            raise ValueError(f"n_snapshots must be positive, got {n_snapshots}")
-        if gain <= 0:
-            raise ValueError(f"gain must be positive, got {gain}")
-        if max_scale < 1:
-            raise ValueError(f"max_scale must be >= 1, got {max_scale}")
-        self.total_bytes = int(total_bytes)
-        self.n_snapshots = int(n_snapshots)
-        self.gain = float(gain)
-        self.max_scale = float(max_scale)
-        self.scale = 1.0
-        self.spent = 0
-        self.snapshots_done = 0
-
-    @property
-    def remaining_bytes(self) -> int:
-        return self.total_bytes - self.spent
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of the total budget consumed so far."""
-        return self.spent / self.total_bytes
-
-    def observe(self, snapshot_bytes: int, exponent: float) -> float:
-        """Account one snapshot's bytes; returns the next snapshot's scale."""
-        if snapshot_bytes <= 0:
-            raise ValueError("snapshot_bytes must be positive")
-        if exponent >= 0:
-            raise ValueError("rate exponent must be negative")
-        self.spent += int(snapshot_bytes)
-        self.snapshots_done += 1
-        if self.snapshots_done >= self.n_snapshots:
-            return self.scale
-        allowance = self.remaining_bytes / (self.n_snapshots - self.snapshots_done)
-        if allowance <= 0:
-            # Budget exhausted: tighten storage as hard as permitted.
-            self.scale = self.max_scale
-            return self.scale
-        factor = allowance / snapshot_bytes
-        proposal = self.scale * factor ** (self.gain / exponent)
-        self.scale = float(min(max(proposal, 1.0 / self.max_scale), self.max_scale))
-        return self.scale
-
-    def __repr__(self) -> str:
-        return (
-            f"BudgetGovernor(spent={self.spent}/{self.total_bytes}, "
-            f"scale={self.scale:.3f}, done={self.snapshots_done}/{self.n_snapshots})"
-        )
-
-
-# -- outcomes and the stream report ------------------------------------------
-
-
-@dataclass
-class StreamOutcome:
-    """One field of one stream snapshot, decided and compressed."""
-
-    field: str
-    redshift: float
-    snapshot_index: int
-    eb_base: float
-    scale: float
-    eb_avg: float
-    #: The full compression result (payloads included); ``None`` when the
-    #: controller runs with ``retain_results=False`` to keep long streams
-    #: at O(1) memory — the scalar accounting fields below remain.
-    result: SnapshotResult | None
-    predicted_bit_rate: float
-    achieved_bit_rate: float
-    raw_bytes: int
-    compressed_bytes: int
-    residual: float | None
-    quality_deviation: float | None = None
-    drift_signal: DriftSignal | None = None
-    #: The compressor configuration behind this outcome (``None`` when a
-    #: caller-owned instance without a spec was used).
-    compressor_spec: CompressorSpec | None = None
-
-    @property
-    def ratio(self) -> float:
-        return self.raw_bytes / self.compressed_bytes
-
-
-@dataclass
-class StreamReport:
-    """Cumulative accounting of a streaming run."""
-
-    outcomes: list[StreamOutcome] = dataclass_field(default_factory=list)
-    n_snapshots: int = 0
-    n_recalibrations: int = 0
-    recalibrations: list[tuple[int, str, str]] = dataclass_field(default_factory=list)
-    byte_budget: int | None = None
-    #: Resilience accounting: transient failures retried (across the
-    #: controller, the ledger append path and a retry-aware backend),
-    #: torn ledger tails truncated on (re)open, and fields that fell
-    #: back to the conservative compressor after exhausting retries.
-    n_retries: int = 0
-    n_recoveries: int = 0
-    n_degradations: int = 0
-    degraded_fields: list[str] = dataclass_field(default_factory=list)
-    #: Per-phase wall time merged across every field result the run
-    #: produced (features/optimize/compress/..., rank-summed like the
-    #: backends' own accounting).
-    timings: TimingBreakdown = dataclass_field(default_factory=TimingBreakdown)
-
-    @property
-    def raw_bytes(self) -> int:
-        return sum(o.raw_bytes for o in self.outcomes)
-
-    @property
-    def compressed_bytes(self) -> int:
-        return sum(o.compressed_bytes for o in self.outcomes)
-
-    @property
-    def overall_ratio(self) -> float:
-        if self.compressed_bytes == 0:
-            raise ValueError("stream report is empty")
-        return self.raw_bytes / self.compressed_bytes
-
-    @property
-    def budget_utilization(self) -> float | None:
-        if self.byte_budget is None:
-            return None
-        return self.compressed_bytes / self.byte_budget
-
-    def snapshot_bytes(self, index: int) -> int:
-        rows = [o.compressed_bytes for o in self.outcomes if o.snapshot_index == index]
-        if not rows:
-            raise KeyError(f"no outcomes recorded for snapshot {index}")
-        return sum(rows)
-
-    def as_rows(self) -> list[list[object]]:
-        return [
-            [
-                o.snapshot_index,
-                o.redshift,
-                o.field,
-                o.eb_avg,
-                o.scale,
-                o.ratio,
-                o.compressed_bytes,
-                o.drift_signal is not None,
-            ]
-            for o in self.outcomes
-        ]
-
-    def to_table(self, title: str | None = None) -> str:
-        return format_table(
-            ["snap", "z", "field", "eb_avg", "scale", "ratio", "bytes", "drift"],
-            self.as_rows(),
-            title=title or "stream report",
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_snapshots": self.n_snapshots,
-                "n_recalibrations": self.n_recalibrations,
-                "recalibrations": [list(r) for r in self.recalibrations],
-                "n_retries": self.n_retries,
-                "n_recoveries": self.n_recoveries,
-                "n_degradations": self.n_degradations,
-                "degraded_fields": list(self.degraded_fields),
-                # Additive since PR 9: per-phase seconds *and* counts
-                # (as_dict() would drop the counts).
-                "timings": self.timings.phase_stats(),
-                "raw_bytes": self.raw_bytes,
-                "compressed_bytes": self.compressed_bytes,
-                "overall_ratio": self.overall_ratio if self.outcomes else None,
-                "byte_budget": self.byte_budget,
-                "budget_utilization": self.budget_utilization,
-                "outcomes": [
-                    {
-                        "snapshot": o.snapshot_index,
-                        "redshift": o.redshift,
-                        "field": o.field,
-                        "eb_avg": o.eb_avg,
-                        "scale": o.scale,
-                        "ratio": o.ratio,
-                        "compressed_bytes": o.compressed_bytes,
-                        "predicted_bit_rate": o.predicted_bit_rate,
-                        "achieved_bit_rate": o.achieved_bit_rate,
-                        "drift": o.drift_signal is not None,
-                        "compressor": (
-                            None
-                            if o.compressor_spec is None
-                            else o.compressor_spec.to_dict()
-                        ),
-                    }
-                    for o in self.outcomes
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-
-@dataclass
-class _FieldState:
-    """Everything the controller warm-starts from snapshot to snapshot."""
-
-    spec: FieldSpec
-    calibration: CalibrationResult
-    pipeline: AdaptiveCompressionPipeline
-    eb_base: float
-    halo_params: tuple[float, float] | None
-    detector: DriftDetector
-    #: Serializable identity of the field's compressor (``None`` for
-    #: caller-owned instances that carry no spec); recorded with every
-    #: ledger decision so replays and audits know what compressed what.
-    compressor_spec: CompressorSpec | None = None
 
 
 # -- the controller ----------------------------------------------------------
@@ -527,18 +287,16 @@ class InSituController:
         self.governor_max_scale = float(governor_max_scale)
         self.retain_results = bool(retain_results)
 
-        self.report = StreamReport(byte_budget=self.byte_budget)
-        if getattr(self.ledger, "recovered_tail", None) is not None:
-            self.report.n_recoveries += 1
-        self._states: dict[str, _FieldState] = {}
-        self._selections: dict[str, SelectionResult] = {}
-        self._field_order: list[str] = []
-        self._pending: set[str] = set()
-        self._quarantined: set[str] = set()
-        self._snapshot_index = 0
-        self._started = False
-        self._ended = False
-        self._governor: BudgetGovernor | None = None
+        #: Everything decisions derive from.  Owned by the reducer: only
+        #: :func:`~repro.stream.state.apply` (via :meth:`_append`) changes it.
+        self.state = RunState()
+        self.report.byte_budget = self.byte_budget
+        #: Process-local caches derived from ``state``: each field's
+        #: pipeline (its compressor instance bound to its folded model)
+        #: and the full fits of the calibrations this process ran.
+        self._pipelines: dict[str, AdaptiveCompressionPipeline] = {}
+        self._fits: dict[str, CalibrationResult] = {}
+        self._governor_proto: BudgetGovernor | None = None
         if self.byte_budget is not None and n_snapshots is not None:
             self._make_governor(n_snapshots)
 
@@ -551,21 +309,25 @@ class InSituController:
         self.report.n_retries += 1
 
     def _append(self, kind: str, **data: Any) -> LedgerEvent:
-        """Ledger append under the retry policy.
+        """Ledger append under the retry policy, then fold the event.
 
-        The ledger commits an event to memory only after it is safely on
-        disk, so a transient append failure retried here reuses the same
-        sequence id.  A :class:`~repro.resilience.faults.TornWrite` is
-        *not* retryable — retrying would duplicate the event — and
-        propagates for crash-recovery tests.
+        This is the only way controller state changes.  The ledger
+        commits an event to memory only after it is safely on disk, so a
+        transient append failure retried here reuses the same sequence
+        id.  A :class:`~repro.resilience.faults.TornWrite` is *not*
+        retryable — retrying would duplicate the event — and propagates
+        (nothing is folded) for crash-recovery tests.
         """
         if self.retry is None:
-            return self.ledger.append(kind, **data)
-        return self.retry.execute(
-            lambda: self.ledger.append(kind, **data),
-            site="ledger.append",
-            on_retry=self._note_retry,
-        )
+            event = self.ledger.append(kind, **data)
+        else:
+            event = self.retry.execute(
+                lambda: self.ledger.append(kind, **data),
+                site="ledger.append",
+                on_retry=self._note_retry,
+            )
+        apply(self.state, event)
+        return event
 
     # -- lifecycle -------------------------------------------------------
 
@@ -584,48 +346,60 @@ class InSituController:
         return self.field_specs.get(name, self.default_spec)
 
     @property
+    def report(self) -> StreamReport:
+        """Cumulative accounting of the run (rows folded from the ledger)."""
+        return self.state.report
+
+    @property
     def calibrations(self) -> Mapping[str, CalibrationResult]:
         """Current per-field rate-model fits (latest recalibration wins).
 
         A read-only view: calibration state is owned by the controller
         (mutating the mapping raises rather than silently no-opping).
         """
+        # Probe diagnostics are not recorded (they feed no decision): a
+        # fit folded from the ledger carries the model and coef_r2 only.
+        empty = np.array([])
         return MappingProxyType(
-            {name: state.calibration for name, state in self._states.items()}
+            {
+                name: self._fits.get(name)
+                or CalibrationResult(fs.model, empty, empty, empty, empty, fs.coef_r2)
+                for name, fs in self.state.fields.items()
+            }
         )
 
     @property
     def selections(self) -> Mapping[str, SelectionResult]:
         """Latest per-field compressor-selection outcomes (``candidates`` mode)."""
-        return MappingProxyType(dict(self._selections))
+        return MappingProxyType(
+            {n: SelectionResult.from_dict(d) for n, d in self.state.selections.items()}
+        )
 
     @property
     def governor(self) -> BudgetGovernor | None:
-        return self._governor
+        return self.state.governor or self._governor_proto
 
     def _make_governor(self, n_snapshots: int) -> None:
-        self._governor = BudgetGovernor(
+        # Validated here; the governor that steers the run is the one
+        # ``apply`` builds from the event (recorded separately from
+        # ``run_start``: the dump count may only be known at ``run()``).
+        gov = self._governor_proto = BudgetGovernor(
             self.byte_budget,
             n_snapshots,
             gain=self.governor_gain,
             max_scale=self.governor_max_scale,
         )
-        if self._started:
-            self._append_governor_event()
-
-    def _append_governor_event(self) -> None:
-        gov = self._governor
-        assert gov is not None
-        self._append(
-            "governor",
-            total_bytes=gov.total_bytes,
-            n_snapshots=gov.n_snapshots,
-            gain=gov.gain,
-            max_scale=gov.max_scale,
-        )
+        if self.state.config is not None:  # the run has started
+            self._append(
+                "governor",
+                total_bytes=gov.total_bytes,
+                n_snapshots=gov.n_snapshots,
+                gain=gov.gain,
+                max_scale=gov.max_scale,
+            )
 
     def _ensure_started(self) -> None:
-        if self._started:
+        if self.state.config is not None:
             return
         default_spec = spec_of(self.compressor)
         self._append(
@@ -643,26 +417,32 @@ class InSituController:
                 if self.candidates is None
                 else [c.to_dict() for c in self.candidates]
             ),
-            settings={
-                "clamp_factor": self.settings.clamp_factor,
-                "normalization": self.settings.normalization,
-                "constraint_mode": self.settings.constraint_mode,
-            },
+            # Field for field what RunConfig.from_record reads back.
+            settings=asdict(self.settings),
             recalibrate=self.recalibrate,
             warm_start=self.warm_start,
             probe_mode=self.probe_mode,
-            drift={
-                "z_threshold": self.drift.z_threshold,
-                "window": self.drift.window,
-                "min_points": self.drift.min_points,
-                "rate_sigma": self.drift.rate_sigma,
-                "quality_margin": self.drift.quality_margin,
-            },
+            drift=asdict(self.drift),
             backend=self.backend.name,
         )
-        self._started = True
-        if self._governor is not None:
-            self._append_governor_event()
+        if self._governor_proto is not None:
+            self._make_governor(self._governor_proto.n_snapshots)
+
+    def _bind(self, name: str, compressor: Any = None) -> AdaptiveCompressionPipeline:
+        """(Re)build ``name``'s pipeline on its folded model, around the
+        instance it was just calibrated with — or, for a field folded
+        from the ledger (a resumed run), around its recorded spec."""
+        fs = self.state.fields[name]
+        if compressor is None:
+            compressor = (
+                self.compressor
+                if fs.compressor_spec is None
+                else resolve_compressor(fs.compressor_spec)
+            )
+        pipeline = self._pipelines[name] = AdaptiveCompressionPipeline(
+            fs.model, compressor=compressor, settings=self.settings, backend=self.backend
+        )
+        return pipeline
 
     # -- calibration -----------------------------------------------------
 
@@ -684,8 +464,7 @@ class InSituController:
             self.seed = int(seed)
         self._ensure_started()
         for name, data in snapshot.fields.items():
-            ref = FieldReference(data)
-            self._calibrate_field(name, data, ref, reason="initial")
+            self._calibrate_field(name, data, FieldReference(data), reason="initial")
 
     def _field_compressor(
         self,
@@ -704,7 +483,7 @@ class InSituController:
         every recalibration, so drift triggers *re-selection*) > the
         field spec's pinned ``compressor`` > the controller default.
         """
-        if name in self._quarantined and self.fallback_compressor is not None:
+        if name in self.state.quarantined and self.fallback_compressor is not None:
             return resolve_compressor(self.fallback_compressor), None
         if self.candidates is not None:
             selection = select_compressor(
@@ -723,10 +502,9 @@ class InSituController:
                 probe_mode=self.probe_mode,
                 require_error_bounded=True,
             )
-            self._selections[name] = selection
             self._append(
                 "selection",
-                snapshot=self._snapshot_index,
+                snapshot=self.report.n_snapshots,
                 field=name,
                 reason=reason,
                 eb_avg=selection.eb_avg,
@@ -740,7 +518,9 @@ class InSituController:
 
     def _calibrate_field(
         self, name: str, data: np.ndarray, ref: FieldReference, reason: str
-    ) -> _FieldState:
+    ) -> None:
+        """Fit ``name``'s rate model on ``data`` and record it; the
+        field's new state is what folding the event produces."""
         spec = self.spec_for(name)
         eb_base = derive_eb_budget(spec, ref)
         compressor, selection = self._field_compressor(
@@ -761,44 +541,14 @@ class InSituController:
                 probe_mode=self.probe_mode,
             )
         halo_params = derive_halo_params(spec, ref) if spec.halo_aware else None
-        previous = self._states.get(name)
-        if previous is not None:
-            detector = previous.detector
-            detector.reset()
-        else:
-            detector = DriftDetector(name, self.drift)
-        state = _FieldState(
-            spec=spec,
-            calibration=calibration,
-            pipeline=AdaptiveCompressionPipeline(
-                calibration.rate_model,
-                compressor=compressor,
-                settings=self.settings,
-                backend=self.backend,
-            ),
-            eb_base=eb_base,
-            halo_params=halo_params,
-            detector=detector,
-            compressor_spec=spec_of(compressor),
-        )
-        self._states[name] = state
-        if name not in self._field_order:
-            self._field_order.append(name)
-        kind = "calibration" if reason == "initial" else "recalibration"
-        if kind == "recalibration":
-            self.report.n_recalibrations += 1
-            self.report.recalibrations.append((self._snapshot_index, name, reason))
+        compressor_spec = spec_of(compressor)
         model = calibration.rate_model
         self._append(
-            kind,
-            snapshot=self._snapshot_index,
+            "calibration" if reason == "initial" else "recalibration",
+            snapshot=self.report.n_snapshots,
             field=name,
             reason=reason,
-            spec=(
-                None
-                if state.compressor_spec is None
-                else state.compressor_spec.to_dict()
-            ),
+            spec=None if compressor_spec is None else compressor_spec.to_dict(),
             exponent=model.exponent,
             coef_alpha=model.coef_alpha,
             coef_beta=model.coef_beta,
@@ -811,15 +561,10 @@ class InSituController:
                 else {"t_boundary": halo_params[0], "mass_budget": halo_params[1]}
             ),
         )
-        return state
-
-    def _exponent_mean(self) -> float:
-        exps = [self._states[f].calibration.rate_model.exponent for f in self._field_order]
-        # This left-fold is FROZEN: ledgers record governor decisions
-        # derived from it, and replay (which repeats the identical
-        # expression below) must reproduce them bitwise.  Switching to
-        # math.fsum would orphan every ledger written before the change.
-        return sum(exps) / len(exps)  # repro-lint: disable=RL006
+        # Keep the instance that was probed (caller-owned state such as
+        # codec levels is preserved) and the fit's probe diagnostics.
+        self._bind(name, compressor)
+        self._fits[name] = calibration
 
     # -- streaming -------------------------------------------------------
 
@@ -830,14 +575,14 @@ class InSituController:
         (coerced via :func:`~repro.stream.source.as_stream`).
 
         On a resumed controller (:meth:`resume`) the first
-        ``self._snapshot_index`` dumps are already accounted in the
+        ``report.n_snapshots`` dumps are already accounted in the
         ledger and are skipped — without loading or generating them when
         the stream supports ``iter_from``.
         """
         stream = as_stream(stream)
-        if self.byte_budget is not None and self._governor is None:
+        if self.byte_budget is not None and self.governor is None:
             self._make_governor(len(stream))
-        start = self._snapshot_index
+        start = self.report.n_snapshots
         if start == 0:
             iterator = iter(stream)
         elif hasattr(stream, "iter_from"):
@@ -851,7 +596,7 @@ class InSituController:
 
     def finish(self) -> StreamReport:
         """Seal the run with a ``run_end`` ledger event (idempotent)."""
-        if self._started and not self._ended:
+        if self.state.config is not None and self.state.sealed is None:
             self._append(
                 "run_end",
                 n_snapshots=self.report.n_snapshots,
@@ -860,49 +605,9 @@ class InSituController:
                 n_recalibrations=self.report.n_recalibrations,
                 budget_utilization=self.report.budget_utilization,
             )
-            self._ended = True
         return self.report
 
     # -- crash recovery --------------------------------------------------
-
-    #: Event kinds whose effects are superseded when a later ``resume``
-    #: event re-records the same snapshot (a crash mid-snapshot leaves a
-    #: partial set of events; the authoritative copies follow the
-    #: resume).
-    _PER_SNAPSHOT_KINDS = (
-        "selection",
-        "calibration",
-        "recalibration",
-        "decision",
-        "outcome",
-        "degradation",
-    )
-
-    @staticmethod
-    def _effective_events(run_events: list[LedgerEvent]) -> list[LedgerEvent]:
-        """The run's events with resume-superseded partial segments dropped.
-
-        Each ``resume`` event at snapshot ``s`` declares that everything
-        recorded for snapshots ``>= s`` before it belongs to an
-        interrupted attempt that is about to be re-executed; the copies
-        appended after the resume are the ones a restored controller
-        (and replay) must trust.
-        """
-        effective: list[LedgerEvent] = []
-        for event in run_events:
-            if event.kind == "resume":
-                cut = int(event.data["snapshot"])
-                effective = [
-                    e
-                    for e in effective
-                    if not (
-                        e.kind in InSituController._PER_SNAPSHOT_KINDS
-                        and int(e.data.get("snapshot", -1)) >= cut
-                    )
-                ]
-                continue
-            effective.append(event)
-        return effective
 
     @classmethod
     def resume(
@@ -925,299 +630,87 @@ class InSituController:
 
         Opens ``ledger`` with ``recover=True`` (a torn final line — the
         footprint of a crash mid-append — is truncated and recorded as a
-        ``recovery`` event), restores every per-field rate model,
-        compressor selection, drift-detector trajectory, quarantine set
-        and the :class:`BudgetGovernor`'s byte accounting from the
-        events, and positions the controller at the first snapshot
-        without a complete record.  Calling :meth:`run` with the
-        original stream then skips the completed dumps and produces
-        decisions bitwise identical to a run that was never
-        interrupted.
+        ``recovery`` event), folds its events with
+        :func:`~repro.stream.state.apply` — the state a controller that
+        had written them itself would hold — and positions the cursor
+        at the first snapshot without a complete record.  Calling
+        :meth:`run` with the original stream then skips the completed
+        dumps and produces decisions bitwise identical to a run that
+        was never interrupted.
 
-        Settings recorded in the ``run_start`` event (optimizer
-        settings, drift thresholds, compressor, candidates, byte
-        budget, recalibration policy, ...) are restored from the ledger;
-        process-local choices the ledger does not record — the execution
-        backend, field specs, retry policy, calibration
+        Settings recorded in the ``run_start`` event are restored from
+        the ledger; process-local choices it does not record — the
+        execution backend, field specs, retry policy, calibration
         ``max_partitions``/``seed`` — are taken from the keyword
         arguments and must match the original run for recalibrations
-        after the resume point to reproduce exactly.
-
-        Ledgers older than schema v3 do not record the block layout, so
-        ``decomposition`` is required for them.
+        after the resume point to reproduce exactly.  Ledgers older than
+        schema v3 do not record the block layout, so ``decomposition``
+        is required for them.
         """
         run_ledger = (
             ledger
             if isinstance(ledger, RunLedger)
             else RunLedger(ledger, recover=True, fsync=fsync_ledger)
         )
-        starts = [i for i, e in enumerate(run_ledger.events) if e.kind == "run_start"]
-        if not starts:
+        state = RunState()
+        for event in run_ledger.events:
+            apply(state, event)
+        config = state.config
+        if config is None:
             raise LedgerError("cannot resume: ledger has no run_start event")
-        run_events = run_ledger.events[starts[-1] :]
-        rs = run_events[0].data
-
         if decomposition is None:
-            if rs.get("blocks") is None:
+            if config.blocks is None:
                 raise LedgerError(
                     "cannot resume: ledger predates schema v3 and records no "
                     "block layout; pass decomposition= explicitly"
                 )
-            decomposition = BlockDecomposition(
-                tuple(rs["shape"]), blocks=tuple(rs["blocks"])
-            )
-
-        effective = cls._effective_events(run_events)
-        governor_events = [e for e in effective if e.kind == "governor"]
-        gov = governor_events[-1].data if governor_events else None
-
+            decomposition = BlockDecomposition(config.shape, blocks=config.blocks)
+        gov = state.governor
+        recorded = {
+            k: v for k, v in vars(config).items() if k not in ("shape", "blocks")
+        }
         ctl = cls(
             decomposition,
             field_specs=field_specs,
-            compressor=(
-                CompressorSpec.from_dict(rs["compressor"])
-                if rs.get("compressor") is not None
-                else None
-            ),
-            settings=OptimizerSettings(**rs["settings"]),
             backend=backend,
-            candidates=(
-                [CompressorSpec.from_dict(c) for c in rs["candidates"]]
-                if rs.get("candidates")
-                else None
-            ),
             ledger=run_ledger,
-            byte_budget=rs.get("byte_budget"),
-            drift=DriftConfig(**rs["drift"]),
-            recalibrate=rs["recalibrate"],
-            warm_start=rs["warm_start"],
+            n_snapshots=None if gov is None else gov.n_snapshots,
+            governor_gain=1.0 if gov is None else gov.gain,
+            governor_max_scale=4.0 if gov is None else gov.max_scale,
             default_spec=default_spec,
-            probe_mode=rs["probe_mode"],
             max_partitions=max_partitions,
             seed=seed,
             check_quality=check_quality,
-            governor_gain=gov["gain"] if gov else 1.0,
-            governor_max_scale=gov["max_scale"] if gov else 4.0,
             retain_results=retain_results,
             retry=retry,
             fallback_compressor=fallback_compressor,
+            **recorded,
         )
-
-        run_end = next((e for e in effective if e.kind == "run_end"), None)
-        budget_events = [e for e in effective if e.kind == "budget"]
-        if run_end is not None:
-            # A sealed run: everything is complete; run() on the same
-            # stream would skip every snapshot and finish() is a no-op.
-            resume_index = int(run_end.data["n_snapshots"])
-        elif budget_events:
-            # Governed run: each budget event seals exactly one
-            # completed snapshot, so their count is the resume point.
-            resume_index = len(budget_events)
-        else:
-            # Ungoverned run: nothing in the ledger distinguishes "last
-            # snapshot complete" from "crashed between its last outcome
-            # and the next snapshot", so the last referenced snapshot is
-            # conservatively re-executed.  Re-recorded events are
-            # superseded via the resume event, so replay and reports
-            # stay identical either way.
-            refs = [
-                int(e.data["snapshot"])
-                for e in effective
-                if e.kind in ("decision", "outcome")
-            ]
-            resume_index = max(refs) if refs else 0
-
-        ctl._restore(effective, resume_index)
-        ctl._snapshot_index = resume_index
-        ctl.report.n_snapshots = resume_index
-        ctl.report.n_recoveries = sum(1 for e in run_events if e.kind == "recovery")
-        ctl._started = True
-        ctl._ended = run_end is not None
-        if not ctl._ended:
-            tail = getattr(run_ledger, "recovered_tail", None)
+        ctl.state = state
+        # A sealed run is complete: run() on the same stream skips every
+        # snapshot and finish() is a no-op.  Otherwise the resume event
+        # withdraws the interrupted snapshot's partial record (its
+        # authoritative copies follow when run() re-executes it).
+        ctl.report.n_snapshots = state.resume_index()
+        if state.sealed is None:
+            tail = run_ledger.recovered_tail
             ctl._append(
                 "resume",
-                snapshot=resume_index,
-                restored_fields=sorted(ctl._states),
+                snapshot=ctl.report.n_snapshots,
+                restored_fields=sorted(state.fields),
                 truncated_bytes=0 if tail is None else tail["truncated_bytes"],
             )
         return ctl
 
-    def _restore(self, effective: list[LedgerEvent], resume_index: int) -> None:
-        """Apply the recorded events up to ``resume_index`` to this
-        (freshly constructed, empty) controller.
-
-        Only completed snapshots' per-field events are applied; the
-        partial snapshot ``resume_index`` (if any) will be re-executed
-        and re-recorded by :meth:`run`.
-        """
-        decisions: dict[tuple[int, str], dict[str, Any]] = {}
-        for event in effective:
-            d = event.data
-            snap = int(d.get("snapshot", -1))
-            if event.kind == "governor":
-                self._make_governor(int(d["n_snapshots"]))
-            elif event.kind == "budget":
-                assert self._governor is not None
-                # Replaying the recorded inputs reproduces the scale and
-                # spent trajectory exactly (observe is deterministic).
-                self._governor.observe(
-                    int(d["snapshot_bytes"]), float(d["exponent_mean"])
-                )
-            elif snap >= resume_index:
-                continue
-            elif event.kind in ("calibration", "recalibration"):
-                self._restore_calibration(d, event.kind)
-            elif event.kind == "selection":
-                self._restore_selection(d)
-            elif event.kind == "decision":
-                decisions[(snap, d["field"])] = d
-            elif event.kind == "outcome":
-                self._restore_outcome(d, decisions.get((snap, d["field"])))
-            elif event.kind == "degradation":
-                name = d["field"]
-                self._quarantined.add(name)
-                self.report.n_degradations += 1
-                if name not in self.report.degraded_fields:
-                    self.report.degraded_fields.append(name)
-
-    def _restore_calibration(self, d: dict[str, Any], kind: str) -> None:
-        name = d["field"]
-        model = RateModel(
-            exponent=d["exponent"],
-            coef_alpha=d["coef_alpha"],
-            coef_beta=d["coef_beta"],
-            feature_floor=d["feature_floor"],
-        )
-        spec_dict = d.get("spec")
-        if spec_dict is not None:
-            compressor_spec = CompressorSpec.from_dict(spec_dict)
-            compressor = resolve_compressor(compressor_spec)
-        else:
-            compressor = self.compressor
-            compressor_spec = spec_of(compressor)
-        empty = np.array([])
-        previous = self._states.get(name)
-        if previous is not None:
-            detector = previous.detector
-            detector.reset()
-        else:
-            detector = DriftDetector(name, self.drift)
-        halo = d.get("halo_params")
-        self._states[name] = _FieldState(
-            spec=self.spec_for(name),
-            # Probe diagnostics are not recorded (they do not feed any
-            # decision); the restored fit carries the model and coef_r2.
-            calibration=CalibrationResult(
-                model, empty, empty, empty, empty, float(d["coef_r2"])
-            ),
-            pipeline=AdaptiveCompressionPipeline(
-                model,
-                compressor=compressor,
-                settings=self.settings,
-                backend=self.backend,
-            ),
-            eb_base=float(d["eb_base"]),
-            halo_params=(
-                None if halo is None else (halo["t_boundary"], halo["mass_budget"])
-            ),
-            detector=detector,
-            compressor_spec=compressor_spec,
-        )
-        if name not in self._field_order:
-            self._field_order.append(name)
-        if kind == "recalibration":
-            self.report.n_recalibrations += 1
-            self.report.recalibrations.append(
-                (int(d["snapshot"]), name, d["reason"])
-            )
-            self._pending.discard(name)
-
-    def _restore_selection(self, d: dict[str, Any]) -> None:
-        chosen = CompressorSpec.from_dict(d["chosen"])
-        self._selections[d["field"]] = SelectionResult(
-            field=d["field"],
-            eb_avg=float(d["eb_avg"]),
-            chosen=chosen,
-            compressor=resolve_compressor(chosen),
-            verdicts=[
-                CandidateVerdict(
-                    spec=CompressorSpec.from_dict(v["spec"]),
-                    eligible=v["eligible"],
-                    reason=v["reason"],
-                    predicted_bit_rate=v["predicted_bit_rate"],
-                    measured_bit_rate=v["measured_bit_rate"],
-                    max_abs_error=v["max_abs_error"],
-                    eb_violation=v["eb_violation"],
-                )
-                for v in d["verdicts"]
-            ],
-        )
-
-    def _restore_outcome(
-        self, d: dict[str, Any], decision: dict[str, Any] | None
-    ) -> None:
-        """Re-feed one recorded outcome into detector/pending/report state.
-
-        Mirrors the live :meth:`_process_field` accounting: the detector
-        consumes the same (predicted, achieved, deviation) numbers it
-        saw live, so its residual window — and therefore every future
-        drift verdict — continues exactly where the interrupted run left
-        it.
-        """
-        name = d["field"]
-        state = self._states.get(name)
-        if state is not None and self.recalibrate == "drift":
-            signal = None
-            if d.get("residual") is not None:
-                signal = state.detector.update_rate(
-                    float(d["predicted_bit_rate"]), float(d["achieved_bit_rate"])
-                )
-            if signal is None and d.get("quality_deviation") is not None:
-                state.detector.update_quality(
-                    float(d["quality_deviation"]), state.spec.spectrum_tolerance
-                )
-        # The recorded flag is authoritative for what the next snapshot
-        # must recalibrate (it folds in both drift channels).
-        if d.get("recalibrate_next"):
-            self._pending.add(name)
-        else:
-            self._pending.discard(name)
-        dd = decision or {}
-        spec_dict = dd.get("spec")
-        self.report.outcomes.append(
-            StreamOutcome(
-                field=name,
-                redshift=float(dd.get("redshift", float("nan"))),
-                snapshot_index=int(d["snapshot"]),
-                eb_base=float(dd.get("eb_base", float("nan"))),
-                scale=float(dd.get("scale", 1.0)),
-                eb_avg=float(dd.get("eb_avg", float("nan"))),
-                compressor_spec=(
-                    None if spec_dict is None else CompressorSpec.from_dict(spec_dict)
-                ),
-                # Payloads are gone with the crashed process; the scalar
-                # accounting (and the on-disk artifacts) remain.
-                result=None,
-                predicted_bit_rate=float(d["predicted_bit_rate"]),
-                achieved_bit_rate=float(d["achieved_bit_rate"]),
-                raw_bytes=int(d["raw_bytes"]),
-                compressed_bytes=int(d["compressed_bytes"]),
-                residual=d.get("residual"),
-                quality_deviation=d.get("quality_deviation"),
-                drift_signal=None,
-            )
-        )
-
     def process_snapshot(self, snapshot: NyxSnapshot) -> list[StreamOutcome]:
         """Decide, compress and account every field of one snapshot."""
-        if self.byte_budget is not None and self._governor is None:
+        if self.byte_budget is not None and self.governor is None:
             raise RuntimeError(
                 "a byte budget requires n_snapshots (pass it to the "
                 "constructor, or use run() on a sized stream)"
             )
         self._ensure_started()
-        index = self._snapshot_index
+        index = self.report.n_snapshots  # the cursor: dumps fully accounted
         # The span carries the ledger seq window this snapshot appended
         # (attributes only — telemetry never writes INTO the ledger, so
         # armed runs replay byte-identically to disarmed ones).
@@ -1231,40 +724,25 @@ class InSituController:
                 self._process_field(index, snapshot.redshift, name, data)
                 for name, data in snapshot.fields.items()
             ]
-            if self._governor is not None:
-                snapshot_bytes = sum(o.compressed_bytes for o in outcomes)
-                exponent_mean = self._exponent_mean()
-                scale_next = self._governor.observe(snapshot_bytes, exponent_mean)
+            if self.state.governor is not None:
+                # Worked out ahead of the fold so the event can record it.
+                ahead, exponent_mean = self.state.budget_step()
                 self._append(
                     "budget",
                     snapshot=index,
-                    snapshot_bytes=snapshot_bytes,
-                    spent=self._governor.spent,
+                    snapshot_bytes=self.state.open_bytes,
+                    spent=ahead.spent,
                     exponent_mean=exponent_mean,
-                    scale_next=scale_next,
-                    utilization=self._governor.utilization,
+                    scale_next=ahead.scale,
+                    utilization=ahead.utilization,
                 )
             span.set_attr("seq_last", self.ledger.next_seq - 1)
-        self._snapshot_index += 1
         self.report.n_snapshots += 1
         return outcomes
-
-    def _halo_for(
-        self, state: _FieldState, eb_avg: float
-    ) -> HaloQualitySpec | None:
-        if state.halo_params is None:
-            return None
-        t_boundary, mass_budget = state.halo_params
-        return HaloQualitySpec(
-            t_boundary=t_boundary,
-            mass_budget=mass_budget,
-            reference_eb=min(1.0, eb_avg),
-        )
 
     def _run_field(
         self,
         name: str,
-        state: _FieldState,
         data: np.ndarray,
         eb_avg: float,
         halo: HaloQualitySpec | None,
@@ -1280,9 +758,10 @@ class InSituController:
         :class:`~repro.resilience.retry.RetryExhaustedError`, which is
         not retryable) reaches this per-field site.
         """
+        pipeline = self._pipelines.get(name) or self._bind(name)
 
         def attempt() -> SnapshotResult:
-            return state.pipeline.run_insitu_spmd(
+            return pipeline.run_insitu_spmd(
                 data, self.decomposition, eb_avg=eb_avg, halo=halo
             )
 
@@ -1294,7 +773,7 @@ class InSituController:
 
     def _degrade_field(
         self, index: int, name: str, data: np.ndarray, exc: RetryExhaustedError
-    ) -> _FieldState:
+    ) -> None:
         """Quarantine ``name`` onto the fallback compressor after retries.
 
         Records a ``degradation`` ledger event, then recalibrates the
@@ -1302,12 +781,8 @@ class InSituController:
         model matches what will actually compress it from here on.
         """
         assert self.fallback_compressor is not None
-        self._quarantined.add(name)
-        self.report.n_degradations += 1
         if telemetry.enabled():
             telemetry.get_registry().counter("resilience.degradations").inc()
-        if name not in self.report.degraded_fields:
-            self.report.degraded_fields.append(name)
         self._append(
             "degradation",
             snapshot=index,
@@ -1317,10 +792,7 @@ class InSituController:
             error=f"{type(exc.last).__name__}: {exc.last}",
             fallback=self.fallback_compressor.to_dict(),
         )
-        self._pending.discard(name)
-        return self._calibrate_field(
-            name, data, FieldReference(data), reason="degradation"
-        )
+        self._calibrate_field(name, data, FieldReference(data), reason="degradation")
 
     def _process_field(
         self, index: int, redshift: float, name: str, data: np.ndarray
@@ -1332,30 +804,32 @@ class InSituController:
         self, index: int, redshift: float, name: str, data: np.ndarray
     ) -> StreamOutcome:
         spec = self.spec_for(name)
-        state = self._states.get(name)
+        state = self.state
         ref: FieldReference | None = None
-        if state is None:
+        if name not in state.fields:
             if self.recalibrate == "never":
                 raise KeyError(f"field {name!r} was not calibrated")
             ref = FieldReference(data)
-            state = self._calibrate_field(name, data, ref, reason="initial")
-        elif self.recalibrate == "always" or name in self._pending:
+            self._calibrate_field(name, data, ref, reason="initial")
+        elif self.recalibrate == "always" or name in state.pending:
             reason = "forced" if self.recalibrate == "always" else "drift"
-            self._pending.discard(name)
             ref = FieldReference(data)
-            state = self._calibrate_field(name, data, ref, reason=reason)
-        elif not self.warm_start:
+            self._calibrate_field(name, data, ref, reason=reason)
+        fs = state.fields[name]
+        eb_base, halo_params = fs.eb_base, fs.halo_params
+        if ref is None and not self.warm_start:
             # Batch-campaign semantics: the rate model stays frozen but
-            # the budget inversion re-derives from this snapshot's data.
+            # the budget inversion re-derives from this snapshot's data
+            # (the decision event is its record).
             ref = FieldReference(data)
-            state.eb_base = derive_eb_budget(spec, ref)
-            state.halo_params = derive_halo_params(spec, ref) if spec.halo_aware else None
+            eb_base = derive_eb_budget(spec, ref)
+            halo_params = derive_halo_params(spec, ref) if spec.halo_aware else None
 
-        scale = self._governor.scale if self._governor is not None else 1.0
-        eb_avg = state.eb_base * scale
-        halo = self._halo_for(state, eb_avg)
+        scale = state.scale
+        eb_avg = eb_base * scale
+        halo = _halo_spec(halo_params, eb_avg)
         try:
-            result = self._run_field(name, state, data, eb_avg, halo)
+            result = self._run_field(name, data, eb_avg, halo)
         except RetryExhaustedError as exc:
             if self.fallback_compressor is None:
                 raise
@@ -1365,11 +839,12 @@ class InSituController:
             # replay stays bitwise), and compress this snapshot with it.
             # No decision/outcome events were appended for the failed
             # attempts — the ledger sees only what actually happened.
-            state = self._degrade_field(index, name, data, exc)
-            spec = state.spec
-            eb_avg = state.eb_base * scale
-            halo = self._halo_for(state, eb_avg)
-            result = self._run_field(name, state, data, eb_avg, halo)
+            self._degrade_field(index, name, data, exc)
+            fs = state.fields[name]
+            eb_base = fs.eb_base
+            eb_avg = eb_base * scale
+            halo = _halo_spec(fs.halo_params, eb_avg)
+            result = self._run_field(name, data, eb_avg, halo)
 
         feats = result.features
         self._append(
@@ -1379,10 +854,10 @@ class InSituController:
             field=name,
             spec=(
                 None
-                if state.compressor_spec is None
-                else state.compressor_spec.to_dict()
+                if fs.compressor_spec is None
+                else fs.compressor_spec.to_dict()
             ),
-            eb_base=state.eb_base,
+            eb_base=eb_base,
             scale=scale,
             eb_avg=eb_avg,
             mean_abs=[f.mean_abs for f in feats],
@@ -1390,15 +865,7 @@ class InSituController:
             cell_rates=(
                 [f.effective_cell_rate for f in feats] if halo is not None else None
             ),
-            halo=(
-                None
-                if halo is None
-                else {
-                    "t_boundary": halo.t_boundary,
-                    "mass_budget": halo.mass_budget,
-                    "reference_eb": halo.reference_eb,
-                }
-            ),
+            halo=None if halo is None else asdict(halo),
             ebs=result.ebs,
             constraint=(
                 result.optimization.constraint if result.optimization else "spectrum"
@@ -1406,8 +873,6 @@ class InSituController:
         )
 
         stats = result.stats
-        raw_bytes = stats.source_itemsize * stats.total_elements
-        compressed_bytes = stats.total_nbytes
         achieved = float(stats.overall_bit_rate)
         predicted = (
             float(result.optimization.predicted_mean_bitrate)
@@ -1437,79 +902,49 @@ class InSituController:
                 ).spectrum_worst_deviation
             )
 
+        # The verdict comes from a scratch detector continuing the
+        # field's window, so the outcome event can carry it; folding the
+        # event is what advances the window.
+        detector = state.detector(name)
         signal: DriftSignal | None = None
         if self.recalibrate == "drift":
             if residual is not None:
-                signal = state.detector.update_rate(predicted, achieved)
+                signal = detector.update_rate(predicted, achieved)
             if signal is None and quality_dev is not None:
-                signal = state.detector.update_quality(
-                    quality_dev, spec.spectrum_tolerance
-                )
-            if signal is not None:
-                self._pending.add(name)
+                signal = detector.update_quality(quality_dev, spec.spectrum_tolerance)
 
         self._append(
             "outcome",
             snapshot=index,
             field=name,
-            raw_bytes=raw_bytes,
-            compressed_bytes=compressed_bytes,
+            raw_bytes=stats.source_itemsize * stats.total_elements,
+            compressed_bytes=stats.total_nbytes,
             achieved_bit_rate=achieved,
             predicted_bit_rate=predicted,
             residual=residual,
-            drift_z=state.detector.zscore(),
+            drift_z=detector.zscore(),
             quality_deviation=quality_dev,
-            recalibrate_next=name in self._pending,
+            recalibrate_next=signal is not None,
         )
-        outcome = StreamOutcome(
-            field=name,
-            redshift=redshift,
-            snapshot_index=index,
-            eb_base=state.eb_base,
-            scale=scale,
-            eb_avg=eb_avg,
-            compressor_spec=state.compressor_spec,
-            result=result if self.retain_results else None,
-            predicted_bit_rate=predicted,
-            achieved_bit_rate=achieved,
-            raw_bytes=raw_bytes,
-            compressed_bytes=compressed_bytes,
-            residual=residual,
-            quality_deviation=quality_dev,
-            drift_signal=signal,
-        )
-        self.report.outcomes.append(outcome)
+        # The row is the one the fold just built; what only this process
+        # has — the payloads, and the quality channel's margin ratio,
+        # which the ledger does not record — is attached to it.
+        outcome = self.report.outcomes[-1]
+        outcome.result = result if self.retain_results else None
+        outcome.drift_signal = signal
         self.report.timings.merge(result.timings)
         return outcome
 
 
+def _halo_spec(
+    halo_params: tuple[float, float] | None, eb_avg: float
+) -> HaloQualitySpec | None:
+    if halo_params is None:
+        return None
+    return HaloQualitySpec(*halo_params, reference_eb=min(1.0, eb_avg))
+
+
 # -- deterministic ledger replay ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReplayedDecision:
-    """One re-derived per-(snapshot, field) decision.
-
-    ``compressor`` is the recorded spec behind the decision — ``None``
-    for schema-v1 (PR 4-era) ledgers, which predate spec recording.
-    """
-
-    snapshot_index: int
-    redshift: float
-    field: str
-    eb_avg: float
-    ebs: tuple[float, ...]
-    compressor: CompressorSpec | None = None
-
-
-def _replay_features(data: dict[str, Any]) -> list[PartitionFeatures]:
-    rates = data["cell_rates"] or [None] * len(data["mean_abs"])
-    return [
-        PartitionFeatures(
-            rank=i, n_cells=int(n), mean_abs=float(m), effective_cell_rate=r
-        )
-        for i, (n, m, r) in enumerate(zip(data["n_cells"], data["mean_abs"], rates))
-    ]
 
 
 def replay_ledger(
@@ -1518,12 +953,14 @@ def replay_ledger(
 ) -> list[ReplayedDecision]:
     """Re-execute a run's decision logic from its ledger alone.
 
-    Walks the events in sequence order, reconstructing the rate models
-    from calibration events, the governor trajectory from outcome byte
-    counts, and every per-partition bound vector by re-running the
-    actual optimizer on the recorded features — no field data is read,
-    no compressor is invoked.  JSON round-trips floats exactly, so the
-    replayed bounds are bitwise identical to the live run's.
+    Folds the events through the reducer the live controller and
+    :meth:`InSituController.resume` use, and re-derives every recorded
+    decision from the state folded before it: the governor scale from
+    the recorded byte counts, every per-partition bound vector by
+    re-running the actual optimizer on the recorded features — no field
+    data is read, no compressor is invoked.  JSON round-trips floats
+    exactly, so the replayed bounds are bitwise identical to the live
+    run's.
 
     With ``verify=True`` (default) every recomputed quantity — governor
     scale, average bound, per-partition bounds — is checked against the
@@ -1531,15 +968,10 @@ def replay_ledger(
     is raised on the first divergence (a tampered or corrupted ledger,
     or a non-deterministic controller, which would be a bug).
 
-    Schema compatibility: v2 ledgers additionally carry compressor specs
-    (surfaced on :attr:`ReplayedDecision.compressor`) and ``selection``
-    events (informational, skipped); v1 (PR 4-era) ledgers carry
-    neither and replay byte-for-byte unchanged.  v3 ledgers add the
-    resilience events: ``recovery`` and ``degradation`` are
-    informational, while ``resume`` supersedes the partial snapshot
-    recorded before an interruption (its authoritative copies follow),
-    so a crashed-and-resumed run replays to the same decision list as
-    an uninterrupted one.
+    Every schema version replays, and a crashed-and-resumed run replays
+    to the decision list of an uninterrupted one: the reducer table in
+    ``docs/resilience.md`` says what each event kind does and what a
+    ``resume`` withdraws.
     """
     if isinstance(source, RunLedger):
         events = source.events
@@ -1548,125 +980,11 @@ def replay_ledger(
     else:
         events = RunLedger.load(source).events
 
-    settings: OptimizerSettings | None = None
-    governor: BudgetGovernor | None = None
-    models: dict[str, RateModel] = {}
-    field_order: list[str] = []
-    pending_bytes = 0
-    decisions: list[ReplayedDecision] = []
-    run_first_decision = 0
-
-    def _mismatch(event: LedgerEvent, what: str, got: object, recorded: object) -> LedgerError:
-        return LedgerError(
-            f"replay diverged at seq {event.seq} ({event.kind}): "
-            f"{what} {got!r} != recorded {recorded!r}"
-        )
-
+    state = RunState()
+    rederived: dict[int, ReplayedDecision | None] = {}
     for event in events:
-        d = event.data
-        if event.kind == "run_start":
-            # A ledger file may hold several runs back to back (re-opened
-            # files continue the sequence); every run replays from a
-            # clean slate.
-            settings = OptimizerSettings(**d["settings"])
-            governor = None
-            models = {}
-            field_order = []
-            pending_bytes = 0
-            run_first_decision = len(decisions)
-        elif event.kind == "governor":
-            governor = BudgetGovernor(
-                d["total_bytes"],
-                d["n_snapshots"],
-                gain=d["gain"],
-                max_scale=d["max_scale"],
-            )
-        elif event.kind in ("calibration", "recalibration"):
-            name = d["field"]
-            models[name] = RateModel(
-                exponent=d["exponent"],
-                coef_alpha=d["coef_alpha"],
-                coef_beta=d["coef_beta"],
-                feature_floor=d["feature_floor"],
-            )
-            if name not in field_order:
-                field_order.append(name)
-        elif event.kind == "decision":
-            if settings is None:
-                raise LedgerError("decision event before run_start")
-            name = d["field"]
-            if name not in models:
-                raise LedgerError(
-                    f"decision for {name!r} at seq {event.seq} has no calibration"
-                )
-            scale = governor.scale if governor is not None else 1.0
-            if verify and scale != d["scale"]:
-                raise _mismatch(event, "governor scale", scale, d["scale"])
-            # The base bound is a recorded *input*: with warm starts it
-            # matches the latest calibration event; without them it is
-            # re-derived from the data each snapshot, so the decision
-            # event is its only record.
-            base = float(d["eb_base"])
-            eb_avg = base * scale
-            features = _replay_features(d)
-            if d.get("halo") is not None:
-                opt = optimize_combined(
-                    features, models[name], eb_avg, HaloQualitySpec(**d["halo"]), settings
-                )
-            else:
-                opt = optimize_for_spectrum(features, models[name], eb_avg, settings)
-            ebs = tuple(float(e) for e in opt.ebs)
-            if verify:
-                recorded = tuple(float(e) for e in d["ebs"])
-                if float(eb_avg) != float(d["eb_avg"]):
-                    raise _mismatch(event, "eb_avg", float(eb_avg), d["eb_avg"])
-                if ebs != recorded:
-                    raise _mismatch(event, "per-partition bounds", ebs, recorded)
-            decisions.append(
-                ReplayedDecision(
-                    snapshot_index=int(d["snapshot"]),
-                    redshift=float(d["redshift"]),
-                    field=name,
-                    eb_avg=float(eb_avg),
-                    ebs=ebs,
-                    # Schema v1 ledgers record no spec; v2 records one
-                    # (possibly null for spec-less instances).  Either
-                    # way it is informational — the bound arithmetic
-                    # above never touches it.
-                    compressor=(
-                        CompressorSpec.from_dict(d["spec"])
-                        if d.get("spec") is not None
-                        else None
-                    ),
-                )
-            )
-        elif event.kind == "outcome":
-            pending_bytes += int(d["compressed_bytes"])
-        elif event.kind == "resume":
-            # Schema v3: a restarted run re-executes the snapshot it was
-            # interrupted in.  Decisions recorded for it before the
-            # interruption are superseded by the copies that follow (the
-            # re-run is deterministic, so where both exist they agree),
-            # and the partial snapshot's byte accounting starts over.
-            cut = int(d["snapshot"])
-            decisions = decisions[:run_first_decision] + [
-                dec
-                for dec in decisions[run_first_decision:]
-                if dec.snapshot_index < cut
-            ]
-            pending_bytes = 0
-        elif event.kind == "budget":
-            if governor is None:
-                raise LedgerError("budget event without a governed run_start")
-            exps = [models[f].exponent for f in field_order]
-            # Must repeat _exponent_mean's exact (frozen) arithmetic.
-            exponent_mean = sum(exps) / len(exps)  # repro-lint: disable=RL006
-            if verify and pending_bytes != int(d["snapshot_bytes"]):
-                raise _mismatch(
-                    event, "snapshot bytes", pending_bytes, d["snapshot_bytes"]
-                )
-            scale_next = governor.observe(pending_bytes, exponent_mean)
-            if verify and scale_next != d["scale_next"]:
-                raise _mismatch(event, "next scale", scale_next, d["scale_next"])
-            pending_bytes = 0
-    return decisions
+        rederived[event.seq] = rederive(state, event, verify)
+        apply(state, event)
+    # What survives in the log is authoritative: a resume has withdrawn
+    # the decisions of the attempts it superseded.
+    return [d for e in state.log if (d := rederived[e.seq]) is not None]

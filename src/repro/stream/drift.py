@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 __all__ = ["DriftConfig", "DriftSignal", "DriftDetector"]
@@ -101,14 +102,25 @@ class DriftSignal:
 class DriftDetector:
     """Sliding-window standardized-residual monitor for one field."""
 
-    def __init__(self, field: str, config: DriftConfig | None = None) -> None:
+    def __init__(
+        self,
+        field: str,
+        config: DriftConfig | None = None,
+        residuals: Iterable[float] = (),
+    ) -> None:
         self.field = field
         self.config = config or DriftConfig()
-        self._residuals: deque[float] = deque(maxlen=self.config.window)
+        self._residuals: deque[float] = deque(residuals, maxlen=self.config.window)
 
     @property
     def n_points(self) -> int:
         return len(self._residuals)
+
+    @property
+    def window(self) -> tuple[float, ...]:
+        """The retained residuals — the detector's whole state:
+        ``DriftDetector(field, config, window)`` continues it."""
+        return tuple(self._residuals)
 
     def reset(self) -> None:
         """Forget accumulated residuals (call after a recalibration)."""

@@ -19,11 +19,11 @@ Design rules:
   file continues the sequence (ids stay monotonic across process
   restarts).
 - **Self-contained decisions.**  Every model parameter, feature vector
-  and governor input that produced a decision is recorded, so
-  :func:`repro.stream.controller.replay_ledger` can re-execute the
-  decision logic — optimizer, budget governor and all — and reproduce
-  the exact per-partition error bounds *without reading any field
-  data*.  Floats survive the JSON round trip exactly (``json`` emits
+  and governor input that produced a decision is recorded, so the run
+  state is a pure fold of the events (:mod:`repro.stream.state`) and
+  :func:`repro.stream.controller.replay_ledger` reproduces the exact
+  per-partition error bounds *without reading any field data*.  Floats
+  survive the JSON round trip exactly (``json`` emits
   ``repr``-precision), which is what makes bitwise replay possible.
 - **Dependency-free format.**  Plain JSON lines; numpy scalars/arrays
   are converted to Python numbers/lists on append.
@@ -66,30 +66,17 @@ __all__ = [
 #: Schema version a ``run_start`` event records as ``data["schema"]``.
 #: Version 1 (PR 4-era ledgers) predates the pluggable compressor
 #: backbone and carries no ``schema`` key; version 2 adds ``selection``
-#: events and the chosen compressor spec on calibration/decision events;
-#: version 3 adds the resilience vocabulary (``recovery``, ``resume``,
-#: ``degradation`` events) and records the block decomposition on
-#: ``run_start`` so :meth:`~repro.stream.controller.InSituController.
-#: resume` can rebuild it.  Replay treats every addition as
-#: informational or state-resetting, so version-1/2 ledgers still
-#: replay byte-for-byte.
+#: events and compressor specs; version 3 adds the resilience vocabulary
+#: (``recovery``, ``resume``, ``degradation``) and the block layout.
+#: Every version still folds and replays byte-for-byte: what each
+#: addition means is the reducer's business
+#: (:func:`repro.stream.state.apply`; table in ``docs/resilience.md``).
 LEDGER_SCHEMA_VERSION = 3
 
-#: The event vocabulary, in the order a run emits them.  ``governor``
-#: arms the run-level byte-budget governor (recorded separately from
-#: ``run_start`` because the snapshot count may only become known when a
-#: sized stream is handed to ``run()``); ``selection`` records a
-#: per-field compressor-selection outcome (candidate verdicts included;
-#: schema v2); ``calibration`` is the initial per-field model fit;
-#: ``recalibration`` a drift- or policy-triggered refit; ``decision``
-#: the per-(snapshot, field) error bounds; ``outcome`` the achieved
-#: rate/quality; ``budget`` the governor's per-snapshot accounting.
-#: The resilience events (schema v3) can appear anywhere: ``recovery``
-#: marks a torn tail truncated on re-open, ``resume`` marks a restarted
-#: run picking up after an interruption (replay resets its
-#: partial-snapshot byte accounting there), and ``degradation`` records
-#: a field falling back to its conservative compressor after retries
-#: were exhausted.
+#: The event vocabulary, in the order a run emits them; the resilience
+#: events (``recovery``, ``resume``, ``degradation``) can appear
+#: anywhere.  What each kind records and does to the run state is one
+#: table, next to the reducer that implements it: ``docs/resilience.md``.
 EVENT_KINDS = (
     "run_start",
     "governor",

@@ -9,6 +9,7 @@ nothing went wrong.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.resilience import (
 from repro.sim.io import save_snapshot
 from repro.stream import (
     DirectoryStream,
+    DriftConfig,
     InSituController,
     RunLedger,
     replay_ledger,
@@ -164,16 +166,21 @@ class TestInterruptedRunResumes:
         """The headline scenario: a governed 8-snapshot stream dies
         mid-run with a torn final ledger line; the resumed run must be
         indistinguishable from one that never crashed."""
+        # A detector tight enough to fire (and force refits) before the
+        # tear, so the resumed report has drift verdicts to reproduce.
+        settings = dict(
+            byte_budget=800_000,
+            drift=DriftConfig(z_threshold=1.5, window=2, min_points=1, rate_sigma=0.02),
+            retain_results=False,
+        )
         base_path = tmp_path / "base.jsonl"
-        InSituController(
-            chaos_dec, ledger=base_path, byte_budget=800_000, retain_results=False
-        ).run(chaos_stream(8))
+        base_report = InSituController(chaos_dec, ledger=base_path, **settings).run(
+            chaos_stream(8)
+        )
         baseline = replay_ledger(base_path)
 
         crash_path = tmp_path / "crash.jsonl"
-        ctl = InSituController(
-            chaos_dec, ledger=crash_path, byte_budget=800_000, retain_results=False
-        )
+        ctl = InSituController(chaos_dec, ledger=crash_path, **settings)
         # Tear a mid-run append: the write lands partially on disk and
         # the "process" dies with the snapshot incomplete.
         plan = FaultPlan(seed=1).arm("ledger.append", kind="torn", at=26, fraction=0.6)
@@ -195,6 +202,18 @@ class TestInterruptedRunResumes:
         assert ledger.select("resume")[0].data["truncated_bytes"] > 0
 
         assert replay_ledger(crash_path) == baseline
+        # The resumed report is the uninterrupted one: its rows are
+        # folded from the recorded events, drift verdicts included.
+        want, got = json.loads(base_report.to_json()), json.loads(report.to_json())
+        assert any(o["drift"] for o in want["outcomes"][: len(want["outcomes"]) // 2])
+        for key in (
+            "outcomes",
+            "recalibrations",
+            "n_recalibrations",
+            "raw_bytes",
+            "compressed_bytes",
+        ):
+            assert got[key] == want[key], key
 
     def test_worker_crash_plus_torn_tail_resumes_byte_identical(
         self, chaos_stream, chaos_dec, tmp_path
@@ -251,6 +270,39 @@ class TestInterruptedRunResumes:
         # Without a governor, the last referenced snapshot cannot be
         # proven complete, so it is conservatively re-executed; the
         # resume event supersedes the duplicates on replay.
+        assert replay_ledger(crash_path) == baseline
+
+    def test_primed_never_policy_crash_in_snapshot_0_resumes(
+        self, chaos_stream, chaos_dec, tmp_path
+    ):
+        """Prime-time calibrations are pre-stream state: a crash inside
+        snapshot 0 must not withdraw them (under ``never`` nothing could
+        ever refit them)."""
+        first = next(iter(chaos_stream(1)))
+        base_path = tmp_path / "base.jsonl"
+        base = InSituController(
+            chaos_dec, ledger=base_path, recalibrate="never", retain_results=False
+        )
+        base.prime(first)
+        base.run(chaos_stream(3))
+        baseline = replay_ledger(base_path)
+
+        crash_path = tmp_path / "crash.jsonl"
+        ctl = InSituController(
+            chaos_dec, ledger=crash_path, recalibrate="never", retain_results=False
+        )
+        ctl.prime(first)
+        # The 2nd append after prime() — snapshot 0's first outcome.
+        plan = FaultPlan(seed=3).arm("ledger.append", kind="torn", at=1, fraction=0.5)
+        with plan.activate(), pytest.raises(TornWrite):
+            ctl.run(chaos_stream(3))
+        ctl.ledger.close()
+
+        resumed = InSituController.resume(crash_path, retain_results=False)
+        assert resumed.report.n_snapshots == 0
+        assert resumed.calibrations.keys() == set(first.fields)
+        report = resumed.run(chaos_stream(3))
+        assert report.n_snapshots == 3
         assert replay_ledger(crash_path) == baseline
 
     def test_resuming_a_sealed_run_is_a_noop(self, chaos_stream, chaos_dec, tmp_path):

@@ -8,6 +8,13 @@ forever.  Schema v2 ledgers — with specs recorded and mixed compressor
 configurations across fields — must round-trip through
 :func:`~repro.stream.controller.replay_ledger` with tamper detection
 intact.
+
+``fixtures/v2_ledger.jsonl`` and ``fixtures/v3_ledger.jsonl`` were
+written by the last commit that still had the three hand-written ledger
+walkers (recipe: ``fixtures/README.md``), and every fixture's replayed
+decisions are pinned in a sibling ``*.decisions.json`` — so the reducer
+is checked against bytes and results the old walkers produced, not
+against itself.
 """
 
 from __future__ import annotations
@@ -27,7 +34,75 @@ from repro.stream.ledger import (
 )
 from repro.stream.source import SimulatorStream
 
-FIXTURE = Path(__file__).parent / "fixtures" / "pr4_ledger.jsonl"
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE = FIXTURES / "pr4_ledger.jsonl"
+
+
+class TestFrozenFixtures:
+    @pytest.mark.parametrize("name", ["pr4_ledger", "v2_ledger", "v3_ledger"])
+    def test_replays_to_pinned_decisions(self, name):
+        decisions = replay_ledger(FIXTURES / f"{name}.jsonl", verify=True)
+        pinned = json.loads((FIXTURES / f"{name}.decisions.json").read_text())
+        assert [
+            {
+                "snapshot": d.snapshot_index,
+                "field": d.field,
+                "eb_avg": d.eb_avg,
+                "ebs": list(d.ebs),
+                "spec": None if d.compressor is None else d.compressor.to_dict(),
+            }
+            for d in decisions
+        ] == pinned
+
+    def test_v2_fixture_shape(self):
+        """Two runs back to back — pinned per-field specs, then a
+        candidate slate — in the PR 5-era format."""
+        events = RunLedger.load(FIXTURES / "v2_ledger.jsonl").events
+        starts = [e for e in events if e.kind == "run_start"]
+        assert len(starts) == 2
+        assert all(e.data["schema"] == 2 and "blocks" not in e.data for e in starts)
+        assert starts[0].data["candidates"] is None
+        assert len(starts[1].data["candidates"]) == 2
+        kinds = {e.kind for e in events}
+        assert "selection" in kinds and "recalibration" in kinds
+        assert not kinds & {"recovery", "resume", "degradation"}
+
+    def test_v3_fixture_folds_to_the_uninterrupted_state(self):
+        """Governed; one field degrades in snapshot 0; the run dies in
+        snapshot 2 after degrading the *other* field too, with a torn
+        tail.  The resume withdraws that second degradation."""
+        from repro.stream.state import RunState, apply
+
+        events = RunLedger.load(FIXTURES / "v3_ledger.jsonl").events
+        kinds = [e.kind for e in events]
+        assert kinds.count("degradation") == 2
+        assert kinds.count("recovery") == kinds.count("resume") == 1
+        state = RunState()
+        for event in events:
+            apply(state, event)
+        assert state.quarantined == {"baryon_density"}
+        assert state.report.n_degradations == 1
+        assert state.report.degraded_fields == ["baryon_density"]
+        assert state.report.n_recoveries == 1
+        assert state.sealed == 5 and state.governor.snapshots_done == 5
+        assert [(o.snapshot_index, o.field) for o in state.report.outcomes] == [
+            (i, f) for i in range(5) for f in ("baryon_density", "temperature")
+        ]
+        assert state.governor.spent == state.report.compressed_bytes
+
+    def test_v3_fixture_tamper_names_the_seq(self, tmp_path):
+        lines = (FIXTURES / "v3_ledger.jsonl").read_text().splitlines()
+        budget = next(
+            json.loads(line) for line in lines if json.loads(line)["kind"] == "budget"
+        )
+        budget["data"]["scale_next"] *= 1.5
+        lines[budget["seq"]] = json.dumps(budget)
+        bad = tmp_path / "tampered.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            LedgerError, match=rf"replay diverged at seq {budget['seq']} \(budget\)"
+        ):
+            replay_ledger(bad, verify=True)
 
 
 class TestPR4Fixture:
