@@ -24,12 +24,12 @@ def test_fig09_per_partition_power_laws(snapshot, decomposition, compressor, ben
         for i, v in enumerate(sample):
             rates = np.array([compressor.compress(v, float(e)).bit_rate for e in probe_ebs])
             coef, c, r2 = fit_power_law(probe_ebs, rates)
-            rows.append([i, *rates.tolist(), c, r2])
+            rows.append([i, *rates.tolist(), coef, c, r2])
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    headers = ["part"] + [f"b(eb={e:g})" for e in probe_ebs] + ["exponent c", "R^2"]
+    headers = ["part"] + [f"b(eb={e:g})" for e in probe_ebs] + ["C_m", "exponent c", "R^2"]
     print(format_table(headers, rows, title="Fig. 9 reproduction: rate curves"))
 
     exps = np.array([r[-2] for r in rows])
@@ -40,6 +40,9 @@ def test_fig09_per_partition_power_laws(snapshot, decomposition, compressor, ben
     med = np.median(exps[informative])
     assert med < -0.2
     assert np.std(exps[informative]) < abs(med)
-    # Compressibility spread across partitions (different C_m offsets).
-    mid_rates = np.array([r[3] for r in rows])
-    assert mid_rates.max() / max(mid_rates.min(), 1e-9) > 2.0
+    # Compressibility spread across partitions: the fitted Eq. 15
+    # offsets C_m (measured 2.60x).  The rate ratio at any one probe
+    # bound is not a stand-in for it: it runs from 1.6x at eb=0.1 to
+    # 3.0x at eb=1.6 on these same curves.
+    offsets = np.array([r[-3] for r in rows])
+    assert offsets.max() / max(offsets.min(), 1e-9) > 2.0

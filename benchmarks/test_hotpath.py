@@ -30,9 +30,9 @@ import numpy as np
 
 from repro import telemetry
 from repro.compression.codecs import get_codec
-from repro.compression.kernels import available_kernels
+from repro.compression.kernels import available_kernels, zigzag
 from repro.compression.quantizer import DEFAULT_RADIUS
-from repro.compression.sz import SZCompressor, _zigzag
+from repro.compression.sz import SZCompressor
 from repro.models.calibration import calibrate_rate_model
 from repro.telemetry.report import stage_summary
 from repro.parallel.decomposition import BlockDecomposition
@@ -94,7 +94,7 @@ def _seed_compress(arr: np.ndarray, eb: float, codec) -> dict[str, bytes]:
     return {
         "codes": codec.encode(codes),
         "outlier_pos": zlib.compress(out_pos.astype(np.int64).tobytes(), 6),
-        "outlier_val": zlib.compress(_zigzag(out_val).tobytes(), 6),
+        "outlier_val": zlib.compress(zigzag(out_val).tobytes(), 6),
     }
 
 
@@ -120,7 +120,9 @@ def test_hotpath(benchmark):
         ws = comp.workspace
         t = {
             "kernel_seed_s": _best_of(lambda: _seed_kernel(data, eb)),
-            "kernel_fused_s": _best_of(lambda: comp._quantize_encode(data, eb, ws)),
+            "kernel_fused_s": _best_of(
+                lambda: comp._quantize_encode_batch([data], np.array([eb]), ws)
+            ),
             "compress_seed_s": _best_of(lambda: _seed_compress(data, eb, codec)),
             "compress_fused_s": _best_of(lambda: comp.compress(data, eb)),
         }

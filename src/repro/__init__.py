@@ -40,6 +40,7 @@ from repro.compression import (
     ZFPLikeCompressor,
     decompress,
     decompress_any,
+    decompress_many,
     resolve_compressor,
 )
 from repro.core import (
@@ -87,6 +88,7 @@ __all__ = [
     "CompressorSpec",
     "UnsupportedCapabilityError",
     "decompress_any",
+    "decompress_many",
     "resolve_compressor",
     "SelectionResult",
     "select_compressor",

@@ -24,14 +24,18 @@ selects SZ's *entropy* stage (zlib/huffman/raw) — one parameter of the
 ``sz`` family, not a compressor family — and is folded into the spec.
 
 Compressed containers are ``.npz`` archives holding every partition's
-payloads plus layout metadata, loadable back into
+payloads plus layout metadata (one canonical-JSON ``__meta`` member; no
+pickle), loadable back into
 :class:`repro.compression.sz.CompressedBlock` objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import json
 import sys
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -41,7 +45,7 @@ from repro.compression.api import (
     REGISTRY,
     CompressorSpec,
     UnsupportedCapabilityError,
-    decompress_any,
+    decompress_many,
 )
 from repro.compression.sz import CompressedBlock
 from repro.core.pipeline import AdaptiveCompressionPipeline
@@ -55,59 +59,118 @@ from repro.util.tables import format_table
 __all__ = ["main", "save_blocks", "load_blocks"]
 
 
+#: Block fields a container's ``__meta`` records, in the column order of
+#: the legacy object-dtype rows (which had no ``layout``: they are 1).
+_META_FIELDS = (
+    "shape", "source_itemsize", "eb", "mode", "engine", "codec", "radius", "n_outliers",
+)
+
+
+def _npy_member(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, allow_pickle=False)
+    return buf.getvalue()
+
+
 def save_blocks(path: str, blocks: list[CompressedBlock], ebs: np.ndarray, blocks_per_axis: int) -> None:
-    """Persist compressed partitions to an ``.npz`` container."""
-    payload: dict[str, np.ndarray] = {
-        "__ebs": np.asarray(ebs, dtype=np.float64),
-        "__blocks_per_axis": np.array(blocks_per_axis),
-        "__meta": np.array(
-            [
-                (
-                    ",".join(map(str, b.shape)),
-                    b.source_itemsize,
-                    b.eb,
-                    b.mode,
-                    b.engine,
-                    b.codec_name,
-                    b.radius,
-                    b.n_outliers,
-                )
-                for b in blocks
-            ],
-            dtype=object,
-        ),
+    """Persist compressed partitions to an ``.npz`` container.
+
+    The file stays a plain ``np.load``-able zip of ``.npy`` members, but
+    each member is stored the cheapest way that does not lose ratio:
+    payloads of entropy-coded blocks are already DEFLATE/Huffman output,
+    so they go in ``ZIP_STORED`` (re-deflating them bought ~2 % for most
+    of the save time); raw-codec payloads and the metadata members are
+    deflated.  ``__meta`` is one canonical-JSON document (a uint8
+    member) with a row per block — shape, bound, mode, engine, codec,
+    radius, outlier count, the code-stream ``layout`` of its payloads
+    and the payload names; empty payloads get no member.  Nothing in the
+    file needs ``pickle`` to load.
+    """
+    path = str(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    meta = {
+        "blocks": [
+            {
+                "shape": list(b.shape),
+                "source_itemsize": b.source_itemsize,
+                "eb": b.eb,
+                "mode": b.mode,
+                "engine": b.engine,
+                "codec": b.codec_name,
+                "radius": b.radius,
+                "n_outliers": b.n_outliers,
+                "layout": b.layout,
+                "payloads": list(b.payloads),
+            }
+            for b in blocks
+        ],
     }
-    for i, b in enumerate(blocks):
-        for name, blob in b.payloads.items():
-            payload[f"p{i}_{name}"] = np.frombuffer(blob, dtype=np.uint8)
-    np.savez_compressed(path, **payload, allow_pickle=True)
+    meta_json = json.dumps(meta, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
+
+        def write(name: str, arr: np.ndarray, method: int) -> None:
+            info = zipfile.ZipInfo(name + ".npy")  # fixed timestamp: same blocks, same file
+            info.compress_type = method
+            zf.writestr(info, _npy_member(arr))
+
+        write("__ebs", np.asarray(ebs, dtype=np.float64), zipfile.ZIP_DEFLATED)
+        write("__blocks_per_axis", np.array(blocks_per_axis), zipfile.ZIP_DEFLATED)
+        write("__meta", np.frombuffer(meta_json.encode(), dtype=np.uint8), zipfile.ZIP_DEFLATED)
+        for i, b in enumerate(blocks):
+            method = zipfile.ZIP_DEFLATED if b.codec_name == "raw" else zipfile.ZIP_STORED
+            for name, blob in b.payloads.items():
+                if blob:
+                    write(f"p{i}_{name}", np.frombuffer(blob, dtype=np.uint8), method)
+
+
+def _legacy_meta_rows(path: str) -> list[dict]:
+    """``__meta`` of a container written before the JSON form: an
+    object-dtype array, the one member (and the one path) that needs
+    ``pickle`` to load."""
+    with np.load(path, allow_pickle=True) as data:
+        rows = [dict(zip(_META_FIELDS, row)) for row in data["__meta"]]
+    for row in rows:
+        row["shape"] = [int(s) for s in row["shape"].split(",")]
+    return rows
 
 
 def load_blocks(path: str) -> tuple[list[CompressedBlock], np.ndarray, int]:
-    """Inverse of :func:`save_blocks`."""
-    with np.load(path, allow_pickle=True) as data:
-        meta = data["__meta"]
+    """Inverse of :func:`save_blocks` (reads legacy containers too)."""
+    with np.load(path, allow_pickle=False) as data:
         ebs = data["__ebs"]
         bpa = int(data["__blocks_per_axis"])
+        # One pass over the member list: block index -> payload members.
+        members: dict[int, dict[str, str]] = {}
+        for key in data.files:
+            if key.startswith("p"):
+                index, _, name = key[1:].partition("_")
+                members.setdefault(int(index), {})[name] = key
+        try:
+            meta = data["__meta"]
+        except ValueError:  # object array: refused without pickle
+            rows = _legacy_meta_rows(path)
+        else:
+            rows = json.loads(meta.tobytes())["blocks"]
         blocks = []
-        for i, row in enumerate(meta):
-            shape_s, itemsize, eb, mode, engine, codec, radius, n_out = row
-            payloads = {}
-            for key in data.files:
-                prefix = f"p{i}_"
-                if key.startswith(prefix):
-                    payloads[key[len(prefix) :]] = data[key].tobytes()
+        for i, row in enumerate(rows):
+            stored = members.get(i, {})
+            names = row.get("payloads", stored)
             blocks.append(
                 CompressedBlock(
-                    shape=tuple(int(s) for s in shape_s.split(",")),
-                    source_itemsize=int(itemsize),
-                    eb=float(eb),
-                    mode=str(mode),
-                    engine=str(engine),
-                    codec_name=str(codec),
-                    radius=int(radius),
-                    n_outliers=int(n_out),
-                    payloads=payloads,
+                    shape=tuple(int(s) for s in row["shape"]),
+                    source_itemsize=int(row["source_itemsize"]),
+                    eb=float(row["eb"]),
+                    mode=str(row["mode"]),
+                    engine=str(row["engine"]),
+                    codec_name=str(row["codec"]),
+                    radius=int(row["radius"]),
+                    n_outliers=int(row["n_outliers"]),
+                    payloads={
+                        name: data[stored[name]].tobytes() if name in stored else b""
+                        for name in names
+                    },
+                    layout=int(row.get("layout", 1)),
                 )
             )
     return blocks, ebs, bpa
@@ -232,7 +295,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     data = snap[args.field].astype(np.float64)
     blocks, ebs, bpa = load_blocks(args.compressed)
     dec = BlockDecomposition(data.shape, blocks=bpa)
-    recon = dec.assemble([decompress_any(b) for b in blocks])
+    recon = dec.assemble(decompress_many(blocks))
     ok, dev = check_spectrum_quality(data, recon, tolerance=args.tolerance)
     rows = [
         ["max abs error", float(np.max(np.abs(recon - data)))],

@@ -16,6 +16,8 @@ pipeline in vectorized NumPy:
   fused, allocation-lean kernel path,
 - :mod:`repro.compression.estimator` — codec-free bit-rate prediction
   from quantization-code histograms (the calibration/sweep fast path),
+- :mod:`repro.compression.compat` — read-only decoders for retired
+  stored forms (code-stream layout 1, legacy outlier channels),
 - :mod:`repro.compression.zfp_like` — a fixed-rate transform codec used
   as the ZFP-style comparator,
 - :mod:`repro.compression.api` — the pluggable compressor backbone: a
@@ -43,6 +45,7 @@ from repro.compression.api import (
     ZFPLikeAdapter,
     capabilities_of,
     decompress_any,
+    decompress_many,
     register_builtin_families,
     resolve_compressor,
     spec_of,
@@ -82,6 +85,7 @@ __all__ = [
     "AdaptiveSZAdapter",
     "capabilities_of",
     "decompress_any",
+    "decompress_many",
     "register_builtin_families",
     "resolve_compressor",
     "spec_of",

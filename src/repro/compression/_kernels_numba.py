@@ -65,33 +65,38 @@ def _lorenzo3(batch):  # pragma: no cover - exercised via numba CI leg
 
 
 @njit(cache=True, parallel=True)
-def _count_outliers(res, radius, counts):  # pragma: no cover - numba CI leg
+def _fold_census(res, limit, counts, maxes):  # pragma: no cover - numba CI leg
     n_blocks, n = res.shape
-    hi = 2 * radius - 1
     for b in prange(n_blocks):
         c = 0
+        m = 0
         for i in range(n):
-            code = res[b, i] + radius  # wraps like the NumPy in-place add
-            if code < 1 or code > hi:
+            r = res[b, i]
+            zz = (r << 1) ^ (r >> 63)  # wraps like the NumPy in-place shifts
+            # uint64(zz) > limit, spelled for a signed register
+            if zz < 0 or zz > limit:
                 c += 1
+            elif zz + 1 > m:
+                m = zz + 1
         counts[b] = c
+        maxes[b] = m
 
 
 @njit(cache=True, parallel=True)
-def _encode_residuals(res, radius, offsets, pos, val):  # pragma: no cover
+def _fold(res, limit, offsets, pos, val):  # pragma: no cover - numba CI leg
     n_blocks, n = res.shape
-    hi = 2 * radius - 1
     for b in prange(n_blocks):
         w = offsets[b]
         for i in range(n):
-            code = res[b, i] + radius
-            if code < 1 or code > hi:
+            r = res[b, i]
+            zz = (r << 1) ^ (r >> 63)
+            if zz < 0 or zz > limit:
                 pos[w] = i
-                val[w] = res[b, i]
+                val[w] = r
                 res[b, i] = 0
                 w += 1
             else:
-                res[b, i] = code
+                res[b, i] = zz + 1
 
 
 class NumbaKernels(NumpyKernels):
@@ -111,15 +116,17 @@ class NumbaKernels(NumpyKernels):
             )
         _lorenzo3(lattice)
 
-    def encode_residuals(self, res, radius, fits=None, misfit=None):
+    def fold(self, res, radius, scratch=None, misfit=None):
         if radius < 2:
             raise ValueError(f"radius must be >= 2, got {radius}")
+        limit = 2 * radius - 2  # largest zigzag a fitting residual folds to
         counts = np.empty(res.shape[0], dtype=np.int64)
-        _count_outliers(res, radius, counts)
+        maxes = np.empty(res.shape[0], dtype=np.int64)
+        _fold_census(res, limit, counts, maxes)
         offsets = np.cumsum(counts)
         total = int(offsets[-1]) if offsets.size else 0
         offsets -= counts  # exclusive prefix sum: write cursor per block
         pos = np.empty(total, dtype=np.int64)
         val = np.empty(total, dtype=np.int64)
-        _encode_residuals(res, radius, offsets, pos, val)
-        return counts, pos, val
+        _fold(res, limit, offsets, pos, val)
+        return counts, pos, val, maxes

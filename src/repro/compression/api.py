@@ -19,8 +19,9 @@ select_compressor`) instead of a hard-coded default:
   ``default()``; adapts the existing compressors with byte-identical
   payloads (``registry.create(spec).compress(...)`` equals direct
   construction, property-tested),
-- :func:`decompress_any` — block-type dispatch so reconstruction paths
-  work for every registered family, not just SZ.
+- :func:`decompress_any` / :func:`decompress_many` — block-type
+  dispatch so reconstruction paths work for every registered family,
+  not just SZ; the batch form fans blocks out over threads.
 
 Terminology note: the *entropy codec* (zlib / huffman / raw) is the SZ
 family's internal entropy stage — one **parameter** of the ``sz`` spec —
@@ -31,7 +32,8 @@ for ``--compressor sz:codec=...``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+import os
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
@@ -59,6 +61,7 @@ __all__ = [
     "capabilities_of",
     "spec_of",
     "decompress_any",
+    "decompress_many",
 ]
 
 
@@ -635,3 +638,33 @@ def spec_of(compressor: Any) -> CompressorSpec | None:
 def decompress_any(block: Any) -> np.ndarray:
     """Reconstruct a field from any registered family's compressed block."""
     return REGISTRY.decompress(block)
+
+
+def decompress_many(blocks: Sequence[Any], threads: int | None = None) -> list[np.ndarray]:
+    """Reconstruct every block of ``blocks`` (any registered families), in order.
+
+    The decode analogue of ``compress_many``'s entropy fan-out: inflate
+    and the Lorenzo cumulative sums both release the GIL, so blocks
+    decode concurrently on the thread backend's ``map_tasks``.
+    ``threads`` is the number of blocks decoded at once: ``None``
+    (default) is the CPU count, ``1`` keeps everything in the calling
+    thread (what process-pool workers pass to avoid oversubscription).
+    """
+    if threads is None:
+        threads = os.cpu_count() or 1
+    threads = min(threads, len(blocks))
+    if threads <= 1:
+        return [decompress_any(b) for b in blocks]
+    # Lazy import: parallel.backends imports this module.
+    from repro.parallel.backends import get_backend
+
+    # One strided share per thread (neighbouring blocks cost about the
+    # same, so the shares come out even); the share count is the cap.
+    shares = get_backend("thread").map_tasks(
+        lambda share: [decompress_any(b) for b in share],
+        [blocks[i::threads] for i in range(threads)],
+    )
+    out: list[Any] = [None] * len(blocks)
+    for i, share in enumerate(shares):
+        out[i::threads] = share
+    return out

@@ -1,4 +1,4 @@
-"""Entropy-stage codecs for quantization codes.
+"""Entropy-stage codecs for quantization symbols.
 
 SZ entropy-codes the quantization integers (Huffman + a lossless pass);
 this module provides interchangeable backends:
@@ -6,13 +6,29 @@ this module provides interchangeable backends:
 - :class:`HuffmanCodec` — from-scratch canonical Huffman
   (:mod:`repro.compression.huffman`) followed by a zlib pass over the
   packed bits, mirroring SZ's Huffman+Zstd stack.
-- :class:`ZlibCodec` — DEFLATE over the raw code bytes.  DEFLATE is
+- :class:`ZlibCodec` — DEFLATE over the packed symbol bytes.  DEFLATE is
   itself LZ77+Huffman, so rate behaviour is close to the Huffman stack
   while encode/decode run at C speed; it is the default for large
   experiments.
 - :class:`RawCodec` — no entropy coding (debug / ablation baseline).
 
 All codecs operate on non-negative integer arrays and round-trip exactly.
+
+Packed bytes (``raw`` and ``zlib``)
+-----------------------------------
+A symbol row is stored at its *value-minimal* width ``k`` in {1, 2, 4, 8}
+bytes.  ``k = 1`` rows are the symbols themselves; wider rows are split
+into ``k`` little-endian **byte planes** — all low bytes, then all
+second bytes, ... — so DEFLATE sees a noisy plane followed by
+near-constant ones instead of the two interleaved.  One tag byte leads
+the payload: the low seven bits hold ``k``, the high bit
+(:data:`PLANES_BIT`) says "planes" and is set exactly when ``k > 1``.
+A tag of 2/4/8 *without* the bit is the retired interleaved form, which
+only :mod:`repro.compression.compat` still reads.
+
+Every decoder validates what it reads — tag, section lengths, the exact
+inflated size — and raises :class:`repro.util.errors.PayloadError`,
+never a bare ``zlib.error`` and never a silently short or long array.
 """
 
 from __future__ import annotations
@@ -23,8 +39,27 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.compression.huffman import DEFAULT_MAX_CODE_LENGTH, HuffmanTable
+from repro.compression.kernels import NumpyKernels
+from repro.util.errors import PayloadError
 
-__all__ = ["Codec", "RawCodec", "ZlibCodec", "HuffmanCodec", "get_codec"]
+__all__ = [
+    "PLANES_BIT",
+    "Codec",
+    "RawCodec",
+    "ZlibCodec",
+    "HuffmanCodec",
+    "get_codec",
+    "inflate_exact",
+    "pack_symbols",
+    "unpack_symbols",
+    "deflate_channel",
+    "inflate_channel",
+    "pack_positions",
+    "unpack_positions",
+]
+
+#: High bit of the width tag: the row is stored as byte planes.
+PLANES_BIT = 0x80
 
 
 def _minimal_uint_dtype(max_value: int) -> np.dtype:
@@ -35,29 +70,131 @@ def _minimal_uint_dtype(max_value: int) -> np.dtype:
     raise ValueError(f"value {max_value} exceeds uint64 range")
 
 
+def inflate_exact(blob: bytes, nbytes: int, what: str) -> bytes:
+    """Inflate a zlib stream that must hold exactly ``nbytes`` bytes.
+
+    Output is capped at ``nbytes + 1`` so a hostile stream cannot size
+    the allocation; a truncated stream, trailing bytes after it and any
+    other length are all :class:`PayloadError`.
+    """
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(blob, nbytes + 1)
+    except zlib.error as exc:
+        raise PayloadError(f"{what}: {exc}") from None
+    if len(raw) != nbytes or not inflater.eof or inflater.unused_data:
+        raise PayloadError(
+            f"{what}: stream does not inflate to exactly {nbytes} bytes"
+        )
+    return raw
+
+
+def pack_symbols(symbols: np.ndarray) -> np.ndarray:
+    """Pack a 1-D non-negative integer row into its ``(k, n)`` uint8
+    byte rows (``k`` = value-minimal width; see the module docstring)."""
+    k = _minimal_uint_dtype(int(symbols.max()) if symbols.size else 0).itemsize
+    return NumpyKernels().byte_planes(symbols, np.empty((k, symbols.size), dtype=np.uint8))
+
+
+def _tag_of(packed: np.ndarray) -> bytes:
+    k = packed.shape[0]
+    return bytes([k | PLANES_BIT if k > 1 else k])
+
+
+def unpack_symbols(tag: int, raw: bytes, n: int, what: str) -> np.ndarray:
+    """Inverse of :func:`pack_symbols` for ``n`` symbols under width tag
+    ``tag``; returns a ``(n,)`` array of the ``k``-byte unsigned dtype."""
+    k = _width_of(tag, what)
+    if len(raw) != n * k:
+        raise PayloadError(
+            f"{what}: {len(raw)} symbol bytes, expected {n} x {k} = {n * k}"
+        )
+    if k == 1:
+        return np.frombuffer(raw, dtype=np.uint8)
+    interleaved = np.empty((n, k), dtype=np.uint8)
+    interleaved.T[...] = np.frombuffer(raw, dtype=np.uint8).reshape(k, n)
+    return interleaved.view(f"<u{k}").reshape(n)
+
+
+def _width_of(tag: int, what: str) -> int:
+    k = tag & ~PLANES_BIT
+    if k not in (1, 2, 4, 8) or bool(tag & PLANES_BIT) != (k > 1):
+        raise PayloadError(f"{what}: unknown width tag 0x{tag:02x}")
+    return k
+
+
+# -- side channels (outlier positions / values, predictor masks) -------------
+
+
+def deflate_channel(buf: "bytes | np.ndarray", level: int = 6) -> bytes:
+    """zlib-compress a side-channel buffer; empty channels store ``b""``
+    (no ~8 dead bytes of zlib framing per outlier-free block)."""
+    return zlib.compress(buf, level) if len(buf) else b""
+
+
+def inflate_channel(blob: bytes, nbytes: int, what: str) -> bytes:
+    """Inverse of :func:`deflate_channel` for a channel of exactly
+    ``nbytes`` bytes (an empty channel must be ``b""``)."""
+    if nbytes == 0:
+        if blob:
+            raise PayloadError(f"{what}: {len(blob)} bytes stored for an empty channel")
+        return b""
+    return inflate_exact(blob, nbytes, what)
+
+
+def pack_positions(arr: np.ndarray, level: int = 6) -> bytes:
+    """Serialize outlier positions: ``[1B itemsize][zlib(narrowed ints)]``.
+
+    The caller narrows ``arr`` to the smallest uint dtype covering the
+    block size, so a 64^3 block spends 4 bytes per outlier position
+    instead of int64's 8 before DEFLATE even starts.  Empty channels
+    store ``b""``.
+    """
+    if not arr.size:
+        return b""
+    return bytes([arr.dtype.itemsize]) + zlib.compress(arr, level)
+
+
+def unpack_positions(blob: bytes, count: int, what: str = "outlier positions") -> np.ndarray:
+    """Read ``count`` positions written by :func:`pack_positions` (int64)."""
+    if count == 0 or not blob:
+        if count or blob:
+            raise PayloadError(f"{what}: {len(blob)} bytes stored for {count} positions")
+        return np.empty(0, dtype=np.int64)
+    k = blob[0]
+    if k not in (1, 2, 4, 8):
+        raise PayloadError(f"{what}: unknown width tag 0x{k:02x}")
+    raw = inflate_exact(memoryview(blob)[1:], count * k, what)
+    return np.frombuffer(raw, dtype=f"<u{k}").astype(np.int64)
+
+
 class Codec(ABC):
     """Round-trip codec for 1-D non-negative integer arrays."""
 
     name: str = "abstract"
 
-    @abstractmethod
+    #: What :meth:`encode_row` consumes: the packed ``(k, n)`` uint8 byte
+    #: rows (``True``) or the 1-D symbol values themselves (``False``).
+    #: The batched compressor front prepares rows accordingly, once per
+    #: group, so entropy threads only ever see contiguous rows.
+    byte_oriented: bool = True
+
     def encode(self, codes: np.ndarray) -> bytes:
         """Encode ``codes`` into a self-describing byte blob."""
+        codes = self._validate(codes)
+        return self.encode_row(pack_symbols(codes) if self.byte_oriented else codes)
+
+    @abstractmethod
+    def encode_row(self, row: np.ndarray) -> bytes:
+        """Encode one prepared row (see :attr:`byte_oriented`) — the hot
+        path: no validation, no min/max rescans.  Byte-identical to
+        :meth:`encode` on the same symbols."""
 
     @abstractmethod
     def decode(self, blob: bytes, n: int) -> np.ndarray:
-        """Recover exactly ``n`` codes from ``blob`` (dtype int64)."""
-
-    def encode_narrowed(self, codes: np.ndarray) -> bytes:
-        """Encode codes the caller has already narrowed to their minimal
-        unsigned dtype (non-negative, value-minimal width).
-
-        Byte-identical to :meth:`encode` — the batched hot path uses it
-        to skip the validation and min/max rescans encode would repeat
-        per block.  The default just delegates; codecs whose encode
-        starts with a narrowing pass override it.
-        """
-        return self.encode(codes)
+        """Recover exactly ``n`` symbols from ``blob`` (an unsigned or
+        int64 array; raises :class:`PayloadError` on bytes that fail
+        validation)."""
 
     @staticmethod
     def _validate(codes: np.ndarray) -> np.ndarray:
@@ -70,32 +207,21 @@ class Codec(ABC):
 
 
 class RawCodec(Codec):
-    """Store codes verbatim in the minimal unsigned dtype."""
+    """Store the packed symbol bytes verbatim."""
 
     name = "raw"
 
-    def encode(self, codes: np.ndarray) -> bytes:
-        codes = self._validate(codes)
-        if codes.size == 0:
-            return b"\x01"
-        dt = _minimal_uint_dtype(int(codes.max()))
-        return bytes([dt.itemsize]) + codes.astype(dt, copy=False).tobytes()
-
-    def encode_narrowed(self, codes: np.ndarray) -> bytes:
-        if codes.size == 0:
-            return b"\x01"
-        return bytes([codes.dtype.itemsize]) + codes.tobytes()
+    def encode_row(self, row: np.ndarray) -> bytes:
+        return _tag_of(row) + row.tobytes()
 
     def decode(self, blob: bytes, n: int) -> np.ndarray:
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        itemsize = blob[0]
-        dt = np.dtype(f"u{itemsize}")
-        return np.frombuffer(blob, dtype=dt, offset=1, count=n).astype(np.int64)
+        if not blob:
+            raise PayloadError("raw codes: empty payload")
+        return unpack_symbols(blob[0], memoryview(blob)[1:], n, "raw codes")
 
 
 class ZlibCodec(Codec):
-    """DEFLATE over the minimal-width byte representation of the codes."""
+    """DEFLATE over the packed symbol bytes."""
 
     name = "zlib"
 
@@ -104,30 +230,17 @@ class ZlibCodec(Codec):
             raise ValueError(f"zlib level must be in [0, 9], got {level}")
         self.level = level
 
-    def encode(self, codes: np.ndarray) -> bytes:
-        codes = self._validate(codes)
-        if codes.size == 0:
-            return b"\x01"
-        dt = _minimal_uint_dtype(int(codes.max()))
-        # astype(copy=False) keeps callers' pre-narrowed workspace views
-        # as-is; zlib consumes the array's buffer directly, so the only
-        # full copy left on this path is DEFLATE's own output.
-        payload = np.ascontiguousarray(codes.astype(dt, copy=False))
-        return bytes([dt.itemsize]) + zlib.compress(payload, self.level)
-
-    def encode_narrowed(self, codes: np.ndarray) -> bytes:
-        if codes.size == 0:
-            return b"\x01"
-        payload = np.ascontiguousarray(codes)
-        return bytes([codes.dtype.itemsize]) + zlib.compress(payload, self.level)
+    def encode_row(self, row: np.ndarray) -> bytes:
+        # zlib consumes the contiguous row's buffer directly, so the only
+        # full copy on this path is DEFLATE's own output.
+        return _tag_of(row) + zlib.compress(row, self.level)
 
     def decode(self, blob: bytes, n: int) -> np.ndarray:
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        itemsize = blob[0]
-        dt = np.dtype(f"u{itemsize}")
-        payload = zlib.decompress(blob[1:])
-        return np.frombuffer(payload, dtype=dt, count=n).astype(np.int64)
+        if not blob:
+            raise PayloadError("zlib codes: empty payload")
+        k = _width_of(blob[0], "zlib codes")
+        raw = inflate_exact(memoryview(blob)[1:], n * k, "zlib codes")
+        return unpack_symbols(blob[0], raw, n, "zlib codes")
 
 
 class HuffmanCodec(Codec):
@@ -141,6 +254,7 @@ class HuffmanCodec(Codec):
     """
 
     name = "huffman"
+    byte_oriented = False
 
     def __init__(self, max_code_length: int = DEFAULT_MAX_CODE_LENGTH, level: int = 6) -> None:
         if max_code_length < 1 or max_code_length > 24:
@@ -148,14 +262,13 @@ class HuffmanCodec(Codec):
         self.max_code_length = max_code_length
         self.level = level
 
-    def encode(self, codes: np.ndarray) -> bytes:
-        codes = self._validate(codes)
-        if codes.size == 0:
+    def encode_row(self, row: np.ndarray) -> bytes:
+        if row.size == 0:
             return (0).to_bytes(4, "little") + (0).to_bytes(4, "little")
-        alphabet = int(codes.max()) + 1
-        freqs = np.bincount(codes, minlength=alphabet)
+        freqs = np.bincount(row)
+        alphabet = len(freqs)
         table = HuffmanTable.from_frequencies(freqs, max_length=self.max_code_length)
-        bits_blob, nbits = table.encode(codes)
+        bits_blob, nbits = table.encode(row)
         lens_z = zlib.compress(table.serialize_lengths(), self.level)
         bits_z = zlib.compress(bits_blob, self.level)
         header = alphabet.to_bytes(4, "little") + nbits.to_bytes(4, "little")
@@ -168,21 +281,38 @@ class HuffmanCodec(Codec):
         )
 
     def decode(self, blob: bytes, n: int) -> np.ndarray:
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
+        if len(blob) < 8:
+            raise PayloadError(f"huffman codes: {len(blob)}-byte payload has no header")
         alphabet = int.from_bytes(blob[0:4], "little")
-        if alphabet == 0:
-            raise ValueError("empty Huffman blob cannot decode symbols")
-        pos = 8
-        lens_size = int.from_bytes(blob[pos : pos + 4], "little")
-        pos += 4
-        lengths = np.frombuffer(zlib.decompress(blob[pos : pos + lens_size]), dtype=np.uint8)
-        pos += lens_size
-        bits_size = int.from_bytes(blob[pos : pos + 4], "little")
-        pos += 4
-        bits_blob = zlib.decompress(blob[pos : pos + bits_size])
+        nbits = int.from_bytes(blob[4:8], "little")
+        if n == 0 or alphabet == 0:
+            if n or alphabet or nbits or len(blob) != 8:
+                raise PayloadError("huffman codes: empty table cannot decode symbols")
+            return np.empty(0, dtype=np.int64)
+        view, pos, sections = memoryview(blob), 8, []
+        for what, nbytes in (("code lengths", alphabet), ("packed bits", (nbits + 7) // 8)):
+            if pos + 4 > len(blob):
+                raise PayloadError(f"huffman {what}: payload ends before the section")
+            size = int.from_bytes(blob[pos : pos + 4], "little")
+            pos += 4
+            if pos + size > len(blob):
+                raise PayloadError(f"huffman {what}: section overruns the payload")
+            sections.append(inflate_exact(view[pos : pos + size], nbytes, f"huffman {what}"))
+            pos += size
+        if pos != len(blob):
+            raise PayloadError(f"huffman codes: {len(blob) - pos} trailing bytes")
+        lengths = np.frombuffer(sections[0], dtype=np.uint8)
+        used = lengths[lengths > 0]
+        if not used.size or used.max() > 24 or np.ldexp(1.0, -used.astype(np.int64)).sum() > 1.0:
+            raise PayloadError("huffman codes: code lengths are not a prefix code")
         table = HuffmanTable.from_lengths(lengths)
-        return table.decode(bits_blob, n)
+        try:
+            symbols = table.decode(sections[1], n)
+        except ValueError as exc:
+            raise PayloadError(f"huffman codes: {exc}") from None
+        if table.encoded_nbits(symbols) != nbits:
+            raise PayloadError(f"huffman codes: {n} symbols do not span {nbits} bits")
+        return symbols
 
 
 _CODECS: dict[str, type[Codec]] = {

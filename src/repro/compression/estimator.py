@@ -9,13 +9,16 @@ coded size is predictable from the quantization-code *histogram* alone.
 This module implements that prediction, specialized per entropy stage:
 
 ``zlib``
-    DEFLATE Huffman-codes the *bytes* of the narrowed code stream, so
-    the size tracks the sum of per-byte-plane marginal entropies (both
-    derivable from the symbol histogram), corrected by an empirically
-    calibrated efficiency curve: DEFLATE beats the marginal-entropy
-    model at low entropies (LZ77 run matching) and falls short of it at
-    high entropies (semi-static per-block trees, literal/length
-    alphabet overhead), capping at 8 bits/byte (stored blocks).
+    DEFLATE Huffman-codes the *bytes* of the packed symbol stream — the
+    folded symbols at their minimal width, one contiguous byte plane
+    after another (code-stream layout 2, see
+    :mod:`repro.compression.codecs`) — so the size tracks the per-plane
+    marginal entropies (all derivable from the symbol histogram), each
+    corrected by an empirically calibrated efficiency curve: DEFLATE
+    roughly meets the marginal entropy at the low end (LZ77 run
+    matching), pays up to ~20 % over it in the mid range (semi-static
+    per-block trees, literal/length alphabet overhead) and converges on
+    8 bits/byte (stored blocks) at the top.
 
 ``huffman``
     The canonical-Huffman + zlib stack lands at the *symbol* entropy:
@@ -84,42 +87,44 @@ PAYLOAD_CONTAINER_BYTES = 12
 #: actually serializes (8 value bytes + minimal position itemsize).
 OUTLIER_BYTES = 16
 
-#: DEFLATE efficiency vs. byte-plane marginal entropy (bits/byte),
-#: calibrated at compression level 6 against GRF and Nyx-proxy code
-#: streams (whole fields and 16^3 partitions):
-#: ``coded_size ~= interp(h) * marginal_entropy_size + tree_cost``.
+#: DEFLATE efficiency vs. the marginal entropy of one byte plane
+#: (bits/byte), fitted at compression level 6 over ~8 500 folded symbol
+#: rows (GRF and Nyx-proxy fields, 12^3 .. 64^3 blocks, both stored
+#: widths; ``benchmarks/fit_rate_estimator.py`` re-runs the fit):
+#: ``coded_size ~= sum_planes interp(h_p) * h_p * n / 8 + tree_cost``.
 _DEFLATE_EFF_H = np.array(
     [0.0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0, 1.25, 1.5,
      1.8, 2.1, 2.4, 2.8, 3.2, 3.6, 4.0, 4.5, 5.0, 5.7, 6.5, 8.0]
 )
 _DEFLATE_EFF_G = np.array(
-    [0.55, 0.62, 0.68, 0.73, 0.82, 0.86, 0.89, 0.93, 0.96, 0.99,
-     1.01, 1.05, 1.06, 1.09, 1.11, 1.10, 1.13, 1.19, 1.19, 1.14, 1.08, 1.0]
+    [1.08, 0.91, 0.97, 1.01, 1.05, 1.06, 1.11, 1.11, 1.16, 1.18,
+     1.17, 1.18, 1.21, 1.17, 1.17, 1.15, 1.13, 1.10, 1.06, 1.02, 1.01, 1.06]
 )
 
 #: DEFLATE re-describes its dynamic Huffman trees (and restarts its
 #: adaptivity) roughly once per 64 KiB input chunk; each chunk costs a
-#: base plus ~2.5 bytes per distinct byte value, saturating at a
+#: base plus ~0.5 bytes per distinct byte value, saturating at a
 #: fraction of the chunk's entropy content (deflate falls back to
 #: fixed/stored blocks rather than paying an oversized tree).
 #: Negligible for whole fields, but the dominant correction for small
 #: (e.g. 16^3) calibration partitions.
 _DEFLATE_CHUNK_BYTES = 65536
-_DEFLATE_TREE_BASE = 10.0
-_DEFLATE_TREE_PER_BYTE_SYMBOL = 3.0
-_DEFLATE_TREE_CAP_FRACTION = 0.35
-_DEFLATE_TREE_CAP_BASE = 50.0
+_DEFLATE_TREE_BASE = 15.0
+_DEFLATE_TREE_PER_BYTE_SYMBOL = 0.5
+_DEFLATE_TREE_CAP_FRACTION = 0.64
+_DEFLATE_TREE_CAP_BASE = 18.0
 
 #: Gain of the zlib pass trailing the canonical Huffman encoder vs. the
 #: symbol entropy, as a function of that entropy (bits/value): leftover
 #: correlation in low-entropy streams compresses a few percent further.
 _HUFF_ZLIB_H = np.array([0.0, 0.2, 0.5, 1.0, 2.0, 3.0, 4.0])
-_HUFF_ZLIB_G = np.array([0.89, 0.89, 0.91, 0.95, 0.97, 1.0, 1.0])
+_HUFF_ZLIB_G = np.array([0.82, 0.93, 0.95, 0.96, 1.0, 1.0, 1.0])
 
-#: Linear model of the serialized (zlib'd) Huffman code-length table:
+#: Linear model of the serialized (zlib'd) Huffman code-length table
+#: over the folded alphabet:
 #: ``bytes ~= _HUFF_TABLE_BASE + _HUFF_TABLE_PER_SYMBOL * n_used``.
-_HUFF_TABLE_BASE = 56.0
-_HUFF_TABLE_PER_SYMBOL = 0.35
+_HUFF_TABLE_BASE = 59.0
+_HUFF_TABLE_PER_SYMBOL = 0.44
 
 
 #: Per-point error variance of ``U[-eb, eb]`` in units of ``eb**2``
@@ -219,14 +224,14 @@ class RQEstimate(RateEstimate):
 
 
 def code_histogram(codes: np.ndarray, radius: int) -> np.ndarray:
-    """Symbol frequencies of the bounded quantization codes.
+    """Symbol frequencies of the folded quantization symbols.
 
-    ``minlength=2*radius`` so the histogram always spans the full code
+    ``minlength=2*radius`` so the histogram always spans the full symbol
     alphabet ``[0, 2*radius)`` regardless of which symbols occur.
 
     The estimation functions below also accept *compact* histograms — a
     slice of the full one starting at symbol ``offset`` — so hot callers
-    can bin only the occupied code range (see ``hist_offset``).
+    can bin only the occupied symbol range (see ``hist_offset``).
     """
     return np.bincount(codes.reshape(-1), minlength=2 * radius)
 
@@ -241,170 +246,32 @@ def shannon_bits_per_value(hist: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _minimal_itemsize(max_symbol: int) -> int:
-    """Bytes per code in the narrowed stream the codec actually sees."""
-    if max_symbol <= 0xFF:
-        return 1
-    if max_symbol <= 0xFFFF:
-        return 2
-    if max_symbol <= 0xFFFFFFFF:
-        return 4
-    return 8
+def _minimal_itemsize(max_symbol: np.ndarray | int) -> np.ndarray:
+    """Bytes per symbol in the packed stream the codec actually sees."""
+    return np.select(
+        [np.less_equal(max_symbol, 0xFF), np.less_equal(max_symbol, 0xFFFF),
+         np.less_equal(max_symbol, 0xFFFFFFFF)],
+        [1, 2, 4],
+        8,
+    )
 
 
 def code_census(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(symbols, counts)`` of a code stream, sorted by symbol.
+    """``(symbols, counts)`` of a symbol stream, sorted by symbol.
 
     The sparse analogue of :func:`code_histogram`: ``O(n log n)`` in the
     stream length instead of ``O(symbol span)``, which is what the hot
-    probe path wants — at tight bounds a 16^3 partition's residual codes
+    probe path wants — at tight bounds a 16^3 partition's folded symbols
     can span 1e5+ values, making dense histogram passes (build, scan,
     regroup) cost 25x the stream itself.
     """
     return np.unique(np.reshape(codes, -1), return_counts=True)
 
 
-def byte_plane_bits(hist: np.ndarray, hist_offset: int = 0) -> tuple[float, int, int]:
-    """Sum of per-byte-plane marginal entropies of the narrowed codes.
-
-    Returns ``(bits_per_value, itemsize, distinct_byte_values)``.
-    Derived from the symbol histogram alone: plane ``k`` of symbol ``s``
-    is ``(s >> 8k) & 0xFF``, so each plane's byte histogram is a
-    weighted regrouping of the symbol frequencies.  This is the quantity
-    DEFLATE's literal coding responds to — a 16-bit symbol stream is two
-    interleaved byte streams to it.  ``hist_offset`` shifts compact
-    histograms back to true symbol values (bin ``i`` counts symbol
-    ``i + hist_offset``).
-    """
-    syms = np.flatnonzero(hist)
-    if syms.size == 0:
-        return 0.0, 1, 0
-    freqs = hist[syms].astype(np.float64)
-    if hist_offset:
-        syms = syms + hist_offset
-    return byte_plane_bits_sparse(syms, freqs)
-
-
-def byte_plane_bits_sparse(
-    syms: np.ndarray, counts: np.ndarray
-) -> tuple[float, int, int]:
-    """:func:`byte_plane_bits` from a sparse ``(symbols, counts)`` census.
-
-    ``syms`` must be sorted ascending (as :func:`code_census` returns);
-    only the occupied symbols are touched, so the cost is independent of
-    the code span.
-    """
-    if len(syms) == 0:
-        return 0.0, 1, 0
-    syms = np.asarray(syms)
-    freqs = np.asarray(counts, dtype=np.float64)
-    itemsize = _minimal_itemsize(int(syms[-1]))
-    total = 0.0
-    distinct = 0
-    for k in range(itemsize):
-        plane = ((syms >> (8 * k)) & 0xFF).astype(np.intp)
-        plane_hist = np.bincount(plane, weights=freqs, minlength=256)
-        total += shannon_bits_per_value(plane_hist)
-        distinct += int((plane_hist > 0).sum())
-    return total, itemsize, distinct
-
-
-def estimate_code_bits(
-    hist: np.ndarray, codec_name: str = "zlib", hist_offset: int = 0
-) -> float:
-    """Predicted entropy-stage bits per value for the code stream.
-
-    ``hist`` may be compact (bin ``i`` = symbol ``i + hist_offset``).
-    """
-    hist = np.asarray(hist)
-    syms = np.flatnonzero(hist)
-    counts = hist[syms]
-    if hist_offset:
-        syms = syms + hist_offset
-    return estimate_code_bits_sparse(syms, counts, codec_name)
-
-
-def estimate_code_bits_sparse(
-    syms: np.ndarray, counts: np.ndarray, codec_name: str = "zlib"
-) -> float:
-    """:func:`estimate_code_bits` from a sparse ``(symbols, counts)``
-    census (sorted by symbol, as :func:`code_census` returns)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    n = float(counts.sum())
-    if n == 0:
-        return 0.0
-    if codec_name == "raw":
-        top = int(syms[-1]) if len(syms) else 0
-        return 8.0 * _minimal_itemsize(top)
-    if codec_name == "huffman":
-        p = counts / n
-        h = float(-(p * np.log2(p)).sum())
-        gain = float(np.interp(h, _HUFF_ZLIB_H, _HUFF_ZLIB_G))
-        table_bits = 8.0 * (_HUFF_TABLE_BASE + _HUFF_TABLE_PER_SYMBOL * len(syms)) / n
-        return h * gain + table_bits
-    # zlib / DEFLATE (also the fallback for unknown codecs: every
-    # entropy stage in this library is deflate-backed).
-    hb, itemsize, distinct = byte_plane_bits_sparse(syms, counts)
-    h_per_byte = hb / itemsize
-    eff = float(np.interp(h_per_byte, _DEFLATE_EFF_H, _DEFLATE_EFF_G))
-    chunks = max(1.0, np.ceil(n * itemsize / _DEFLATE_CHUNK_BYTES))
-    ent_bytes = hb / 8.0 * n
-    tree_per_chunk = min(
-        _DEFLATE_TREE_BASE + _DEFLATE_TREE_PER_BYTE_SYMBOL * distinct,
-        _DEFLATE_TREE_CAP_FRACTION * ent_bytes / chunks + _DEFLATE_TREE_CAP_BASE,
-    )
-    return min(eff * hb + 8.0 * chunks * tree_per_chunk / n, 8.06 * itemsize)
-
-
-def estimate_nbytes(
-    hist: np.ndarray,
-    n_elements: int,
-    n_outliers: int,
-    codec_name: str = "zlib",
-    *,
-    header_bytes: int = HEADER_BYTES,
-    hist_offset: int = 0,
-) -> tuple[float, float]:
-    """Predict a block's total stored size from its code histogram.
-
-    Returns ``(est_nbytes, code_bits_per_value)``.  The layout charged
-    mirrors :class:`repro.compression.sz.CompressedBlock`: header +
-    entropy-coded codes + outlier positions/values (empty outlier
-    channels cost nothing, matching the compressor's empty-payload
-    short-circuit).  ``hist`` may be compact (see ``hist_offset``).
-    """
-    if n_elements <= 0:
-        raise ValueError("n_elements must be positive")
-    if n_outliers < 0:
-        raise ValueError("n_outliers must be non-negative")
-    bits = estimate_code_bits(hist, codec_name, hist_offset)
-    return _nbytes_from_bits(bits, n_elements, n_outliers, header_bytes), bits
-
-
-def estimate_nbytes_sparse(
-    syms: np.ndarray,
-    counts: np.ndarray,
-    n_elements: int,
-    n_outliers: int,
-    codec_name: str = "zlib",
-    *,
-    header_bytes: int = HEADER_BYTES,
-) -> tuple[float, float]:
-    """:func:`estimate_nbytes` from a sparse ``(symbols, counts)`` census
-    (see :func:`code_census`) — the hot-probe entry point whose cost is
-    independent of the code span."""
-    if n_elements <= 0:
-        raise ValueError("n_elements must be positive")
-    if n_outliers < 0:
-        raise ValueError("n_outliers must be non-negative")
-    bits = estimate_code_bits_sparse(syms, counts, codec_name)
-    return _nbytes_from_bits(bits, n_elements, n_outliers, header_bytes), bits
-
-
 def code_census_rows(
     codes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row sparse census of a ``(B, n)`` code matrix.
+    """Per-row sparse census of a ``(B, n)`` symbol matrix.
 
     Returns ``(symbols, counts, row_ids)`` — the concatenation of every
     row's :func:`code_census`, with ``row_ids`` mapping each entry back
@@ -426,6 +293,186 @@ def code_census_rows(
     return flat[pos], counts, pos // n
 
 
+def _plane_entropies(
+    syms: np.ndarray,
+    counts: np.ndarray,
+    row_ids: np.ndarray,
+    itemsize: np.ndarray,
+    n: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row, per-byte-plane marginal entropies of a concatenated
+    census (see :func:`code_census_rows`; every row holds ``n`` symbols).
+
+    Plane ``p`` of symbol ``s`` is ``(s >> 8p) & 0xFF``, so each plane's
+    byte histogram is a weighted regrouping of the symbol frequencies.
+    Returns ``(entropy (planes, rows) in bits/byte, distinct byte values
+    (planes, rows))``; planes beyond a row's stored width are zero.
+    """
+    n_rows = itemsize.size
+    planes = int(itemsize.max()) if n_rows else 0
+    ent = np.zeros((planes, n_rows))
+    distinct = np.zeros((planes, n_rows), dtype=np.int64)
+    for p in range(planes):
+        active = itemsize > p
+        m = active[row_ids]
+        key = row_ids[m] * 256 + ((syms[m] >> (8 * p)) & 0xFF)
+        hist = np.bincount(key, weights=counts[m], minlength=n_rows * 256)
+        hist = hist.reshape(n_rows, 256)
+        occupied = hist > 0
+        # -sum(q log2 q) == log2 n - sum(c log2 c)/n over occupied bins
+        clog = np.where(occupied, hist * np.log2(np.maximum(hist, 1.0)), 0.0)
+        ent[p] = np.where(active, np.log2(n) - clog.sum(axis=1) / n, 0.0)
+        distinct[p] = np.where(active, occupied.sum(axis=1), 0)
+    # log2 n - sum/n is exact only up to rounding; a constant plane is 0.
+    np.maximum(ent, 0.0, out=ent)
+    return ent, distinct
+
+
+def _code_bits_rows(
+    syms: np.ndarray,
+    counts: np.ndarray,
+    row_ids: np.ndarray,
+    row_max: np.ndarray,
+    n: float,
+    codec_name: str,
+) -> np.ndarray:
+    """Predicted entropy-stage bits per value of each census row — the
+    one place the per-codec size model is written down."""
+    n_rows = row_max.size
+    counts = np.asarray(counts, dtype=np.float64)
+    itemsize = _minimal_itemsize(row_max)
+    if codec_name == "raw":
+        return 8.0 * itemsize.astype(np.float64)
+    if codec_name == "huffman":
+        # -sum(p log2 p) == log2 n - sum(c log2 c)/n; counts >= 1 so the
+        # log never sees zero.
+        sum_clog = np.bincount(row_ids, weights=counts * np.log2(counts), minlength=n_rows)
+        h = np.maximum(np.log2(n) - sum_clog / n, 0.0)
+        gain = np.interp(h, _HUFF_ZLIB_H, _HUFF_ZLIB_G)
+        n_used = np.bincount(row_ids, minlength=n_rows)
+        return h * gain + 8.0 * (_HUFF_TABLE_BASE + _HUFF_TABLE_PER_SYMBOL * n_used) / n
+    # zlib / DEFLATE (also the fallback for unknown codecs: every
+    # entropy stage in this library is deflate-backed).
+    ent, distinct = _plane_entropies(syms, counts, row_ids, itemsize, n)
+    hb = ent.sum(axis=0)
+    coded = (np.interp(ent, _DEFLATE_EFF_H, _DEFLATE_EFF_G) * ent).sum(axis=0)
+    chunks = np.maximum(1.0, np.ceil(n * itemsize / _DEFLATE_CHUNK_BYTES))
+    ent_bytes = hb / 8.0 * n
+    tree_per_chunk = np.minimum(
+        _DEFLATE_TREE_BASE + _DEFLATE_TREE_PER_BYTE_SYMBOL * distinct.sum(axis=0),
+        _DEFLATE_TREE_CAP_FRACTION * ent_bytes / chunks + _DEFLATE_TREE_CAP_BASE,
+    )
+    return np.minimum(coded + 8.0 * chunks * tree_per_chunk / n, 8.06 * itemsize)
+
+
+def _one_row(syms: np.ndarray, counts: np.ndarray) -> tuple:
+    """A single ``(symbols, counts)`` census as a one-row batch."""
+    syms = np.asarray(syms)
+    row_max = syms[-1:] if len(syms) else np.zeros(1, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.float64)
+    return syms, counts, np.zeros(len(syms), dtype=np.intp), row_max, float(counts.sum())
+
+
+def byte_plane_bits(hist: np.ndarray, hist_offset: int = 0) -> tuple[float, int, int]:
+    """Sum of per-byte-plane marginal entropies of the packed symbols.
+
+    Returns ``(bits_per_value, itemsize, distinct_byte_values)``.
+    Derived from the symbol histogram alone.  This is the quantity
+    DEFLATE's literal coding responds to — a 16-bit symbol stream is two
+    byte streams to it, stored one after the other.  ``hist_offset``
+    shifts compact histograms back to true symbol values (bin ``i``
+    counts symbol ``i + hist_offset``).
+    """
+    syms = np.flatnonzero(hist)
+    return byte_plane_bits_sparse(syms + hist_offset, hist[syms])
+
+
+def byte_plane_bits_sparse(
+    syms: np.ndarray, counts: np.ndarray
+) -> tuple[float, int, int]:
+    """:func:`byte_plane_bits` from a sparse ``(symbols, counts)`` census.
+
+    ``syms`` must be sorted ascending (as :func:`code_census` returns);
+    only the occupied symbols are touched, so the cost is independent of
+    the symbol span.
+    """
+    if len(syms) == 0:
+        return 0.0, 1, 0
+    syms, counts, row_ids, row_max, n = _one_row(syms, counts)
+    itemsize = _minimal_itemsize(row_max)
+    ent, distinct = _plane_entropies(syms, counts, row_ids, itemsize, n)
+    return float(ent.sum()), int(itemsize[0]), int(distinct.sum())
+
+
+def estimate_code_bits(
+    hist: np.ndarray, codec_name: str = "zlib", hist_offset: int = 0
+) -> float:
+    """Predicted entropy-stage bits per value for the symbol stream.
+
+    ``hist`` may be compact (bin ``i`` = symbol ``i + hist_offset``).
+    """
+    hist = np.asarray(hist)
+    syms = np.flatnonzero(hist)
+    return estimate_code_bits_sparse(syms + hist_offset, hist[syms], codec_name)
+
+
+def estimate_code_bits_sparse(
+    syms: np.ndarray, counts: np.ndarray, codec_name: str = "zlib"
+) -> float:
+    """:func:`estimate_code_bits` from a sparse ``(symbols, counts)``
+    census (sorted by symbol, as :func:`code_census` returns)."""
+    syms, counts, row_ids, row_max, n = _one_row(syms, counts)
+    if n == 0:
+        return 0.0
+    return float(_code_bits_rows(syms, counts, row_ids, row_max, n, codec_name)[0])
+
+
+def estimate_nbytes(
+    hist: np.ndarray,
+    n_elements: int,
+    n_outliers: int,
+    codec_name: str = "zlib",
+    *,
+    header_bytes: int = HEADER_BYTES,
+    hist_offset: int = 0,
+) -> tuple[float, float]:
+    """Predict a block's total stored size from its symbol histogram.
+
+    Returns ``(est_nbytes, code_bits_per_value)``.  The layout charged
+    mirrors :class:`repro.compression.sz.CompressedBlock`: header +
+    entropy-coded symbols + outlier positions/values (empty outlier
+    channels cost nothing, matching the compressor's empty-payload
+    short-circuit).  ``hist`` may be compact (see ``hist_offset``).
+    """
+    hist = np.asarray(hist)
+    syms = np.flatnonzero(hist)
+    return estimate_nbytes_sparse(
+        syms + hist_offset, hist[syms], n_elements, n_outliers, codec_name,
+        header_bytes=header_bytes,
+    )
+
+
+def estimate_nbytes_sparse(
+    syms: np.ndarray,
+    counts: np.ndarray,
+    n_elements: int,
+    n_outliers: int,
+    codec_name: str = "zlib",
+    *,
+    header_bytes: int = HEADER_BYTES,
+) -> tuple[float, float]:
+    """:func:`estimate_nbytes` from a sparse ``(symbols, counts)`` census
+    (see :func:`code_census`) — the hot-probe entry point whose cost is
+    independent of the symbol span."""
+    if n_elements <= 0:
+        raise ValueError("n_elements must be positive")
+    if n_outliers < 0:
+        raise ValueError("n_outliers must be non-negative")
+    bits = estimate_code_bits_sparse(syms, counts, codec_name)
+    total = _nbytes_from_bits(bits, n_elements, np.asarray(n_outliers), header_bytes)
+    return float(total), bits
+
+
 def estimate_nbytes_rows(
     codes: np.ndarray,
     n_outliers: np.ndarray,
@@ -434,7 +481,7 @@ def estimate_nbytes_rows(
     header_bytes: int = HEADER_BYTES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched :func:`estimate_nbytes` over the rows of a ``(B, n)``
-    code matrix (sorted in place — see :func:`code_census_rows`).
+    symbol matrix (sorted in place — see :func:`code_census_rows`).
 
     Returns ``(est_nbytes (B,), code_bits_per_value (B,))``.  This is
     the probe-side analogue of the batched compression kernels: the
@@ -442,79 +489,22 @@ def estimate_nbytes_rows(
     group-wide reductions, so probing 64 partitions costs barely more
     than probing one.
     """
-    n_rows, n = codes.shape
+    n = codes.shape[1]
     syms, counts, row_ids = code_census_rows(codes)
-    counts_f = counts.astype(np.float64)
-    nf = float(n)
     row_max = codes[:, -1]  # rows are now sorted ascending
-    itemsize = np.select(
-        [row_max <= 0xFF, row_max <= 0xFFFF, row_max <= 0xFFFFFFFF],
-        [1, 2, 4],
-        8,
-    )
-    if codec_name == "raw":
-        bits = 8.0 * itemsize.astype(np.float64)
-    elif codec_name == "huffman":
-        # -sum(p log2 p) == log2 n - sum(c log2 c)/n; counts >= 1 so the
-        # log never sees zero.
-        sum_clog = np.bincount(
-            row_ids, weights=counts_f * np.log2(counts_f), minlength=n_rows
-        )
-        h = np.log2(nf) - sum_clog / nf
-        gain = np.interp(h, _HUFF_ZLIB_H, _HUFF_ZLIB_G)
-        n_used = np.bincount(row_ids, minlength=n_rows)
-        bits = h * gain + 8.0 * (
-            _HUFF_TABLE_BASE + _HUFF_TABLE_PER_SYMBOL * n_used
-        ) / nf
-    else:
-        # zlib / DEFLATE: per-byte-plane marginal entropies, summed over
-        # each row's narrowed width.
-        hb = np.zeros(n_rows)
-        distinct = np.zeros(n_rows, dtype=np.int64)
-        for k in range(int(itemsize.max())):
-            active = itemsize > k
-            m = active[row_ids]
-            key = row_ids[m] * 256 + ((syms[m] >> (8 * k)) & 0xFF)
-            plane = np.bincount(
-                key, weights=counts_f[m], minlength=n_rows * 256
-            ).reshape(n_rows, 256)
-            occupied = plane > 0
-            clog = np.where(
-                occupied, plane * np.log2(np.maximum(plane, 1.0)), 0.0
-            )
-            ent = np.log2(nf) - clog.sum(axis=1) / nf
-            hb += np.where(active, ent, 0.0)
-            distinct += np.where(active, occupied.sum(axis=1), 0)
-        h_per_byte = hb / itemsize
-        eff = np.interp(h_per_byte, _DEFLATE_EFF_H, _DEFLATE_EFF_G)
-        chunks = np.maximum(1.0, np.ceil(nf * itemsize / _DEFLATE_CHUNK_BYTES))
-        ent_bytes = hb / 8.0 * nf
-        tree_per_chunk = np.minimum(
-            _DEFLATE_TREE_BASE + _DEFLATE_TREE_PER_BYTE_SYMBOL * distinct,
-            _DEFLATE_TREE_CAP_FRACTION * ent_bytes / chunks + _DEFLATE_TREE_CAP_BASE,
-        )
-        bits = np.minimum(
-            eff * hb + 8.0 * chunks * tree_per_chunk / nf, 8.06 * itemsize
-        )
-    n_out = np.asarray(n_outliers)
-    total = header_bytes + nf * bits / 8.0 + PAYLOAD_CONTAINER_BYTES
-    pos_itemsize = _minimal_itemsize(max(n - 1, 0))
-    total = total + np.where(
-        n_out > 0,
-        n_out * (8 + pos_itemsize) + 1 + 2 * PAYLOAD_CONTAINER_BYTES,
-        0.0,
-    )
-    return total, bits
+    bits = _code_bits_rows(syms, counts, row_ids, row_max, float(n), codec_name)
+    return _nbytes_from_bits(bits, n, np.asarray(n_outliers), header_bytes), bits
 
 
 def _nbytes_from_bits(
-    bits: float, n_elements: int, n_outliers: int, header_bytes: int
-) -> float:
-    total = float(header_bytes)
-    total += n_elements * bits / 8.0 + PAYLOAD_CONTAINER_BYTES
-    if n_outliers:
-        # Positions are narrowed to the smallest uint covering the block
-        # (plus a 1-byte width tag on the channel); values stay 8 bytes.
-        pos_itemsize = _minimal_itemsize(max(n_elements - 1, 0))
-        total += n_outliers * (8 + pos_itemsize) + 1 + 2 * PAYLOAD_CONTAINER_BYTES
-    return total
+    bits: np.ndarray | float, n_elements: int, n_outliers: np.ndarray, header_bytes: int
+) -> np.ndarray:
+    total = header_bytes + n_elements * bits / 8.0 + PAYLOAD_CONTAINER_BYTES
+    # Positions are narrowed to the smallest uint covering the block
+    # (plus a 1-byte width tag on the channel); values stay 8 bytes.
+    pos_itemsize = int(_minimal_itemsize(max(n_elements - 1, 0)))
+    return total + np.where(
+        n_outliers > 0,
+        n_outliers * (8 + pos_itemsize) + 1 + 2 * PAYLOAD_CONTAINER_BYTES,
+        0.0,
+    )

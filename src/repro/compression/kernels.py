@@ -5,7 +5,7 @@ Extreme-Scale Cosmological Simulations", arXiv:2004.00224) shows the
 whole SZ pipeline is block-parallelizable end to end.  This module pins
 that down as a *narrow array-API boundary*: :class:`ArrayKernels` is the
 set of batched operations the compressor's hot path needs — quantize,
-Lorenzo predict/encode, residual narrowing, zigzag, byte-plane split —
+Lorenzo predict, residual fold, narrowing / byte-plane split, zigzag —
 expressed over ``(B, n)`` / ``(B, nx, ny, nz)`` stacks of same-shape
 blocks so a backend can process every block of a field in one pass.
 
@@ -14,8 +14,8 @@ Design rules that keep the boundary device-ready:
 - Kernels never raise on data pathologies; they *report* (e.g.
   :meth:`ArrayKernels.quantize` returns ``False``) and the host decides.
   A device backend can reduce a flag without host round-trips.
-- Host-side scratch arrays (``mask``/``fits``/``misfit``/``scratch``)
-  are optional hints a backend may ignore; device backends manage their
+- Host-side scratch arrays (``mask``/``misfit``/``scratch``) are
+  optional hints a backend may ignore; device backends manage their
   own memory.
 - The *error-bound space mapping* (``/ 2eb``, ``log``) is **not** a
   kernel: transcendentals differ in the last ulp across math libraries,
@@ -95,17 +95,19 @@ class ArrayKernels(Protocol):
         identity, so trailing singleton padding is free)."""
         ...
 
-    def encode_residuals(
+    def fold(
         self,
         res: np.ndarray,
         radius: int,
-        fits: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
         misfit: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Turn ``(B, n)`` int64 residuals into bounded codes in place;
-        return ``(counts, positions, values)`` of the outlier channel
-        (positions are within-block flat indices, concatenated in block
-        order)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Fold ``(B, n)`` int64 residuals into layout-2 symbols in place
+        (``0`` = outlier, ``r -> zigzag(r) + 1``); return ``(counts,
+        positions, values, maxes)``: the outlier channel (positions are
+        within-block flat indices, concatenated in block order) and each
+        row's largest symbol, so the narrowing pass that follows needs no
+        reduction of its own."""
         ...
 
     def narrow(self, src: np.ndarray, out: np.ndarray) -> None:
@@ -121,9 +123,11 @@ class ArrayKernels(Protocol):
         ...
 
     def byte_planes(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Split unsigned ``values`` (``(n,)``, itemsize k) into ``out``
-        (``(k, n)`` uint8) little-endian planes — the layout GPU entropy
-        stages consume."""
+        """Narrow and split in one pass: write the ``k`` low little-endian
+        byte planes of the integers ``values`` (``(..., n)``, every value
+        ``< 256**k``) into ``out`` (``(..., k, n)`` uint8), plane 0 (the
+        low byte) first.  ``k = 1`` is the exact cast to uint8; each
+        ``out[b]`` is the contiguous byte row the entropy stage codes."""
         ...
 
 
@@ -140,14 +144,14 @@ class NumpyKernels:
     def lorenzo(self, lattice: np.ndarray, scratch: np.ndarray | None = None) -> None:
         lorenzo_transform_batch_inplace(lattice, scratch)
 
-    def encode_residuals(
+    def fold(
         self,
         res: np.ndarray,
         radius: int,
-        fits: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
         misfit: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return encode_residuals_batch(res, radius, fits, misfit)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return encode_residuals_batch(res, radius, scratch, misfit)
 
     def narrow(self, src: np.ndarray, out: np.ndarray) -> None:
         np.copyto(out, src, casting="unsafe")
@@ -160,16 +164,26 @@ class NumpyKernels:
 
     def byte_planes(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         v = np.asarray(values)
-        k = v.dtype.itemsize
-        if v.ndim != 1 or v.dtype.kind != "u":
-            raise ValueError(f"byte_planes expects 1-D unsigned ints, got {v.dtype}")
-        if out.shape != (k, v.size) or out.dtype != np.uint8:
+        k = out.shape[-2] if out.ndim >= 2 else 0
+        if v.ndim < 1 or v.dtype.kind not in "ui":
+            raise ValueError(f"byte_planes expects integer arrays, got {v.dtype}")
+        if (
+            out.dtype != np.uint8
+            or not 1 <= k <= v.dtype.itemsize
+            or out.shape != v.shape[:-1] + (k, v.shape[-1])
+        ):
             raise ValueError(
-                f"out must be uint8 of shape {(k, v.size)}, got "
-                f"{out.dtype} {out.shape}"
+                f"out must be uint8 of shape (..., k, n) = "
+                f"{v.shape[:-1] + ('k <= %d' % v.dtype.itemsize, v.shape[-1])}, "
+                f"got {out.dtype} {out.shape}"
             )
-        for plane in range(k):
-            np.copyto(out[plane], (v >> (8 * plane)) & 0xFF, casting="unsafe")
+        # A little-endian view exposes byte j of every value at stride
+        # itemsize; one strided copy narrows and transposes at once.
+        le = v.astype(v.dtype.newbyteorder("<"), copy=False)
+        if not le.flags.c_contiguous:
+            le = np.ascontiguousarray(le)
+        by_byte = le.view(np.uint8).reshape(v.shape + (v.dtype.itemsize,))
+        np.copyto(out, np.moveaxis(by_byte[..., :k], -1, -2))
         return out
 
     def __repr__(self) -> str:

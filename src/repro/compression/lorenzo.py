@@ -133,8 +133,9 @@ def classic_sz_quantize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classic CPU-SZ: predict from *reconstructed* neighbours, then quantize.
 
-    Returns ``(codes, reconstruction)``.  ``codes`` holds
-    ``residual/(2 eb)`` offsets shifted by ``radius`` (0 marks an outlier
+    Returns ``(codes, reconstruction)``.  ``codes`` holds the
+    ``residual/(2 eb)`` offsets as folded symbols, ``zigzag(q) + 1``
+    (the map of :mod:`repro.compression.quantizer`; 0 marks an outlier
     whose exact value must be stored separately — here the reconstruction
     simply keeps the original value, as SZ does for unpredictable data).
 
@@ -171,6 +172,6 @@ def classic_sz_quantize(
                     codes[i, j, k] = 0  # outlier marker
                     recon[i + 1, j + 1, k + 1] = arr[i, j, k]
                 else:
-                    codes[i, j, k] = q + radius
+                    codes[i, j, k] = (2 * q if q >= 0 else -2 * q - 1) + 1
                     recon[i + 1, j + 1, k + 1] = pred + q * two_eb
     return codes, recon[1:, 1:, 1:]

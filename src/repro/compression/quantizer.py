@@ -11,10 +11,16 @@ error-bound modes are supported, matching SZ:
   log space (valid for strictly positive fields such as densities and
   temperature).
 
-Residual integers are mapped to bounded non-negative *quantization codes*
-around ``radius``; residuals that do not fit are routed to an outlier
-channel (positions + exact lattice values) so the bound holds for every
-point regardless of data pathology.
+Residual integers are *folded* into small non-negative symbols (code
+stream layout 2): symbol ``0`` marks an outlier and a residual ``r`` with
+``|r| < radius`` becomes ``zigzag(r) + 1`` (``0 -> 1, -1 -> 2, 1 -> 3,
+...``), so the symbols a smooth block produces cluster at the bottom of
+the alphabet and narrow to one byte.  Residuals that do not fit are
+routed to an outlier channel (positions + exact lattice values) so the
+bound holds for every point regardless of data pathology.  This module
+is the only place the symbol map is written down; the retired layout-1
+map (``r + radius``) survives as a decoder in
+:mod:`repro.compression.compat`.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ __all__ = [
     "dequantize_abs",
     "pw_rel_to_log_abs",
     "encode_residuals",
-    "encode_residuals_inplace",
     "encode_residuals_batch",
+    "unfold_symbols",
     "decode_residuals",
 ]
 
@@ -131,19 +137,19 @@ def pw_rel_to_log_abs(rel_eb: float) -> float:
 
 @dataclass
 class QuantizedResiduals:
-    """Bounded quantization codes plus the outlier channel.
+    """Folded residual symbols plus the outlier channel.
 
     Attributes
     ----------
     codes:
-        1-D non-negative ints in ``[0, 2*radius)``; the value 0 marks an
-        outlier slot.
+        1-D non-negative symbols in ``[0, 2*radius)``; the value 0 marks
+        an outlier slot, residual ``r`` is stored as ``zigzag(r) + 1``.
     outlier_positions:
         Flat indices into ``codes`` whose residual did not fit.
     outlier_values:
         The exact int64 residuals for those positions.
     radius:
-        Code offset; residual r maps to code ``r + radius``.
+        Residuals with ``|r| < radius`` fit; the rest are outliers.
     """
 
     codes: np.ndarray
@@ -153,100 +159,74 @@ class QuantizedResiduals:
 
 
 def encode_residuals(residuals: np.ndarray, radius: int = DEFAULT_RADIUS) -> QuantizedResiduals:
-    """Map int64 residuals to bounded codes + outlier channel."""
-    if radius < 2:
-        raise ValueError(f"radius must be >= 2, got {radius}")
-    res = np.asarray(residuals, dtype=np.int64).ravel()
-    codes = res + radius
-    # A residual fits iff its code lands in [1, 2*radius - 1]; code 0 is
-    # reserved as the outlier marker.
-    fits = (codes >= 1) & (codes <= 2 * radius - 1)
-    out_pos = np.flatnonzero(~fits)
-    out_val = res[out_pos]
-    codes[out_pos] = 0
+    """Fold int64 residuals into symbols + outlier channel (a batch of one)."""
+    codes = np.array(residuals, dtype=np.int64).reshape(1, -1)
+    _counts, pos, val, _maxes = encode_residuals_batch(codes, radius)
     return QuantizedResiduals(
-        codes=codes,
-        outlier_positions=out_pos.astype(np.int64, copy=False),
-        outlier_values=out_val,
-        radius=radius,
-    )
-
-
-def encode_residuals_inplace(
-    res: np.ndarray, radius: int, ws: Workspace
-) -> QuantizedResiduals:
-    """Fused :func:`encode_residuals` that turns ``res`` into its codes.
-
-    ``res`` must be a flat contiguous int64 workspace view of residuals;
-    it is overwritten with the bounded codes (values identical to
-    :func:`encode_residuals`).  Only the (normally tiny) outlier channel
-    is freshly allocated; the masks come from the workspace.
-    """
-    if radius < 2:
-        raise ValueError(f"radius must be >= 2, got {radius}")
-    res += radius  # codes with offset, in place
-    fits = ws.request("fits_mask", res.shape, np.bool_)
-    misfit = ws.request("misfit_mask", res.shape, np.bool_)
-    np.greater_equal(res, 1, out=fits)
-    np.less_equal(res, 2 * radius - 1, out=misfit)
-    np.logical_and(fits, misfit, out=fits)
-    np.logical_not(fits, out=misfit)
-    out_pos = np.flatnonzero(misfit)
-    out_val = res[out_pos]
-    out_val -= radius  # back to the original residuals
-    res[out_pos] = 0
-    return QuantizedResiduals(
-        codes=res,
-        outlier_positions=out_pos.astype(np.int64, copy=False),
-        outlier_values=out_val,
-        radius=radius,
+        codes=codes[0], outlier_positions=pos, outlier_values=val, radius=radius
     )
 
 
 def encode_residuals_batch(
     res: np.ndarray,
     radius: int,
-    fits: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
     misfit: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched :func:`encode_residuals_inplace` over a ``(B, n)`` stack.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fold a ``(B, n)`` stack of int64 residuals into symbols, in place.
 
-    ``res`` holds one flattened block of int64 Lorenzo residuals per row
-    and is overwritten with the bounded codes; the ufunc sequence is the
-    same as the single-block path so each row's codes are byte-identical
-    to ``encode_residuals_inplace(res[b], ...)``.  Returns
-    ``(counts, positions, values)`` where ``counts[b]`` is block ``b``'s
-    outlier count and ``positions``/``values`` concatenate the per-block
-    within-block flat indices and exact residuals in block order.
-    ``fits``/``misfit`` are optional bool scratch of ``res``'s shape;
-    device backends ignore them.
+    ``res`` holds one flattened block of Lorenzo residuals per row and is
+    overwritten with the folded symbols (see the module docstring).  The
+    zigzag is a bijection on 64-bit patterns, so residuals that wrapped
+    in the Lorenzo pass still round-trip through the outlier channel.
+    Returns ``(counts, positions, values, maxes)``: ``counts[b]`` is
+    block ``b``'s outlier count, ``positions``/``values`` concatenate the
+    per-block within-block flat indices and exact residuals in block
+    order, and ``maxes[b]`` is row ``b``'s largest symbol (what fixes its
+    stored width).  ``scratch`` (int64, ``>= B*n``) and ``misfit`` (bool,
+    ``res``'s shape) are optional host scratch; device backends ignore
+    them.
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
     n_blocks, block_len = res.shape
-    res += radius  # codes with offset, in place
-    if fits is None:
-        fits = np.empty(res.shape, dtype=np.bool_)
+    flat = res.reshape(-1)
+    sign = np.empty(flat.size, np.int64) if scratch is None else scratch[: flat.size]
     if misfit is None:
         misfit = np.empty(res.shape, dtype=np.bool_)
-    np.greater_equal(res, 1, out=fits)
-    np.less_equal(res, 2 * radius - 1, out=misfit)
-    np.logical_and(fits, misfit, out=fits)
-    np.logical_not(fits, out=misfit)
-    flat = res.reshape(-1)
+    np.right_shift(flat, 63, out=sign)
+    np.left_shift(flat, 1, out=flat)
+    np.bitwise_xor(flat, sign, out=flat)  # zigzag(r), read as uint64
+    folded = flat.view(np.uint64)
+    # |r| < radius  <=>  zigzag(r) <= 2*radius - 2.
+    np.greater(folded, np.uint64(2 * radius - 2), out=misfit.reshape(-1))
     idx = np.flatnonzero(misfit.reshape(-1))
-    val = flat[idx]
-    val -= radius  # back to the original residuals
-    flat[idx] = 0
+    sub = folded[idx]
+    val = (sub >> np.uint64(1)).astype(np.int64) ^ -(sub & np.uint64(1)).astype(np.int64)
+    flat[idx] = -1
+    flat += 1  # fits: zigzag + 1; outliers: -1 + 1 = 0, the marker
     block_ids = idx // block_len
     counts = np.bincount(block_ids, minlength=n_blocks).astype(np.int64, copy=False)
     pos = idx - block_ids * block_len
-    return counts, pos.astype(np.int64, copy=False), val
+    return counts, pos.astype(np.int64, copy=False), val, res.max(axis=1)
+
+
+def unfold_symbols(symbols: np.ndarray) -> np.ndarray:
+    """Residuals (fresh int64 array) of folded ``symbols`` of any integer
+    dtype.  Outlier slots (symbol 0) come back as 0; the caller scatters
+    the outlier channel over them."""
+    res = np.asarray(symbols).astype(np.int64)
+    res -= 1
+    sign = res & 1
+    np.negative(sign, out=sign)
+    res >>= 1
+    res ^= sign
+    return res
 
 
 def decode_residuals(qr: QuantizedResiduals) -> np.ndarray:
     """Invert :func:`encode_residuals` back to int64 residuals."""
-    res = np.subtract(qr.codes, qr.radius, dtype=np.int64)
+    res = unfold_symbols(qr.codes)
     if qr.outlier_positions.size:
         res[qr.outlier_positions] = qr.outlier_values
     return res

@@ -29,16 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.codecs import Codec, get_codec
+from repro.compression.codecs import Codec, get_codec, inflate_exact
+from repro.compression.estimator import HEADER_BYTES
+from repro.compression.kernels import unzigzag, zigzag
 from repro.compression.lorenzo import lorenzo_inverse, lorenzo_transform
 from repro.compression.quantizer import (
     DEFAULT_RADIUS,
-    decode_residuals,
     dequantize_abs,
     encode_residuals,
     quantize_abs,
+    unfold_symbols,
 )
-from repro.compression.sz import HEADER_BYTES, _unzigzag, _zigzag
+from repro.util.errors import PayloadError
 from repro.util.validation import check_positive
 
 __all__ = ["AdaptiveSZCompressor", "AdaptiveBlockStream", "regression_coefficients"]
@@ -98,6 +100,12 @@ def _untile(blocks: np.ndarray, shape: tuple[int, int, int], block: int) -> np.n
     return t.transpose(0, 3, 1, 4, 2, 5).reshape(shape)
 
 
+#: The code-stream layout :class:`AdaptiveSZCompressor` writes: folded
+#: residual symbols (see :mod:`repro.compression.quantizer`).  Layout 1
+#: (``r + radius`` codes) decodes through :mod:`repro.compression.compat`.
+LAYOUT = 2
+
+
 @dataclass
 class AdaptiveBlockStream:
     """Compressed stream of the adaptive-predictor compressor."""
@@ -110,6 +118,11 @@ class AdaptiveBlockStream:
     radius: int
     n_outliers: int
     payloads: dict[str, bytes]
+    layout: int = 1  # streams that predate the field
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__.setdefault("layout", 1)
 
     @property
     def n_elements(self) -> int:
@@ -187,9 +200,9 @@ class AdaptiveSZCompressor:
         payloads = {
             "codes": self.codec.encode(qr.codes),
             "modes": zlib.compress(np.packbits(use_reg).tobytes(), 6),
-            "coeffs": zlib.compress(_zigzag(qcoeffs[use_reg].ravel()).tobytes(), 6),
+            "coeffs": zlib.compress(zigzag(qcoeffs[use_reg].ravel()).tobytes(), 6),
             "outlier_pos": zlib.compress(qr.outlier_positions.tobytes(), 6),
-            "outlier_val": zlib.compress(_zigzag(qr.outlier_values).tobytes(), 6),
+            "outlier_val": zlib.compress(zigzag(qr.outlier_values).tobytes(), 6),
         }
         return AdaptiveBlockStream(
             shape=tuple(arr.shape),
@@ -200,34 +213,43 @@ class AdaptiveSZCompressor:
             radius=self.radius,
             n_outliers=int(qr.outlier_positions.size),
             payloads=payloads,
+            layout=LAYOUT,
         )
 
     # -- decompress -----------------------------------------------------------
 
     def decompress(self, stream: AdaptiveBlockStream) -> np.ndarray:
         n = stream.n_elements
-        codec = get_codec(stream.codec_name)
-        codes = codec.decode(stream.payloads["codes"], n)
-        out_pos = np.frombuffer(
-            zlib.decompress(stream.payloads["outlier_pos"]), dtype=np.int64
-        )
-        out_val = _unzigzag(
-            np.frombuffer(zlib.decompress(stream.payloads["outlier_val"]), dtype=np.uint64)
-        )
-        from repro.compression.quantizer import QuantizedResiduals
-
-        qr = QuantizedResiduals(codes, out_pos, out_val, stream.radius)
         nblocks = n // stream.block**3
-        residuals = decode_residuals(qr).reshape(nblocks, stream.block, stream.block, stream.block)
+
+        def channel(name: str, nbytes: int) -> bytes:
+            try:
+                return inflate_exact(stream.payloads[name], nbytes, name)
+            except KeyError:
+                raise PayloadError(f"stream has no {name!r} payload") from None
 
         use_reg = np.unpackbits(
-            np.frombuffer(zlib.decompress(stream.payloads["modes"]), dtype=np.uint8),
+            np.frombuffer(channel("modes", (nblocks + 7) // 8), dtype=np.uint8),
             count=nblocks,
         ).astype(bool)
-        qcoeffs_flat = _unzigzag(
-            np.frombuffer(zlib.decompress(stream.payloads["coeffs"]), dtype=np.uint64)
-        )
-        qcoeffs = qcoeffs_flat.reshape(-1, 4)
+        qcoeffs = unzigzag(
+            np.frombuffer(channel("coeffs", 32 * int(use_reg.sum())), dtype=np.uint64)
+        ).reshape(-1, 4)
+        out_pos = np.frombuffer(channel("outlier_pos", 8 * stream.n_outliers), dtype=np.int64)
+        out_val = np.frombuffer(channel("outlier_val", 8 * stream.n_outliers), dtype=np.uint64)
+        if out_pos.size and not 0 <= int(out_pos.min()) <= int(out_pos.max()) < n:
+            raise PayloadError("outlier position outside the stream")
+        codes = stream.payloads.get("codes", b"")
+        if stream.layout == LAYOUT:
+            res = unfold_symbols(get_codec(stream.codec_name).decode(codes, n))
+        elif stream.layout == 1:
+            from repro.compression import compat  # cold path: retired layout
+
+            res = compat.residuals_v1(stream.codec_name, codes, n, stream.radius)
+        else:
+            raise PayloadError(f"unknown code-stream layout {stream.layout!r}")
+        res[out_pos] = unzigzag(out_val)
+        residuals = res.reshape(nblocks, stream.block, stream.block, stream.block)
 
         tiles = np.empty_like(residuals)
         # Lorenzo blocks: cumulative-sum inversion.

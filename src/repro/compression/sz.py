@@ -8,9 +8,17 @@ Pipeline (default ``dual`` engine, matching cuSZ):
 2. **Predict** with the Lorenzo transform on the integer lattice
    (:mod:`repro.compression.lorenzo`) — smooth data collapses to small
    residuals.
-3. **Encode** the bounded residual codes with an entropy codec
-   (:mod:`repro.compression.codecs`), with an exact outlier channel for
-   residuals outside the code range.
+3. **Fold** the residuals into small non-negative symbols
+   (:mod:`repro.compression.quantizer`: ``0`` = outlier, ``r ->
+   zigzag(r) + 1``), with an exact outlier channel for residuals outside
+   the radius.
+4. **Encode** each block's symbols at their minimal width — byte planes
+   when wider than one byte — with an entropy codec
+   (:mod:`repro.compression.codecs`).
+
+This is code-stream **layout 2**, the only one the encoder writes;
+:func:`decompress` still reads layout 1 (``r + radius`` codes,
+interleaved bytes) through :mod:`repro.compression.compat`.
 
 The ``classic`` engine reproduces CPU-SZ's ordering (predict from
 reconstructed neighbours, then quantize); it is sequential and intended
@@ -25,17 +33,25 @@ from __future__ import annotations
 
 import os
 import threading
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import telemetry
 from repro.compression.api import SZ_CAPABILITIES, CompressorSpec
-from repro.compression.codecs import Codec, _minimal_uint_dtype, get_codec
+from repro.compression.codecs import (
+    Codec,
+    _minimal_uint_dtype,
+    deflate_channel,
+    get_codec,
+    inflate_channel,
+    pack_positions,
+    unpack_positions,
+)
 from repro.compression.estimator import (
     HEADER_BYTES,
     RQEstimate,
+    _minimal_itemsize,
     code_histogram,
     estimate_nbytes,
     estimate_nbytes_rows,
@@ -45,17 +61,16 @@ from repro.compression.kernels import (
     ArrayKernels,
     get_kernels,
     unzigzag,
-    zigzag,
 )
 from repro.compression.lorenzo import classic_sz_quantize, lorenzo_inverse
 from repro.compression.quantizer import (
     DEFAULT_RADIUS,
-    QuantizedResiduals,
-    decode_residuals,
     dequantize_abs,
     pw_rel_to_log_abs,
+    unfold_symbols,
 )
 from repro.compression.workspace import Workspace
+from repro.util.errors import PayloadError
 from repro.util.validation import check_positive
 
 __all__ = ["SZCompressor", "CompressedBlock", "decompress", "HEADER_BYTES"]
@@ -63,56 +78,9 @@ __all__ = ["SZCompressor", "CompressedBlock", "decompress", "HEADER_BYTES"]
 _MODES = ("abs", "pw_rel")
 _ENGINES = ("dual", "classic")
 
-#: Shared empty channel — the hot path must not allocate per block.
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-
-def _deflate_channel(buf: "bytes | np.ndarray", level: int = 6) -> bytes:
-    """zlib-compress a side-channel buffer; empty channels store ``b""``.
-
-    Skipping the codec for empty channels saves the ~8 dead bytes of
-    zlib container per empty payload that every outlier-free block used
-    to pay (three payloads x thousands of partitions adds up).
-    """
-    return zlib.compress(buf, level) if len(buf) else b""
-
-
-def _inflate_channel(blob: bytes) -> bytes:
-    """Inverse of :func:`_deflate_channel` (``b""`` short-circuits)."""
-    return zlib.decompress(blob) if blob else b""
-
-
-# Canonical zigzag now lives in the kernels module (it is one of the
-# array-API ops); these aliases keep the historical private names alive.
-_zigzag = zigzag
-_unzigzag = unzigzag
-
-
-def _pack_outlier_pos(arr: np.ndarray, level: int = 6) -> bytes:
-    """Serialize outlier positions: ``[1B itemsize][zlib(narrowed ints)]``.
-
-    The caller narrows ``arr`` to the smallest uint dtype covering the
-    block size, so a 64^3 block spends 4 bytes per outlier position
-    instead of int64's 8 before DEFLATE even starts.  Empty channels
-    store ``b""``.  The leading itemsize byte is in {1, 2, 4, 8} and a
-    bare legacy zlib stream starts with 0x78, so
-    :func:`_decode_outlier_pos` can keep reading old int64 blobs.
-    """
-    if not arr.size:
-        return b""
-    return bytes([arr.dtype.itemsize]) + zlib.compress(arr, level)
-
-
-def _decode_outlier_pos(blob: bytes) -> np.ndarray:
-    """Read an outlier-position channel, legacy int64 blobs included."""
-    if not blob:
-        return _EMPTY_I64
-    itemsize = blob[0]
-    if itemsize in (1, 2, 4, 8):
-        raw = zlib.decompress(blob[1:])
-        return np.frombuffer(raw, dtype=np.dtype(f"u{itemsize}")).astype(np.int64)
-    # Legacy format: the whole blob is a zlib stream of int64 positions.
-    return np.frombuffer(zlib.decompress(blob), dtype=np.int64)
+#: The code-stream layout :class:`SZCompressor` writes (see the module
+#: docstring); blocks without the field are layout 1.
+LAYOUT = 2
 
 
 @dataclass
@@ -122,6 +90,10 @@ class CompressedBlock:
     The block is self-describing: :func:`decompress` needs no compressor
     instance.  ``nbytes`` (and hence :attr:`bit_rate` / :attr:`ratio`)
     charges all payloads plus a fixed :data:`HEADER_BYTES` header.
+    ``layout`` names the code-stream layout of the payloads; it defaults
+    to 1 so blocks built (or unpickled) from stores that predate the
+    field decode as what they are, and the encoder always sets
+    :data:`LAYOUT`.
     """
 
     shape: tuple[int, ...]
@@ -133,6 +105,11 @@ class CompressedBlock:
     radius: int
     n_outliers: int
     payloads: dict[str, bytes] = field(repr=False)
+    layout: int = 1
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__.setdefault("layout", 1)  # pre-layout pickles
 
     @property
     def n_elements(self) -> int:
@@ -166,7 +143,8 @@ class SZCompressor:
         ``"huffman"`` (from-scratch canonical Huffman + zlib), or
         ``"raw"``.
     radius:
-        Quantization-code radius (code range ``[0, 2*radius)``).
+        Residual radius: residuals with ``|r| < radius`` are coded as
+        symbols in ``[1, 2*radius)``, the rest go to the outlier channel.
     engine:
         ``"dual"`` (vectorized, cuSZ ordering) or ``"classic"``
         (sequential CPU-SZ ordering).
@@ -306,8 +284,8 @@ class SZCompressor:
 
         The batched hot path used by the execution backends.  Blocks are
         grouped by shape and each group runs the *whole* front of the
-        pipeline — quantize, Lorenzo, residual encode, code narrowing,
-        outlier side channels — as one multi-block kernel pass over
+        pipeline — quantize, Lorenzo, residual fold, narrowing / byte
+        planes, outlier side channels — as one multi-block kernel pass over
         ``(B, n)`` workspace arenas (see
         :mod:`repro.compression.kernels`), instead of one interpreter
         round-trip per block.  The per-block entropy stage then fans out
@@ -458,14 +436,14 @@ class SZCompressor:
                 groups.setdefault(arr.shape, []).append(i)
             for idxs in groups.values():
                 sub = [arrs[i] for i in idxs]
-                lattice, counts, pos, _val = self._quantize_encode_batch(
+                lattice, counts, pos, _val, _maxes = self._quantize_encode_batch(
                     sub, eb_arr[idxs], ws
                 )
                 mses = self._observed_mse_rows(sub, eb_arr[idxs], pos, counts, ws)
                 # Group-wide size prediction: one sparse census over the
-                # sorted code matrix (the codes are a workspace view we
-                # own) instead of B dense histograms — at tight bounds
-                # the residual codes span far more values than a row
+                # sorted symbol matrix (the symbols are a workspace view
+                # we own) instead of B dense histograms — at tight bounds
+                # the folded symbols span far more values than a row
                 # holds, so O(n log n) beats O(span) by a wide margin.
                 est_arr, bits_arr = estimate_nbytes_rows(
                     lattice, counts, self.codec.name
@@ -558,8 +536,8 @@ class SZCompressor:
         pos_dt = _minimal_uint_dtype(max(int(codes.size) - 1, 0))
         payloads = {
             "codes": self.codec.encode(codes),
-            "outlier_pos": _pack_outlier_pos(out_pos.astype(pos_dt, copy=False)),
-            "outlier_val": _deflate_channel(
+            "outlier_pos": pack_positions(out_pos.astype(pos_dt, copy=False)),
+            "outlier_val": deflate_channel(
                 out_val_float.astype(np.float64, copy=False)
             ),
         }
@@ -574,6 +552,7 @@ class SZCompressor:
             radius=self.radius,
             n_outliers=int(out_pos.size),
             payloads=payloads,
+            layout=LAYOUT,
         )
 
     def decompress(self, block: CompressedBlock) -> np.ndarray:
@@ -598,8 +577,10 @@ class SZCompressor:
         threads: int,
     ) -> list[CompressedBlock]:
         """Compress a group of *same-shape* blocks in one kernel pass."""
-        codes, counts, pos, val = self._quantize_encode_batch(arrs, eb_arr, ws)
-        payloads = self._encode_payloads_batch(codes, counts, pos, val, ws, threads)
+        symbols, counts, pos, val, maxes = self._quantize_encode_batch(arrs, eb_arr, ws)
+        payloads = self._encode_payloads_batch(
+            symbols, counts, pos, val, maxes, ws, threads
+        )
         blocks = []
         for b, arr in enumerate(arrs):
             source_itemsize = arr.dtype.itemsize if arr.dtype.kind == "f" else 8
@@ -614,24 +595,25 @@ class SZCompressor:
                     radius=self.radius,
                     n_outliers=int(counts[b]),
                     payloads=payloads[b],
+                    layout=LAYOUT,
                 )
             )
         return blocks
 
     def _quantize_encode_batch(
         self, arrs: list[np.ndarray], eb_arr: np.ndarray, ws: Workspace
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Batched dual-engine front: quantize -> Lorenzo -> residual codes.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Batched dual-engine front: quantize -> Lorenzo -> folded symbols.
 
         All blocks (same shape, one per row of the ``(B, n)`` workspace
         arenas) run through the kernel backend in one multi-block pass.
         The *error-bound space mapping* (divide / log) stays in NumPy on
         every backend — transcendentals are not bit-stable across math
         libraries, and payload byte-identity is contract; see
-        :mod:`repro.compression.kernels`.  Returns
-        ``(codes (B, n) view, outlier counts, positions, values)``; the
-        codes view is valid until the arena's ``batch_lattice_i64`` slot
-        is requested again.
+        :mod:`repro.compression.kernels`.  Returns ``(symbols (B, n)
+        view, outlier counts, positions, values, per-row largest
+        symbol)``; the symbols view is valid until the arena's
+        ``batch_lattice_i64`` slot is requested again.
         """
         kern = self._kernels()
         tracer = telemetry.get_tracer()  # null object when disarmed
@@ -685,54 +667,47 @@ class SZCompressor:
         scratch = ws.request("batch_lorenzo_scratch", (n_blocks * n,), np.int64)
         with tracer.span("sz.lorenzo", blocks=n_blocks, kernels=kern.name):
             kern.lorenzo(lattice.reshape((n_blocks,) + shape3d), scratch)
-        fits = ws.request("batch_fits_mask", (n_blocks, n), np.bool_)
-        misfit = ws.request("batch_misfit_mask", (n_blocks, n), np.bool_)
         with tracer.span("sz.residual", blocks=n_blocks, kernels=kern.name):
-            counts, pos, val = kern.encode_residuals(lattice, self.radius, fits, misfit)
-        return lattice, counts, pos, val
+            counts, pos, val, maxes = kern.fold(lattice, self.radius, scratch, mask)
+        return lattice, counts, pos, val, maxes
 
     def _encode_payloads_batch(
         self,
-        codes: np.ndarray,
+        symbols: np.ndarray,
         counts: np.ndarray,
         pos: np.ndarray,
         val: np.ndarray,
+        maxes: np.ndarray,
         ws: Workspace,
         threads: int,
     ) -> list[dict[str, bytes]]:
         """Vectorized side channels + thread-parallel entropy stage.
 
-        Code narrowing, outlier-position narrowing and the zigzag map
-        each run once over the whole group; only the per-block entropy
-        encodes remain, and those fan out over a transient thread pool
-        (zlib/DEFLATE releases the GIL) when ``threads > 1``.
+        Narrowing to each block's minimal width, the byte-plane split of
+        blocks wider than one byte, outlier-position narrowing and the
+        zigzag map each run once per run of equal-width blocks / once
+        over the whole group; only the per-block entropy encodes remain,
+        and those see one contiguous byte row each and fan out over a
+        transient thread pool (zlib/DEFLATE releases the GIL) when
+        ``threads > 1``.
         """
         kern = self._kernels()
         tracer = telemetry.get_tracer()
-        n_blocks, n = codes.shape
+        codec = self.codec
+        n_blocks, n = symbols.shape
         with tracer.span("sz.side_channels", blocks=n_blocks):
-            maxes = codes.max(axis=1)
-            dts = [_minimal_uint_dtype(int(m)) for m in maxes]
-            rows: list[np.ndarray] = [codes[0]] * n_blocks
-            distinct = list(dict.fromkeys(dts))
-            if len(distinct) == 1:
-                # The common case — one exact-cast pass over the whole group.
-                buf = ws.request("batch_codes_narrow", (n_blocks, n), distinct[0])
-                kern.narrow(codes, buf)
-                rows = [buf[b] for b in range(n_blocks)]
-            else:
-                # Mixed widths: one arena slot per width (slots are keyed by
-                # dtype), each block narrowed into its width's stack.
-                cursor = dict.fromkeys(distinct, 0)
-                bufs = {
-                    dt: ws.request("batch_codes_narrow", (dts.count(dt), n), dt)
-                    for dt in distinct
-                }
-                for b, dt in enumerate(dts):
-                    r = cursor[dt]
-                    cursor[dt] = r + 1
-                    kern.narrow(codes[b], bufs[dt][r])
-                    rows[b] = bufs[dt][r]
+            rows: list[np.ndarray] = list(symbols)
+            if codec.byte_oriented:
+                widths = _minimal_itemsize(maxes)
+                ends = np.cumsum(widths * n)
+                arena = ws.request("batch_planes", (int(ends[-1]),), np.uint8)
+                cuts = (np.flatnonzero(np.diff(widths)) + 1).tolist()
+                for lo, hi in zip([0] + cuts, cuts + [n_blocks]):
+                    k = int(widths[lo])
+                    planes = arena[int(ends[lo]) - k * n : int(ends[hi - 1])]
+                    planes = planes.reshape(hi - lo, k, n)
+                    kern.byte_planes(symbols[lo:hi], planes)
+                    rows[lo:hi] = planes
             offsets = ws.request("batch_offsets", (n_blocks + 1,), np.int64)
             offsets[0] = 0
             np.cumsum(counts, out=offsets[1:])
@@ -744,14 +719,13 @@ class SZCompressor:
             else:
                 pos_narrow = pos
                 zz = val
-        codec = self.codec
 
         def build(b: int) -> dict[str, bytes]:
             lo, hi = int(offsets[b]), int(offsets[b + 1])
             return {
-                "codes": codec.encode_narrowed(rows[b]),
-                "outlier_pos": _pack_outlier_pos(pos_narrow[lo:hi]),
-                "outlier_val": _deflate_channel(zz[lo:hi]),
+                "codes": codec.encode_row(rows[b]),
+                "outlier_pos": pack_positions(pos_narrow[lo:hi]),
+                "outlier_val": deflate_channel(zz[lo:hi]),
             }
 
         with tracer.span("sz.entropy", blocks=n_blocks, codec=codec.name):
@@ -762,19 +736,6 @@ class SZCompressor:
                 return get_backend("thread").map_tasks(build, range(n_blocks))
             return [build(b) for b in range(n_blocks)]
 
-    def _quantize_encode(
-        self, arr: np.ndarray, eb: float, ws: Workspace
-    ) -> QuantizedResiduals:
-        """Single-block view of the batched front (a batch of one).
-
-        Kept for the estimator and as the historical probing surface;
-        the returned codes are a row view of the batch arena, valid
-        until ``batch_lattice_i64`` is requested again.
-        """
-        eb_arr = np.asarray([eb], dtype=np.float64)
-        codes, _counts, pos, val = self._quantize_encode_batch([arr], eb_arr, ws)
-        return QuantizedResiduals(codes[0], pos, val, self.radius)
-
     def _to_workspace(self, arr: np.ndarray, eb: float) -> tuple[np.ndarray, float]:
         """Map data into the space where the bound is absolute."""
         work = np.asarray(arr, dtype=np.float64)
@@ -784,84 +745,71 @@ class SZCompressor:
             raise ValueError("pw_rel mode requires strictly positive data")
         return np.log(work), pw_rel_to_log_abs(eb)
 
-    def _encode_payloads(self, qr: QuantizedResiduals, ws: Workspace) -> dict[str, bytes]:
-        """Single-block payload assembly (compat/reference; the batch
-        path produces byte-identical output per block)."""
-        codes = qr.codes
-        dt = _minimal_uint_dtype(int(codes.max()) if codes.size else 0)
-        if codes.dtype == dt:
-            narrow = codes
-        else:
-            # Narrow once here instead of inside the codec, so the
-            # int64 workspace codes never round-trip through a fresh
-            # full-width copy on their way to the entropy stage.
-            narrow = ws.request("codes_narrow", codes.shape, dt)
-            np.copyto(narrow, codes, casting="unsafe")
-        pos_dt = _minimal_uint_dtype(max(int(codes.size) - 1, 0))
-        return {
-            "codes": self.codec.encode_narrowed(narrow),
-            "outlier_pos": _pack_outlier_pos(
-                qr.outlier_positions.astype(pos_dt, copy=False)
-            ),
-            "outlier_val": _deflate_channel(_zigzag(qr.outlier_values)),
-        }
-
 
 def decompress(block: CompressedBlock) -> np.ndarray:
-    """Reconstruct a field from a self-describing :class:`CompressedBlock`."""
-    if block.engine == "dual":
-        work = _decompress_dual_workspace(block)
+    """Reconstruct a field from a self-describing :class:`CompressedBlock`.
+
+    Bytes that fail validation (unknown tag or layout, a payload that
+    does not inflate to exactly the size the header promises, a missing
+    channel) raise :class:`~repro.util.errors.PayloadError`.
+    """
+    n = block.n_elements
+    try:
+        codes = block.payloads["codes"]
+        pos_blob = block.payloads["outlier_pos"]
+        val_blob = block.payloads["outlier_val"]
+    except KeyError as exc:
+        raise PayloadError(f"block has no {exc.args[0]!r} payload") from None
+    val_what = "outlier values"
+    if block.layout == LAYOUT:
+        residuals = unfold_symbols(get_codec(block.codec_name).decode(codes, n))
+        out_pos = unpack_positions(pos_blob, block.n_outliers)
+        out_val = inflate_channel(val_blob, 8 * block.n_outliers, val_what)
+    elif block.layout == 1:
+        from repro.compression import compat  # cold path: retired layout
+
+        residuals = compat.residuals_v1(block.codec_name, codes, n, block.radius)
+        out_pos = compat.outlier_positions_v1(pos_blob, block.n_outliers)
+        out_val = compat.inflate_channel_v1(val_blob, 8 * block.n_outliers, val_what)
     else:
-        work = _decompress_classic_workspace(block)
+        raise PayloadError(f"unknown code-stream layout {block.layout!r}")
+    if out_pos.size and int(out_pos.max()) >= n:
+        raise PayloadError(f"outlier position {int(out_pos.max())} outside the block")
+    abs_eb = block.eb if block.mode == "abs" else pw_rel_to_log_abs(block.eb)
+    if block.engine == "dual":
+        residuals[out_pos] = unzigzag(np.frombuffer(out_val, dtype=np.uint64))
+        q = lorenzo_inverse(residuals.reshape(block.shape))
+        work = dequantize_abs(q, abs_eb)
+    else:
+        shape3d = block.shape + (1,) * (3 - len(block.shape))
+        work = _classic_reconstruct(
+            residuals.reshape(shape3d),
+            out_pos,
+            np.frombuffer(out_val, dtype=np.float64),
+            abs_eb,
+        ).reshape(block.shape)
     return work if block.mode == "abs" else np.exp(work)
 
 
-def _decompress_dual_workspace(block: CompressedBlock) -> np.ndarray:
-    n = block.n_elements
-    codec = get_codec(block.codec_name)
-    codes = codec.decode(block.payloads["codes"], n)
-    out_pos = _decode_outlier_pos(block.payloads["outlier_pos"])
-    out_val = _unzigzag(
-        np.frombuffer(_inflate_channel(block.payloads["outlier_val"]), dtype=np.uint64)
-    )
-    qr = QuantizedResiduals(codes, out_pos, out_val, block.radius)
-    residuals = decode_residuals(qr).reshape(block.shape)
-    q = lorenzo_inverse(residuals)
-    abs_eb = block.eb if block.mode == "abs" else pw_rel_to_log_abs(block.eb)
-    return dequantize_abs(q, abs_eb)
-
-
-def _decompress_classic_workspace(block: CompressedBlock) -> np.ndarray:
-    n = block.n_elements
-    codec = get_codec(block.codec_name)
-    codes = codec.decode(block.payloads["codes"], n)
-    out_pos = _decode_outlier_pos(block.payloads["outlier_pos"])
-    out_val = np.frombuffer(_inflate_channel(block.payloads["outlier_val"]), dtype=np.float64)
-    shape3d = block.shape + (1,) * (3 - len(block.shape))
-    abs_eb = block.eb if block.mode == "abs" else pw_rel_to_log_abs(block.eb)
-    return _classic_reconstruct(
-        codes.reshape(shape3d), out_pos, out_val, abs_eb, block.radius
-    ).reshape(block.shape)
-
-
 def _classic_reconstruct(
-    codes: np.ndarray,
+    offsets: np.ndarray,
     outlier_pos: np.ndarray,
     outlier_val: np.ndarray,
     eb: float,
-    radius: int,
 ) -> np.ndarray:
-    """Sequential reconstruction mirroring :func:`classic_sz_quantize`."""
-    nx, ny, nz = codes.shape
+    """Sequential reconstruction mirroring :func:`classic_sz_quantize`:
+    ``offsets`` holds each cell's quantized prediction offset, outlier
+    cells take their stored value instead."""
+    nx, ny, nz = offsets.shape
     outliers = dict(zip(outlier_pos.tolist(), outlier_val.tolist()))
+    steps = offsets.tolist()
     recon = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.float64)
     two_eb = 2.0 * eb
     flat = 0
     for i in range(nx):
         for j in range(ny):
             for k in range(nz):
-                code = codes[i, j, k]
-                if code == 0:
+                if flat in outliers:
                     recon[i + 1, j + 1, k + 1] = outliers[flat]
                 else:
                     pred = (
@@ -873,6 +821,6 @@ def _classic_reconstruct(
                         - recon[i + 1, j, k]
                         + recon[i, j, k]
                     )
-                    recon[i + 1, j + 1, k + 1] = pred + (int(code) - radius) * two_eb
+                    recon[i + 1, j + 1, k + 1] = pred + steps[i][j][k] * two_eb
                 flat += 1
     return recon[1:, 1:, 1:]

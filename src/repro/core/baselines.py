@@ -24,7 +24,7 @@ from repro.compression.api import (
     Compressor,
     CompressorSpec,
     capabilities_of,
-    decompress_any,
+    decompress_many,
     resolve_compressor,
 )
 from repro.compression.stats import CompressionStats
@@ -55,10 +55,10 @@ class StaticResult:
     def overall_bit_rate(self) -> float:
         return self.stats.overall_bit_rate
 
-    def reconstruct(self, decomposition: BlockDecomposition, dtype=np.float64) -> np.ndarray:
-        return decomposition.assemble(
-            [decompress_any(b) for b in self.blocks], dtype=dtype
-        )
+    def reconstruct(
+        self, decomposition: BlockDecomposition, dtype=np.float64, threads: int | None = None
+    ) -> np.ndarray:
+        return decomposition.assemble(decompress_many(self.blocks, threads), dtype=dtype)
 
 
 class StaticBaseline:

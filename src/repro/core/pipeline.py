@@ -29,7 +29,7 @@ from repro.compression.api import (
     Compressor,
     CompressorSpec,
     capabilities_of,
-    decompress_any,
+    decompress_many,
     resolve_compressor,
 )
 from repro.compression.stats import CompressionStats
@@ -73,15 +73,17 @@ class SnapshotResult:
     def overall_bit_rate(self) -> float:
         return self.stats.overall_bit_rate
 
-    def reconstruct(self, decomposition: BlockDecomposition, dtype=np.float64) -> np.ndarray:
+    def reconstruct(
+        self, decomposition: BlockDecomposition, dtype=np.float64, threads: int | None = None
+    ) -> np.ndarray:
         """Decompress all partitions and reassemble the global field.
 
         Blocks dispatch through the compressor registry
-        (:func:`~repro.compression.api.decompress_any`), so results from
-        any registered family reconstruct.
+        (:func:`~repro.compression.api.decompress_many`), so results from
+        any registered family reconstruct; ``threads`` is its decode
+        fan-out (pass ``1`` from inside a process-pool worker).
         """
-        parts = [decompress_any(b) for b in self.blocks]
-        return decomposition.assemble(parts, dtype=dtype)
+        return decomposition.assemble(decompress_many(self.blocks, threads), dtype=dtype)
 
     def eb_map(self, decomposition: BlockDecomposition) -> np.ndarray:
         """Per-partition bounds on the block grid (Figs. 11/17)."""

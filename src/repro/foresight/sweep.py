@@ -39,6 +39,7 @@ from repro.compression.api import (
     CompressorSpec,
     capabilities_of,
     decompress_any,
+    decompress_many,
     resolve_compressor,
     spec_of,
 )
@@ -77,19 +78,26 @@ class SweepRecord:
 
 
 def _evaluate_chunk(
-    task: tuple[QualityEvaluator, BlockDecomposition | None, list[tuple[int, list[CompressedBlock]]]],
+    task: tuple[
+        QualityEvaluator,
+        BlockDecomposition | None,
+        list[tuple[int, list[CompressedBlock]]],
+        int | None,
+    ],
 ) -> list[tuple[int, QualityReport]]:
     """Decompress and evaluate a chunk of one field's reconstructions.
 
     Module-level (and fed plain picklable data) so process backends can
     ship it to workers; the evaluator arrives with its reference caches
     already populated, so workers never re-analyze the original field.
+    The last task element is the decode fan-out (``decompress_many``'s
+    ``threads``): ``1`` when chunks already run side by side.
     """
-    evaluator, decomposition, chunk = task
+    evaluator, decomposition, chunk, threads = task
     out = []
     for idx, blocks in chunk:
         if decomposition is not None:
-            recon = decomposition.assemble([decompress_any(b) for b in blocks])
+            recon = decomposition.assemble(decompress_many(blocks, threads))
         else:
             recon = decompress_any(blocks[0])
         out.append((idx, evaluator.evaluate(recon)))
@@ -112,7 +120,8 @@ def _quality_reports(
     n_chunks = min(len(items), backend.parallelism)
     bounds = np.linspace(0, len(items), n_chunks + 1).astype(int)
     chunks = [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    tasks = [(evaluator, decomposition, chunk) for chunk in chunks]
+    threads = None if len(chunks) == 1 else 1  # chunks already run in parallel
+    tasks = [(evaluator, decomposition, chunk, threads) for chunk in chunks]
     reports: list[QualityReport | None] = [None] * len(items)
     for chunk_result in backend.map_tasks(_evaluate_chunk, tasks):
         for idx, report in chunk_result:
@@ -297,7 +306,7 @@ def run_sweep(
                                         data, crit, reference=field_ref(name, data)
                                     )
                                 (_, quality), = _evaluate_chunk(
-                                    (evaluator, decomposition, [(0, blocks)])
+                                    (evaluator, decomposition, [(0, blocks)], None)
                                 )
                     else:
                         blocks = [comp.compress(v, eb) for v in views]
@@ -313,7 +322,7 @@ def run_sweep(
                                         data, crit, reference=field_ref(name, data)
                                     )
                                 (_, quality), = _evaluate_chunk(
-                                    (evaluator, decomposition, [(0, blocks)])
+                                    (evaluator, decomposition, [(0, blocks)], None)
                                 )
                     rates.append((eb, nbytes, n, itemsize))
                     qualities.append(quality)

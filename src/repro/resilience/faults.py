@@ -53,6 +53,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.resilience.retry import TransientError
+from repro.util.errors import PayloadError
 from repro.util.rng import default_rng
 
 __all__ = [
@@ -85,8 +86,13 @@ class InjectedTimeout(InjectedFault, TimeoutError):
     """An armed ``timeout`` fault: the operation never came back."""
 
 
-class CorruptedPayloadError(InjectedFault, TransientError):
-    """An armed ``corrupt`` fault: the produced bytes failed verification."""
+class CorruptedPayloadError(InjectedFault, TransientError, PayloadError):
+    """An armed ``corrupt`` fault: the produced bytes failed verification.
+
+    Derives from :class:`repro.util.errors.PayloadError`, the error every
+    decoder raises for bytes that fail validation, so one ``except``
+    clause covers injected and real corruption.
+    """
 
 
 class TornWrite(InjectedFault):

@@ -1,5 +1,6 @@
 """Shared utilities: RNG handling, timers, ascii tables, validation."""
 
+from repro.util.errors import PayloadError
 from repro.util.rng import default_rng, spawn_rngs
 from repro.util.timer import Timer, TimingBreakdown, monotonic
 from repro.util.tables import format_table
@@ -11,6 +12,7 @@ from repro.util.validation import (
 )
 
 __all__ = [
+    "PayloadError",
     "default_rng",
     "spawn_rngs",
     "Timer",

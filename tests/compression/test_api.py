@@ -25,6 +25,7 @@ from repro.compression import (
     ZFPLikeCompressor,
     capabilities_of,
     decompress_any,
+    decompress_many,
     resolve_compressor,
     spec_of,
 )
@@ -158,6 +159,55 @@ class TestDecompressAny:
     def test_unknown_block_type_rejected(self):
         with pytest.raises(TypeError, match="decompresses"):
             decompress_any(object())
+
+
+class TestDecompressMany:
+    def test_matches_per_block_decode_across_families_and_threads(self, field):
+        blocks = []
+        for spec in ("sz", "sz:codec=huffman", "sz:codec=raw", "zfp_like:rate=12", "sz_adaptive"):
+            comp = resolve_compressor(spec)
+            data = field if spec != "sz_adaptive" else field[:8, :8, :8]
+            blocks += comp.compress_many([data, data[::-1]], [1e-3, 2e-3])
+        expected = [decompress_any(b) for b in blocks]
+        for threads in (None, 1, 2, 3, 16):
+            got = decompress_many(blocks, threads=threads)
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+
+    def test_threads_caps_the_fan_out(self, field, monkeypatch):
+        import threading
+
+        from repro.compression import api
+
+        seen = set()
+
+        def decode(block):
+            seen.add(threading.get_ident())
+            return block
+
+        monkeypatch.setattr(api, "decompress_any", decode)
+        blocks = list(range(11))
+        for threads in (1, 2, 3):
+            seen.clear()
+            assert decompress_many(blocks, threads=threads) == blocks
+            assert len(seen) <= threads
+            if threads == 1:
+                assert seen == {threading.get_ident()}
+
+    def test_empty_and_single(self, field):
+        assert decompress_many([]) == []
+        block = SZCompressor().compress(field, 1e-3)
+        (recon,) = decompress_many([block], threads=4)
+        assert np.array_equal(recon, decompress_any(block))
+
+    def test_compress_is_a_batch_of_one(self, field):
+        """``compress(x)`` and ``compress_many([x])[0]`` are the same bytes."""
+        for codec in ("zlib", "huffman", "raw"):
+            comp = SZCompressor(codec=codec)
+            single = comp.compress(field, 1e-3)
+            (batched,) = comp.compress_many([field], [1e-3])
+            assert single == batched and single.layout == 2
 
 
 class TestCapabilities:

@@ -1,0 +1,89 @@
+"""Frozen layout-1 fixtures: bytes written by the parent of the layout-2
+change must decode bit-exactly forever (see ``fixtures/README.md``).
+
+They are also the only tests that reach :mod:`repro.compression.compat`
+— no encoder in ``src/`` can produce these bytes any more.
+"""
+
+from __future__ import annotations
+
+import json
+import zlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.compression.api import decompress_any, decompress_many
+from repro.compression.regression import AdaptiveBlockStream
+from repro.compression.sz import CompressedBlock, decompress
+from repro.util.errors import PayloadError
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestFrozenContainer:
+    def test_every_block_decodes_to_its_pinned_reconstruction(self, v1_blocks, recon_crc):
+        assert len(v1_blocks) == 10
+        for note, (block, crc) in v1_blocks.items():
+            assert block.layout == 1, note
+            assert recon_crc(block, decompress(block)) == crc, note
+
+    def test_fixture_covers_every_codec_engine_and_legacy_form(self, v1_expected):
+        rows = v1_expected["v1_container.npz"]
+        assert {r["codec"] for r in rows} == {"zlib", "huffman", "raw"}
+        assert {r["engine"] for r in rows} == {"dual", "classic"}
+        assert {r["mode"] for r in rows} == {"abs", "pw_rel"}
+        assert any(r["n_outliers"] for r in rows)
+        assert sum("legacy" in r["note"] for r in rows) == 2
+
+    def test_interleaved_two_byte_codes_are_in_the_fixture(self, v1_blocks):
+        block, _ = v1_blocks["zlib uint16 codes"]
+        assert block.payloads["codes"][0] == 2  # width tag without the planes bit
+
+    def test_batch_decode_matches(self, v1_blocks, recon_crc):
+        blocks = [b for b, _ in v1_blocks.values()]
+        for threads in (1, 3):
+            for (block, crc), recon in zip(v1_blocks.values(), decompress_many(blocks, threads)):
+                assert recon_crc(block, recon) == crc
+
+    def test_pickled_blocks_without_the_layout_field_are_layout_1(self, v1_blocks):
+        block, _ = v1_blocks["zlib f32"]
+        state = dict(block.__dict__)
+        del state["layout"]
+        old = CompressedBlock.__new__(CompressedBlock)
+        old.__setstate__(state)
+        assert old.layout == 1
+        assert np.array_equal(decompress(old), decompress(block))
+
+    def test_layout_2_decoder_refuses_layout_1_bytes(self, v1_blocks):
+        block, _ = v1_blocks["zlib uint16 codes"]
+        block.layout = 2
+        with pytest.raises(PayloadError, match="width tag"):
+            decompress(block)
+
+    def test_unknown_layout_is_a_typed_error(self, v1_blocks):
+        block, _ = v1_blocks["zlib f32"]
+        block.layout = 3
+        with pytest.raises(PayloadError, match="layout"):
+            decompress(block)
+
+
+class TestFrozenAdaptiveStream:
+    @pytest.fixture()
+    def stream(self) -> AdaptiveBlockStream:
+        with np.load(FIXTURES / "v1_sz_adaptive.npz", allow_pickle=False) as data:
+            meta = json.loads(data["__meta"].tobytes())
+            payloads = {k: data[k].tobytes() for k in data.files if k != "__meta"}
+        meta["shape"] = tuple(meta["shape"])
+        return AdaptiveBlockStream(payloads=payloads, **meta)
+
+    def test_decodes_to_its_pinned_reconstruction(self, stream, v1_expected):
+        expected = v1_expected["v1_sz_adaptive.npz"]
+        assert stream.layout == 1 and stream.n_outliers == expected["n_outliers"]
+        assert zlib.crc32(decompress_any(stream).tobytes()) == expected["crc32"]
+
+    def test_truncated_codes_are_a_typed_error(self, stream):
+        stream.payloads["codes"] = stream.payloads["codes"][:-2]
+        with pytest.raises(PayloadError):
+            decompress_any(stream)

@@ -39,9 +39,9 @@ from repro.compression.kernels import (
     zigzag,
 )
 from repro.compression.lorenzo import lorenzo_transform
-from repro.compression.quantizer import encode_residuals
 from repro.compression.sz import SZCompressor, decompress
 from repro.compression.workspace import Workspace
+from repro.util.errors import PayloadError
 
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
@@ -113,32 +113,60 @@ class TestLorenzoKernel:
         assert np.array_equal(as_3d.reshape(3, 17), expected)
 
 
+#: Residuals at every stored-width edge of the fold (uint8 holds
+#: |r| <= 127, uint16 the rest of the default radius), the outlier
+#: threshold and the int64 extremes.
+FOLD_EDGES = np.array(
+    [0, -1, 1, 126, -126, 127, -127, 128, -128, 32766, -32766, 32767, -32767,
+     32768, -32768, 2**62, -(2**62), 2**63 - 1, -(2**63)],
+    dtype=np.int64,
+)
+
+
 class TestEncodeResidualsKernel:
     def test_matches_per_block_encode(self):
+        """Against the symbol map spelled out value by value (the scalar
+        ``encode_residuals`` is a batch of one of this same kernel)."""
         rng = np.random.default_rng(3)
         radius = 8
         res = rng.integers(-30, 30, (5, 40))
-        expected = [encode_residuals(row.copy(), radius) for row in res]
         got = res.copy()
-        counts, pos, val = KERN.encode_residuals(got, radius)
-        assert counts.tolist() == [ref.outlier_positions.size for ref in expected]
+        counts, pos, val, maxes = KERN.fold(got, radius)
         lo = 0
-        for b, ref in enumerate(expected):
-            hi = lo + int(counts[b])
-            assert np.array_equal(got[b], ref.codes)
-            assert np.array_equal(pos[lo:hi], ref.outlier_positions)
-            assert np.array_equal(val[lo:hi], ref.outlier_values)
+        for b, row in enumerate(res.tolist()):
+            fits = [abs(r) < radius for r in row]
+            symbols = [(2 * r if r >= 0 else -2 * r - 1) + 1 if ok else 0
+                       for r, ok in zip(row, fits)]
+            outliers = [i for i, ok in enumerate(fits) if not ok]
+            hi = lo + len(outliers)
+            assert got[b].tolist() == symbols
+            assert counts[b] == len(outliers) and maxes[b] == max(symbols)
+            assert pos[lo:hi].tolist() == outliers
+            assert val[lo:hi].tolist() == [row[i] for i in outliers]
             lo = hi
+        assert lo == pos.size == val.size
 
     def test_scratch_masks_are_optional_hints(self):
         rng = np.random.default_rng(4)
         res = rng.integers(-30, 30, (3, 16))
-        fits = np.empty(res.shape, dtype=np.bool_)
+        scratch = np.empty(res.size + 5, dtype=np.int64)
         misfit = np.empty(res.shape, dtype=np.bool_)
-        a = KERN.encode_residuals(res.copy(), 8, fits, misfit)
-        b = KERN.encode_residuals(res.copy(), 8)
+        a = KERN.fold(res.copy(), 8, scratch, misfit)
+        b = KERN.fold(res.copy(), 8)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+    def test_symbol_map_at_the_width_edges(self):
+        got = FOLD_EDGES.reshape(1, -1).copy()
+        counts, pos, val, maxes = KERN.fold(got, 1 << 15)
+        #           0  -1  1  126 -126 127 -127 128 -128
+        assert got[0, :9].tolist() == [1, 2, 3, 253, 252, 255, 254, 257, 256]
+        # +-32766, +-32767 still fit; +-32768 and beyond are outliers (symbol 0)
+        assert got[0, 9:13].tolist() == [65533, 65532, 65535, 65534]
+        assert got[0, 13:].tolist() == [0] * 6
+        assert counts.tolist() == [6] and maxes.tolist() == [65535]
+        assert pos.tolist() == list(range(13, 19))
+        assert np.array_equal(val, FOLD_EDGES[13:])
 
 
 class TestNarrowAndBytePlanes:
@@ -164,14 +192,31 @@ class TestNarrowAndBytePlanes:
         assert out.tobytes(order="F") == v.astype(v.dtype.newbyteorder("<")).tobytes()
 
     def test_byte_planes_validates_inputs(self):
-        with pytest.raises(ValueError, match="unsigned"):
+        with pytest.raises(ValueError, match="integer"):
             KERN.byte_planes(
-                np.ones(4, dtype=np.int64), np.empty((8, 4), dtype=np.uint8)
+                np.ones(4, dtype=np.float64), np.empty((8, 4), dtype=np.uint8)
             )
         with pytest.raises(ValueError, match="shape"):
             KERN.byte_planes(
-                np.ones(4, dtype=np.uint16), np.empty((1, 4), dtype=np.uint8)
+                np.ones(4, dtype=np.uint16), np.empty((3, 4), dtype=np.uint8)
             )
+        with pytest.raises(ValueError, match="shape"):
+            KERN.byte_planes(
+                np.ones((2, 4), dtype=np.int64), np.empty((2, 4), dtype=np.uint8)
+            )
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_byte_planes_narrow_a_stack_to_its_low_planes(self, k):
+        """The hot-path form: ``(B, n)`` int64 symbols -> ``(B, k, n)``
+        rows; ``k = 1`` is the exact cast to uint8."""
+        rng = np.random.default_rng(6)
+        top = 256**k - 1 if k < 8 else 2**63 - 1
+        sym = rng.integers(0, top, (3, 21), dtype=np.int64, endpoint=True)
+        sym[0, 0], sym[1, 1] = 0, top
+        out = np.empty((3, k, 21), dtype=np.uint8)
+        KERN.byte_planes(sym, out)
+        for plane in range(k):
+            assert np.array_equal(out[:, plane, :], (sym >> (8 * plane)) & 0xFF)
 
 
 # -- registry and selection ---------------------------------------------------
@@ -322,21 +367,21 @@ class TestOutlierPosFormat:
         big = comp.compress(rng.normal(0, 100, (8, 8, 8)), 0.01)
         assert big.payloads["outlier_pos"][0] == 2  # 512 values -> uint16
 
-    def test_legacy_int64_position_blobs_still_decode(self):
-        rng = np.random.default_rng(14)
-        comp = SZCompressor(radius=16)
-        data = rng.normal(0, 100, (6, 6, 6))
-        block = comp.compress(data, 0.01)
-        assert block.n_outliers > 0
-        blob = block.payloads["outlier_pos"]
-        pos = np.frombuffer(
-            zlib.decompress(blob[1:]), dtype=f"u{blob[0]}"
-        ).astype(np.int64)
-        legacy = zlib.compress(pos.tobytes(), 6)
+    def test_legacy_int64_position_blobs_still_decode(self, v1_blocks, recon_crc):
+        """Bare-zlib int64 positions: read for the frozen layout-1 block
+        (through ``compat``), refused by the layout-2 decoder."""
+        block, crc = v1_blocks["legacy bare-zlib int64 outlier positions"]
+        assert block.layout == 1 and block.n_outliers > 0
+        legacy = block.payloads["outlier_pos"]
         assert legacy[0] == 0x78  # zlib magic, distinct from any width tag
-        block.payloads["outlier_pos"] = legacy
-        recon = decompress(block)
-        assert np.max(np.abs(recon - data)) <= 0.01 * (1 + 1e-9) + 1e-12
+        assert recon_crc(block, decompress(block)) == crc
+        rng = np.random.default_rng(14)
+        fresh = SZCompressor(radius=16).compress(rng.normal(0, 100, (6, 6, 6)), 0.01)
+        blob = fresh.payloads["outlier_pos"]
+        pos = np.frombuffer(zlib.decompress(blob[1:]), dtype=f"u{blob[0]}")
+        fresh.payloads["outlier_pos"] = zlib.compress(pos.astype(np.int64).tobytes(), 6)
+        with pytest.raises(PayloadError, match="width tag"):
+            decompress(fresh)
 
 
 # -- backend level: numba == numpy, byte for byte -----------------------------
@@ -363,11 +408,26 @@ class TestNumbaBackend:
         nb.lorenzo(b)
         assert np.array_equal(a, b)
         ra, rb = a.reshape(4, -1).copy(), b.reshape(4, -1).copy()
-        out_np = KERN.encode_residuals(ra, 8)
-        out_nb = nb.encode_residuals(rb, 8)
+        out_np = KERN.fold(ra, 8)
+        out_nb = nb.fold(rb, 8)
         assert np.array_equal(ra, rb)
         for x, y in zip(out_np, out_nb):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("radius", [2, 128, 1 << 15])
+    def test_fold_matches_at_the_width_edges(self, radius):
+        """The layout-2 kernel op: same symbols, same outlier channel and
+        same row maxima as the NumPy oracle (``byte_planes`` is inherited)."""
+        nb = get_kernels("numba")
+        rng = np.random.default_rng(18)
+        res = rng.integers(-300, 300, (4, FOLD_EDGES.size + 45))
+        res[1, : FOLD_EDGES.size] = FOLD_EDGES
+        res[2] = 2**40  # an all-outlier block
+        res[3] = 0  # a constant block
+        ra, rb = res.copy(), res.copy()
+        for x, y in zip(KERN.fold(ra, radius), nb.fold(rb, radius)):
+            assert np.array_equal(x, y)
+        assert np.array_equal(ra, rb)
 
     def test_quantize_reports_nonfinite(self):
         nb = get_kernels("numba")

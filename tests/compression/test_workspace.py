@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compression.codecs import _minimal_uint_dtype, get_codec
+from repro.compression.kernels import zigzag
 from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_inplace
 from repro.compression.quantizer import encode_residuals, quantize_abs
-from repro.compression.sz import SZCompressor, _zigzag, decompress
+from repro.compression.sz import SZCompressor, decompress
 from repro.compression.workspace import Workspace
+from repro.util.errors import PayloadError
 
 
 def reference_compress_payloads(
@@ -32,7 +34,8 @@ def reference_compress_payloads(
 
     Mirrors the original (pre-workspace) implementation step for step:
     float64 upcast, allocating quantize, ``np.diff``-style Lorenzo,
-    allocating residual encode, codec over int64 codes.  The outlier
+    allocating residual fold (code-stream layout 2: ``0`` = outlier,
+    ``r -> zigzag(r) + 1``), codec over the int64 symbols.  The outlier
     position channel follows the serialization contract: positions
     narrowed to the smallest uint covering the block size, prefixed by
     a 1-byte itemsize tag.
@@ -56,7 +59,7 @@ def reference_compress_payloads(
             else b""
         ),
         "outlier_val": (
-            zlib.compress(_zigzag(qr.outlier_values).tobytes(), 6)
+            zlib.compress(zigzag(qr.outlier_values).tobytes(), 6)
             if qr.outlier_values.size
             else b""
         ),
@@ -189,13 +192,19 @@ class TestFusedKernels:
         assert block.payloads["outlier_val"] == b""
         assert np.max(np.abs(decompress(block) - data)) <= 0.01 * (1 + 1e-9)
 
-    def test_legacy_zlib_empty_channels_still_decode(self):
-        """Blocks written before the empty-payload short-circuit load fine."""
+    def test_legacy_zlib_empty_channels_still_decode(self, v1_blocks, recon_crc):
+        """Blocks written before the empty-payload short-circuit load fine
+        (the frozen layout-1 block); layout 2 never wrote the form and
+        its decoder refuses it."""
+        block, crc = v1_blocks["legacy zlib(b'') empty channels"]
+        assert block.layout == 1
+        assert block.payloads["outlier_pos"] == zlib.compress(b"", 6)
+        assert recon_crc(block, decompress(block)) == crc
         data = np.linspace(0.0, 1.0, 64).reshape(4, 4, 4)
-        block = SZCompressor().compress(data, 0.01)
-        block.payloads["outlier_pos"] = zlib.compress(b"", 6)
-        block.payloads["outlier_val"] = zlib.compress(b"", 6)
-        assert np.max(np.abs(decompress(block) - data)) <= 0.01 * (1 + 1e-9)
+        fresh = SZCompressor().compress(data, 0.01)
+        fresh.payloads["outlier_pos"] = zlib.compress(b"", 6)
+        with pytest.raises(PayloadError, match="stored for 0 positions"):
+            decompress(fresh)
 
     def test_outliers_roundtrip_through_fused_path(self):
         rng = np.random.default_rng(5)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,111 @@ class TestBlockContainer:
             assert back.shape == orig.shape
             assert back.eb == orig.eb
             assert np.array_equal(decompress(back), decompress(orig))
+
+    @pytest.fixture()
+    def mixed_blocks(self, snapshot):
+        """64 partitions of 8^3 across the three codecs, one with outliers."""
+        from repro.parallel.decomposition import BlockDecomposition
+
+        data = snapshot["temperature"]
+        views = BlockDecomposition(data.shape, blocks=4).partition_views(data)
+        eb = float(data.std()) * 1e-2
+        blocks = []
+        for i, codec in enumerate(("zlib", "huffman", "raw")):
+            comp = SZCompressor(codec=codec, radius=16 if codec == "huffman" else 1 << 15)
+            blocks += comp.compress_many(views[i::3], [eb] * len(views[i::3]))
+        assert any(b.n_outliers for b in blocks) and not all(b.n_outliers for b in blocks)
+        return blocks
+
+    def test_round_trip_is_lossless_and_pickle_free(self, mixed_blocks, tmp_path):
+        path = tmp_path / "blocks.npz"
+        ebs = np.array([b.eb for b in mixed_blocks])
+        save_blocks(str(path), mixed_blocks, ebs, blocks_per_axis=4)
+        loaded, back_ebs, bpa = load_blocks(str(path))
+        assert bpa == 4 and np.array_equal(back_ebs, ebs)
+        for orig, back in zip(mixed_blocks, loaded):
+            assert back == orig  # every field, layout and payload bytes included
+        with np.load(path, allow_pickle=False) as data:  # a plain npz, no pickle
+            meta = json.loads(data["__meta"].tobytes())
+            for key in data.files:
+                assert data[key].dtype != object
+        assert [row["layout"] for row in meta["blocks"]] == [2] * len(mixed_blocks)
+        assert meta["blocks"][0]["payloads"] == ["codes", "outlier_pos", "outlier_val"]
+        # canonical JSON: the same blocks always serialize to the same bytes
+        again = tmp_path / "again.npz"
+        save_blocks(str(again), mixed_blocks, ebs, blocks_per_axis=4)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_entropy_coded_members_are_stored_not_redeflated(self, mixed_blocks, tmp_path):
+        import zipfile
+
+        path = tmp_path / "blocks.npz"
+        save_blocks(str(path), mixed_blocks, np.ones(len(mixed_blocks)), blocks_per_axis=4)
+        with zipfile.ZipFile(path) as zf:
+            methods = {info.filename[:-4]: info.compress_type for info in zf.infolist()}
+        for i, block in enumerate(mixed_blocks):
+            want = zipfile.ZIP_DEFLATED if block.codec_name == "raw" else zipfile.ZIP_STORED
+            for name, blob in block.payloads.items():
+                if blob:
+                    assert methods[f"p{i}_{name}"] == want, (i, name)
+                else:
+                    assert f"p{i}_{name}" not in methods  # empty channels get no member
+        for name in ("__meta", "__ebs", "__blocks_per_axis"):
+            assert methods[name] == zipfile.ZIP_DEFLATED
+
+    def test_container_adds_at_most_4_percent(self, snapshot, tmp_path):
+        """32^3 partitions (the in situ size): zip + npy framing is the
+        only thing the file holds beyond the payload bytes."""
+        from repro.parallel.decomposition import BlockDecomposition
+
+        rng = np.random.default_rng(5)
+        data = np.cumsum(rng.normal(0, 1, (64, 64, 64)), axis=0).astype(np.float32)
+        views = BlockDecomposition(data.shape, blocks=2).partition_views(data)
+        blocks = SZCompressor().compress_many(views, [float(data.std()) * 1e-2] * 8)
+        path = tmp_path / "blocks.npz"
+        save_blocks(str(path), blocks, np.ones(8), blocks_per_axis=2)
+        payload = sum(b.nbytes for b in blocks)
+        assert path.stat().st_size <= payload * 1.04
+
+    def test_legacy_object_meta_container_still_loads(self, tmp_path):
+        """The frozen layout-1 container carries the old object-dtype
+        ``__meta`` row: the one member, and the one path, that needs pickle."""
+        from pathlib import Path
+
+        fixture = Path(__file__).parent / "compression" / "fixtures" / "v1_container.npz"
+        with np.load(fixture, allow_pickle=False) as data:
+            with pytest.raises(ValueError, match="allow_pickle"):
+                data["__meta"]
+        blocks, ebs, bpa = load_blocks(str(fixture))
+        assert len(blocks) == 10 and bpa == 2 and ebs.shape == (10,)
+        assert {b.layout for b in blocks} == {1}
+        assert list(blocks[0].payloads) == ["codes", "outlier_pos", "outlier_val"]
+        # re-saving writes the new container form and keeps the layout tag
+        out = tmp_path / "resaved.npz"
+        save_blocks(str(out), blocks, ebs, bpa)
+        resaved, _, _ = load_blocks(str(out))
+        assert resaved == blocks
+
+    def test_load_indexes_members_once(self, mixed_blocks, tmp_path, monkeypatch):
+        """One pass over the member list, not one scan per block."""
+        path = tmp_path / "blocks.npz"
+        save_blocks(str(path), mixed_blocks, np.ones(len(mixed_blocks)), blocks_per_axis=4)
+        scans = []
+        real_load = np.load
+
+        class CountingFiles(list):
+            def __iter__(self):
+                scans.append(1)
+                return super().__iter__()
+
+        def counting_load(*args, **kwargs):
+            data = real_load(*args, **kwargs)
+            data.files = CountingFiles(data.files)
+            return data
+
+        monkeypatch.setattr(np, "load", counting_load)
+        load_blocks(str(path))
+        assert len(scans) == 1
 
 
 class TestCommands:
