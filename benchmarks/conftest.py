@@ -1,10 +1,11 @@
 """Shared state for the paper-reproduction benchmarks.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md §4).  Grids are scaled from the paper's 512³-2048³ down to
-64³-128³ (laptop scale) with the same partition structure; the claims
-being reproduced are *shapes* (who wins, by what factor, where
-crossovers fall), not absolute numbers — EXPERIMENTS.md records both.
+Every benchmark regenerates one of the paper's tables or figures (one
+file per table or figure, see "Verifying" in the README).  Grids are
+scaled from the paper's 512³-2048³ down to 64³-128³ (laptop scale) with
+the same partition structure; the claims being reproduced are *shapes*
+(who wins, by what factor, where crossovers fall), not absolute numbers
+— each bench prints its table and asserts the shape.
 
 The snapshot, decomposition and calibrated rate models are session-
 scoped: synthesized once, reused by every bench.
@@ -30,7 +31,7 @@ REDSHIFT = 0.5
 
 #: The paper's quality thresholds (§2.1), with the spectrum tolerance for
 #: density-derived fields relaxed to 0.02 to account for the much smaller
-#: box (fewer k<10 modes of relatively lower power — see EXPERIMENTS.md).
+#: box (fewer k<10 modes of relatively lower power).
 SPECTRUM_TOL = {"default": 0.01, "baryon_density": 0.02, "dark_matter_density": 0.02}
 HALO_RMSE_TOL = 0.01
 MIN_HALO_CELLS = 27  # "mid/large" halos per the paper's stated preference

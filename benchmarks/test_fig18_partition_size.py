@@ -67,7 +67,7 @@ def test_fig18_partition_size_sweep(snapshot, benchmark):
     # Finer partitions expose more heterogeneity: the optimizer's bound
     # spread must grow monotonically with partition count (the mechanism
     # behind the paper's 27.1% -> 56.0% trend; at this reduced scale the
-    # realized gain itself is small — see EXPERIMENTS.md).
+    # realized gain itself is small).
     spreads = [r[5] for r in rows]
     assert all(spreads[i] < spreads[i + 1] for i in range(len(spreads) - 1))
     assert rows[-1][4] >= rows[0][4] - 1.0

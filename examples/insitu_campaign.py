@@ -79,7 +79,7 @@ def main() -> None:
         "\nthe snapshot it was fit on and drifts as structure forms (the paper's"
         "\nFig. 16/17 mechanism); the drift magnitude scales with how much the"
         "\npartition contrast grows between snapshots — small on this 64^3 box,"
-        "\nlarge on production 512^3 runs (see EXPERIMENTS.md note 1)."
+        "\nlarge on production 512^3 runs."
     )
 
 

@@ -49,7 +49,7 @@ from repro.compression.api import (
 )
 from repro.compression.sz import CompressedBlock
 from repro.core.pipeline import AdaptiveCompressionPipeline
-from repro.models.calibration import calibrate_rate_model
+from repro.models.calibration import PROBE_MODES, calibrate_rate_model
 from repro.parallel.backends import BACKENDS, get_backend
 from repro.parallel.decomposition import BlockDecomposition
 from repro.sim.io import load_snapshot, save_snapshot
@@ -634,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--probe-mode",
         default="exact",
-        choices=["exact", "estimate", "model"],
+        choices=PROBE_MODES,
         help="rate-model calibration probes: run the full codec (exact), "
         "predict rates from code histograms (estimate, faster), or the "
         "closed-form ratio-quality model (model)",
@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--probe-mode",
         default="exact",
-        choices=["exact", "estimate", "model"],
+        choices=PROBE_MODES,
         help="estimate rates from code histograms (estimate, implies "
         "--rate-only) or predict rate AND quality analytically with the "
         "ratio-quality model (model) instead of running the codec",
@@ -727,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument(
         "--probe-mode",
         default="exact",
-        choices=["exact", "estimate", "model"],
+        choices=PROBE_MODES,
         help="rate-model (re)calibration probes: full codec, codec-free "
         "histogram estimates, or the closed-form ratio-quality model",
     )

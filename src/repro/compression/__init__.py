@@ -15,7 +15,11 @@ pipeline in vectorized NumPy:
 - :mod:`repro.compression.workspace` — reusable scratch arenas for the
   fused, allocation-lean kernel path,
 - :mod:`repro.compression.estimator` — codec-free bit-rate prediction
-  from quantization-code histograms (the calibration/sweep fast path),
+  from a census of the quantization codes (the calibration/sweep fast
+  path),
+- :mod:`repro.compression.reference` — CPU-SZ's classic
+  predict-then-quantize order as a labelled reference
+  (``sz:engine=classic``; the quantization-order ablation),
 - :mod:`repro.compression.compat` — read-only decoders for retired
   stored forms (code-stream layout 1, legacy outlier channels),
 - :mod:`repro.compression.zfp_like` — a fixed-rate transform codec used
@@ -30,7 +34,7 @@ pipeline in vectorized NumPy:
 
 from repro.compression.sz import SZCompressor, CompressedBlock, decompress
 from repro.compression.workspace import Workspace
-from repro.compression.estimator import RateEstimate, estimate_nbytes
+from repro.compression.estimator import RateEstimate
 from repro.compression.zfp_like import ZFPLikeCompressor
 from repro.compression.regression import AdaptiveSZCompressor
 from repro.compression.codecs import HuffmanCodec, RawCodec, ZlibCodec, get_codec
@@ -68,7 +72,6 @@ __all__ = [
     "decompress",
     "Workspace",
     "RateEstimate",
-    "estimate_nbytes",
     "ZFPLikeCompressor",
     "AdaptiveSZCompressor",
     "HuffmanCodec",

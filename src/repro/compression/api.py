@@ -90,8 +90,9 @@ class CompressorCapabilities:
         the data or a bound — §2.2's ZFP fixed-rate mode.  Mutually
         exclusive with ``error_bounded`` in practice.
     supports_estimate:
-        Provides ``estimate``/``estimate_bitrate`` — the codec-free
-        histogram rate prediction used by ``probe_mode="estimate"``.
+        Provides ``estimate_many(views, ebs, workspace=None)`` — the
+        batched codec-free rate/quality probe behind
+        ``probe_mode="estimate"`` and ``"model"``.
     supports_workspace:
         ``compress`` accepts a reusable
         :class:`~repro.compression.workspace.Workspace` scratch arena.
@@ -527,10 +528,20 @@ class CompressorRegistry:
 REGISTRY = CompressorRegistry()
 
 
-def _sz_factory(**params: Any):
-    from repro.compression.sz import SZCompressor
+def _sz_factory(engine: str = "dual", **params: Any):
+    """The one place the ``engine`` spec key is interpreted: the
+    production class, or the classic-order reference (which has no
+    kernel backends to choose from)."""
+    if engine == "dual":
+        from repro.compression.sz import SZCompressor
 
-    return SZCompressor(**params)
+        return SZCompressor(**params)
+    if engine == "classic":
+        from repro.compression.reference import ClassicSZCompressor
+
+        params.pop("kernels", None)
+        return ClassicSZCompressor(**params)
+    raise ValueError(f"engine must be 'dual' or 'classic', got {engine!r}")
 
 
 def register_builtin_families(registry: CompressorRegistry | None = None) -> None:
@@ -617,14 +628,14 @@ def capabilities_of(compressor: Any) -> CompressorCapabilities:
     Instances without a ``capabilities`` declaration (third-party
     SZ-alikes, test doubles) are assumed error-bounded — the historical
     duck-typed contract — with ``supports_estimate`` inferred from the
-    presence of ``estimate_bitrate``.
+    presence of ``estimate_many``.
     """
     caps = getattr(compressor, "capabilities", None)
     if isinstance(caps, CompressorCapabilities):
         return caps
     return CompressorCapabilities(
         error_bounded=True,
-        supports_estimate=callable(getattr(compressor, "estimate_bitrate", None)),
+        supports_estimate=hasattr(compressor, "estimate_many"),
         supports_workspace=False,
     )
 

@@ -49,21 +49,11 @@ import numpy as np
 __all__ = [
     "HEADER_BYTES",
     "PAYLOAD_CONTAINER_BYTES",
-    "OUTLIER_BYTES",
     "UNIFORM_MSE_FACTOR",
     "RateEstimate",
     "RQEstimate",
-    "code_census",
     "code_census_rows",
-    "code_histogram",
-    "shannon_bits_per_value",
-    "byte_plane_bits",
-    "byte_plane_bits_sparse",
-    "estimate_code_bits",
-    "estimate_code_bits_sparse",
-    "estimate_nbytes",
     "estimate_nbytes_rows",
-    "estimate_nbytes_sparse",
     "predicted_quantization_mse",
     "predicted_psnr_db",
     "predicted_nrmse",
@@ -80,12 +70,6 @@ HEADER_BYTES = 32
 #: 1-byte dtype tag plus the zlib container (2-byte header, 4-byte
 #: Adler-32) and deflate block framing.
 PAYLOAD_CONTAINER_BYTES = 12
-
-#: Legacy stored bytes per outlier (int64 position + int64 value).
-#: Kept exported for callers that budget conservatively; the estimator
-#: itself now charges the narrowed position width the compressor
-#: actually serializes (8 value bytes + minimal position itemsize).
-OUTLIER_BYTES = 16
 
 #: DEFLATE efficiency vs. the marginal entropy of one byte plane
 #: (bits/byte), fitted at compression level 6 over ~8 500 folded symbol
@@ -223,29 +207,6 @@ class RQEstimate(RateEstimate):
         return predicted_nrmse(self.predicted_mse, self.value_range)
 
 
-def code_histogram(codes: np.ndarray, radius: int) -> np.ndarray:
-    """Symbol frequencies of the folded quantization symbols.
-
-    ``minlength=2*radius`` so the histogram always spans the full symbol
-    alphabet ``[0, 2*radius)`` regardless of which symbols occur.
-
-    The estimation functions below also accept *compact* histograms — a
-    slice of the full one starting at symbol ``offset`` — so hot callers
-    can bin only the occupied symbol range (see ``hist_offset``).
-    """
-    return np.bincount(codes.reshape(-1), minlength=2 * radius)
-
-
-def shannon_bits_per_value(hist: np.ndarray) -> float:
-    """Empirical Shannon entropy of the symbol histogram (bits/value)."""
-    counts = hist[hist > 0]
-    n = counts.sum()
-    if n == 0 or counts.size <= 1:
-        return 0.0
-    p = counts / n
-    return float(-(p * np.log2(p)).sum())
-
-
 def _minimal_itemsize(max_symbol: np.ndarray | int) -> np.ndarray:
     """Bytes per symbol in the packed stream the codec actually sees."""
     return np.select(
@@ -256,31 +217,25 @@ def _minimal_itemsize(max_symbol: np.ndarray | int) -> np.ndarray:
     )
 
 
-def code_census(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(symbols, counts)`` of a symbol stream, sorted by symbol.
-
-    The sparse analogue of :func:`code_histogram`: ``O(n log n)`` in the
-    stream length instead of ``O(symbol span)``, which is what the hot
-    probe path wants — at tight bounds a 16^3 partition's folded symbols
-    can span 1e5+ values, making dense histogram passes (build, scan,
-    regroup) cost 25x the stream itself.
-    """
-    return np.unique(np.reshape(codes, -1), return_counts=True)
-
-
 def code_census_rows(
     codes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row sparse census of a ``(B, n)`` symbol matrix.
 
-    Returns ``(symbols, counts, row_ids)`` — the concatenation of every
-    row's :func:`code_census`, with ``row_ids`` mapping each entry back
-    to its row.  **Sorts the rows of ``codes`` in place** (callers pass
-    a workspace view they own); one group-wide sort plus a handful of
-    flat passes replaces ``B`` interpreter round-trips.
+    Returns ``(symbols, counts, row_ids)`` — every row's distinct
+    symbols (ascending) and their frequencies, concatenated, with
+    ``row_ids`` mapping each entry back to its row.  ``O(n log n)`` in
+    the row length, independent of the symbol span — at tight bounds a
+    16^3 partition's folded symbols span 1e5+ values, which is what
+    makes a dense histogram the wrong tool.  **Sorts the rows of
+    ``codes`` in place** (callers pass a workspace view they own); one
+    group-wide sort plus a handful of flat passes replaces ``B``
+    interpreter round-trips.
     """
-    if codes.ndim != 2:
-        raise ValueError(f"expected a (B, n) code matrix, got {codes.ndim}-D")
+    if codes.ndim != 2 or codes.size == 0:
+        raise ValueError(
+            f"expected a non-empty (B, n) code matrix, got shape {codes.shape}"
+        )
     n = codes.shape[1]
     codes.sort(axis=1)
     flat = codes.reshape(-1)
@@ -365,141 +320,41 @@ def _code_bits_rows(
     return np.minimum(coded + 8.0 * chunks * tree_per_chunk / n, 8.06 * itemsize)
 
 
-def _one_row(syms: np.ndarray, counts: np.ndarray) -> tuple:
-    """A single ``(symbols, counts)`` census as a one-row batch."""
-    syms = np.asarray(syms)
-    row_max = syms[-1:] if len(syms) else np.zeros(1, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.float64)
-    return syms, counts, np.zeros(len(syms), dtype=np.intp), row_max, float(counts.sum())
-
-
-def byte_plane_bits(hist: np.ndarray, hist_offset: int = 0) -> tuple[float, int, int]:
-    """Sum of per-byte-plane marginal entropies of the packed symbols.
-
-    Returns ``(bits_per_value, itemsize, distinct_byte_values)``.
-    Derived from the symbol histogram alone.  This is the quantity
-    DEFLATE's literal coding responds to — a 16-bit symbol stream is two
-    byte streams to it, stored one after the other.  ``hist_offset``
-    shifts compact histograms back to true symbol values (bin ``i``
-    counts symbol ``i + hist_offset``).
-    """
-    syms = np.flatnonzero(hist)
-    return byte_plane_bits_sparse(syms + hist_offset, hist[syms])
-
-
-def byte_plane_bits_sparse(
-    syms: np.ndarray, counts: np.ndarray
-) -> tuple[float, int, int]:
-    """:func:`byte_plane_bits` from a sparse ``(symbols, counts)`` census.
-
-    ``syms`` must be sorted ascending (as :func:`code_census` returns);
-    only the occupied symbols are touched, so the cost is independent of
-    the symbol span.
-    """
-    if len(syms) == 0:
-        return 0.0, 1, 0
-    syms, counts, row_ids, row_max, n = _one_row(syms, counts)
-    itemsize = _minimal_itemsize(row_max)
-    ent, distinct = _plane_entropies(syms, counts, row_ids, itemsize, n)
-    return float(ent.sum()), int(itemsize[0]), int(distinct.sum())
-
-
-def estimate_code_bits(
-    hist: np.ndarray, codec_name: str = "zlib", hist_offset: int = 0
-) -> float:
-    """Predicted entropy-stage bits per value for the symbol stream.
-
-    ``hist`` may be compact (bin ``i`` = symbol ``i + hist_offset``).
-    """
-    hist = np.asarray(hist)
-    syms = np.flatnonzero(hist)
-    return estimate_code_bits_sparse(syms + hist_offset, hist[syms], codec_name)
-
-
-def estimate_code_bits_sparse(
-    syms: np.ndarray, counts: np.ndarray, codec_name: str = "zlib"
-) -> float:
-    """:func:`estimate_code_bits` from a sparse ``(symbols, counts)``
-    census (sorted by symbol, as :func:`code_census` returns)."""
-    syms, counts, row_ids, row_max, n = _one_row(syms, counts)
-    if n == 0:
-        return 0.0
-    return float(_code_bits_rows(syms, counts, row_ids, row_max, n, codec_name)[0])
-
-
-def estimate_nbytes(
-    hist: np.ndarray,
-    n_elements: int,
-    n_outliers: int,
-    codec_name: str = "zlib",
-    *,
-    header_bytes: int = HEADER_BYTES,
-    hist_offset: int = 0,
-) -> tuple[float, float]:
-    """Predict a block's total stored size from its symbol histogram.
-
-    Returns ``(est_nbytes, code_bits_per_value)``.  The layout charged
-    mirrors :class:`repro.compression.sz.CompressedBlock`: header +
-    entropy-coded symbols + outlier positions/values (empty outlier
-    channels cost nothing, matching the compressor's empty-payload
-    short-circuit).  ``hist`` may be compact (see ``hist_offset``).
-    """
-    hist = np.asarray(hist)
-    syms = np.flatnonzero(hist)
-    return estimate_nbytes_sparse(
-        syms + hist_offset, hist[syms], n_elements, n_outliers, codec_name,
-        header_bytes=header_bytes,
-    )
-
-
-def estimate_nbytes_sparse(
-    syms: np.ndarray,
-    counts: np.ndarray,
-    n_elements: int,
-    n_outliers: int,
-    codec_name: str = "zlib",
-    *,
-    header_bytes: int = HEADER_BYTES,
-) -> tuple[float, float]:
-    """:func:`estimate_nbytes` from a sparse ``(symbols, counts)`` census
-    (see :func:`code_census`) — the hot-probe entry point whose cost is
-    independent of the symbol span."""
-    if n_elements <= 0:
-        raise ValueError("n_elements must be positive")
-    if n_outliers < 0:
-        raise ValueError("n_outliers must be non-negative")
-    bits = estimate_code_bits_sparse(syms, counts, codec_name)
-    total = _nbytes_from_bits(bits, n_elements, np.asarray(n_outliers), header_bytes)
-    return float(total), bits
-
-
 def estimate_nbytes_rows(
     codes: np.ndarray,
     n_outliers: np.ndarray,
     codec_name: str = "zlib",
-    *,
-    header_bytes: int = HEADER_BYTES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`estimate_nbytes` over the rows of a ``(B, n)``
-    symbol matrix (sorted in place — see :func:`code_census_rows`).
+    """Predict each row's total stored size from a ``(B, n)`` matrix of
+    folded symbols (sorted in place — see :func:`code_census_rows`) and
+    the rows' outlier counts; a single block is a ``(1, n)`` matrix.
 
-    Returns ``(est_nbytes (B,), code_bits_per_value (B,))``.  This is
-    the probe-side analogue of the batched compression kernels: the
-    whole group's size predictions come from one census and a few
-    group-wide reductions, so probing 64 partitions costs barely more
-    than probing one.
+    Returns ``(est_nbytes (B,), code_bits_per_value (B,))``.  The layout
+    charged mirrors :class:`repro.compression.sz.CompressedBlock`:
+    header + entropy-coded symbols + outlier positions/values (empty
+    outlier channels cost nothing, matching the compressor's
+    empty-payload short-circuit).  This is the probe-side analogue of
+    the batched compression kernels: the whole group's size predictions
+    come from one census and a few group-wide reductions, so probing 64
+    partitions costs barely more than probing one.
     """
-    n = codes.shape[1]
     syms, counts, row_ids = code_census_rows(codes)
+    n_rows, n = codes.shape
+    n_outliers = np.asarray(n_outliers)
+    if n_outliers.shape != (n_rows,) or (n_outliers < 0).any():
+        raise ValueError(
+            f"n_outliers must be one non-negative count per row of codes, "
+            f"got {n_outliers!r} for {n_rows} rows"
+        )
     row_max = codes[:, -1]  # rows are now sorted ascending
     bits = _code_bits_rows(syms, counts, row_ids, row_max, float(n), codec_name)
-    return _nbytes_from_bits(bits, n, np.asarray(n_outliers), header_bytes), bits
+    return _nbytes_from_bits(bits, n, n_outliers), bits
 
 
 def _nbytes_from_bits(
-    bits: np.ndarray | float, n_elements: int, n_outliers: np.ndarray, header_bytes: int
+    bits: np.ndarray, n_elements: int, n_outliers: np.ndarray
 ) -> np.ndarray:
-    total = header_bytes + n_elements * bits / 8.0 + PAYLOAD_CONTAINER_BYTES
+    total = HEADER_BYTES + n_elements * bits / 8.0 + PAYLOAD_CONTAINER_BYTES
     # Positions are narrowed to the smallest uint covering the block
     # (plus a 1-byte width tag on the channel); values stay 8 bytes.
     pos_itemsize = int(_minimal_itemsize(max(n_elements - 1, 0)))

@@ -12,9 +12,9 @@ i.e. applying ``diff`` (with a zero boundary) once along every axis.
 That formulation is exactly invertible on integers (``cumsum`` along the
 axes in reverse order) and fully vectorizable — which is why cuSZ
 quantizes *first* and runs Lorenzo on the integer lattice ("dual
-quantization").  This module implements the transform pair used by the
-compressor's default (cuSZ-style) engine, plus the classic sequential
-CPU-SZ predictor loop for equivalence testing.
+quantization").  This module implements the transform pair the
+compressor runs; CPU-SZ's sequential predict-then-quantize loop is in
+:mod:`repro.compression.reference`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "lorenzo_transform_inplace",
     "lorenzo_transform_batch_inplace",
     "lorenzo_inverse",
-    "classic_sz_quantize",
 ]
 
 
@@ -126,52 +125,3 @@ def lorenzo_inverse(residuals: np.ndarray) -> np.ndarray:
     for axis in reversed(range(arr.ndim)):
         out = np.cumsum(out, axis=axis)
     return out
-
-
-def classic_sz_quantize(
-    data: np.ndarray, eb: float, radius: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classic CPU-SZ: predict from *reconstructed* neighbours, then quantize.
-
-    Returns ``(codes, reconstruction)``.  ``codes`` holds the
-    ``residual/(2 eb)`` offsets as folded symbols, ``zigzag(q) + 1``
-    (the map of :mod:`repro.compression.quantizer`; 0 marks an outlier
-    whose exact value must be stored separately — here the reconstruction
-    simply keeps the original value, as SZ does for unpredictable data).
-
-    This is the sequential reference implementation (Python loop); it is
-    only used on small arrays in tests and the quant-order ablation to
-    demonstrate that the dual-quantization engine reproduces the same
-    uniform error distribution the paper models (§3.2, Fig. 3).
-    """
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"classic_sz_quantize expects a 3-D array, got {arr.ndim}-D")
-    if eb <= 0:
-        raise ValueError(f"error bound must be positive, got {eb}")
-    nx, ny, nz = arr.shape
-    recon = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.float64)
-    codes = np.zeros(arr.shape, dtype=np.int64)
-    two_eb = 2.0 * eb
-    max_offset = radius - 1
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                pred = (
-                    recon[i, j + 1, k + 1]
-                    + recon[i + 1, j, k + 1]
-                    + recon[i + 1, j + 1, k]
-                    - recon[i, j, k + 1]
-                    - recon[i, j + 1, k]
-                    - recon[i + 1, j, k]
-                    + recon[i, j, k]
-                )
-                diff = arr[i, j, k] - pred
-                q = int(np.rint(diff / two_eb))
-                if abs(q) > max_offset:
-                    codes[i, j, k] = 0  # outlier marker
-                    recon[i + 1, j + 1, k + 1] = arr[i, j, k]
-                else:
-                    codes[i, j, k] = (2 * q if q >= 0 else -2 * q - 1) + 1
-                    recon[i + 1, j + 1, k + 1] = pred + q * two_eb
-    return codes, recon[1:, 1:, 1:]

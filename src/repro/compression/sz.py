@@ -1,6 +1,7 @@
 """The assembled SZ-style error-bounded lossy compressor.
 
-Pipeline (default ``dual`` engine, matching cuSZ):
+Pipeline (cuSZ's dual-quantization order — the only one this module
+runs):
 
 1. **Quantize** the field onto the integer lattice of pitch ``2*eb``
    (:mod:`repro.compression.quantizer`) — this alone fixes the pointwise
@@ -20,11 +21,12 @@ This is code-stream **layout 2**, the only one the encoder writes;
 :func:`decompress` still reads layout 1 (``r + radius`` codes,
 interleaved bytes) through :mod:`repro.compression.compat`.
 
-The ``classic`` engine reproduces CPU-SZ's ordering (predict from
-reconstructed neighbours, then quantize); it is sequential and intended
-for small arrays / the quantization-order ablation.
+CPU-SZ's order (predict from reconstructed neighbours, then quantize)
+is a labelled reference in :mod:`repro.compression.reference`; the only
+thing this module knows about it is that :func:`decompress` hands its
+blocks over.
 
-Both engines guarantee ``max |x - x'| <= eb`` in ``abs`` mode and
+The compressor guarantees ``max |x - x'| <= eb`` in ``abs`` mode and
 ``max |x'/x - 1| <= eb`` in ``pw_rel`` mode, verified property-style in
 the test suite.
 """
@@ -52,8 +54,6 @@ from repro.compression.estimator import (
     HEADER_BYTES,
     RQEstimate,
     _minimal_itemsize,
-    code_histogram,
-    estimate_nbytes,
     estimate_nbytes_rows,
 )
 from repro.compression.kernels import (
@@ -62,7 +62,7 @@ from repro.compression.kernels import (
     get_kernels,
     unzigzag,
 )
-from repro.compression.lorenzo import classic_sz_quantize, lorenzo_inverse
+from repro.compression.lorenzo import lorenzo_inverse
 from repro.compression.quantizer import (
     DEFAULT_RADIUS,
     dequantize_abs,
@@ -71,12 +71,10 @@ from repro.compression.quantizer import (
 )
 from repro.compression.workspace import Workspace
 from repro.util.errors import PayloadError
-from repro.util.validation import check_positive
 
 __all__ = ["SZCompressor", "CompressedBlock", "decompress", "HEADER_BYTES"]
 
 _MODES = ("abs", "pw_rel")
-_ENGINES = ("dual", "classic")
 
 #: The code-stream layout :class:`SZCompressor` writes (see the module
 #: docstring); blocks without the field are layout 1.
@@ -145,11 +143,8 @@ class SZCompressor:
     radius:
         Residual radius: residuals with ``|r| < radius`` are coded as
         symbols in ``[1, 2*radius)``, the rest go to the outlier channel.
-    engine:
-        ``"dual"`` (vectorized, cuSZ ordering) or ``"classic"``
-        (sequential CPU-SZ ordering).
     kernels:
-        Batch kernel backend for the dual engine's hot path:
+        Batch kernel backend for the hot path:
         ``"numpy"`` (reference), ``"numba"``
         (``@njit(parallel=True)``; requires numba), or ``"auto"``
         (default — numba when importable, else numpy).  Payload bytes
@@ -176,13 +171,10 @@ class SZCompressor:
         mode: str = "abs",
         codec: str | Codec = "zlib",
         radius: int = DEFAULT_RADIUS,
-        engine: str = "dual",
         kernels: str = "auto",
     ) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         if radius < 2:
             raise ValueError(f"radius must be >= 2, got {radius}")
         if kernels not in KERNEL_CHOICES:
@@ -192,7 +184,6 @@ class SZCompressor:
         self.mode = mode
         self.codec = get_codec(codec)
         self.radius = int(radius)
-        self.engine = engine
         self.kernels = kernels
         # An explicit numba request fails here, at construction, with an
         # actionable message; "auto"/"numpy" resolve lazily on first use.
@@ -207,13 +198,16 @@ class SZCompressor:
 
         ``registry.create(compressor.spec)`` reconstructs an instance
         with byte-identical payloads (property-tested); the stream
-        ledger records this spec with every decision.
+        ledger records this spec with every decision.  ``engine`` is the
+        constant ``"dual"``: the key is how the registry tells this class
+        from :mod:`repro.compression.reference`, and stored specs keep
+        their bytes.
         """
         return CompressorSpec.sz(
             mode=self.mode,
             codec=self.codec.name,
             radius=self.radius,
-            engine=self.engine,
+            engine="dual",
             kernels=self.kernels,
         )
 
@@ -269,9 +263,9 @@ class SZCompressor:
         overrides the compressor's per-thread scratch arena (callers that
         manage their own worker lifetimes can pass one explicitly).
         """
-        arr = self._check_array(np.asarray(data))
-        eb = check_positive(eb, "eb")
-        return self._compress_checked(arr, eb, workspace or self.workspace)
+        arrs, eb_arr = _check_batch([data], [eb])
+        ws = workspace or self.workspace
+        return self._compress_batch(arrs, eb_arr, ws, threads=1)[0]
 
     def compress_many(
         self,
@@ -299,23 +293,8 @@ class SZCompressor:
         :meth:`compress` calls regardless of grouping, backend, or
         thread count (property-tested).
         """
-        arrs = [self._check_array(np.asarray(v)) for v in views]
-        eb_arr = np.asarray(ebs, dtype=np.float64)
-        if eb_arr.ndim != 1 or eb_arr.size != len(arrs):
-            raise ValueError(
-                f"need one error bound per view: {len(arrs)} views, "
-                f"ebs shape {eb_arr.shape}"
-            )
-        if not np.isfinite(eb_arr).all() or (eb_arr <= 0).any():
-            raise ValueError("all error bounds must be positive and finite")
+        arrs, eb_arr = _check_batch(views, ebs)
         ws = workspace or self.workspace
-        if self.engine != "dual":
-            # The classic engine is a sequential reference path with no
-            # batched kernels; keep the historical per-block loop.
-            return [
-                self._compress_checked(arr, float(eb), ws)  # repro-lint: disable=RL011
-                for arr, eb in zip(arrs, eb_arr)
-            ]
         if threads is None:
             threads = os.cpu_count() or 1
         blocks: list[CompressedBlock | None] = [None] * len(arrs)
@@ -337,7 +316,7 @@ class SZCompressor:
 
         Runs the cheap front of the pipeline (quantize -> Lorenzo ->
         residual codes) and reads the predicted entropy-coded size off
-        the quantization-code histogram
+        a census of the quantization codes
         (:mod:`repro.compression.estimator`) — no DEFLATE/Huffman pass,
         no payload bytes.  The same quantization statistics (outlier
         census, error bound, value range) also pin the closed-form
@@ -348,9 +327,7 @@ class SZCompressor:
         (``probe_mode="estimate"``) and the ratio-quality engine
         (``probe_mode="model"``).
         """
-        arr = self._check_array(np.asarray(data))
-        eb = check_positive(eb, "eb")
-        return self.estimate_many([arr], [eb], workspace)[0]
+        return self.estimate_many([data], [eb], workspace)[0]
 
     def estimate_many(
         self,
@@ -373,15 +350,7 @@ class SZCompressor:
         armed traces show the trial compressions the ratio-quality model
         eliminated.
         """
-        arrs = [self._check_array(np.asarray(v)) for v in views]
-        eb_arr = np.asarray(ebs, dtype=np.float64)
-        if eb_arr.ndim != 1 or eb_arr.size != len(arrs):
-            raise ValueError(
-                f"need one error bound per view: {len(arrs)} views, "
-                f"ebs shape {eb_arr.shape}"
-            )
-        if not np.isfinite(eb_arr).all() or (eb_arr <= 0).any():
-            raise ValueError("all error bounds must be positive and finite")
+        arrs, eb_arr = _check_batch(views, ebs)
         ws = workspace or self.workspace
         tracer = telemetry.get_tracer()
         ranges: dict[int, float] = {}  # id(view) -> value range
@@ -392,45 +361,8 @@ class SZCompressor:
                 got = ranges[id(arr)] = float(arr.max()) - float(arr.min())
             return got
 
-        def finish(
-            arr: np.ndarray, eb: float, est_bytes: float, bits: float,
-            n_out: int, mse: float,
-        ) -> RQEstimate:
-            return RQEstimate(
-                n_elements=int(arr.size),
-                source_itemsize=arr.dtype.itemsize if arr.dtype.kind == "f" else 8,
-                n_outliers=n_out,
-                code_bits_per_value=bits,
-                est_nbytes=est_bytes,
-                eb=float(eb),
-                value_range=value_range_of(arr),
-                predicted_mse=mse,
-            )
-
         out: list[RQEstimate | None] = [None] * len(arrs)
-        with tracer.span("rq.probe", blocks=len(arrs), engine=self.engine):
-            if self.engine != "dual":
-                # The classic engine has no batched kernels; probe each
-                # block through its sequential reference quantizer.  Its
-                # reconstruction keeps outlier cells exact, so the
-                # workspace-space difference IS the realised error.
-                for i, arr in enumerate(arrs):  # repro-lint: disable=RL011
-                    work, abs_eb = self._to_workspace(arr, float(eb_arr[i]))
-                    work3 = np.atleast_3d(work)
-                    codes3d, recon = classic_sz_quantize(work3, abs_eb, self.radius)
-                    hist = code_histogram(codes3d, self.radius)
-                    est_bytes, bits = estimate_nbytes(
-                        hist, arr.size, int(hist[0]), self.codec.name
-                    )
-                    err = work3 - recon
-                    if self.mode != "abs":
-                        # log-space error -> value space to first order
-                        err *= np.atleast_3d(np.asarray(arr, dtype=np.float64))
-                    mse = float(np.mean(np.square(err)))
-                    out[i] = finish(
-                        arr, float(eb_arr[i]), est_bytes, bits, int(hist[0]), mse
-                    )
-                return out  # type: ignore[return-value]
+        with tracer.span("rq.probe", blocks=len(arrs)):
             groups: dict[tuple[int, ...], list[int]] = {}
             for i, arr in enumerate(arrs):
                 groups.setdefault(arr.shape, []).append(i)
@@ -440,18 +372,23 @@ class SZCompressor:
                     sub, eb_arr[idxs], ws
                 )
                 mses = self._observed_mse_rows(sub, eb_arr[idxs], pos, counts, ws)
-                # Group-wide size prediction: one sparse census over the
-                # sorted symbol matrix (the symbols are a workspace view
-                # we own) instead of B dense histograms — at tight bounds
-                # the folded symbols span far more values than a row
-                # holds, so O(n log n) beats O(span) by a wide margin.
+                # One sparse census over the sorted symbol matrix (a
+                # workspace view we own): at tight bounds the folded
+                # symbols span far more values than a row holds.
                 est_arr, bits_arr = estimate_nbytes_rows(
                     lattice, counts, self.codec.name
                 )
                 for row, i in enumerate(idxs):
-                    out[i] = finish(
-                        arrs[i], float(eb_arr[i]), float(est_arr[row]),
-                        float(bits_arr[row]), int(counts[row]), float(mses[row]),
+                    arr = arrs[i]
+                    out[i] = RQEstimate(
+                        n_elements=int(arr.size),
+                        source_itemsize=arr.dtype.itemsize if arr.dtype.kind == "f" else 8,
+                        n_outliers=int(counts[row]),
+                        code_bits_per_value=float(bits_arr[row]),
+                        est_nbytes=float(est_arr[row]),
+                        eb=float(eb_arr[i]),
+                        value_range=value_range_of(arr),
+                        predicted_mse=float(mses[row]),
                     )
         return out  # type: ignore[return-value]
 
@@ -506,55 +443,6 @@ class SZCompressor:
             err[row, pos[offs[row]:offs[row + 1]]] = 0.0
         return np.einsum("ij,ij->i", err, err) / n
 
-    def estimate_bitrate(
-        self, data: np.ndarray, eb: float, workspace: Workspace | None = None
-    ) -> float:
-        """Convenience: predicted bits/value without running a codec."""
-        return self.estimate(data, eb, workspace).bit_rate
-
-    def _check_array(self, arr: np.ndarray) -> np.ndarray:
-        if arr.ndim < 1 or arr.ndim > 3:
-            raise ValueError(f"SZCompressor supports 1-3 dimensional data, got {arr.ndim}-D")
-        if arr.size == 0:
-            raise ValueError("cannot compress an empty array")
-        return arr
-
-    def _compress_checked(
-        self, arr: np.ndarray, eb: float, ws: Workspace
-    ) -> CompressedBlock:
-        if self.engine == "dual":
-            # One production path: a single block is a batch of one.
-            eb_arr = np.asarray([eb], dtype=np.float64)
-            return self._compress_batch([arr], eb_arr, ws, threads=1)[0]
-
-        source_itemsize = arr.dtype.itemsize if arr.dtype.kind == "f" else 8
-        work, abs_eb = self._to_workspace(arr, eb)
-        codes3d, _recon = classic_sz_quantize(np.atleast_3d(work), abs_eb, self.radius)
-        codes = codes3d.ravel()
-        out_pos = np.flatnonzero(codes == 0)
-        out_val_float = np.atleast_3d(work).ravel()[out_pos]
-        pos_dt = _minimal_uint_dtype(max(int(codes.size) - 1, 0))
-        payloads = {
-            "codes": self.codec.encode(codes),
-            "outlier_pos": pack_positions(out_pos.astype(pos_dt, copy=False)),
-            "outlier_val": deflate_channel(
-                out_val_float.astype(np.float64, copy=False)
-            ),
-        }
-
-        return CompressedBlock(
-            shape=tuple(arr.shape),
-            source_itemsize=source_itemsize,
-            eb=float(eb),
-            mode=self.mode,
-            engine=self.engine,
-            codec_name=self.codec.name,
-            radius=self.radius,
-            n_outliers=int(out_pos.size),
-            payloads=payloads,
-            layout=LAYOUT,
-        )
-
     def decompress(self, block: CompressedBlock) -> np.ndarray:
         """Reconstruct the field from a :class:`CompressedBlock` (float64).
 
@@ -562,10 +450,6 @@ class SZCompressor:
         :func:`decompress` and ignores the instance's own settings.
         """
         return decompress(block)
-
-    def compress_ratio(self, data: np.ndarray, eb: float) -> float:
-        """Convenience: compress and return only the ratio."""
-        return self.compress(data, eb).ratio
 
     # -- internals --------------------------------------------------------
 
@@ -590,7 +474,7 @@ class SZCompressor:
                     source_itemsize=source_itemsize,
                     eb=float(eb_arr[b]),
                     mode=self.mode,
-                    engine=self.engine,
+                    engine="dual",
                     codec_name=self.codec.name,
                     radius=self.radius,
                     n_outliers=int(counts[b]),
@@ -603,7 +487,7 @@ class SZCompressor:
     def _quantize_encode_batch(
         self, arrs: list[np.ndarray], eb_arr: np.ndarray, ws: Workspace
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Batched dual-engine front: quantize -> Lorenzo -> folded symbols.
+        """Batched front: quantize -> Lorenzo -> folded symbols.
 
         All blocks (same shape, one per row of the ``(B, n)`` workspace
         arenas) run through the kernel backend in one multi-block pass.
@@ -736,23 +620,45 @@ class SZCompressor:
                 return get_backend("thread").map_tasks(build, range(n_blocks))
             return [build(b) for b in range(n_blocks)]
 
-    def _to_workspace(self, arr: np.ndarray, eb: float) -> tuple[np.ndarray, float]:
-        """Map data into the space where the bound is absolute."""
-        work = np.asarray(arr, dtype=np.float64)
-        if self.mode == "abs":
-            return work, eb
-        if (work <= 0).any():
-            raise ValueError("pw_rel mode requires strictly positive data")
-        return np.log(work), pw_rel_to_log_abs(eb)
+
+def _check_array(arr: np.ndarray) -> np.ndarray:
+    if arr.ndim < 1 or arr.ndim > 3:
+        raise ValueError(f"SZCompressor supports 1-3 dimensional data, got {arr.ndim}-D")
+    if arr.size == 0:
+        raise ValueError("cannot compress an empty array")
+    return arr
 
 
-def decompress(block: CompressedBlock) -> np.ndarray:
-    """Reconstruct a field from a self-describing :class:`CompressedBlock`.
+def _check_batch(
+    views: list[np.ndarray], ebs: np.ndarray | list[float]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The one argument check of the batch entry points: every view a
+    non-empty 1-3-D array, one positive finite bound per view."""
+    arrs = [_check_array(np.asarray(v)) for v in views]
+    eb_arr = np.asarray(ebs, dtype=np.float64)
+    if eb_arr.ndim != 1 or eb_arr.size != len(arrs):
+        raise ValueError(
+            f"need one error bound per view: {len(arrs)} views, "
+            f"ebs shape {eb_arr.shape}"
+        )
+    if not np.isfinite(eb_arr).all() or (eb_arr <= 0).any():
+        raise ValueError("all error bounds must be positive and finite")
+    return arrs, eb_arr
 
-    Bytes that fail validation (unknown tag or layout, a payload that
-    does not inflate to exactly the size the header promises, a missing
-    channel) raise :class:`~repro.util.errors.PayloadError`.
-    """
+
+def _bound_space_eb(block: CompressedBlock) -> float:
+    """The block's bound in the space it was quantized in."""
+    if block.mode == "abs":
+        return block.eb
+    if block.mode == "pw_rel":
+        return pw_rel_to_log_abs(block.eb)
+    raise PayloadError(f"unknown mode tag {block.mode!r}")
+
+
+def _read_channels(block: CompressedBlock) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """Decode a block's three payloads, whatever their layout, into
+    ``(residuals (n,) fresh int64, outlier positions, outlier value
+    bytes)`` — outlier slots of ``residuals`` hold a placeholder."""
     n = block.n_elements
     try:
         codes = block.payloads["codes"]
@@ -775,52 +681,25 @@ def decompress(block: CompressedBlock) -> np.ndarray:
         raise PayloadError(f"unknown code-stream layout {block.layout!r}")
     if out_pos.size and int(out_pos.max()) >= n:
         raise PayloadError(f"outlier position {int(out_pos.max())} outside the block")
-    abs_eb = block.eb if block.mode == "abs" else pw_rel_to_log_abs(block.eb)
-    if block.engine == "dual":
-        residuals[out_pos] = unzigzag(np.frombuffer(out_val, dtype=np.uint64))
-        q = lorenzo_inverse(residuals.reshape(block.shape))
-        work = dequantize_abs(q, abs_eb)
-    else:
-        shape3d = block.shape + (1,) * (3 - len(block.shape))
-        work = _classic_reconstruct(
-            residuals.reshape(shape3d),
-            out_pos,
-            np.frombuffer(out_val, dtype=np.float64),
-            abs_eb,
-        ).reshape(block.shape)
+    return residuals, out_pos, out_val
+
+
+def decompress(block: CompressedBlock) -> np.ndarray:
+    """Reconstruct a field from a self-describing :class:`CompressedBlock`.
+
+    Bytes that fail validation (unknown tag or layout, a payload that
+    does not inflate to exactly the size the header promises, a missing
+    channel) raise :class:`~repro.util.errors.PayloadError`.
+    """
+    if block.engine == "classic":
+        from repro.compression import reference  # cold path: CPU-SZ order
+
+        return reference.decompress(block)
+    if block.engine != "dual":
+        raise PayloadError(f"unknown engine tag {block.engine!r}")
+    abs_eb = _bound_space_eb(block)
+    residuals, out_pos, out_val = _read_channels(block)
+    residuals[out_pos] = unzigzag(np.frombuffer(out_val, dtype=np.uint64))
+    q = lorenzo_inverse(residuals.reshape(block.shape))
+    work = dequantize_abs(q, abs_eb)
     return work if block.mode == "abs" else np.exp(work)
-
-
-def _classic_reconstruct(
-    offsets: np.ndarray,
-    outlier_pos: np.ndarray,
-    outlier_val: np.ndarray,
-    eb: float,
-) -> np.ndarray:
-    """Sequential reconstruction mirroring :func:`classic_sz_quantize`:
-    ``offsets`` holds each cell's quantized prediction offset, outlier
-    cells take their stored value instead."""
-    nx, ny, nz = offsets.shape
-    outliers = dict(zip(outlier_pos.tolist(), outlier_val.tolist()))
-    steps = offsets.tolist()
-    recon = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.float64)
-    two_eb = 2.0 * eb
-    flat = 0
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                if flat in outliers:
-                    recon[i + 1, j + 1, k + 1] = outliers[flat]
-                else:
-                    pred = (
-                        recon[i, j + 1, k + 1]
-                        + recon[i + 1, j, k + 1]
-                        + recon[i + 1, j + 1, k]
-                        - recon[i, j, k + 1]
-                        - recon[i, j + 1, k]
-                        - recon[i + 1, j, k]
-                        + recon[i, j, k]
-                    )
-                    recon[i + 1, j + 1, k + 1] = pred + steps[i][j][k] * two_eb
-                flat += 1
-    return recon[1:, 1:, 1:]

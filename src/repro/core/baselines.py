@@ -29,6 +29,7 @@ from repro.compression.api import (
 )
 from repro.compression.stats import CompressionStats
 from repro.compression.sz import CompressedBlock
+from repro.models.calibration import check_probe_mode
 from repro.parallel.decomposition import BlockDecomposition
 from repro.util.timer import TimingBreakdown
 
@@ -147,10 +148,7 @@ class TrialAndErrorSearch:
     ) -> None:
         if (quality_check is None) == (criteria is None):
             raise ValueError("provide exactly one of quality_check or criteria")
-        if probe_mode not in ("exact", "model"):
-            raise ValueError(
-                f"probe_mode must be 'exact' or 'model', got {probe_mode!r}"
-            )
+        check_probe_mode(probe_mode, allowed=("exact", "model"))
         if confirm not in ("always", "never"):
             raise ValueError(f"confirm must be 'always' or 'never', got {confirm!r}")
         if probe_mode == "model" and criteria is None:

@@ -38,7 +38,7 @@ from repro.compression.api import (
 from repro.core.config import FieldSpec
 from repro.foresight.evaluator import FieldReference
 from repro.foresight.quality import QualityCriteria
-from repro.models.calibration import CalibrationResult, RateModelBank
+from repro.models.calibration import CalibrationResult, RateModelBank, check_probe_mode
 from repro.models.fft_error import (
     spectrum_ratio_tolerance_to_eb,
     sub_threshold_power_estimate,
@@ -333,11 +333,7 @@ def select_compressor(
     """
     if not candidates:
         candidates = default_candidates()
-    if probe_mode not in ("exact", "estimate", "model"):
-        raise ValueError(
-            f"probe_mode must be 'exact', 'estimate' or 'model', got {probe_mode!r}"
-        )
-    model_mode = probe_mode == "model"
+    model_mode = check_probe_mode(probe_mode) == "model"
     field_spec = field_spec or FieldSpec()
     ref = reference
     if eb_avg is None:

@@ -46,6 +46,7 @@ from repro.compression.api import (
 from repro.compression.sz import CompressedBlock
 from repro.foresight.evaluator import FieldReference, QualityEvaluator
 from repro.foresight.quality import QualityCriteria, QualityReport
+from repro.models.calibration import check_probe_mode
 from repro.models.rq_model import RQModel
 from repro.parallel.backends import ExecutionBackend, get_backend
 from repro.parallel.decomposition import BlockDecomposition
@@ -200,10 +201,7 @@ def run_sweep(
         raise ValueError("need at least one field")
     if len(ebs) == 0:
         raise ValueError("need at least one error bound")
-    if probe_mode not in ("exact", "estimate", "model"):
-        raise ValueError(
-            f"probe_mode must be 'exact', 'estimate' or 'model', got {probe_mode!r}"
-        )
+    check_probe_mode(probe_mode)
     if confirm not in ("never", "boundary", "always"):
         raise ValueError(
             f"confirm must be 'never', 'boundary' or 'always', got {confirm!r}"
@@ -225,7 +223,7 @@ def run_sweep(
         if multi
         else [resolve_compressor(compressor)]
     )
-    if probe_mode in ("estimate", "model"):
+    if probe_mode != "exact":
         for comp in comps:
             capabilities_of(comp).require(
                 "supports_estimate",
@@ -245,12 +243,6 @@ def run_sweep(
         if name not in refs:
             refs[name] = FieldReference(data)
         return refs[name]
-
-    def batched_estimates(comp, views, eb):
-        many = getattr(comp, "estimate_many", None)
-        if callable(many):
-            return many(views, [eb] * len(views))
-        return [comp.estimate(v, eb) for v in views]
 
     try:
         for comp in comps:
@@ -277,53 +269,36 @@ def run_sweep(
                 for eb in ebs:
                     eb = float(eb)
                     quality: QualityReport | None = None
-                    if probe_mode == "estimate":
-                        ests = batched_estimates(comp, views, eb)
-                        nbytes = sum(e.est_nbytes for e in ests)
-                        n = sum(e.n_elements for e in ests)
-                        itemsize = ests[0].source_itemsize
-                    elif probe_mode == "model":
-                        ests = batched_estimates(comp, views, eb)
-                        nbytes = sum(e.est_nbytes for e in ests)
-                        n = sum(e.n_elements for e in ests)
-                        itemsize = ests[0].source_itemsize
+                    measure = probe_mode == "exact"
+                    if not measure:
+                        # "estimate" is "model" with rate_only forced on.
+                        sized = comp.estimate_many(views, [eb] * len(views))
+                        nbytes = sum(e.est_nbytes for e in sized)
                         if not rate_only:
                             if rq is None:
                                 rq = RQModel(
                                     field_ref(name, data), crit, field=name
                                 )
-                            pred = rq.predict(eb, ests)
+                            pred = rq.predict(eb, sized)
                             quality = pred.to_quality_report()
-                            if confirm == "always" or (
+                            measure = confirm == "always" or (
                                 confirm == "boundary" and pred.near_boundary(crit)
-                            ):
-                                blocks = [comp.compress(v, eb) for v in views]
-                                nbytes = sum(b.nbytes for b in blocks)
-                                n = sum(b.n_elements for b in blocks)
-                                itemsize = blocks[0].source_itemsize
-                                if evaluator is None:
-                                    evaluator = QualityEvaluator(
-                                        data, crit, reference=field_ref(name, data)
-                                    )
-                                (_, quality), = _evaluate_chunk(
-                                    (evaluator, decomposition, [(0, blocks)], None)
-                                )
-                    else:
-                        blocks = [comp.compress(v, eb) for v in views]
+                            )
+                    if measure:
+                        sized = blocks = [comp.compress(v, eb) for v in views]
                         nbytes = sum(b.nbytes for b in blocks)
-                        n = sum(b.n_elements for b in blocks)
-                        itemsize = blocks[0].source_itemsize
-                        if not rate_only:
-                            if fan_out:
-                                per_eb_blocks.append(blocks)
-                            else:
-                                if evaluator is None:
-                                    evaluator = QualityEvaluator(
-                                        data, crit, reference=field_ref(name, data)
-                                    )
-                                (_, quality), = _evaluate_chunk(
-                                    (evaluator, decomposition, [(0, blocks)], None)
+                        if fan_out and probe_mode == "exact" and not rate_only:
+                            per_eb_blocks.append(blocks)  # evaluated below
+                        elif not rate_only:
+                            if evaluator is None:
+                                evaluator = QualityEvaluator(
+                                    data, crit, reference=field_ref(name, data)
                                 )
+                            (_, quality), = _evaluate_chunk(
+                                (evaluator, decomposition, [(0, blocks)], None)
+                            )
+                    n = sum(x.n_elements for x in sized)
+                    itemsize = sized[0].source_itemsize
                     rates.append((eb, nbytes, n, itemsize))
                     qualities.append(quality)
                 if per_eb_blocks:

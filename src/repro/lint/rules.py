@@ -658,7 +658,7 @@ class HotPathAllocationRule(Rule):
     _ALLOCATORS = frozenset(
         {"numpy.empty", "numpy.zeros", "numpy.ones", "numpy.full"}
     )
-    _BLOCK_CALLS = frozenset({"compress", "_compress_checked"})
+    _BLOCK_CALLS = frozenset({"compress"})
     _WS_PARAMS = frozenset({"ws", "workspace"})
 
     def _is_hot(self, node: "ast.FunctionDef | ast.AsyncFunctionDef") -> bool:

@@ -50,16 +50,28 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.parallel.backends import ExecutionBackend
 
 __all__ = [
+    "PROBE_MODES",
     "CalibrationResult",
     "RateModelBank",
     "calibrate_rate_model",
+    "check_probe_mode",
     "partition_feature",
 ]
 
-#: Probe modes that read rates off quantization statistics instead of
-#: running the entropy codec (both require ``supports_estimate``).
-_CODEC_FREE_MODES = ("estimate", "model")
-_PROBE_MODES = ("exact",) + _CODEC_FREE_MODES
+#: ``exact`` runs the codec; the other two read rates off quantization
+#: statistics instead (both require ``supports_estimate``).
+PROBE_MODES = ("exact", "estimate", "model")
+
+
+def check_probe_mode(value: str, allowed: Sequence[str] = PROBE_MODES) -> str:
+    """``value`` if it is one of ``allowed``, else the one ``ValueError``
+    every ``probe_mode=`` parameter raises."""
+    if value not in allowed:
+        raise ValueError(
+            f"probe_mode must be one of {', '.join(map(repr, allowed))}, "
+            f"got {value!r}"
+        )
+    return value
 
 
 def _probe_rates(
@@ -69,15 +81,12 @@ def _probe_rates(
 
     Codec-free modes push all bounds through one batched
     ``estimate_many`` call — a single kernel pass over a ``(n_ebs, n)``
-    batch — when the compressor provides it.
+    batch.
     """
     if probe_mode == "exact":
         return np.array([comp.compress(part, eb).bit_rate for eb in probe_ebs])
-    many = getattr(comp, "estimate_many", None)
-    if callable(many):
-        ests = many([part] * len(probe_ebs), list(probe_ebs))
-        return np.array([e.bit_rate for e in ests])
-    return np.array([comp.estimate_bitrate(part, eb) for eb in probe_ebs])
+    ests = comp.estimate_many([part] * len(probe_ebs), list(probe_ebs))
+    return np.array([e.bit_rate for e in ests])
 
 
 def _probe_partition(task: tuple) -> np.ndarray:
@@ -197,11 +206,7 @@ def calibrate_rate_model(
     """
     if not partitions:
         raise ValueError("need at least one partition to calibrate")
-    if probe_mode not in _PROBE_MODES:
-        raise ValueError(
-            f"probe_mode must be one of {', '.join(map(repr, _PROBE_MODES))}, "
-            f"got {probe_mode!r}"
-        )
+    check_probe_mode(probe_mode)
     comp = resolve_compressor(compressor)
     caps = capabilities_of(comp)
     caps.require(
@@ -209,7 +214,7 @@ def calibrate_rate_model(
         "rate-model calibration (bitrate as a function of the error bound)",
         who=comp,
     )
-    if probe_mode in _CODEC_FREE_MODES:
+    if probe_mode != "exact":
         caps.require(
             "supports_estimate",
             f'probe_mode="{probe_mode}" (codec-free histogram rate prediction)',

@@ -329,8 +329,7 @@ class RQModel:
 
         Requires the compressor's ``supports_estimate`` capability
         (raises :class:`~repro.compression.api.UnsupportedCapabilityError`
-        otherwise) and prefers the batched ``estimate_many`` front when
-        the compressor provides one.
+        otherwise), i.e. its batched ``estimate_many`` front.
         """
         capabilities_of(compressor).require(
             "supports_estimate",
@@ -338,9 +337,5 @@ class RQModel:
             who=compressor,
         )
         views = list(views)
-        many = getattr(compressor, "estimate_many", None)
-        if callable(many):
-            ests = many(views, [float(eb)] * len(views), workspace)
-        else:
-            ests = [compressor.estimate(v, float(eb)) for v in views]
+        ests = compressor.estimate_many(views, [float(eb)] * len(views), workspace)
         return self.predict(eb, ests)

@@ -2,8 +2,7 @@
 
 Nyx writes HDF5/AMReX plotfiles; the offline environment has no h5py, so
 snapshots round-trip through a compressed ``.npz`` container with the
-same logical layout (one array per field plus scalar metadata).  The
-substitution is recorded in DESIGN.md.
+same logical layout (one array per field plus scalar metadata).
 """
 
 from __future__ import annotations

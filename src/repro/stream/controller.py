@@ -67,6 +67,7 @@ from repro.models.calibration import (
     CalibrationResult,
     RateModelBank,
     calibrate_rate_model,
+    check_probe_mode,
 )
 from repro.parallel.backends import (
     ExecutionBackend,
@@ -274,12 +275,7 @@ class InSituController:
         self.drift = drift or DriftConfig()
         self.recalibrate = recalibrate
         self.warm_start = bool(warm_start)
-        if probe_mode not in ("exact", "estimate", "model"):
-            raise ValueError(
-                f"probe_mode must be 'exact', 'estimate' or 'model', "
-                f"got {probe_mode!r}"
-            )
-        self.probe_mode = probe_mode
+        self.probe_mode = check_probe_mode(probe_mode)
         self.max_partitions = int(max_partitions)
         self.seed = int(seed)
         self.check_quality = bool(check_quality) or self.drift.quality_margin is not None

@@ -345,14 +345,6 @@ class TestBatchedByteIdentity:
         singles = [comp.compress(v, 0.05) for v in views]
         assert _payloads(batched) == _payloads(singles)
 
-    def test_classic_engine_still_loops(self):
-        rng = np.random.default_rng(12)
-        comp = SZCompressor(engine="classic")
-        views = [rng.normal(0, 1, (4, 4, 4)) for _ in range(2)]
-        batched = comp.compress_many(views, [0.05] * 2)
-        singles = [comp.compress(v, 0.05) for v in views]
-        assert _payloads(batched) == _payloads(singles)
-
 
 class TestOutlierPosFormat:
     def test_positions_narrowed_to_block_size(self):

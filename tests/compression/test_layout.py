@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression.api import CompressorSpec, resolve_compressor
 from repro.compression.codecs import PLANES_BIT, get_codec
 from repro.compression.quantizer import (
     decode_residuals,
@@ -110,6 +111,15 @@ class TestFoldPrimitive:
                 assert np.array_equal(got[fits.astype(bool)], res[fits.astype(bool)])
 
 
+def _compressor(mode, codec, engine, radius=RADIUS):
+    """Both quantization orders, each through the registry's one dispatch."""
+    return resolve_compressor(
+        CompressorSpec.sz(
+            mode=mode, codec=codec, radius=radius, engine=engine, kernels="numpy"
+        )
+    )
+
+
 @pytest.mark.parametrize("engine", ["dual", "classic"])
 @pytest.mark.parametrize("mode", ["abs", "pw_rel"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
@@ -119,7 +129,7 @@ class TestThroughTheCompressor:
     @settings(max_examples=12, deadline=None)
     def test_edges_round_trip(self, codec, dtype, mode, engine, steps):
         data, eb, res = _field_from_residuals(steps, dtype, mode)
-        comp = SZCompressor(mode=mode, codec=codec, engine=engine, kernels="numpy")
+        comp = _compressor(mode, codec, engine)
         block = comp.compress(data, eb)
         assert block.layout == LAYOUT
         assert block.payloads == comp.compress_many([data], [eb])[0].payloads
@@ -139,7 +149,7 @@ class TestThroughTheCompressor:
     def test_all_outlier_and_constant_blocks(self, codec, dtype, mode, engine):
         # radius 2: only r in {-1, 0, 1} fits, so +-2 everywhere is all outliers
         data, eb, res = _field_from_residuals([2] * 6, dtype, mode)
-        comp = SZCompressor(mode=mode, codec=codec, engine=engine, radius=2, kernels="numpy")
+        comp = _compressor(mode, codec, engine, radius=2)
         block = comp.compress(data, eb)
         assert block.n_outliers == data.size
         symbols = get_codec(codec).decode(block.payloads["codes"], data.size)
@@ -147,7 +157,7 @@ class TestThroughTheCompressor:
         _assert_within_bound(mode, decompress(block), data, eb)
 
         flat = np.full((3, 4, 5), 7.0 if mode == "pw_rel" else 0.0, dtype=dtype)
-        block = SZCompressor(mode=mode, codec=codec, engine=engine, kernels="numpy").compress(flat, eb)
+        block = _compressor(mode, codec, engine).compress(flat, eb)
         symbols = get_codec(codec).decode(block.payloads["codes"], flat.size)
         # a constant block is one first value and then residual 0 (symbol 1)
         assert block.n_outliers == 0 and (symbols[1:] == 1).all()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compression.lorenzo import (
-    classic_sz_quantize,
     lorenzo_inverse,
     lorenzo_transform,
 )
@@ -85,27 +84,3 @@ class TestTransformInverse:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, data):
         assert np.array_equal(lorenzo_inverse(lorenzo_transform(data)), data)
-
-
-class TestClassicSZ:
-    def test_error_bound_holds(self):
-        rng = np.random.default_rng(3)
-        data = rng.normal(0, 5, (8, 8, 8))
-        eb = 0.2
-        _codes, recon = classic_sz_quantize(data, eb, radius=32768)
-        assert np.max(np.abs(recon - data)) <= eb + 1e-12
-
-    def test_outliers_preserved_exactly(self):
-        data = np.zeros((4, 4, 4))
-        data[2, 2, 2] = 1e9  # forces an outlier at tiny radius
-        codes, recon = classic_sz_quantize(data, 0.1, radius=4)
-        assert codes[2, 2, 2] == 0
-        assert recon[2, 2, 2] == 1e9
-
-    def test_rejects_bad_eb(self):
-        with pytest.raises(ValueError, match="positive"):
-            classic_sz_quantize(np.zeros((2, 2, 2)), 0.0, radius=8)
-
-    def test_rejects_non_3d(self):
-        with pytest.raises(ValueError, match="3-D"):
-            classic_sz_quantize(np.zeros((4, 4)), 0.1, radius=8)

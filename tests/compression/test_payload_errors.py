@@ -8,9 +8,15 @@ truncated, extended and bit-flipped; so are the outlier channels.
 
 from __future__ import annotations
 
+import dataclasses
+import io
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
+from repro.cli import load_blocks, save_blocks
 from repro.compression.api import decompress_any
 from repro.compression.codecs import get_codec
 from repro.compression.regression import AdaptiveSZCompressor
@@ -137,6 +143,45 @@ class TestOutlierChannels:
         del block.payloads[channel]
         with pytest.raises(PayloadError, match=channel):
             decompress(block)
+
+
+class TestUnknownHeaderTags:
+    """``engine`` and ``mode`` arrive as strings from a container's
+    ``__meta``; one the decoder does not know is refused, not guessed."""
+
+    def test_unknown_engine_tag(self):
+        block = _fresh_block("zlib", radius=16)
+        assert block.n_outliers > 0  # decoded as the other engine: error >> eb
+        with pytest.raises(PayloadError, match="engine tag 'gpu'"):
+            decompress(dataclasses.replace(block, engine="gpu"))
+
+    def test_unknown_mode_tag(self, layout, v1_blocks):
+        block = _block("zlib", layout, v1_blocks)
+        for engine in ("dual", "classic"):
+            bad = dataclasses.replace(block, mode="rel", engine=engine)
+            with pytest.raises(PayloadError, match="mode tag 'rel'"):
+                decompress(bad)
+
+    @pytest.mark.parametrize("key, tag", [("engine", "gpu"), ("mode", "rel")])
+    def test_tag_edited_in_a_container(self, tmp_path, key, tag):
+        path = str(tmp_path / "blocks.npz")
+        block = _fresh_block("zlib", radius=16)
+        save_blocks(path, [block], np.array([block.eb]), 1)
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        meta = json.loads(np.load(io.BytesIO(members["__meta.npy"])).tobytes())
+        assert meta["blocks"][0][key] == getattr(block, key)
+        meta["blocks"][0][key] = tag
+        buf = io.BytesIO()
+        np.save(buf, np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        members["__meta.npy"] = buf.getvalue()
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, blob in members.items():
+                zf.writestr(name, blob)
+        (loaded,), _, _ = load_blocks(path)
+        assert getattr(loaded, key) == tag and loaded.payloads == block.payloads
+        with pytest.raises(PayloadError, match=f"{key} tag {tag!r}"):
+            decompress_any(loaded)
 
 
 def test_outlier_position_outside_the_block():

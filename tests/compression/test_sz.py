@@ -36,13 +36,6 @@ class TestErrorBound:
         with pytest.raises(ValueError, match="positive data"):
             comp.compress(np.array([[[1.0, -2.0]]]), 0.01)
 
-    def test_classic_engine_bound(self, smooth_field):
-        comp = SZCompressor(engine="classic")
-        small = smooth_field[:8, :8, :8]
-        block = comp.compress(small, 0.3)
-        recon = comp.decompress(block)
-        assert np.max(np.abs(recon - small)) <= 0.3 + 1e-9
-
     def test_1d_and_2d(self):
         rng = np.random.default_rng(1)
         comp = SZCompressor()
@@ -121,10 +114,6 @@ class TestValidation:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             SZCompressor(mode="fixed_rate")
-
-    def test_rejects_bad_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            SZCompressor(engine="gpu")
 
     def test_rejects_nonpositive_eb(self, smooth_field):
         with pytest.raises(ValueError, match="positive"):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.compression.api import CompressorSpec, resolve_compressor
 from repro.compression.sz import SZCompressor
 
 _field = hnp.arrays(
@@ -98,6 +99,6 @@ def test_pw_rel_bound_always_holds(data, rel):
 def test_dual_and_classic_engines_agree_on_bound(data, eb):
     """Both quantization orderings satisfy the same contract."""
     for engine in ("dual", "classic"):
-        comp = SZCompressor(engine=engine)
+        comp = resolve_compressor(CompressorSpec.sz(engine=engine))
         recon = comp.decompress(comp.compress(data, eb))
         assert np.max(np.abs(recon - data)) <= _bound_limit(data, eb)

@@ -3,7 +3,7 @@
 The fused compress path (reusable scratch buffers, in-place Lorenzo,
 single narrowing pass) must be a pure performance change: payloads
 byte-identical to composing the unfused public primitives exactly as
-the original implementation did, across engines, modes and codecs.
+the original implementation did, across modes and codecs.
 """
 
 from __future__ import annotations
@@ -130,17 +130,14 @@ class TestFusedKernels:
                 np.zeros((4, 4), dtype=np.int64), np.zeros(2, dtype=np.int64)
             )
 
-    @pytest.mark.parametrize("engine", ["dual", "classic"])
     @pytest.mark.parametrize("codec", ["zlib", "huffman", "raw"])
-    def test_payloads_match_reference_across_codecs(self, engine, codec, rng=None):
+    def test_payloads_match_reference_across_codecs(self, codec):
         rng = np.random.default_rng(3)
-        shape = (6, 5, 4) if engine == "classic" else (12, 10, 8)
-        data = rng.normal(0, 10, shape)
-        comp = SZCompressor(codec=codec, engine=engine)
+        data = rng.normal(0, 10, (12, 10, 8))
+        comp = SZCompressor(codec=codec)
         block = comp.compress(data, 0.05)
-        if engine == "dual":
-            ref = reference_compress_payloads(data, 0.05, "abs", codec, comp.radius)
-            assert block.payloads == ref
+        ref = reference_compress_payloads(data, 0.05, "abs", codec, comp.radius)
+        assert block.payloads == ref
         recon = decompress(block)
         assert np.max(np.abs(recon - data)) <= 0.05 * (1 + 1e-9)
 

@@ -20,6 +20,7 @@ from repro.analysis.catalog import compare_catalogs
 from repro.analysis.halos import find_halos
 from repro.analysis.metrics import nrmse, psnr
 from repro.analysis.spectrum import power_spectrum
+from repro.compression.api import CompressorSpec, resolve_compressor
 from repro.compression.sz import SZCompressor, decompress
 from repro.foresight.evaluator import FieldReference, QualityEvaluator
 from repro.foresight.quality import QualityCriteria, QualityReport, evaluate_quality
@@ -89,7 +90,7 @@ class TestSeedParity:
         crit = QualityCriteria(
             spectrum_tolerance=0.05, check_halos=True, t_boundary=tb
         )
-        comp = SZCompressor(engine=engine)
+        comp = resolve_compressor(CompressorSpec.sz(engine=engine))
         ev = QualityEvaluator(data, crit)
         for eb in (0.01, 0.2):
             if use_decomposition:

@@ -293,7 +293,7 @@ class TestRuleEdges:
         src = (
             "class C:\n"
             "    def compress(self, data, eb, workspace=None):\n"
-            "        return self._compress_checked(data, eb, workspace)\n"
+            "        return self._inner.compress(data, eb, workspace)\n"
         )
         assert codes(src, path="src/repro/compression/api.py") == []
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression.api import CompressorSpec, resolve_compressor
 from repro.compression.sz import SZCompressor
 from repro.models.error_distribution import (
     RevisedUniformErrorModel,
@@ -80,7 +81,7 @@ class TestAgainstRealCompressor:
         """§3.2: CPU-SZ and GPU-SZ orderings share the uniform error law."""
         data = snapshot["temperature"].astype(np.float64)[:10, :10, :10]
         eb = 10.0
-        comp = SZCompressor(engine="classic")
+        comp = resolve_compressor(CompressorSpec.sz(engine="classic"))
         recon = comp.decompress(comp.compress(data, eb))
         _, std = empirical_error_model(data, recon, eb)
         assert std == pytest.approx(np.sqrt(1 / 3), rel=0.25)
