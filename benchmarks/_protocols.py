@@ -29,7 +29,7 @@ from benchmarks.conftest import (
 from repro.analysis.catalog import compare_catalogs
 from repro.analysis.halos import HaloCatalog, find_halos
 from repro.analysis.spectrum import check_spectrum_quality, power_spectrum
-from repro.core.baselines import StaticResult, TrialAndErrorSearch
+from repro.core.baselines import TrialAndErrorSearch
 from repro.core.config import HaloQualitySpec
 from repro.core.pipeline import AdaptiveCompressionPipeline, SnapshotResult
 from repro.models.fft_error import (
@@ -117,7 +117,7 @@ def run_traditional(
     data: np.ndarray,
     decomposition,
     safety_factor: float = TRADITIONAL_SAFETY,
-) -> tuple[StaticResult, int]:
+) -> tuple[SnapshotResult, int]:
     """The traditional protocol: trial-and-error plus a safety margin.
 
     The candidate grid is anchored on the field's value range (a
@@ -136,7 +136,7 @@ def run_traditional(
         from repro.core.baselines import StaticBaseline
 
         applied = StaticBaseline(search.compressor).run(
-            data, decomposition, accepted.eb / safety_factor
+            data, decomposition, search.trials[-1].eb / safety_factor
         )
         return applied, trials
     return accepted, trials
@@ -153,9 +153,8 @@ def evaluate(field: str, data: np.ndarray, decomposition, result) -> ProtocolOut
         rmse = compare_catalogs(cat0, find_halos(recon, tb)).mass_rmse_above(
             tb * MIN_HALO_CELLS
         )
-    eb = float(np.mean(result.ebs)) if hasattr(result, "ebs") else result.eb
     return ProtocolOutcome(
-        eb=eb,
+        eb=float(np.mean(result.ebs)),
         ratio=result.overall_ratio,
         worst_spectrum_dev=dev,
         halo_rmse=rmse,

@@ -3,17 +3,16 @@
 The paper motivates compression with campaign-level storage: a 4096³ run
 dumps ~2.8 TB per snapshot and hundreds of snapshots.  This example runs
 a miniature campaign — all six fields, several redshifts — through
-:class:`repro.core.campaign.CompressionCampaign` and extrapolates the
-measured ratios to the paper's production scale.
+:class:`repro.InSituController` in its batch configuration (models
+frozen after one calibration, budgets re-derived per snapshot) and
+extrapolates the measured ratios to the paper's production scale.
 
 Run:  python examples/campaign_storage_budget.py
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import BlockDecomposition, CompressionCampaign, FieldSpec, NyxSimulator
+from repro import BlockDecomposition, FieldSpec, InSituController, NyxSimulator
 from repro.sim.nyx import FIELD_NAMES
 from repro.util.tables import format_table
 
@@ -36,13 +35,15 @@ def main() -> None:
         "velocity_y": FieldSpec(correlated_fraction=0.05),
         "velocity_z": FieldSpec(correlated_fraction=0.05),
     }
-    campaign = CompressionCampaign(dec, field_specs=specs)
+    campaign = InSituController(
+        dec, field_specs=specs, recalibrate="never", warm_start=False
+    )
 
     print("calibrating rate models on the first snapshot...")
-    campaign.calibrate(sim.snapshot(z=REDSHIFTS[0]), max_partitions=12)
+    campaign.prime(sim.snapshot(z=REDSHIFTS[0]), max_partitions=12)
 
     for z in REDSHIFTS:
-        campaign.compress_snapshot(sim.snapshot(z=z))
+        campaign.process_snapshot(sim.snapshot(z=z))
 
     report = campaign.report
     rows = [[name, report.field_ratio(name)] for name in FIELD_NAMES]

@@ -21,13 +21,18 @@ Quick start::
     result = pipe.run(snap["temperature"], dec, eb_avg=1.0)
     print(result.overall_ratio)
 
+The pipeline compresses one field of one snapshot; every field of every
+snapshot — streaming, or batch with ``recalibrate="never",
+warm_start=False`` — goes through :class:`InSituController`, and both
+hand back the execution backend's own :class:`SnapshotResult`.
+
 Subpackages: :mod:`repro.core` (adaptive configuration),
 :mod:`repro.models` (rate-quality models), :mod:`repro.compression`
 (SZ-style compressor), :mod:`repro.sim` (synthetic Nyx),
 :mod:`repro.analysis` (power spectrum / halo finder),
 :mod:`repro.parallel` (simulated MPI), :mod:`repro.foresight`
-(evaluation harness), :mod:`repro.stream` (online in situ streaming
-controller, run ledger, drift detection, budget governor).
+(evaluation harness), :mod:`repro.stream` (the in situ controller, run
+ledger, drift detection, budget governor).
 """
 
 from repro.compression import (
@@ -47,11 +52,9 @@ from repro.core import (
     AdaptiveCompressionPipeline,
     SelectionResult,
     select_compressor,
-    CompressionCampaign,
     FieldSpec,
     HaloQualitySpec,
     OptimizerSettings,
-    QualityTargets,
     SnapshotResult,
     StaticBaseline,
     TrialAndErrorSearch,
@@ -94,7 +97,6 @@ __all__ = [
     "select_compressor",
     "RateModelBank",
     "AdaptiveSZCompressor",
-    "CompressionCampaign",
     "FieldSpec",
     "ZFPLikeCompressor",
     "decompress",
@@ -102,7 +104,6 @@ __all__ = [
     "SnapshotResult",
     "StaticBaseline",
     "TrialAndErrorSearch",
-    "QualityTargets",
     "OptimizerSettings",
     "HaloQualitySpec",
     "RateModel",

@@ -27,8 +27,8 @@ pipeline in vectorized NumPy:
 - :mod:`repro.compression.api` — the pluggable compressor backbone: a
   capability-typed :class:`CompressorRegistry` resolving serializable
   :class:`CompressorSpec` values into compressor instances, so every
-  layer above (calibration, pipeline, campaign, sweeps, the stream
-  controller, the CLI) selects a compressor *family* instead of
+  layer above (calibration, pipeline, sweeps, the stream controller,
+  the CLI) selects a compressor *family* instead of
   hard-coding SZ.
 """
 

@@ -10,8 +10,12 @@ cheap per-partition features plus one collective.
   boundary-cell rate),
 - :mod:`repro.core.optimizer` — per-partition bound selection (Eq. 16
   closed form with §3.6's clamping), spectrum- and halo-constrained,
-- :mod:`repro.core.pipeline` — the in situ pipeline (serial rank loop or
-  thread-SPMD with collectives),
+- :mod:`repro.core.config` — optimizer settings, the halo constraint's
+  inputs and the per-field quality policy (:class:`FieldSpec`),
+- :mod:`repro.core.pipeline` — one field of one snapshot through the in
+  situ protocol on a pluggable execution backend (many fields over many
+  snapshots, batch or streaming, are
+  :class:`repro.stream.controller.InSituController`),
 - :mod:`repro.core.baselines` — the traditional static configuration and
   the Foresight-style trial-and-error search,
 - :mod:`repro.core.overhead` — overhead accounting for §4.3,
@@ -19,7 +23,7 @@ cheap per-partition features plus one collective.
   capability-typed registry (§2.2 as a measured runtime decision).
 """
 
-from repro.core.config import HaloQualitySpec, OptimizerSettings, QualityTargets
+from repro.core.config import FieldSpec, HaloQualitySpec, OptimizerSettings
 from repro.core.features import PartitionFeatures, extract_features
 from repro.core.optimizer import (
     OptimizationResult,
@@ -30,7 +34,6 @@ from repro.core.optimizer import (
 from repro.core.pipeline import AdaptiveCompressionPipeline, SnapshotResult
 from repro.core.baselines import StaticBaseline, TrialAndErrorSearch
 from repro.core.overhead import OverheadReport, measure_overhead
-from repro.core.campaign import CompressionCampaign, FieldSpec
 from repro.core.selection import (
     CandidateVerdict,
     SelectionResult,
@@ -41,7 +44,6 @@ from repro.core.selection import (
 )
 
 __all__ = [
-    "QualityTargets",
     "OptimizerSettings",
     "HaloQualitySpec",
     "PartitionFeatures",
@@ -55,7 +57,6 @@ __all__ = [
     "StaticBaseline",
     "TrialAndErrorSearch",
     "OverheadReport",
-    "CompressionCampaign",
     "FieldSpec",
     "measure_overhead",
     "CandidateVerdict",

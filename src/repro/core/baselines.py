@@ -24,42 +24,14 @@ from repro.compression.api import (
     Compressor,
     CompressorSpec,
     capabilities_of,
-    decompress_many,
     resolve_compressor,
 )
-from repro.compression.stats import CompressionStats
-from repro.compression.sz import CompressedBlock
 from repro.models.calibration import check_probe_mode
+from repro.parallel.backends import SnapshotResult
 from repro.parallel.decomposition import BlockDecomposition
 from repro.util.timer import TimingBreakdown
 
-__all__ = ["StaticBaseline", "StaticResult", "TrialAndErrorSearch", "TrialRecord"]
-
-
-@dataclass
-class StaticResult:
-    """Outcome of compressing every partition at one bound."""
-
-    eb: float
-    blocks: list[CompressedBlock]
-    timings: TimingBreakdown
-
-    @property
-    def stats(self) -> CompressionStats:
-        return CompressionStats.from_blocks(self.blocks)
-
-    @property
-    def overall_ratio(self) -> float:
-        return self.stats.overall_ratio
-
-    @property
-    def overall_bit_rate(self) -> float:
-        return self.stats.overall_bit_rate
-
-    def reconstruct(
-        self, decomposition: BlockDecomposition, dtype=np.float64, threads: int | None = None
-    ) -> np.ndarray:
-        return decomposition.assemble(decompress_many(self.blocks, threads), dtype=dtype)
+__all__ = ["StaticBaseline", "TrialAndErrorSearch", "TrialRecord"]
 
 
 class StaticBaseline:
@@ -80,7 +52,9 @@ class StaticBaseline:
 
     def run(
         self, data: np.ndarray, decomposition: BlockDecomposition, eb: float
-    ) -> StaticResult:
+    ) -> SnapshotResult:
+        """The same result type the adaptive path returns, with a
+        uniform ``ebs`` vector, no features and no optimization."""
         if eb <= 0:
             raise ValueError(f"error bound must be positive, got {eb}")
         timings = TimingBreakdown()
@@ -88,7 +62,13 @@ class StaticBaseline:
         with timings.phase("compress"):
             for view in decomposition.partition_views(data):
                 blocks.append(self.compressor.compress(view, eb))
-        return StaticResult(eb=float(eb), blocks=blocks, timings=timings)
+        return SnapshotResult(
+            ebs=np.full(len(blocks), float(eb)),
+            blocks=blocks,
+            features=[],
+            optimization=None,
+            timings=timings,
+        )
 
 
 @dataclass
@@ -174,104 +154,56 @@ class TrialAndErrorSearch:
         data: np.ndarray,
         decomposition: BlockDecomposition,
         candidate_ebs: Sequence[float],
-    ) -> StaticResult:
+    ) -> SnapshotResult:
         """Return the static result at the largest passing candidate bound.
 
-        Candidates are tried in descending order; every trial costs a
-        full compress + decompress + analysis pass (the expense the
-        paper's models eliminate).  Raises if no candidate passes.
+        Candidates are tried in descending order, one loop for both
+        modes: probe (``"model"`` only) → decide whether to measure →
+        measure.  A measured trial costs a full compress + decompress +
+        analysis pass (the expense the paper's models eliminate); a
+        candidate the model predicts to fail is recorded with its
+        *predicted* ratio and metric — nothing was compressed for it,
+        which is the point.  ``trials`` restarts on every call.  Raises
+        if no candidate passes.
         """
+        from repro.foresight.evaluator import FieldReference, QualityEvaluator
+        from repro.models.rq_model import RQModel
+
         candidates = sorted(set(float(e) for e in candidate_ebs), reverse=True)
         if not candidates:
             raise ValueError("need at least one candidate error bound")
         if any(e <= 0 for e in candidates):
             raise ValueError("candidate error bounds must be positive")
         baseline = StaticBaseline(self.compressor)
-        if self.probe_mode == "model":
-            return self._model_search(data, decomposition, candidates, baseline)
-        evaluator = None
-        if self.criteria is not None:
-            from repro.foresight.evaluator import QualityEvaluator
-
-            evaluator = QualityEvaluator(data, self.criteria)
-        self.trials = []
-        for eb in candidates:
-            result = baseline.run(data, decomposition, eb)
-            recon = result.reconstruct(decomposition)
-            if evaluator is not None:
-                report = evaluator.evaluate(recon)
-                passed, metric = report.passed, report.spectrum_worst_deviation
-            else:
-                assert self.quality_check is not None
-                passed, metric = self.quality_check(
-                    np.asarray(data, dtype=np.float64), recon
-                )
-            self.trials.append(
-                TrialRecord(eb=eb, passed=passed, ratio=result.overall_ratio, quality_metric=metric)
-            )
-            if passed:
-                return result
-        raise ValueError(
-            "no candidate error bound satisfied the quality check; smallest "
-            f"tried was {candidates[-1]}"
-        )
-
-    def _model_search(
-        self,
-        data: np.ndarray,
-        decomposition: BlockDecomposition,
-        candidates: list[float],
-        baseline: StaticBaseline,
-    ) -> StaticResult:
-        """The predicted-quality fast path: probe the whole grid
-        analytically, compress only (predicted) winners.
-
-        Failing candidates are recorded with their *predicted* ratio and
-        metric — nothing was compressed for them, which is the point.
-        """
-        from repro.foresight.evaluator import FieldReference, QualityEvaluator
-        from repro.models.rq_model import RQModel
-
         ref = FieldReference(data)
-        rq = RQModel(ref, self.criteria)
+        rq = RQModel(ref, self.criteria) if self.probe_mode == "model" else None
         views = decomposition.partition_views(data)
         evaluator: QualityEvaluator | None = None
+        self.trials = []
         for eb in candidates:
-            pred = rq.probe(self.compressor, views, eb)
-            if not pred.passed:
-                self.trials.append(
-                    TrialRecord(
-                        eb=eb,
-                        passed=False,
-                        ratio=pred.predicted_ratio,
-                        quality_metric=pred.spectrum_worst_deviation,
+            pred = None if rq is None else rq.probe(self.compressor, views, eb)
+            result = None
+            if pred is not None and not pred.passed:
+                passed, ratio = False, pred.predicted_ratio
+                metric = pred.spectrum_worst_deviation
+            else:
+                result = baseline.run(data, decomposition, eb)
+                ratio = result.overall_ratio
+                if pred is not None and self.confirm == "never":
+                    passed, metric = True, pred.spectrum_worst_deviation
+                elif self.criteria is not None:
+                    if evaluator is None:
+                        evaluator = QualityEvaluator(criteria=self.criteria, reference=ref)
+                    report = evaluator.evaluate(result.reconstruct(decomposition))
+                    passed, metric = report.passed, report.spectrum_worst_deviation
+                else:
+                    passed, metric = self.quality_check(
+                        ref.f64, result.reconstruct(decomposition)
                     )
-                )
-                continue
-            result = baseline.run(data, decomposition, eb)
-            if self.confirm == "never":
-                self.trials.append(
-                    TrialRecord(
-                        eb=eb,
-                        passed=True,
-                        ratio=result.overall_ratio,
-                        quality_metric=pred.spectrum_worst_deviation,
-                    )
-                )
-                return result
-            recon = result.reconstruct(decomposition)
-            if evaluator is None:
-                evaluator = QualityEvaluator(data, self.criteria, reference=ref)
-            report = evaluator.evaluate(recon)
             self.trials.append(
-                TrialRecord(
-                    eb=eb,
-                    passed=report.passed,
-                    ratio=result.overall_ratio,
-                    quality_metric=report.spectrum_worst_deviation,
-                )
+                TrialRecord(eb=eb, passed=passed, ratio=ratio, quality_metric=metric)
             )
-            if report.passed:
+            if passed:
                 return result
         raise ValueError(
             "no candidate error bound satisfied the quality check; smallest "

@@ -1,4 +1,6 @@
-"""Configuration dataclasses for the adaptive pipeline."""
+"""Configuration dataclasses for the adaptive pipeline: the optimizer's
+knobs, the halo constraint's inputs, and the per-field quality policy
+(:class:`FieldSpec`, exported from here only)."""
 
 from __future__ import annotations
 
@@ -6,40 +8,7 @@ from dataclasses import dataclass
 
 from repro.compression.api import CompressorSpec
 
-__all__ = ["QualityTargets", "OptimizerSettings", "HaloQualitySpec", "FieldSpec"]
-
-
-@dataclass(frozen=True)
-class QualityTargets:
-    """Post-hoc analysis quality requirements (§2.1 defaults).
-
-    Attributes
-    ----------
-    spectrum_tolerance:
-        Admissible ``|P'(k)/P(k) - 1|`` (paper: 0.01).
-    spectrum_k_max:
-        Wavenumber cutoff for the spectrum test (paper: 10).
-    confidence_z:
-        Sigma multiplier mapping model variance to the tolerance
-        (paper: 2, i.e. 95.4% confidence).
-    halo_mass_rmse:
-        Admissible RMSE of matched halo mass ratios (paper: 0.01).
-    """
-
-    spectrum_tolerance: float = 0.01
-    spectrum_k_max: int = 10
-    confidence_z: float = 2.0
-    halo_mass_rmse: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.spectrum_tolerance <= 0:
-            raise ValueError("spectrum_tolerance must be positive")
-        if self.spectrum_k_max < 2:
-            raise ValueError("spectrum_k_max must be at least 2")
-        if self.confidence_z <= 0:
-            raise ValueError("confidence_z must be positive")
-        if self.halo_mass_rmse <= 0:
-            raise ValueError("halo_mass_rmse must be positive")
+__all__ = ["OptimizerSettings", "HaloQualitySpec", "FieldSpec"]
 
 
 @dataclass(frozen=True)
@@ -107,8 +76,9 @@ class HaloQualitySpec:
 class FieldSpec:
     """Quality/configuration policy for one field.
 
-    Shared by the batch campaign (:mod:`repro.core.campaign`) and the
-    streaming controller (:mod:`repro.stream.controller`).
+    What :class:`~repro.stream.controller.InSituController` (batch or
+    streaming) and :func:`~repro.core.selection.select_compressor` read
+    a field's budget from.
 
     Attributes
     ----------
@@ -128,7 +98,7 @@ class FieldSpec:
         Pin this field to one compressor configuration (a
         :class:`~repro.compression.api.CompressorSpec` or spec string
         such as ``"sz:codec=huffman"``).  ``None`` (default) inherits
-        the campaign/controller-level compressor, or — when a candidate
+        the controller-level compressor, or — when a candidate
         slate is configured — whatever
         :func:`~repro.core.selection.select_compressor` picks for the
         field.

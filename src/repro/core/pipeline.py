@@ -10,18 +10,18 @@ Per snapshot and field, the protocol each rank follows is:
 4. compress its partition with that bound.
 
 *How* the ranks execute is delegated to a pluggable
-:class:`~repro.parallel.backends.ExecutionBackend`: a serial rank loop,
-one thread per rank with real collectives (the default for
-:meth:`AdaptiveCompressionPipeline.run_insitu_spmd`), or a process pool
-with shared-memory partition views and batched compression.  Every
-backend performs exactly one global optimization per snapshot and merges
-per-rank timings, so the §4.3 overhead claims can be measured rather
-than assumed on any path.
+:class:`~repro.parallel.backends.ExecutionBackend`, chosen once when the
+pipeline is built: a serial rank loop, one thread per rank with real
+collectives (the default), or a process pool with shared-memory
+partition views and batched compression.  Every backend performs exactly
+one global optimization per snapshot, merges per-rank timings (so the
+§4.3 overhead claims can be measured rather than assumed on any path)
+and returns the :class:`~repro.parallel.backends.SnapshotResult` the
+pipeline hands on unchanged.  Many fields over many snapshots are
+:class:`~repro.stream.controller.InSituController`'s job.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,65 +29,20 @@ from repro.compression.api import (
     Compressor,
     CompressorSpec,
     capabilities_of,
-    decompress_many,
     resolve_compressor,
 )
-from repro.compression.stats import CompressionStats
-from repro.compression.sz import CompressedBlock
 from repro.core.config import HaloQualitySpec, OptimizerSettings
-from repro.core.features import PartitionFeatures
-from repro.core.optimizer import OptimizationResult
 from repro.models.rate_model import RateModel
 from repro.parallel.backends import (
-    BackendOutcome,
     ExecutionBackend,
     SerialBackend,
+    SnapshotResult,
     SnapshotTask,
     get_backend,
 )
 from repro.parallel.decomposition import BlockDecomposition
-from repro.util.timer import TimingBreakdown
 
 __all__ = ["AdaptiveCompressionPipeline", "SnapshotResult"]
-
-
-@dataclass
-class SnapshotResult:
-    """Everything produced by compressing one field of one snapshot."""
-
-    ebs: np.ndarray
-    blocks: list[CompressedBlock]
-    features: list[PartitionFeatures]
-    optimization: OptimizationResult | None
-    timings: TimingBreakdown = field(repr=False, default_factory=TimingBreakdown)
-
-    @property
-    def stats(self) -> CompressionStats:
-        return CompressionStats.from_blocks(self.blocks)
-
-    @property
-    def overall_ratio(self) -> float:
-        return self.stats.overall_ratio
-
-    @property
-    def overall_bit_rate(self) -> float:
-        return self.stats.overall_bit_rate
-
-    def reconstruct(
-        self, decomposition: BlockDecomposition, dtype=np.float64, threads: int | None = None
-    ) -> np.ndarray:
-        """Decompress all partitions and reassemble the global field.
-
-        Blocks dispatch through the compressor registry
-        (:func:`~repro.compression.api.decompress_many`), so results from
-        any registered family reconstruct; ``threads`` is its decode
-        fan-out (pass ``1`` from inside a process-pool worker).
-        """
-        return decomposition.assemble(decompress_many(self.blocks, threads), dtype=dtype)
-
-    def eb_map(self, decomposition: BlockDecomposition) -> np.ndarray:
-        """Per-partition bounds on the block grid (Figs. 11/17)."""
-        return decomposition.per_partition_map(self.ebs)
 
 
 class AdaptiveCompressionPipeline:
@@ -114,8 +69,9 @@ class AdaptiveCompressionPipeline:
         Execution backend for :meth:`run_insitu_spmd` — a registry name
         (``"serial"``, ``"thread"``, ``"process"``) or an
         :class:`~repro.parallel.backends.ExecutionBackend` instance
-        (default: the thread-SPMD backend).  All backends produce
-        byte-identical payloads; they differ only in scheduling.
+        (default: the thread-SPMD backend).  This is the one place a
+        backend is chosen; :meth:`close` releases it.  All backends
+        produce byte-identical payloads; they differ only in scheduling.
 
     Examples
     --------
@@ -177,16 +133,6 @@ class AdaptiveCompressionPipeline:
             halo=halo,
         )
 
-    @staticmethod
-    def _result(outcome: BackendOutcome) -> SnapshotResult:
-        return SnapshotResult(
-            ebs=outcome.ebs,
-            blocks=outcome.blocks,
-            features=outcome.features,
-            optimization=outcome.optimization,
-            timings=outcome.timings,
-        )
-
     # -- serial execution -------------------------------------------------
 
     def run(
@@ -201,8 +147,7 @@ class AdaptiveCompressionPipeline:
         ``halo`` activates the combined §3.6 optimization (density
         fields); otherwise the spectrum constraint alone applies.
         """
-        task = self._task(data, decomposition, eb_avg, halo)
-        return self._result(SerialBackend().run_snapshot(task))
+        return SerialBackend().run_snapshot(self._task(data, decomposition, eb_avg, halo))
 
     # -- backend execution -------------------------------------------------
 
@@ -212,25 +157,12 @@ class AdaptiveCompressionPipeline:
         decomposition: BlockDecomposition,
         eb_avg: float,
         halo: HaloQualitySpec | None = None,
-        backend: str | ExecutionBackend | None = None,
     ) -> SnapshotResult:
-        """Compress via the configured execution backend (default: SPMD
-        with one thread per rank and real collectives).
+        """Compress via the backend the pipeline was built with (default:
+        SPMD with one thread per rank and real collectives).
 
         Produces the same bounds and byte-identical payloads as
         :meth:`run` (property-tested); exists to exercise the actual
-        execution pattern of the in situ deployment.  ``backend``
-        overrides the pipeline's configured backend for this call: a
-        backend *instance* stays caller-owned (its pooled resources are
-        reused and left open), while a registry *name* constructs a
-        one-shot backend that is closed before returning.
+        execution pattern of the in situ deployment.
         """
-        task = self._task(data, decomposition, eb_avg, halo)
-        if backend is None or isinstance(backend, ExecutionBackend):
-            resolved = self.backend if backend is None else backend
-            return self._result(resolved.run_snapshot(task))
-        one_shot = get_backend(backend)
-        try:
-            return self._result(one_shot.run_snapshot(task))
-        finally:
-            one_shot.close()
+        return self.backend.run_snapshot(self._task(data, decomposition, eb_avg, halo))

@@ -14,9 +14,9 @@ the admissible bound — so the §2.2 trade-off appears in the result as
 data rather than as a comment.
 
 This module is also the home of the per-field quality-budget inversion
-(:func:`derive_eb_budget` / :func:`derive_halo_params`), shared by the
-batch campaign and the streaming controller (both re-export them; they
-used to live in :mod:`repro.stream.controller`).
+(:func:`derive_eb_budget` / :func:`derive_halo_params`), which the
+controller (:mod:`repro.stream.controller`, which re-exports them) runs
+at every calibration and, without warm starts, every snapshot.
 """
 
 from __future__ import annotations

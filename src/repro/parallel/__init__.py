@@ -27,10 +27,10 @@ from repro.parallel.decomposition import BlockDecomposition, Partition
 # which themselves import the siblings above.
 from repro.parallel.backends import (
     BACKENDS,
-    BackendOutcome,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
+    SnapshotResult,
     SnapshotTask,
     ThreadBackend,
     get_backend,
@@ -45,10 +45,10 @@ __all__ = [
     "BlockDecomposition",
     "Partition",
     "BACKENDS",
-    "BackendOutcome",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
+    "SnapshotResult",
     "SnapshotTask",
     "ThreadBackend",
     "get_backend",

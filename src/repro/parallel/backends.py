@@ -20,10 +20,14 @@ across ranks/workers, so the §4.3 overhead accounting works on every
 path.  Per-rank busy time is *summed* — totals are aggregate seconds of
 work, the right denominator for overhead ratios, not wall-clock.
 
-Select a backend by name (``"serial"``/``"thread"``/``"process"``),
-instance, or via ``AdaptiveCompressionPipeline(backend=...)``,
-``CompressionCampaign(backend=...)``, or the CLI's ``--backend`` flag.
-Third-party backends can be added with :func:`register_backend`.
+Every backend returns the same :class:`SnapshotResult` — the value the
+pipeline, the stream controller and their callers see, unwrapped.
+
+A backend is chosen once, at construction: ``backend=`` (a registry name
+``"serial"``/``"thread"``/``"process"`` or an instance) on
+``AdaptiveCompressionPipeline`` and ``InSituController``, or the CLI's
+``--backend`` flag.  Third-party backends can be added with
+:func:`register_backend`.
 """
 
 from __future__ import annotations
@@ -38,14 +42,15 @@ from collections.abc import Callable, Iterable
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from multiprocessing import shared_memory
 from typing import Any, ClassVar
 
 import numpy as np
 
 from repro import telemetry
-from repro.compression.api import Compressor
+from repro.compression.api import Compressor, decompress_many
+from repro.compression.stats import CompressionStats
 from repro.compression.sz import CompressedBlock
 from repro.compression.workspace import Workspace
 from repro.core.config import HaloQualitySpec, OptimizerSettings
@@ -65,7 +70,7 @@ from repro.util.timer import Timer, TimingBreakdown
 
 __all__ = [
     "SnapshotTask",
-    "BackendOutcome",
+    "SnapshotResult",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
@@ -129,14 +134,48 @@ class SnapshotTask:
 
 
 @dataclass
-class BackendOutcome:
-    """What every backend returns for one snapshot-field task."""
+class SnapshotResult:
+    """One field of one snapshot, compressed: what every backend returns
+    and every caller up to the stream report sees.
 
-    features: list[PartitionFeatures]
+    ``features`` and ``optimization`` are empty/``None`` for results no
+    optimizer produced (:class:`~repro.core.baselines.StaticBaseline`
+    compresses every partition at one bound).
+    """
+
     ebs: np.ndarray
     blocks: list[CompressedBlock]
+    features: list[PartitionFeatures]
     optimization: OptimizationResult | None
-    timings: TimingBreakdown
+    timings: TimingBreakdown = field(repr=False, default_factory=TimingBreakdown)
+
+    @property
+    def stats(self) -> CompressionStats:
+        return CompressionStats.from_blocks(self.blocks)
+
+    @property
+    def overall_ratio(self) -> float:
+        return self.stats.overall_ratio
+
+    @property
+    def overall_bit_rate(self) -> float:
+        return self.stats.overall_bit_rate
+
+    def reconstruct(
+        self, decomposition: BlockDecomposition, dtype=np.float64, threads: int | None = None
+    ) -> np.ndarray:
+        """Decompress all partitions and reassemble the global field.
+
+        Blocks dispatch through the compressor registry
+        (:func:`~repro.compression.api.decompress_many`), so results from
+        any registered family reconstruct; ``threads`` is its decode
+        fan-out (pass ``1`` from inside a process-pool worker).
+        """
+        return decomposition.assemble(decompress_many(self.blocks, threads), dtype=dtype)
+
+    def eb_map(self, decomposition: BlockDecomposition) -> np.ndarray:
+        """Per-partition bounds on the block grid (Figs. 11/17)."""
+        return decomposition.per_partition_map(self.ebs)
 
 
 class ExecutionBackend(ABC):
@@ -145,7 +184,7 @@ class ExecutionBackend(ABC):
     name: ClassVar[str] = "abstract"
 
     @abstractmethod
-    def run_snapshot(self, task: SnapshotTask) -> BackendOutcome:
+    def run_snapshot(self, task: SnapshotTask) -> SnapshotResult:
         """Extract, optimize and compress every partition of ``task``."""
 
     @property
@@ -207,7 +246,7 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run_snapshot(self, task: SnapshotTask) -> BackendOutcome:
+    def run_snapshot(self, task: SnapshotTask) -> SnapshotResult:
         timings = TimingBreakdown()
         tracer = telemetry.get_tracer()
         with tracer.span("backend.snapshot", backend=self.name, ranks=task.n_ranks):
@@ -220,7 +259,7 @@ class SerialBackend(ExecutionBackend):
             with tracer.span("compress"), timings.phase("compress"):
                 fault_point("backend.compress")
                 blocks = task.compressor.compress_many(views, opt.ebs)
-        return BackendOutcome(
+        return SnapshotResult(
             features=features, ebs=opt.ebs, blocks=blocks, optimization=opt,
             timings=timings,
         )
@@ -257,7 +296,7 @@ class ThreadBackend(ExecutionBackend):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
 
-    def run_snapshot(self, task: SnapshotTask) -> BackendOutcome:
+    def run_snapshot(self, task: SnapshotTask) -> SnapshotResult:
         tracer = telemetry.get_tracer()
 
         def rank_fn(comm):
@@ -309,7 +348,7 @@ class ThreadBackend(ExecutionBackend):
             timings.merge(r[4])
         if opt is None:
             opt = _local_protocol_summary(task, features, ebs)
-        return BackendOutcome(
+        return SnapshotResult(
             features=features, ebs=ebs, blocks=blocks, optimization=opt,
             timings=timings,
         )
@@ -702,7 +741,7 @@ class ProcessBackend(ExecutionBackend):
                 on_retry=self._note_retry,
             )
 
-    def run_snapshot(self, task: SnapshotTask) -> BackendOutcome:
+    def run_snapshot(self, task: SnapshotTask) -> SnapshotResult:
         dec = task.decomposition
         n = task.n_ranks
         timings = TimingBreakdown()
@@ -789,7 +828,7 @@ class ProcessBackend(ExecutionBackend):
                     # the name must not leak a segment past the run.
                     shm.unlink()
 
-        return BackendOutcome(
+        return SnapshotResult(
             features=features, ebs=opt.ebs, blocks=blocks, optimization=opt,
             timings=timings,
         )

@@ -1,9 +1,9 @@
-"""The online in situ streaming controller.
+"""The in situ controller: the one front for many fields and snapshots.
 
-:class:`InSituController` is the long-running service the per-snapshot
-machinery was missing: it consumes a :class:`~repro.stream.source.
-SnapshotStream`, decides per-field error bounds for every dump, and
-closes the loop the batch campaign leaves open —
+:class:`InSituController` consumes a :class:`~repro.stream.source.
+SnapshotStream` (or single snapshots via :meth:`~InSituController.
+process_snapshot`), decides per-field error bounds for every dump, and
+closes the loop one-shot compression leaves open —
 
 - **warm starts**: each snapshot's per-field configuration starts from
   the previous decision (the calibrated rate model *and* the
@@ -29,10 +29,21 @@ closes the loop the batch campaign leaves open —
   resume` and :func:`replay_ledger` fold too, so a resumed or replayed
   run is the live run by construction (``docs/resilience.md``).
 
-Per-field compression fans out over the PR 1
-:class:`~repro.parallel.backends.ExecutionBackend` registry exactly as
-the batch path does; the batch :class:`~repro.core.campaign.
-CompressionCampaign` is now a thin client of this controller.
+Per-field compression runs on the one
+:class:`~repro.parallel.backends.ExecutionBackend` the controller was
+built with, and each outcome carries the backend's own
+:class:`~repro.parallel.backends.SnapshotResult`.
+
+*Batch* use (the paper's §1 storage arithmetic: calibrate once, compress
+every field of every dump, budgets re-derived per snapshot) is two
+arguments, not another class::
+
+    ctl = InSituController(dec, field_specs=specs,
+                           recalibrate="never", warm_start=False)
+    ctl.prime(first_snapshot)                 # the offline §3.5 fit
+    for snap in snapshots:
+        ctl.process_snapshot(snap)
+    ctl.report.field_ratio("temperature"), ctl.report.overall_ratio
 """
 
 from __future__ import annotations
@@ -121,12 +132,19 @@ class InSituController:
     field_specs:
         Field name -> :class:`~repro.core.config.FieldSpec`; fields
         without an entry use the default spec.
-    compressor / settings / backend:
-        As in :class:`~repro.core.campaign.CompressionCampaign`; the
-        compressor is registry-resolvable (instance,
-        :class:`~repro.compression.api.CompressorSpec` or spec string,
-        ``None`` for the SZ default) and the backend (registry name or
-        instance) executes every per-field compression, default serial.
+    compressor:
+        Error-bounded compressor shared across fields — an instance, a
+        :class:`~repro.compression.api.CompressorSpec` (or spec string),
+        or ``None`` for the registry default (plain SZ).  A field spec's
+        ``compressor`` pins that field to its own configuration.
+    settings:
+        Optimizer settings.
+    backend:
+        Execution backend (registry name or instance) that compresses
+        every field; default is the serial rank loop.  A
+        :class:`~repro.parallel.backends.ProcessBackend` keeps its
+        worker pool alive across fields and snapshots — :meth:`close`
+        releases it.
     candidates:
         Compressor candidate slate (specs or spec strings).  When given,
         every field's compressor is *selected* at (re)calibration time
@@ -148,11 +166,11 @@ class InSituController:
         ``"drift"`` (default) refits a field's models only when its
         detector fires; ``"always"`` refits every field every snapshot
         (the naive online baseline); ``"never"`` freezes models after
-        :meth:`prime` (batch-campaign semantics).
+        :meth:`prime` (batch semantics).
     warm_start:
         Reuse the previous snapshot's base bound between recalibrations
         (default).  ``False`` re-inverts the quality budget from the
-        data every snapshot (batch-campaign semantics) while still
+        data every snapshot (batch semantics) while still
         keeping the rate model warm.
     probe_mode:
         Rate-model calibration probes: ``"exact"``, the codec-free
@@ -221,8 +239,6 @@ class InSituController:
         max_partitions: int = 24,
         seed: int = 0,
         check_quality: bool = False,
-        governor_gain: float = 1.0,
-        governor_max_scale: float = 4.0,
         retain_results: bool = True,
         retry: "RetryPolicy | int | None" = None,
         fallback_compressor: "CompressorSpec | str | None" = None,
@@ -279,8 +295,6 @@ class InSituController:
         self.max_partitions = int(max_partitions)
         self.seed = int(seed)
         self.check_quality = bool(check_quality) or self.drift.quality_margin is not None
-        self.governor_gain = float(governor_gain)
-        self.governor_max_scale = float(governor_max_scale)
         self.retain_results = bool(retain_results)
 
         #: Everything decisions derive from.  Owned by the reducer: only
@@ -379,12 +393,7 @@ class InSituController:
         # Validated here; the governor that steers the run is the one
         # ``apply`` builds from the event (recorded separately from
         # ``run_start``: the dump count may only be known at ``run()``).
-        gov = self._governor_proto = BudgetGovernor(
-            self.byte_budget,
-            n_snapshots,
-            gain=self.governor_gain,
-            max_scale=self.governor_max_scale,
-        )
+        gov = self._governor_proto = BudgetGovernor(self.byte_budget, n_snapshots)
         if self.state.config is not None:  # the run has started
             self._append(
                 "governor",
@@ -671,8 +680,6 @@ class InSituController:
             backend=backend,
             ledger=run_ledger,
             n_snapshots=None if gov is None else gov.n_snapshots,
-            governor_gain=1.0 if gov is None else gov.gain,
-            governor_max_scale=4.0 if gov is None else gov.max_scale,
             default_spec=default_spec,
             max_partitions=max_partitions,
             seed=seed,
@@ -814,7 +821,7 @@ class InSituController:
         fs = state.fields[name]
         eb_base, halo_params = fs.eb_base, fs.halo_params
         if ref is None and not self.warm_start:
-            # Batch-campaign semantics: the rate model stays frozen but
+            # Batch semantics: the rate model stays frozen but
             # the budget inversion re-derives from this snapshot's data
             # (the decision event is its record).
             ref = FieldReference(data)

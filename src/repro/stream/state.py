@@ -207,6 +207,20 @@ class StreamReport:
             raise KeyError(f"no outcomes recorded for snapshot {index}")
         return sum(rows)
 
+    def _ratio_where(self, what: str, keep) -> float:
+        rows = [o for o in self.outcomes if keep(o)]
+        if not rows:
+            raise KeyError(f"no outcomes recorded for {what}")
+        return sum(o.raw_bytes for o in rows) / sum(o.compressed_bytes for o in rows)
+
+    def field_ratio(self, name: str) -> float:
+        """Raw over compressed bytes of one field across the whole run."""
+        return self._ratio_where(f"field {name!r}", lambda o: o.field == name)
+
+    def snapshot_ratio(self, redshift: float) -> float:
+        """Raw over compressed bytes of every field dumped at ``redshift``."""
+        return self._ratio_where(f"z={redshift}", lambda o: o.redshift == redshift)
+
     def as_rows(self) -> list[list[object]]:
         return [
             [

@@ -4,29 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import HaloQualitySpec, OptimizerSettings, QualityTargets
-
-
-class TestQualityTargets:
-    def test_paper_defaults(self):
-        t = QualityTargets()
-        assert t.spectrum_tolerance == 0.01
-        assert t.spectrum_k_max == 10
-        assert t.confidence_z == 2.0
-        assert t.halo_mass_rmse == 0.01
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"spectrum_tolerance": 0.0},
-            {"spectrum_k_max": 1},
-            {"confidence_z": -1.0},
-            {"halo_mass_rmse": 0.0},
-        ],
-    )
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            QualityTargets(**kwargs)
+from repro.core.config import FieldSpec, HaloQualitySpec, OptimizerSettings
 
 
 class TestOptimizerSettings:
@@ -65,3 +43,21 @@ class TestHaloQualitySpec:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             HaloQualitySpec(**kwargs)
+
+
+class TestFieldSpec:
+    def test_defaults_valid(self):
+        FieldSpec()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"spectrum_tolerance": 0.0},
+            {"correlated_fraction": 2.0},
+            {"halo_percentile": 10.0},
+            {"eb_override": -1.0},
+        ],
+    )
+    def test_rejects_invalid(self, kwargs):
+        with pytest.raises(ValueError):
+            FieldSpec(**kwargs)

@@ -133,5 +133,7 @@ class TestSpmdEquivalence:
         pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="serial")
         assert pipe.backend.name == "serial"
         via_serial = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
-        via_thread = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2, backend="thread")
+        threaded = AdaptiveCompressionPipeline(calibrated.rate_model, backend="thread")
+        assert threaded.backend.name == "thread"
+        via_thread = threaded.run_insitu_spmd(data, decomposition, eb_avg=0.2)
         assert np.array_equal(via_serial.ebs, via_thread.ebs)

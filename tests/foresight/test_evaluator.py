@@ -271,7 +271,7 @@ class TestTrialAndErrorCriteria:
         )
         res_callable = by_callable.search(data, decomposition, candidates)
         res_criteria = by_criteria.search(data, decomposition, candidates)
-        assert res_criteria.eb == res_callable.eb
+        assert np.array_equal(res_criteria.ebs, res_callable.ebs)
         assert by_criteria.n_trials == by_callable.n_trials
         for a, b in zip(by_criteria.trials, by_callable.trials):
             assert (a.eb, a.passed) == (b.eb, b.passed)

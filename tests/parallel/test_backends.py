@@ -112,11 +112,11 @@ class TestBackendEquivalence:
             rate_model, settings=OptimizerSettings(normalization=normalization)
         )
         serial = pipe.run(data, decomposition, eb_avg=0.2, halo=halo)
-        thread = pipe.run_insitu_spmd(
-            data, decomposition, eb_avg=0.2, halo=halo, backend="thread"
-        )
-        process = pipe.run_insitu_spmd(
-            data, decomposition, eb_avg=0.2, halo=halo, backend=process_backend
+        thread, process = (
+            AdaptiveCompressionPipeline(
+                rate_model, settings=pipe.settings, backend=backend
+            ).run_insitu_spmd(data, decomposition, eb_avg=0.2, halo=halo)
+            for backend in ("thread", process_backend)
         )
         for other in (thread, process):
             assert np.array_equal(serial.ebs, other.ebs)
@@ -133,9 +133,9 @@ class TestBackendEquivalence:
         self, snapshot, decomposition, rate_model, process_backend
     ):
         data = snapshot["baryon_density"]
-        pipe = AdaptiveCompressionPipeline(rate_model)
         for backend in (SerialBackend(), ThreadBackend(), process_backend):
-            res = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2, backend=backend)
+            pipe = AdaptiveCompressionPipeline(rate_model, backend=backend)
+            res = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
             assert set(res.timings.totals) >= {"features", "optimize", "compress"}
             assert res.timings.totals["compress"] > 0
             assert res.timings.overhead_ratio("features", "compress") >= 0
@@ -219,10 +219,10 @@ class TestProcessBackend:
         pipe = AdaptiveCompressionPipeline(rate_model)
         reference = pipe.run(data, decomposition, eb_avg=0.2)
         for batch_size in (1, 3, 64):
-            with ProcessBackend(max_workers=2, batch_size=batch_size) as backend:
-                res = pipe.run_insitu_spmd(
-                    data, decomposition, eb_avg=0.2, backend=backend
-                )
+            with AdaptiveCompressionPipeline(
+                rate_model, backend=ProcessBackend(max_workers=2, batch_size=batch_size)
+            ) as batched:
+                res = batched.run_insitu_spmd(data, decomposition, eb_avg=0.2)
             assert np.array_equal(reference.ebs, res.ebs)
             assert all(
                 a.payloads == b.payloads
@@ -230,15 +230,11 @@ class TestProcessBackend:
             )
 
     def test_pool_is_reused_across_snapshots(self, snapshot, decomposition, rate_model):
-        pipe = AdaptiveCompressionPipeline(rate_model)
-        with ProcessBackend(max_workers=2) as backend:
-            pipe.run_insitu_spmd(
-                snapshot["baryon_density"], decomposition, eb_avg=0.2, backend=backend
-            )
+        backend = ProcessBackend(max_workers=2)
+        with AdaptiveCompressionPipeline(rate_model, backend=backend) as pipe:
+            pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
             pool = backend._pool
-            pipe.run_insitu_spmd(
-                snapshot["temperature"], decomposition, eb_avg=5.0, backend=backend
-            )
+            pipe.run_insitu_spmd(snapshot["temperature"], decomposition, eb_avg=5.0)
             assert backend._pool is pool
         assert backend._pool is None  # closed by the context manager
 
@@ -252,12 +248,11 @@ class TestProcessBackend:
         data = snapshot["baryon_density"]
         for level in (1, 9):
             comp = SZCompressor(codec=ZlibCodec(level=level))
-            pipe = AdaptiveCompressionPipeline(rate_model, compressor=comp)
-            serial = pipe.run(data, decomposition, eb_avg=0.2)
-            with ProcessBackend(max_workers=2) as backend:
-                process = pipe.run_insitu_spmd(
-                    data, decomposition, eb_avg=0.2, backend=backend
-                )
+            with AdaptiveCompressionPipeline(
+                rate_model, compressor=comp, backend=ProcessBackend(max_workers=2)
+            ) as pipe:
+                serial = pipe.run(data, decomposition, eb_avg=0.2)
+                process = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
             assert all(
                 a.payloads == b.payloads
                 for a, b in zip(serial.blocks, process.blocks)
@@ -268,19 +263,17 @@ class TestProcessBackend:
     ):
         comp = SZCompressor()
         comp.codec.unpicklable = lambda: None  # closure defeats pickling
-        pipe = AdaptiveCompressionPipeline(rate_model, compressor=comp)
+        pipe = AdaptiveCompressionPipeline(
+            rate_model, compressor=comp, backend=process_backend
+        )
         with pytest.raises(ValueError, match="picklable"):
-            pipe.run_insitu_spmd(
-                snapshot["baryon_density"], decomposition, eb_avg=0.2,
-                backend=process_backend,
-            )
+            pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
 
-    def test_name_override_closes_one_shot_backend(
-        self, snapshot, decomposition, rate_model, monkeypatch
+    def test_close_releases_the_constructor_backend(
+        self, snapshot, decomposition, rate_model
     ):
-        """A per-call backend *name* must not leak pooled resources."""
-        import repro.core.pipeline as pipeline_mod
-
+        """The backend is chosen once, at construction; the pipeline's
+        ``close()`` (or context manager) is what releases it."""
         closed = []
 
         class Recording(SerialBackend):
@@ -288,24 +281,23 @@ class TestProcessBackend:
                 closed.append(True)
                 super().close()
 
-        monkeypatch.setattr(
-            pipeline_mod, "get_backend", lambda spec=None, **kw: Recording()
-        )
-        pipe = AdaptiveCompressionPipeline(rate_model)
-        pipe.run_insitu_spmd(
-            snapshot["baryon_density"], decomposition, eb_avg=0.2, backend="serial"
-        )
+        with AdaptiveCompressionPipeline(rate_model, backend=Recording()) as pipe:
+            pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+            assert closed == []
         assert closed == [True]
 
-    def test_instance_override_stays_open(
+    def test_run_leaves_the_pool_open(
         self, snapshot, decomposition, rate_model, process_backend
     ):
-        pipe = AdaptiveCompressionPipeline(rate_model)
-        pipe.run_insitu_spmd(
-            snapshot["baryon_density"], decomposition, eb_avg=0.2,
-            backend=process_backend,
-        )
-        assert process_backend._pool is not None  # caller-owned pool survives
+        pipe = AdaptiveCompressionPipeline(rate_model, backend=process_backend)
+        pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+        assert process_backend._pool is not None  # pooled workers survive a run
+
+    def test_no_per_call_backend(self):
+        import inspect
+
+        params = inspect.signature(AdaptiveCompressionPipeline.run_insitu_spmd).parameters
+        assert "backend" not in params
 
     def test_worker_failure_propagates_and_cleans_up(
         self, snapshot, decomposition, rate_model
@@ -314,16 +306,15 @@ class TestProcessBackend:
         batches are drained and the shared segment is unlinked."""
         data = np.asarray(snapshot["baryon_density"], dtype=np.float64).copy()
         data[0, 0, 0] = -1.0  # pw_rel compression rejects non-positive data
-        pipe = AdaptiveCompressionPipeline(
-            rate_model, compressor=SZCompressor(mode="pw_rel")
-        )
-        with ProcessBackend(max_workers=1, batch_size=1) as backend:
+        with AdaptiveCompressionPipeline(
+            rate_model,
+            compressor=SZCompressor(mode="pw_rel"),
+            backend=ProcessBackend(max_workers=1, batch_size=1),
+        ) as pipe:
             with pytest.raises(ValueError, match="positive"):
-                pipe.run_insitu_spmd(data, decomposition, eb_avg=0.01, backend=backend)
+                pipe.run_insitu_spmd(data, decomposition, eb_avg=0.01)
             # The pool survives the failure and stays usable.
-            ok = pipe.run_insitu_spmd(
-                np.abs(data) + 1.0, decomposition, eb_avg=0.01, backend=backend
-            )
+            ok = pipe.run_insitu_spmd(np.abs(data) + 1.0, decomposition, eb_avg=0.01)
             assert len(ok.blocks) == decomposition.n_partitions
         leftover = [p for p in os.listdir("/dev/shm") if p.startswith("psm_")] if os.path.isdir("/dev/shm") else []
         assert leftover == []

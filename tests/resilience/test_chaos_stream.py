@@ -9,6 +9,7 @@ nothing went wrong.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -32,6 +33,7 @@ from repro.stream import (
     RunLedger,
     replay_ledger,
 )
+from repro.stream.state import BudgetGovernor
 
 #: Zero-wait policy: chaos tests never sleep on wall-clock time.
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
@@ -144,17 +146,17 @@ class TestWorkerCrash:
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
     def test_failed_snapshot_releases_shared_memory(self, chaos_sim, chaos_dec):
         data = chaos_sim.snapshot(z=1.0)["temperature"]
-        pipe = AdaptiveCompressionPipeline(
-            RateModel(exponent=-0.8, coef_alpha=0.0, coef_beta=0.3)
-        )
         before = set(os.listdir("/dev/shm"))
-        backend = ProcessBackend(max_workers=2, start_method="fork")
+        pipe = AdaptiveCompressionPipeline(
+            RateModel(exponent=-0.8, coef_alpha=0.0, coef_beta=0.3),
+            backend=ProcessBackend(max_workers=2, start_method="fork"),
+        )
         plan = FaultPlan(seed=8).arm("backend.compress", kind="crash", at=0)
         try:
             with plan.activate(), pytest.raises(InjectedCrash):
-                pipe.run_insitu_spmd(data, chaos_dec, eb_avg=0.2, backend=backend)
+                pipe.run_insitu_spmd(data, chaos_dec, eb_avg=0.2)
         finally:
-            backend.close()
+            pipe.close()
         leaked = set(os.listdir("/dev/shm")) - before
         assert not leaked, f"shared-memory segments leaked: {sorted(leaked)}"
 
@@ -304,6 +306,46 @@ class TestInterruptedRunResumes:
         report = resumed.run(chaos_stream(3))
         assert report.n_snapshots == 3
         assert replay_ledger(crash_path) == baseline
+
+    def test_resume_steers_with_the_recorded_governor_parameters(
+        self, chaos_stream, chaos_dec, tmp_path, monkeypatch
+    ):
+        """No constructor argument sets the governor's ``gain`` /
+        ``max_scale`` any more, but a ledger may record non-default
+        ones: the governor that steers a resumed run is the one the
+        reducer rebuilds from the ``governor`` event."""
+        import repro.stream.controller as controller_mod
+
+        settings = dict(byte_budget=30_000, retain_results=False)
+        base_path, crash_path = tmp_path / "base.jsonl", tmp_path / "crash.jsonl"
+        with monkeypatch.context() as writer:
+            # Stand-in for whatever wrote such a ledger.
+            writer.setattr(
+                controller_mod,
+                "BudgetGovernor",
+                functools.partial(BudgetGovernor, gain=0.5, max_scale=1.5),
+            )
+            InSituController(chaos_dec, ledger=base_path, **settings).run(chaos_stream(6))
+            ctl = InSituController(chaos_dec, ledger=crash_path, **settings)
+            plan = FaultPlan(seed=2).arm("ledger.append", kind="torn", at=14, fraction=0.5)
+            with plan.activate(), pytest.raises(TornWrite):
+                ctl.run(chaos_stream(6))
+            ctl.ledger.close()
+        baseline = replay_ledger(base_path)
+        recorded = RunLedger.load(base_path).select("governor")[0].data
+        assert (recorded["gain"], recorded["max_scale"]) == (0.5, 1.5)
+
+        resumed = InSituController.resume(crash_path, retain_results=False)
+        assert 0 < resumed.report.n_snapshots < 6
+        assert (resumed.governor.gain, resumed.governor.max_scale) == (0.5, 1.5)
+        report = resumed.run(chaos_stream(6))
+        assert report.n_snapshots == 6
+        assert replay_ledger(crash_path) == baseline
+
+        # The recorded values matter: the stock governor decides otherwise.
+        stock_path = tmp_path / "stock.jsonl"
+        InSituController(chaos_dec, ledger=stock_path, **settings).run(chaos_stream(6))
+        assert replay_ledger(stock_path) != baseline
 
     def test_resuming_a_sealed_run_is_a_noop(self, chaos_stream, chaos_dec, tmp_path):
         path = tmp_path / "done.jsonl"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import FieldSpec
-from repro.sim.nyx import NyxSnapshot
+from repro.sim.nyx import FIELD_NAMES, NyxSnapshot
 from repro.stream.controller import (
     BudgetGovernor,
     InSituController,
@@ -18,6 +18,7 @@ from repro.stream.controller import (
 from repro.stream.drift import DriftConfig
 from repro.stream.ledger import LedgerError, RunLedger
 from repro.stream.source import SnapshotSequence
+from repro.stream.state import StreamReport
 
 
 def _single_field(snapshot: NyxSnapshot, name: str, data=None) -> NyxSnapshot:
@@ -186,6 +187,140 @@ class TestWarmStart:
         outcomes = ctl.process_snapshot(snap)
         assert len(outcomes) == 1
         assert ctl.calibrations.keys() == {"temperature"}
+
+
+_BATCH_SPECS = {
+    "baryon_density": FieldSpec(
+        spectrum_tolerance=0.02, correlated_fraction=0.5, halo_aware=True
+    ),
+    "dark_matter_density": FieldSpec(
+        spectrum_tolerance=0.02, correlated_fraction=0.5, halo_aware=True
+    ),
+    "temperature": FieldSpec(correlated_fraction=0.5),
+}
+
+
+def _batch_controller(dec, **kwargs) -> InSituController:
+    """Batch use is two arguments: frozen models, budgets re-derived per
+    snapshot (what ``CompressionCampaign`` used to wrap)."""
+    kwargs.setdefault("field_specs", _BATCH_SPECS)
+    return InSituController(dec, recalibrate="never", warm_start=False, **kwargs)
+
+
+class TestBatchUse:
+    """Calibrate once, then every field of every dump: the paper's §1
+    storage arithmetic on the controller alone.  (That an un-primed
+    field is refused is ``TestWarmStart.test_never_policy_requires_priming``.)"""
+
+    REDSHIFTS = (1.0, 0.5)
+
+    @pytest.fixture(scope="class")
+    def batch(self, stream_sim, stream_dec):
+        ctl = _batch_controller(stream_dec)
+        ctl.prime(stream_sim.snapshot(z=2.0), max_partitions=8)
+        snaps = {z: stream_sim.snapshot(z=z) for z in self.REDSHIFTS}
+        for snap in snaps.values():
+            ctl.process_snapshot(snap)
+        return ctl, snaps
+
+    def test_compresses_every_field_without_recalibrating(self, batch):
+        ctl, _ = batch
+        for z in self.REDSHIFTS:
+            done = {o.field for o in ctl.report.outcomes if o.redshift == z}
+            assert done == set(FIELD_NAMES)
+        assert ctl.report.n_recalibrations == 0
+
+    def test_storage_accounting(self, batch):
+        report = batch[0].report
+        assert report.compressed_bytes < report.raw_bytes
+        assert report.overall_ratio > 1.0
+        for name in FIELD_NAMES:
+            rows = [o for o in report.outcomes if o.field == name]
+            assert report.field_ratio(name) == sum(o.raw_bytes for o in rows) / sum(
+                o.compressed_bytes for o in rows
+            )
+            assert report.field_ratio(name) > 1.0
+        with pytest.raises(KeyError, match="velocity_w"):
+            report.field_ratio("velocity_w")
+
+    def test_snapshot_ratio_lookup(self, batch):
+        report = batch[0].report
+        for z in self.REDSHIFTS:
+            rows = [o for o in report.outcomes if o.redshift == z]
+            assert report.snapshot_ratio(z) == sum(o.raw_bytes for o in rows) / sum(
+                o.compressed_bytes for o in rows
+            )
+            assert report.snapshot_ratio(z) > 1.0
+        with pytest.raises(KeyError):
+            report.snapshot_ratio(9.9)
+
+    def test_empty_report_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            StreamReport().overall_ratio
+        with pytest.raises(KeyError):
+            StreamReport().field_ratio("temperature")
+
+    def test_eb_override_used(self, stream_sim, stream_dec):
+        overrides = {
+            "baryon_density": 0.5,
+            "dark_matter_density": 0.5,
+            "temperature": 50.0,
+            "velocity_x": 1e6,
+            "velocity_y": 1e6,
+            "velocity_z": 1e6,
+        }
+        ctl = _batch_controller(
+            stream_dec,
+            field_specs={k: FieldSpec(eb_override=v) for k, v in overrides.items()},
+        )
+        snap = stream_sim.snapshot(z=1.0)
+        ctl.prime(snap, max_partitions=4)
+        outcomes = ctl.process_snapshot(snap)
+        assert len(outcomes) == len(overrides)
+        assert all(o.eb_avg == overrides[o.field] for o in outcomes)
+
+    def test_error_bounds_hold(self, batch, stream_dec):
+        ctl, snaps = batch
+        for o in ctl.report.outcomes:
+            recon = o.result.reconstruct(stream_dec)
+            err = np.max(np.abs(recon - snaps[o.redshift][o.field].astype(np.float64)))
+            assert err <= o.result.ebs.max() * (1 + 1e-9) + 1e-12
+
+    def test_report_merges_timings(self, batch):
+        merged = batch[0].report.timings
+        assert set(merged.totals) >= {"features", "optimize", "compress"}
+        assert merged.overhead_ratio("features", "compress") >= 0
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_backends_agree_byte_for_byte(self, stream_sim, stream_dec, backend):
+        from repro.parallel.backends import get_backend
+
+        snap = stream_sim.snapshot(z=1.0)
+        specs = {"baryon_density": FieldSpec(halo_aware=True)}
+
+        def run(backend_spec):
+            ctl = _batch_controller(stream_dec, field_specs=specs, backend=backend_spec)
+            ctl.prime(snap, max_partitions=4)
+            return ctl.process_snapshot(snap)
+
+        serial = run(None)
+        kwargs = {"max_workers": 2} if backend == "process" else {}
+        with get_backend(backend, **kwargs) as resolved:
+            other = run(resolved)
+        assert [o.field for o in serial] == [o.field for o in other]
+        for a, b in zip(serial, other):
+            assert np.array_equal(a.result.ebs, b.result.ebs)
+            assert [blk.payloads for blk in a.result.blocks] == [
+                blk.payloads for blk in b.result.blocks
+            ]
+
+    def test_replay_equals_live_bounds(self, batch):
+        ctl, _ = batch
+        decisions = replay_ledger(ctl.ledger)
+        live = {(o.redshift, o.field): o.result.ebs for o in ctl.report.outcomes}
+        assert len(decisions) == len(ctl.report.outcomes)
+        for d in decisions:
+            assert np.array_equal(np.asarray(d.ebs), live[(d.redshift, d.field)])
 
 
 class TestBudgetGovernor:
