@@ -17,14 +17,12 @@ huffman payload size).  Takes a few minutes.  Not a test.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 from scipy.optimize import least_squares
 
 from repro import BlockDecomposition, NyxSimulator
 from repro.compression import estimator as est
-from repro.compression.codecs import HuffmanCodec, pack_symbols
+from repro.compression.codecs import HuffmanCodec, ZlibCodec, pack_symbols
 from repro.compression.sz import SZCompressor
 from repro.sim.grf import gaussian_random_field
 
@@ -37,7 +35,7 @@ def _entropy(counts: np.ndarray) -> float:
 
 
 def collect() -> tuple[list[dict], list[dict]]:
-    comp, huff = SZCompressor(kernels="numpy"), HuffmanCodec()
+    comp, huff, deflater = SZCompressor(kernels="numpy"), HuffmanCodec(), ZlibCodec()
     deflate, huffman = [], []
 
     def sample(views, eb, with_huffman):
@@ -48,7 +46,7 @@ def collect() -> tuple[list[dict], list[dict]]:
             deflate.append(dict(
                 n=row.size, k=len(planes), h=[_entropy(c) for c in planes],
                 d=sum(int((c > 0).sum()) for c in planes),
-                nbytes=1 + len(zlib.compress(packed, 6)),
+                nbytes=len(deflater.encode_row(packed)),  # the encoder's own bytes
             ))
             if with_huffman:
                 counts = np.bincount(row)

@@ -13,7 +13,7 @@ Three claims, all on the session Nyx snapshot (64^3, every field):
    fixed-rate candidate's measured sample remains).
 3. **Sweep fast path** — a quality sweep under ``probe_mode="model"``
    returns the same per-(field, eb) verdicts as the exact sweep and is
-   wall-clock faster (the >= 10x floor is asserted outside smoke mode).
+   wall-clock faster (a floor is asserted outside smoke mode).
 
 Both parity checks are deterministic, so they assert in smoke mode too;
 only the wall-clock floor is gated on ``REPRO_BENCH_SMOKE`` (shared CI
@@ -49,12 +49,15 @@ MAX_PSNR_DELTA_DB = 1.0
 MAX_RATIO_REL_ERR = 0.10
 #: Floors for claims 2 (deterministic, always asserted) and 3
 #: (wall-clock, asserted outside smoke mode).  The >= 10x acceptance
-#: criterion is the invocation count; the wall-clock *target* is also
-#: 10x (measured ~10x cold; ~4.5x once claims 1-2 have warmed every
-#: cache in-process — the trajectory records the actual figure), so the
-#: asserted floor only guards against the fast path regressing outright.
+#: criterion is the invocation count.  The wall-clock figure is a ratio
+#: against the exact sweep, so it moves whenever the codec does: ~4.5x
+#: (2.13 s / 0.47 s, warm) while every cell was an LZ77 search run block
+#: by block, 2.4-3.0x (1.2 s / 0.4-0.5 s) since the exact sweep batches
+#: its cells through run-length DEFLATE — the model path's own time is
+#: unchanged (the trajectory records the actual figure), so the asserted
+#: floor only guards against the fast path regressing outright.
 MIN_INVOCATION_REDUCTION = 10.0
-MIN_SWEEP_SPEEDUP = 3.0
+MIN_SWEEP_SPEEDUP = 1.5
 TRAJECTORY = Path("BENCH_rq.json")
 
 
@@ -68,7 +71,9 @@ def _best_of(fn, rounds: int = ROUNDS) -> float:
 
 
 class _CompressCounter:
-    """Count every ``compress`` call on the candidate compressor classes."""
+    """Count every block compressed by the candidate compressor classes:
+    one per ``compress`` call, one per view of a ``compress_many`` batch
+    (the adapters' batches loop over their inner ``compress``)."""
 
     CLASSES = (SZCompressor, ZFPLikeCompressor)
 
@@ -82,6 +87,13 @@ class _CompressCounter:
                 return _original(comp, *args, **kwargs)
 
             monkeypatch.setattr(cls, "compress", counted)
+        original_many = SZCompressor.compress_many
+
+        def counted_many(comp, views, *args, **kwargs):
+            self.calls += len(views)
+            return original_many(comp, views, *args, **kwargs)
+
+        monkeypatch.setattr(SZCompressor, "compress_many", counted_many)
 
 
 def test_rq_model(benchmark, snapshot, decomposition, monkeypatch):

@@ -6,10 +6,12 @@ this module provides interchangeable backends:
 - :class:`HuffmanCodec` — from-scratch canonical Huffman
   (:mod:`repro.compression.huffman`) followed by a zlib pass over the
   packed bits, mirroring SZ's Huffman+Zstd stack.
-- :class:`ZlibCodec` — DEFLATE over the packed symbol bytes.  DEFLATE is
-  itself LZ77+Huffman, so rate behaviour is close to the Huffman stack
-  while encode/decode run at C speed; it is the default for large
-  experiments.
+- :class:`ZlibCodec` — DEFLATE over the packed symbol bytes, written
+  with zlib's run-length strategy: per-block Huffman trees plus runs,
+  no LZ77 match search (byte planes of folded Lorenzo residuals have
+  runs but almost no longer-range repeats, so the search bought
+  nothing).  Rate behaviour is close to the Huffman stack while
+  encode/decode run at C speed; it is the default for large experiments.
 - :class:`RawCodec` — no entropy coding (debug / ablation baseline).
 
 All codecs operate on non-negative integer arrays and round-trip exactly.
@@ -111,9 +113,14 @@ def unpack_symbols(tag: int, raw: bytes, n: int, what: str) -> np.ndarray:
         )
     if k == 1:
         return np.frombuffer(raw, dtype=np.uint8)
-    interleaved = np.empty((n, k), dtype=np.uint8)
-    interleaved.T[...] = np.frombuffer(raw, dtype=np.uint8).reshape(k, n)
-    return interleaved.view(f"<u{k}").reshape(n)
+    # Shift the planes together from the top: k - 1 vectorized passes at
+    # the symbol width instead of a byte-strided (n, k) interleave copy.
+    planes = np.frombuffer(raw, dtype=np.uint8).reshape(k, n)
+    symbols = planes[k - 1].astype(f"<u{k}")
+    for plane in planes[k - 2 :: -1]:
+        symbols <<= 8
+        symbols |= plane
+    return symbols
 
 
 def _width_of(tag: int, what: str) -> int:
@@ -221,7 +228,18 @@ class RawCodec(Codec):
 
 
 class ZlibCodec(Codec):
-    """DEFLATE over the packed symbol bytes."""
+    """DEFLATE over the packed symbol bytes.
+
+    Rows are deflated with ``Z_RLE`` — Huffman coding plus distance-one
+    runs, no LZ77 match search — and the deflate block is ended at every
+    plane boundary (``Z_BLOCK``), so a noisy low plane and a
+    near-constant high one never share a Huffman tree.  Both are
+    constants of the codec, not parameters: on the byte planes this
+    library writes they are faster *and* smaller than the default
+    strategy (README, "Payload layouts"), and the output is one ordinary
+    zlib stream, so :meth:`decode` — which also reads every
+    default-strategy stream written before — is untouched by them.
+    """
 
     name = "zlib"
 
@@ -231,9 +249,14 @@ class ZlibCodec(Codec):
         self.level = level
 
     def encode_row(self, row: np.ndarray) -> bytes:
-        # zlib consumes the contiguous row's buffer directly, so the only
-        # full copy on this path is DEFLATE's own output.
-        return _tag_of(row) + zlib.compress(row, self.level)
+        # zlib consumes each contiguous plane's buffer directly, so the
+        # only full copy on this path is DEFLATE's own output.
+        deflater = zlib.compressobj(self.level, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+        parts = [_tag_of(row)]
+        for plane in row[:-1]:
+            parts += (deflater.compress(plane), deflater.flush(zlib.Z_BLOCK))
+        parts += (deflater.compress(row[-1]), deflater.flush())
+        return b"".join(parts)
 
     def decode(self, blob: bytes, n: int) -> np.ndarray:
         if not blob:

@@ -12,13 +12,17 @@ This module implements that prediction, specialized per entropy stage:
     DEFLATE Huffman-codes the *bytes* of the packed symbol stream — the
     folded symbols at their minimal width, one contiguous byte plane
     after another (code-stream layout 2, see
-    :mod:`repro.compression.codecs`) — so the size tracks the per-plane
-    marginal entropies (all derivable from the symbol histogram), each
-    corrected by an empirically calibrated efficiency curve: DEFLATE
-    roughly meets the marginal entropy at the low end (LZ77 run
-    matching), pays up to ~20 % over it in the mid range (semi-static
-    per-block trees, literal/length alphabet overhead) and converges on
-    8 bits/byte (stored blocks) at the top.
+    :mod:`repro.compression.codecs`) — and the codec writes it as
+    run-length DEFLATE, ending the deflate block at every plane
+    boundary: order-0 Huffman per plane plus distance-one runs, no LZ77
+    search.  So the size tracks the per-plane marginal entropies (all
+    derivable from the symbol histogram), each corrected by an
+    empirically calibrated efficiency curve: runs take the coder to or
+    below the marginal entropy at the low end (where a Huffman code
+    alone could not go under one bit per byte), it pays up to ~17 %
+    over it around 1.5 bits/byte (integer code lengths on a small
+    alphabet, literal/length alphabet overhead) and sits within 1-3 %
+    of the entropy from ~2.5 bits/byte up to 8 (stored blocks).
 
 ``huffman``
     The canonical-Huffman + zlib stack lands at the *symbol* entropy:
@@ -72,31 +76,33 @@ HEADER_BYTES = 32
 PAYLOAD_CONTAINER_BYTES = 12
 
 #: DEFLATE efficiency vs. the marginal entropy of one byte plane
-#: (bits/byte), fitted at compression level 6 over ~8 500 folded symbol
-#: rows (GRF and Nyx-proxy fields, 12^3 .. 64^3 blocks, both stored
-#: widths; ``benchmarks/fit_rate_estimator.py`` re-runs the fit):
+#: (bits/byte), fitted to what ``ZlibCodec.encode_row`` writes (level 6,
+#: run-length DEFLATE, one deflate block per plane at least) over
+#: ~8 500 folded symbol rows (GRF and Nyx-proxy fields, 12^3 .. 64^3
+#: blocks, both stored widths; ``benchmarks/fit_rate_estimator.py``
+#: re-runs the fit — p95 error 3.1 %, none outside +-10 % / 0.1 bit):
 #: ``coded_size ~= sum_planes interp(h_p) * h_p * n / 8 + tree_cost``.
 _DEFLATE_EFF_H = np.array(
     [0.0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0, 1.25, 1.5,
      1.8, 2.1, 2.4, 2.8, 3.2, 3.6, 4.0, 4.5, 5.0, 5.7, 6.5, 8.0]
 )
 _DEFLATE_EFF_G = np.array(
-    [1.08, 0.91, 0.97, 1.01, 1.05, 1.06, 1.11, 1.11, 1.16, 1.18,
-     1.17, 1.18, 1.21, 1.17, 1.17, 1.15, 1.13, 1.10, 1.06, 1.02, 1.01, 1.06]
+    [1.13, 0.95, 0.98, 1.01, 1.04, 1.05, 1.08, 1.09, 1.10, 1.17,
+     1.11, 1.06, 1.03, 1.03, 1.02, 1.01, 1.01, 1.01, 1.01, 1.01, 1.01, 1.02]
 )
 
 #: DEFLATE re-describes its dynamic Huffman trees (and restarts its
 #: adaptivity) roughly once per 64 KiB input chunk; each chunk costs a
-#: base plus ~0.5 bytes per distinct byte value, saturating at a
+#: base plus ~0.3 bytes per distinct byte value, saturating at a
 #: fraction of the chunk's entropy content (deflate falls back to
 #: fixed/stored blocks rather than paying an oversized tree).
 #: Negligible for whole fields, but the dominant correction for small
 #: (e.g. 16^3) calibration partitions.
 _DEFLATE_CHUNK_BYTES = 65536
-_DEFLATE_TREE_BASE = 15.0
-_DEFLATE_TREE_PER_BYTE_SYMBOL = 0.5
-_DEFLATE_TREE_CAP_FRACTION = 0.64
-_DEFLATE_TREE_CAP_BASE = 18.0
+_DEFLATE_TREE_BASE = 17.26
+_DEFLATE_TREE_PER_BYTE_SYMBOL = 0.34
+_DEFLATE_TREE_CAP_FRACTION = 0.06
+_DEFLATE_TREE_CAP_BASE = 14.18
 
 #: Gain of the zlib pass trailing the canonical Huffman encoder vs. the
 #: symbol entropy, as a function of that entropy (bits/value): leftover

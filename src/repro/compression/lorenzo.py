@@ -116,12 +116,35 @@ def lorenzo_transform_batch_inplace(
     return _mixed_difference_inplace(batch, range(1, batch.ndim), scratch)
 
 
-def lorenzo_inverse(residuals: np.ndarray) -> np.ndarray:
-    """Invert :func:`lorenzo_transform` (cumulative sums in reverse order)."""
+#: Smallest leading-axis slab (elements) summed with one vectorized add
+#: per index instead of ``cumsum``'s serial walk down the strided axis:
+#: a slab add costs ~0.6 us per call plus ~1 ns per element, the strided
+#: cumsum ~5 ns per element, so slabs win from a few hundred elements up
+#: (32^3 int64 block, leading axis: 54 us vs 157 us).
+_SLAB_MIN_ELEMENTS = 256
+
+
+def lorenzo_inverse(residuals: np.ndarray, inplace: bool = False) -> np.ndarray:
+    """Invert :func:`lorenzo_transform`: prefix sums along every axis.
+
+    Integer sums wrap, and wrapping addition is associative and
+    commutative, so the axis order is free.  The sums run in place on
+    one array: ``residuals`` itself with ``inplace=True`` (the decoder
+    passes its freshly unfolded lattice), otherwise a copy.
+    """
     arr = np.asarray(residuals)
     if arr.ndim < 1 or arr.ndim > 3:
         raise ValueError(f"lorenzo_inverse supports 1-3 dimensions, got {arr.ndim}")
-    out = arr
-    for axis in reversed(range(arr.ndim)):
-        out = np.cumsum(out, axis=axis)
-    return out
+    if not inplace:
+        # a copy; integers narrower than int64 are widened, as np.cumsum would
+        small_int = arr.dtype.kind in "iub" and arr.dtype.itemsize < 8
+        arr = np.array(arr, dtype=np.int64 if small_int else arr.dtype)
+    lead = 0
+    if arr.ndim > 1 and arr[0].size >= _SLAB_MIN_ELEMENTS:
+        lead = 1
+        for i in range(1, arr.shape[0]):
+            arr[i] += arr[i - 1]
+    for axis in range(lead, arr.ndim):
+        if arr.shape[axis] > 1:
+            np.cumsum(arr, axis=axis, dtype=arr.dtype, out=arr)
+    return arr

@@ -118,9 +118,10 @@ def quantize_lattice_batch(
 
 
 def dequantize_abs(q: np.ndarray, eb: float) -> np.ndarray:
-    """Reconstruct values from lattice integers."""
+    """Reconstruct values (float64) from lattice integers: one multiply
+    that casts as it goes, so no float copy of the lattice is made."""
     eb = check_positive(eb, "eb")
-    return np.asarray(q, dtype=np.float64) * (2.0 * eb)
+    return np.multiply(q, 2.0 * eb, dtype=np.float64)
 
 
 def pw_rel_to_log_abs(rel_eb: float) -> float:
@@ -211,17 +212,28 @@ def encode_residuals_batch(
     return counts, pos.astype(np.int64, copy=False), val, res.max(axis=1)
 
 
-def unfold_symbols(symbols: np.ndarray) -> np.ndarray:
-    """Residuals (fresh int64 array) of folded ``symbols`` of any integer
-    dtype.  Outlier slots (symbol 0) come back as 0; the caller scatters
-    the outlier channel over them."""
-    res = np.asarray(symbols).astype(np.int64)
+def _unfold_inplace(res: np.ndarray) -> np.ndarray:
     res -= 1
     sign = res & 1
     np.negative(sign, out=sign)
     res >>= 1
     res ^= sign
     return res
+
+
+#: ``unfold_symbols`` of every one-byte symbol: the map a 256-entry
+#: lookup applies in one pass.
+_UNFOLD_BYTE = _unfold_inplace(np.arange(256, dtype=np.int64))
+
+
+def unfold_symbols(symbols: np.ndarray) -> np.ndarray:
+    """Residuals (fresh int64 array) of folded ``symbols`` of any integer
+    dtype.  Outlier slots (symbol 0) come back as 0; the caller scatters
+    the outlier channel over them."""
+    symbols = np.asarray(symbols)
+    if symbols.dtype == np.uint8:
+        return _UNFOLD_BYTE.take(symbols)
+    return _unfold_inplace(symbols.astype(np.int64))
 
 
 def decode_residuals(qr: QuantizedResiduals) -> np.ndarray:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro.compression.api import SZ_CAPABILITIES, CompressorSpec
+from repro.compression.api import FANOUT_MIN_ELEMENTS, SZ_CAPABILITIES, CompressorSpec
 from repro.compression.codecs import (
     Codec,
     _minimal_uint_dtype,
@@ -283,12 +283,14 @@ class SZCompressor:
         ``(B, n)`` workspace arenas (see
         :mod:`repro.compression.kernels`), instead of one interpreter
         round-trip per block.  The per-block entropy stage then fans out
-        over a thread pool (zlib releases the GIL), saturating cores
-        without any shared-memory round-trips for intermediates.
+        over the thread backend (zlib releases the GIL) when the blocks
+        hold at least :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS`
+        elements; smaller ones are coded sooner in the calling thread.
 
         ``threads`` caps the entropy-stage fan-out: ``None`` (default)
         uses the CPU count, ``1`` keeps everything in the calling thread
-        (what process-pool workers pass to avoid oversubscription).
+        whatever the block size (what process-pool workers pass to avoid
+        oversubscription).
         Output blocks are byte-identical to per-partition
         :meth:`compress` calls regardless of grouping, backend, or
         thread count (property-tested).
@@ -571,9 +573,10 @@ class SZCompressor:
         blocks wider than one byte, outlier-position narrowing and the
         zigzag map each run once per run of equal-width blocks / once
         over the whole group; only the per-block entropy encodes remain,
-        and those see one contiguous byte row each and fan out over a
-        transient thread pool (zlib/DEFLATE releases the GIL) when
-        ``threads > 1``.
+        and those see one contiguous byte row each and fan out over the
+        thread backend (zlib/DEFLATE releases the GIL) when
+        ``threads > 1`` and the blocks hold at least
+        :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS` elements.
         """
         kern = self._kernels()
         tracer = telemetry.get_tracer()
@@ -613,7 +616,7 @@ class SZCompressor:
             }
 
         with tracer.span("sz.entropy", blocks=n_blocks, codec=codec.name):
-            if threads > 1 and n_blocks > 1:
+            if threads > 1 and n_blocks > 1 and n >= FANOUT_MIN_ELEMENTS:
                 # Lazy import: parallel.backends imports this module.
                 from repro.parallel.backends import get_backend
 
@@ -700,6 +703,6 @@ def decompress(block: CompressedBlock) -> np.ndarray:
     abs_eb = _bound_space_eb(block)
     residuals, out_pos, out_val = _read_channels(block)
     residuals[out_pos] = unzigzag(np.frombuffer(out_val, dtype=np.uint64))
-    q = lorenzo_inverse(residuals.reshape(block.shape))
+    q = lorenzo_inverse(residuals.reshape(block.shape), inplace=True)
     work = dequantize_abs(q, abs_eb)
-    return work if block.mode == "abs" else np.exp(work)
+    return work if block.mode == "abs" else np.exp(work, out=work)

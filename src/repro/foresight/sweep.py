@@ -285,7 +285,7 @@ def run_sweep(
                                 confirm == "boundary" and pred.near_boundary(crit)
                             )
                     if measure:
-                        sized = blocks = [comp.compress(v, eb) for v in views]
+                        sized = blocks = comp.compress_many(views, [eb] * len(views))
                         nbytes = sum(b.nbytes for b in blocks)
                         if fan_out and probe_mode == "exact" and not rate_only:
                             per_eb_blocks.append(blocks)  # evaluated below

@@ -79,14 +79,12 @@ def _probe_rates(
 ) -> np.ndarray:
     """Bit rate at each probe bound for one partition.
 
-    Codec-free modes push all bounds through one batched
-    ``estimate_many`` call — a single kernel pass over a ``(n_ebs, n)``
-    batch.
+    All bounds go through one batched call — ``compress_many`` when the
+    codec runs, ``estimate_many`` when it does not — so the front is a
+    single kernel pass over a ``(n_ebs, n)`` batch either way.
     """
-    if probe_mode == "exact":
-        return np.array([comp.compress(part, eb).bit_rate for eb in probe_ebs])
-    ests = comp.estimate_many([part] * len(probe_ebs), list(probe_ebs))
-    return np.array([e.bit_rate for e in ests])
+    probe = comp.compress_many if probe_mode == "exact" else comp.estimate_many
+    return np.array([p.bit_rate for p in probe([part] * len(probe_ebs), list(probe_ebs))])
 
 
 def _probe_partition(task: tuple) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Frozen layout-1 fixtures (see ``fixtures/README.md``)."""
+"""Frozen code-stream fixtures (see ``fixtures/README.md``)."""
 
 from __future__ import annotations
 
@@ -41,3 +41,18 @@ def v1_blocks(v1_expected) -> dict:
     rows = v1_expected["v1_container.npz"]
     assert len(blocks) == len(rows)
     return {row["note"]: (block, row["crc32"]) for block, row in zip(blocks, rows)}
+
+
+@pytest.fixture(scope="session")
+def v2_expected() -> dict:
+    return json.loads((FIXTURES / "v2_default_strategy.json").read_text())
+
+
+@pytest.fixture()
+def v2_blocks(v2_expected) -> dict:
+    """``note -> (block, expected row)`` of the frozen layout-2 container
+    written with zlib's default strategy, loaded fresh per test."""
+    blocks, _, _ = load_blocks(str(FIXTURES / "v2_default_strategy.npz"))
+    rows = v2_expected["v2_default_strategy.npz"]
+    assert len(blocks) == len(rows)
+    return {row["note"]: (block, row) for block, row in zip(blocks, rows)}

@@ -9,6 +9,7 @@ changed the compressed streams.
 from __future__ import annotations
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,7 +188,8 @@ class TestDecompressMany:
             return block
 
         monkeypatch.setattr(api, "decompress_any", decode)
-        blocks = list(range(11))
+        # stand-ins large enough to be worth a thread each
+        blocks = [SimpleNamespace(n_elements=api.FANOUT_MIN_ELEMENTS) for _ in range(11)]
         for threads in (1, 2, 3):
             seen.clear()
             assert decompress_many(blocks, threads=threads) == blocks

@@ -37,4 +37,4 @@ def test_campaign_storage_budget_runs(capsys):
     _load(next(p for p in EXAMPLES if p.stem == "campaign_storage_budget")).main()
     out = capsys.readouterr().out
     assert "Per-field ratios" in out and "Per-snapshot ratios" in out
-    assert "overall campaign ratio: 6.2x" in out
+    assert "overall campaign ratio: 6.7x" in out
