@@ -124,21 +124,17 @@ def lorenzo_transform_batch_inplace(
 _SLAB_MIN_ELEMENTS = 256
 
 
-def lorenzo_inverse(residuals: np.ndarray, inplace: bool = False) -> np.ndarray:
+def lorenzo_inverse(residuals: np.ndarray) -> np.ndarray:
     """Invert :func:`lorenzo_transform`: prefix sums along every axis.
 
-    Integer sums wrap, and wrapping addition is associative and
-    commutative, so the axis order is free.  The sums run in place on
-    one array: ``residuals`` itself with ``inplace=True`` (the decoder
-    passes its freshly unfolded lattice), otherwise a copy.
+    The sums run **in place** on ``residuals``, which is also the return
+    value — every decoder passes a lattice it has just unfolded; pass a
+    copy to keep the residuals.  Integer sums wrap, and wrapping
+    addition is associative and commutative, so the axis order is free.
     """
-    arr = np.asarray(residuals)
+    arr = residuals
     if arr.ndim < 1 or arr.ndim > 3:
         raise ValueError(f"lorenzo_inverse supports 1-3 dimensions, got {arr.ndim}")
-    if not inplace:
-        # a copy; integers narrower than int64 are widened, as np.cumsum would
-        small_int = arr.dtype.kind in "iub" and arr.dtype.itemsize < 8
-        arr = np.array(arr, dtype=np.int64 if small_int else arr.dtype)
     lead = 0
     if arr.ndim > 1 and arr[0].size >= _SLAB_MIN_ELEMENTS:
         lead = 1

@@ -703,6 +703,6 @@ def decompress(block: CompressedBlock) -> np.ndarray:
     abs_eb = _bound_space_eb(block)
     residuals, out_pos, out_val = _read_channels(block)
     residuals[out_pos] = unzigzag(np.frombuffer(out_val, dtype=np.uint64))
-    q = lorenzo_inverse(residuals.reshape(block.shape), inplace=True)
+    q = lorenzo_inverse(residuals.reshape(block.shape))
     work = dequantize_abs(q, abs_eb)
     return work if block.mode == "abs" else np.exp(work, out=work)

@@ -108,7 +108,6 @@ class TestFrozenDefaultStrategyContainer:
         codec = get_codec("zlib")
         symbols = codec.decode(block.payloads["codes"], block.n_elements)
         assert codec.encode(symbols) != block.payloads["codes"]
-        assert zlib.compress(symbols, 6) == block.payloads["codes"][1:]
 
     def test_batch_decode_matches(self, v2_blocks, recon_crc):
         blocks = [b for b, _ in v2_blocks.values()]

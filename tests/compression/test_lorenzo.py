@@ -21,6 +21,11 @@ class TestTransformInverse:
         data = rng.integers(-1000, 1000, shape).astype(np.int64)
         assert np.array_equal(lorenzo_inverse(lorenzo_transform(data)), data)
 
+    def test_inverse_sums_its_argument_in_place(self):
+        residuals = lorenzo_transform(np.arange(24, dtype=np.int64).reshape(2, 3, 4))
+        assert lorenzo_inverse(residuals) is residuals
+        assert np.array_equal(residuals, np.arange(24).reshape(2, 3, 4))
+
     def test_1d_residual_is_first_difference(self):
         data = np.array([3, 7, 2, 2], dtype=np.int64)
         assert np.array_equal(lorenzo_transform(data), [3, 4, -5, 0])

@@ -108,3 +108,61 @@ class TestProbeModes:
             views, compressor=comp, eb_scale=0.2, seed=0, probe_mode="estimate"
         )
         assert cal.shared_exponent < 0
+
+
+class TestExactProbeFanOut:
+    """Exact probes run ``compress_many``, whose entropy stage fans over
+    the thread backend for large blocks — but never from inside a pool
+    worker of a backend-fanned calibration."""
+
+    @pytest.fixture()
+    def map_calls(self, monkeypatch):
+        from repro.parallel.backends import ThreadBackend
+
+        calls = []
+        original = ThreadBackend.map_tasks
+
+        def counted(backend, fn, items):
+            calls.append(1)
+            return original(backend, fn, items)
+
+        monkeypatch.setattr(ThreadBackend, "map_tasks", counted)
+        return calls
+
+    @staticmethod
+    def _partitions(count: int = 3):
+        from repro.compression.api import FANOUT_MIN_ELEMENTS
+
+        rng = np.random.default_rng(5)
+        parts = [
+            np.cumsum(rng.normal(0, 1 + i, (32, 32, 32)), axis=2) for i in range(count)
+        ]
+        assert parts[0].size >= FANOUT_MIN_ELEMENTS
+        return parts
+
+    def test_pool_workers_pin_the_entropy_stage_to_one_thread(self, map_calls):
+        parts = self._partitions()
+        inproc = calibrate_rate_model(parts, eb_scale=0.05, seed=0)
+        assert len(map_calls) == len(parts)  # one entropy fan-out per partition
+        del map_calls[:]
+        fanned = calibrate_rate_model(parts, eb_scale=0.05, seed=0, backend="thread")
+        assert len(map_calls) == 1  # the probe fan itself, nothing nested
+        assert fanned.rate_model == inproc.rate_model
+
+    def test_a_compressor_without_compress_many_is_probed_by_compress(self):
+        from repro.compression.sz import SZCompressor
+
+        class ProtocolOnly:
+            def __init__(self):
+                self._inner = SZCompressor()
+                self.capabilities = self._inner.capabilities
+
+            def compress(self, data, eb, workspace=None):
+                return self._inner.compress(data, eb)
+
+            def decompress(self, block):
+                return self._inner.decompress(block)
+
+        parts = [p[:8, :8, :8] for p in self._partitions()]
+        adhoc = calibrate_rate_model(parts, compressor=ProtocolOnly(), eb_scale=0.05, seed=0)
+        assert adhoc.rate_model == calibrate_rate_model(parts, eb_scale=0.05, seed=0).rate_model
