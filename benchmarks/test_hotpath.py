@@ -6,7 +6,7 @@ Measures the two performance claims of the zero-copy/estimator layer:
    Lorenzo -> residual encode) against a frozen copy of the seed
    implementation (per-call temporaries, ``np.diff`` chain, allocating
    residual encode), kernel-only and end-to-end;
-2. ``calibrate_rate_model(probe_mode="estimate")`` against
+2. ``calibrate_rate_model(probe_mode="model")`` against
    ``probe_mode="exact"`` on the benchmark grid at two partition sizes
    (32^3 — the closest laptop-scale stand-in for the paper's 64^3
    partitions — and 16^3), asserting that the codec-free probe stays
@@ -134,8 +134,9 @@ def test_hotpath(benchmark):
         }
         for blocks in CALIBRATION_BLOCKS:
             views = BlockDecomposition(data.shape, blocks=blocks).partition_views(data)
-            for mode in ("exact", "estimate"):
-                t[f"calibration_{mode}_b{blocks}_s"] = _best_of(
+            # record keys keep the codec-free mode's former name
+            for key, mode in (("exact", "exact"), ("estimate", "model")):
+                t[f"calibration_{key}_b{blocks}_s"] = _best_of(
                     lambda m=mode, v=views: calibrate_rate_model(
                         v, eb_scale=eb, max_partitions=24, seed=0, probe_mode=m
                     )
@@ -144,7 +145,7 @@ def test_hotpath(benchmark):
 
     t = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # Fit agreement: estimate-mode calibration must predict the same
+    # Fit agreement: model-mode calibration must predict the same
     # bit rates as exact-mode to within 10% across the probe range.
     primary = CALIBRATION_BLOCKS[0]
     views = BlockDecomposition(data.shape, blocks=primary).partition_views(data)
@@ -152,7 +153,7 @@ def test_hotpath(benchmark):
         views, eb_scale=eb, max_partitions=24, seed=0, probe_mode="exact"
     )
     fit_est = calibrate_rate_model(
-        views, eb_scale=eb, max_partitions=24, seed=0, probe_mode="estimate"
+        views, eb_scale=eb, max_partitions=24, seed=0, probe_mode="model"
     )
     means = np.array([float(np.mean(np.abs(v))) for v in views])
     fit_dev = max(
@@ -228,10 +229,10 @@ def test_hotpath(benchmark):
         )
     )
 
-    assert fit_dev < 0.10, f"estimate-mode fit deviates {fit_dev:.1%} from exact"
+    assert fit_dev < 0.10, f"model-mode fit deviates {fit_dev:.1%} from exact"
     if not SMOKE:
         assert primary_speedup >= MIN_CALIBRATION_SPEEDUP, (
-            f"estimate-mode calibration only {primary_speedup:.2f}x faster"
+            f"model-mode calibration only {primary_speedup:.2f}x faster"
         )
         # The kernel fusion must not regress; the recorded speedup is
         # the trajectory metric (codec time dominates end-to-end, so the

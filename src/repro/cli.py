@@ -484,12 +484,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_list_compressors(args: argparse.Namespace) -> int:
     default_family = REGISTRY.default().family
-    flag_names = (
-        "error_bounded",
-        "fixed_rate",
-        "supports_estimate",
-        "supports_workspace",
-    )
+    flag_names = ("error_bounded", "fixed_rate", "supports_estimate")
     rows = []
     for family in REGISTRY.families():
         caps = REGISTRY.capabilities(family)
@@ -635,9 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--probe-mode",
         default="exact",
         choices=PROBE_MODES,
-        help="rate-model calibration probes: run the full codec (exact), "
-        "predict rates from code histograms (estimate, faster), or the "
-        "closed-form ratio-quality model (model)",
+        help="rate-model calibration probes: run the full codec (exact) or "
+        "read rates off the quantization-code histogram, codec-free (model)",
     )
     c.add_argument("--out", required=True)
     _add_telemetry_flag(c)
@@ -673,9 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--probe-mode",
         default="exact",
         choices=PROBE_MODES,
-        help="estimate rates from code histograms (estimate, implies "
-        "--rate-only) or predict rate AND quality analytically with the "
-        "ratio-quality model (model) instead of running the codec",
+        help="run the full codec per cell (exact), or predict rate AND "
+        "quality from one quantization probe with the ratio-quality model "
+        "(model; add --rate-only to read rates alone)",
     )
     s.add_argument(
         "--backend",
@@ -728,8 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--probe-mode",
         default="exact",
         choices=PROBE_MODES,
-        help="rate-model (re)calibration probes: full codec, codec-free "
-        "histogram estimates, or the closed-form ratio-quality model",
+        help="rate-model (re)calibration probes: the full codec (exact), or "
+        "the codec-free ratio-quality model (model), which also gates "
+        "re-selection on predicted quality",
     )
     st.add_argument(
         "--budget-bytes",

@@ -34,7 +34,7 @@ pipeline in vectorized NumPy:
 
 from repro.compression.sz import SZCompressor, CompressedBlock, decompress
 from repro.compression.workspace import Workspace
-from repro.compression.estimator import RateEstimate
+from repro.compression.estimator import RQEstimate
 from repro.compression.zfp_like import ZFPLikeCompressor
 from repro.compression.regression import AdaptiveSZCompressor
 from repro.compression.codecs import HuffmanCodec, RawCodec, ZlibCodec, get_codec
@@ -71,7 +71,7 @@ __all__ = [
     "CompressedBlock",
     "decompress",
     "Workspace",
-    "RateEstimate",
+    "RQEstimate",
     "ZFPLikeCompressor",
     "AdaptiveSZCompressor",
     "HuffmanCodec",

@@ -7,10 +7,9 @@ a first-class, registry-resolved citizen so that argument becomes a
 select_compressor`) instead of a hard-coded default:
 
 - :class:`CompressorCapabilities` — what a compressor family can do
-  (``error_bounded``, ``fixed_rate``, ``supports_estimate``,
-  ``supports_workspace``), checked by every consumer that needs a
-  capability instead of dying with an ``AttributeError`` deep inside
-  calibration,
+  (``error_bounded``, ``fixed_rate``, ``supports_estimate``), checked
+  by every consumer that needs a capability instead of dying with an
+  ``AttributeError`` deep inside calibration,
 - :class:`CompressorSpec` — a serializable (family + params) value
   naming one concrete configuration; what sweeps fan over, what the
   stream ledger records with every decision, and what the
@@ -92,16 +91,12 @@ class CompressorCapabilities:
     supports_estimate:
         Provides ``estimate_many(views, ebs, workspace=None)`` — the
         batched codec-free rate/quality probe behind
-        ``probe_mode="estimate"`` and ``"model"``.
-    supports_workspace:
-        ``compress`` accepts a reusable
-        :class:`~repro.compression.workspace.Workspace` scratch arena.
+        ``probe_mode="model"``.
     """
 
     error_bounded: bool = False
     fixed_rate: bool = False
     supports_estimate: bool = False
-    supports_workspace: bool = False
 
     def require(self, capability: str, operation: str, who: object = None) -> None:
         """Raise :class:`UnsupportedCapabilityError` unless ``capability`` holds."""
@@ -120,7 +115,6 @@ SZ_CAPABILITIES = CompressorCapabilities(
     error_bounded=True,
     fixed_rate=False,
     supports_estimate=True,
-    supports_workspace=True,
 )
 
 #: The *raw* fixed-rate codec carries a declaration too (attached here —
@@ -343,9 +337,9 @@ class ZFPLikeAdapter:
 class AdaptiveSZAdapter:
     """Registry adapter for the SZ2-style regression-predictor compressor.
 
-    Error-bounded like plain SZ but without the histogram estimator or
-    workspace arena — the capability flags say so, and the estimate-mode
-    probe paths raise :class:`UnsupportedCapabilityError` instead of an
+    Error-bounded like plain SZ but without the histogram estimator —
+    the capability flags say so, and the codec-free probe paths raise
+    :class:`UnsupportedCapabilityError` instead of an
     ``AttributeError``.
     """
 
@@ -636,7 +630,6 @@ def capabilities_of(compressor: Any) -> CompressorCapabilities:
     return CompressorCapabilities(
         error_bounded=True,
         supports_estimate=hasattr(compressor, "estimate_many"),
-        supports_workspace=False,
     )
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "HEADER_BYTES",
     "PAYLOAD_CONTAINER_BYTES",
     "UNIFORM_MSE_FACTOR",
-    "RateEstimate",
     "RQEstimate",
     "code_census_rows",
     "estimate_nbytes_rows",
@@ -122,27 +121,6 @@ _HUFF_TABLE_PER_SYMBOL = 0.44
 UNIFORM_MSE_FACTOR = 1.0 / 3.0
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """Predicted size of one compressed block, without running a codec."""
-
-    n_elements: int
-    source_itemsize: int
-    n_outliers: int
-    code_bits_per_value: float  # predicted entropy-stage bits/value
-    est_nbytes: float  # total predicted block size (header included)
-
-    @property
-    def bit_rate(self) -> float:
-        """Predicted average bits stored per value."""
-        return 8.0 * self.est_nbytes / self.n_elements
-
-    @property
-    def ratio(self) -> float:
-        """Predicted compression ratio vs. the uncompressed source."""
-        return self.source_itemsize * self.n_elements / self.est_nbytes
-
-
 def predicted_quantization_mse(
     n_elements: int,
     n_outliers: int,
@@ -188,19 +166,35 @@ def predicted_nrmse(mse: float, value_range: float) -> float:
 
 
 @dataclass(frozen=True)
-class RQEstimate(RateEstimate):
-    """A :class:`RateEstimate` extended with predicted quality.
+class RQEstimate:
+    """Predicted size *and* quality of one compressed block, without
+    running a codec.
 
     One quantization-statistics probe yields both halves of the
-    ratio-quality trade (Jin et al.'s R-Q modeling follow-up): the rate
-    fields inherited from :class:`RateEstimate` plus a closed-form
-    distortion prediction from the outlier census and the uniform error
-    model — no Lorenzo decode, no entropy codec, no decompression.
+    ratio-quality trade (Jin et al.'s R-Q modeling follow-up): the size
+    from the code histogram, plus a closed-form distortion prediction
+    from the outlier census and the uniform error model — no Lorenzo
+    decode, no entropy codec, no decompression.
     """
 
+    n_elements: int
+    source_itemsize: int
+    n_outliers: int
+    code_bits_per_value: float  # predicted entropy-stage bits/value
+    est_nbytes: float  # total predicted block size (header included)
     eb: float  #: absolute error bound the probe quantized at
     value_range: float  #: original min-max range (PSNR/NRMSE normalizer)
     predicted_mse: float  #: closed-form MSE (uniform model, outliers exact)
+
+    @property
+    def bit_rate(self) -> float:
+        """Predicted average bits stored per value."""
+        return 8.0 * self.est_nbytes / self.n_elements
+
+    @property
+    def ratio(self) -> float:
+        """Predicted compression ratio vs. the uncompressed source."""
+        return self.source_itemsize * self.n_elements / self.est_nbytes
 
     @property
     def predicted_psnr_db(self) -> float:

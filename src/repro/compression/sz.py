@@ -325,9 +325,8 @@ class SZCompressor:
         distortion prediction, so the returned
         :class:`~repro.compression.estimator.RQEstimate` carries
         predicted PSNR/NRMSE alongside the rate.  This is the fast path
-        for rate-model calibration, rate-only sweeps
-        (``probe_mode="estimate"``) and the ratio-quality engine
-        (``probe_mode="model"``).
+        behind ``probe_mode="model"``: rate-model calibration, rate-only
+        sweeps and the ratio-quality engine.
         """
         return self.estimate_many([data], [eb], workspace)[0]
 

@@ -20,12 +20,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.foresight.quality import QualityCriteria
 
-from repro.compression.api import (
-    Compressor,
-    CompressorSpec,
-    capabilities_of,
-    resolve_compressor,
-)
+from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.models.calibration import check_probe_mode
 from repro.parallel.backends import SnapshotResult
 from repro.parallel.decomposition import BlockDecomposition
@@ -107,8 +102,8 @@ class TrialAndErrorSearch:
         — one batched quantization probe per candidate, no codec, no
         decompression — and only ever *compresses* the predicted winner.
         Requires ``criteria`` (the engine predicts criteria verdicts,
-        not arbitrary callables) and a compressor with the
-        ``supports_estimate`` capability.
+        not arbitrary callables) and a compressor that can be probed
+        codec-free (:func:`~repro.models.calibration.check_probe_mode`).
     confirm:
         Exact-confirmation policy for ``probe_mode="model"``:
         ``"always"`` (default) runs one real trial on the predicted
@@ -128,7 +123,8 @@ class TrialAndErrorSearch:
     ) -> None:
         if (quality_check is None) == (criteria is None):
             raise ValueError("provide exactly one of quality_check or criteria")
-        check_probe_mode(probe_mode, allowed=("exact", "model"))
+        self.compressor = resolve_compressor(compressor)
+        self.probe_mode = check_probe_mode(probe_mode, self.compressor)
         if confirm not in ("always", "never"):
             raise ValueError(f"confirm must be 'always' or 'never', got {confirm!r}")
         if probe_mode == "model" and criteria is None:
@@ -138,15 +134,7 @@ class TrialAndErrorSearch:
             )
         self.quality_check = quality_check
         self.criteria = criteria
-        self.compressor = resolve_compressor(compressor)
-        self.probe_mode = probe_mode
         self.confirm = confirm
-        if probe_mode == "model":
-            capabilities_of(self.compressor).require(
-                "supports_estimate",
-                'probe_mode="model" (closed-form ratio-quality prediction)',
-                who=self.compressor,
-            )
         self.trials: list[TrialRecord] = []
 
     def search(

@@ -38,14 +38,18 @@ from repro.compression.api import (
 from repro.core.config import FieldSpec
 from repro.foresight.evaluator import FieldReference
 from repro.foresight.quality import QualityCriteria
-from repro.models.calibration import CalibrationResult, RateModelBank, check_probe_mode
+from repro.models.calibration import (
+    CalibrationResult,
+    RateModelBank,
+    check_probe_mode,
+    sample_views,
+)
 from repro.models.fft_error import (
     spectrum_ratio_tolerance_to_eb,
     sub_threshold_power_estimate,
 )
 from repro.models.rq_model import RQModel, RQPrediction
 from repro.parallel.decomposition import BlockDecomposition
-from repro.util.rng import default_rng
 
 __all__ = [
     "derive_eb_budget",
@@ -142,7 +146,7 @@ class CandidateVerdict:
         """JSON-ready summary (what the stream ledger records).
 
         Model-mode keys appear only when predictions were made, so
-        exact/estimate-mode ledger records keep their pre-R-Q shape.
+        exact-mode ledger records keep their pre-R-Q shape.
         """
         out: dict[str, Any] = {
             "spec": self.spec.to_dict(),
@@ -231,19 +235,6 @@ class SelectionResult:
 _QUALITY_GATE_SLACK = 0.05
 
 
-def _sample_views(
-    views: list[np.ndarray], sample_partitions: int, seed: int
-) -> list[np.ndarray]:
-    """The seeded partition sample both measured and modeled probes use."""
-    if len(views) <= sample_partitions:
-        return [np.asarray(v) for v in views]
-    rng = default_rng(seed)
-    idx = np.sort(
-        rng.choice(np.arange(len(views)), size=sample_partitions, replace=False)
-    )
-    return [np.asarray(views[i]) for i in idx]
-
-
 def _count_probe(kind: str) -> None:
     """Telemetry counter for one candidate probe (no-op when disarmed)."""
     if telemetry.enabled():
@@ -267,7 +258,7 @@ def _measure_fixed_rate(
     total_bytes = 0
     total_elems = 0
     max_err = 0.0
-    for view in _sample_views(views, sample_partitions, seed):
+    for view in sample_views(views, sample_partitions, seed):
         block = comp.compress(view, eb_avg)
         recon = comp.decompress(block)
         total_bytes += int(block.nbytes)
@@ -320,20 +311,28 @@ def select_compressor(
     the admissible bound (one batched quantization pass over a seeded
     partition sample), and gated on the *predicted* quality-at-bound —
     their verdicts carry the predicted PSNR and spectrum/halo verdicts.
-    Error-bounded candidates without the ``supports_estimate``
-    capability raise
-    :class:`~repro.compression.api.UnsupportedCapabilityError`.
+    Error-bounded candidates that cannot be probed codec-free raise
+    :class:`~repro.compression.api.UnsupportedCapabilityError`
+    (:func:`~repro.models.calibration.check_probe_mode`) before any
+    candidate is calibrated.
     Fixed-rate candidates are still measured (a codec with no
     quantization stage has nothing to model), which keeps their §2.2
     violation quantified and the slate's verdicts identical to exact
     mode while eliminating every error-bounded trial compression.
 
+    The probe mode has one source: a passed ``bank`` must have been
+    built with the same ``probe_mode`` (``ValueError`` otherwise), so an
+    exact-probed fit never meets a model-mode quality gate or vice versa.
+
     Raises ``ValueError`` when no candidate is eligible, with every
     verdict in the message.
     """
-    if not candidates:
-        candidates = default_candidates()
-    model_mode = check_probe_mode(probe_mode) == "model"
+    comps = [resolve_compressor(c) for c in candidates or default_candidates()]
+    # Fixed-rate candidates are measured in either mode; only the
+    # error-bounded ones are probed.
+    check_probe_mode(
+        probe_mode, *(c for c in comps if capabilities_of(c).error_bounded)
+    )
     field_spec = field_spec or FieldSpec()
     ref = reference
     if eb_avg is None:
@@ -346,10 +345,16 @@ def select_compressor(
         bank = RateModelBank(
             probe_mode=probe_mode, max_partitions=max_partitions, seed=seed
         )
+    elif bank.probe_mode != probe_mode:
+        raise ValueError(
+            f"bank was built with probe_mode={bank.probe_mode!r} but "
+            f"select_compressor was called with probe_mode={probe_mode!r}; "
+            "pass the same mode to both"
+        )
     views = decomposition.partition_views(data)
 
     rq: RQModel | None = None
-    if model_mode:
+    if probe_mode == "model":
         ref = ref if ref is not None else FieldReference(data)
         rq = RQModel(
             ref,
@@ -364,17 +369,9 @@ def select_compressor(
 
     verdicts: list[CandidateVerdict] = []
     scored: list[tuple[float, int, Any]] = []  # (predicted rate, index, instance)
-    for cand in candidates:
-        comp = resolve_compressor(cand)
-        caps = capabilities_of(comp)
+    for comp in comps:
         spec = spec_of(comp) or CompressorSpec.make(type(comp).__name__)
-        if caps.error_bounded:
-            if rq is not None:
-                caps.require(
-                    "supports_estimate",
-                    'probe_mode="model" (closed-form ratio-quality prediction)',
-                    who=comp,
-                )
+        if capabilities_of(comp).error_bounded:
             try:
                 calibration = bank.calibrate(
                     field, views, compressor=comp, eb_scale=eb_avg
@@ -392,11 +389,11 @@ def select_compressor(
             predicted = float(
                 np.mean(model.predict_bitrate(calibration.features, eb_avg))
             )
+            _count_probe(probe_mode)
             prediction: RQPrediction | None = None
             if rq is not None:
-                _count_probe("model")
                 prediction = rq.probe(
-                    comp, _sample_views(views, sample_partitions, seed), eb_avg
+                    comp, sample_views(views, sample_partitions, seed), eb_avg
                 )
                 gate = rq.criteria.spectrum_tolerance * (1.0 + _QUALITY_GATE_SLACK)
                 if not prediction.passed and prediction.spectrum_worst_deviation > gate:
@@ -417,8 +414,6 @@ def select_compressor(
                         )
                     )
                     continue
-            else:
-                _count_probe(probe_mode)
             reason = (
                 f"error-bounded; predicted {predicted:.3f} bits/value "
                 f"at eb={eb_avg:.4g}"

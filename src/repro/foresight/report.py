@@ -24,7 +24,7 @@ _COLUMNS = (
 
 
 def _row(r: SweepRecord) -> list[object]:
-    if r.quality is None:  # rate-only / estimate-mode record
+    if r.quality is None:  # rate-only record
         return [r.field, r.eb, r.bit_rate, r.ratio, float("nan"), float("nan"), float("nan"), "-"]
     return [
         r.field,

@@ -5,17 +5,17 @@ uses for ground truth and baselines.  Each record carries rate *and*
 quality, so downstream code can pick operating points or validate the
 models' predictions.
 
-Rate-curve studies don't need the quality half (or even the compressed
-bytes): ``rate_only=True`` skips decompression and quality evaluation,
-and ``probe_mode="estimate"`` additionally skips the entropy codec,
-reading each bit rate off the quantization-code histogram
-(:mod:`repro.compression.estimator`) instead.  ``probe_mode="model"``
-goes one step further: each ``(field, eb)`` cell gets a *predicted*
-quality report from the closed-form ratio-quality engine
-(:mod:`repro.models.rq_model`) — one batched quantization probe, no
-compression, no decompression, no reconstruction analysis — with an
-exact-confirmation knob (``confirm=``) that re-runs borderline cells
-through the real pipeline.
+Rate-curve studies don't need the quality half: ``rate_only=True``
+skips decompression and quality evaluation.  ``probe_mode="model"``
+skips the entropy codec too: each ``(field, eb)`` cell is sized from
+the quantization-code histogram (:mod:`repro.compression.estimator`)
+and gets a *predicted* quality report from the closed-form
+ratio-quality engine (:mod:`repro.models.rq_model`) — one batched
+quantization probe, no compression, no decompression, no
+reconstruction analysis — with an exact-confirmation knob
+(``confirm=``) that re-runs borderline cells through the real
+pipeline.  The two compose: a ``"model"`` sweep with ``rate_only=True``
+reads rates off the probe and never builds a field reference.
 
 Quality sweeps share one :class:`~repro.foresight.evaluator.QualityEvaluator`
 per field, so the original-side analyses (``rfftn`` power spectrum, halo
@@ -37,7 +37,6 @@ import numpy as np
 from repro.compression.api import (
     Compressor,
     CompressorSpec,
-    capabilities_of,
     decompress_any,
     decompress_many,
     resolve_compressor,
@@ -166,16 +165,17 @@ def run_sweep(
         Skip decompression and quality evaluation; records carry
         ``quality=None``.
     probe_mode:
-        ``"exact"`` (default) runs the full compressor; ``"estimate"``
-        predicts rates from code histograms without running the entropy
-        codec; ``"model"`` predicts rate *and* quality — each record's
-        ``quality`` is the ratio-quality engine's predicted
-        :class:`QualityReport` (predicted PSNR/NRMSE, predicted spectrum
-        and halo verdicts), from one batched quantization probe per
-        ``(field, eb)``.  Both codec-free modes require every swept
-        compressor to declare the ``supports_estimate`` capability
-        (:class:`~repro.compression.api.UnsupportedCapabilityError`
-        otherwise); ``"estimate"`` sweeps are inherently rate-only.
+        ``"exact"`` (default) runs the full compressor; ``"model"``
+        predicts rate *and* quality without running the entropy codec —
+        each record's ``quality`` is the ratio-quality engine's
+        predicted :class:`QualityReport` (predicted PSNR/NRMSE,
+        predicted spectrum and halo verdicts), from one batched
+        quantization probe per ``(field, eb)``; with ``rate_only=True``
+        only the rate half of the probe is read.  Every swept
+        compressor must be able to serve the probe
+        (:func:`~repro.models.calibration.check_probe_mode`;
+        :class:`~repro.compression.api.UnsupportedCapabilityError`
+        otherwise).
     backend:
         Execution backend (registry name or instance) for the quality
         evaluations, which are independent per ``(field, eb)``.  ``None``
@@ -201,7 +201,17 @@ def run_sweep(
         raise ValueError("need at least one field")
     if len(ebs) == 0:
         raise ValueError("need at least one error bound")
-    check_probe_mode(probe_mode)
+    if compressors is not None and compressor is not None:
+        raise ValueError("pass either compressor or compressors, not both")
+    if compressors is not None and not len(list(compressors)):
+        raise ValueError("compressors must name at least one configuration")
+    multi = compressors is not None
+    comps = (
+        [resolve_compressor(c) for c in compressors]
+        if multi
+        else [resolve_compressor(compressor)]
+    )
+    check_probe_mode(probe_mode, *comps)
     if confirm not in ("never", "boundary", "always"):
         raise ValueError(
             f"confirm must be 'never', 'boundary' or 'always', got {confirm!r}"
@@ -211,32 +221,13 @@ def run_sweep(
             'confirm applies only to probe_mode="model" '
             f"(got confirm={confirm!r} with probe_mode={probe_mode!r})"
         )
-    if compressors is not None and compressor is not None:
-        raise ValueError("pass either compressor or compressors, not both")
-    if compressors is not None and not len(list(compressors)):
-        raise ValueError("compressors must name at least one configuration")
-    if probe_mode == "estimate":
-        rate_only = True  # no payloads exist to decompress
-    multi = compressors is not None
-    comps = (
-        [resolve_compressor(c) for c in compressors]
-        if multi
-        else [resolve_compressor(compressor)]
-    )
-    if probe_mode != "exact":
-        for comp in comps:
-            capabilities_of(comp).require(
-                "supports_estimate",
-                f'probe_mode="{probe_mode}" (codec-free quantization probing)',
-                who=comp,
-            )
     owns_backend = isinstance(backend, str)
     exec_backend = get_backend(backend) if backend is not None else None
     records: list[SweepRecord] = []
     # One lazily-built FieldReference per field, shared across every
     # compressor (and with the R-Q models), so the original-side
     # analyses run at most once per field per sweep — and not at all on
-    # rate-only / estimate paths, which never touch a reference.
+    # rate-only paths, which never touch a reference.
     refs: dict[str, FieldReference] = {}
 
     def field_ref(name: str, data: np.ndarray) -> FieldReference:
@@ -271,7 +262,6 @@ def run_sweep(
                     quality: QualityReport | None = None
                     measure = probe_mode == "exact"
                     if not measure:
-                        # "estimate" is "model" with rate_only forced on.
                         sized = comp.estimate_many(views, [eb] * len(views))
                         nbytes = sum(e.est_nbytes for e in sized)
                         if not rate_only:

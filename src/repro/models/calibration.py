@@ -13,8 +13,7 @@ simulation campaign); the in situ path only ever evaluates the fitted
 model.
 
 Probing only needs the *bit rate* of each (partition, bound), not the
-compressed bytes, so ``probe_mode="estimate"`` (and its superset
-``"model"``, the full ratio-quality engine of
+compressed bytes, so ``probe_mode="model"`` (the ratio-quality engine of
 :mod:`repro.models.rq_model`) reads the rate off the quantization-code
 histogram (:mod:`repro.compression.estimator`) and skips the entropy
 codec entirely — the histogram-based size prediction of the
@@ -25,18 +24,16 @@ exact probe and is now the larger part of it (run-length DEFLATE is
 cheap), so the codec-free probe is 1.3-1.7x faster on 32^3 partitions,
 not the >= 3x it was over an LZ77 entropy stage; fitted coefficients
 stay within the estimator's accuracy band of the exact-mode fit.  All probe
-bounds for one partition run as a *single* batched quantization pass
-(:meth:`~repro.compression.sz.SZCompressor.estimate_many`), and
-residual probe work can fan over the
-:mod:`repro.parallel.backends` registry via ``backend=``.
+bounds for one partition run as a *single* batched pass
+(:meth:`~repro.compression.sz.SZCompressor.estimate_many`, or
+``compress_many`` when the codec runs), in process: partitions are
+probed one after another by the calling thread.
 """
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,9 +47,6 @@ from repro.compression.api import (
 from repro.models.rate_model import RateModel, fit_power_law
 from repro.util.rng import default_rng
 
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.parallel.backends import ExecutionBackend
-
 __all__ = [
     "PROBE_MODES",
     "CalibrationResult",
@@ -60,98 +54,69 @@ __all__ = [
     "calibrate_rate_model",
     "check_probe_mode",
     "partition_feature",
+    "sample_views",
 ]
 
-#: ``exact`` runs the codec; the other two read rates off quantization
-#: statistics instead (both require ``supports_estimate``).
-PROBE_MODES = ("exact", "estimate", "model")
+#: ``exact`` runs the codec; ``model`` reads rate (and, downstream,
+#: quality) off quantization statistics instead.
+PROBE_MODES = ("exact", "model")
 
 
-def check_probe_mode(value: str, allowed: Sequence[str] = PROBE_MODES) -> str:
-    """``value`` if it is one of ``allowed``, else the one ``ValueError``
-    every ``probe_mode=`` parameter raises."""
-    if value not in allowed:
+def check_probe_mode(value: str, *compressors: Compressor) -> str:
+    """The one gate every ``probe_mode=`` parameter goes through.
+
+    Returns ``value`` if it is one of :data:`PROBE_MODES` (else the one
+    ``ValueError`` every entry point raises) and, for the codec-free
+    mode, requires the ``supports_estimate`` capability — the batched
+    ``estimate_many`` front — of each of ``compressors``
+    (:class:`~repro.compression.api.UnsupportedCapabilityError`).
+    """
+    if value not in PROBE_MODES:
         raise ValueError(
-            f"probe_mode must be one of {', '.join(map(repr, allowed))}, "
+            f"probe_mode must be one of {', '.join(map(repr, PROBE_MODES))}, "
             f"got {value!r}"
         )
+    if value != "exact":
+        for comp in compressors:
+            capabilities_of(comp).require(
+                "supports_estimate",
+                f'probe_mode="{value}" (codec-free quantization probe)',
+                who=comp,
+            )
     return value
 
 
+def sample_views(
+    views: Sequence[np.ndarray], k: int, seed: int | np.random.Generator | None
+) -> list[np.ndarray]:
+    """The seeded partition sample every probe draws: all of ``views``
+    when there are at most ``k``, else ``k`` of them in index order."""
+    idx = np.arange(len(views))
+    if len(views) > k:
+        idx = np.sort(default_rng(seed).choice(idx, size=k, replace=False))
+    return [np.asarray(views[i]) for i in idx]
+
+
 def _probe_rates(
-    comp: Compressor,
-    part: np.ndarray,
-    probe_ebs: Sequence[float],
-    probe_mode: str,
-    threads: int | None = None,
+    comp: Compressor, part: np.ndarray, probe_ebs: Sequence[float], probe_mode: str
 ) -> np.ndarray:
     """Bit rate at each probe bound for one partition.
 
     All bounds go through one batched call — ``compress_many`` when the
     codec runs, ``estimate_many`` when it does not — so the front is a
     single kernel pass over a ``(n_ebs, n)`` batch either way.
-    ``threads`` caps ``compress_many``'s entropy fan-out (``None``: the
-    compressor's default).  ``compress_many`` is not part of the
+    ``compress_many`` is not part of the
     :class:`~repro.compression.api.Compressor` protocol, so an ad-hoc
     compressor without it is probed one ``compress`` at a time.
     """
     views, ebs = [part] * len(probe_ebs), list(probe_ebs)
     if probe_mode != "exact":
         probes = comp.estimate_many(views, ebs)
-    elif not hasattr(comp, "compress_many"):
-        probes = [comp.compress(part, eb) for eb in ebs]
+    elif hasattr(comp, "compress_many"):
+        probes = comp.compress_many(views, ebs)
     else:
-        kwargs = {}
-        # duck-typed compressors may predate the parameter
-        if threads is not None and (
-            "threads" in inspect.signature(comp.compress_many).parameters
-        ):
-            kwargs["threads"] = threads
-        probes = comp.compress_many(views, ebs, **kwargs)
+        probes = [comp.compress(part, eb) for eb in ebs]
     return np.array([p.bit_rate for p in probes])
-
-
-def _probe_partition(task: tuple) -> np.ndarray:
-    """Backend task: probe one partition (module-level, hence picklable).
-
-    Partitions already run side by side, one per pool worker, so the
-    compressor's own entropy-stage fan-out is pinned to one thread — the
-    convention of :mod:`repro.parallel.backends`' pool workers.
-    """
-    part, probe_ebs, spec_dict, probe_mode = task
-    comp = resolve_compressor(CompressorSpec.from_dict(spec_dict))
-    return _probe_rates(comp, np.asarray(part), probe_ebs, probe_mode, threads=1)
-
-
-def _fan_probes(
-    comp: Compressor,
-    probed: "list[np.ndarray]",
-    probe_ebs: Sequence[float],
-    probe_mode: str,
-    backend: "ExecutionBackend | str | None",
-) -> "list[np.ndarray]":
-    """Probe every sampled partition, serially or over a backend."""
-    if backend is None:
-        return [_probe_rates(comp, part, probe_ebs, probe_mode) for part in probed]
-    spec = spec_of(comp)
-    if spec is None:
-        raise ValueError(
-            "backend-fanned calibration needs a registry-resolvable "
-            "compressor spec (workers rebuild the compressor from it); "
-            "pass backend=None for ad-hoc compressor instances"
-        )
-    from repro.parallel.backends import get_backend
-
-    owned = isinstance(backend, str)
-    bk = get_backend(backend) if owned else backend
-    try:
-        tasks = [
-            (part, list(probe_ebs), spec.to_dict(), probe_mode) for part in probed
-        ]
-        return list(bk.map_tasks(_probe_partition, tasks))
-    finally:
-        if owned:
-            bk.close()
 
 
 def partition_feature(partition: np.ndarray) -> float:
@@ -189,7 +154,6 @@ def calibrate_rate_model(
     max_partitions: int = 32,
     seed: int | np.random.Generator | None = 0,
     probe_mode: str = "exact",
-    backend: "ExecutionBackend | str | None" = None,
 ) -> CalibrationResult:
     """Fit Eq. 15 from sampled partitions.
 
@@ -216,37 +180,24 @@ def calibrate_rate_model(
         a user would pick); centres the probe range.
     probe_mode:
         ``"exact"`` runs the full compressor per probe and reads the
-        real bit rate; ``"estimate"`` and ``"model"`` predict it from
-        the quantization-code histogram without running the entropy
+        real bit rate; ``"model"`` predicts it from the
+        quantization-code histogram without running the entropy
         codec — all probe bounds in one batched pass
         (:meth:`~repro.compression.sz.SZCompressor.estimate_many`) —
         1.3-1.7x faster, accurate to the estimator's tolerance.
-        (For calibration the two codec-free modes are equivalent; the
-        distinction matters downstream where ``"model"`` also predicts
-        quality — see :mod:`repro.models.rq_model`.)
-    backend:
-        Optional :mod:`repro.parallel.backends` backend (instance or
-        registry name) to fan the per-partition probes over.  Requires
-        a registry-resolvable compressor spec (workers rebuild the
-        compressor from it); a backend created here from a name is
-        closed before returning.
+        (Calibration reads only the rate half of the probe; downstream,
+        ``"model"`` also predicts quality — see
+        :mod:`repro.models.rq_model`.)
     """
     if not partitions:
         raise ValueError("need at least one partition to calibrate")
-    check_probe_mode(probe_mode)
     comp = resolve_compressor(compressor)
-    caps = capabilities_of(comp)
-    caps.require(
+    check_probe_mode(probe_mode, comp)
+    capabilities_of(comp).require(
         "error_bounded",
         "rate-model calibration (bitrate as a function of the error bound)",
         who=comp,
     )
-    if probe_mode != "exact":
-        caps.require(
-            "supports_estimate",
-            f'probe_mode="{probe_mode}" (codec-free histogram rate prediction)',
-            who=comp,
-        )
     if probe_ebs is None:
         probe_ebs = [eb_scale * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
     probe_ebs = [float(e) for e in probe_ebs]
@@ -255,13 +206,8 @@ def calibrate_rate_model(
     if any(e <= 0 for e in probe_ebs):
         raise ValueError("probe error bounds must be positive")
 
-    rng = default_rng(seed)
-    idx = np.arange(len(partitions))
-    if len(partitions) > max_partitions:
-        idx = np.sort(rng.choice(idx, size=max_partitions, replace=False))
-
-    probed = [np.asarray(partitions[i]) for i in idx]
-    all_rates = _fan_probes(comp, probed, probe_ebs, probe_mode, backend)
+    probed = sample_views(partitions, max_partitions, seed)
+    all_rates = [_probe_rates(comp, part, probe_ebs, probe_mode) for part in probed]
 
     exps: list[float] = []
     feats: list[float] = []
@@ -351,12 +297,10 @@ class RateModelBank:
         probe_mode: str = "exact",
         max_partitions: int = 32,
         seed: int = 0,
-        backend: "ExecutionBackend | str | None" = None,
     ) -> None:
-        self.probe_mode = probe_mode
+        self.probe_mode = check_probe_mode(probe_mode)
         self.max_partitions = int(max_partitions)
         self.seed = int(seed)
-        self.backend = backend
         self._cache: dict[tuple, CalibrationResult] = {}
 
     def __len__(self) -> int:
@@ -418,7 +362,6 @@ class RateModelBank:
             max_partitions=self.max_partitions,
             seed=self.seed,
             probe_mode=self.probe_mode,
-            backend=self.backend,
         )
         if key is not None:
             self._cache[key] = result

@@ -13,9 +13,7 @@ verdicts backed by **one** batched quantization probe
 
 - predicted bitrate / ratio from the code histogram (the PR 2 estimator),
 - predicted PSNR / NRMSE from the probe's *observed* quantization MSE
-  (the quantize pass's realised lattice error; the analytic uniform
-  model ``MSE = (n - n_outliers)/n * eb**2/3`` is the fallback for
-  probes that only report rates),
+  (the quantize pass's realised lattice error),
 - a predicted worst spectrum-ratio deviation over ``k < k_max`` (and its
   pass/fail verdict against the criteria tolerance),
 - a predicted halo mass-error fraction and verdict when the criteria
@@ -37,12 +35,10 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.compression.api import capabilities_of
 from repro.compression.estimator import (
-    RateEstimate,
+    RQEstimate,
     predicted_nrmse,
     predicted_psnr_db,
-    predicted_quantization_mse,
 )
 from repro.models.error_distribution import UniformErrorModel
 from repro.models.fft_error import (
@@ -166,9 +162,9 @@ class RQModel:
     field:
         Name stamped on predictions.
     error_model:
-        Pointwise error model supplying ``std_factor`` and the boundary
-        fault probability (default the §3.2 uniform model; pass the
-        §3.5 revised mixture for very large bounds).
+        Pointwise error model supplying the boundary fault probability
+        (default the §3.2 uniform model; pass the §3.5 revised mixture
+        for very large bounds).
     confidence_z / correlated_fraction / sub_power_stride:
         Passed through to
         :func:`~repro.models.fft_error.predicted_spectrum_distortion` —
@@ -266,39 +262,26 @@ class RQModel:
     # -- the prediction ----------------------------------------------------
 
     def predict(
-        self, eb: float, estimates: "Sequence[RateEstimate] | RateEstimate"
+        self, eb: float, estimates: "Sequence[RQEstimate] | RQEstimate"
     ) -> RQPrediction:
         """Compose one probe's statistics into a full R-Q verdict.
 
         ``estimates`` is the per-partition output of one
         ``estimate_many`` probe at ``eb`` (a single estimate is accepted
         for whole-field probes).  Rate aggregates over partitions.  MSE
-        pools each partition's *observed* quantization MSE (element-count
-        weighted) when the estimates carry one
-        (:class:`~repro.compression.estimator.RQEstimate`); plain
-        ``RateEstimate`` probes fall back to the analytic uniform model
-        with the error model's ``std_factor``.  Either way the PSNR
-        normalizer is the *field's* value range, so per-partition ranges
-        never skew it.
+        pools each partition's *observed* quantization MSE, element-count
+        weighted.  The PSNR normalizer is the *field's* value range, so
+        per-partition ranges never skew it.
         """
         eb = check_positive(eb, "eb")
-        if isinstance(estimates, RateEstimate):
+        if isinstance(estimates, RQEstimate):
             estimates = [estimates]
         if not estimates:
             raise ValueError("need at least one probe estimate")
         n = sum(e.n_elements for e in estimates)
-        n_out = sum(e.n_outliers for e in estimates)
         nbytes = float(sum(e.est_nbytes for e in estimates))
         itemsize = estimates[0].source_itemsize
-        mses = [getattr(e, "predicted_mse", None) for e in estimates]
-        if all(m is not None for m in mses):
-            mse = float(
-                sum(e.n_elements * m for e, m in zip(estimates, mses)) / n
-            )
-        else:
-            mse = predicted_quantization_mse(
-                n, n_out, eb, std_factor=self.error_model.std_factor
-            )
+        mse = float(sum(e.n_elements * e.predicted_mse for e in estimates) / n)
         value_range = self.reference.moments.value_range
         worst = self.predicted_spectrum_deviation(eb)
         halo = self.predicted_halo_error(eb)
@@ -327,15 +310,10 @@ class RQModel:
     ) -> RQPrediction:
         """One-call probe + predict for a partitioned field at one bound.
 
-        Requires the compressor's ``supports_estimate`` capability
-        (raises :class:`~repro.compression.api.UnsupportedCapabilityError`
-        otherwise), i.e. its batched ``estimate_many`` front.
+        Runs the compressor's batched ``estimate_many`` front; every
+        ``probe_mode=`` entry point has already required it
+        (:func:`~repro.models.calibration.check_probe_mode`).
         """
-        capabilities_of(compressor).require(
-            "supports_estimate",
-            "ratio-quality prediction (codec-free quantization probe)",
-            who=compressor,
-        )
         views = list(views)
         ests = compressor.estimate_many(views, [float(eb)] * len(views), workspace)
         return self.predict(eb, ests)

@@ -12,10 +12,11 @@ closes the loop one-shot compression leaves open —
   no model refits and no original-field re-analysis;
 - **drift-gated recalibration**: a per-field
   :class:`~repro.stream.drift.DriftDetector` compares the model's
-  predicted bitrate (PR 2's histogram estimator feeds the same
-  prediction path) against the achieved bitrate; only when the
+  predicted bitrate against the achieved bitrate; only when the
   standardized residuals drift does the controller re-fit the rate
-  model and re-invert the quality budget, reusing one
+  model (``probe_mode="exact"`` runs the codec for the probes,
+  ``"model"`` reads them off the quantization-code histogram) and
+  re-invert the quality budget, reusing one
   :class:`~repro.foresight.evaluator.FieldReference` for the budget
   inversion, the halo-spec derivation and the optional quality check;
 - **a run-level budget governor**: :class:`BudgetGovernor` tracks
@@ -173,12 +174,12 @@ class InSituController:
         data every snapshot (batch semantics) while still
         keeping the rate model warm.
     probe_mode:
-        Rate-model calibration probes: ``"exact"``, the codec-free
-        ``"estimate"`` (PR 2's histogram estimator), or ``"model"`` —
-        the closed-form ratio-quality engine
-        (:mod:`repro.models.rq_model`), which additionally gates
-        drift-triggered re-selection on *predicted* quality-at-bound
-        instead of trial compressions.
+        Rate-model calibration probes: ``"exact"`` (the codec runs) or
+        ``"model"`` — the closed-form ratio-quality engine
+        (:mod:`repro.models.rq_model`): rates come off the
+        quantization-code histogram, and drift-triggered re-selection
+        is gated on *predicted* quality-at-bound instead of trial
+        compressions.
     check_quality:
         Decompress and measure each field's achieved spectrum deviation
         (feeds the drift detector's quality channel; implied by a

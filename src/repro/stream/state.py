@@ -344,7 +344,9 @@ class RunConfig:
             drift=DriftConfig(**d["drift"]),
             recalibrate=d["recalibrate"],
             warm_start=d["warm_start"],
-            probe_mode=d["probe_mode"],
+            # Ledgers written before the codec-free modes merged may
+            # say "estimate"; its calibration probes were model mode's.
+            probe_mode="model" if d["probe_mode"] == "estimate" else d["probe_mode"],
         )
 
 

@@ -8,6 +8,7 @@ changed the compressed streams.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 from types import SimpleNamespace
 
@@ -215,8 +216,11 @@ class TestDecompressMany:
 class TestCapabilities:
     def test_declared(self):
         sz = capabilities_of(SZCompressor())
-        assert sz.error_bounded and sz.supports_estimate and sz.supports_workspace
+        assert sz.error_bounded and sz.supports_estimate
         assert not sz.fixed_rate
+        assert [f.name for f in dataclasses.fields(sz)] == [
+            "error_bounded", "fixed_rate", "supports_estimate"
+        ]
         zfp = capabilities_of(resolve_compressor("zfp_like"))
         assert zfp.fixed_rate and not zfp.error_bounded
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.compression.estimator import (
     HEADER_BYTES,
-    RateEstimate,
+    RQEstimate,
     code_census_rows,
     estimate_nbytes_rows,
 )
@@ -147,7 +147,7 @@ class TestAccuracy:
         eb = float(np.ptp(data.astype(np.float64))) * 1e-3
         block = comp.compress(data, eb)
         est = comp.estimate(data, eb)
-        assert isinstance(est, RateEstimate)
+        assert isinstance(est, RQEstimate)
         assert est.n_elements == block.n_elements
         assert est.n_outliers == block.n_outliers
         assert est.source_itemsize == block.source_itemsize

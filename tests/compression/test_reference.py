@@ -71,7 +71,7 @@ class TestRegistryDispatch:
         with pytest.raises(UnsupportedCapabilityError, match="supports_estimate"):
             calibrate_rate_model(
                 parts, compressor="sz:engine=classic", eb_scale=0.01,
-                probe_mode="estimate",
+                probe_mode="model",
             )
 
 

@@ -69,6 +69,20 @@ class TestMechanics:
         # Same bank, same field, same spec -> the calibration is a cache hit.
         assert again.calibration is first.calibration
 
+    @pytest.mark.parametrize(
+        "bank_mode, mode", [("exact", "model"), ("model", "exact")]
+    )
+    def test_bank_must_agree_with_probe_mode(self, snapshot, dec, bank_mode, mode):
+        """The mode has one source: an exact-probed fit never meets the
+        model-mode quality gate (or the reverse) by accident."""
+        with pytest.raises(ValueError, match="bank was built with probe_mode"):
+            select_compressor(
+                snapshot["temperature"],
+                dec,
+                bank=RateModelBank(probe_mode=bank_mode),
+                probe_mode=mode,
+            )
+
     def test_explicit_eb_avg_skips_budget_inversion(self, snapshot, dec):
         result = select_compressor(
             snapshot["temperature"], dec, eb_avg=123.0, max_partitions=8

@@ -103,11 +103,11 @@ class TestRateOnlySweep:
             assert fast.bit_rate == ref.bit_rate
             assert fast.ratio == ref.ratio
 
-    def test_estimate_mode_is_rate_only_and_close(self, snapshot, decomposition):
+    def test_model_rate_only_is_close(self, snapshot, decomposition):
         fields = {"temperature": snapshot["temperature"]}
         est = run_sweep(
             fields, ebs=[200.0, 2000.0], criteria={}, decomposition=decomposition,
-            probe_mode="estimate",
+            probe_mode="model", rate_only=True,
         )
         exact = run_sweep(
             fields, ebs=[200.0, 2000.0], criteria={}, decomposition=decomposition,
@@ -118,10 +118,10 @@ class TestRateOnlySweep:
             rel = abs(e.bit_rate - x.bit_rate) / x.bit_rate
             assert rel <= 0.10 or abs(e.bit_rate - x.bit_rate) <= 0.1
 
-    def test_estimate_mode_whole_field(self, snapshot):
+    def test_model_rate_only_whole_field(self, snapshot):
         records = run_sweep(
             {"temperature": snapshot["temperature"]}, ebs=[25.0], criteria={},
-            probe_mode="estimate",
+            probe_mode="model", rate_only=True,
         )
         assert len(records) == 1
         assert records[0].bit_rate > 0 and records[0].quality is None
@@ -131,7 +131,7 @@ class TestRateOnlySweep:
 
         records = run_sweep(
             {"temperature": snapshot["temperature"]}, ebs=[25.0], criteria={},
-            probe_mode="estimate",
+            probe_mode="model", rate_only=True,
         )
         table = records_to_table(records, title="rate only")
         csv = records_to_csv(records)

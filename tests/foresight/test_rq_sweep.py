@@ -92,9 +92,11 @@ class TestLazyReferences:
         records = run_sweep({"d": field}, EBS, crit, rate_only=True)
         assert all(r.quality is None for r in records)
 
-    def test_estimate_builds_no_reference(self, field, crit, monkeypatch):
+    def test_model_rate_only_builds_no_reference(self, field, crit, monkeypatch):
         self._forbid_references(monkeypatch)
-        records = run_sweep({"d": field}, EBS, crit, probe_mode="estimate")
+        records = run_sweep(
+            {"d": field}, EBS, crit, probe_mode="model", rate_only=True
+        )
         assert all(r.quality is None for r in records)
 
     def test_quality_sweep_shares_one_reference_across_compressors(

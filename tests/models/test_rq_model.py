@@ -29,9 +29,10 @@ from repro.core.baselines import TrialAndErrorSearch
 from repro.core.selection import select_compressor
 from repro.foresight.quality import QualityCriteria
 from repro.foresight.sweep import run_sweep
-from repro.models.calibration import calibrate_rate_model
+from repro.models.calibration import RateModelBank, calibrate_rate_model
 from repro.models.rq_model import RQModel, RQPrediction
 from repro.parallel.decomposition import BlockDecomposition
+from repro.stream.controller import InSituController
 
 
 def _smooth_field(seed: int, shape=(16, 16, 16), dtype=np.float64) -> np.ndarray:
@@ -212,6 +213,24 @@ class TestCapabilityGates:
             TrialAndErrorSearch(
                 criteria=crit, compressor="sz_adaptive", probe_mode="model"
             )
+
+    def test_estimate_is_not_a_mode_at_any_entry_point(self):
+        """The former third mode raises the one probe_mode ValueError."""
+        data = _smooth_field(8)
+        dec = BlockDecomposition(data.shape, (2, 2, 2))
+        crit = QualityCriteria(spectrum_tolerance=0.01, spectrum_k_max=6)
+        for call in (
+            lambda m: calibrate_rate_model([data], eb_scale=1e-2, probe_mode=m),
+            lambda m: RateModelBank(probe_mode=m),
+            lambda m: select_compressor(data, dec, eb_avg=1e-2, probe_mode=m),
+            lambda m: run_sweep({"d": data}, [1e-3], {}, probe_mode=m),
+            lambda m: TrialAndErrorSearch(criteria=crit, probe_mode=m),
+            lambda m: InSituController(dec, probe_mode=m),
+        ):
+            with pytest.raises(
+                ValueError, match="probe_mode must be one of 'exact', 'model', got 'estimate'"
+            ):
+                call("estimate")
 
     def test_trial_search_needs_criteria(self):
         with pytest.raises(ValueError, match="criteria"):

@@ -90,6 +90,29 @@ class TestFrozenFixtures:
         ]
         assert state.governor.spent == state.report.compressed_bytes
 
+    def test_estimate_stamped_ledger_folds_to_model_mode(self, tmp_path):
+        """``"estimate"`` stopped being a probe mode; a ledger whose
+        ``run_start`` still says so reads as ``"model"`` (what its
+        calibration probes were), resumes and replays."""
+        from repro.stream.controller import InSituController
+
+        lines = (FIXTURES / "v3_ledger.jsonl").read_text().splitlines()
+        start = json.loads(lines[0])
+        assert start["kind"] == "run_start" and start["data"]["probe_mode"] == "exact"
+        start["data"]["probe_mode"] = "estimate"
+        lines[0] = json.dumps(start, sort_keys=True, separators=(",", ":"))
+        old = tmp_path / "estimate.jsonl"
+        old.write_text("\n".join(lines) + "\n")
+
+        ctl = InSituController.resume(old)
+        assert ctl.state.config.probe_mode == ctl.probe_mode == "model"
+        ctl.close()
+        decisions = replay_ledger(old, verify=True)
+        pinned = json.loads((FIXTURES / "v3_ledger.decisions.json").read_text())
+        assert [(d.snapshot_index, d.field, list(d.ebs)) for d in decisions] == [
+            (p["snapshot"], p["field"], p["ebs"]) for p in pinned
+        ]
+
     def test_v3_fixture_tamper_names_the_seq(self, tmp_path):
         lines = (FIXTURES / "v3_ledger.jsonl").read_text().splitlines()
         budget = next(

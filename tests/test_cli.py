@@ -223,7 +223,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "temperature" in out
 
-    def test_sweep_rate_only_estimate(self, snap_path, capsys):
+    def test_sweep_rate_only_model(self, snap_path, capsys):
         rc = main(
             [
                 "sweep",
@@ -236,7 +236,8 @@ class TestCommands:
                 "--ebs",
                 "50,500",
                 "--probe-mode",
-                "estimate",
+                "model",
+                "--rate-only",
             ]
         )
         assert rc == 0
@@ -246,8 +247,22 @@ class TestCommands:
         # Rate-only records carry no pass/fail verdict in the last column.
         assert all(row.split("|")[-1].strip() == "-" for row in data_rows)
 
-    def test_compress_estimate_probe_mode(self, snap_path, tmp_path, capsys):
-        out = tmp_path / "blocks-est.npz"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compress", "--snapshot", "s.npz", "--field", "temperature", "--out", "o"],
+            ["sweep", "--snapshot", "s.npz", "--field", "temperature"],
+            ["stream", "--simulate"],
+        ],
+    )
+    def test_estimate_is_no_longer_a_probe_mode(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--probe-mode", "estimate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'estimate'" in capsys.readouterr().err
+
+    def test_compress_model_probe_mode(self, snap_path, tmp_path, capsys):
+        out = tmp_path / "blocks-model.npz"
         rc = main(
             [
                 "compress",
@@ -258,7 +273,7 @@ class TestCommands:
                 "--blocks",
                 "2",
                 "--probe-mode",
-                "estimate",
+                "model",
                 "--out",
                 str(out),
             ]

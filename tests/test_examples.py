@@ -4,17 +4,25 @@ public name must break Tier-1, not a user's first run.
 Every ``examples/*.py`` guards ``main()`` behind ``__name__ ==
 "__main__"``, so importing one resolves all of its ``repro`` imports
 without running it.  The storage-budget example is additionally *run*:
-it is the batch front door (the controller with frozen models).
+it is the batch front door (the controller with frozen models).  The
+prose that shows users what to type — README, ``docs/``, the examples —
+may only name probe modes that exist.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.py"))
+from repro.models.calibration import PROBE_MODES
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+USER_FACING = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")), *EXAMPLES]
+_MODE_LITERAL = re.compile(r"""probe_mode=["'](\w+)["']|--probe-mode[ =](\w+)""")
 
 
 def _load(path: Path):
@@ -31,6 +39,12 @@ def test_examples_found():
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
 def test_example_imports(path):
     assert callable(_load(path).main)
+
+
+@pytest.mark.parametrize("path", USER_FACING, ids=lambda p: p.name)
+def test_only_real_probe_modes_are_documented(path):
+    named = {py or cli for py, cli in _MODE_LITERAL.findall(path.read_text())}
+    assert named <= set(PROBE_MODES)
 
 
 def test_campaign_storage_budget_runs(capsys):
