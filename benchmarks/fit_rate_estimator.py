@@ -35,7 +35,7 @@ def _entropy(counts: np.ndarray) -> float:
 
 
 def collect() -> tuple[list[dict], list[dict]]:
-    comp, huff, deflater = SZCompressor(kernels="numpy"), HuffmanCodec(), ZlibCodec()
+    comp, huff, deflater = SZCompressor(), HuffmanCodec(), ZlibCodec()
     deflate, huffman = [], []
 
     def sample(views, eb, with_huffman):

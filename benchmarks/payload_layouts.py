@@ -81,7 +81,7 @@ def main() -> None:
     grid = (args.grid,) * 3
     snap = NyxSimulator(shape=grid, box_size=float(args.grid), seed=args.seed).snapshot(z=0.5)
     dec = BlockDecomposition(grid, blocks=args.grid // args.block)
-    comp = SZCompressor(kernels="numpy")
+    comp = SZCompressor()
     raw = sum(a.nbytes for a in snap.fields.values())
     totals: dict[tuple[str, int], list[float]] = {}
     stages: dict[tuple[str, int], list[float]] = {}  # (stage, width) -> [s, bytes, raw bytes]

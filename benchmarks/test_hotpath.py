@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.compression.codecs import get_codec
-from repro.compression.kernels import available_kernels, zigzag
+from repro.compression.kernels import zigzag
 from repro.compression.quantizer import DEFAULT_RADIUS
 from repro.compression.sz import SZCompressor
 from repro.models.calibration import calibrate_rate_model
@@ -44,11 +44,9 @@ SHAPE = (32, 32, 32) if SMOKE else (64, 64, 64)
 #: Field sizes for the batched compress_many comparison; each is cut
 #: into 32^3 blocks (the paper-scale partition the batch path targets).
 BATCH_GRIDS = ((32, 32, 32),) if SMOKE else ((64, 64, 64), (128, 128, 128))
-#: Wall-clock floors for the batched path, asserted only on real
+#: Wall-clock floor for the batched path, asserted only on real
 #: multi-core hardware (see the gate in test_batched_compress): the
-#: prange numba backend must win >= 5x end-to-end, the pure-NumPy
-#: batch >= 1.2x, both vs. a Python loop of single-block compresses.
-MIN_NUMBA_BATCH_SPEEDUP = 5.0
+#: batch must win >= 1.2x vs. a Python loop of single-block compresses.
 MIN_NUMPY_BATCH_SPEEDUP = 1.2
 #: Partition counts per axis for the calibration comparison; the first
 #: entry is the primary grid the speedup floor is asserted on.
@@ -273,14 +271,13 @@ def _stage_times(comp: SZCompressor, views, eb: float) -> dict[str, float]:
 
 
 def test_batched_compress(benchmark):
-    """Loop-of-compress vs. batched compress_many per kernel backend.
+    """Loop-of-compress vs. batched compress_many.
 
     Byte-identity between the two paths is asserted unconditionally;
     the wall-clock floors only on real multi-core hardware (single-core
     runners can't show a parallel win and shared CI timing is flaky).
     """
     cores = os.cpu_count() or 1
-    backends = list(available_kernels())
     grids = {}
     table_rows = []
     for grid in BATCH_GRIDS:
@@ -293,37 +290,33 @@ def test_batched_compress(benchmark):
             data
         )
         ebs = [eb] * len(views)
-        grid_record = {"n_blocks": len(views), "block": 32, "backends": {}}
-        for backend in backends:
-            comp = SZCompressor(kernels=backend)
-            comp.compress_many(views[:2], ebs[:2])  # warm workspace + JIT
-            batched = comp.compress_many(views, ebs)
-            singles = [comp.compress(v, eb) for v in views]
-            assert [b.payloads for b in batched] == [s.payloads for s in singles]
+        comp = SZCompressor()
+        comp.compress_many(views[:2], ebs[:2])  # warm workspace
+        batched = comp.compress_many(views, ebs)
+        singles = [comp.compress(v, eb) for v in views]
+        assert [b.payloads for b in batched] == [s.payloads for s in singles]
 
-            def run_loop(c=comp, v=views, e=eb):
-                return [c.compress(x, e) for x in v]
+        def run_loop(c=comp, v=views, e=eb):
+            return [c.compress(x, e) for x in v]
 
-            t_loop = _best_of(run_loop)
-            t_batch = _best_of(lambda c=comp, v=views, e=ebs: c.compress_many(v, e))
-            speedup = t_loop / t_batch
-            grid_record["backends"][backend] = {
-                "loop_s": t_loop,
-                "batch_s": t_batch,
-                "speedup": speedup,
-                "stages_s": _stage_times(comp, views, eb),
-            }
-            table_rows.append(
-                [f"{grid[0]}^3 / {backend}", t_loop, t_batch, speedup]
-            )
-        grids[f"{grid[0]}^3"] = grid_record
+        t_loop = _best_of(run_loop)
+        t_batch = _best_of(lambda c=comp, v=views, e=ebs: c.compress_many(v, e))
+        speedup = t_loop / t_batch
+        grids[f"{grid[0]}^3"] = {
+            "n_blocks": len(views),
+            "block": 32,
+            "loop_s": t_loop,
+            "batch_s": t_batch,
+            "speedup": speedup,
+            "stages_s": _stage_times(comp, views, eb),
+        }
+        table_rows.append([f"{grid[0]}^3", t_loop, t_batch, speedup])
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     record = {
         "kind": "batched_compress",
         "smoke": SMOKE,
         "cpu_count": cores,
-        "numba_available": "numba" in backends,
         "grids": grids,
     }
     trajectory = []
@@ -338,26 +331,19 @@ def test_batched_compress(benchmark):
     print()
     print(
         format_table(
-            ["grid / kernels", "loop (s)", "compress_many (s)", "speedup"],
+            ["grid", "loop (s)", "compress_many (s)", "speedup"],
             table_rows,
             title=f"Batched compress ({cores} core(s))"
             + (" [smoke]" if SMOKE else ""),
         )
     )
-    largest = grids[f"{BATCH_GRIDS[-1][0]}^3"]["backends"]
-    for backend, stats in largest.items():
-        stages = stats["stages_s"]
-        total = sum(stages.values())
-        breakdown = ", ".join(
-            f"{s}={stages[s] * 1e3:.1f}ms" for s in _STAGES
-        )
-        print(f"stages[{backend}] ({total * 1e3:.1f}ms total): {breakdown}")
+    largest = grids[f"{BATCH_GRIDS[-1][0]}^3"]
+    stages = largest["stages_s"]
+    total = sum(stages.values())
+    breakdown = ", ".join(f"{s}={stages[s] * 1e3:.1f}ms" for s in _STAGES)
+    print(f"stages ({total * 1e3:.1f}ms total): {breakdown}")
 
     if not SMOKE and cores >= 4:
-        if "numba" in largest:
-            assert largest["numba"]["speedup"] >= MIN_NUMBA_BATCH_SPEEDUP, (
-                f"numba batch only {largest['numba']['speedup']:.2f}x"
-            )
-        assert largest["numpy"]["speedup"] >= MIN_NUMPY_BATCH_SPEEDUP, (
-            f"numpy batch only {largest['numpy']['speedup']:.2f}x"
+        assert largest["speedup"] >= MIN_NUMPY_BATCH_SPEEDUP, (
+            f"batch only {largest['speedup']:.2f}x"
         )

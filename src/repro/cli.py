@@ -506,12 +506,6 @@ def _cmd_list_compressors(args: argparse.Namespace) -> int:
         "spec grammar: family[:key=value,...], e.g. sz:codec=huffman or "
         "zfp_like:rate=8 (note: 'codec' is SZ's entropy stage, not a family)"
     )
-    from repro.compression.kernels import available_kernels, get_kernels
-
-    print(
-        f"kernel backends: {','.join(available_kernels())} "
-        f"(kernels=auto resolves to {get_kernels('auto').name})"
-    )
     return 0
 
 

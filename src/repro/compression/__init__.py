@@ -11,9 +11,13 @@ pipeline in vectorized NumPy:
   vectorized encoder and table-driven decoder,
 - :mod:`repro.compression.codecs` — pluggable entropy stages (Huffman,
   zlib/DEFLATE, raw),
-- :mod:`repro.compression.sz` — the assembled error-bounded compressor,
-- :mod:`repro.compression.workspace` — reusable scratch arenas for the
-  fused, allocation-lean kernel path,
+- :mod:`repro.compression.sz` — the assembled error-bounded compressor;
+  its front (quantize, Lorenzo, fold, byte planes) is written once, in
+  NumPy, batched over ``(B, ...)`` stacks of same-shape blocks,
+- :mod:`repro.compression.kernels` — the integer maps more than one
+  compressor needs (zigzag, the byte-plane split),
+- :mod:`repro.compression.workspace` — reusable scratch arenas for that
+  allocation-lean batched front,
 - :mod:`repro.compression.estimator` — codec-free bit-rate prediction
   from a census of the quantization codes (the calibration/sweep fast
   path),

@@ -188,21 +188,9 @@ class CompressorSpec:
         codec: str = "zlib",
         radius: int = DEFAULT_RADIUS,
         engine: str = "dual",
-        kernels: str | None = None,
     ) -> "CompressorSpec":
-        """The SZ family; ``codec`` is the *entropy* stage (zlib/huffman/raw).
-
-        ``kernels`` selects the batch kernel backend
-        (``numpy``/``numba``/``auto``); ``None`` omits the key so specs
-        parsed from pre-kernels ledgers compare equal (``canonical``
-        fills the ``auto`` default either way).
-        """
-        params: dict[str, Any] = dict(
-            mode=mode, codec=codec, radius=int(radius), engine=engine
-        )
-        if kernels is not None:
-            params["kernels"] = kernels
-        return cls.make("sz", **params)
+        """The SZ family; ``codec`` is the *entropy* stage (zlib/huffman/raw)."""
+        return cls.make("sz", mode=mode, codec=codec, radius=int(radius), engine=engine)
 
     @classmethod
     def zfp_like(cls, rate: float = 8.0) -> "CompressorSpec":
@@ -488,13 +476,20 @@ class CompressorRegistry:
             spec = CompressorSpec.parse(spec)
         entry = self._entry(spec.family)
         params = dict(entry.defaults)
-        unknown = set(spec.options) - set(params)
+        options = spec.options
+        # Retired key: ledgers of schema v2-v3 stamp sz specs with
+        # kernels=auto|numpy|numba.  It chose between implementations
+        # with identical bytes, so it says nothing about the data; drop
+        # it here (the one place) and stored specs resolve everywhere.
+        if spec.family == "sz" and options.get("kernels") in ("auto", "numpy", "numba"):
+            del options["kernels"]
+        unknown = set(options) - set(params)
         if unknown:
             raise ValueError(
                 f"unknown parameter(s) {sorted(unknown)} for compressor "
                 f"family {spec.family!r}; accepted: {sorted(params)}"
             )
-        params.update(spec.options)
+        params.update(options)
         return CompressorSpec.make(spec.family, **params)
 
     def create(self, spec: "CompressorSpec | str | None" = None) -> Any:
@@ -524,8 +519,7 @@ REGISTRY = CompressorRegistry()
 
 def _sz_factory(engine: str = "dual", **params: Any):
     """The one place the ``engine`` spec key is interpreted: the
-    production class, or the classic-order reference (which has no
-    kernel backends to choose from)."""
+    production class, or the classic-order reference."""
     if engine == "dual":
         from repro.compression.sz import SZCompressor
 
@@ -533,7 +527,6 @@ def _sz_factory(engine: str = "dual", **params: Any):
     if engine == "classic":
         from repro.compression.reference import ClassicSZCompressor
 
-        params.pop("kernels", None)
         return ClassicSZCompressor(**params)
     raise ValueError(f"engine must be 'dual' or 'classic', got {engine!r}")
 
@@ -559,7 +552,6 @@ def register_builtin_families(registry: CompressorRegistry | None = None) -> Non
             "codec": "zlib",
             "radius": DEFAULT_RADIUS,
             "engine": "dual",
-            "kernels": "auto",
         },
         description=(
             "error-bounded SZ-style compressor (quantize -> Lorenzo -> "

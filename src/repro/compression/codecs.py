@@ -41,7 +41,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.compression.huffman import DEFAULT_MAX_CODE_LENGTH, HuffmanTable
-from repro.compression.kernels import NumpyKernels
+from repro.compression.kernels import byte_planes
 from repro.util.errors import PayloadError
 
 __all__ = [
@@ -95,7 +95,7 @@ def pack_symbols(symbols: np.ndarray) -> np.ndarray:
     """Pack a 1-D non-negative integer row into its ``(k, n)`` uint8
     byte rows (``k`` = value-minimal width; see the module docstring)."""
     k = _minimal_uint_dtype(int(symbols.max()) if symbols.size else 0).itemsize
-    return NumpyKernels().byte_planes(symbols, np.empty((k, symbols.size), dtype=np.uint8))
+    return byte_planes(symbols, np.empty((k, symbols.size), dtype=np.uint8))
 
 
 def _tag_of(packed: np.ndarray) -> bytes:

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "lorenzo_transform",
-    "lorenzo_transform_inplace",
     "lorenzo_transform_batch_inplace",
     "lorenzo_inverse",
 ]
@@ -36,10 +35,11 @@ def _mixed_difference_inplace(
 
     The shared core of the single-block and batched transforms: each
     axis's ``hi - lo`` runs through one reusable ``scratch`` buffer
-    instead of ``np.diff``'s per-axis output allocations.  Length-1 axes
-    are skipped (their zero-boundary diff is the identity), which is
-    also what makes trailing singleton padding a no-op for the batched
-    3-D normalization.
+    (``arr``'s dtype, at least ``arr.size`` elements) instead of
+    ``np.diff``'s per-axis output allocations.  Length-1 axes are
+    skipped (their zero-boundary diff is the identity), which is also
+    what makes trailing singleton padding a no-op for the batched 3-D
+    normalization.
     """
     flat_scratch = scratch.reshape(-1)
     for axis in axes:
@@ -67,49 +67,28 @@ def lorenzo_transform(data: np.ndarray) -> np.ndarray:
     arr = np.asarray(data)
     if arr.ndim < 1 or arr.ndim > 3:
         raise ValueError(f"lorenzo_transform supports 1-3 dimensions, got {arr.ndim}")
-    return lorenzo_transform_inplace(np.array(arr))
+    out = np.array(arr)
+    scratch = np.empty(out.size, dtype=out.dtype)
+    return _mixed_difference_inplace(out, range(out.ndim), scratch)
 
 
-def lorenzo_transform_inplace(arr: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Apply the Lorenzo residual transform to ``arr`` *in place*.
-
-    The per-axis first difference is computed through one reusable
-    ``scratch`` buffer (same dtype, at least ``arr.size`` elements)
-    instead of ``np.diff``'s per-axis output allocations — the values
-    are identical to :func:`lorenzo_transform`, element for element.
-    Returns ``arr`` for chaining.
-    """
-    if arr.ndim < 1 or arr.ndim > 3:
-        raise ValueError(f"lorenzo_transform supports 1-3 dimensions, got {arr.ndim}")
-    if scratch is None:
-        scratch = np.empty(arr.size, dtype=arr.dtype)
-    elif scratch.dtype != arr.dtype or scratch.size < arr.size:
-        raise ValueError(
-            f"scratch must provide >= {arr.size} elements of dtype {arr.dtype}"
-        )
-    return _mixed_difference_inplace(arr, range(arr.ndim), scratch)
-
-
-def lorenzo_transform_batch_inplace(
-    batch: np.ndarray, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def lorenzo_transform_batch_inplace(batch: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Lorenzo-transform every block of a ``(B, ...)`` stack in place.
 
     ``batch`` stacks same-shape blocks along a leading batch axis; the
     transform runs over the trailing (block) axes only, so the result of
     row ``b`` is element-for-element identical to
-    ``lorenzo_transform_inplace(batch[b])``.  This is the one-pass
-    multi-block kernel behind the batched compress path: each per-axis
-    difference is a single strided ufunc over the whole stack instead of
-    one Python-level call per block.
+    ``lorenzo_transform(batch[b])``.  ``scratch`` is a buffer of
+    ``batch``'s dtype with at least ``batch.size`` elements.  This is
+    the one-pass multi-block kernel behind the batched compress path:
+    each per-axis difference is a single strided ufunc over the whole
+    stack instead of one Python-level call per block.
     """
     if batch.ndim < 2 or batch.ndim > 4:
         raise ValueError(
             f"batched lorenzo expects (B, 1-3 block dims), got {batch.ndim}-D"
         )
-    if scratch is None:
-        scratch = np.empty(batch.size, dtype=batch.dtype)
-    elif scratch.dtype != batch.dtype or scratch.size < batch.size:
+    if scratch.dtype != batch.dtype or scratch.size < batch.size:
         raise ValueError(
             f"scratch must provide >= {batch.size} elements of dtype {batch.dtype}"
         )

@@ -29,14 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.workspace import Workspace
 from repro.util.validation import check_finite, check_positive
 
 __all__ = [
     "DEFAULT_RADIUS",
     "QuantizedResiduals",
     "quantize_abs",
-    "quantize_abs_into",
     "quantize_lattice_batch",
     "dequantize_abs",
     "pw_rel_to_log_abs",
@@ -68,49 +66,20 @@ def quantize_abs(data: np.ndarray, eb: float) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def quantize_abs_into(work: np.ndarray, ws: Workspace) -> np.ndarray:
-    """Fused tail of :func:`quantize_abs` over a prepared workspace buffer.
-
-    ``work`` must be a float64 workspace view already holding
-    ``data / (2*eb)`` (the caller owns the divide so ``pw_rel`` can fuse
-    its log pass into the same buffer).  Rounds in place, applies the
-    same overflow guard as :func:`quantize_abs`, and casts into a
-    reusable int64 lattice buffer — zero fresh full-array allocations.
-    The returned view is valid until the workspace's ``lattice_i64``
-    slot is requested again.
-    """
-    np.rint(work, out=work)
-    mask = ws.request("quant_mask", work.shape, np.bool_)
-    np.isfinite(work, out=mask)
-    if not mask.all() or max(float(work.max()), -float(work.min())) >= 2**62:
-        raise ValueError(
-            "error bound too small relative to data magnitude: quantization "
-            "lattice exceeds int64 range"
-        )
-    q = ws.request("lattice_i64", work.shape, np.int64)
-    np.copyto(q, work, casting="unsafe")  # values are integral: cast is exact
-    return q
-
-
-def quantize_lattice_batch(
-    work: np.ndarray, lattice: np.ndarray, mask: np.ndarray | None = None
-) -> bool:
-    """Batched tail of :func:`quantize_abs_into` over caller-owned buffers.
+def quantize_lattice_batch(work: np.ndarray, lattice: np.ndarray, mask: np.ndarray) -> bool:
+    """Batched tail of :func:`quantize_abs` over caller-owned buffers.
 
     ``work`` is a ``(B, n)`` float64 stack already holding each block's
-    ``data / (2*eb)``; it is rounded in place and exact-cast into the
-    int64 ``lattice`` of the same shape.  Returns ``False`` when any
-    value is non-finite or outside the int64-safe lattice range (the
-    caller raises — this function is also the NumPy reference kernel
-    behind the device-ready array API, so it reports instead of
-    raising).  ``mask`` is optional bool scratch of the same shape;
-    device backends ignore it.
+    ``data / (2*eb)`` (the caller owns the divide so ``pw_rel`` can fuse
+    its log pass into the same buffer); it is rounded in place and
+    exact-cast into the int64 ``lattice`` of the same shape — zero fresh
+    full-array allocations.  Returns ``False`` when any value is
+    non-finite or outside the int64-safe lattice range; the caller, which
+    knows what the rows are, raises.  ``mask`` is bool scratch of the
+    same shape.
     """
     np.rint(work, out=work)
-    if mask is None:
-        mask = np.isfinite(work)
-    else:
-        np.isfinite(work, out=mask)
+    np.isfinite(work, out=mask)
     if not mask.all() or max(float(work.max()), -float(work.min())) >= 2**62:
         return False
     np.copyto(lattice, work, casting="unsafe")  # values are integral: cast is exact
@@ -185,8 +154,8 @@ def encode_residuals_batch(
     per-block within-block flat indices and exact residuals in block
     order, and ``maxes[b]`` is row ``b``'s largest symbol (what fixes its
     stored width).  ``scratch`` (int64, ``>= B*n``) and ``misfit`` (bool,
-    ``res``'s shape) are optional host scratch; device backends ignore
-    them.
+    ``res``'s shape) are optional scratch the batched front passes from
+    its workspace; :func:`encode_residuals` allocates instead.
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")

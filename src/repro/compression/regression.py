@@ -24,6 +24,7 @@ alternative to :class:`repro.compression.sz.SZCompressor` (``abs`` mode).
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -126,7 +127,7 @@ class AdaptiveBlockStream:
 
     @property
     def n_elements(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:

@@ -17,6 +17,11 @@ runs):
    when wider than one byte — with an entropy codec
    (:mod:`repro.compression.codecs`).
 
+Steps 1-3 and the byte-plane split of step 4 run batched over ``(B, n)``
+stacks of same-shape blocks (:meth:`SZCompressor.compress_many`; a
+single :meth:`~SZCompressor.compress` is a batch of one), so there is
+one front, written once in NumPy.
+
 This is code-stream **layout 2**, the only one the encoder writes;
 :func:`decompress` still reads layout 1 (``r + radius`` codes,
 interleaved bytes) through :mod:`repro.compression.compat`.
@@ -33,6 +38,7 @@ the test suite.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -56,17 +62,14 @@ from repro.compression.estimator import (
     _minimal_itemsize,
     estimate_nbytes_rows,
 )
-from repro.compression.kernels import (
-    KERNEL_CHOICES,
-    ArrayKernels,
-    get_kernels,
-    unzigzag,
-)
-from repro.compression.lorenzo import lorenzo_inverse
+from repro.compression.kernels import byte_planes, unzigzag, zigzag
+from repro.compression.lorenzo import lorenzo_inverse, lorenzo_transform_batch_inplace
 from repro.compression.quantizer import (
     DEFAULT_RADIUS,
     dequantize_abs,
+    encode_residuals_batch,
     pw_rel_to_log_abs,
+    quantize_lattice_batch,
     unfold_symbols,
 )
 from repro.compression.workspace import Workspace
@@ -111,7 +114,7 @@ class CompressedBlock:
 
     @property
     def n_elements(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:
@@ -143,12 +146,6 @@ class SZCompressor:
     radius:
         Residual radius: residuals with ``|r| < radius`` are coded as
         symbols in ``[1, 2*radius)``, the rest go to the outlier channel.
-    kernels:
-        Batch kernel backend for the hot path:
-        ``"numpy"`` (reference), ``"numba"``
-        (``@njit(parallel=True)``; requires numba), or ``"auto"``
-        (default — numba when importable, else numpy).  Payload bytes
-        are identical across backends (property-tested).
 
     Examples
     --------
@@ -171,25 +168,14 @@ class SZCompressor:
         mode: str = "abs",
         codec: str | Codec = "zlib",
         radius: int = DEFAULT_RADIUS,
-        kernels: str = "auto",
     ) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         if radius < 2:
             raise ValueError(f"radius must be >= 2, got {radius}")
-        if kernels not in KERNEL_CHOICES:
-            raise ValueError(
-                f"kernels must be one of {KERNEL_CHOICES}, got {kernels!r}"
-            )
         self.mode = mode
         self.codec = get_codec(codec)
         self.radius = int(radius)
-        self.kernels = kernels
-        # An explicit numba request fails here, at construction, with an
-        # actionable message; "auto"/"numpy" resolve lazily on first use.
-        self._kernel_impl: ArrayKernels | None = (
-            get_kernels(kernels) if kernels == "numba" else None
-        )
         self._tls = threading.local()
 
     @property
@@ -208,19 +194,7 @@ class SZCompressor:
             codec=self.codec.name,
             radius=self.radius,
             engine="dual",
-            kernels=self.kernels,
         )
-
-    def _kernels(self) -> ArrayKernels:
-        impl = self._kernel_impl
-        if impl is None:
-            impl = self._kernel_impl = get_kernels(self.kernels)
-        return impl
-
-    @property
-    def kernel_backend(self) -> str:
-        """The resolved kernel-backend name (``"auto"`` pinned to its pick)."""
-        return self._kernels().name
 
     # -- workspace management --------------------------------------------
 
@@ -242,13 +216,10 @@ class SZCompressor:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_tls", None)  # thread-locals are per-process scratch
-        state.pop("_kernel_impl", None)  # re-resolved per process
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.__dict__.setdefault("kernels", "auto")  # pre-kernels pickles
-        self._kernel_impl = None
         self._tls = threading.local()
 
     # -- public API ------------------------------------------------------
@@ -279,9 +250,8 @@ class SZCompressor:
         The batched hot path used by the execution backends.  Blocks are
         grouped by shape and each group runs the *whole* front of the
         pipeline — quantize, Lorenzo, residual fold, narrowing / byte
-        planes, outlier side channels — as one multi-block kernel pass over
-        ``(B, n)`` workspace arenas (see
-        :mod:`repro.compression.kernels`), instead of one interpreter
+        planes, outlier side channels — as one multi-block pass over
+        ``(B, n)`` workspace arenas, instead of one interpreter
         round-trip per block.  The per-block entropy stage then fans out
         over the thread backend (zlib releases the GIL) when the blocks
         hold at least :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS`
@@ -292,8 +262,8 @@ class SZCompressor:
         whatever the block size (what process-pool workers pass to avoid
         oversubscription).
         Output blocks are byte-identical to per-partition
-        :meth:`compress` calls regardless of grouping, backend, or
-        thread count (property-tested).
+        :meth:`compress` calls regardless of grouping or thread count
+        (property-tested).
         """
         arrs, eb_arr = _check_batch(views, ebs)
         ws = workspace or self.workspace
@@ -403,9 +373,9 @@ class SZCompressor:
     ) -> np.ndarray:
         """Realised quantization MSE of each probed view, in value space.
 
-        Called right after ``_quantize_encode_batch``: ``kern.quantize``
-        rounds the work arena in place, so its rows hold each block's
-        float lattice.  Re-mapping the sources into bound space and
+        Called right after ``_quantize_encode_batch``:
+        ``quantize_lattice_batch`` rounds the work arena in place, so its
+        rows hold each block's float lattice.  Re-mapping the sources into bound space and
         differencing against it yields every point's actual lattice
         error in a few group-wide passes; outlier positions (residual
         misfits whose values ship exactly) are zeroed.  The uniform
@@ -491,16 +461,11 @@ class SZCompressor:
         """Batched front: quantize -> Lorenzo -> folded symbols.
 
         All blocks (same shape, one per row of the ``(B, n)`` workspace
-        arenas) run through the kernel backend in one multi-block pass.
-        The *error-bound space mapping* (divide / log) stays in NumPy on
-        every backend — transcendentals are not bit-stable across math
-        libraries, and payload byte-identity is contract; see
-        :mod:`repro.compression.kernels`.  Returns ``(symbols (B, n)
+        arenas) run in one multi-block pass.  Returns ``(symbols (B, n)
         view, outlier counts, positions, values, per-row largest
         symbol)``; the symbols view is valid until the arena's
         ``batch_lattice_i64`` slot is requested again.
         """
-        kern = self._kernels()
         tracer = telemetry.get_tracer()  # null object when disarmed
         n_blocks = len(arrs)
         shape = arrs[0].shape
@@ -539,8 +504,8 @@ class SZCompressor:
                             out=work[b],
                         )
         lattice = ws.request("batch_lattice_i64", (n_blocks, n), np.int64)
-        with tracer.span("sz.quantize", blocks=n_blocks, kernels=kern.name):
-            ok = kern.quantize(work, lattice, mask)
+        with tracer.span("sz.quantize", blocks=n_blocks):
+            ok = quantize_lattice_batch(work, lattice, mask)
         if not ok:
             raise ValueError(
                 "error bound too small relative to data magnitude: quantization "
@@ -550,10 +515,14 @@ class SZCompressor:
         # under the zero-boundary difference, so padding is free.
         shape3d = shape + (1,) * (3 - len(shape))
         scratch = ws.request("batch_lorenzo_scratch", (n_blocks * n,), np.int64)
-        with tracer.span("sz.lorenzo", blocks=n_blocks, kernels=kern.name):
-            kern.lorenzo(lattice.reshape((n_blocks,) + shape3d), scratch)
-        with tracer.span("sz.residual", blocks=n_blocks, kernels=kern.name):
-            counts, pos, val, maxes = kern.fold(lattice, self.radius, scratch, mask)
+        with tracer.span("sz.lorenzo", blocks=n_blocks):
+            lorenzo_transform_batch_inplace(
+                lattice.reshape((n_blocks,) + shape3d), scratch
+            )
+        with tracer.span("sz.residual", blocks=n_blocks):
+            counts, pos, val, maxes = encode_residuals_batch(
+                lattice, self.radius, scratch, mask
+            )
         return lattice, counts, pos, val, maxes
 
     def _encode_payloads_batch(
@@ -577,7 +546,6 @@ class SZCompressor:
         ``threads > 1`` and the blocks hold at least
         :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS` elements.
         """
-        kern = self._kernels()
         tracer = telemetry.get_tracer()
         codec = self.codec
         n_blocks, n = symbols.shape
@@ -592,7 +560,7 @@ class SZCompressor:
                     k = int(widths[lo])
                     planes = arena[int(ends[lo]) - k * n : int(ends[hi - 1])]
                     planes = planes.reshape(hi - lo, k, n)
-                    kern.byte_planes(symbols[lo:hi], planes)
+                    byte_planes(symbols[lo:hi], planes)
                     rows[lo:hi] = planes
             offsets = ws.request("batch_offsets", (n_blocks + 1,), np.int64)
             offsets[0] = 0
@@ -600,8 +568,8 @@ class SZCompressor:
             if pos.size:
                 pos_dt = _minimal_uint_dtype(n - 1)
                 pos_narrow = ws.request("batch_pos_narrow", pos.shape, pos_dt)
-                kern.narrow(pos, pos_narrow)
-                zz = kern.zigzag(val)
+                np.copyto(pos_narrow, pos, casting="unsafe")  # pos < n: exact
+                zz = zigzag(val)
             else:
                 pos_narrow = pos
                 zz = val

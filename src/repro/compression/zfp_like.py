@@ -20,6 +20,7 @@ cannot work with, which the ablation bench demonstrates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -137,7 +138,7 @@ class ZFPBlockStream:
 
     @property
     def n_elements(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:

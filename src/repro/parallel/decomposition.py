@@ -8,6 +8,7 @@ out NumPy *views* (no copies) of the global array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class Partition:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def view(self, data: np.ndarray) -> np.ndarray:
         """View of this partition inside the global array (no copy)."""

@@ -93,9 +93,7 @@ class TestDecodeMatchesTheReference:
         elif outliers == "spike":
             # one residual far outside any radius
             data.reshape(-1)[seed % data.size] += 1e9
-        return SZCompressor(mode=mode, radius=radius, kernels="numpy").compress(
-            data.astype(dtype), eb
-        )
+        return SZCompressor(mode=mode, radius=radius).compress(data.astype(dtype), eb)
 
     @given(
         shape=st.sampled_from(SHAPES),

@@ -1,23 +1,20 @@
-"""The kernel array-API boundary and its cross-backend byte-identity.
+"""The batched front's array functions and its byte-identity.
 
-Three layers of guarantee, weakest to strongest:
+Two layers of guarantee, weakest to strongest:
 
-1. op-level — each :class:`NumpyKernels` method matches the scalar /
-   per-block reference primitives it batches;
+1. op-level — each batched function matches the scalar / per-block
+   reference primitives it batches;
 2. path-level — batched ``compress_many`` produces payloads
    byte-identical to looping single-block ``compress``, across codecs,
-   shapes (odd sides, 1-voxel slabs), dtypes and thread counts;
-3. backend-level — every registered backend (numba when installed)
-   produces the same bytes as the NumPy reference oracle.
+   shapes (odd sides, 1-voxel slabs), dtypes and thread counts.
 
-The numba leg runs in CI with numba installed; locally it skips when
-the package is absent, and the ``kernels=auto`` spec must degrade to
-NumPy silently while ``kernels=numba`` must fail loudly.
+There is one implementation and no option that picks one: the retired
+``kernels=`` constructor argument is a ``TypeError`` and the retired
+spec key is read from stored specs and ignored.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import pickle
 import zlib
 
@@ -27,30 +24,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compression import kernels as kernels_mod
+from repro.compression.api import REGISTRY
 from repro.compression.kernels import (
-    KERNEL_CHOICES,
-    ArrayKernels,
-    NumpyKernels,
     available_kernels,
+    byte_planes,
     get_kernels,
-    register_kernels,
     unzigzag,
     zigzag,
 )
-from repro.compression.lorenzo import lorenzo_transform
+from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch_inplace
+from repro.compression.quantizer import encode_residuals_batch, quantize_lattice_batch
 from repro.compression.sz import SZCompressor, decompress
-from repro.compression.workspace import Workspace
+from repro.parallel.backends import ProcessBackend
 from repro.util.errors import PayloadError
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-KERN = NumpyKernels()
-
-
-# -- op level: NumpyKernels vs the unbatched reference -----------------------
+# -- op level: the batched functions vs the unbatched reference --------------
 
 
 class TestZigzag:
@@ -76,7 +65,9 @@ class TestQuantizeKernel:
         rng = np.random.default_rng(0)
         work = rng.normal(0, 100, (3, 50))
         lattice = np.empty(work.shape, dtype=np.int64)
-        assert KERN.quantize(work.copy(), lattice) is True
+        mask = np.empty(work.shape, dtype=np.bool_)
+        assert quantize_lattice_batch(work.copy(), lattice, mask) is True
+        assert mask.all()
         assert np.array_equal(lattice, np.rint(work).astype(np.int64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
@@ -84,14 +75,8 @@ class TestQuantizeKernel:
         work = np.ones((2, 8))
         work[1, 3] = bad
         lattice = np.empty(work.shape, dtype=np.int64)
-        assert KERN.quantize(work, lattice) is False
-
-    def test_mask_scratch_is_optional(self):
-        work = np.ones((2, 8))
-        lattice = np.empty(work.shape, dtype=np.int64)
         mask = np.empty(work.shape, dtype=np.bool_)
-        assert KERN.quantize(work.copy(), lattice, mask) is True
-        assert mask.all()
+        assert quantize_lattice_batch(work, lattice, mask) is False
 
 
 class TestLorenzoKernel:
@@ -101,7 +86,7 @@ class TestLorenzoKernel:
         batch = rng.integers(-1000, 1000, (4,) + shape)
         expected = np.stack([lorenzo_transform(b) for b in batch])
         got = batch.copy()
-        KERN.lorenzo(got)
+        lorenzo_transform_batch_inplace(got, np.empty(got.size, dtype=got.dtype))
         assert np.array_equal(got, expected)
 
     def test_trailing_singleton_padding_is_identity(self):
@@ -109,7 +94,7 @@ class TestLorenzoKernel:
         flat = rng.integers(-50, 50, (3, 17))
         as_3d = flat.reshape(3, 17, 1, 1).copy()
         expected = np.stack([lorenzo_transform(row) for row in flat])
-        KERN.lorenzo(as_3d)
+        lorenzo_transform_batch_inplace(as_3d, np.empty(as_3d.size, dtype=as_3d.dtype))
         assert np.array_equal(as_3d.reshape(3, 17), expected)
 
 
@@ -131,7 +116,7 @@ class TestEncodeResidualsKernel:
         radius = 8
         res = rng.integers(-30, 30, (5, 40))
         got = res.copy()
-        counts, pos, val, maxes = KERN.fold(got, radius)
+        counts, pos, val, maxes = encode_residuals_batch(got, radius)
         lo = 0
         for b, row in enumerate(res.tolist()):
             fits = [abs(r) < radius for r in row]
@@ -151,14 +136,14 @@ class TestEncodeResidualsKernel:
         res = rng.integers(-30, 30, (3, 16))
         scratch = np.empty(res.size + 5, dtype=np.int64)
         misfit = np.empty(res.shape, dtype=np.bool_)
-        a = KERN.fold(res.copy(), 8, scratch, misfit)
-        b = KERN.fold(res.copy(), 8)
+        a = encode_residuals_batch(res.copy(), 8, scratch, misfit)
+        b = encode_residuals_batch(res.copy(), 8)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_symbol_map_at_the_width_edges(self):
         got = FOLD_EDGES.reshape(1, -1).copy()
-        counts, pos, val, maxes = KERN.fold(got, 1 << 15)
+        counts, pos, val, maxes = encode_residuals_batch(got, 1 << 15)
         #           0  -1  1  126 -126 127 -127 128 -128
         assert got[0, :9].tolist() == [1, 2, 3, 253, 252, 255, 254, 257, 256]
         # +-32766, +-32767 still fit; +-32768 and beyond are outliers (symbol 0)
@@ -169,13 +154,7 @@ class TestEncodeResidualsKernel:
         assert np.array_equal(val, FOLD_EDGES[13:])
 
 
-class TestNarrowAndBytePlanes:
-    def test_narrow_is_exact_cast(self):
-        src = np.array([[0, 255, 256, 65535]], dtype=np.int64)
-        out = np.empty(src.shape, dtype=np.uint16)
-        KERN.narrow(src, out)
-        assert out.tolist() == [[0, 255, 256, 65535]]
-
+class TestBytePlanes:
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
     def test_byte_planes_roundtrip(self, dtype):
         rng = np.random.default_rng(5)
@@ -183,7 +162,7 @@ class TestNarrowAndBytePlanes:
         v = rng.integers(0, int(info.max), 33, dtype=dtype)
         k = v.dtype.itemsize
         out = np.empty((k, v.size), dtype=np.uint8)
-        KERN.byte_planes(v, out)
+        byte_planes(v, out)
         rebuilt = np.zeros(v.size, dtype=np.uint64)
         for plane in range(k):
             rebuilt |= out[plane].astype(np.uint64) << np.uint64(8 * plane)
@@ -193,15 +172,15 @@ class TestNarrowAndBytePlanes:
 
     def test_byte_planes_validates_inputs(self):
         with pytest.raises(ValueError, match="integer"):
-            KERN.byte_planes(
+            byte_planes(
                 np.ones(4, dtype=np.float64), np.empty((8, 4), dtype=np.uint8)
             )
         with pytest.raises(ValueError, match="shape"):
-            KERN.byte_planes(
+            byte_planes(
                 np.ones(4, dtype=np.uint16), np.empty((3, 4), dtype=np.uint8)
             )
         with pytest.raises(ValueError, match="shape"):
-            KERN.byte_planes(
+            byte_planes(
                 np.ones((2, 4), dtype=np.int64), np.empty((2, 4), dtype=np.uint8)
             )
 
@@ -214,58 +193,53 @@ class TestNarrowAndBytePlanes:
         sym = rng.integers(0, top, (3, 21), dtype=np.int64, endpoint=True)
         sym[0, 0], sym[1, 1] = 0, top
         out = np.empty((3, k, 21), dtype=np.uint8)
-        KERN.byte_planes(sym, out)
+        byte_planes(sym, out)
         for plane in range(k):
             assert np.array_equal(out[:, plane, :], (sym >> (8 * plane)) & 0xFF)
 
 
-# -- registry and selection ---------------------------------------------------
+# -- one implementation: nothing selects between kernels ----------------------
 
 
-class TestRegistry:
-    def test_numpy_always_available(self):
-        assert "numpy" in available_kernels()
-        assert get_kernels("numpy").name == "numpy"
-        assert isinstance(get_kernels("numpy"), ArrayKernels)
+class TestNoKernelOption:
+    def test_constructor_takes_no_kernels_argument(self):
+        with pytest.raises(TypeError, match="kernels"):
+            SZCompressor(kernels="numpy")
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernels backend"):
-            get_kernels("cuda")
+    def test_spec_has_exactly_the_four_sz_options(self):
+        assert sorted(SZCompressor().spec.options) == ["codec", "engine", "mode", "radius"]
+        assert sorted(REGISTRY.defaults("sz")) == ["codec", "engine", "mode", "radius"]
 
-    def test_register_rejects_non_implementation(self):
-        with pytest.raises(TypeError, match="ArrayKernels"):
-            register_kernels(object())
+    @pytest.mark.parametrize(
+        "plain, stamped",
+        [("sz", "sz:kernels={}"), ("sz:engine=classic", "sz:engine=classic,kernels={}")],
+    )
+    @pytest.mark.parametrize("retired", ["auto", "numpy", "numba"])
+    def test_retired_spec_key_is_read_and_ignored(self, plain, stamped, retired):
+        assert REGISTRY.canonical(stamped.format(retired)) == REGISTRY.canonical(plain)
 
-    def test_auto_degrades_to_numpy_without_numba(self, monkeypatch):
-        monkeypatch.setattr(kernels_mod, "_load_numba_kernels", lambda: None)
+    def test_other_values_of_the_retired_key_are_still_unknown(self):
+        with pytest.raises(ValueError, match=r"unknown parameter\(s\) \['kernels'\]"):
+            REGISTRY.canonical("sz:kernels=cuda")
+        with pytest.raises(ValueError, match=r"unknown parameter\(s\) \['kernels'\]"):
+            REGISTRY.canonical("sz_adaptive:kernels=auto")
+
+    def test_pickle_round_trip_the_way_the_process_backend_ships_it(self):
+        comp = SZCompressor(codec="huffman", radius=64)
+        comp.workspace  # a live thread-local arena must not travel
+        clone = pickle.loads(ProcessBackend._serialize_compressor(comp))
+        assert clone.spec == comp.spec
+        rng = np.random.default_rng(12)
+        views = [rng.normal(0, 10, (6, 5, 4)) for _ in range(3)]
+        assert _payloads(clone.compress_many(views, [0.01] * 3)) == _payloads(
+            comp.compress_many(views, [0.01] * 3)
+        )
+
+    def test_bench_provenance_shim(self):
+        """``bench/harness.py`` records these two; one implementation,
+        so they are constants."""
+        assert available_kernels() == ("numpy",)
         assert get_kernels("auto").name == "numpy"
-
-    def test_explicit_numba_fails_loudly_without_numba(self, monkeypatch):
-        monkeypatch.setattr(kernels_mod, "_load_numba_kernels", lambda: None)
-        with pytest.raises(ValueError, match="numba is not importable"):
-            get_kernels("numba")
-
-    def test_compressor_rejects_unknown_kernels_key(self):
-        with pytest.raises(ValueError, match="kernels"):
-            SZCompressor(kernels="cuda")
-
-    def test_compressor_numba_request_fails_at_construction(self, monkeypatch):
-        monkeypatch.setattr(kernels_mod, "_load_numba_kernels", lambda: None)
-        with pytest.raises(ValueError, match="numba is not importable"):
-            SZCompressor(kernels="numba")
-
-    def test_compressor_auto_resolves_and_reports_backend(self, monkeypatch):
-        monkeypatch.setattr(kernels_mod, "_load_numba_kernels", lambda: None)
-        comp = SZCompressor()  # kernels="auto"
-        assert comp.kernel_backend == "numpy"
-        assert dict(comp.spec.params)["kernels"] == "auto"
-
-    def test_kernel_choice_recreated_through_pickle(self):
-        comp = SZCompressor(kernels="numpy")
-        clone = pickle.loads(pickle.dumps(comp))
-        assert clone.kernels == "numpy"
-        data = np.linspace(0, 1, 64).reshape(4, 4, 4)
-        assert clone.compress(data, 0.01).payloads == comp.compress(data, 0.01).payloads
 
 
 # -- path level: batched == single-block, across everything -------------------
@@ -288,7 +262,7 @@ class TestBatchedByteIdentity:
     )
     @settings(max_examples=50, deadline=None)
     def test_compress_many_matches_single_compress(self, data, eb, codec, n_blocks):
-        comp = SZCompressor(codec=codec, kernels="numpy")
+        comp = SZCompressor(codec=codec)
         views = [data] * n_blocks
         batched = comp.compress_many(views, [eb] * n_blocks)
         singles = [comp.compress(v, eb) for v in views]
@@ -374,100 +348,3 @@ class TestOutlierPosFormat:
         fresh.payloads["outlier_pos"] = zlib.compress(pos.astype(np.int64).tobytes(), 6)
         with pytest.raises(PayloadError, match="width tag"):
             decompress(fresh)
-
-
-# -- backend level: numba == numpy, byte for byte -----------------------------
-
-
-@needs_numba
-class TestNumbaBackend:
-    def test_numba_listed_and_resolvable(self):
-        assert "numba" in available_kernels()
-        assert get_kernels("numba").name == "numba"
-        assert get_kernels("auto").name == "numba"
-
-    def test_op_level_equivalence(self):
-        rng = np.random.default_rng(15)
-        nb = get_kernels("numba")
-        work = rng.normal(0, 1000, (4, 7 * 5 * 3))
-        lat_np = np.empty(work.shape, dtype=np.int64)
-        lat_nb = np.empty(work.shape, dtype=np.int64)
-        assert KERN.quantize(work.copy(), lat_np) == nb.quantize(work.copy(), lat_nb)
-        assert np.array_equal(lat_np, lat_nb)
-        a = lat_np.reshape(4, 7, 5, 3).copy()
-        b = lat_np.reshape(4, 7, 5, 3).copy()
-        KERN.lorenzo(a)
-        nb.lorenzo(b)
-        assert np.array_equal(a, b)
-        ra, rb = a.reshape(4, -1).copy(), b.reshape(4, -1).copy()
-        out_np = KERN.fold(ra, 8)
-        out_nb = nb.fold(rb, 8)
-        assert np.array_equal(ra, rb)
-        for x, y in zip(out_np, out_nb):
-            assert np.array_equal(x, y)
-
-    @pytest.mark.parametrize("radius", [2, 128, 1 << 15])
-    def test_fold_matches_at_the_width_edges(self, radius):
-        """The layout-2 kernel op: same symbols, same outlier channel and
-        same row maxima as the NumPy oracle (``byte_planes`` is inherited)."""
-        nb = get_kernels("numba")
-        rng = np.random.default_rng(18)
-        res = rng.integers(-300, 300, (4, FOLD_EDGES.size + 45))
-        res[1, : FOLD_EDGES.size] = FOLD_EDGES
-        res[2] = 2**40  # an all-outlier block
-        res[3] = 0  # a constant block
-        ra, rb = res.copy(), res.copy()
-        for x, y in zip(KERN.fold(ra, radius), nb.fold(rb, radius)):
-            assert np.array_equal(x, y)
-        assert np.array_equal(ra, rb)
-
-    def test_quantize_reports_nonfinite(self):
-        nb = get_kernels("numba")
-        work = np.ones((2, 8))
-        work[0, 1] = np.nan
-        assert nb.quantize(work.copy(), np.empty(work.shape, np.int64)) is False
-        work[0, 1] = 1e300
-        assert nb.quantize(work.copy(), np.empty(work.shape, np.int64)) is False
-
-    @pytest.mark.parametrize("codec", ["zlib", "huffman", "raw"])
-    def test_payload_bytes_match_numpy_backend(self, codec):
-        rng = np.random.default_rng(16)
-        views = [rng.normal(0, 10, (7, 6, 5)) for _ in range(4)]
-        views += [rng.normal(0, 10, (9, 1, 3)).astype(np.float32)]
-        ebs = [0.01, 0.5, 1e-4, 0.01, 0.02]
-        ref = SZCompressor(codec=codec, kernels="numpy")
-        alt = SZCompressor(codec=codec, kernels="numba")
-        assert _payloads(ref.compress_many(views, ebs)) == _payloads(
-            alt.compress_many(views, ebs)
-        )
-
-    def test_outlier_heavy_bytes_match(self):
-        rng = np.random.default_rng(17)
-        views = [rng.normal(0, 100, (8, 8, 8)) for _ in range(3)]
-        ref = SZCompressor(radius=16, kernels="numpy")
-        alt = SZCompressor(radius=16, kernels="numba")
-        a = ref.compress_many(views, [0.01] * 3)
-        b = alt.compress_many(views, [0.01] * 3)
-        assert any(blk.n_outliers for blk in a)
-        assert _payloads(a) == _payloads(b)
-
-    @given(
-        hnp.arrays(
-            dtype=np.float64,
-            shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
-            elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-        ),
-        st.floats(1e-3, 1e1),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_property_bytes_match_numpy_backend(self, data, eb):
-        ref = SZCompressor(kernels="numpy")
-        alt = SZCompressor(kernels="numba")
-        ws = Workspace()
-        a = ref.compress_many([data], [eb], workspace=ws)
-        b = alt.compress_many([data], [eb], workspace=ws)
-        assert _payloads(a) == _payloads(b)
-
-
-def test_kernel_choices_cover_registry_names():
-    assert set(available_kernels()) <= set(KERNEL_CHOICES)

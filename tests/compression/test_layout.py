@@ -114,9 +114,7 @@ class TestFoldPrimitive:
 def _compressor(mode, codec, engine, radius=RADIUS):
     """Both quantization orders, each through the registry's one dispatch."""
     return resolve_compressor(
-        CompressorSpec.sz(
-            mode=mode, codec=codec, radius=radius, engine=engine, kernels="numpy"
-        )
+        CompressorSpec.sz(mode=mode, codec=codec, radius=radius, engine=engine)
     )
 
 
@@ -172,7 +170,7 @@ class TestMixedWidthGroups:
         scales = [0.5, 0.5, 40.0, 0.5, 40.0, 40.0, 0.5]  # uint8 / uint16 symbols
         views = [np.cumsum(rng.normal(0, s, (6, 6, 6)), axis=0) for s in scales]
         for codec in CODECS:
-            comp = SZCompressor(codec=codec, kernels="numpy")
+            comp = SZCompressor(codec=codec)
             batched = comp.compress_many(views, [0.01] * len(views))
             singles = [comp.compress(v, 0.01) for v in views]
             assert [b.payloads for b in batched] == [s.payloads for s in singles]

@@ -38,7 +38,7 @@ def _flip(blob: bytes, index: int, bit: int = 0) -> bytes:
 def _fresh_block(codec: str, radius: int = 1 << 15):
     rng = np.random.default_rng(31)
     data = np.cumsum(rng.normal(0, 30, (8, 8, 8)), axis=1)
-    return SZCompressor(codec=codec, radius=radius, kernels="numpy").compress(data, 0.05)
+    return SZCompressor(codec=codec, radius=radius).compress(data, 0.05)
 
 
 @pytest.fixture(params=[2, 1], ids=["layout2", "layout1"])
@@ -186,7 +186,7 @@ class TestUnknownHeaderTags:
 
 def test_outlier_position_outside_the_block():
     block = _fresh_block("zlib", radius=16)
-    small = SZCompressor(radius=16, kernels="numpy").compress(
+    small = SZCompressor(radius=16).compress(
         np.cumsum(np.random.default_rng(31).normal(0, 30, (8, 8, 4)), axis=1), 0.05
     )
     # same outlier count is not required: make the counts agree by hand

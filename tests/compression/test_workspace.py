@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.compression.codecs import _minimal_uint_dtype, get_codec
 from repro.compression.kernels import zigzag
-from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_inplace
+from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch_inplace
 from repro.compression.quantizer import encode_residuals, quantize_abs
 from repro.compression.sz import SZCompressor, decompress
 from repro.compression.workspace import Workspace
@@ -110,7 +110,7 @@ class TestWorkspace:
 
 
 class TestFusedKernels:
-    def test_lorenzo_inplace_matches_diff_chain(self):
+    def test_lorenzo_matches_diff_chain(self):
         rng = np.random.default_rng(0)
         for shape in ((17,), (9, 13), (5, 6, 7)):
             arr = rng.integers(-1000, 1000, shape)
@@ -121,14 +121,16 @@ class TestFusedKernels:
                     dtype=expected.dtype,
                 )
                 expected = np.diff(expected, axis=axis, prepend=pre)
-            out = lorenzo_transform_inplace(arr.copy())
-            assert np.array_equal(out, expected)
+            before = arr.copy()
+            assert np.array_equal(lorenzo_transform(arr), expected)
+            assert np.array_equal(arr, before)  # works on a copy
 
-    def test_lorenzo_inplace_rejects_bad_scratch(self):
+    def test_lorenzo_batch_rejects_bad_scratch(self):
+        batch = np.zeros((2, 4, 4), dtype=np.int64)
         with pytest.raises(ValueError, match="scratch"):
-            lorenzo_transform_inplace(
-                np.zeros((4, 4), dtype=np.int64), np.zeros(2, dtype=np.int64)
-            )
+            lorenzo_transform_batch_inplace(batch, np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="scratch"):
+            lorenzo_transform_batch_inplace(batch, np.zeros(batch.size, dtype=np.int32))
 
     @pytest.mark.parametrize("codec", ["zlib", "huffman", "raw"])
     def test_payloads_match_reference_across_codecs(self, codec):

@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.compression.api import REGISTRY, CompressorSpec
+from repro.compression.api import REGISTRY, CompressorSpec, resolve_compressor
 from repro.core.config import FieldSpec
 from repro.stream.controller import replay_ledger
 from repro.stream.ledger import (
@@ -36,6 +37,15 @@ from repro.stream.source import SimulatorStream
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE = FIXTURES / "pr4_ledger.jsonl"
+
+
+def _bounds(decisions):
+    return [(d.snapshot_index, d.field, list(d.ebs)) for d in decisions]
+
+
+def _pinned_v3_bounds():
+    pinned = json.loads((FIXTURES / "v3_ledger.decisions.json").read_text())
+    return [(p["snapshot"], p["field"], p["ebs"]) for p in pinned]
 
 
 class TestFrozenFixtures:
@@ -107,11 +117,51 @@ class TestFrozenFixtures:
         ctl = InSituController.resume(old)
         assert ctl.state.config.probe_mode == ctl.probe_mode == "model"
         ctl.close()
-        decisions = replay_ledger(old, verify=True)
-        pinned = json.loads((FIXTURES / "v3_ledger.decisions.json").read_text())
-        assert [(d.snapshot_index, d.field, list(d.ebs)) for d in decisions] == [
-            (p["snapshot"], p["field"], p["ebs"]) for p in pinned
-        ]
+        assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
+
+    @pytest.mark.parametrize("retired", ["numba", "numpy"])
+    def test_retired_kernels_stamp_resolves_resumes_and_replays(
+        self, tmp_path, stream_sim, retired
+    ):
+        """The ``kernels`` spec key chose between implementations with
+        identical bytes and is gone; a ledger stamped with any of its
+        values (``numba`` used to refuse to load without the package)
+        reads as plain ``sz``."""
+        from repro.stream.controller import InSituController
+
+        text = (FIXTURES / "v3_ledger.jsonl").read_text()
+        assert text.count('"kernels":"auto"') == 21
+        lines = text.replace('"kernels":"auto"', f'"kernels":"{retired}"').splitlines()
+        pinned = _pinned_v3_bounds()
+
+        whole = tmp_path / "whole.jsonl"
+        whole.write_text("\n".join(lines) + "\n")
+        InSituController.resume(whole).close()
+        assert _bounds(replay_ledger(whole, verify=True)) == pinned
+
+        # Cut before snapshot 4: the resumed run appends its own events.
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("\n".join(lines[:35]) + "\n")
+        ctl = InSituController.resume(cut)
+        ctl.run(
+            SimulatorStream(
+                stream_sim, [3.2, 2.8, 2.4, 2.0, 1.6],
+                fields=["baryon_density", "temperature"],
+            )
+        )
+        ctl.close()
+        appended = RunLedger.load(cut).events[35:]
+        assert appended[0].kind == "resume" and appended[-1].kind == "run_end"
+        specs = [e.data["spec"] for e in appended if e.kind == "decision"]
+        assert len(specs) == 2
+        assert all(sorted(s["params"]) == ["codec", "engine", "mode", "radius"] for s in specs)
+        assert _bounds(replay_ledger(cut, verify=True))[:-2] == pinned[:-2]
+
+        stored = json.loads(lines[0])["data"]["compressor"]
+        assert stored["params"]["kernels"] == retired
+        data = np.asarray(stream_sim.snapshot(z=1.0)["temperature"])
+        old = resolve_compressor(CompressorSpec.from_dict(stored)).compress(data, 5.0)
+        assert old.payloads == resolve_compressor("sz").compress(data, 5.0).payloads
 
     def test_v3_fixture_tamper_names_the_seq(self, tmp_path):
         lines = (FIXTURES / "v3_ledger.jsonl").read_text().splitlines()

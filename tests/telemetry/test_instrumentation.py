@@ -97,15 +97,6 @@ class TestStackInstrumentation:
         snap_ids = {s["span_id"] for s in snaps}
         assert all(s["parent_id"] in snap_ids for s in fields)
 
-    def test_kernel_resolution_metric(self):
-        from repro.compression.kernels import get_kernels
-
-        with telemetry.armed():
-            get_kernels("numpy")
-            snap = {m["name"]: m for m in telemetry.get_registry().snapshot()}
-        assert snap["kernels.resolve.numpy->numpy"]["value"] >= 1
-        assert snap["kernels.backend_is_numba"]["value"] == 0.0
-
     def test_foresight_cache_counters(self, sim):
         data = sim.snapshot(z=1.0)["temperature"]
         with telemetry.armed():
