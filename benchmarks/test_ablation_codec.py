@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.compression.api import CompressorSpec, capabilities_of, resolve_compressor
+from repro.compression.api import CompressorSpec, resolve_compressor
 from repro.compression.sz import SZCompressor, decompress
 from repro.core.config import FieldSpec
 from repro.core.selection import select_compressor
@@ -116,7 +116,7 @@ def test_ablation_compressor_family(snapshot, decomposition, benchmark):
                     "ratio": float(block.ratio),
                     "bit_rate": float(block.bit_rate),
                     "max_abs_error": max_err,
-                    "error_bounded": capabilities_of(comp).error_bounded,
+                    "error_bounded": comp.capabilities.error_bounded,
                     "selected": verdict.spec == selection.chosen,
                     "verdict": verdict.reason,
                     "eb_violation": verdict.eb_violation,

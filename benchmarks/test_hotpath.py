@@ -33,6 +33,7 @@ from repro.compression.codecs import get_codec
 from repro.compression.kernels import zigzag
 from repro.compression.quantizer import DEFAULT_RADIUS
 from repro.compression.sz import SZCompressor
+from repro.compression.workspace import thread_workspace
 from repro.models.calibration import calibrate_rate_model
 from repro.telemetry.report import stage_summary
 from repro.parallel.decomposition import BlockDecomposition
@@ -121,11 +122,15 @@ def test_hotpath(benchmark):
     comp.compress(data, eb)  # warm the workspace / caches
 
     def run():
-        ws = comp.workspace
+        ws = thread_workspace()
+        # The two kernels take ~3 ms and, late in a long test process,
+        # differ by under 10 % (freed pages make the seed's allocations
+        # cheap): best of 3 was too few rounds to tell them apart.
         t = {
-            "kernel_seed_s": _best_of(lambda: _seed_kernel(data, eb)),
+            "kernel_seed_s": _best_of(lambda: _seed_kernel(data, eb), rounds=15),
             "kernel_fused_s": _best_of(
-                lambda: comp._quantize_encode_batch([data], np.array([eb]), ws)
+                lambda: comp._quantize_encode_batch([data], np.array([eb]), ws),
+                rounds=15,
             ),
             "compress_seed_s": _best_of(lambda: _seed_compress(data, eb, codec)),
             "compress_fused_s": _best_of(lambda: comp.compress(data, eb)),

@@ -73,7 +73,7 @@ def _best_of(fn, rounds: int = ROUNDS) -> float:
 class _CompressCounter:
     """Count every block compressed by the candidate compressor classes:
     one per ``compress`` call, one per view of a ``compress_many`` batch
-    (the adapters' batches loop over their inner ``compress``)."""
+    (``zfp_like``'s batch is a loop over its own ``compress``)."""
 
     CLASSES = (SZCompressor, ZFPLikeCompressor)
 

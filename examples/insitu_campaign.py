@@ -37,7 +37,7 @@ def main() -> None:
     # Offline calibration on the first snapshot.
     first = sim.snapshot(z=REDSHIFTS[0])
     cal = calibrate_rate_model(dec.partition_views(first[FIELD]), eb_scale=EB_AVG, seed=0)
-    pipe = AdaptiveCompressionPipeline(cal.rate_model)
+    pipe = AdaptiveCompressionPipeline(cal.rate_model, backend="thread")
 
     # A frozen configuration computed once at the first snapshot.
     feats0 = [

@@ -10,7 +10,6 @@ These are the two analyses whose distortion the paper's models predict:
   masses and centroid positions),
 - :mod:`repro.analysis.labeling` — from-scratch 3-D connected-component
   labeling backing the halo finder,
-- :mod:`repro.analysis.fof` — particle friends-of-friends finder,
 - :mod:`repro.analysis.catalog` — halo catalog matching and the halo
   quality metrics (count change, position change, per-halo mass change),
 - :mod:`repro.analysis.metrics` — the general-purpose distortion metrics
@@ -26,10 +25,8 @@ from repro.analysis.spectrum import (
 from repro.analysis.correlation import two_point_correlation
 from repro.analysis.labeling import label_components
 from repro.analysis.halos import HaloCatalog, find_halos
-from repro.analysis.fof import friends_of_friends
 from repro.analysis.catalog import CatalogComparison, compare_catalogs
 from repro.analysis.metrics import mse, nrmse, psnr, mean_relative_error
-from repro.analysis.ssim import ssim3d
 
 __all__ = [
     "PowerSpectrum",
@@ -40,12 +37,10 @@ __all__ = [
     "label_components",
     "HaloCatalog",
     "find_halos",
-    "friends_of_friends",
     "CatalogComparison",
     "compare_catalogs",
     "psnr",
     "mse",
     "nrmse",
     "mean_relative_error",
-    "ssim3d",
 ]

@@ -16,8 +16,8 @@ pipeline in vectorized NumPy:
   NumPy, batched over ``(B, ...)`` stacks of same-shape blocks,
 - :mod:`repro.compression.kernels` — the integer maps more than one
   compressor needs (zigzag, the byte-plane split),
-- :mod:`repro.compression.workspace` — reusable scratch arenas for that
-  allocation-lean batched front,
+- :mod:`repro.compression.workspace` — the reusable scratch arena of
+  that allocation-lean batched front, one per thread,
 - :mod:`repro.compression.estimator` — codec-free bit-rate prediction
   from a census of the quantization codes (the calibration/sweep fast
   path),
@@ -28,7 +28,8 @@ pipeline in vectorized NumPy:
   stored forms (code-stream layout 1, legacy outlier channels),
 - :mod:`repro.compression.zfp_like` — a fixed-rate transform codec used
   as the ZFP-style comparator,
-- :mod:`repro.compression.api` — the pluggable compressor backbone: a
+- :mod:`repro.compression.api` — the pluggable compressor backbone:
+  the one :class:`Compressor` contract every family implements, and a
   capability-typed :class:`CompressorRegistry` resolving serializable
   :class:`CompressorSpec` values into compressor instances, so every
   layer above (calibration, pipeline, sweeps, the stream controller,
@@ -44,19 +45,15 @@ from repro.compression.regression import AdaptiveSZCompressor
 from repro.compression.codecs import HuffmanCodec, RawCodec, ZlibCodec, get_codec
 from repro.compression.api import (
     REGISTRY,
-    AdaptiveSZAdapter,
     Compressor,
     CompressorCapabilities,
     CompressorRegistry,
     CompressorSpec,
     UnsupportedCapabilityError,
-    ZFPLikeAdapter,
-    capabilities_of,
     decompress_any,
     decompress_many,
     register_builtin_families,
     resolve_compressor,
-    spec_of,
 )
 from repro.compression.stats import (
     CompressionStats,
@@ -88,14 +85,10 @@ __all__ = [
     "CompressorRegistry",
     "CompressorSpec",
     "UnsupportedCapabilityError",
-    "ZFPLikeAdapter",
-    "AdaptiveSZAdapter",
-    "capabilities_of",
     "decompress_any",
     "decompress_many",
     "register_builtin_families",
     "resolve_compressor",
-    "spec_of",
     "CompressionStats",
     "bit_rate",
     "compression_ratio",

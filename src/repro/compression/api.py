@@ -14,10 +14,14 @@ select_compressor`) instead of a hard-coded default:
   naming one concrete configuration; what sweeps fan over, what the
   stream ledger records with every decision, and what the
   :class:`~repro.models.calibration.RateModelBank` keys on,
+- :class:`Compressor` — the one contract every family implements
+  itself (``capabilities``, ``spec``, ``compress``, ``compress_many``,
+  ``decompress``, plus ``estimate_many`` where declared), checked once,
+  in :func:`resolve_compressor`,
 - :class:`CompressorRegistry` — ``register``/``create(spec)``/
-  ``default()``; adapts the existing compressors with byte-identical
-  payloads (``registry.create(spec).compress(...)`` equals direct
-  construction, property-tested),
+  ``default()``; a family's factory *is* its compressor class, so
+  ``registry.create(comp.spec)`` rebuilds ``comp`` with byte-identical
+  payloads (contract-tested per family),
 - :func:`decompress_any` / :func:`decompress_many` — block-type
   dispatch so reconstruction paths work for every registered family,
   not just SZ; the batch form fans blocks out over threads.
@@ -39,11 +43,11 @@ from typing import Any, Protocol, runtime_checkable
 import numpy as np
 
 # Leaf-module imports only: this module sits *below* the concrete
-# compressors (sz.py imports its capability/spec types from here), so
-# the concrete families are imported lazily — inside adapters and
+# compressors (each imports its capability/spec types from here), so
+# the concrete families are imported lazily — inside the sz factory and
 # :func:`register_builtin_families` — to keep the graph acyclic.
 from repro.compression.quantizer import DEFAULT_RADIUS
-from repro.compression.zfp_like import ZFPBlockStream, ZFPLikeCompressor
+from repro.util.fanout import thread_map
 
 __all__ = [
     "CompressorCapabilities",
@@ -54,22 +58,21 @@ __all__ = [
     "UnsupportedCapabilityError",
     "SZ_CAPABILITIES",
     "register_builtin_families",
-    "ZFPLikeAdapter",
-    "AdaptiveSZAdapter",
     "resolve_compressor",
-    "capabilities_of",
-    "spec_of",
     "decompress_any",
     "decompress_many",
 ]
 
 
 class UnsupportedCapabilityError(TypeError):
-    """An operation requires a capability the compressor does not declare.
+    """An operation requires a capability the compressor does not declare
+    — or the object handed in declares none because it lacks part of the
+    :class:`Compressor` contract.
 
-    Raised *at the boundary* (calibration entry, sweep entry, pipeline
-    construction) with an actionable message, instead of an
-    ``AttributeError`` from deep inside a probe loop.
+    Raised *at the boundary* (:func:`resolve_compressor`, calibration
+    entry, sweep entry, pipeline construction) with an actionable
+    message, instead of an ``AttributeError`` from deep inside a probe
+    loop.
     """
 
 
@@ -89,8 +92,8 @@ class CompressorCapabilities:
         the data or a bound — §2.2's ZFP fixed-rate mode.  Mutually
         exclusive with ``error_bounded`` in practice.
     supports_estimate:
-        Provides ``estimate_many(views, ebs, workspace=None)`` — the
-        batched codec-free rate/quality probe behind
+        Provides ``estimate_many(views, ebs)`` — the batched
+        codec-free rate/quality probe behind
         ``probe_mode="model"``.
     """
 
@@ -108,22 +111,12 @@ class CompressorCapabilities:
             )
 
 
-#: Capabilities of the SZ family (attached to ``SZCompressor`` itself —
-#: the registry's "adapter" for SZ is the real class, which is what makes
-#: payload byte-identity trivial).
+#: Capabilities of the SZ family (what ``SZCompressor`` declares).
 SZ_CAPABILITIES = CompressorCapabilities(
     error_bounded=True,
     fixed_rate=False,
     supports_estimate=True,
 )
-
-#: The *raw* fixed-rate codec carries a declaration too (attached here —
-#: :mod:`repro.compression.zfp_like` stays a leaf module below this one),
-#: so capability gates catch direct instances, not just the adapter:
-#: without it, :func:`capabilities_of`'s legacy fallback would misreport
-#: a hand-constructed ``ZFPLikeCompressor`` as error-bounded and the old
-#: deep ``TypeError`` inside calibration would survive the refactor.
-ZFPLikeCompressor.capabilities = CompressorCapabilities(fixed_rate=True)
 
 
 def _coerce_param(value: str) -> Any:
@@ -249,13 +242,27 @@ class CompressorSpec:
 
 @runtime_checkable
 class Compressor(Protocol):
-    """Structural interface every registered compressor satisfies.
+    """The contract every compressor implements, written once.
 
-    ``compress(data, eb, workspace=None)`` returns a self-describing
-    block; ``decompress(block)`` inverts it.  ``eb`` is honoured as an
-    error bound only when :attr:`capabilities` declares
+    ``compress(data, eb)`` returns a self-describing block;
+    ``compress_many(views, ebs, threads=None)`` is the batched way in —
+    one bound per view, the blocks of per-view ``compress`` calls, in
+    order, with ``threads`` capping any fan-out (``1`` keeps the call in
+    its thread); ``decompress(block)`` inverts either.  ``eb`` is
+    honoured as an error bound only when :attr:`capabilities` declares
     ``error_bounded`` — fixed-rate families accept and ignore it, so the
-    call shape stays uniform across the registry.
+    call shape stays uniform across the registry.  A compressor that
+    declares ``supports_estimate`` also provides ``estimate_many(views,
+    ebs)``, the codec-free probe.  ``registry.create(comp.spec)`` gives
+    an equivalent instance, and instances pickle (process-pool workers
+    receive them that way).
+
+    Scratch is not part of the contract: kernels that want reusable
+    buffers take them from the calling thread's arena
+    (:func:`repro.compression.workspace.thread_workspace`).
+
+    :func:`resolve_compressor` is where an object is held to this; code
+    behind it calls the methods without looking for them first.
     """
 
     capabilities: CompressorCapabilities
@@ -263,115 +270,13 @@ class Compressor(Protocol):
     @property
     def spec(self) -> CompressorSpec: ...
 
-    def compress(self, data: np.ndarray, eb: float, workspace: Any | None = None) -> Any: ...
+    def compress(self, data: np.ndarray, eb: float) -> Any: ...
+
+    def compress_many(
+        self, views: list[np.ndarray], ebs: Any, threads: int | None = None
+    ) -> list[Any]: ...
 
     def decompress(self, block: Any) -> np.ndarray: ...
-
-
-# -- adapters for the non-SZ families ----------------------------------------
-
-
-class ZFPLikeAdapter:
-    """Registry adapter giving :class:`ZFPLikeCompressor` the uniform shape.
-
-    The underlying codec is fixed-rate: ``compress`` accepts the
-    registry-wide ``(data, eb, workspace)`` signature but **ignores the
-    error bound** — precisely the §2.2 property
-    :func:`~repro.core.selection.select_compressor` quantifies and
-    rejects.  Payloads are byte-identical to direct
-    :class:`ZFPLikeCompressor` use (the adapter owns a real instance and
-    delegates).
-    """
-
-    capabilities = CompressorCapabilities(error_bounded=False, fixed_rate=True)
-
-    def __init__(self, rate: float = 8.0) -> None:
-        self._inner = ZFPLikeCompressor(rate=rate)
-        self.rate = self._inner.rate
-
-    @property
-    def spec(self) -> CompressorSpec:
-        return CompressorSpec.zfp_like(rate=self.rate)
-
-    def compress(
-        self, data: np.ndarray, eb: float | None = None, workspace: Any | None = None
-    ) -> ZFPBlockStream:
-        return self._inner.compress(data)
-
-    def compress_many(
-        self,
-        views: list[np.ndarray],
-        ebs: Any,
-        workspace: Any | None = None,
-        threads: int | None = None,
-    ) -> list[ZFPBlockStream]:
-        # Fixed-rate transform coding has no batched kernel path yet.
-        return [self._inner.compress(v) for v in views]  # repro-lint: disable=RL011
-
-    def decompress(self, block: ZFPBlockStream) -> np.ndarray:
-        # Blocks are self-describing: reuse the owned instance when the
-        # rates match, otherwise decode with a codec at the block's rate.
-        inner = (
-            self._inner
-            if block.rate == self.rate
-            else ZFPLikeCompressor(rate=block.rate)
-        )
-        return inner.decompress(block)
-
-    def __repr__(self) -> str:
-        return f"ZFPLikeAdapter(rate={self.rate})"
-
-
-class AdaptiveSZAdapter:
-    """Registry adapter for the SZ2-style regression-predictor compressor.
-
-    Error-bounded like plain SZ but without the histogram estimator —
-    the capability flags say so, and the codec-free probe paths raise
-    :class:`UnsupportedCapabilityError` instead of an
-    ``AttributeError``.
-    """
-
-    capabilities = CompressorCapabilities(error_bounded=True)
-
-    def __init__(
-        self, codec: str = "zlib", block: int = 8, radius: int = DEFAULT_RADIUS
-    ) -> None:
-        from repro.compression.regression import AdaptiveSZCompressor
-
-        self._inner = AdaptiveSZCompressor(codec=codec, block=block, radius=radius)
-        self.codec_name = self._inner.codec.name
-        self.block = int(block)
-        self.radius = int(radius)
-
-    @property
-    def spec(self) -> CompressorSpec:
-        return CompressorSpec.make(
-            "sz_adaptive", codec=self.codec_name, block=self.block, radius=self.radius
-        )
-
-    def compress(
-        self, data: np.ndarray, eb: float, workspace: Any | None = None
-    ) -> AdaptiveBlockStream:
-        return self._inner.compress(data, eb)
-
-    def compress_many(
-        self,
-        views: list[np.ndarray],
-        ebs: Any,
-        workspace: Any | None = None,
-        threads: int | None = None,
-    ) -> list[AdaptiveBlockStream]:
-        # Per-block predictor selection is inherently sequential.
-        return [
-            self._inner.compress(v, float(eb))  # repro-lint: disable=RL011
-            for v, eb in zip(views, ebs)
-        ]
-
-    def decompress(self, block: AdaptiveBlockStream) -> np.ndarray:
-        return self._inner.decompress(block)
-
-    def __repr__(self) -> str:
-        return f"AdaptiveSZAdapter(codec={self.codec_name!r}, block={self.block})"
 
 
 # -- the registry ------------------------------------------------------------
@@ -538,9 +443,7 @@ def register_builtin_families(registry: CompressorRegistry | None = None) -> Non
     concrete compressor modules are importable; re-running simply
     overwrites the entries with identical ones.
     """
-    from repro.compression.regression import AdaptiveBlockStream
-    from repro.compression.sz import CompressedBlock
-    from repro.compression.sz import decompress as sz_decompress
+    from repro.compression import regression, sz, zfp_like
 
     reg = registry if registry is not None else REGISTRY
     reg.register(
@@ -557,35 +460,33 @@ def register_builtin_families(registry: CompressorRegistry | None = None) -> Non
             "error-bounded SZ-style compressor (quantize -> Lorenzo -> "
             "entropy codec); 'codec' is the entropy stage, not the family"
         ),
-        block_type=CompressedBlock,
-        block_decompress=sz_decompress,
+        block_type=sz.CompressedBlock,
+        block_decompress=sz.decompress,
         default=True,
     )
     reg.register(
         "zfp_like",
-        ZFPLikeAdapter,
-        ZFPLikeAdapter.capabilities,
+        zfp_like.ZFPLikeCompressor,
+        zfp_like.ZFPLikeCompressor.capabilities,
         defaults={"rate": 8.0},
         description=(
             "fixed-rate block-transform codec (ZFP-style comparator); "
             "cannot enforce an absolute error bound (paper §2.2)"
         ),
-        block_type=ZFPBlockStream,
-        block_decompress=lambda b: ZFPLikeAdapter(rate=b.rate).decompress(b),
+        block_type=zfp_like.ZFPBlockStream,
+        block_decompress=zfp_like.decompress,
     )
     reg.register(
         "sz_adaptive",
-        AdaptiveSZAdapter,
-        AdaptiveSZAdapter.capabilities,
+        regression.AdaptiveSZCompressor,
+        regression.AdaptiveSZCompressor.capabilities,
         defaults={"codec": "zlib", "block": 8, "radius": DEFAULT_RADIUS},
         description=(
             "error-bounded SZ2-style compressor with per-block "
             "Lorenzo-vs-regression predictor selection"
         ),
-        block_type=AdaptiveBlockStream,
-        block_decompress=lambda b: AdaptiveSZAdapter(
-            codec=b.codec_name, block=b.block, radius=b.radius
-        ).decompress(b),
+        block_type=regression.AdaptiveBlockStream,
+        block_decompress=regression.decompress,
     )
 
 
@@ -601,34 +502,28 @@ def resolve_compressor(
     keeps the historical default (plain SZ), specs go through the
     registry, instances pass through untouched (caller-owned state such
     as codec levels is preserved — required for byte-identical
-    process-pool output).
+    process-pool output).  It is also the one place an instance is held
+    to the :class:`Compressor` contract: an object that lacks part of it
+    raises :class:`UnsupportedCapabilityError` naming what is missing.
     """
     if compressor is None or isinstance(compressor, (CompressorSpec, str)):
         return REGISTRY.create(compressor)
-    return compressor
-
-
-def capabilities_of(compressor: Any) -> CompressorCapabilities:
-    """A compressor's declared capabilities, with a legacy fallback.
-
-    Instances without a ``capabilities`` declaration (third-party
-    SZ-alikes, test doubles) are assumed error-bounded — the historical
-    duck-typed contract — with ``supports_estimate`` inferred from the
-    presence of ``estimate_many``.
-    """
     caps = getattr(compressor, "capabilities", None)
-    if isinstance(caps, CompressorCapabilities):
-        return caps
-    return CompressorCapabilities(
-        error_bounded=True,
-        supports_estimate=hasattr(compressor, "estimate_many"),
-    )
-
-
-def spec_of(compressor: Any) -> CompressorSpec | None:
-    """A compressor's spec, or ``None`` for instances that don't carry one."""
-    spec = getattr(compressor, "spec", None)
-    return spec if isinstance(spec, CompressorSpec) else None
+    declared = isinstance(caps, CompressorCapabilities)
+    methods = ["compress", "compress_many", "decompress"]
+    if declared and caps.supports_estimate:
+        methods.append("estimate_many")
+    missing = [m for m in methods if not callable(getattr(compressor, m, None))]
+    if not declared:
+        missing.append("capabilities")
+    if not isinstance(getattr(compressor, "spec", None), CompressorSpec):
+        missing.append("spec")
+    if missing:
+        raise UnsupportedCapabilityError(
+            f"{compressor!r} is not a compressor: it lacks "
+            f"{', '.join(missing)} of the repro.compression.api.Compressor contract"
+        )
+    return compressor
 
 
 def decompress_any(block: Any) -> np.ndarray:
@@ -637,7 +532,7 @@ def decompress_any(block: Any) -> np.ndarray:
 
 
 #: Fewest elements per block for which handing per-block work (entropy
-#: encodes, whole-block decodes) to the thread backend pays.  Measured on
+#: encodes, whole-block decodes) to a thread pool pays.  Measured on
 #: a 2-vCPU box whose second core comes and goes, time with
 #: ``threads=2`` over time with ``threads=1`` (compress / decode, 64
 #: blocks per field, medians): 8^3 1.35x / 1.24x, 16^3 1.07x / 1.38x,
@@ -655,7 +550,7 @@ def decompress_many(blocks: Sequence[Any], threads: int | None = None) -> list[n
     The decode analogue of ``compress_many``'s entropy fan-out: inflate
     and the Lorenzo prefix sums both release the GIL, so blocks of at
     least :data:`FANOUT_MIN_ELEMENTS` elements (on average) decode
-    concurrently on the thread backend's ``map_tasks``; smaller ones are
+    concurrently (:func:`repro.util.fanout.thread_map`); smaller ones are
     decoded one after another in the calling thread, where they finish
     sooner.  ``threads`` caps the number of blocks decoded at once:
     ``None`` (default) is the CPU count, ``1`` keeps everything in the
@@ -667,12 +562,9 @@ def decompress_many(blocks: Sequence[Any], threads: int | None = None) -> list[n
     threads = min(threads, len(blocks))
     if threads <= 1 or sum(b.n_elements for b in blocks) < FANOUT_MIN_ELEMENTS * len(blocks):
         return [decompress_any(b) for b in blocks]
-    # Lazy import: parallel.backends imports this module.
-    from repro.parallel.backends import get_backend
-
     # One strided share per thread (neighbouring blocks cost about the
     # same, so the shares come out even); the share count is the cap.
-    shares = get_backend("thread").map_tasks(
+    shares = thread_map(
         lambda share: [decompress_any(b) for b in share],
         [blocks[i::threads] for i in range(threads)],
     )

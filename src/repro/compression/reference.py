@@ -68,17 +68,13 @@ class ClassicSZCompressor:
             mode=self.mode, codec=self.codec.name, radius=self.radius, engine="classic"
         )
 
-    def compress(
-        self, data: np.ndarray, eb: float, workspace: object = None
-    ) -> CompressedBlock:
-        """``workspace`` is the registry-wide call shape; unused here."""
+    def compress(self, data: np.ndarray, eb: float) -> CompressedBlock:
         return self.compress_many([data], [eb])[0]
 
     def compress_many(
         self,
         views: list[np.ndarray],
         ebs: np.ndarray | list[float],
-        workspace: object = None,
         threads: int | None = None,
     ) -> list[CompressedBlock]:
         """One block at a time — there is nothing to batch."""

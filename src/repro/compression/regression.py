@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compression.api import CompressorCapabilities, CompressorSpec
 from repro.compression.codecs import Codec, get_codec, inflate_exact
 from repro.compression.estimator import HEADER_BYTES
 from repro.compression.kernels import unzigzag, zigzag
@@ -44,7 +45,12 @@ from repro.compression.quantizer import (
 from repro.util.errors import PayloadError
 from repro.util.validation import check_positive
 
-__all__ = ["AdaptiveSZCompressor", "AdaptiveBlockStream", "regression_coefficients"]
+__all__ = [
+    "AdaptiveSZCompressor",
+    "AdaptiveBlockStream",
+    "decompress",
+    "regression_coefficients",
+]
 
 _COEF_QUANT = 64  # coefficient lattice: stored as round(beta * _COEF_QUANT)
 
@@ -147,8 +153,12 @@ class AdaptiveSZCompressor:
 
     Operates in ``abs`` mode on 3-D data whose dimensions divide the
     block size.  The error-bound contract is identical to
-    :class:`repro.compression.sz.SZCompressor`.
+    :class:`repro.compression.sz.SZCompressor`, without the histogram
+    estimator — the capability flags say so, and the codec-free probe
+    paths raise :class:`~repro.compression.api.UnsupportedCapabilityError`.
     """
+
+    capabilities = CompressorCapabilities(error_bounded=True)
 
     def __init__(
         self,
@@ -161,6 +171,12 @@ class AdaptiveSZCompressor:
         self.block = int(block)
         self.codec = get_codec(codec)
         self.radius = int(radius)
+
+    @property
+    def spec(self) -> CompressorSpec:
+        return CompressorSpec.make(
+            "sz_adaptive", codec=self.codec.name, block=self.block, radius=self.radius
+        )
 
     # -- compress ----------------------------------------------------------
 
@@ -217,52 +233,71 @@ class AdaptiveSZCompressor:
             layout=LAYOUT,
         )
 
-    # -- decompress -----------------------------------------------------------
+    def compress_many(
+        self,
+        views: list[np.ndarray],
+        ebs: np.ndarray | list[float],
+        threads: int | None = None,
+    ) -> list[AdaptiveBlockStream]:
+        """One stream per (view, bound); the per-block predictor
+        selection leaves nothing to batch across views."""
+        return [self.compress(v, float(eb)) for v, eb in zip(views, ebs)]
 
     def decompress(self, stream: AdaptiveBlockStream) -> np.ndarray:
-        n = stream.n_elements
-        nblocks = n // stream.block**3
+        """Streams are self-describing: any ``sz_adaptive`` one decodes here."""
+        return decompress(stream)
 
-        def channel(name: str, nbytes: int) -> bytes:
-            try:
-                return inflate_exact(stream.payloads[name], nbytes, name)
-            except KeyError:
-                raise PayloadError(f"stream has no {name!r} payload") from None
+    def __repr__(self) -> str:
+        return f"AdaptiveSZCompressor(codec={self.codec.name!r}, block={self.block})"
 
-        use_reg = np.unpackbits(
-            np.frombuffer(channel("modes", (nblocks + 7) // 8), dtype=np.uint8),
-            count=nblocks,
-        ).astype(bool)
-        qcoeffs = unzigzag(
-            np.frombuffer(channel("coeffs", 32 * int(use_reg.sum())), dtype=np.uint64)
-        ).reshape(-1, 4)
-        out_pos = np.frombuffer(channel("outlier_pos", 8 * stream.n_outliers), dtype=np.int64)
-        out_val = np.frombuffer(channel("outlier_val", 8 * stream.n_outliers), dtype=np.uint64)
-        if out_pos.size and not 0 <= int(out_pos.min()) <= int(out_pos.max()) < n:
-            raise PayloadError("outlier position outside the stream")
-        codes = stream.payloads.get("codes", b"")
-        if stream.layout == LAYOUT:
-            res = unfold_symbols(get_codec(stream.codec_name).decode(codes, n))
-        elif stream.layout == 1:
-            from repro.compression import compat  # cold path: retired layout
 
-            res = compat.residuals_v1(stream.codec_name, codes, n, stream.radius)
-        else:
-            raise PayloadError(f"unknown code-stream layout {stream.layout!r}")
-        res[out_pos] = unzigzag(out_val)
-        residuals = res.reshape(nblocks, stream.block, stream.block, stream.block)
+def decompress(stream: AdaptiveBlockStream) -> np.ndarray:
+    """Reconstruct a field from an :class:`AdaptiveBlockStream` (it
+    records its own block size, codec and radius; no compressor
+    instance is needed)."""
+    n = stream.n_elements
+    nblocks = n // stream.block**3
 
-        tiles = np.empty_like(residuals)
-        # Lorenzo blocks: cumulative-sum inversion.
-        for idx in np.flatnonzero(~use_reg):
-            tiles[idx] = lorenzo_inverse(residuals[idx])
-        # Regression blocks: add back the quantized hyperplane.
-        reg_idx = np.flatnonzero(use_reg)
-        if len(reg_idx):
-            pred = np.rint(
-                _predict(qcoeffs.astype(np.float64) / _COEF_QUANT, stream.block)
-            ).astype(np.int64)
-            tiles[reg_idx] = residuals[reg_idx] + pred
+    def channel(name: str, nbytes: int) -> bytes:
+        try:
+            return inflate_exact(stream.payloads[name], nbytes, name)
+        except KeyError:
+            raise PayloadError(f"stream has no {name!r} payload") from None
 
-        q = _untile(tiles, stream.shape, stream.block)
-        return dequantize_abs(q, stream.eb)
+    use_reg = np.unpackbits(
+        np.frombuffer(channel("modes", (nblocks + 7) // 8), dtype=np.uint8),
+        count=nblocks,
+    ).astype(bool)
+    qcoeffs = unzigzag(
+        np.frombuffer(channel("coeffs", 32 * int(use_reg.sum())), dtype=np.uint64)
+    ).reshape(-1, 4)
+    out_pos = np.frombuffer(channel("outlier_pos", 8 * stream.n_outliers), dtype=np.int64)
+    out_val = np.frombuffer(channel("outlier_val", 8 * stream.n_outliers), dtype=np.uint64)
+    if out_pos.size and not 0 <= int(out_pos.min()) <= int(out_pos.max()) < n:
+        raise PayloadError("outlier position outside the stream")
+    codes = stream.payloads.get("codes", b"")
+    if stream.layout == LAYOUT:
+        res = unfold_symbols(get_codec(stream.codec_name).decode(codes, n))
+    elif stream.layout == 1:
+        from repro.compression import compat  # cold path: retired layout
+
+        res = compat.residuals_v1(stream.codec_name, codes, n, stream.radius)
+    else:
+        raise PayloadError(f"unknown code-stream layout {stream.layout!r}")
+    res[out_pos] = unzigzag(out_val)
+    residuals = res.reshape(nblocks, stream.block, stream.block, stream.block)
+
+    tiles = np.empty_like(residuals)
+    # Lorenzo blocks: cumulative-sum inversion.
+    for idx in np.flatnonzero(~use_reg):
+        tiles[idx] = lorenzo_inverse(residuals[idx])
+    # Regression blocks: add back the quantized hyperplane.
+    reg_idx = np.flatnonzero(use_reg)
+    if len(reg_idx):
+        pred = np.rint(
+            _predict(qcoeffs.astype(np.float64) / _COEF_QUANT, stream.block)
+        ).astype(np.int64)
+        tiles[reg_idx] = residuals[reg_idx] + pred
+
+    q = _untile(tiles, stream.shape, stream.block)
+    return dequantize_abs(q, stream.eb)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +71,9 @@ from repro.compression.quantizer import (
     quantize_lattice_batch,
     unfold_symbols,
 )
-from repro.compression.workspace import Workspace
+from repro.compression.workspace import Workspace, thread_workspace
 from repro.util.errors import PayloadError
+from repro.util.fanout import thread_map
 
 __all__ = ["SZCompressor", "CompressedBlock", "decompress", "HEADER_BYTES"]
 
@@ -159,8 +159,7 @@ class SZCompressor:
     """
 
     #: Declared capabilities (the registry's capability typing): SZ is
-    #: the error-bounded family with the codec-free histogram estimator
-    #: and the reusable workspace arena.
+    #: the error-bounded family with the codec-free histogram estimator.
     capabilities = SZ_CAPABILITIES
 
     def __init__(
@@ -176,7 +175,6 @@ class SZCompressor:
         self.mode = mode
         self.codec = get_codec(codec)
         self.radius = int(radius)
-        self._tls = threading.local()
 
     @property
     def spec(self) -> CompressorSpec:
@@ -196,53 +194,21 @@ class SZCompressor:
             engine="dual",
         )
 
-    # -- workspace management --------------------------------------------
-
-    @property
-    def workspace(self) -> Workspace:
-        """This thread's reusable kernel scratch arena (created on demand).
-
-        Workspaces are kept per thread (``threading.local``), so sharing
-        one compressor across the thread-SPMD backend's rank threads is
-        safe; the serial path and each process-pool worker reuse one
-        arena across every block they compress.
-        """
-        ws = getattr(self._tls, "workspace", None)
-        if ws is None:
-            ws = Workspace()
-            self._tls.workspace = ws
-        return ws
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_tls", None)  # thread-locals are per-process scratch
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._tls = threading.local()
-
     # -- public API ------------------------------------------------------
 
-    def compress(
-        self, data: np.ndarray, eb: float, workspace: Workspace | None = None
-    ) -> CompressedBlock:
+    def compress(self, data: np.ndarray, eb: float) -> CompressedBlock:
         """Compress ``data`` under error bound ``eb``.
 
         ``eb`` is absolute in ``abs`` mode and relative in ``pw_rel``
-        mode.  Arrays of 1-3 dimensions are supported.  ``workspace``
-        overrides the compressor's per-thread scratch arena (callers that
-        manage their own worker lifetimes can pass one explicitly).
+        mode.  Arrays of 1-3 dimensions are supported.
         """
         arrs, eb_arr = _check_batch([data], [eb])
-        ws = workspace or self.workspace
-        return self._compress_batch(arrs, eb_arr, ws, threads=1)[0]
+        return self._compress_batch(arrs, eb_arr, thread_workspace(), threads=1)[0]
 
     def compress_many(
         self,
         views: list[np.ndarray],
         ebs: np.ndarray | list[float],
-        workspace: Workspace | None = None,
         threads: int | None = None,
     ) -> list[CompressedBlock]:
         """Compress a batch of partitions under per-partition bounds.
@@ -251,11 +217,13 @@ class SZCompressor:
         grouped by shape and each group runs the *whole* front of the
         pipeline — quantize, Lorenzo, residual fold, narrowing / byte
         planes, outlier side channels — as one multi-block pass over
-        ``(B, n)`` workspace arenas, instead of one interpreter
-        round-trip per block.  The per-block entropy stage then fans out
-        over the thread backend (zlib releases the GIL) when the blocks
-        hold at least :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS`
-        elements; smaller ones are coded sooner in the calling thread.
+        ``(B, n)`` views of the calling thread's scratch arena
+        (:func:`~repro.compression.workspace.thread_workspace`), instead
+        of one interpreter round-trip per block.  The per-block entropy
+        stage then fans out over threads (zlib releases the GIL) when
+        the blocks hold at least
+        :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS` elements;
+        smaller ones are coded sooner in the calling thread.
 
         ``threads`` caps the entropy-stage fan-out: ``None`` (default)
         uses the CPU count, ``1`` keeps everything in the calling thread
@@ -266,7 +234,7 @@ class SZCompressor:
         (property-tested).
         """
         arrs, eb_arr = _check_batch(views, ebs)
-        ws = workspace or self.workspace
+        ws = thread_workspace()
         if threads is None:
             threads = os.cpu_count() or 1
         blocks: list[CompressedBlock | None] = [None] * len(arrs)
@@ -281,9 +249,7 @@ class SZCompressor:
                 blocks[i] = blk
         return blocks
 
-    def estimate(
-        self, data: np.ndarray, eb: float, workspace: Workspace | None = None
-    ) -> RQEstimate:
+    def estimate(self, data: np.ndarray, eb: float) -> RQEstimate:
         """Predict compressed size *and* quality without running a codec.
 
         Runs the cheap front of the pipeline (quantize -> Lorenzo ->
@@ -298,13 +264,10 @@ class SZCompressor:
         behind ``probe_mode="model"``: rate-model calibration, rate-only
         sweeps and the ratio-quality engine.
         """
-        return self.estimate_many([data], [eb], workspace)[0]
+        return self.estimate_many([data], [eb])[0]
 
     def estimate_many(
-        self,
-        views: list[np.ndarray],
-        ebs: np.ndarray | list[float],
-        workspace: Workspace | None = None,
+        self, views: list[np.ndarray], ebs: np.ndarray | list[float]
     ) -> list[RQEstimate]:
         """Batched quantization-statistics probe over many (view, eb) pairs.
 
@@ -322,7 +285,7 @@ class SZCompressor:
         eliminated.
         """
         arrs, eb_arr = _check_batch(views, ebs)
-        ws = workspace or self.workspace
+        ws = thread_workspace()
         tracer = telemetry.get_tracer()
         ranges: dict[int, float] = {}  # id(view) -> value range
 
@@ -541,8 +504,8 @@ class SZCompressor:
         blocks wider than one byte, outlier-position narrowing and the
         zigzag map each run once per run of equal-width blocks / once
         over the whole group; only the per-block entropy encodes remain,
-        and those see one contiguous byte row each and fan out over the
-        thread backend (zlib/DEFLATE releases the GIL) when
+        and those see one contiguous byte row each and fan out over
+        threads (zlib/DEFLATE releases the GIL) when
         ``threads > 1`` and the blocks hold at least
         :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS` elements.
         """
@@ -584,10 +547,7 @@ class SZCompressor:
 
         with tracer.span("sz.entropy", blocks=n_blocks, codec=codec.name):
             if threads > 1 and n_blocks > 1 and n >= FANOUT_MIN_ELEMENTS:
-                # Lazy import: parallel.backends imports this module.
-                from repro.parallel.backends import get_backend
-
-                return get_backend("thread").map_tasks(build, range(n_blocks))
+                return thread_map(build, range(n_blocks))
             return [build(b) for b in range(n_blocks)]
 
 

@@ -15,25 +15,31 @@ one :meth:`~repro.compression.sz.SZCompressor.compress_many` call from
 an execution-backend worker) allocates its temporaries once and reuses
 them for every block.
 
-Thread-safety contract
-----------------------
+Ownership
+---------
 A ``Workspace`` is **not** thread-safe: two concurrent kernels handed
-the same instance would scribble over each other's views.  The intended
-ownership is one workspace per worker:
-
-- ``SZCompressor`` keeps one workspace *per thread* (``threading.local``)
-  so the thread-SPMD backend's per-rank threads never share buffers,
-- process-pool workers each hold their own compressor deserialization
-  and therefore their own workspace,
-- callers may pass an explicit workspace to ``compress_many`` when they
-  manage worker lifetimes themselves.
+the same instance would scribble over each other's views.  So scratch
+has exactly one owner, the *thread*: :func:`thread_workspace` hands the
+calling thread its arena, and every compressor instance that runs in
+that thread — whatever its configuration, however many the controller
+builds — works in it (slots are keyed by name and dtype, not by
+compressor).  That is cuSZ's one-scratch-per-worker layout: the serial
+path and each process-pool worker hold one arena for their lifetime,
+the thread-SPMD backend's rank threads one each until they exit, and
+nothing is passed around — there is no ``workspace=`` argument.  A view
+is valid until the same thread next requests its slot, i.e. for the
+duration of one batched kernel pass; nothing that outlives a
+``compress_many`` / ``estimate_many`` call may refer to one.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 
-__all__ = ["Workspace"]
+__all__ = ["Workspace", "thread_workspace"]
 
 
 class Workspace:
@@ -60,7 +66,7 @@ class Workspace:
         same name again invalidates previously returned views for it.
         """
         dt = np.dtype(dtype)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         key = (name, dt.str)
         base = self._slots.get(key)
         if base is None or base.size < n:
@@ -78,3 +84,15 @@ class Workspace:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Workspace(slots={len(self._slots)}, nbytes={self.nbytes()})"
+
+
+_tls = threading.local()
+
+
+def thread_workspace() -> Workspace:
+    """The calling thread's scratch arena, created on first use and
+    released with the thread."""
+    ws = getattr(_tls, "workspace", None)
+    if ws is None:
+        ws = _tls.workspace = Workspace()
+    return ws

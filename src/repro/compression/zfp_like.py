@@ -26,7 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["ZFPLikeCompressor", "ZFPBlockStream"]
+from repro.compression.api import CompressorCapabilities, CompressorSpec
+
+__all__ = ["ZFPLikeCompressor", "ZFPBlockStream", "decompress"]
 
 _BLOCK = 4
 _PRECISION = 28  # fixed-point fractional bits inside a block
@@ -156,6 +158,12 @@ class ZFPBlockStream:
 class ZFPLikeCompressor:
     """Fixed-rate block-transform compressor (ZFP-style comparator).
 
+    Implements the registry-wide
+    :class:`~repro.compression.api.Compressor` contract, but being
+    fixed-rate it **ignores the error bound** it is handed — precisely
+    the §2.2 property :func:`~repro.core.selection.select_compressor`
+    quantifies and rejects.
+
     Parameters
     ----------
     rate:
@@ -163,13 +171,19 @@ class ZFPLikeCompressor:
         budget exactly up to per-block exponent metadata.
     """
 
+    capabilities = CompressorCapabilities(fixed_rate=True)
+
     def __init__(self, rate: float = 8.0) -> None:
         if rate < 1.0:
             raise ValueError(f"rate must be >= 1 bit/value, got {rate}")
         self.rate = float(rate)
         self._bits = _bit_allocation(rate)
 
-    def compress(self, data: np.ndarray) -> ZFPBlockStream:
+    @property
+    def spec(self) -> CompressorSpec:
+        return CompressorSpec.zfp_like(rate=self.rate)
+
+    def compress(self, data: np.ndarray, eb: float | None = None) -> ZFPBlockStream:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 3:
             raise ValueError(f"ZFPLikeCompressor expects 3-D data, got {arr.ndim}-D")
@@ -199,18 +213,35 @@ class ZFPLikeCompressor:
             source_itemsize=source_itemsize,
         )
 
+    def compress_many(
+        self, views: list[np.ndarray], ebs: object, threads: int | None = None
+    ) -> list[ZFPBlockStream]:
+        """One stream per view; there is no batched kernel to share
+        across views, and no bound to read from ``ebs``."""
+        return [self.compress(v) for v in views]
+
     def decompress(self, stream: ZFPBlockStream) -> np.ndarray:
-        nblocks = stream.exponents.size
-        coeffs = _unpack_coeffs(stream.payload, nblocks, self._bits)
-        fixed = coeffs.reshape(nblocks, _BLOCK, _BLOCK, _BLOCK)
-        for axis in (3, 2, 1):
-            fixed = _inverse_axis(fixed, axis)
-        scale = np.exp2(_PRECISION - stream.exponents.astype(np.float64))
-        blocks = fixed.astype(np.float64) / scale[:, None, None, None]
-        padded_shape = tuple(-(-s // _BLOCK) * _BLOCK for s in stream.shape)
-        padded = _untile(blocks, padded_shape)
-        sx, sy, sz = stream.shape
-        return padded[:sx, :sy, :sz]
+        """Streams are self-describing: one of any rate decodes here."""
+        return decompress(stream)
+
+    def __repr__(self) -> str:
+        return f"ZFPLikeCompressor(rate={self.rate})"
+
+
+def decompress(stream: ZFPBlockStream) -> np.ndarray:
+    """Reconstruct a field from a :class:`ZFPBlockStream` (it records
+    its own rate; no compressor instance is needed)."""
+    nblocks = stream.exponents.size
+    coeffs = _unpack_coeffs(stream.payload, nblocks, _bit_allocation(stream.rate))
+    fixed = coeffs.reshape(nblocks, _BLOCK, _BLOCK, _BLOCK)
+    for axis in (3, 2, 1):
+        fixed = _inverse_axis(fixed, axis)
+    scale = np.exp2(_PRECISION - stream.exponents.astype(np.float64))
+    blocks = fixed.astype(np.float64) / scale[:, None, None, None]
+    padded_shape = tuple(-(-s // _BLOCK) * _BLOCK for s in stream.shape)
+    padded = _untile(blocks, padded_shape)
+    sx, sy, sz = stream.shape
+    return padded[:sx, :sy, :sz]
 
 
 def _pad_to_blocks(arr: np.ndarray) -> np.ndarray:

@@ -34,8 +34,8 @@ class StaticBaseline:
 
     Accepts any registry-resolvable compressor (instance, spec, spec
     string or ``None`` for the SZ default).  Fixed-rate families are
-    permitted here — the baseline just calls ``compress(view, eb)`` and
-    such codecs ignore the bound — which is exactly how
+    permitted here — the baseline just calls ``compress_many`` with one
+    bound for every view and such codecs ignore it — which is exactly how
     :func:`~repro.core.selection.select_compressor` measures their
     error-bound violation.
     """
@@ -53,10 +53,9 @@ class StaticBaseline:
         if eb <= 0:
             raise ValueError(f"error bound must be positive, got {eb}")
         timings = TimingBreakdown()
-        blocks = []
+        views = decomposition.partition_views(data)
         with timings.phase("compress"):
-            for view in decomposition.partition_views(data):
-                blocks.append(self.compressor.compress(view, eb))
+            blocks = self.compressor.compress_many(views, [eb] * len(views))
         return SnapshotResult(
             ebs=np.full(len(blocks), float(eb)),
             blocks=blocks,

@@ -11,8 +11,8 @@ Per snapshot and field, the protocol each rank follows is:
 
 *How* the ranks execute is delegated to a pluggable
 :class:`~repro.parallel.backends.ExecutionBackend`, chosen once when the
-pipeline is built: a serial rank loop, one thread per rank with real
-collectives (the default), or a process pool with shared-memory
+pipeline is built: a serial rank loop (the default), one thread per rank
+with real collectives, or a process pool with shared-memory
 partition views and batched compression.  Every backend performs exactly
 one global optimization per snapshot, merges per-rank timings (so the
 §4.3 overhead claims can be measured rather than assumed on any path)
@@ -25,12 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.api import (
-    Compressor,
-    CompressorSpec,
-    capabilities_of,
-    resolve_compressor,
-)
+from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.core.config import HaloQualitySpec, OptimizerSettings
 from repro.models.rate_model import RateModel
 from repro.parallel.backends import (
@@ -69,7 +64,7 @@ class AdaptiveCompressionPipeline:
         Execution backend for :meth:`run_insitu_spmd` — a registry name
         (``"serial"``, ``"thread"``, ``"process"``) or an
         :class:`~repro.parallel.backends.ExecutionBackend` instance
-        (default: the thread-SPMD backend).  This is the one place a
+        (default: ``"serial"``).  This is the one place a
         backend is chosen; :meth:`close` releases it.  All backends
         produce byte-identical payloads; they differ only in scheduling.
 
@@ -96,7 +91,7 @@ class AdaptiveCompressionPipeline:
     ) -> None:
         self.rate_model = rate_model
         self.compressor = resolve_compressor(compressor)
-        capabilities_of(self.compressor).require(
+        self.compressor.capabilities.require(
             "error_bounded",
             "the adaptive pipeline (its output is a per-partition bound vector)",
             who=self.compressor,
@@ -158,11 +153,11 @@ class AdaptiveCompressionPipeline:
         eb_avg: float,
         halo: HaloQualitySpec | None = None,
     ) -> SnapshotResult:
-        """Compress via the backend the pipeline was built with (default:
-        SPMD with one thread per rank and real collectives).
+        """Compress via the backend the pipeline was built with.
 
         Produces the same bounds and byte-identical payloads as
-        :meth:`run` (property-tested); exists to exercise the actual
+        :meth:`run` (property-tested); with ``backend="thread"`` — one
+        thread per rank and real collectives — it exercises the actual
         execution pattern of the in situ deployment.
         """
         return self.backend.run_snapshot(self._task(data, decomposition, eb_avg, halo))

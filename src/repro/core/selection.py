@@ -28,13 +28,7 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro.compression.api import (
-    Compressor,
-    CompressorSpec,
-    capabilities_of,
-    resolve_compressor,
-    spec_of,
-)
+from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.core.config import FieldSpec
 from repro.foresight.evaluator import FieldReference
 from repro.foresight.quality import QualityCriteria
@@ -255,15 +249,14 @@ def _measure_fixed_rate(
     error-bound behaviour are *measured*, exactly the §4.1 empirical
     methodology scoped down to a few partitions.
     """
-    total_bytes = 0
-    total_elems = 0
-    max_err = 0.0
-    for view in sample_views(views, sample_partitions, seed):
-        block = comp.compress(view, eb_avg)
-        recon = comp.decompress(block)
-        total_bytes += int(block.nbytes)
-        total_elems += int(block.n_elements)
-        max_err = max(max_err, float(np.max(np.abs(recon - np.asarray(view, dtype=np.float64)))))
+    sample = sample_views(views, sample_partitions, seed)
+    blocks = comp.compress_many(sample, [eb_avg] * len(sample))
+    max_err = max(
+        float(np.max(np.abs(comp.decompress(block) - np.asarray(view, dtype=np.float64))))
+        for view, block in zip(sample, blocks)
+    )
+    total_bytes = sum(int(block.nbytes) for block in blocks)
+    total_elems = sum(int(block.n_elements) for block in blocks)
     return 8.0 * total_bytes / total_elems, max_err
 
 
@@ -331,7 +324,7 @@ def select_compressor(
     # Fixed-rate candidates are measured in either mode; only the
     # error-bounded ones are probed.
     check_probe_mode(
-        probe_mode, *(c for c in comps if capabilities_of(c).error_bounded)
+        probe_mode, *(c for c in comps if c.capabilities.error_bounded)
     )
     field_spec = field_spec or FieldSpec()
     ref = reference
@@ -370,8 +363,8 @@ def select_compressor(
     verdicts: list[CandidateVerdict] = []
     scored: list[tuple[float, int, Any]] = []  # (predicted rate, index, instance)
     for comp in comps:
-        spec = spec_of(comp) or CompressorSpec.make(type(comp).__name__)
-        if capabilities_of(comp).error_bounded:
+        spec = comp.spec
+        if comp.capabilities.error_bounded:
             try:
                 calibration = bank.calibrate(
                     field, views, compressor=comp, eb_scale=eb_avg

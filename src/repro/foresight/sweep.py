@@ -40,7 +40,6 @@ from repro.compression.api import (
     decompress_any,
     decompress_many,
     resolve_compressor,
-    spec_of,
 )
 from repro.compression.sz import CompressedBlock
 from repro.foresight.evaluator import FieldReference, QualityEvaluator
@@ -239,7 +238,7 @@ def run_sweep(
         for comp in comps:
             # Tag records with the spec only in multi-compressor mode, so
             # single-compressor sweeps keep their historical record shape.
-            tag = spec_of(comp) if multi else None
+            tag = comp.spec if multi else None
             for name, data in fields.items():
                 crit = criteria.get(name, QualityCriteria())
                 views = (

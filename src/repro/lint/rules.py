@@ -627,8 +627,10 @@ class HotPathAllocationRule(Rule):
     ``compress`` per block, quietly regresses both: the allocation
     defeats the arena, the loop defeats the batching.  The rule applies
     only under ``repro/compression/`` and only inside functions that
-    take a ``ws``/``workspace`` parameter — code that opted into the
-    arena contract.
+    take a ``ws`` parameter — the batched front's internals, which the
+    public entry points hand the calling thread's arena
+    (:func:`~repro.compression.workspace.thread_workspace`); no public
+    signature carries one.
 
     Bad::
 
@@ -659,7 +661,7 @@ class HotPathAllocationRule(Rule):
         {"numpy.empty", "numpy.zeros", "numpy.ones", "numpy.full"}
     )
     _BLOCK_CALLS = frozenset({"compress"})
-    _WS_PARAMS = frozenset({"ws", "workspace"})
+    _WS_PARAMS = frozenset({"ws"})
 
     def _is_hot(self, node: "ast.FunctionDef | ast.AsyncFunctionDef") -> bool:
         args = node.args

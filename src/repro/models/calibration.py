@@ -37,13 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.api import (
-    Compressor,
-    CompressorSpec,
-    capabilities_of,
-    resolve_compressor,
-    spec_of,
-)
+from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.models.rate_model import RateModel, fit_power_law
 from repro.util.rng import default_rng
 
@@ -78,7 +72,7 @@ def check_probe_mode(value: str, *compressors: Compressor) -> str:
         )
     if value != "exact":
         for comp in compressors:
-            capabilities_of(comp).require(
+            comp.capabilities.require(
                 "supports_estimate",
                 f'probe_mode="{value}" (codec-free quantization probe)',
                 who=comp,
@@ -105,18 +99,10 @@ def _probe_rates(
     All bounds go through one batched call — ``compress_many`` when the
     codec runs, ``estimate_many`` when it does not — so the front is a
     single kernel pass over a ``(n_ebs, n)`` batch either way.
-    ``compress_many`` is not part of the
-    :class:`~repro.compression.api.Compressor` protocol, so an ad-hoc
-    compressor without it is probed one ``compress`` at a time.
     """
     views, ebs = [part] * len(probe_ebs), list(probe_ebs)
-    if probe_mode != "exact":
-        probes = comp.estimate_many(views, ebs)
-    elif hasattr(comp, "compress_many"):
-        probes = comp.compress_many(views, ebs)
-    else:
-        probes = [comp.compress(part, eb) for eb in ebs]
-    return np.array([p.bit_rate for p in probes])
+    probe = comp.compress_many if probe_mode == "exact" else comp.estimate_many
+    return np.array([p.bit_rate for p in probe(views, ebs)])
 
 
 def partition_feature(partition: np.ndarray) -> float:
@@ -193,7 +179,7 @@ def calibrate_rate_model(
         raise ValueError("need at least one partition to calibrate")
     comp = resolve_compressor(compressor)
     check_probe_mode(probe_mode, comp)
-    capabilities_of(comp).require(
+    comp.capabilities.require(
         "error_bounded",
         "rate-model calibration (bitrate as a function of the error bound)",
         who=comp,
@@ -278,8 +264,7 @@ class RateModelBank:
     spec-fanning sweep) would otherwise refit the same power law over
     and over.  The bank memoizes :func:`calibrate_rate_model` results
     keyed on the field name and the compressor's canonical
-    :class:`~repro.compression.api.CompressorSpec`; instances without a
-    spec are probed fresh each time (there is no stable key).
+    :class:`~repro.compression.api.CompressorSpec`.
 
     Examples
     --------
@@ -350,9 +335,8 @@ class RateModelBank:
     ) -> CalibrationResult:
         """Fit (or return the cached fit of) one ``(field, spec)`` cell."""
         comp = resolve_compressor(compressor)
-        spec = spec_of(comp)
-        key = None if spec is None else self._key(field, spec, eb_scale, probe_ebs)
-        if not refresh and key is not None and key in self._cache:
+        key = self._key(field, comp.spec, eb_scale, probe_ebs)
+        if not refresh and key in self._cache:
             return self._cache[key]
         result = calibrate_rate_model(
             partitions,
@@ -363,6 +347,5 @@ class RateModelBank:
             seed=self.seed,
             probe_mode=self.probe_mode,
         )
-        if key is not None:
-            self._cache[key] = result
+        self._cache[key] = result
         return result

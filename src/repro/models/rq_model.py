@@ -306,7 +306,6 @@ class RQModel:
         compressor: Any,
         views: Sequence[np.ndarray],
         eb: float,
-        workspace: Any | None = None,
     ) -> RQPrediction:
         """One-call probe + predict for a partitioned field at one bound.
 
@@ -315,5 +314,5 @@ class RQModel:
         (:func:`~repro.models.calibration.check_probe_mode`).
         """
         views = list(views)
-        ests = compressor.estimate_many(views, [float(eb)] * len(views), workspace)
+        ests = compressor.estimate_many(views, [float(eb)] * len(views))
         return self.predict(eb, ests)

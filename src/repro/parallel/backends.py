@@ -8,7 +8,7 @@ ranks execute.  This module turns that observation into an
 - :class:`SerialBackend` — the reference rank loop in one thread,
 - :class:`ThreadBackend` — one thread per rank with real barrier
   collectives (:func:`repro.parallel.executor.run_spmd`); the protocol
-  simulator and the default for ``run_insitu_spmd``,
+  simulator, chosen by name,
 - :class:`ProcessBackend` — a ``ProcessPoolExecutor`` fan-out with the
   snapshot staged once in POSIX shared memory; workers attach views and
   compress *batches* of partitions per task, escaping the GIL entirely.
@@ -26,20 +26,19 @@ pipeline, the stream controller and their callers see, unwrapped.
 A backend is chosen once, at construction: ``backend=`` (a registry name
 ``"serial"``/``"thread"``/``"process"`` or an instance) on
 ``AdaptiveCompressionPipeline`` and ``InSituController``, or the CLI's
-``--backend`` flag.  Third-party backends can be added with
-:func:`register_backend`.
+``--backend`` flag; all three default to ``serial``.  Third-party
+backends can be added with :func:`register_backend`.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 import multiprocessing as mp
 import os
 import pickle
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -52,7 +51,6 @@ from repro import telemetry
 from repro.compression.api import Compressor, decompress_many
 from repro.compression.stats import CompressionStats
 from repro.compression.sz import CompressedBlock
-from repro.compression.workspace import Workspace
 from repro.core.config import HaloQualitySpec, OptimizerSettings
 from repro.core.features import PartitionFeatures, extract_features
 from repro.core.optimizer import (
@@ -66,6 +64,7 @@ from repro.parallel.decomposition import BlockDecomposition
 from repro.parallel.executor import run_spmd
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
+from repro.util.fanout import thread_map
 from repro.util.timer import Timer, TimingBreakdown
 
 __all__ = [
@@ -89,8 +88,9 @@ class SnapshotTask:
     decomposition: BlockDecomposition
     eb_avg: float
     rate_model: RateModel
-    #: Any registry-resolvable error-bounded compressor; the backends
-    #: only rely on the uniform ``compress``/``compress_many`` shape.
+    #: Any error-bounded compressor that went through
+    #: :func:`~repro.compression.api.resolve_compressor`; the backends
+    #: rely on the contract's ``compress``/``compress_many``.
     compressor: Compressor
     settings: OptimizerSettings
     halo: HaloQualitySpec | None = None
@@ -289,12 +289,7 @@ class ThreadBackend(ExecutionBackend):
         NumPy releases the GIL for FFTs and big reductions, so quality
         evaluations genuinely overlap even in one process.
         """
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        workers = min(len(items), self.parallelism)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+        return thread_map(fn, items)
 
     def run_snapshot(self, task: SnapshotTask) -> SnapshotResult:
         tracer = telemetry.get_tracer()
@@ -363,12 +358,6 @@ class ThreadBackend(ExecutionBackend):
 #: as compression levels, keeping worker output byte-identical to the
 #: serial path.
 _WORKER_COMPRESSORS: dict[bytes, Compressor] = {}
-
-#: One kernel scratch arena per worker process, shared across batches
-#: and compressor configurations (buffer slots are keyed by shape/dtype,
-#: not by compressor): the fused kernels allocate their temporaries on
-#: the first block and reuse them for every block the worker ever sees.
-_WORKER_WORKSPACE = Workspace()
 
 
 def _pooled_compressor(blob: bytes) -> Compressor:
@@ -491,20 +480,17 @@ def _compress_task(
     try:
         fault_point("backend.compress")
         comp = _pooled_compressor(compressor_blob)
-        kwargs: dict[str, Any] = {"workspace": _WORKER_WORKSPACE}
-        # One worker process per core already: pin the compressor's
-        # entropy-stage fan-out to 1 thread (duck-typed compressors may
-        # predate the parameter).
-        if "threads" in inspect.signature(comp.compress_many).parameters:
-            kwargs["threads"] = 1
         tracer = _worker_tracing(export_telemetry)
         try:
             with tracer.span("compress", blocks=len(items)):
                 with Timer() as timer:
+                    # One worker process per core already: pin the
+                    # compressor's fan-out to this thread, whose arena
+                    # serves every batch the worker ever sees.
                     blocks = comp.compress_many(
                         [arr[slices] for slices, _ in items],
                         [eb for _, eb in items],
-                        **kwargs,
+                        threads=1,
                     )
             spans = tracer.export_spans() if export_telemetry else []
         finally:
@@ -859,11 +845,11 @@ def get_backend(
 ) -> ExecutionBackend:
     """Resolve a backend: instance passthrough, registry name, or default.
 
-    ``None`` resolves to the default :class:`ThreadBackend`.  Keyword
+    ``None`` resolves to the default :class:`SerialBackend`.  Keyword
     arguments are forwarded to the backend constructor (names only).
     """
     if spec is None:
-        spec = ThreadBackend.name
+        spec = SerialBackend.name
     if isinstance(spec, ExecutionBackend):
         if kwargs:
             raise ValueError("cannot pass constructor kwargs with a backend instance")

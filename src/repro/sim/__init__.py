@@ -13,8 +13,6 @@ comparable fields:
   six fields (lognormal densities, polytropic temperature, linear-theory
   velocities) with fixed phases across redshifts, matching the paper's
   Figure 1 behaviour of partitions evolving through snapshots,
-- :mod:`repro.sim.particles` — a Zel'dovich-displaced particle sampler
-  feeding the friends-of-friends halo finder,
 - :mod:`repro.sim.io` — a simple snapshot container (``.npz`` standing
   in for Nyx's HDF5 plotfiles).
 """
@@ -23,7 +21,6 @@ from repro.sim.cosmology import Cosmology, bbks_transfer, growth_factor, matter_
 from repro.sim.grf import gaussian_random_field, wavenumber_grid
 from repro.sim.nyx import FIELD_NAMES, NyxSimulator, NyxSnapshot
 from repro.sim.io import load_snapshot, save_snapshot
-from repro.sim.particles import sample_particles
 
 __all__ = [
     "Cosmology",
@@ -37,5 +34,4 @@ __all__ = [
     "FIELD_NAMES",
     "save_snapshot",
     "load_snapshot",
-    "sample_particles",
 ]

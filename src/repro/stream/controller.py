@@ -59,12 +59,7 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro.compression.api import (
-    Compressor,
-    CompressorSpec,
-    resolve_compressor,
-    spec_of,
-)
+from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.core.config import FieldSpec, HaloQualitySpec, OptimizerSettings
 from repro.core.pipeline import AdaptiveCompressionPipeline, SnapshotResult
 from repro.core.selection import (
@@ -84,7 +79,6 @@ from repro.models.calibration import (
 from repro.parallel.backends import (
     ExecutionBackend,
     ProcessBackend,
-    SerialBackend,
     get_backend,
 )
 from repro.parallel.decomposition import BlockDecomposition
@@ -264,7 +258,7 @@ class InSituController:
             ]
         )
         self.settings = settings or OptimizerSettings()
-        self.backend = SerialBackend() if backend is None else get_backend(backend)
+        self.backend = get_backend(backend)
         self.retry = (
             RetryPolicy(max_attempts=int(retry)) if isinstance(retry, int) else retry
         )
@@ -407,7 +401,6 @@ class InSituController:
     def _ensure_started(self) -> None:
         if self.state.config is not None:
             return
-        default_spec = spec_of(self.compressor)
         self._append(
             "run_start",
             schema=LEDGER_SCHEMA_VERSION,
@@ -417,7 +410,7 @@ class InSituController:
             blocks=list(self.decomposition.blocks),
             n_partitions=self.decomposition.n_partitions,
             byte_budget=self.byte_budget,
-            compressor=None if default_spec is None else default_spec.to_dict(),
+            compressor=self.compressor.spec.to_dict(),
             candidates=(
                 None
                 if self.candidates is None
@@ -547,14 +540,13 @@ class InSituController:
                 probe_mode=self.probe_mode,
             )
         halo_params = derive_halo_params(spec, ref) if spec.halo_aware else None
-        compressor_spec = spec_of(compressor)
         model = calibration.rate_model
         self._append(
             "calibration" if reason == "initial" else "recalibration",
             snapshot=self.report.n_snapshots,
             field=name,
             reason=reason,
-            spec=None if compressor_spec is None else compressor_spec.to_dict(),
+            spec=compressor.spec.to_dict(),
             exponent=model.exponent,
             coef_alpha=model.coef_alpha,
             coef_beta=model.coef_beta,

@@ -1,6 +1,7 @@
-"""Shared utilities: RNG handling, timers, ascii tables, validation."""
+"""Shared utilities: RNG handling, timers, ascii tables, validation, thread fan-out."""
 
 from repro.util.errors import PayloadError
+from repro.util.fanout import thread_map
 from repro.util.rng import default_rng, spawn_rngs
 from repro.util.timer import Timer, TimingBreakdown, monotonic
 from repro.util.tables import format_table
@@ -13,6 +14,7 @@ from repro.util.validation import (
 
 __all__ = [
     "PayloadError",
+    "thread_map",
     "default_rng",
     "spawn_rngs",
     "Timer",

@@ -1,9 +1,11 @@
 """The pluggable compressor backbone: specs, registry, capabilities.
 
-The load-bearing guarantee is byte-identity: resolving a spec through
-the registry must produce payloads equal to direct construction, for
-every entropy codec and family — otherwise the refactor silently
-changed the compressed streams.
+The load-bearing guarantees: every registered family implements the one
+:class:`~repro.compression.api.Compressor` contract itself (checked
+family by family in :class:`TestContract`), resolving a spec through
+the registry produces payloads equal to direct construction, and an
+object that lacks part of the contract is refused where it enters
+(:func:`~repro.compression.api.resolve_compressor`), not guessed at.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ from hypothesis import strategies as st
 from repro.compression import (
     REGISTRY,
     AdaptiveSZCompressor,
+    Compressor,
     CompressorCapabilities,
     CompressorSpec,
     SZCompressor,
     UnsupportedCapabilityError,
     ZFPLikeCompressor,
-    capabilities_of,
     decompress_any,
     decompress_many,
     resolve_compressor,
-    spec_of,
 )
 
 
@@ -104,12 +105,13 @@ class TestRegistry:
     def test_resolve_compressor_passthrough_and_specs(self):
         inst = SZCompressor()
         assert resolve_compressor(inst) is inst
-        assert isinstance(resolve_compressor("sz_adaptive")._inner, AdaptiveSZCompressor)
+        assert type(resolve_compressor("sz_adaptive")) is AdaptiveSZCompressor
+        assert type(resolve_compressor("zfp_like")) is ZFPLikeCompressor
         assert resolve_compressor(None).spec == REGISTRY.canonical(CompressorSpec("sz"))
 
 
 class TestByteIdentity:
-    """Registry adapters must be byte-identical to direct use."""
+    """The registry's factory is the class: same bytes as direct use."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -125,23 +127,100 @@ class TestByteIdentity:
         assert via_registry.payloads == direct.payloads
         assert via_registry.nbytes == direct.nbytes
 
-    @settings(max_examples=10, deadline=None)
-    @given(
-        rate=st.sampled_from([2.0, 4.0, 8.0]),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_zfp_like(self, rate, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.normal(0, 1, (8, 8, 8))
-        direct = ZFPLikeCompressor(rate=rate).compress(data)
-        via_registry = REGISTRY.create(f"zfp_like:rate={rate}").compress(data, eb=0.1)
-        assert via_registry.payload == direct.payload
-        assert np.array_equal(via_registry.exponents, direct.exponents)
 
-    def test_sz_adaptive(self, field):
-        direct = AdaptiveSZCompressor(codec="zlib").compress(field[:8, :8, :8], 1e-3)
-        adapted = REGISTRY.create("sz_adaptive").compress(field[:8, :8, :8], 1e-3)
-        assert adapted.payloads == direct.payloads
+def _frozen(block) -> dict:
+    """Every field of a block, arrays as bytes, so blocks of any family
+    compare with ``==``."""
+    return {
+        k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(block).items()
+    }
+
+
+#: Every registered family at its defaults, the classic-order reference
+#: (a second class behind the ``sz`` family) and one non-default spec
+#: per family, so ``spec`` must carry the parameters that matter.
+CONTRACT_SPECS = [
+    *REGISTRY.families(),
+    "sz:engine=classic",
+    "sz:codec=huffman,radius=64",
+    "zfp_like:rate=5",
+    "sz_adaptive:block=4,codec=raw",
+]
+
+
+@pytest.mark.parametrize("spec", CONTRACT_SPECS)
+class TestContract:
+    """One suite, every family: what ``Compressor`` promises, checked on
+    the classes themselves (there is no adapter in between)."""
+
+    @pytest.fixture()
+    def views(self, field):
+        # 8^3: divides sz_adaptive's blocks and zfp_like's 4^3 tiles, and
+        # is small enough for the classic order's per-cell Python loop.
+        return [field[:8, :8, :8], field[4:, 4:, 4:], field[:8, 4:, :8] * 3.0]
+
+    EBS = [1e-2, 5e-3, 2e-2]
+
+    def test_declares_capabilities_and_spec(self, spec):
+        comp = resolve_compressor(spec)
+        assert isinstance(comp.capabilities, CompressorCapabilities)
+        family = REGISTRY.capabilities(comp.spec.family)
+        # The classic reference declares less than its family (no size
+        # model); no instance may declare more.
+        for flag in dataclasses.fields(family):
+            assert getattr(family, flag.name) or not getattr(comp.capabilities, flag.name)
+        assert comp.spec == REGISTRY.canonical(spec)
+        assert isinstance(comp, Compressor)
+        assert resolve_compressor(comp) is comp
+
+    def test_spec_rebuilds_an_instance_with_identical_payloads(self, spec, views):
+        comp = resolve_compressor(spec)
+        again = REGISTRY.create(comp.spec)
+        assert again is not comp and type(again) is type(comp)
+        for view, eb in zip(views, self.EBS):
+            assert _frozen(again.compress(view, eb)) == _frozen(comp.compress(view, eb))
+
+    def test_compress_many_equals_per_view_compress(self, spec, views):
+        comp = resolve_compressor(spec)
+        singles = [comp.compress(v, eb) for v, eb in zip(views, self.EBS)]
+        for threads in (None, 1, 2):
+            batch = comp.compress_many(views, self.EBS, threads=threads)
+            assert [_frozen(b) for b in batch] == [_frozen(b) for b in singles]
+        assert comp.compress_many([], []) == []
+
+    def test_decompress_any_equals_instance_decompress(self, spec, views):
+        comp = resolve_compressor(spec)
+        other = resolve_compressor(CONTRACT_SPECS[CONTRACT_SPECS.index(spec) - 1])
+        for block, view, eb in zip(comp.compress_many(views, self.EBS), views, self.EBS):
+            assert isinstance(block, REGISTRY.block_type(comp.spec.family))
+            recon = comp.decompress(block)
+            assert recon.shape == view.shape
+            assert np.array_equal(decompress_any(block), recon)
+            if type(other) is type(comp):
+                # Blocks are self-describing: an instance of the same
+                # class configured differently decodes them the same.
+                assert np.array_equal(other.decompress(block), recon)
+            if comp.capabilities.error_bounded:
+                assert float(np.abs(recon - view.astype(np.float64)).max()) <= eb + 1e-12
+
+    def test_survives_a_pickle_round_trip(self, spec, views):
+        # Process backends pickle compressors into workers.
+        comp = resolve_compressor(spec)
+        comp.compress(views[0], self.EBS[0])  # used before it travels
+        clone = pickle.loads(pickle.dumps(comp))
+        assert clone.spec == comp.spec and clone.capabilities == comp.capabilities
+        for view, eb in zip(views, self.EBS):
+            assert _frozen(clone.compress(view, eb)) == _frozen(comp.compress(view, eb))
+
+    def test_estimate_many_where_declared(self, spec, views):
+        comp = resolve_compressor(spec)
+        if not comp.capabilities.supports_estimate:
+            with pytest.raises(UnsupportedCapabilityError, match="supports_estimate"):
+                comp.capabilities.require("supports_estimate", "a codec-free probe", comp)
+            return
+        ests = comp.estimate_many(views, self.EBS)
+        assert [e.n_elements for e in ests] == [v.size for v in views]
+        assert [e.eb for e in ests] == self.EBS
 
 
 class TestDecompressAny:
@@ -155,7 +234,7 @@ class TestDecompressAny:
             assert recon.shape == data.shape
             # Error-bounded families honour eb; the fixed-rate family
             # merely reconstructs.
-            if capabilities_of(comp).error_bounded:
+            if comp.capabilities.error_bounded:
                 assert float(np.abs(recon - data.astype(np.float64)).max()) <= eb + 1e-12
 
     def test_unknown_block_type_rejected(self):
@@ -215,48 +294,93 @@ class TestDecompressMany:
 
 class TestCapabilities:
     def test_declared(self):
-        sz = capabilities_of(SZCompressor())
+        sz = SZCompressor().capabilities
         assert sz.error_bounded and sz.supports_estimate
         assert not sz.fixed_rate
         assert [f.name for f in dataclasses.fields(sz)] == [
             "error_bounded", "fixed_rate", "supports_estimate"
         ]
-        zfp = capabilities_of(resolve_compressor("zfp_like"))
+        zfp = resolve_compressor("zfp_like").capabilities
         assert zfp.fixed_rate and not zfp.error_bounded
 
-    def test_raw_zfp_instance_declares_fixed_rate(self):
-        """A hand-constructed ZFPLikeCompressor (not the adapter) must hit
-        the typed capability gate, not a TypeError deep in calibration."""
+    def test_hand_built_zfp_instance_hits_the_capability_gate(self):
+        """The class declares its own capabilities, so a hand-constructed
+        instance meets the typed gate, not a TypeError deep in calibration."""
         from repro.models.calibration import calibrate_rate_model
 
         raw = ZFPLikeCompressor(rate=8.0)
-        caps = capabilities_of(raw)
-        assert caps.fixed_rate and not caps.error_bounded
+        assert raw.capabilities.fixed_rate and not raw.capabilities.error_bounded
         parts = [np.random.default_rng(0).random((8, 8, 8))]
         with pytest.raises(UnsupportedCapabilityError, match="error_bounded"):
             calibrate_rate_model(parts, compressor=raw, eb_scale=0.01)
-
-    def test_legacy_fallback_assumes_error_bounded(self):
-        class Legacy:
-            def compress(self, data, eb):
-                raise NotImplementedError
-
-        caps = capabilities_of(Legacy())
-        assert caps.error_bounded
-        assert not caps.supports_estimate
 
     def test_require_raises_typed_error(self):
         caps = CompressorCapabilities()
         with pytest.raises(UnsupportedCapabilityError, match="error_bounded"):
             caps.require("error_bounded", "testing")
 
-    def test_spec_of_instances(self):
-        assert spec_of(SZCompressor()).family == "sz"
-        assert spec_of(object()) is None
 
-    def test_adapters_picklable(self, field):
-        # Process backends pickle compressors into workers.
-        comp = resolve_compressor("zfp_like:rate=6")
-        clone = pickle.loads(pickle.dumps(comp))
-        data = field
-        assert clone.compress(data, 0.1).payload == comp.compress(data, 0.1).payload
+class TestContractIsCheckedOnEntry:
+    """Nothing behind ``resolve_compressor`` looks for a method before
+    calling it, so an object missing part of the contract stops there."""
+
+    @staticmethod
+    def _stand_in(**overrides):
+        real = SZCompressor()
+        members = {
+            "capabilities": real.capabilities,
+            "spec": real.spec,
+            "compress": real.compress,
+            "compress_many": real.compress_many,
+            "decompress": real.decompress,
+            "estimate_many": real.estimate_many,
+        }
+        members.update(overrides)
+        return SimpleNamespace(**{k: v for k, v in members.items() if v is not None})
+
+    def test_a_complete_object_passes_through_untouched(self):
+        obj = self._stand_in()
+        assert resolve_compressor(obj) is obj
+
+    @pytest.mark.parametrize(
+        "missing",
+        ["capabilities", "spec", "compress", "compress_many", "decompress", "estimate_many"],
+    )
+    def test_a_missing_member_is_refused_by_name(self, missing):
+        obj = self._stand_in(**{missing: None})
+        with pytest.raises(UnsupportedCapabilityError, match=rf"lacks .*\b{missing}\b"):
+            resolve_compressor(obj)
+
+    def test_estimate_many_is_owed_only_where_declared(self):
+        obj = self._stand_in(
+            capabilities=CompressorCapabilities(error_bounded=True), estimate_many=None
+        )
+        assert resolve_compressor(obj) is obj
+
+    def test_undeclared_members_are_not_guessed(self):
+        # A capabilities stand-in of the wrong type and a class-name
+        # "spec" are what the deleted fallbacks used to invent.
+        for bad in ({"capabilities": True}, {"spec": "SZCompressor"}):
+            with pytest.raises(UnsupportedCapabilityError, match=next(iter(bad))):
+                resolve_compressor(self._stand_in(**bad))
+
+    def test_every_layer_refuses_at_its_entry(self, field):
+        from repro.core.baselines import StaticBaseline
+        from repro.core.pipeline import AdaptiveCompressionPipeline
+        from repro.models.calibration import RateModelBank, calibrate_rate_model
+        from repro.models.rate_model import RateModel
+
+        class CompressOnly:
+            def compress(self, data, eb):  # pragma: no cover - never reached
+                raise AssertionError("probed an object that is not a compressor")
+
+        model = RateModel(exponent=-0.8, coef_alpha=0.0, coef_beta=0.3)
+        entries = [
+            lambda c: calibrate_rate_model([field], compressor=c, eb_scale=0.01),
+            lambda c: RateModelBank().calibrate("f", [field], c, eb_scale=0.01),
+            lambda c: AdaptiveCompressionPipeline(model, compressor=c),
+            lambda c: StaticBaseline(c),
+        ]
+        for enter in entries:
+            with pytest.raises(UnsupportedCapabilityError, match="compress_many"):
+                enter(CompressOnly())

@@ -21,10 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import api, sz
 from repro.compression.api import FANOUT_MIN_ELEMENTS, decompress_many
 from repro.compression.codecs import PLANES_BIT, ZlibCodec, pack_symbols
 from repro.compression.sz import CompressedBlock, SZCompressor, decompress
-from repro.parallel.backends import ThreadBackend
+from repro.util.fanout import thread_map
 
 SHAPES = [
     (1,), (17,), (300,),
@@ -149,13 +150,14 @@ class TestFanOutGate:
     @pytest.fixture()
     def map_calls(self, monkeypatch):
         calls = []
-        original = ThreadBackend.map_tasks
 
-        def counted(backend, fn, items):
+        def counted(fn, items):
             calls.append(1)
-            return original(backend, fn, items)
+            return thread_map(fn, items)
 
-        monkeypatch.setattr(ThreadBackend, "map_tasks", counted)
+        # the two fan-out sites: the entropy stage and decompress_many
+        monkeypatch.setattr(sz, "thread_map", counted)
+        monkeypatch.setattr(api, "thread_map", counted)
         return calls
 
     @staticmethod

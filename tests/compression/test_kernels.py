@@ -226,7 +226,7 @@ class TestNoKernelOption:
 
     def test_pickle_round_trip_the_way_the_process_backend_ships_it(self):
         comp = SZCompressor(codec="huffman", radius=64)
-        comp.workspace  # a live thread-local arena must not travel
+        comp.compress(np.zeros((4, 4, 4)), 0.1)  # scratch is the thread's: nothing to travel
         clone = pickle.loads(ProcessBackend._serialize_compressor(comp))
         assert clone.spec == comp.spec
         rng = np.random.default_rng(12)

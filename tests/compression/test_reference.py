@@ -22,7 +22,6 @@ from repro.compression.api import (
     REGISTRY,
     CompressorSpec,
     UnsupportedCapabilityError,
-    capabilities_of,
     decompress_any,
     resolve_compressor,
 )
@@ -65,7 +64,7 @@ class TestRegistryDispatch:
 
     def test_it_is_measured_not_modelled(self):
         comp = resolve_compressor("sz:engine=classic")
-        caps = capabilities_of(comp)
+        caps = comp.capabilities
         assert caps.error_bounded and not caps.supports_estimate
         assert not any(name.startswith("estimate") for name in dir(comp))
         parts = [np.random.default_rng(0).random((6, 6, 6))]
@@ -113,7 +112,7 @@ class TestErrorBound:
         rng = np.random.default_rng(12)
         comp = ClassicSZCompressor()
         views = [rng.normal(0, 1, (4, 4, 4)) for _ in range(2)]
-        batched = comp.compress_many(views, [0.05] * 2, workspace=None, threads=1)
+        batched = comp.compress_many(views, [0.05] * 2, threads=1)
         singles = [comp.compress(v, 0.05) for v in views]
         assert [b.payloads for b in batched] == [b.payloads for b in singles]
         with pytest.raises(ValueError, match="one error bound per view"):

@@ -9,6 +9,7 @@ the original implementation did, across modes and codecs.
 from __future__ import annotations
 
 import pickle
+import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,7 +24,7 @@ from repro.compression.kernels import zigzag
 from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch_inplace
 from repro.compression.quantizer import encode_residuals, quantize_abs
 from repro.compression.sz import SZCompressor, decompress
-from repro.compression.workspace import Workspace
+from repro.compression.workspace import Workspace, thread_workspace
 from repro.util.errors import PayloadError
 
 
@@ -220,39 +221,75 @@ class TestFusedKernels:
         rng = np.random.default_rng(7)
         data = rng.normal(0, 1, (16, 16, 16))
         b1 = comp.compress(data, 0.01)
-        nbytes_after_first = comp.workspace.nbytes()
+        nbytes_after_first = thread_workspace().nbytes()
         b2 = comp.compress(data, 0.01)
-        assert comp.workspace.nbytes() == nbytes_after_first
+        assert thread_workspace().nbytes() == nbytes_after_first
         assert b1.payloads == b2.payloads
 
-    def test_explicit_workspace_compress_many(self):
-        comp = SZCompressor()
-        ws = Workspace()
-        rng = np.random.default_rng(9)
-        views = [rng.normal(0, 1, (8, 8, 8)) for _ in range(4)]
-        blocks = comp.compress_many(views, [0.01] * 4, workspace=ws)
-        assert ws.nbytes() > 0
-        singles = [comp.compress(v, 0.01) for v in views]
-        for b, s in zip(blocks, singles):
-            assert b.payloads == s.payloads
+
+def _in_fresh_thread(fn):
+    """Run ``fn`` in a thread that has never compressed (its arena
+    starts empty whatever earlier tests did) and return its result."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=60)
 
 
-class TestThreadAndPickleSafety:
-    def test_compressor_pickles_without_workspace_state(self):
+class TestOneArenaPerThread:
+    """Scratch belongs to the thread, not to the compressor instance."""
+
+    def test_instances_in_one_thread_share_one_arena_that_does_not_grow(self):
+        rng = np.random.default_rng(21)
+        fields = [rng.normal(0, 1, (16, 16, 16)) for _ in range(6)]
+
+        def run():
+            ws = thread_workspace()
+            assert ws.nbytes() == 0
+            sizes = []
+            for codec, field in zip(("zlib", "huffman", "raw") * 2, fields):
+                comp = SZCompressor(codec=codec)
+                comp.compress(field, 0.01)
+                comp.estimate_many([field], [0.01])
+                assert thread_workspace() is ws
+                sizes.append(ws.nbytes())
+            return sizes
+
+        sizes = _in_fresh_thread(run)
+        assert sizes[0] > 0
+        assert sizes == [sizes[0]] * 6  # six instances, one arena's worth
+
+    def test_compressors_hold_no_scratch_and_pickle_as_plain_state(self):
         comp = SZCompressor(codec="huffman")
-        comp.compress(np.linspace(0, 1, 64), 0.01)  # populate workspace
+        comp.compress(np.linspace(0, 1, 64), 0.01)  # populate the arena
+        assert set(vars(comp)) == {"mode", "codec", "radius"}
         clone = pickle.loads(pickle.dumps(comp))
         assert clone.mode == comp.mode and clone.codec.name == "huffman"
         data = np.linspace(0, 2, 128)
         assert clone.compress(data, 0.01).payloads == comp.compress(data, 0.01).payloads
 
-    def test_shared_compressor_is_thread_safe(self):
-        """Concurrent compress calls on one instance must not interfere:
-        each thread gets its own workspace via threading.local."""
-        comp = SZCompressor()
+    @pytest.mark.parametrize("shared", [True, False], ids=["same-instance", "own-instances"])
+    def test_concurrent_threads_produce_the_serial_bytes(self, shared):
+        """More threads than cores, a short switch interval, and arenas
+        that would scribble over each other if two threads shared one."""
         rng = np.random.default_rng(13)
-        arrays = [rng.normal(0, 1, (12, 12, 12)) for _ in range(16)]
-        expected = [comp.compress(a, 0.01).payloads for a in arrays]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda a: comp.compress(a, 0.01).payloads, arrays))
+        arrays = [rng.normal(0, 1 + i, (12, 12, 12)) for i in range(24)]
+        one = SZCompressor()
+        expected = [one.compress(a, 0.01).payloads for a in arrays]
+        main_arena = thread_workspace()
+        arenas = set()
+
+        def work(a):
+            arenas.add(id(thread_workspace()))
+            comp = one if shared else SZCompressor()
+            block, est = comp.compress(a, 0.01), comp.estimate_many([a, a], [0.01, 0.02])
+            assert est[0].n_elements == a.size
+            return block.payloads
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(work, arrays, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
         assert results == expected
+        assert id(main_arena) not in arenas and len(arenas) > 1

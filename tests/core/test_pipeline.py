@@ -84,9 +84,11 @@ class TestRun:
 
 
 class TestSpmdEquivalence:
+    """``backend="thread"`` is the SPMD simulator (the default is serial)."""
+
     def test_spmd_matches_serial_exact_mode(self, snapshot, decomposition, calibrated):
         data = snapshot["baryon_density"]
-        pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
+        pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="thread")
         serial = pipe.run(data, decomposition, eb_avg=0.2)
         spmd = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
         assert np.allclose(spmd.ebs, serial.ebs)
@@ -95,7 +97,9 @@ class TestSpmdEquivalence:
     def test_spmd_local_protocol_close(self, snapshot, decomposition, calibrated):
         data = snapshot["baryon_density"]
         pipe = AdaptiveCompressionPipeline(
-            calibrated.rate_model, settings=OptimizerSettings(normalization="local")
+            calibrated.rate_model,
+            settings=OptimizerSettings(normalization="local"),
+            backend="thread",
         )
         spmd = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
         assert spmd.ebs.mean() == pytest.approx(0.2, rel=0.25)
@@ -104,14 +108,14 @@ class TestSpmdEquivalence:
         data = snapshot["baryon_density"]
         tb = float(np.percentile(data.astype(np.float64), 99.0))
         halo = HaloQualitySpec(t_boundary=tb, mass_budget=100.0, reference_eb=0.5)
-        pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
+        pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="thread")
         serial = pipe.run(data, decomposition, eb_avg=0.2, halo=halo)
         spmd = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2, halo=halo)
         assert np.allclose(spmd.ebs, serial.ebs)
 
     def test_spmd_timings_populated(self, snapshot, decomposition, calibrated):
         """Regression: the SPMD path used to return empty timings."""
-        pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
+        pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="thread")
         res = pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
         assert set(res.timings.totals) >= {"features", "optimize", "compress"}
         assert res.timings.totals["compress"] > 0
@@ -121,7 +125,7 @@ class TestSpmdEquivalence:
     def test_spmd_returns_rank0_optimization(self, snapshot, decomposition, calibrated):
         """Regression: the SPMD path used to re-solve the optimization on
         the main thread instead of returning the ranks' own result."""
-        pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
+        pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="thread")
         res = pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
         assert res.optimization is not None
         assert res.optimization.ebs is res.ebs or np.array_equal(

@@ -283,7 +283,7 @@ class TestRuleEdges:
     def test_rl011_per_block_compress_loop(self):
         src = (
             "class C:\n"
-            "    def compress_many(self, views, ebs, workspace=None):\n"
+            "    def _compress_groups(self, views, ebs, ws):\n"
             "        return [self.compress(v, e) for v, e in zip(views, ebs)]\n"
         )
         assert codes(src, path="src/repro/compression/api.py") == ["RL011"]
@@ -292,8 +292,8 @@ class TestRuleEdges:
         # One call outside a loop IS the batched path's entry point.
         src = (
             "class C:\n"
-            "    def compress(self, data, eb, workspace=None):\n"
-            "        return self._inner.compress(data, eb, workspace)\n"
+            "    def _compress_one(self, data, eb, ws):\n"
+            "        return self._inner.compress(data, eb)\n"
         )
         assert codes(src, path="src/repro/compression/api.py") == []
 

@@ -145,21 +145,20 @@ class TestProbeModes:
 
 class TestExactProbeFanOut:
     """Exact probes run in process, through ``compress_many`` — whose
-    entropy stage fans over the thread backend for large blocks — where
-    the compressor has one."""
+    entropy stage fans out over threads for large blocks."""
 
     @pytest.fixture()
     def map_calls(self, monkeypatch):
-        from repro.parallel.backends import ThreadBackend
+        from repro.compression import sz
+        from repro.util.fanout import thread_map
 
         calls = []
-        original = ThreadBackend.map_tasks
 
-        def counted(backend, fn, items):
+        def counted(fn, items):
             calls.append(1)
-            return original(backend, fn, items)
+            return thread_map(fn, items)
 
-        monkeypatch.setattr(ThreadBackend, "map_tasks", counted)
+        monkeypatch.setattr(sz, "thread_map", counted)
         return calls
 
     @staticmethod
@@ -177,21 +176,3 @@ class TestExactProbeFanOut:
         parts = self._partitions()
         calibrate_rate_model(parts, eb_scale=0.05, seed=0)
         assert len(map_calls) == len(parts)
-
-    def test_a_compressor_without_compress_many_is_probed_by_compress(self):
-        from repro.compression.sz import SZCompressor
-
-        class ProtocolOnly:
-            def __init__(self):
-                self._inner = SZCompressor()
-                self.capabilities = self._inner.capabilities
-
-            def compress(self, data, eb, workspace=None):
-                return self._inner.compress(data, eb)
-
-            def decompress(self, block):
-                return self._inner.decompress(block)
-
-        parts = [p[:8, :8, :8] for p in self._partitions()]
-        adhoc = calibrate_rate_model(parts, compressor=ProtocolOnly(), eb_scale=0.05, seed=0)
-        assert adhoc.rate_model == calibrate_rate_model(parts, eb_scale=0.05, seed=0).rate_model

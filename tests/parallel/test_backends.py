@@ -51,8 +51,10 @@ class TestRegistry:
         assert isinstance(get_backend("thread"), ThreadBackend)
         assert isinstance(get_backend("process"), ProcessBackend)
 
-    def test_default_is_thread(self):
-        assert isinstance(get_backend(None), ThreadBackend)
+    def test_default_is_serial(self):
+        assert isinstance(get_backend(None), SerialBackend)
+        model = RateModel(exponent=-0.8, coef_alpha=0.0, coef_beta=0.3)
+        assert isinstance(AdaptiveCompressionPipeline(model).backend, SerialBackend)
 
     def test_instance_passthrough(self):
         backend = SerialBackend()
@@ -145,7 +147,9 @@ class TestBackendEquivalence:
     ):
         data = snapshot["baryon_density"]
         pipe = AdaptiveCompressionPipeline(
-            rate_model, settings=OptimizerSettings(normalization="local")
+            rate_model,
+            settings=OptimizerSettings(normalization="local"),
+            backend="thread",
         )
         res = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
         assert res.optimization is not None

@@ -1,10 +1,13 @@
-"""Utility helpers: RNG, timers, tables, validation."""
+"""Utility helpers: RNG, timers, tables, validation, thread fan-out."""
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
 
+from repro.util.fanout import thread_map
 from repro.util.rng import default_rng, spawn_rngs
 from repro.util.tables import format_table
 from repro.util.timer import Timer, TimingBreakdown
@@ -166,3 +169,22 @@ class TestValidation:
         assert check_probability(0.5, "p") == 0.5
         with pytest.raises(ValueError, match="p"):
             check_probability(1.5, "p")
+
+
+class TestThreadMap:
+    def test_preserves_order_and_accepts_any_iterable(self):
+        assert thread_map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
+        assert thread_map(lambda x: x, iter("abc")) == ["a", "b", "c"]
+        assert thread_map(lambda x: x, []) == []
+
+    def test_a_lone_item_runs_in_the_calling_thread(self):
+        assert thread_map(lambda _: threading.get_ident(), [0]) == [threading.get_ident()]
+
+    def test_an_exception_in_any_call_reaches_the_caller(self):
+        def fail_on_three(x):
+            if x == 3:
+                raise KeyError(x)
+            return x
+
+        with pytest.raises(KeyError):
+            thread_map(fail_on_three, range(6))
