@@ -9,8 +9,10 @@ the reconstructed-to-original ratio stays within ``1 +/- 0.01`` for all
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from repro.util.validation import check_3d
 __all__ = [
     "PowerSpectrum",
     "power_spectrum",
+    "rfft_of",
+    "binned_power",
     "spectrum_ratio",
     "binned_worst_deviation",
     "check_spectrum_quality",
@@ -81,8 +85,33 @@ def _build_rfft_weights(shape: tuple[int, ...]) -> np.ndarray:
     return weights
 
 
+class _LowKModes(NamedTuple):
+    """The rfft modes with ``1 <= bin <= nbins`` of one grid shape."""
+
+    index: np.ndarray  # flat rfft index, ascending
+    bins: np.ndarray  # their bin
+    weights: np.ndarray  # their multiplicity
+    counts: np.ndarray  # modes per bin, bins 0..nbins (what is binned)
+
+
+def _build_low_k_modes(shape: tuple[int, ...], nbins: int) -> _LowKModes:
+    bins_flat = _mode_bins(shape).ravel()
+    index = np.flatnonzero((bins_flat >= 1) & (bins_flat <= nbins))
+    bins = bins_flat[index]
+    weights = _rfft_weights(shape).ravel()[index]
+    counts = np.bincount(bins, weights=weights, minlength=nbins + 1)
+    for arr in (index, bins, weights, counts):
+        arr.setflags(write=False)
+    return _LowKModes(index, bins, weights, counts)
+
+
 _cached_mode_bins = lru_cache(maxsize=8)(_build_mode_bins)
 _cached_rfft_weights = lru_cache(maxsize=8)(_build_rfft_weights)
+_cached_low_k_modes = lru_cache(maxsize=16)(_build_low_k_modes)
+
+
+def _cacheable(shape: tuple[int, ...]) -> bool:
+    return math.prod(_rfft_shape(shape)) <= _CACHE_MAX_MODES
 
 
 def _mode_bins(shape: tuple[int, ...]) -> np.ndarray:
@@ -92,17 +121,61 @@ def _mode_bins(shape: tuple[int, ...]) -> np.ndarray:
     evaluate many same-shape fields, and rebuilding the 3-D sqrt/rint
     arrays dominated the binning cost.
     """
-    if int(np.prod(_rfft_shape(shape))) > _CACHE_MAX_MODES:
-        return _build_mode_bins(shape)
-    return _cached_mode_bins(shape)
+    return _cached_mode_bins(shape) if _cacheable(shape) else _build_mode_bins(shape)
 
 
 def _rfft_weights(shape: tuple[int, ...]) -> np.ndarray:
     """Mode multiplicity for every rfft mode of a grid of ``shape``,
     cached like :func:`_mode_bins`."""
-    if int(np.prod(_rfft_shape(shape))) > _CACHE_MAX_MODES:
-        return _build_rfft_weights(shape)
-    return _cached_rfft_weights(shape)
+    return _cached_rfft_weights(shape) if _cacheable(shape) else _build_rfft_weights(shape)
+
+
+def _low_k_modes(shape: tuple[int, ...], nbins: int) -> _LowKModes:
+    """The modes :func:`binned_power` bins, cached per ``(shape, nbins)``
+    like :func:`_mode_bins`: below Nyquist they are a small share of
+    the grid (1.5 % of a 64^3 grid's rfft modes for ``nbins=9``)."""
+    if _cacheable(shape):
+        return _cached_low_k_modes(shape, nbins)
+    return _build_low_k_modes(shape, nbins)
+
+
+def rfft_of(field: np.ndarray, subtract_mean: bool = True) -> np.ndarray:
+    """The ``rfftn`` :func:`power_spectrum` bins (of the field minus its
+    mean, by default) — keep it to bin one field at several ``nbins``."""
+    arr = check_3d(field, "field")
+    if subtract_mean:
+        arr = arr - arr.mean()
+    return np.fft.rfftn(arr)
+
+
+def binned_power(
+    fk: np.ndarray, shape: tuple[int, ...], nbins: int | None = None
+) -> PowerSpectrum:
+    """Bin :func:`rfft_of` of a field of ``shape`` into ``nbins`` bins
+    (default: up to the 1-D Nyquist frequency).
+
+    Only the modes in bins ``1..nbins`` are squared and summed; bin sums
+    come out bit-identical to binning the whole grid under a mask (the
+    same modes, summed in the same order).
+    """
+    shape = tuple(shape)
+    kmax = min(s // 2 for s in shape)
+    if nbins is None:
+        nbins = kmax
+    nbins = min(nbins, kmax)
+    if nbins < 1:
+        raise ValueError("grid too small for any spectrum bins")
+    modes = _low_k_modes(shape, nbins)
+    power = np.abs(fk.ravel()[modes.index]) ** 2 * modes.weights
+    sums = np.bincount(modes.bins, weights=power, minlength=nbins + 1)
+    counts = modes.counts
+    k = np.arange(1, nbins + 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_power = np.where(counts[1:] > 0, sums[1:] / counts[1:], 0.0)
+    # Normalize per cell so spectra of different grid sizes are comparable.
+    return PowerSpectrum(
+        k=k, power=mean_power / math.prod(shape), n_modes=counts[1:].astype(np.int64)
+    )
 
 
 def power_spectrum(
@@ -121,31 +194,8 @@ def power_spectrum(
     subtract_mean:
         Remove the mean first (the DC mode dominates otherwise).
     """
-    arr = check_3d(field, "field")
-    if subtract_mean:
-        arr = arr - arr.mean()
-    n_total = arr.size
-
-    fk = np.fft.rfftn(arr)
-    weights = _rfft_weights(arr.shape)
-    bins = _mode_bins(arr.shape)
-    kmax = min(s // 2 for s in arr.shape)
-    if nbins is None:
-        nbins = kmax
-    nbins = min(nbins, kmax)
-    if nbins < 1:
-        raise ValueError("grid too small for any spectrum bins")
-
-    power_flat = (np.abs(fk) ** 2 * weights).ravel()
-    bins_flat = bins.ravel()
-    keep = (bins_flat >= 1) & (bins_flat <= nbins)
-    sums = np.bincount(bins_flat[keep], weights=power_flat[keep], minlength=nbins + 1)
-    counts = np.bincount(bins_flat[keep], weights=weights.ravel()[keep], minlength=nbins + 1)
-    k = np.arange(1, nbins + 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_power = np.where(counts[1:] > 0, sums[1:] / counts[1:], 0.0)
-    # Normalize per cell so spectra of different grid sizes are comparable.
-    return PowerSpectrum(k=k, power=mean_power / n_total, n_modes=counts[1:].astype(np.int64))
+    fk = rfft_of(field, subtract_mean)
+    return binned_power(fk, np.shape(field), nbins)
 
 
 def spectrum_ratio(original: np.ndarray, reconstructed: np.ndarray, nbins: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -547,20 +547,28 @@ FANOUT_MIN_ELEMENTS = 28**3
 def decompress_many(blocks: Sequence[Any], threads: int | None = None) -> list[np.ndarray]:
     """Reconstruct every block of ``blocks`` (any registered families), in order.
 
-    The decode analogue of ``compress_many``'s entropy fan-out: inflate
-    and the Lorenzo prefix sums both release the GIL, so blocks of at
-    least :data:`FANOUT_MIN_ELEMENTS` elements (on average) decode
-    concurrently (:func:`repro.util.fanout.thread_map`); smaller ones are
-    decoded one after another in the calling thread, where they finish
-    sooner.  ``threads`` caps the number of blocks decoded at once:
-    ``None`` (default) is the CPU count, ``1`` keeps everything in the
-    calling thread whatever the block size (what process-pool workers
-    pass to avoid oversubscription).
+    Blocks under :data:`FANOUT_MIN_ELEMENTS` elements (on average) are
+    decoded in the calling thread, where they finish sooner, and
+    together: the dual-engine layout-2 SZ blocks of each shape go
+    through one group decode
+    (:func:`repro.compression.sz.decompress_group` — one unfold /
+    prefix-sum / dequantize pass per stack of blocks instead of one
+    interpreter round-trip per block; the arrays are views of its
+    output), every other block through its family's decoder.  Larger
+    blocks decode one by one, concurrently
+    (:func:`repro.util.fanout.thread_map` — inflate and the Lorenzo
+    prefix sums release the GIL).  ``threads`` caps the number of blocks
+    decoded at once: ``None`` (default) is the CPU count, ``1`` keeps
+    everything in the calling thread whatever the block size (what
+    process-pool workers pass to avoid oversubscription).  Either way
+    the arrays are bit-identical to :func:`decompress_any` per block.
     """
+    if sum(b.n_elements for b in blocks) < FANOUT_MIN_ELEMENTS * len(blocks):
+        return _decompress_grouped(blocks)
     if threads is None:
         threads = os.cpu_count() or 1
     threads = min(threads, len(blocks))
-    if threads <= 1 or sum(b.n_elements for b in blocks) < FANOUT_MIN_ELEMENTS * len(blocks):
+    if threads <= 1:
         return [decompress_any(b) for b in blocks]
     # One strided share per thread (neighbouring blocks cost about the
     # same, so the shares come out even); the share count is the cap.
@@ -571,4 +579,21 @@ def decompress_many(blocks: Sequence[Any], threads: int | None = None) -> list[n
     out: list[Any] = [None] * len(blocks)
     for i, share in enumerate(shares):
         out[i::threads] = share
+    return out
+
+
+def _decompress_grouped(blocks: Sequence[Any]) -> list[np.ndarray]:
+    """:func:`decompress_many`'s small-block path, in the calling thread."""
+    from repro.compression import sz
+
+    out: list[Any] = [None] * len(blocks)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, block in enumerate(blocks):
+        if sz.groupable(block):
+            groups.setdefault(tuple(block.shape), []).append(i)
+        else:
+            out[i] = decompress_any(block)
+    for idxs in groups.values():
+        for i, recon in zip(idxs, sz.decompress_group([blocks[i] for i in idxs])):
+            out[i] = recon
     return out

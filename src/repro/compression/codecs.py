@@ -103,14 +103,21 @@ def _tag_of(packed: np.ndarray) -> bytes:
     return bytes([k | PLANES_BIT if k > 1 else k])
 
 
-def unpack_symbols(tag: int, raw: bytes, n: int, what: str) -> np.ndarray:
-    """Inverse of :func:`pack_symbols` for ``n`` symbols under width tag
-    ``tag``; returns a ``(n,)`` array of the ``k``-byte unsigned dtype."""
+def _checked_planes(tag: int, raw: bytes, n: int, what: str) -> tuple[int, bytes]:
+    """``(k, raw)`` once ``tag`` names a known width and ``raw`` holds
+    exactly the ``k`` planes of ``n`` symbols."""
     k = _width_of(tag, what)
     if len(raw) != n * k:
         raise PayloadError(
             f"{what}: {len(raw)} symbol bytes, expected {n} x {k} = {n * k}"
         )
+    return k, raw
+
+
+def unpack_symbols(tag: int, raw: bytes, n: int, what: str) -> np.ndarray:
+    """Inverse of :func:`pack_symbols` for ``n`` symbols under width tag
+    ``tag``; returns a ``(n,)`` array of the ``k``-byte unsigned dtype."""
+    k, raw = _checked_planes(tag, raw, n, what)
     if k == 1:
         return np.frombuffer(raw, dtype=np.uint8)
     # Shift the planes together from the top: k - 1 vectorized passes at
@@ -203,6 +210,12 @@ class Codec(ABC):
         int64 array; raises :class:`PayloadError` on bytes that fail
         validation)."""
 
+    def decode_planes(self, blob: bytes, n: int) -> tuple[int, bytes]:
+        """Byte-oriented codecs: ``(k, the n*k stored plane bytes)``,
+        validated exactly as :meth:`decode` validates them but not yet
+        shifted together — what a group decoder stacks across blocks."""
+        raise NotImplementedError(f"{self.name} codes are not byte planes")
+
     @staticmethod
     def _validate(codes: np.ndarray) -> np.ndarray:
         codes = np.asarray(codes)
@@ -225,6 +238,11 @@ class RawCodec(Codec):
         if not blob:
             raise PayloadError("raw codes: empty payload")
         return unpack_symbols(blob[0], memoryview(blob)[1:], n, "raw codes")
+
+    def decode_planes(self, blob: bytes, n: int) -> tuple[int, bytes]:
+        if not blob:
+            raise PayloadError("raw codes: empty payload")
+        return _checked_planes(blob[0], memoryview(blob)[1:], n, "raw codes")
 
 
 class ZlibCodec(Codec):
@@ -259,11 +277,14 @@ class ZlibCodec(Codec):
         return b"".join(parts)
 
     def decode(self, blob: bytes, n: int) -> np.ndarray:
+        _k, raw = self.decode_planes(blob, n)
+        return unpack_symbols(blob[0], raw, n, "zlib codes")
+
+    def decode_planes(self, blob: bytes, n: int) -> tuple[int, bytes]:
         if not blob:
             raise PayloadError("zlib codes: empty payload")
         k = _width_of(blob[0], "zlib codes")
-        raw = inflate_exact(memoryview(blob)[1:], n * k, "zlib codes")
-        return unpack_symbols(blob[0], raw, n, "zlib codes")
+        return k, inflate_exact(memoryview(blob)[1:], n * k, "zlib codes")
 
 
 class HuffmanCodec(Codec):

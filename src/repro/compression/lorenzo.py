@@ -25,6 +25,7 @@ __all__ = [
     "lorenzo_transform",
     "lorenzo_transform_batch_inplace",
     "lorenzo_inverse",
+    "lorenzo_inverse_batch_inplace",
 ]
 
 
@@ -123,3 +124,31 @@ def lorenzo_inverse(residuals: np.ndarray) -> np.ndarray:
         if arr.shape[axis] > 1:
             np.cumsum(arr, axis=axis, dtype=arr.dtype, out=arr)
     return arr
+
+
+def lorenzo_inverse_batch_inplace(batch: np.ndarray) -> np.ndarray:
+    """Invert :func:`lorenzo_transform_batch_inplace`: prefix sums along
+    every block axis of a ``(B, ...)`` stack, in place (and returned).
+
+    Row ``b`` of the result is element-for-element
+    ``lorenzo_inverse(batch[b])`` (wrapping sums: order is free).  Each
+    axis whose slab — the whole stack at one index — holds at least
+    :data:`_SLAB_MIN_ELEMENTS` elements is summed by slab adds, so a
+    stack of 64 16^3 blocks costs 45 vectorized adds instead of 64
+    interpreter round-trips through :func:`lorenzo_inverse`.
+    """
+    if batch.ndim < 2 or batch.ndim > 4:
+        raise ValueError(
+            f"batched lorenzo expects (B, 1-3 block dims), got {batch.ndim}-D"
+        )
+    for axis in range(1, batch.ndim):
+        extent = batch.shape[axis]
+        if extent < 2:
+            continue
+        if batch.size // extent < _SLAB_MIN_ELEMENTS:
+            np.cumsum(batch, axis=axis, dtype=batch.dtype, out=batch)
+            continue
+        lead = (slice(None),) * axis
+        for i in range(1, extent):
+            batch[lead + (i,)] += batch[lead + (i - 1,)]
+    return batch

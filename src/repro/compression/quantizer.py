@@ -41,6 +41,7 @@ __all__ = [
     "encode_residuals",
     "encode_residuals_batch",
     "unfold_symbols",
+    "unfold_symbols_into",
     "decode_residuals",
 ]
 
@@ -203,6 +204,17 @@ def unfold_symbols(symbols: np.ndarray) -> np.ndarray:
     if symbols.dtype == np.uint8:
         return _UNFOLD_BYTE.take(symbols)
     return _unfold_inplace(symbols.astype(np.int64))
+
+
+def unfold_symbols_into(symbols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`unfold_symbols` written into ``out`` (int64, ``symbols``'
+    shape) and returned; ``symbols`` may be ``out`` itself, an int64
+    stack of symbols unfolded in place."""
+    if symbols.dtype == np.uint8:
+        return _UNFOLD_BYTE.take(symbols, out=out, mode="clip")  # every byte indexes
+    if out is not symbols:
+        np.copyto(out, symbols, casting="unsafe")  # uint64 wraps as astype does
+    return _unfold_inplace(out)
 
 
 def decode_residuals(qr: QuantizedResiduals) -> np.ndarray:

@@ -38,9 +38,12 @@ the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +65,11 @@ from repro.compression.estimator import (
     estimate_nbytes_rows,
 )
 from repro.compression.kernels import byte_planes, unzigzag, zigzag
-from repro.compression.lorenzo import lorenzo_inverse, lorenzo_transform_batch_inplace
+from repro.compression.lorenzo import (
+    lorenzo_inverse,
+    lorenzo_inverse_batch_inplace,
+    lorenzo_transform_batch_inplace,
+)
 from repro.compression.quantizer import (
     DEFAULT_RADIUS,
     dequantize_abs,
@@ -70,12 +77,20 @@ from repro.compression.quantizer import (
     pw_rel_to_log_abs,
     quantize_lattice_batch,
     unfold_symbols,
+    unfold_symbols_into,
 )
 from repro.compression.workspace import Workspace, thread_workspace
 from repro.util.errors import PayloadError
 from repro.util.fanout import thread_map
+from repro.util.validation import check_positive
 
-__all__ = ["SZCompressor", "CompressedBlock", "decompress", "HEADER_BYTES"]
+__all__ = [
+    "SZCompressor",
+    "CompressedBlock",
+    "decompress",
+    "decompress_group",
+    "HEADER_BYTES",
+]
 
 _MODES = ("abs", "pw_rel")
 
@@ -585,32 +600,52 @@ def _bound_space_eb(block: CompressedBlock) -> float:
     raise PayloadError(f"unknown mode tag {block.mode!r}")
 
 
+def _payload_blobs(block: CompressedBlock) -> tuple[bytes, bytes, bytes]:
+    """The block's ``(codes, outlier_pos, outlier_val)`` payloads."""
+    try:
+        return (
+            block.payloads["codes"],
+            block.payloads["outlier_pos"],
+            block.payloads["outlier_val"],
+        )
+    except KeyError as exc:
+        raise PayloadError(f"block has no {exc.args[0]!r} payload") from None
+
+
+def _outlier_channels(
+    block: CompressedBlock, pos_blob: bytes, val_blob: bytes, n: int
+) -> tuple[np.ndarray, bytes]:
+    """A layout-2 block's ``(outlier positions, outlier value bytes)``,
+    every position checked to lie inside the block."""
+    out_pos = unpack_positions(pos_blob, block.n_outliers)
+    out_val = inflate_channel(val_blob, 8 * block.n_outliers, "outlier values")
+    _check_positions(out_pos, n)
+    return out_pos, out_val
+
+
+def _check_positions(out_pos: np.ndarray, n: int) -> None:
+    if out_pos.size and int(out_pos.max()) >= n:
+        raise PayloadError(f"outlier position {int(out_pos.max())} outside the block")
+
+
 def _read_channels(block: CompressedBlock) -> tuple[np.ndarray, np.ndarray, bytes]:
     """Decode a block's three payloads, whatever their layout, into
     ``(residuals (n,) fresh int64, outlier positions, outlier value
     bytes)`` — outlier slots of ``residuals`` hold a placeholder."""
     n = block.n_elements
-    try:
-        codes = block.payloads["codes"]
-        pos_blob = block.payloads["outlier_pos"]
-        val_blob = block.payloads["outlier_val"]
-    except KeyError as exc:
-        raise PayloadError(f"block has no {exc.args[0]!r} payload") from None
-    val_what = "outlier values"
+    codes, pos_blob, val_blob = _payload_blobs(block)
     if block.layout == LAYOUT:
         residuals = unfold_symbols(get_codec(block.codec_name).decode(codes, n))
-        out_pos = unpack_positions(pos_blob, block.n_outliers)
-        out_val = inflate_channel(val_blob, 8 * block.n_outliers, val_what)
+        out_pos, out_val = _outlier_channels(block, pos_blob, val_blob, n)
     elif block.layout == 1:
         from repro.compression import compat  # cold path: retired layout
 
         residuals = compat.residuals_v1(block.codec_name, codes, n, block.radius)
         out_pos = compat.outlier_positions_v1(pos_blob, block.n_outliers)
-        out_val = compat.inflate_channel_v1(val_blob, 8 * block.n_outliers, val_what)
+        out_val = compat.inflate_channel_v1(val_blob, 8 * block.n_outliers, "outlier values")
+        _check_positions(out_pos, n)
     else:
         raise PayloadError(f"unknown code-stream layout {block.layout!r}")
-    if out_pos.size and int(out_pos.max()) >= n:
-        raise PayloadError(f"outlier position {int(out_pos.max())} outside the block")
     return residuals, out_pos, out_val
 
 
@@ -633,3 +668,126 @@ def decompress(block: CompressedBlock) -> np.ndarray:
     q = lorenzo_inverse(residuals.reshape(block.shape))
     work = dequantize_abs(q, abs_eb)
     return work if block.mode == "abs" else np.exp(work, out=work)
+
+
+#: Largest int64 lattice one group decode works in (bytes): 64 blocks of
+#: 16^3.  Longer groups decode in chunks of this size, so the arena slot
+#: stays bounded — and cache-sized — per thread.
+GROUP_LATTICE_BYTES = 2 << 20
+
+
+def groupable(block: object) -> bool:
+    """Whether :func:`decompress_group` reads ``block``: a dual-engine,
+    layout-2 SZ block (classic and layout-1 blocks keep their decoders)."""
+    return (
+        isinstance(block, CompressedBlock)
+        and block.engine == "dual"
+        and block.layout == LAYOUT
+    )
+
+
+def decompress_group(blocks: Sequence[CompressedBlock]) -> list[np.ndarray]:
+    """Decode same-shape :func:`groupable` blocks together.
+
+    Bit for bit the arrays :func:`decompress` returns block by block,
+    after the same per-block validation (so a hostile payload raises the
+    same :class:`~repro.util.errors.PayloadError`), but each chunk of up
+    to :data:`GROUP_LATTICE_BYTES` of lattice runs one unfold per stored
+    width, one outlier scatter, one prefix-sum pass
+    (:func:`~repro.compression.lorenzo.lorenzo_inverse_batch_inplace`)
+    and one dequantize per mode over a ``(B, n)`` lattice in the calling
+    thread's arena.  The arrays returned are views of one fresh float64
+    ``(B, *shape)`` array per chunk.
+
+    Only small blocks gain (16^3: ~0.82x the time of :func:`decompress`
+    one block at a time; 32^3: ~1.05x, slower — ``docs/kernels.md``), so
+    :func:`~repro.compression.api.decompress_many` groups only blocks
+    under :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS`.
+    """
+    if not blocks:
+        return []
+    shape = tuple(blocks[0].shape)
+    if not all(groupable(b) and tuple(b.shape) == shape for b in blocks):
+        raise ValueError("decompress_group takes same-shape dual-engine layout-2 blocks")
+    step = max(1, GROUP_LATTICE_BYTES // (8 * math.prod(shape)))
+    ws = thread_workspace()
+    out: list[np.ndarray] = []
+    for lo in range(0, len(blocks), step):
+        out += _decompress_chunk(blocks[lo : lo + step], shape, ws)
+    return out
+
+
+class _GroupRow(NamedTuple):
+    """One block's validated channels, as the group decoder stacks them."""
+
+    key: tuple[bool, int]  # (pw_rel, stored width; 0 = decoded symbols)
+    symbols: "bytes | np.ndarray"  # the k plane bytes, or decoded symbols
+    out_pos: np.ndarray
+    out_val: bytes
+    scale: float  # 2 * the bound in quantization space
+
+
+def _group_row(block: CompressedBlock, n: int) -> _GroupRow:
+    """:func:`decompress`'s checks, in its order, for one block."""
+    abs_eb = _bound_space_eb(block)
+    codes, pos_blob, val_blob = _payload_blobs(block)
+    codec = get_codec(block.codec_name)
+    if codec.byte_oriented:
+        k, symbols = codec.decode_planes(codes, n)
+    else:
+        k, symbols = 0, codec.decode(codes, n)
+    out_pos, out_val = _outlier_channels(block, pos_blob, val_blob, n)
+    return _GroupRow(
+        (block.mode != "abs", k), symbols, out_pos, out_val, 2.0 * check_positive(abs_eb, "eb")
+    )
+
+
+def _decompress_chunk(
+    blocks: Sequence[CompressedBlock], shape: tuple[int, ...], ws: Workspace
+) -> list[np.ndarray]:
+    """One pass of :func:`decompress_group` over at most
+    :data:`GROUP_LATTICE_BYTES` of lattice."""
+    n_blocks, n = len(blocks), math.prod(shape)
+    rows = [_group_row(b, n) for b in blocks]
+    # Lattice rows sorted by (mode, width): each width's blocks are one
+    # contiguous slab and the pw_rel blocks come last.
+    order = sorted(range(n_blocks), key=lambda i: rows[i].key)
+    lattice = ws.request("group_lattice_i64", (n_blocks, n), np.int64)
+    lo = 0
+    for (_, k), run in itertools.groupby(order, key=lambda i: rows[i].key):
+        run = list(run)
+        dst = lattice[lo : lo + len(run)]
+        lo += len(run)
+        if k == 0:
+            for row, i in zip(dst, run):
+                unfold_symbols_into(rows[i].symbols, row)
+            continue
+        planes = np.frombuffer(
+            b"".join(rows[i].symbols for i in run), dtype=np.uint8
+        ).reshape(len(run), k, n)
+        if k == 1:
+            unfold_symbols_into(planes[:, 0], dst)
+            continue
+        wide = dst.view(np.uint64)  # shift the planes together from the top
+        np.copyto(wide, planes[:, k - 1])
+        for plane in range(k - 2, -1, -1):
+            wide <<= 8
+            wide |= planes[:, plane]
+        unfold_symbols_into(dst, dst)
+    hits = [(r, rows[i]) for r, i in enumerate(order) if rows[i].out_pos.size]
+    if hits:
+        lattice.reshape(-1)[np.concatenate([row.out_pos + r * n for r, row in hits])] = (
+            unzigzag(np.frombuffer(b"".join(row.out_val for _, row in hits), np.uint64))
+        )
+    stack = lorenzo_inverse_batch_inplace(lattice.reshape((n_blocks,) + shape))
+    scales = ws.request("group_scales_f64", (n_blocks,) + (1,) * len(shape), np.float64)
+    scales.reshape(-1)[:] = [rows[i].scale for i in order]
+    recon = np.multiply(stack, scales, dtype=np.float64)
+    n_rel = sum(rows[i].key[0] for i in order)
+    if n_rel:
+        tail = recon[n_blocks - n_rel :]
+        np.exp(tail, out=tail)
+    out: list[np.ndarray | None] = [None] * n_blocks
+    for r, i in enumerate(order):
+        out[i] = recon[r]
+    return out  # type: ignore[return-value]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -263,54 +264,59 @@ def _untile(blocks: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return t.transpose(0, 3, 1, 4, 2, 5).reshape(shape)
 
 
-def _pack_coeffs(coeffs: np.ndarray, bits: np.ndarray) -> bytes:
-    """Truncate each coefficient to its allocation and bit-pack the stream.
+class _StreamLayout(NamedTuple):
+    """Where every bit of a block's packed stream comes from.
 
-    Layout per block: for every coefficient with ``b > 0`` bits, one sign
-    bit followed by the ``b`` most significant of its magnitude's
-    ``_WIDTH`` bits.
+    A block stores, for every kept coefficient (``b > 0`` bits), one
+    sign bit followed by the ``b`` most significant of its magnitude's
+    ``_WIDTH`` bits, most significant first.
     """
-    kept = bits > 0
-    signs = (coeffs[:, kept] < 0).astype(np.uint8)
-    mags = np.abs(coeffs[:, kept]).astype(np.uint64)
-    width = _WIDTH
-    mags = np.minimum(mags, (1 << width) - 1)
 
-    chunks: list[np.ndarray] = []
-    kept_bits = bits[kept]
-    for col, b in enumerate(kept_bits):
-        b = int(b)
-        top = (mags[:, col] >> np.uint64(width - b)).astype(np.uint64)
-        colbits = np.empty((len(coeffs), b + 1), dtype=np.uint8)
-        colbits[:, 0] = signs[:, col]
-        shifts = np.arange(b - 1, -1, -1, dtype=np.uint64)
-        colbits[:, 1:] = ((top[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-        chunks.append(colbits)
-    allbits = np.concatenate(chunks, axis=1).ravel()
-    return np.packbits(allbits).tobytes()
+    kept: np.ndarray  # coefficient index of each kept column
+    widths: np.ndarray  # its b
+    starts: np.ndarray  # stream offset of its sign bit
+    column: np.ndarray  # per stream bit: its kept column
+    shift: np.ndarray  # per stream bit: its weight's exponent (uint32)
+
+
+def _stream_layout(bits: np.ndarray) -> _StreamLayout:
+    kept = np.flatnonzero(bits > 0)
+    widths = bits[kept].astype(np.int64)
+    segment = widths + 1
+    starts = np.cumsum(segment) - segment
+    column = np.repeat(np.arange(kept.size), segment)
+    # Magnitude bit j (1..b) of a segment weighs 2**(b - j); the sign bit
+    # (j = 0) gets b, which reads a zero out of a value below 2**b.
+    shift = np.repeat(widths + starts, segment) - np.arange(int(segment.sum()))
+    return _StreamLayout(kept, widths, starts, column, shift.astype(np.uint32))
+
+
+def _pack_coeffs(coeffs: np.ndarray, bits: np.ndarray) -> bytes:
+    """Truncate each coefficient to its allocation and bit-pack the stream
+    (layout: :class:`_StreamLayout`) in whole-array passes."""
+    lay = _stream_layout(bits)
+    kept = coeffs[:, lay.kept]
+    mags = np.minimum(np.abs(kept).astype(np.uint64), (1 << _WIDTH) - 1)
+    top = (mags >> (_WIDTH - lay.widths).astype(np.uint64)).astype(np.uint32)
+    stream = (top[:, lay.column] >> lay.shift) & 1
+    stream[:, lay.starts] = kept < 0
+    return np.packbits(stream.astype(np.uint8)).tobytes()
 
 
 def _unpack_coeffs(payload: bytes, nblocks: int, bits: np.ndarray) -> np.ndarray:
-    kept = bits > 0
-    kept_bits = bits[kept].astype(np.int64)
-    per_block = int((kept_bits + 1).sum())
-    raw = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nblocks * per_block)
-    mat = raw.reshape(nblocks, per_block)
-    width = _WIDTH
+    lay = _stream_layout(bits)
+    per_block = lay.shift.size
+    mat = np.unpackbits(
+        np.frombuffer(payload, dtype=np.uint8), count=nblocks * per_block
+    ).reshape(nblocks, per_block)
+    weighted = np.left_shift(mat, lay.shift, dtype=np.uint32)
+    weighted[:, lay.starts] = 0
+    val = np.add.reduceat(weighted, lay.starts, axis=1).astype(np.int64)
+    # Restore magnitude scale and add half an ulp of the truncated part
+    # to centre the reconstruction (exactly-zero coefficients stay zero).
+    drop = _WIDTH - lay.widths
+    mag = val << drop
+    mag = np.where(mag > 0, mag + np.where(drop > 0, 1 << np.maximum(drop - 1, 0), 0), 0)
     coeffs = np.zeros((nblocks, len(bits)), dtype=np.int64)
-    pos = 0
-    kept_idx = np.flatnonzero(kept)
-    for col, b in zip(kept_idx, kept_bits):
-        b = int(b)
-        sign = mat[:, pos].astype(np.int64)
-        val = np.zeros(nblocks, dtype=np.uint64)
-        for j in range(b):
-            val = (val << np.uint64(1)) | mat[:, pos + 1 + j].astype(np.uint64)
-        # Restore magnitude scale and add half an ulp of the truncated part
-        # to centre the reconstruction (exactly-zero coefficients stay zero).
-        mag = val.astype(np.int64) << (width - b)
-        if width - b > 0:
-            mag = np.where(mag > 0, mag + (1 << (width - b - 1)), 0)
-        coeffs[:, col] = np.where(sign == 1, -mag, mag)
-        pos += b + 1
+    coeffs[:, lay.kept] = np.where(mat[:, lay.starts] == 1, -mag, mag)
     return coeffs

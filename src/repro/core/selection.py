@@ -40,7 +40,7 @@ from repro.models.calibration import (
 )
 from repro.models.fft_error import (
     spectrum_ratio_tolerance_to_eb,
-    sub_threshold_power_estimate,
+    sub_threshold_power_curve,
 )
 from repro.models.rq_model import RQModel, RQPrediction
 from repro.parallel.decomposition import BlockDecomposition
@@ -64,9 +64,10 @@ def derive_eb_budget(spec: FieldSpec, ref: FieldReference) -> float:
     The §3.3/§3.5 model inversion: the P(k) acceptance band plus the
     sub-threshold power estimate yield the admissible average bound.
     All original-field analyses go through the shared
-    :class:`FieldReference` cache, so a budget inversion and a halo-spec
-    derivation on the same snapshot pay for one float64 cast and one
-    ``rfftn`` between them.
+    :class:`FieldReference` cache, so a budget inversion, a halo-spec
+    derivation and a quality check on the same snapshot pay for one
+    float64 cast and one ``rfftn`` between them.  The bisection's
+    sub-threshold power reads one stride-2 subsample built per call.
     """
     if spec.eb_override is not None:
         return float(spec.eb_override)
@@ -79,7 +80,7 @@ def derive_eb_budget(spec: FieldSpec, ref: FieldReference) -> float:
             tolerance=spec.spectrum_tolerance,
             k_max=spec.spectrum_k_max,
             confidence_z=spec.confidence_z,
-            sub_power_fn=lambda e: sub_threshold_power_estimate(f64, e, stride=2),
+            sub_power_fn=sub_threshold_power_curve(f64, stride=2),
             correlated_fraction=spec.correlated_fraction,
         )
     )

@@ -10,8 +10,9 @@ paid E redundant FFTs and E redundant halo finds of identical data.
 This module amortizes that cost:
 
 - :class:`FieldReference` lazily caches per-field invariants (float64
-  view, :class:`~repro.analysis.metrics.FieldMoments`, binned power
-  spectra per ``nbins``, halo catalogs per threshold pair),
+  view, :class:`~repro.analysis.metrics.FieldMoments`, one ``rfftn``
+  and the power spectra binned from it per ``nbins``, halo catalogs per
+  threshold pair),
 - :class:`QualityEvaluator` binds a reference to one
   :class:`~repro.foresight.quality.QualityCriteria` and evaluates each
   reconstruction with exactly one ``rfftn``, at most one halo find, and
@@ -19,7 +20,9 @@ This module amortizes that cost:
 
 Evaluators are picklable *with their caches populated* (precomputed
 eagerly at construction), so process-pool quality sweeps ship the cached
-reference analyses to workers instead of recomputing them there.
+reference analyses to workers instead of recomputing them there — all
+but the transform, which is as large as the field and only ever needed
+to bin a new ``nbins``.
 
 Report parity with the seed path is exact for spectra and halo metrics
 and floating-point-tolerant for the fused PSNR/NRMSE (tested in
@@ -36,8 +39,10 @@ from repro.analysis.halos import find_halos
 from repro.analysis.metrics import FieldMoments, error_summary
 from repro.analysis.spectrum import (
     PowerSpectrum,
+    binned_power,
     binned_worst_deviation,
     power_spectrum,
+    rfft_of,
 )
 from repro.foresight.quality import QualityCriteria, QualityReport
 
@@ -56,6 +61,7 @@ class FieldReference:
     def __init__(self, data: np.ndarray) -> None:
         self._data = np.asarray(data)
         self._f64: np.ndarray | None = None
+        self._fk: np.ndarray | None = None
         self._moments: FieldMoments | None = None
         self._spectra: dict[int | None, PowerSpectrum] = {}
         self._catalogs: dict[tuple[float, float | None], object] = {}
@@ -72,6 +78,9 @@ class FieldReference:
             # unpickled reference exposes it as ``data`` too
             # (numerically equal, possibly widened dtype).
             state["_data"] = state["_f64"]
+        # Nor its transform (the field's size again, in complex128): the
+        # binned spectra travel, and a new nbins re-transforms.
+        state["_fk"] = None
         return state
 
     @staticmethod
@@ -99,10 +108,14 @@ class FieldReference:
         return self._moments
 
     def spectrum(self, nbins: int | None = None) -> PowerSpectrum:
-        """Binned power spectrum of the original, cached per ``nbins``."""
+        """Binned power spectrum of the original, cached per ``nbins``;
+        every ``nbins`` bins the one ``rfftn``, kept after the first."""
         self._note_cache("spectrum", nbins in self._spectra)
         if nbins not in self._spectra:
-            self._spectra[nbins] = power_spectrum(self.f64, nbins=nbins)
+            f64 = self.f64
+            if self._fk is None:
+                self._fk = rfft_of(f64)
+            self._spectra[nbins] = binned_power(self._fk, f64.shape, nbins)
         return self._spectra[nbins]
 
     def halos(self, t_boundary: float, t_halo: float | None = None):

@@ -165,3 +165,67 @@ class TestCheckStopsAtKmax:
         _, worst = check_spectrum_quality(f, g, tolerance=0.5, k_max=10)
         k, ratio = spectrum_ratio(f, g)  # full-Nyquist binning
         assert worst == float(np.max(np.abs(ratio[k < 10] - 1.0)))
+
+
+def full_grid_spectrum(field: np.ndarray, nbins: int | None = None):
+    """The binning as first written: square and weigh every rfft mode,
+    then mask the grid down to bins ``1..nbins``."""
+    from repro.analysis.spectrum import PowerSpectrum, _mode_bins, _rfft_weights
+
+    arr = np.asarray(field, dtype=np.float64)
+    arr = arr - arr.mean()
+    fk = np.fft.rfftn(arr)
+    weights, bins = _rfft_weights(arr.shape), _mode_bins(arr.shape)
+    kmax = min(s // 2 for s in arr.shape)
+    nbins = kmax if nbins is None else min(nbins, kmax)
+    power_flat = (np.abs(fk) ** 2 * weights).ravel()
+    bins_flat = bins.ravel()
+    keep = (bins_flat >= 1) & (bins_flat <= nbins)
+    sums = np.bincount(bins_flat[keep], weights=power_flat[keep], minlength=nbins + 1)
+    counts = np.bincount(bins_flat[keep], weights=weights.ravel()[keep], minlength=nbins + 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_power = np.where(counts[1:] > 0, sums[1:] / counts[1:], 0.0)
+    return PowerSpectrum(
+        k=np.arange(1, nbins + 1),
+        power=mean_power / arr.size,
+        n_modes=counts[1:].astype(np.int64),
+    )
+
+
+class TestLowKBinning:
+    """Only the modes in bins ``1..nbins`` are squared and summed; the
+    result must equal masking the full grid, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "shape", [(16, 16, 16), (32, 32, 32), (15, 17, 19), (9, 9, 9), (24, 16, 10), (5, 40, 8)]
+    )
+    def test_equal_to_full_grid_masking_for_every_nbins(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        field = np.exp(rng.normal(0, 1, shape))
+        kmax = min(s // 2 for s in shape)
+        for nbins in [None, *range(1, kmax + 3)]:
+            got, want = power_spectrum(field, nbins=nbins), full_grid_spectrum(field, nbins)
+            assert np.array_equal(got.k, want.k)
+            assert np.array_equal(got.power, want.power)
+            assert np.array_equal(got.n_modes, want.n_modes)
+
+    def test_low_k_modes_cached_per_shape_and_nbins(self):
+        from repro.analysis.spectrum import _low_k_modes
+
+        assert _low_k_modes((12, 12, 12), 4) is _low_k_modes((12, 12, 12), 4)
+        assert _low_k_modes((12, 12, 12), 4) is not _low_k_modes((12, 12, 12), 5)
+        modes = _low_k_modes((12, 12, 12), 4)
+        assert np.all(np.diff(modes.index) > 0)  # summed in grid order
+        with pytest.raises(ValueError):
+            modes.index[0] = 0
+
+    def test_one_transform_binned_at_several_nbins(self):
+        from repro.analysis.spectrum import binned_power, rfft_of
+
+        rng = np.random.default_rng(3)
+        field = rng.normal(0, 1, (16, 12, 20))
+        fk = rfft_of(field)
+        for nbins in (None, 1, 3, 6):
+            got, want = binned_power(fk, field.shape, nbins), power_spectrum(field, nbins)
+            assert np.array_equal(got.power, want.power)
+            assert np.array_equal(got.n_modes, want.n_modes)

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from repro.compression.zfp_like import (
     _BLOCK,
+    _WIDTH,
     ZFPLikeCompressor,
     _bit_allocation,
     _forward_axis,
     _inverse_axis,
+    _pack_coeffs,
+    _unpack_coeffs,
 )
 
 
@@ -216,3 +219,81 @@ class TestCodec:
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match="3-D"):
             ZFPLikeCompressor(rate=4.0).compress(np.zeros((4, 4)))
+
+
+def reference_pack(coeffs: np.ndarray, bits: np.ndarray) -> bytes:
+    """The bit packer as first written: a loop per coefficient, one
+    ``(nblocks, b + 1)`` bit matrix each, concatenated and packed."""
+    kept = bits > 0
+    signs = (coeffs[:, kept] < 0).astype(np.uint8)
+    mags = np.minimum(np.abs(coeffs[:, kept]).astype(np.uint64), (1 << _WIDTH) - 1)
+    chunks = []
+    for col, b in enumerate(bits[kept]):
+        b = int(b)
+        top = mags[:, col] >> np.uint64(_WIDTH - b)
+        colbits = np.empty((len(coeffs), b + 1), dtype=np.uint8)
+        colbits[:, 0] = signs[:, col]
+        shifts = np.arange(b - 1, -1, -1, dtype=np.uint64)
+        colbits[:, 1:] = ((top[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+        chunks.append(colbits)
+    return np.packbits(np.concatenate(chunks, axis=1).ravel()).tobytes()
+
+
+def reference_unpack(payload: bytes, nblocks: int, bits: np.ndarray) -> np.ndarray:
+    """The unpacker as first written: a loop per coefficient and per bit."""
+    kept = bits > 0
+    kept_bits = bits[kept].astype(np.int64)
+    per_block = int((kept_bits + 1).sum())
+    mat = np.unpackbits(
+        np.frombuffer(payload, dtype=np.uint8), count=nblocks * per_block
+    ).reshape(nblocks, per_block)
+    coeffs = np.zeros((nblocks, len(bits)), dtype=np.int64)
+    pos = 0
+    for col, b in zip(np.flatnonzero(kept), kept_bits):
+        b = int(b)
+        sign = mat[:, pos].astype(np.int64)
+        val = np.zeros(nblocks, dtype=np.uint64)
+        for j in range(b):
+            val = (val << np.uint64(1)) | mat[:, pos + 1 + j].astype(np.uint64)
+        mag = val.astype(np.int64) << (_WIDTH - b)
+        if _WIDTH - b > 0:
+            mag = np.where(mag > 0, mag + (1 << (_WIDTH - b - 1)), 0)
+        coeffs[:, col] = np.where(sign == 1, -mag, mag)
+        pos += b + 1
+    return coeffs
+
+
+class TestWholeArrayBitPacking:
+    """``_pack_coeffs`` / ``_unpack_coeffs`` run whole-array passes; the
+    loops above are what they must equal, byte for byte."""
+
+    @given(
+        rate=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 31.0, 32.0]),
+        nblocks=st.integers(1, 40),
+        magnitude=st.sampled_from([1, 300, 2**20, 2**31]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equal_to_the_loops(self, rate, nblocks, magnitude, seed):
+        bits = _bit_allocation(rate)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.integers(-magnitude, magnitude + 1, (nblocks, _BLOCK**3), dtype=np.int64)
+        coeffs[:, rng.random(_BLOCK**3) < 0.2] = 0  # exactly-zero coefficients
+        payload = _pack_coeffs(coeffs, bits)
+        assert payload == reference_pack(coeffs, bits)
+        assert np.array_equal(
+            _unpack_coeffs(payload, nblocks, bits), reference_unpack(payload, nblocks, bits)
+        )
+
+    @pytest.mark.parametrize("rate", range(1, 33))
+    def test_every_integer_rate(self, rate):
+        bits = _bit_allocation(float(rate))
+        rng = np.random.default_rng(rate)
+        coeffs = rng.integers(-(2**31), 2**31 + 1, (17, _BLOCK**3), dtype=np.int64)
+        payload = _pack_coeffs(coeffs, bits)
+        assert payload == reference_pack(coeffs, bits)
+        noise = rng.integers(0, 256, len(payload), dtype=np.uint8).tobytes()
+        for blob in (payload, noise):
+            assert np.array_equal(
+                _unpack_coeffs(blob, 17, bits), reference_unpack(blob, 17, bits)
+            )

@@ -151,3 +151,35 @@ class TestMechanics:
         assert all(isinstance(v, CandidateVerdict) for v in result.verdicts)
         with pytest.raises(KeyError):
             result.verdict_for(CompressorSpec("sz_adaptive"))
+
+
+class TestBudgetInversion:
+    @pytest.mark.parametrize("field", ["baryon_density", "temperature", "velocity_x"])
+    @pytest.mark.parametrize("tolerance", [0.005, 0.01, 0.05])
+    def test_hoisted_subsample_equals_the_per_step_estimate(self, snapshot, field, tolerance):
+        """``derive_eb_budget`` builds its stride-2 subsample once per call;
+        the bound must equal the bisection re-subsampling at every step."""
+        from repro.core.selection import derive_eb_budget
+        from repro.foresight.evaluator import FieldReference
+        from repro.models.fft_error import spectrum_ratio_tolerance_to_eb
+
+        def sub_threshold_power_estimate(field, eb, stride):
+            sub = np.asarray(field, dtype=np.float64)[::stride, ::stride, ::stride]
+            return float(np.mean(np.where(np.abs(sub) < eb, sub**2, 0.0)))
+
+        spec = FieldSpec(spectrum_tolerance=tolerance)
+        ref = FieldReference(snapshot[field])
+        f64 = ref.f64
+        want = float(
+            spectrum_ratio_tolerance_to_eb(
+                ref.spectrum(),
+                f64.size,
+                tolerance=spec.spectrum_tolerance,
+                k_max=spec.spectrum_k_max,
+                confidence_z=spec.confidence_z,
+                sub_power_fn=lambda e: sub_threshold_power_estimate(f64, e, stride=2),
+                correlated_fraction=spec.correlated_fraction,
+            )
+        )
+        assert derive_eb_budget(spec, ref) == want
+        assert derive_eb_budget(spec, FieldReference(snapshot[field])) == want

@@ -135,6 +135,32 @@ class TestFieldReference:
         assert ref.moments is ref.moments
         assert ref.f64 is ref.f64
 
+    def test_one_transform_for_every_nbins(self, snapshot, monkeypatch):
+        """The budget inversion bins to Nyquist, the evaluator below
+        ``k_max``: one ``rfftn`` serves both, bit-identically."""
+        data = snapshot["temperature"]
+        calls = []
+        real = evaluator_mod.rfft_of
+        monkeypatch.setattr(
+            evaluator_mod, "rfft_of", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        ref = FieldReference(data)
+        for nbins in (None, 9, 4, 16):
+            got = ref.spectrum(nbins)
+            want = power_spectrum(data.astype(np.float64), nbins=nbins)
+            assert np.array_equal(got.power, want.power)
+            assert np.array_equal(got.n_modes, want.n_modes)
+        assert len(calls) == 1
+
+    def test_pickle_drops_the_transform(self, snapshot):
+        ref = FieldReference(snapshot["temperature"])
+        ps = ref.spectrum(9)
+        assert ref._fk is not None
+        back = pickle.loads(pickle.dumps(ref))
+        assert back._fk is None and ref._fk is not None
+        assert back.spectrum(9).power.tolist() == ps.power.tolist()
+        assert np.array_equal(back.spectrum().power, ref.spectrum().power)
+
     def test_requires_field_or_reference(self):
         with pytest.raises(ValueError, match="original field or a reference"):
             QualityEvaluator()
@@ -144,13 +170,14 @@ class TestFieldReference:
         ref = FieldReference(data)
         QualityEvaluator(criteria=QualityCriteria(), reference=ref)
         calls = {"n": 0}
-        real = evaluator_mod.power_spectrum
+        for name in ("power_spectrum", "rfft_of", "binned_power"):
+            real = getattr(evaluator_mod, name)
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
+            def counting(*args, _real=real, **kwargs):
+                calls["n"] += 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(evaluator_mod, "power_spectrum", counting)
+            monkeypatch.setattr(evaluator_mod, name, counting)
         # Same criteria -> same nbins key -> second evaluator reuses the
         # first one's cached original spectrum.
         QualityEvaluator(criteria=QualityCriteria(), reference=ref)
@@ -163,19 +190,21 @@ class TestOriginalAnalyzedOnce:
         self, snapshot, decomposition, monkeypatch, n_ebs
     ):
         counts = {"spectrum": 0, "halos": 0}
-        real_ps = evaluator_mod.power_spectrum
-        real_fh = evaluator_mod.find_halos
 
-        def counting_ps(*args, **kwargs):
-            counts["spectrum"] += 1
-            return real_ps(*args, **kwargs)
+        def counting(name, key):
+            real = getattr(evaluator_mod, name)
 
-        def counting_fh(*args, **kwargs):
-            counts["halos"] += 1
-            return real_fh(*args, **kwargs)
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(evaluator_mod, "power_spectrum", counting_ps)
-        monkeypatch.setattr(evaluator_mod, "find_halos", counting_fh)
+            monkeypatch.setattr(evaluator_mod, name, counted)
+
+        # A spectrum is one transform: the reference's own (``rfft_of``,
+        # binned per nbins) or a reconstruction's (``power_spectrum``).
+        counting("rfft_of", "spectrum")
+        counting("power_spectrum", "spectrum")
+        counting("find_halos", "halos")
 
         density = snapshot["baryon_density"]
         tb = float(np.percentile(density.astype(np.float64), 99.0))

@@ -280,6 +280,20 @@ class TestRuleEdges:
         )
         assert codes(src, path="src/repro/compression/sz.py") == []
 
+    def test_rl011_covers_the_group_decoder(self):
+        # The group decoder takes its lattice from the arena as ``ws``,
+        # so a fresh allocation there is flagged like one in the front.
+        import inspect
+
+        from repro.compression import sz
+
+        src = inspect.getsource(sz)
+        lattice = 'ws.request("group_lattice_i64", (n_blocks, n), np.int64)'
+        assert lattice in src
+        assert codes(src, path="src/repro/compression/sz.py") == []
+        fresh = src.replace(lattice, "np.empty((n_blocks, n), np.int64)")
+        assert codes(fresh, path="src/repro/compression/sz.py") == ["RL011"]
+
     def test_rl011_per_block_compress_loop(self):
         src = (
             "class C:\n"

@@ -593,3 +593,56 @@ class TestReportAndLifecycle:
     def test_rejects_bad_budget(self, stream_dec):
         with pytest.raises(ValueError, match="byte_budget"):
             InSituController(stream_dec, byte_budget=0)
+
+
+class TestGroupDecodeLedgerIdentity:
+    """The quality check reconstructs through the group decoder; its
+    ledger — quality deviations, fixed-rate measurements, every bound —
+    must be byte-identical to one whose check decodes block by block."""
+
+    @staticmethod
+    def _ledger(tmp_path, name, simulator) -> bytes:
+        from repro.parallel.decomposition import BlockDecomposition
+
+        snaps = [simulator.snapshot(z=z) for z in (3.0, 1.5, 0.8, 0.3)]
+        raw = sum(a.nbytes for s in snaps for a in s.fields.values())
+        path = tmp_path / name
+        ctl = InSituController(
+            BlockDecomposition(snaps[0].shape, blocks=2),
+            field_specs={"baryon_density": FieldSpec(halo_aware=True)},
+            candidates=["sz", "zfp_like:rate=8"],
+            ledger=str(path),
+            byte_budget=raw // 8,
+            n_snapshots=len(snaps),
+            check_quality=True,
+        )
+        report = ctl.run(SnapshotSequence(snaps))
+        ctl.close()
+        assert all(o.quality_deviation is not None for o in report.outcomes)
+        assert any(e.kind == "selection" for e in RunLedger.load(str(path)).events)
+        return path.read_bytes()
+
+    def test_ledger_byte_identical_to_per_block_reconstruction(
+        self, tmp_path, simulator, monkeypatch
+    ):
+        from repro.compression import sz
+        from repro.compression.api import decompress_any
+        from repro.parallel.backends import SnapshotResult
+
+        grouped = []
+        real_group = sz.decompress_group
+        monkeypatch.setattr(
+            sz, "decompress_group", lambda blocks: grouped.append(1) or real_group(blocks)
+        )
+        with_groups = self._ledger(tmp_path, "grouped.jsonl", simulator)
+        assert grouped  # the check really went through the group decoder
+
+        def per_block(self, decomposition, dtype=np.float64, threads=None):
+            return decomposition.assemble(
+                [decompress_any(b) for b in self.blocks], dtype=dtype
+            )
+
+        monkeypatch.setattr(SnapshotResult, "reconstruct", per_block)
+        grouped.clear()
+        assert self._ledger(tmp_path, "per_block.jsonl", simulator) == with_groups
+        assert not grouped
