@@ -8,8 +8,8 @@ engine against frozen copies of the seed implementation:
    original per bound (two Nyquist-binned spectra with per-call mode-bin
    rebuilds, two halo finds with per-edge Python union loops, two error
    passes), the cached path analyzes the original once and each
-   reconstruction with one rfftn, one vectorized halo find, and one
-   fused error pass;
+   reconstruction with one spectrum transform, one vectorized halo
+   find, and one fused error pass;
 2. ``label_components`` on a dense candidate mask — per-edge Python
    ``uf.union`` loop (seed) vs the batched ``union_many`` hooking.
 
@@ -254,10 +254,11 @@ def test_quality_path(benchmark):
 
     t = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # Sanity: both engines agree (exact spectra/halos, fp-tolerant fused
-    # metrics), and both labelings find the same components.
+    # Sanity: both engines agree (exact halos; spectra within 1e-12, as the
+    # cached path's low-k transform is not the seed's rfftn; fp-tolerant
+    # fused metrics), and both labelings find the same components.
     for seed_rep, cached_rep in zip(seed_sweep(), cached_sweep()):
-        assert cached_rep.spectrum_worst_deviation == seed_rep.spectrum_worst_deviation
+        assert abs(cached_rep.spectrum_worst_deviation - seed_rep.spectrum_worst_deviation) <= 1e-12
         assert cached_rep.halo_mass_rmse == seed_rep.halo_mass_rmse
         assert cached_rep.halo_count_change == seed_rep.halo_count_change
         assert np.isclose(cached_rep.psnr_db, seed_rep.psnr_db, rtol=1e-9)

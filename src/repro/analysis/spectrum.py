@@ -1,10 +1,30 @@
 """3-D matter power spectrum, the paper's primary FFT-based analysis.
 
-The density field is Fourier transformed; mode powers ``|delta_k|^2``
-are binned by integer wavenumber (in units of the fundamental mode
-``2*pi/box``).  The paper's acceptance criterion (§2.1, Fig. 13) is that
-the reconstructed-to-original ratio stays within ``1 +/- 0.01`` for all
-``k`` below a cutoff.
+The density field, minus its mean, is Fourier transformed; mode powers
+``|delta_k|^2`` are binned by integer wavenumber (in units of the
+fundamental mode ``2*pi/box``).  The paper's acceptance criterion (§2.1,
+Fig. 13) is that the reconstructed-to-original ratio stays within
+``1 +/- 0.01`` for all ``k`` below a cutoff.
+
+Two transforms feed one binning, picked by a fixed rule of ``(shape,
+nbins)`` (:func:`low_k_only`):
+
+- ``4 * nbins <= min(shape)``: a pruned separable DFT computes only the
+  modes the bins read — one real matmul along z against cached
+  ``[cos | -sin]`` twiddles for ``kz = 0..nbins``, then complex matmuls
+  along x and y for ``k = -nbins..nbins`` (the rule keeps ``nbins <
+  n/2`` on every axis, so ``+-nbins`` never alias);
+- otherwise (Nyquist binning included): a full ``rfftn``.
+
+Measured crossover (2-vCPU x86-64 VM, NumPy 2.4 with OpenBLAS, one or
+two BLAS threads): the pruned DFT is the faster one up to ``nbins`` of
+0.34-0.42 ``* min(shape)`` (12 at 32^3, 22-23 at 64^3, 50-54 at 128^3).
+The rule stops at 0.25 for margin; at its edge the pruned DFT is still
+1.5-2x faster, and at the quality check's ``nbins = 9`` it takes 0.7 ms
+against 5 ms at 64^3 and 5.5 ms against 45 ms at 128^3.  Both transforms
+remove the mean before summing, so they agree to ~1e-15 relative (both
+within 7e-16 of a long-double ``rfftn``), and they sum each bin's modes
+in the same order.
 """
 
 from __future__ import annotations
@@ -21,6 +41,7 @@ from repro.util.validation import check_3d
 __all__ = [
     "PowerSpectrum",
     "power_spectrum",
+    "low_k_only",
     "rfft_of",
     "binned_power",
     "spectrum_ratio",
@@ -86,28 +107,67 @@ def _build_rfft_weights(shape: tuple[int, ...]) -> np.ndarray:
 
 
 class _LowKModes(NamedTuple):
-    """The rfft modes with ``1 <= bin <= nbins`` of one grid shape."""
+    """The modes with ``1 <= bin <= nbins`` of one transform's output."""
 
-    index: np.ndarray  # flat rfft index, ascending
+    index: np.ndarray  # flat index into the transform, ascending
     bins: np.ndarray  # their bin
     weights: np.ndarray  # their multiplicity
     counts: np.ndarray  # modes per bin, bins 0..nbins (what is binned)
 
 
-def _build_low_k_modes(shape: tuple[int, ...], nbins: int) -> _LowKModes:
-    bins_flat = _mode_bins(shape).ravel()
+def _select_low_k(
+    bins_flat: np.ndarray, weights_flat: np.ndarray, nbins: int
+) -> _LowKModes:
     index = np.flatnonzero((bins_flat >= 1) & (bins_flat <= nbins))
     bins = bins_flat[index]
-    weights = _rfft_weights(shape).ravel()[index]
+    weights = weights_flat[index]
     counts = np.bincount(bins, weights=weights, minlength=nbins + 1)
     for arr in (index, bins, weights, counts):
         arr.setflags(write=False)
     return _LowKModes(index, bins, weights, counts)
 
 
+def _build_low_k_modes(shape: tuple[int, ...], nbins: int) -> _LowKModes:
+    return _select_low_k(_mode_bins(shape).ravel(), _rfft_weights(shape).ravel(), nbins)
+
+
+class _LowKTransform(NamedTuple):
+    """Cached operands of the pruned DFT of one ``(shape, nbins)``."""
+
+    tz: np.ndarray  # (nz, 2*(nbins+1)) real: [cos, -sin] interleaved per kz
+    wx: np.ndarray  # (2*nbins+1, nx) complex, rows in fftfreq order
+    wy: np.ndarray  # (2*nbins+1, ny) complex, rows in fftfreq order
+    modes: _LowKModes  # over the (kx, ky, kz) output cube
+
+
+def _twiddles(ks: np.ndarray, size: int) -> np.ndarray:
+    """``exp(-2*pi*i*k*j/size)`` for each ``k`` (rows) and ``j`` (columns);
+    the phase is reduced mod ``size`` in integers first."""
+    return np.exp(-2j * np.pi * (np.outer(ks, np.arange(size)) % size) / size)
+
+
+def _build_low_k_transform(shape: tuple[int, ...], nbins: int) -> _LowKTransform:
+    # kx, ky = 0..nbins, -nbins..-1 (rfftn's order, so the selected modes
+    # are summed in the order binned_power sums them); kz = 0..nbins.
+    k = np.r_[0 : nbins + 1, -nbins:0]
+    kz = np.arange(nbins + 1)
+    tz = np.empty((shape[2], 2 * (nbins + 1)))
+    tz.view(np.complex128)[...] = _twiddles(kz, shape[2]).T
+    kk = np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + kz[None, None, :] ** 2)
+    bins = np.rint(kk).astype(np.int64).ravel()
+    # Every kz here is below the z Nyquist plane: 1 for kz = 0, else 2.
+    weights = np.broadcast_to(np.where(kz == 0, 1.0, 2.0), kk.shape).ravel()
+    wx, wy = _twiddles(k, shape[0]), _twiddles(k, shape[1])
+    for arr in (tz, wx, wy):
+        arr.setflags(write=False)
+    return _LowKTransform(tz, wx, wy, _select_low_k(bins, weights, nbins))
+
+
 _cached_mode_bins = lru_cache(maxsize=8)(_build_mode_bins)
 _cached_rfft_weights = lru_cache(maxsize=8)(_build_rfft_weights)
 _cached_low_k_modes = lru_cache(maxsize=16)(_build_low_k_modes)
+#: Twiddles are O(n * nbins) and the output cube O(nbins^3): always cached.
+_low_k_transform = lru_cache(maxsize=16)(_build_low_k_transform)
 
 
 def _cacheable(shape: tuple[int, ...]) -> bool:
@@ -139,13 +199,44 @@ def _low_k_modes(shape: tuple[int, ...], nbins: int) -> _LowKModes:
     return _build_low_k_modes(shape, nbins)
 
 
-def rfft_of(field: np.ndarray, subtract_mean: bool = True) -> np.ndarray:
-    """The ``rfftn`` :func:`power_spectrum` bins (of the field minus its
-    mean, by default) — keep it to bin one field at several ``nbins``."""
+def _resolve_nbins(shape: tuple[int, ...], nbins: int | None) -> int:
+    """``nbins`` clamped to the 1-D Nyquist frequency (its default)."""
+    kmax = min(s // 2 for s in shape)
+    nbins = kmax if nbins is None else min(nbins, kmax)
+    if nbins < 1:
+        raise ValueError("grid too small for any spectrum bins")
+    return nbins
+
+
+def low_k_only(shape: tuple[int, ...], nbins: int | None = None) -> bool:
+    """Whether :func:`power_spectrum` of a field of ``shape`` computes only
+    the modes of its ``nbins`` bins (a pruned DFT) instead of a full
+    ``rfftn`` — the fixed rule ``4 * nbins <= min(shape)``."""
+    shape = tuple(shape)
+    return 4 * _resolve_nbins(shape, nbins) <= min(shape)
+
+
+def rfft_of(field: np.ndarray) -> np.ndarray:
+    """The ``rfftn`` of the field minus its mean, which :func:`binned_power`
+    bins — keep it to bin one field at several ``nbins``."""
     arr = check_3d(field, "field")
-    if subtract_mean:
-        arr = arr - arr.mean()
-    return np.fft.rfftn(arr)
+    return np.fft.rfftn(arr - arr.mean())
+
+
+def _binned(
+    values: np.ndarray, modes: _LowKModes, shape: tuple[int, ...], nbins: int
+) -> PowerSpectrum:
+    """Bin a transform's flat ``values`` at ``modes`` (either transform)."""
+    power = np.abs(values[modes.index]) ** 2 * modes.weights
+    sums = np.bincount(modes.bins, weights=power, minlength=nbins + 1)
+    counts = modes.counts
+    k = np.arange(1, nbins + 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_power = np.where(counts[1:] > 0, sums[1:] / counts[1:], 0.0)
+    # Normalize per cell so spectra of different grid sizes are comparable.
+    return PowerSpectrum(
+        k=k, power=mean_power / math.prod(shape), n_modes=counts[1:].astype(np.int64)
+    )
 
 
 def binned_power(
@@ -159,31 +250,39 @@ def binned_power(
     same modes, summed in the same order).
     """
     shape = tuple(shape)
-    kmax = min(s // 2 for s in shape)
-    if nbins is None:
-        nbins = kmax
-    nbins = min(nbins, kmax)
-    if nbins < 1:
-        raise ValueError("grid too small for any spectrum bins")
-    modes = _low_k_modes(shape, nbins)
-    power = np.abs(fk.ravel()[modes.index]) ** 2 * modes.weights
-    sums = np.bincount(modes.bins, weights=power, minlength=nbins + 1)
-    counts = modes.counts
-    k = np.arange(1, nbins + 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_power = np.where(counts[1:] > 0, sums[1:] / counts[1:], 0.0)
-    # Normalize per cell so spectra of different grid sizes are comparable.
-    return PowerSpectrum(
-        k=k, power=mean_power / math.prod(shape), n_modes=counts[1:].astype(np.int64)
-    )
+    nbins = _resolve_nbins(shape, nbins)
+    return _binned(fk.ravel(), _low_k_modes(shape, nbins), shape, nbins)
 
 
-def power_spectrum(
-    field: np.ndarray,
-    nbins: int | None = None,
-    subtract_mean: bool = True,
-) -> PowerSpectrum:
-    """Isotropically binned power spectrum of a 3-D field.
+#: Elements of the field centred per z-matmul: a 256 KB slab stays in
+#: cache, where centring the whole field first would write it out again.
+_SLAB_ELEMENTS = 1 << 15
+
+
+def _low_k_power(arr: np.ndarray, nbins: int) -> PowerSpectrum:
+    """The pruned DFT: bins ``1..nbins`` of a contiguous float64 field
+    with ``4 * nbins <= min(shape)``, without the rest of the transform."""
+    nx, ny, nz = arr.shape
+    op = _low_k_transform(arr.shape, nbins)
+    # z: the field minus its mean (so no sum carries it), slab by slab,
+    # against the real [cos, -sin] twiddles: rows come out as complex kz.
+    rows = arr.reshape(-1, nz)
+    step = max(1, _SLAB_ELEMENTS // nz)
+    fz = np.empty((rows.shape[0], op.tz.shape[1]))
+    slab = np.empty((min(step, rows.shape[0]), nz))
+    mean = arr.mean()
+    for start in range(0, rows.shape[0], step):
+        part = rows[start : start + step]
+        np.subtract(part, mean, out=slab[: len(part)])
+        np.matmul(slab[: len(part)], op.tz, out=fz[start : start + step])
+    # x, then y (on what x left): complex matmuls for k = -nbins..nbins.
+    fxz = op.wx @ fz.view(np.complex128).reshape(nx, -1)
+    f = np.matmul(op.wy, fxz.reshape(len(op.wx), ny, -1))
+    return _binned(f.ravel(), op.modes, arr.shape, nbins)
+
+
+def power_spectrum(field: np.ndarray, nbins: int | None = None) -> PowerSpectrum:
+    """Isotropically binned power spectrum of a 3-D field (minus its mean).
 
     Parameters
     ----------
@@ -191,11 +290,14 @@ def power_spectrum(
         3-D array (density, temperature, ...).
     nbins:
         Number of k bins (default: up to the 1-D Nyquist frequency).
-    subtract_mean:
-        Remove the mean first (the DC mode dominates otherwise).
+        Where :func:`low_k_only` holds, only these bins' modes are
+        transformed.
     """
-    fk = rfft_of(field, subtract_mean)
-    return binned_power(fk, np.shape(field), nbins)
+    arr = check_3d(field, "field")
+    nbins = _resolve_nbins(arr.shape, nbins)
+    if low_k_only(arr.shape, nbins):
+        return _low_k_power(arr, nbins)
+    return binned_power(rfft_of(arr), arr.shape, nbins)
 
 
 def spectrum_ratio(original: np.ndarray, reconstructed: np.ndarray, nbins: int | None = None) -> tuple[np.ndarray, np.ndarray]:

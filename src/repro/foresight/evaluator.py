@@ -3,29 +3,42 @@
 The Foresight-style methodology evaluates many reconstructions of the
 *same* original field (one per trialed configuration), but the seed
 :func:`repro.foresight.quality.evaluate_quality` recomputed every
-original-side analysis — float64 cast, ``rfftn`` power spectrum, halo
-catalog, min/max range — on each call.  A sweep over E error bounds thus
-paid E redundant FFTs and E redundant halo finds of identical data.
+original-side analysis — float64 cast, power spectrum, halo catalog,
+min/max range — on each call.  A sweep over E error bounds thus paid E
+redundant transforms and E redundant halo finds of identical data.
 
 This module amortizes that cost:
 
 - :class:`FieldReference` lazily caches per-field invariants (float64
-  view, :class:`~repro.analysis.metrics.FieldMoments`, one ``rfftn``
-  and the power spectra binned from it per ``nbins``, halo catalogs per
-  threshold pair),
+  view, :class:`~repro.analysis.metrics.FieldMoments`, power spectra per
+  ``nbins``, halo catalogs per threshold pair),
 - :class:`QualityEvaluator` binds a reference to one
   :class:`~repro.foresight.quality.QualityCriteria` and evaluates each
-  reconstruction with exactly one ``rfftn``, at most one halo find, and
-  one fused error pass (:func:`~repro.analysis.metrics.error_summary`).
+  reconstruction with exactly one spectrum transform, at most one halo
+  find, and one fused error pass
+  (:func:`~repro.analysis.metrics.error_summary`),
+- :func:`spectrum_deviation` is the spectrum half alone, for callers
+  that record nothing else (the stream controller's quality check).
+
+Which transform a spectrum takes is the fixed rule of
+:func:`~repro.analysis.spectrum.low_k_only`, ``4 * nbins <=
+min(shape)``: the evaluators' ``nbins = k_max - 1`` (9) gets the pruned
+low-k DFT on grids from 36 cells a side (5.5 ms against 45 ms for a full
+``rfftn`` at 128^3; the pruned DFT stays the faster one up to ``nbins``
+of about 0.35-0.4 ``* min(shape)``), and Nyquist binning (the budget
+inversion, the R-Q model) a full ``rfftn``, kept and re-binned per
+``nbins``.  A reference and its reconstructions always take the same
+transform, so an unchanged field scores exactly 0.
 
 Evaluators are picklable *with their caches populated* (precomputed
 eagerly at construction), so process-pool quality sweeps ship the cached
 reference analyses to workers instead of recomputing them there — all
-but the transform, which is as large as the field and only ever needed
-to bin a new ``nbins``.
+but the full transform, which is as large as the field and only ever
+needed to bin a new ``nbins``.
 
-Report parity with the seed path is exact for spectra and halo metrics
-and floating-point-tolerant for the fused PSNR/NRMSE (tested in
+Report parity with the seed path is exact for halo metrics, within
+1e-12 for spectra (exact where both bin a full ``rfftn``), and
+floating-point-tolerant for the fused PSNR/NRMSE (tested in
 ``tests/foresight/test_evaluator.py``).
 """
 
@@ -41,12 +54,13 @@ from repro.analysis.spectrum import (
     PowerSpectrum,
     binned_power,
     binned_worst_deviation,
+    low_k_only,
     power_spectrum,
     rfft_of,
 )
 from repro.foresight.quality import QualityCriteria, QualityReport
 
-__all__ = ["FieldReference", "QualityEvaluator"]
+__all__ = ["FieldReference", "QualityEvaluator", "spectrum_deviation"]
 
 
 class FieldReference:
@@ -55,7 +69,7 @@ class FieldReference:
     Every accessor computes its analysis on first use and returns the
     cached result afterwards, so any number of consumers — quality
     evaluators, budget inversions, halo-spec derivations — can share one
-    reference per field without re-running ``rfftn`` or the halo finder.
+    reference per field without re-running a transform or the halo finder.
     """
 
     def __init__(self, data: np.ndarray) -> None:
@@ -78,8 +92,8 @@ class FieldReference:
             # unpickled reference exposes it as ``data`` too
             # (numerically equal, possibly widened dtype).
             state["_data"] = state["_f64"]
-        # Nor its transform (the field's size again, in complex128): the
-        # binned spectra travel, and a new nbins re-transforms.
+        # Nor its full transform (the field's size again, in complex128):
+        # the binned spectra travel, and a new nbins re-transforms.
         state["_fk"] = None
         return state
 
@@ -108,14 +122,21 @@ class FieldReference:
         return self._moments
 
     def spectrum(self, nbins: int | None = None) -> PowerSpectrum:
-        """Binned power spectrum of the original, cached per ``nbins``;
-        every ``nbins`` bins the one ``rfftn``, kept after the first."""
+        """Binned power spectrum of the original, cached per ``nbins``.
+
+        It takes the transform :func:`power_spectrum` takes for ``nbins``
+        (so a reconstruction's spectrum is always comparable): the pruned
+        low-k DFT where :func:`low_k_only` holds, else the one full
+        ``rfftn``, kept after the first and binned per ``nbins``."""
         self._note_cache("spectrum", nbins in self._spectra)
         if nbins not in self._spectra:
             f64 = self.f64
-            if self._fk is None:
-                self._fk = rfft_of(f64)
-            self._spectra[nbins] = binned_power(self._fk, f64.shape, nbins)
+            if low_k_only(f64.shape, nbins):
+                self._spectra[nbins] = power_spectrum(f64, nbins=nbins)
+            else:
+                if self._fk is None:
+                    self._fk = rfft_of(f64)
+                self._spectra[nbins] = binned_power(self._fk, f64.shape, nbins)
         return self._spectra[nbins]
 
     def halos(self, t_boundary: float, t_halo: float | None = None):
@@ -127,13 +148,37 @@ class FieldReference:
         return self._catalogs[key]
 
 
+def _nbins_below(k_max: int) -> int:
+    """Bins ``1..k_max-1``: only bins strictly below ``k_max`` are
+    inspected, so binning further would be wasted work (power_spectrum
+    clamps to the grid's Nyquist; the floor of 1 keeps the ``k_max <= 1``
+    error path)."""
+    return max(int(k_max) - 1, 1)
+
+
+def spectrum_deviation(
+    reference: FieldReference, reconstructed: np.ndarray, k_max: int
+) -> float:
+    """``max_k |P'(k)/P(k) - 1|`` over ``k < k_max`` of one reconstruction.
+
+    The same bits as :meth:`QualityEvaluator.evaluate`'s
+    ``spectrum_worst_deviation`` with that ``spectrum_k_max``, without
+    the metric moments and the error pass the evaluator adds.
+    """
+    nbins = _nbins_below(k_max)
+    rec = np.asarray(reconstructed, dtype=np.float64)
+    return binned_worst_deviation(
+        reference.spectrum(nbins), power_spectrum(rec, nbins=nbins), k_max
+    )
+
+
 class QualityEvaluator:
     """Evaluate many reconstructions of one field against one criteria set.
 
     Construction eagerly computes every original-side invariant the
     configured checks need (spectrum binned to ``spectrum_k_max``, halo
     catalog if ``check_halos``, metric moments); :meth:`evaluate` then
-    costs a single ``rfftn`` of the reconstruction, at most one halo
+    costs one spectrum transform of the reconstruction, at most one halo
     find, and one fused error pass per call.
 
     Parameters
@@ -160,10 +205,7 @@ class QualityEvaluator:
             reference = FieldReference(original)
         self.reference = reference
         self.criteria = criteria or QualityCriteria()
-        # Only bins strictly below k_max are inspected; binning further
-        # would be wasted work (power_spectrum clamps to the grid's
-        # Nyquist; the floor of 1 keeps the k_max<=1 error path).
-        self._nbins = max(int(self.criteria.spectrum_k_max) - 1, 1)
+        self._nbins = _nbins_below(self.criteria.spectrum_k_max)
         # Eager precompute: pickled evaluators carry populated caches, so
         # pool workers never re-analyze the original.
         self._ps_orig = self.reference.spectrum(self._nbins)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.util.validation import check_positive
+
 __all__ = ["QualityCriteria", "QualityReport", "evaluate_quality"]
 
 
@@ -32,6 +34,7 @@ class QualityCriteria:
             raise ValueError("spectrum_tolerance must be positive")
         if self.check_halos and self.t_boundary is None:
             raise ValueError("halo checks require t_boundary")
+        check_positive(self.halo_match_distance, "halo_match_distance")
 
 
 @dataclass

@@ -68,8 +68,7 @@ from repro.core.selection import (
     derive_halo_params,
     select_compressor,
 )
-from repro.foresight.evaluator import FieldReference, QualityEvaluator
-from repro.foresight.quality import QualityCriteria
+from repro.foresight.evaluator import FieldReference, spectrum_deviation
 from repro.models.calibration import (
     CalibrationResult,
     RateModelBank,
@@ -885,17 +884,9 @@ class InSituController:
         if self.check_quality:
             if ref is None:
                 ref = FieldReference(data)
-            evaluator = QualityEvaluator(
-                reference=ref,
-                criteria=QualityCriteria(
-                    spectrum_tolerance=spec.spectrum_tolerance,
-                    spectrum_k_max=spec.spectrum_k_max,
-                ),
-            )
-            quality_dev = float(
-                evaluator.evaluate(
-                    result.reconstruct(self.decomposition)
-                ).spectrum_worst_deviation
+            # Only the deviation is recorded: no metric moments, no PSNR.
+            quality_dev = spectrum_deviation(
+                ref, result.reconstruct(self.decomposition), spec.spectrum_k_max
             )
 
         # The verdict comes from a scratch detector continuing the

@@ -147,9 +147,9 @@ class TestCheckStopsAtKmax:
         seen = []
         real = spectrum_mod.power_spectrum
 
-        def recording(field, nbins=None, subtract_mean=True):
+        def recording(field, nbins=None):
             seen.append(nbins)
-            return real(field, nbins=nbins, subtract_mean=subtract_mean)
+            return real(field, nbins=nbins)
 
         monkeypatch.setattr(spectrum_mod, "power_spectrum", recording)
         rng = np.random.default_rng(4)
@@ -192,19 +192,24 @@ def full_grid_spectrum(field: np.ndarray, nbins: int | None = None):
     )
 
 
-class TestLowKBinning:
-    """Only the modes in bins ``1..nbins`` are squared and summed; the
-    result must equal masking the full grid, bit for bit."""
+SHAPES = [(16, 16, 16), (32, 32, 32), (15, 17, 19), (9, 9, 9), (24, 16, 10), (5, 40, 8), (40, 12, 64)]
 
-    @pytest.mark.parametrize(
-        "shape", [(16, 16, 16), (32, 32, 32), (15, 17, 19), (9, 9, 9), (24, 16, 10), (5, 40, 8)]
-    )
+
+class TestLowKBinning:
+    """Only the modes in bins ``1..nbins`` of the full ``rfftn`` are
+    squared and summed; the result must equal masking the full grid, bit
+    for bit."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_equal_to_full_grid_masking_for_every_nbins(self, shape):
+        from repro.analysis.spectrum import binned_power, rfft_of
+
         rng = np.random.default_rng(sum(shape))
         field = np.exp(rng.normal(0, 1, shape))
+        fk = rfft_of(field)
         kmax = min(s // 2 for s in shape)
         for nbins in [None, *range(1, kmax + 3)]:
-            got, want = power_spectrum(field, nbins=nbins), full_grid_spectrum(field, nbins)
+            got, want = binned_power(fk, shape, nbins), full_grid_spectrum(field, nbins)
             assert np.array_equal(got.k, want.k)
             assert np.array_equal(got.power, want.power)
             assert np.array_equal(got.n_modes, want.n_modes)
@@ -220,12 +225,89 @@ class TestLowKBinning:
             modes.index[0] = 0
 
     def test_one_transform_binned_at_several_nbins(self):
-        from repro.analysis.spectrum import binned_power, rfft_of
+        from repro.analysis.spectrum import binned_power, low_k_only, rfft_of
 
         rng = np.random.default_rng(3)
         field = rng.normal(0, 1, (16, 12, 20))
         fk = rfft_of(field)
         for nbins in (None, 1, 3, 6):
             got, want = binned_power(fk, field.shape, nbins), power_spectrum(field, nbins)
-            assert np.array_equal(got.power, want.power)
             assert np.array_equal(got.n_modes, want.n_modes)
+            if low_k_only(field.shape, nbins):
+                np.testing.assert_allclose(got.power, want.power, rtol=1e-12, atol=0)
+            else:
+                assert np.array_equal(got.power, want.power)
+
+
+class TestLowKTransform:
+    """Below ``min(shape) / 4`` bins, ``power_spectrum`` transforms only
+    the modes it bins (a pruned DFT); it must agree with binning the full
+    ``rfftn`` to 1e-12 relative, on either side of the dispatch."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_rfftn_binning_for_every_nbins(self, shape, dtype):
+        from repro.analysis.spectrum import low_k_only
+
+        rng = np.random.default_rng(sum(shape))
+        # A large mean next to the fluctuations: the transform must remove
+        # it before summing, as the rfftn path does.
+        field = (50.0 + np.exp(rng.normal(0, 1, shape))).astype(dtype)
+        kmax = min(s // 2 for s in shape)
+        sides = set()
+        for nbins in [None, *range(1, kmax + 3)]:
+            got = power_spectrum(field, nbins=nbins)
+            want = full_grid_spectrum(field.astype(np.float64), nbins)
+            assert np.array_equal(got.k, want.k)
+            assert np.array_equal(got.n_modes, want.n_modes)
+            np.testing.assert_allclose(got.power, want.power, rtol=1e-12, atol=0)
+            sides.add(low_k_only(shape, nbins))
+        assert sides == {True, False}
+
+    def test_mean_far_above_the_fluctuations(self):
+        """A summed mean of 1e6 would leave ~1e-9 rounding in every
+        mode; removed first, it leaves none."""
+        from repro.analysis.spectrum import low_k_only
+
+        field = 1e6 + np.random.default_rng(2).normal(0, 1, (40, 36, 48))
+        assert low_k_only(field.shape, 9)
+        got, want = power_spectrum(field, nbins=9), full_grid_spectrum(field, 9)
+        np.testing.assert_allclose(got.power, want.power, rtol=1e-12, atol=0)
+
+    def test_rule(self):
+        from repro.analysis.spectrum import low_k_only
+
+        assert low_k_only((64, 64, 64), 9) and low_k_only((36, 80, 40), 9)
+        assert not low_k_only((35, 80, 40), 9)  # 4 * 9 > min(shape)
+        assert not low_k_only((64, 64, 64), None)  # Nyquist: the full rfftn
+        assert not low_k_only((64, 64, 64), 100)  # clamped to Nyquist
+        assert low_k_only((64, 64, 64), 16) and not low_k_only((64, 64, 64), 17)
+
+    @pytest.mark.parametrize(
+        "shape, nbins", [((16, 16, 16), 0), ((64, 64, 64), -3), ((1, 8, 8), None), ((2, 2, 2), 0)]
+    )
+    def test_grid_too_small_still_raises(self, shape, nbins):
+        from repro.analysis.spectrum import low_k_only
+
+        with pytest.raises(ValueError, match="too small"):
+            power_spectrum(np.ones(shape), nbins=nbins)
+        with pytest.raises(ValueError, match="too small"):
+            low_k_only(shape, nbins)
+
+    def test_operands_cached_per_shape_and_nbins(self):
+        from repro.analysis.spectrum import _low_k_transform
+
+        op = _low_k_transform((16, 12, 20), 3)
+        assert op is _low_k_transform((16, 12, 20), 3)
+        assert op is not _low_k_transform((16, 12, 20), 2)
+        assert op.tz.shape == (20, 8) and op.wx.shape == (7, 16) and op.wy.shape == (7, 12)
+        for arr in (op.tz, op.wx, op.wy, op.modes.index):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_same_field_same_bits(self):
+        """Reference and reconstruction take the same transform, so an
+        unchanged field must reproduce its spectrum bit for bit."""
+        field = np.random.default_rng(11).normal(0, 1, (40, 36, 48))
+        a, b = power_spectrum(field, nbins=9), power_spectrum(field.copy(), nbins=9)
+        assert np.array_equal(a.power, b.power)

@@ -1,8 +1,10 @@
 """Reference-cached quality engine: parity, caching and parallel sweeps.
 
 The evaluator must produce :class:`QualityReport`s matching the seed
-``evaluate_quality`` implementation exactly for spectra/halos and to
-floating-point tolerance for the fused PSNR/NRMSE, across compressor
+``evaluate_quality`` implementation exactly for halos, for spectra
+exactly where both bin a full ``rfftn`` and within 1e-12 where the
+evaluator takes the low-k transform, and to floating-point tolerance
+for the fused PSNR/NRMSE, across compressor
 engines and decompositions; quality sweeps must analyze the original
 field exactly once per field; and every execution backend must return
 identical sweep records.
@@ -19,10 +21,10 @@ import repro.foresight.evaluator as evaluator_mod
 from repro.analysis.catalog import compare_catalogs
 from repro.analysis.halos import find_halos
 from repro.analysis.metrics import nrmse, psnr
-from repro.analysis.spectrum import power_spectrum
+from repro.analysis.spectrum import low_k_only, power_spectrum
 from repro.compression.api import CompressorSpec, resolve_compressor
 from repro.compression.sz import SZCompressor, decompress
-from repro.foresight.evaluator import FieldReference, QualityEvaluator
+from repro.foresight.evaluator import FieldReference, QualityEvaluator, spectrum_deviation
 from repro.foresight.quality import QualityCriteria, QualityReport, evaluate_quality
 from repro.foresight.sweep import run_sweep
 from repro.parallel.backends import ProcessBackend
@@ -104,13 +106,42 @@ class TestSeedParity:
                 ev.evaluate(recon), seed_evaluate_quality(data, recon, crit)
             )
 
-    def test_identical_reconstruction(self, snapshot):
+    @pytest.mark.parametrize("k_max", [5, 10])
+    def test_identical_reconstruction(self, snapshot, k_max):
         data = snapshot["temperature"].astype(np.float64)
-        report = QualityEvaluator(data, QualityCriteria()).evaluate(data.copy())
+        # 32^3: k_max=5 bins 4 modes (the low-k transform), k_max=10 bins
+        # 9 (the full rfftn) — an unchanged field scores 0 on both.
+        assert low_k_only(data.shape, k_max - 1) == (k_max == 5)
+        crit = QualityCriteria(spectrum_k_max=k_max)
+        report = QualityEvaluator(data, crit).evaluate(data.copy())
         assert report.passed
         assert report.spectrum_worst_deviation == 0.0
         assert report.psnr_db == float("inf")
         assert report.nrmse_value == 0.0
+        assert spectrum_deviation(FieldReference(data), data.copy(), k_max) == 0.0
+
+    @pytest.mark.parametrize("k_max", [5, 10])
+    def test_low_k_transform_within_1e12_of_seed(self, snapshot, k_max):
+        data = snapshot["baryon_density"]
+        recon = decompress(SZCompressor().compress(data, 0.05))
+        crit = QualityCriteria(spectrum_tolerance=0.5, spectrum_k_max=k_max)
+        got = QualityEvaluator(data, crit).evaluate(recon).spectrum_worst_deviation
+        want = seed_evaluate_quality(data, recon, crit).spectrum_worst_deviation
+        assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("k_max", [5, 10])
+    def test_spectrum_deviation_is_the_evaluators_bits(self, snapshot, k_max):
+        """The stream controller's quality check records only this."""
+        data = snapshot["temperature"]
+        ref = FieldReference(data)
+        ref.spectrum()  # a calibration's Nyquist binning came first
+        crit = QualityCriteria(spectrum_k_max=k_max)
+        ev = QualityEvaluator(criteria=crit, reference=FieldReference(data))
+        for eb in (1.0, 50.0):
+            recon = decompress(SZCompressor().compress(data, eb))
+            assert spectrum_deviation(ref, recon, k_max) == ev.evaluate(
+                recon
+            ).spectrum_worst_deviation
 
     def test_evaluate_quality_front_matches_evaluator(self, snapshot):
         data = snapshot["temperature"]
@@ -137,20 +168,27 @@ class TestFieldReference:
 
     def test_one_transform_for_every_nbins(self, snapshot, monkeypatch):
         """The budget inversion bins to Nyquist, the evaluator below
-        ``k_max``: one ``rfftn`` serves both, bit-identically."""
+        ``k_max``: one ``rfftn`` serves every full-transform ``nbins``,
+        and each low-k ``nbins`` is its own pruned transform — each the
+        bits ``power_spectrum`` gives."""
         data = snapshot["temperature"]
-        calls = []
-        real = evaluator_mod.rfft_of
-        monkeypatch.setattr(
-            evaluator_mod, "rfft_of", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
+        calls = {"rfft_of": 0, "power_spectrum": 0}
+        for name in calls:
+            real = getattr(evaluator_mod, name)
+
+            def counted(*a, _name=name, _real=real, **k):
+                calls[_name] += 1
+                return _real(*a, **k)
+
+            monkeypatch.setattr(evaluator_mod, name, counted)
         ref = FieldReference(data)
-        for nbins in (None, 9, 4, 16):
+        for nbins in (None, 9, 4, 16, 2):
             got = ref.spectrum(nbins)
             want = power_spectrum(data.astype(np.float64), nbins=nbins)
             assert np.array_equal(got.power, want.power)
             assert np.array_equal(got.n_modes, want.n_modes)
-        assert len(calls) == 1
+        # 32^3: 4 and 2 bins take the low-k transform; None, 9, 16 the rfftn.
+        assert calls == {"rfft_of": 1, "power_spectrum": 2}
 
     def test_pickle_drops_the_transform(self, snapshot):
         ref = FieldReference(snapshot["temperature"])
@@ -185,9 +223,10 @@ class TestFieldReference:
 
 
 class TestOriginalAnalyzedOnce:
+    @pytest.mark.parametrize("k_max", [5, 10])
     @pytest.mark.parametrize("n_ebs", [3, 6])
     def test_sweep_runs_one_reference_analysis_per_field(
-        self, snapshot, decomposition, monkeypatch, n_ebs
+        self, snapshot, decomposition, monkeypatch, n_ebs, k_max
     ):
         counts = {"spectrum": 0, "halos": 0}
 
@@ -200,8 +239,9 @@ class TestOriginalAnalyzedOnce:
 
             monkeypatch.setattr(evaluator_mod, name, counted)
 
-        # A spectrum is one transform: the reference's own (``rfft_of``,
-        # binned per nbins) or a reconstruction's (``power_spectrum``).
+        # A spectrum is one transform: the reference's full one
+        # (``rfft_of``, binned per nbins), or a low-k one of the reference
+        # or a reconstruction (``power_spectrum``, either transform).
         counting("rfft_of", "spectrum")
         counting("power_spectrum", "spectrum")
         counting("find_halos", "halos")
@@ -213,7 +253,10 @@ class TestOriginalAnalyzedOnce:
             ebs=np.geomspace(0.01, 0.5, n_ebs),
             criteria={
                 "baryon_density": QualityCriteria(
-                    spectrum_tolerance=0.5, check_halos=True, t_boundary=tb
+                    spectrum_tolerance=0.5,
+                    spectrum_k_max=k_max,
+                    check_halos=True,
+                    t_boundary=tb,
                 )
             },
             decomposition=decomposition,
@@ -223,10 +266,13 @@ class TestOriginalAnalyzedOnce:
         assert counts["spectrum"] == n_ebs + 1
         assert counts["halos"] == n_ebs + 1
 
-    def test_pickled_evaluator_keeps_caches(self, snapshot, monkeypatch):
+    @pytest.mark.parametrize("k_max", [5, 10])
+    def test_pickled_evaluator_keeps_caches(self, snapshot, monkeypatch, k_max):
         data = snapshot["baryon_density"]
         tb = float(np.percentile(data.astype(np.float64), 99.0))
-        crit = QualityCriteria(spectrum_tolerance=0.5, check_halos=True, t_boundary=tb)
+        crit = QualityCriteria(
+            spectrum_tolerance=0.5, spectrum_k_max=k_max, check_halos=True, t_boundary=tb
+        )
         ev = pickle.loads(pickle.dumps(QualityEvaluator(data, crit)))
         recon = decompress(SZCompressor().compress(data, 0.1))
 
