@@ -8,7 +8,7 @@ pipeline in vectorized NumPy:
 - :mod:`repro.compression.quantizer` — linear-scaling dual quantization
   with ABS and PW_REL error-bound modes plus an outlier channel,
 - :mod:`repro.compression.huffman` — canonical Huffman coding with a
-  vectorized encoder and table-driven decoder,
+  whole-array encoder and a jump-table decoder,
 - :mod:`repro.compression.codecs` — pluggable entropy stages (Huffman,
   zlib/DEFLATE, raw),
 - :mod:`repro.compression.sz` — the assembled error-bounded compressor;

@@ -40,7 +40,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.compression.huffman import DEFAULT_MAX_CODE_LENGTH, HuffmanTable
+from repro.compression.huffman import DEFAULT_MAX_CODE_LENGTH, MAX_CODE_LENGTH, HuffmanTable
 from repro.compression.kernels import byte_planes
 from repro.util.errors import PayloadError
 
@@ -287,6 +287,19 @@ class ZlibCodec(Codec):
         return k, inflate_exact(memoryview(blob)[1:], n * k, "zlib codes")
 
 
+def _section(blob: bytes, pos: int, what: str, nbytes: int) -> tuple[bytes, int]:
+    """Inflate the 4-byte-length-prefixed huffman section at ``pos``:
+    ``(its exactly nbytes bytes, the position after it)``."""
+    if pos + 4 > len(blob):
+        raise PayloadError(f"huffman {what}: payload ends before the section")
+    size = int.from_bytes(blob[pos : pos + 4], "little")
+    pos += 4
+    if pos + size > len(blob):
+        raise PayloadError(f"huffman {what}: section overruns the payload")
+    raw = inflate_exact(memoryview(blob)[pos : pos + size], nbytes, f"huffman {what}")
+    return raw, pos + size
+
+
 class HuffmanCodec(Codec):
     """Canonical Huffman + zlib pass, mirroring SZ's Huffman+lossless stack.
 
@@ -301,8 +314,12 @@ class HuffmanCodec(Codec):
     byte_oriented = False
 
     def __init__(self, max_code_length: int = DEFAULT_MAX_CODE_LENGTH, level: int = 6) -> None:
-        if max_code_length < 1 or max_code_length > 24:
-            raise ValueError(f"max_code_length must be in [1, 24], got {max_code_length}")
+        if not 1 <= max_code_length <= MAX_CODE_LENGTH:
+            raise ValueError(
+                f"max_code_length must be in [1, {MAX_CODE_LENGTH}], got {max_code_length}"
+            )
+        if not 0 <= level <= 9:
+            raise ValueError(f"zlib level must be in [0, 9], got {level}")
         self.max_code_length = max_code_length
         self.level = level
 
@@ -333,25 +350,25 @@ class HuffmanCodec(Codec):
             if n or alphabet or nbits or len(blob) != 8:
                 raise PayloadError("huffman codes: empty table cannot decode symbols")
             return np.empty(0, dtype=np.int64)
-        view, pos, sections = memoryview(blob), 8, []
-        for what, nbytes in (("code lengths", alphabet), ("packed bits", (nbits + 7) // 8)):
-            if pos + 4 > len(blob):
-                raise PayloadError(f"huffman {what}: payload ends before the section")
-            size = int.from_bytes(blob[pos : pos + 4], "little")
-            pos += 4
-            if pos + size > len(blob):
-                raise PayloadError(f"huffman {what}: section overruns the payload")
-            sections.append(inflate_exact(view[pos : pos + size], nbytes, f"huffman {what}"))
-            pos += size
+        raw, pos = _section(blob, 8, "code lengths", alphabet)
+        lengths = np.frombuffer(raw, dtype=np.uint8)
+        used = lengths[lengths > 0]
+        if (
+            not used.size
+            or used.max() > MAX_CODE_LENGTH
+            or np.ldexp(1.0, -used.astype(np.int64)).sum() > 1.0
+        ):
+            raise PayloadError("huffman codes: code lengths are not a prefix code")
+        # The packed bits and the decoder's pass over them scale with the
+        # bit count: size nothing from one no n symbols of these lengths span.
+        if not n * int(used.min()) <= nbits <= n * int(used.max()):
+            raise PayloadError(f"huffman codes: {n} symbols do not span {nbits} bits")
+        packed, pos = _section(blob, pos, "packed bits", (nbits + 7) // 8)
         if pos != len(blob):
             raise PayloadError(f"huffman codes: {len(blob) - pos} trailing bytes")
-        lengths = np.frombuffer(sections[0], dtype=np.uint8)
-        used = lengths[lengths > 0]
-        if not used.size or used.max() > 24 or np.ldexp(1.0, -used.astype(np.int64)).sum() > 1.0:
-            raise PayloadError("huffman codes: code lengths are not a prefix code")
         table = HuffmanTable.from_lengths(lengths)
         try:
-            symbols = table.decode(sections[1], n)
+            symbols = table.decode(packed, n)
         except ValueError as exc:
             raise PayloadError(f"huffman codes: {exc}") from None
         if table.encoded_nbits(symbols) != nbits:

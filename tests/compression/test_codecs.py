@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import codecs
 from repro.compression.codecs import HuffmanCodec, RawCodec, ZlibCodec, get_codec
+from repro.util.errors import PayloadError
 
 ALL_CODECS = [RawCodec(), ZlibCodec(), HuffmanCodec()]
 
@@ -57,6 +59,45 @@ class TestCompressionBehaviour:
     def test_huffman_code_length_bounds(self):
         with pytest.raises(ValueError, match="max_code_length"):
             HuffmanCodec(max_code_length=0)
+
+    @pytest.mark.parametrize("level", [12, -5])
+    def test_huffman_level_bounds(self, level):
+        """Refused at construction, as ZlibCodec refuses it — not by a bare
+        ``zlib.error`` at the first encode."""
+        with pytest.raises(ValueError, match=r"zlib level must be in \[0, 9\], got"):
+            HuffmanCodec(level=level)
+
+
+class TestHuffmanHeader:
+    """The bit count sizes the decode: it is checked against the code
+    lengths before the packed bits are inflated."""
+
+    @staticmethod
+    def _with_nbits(blob: bytes, nbits: int) -> bytes:
+        return blob[:4] + nbits.to_bytes(4, "little") + blob[8:]
+
+    @pytest.mark.parametrize("delta", [-1, +1])
+    def test_bit_count_outside_what_n_symbols_span(self, delta, monkeypatch):
+        codes = np.array([0] * 200 + [1] * 60 + [2] * 40)  # lengths 1, 2, 2
+        blob = HuffmanCodec().encode(codes)
+        assert int.from_bytes(blob[4:8], "little") == 200 + 2 * 100
+        inflated = []
+        real = codecs.inflate_exact
+        monkeypatch.setattr(
+            codecs, "inflate_exact", lambda b, n, what: inflated.append(what) or real(b, n, what)
+        )
+        nbits = 300 * 1 - 1 if delta < 0 else 300 * 2 + 1
+        with pytest.raises(PayloadError, match=f"300 symbols do not span {nbits} bits"):
+            HuffmanCodec().decode(self._with_nbits(blob, nbits), 300)
+        assert inflated == ["huffman code lengths"]
+
+    def test_bit_count_inside_the_span_but_wrong(self):
+        """399 of 400 bits: same packed size, so only the final count over
+        the decoded symbols can catch it."""
+        codes = np.array([0] * 200 + [1] * 60 + [2] * 40)
+        blob = HuffmanCodec().encode(codes)
+        with pytest.raises(PayloadError, match="300 symbols do not span 399 bits"):
+            HuffmanCodec().decode(self._with_nbits(blob, 399), 300)
 
 
 class TestRegistry:
