@@ -35,7 +35,6 @@ for ``--compressor sz:codec=...``.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
@@ -47,7 +46,7 @@ import numpy as np
 # the concrete families are imported lazily — inside the sz factory and
 # :func:`register_builtin_families` — to keep the graph acyclic.
 from repro.compression.quantizer import DEFAULT_RADIUS
-from repro.util.fanout import thread_map
+from repro.util.fanout import thread_map, usable_cpus
 
 __all__ = [
     "CompressorCapabilities",
@@ -247,8 +246,10 @@ class Compressor(Protocol):
     ``compress(data, eb)`` returns a self-describing block;
     ``compress_many(views, ebs, threads=None)`` is the batched way in —
     one bound per view, the blocks of per-view ``compress`` calls, in
-    order, with ``threads`` capping any fan-out (``1`` keeps the call in
-    its thread); ``decompress(block)`` inverts either.  ``eb`` is
+    order.  ``threads`` is a hard cap on the pool threads the call may
+    use (``None``: :func:`~repro.util.fanout.usable_cpus`; ``1`` keeps
+    the call in its thread, what process-pool workers pass); families
+    without a fan-out ignore it.  ``decompress(block)`` inverts either.  ``eb`` is
     honoured as an error bound only when :attr:`capabilities` declares
     ``error_bounded`` — fixed-rate families accept and ignore it, so the
     call shape stays uniform across the registry.  A compressor that
@@ -531,16 +532,22 @@ def decompress_any(block: Any) -> np.ndarray:
     return REGISTRY.decompress(block)
 
 
-#: Fewest elements per block for which handing per-block work (entropy
-#: encodes, whole-block decodes) to a thread pool pays.  Measured on
-#: a 2-vCPU box whose second core comes and goes, time with
-#: ``threads=2`` over time with ``threads=1`` (compress / decode, 64
+#: Fewest elements per block for which handing work to a thread pool
+#: pays: :meth:`~repro.compression.sz.SZCompressor.compress_many` /
+#: ``estimate_many`` fan out chunks of such blocks (each chunk the whole
+#: front and entropy stage of up to 8 blocks of 32^3), and
+#: :func:`decompress_many` decodes them one per thread.  Measured on a
+#: 2-vCPU box whose second core comes and goes, time with ``threads=2``
+#: over time with ``threads=1`` (per-block entropy encodes / decode, 64
 #: blocks per field, medians): 8^3 1.35x / 1.24x, 16^3 1.07x / 1.38x,
 #: 24^3 0.89x / 1.09x, 32^3 0.88x / 0.87x, 48^3 0.95x / 0.76x — the
 #: crossover lies between 24^3 and 32^3 and the constant sits inside it.
-#: Below it the dispatch costs more than the second core returns, and
-#: staying in the calling thread also removes a source of run-to-run
-#: spread.  A property of the input, deliberately not a setting.
+#: Fanning 16^3 chunks out as well gained nothing clear (six 64^3
+#: fields in 16^3 blocks: 45.7 ms gated, 43.9 ms split, quartiles
+#: overlapping), so a 16^3 group keeps its one pass.  Below the constant
+#: the dispatch costs more than the second core returns, and staying in
+#: the calling thread also removes a source of run-to-run spread.  A
+#: property of the input, deliberately not a setting.
 FANOUT_MIN_ELEMENTS = 28**3
 
 
@@ -558,7 +565,8 @@ def decompress_many(blocks: Sequence[Any], threads: int | None = None) -> list[n
     blocks decode one by one, concurrently
     (:func:`repro.util.fanout.thread_map` — inflate and the Lorenzo
     prefix sums release the GIL).  ``threads`` caps the number of blocks
-    decoded at once: ``None`` (default) is the CPU count, ``1`` keeps
+    decoded at once: ``None`` (default) is
+    :func:`~repro.util.fanout.usable_cpus`, ``1`` keeps
     everything in the calling thread whatever the block size (what
     process-pool workers pass to avoid oversubscription).  Either way
     the arrays are bit-identical to :func:`decompress_any` per block.
@@ -566,7 +574,7 @@ def decompress_many(blocks: Sequence[Any], threads: int | None = None) -> list[n
     if sum(b.n_elements for b in blocks) < FANOUT_MIN_ELEMENTS * len(blocks):
         return _decompress_grouped(blocks)
     if threads is None:
-        threads = os.cpu_count() or 1
+        threads = usable_cpus()
     threads = min(threads, len(blocks))
     if threads <= 1:
         return [decompress_any(b) for b in blocks]

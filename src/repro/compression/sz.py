@@ -18,9 +18,11 @@ runs):
    (:mod:`repro.compression.codecs`).
 
 Steps 1-3 and the byte-plane split of step 4 run batched over ``(B, n)``
-stacks of same-shape blocks (:meth:`SZCompressor.compress_many`; a
-single :meth:`~SZCompressor.compress` is a batch of one), so there is
-one front, written once in NumPy.
+stacks of same-shape blocks — chunks of at most
+:data:`GROUP_LATTICE_BYTES` of lattice, the unit
+:meth:`SZCompressor.compress_many` fans out over threads; a single
+:meth:`~SZCompressor.compress` is a batch of one — so there is one
+front, written once in NumPy.
 
 This is code-stream **layout 2**, the only one the encoder writes;
 :func:`decompress` still reads layout 1 (``r + radius`` codes,
@@ -40,8 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,7 +82,7 @@ from repro.compression.quantizer import (
 )
 from repro.compression.workspace import Workspace, thread_workspace
 from repro.util.errors import PayloadError
-from repro.util.fanout import thread_map
+from repro.util.fanout import thread_map, usable_cpus
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -97,6 +98,17 @@ _MODES = ("abs", "pw_rel")
 #: The code-stream layout :class:`SZCompressor` writes (see the module
 #: docstring); blocks without the field are layout 1.
 LAYOUT = 2
+
+#: Largest int64 lattice one batched pass works in (bytes): 64 blocks of
+#: 16^3, 8 of 32^3.  Longer groups compress, probe and decode in chunks
+#: of this size, so the arena stays bounded — and cache-sized — per
+#: thread.
+GROUP_LATTICE_BYTES = 2 << 20
+
+
+def _chunk_len(n: int) -> int:
+    """Most blocks of ``n`` elements one batched pass takes."""
+    return max(1, GROUP_LATTICE_BYTES // (8 * n))
 
 
 @dataclass
@@ -218,7 +230,7 @@ class SZCompressor:
         mode.  Arrays of 1-3 dimensions are supported.
         """
         arrs, eb_arr = _check_batch([data], [eb])
-        return self._compress_batch(arrs, eb_arr, thread_workspace(), threads=1)[0]
+        return self._compress_batch(arrs, eb_arr)[0]
 
     def compress_many(
         self,
@@ -229,40 +241,30 @@ class SZCompressor:
         """Compress a batch of partitions under per-partition bounds.
 
         The batched hot path used by the execution backends.  Blocks are
-        grouped by shape and each group runs the *whole* front of the
-        pipeline — quantize, Lorenzo, residual fold, narrowing / byte
-        planes, outlier side channels — as one multi-block pass over
-        ``(B, n)`` views of the calling thread's scratch arena
+        grouped by shape and each group is cut into chunks of at most
+        :data:`GROUP_LATTICE_BYTES` of lattice (8 blocks of 32^3).  A
+        chunk runs the *whole* pipeline — quantize, Lorenzo, residual
+        fold, narrowing / byte planes, outlier side channels, entropy
+        encodes — as one multi-block pass over ``(B, n)`` views of its
+        thread's scratch arena
         (:func:`~repro.compression.workspace.thread_workspace`), instead
-        of one interpreter round-trip per block.  The per-block entropy
-        stage then fans out over threads (zlib releases the GIL) when
-        the blocks hold at least
-        :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS` elements;
-        smaller ones are coded sooner in the calling thread.
+        of one interpreter round-trip per block; the arena holds one
+        chunk, however long the group.  Chunks of blocks with at least
+        :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS` elements fan
+        out over threads (NumPy and zlib release the GIL), a group making
+        at least one chunk per thread; smaller ones run in order in the
+        calling thread.
 
-        ``threads`` caps the entropy-stage fan-out: ``None`` (default)
-        uses the CPU count, ``1`` keeps everything in the calling thread
-        whatever the block size (what process-pool workers pass to avoid
-        oversubscription).
+        ``threads`` caps the fan-out: ``None`` (default) uses
+        :func:`~repro.util.fanout.usable_cpus`, ``1`` keeps everything in
+        the calling thread whatever the block size (what process-pool
+        workers pass to avoid oversubscription).
         Output blocks are byte-identical to per-partition
-        :meth:`compress` calls regardless of grouping or thread count
-        (property-tested).
+        :meth:`compress` calls regardless of grouping, chunking or thread
+        count (property-tested).
         """
         arrs, eb_arr = _check_batch(views, ebs)
-        ws = thread_workspace()
-        if threads is None:
-            threads = os.cpu_count() or 1
-        blocks: list[CompressedBlock | None] = [None] * len(arrs)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, arr in enumerate(arrs):
-            groups.setdefault(arr.shape, []).append(i)
-        for idxs in groups.values():
-            group = self._compress_batch(
-                [arrs[i] for i in idxs], eb_arr[idxs], ws, threads
-            )
-            for i, blk in zip(idxs, group):
-                blocks[i] = blk
-        return blocks
+        return _run_chunks(self._compress_batch, arrs, eb_arr, threads)
 
     def estimate(self, data: np.ndarray, eb: float) -> RQEstimate:
         """Predict compressed size *and* quality without running a codec.
@@ -286,60 +288,53 @@ class SZCompressor:
     ) -> list[RQEstimate]:
         """Batched quantization-statistics probe over many (view, eb) pairs.
 
-        The probe analogue of :meth:`compress_many`: views are grouped by
-        shape and each group runs **one** multi-block kernel pass
-        (quantize -> Lorenzo -> residual codes) over the ``(B, n)``
-        workspace arenas — so probing one partition at five bounds, or
-        sixty-four partitions at one bound, costs a single batched front
-        instead of ``B`` interpreter round-trips, and no entropy codec
-        ever runs.  Value statistics (range, mean square) are computed
-        once per distinct view even when it recurs at several bounds.
+        The probe analogue of :meth:`compress_many`, chunked and fanned
+        out the same way: each chunk of a same-shape group runs **one**
+        multi-block kernel pass (quantize -> Lorenzo -> residual codes)
+        over its thread's ``(B, n)`` arenas — so probing one partition at
+        five bounds, or sixty-four partitions at one bound, costs a few
+        batched fronts instead of ``B`` interpreter round-trips, and no
+        entropy codec ever runs.  Value statistics (range, mean square)
+        are computed once per distinct view in a chunk even when it
+        recurs at several bounds.
 
         The whole probe is wrapped in an ``rq.probe`` telemetry span so
         armed traces show the trial compressions the ratio-quality model
         eliminated.
         """
         arrs, eb_arr = _check_batch(views, ebs)
+        with telemetry.get_tracer().span("rq.probe", blocks=len(arrs)):
+            return _run_chunks(self._estimate_batch, arrs, eb_arr)
+
+    def _estimate_batch(self, arrs: list[np.ndarray], eb_arr: np.ndarray) -> list[RQEstimate]:
+        """Probe a chunk of *same-shape* blocks in one kernel pass, in the
+        calling thread's arena."""
         ws = thread_workspace()
-        tracer = telemetry.get_tracer()
+        lattice, counts, pos, _val, _maxes = self._quantize_encode_batch(arrs, eb_arr, ws)
+        mses = self._observed_mse_rows(arrs, eb_arr, pos, counts, ws)
+        # One sparse census over the sorted symbol matrix (a workspace
+        # view we own): at tight bounds the folded symbols span far more
+        # values than a row holds.
+        est_arr, bits_arr = estimate_nbytes_rows(lattice, counts, self.codec.name)
         ranges: dict[int, float] = {}  # id(view) -> value range
-
-        def value_range_of(arr: np.ndarray) -> float:
-            got = ranges.get(id(arr))
-            if got is None:
-                got = ranges[id(arr)] = float(arr.max()) - float(arr.min())
-            return got
-
-        out: list[RQEstimate | None] = [None] * len(arrs)
-        with tracer.span("rq.probe", blocks=len(arrs)):
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for i, arr in enumerate(arrs):
-                groups.setdefault(arr.shape, []).append(i)
-            for idxs in groups.values():
-                sub = [arrs[i] for i in idxs]
-                lattice, counts, pos, _val, _maxes = self._quantize_encode_batch(
-                    sub, eb_arr[idxs], ws
+        out = []
+        for row, arr in enumerate(arrs):
+            value_range = ranges.get(id(arr))
+            if value_range is None:
+                value_range = ranges[id(arr)] = float(arr.max()) - float(arr.min())
+            out.append(
+                RQEstimate(
+                    n_elements=int(arr.size),
+                    source_itemsize=arr.dtype.itemsize if arr.dtype.kind == "f" else 8,
+                    n_outliers=int(counts[row]),
+                    code_bits_per_value=float(bits_arr[row]),
+                    est_nbytes=float(est_arr[row]),
+                    eb=float(eb_arr[row]),
+                    value_range=value_range,
+                    predicted_mse=float(mses[row]),
                 )
-                mses = self._observed_mse_rows(sub, eb_arr[idxs], pos, counts, ws)
-                # One sparse census over the sorted symbol matrix (a
-                # workspace view we own): at tight bounds the folded
-                # symbols span far more values than a row holds.
-                est_arr, bits_arr = estimate_nbytes_rows(
-                    lattice, counts, self.codec.name
-                )
-                for row, i in enumerate(idxs):
-                    arr = arrs[i]
-                    out[i] = RQEstimate(
-                        n_elements=int(arr.size),
-                        source_itemsize=arr.dtype.itemsize if arr.dtype.kind == "f" else 8,
-                        n_outliers=int(counts[row]),
-                        code_bits_per_value=float(bits_arr[row]),
-                        est_nbytes=float(est_arr[row]),
-                        eb=float(eb_arr[i]),
-                        value_range=value_range_of(arr),
-                        predicted_mse=float(mses[row]),
-                    )
-        return out  # type: ignore[return-value]
+            )
+        return out
 
     def _observed_mse_rows(
         self,
@@ -390,7 +385,12 @@ class SZCompressor:
         np.cumsum(counts, out=offs[1:])
         for row in np.flatnonzero(counts):
             err[row, pos[offs[row]:offs[row + 1]]] = 0.0
-        return np.einsum("ij,ij->i", err, err) / n
+        # einsum sums a lone row in another order than the rows of a
+        # stack, so a one-row chunk is summed as a stack of two: a
+        # block's MSE has the same bits however its group was chunked.
+        if n_blocks == 1:
+            err = np.broadcast_to(err, (2, n))
+        return np.einsum("ij,ij->i", err, err)[:n_blocks] / n
 
     def decompress(self, block: CompressedBlock) -> np.ndarray:
         """Reconstruct the field from a :class:`CompressedBlock` (float64).
@@ -403,17 +403,13 @@ class SZCompressor:
     # -- internals --------------------------------------------------------
 
     def _compress_batch(
-        self,
-        arrs: list[np.ndarray],
-        eb_arr: np.ndarray,
-        ws: Workspace,
-        threads: int,
+        self, arrs: list[np.ndarray], eb_arr: np.ndarray
     ) -> list[CompressedBlock]:
-        """Compress a group of *same-shape* blocks in one kernel pass."""
+        """Compress a chunk of *same-shape* blocks in one kernel pass, in
+        the calling thread's arena."""
+        ws = thread_workspace()
         symbols, counts, pos, val, maxes = self._quantize_encode_batch(arrs, eb_arr, ws)
-        payloads = self._encode_payloads_batch(
-            symbols, counts, pos, val, maxes, ws, threads
-        )
+        payloads = self._encode_payloads_batch(symbols, counts, pos, val, maxes, ws)
         blocks = []
         for b, arr in enumerate(arrs):
             source_itemsize = arr.dtype.itemsize if arr.dtype.kind == "f" else 8
@@ -511,18 +507,14 @@ class SZCompressor:
         val: np.ndarray,
         maxes: np.ndarray,
         ws: Workspace,
-        threads: int,
     ) -> list[dict[str, bytes]]:
-        """Vectorized side channels + thread-parallel entropy stage.
+        """Vectorized side channels + the per-block entropy stage.
 
         Narrowing to each block's minimal width, the byte-plane split of
         blocks wider than one byte, outlier-position narrowing and the
         zigzag map each run once per run of equal-width blocks / once
-        over the whole group; only the per-block entropy encodes remain,
-        and those see one contiguous byte row each and fan out over
-        threads (zlib/DEFLATE releases the GIL) when
-        ``threads > 1`` and the blocks hold at least
-        :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS` elements.
+        over the whole chunk; only the per-block entropy encodes remain,
+        and those see one contiguous byte row each.
         """
         tracer = telemetry.get_tracer()
         codec = self.codec
@@ -552,18 +544,63 @@ class SZCompressor:
                 pos_narrow = pos
                 zz = val
 
-        def build(b: int) -> dict[str, bytes]:
-            lo, hi = int(offsets[b]), int(offsets[b + 1])
-            return {
-                "codes": codec.encode_row(rows[b]),
-                "outlier_pos": pack_positions(pos_narrow[lo:hi]),
-                "outlier_val": deflate_channel(zz[lo:hi]),
-            }
-
         with tracer.span("sz.entropy", blocks=n_blocks, codec=codec.name):
-            if threads > 1 and n_blocks > 1 and n >= FANOUT_MIN_ELEMENTS:
-                return thread_map(build, range(n_blocks))
-            return [build(b) for b in range(n_blocks)]
+            return [
+                {
+                    "codes": codec.encode_row(rows[b]),
+                    "outlier_pos": pack_positions(pos_narrow[offsets[b] : offsets[b + 1]]),
+                    "outlier_val": deflate_channel(zz[offsets[b] : offsets[b + 1]]),
+                }
+                for b in range(n_blocks)
+            ]
+
+
+def _run_chunks(
+    run: Callable[[list[np.ndarray], np.ndarray], list],
+    arrs: list[np.ndarray],
+    eb_arr: np.ndarray,
+    threads: int | None = None,
+) -> list:
+    """``run(chunk views, chunk bounds)`` over every chunk of ``arrs``,
+    results back in input order.
+
+    Each same-shape group is cut into the fewest even chunks of at most
+    :data:`GROUP_LATTICE_BYTES` of int64 lattice.  Chunks of blocks with
+    at least :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS` elements
+    are at least one per thread and, when there are two or more, run on
+    at most ``threads`` pool threads (default
+    :func:`~repro.util.fanout.usable_cpus`); the rest run in order in
+    the calling thread.  Each chunk is independent, so the outputs do
+    not depend on the cut.
+    """
+    if threads is None:
+        threads = usable_cpus()
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, arr in enumerate(arrs):
+        groups.setdefault(arr.shape, []).append(i)
+    local: list[np.ndarray] = []  # chunks for the calling thread
+    fanned: list[np.ndarray] = []  # chunks for the pool
+    for idxs in groups.values():
+        n = int(arrs[idxs[0]].size)
+        count = -(-len(idxs) // _chunk_len(n))
+        wide = threads > 1 and n >= FANOUT_MIN_ELEMENTS
+        if wide:
+            count = max(count, min(threads, len(idxs)))
+        (fanned if wide else local).extend(np.array_split(np.asarray(idxs), count))
+    if len(fanned) < 2:
+        local, fanned = local + fanned, []
+
+    def chunk(idxs: np.ndarray) -> list:
+        return run([arrs[i] for i in idxs], eb_arr[idxs])
+
+    results = [chunk(c) for c in local]
+    if fanned:
+        results += thread_map(chunk, fanned, workers=threads)
+    out: list = [None] * len(arrs)
+    for idxs, got in zip(local + fanned, results):
+        for i, item in zip(idxs, got):
+            out[i] = item
+    return out
 
 
 def _check_array(arr: np.ndarray) -> np.ndarray:
@@ -670,12 +707,6 @@ def decompress(block: CompressedBlock) -> np.ndarray:
     return work if block.mode == "abs" else np.exp(work, out=work)
 
 
-#: Largest int64 lattice one group decode works in (bytes): 64 blocks of
-#: 16^3.  Longer groups decode in chunks of this size, so the arena slot
-#: stays bounded — and cache-sized — per thread.
-GROUP_LATTICE_BYTES = 2 << 20
-
-
 def groupable(block: object) -> bool:
     """Whether :func:`decompress_group` reads ``block``: a dual-engine,
     layout-2 SZ block (classic and layout-1 blocks keep their decoders)."""
@@ -709,7 +740,7 @@ def decompress_group(blocks: Sequence[CompressedBlock]) -> list[np.ndarray]:
     shape = tuple(blocks[0].shape)
     if not all(groupable(b) and tuple(b.shape) == shape for b in blocks):
         raise ValueError("decompress_group takes same-shape dual-engine layout-2 blocks")
-    step = max(1, GROUP_LATTICE_BYTES // (8 * math.prod(shape)))
+    step = _chunk_len(math.prod(shape))
     ws = thread_workspace()
     out: list[np.ndarray] = []
     for lo in range(0, len(blocks), step):

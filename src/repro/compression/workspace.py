@@ -25,8 +25,12 @@ that thread — whatever its configuration, however many the controller
 builds — works in it (slots are keyed by name and dtype, not by
 compressor).  That is cuSZ's one-scratch-per-worker layout: the serial
 path and each process-pool worker hold one arena for their lifetime,
-the thread-SPMD backend's rank threads one each until they exit, and
-nothing is passed around — there is no ``workspace=`` argument.  A view
+the thread-SPMD backend's rank threads and the pool threads a fanned-out
+``compress_many`` runs its chunks on one each until they exit, and
+nothing is passed around — there is no ``workspace=`` argument.  A
+batched pass works on one chunk of at most
+:data:`~repro.compression.sz.GROUP_LATTICE_BYTES` of lattice, so an
+arena stays about one chunk's scratch however long the group.  A view
 is valid until the same thread next requests its slot, i.e. for the
 duration of one batched kernel pass; nothing that outlives a
 ``compress_many`` / ``estimate_many`` call may refer to one.

@@ -64,7 +64,7 @@ from repro.parallel.decomposition import BlockDecomposition
 from repro.parallel.executor import run_spmd
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
-from repro.util.fanout import thread_map
+from repro.util.fanout import thread_map, usable_cpus
 from repro.util.timer import Timer, TimingBreakdown
 
 __all__ = [
@@ -281,7 +281,7 @@ class ThreadBackend(ExecutionBackend):
 
     @property
     def parallelism(self) -> int:
-        return os.cpu_count() or 1
+        return usable_cpus()
 
     def map_tasks(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
         """Fan items out over a transient thread pool.
@@ -295,9 +295,10 @@ class ThreadBackend(ExecutionBackend):
         tracer = telemetry.get_tracer()
 
         def rank_fn(comm):
-            # Rank threads each carry their own span stack (the tracer's
-            # nesting state is thread-local), so per-rank spans merge
-            # into one trace without cross-talk.
+            # Rank threads start with an empty span stack (the tracer's
+            # nesting state is per context, and a new thread starts a
+            # fresh one), so per-rank spans merge into one trace without
+            # cross-talk.
             tb = TimingBreakdown()
             rank = comm.rank
             with tracer.span("features", rank=rank), tb.phase("features"):
@@ -516,7 +517,8 @@ class ProcessBackend(ExecutionBackend):
     Parameters
     ----------
     max_workers:
-        Pool size (default: ``os.cpu_count()`` capped at 8).
+        Pool size (default: :func:`~repro.util.fanout.usable_cpus`
+        capped at 8).
     batch_size:
         Partitions per task (default: ranks split into ~2 waves per
         worker, balancing amortization against load balance).
@@ -560,7 +562,7 @@ class ProcessBackend(ExecutionBackend):
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = max_workers or min(usable_cpus(), 8)
         self.batch_size = batch_size
         self.start_method = start_method
         self.retry_policy = retry_policy

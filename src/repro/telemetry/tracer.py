@@ -2,8 +2,11 @@
 
 A :class:`Span` is a named interval with a process-unique id, a parent
 link, and free-form attributes; a :class:`Tracer` hands them out and
-collects them as they close.  Nesting is tracked per *thread* (each
-``ThreadBackend`` rank gets its own parent stack), and spans recorded in
+collects them as they close.  Nesting is tracked per
+:mod:`contextvars` context: a thread starts with an empty parent stack
+(each ``ThreadBackend`` rank is a root), while work handed to
+:func:`repro.util.fanout.thread_map` runs in a copy of the caller's
+context, so spans opened there nest under the caller's.  Spans recorded in
 worker *processes* are exported as plain dicts and re-homed into the
 parent tracer with :meth:`Tracer.adopt` — ids are reassigned there, so
 merged traces stay collision-free no matter how many workers report.
@@ -25,6 +28,7 @@ outside this package is flagged by lint rule RL012.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from typing import Any, Iterable
 
@@ -37,7 +41,10 @@ class Span:
     """One named interval.  Created by :meth:`Tracer.span`, used as a
     context manager; times are filled in on enter/exit."""
 
-    __slots__ = ("span_id", "parent_id", "name", "start", "end", "attrs", "track", "_tracer")
+    __slots__ = (
+        "span_id", "parent_id", "name", "start", "end", "attrs", "track",
+        "_tracer", "_token",
+    )
 
     def __init__(
         self,
@@ -56,6 +63,7 @@ class Span:
         self.track = track
         self.start: float = 0.0
         self.end: float = 0.0
+        self._token: contextvars.Token | None = None  # set while open
 
     def set_attr(self, key: str, value: Any) -> None:
         self.attrs[key] = value
@@ -134,7 +142,7 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Armed tracer: allocates ids, tracks per-thread nesting, collects
+    """Armed tracer: allocates ids, tracks per-context nesting, collects
     finished spans in completion order."""
 
     enabled = True
@@ -143,13 +151,17 @@ class Tracer:
         self.track = track
         self._next_id = 0
         self._lock = threading.Lock()
-        self._stacks = threading.local()
+        # The open spans, innermost last, as an immutable tuple: a copied
+        # context shares the caller's stack without being able to change it.
+        self._stack: contextvars.ContextVar[tuple[Span, ...]] = contextvars.ContextVar(
+            "repro.telemetry.span_stack", default=()
+        )
         self._finished: list[Span] = []
 
     # -- span lifecycle ------------------------------------------------
     def span(self, name: str, **attrs: Any) -> Span:
-        """A new child of the current thread's innermost open span."""
-        stack = getattr(self._stacks, "stack", None)
+        """A new child of the current context's innermost open span."""
+        stack = self._stack.get()
         parent_id = stack[-1].span_id if stack else None
         with self._lock:
             span_id = self._next_id
@@ -157,15 +169,10 @@ class Tracer:
         return Span(self, span_id, parent_id, name, attrs, self.track)
 
     def _push(self, span: Span) -> None:
-        stack = getattr(self._stacks, "stack", None)
-        if stack is None:
-            stack = self._stacks.stack = []
-        stack.append(span)
+        span._token = self._stack.set(self._stack.get() + (span,))
 
     def _pop(self, span: Span) -> None:
-        stack = getattr(self._stacks, "stack", None)
-        if stack and stack[-1] is span:
-            stack.pop()
+        self._stack.reset(span._token)
         with self._lock:
             self._finished.append(span)
 

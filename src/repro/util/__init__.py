@@ -1,7 +1,7 @@
 """Shared utilities: RNG handling, timers, ascii tables, validation, thread fan-out."""
 
 from repro.util.errors import PayloadError
-from repro.util.fanout import thread_map
+from repro.util.fanout import thread_map, usable_cpus
 from repro.util.rng import default_rng, spawn_rngs
 from repro.util.timer import Timer, TimingBreakdown, monotonic
 from repro.util.tables import format_table
@@ -15,6 +15,7 @@ from repro.util.validation import (
 __all__ = [
     "PayloadError",
     "thread_map",
+    "usable_cpus",
     "default_rng",
     "spawn_rngs",
     "Timer",

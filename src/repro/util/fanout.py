@@ -1,27 +1,45 @@
 """The one thread fan-out: an ordered map over a transient pool.
 
-Lives below every package that uses it — the compressors' entropy and
+Lives below every package that uses it — the compressors' chunk and
 decode fan-outs and :class:`repro.parallel.backends.ThreadBackend` — so
 ``compression`` need not reach up into ``parallel`` for ten lines.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-__all__ = ["thread_map"]
+__all__ = ["thread_map", "usable_cpus"]
 
 
-def thread_map(fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
-    """Apply ``fn`` to every item over at most one thread per CPU,
-    preserving order; a lone item runs in the calling thread.  The
-    first exception any call raises is re-raised here."""
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform reports one (an in situ rank pinned to two cores sees 2,
+    not the node's count), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
+def thread_map(
+    fn: Callable[[Any], Any], items: Iterable[Any], workers: int | None = None
+) -> list:
+    """Apply ``fn`` to every item over at most ``workers`` threads
+    (default: :func:`usable_cpus`), preserving order; a lone item, or a
+    cap of one, runs in the calling thread.  Each call runs in a copy of
+    the caller's :mod:`contextvars` context, so telemetry spans opened in
+    a worker nest under the caller's open span.  The first exception any
+    call raises is re-raised here."""
     items = list(items)
-    if len(items) <= 1:
+    workers = min(len(items), workers or usable_cpus())
+    if workers <= 1:
         return [fn(item) for item in items]
-    workers = min(len(items), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        futures = [
+            pool.submit(contextvars.copy_context().run, fn, item) for item in items
+        ]
+        return [f.result() for f in futures]

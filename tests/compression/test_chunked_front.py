@@ -1,0 +1,247 @@
+"""The chunked batch front: ``compress_many`` / ``estimate_many`` cut
+each same-shape group into chunks of at most ``GROUP_LATTICE_BYTES`` of
+lattice and fan chunks of large blocks out over threads.
+
+None of it may change an output: payloads byte for byte and estimates
+field for field are what per-block calls give, whatever the thread
+count, group length, shape mix or input order; an invalid block raises
+what the one-thread path raises; the calling thread's arena holds one
+chunk, not the group; and ``threads`` caps the pool.
+"""
+
+from __future__ import annotations
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from repro import telemetry
+from repro.compression import sz
+from repro.compression.api import FANOUT_MIN_ELEMENTS
+from repro.compression.sz import GROUP_LATTICE_BYTES, SZCompressor
+from repro.compression.workspace import thread_workspace
+from repro.util import fanout
+
+THREADS = (1, 2, 4)
+
+
+def _chunk(side: int) -> int:
+    """Blocks per chunk at ``side^3``."""
+    return GROUP_LATTICE_BYTES // (8 * side**3)
+
+
+def _views(side: int, count: int, seed: int = 0) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    base = np.cumsum(rng.normal(0, 1, (side,) * 3), axis=2)
+    # cheap distinct blocks: shifted and scaled copies of one walk
+    return [np.roll(base, i, axis=0) * (1 + 0.1 * (i % 7)) for i in range(count)]
+
+
+def _ebs(count: int) -> list[float]:
+    return [0.01 * (1 + i % 5) for i in range(count)]
+
+
+def _estimates(comp, views, ebs, threads, monkeypatch):
+    monkeypatch.setattr(sz, "usable_cpus", lambda: threads)
+    return comp.estimate_many(views, ebs)
+
+
+def _in_fresh_thread(fn):
+    """Run ``fn`` in a thread whose arena starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """Per-block reference payloads and estimates of every view used
+    below (the single-block path: no grouping, no chunking, no pool)."""
+    comp = SZCompressor()
+    out = {}
+    for side in (32, 16):
+        views = _views(side, 65 if side == 32 else 66, seed=side)
+        ebs = _ebs(len(views))
+        out[side] = (
+            views,
+            ebs,
+            [comp.compress(v, e).payloads for v, e in zip(views, ebs)],
+            [comp.estimate(v, e) for v, e in zip(views, ebs)],
+        )
+    return out
+
+
+class TestSameOutputs:
+    @pytest.mark.parametrize("side", [32, 16])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_group_lengths_around_one_chunk(self, pools, side, offset, monkeypatch):
+        views, ebs, payloads, estimates = pools[side]
+        count = _chunk(side) + offset
+        comp = SZCompressor()
+        for threads in THREADS:
+            blocks = comp.compress_many(views[:count], ebs[:count], threads=threads)
+            assert [b.payloads for b in blocks] == payloads[:count]
+            got = _estimates(comp, views[:count], ebs[:count], threads, monkeypatch)
+            assert got == estimates[:count]
+
+    @pytest.mark.parametrize("side", [32, 16])
+    @pytest.mark.parametrize("count", [1, 64])
+    def test_one_block_and_a_whole_decomposition(self, pools, side, count, monkeypatch):
+        views, ebs, payloads, estimates = pools[side]
+        comp = SZCompressor()
+        for threads in THREADS:
+            blocks = comp.compress_many(views[:count], ebs[:count], threads=threads)
+            assert [b.payloads for b in blocks] == payloads[:count]
+            got = _estimates(comp, views[:count], ebs[:count], threads, monkeypatch)
+            assert got == estimates[:count]
+
+    def test_mixed_shapes_in_shuffled_order(self, pools, monkeypatch):
+        big, big_ebs, big_payloads, big_est = pools[32]
+        small, small_ebs, small_payloads, small_est = pools[16]
+        rng = np.random.default_rng(3)
+        # 11 big + 5 small + 3 odd blocks, interleaved at random
+        items = (
+            [(big[i], big_ebs[i], big_payloads[i], big_est[i]) for i in range(11)]
+            + [(small[i], small_ebs[i], small_payloads[i], small_est[i]) for i in range(5)]
+        )
+        comp = SZCompressor()
+        for k, shape in enumerate([(30, 31, 32), (7, 9), (40,)]):
+            v = np.linspace(0.0, 1.0 + k, int(np.prod(shape))).reshape(shape) ** 2
+            items.append((v, 0.02, comp.compress(v, 0.02).payloads, comp.estimate(v, 0.02)))
+        order = rng.permutation(len(items))
+        views = [items[i][0] for i in order]
+        ebs = [items[i][1] for i in order]
+        for threads in THREADS:
+            blocks = comp.compress_many(views, ebs, threads=threads)
+            assert [b.payloads for b in blocks] == [items[i][2] for i in order]
+            assert [b.shape for b in blocks] == [v.shape for v in views]
+            got = _estimates(comp, views, ebs, threads, monkeypatch)
+            assert got == [items[i][3] for i in order]
+
+    def test_more_threads_than_cores_and_a_short_switch_interval(self, pools, monkeypatch):
+        views, ebs, payloads, estimates = pools[32]
+        comp = SZCompressor()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            blocks = comp.compress_many(views, ebs, threads=16)
+            got = _estimates(comp, views, ebs, 16, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [b.payloads for b in blocks] == payloads
+        assert got == estimates
+
+    def test_one_view_at_several_bounds(self, pools, monkeypatch):
+        """The calibration probe: one partition, five bounds."""
+        (view,) = pools[32][0][:1]
+        ebs = [0.0025, 0.005, 0.01, 0.02, 0.04]
+        comp = SZCompressor()
+        single = [comp.estimate(view, e) for e in ebs]
+        for threads in THREADS:
+            assert _estimates(comp, [view] * 5, ebs, threads, monkeypatch) == single
+
+
+class TestErrors:
+    @pytest.mark.parametrize("threads", THREADS)
+    def test_a_nan_in_a_later_chunk(self, threads, monkeypatch):
+        views = [v.copy() for v in _views(32, 2 * _chunk(32) + 3)]
+        views[-2][5, 6, 7] = np.nan
+        ebs = _ebs(len(views))
+        comp = SZCompressor()
+        with pytest.raises(ValueError, match=r"^data contains non-finite values \(NaN or Inf\)$"):
+            comp.compress_many(views, ebs, threads=threads)
+        monkeypatch.setattr(sz, "usable_cpus", lambda: threads)
+        with pytest.raises(ValueError, match=r"^data contains non-finite values \(NaN or Inf\)$"):
+            comp.estimate_many(views, ebs)
+
+    @pytest.mark.parametrize("threads", THREADS)
+    def test_a_non_positive_value_in_a_later_chunk_under_pw_rel(self, threads):
+        views = [np.abs(v) + 1.0 for v in _views(32, _chunk(32) + 2)]
+        views[-1][0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            SZCompressor(mode="pw_rel").compress_many(views, _ebs(len(views)), threads=threads)
+
+
+class TestArena:
+    """After a whole 64 x 32^3 decomposition the calling thread's arena
+    holds about one chunk's scratch, not the group's (70+ MB)."""
+
+    BOUND = 12 << 20
+
+    def test_compress_many_in_one_thread(self):
+        views = _views(32, 64)
+
+        def run():
+            SZCompressor().compress_many(views, _ebs(64), threads=1)
+            return thread_workspace().nbytes()
+
+        assert 0 < _in_fresh_thread(run) <= self.BOUND
+
+    def test_estimate_many_in_one_thread(self, monkeypatch):
+        views = _views(32, 64)
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 1)
+
+        def run():
+            SZCompressor().estimate_many(views, _ebs(64))
+            return thread_workspace().nbytes()
+
+        assert 0 < _in_fresh_thread(run) <= self.BOUND
+
+    def test_a_fanned_out_call_leaves_the_caller_arena_alone(self):
+        views = _views(32, 16)
+
+        def run():
+            SZCompressor().compress_many(views, _ebs(16), threads=2)
+            return thread_workspace().nbytes()
+
+        assert _in_fresh_thread(run) == 0
+
+
+class TestThreadsIsACap:
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class Recording(fanout.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(fanout, "ThreadPoolExecutor", Recording)
+        # an 8-core node
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 8)
+        return sizes
+
+    def test_threads_two_opens_at_most_two_workers(self, pool_sizes):
+        views = _views(32, 24)
+        assert views[0].size >= FANOUT_MIN_ELEMENTS
+        SZCompressor().compress_many(views, _ebs(24), threads=2)
+        assert pool_sizes and max(pool_sizes) <= 2
+
+    def test_the_default_is_the_usable_cpu_count(self, pool_sizes):
+        views = _views(32, 24)
+        SZCompressor().compress_many(views, _ebs(24))
+        SZCompressor().estimate_many(views, _ebs(24))
+        assert pool_sizes == [8, 8]  # 24 blocks: eight chunks of three
+
+
+class TestSpans:
+    def test_chunk_spans_nest_under_the_callers_span(self):
+        views = _views(32, 20)
+        with telemetry.armed() as tracer:
+            with tracer.span("compress") as outer:
+                SZCompressor().compress_many(views, _ebs(20), threads=2)
+            with tracer.span("probe") as probe:
+                SZCompressor().estimate_many(views, _ebs(20))
+        records = tracer.export_spans()
+        by_id = {r["span_id"]: r for r in records}
+        stages = [r for r in records if r["name"].startswith("sz.")]
+        assert stages and all(r["parent_id"] is not None for r in stages)
+        maps = [r for r in stages if r["name"] == "sz.map"]
+        # three chunks per call (20 blocks, at most 8 per chunk)
+        assert [r["parent_id"] for r in maps].count(outer.span_id) == 3
+        (rq,) = [r for r in records if r["name"] == "rq.probe"]
+        assert rq["parent_id"] == probe.span_id
+        assert [by_id[r["parent_id"]]["name"] for r in maps].count("rq.probe") == 3

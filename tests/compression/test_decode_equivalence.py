@@ -8,13 +8,16 @@ equal the textbook one (unfold each symbol -> scatter the outliers ->
 ``np.cumsum`` per axis -> ``q * 2eb``).
 
 Also here: the entropy stage's DEFLATE strategy is invisible to readers
-(either side of it is a plain zlib stream), and the thread fan-out is
-gated on block size without changing a byte.
+(either side of it is a plain zlib stream), and the thread fan-outs of
+the chunked front and the decoder are gated on block size without
+changing a byte.
 """
 
 from __future__ import annotations
 
+import threading
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.compression import api, sz
 from repro.compression.api import FANOUT_MIN_ELEMENTS, decompress_many
 from repro.compression.codecs import PLANES_BIT, ZlibCodec, pack_symbols
 from repro.compression.sz import CompressedBlock, SZCompressor, decompress
+from repro.compression.workspace import thread_workspace
 from repro.util.fanout import thread_map
 
 SHAPES = [
@@ -148,17 +152,25 @@ class TestStrategyIsInvisibleToReaders:
 
 class TestFanOutGate:
     @pytest.fixture()
-    def map_calls(self, monkeypatch):
-        calls = []
+    def seen(self, monkeypatch):
+        """``maps``: ``(items, workers)`` of every pool fan-out;
+        ``threads``: the thread of every arena fetch (one per compress /
+        probe chunk and per group decode)."""
+        seen = SimpleNamespace(maps=[], threads=set())
 
-        def counted(fn, items):
-            calls.append(1)
-            return thread_map(fn, items)
+        def counted(fn, items, workers=None):
+            seen.maps.append((len(items), workers))
+            return thread_map(fn, items, workers)
 
-        # the two fan-out sites: the entropy stage and decompress_many
+        def fetched():
+            seen.threads.add(threading.get_ident())
+            return thread_workspace()
+
+        # the two fan-out sites: the chunked front and decompress_many
         monkeypatch.setattr(sz, "thread_map", counted)
         monkeypatch.setattr(api, "thread_map", counted)
-        return calls
+        monkeypatch.setattr(sz, "thread_workspace", fetched)
+        return seen
 
     @staticmethod
     def _views(side: int, count: int):
@@ -166,28 +178,31 @@ class TestFanOutGate:
         views = [np.cumsum(rng.normal(0, 1, (side,) * 3), axis=2) for _ in range(count)]
         return views, [0.01 * (i + 1) for i in range(count)]
 
-    def test_small_blocks_stay_in_the_calling_thread(self, map_calls):
+    def test_small_blocks_stay_in_the_calling_thread(self, seen):
         views, ebs = self._views(8, 6)
         assert views[0].size < FANOUT_MIN_ELEMENTS
         comp = SZCompressor()
         fanned = comp.compress_many(views, ebs, threads=4)
-        assert not map_calls
+        comp.estimate_many(views, ebs)
         assert fanned == comp.compress_many(views, ebs, threads=1)
         recons = decompress_many(fanned, 4)
-        assert not map_calls
+        assert not seen.maps
+        assert seen.threads == {threading.get_ident()}
         for a, b in zip(recons, decompress_many(fanned, 1)):
             assert np.array_equal(a, b)
 
-    def test_large_blocks_still_fan_out(self, map_calls):
+    def test_large_blocks_still_fan_out(self, seen):
         views, ebs = self._views(32, 3)
         assert views[0].size >= FANOUT_MIN_ELEMENTS
         comp = SZCompressor()
         fanned = comp.compress_many(views, ebs, threads=4)
-        assert len(map_calls) == 1
+        assert seen.maps == [(3, 4)]  # one chunk per thread: three of one block
+        assert threading.get_ident() not in seen.threads
         assert fanned == comp.compress_many(views, ebs, threads=1)
-        assert len(map_calls) == 1
+        assert fanned == comp.compress_many(views, ebs, threads=2)
+        assert seen.maps == [(3, 4), (2, 2)]
         recons = decompress_many(fanned, 4)
-        assert len(map_calls) == 2
+        assert len(seen.maps) == 3
         for a, b in zip(recons, decompress_many(fanned, 1)):
             assert np.array_equal(a, b)
-        assert len(map_calls) == 2
+        assert len(seen.maps) == 3

@@ -145,7 +145,7 @@ class TestProbeModes:
 
 class TestExactProbeFanOut:
     """Exact probes run in process, through ``compress_many`` — whose
-    entropy stage fans out over threads for large blocks."""
+    chunks fan out over threads for large blocks."""
 
     @pytest.fixture()
     def map_calls(self, monkeypatch):
@@ -154,11 +154,12 @@ class TestExactProbeFanOut:
 
         calls = []
 
-        def counted(fn, items):
-            calls.append(1)
-            return thread_map(fn, items)
+        def counted(fn, items, workers=None):
+            calls.append(len(items))
+            return thread_map(fn, items, workers)
 
         monkeypatch.setattr(sz, "thread_map", counted)
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 2)
         return calls
 
     @staticmethod
@@ -172,7 +173,8 @@ class TestExactProbeFanOut:
         assert parts[0].size >= FANOUT_MIN_ELEMENTS
         return parts
 
-    def test_one_entropy_fan_out_per_partition(self, map_calls):
+    def test_one_fan_out_per_partition(self, map_calls):
         parts = self._partitions()
         calibrate_rate_model(parts, eb_scale=0.05, seed=0)
-        assert len(map_calls) == len(parts)
+        # five probe bounds of one partition: one chunk per thread
+        assert map_calls == [2] * len(parts)

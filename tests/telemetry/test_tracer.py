@@ -6,6 +6,7 @@ from __future__ import annotations
 import threading
 
 from repro import telemetry
+from repro.util.fanout import thread_map
 
 
 class TestNullFastPath:
@@ -113,6 +114,42 @@ class TestNesting:
                 by_name[f"rank{i}.child"]["parent_id"]
                 == by_name[f"rank{i}"]["span_id"]
             )
+
+    def test_a_raw_thread_starts_with_an_empty_stack(self):
+        # Even while the spawning thread has a span open: a rank is a root.
+        with telemetry.armed() as tracer:
+            with tracer.span("caller"):
+                def rank():
+                    with tracer.span("rank"):
+                        pass
+
+                t = threading.Thread(target=rank)
+                t.start()
+                t.join()
+        by_name = {r["name"]: r for r in tracer.export_spans()}
+        assert by_name["rank"]["parent_id"] is None
+
+    def test_thread_map_workers_nest_under_the_callers_span(self):
+        def work(i):
+            with tracer.span("worker", i=i):
+                with tracer.span("worker.step"):
+                    return threading.get_ident()
+
+        with telemetry.armed() as tracer:
+            with tracer.span("caller") as caller:
+                idents = thread_map(work, range(4), workers=2)
+            with tracer.span("after") as after:
+                pass
+        assert threading.get_ident() not in idents
+        records = tracer.export_spans()
+        workers = [r for r in records if r["name"] == "worker"]
+        assert sorted(r["attrs"]["i"] for r in workers) == [0, 1, 2, 3]
+        assert {r["parent_id"] for r in workers} == {caller.span_id}
+        worker_ids = {r["span_id"] for r in workers}
+        steps = [r for r in records if r["name"] == "worker.step"]
+        assert len(steps) == 4 and {r["parent_id"] for r in steps} <= worker_ids
+        # the workers' pushes never reach the caller's stack
+        assert after.parent_id is None
 
 
 class TestAdopt:

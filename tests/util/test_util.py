@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
 import pytest
 
-from repro.util.fanout import thread_map
+from repro.util import fanout
+from repro.util.fanout import thread_map, usable_cpus
 from repro.util.rng import default_rng, spawn_rngs
 from repro.util.tables import format_table
 from repro.util.timer import Timer, TimingBreakdown
@@ -188,3 +190,37 @@ class TestThreadMap:
 
         with pytest.raises(KeyError):
             thread_map(fail_on_three, range(6))
+
+    def test_workers_is_a_hard_cap(self, monkeypatch):
+        sizes = []
+
+        class Recording(fanout.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(fanout, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 8)
+        assert thread_map(lambda x: x, range(20), workers=2) == list(range(20))
+        assert thread_map(lambda x: x, range(20)) == list(range(20))
+        assert thread_map(lambda x: x, range(3)) == list(range(3))
+        assert sizes == [2, 8, 3]
+        # a cap of one never opens a pool
+        assert thread_map(lambda _: threading.get_ident(), range(4), workers=1) == (
+            [threading.get_ident()] * 4
+        )
+        assert sizes == [2, 8, 3]
+
+
+class TestUsableCpus:
+    def test_the_affinity_mask_wins_over_the_node_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 2
+
+    def test_without_affinity_it_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
