@@ -30,9 +30,9 @@ Subpackages: :mod:`repro.core` (adaptive configuration),
 :mod:`repro.models` (rate-quality models), :mod:`repro.compression`
 (SZ-style compressor), :mod:`repro.sim` (synthetic Nyx),
 :mod:`repro.analysis` (power spectrum / halo finder),
-:mod:`repro.parallel` (simulated MPI), :mod:`repro.foresight`
-(evaluation harness), :mod:`repro.stream` (the in situ controller, run
-ledger, drift detection, budget governor).
+:mod:`repro.parallel` (decomposition, execution backends),
+:mod:`repro.foresight` (evaluation harness), :mod:`repro.stream` (the in
+situ controller, run ledger, drift detection, budget governor).
 """
 
 from repro.compression import (
@@ -65,10 +65,7 @@ from repro.parallel import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     get_backend,
-    register_backend,
-    run_spmd,
 )
 from repro.sim import NyxSimulator, NyxSnapshot
 from repro.stream import (
@@ -111,11 +108,8 @@ __all__ = [
     "BlockDecomposition",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "get_backend",
-    "register_backend",
-    "run_spmd",
     "NyxSimulator",
     "NyxSnapshot",
     "InSituController",

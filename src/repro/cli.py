@@ -618,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="serial",
         choices=sorted(BACKENDS),
-        help="execution backend (serial rank loop, thread-SPMD, process pool)",
+        help="execution backend (serial rank loop or process pool)",
     )
     c.add_argument(
         "--probe-mode",

@@ -25,8 +25,8 @@ that thread — whatever its configuration, however many the controller
 builds — works in it (slots are keyed by name and dtype, not by
 compressor).  That is cuSZ's one-scratch-per-worker layout: the serial
 path and each process-pool worker hold one arena for their lifetime,
-the thread-SPMD backend's rank threads and the pool threads a fanned-out
-``compress_many`` runs its chunks on one each until they exit, and
+the pool threads a fanned-out ``compress_many`` runs its chunks on hold
+one each until they exit, and
 nothing is passed around — there is no ``workspace=`` argument.  A
 batched pass works on one chunk of at most
 :data:`~repro.compression.sz.GROUP_LATTICE_BYTES` of lattice, so an

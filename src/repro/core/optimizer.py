@@ -41,11 +41,11 @@ __all__ = [
 def rank_order_mean(values: Sequence[float]) -> float:
     """Mean via a left-fold sum in rank order.
 
-    This is bit-identical to the SPMD protocol's
-    ``allreduce("sum") / size`` (which folds the per-rank scalars
-    left-to-right), unlike ``np.mean``'s pairwise summation.  Using it on
-    both the serial and distributed paths keeps the local-normalization
-    protocol deterministic across execution backends.
+    This is bit-identical to the in situ protocol's
+    ``allreduce("sum") / size`` folding the per-rank scalars
+    left-to-right, unlike ``np.mean``'s pairwise summation.  Live runs and
+    ledger replay both use it, so the local-normalization protocol is
+    deterministic.
     """
     if len(values) == 0:
         raise ValueError("need at least one value")
@@ -70,7 +70,7 @@ def local_protocol_bound(
     renormalization happens, so the average-bound constraint holds only
     approximately.  This scalar arithmetic *is* the local branch of
     :func:`optimize_for_spectrum` (which calls it per partition), so the
-    serial, SPMD and ledger-replay paths agree bitwise.  Pass
+    live and ledger-replay paths agree bitwise.  Pass
     ``global_coefficient`` to reuse an already-evaluated
     ``predict_coefficient(global_mean)`` — same value, fewer model
     evaluations.

@@ -9,15 +9,15 @@ Per snapshot and field, the protocol each rank follows is:
 3. evaluate the closed-form optimizer for its own bound,
 4. compress its partition with that bound.
 
-*How* the ranks execute is delegated to a pluggable
+*How* the ranks execute is delegated to an
 :class:`~repro.parallel.backends.ExecutionBackend`, chosen once when the
-pipeline is built: a serial rank loop (the default), one thread per rank
-with real collectives, or a process pool with shared-memory
-partition views and batched compression.  Every backend performs exactly
-one global optimization per snapshot, merges per-rank timings (so the
-§4.3 overhead claims can be measured rather than assumed on any path)
-and returns the :class:`~repro.parallel.backends.SnapshotResult` the
-pipeline hands on unchanged.  Many fields over many snapshots are
+pipeline is built: a serial rank loop (the default) or a process pool
+with shared-memory partition views and batched compression.  Both
+perform exactly one global optimization per snapshot, merge per-rank
+timings (so the §4.3 overhead claims can be measured rather than assumed
+on either path) and return the
+:class:`~repro.parallel.backends.SnapshotResult` the pipeline hands on
+unchanged.  Many fields over many snapshots are
 :class:`~repro.stream.controller.InSituController`'s job.
 """
 
@@ -61,11 +61,11 @@ class AdaptiveCompressionPipeline:
     settings:
         Optimizer knobs (clamping, normalization protocol).
     backend:
-        Execution backend for :meth:`run_insitu_spmd` — a registry name
-        (``"serial"``, ``"thread"``, ``"process"``) or an
+        Execution backend for :meth:`run_insitu_spmd` — a name
+        (``"serial"`` or ``"process"``) or an
         :class:`~repro.parallel.backends.ExecutionBackend` instance
         (default: ``"serial"``).  This is the one place a
-        backend is chosen; :meth:`close` releases it.  All backends
+        backend is chosen; :meth:`close` releases it.  Both backends
         produce byte-identical payloads; they differ only in scheduling.
 
     Examples
@@ -156,8 +156,7 @@ class AdaptiveCompressionPipeline:
         """Compress via the backend the pipeline was built with.
 
         Produces the same bounds and byte-identical payloads as
-        :meth:`run` (property-tested); with ``backend="thread"`` — one
-        thread per rank and real collectives — it exercises the actual
-        execution pattern of the in situ deployment.
+        :meth:`run` (property-tested); with ``backend="process"`` the
+        partitions are compressed in batches across a worker pool.
         """
         return self.backend.run_snapshot(self._task(data, decomposition, eb_avg, halo))

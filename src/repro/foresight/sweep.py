@@ -21,10 +21,9 @@ Quality sweeps share one :class:`~repro.foresight.evaluator.QualityEvaluator`
 per field, so the original-side analyses (``rfftn`` power spectrum, halo
 catalog, metric moments) run exactly once per field no matter how many
 error bounds are trialed.  The per-``(field, eb)`` evaluations are
-independent, and ``backend=`` fans them out over the
-:mod:`repro.parallel.backends` registry — ``"serial"`` (default
-in-process loop), ``"thread"`` or ``"process"``; every backend returns
-identical records.
+independent, and ``backend=`` fans them out over one of the
+:mod:`repro.parallel.backends` — ``"serial"`` (default in-process loop)
+or ``"process"``; both return identical records.
 """
 
 from __future__ import annotations
@@ -176,7 +175,7 @@ def run_sweep(
         :class:`~repro.compression.api.UnsupportedCapabilityError`
         otherwise).
     backend:
-        Execution backend (registry name or instance) for the quality
+        Execution backend (name or instance) for the quality
         evaluations, which are independent per ``(field, eb)``.  ``None``
         (default) evaluates inline; a name is resolved via
         :func:`~repro.parallel.backends.get_backend` and closed on exit,

@@ -1,33 +1,28 @@
-"""Pluggable execution backends for the in situ pipeline.
+"""Execution backends for the in situ pipeline.
 
 The adaptive-configuration protocol (extract features -> one collective
 -> closed-form optimization -> compress) is independent of *how* the
-ranks execute.  This module turns that observation into an
-:class:`ExecutionBackend` registry:
+ranks execute.  Two :class:`ExecutionBackend`\\ s run it:
 
 - :class:`SerialBackend` — the reference rank loop in one thread,
-- :class:`ThreadBackend` — one thread per rank with real barrier
-  collectives (:func:`repro.parallel.executor.run_spmd`); the protocol
-  simulator, chosen by name,
 - :class:`ProcessBackend` — a ``ProcessPoolExecutor`` fan-out with the
   snapshot staged once in POSIX shared memory; workers attach views and
   compress *batches* of partitions per task, escaping the GIL entirely.
 
-All backends produce byte-identical compressed payloads and identical
-bounds for the same :class:`SnapshotTask` (property-tested); they differ
-only in scheduling.  Per-phase :class:`TimingBreakdown`\\ s are merged
-across ranks/workers, so the §4.3 overhead accounting works on every
-path.  Per-rank busy time is *summed* — totals are aggregate seconds of
-work, the right denominator for overhead ratios, not wall-clock.
+Both produce byte-identical compressed payloads and identical bounds for
+the same :class:`SnapshotTask` (property-tested); they differ only in
+scheduling.  Per-phase :class:`TimingBreakdown`\\ s are merged across
+workers, so the §4.3 overhead accounting works on either path.  Per-worker
+busy time is *summed* — totals are aggregate seconds of work, the right
+denominator for overhead ratios, not wall-clock.
 
 Every backend returns the same :class:`SnapshotResult` — the value the
 pipeline, the stream controller and their callers see, unwrapped.
 
-A backend is chosen once, at construction: ``backend=`` (a registry name
-``"serial"``/``"thread"``/``"process"`` or an instance) on
+A backend is chosen once, at construction: ``backend=`` (a name in
+:data:`BACKENDS`, ``"serial"`` or ``"process"``, or an instance) on
 ``AdaptiveCompressionPipeline`` and ``InSituController``, or the CLI's
-``--backend`` flag; all three default to ``serial``.  Third-party
-backends can be added with :func:`register_backend`.
+``--backend`` flag; all three default to ``serial``.
 """
 
 from __future__ import annotations
@@ -55,16 +50,14 @@ from repro.core.config import HaloQualitySpec, OptimizerSettings
 from repro.core.features import PartitionFeatures, extract_features
 from repro.core.optimizer import (
     OptimizationResult,
-    local_protocol_bound,
     optimize_combined,
     optimize_for_spectrum,
 )
 from repro.models.rate_model import RateModel
 from repro.parallel.decomposition import BlockDecomposition
-from repro.parallel.executor import run_spmd
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
-from repro.util.fanout import thread_map, usable_cpus
+from repro.util.fanout import usable_cpus
 from repro.util.timer import Timer, TimingBreakdown
 
 __all__ = [
@@ -72,10 +65,8 @@ __all__ = [
     "SnapshotResult",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKENDS",
-    "register_backend",
     "get_backend",
 ]
 
@@ -127,10 +118,6 @@ class SnapshotTask:
         return optimize_for_spectrum(
             features, self.rate_model, self.eb_avg, self.settings
         )
-
-    def uses_local_protocol(self) -> bool:
-        """True when ranks solve their own bound from one allreduce."""
-        return self.settings.normalization == "local" and self.halo is None
 
 
 @dataclass
@@ -217,29 +204,13 @@ class ExecutionBackend(ABC):
         return f"{type(self).__name__}()"
 
 
-def _local_protocol_summary(
-    task: SnapshotTask, features: list[PartitionFeatures], ebs: np.ndarray
-) -> OptimizationResult:
-    """Diagnostics object for bounds the ranks solved distributively.
-
-    Plain arithmetic over already-computed bounds — deliberately *not* an
-    optimizer invocation, so the one-optimization-per-snapshot invariant
-    stays countable.
-    """
-    means = np.array([f.mean_abs for f in features], dtype=np.float64)
-    return OptimizationResult(
-        ebs=ebs,
-        eb_avg_target=task.eb_avg,
-        constraint="spectrum",
-        predicted_bitrates=task.rate_model.predict_bitrate(means, ebs),
-    )
-
-
 class SerialBackend(ExecutionBackend):
     """Reference implementation: a rank loop in the calling thread.
 
-    Feature extraction and the optimization run exactly as the SPMD
-    protocol prescribes; compression goes through the batched
+    Feature extraction and the optimization run exactly as the in situ
+    protocol prescribes (the local protocol's per-rank solves included:
+    see :func:`~repro.core.optimizer.local_protocol_bound`); compression
+    goes through the batched
     :meth:`~repro.compression.sz.SZCompressor.compress_many` hot path
     with the whole snapshot as one batch.
     """
@@ -261,91 +232,6 @@ class SerialBackend(ExecutionBackend):
                 blocks = task.compressor.compress_many(views, opt.ebs)
         return SnapshotResult(
             features=features, ebs=opt.ebs, blocks=blocks, optimization=opt,
-            timings=timings,
-        )
-
-
-class ThreadBackend(ExecutionBackend):
-    """One thread per rank with real collectives — the in situ simulator.
-
-    Mirrors the deployment's communication pattern: every rank extracts
-    its own features, the exact protocol allgathers one scalar per rank
-    after which *rank 0 alone* solves the optimization and broadcasts the
-    result (one global optimization per snapshot), while the paper's
-    local protocol needs only an allreduce of the mean and no global
-    solve at all.  NumPy releases the GIL for array work, so per-rank
-    compression genuinely overlaps.
-    """
-
-    name = "thread"
-
-    @property
-    def parallelism(self) -> int:
-        return usable_cpus()
-
-    def map_tasks(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
-        """Fan items out over a transient thread pool.
-
-        NumPy releases the GIL for FFTs and big reductions, so quality
-        evaluations genuinely overlap even in one process.
-        """
-        return thread_map(fn, items)
-
-    def run_snapshot(self, task: SnapshotTask) -> SnapshotResult:
-        tracer = telemetry.get_tracer()
-
-        def rank_fn(comm):
-            # Rank threads start with an empty span stack (the tracer's
-            # nesting state is per context, and a new thread starts a
-            # fresh one), so per-rank spans merge into one trace without
-            # cross-talk.
-            tb = TimingBreakdown()
-            rank = comm.rank
-            with tracer.span("features", rank=rank), tb.phase("features"):
-                feat = task.extract(rank)
-            if task.uses_local_protocol():
-                # The paper's cheap protocol: one allreduce of the mean,
-                # every rank solves its own bound locally.
-                with tb.phase("collective"):
-                    total = comm.allreduce(feat.mean_abs, op="sum")
-                with tracer.span("optimize", rank=rank), tb.phase("optimize"):
-                    eb = local_protocol_bound(
-                        feat.mean_abs,
-                        total / comm.size,
-                        task.rate_model,
-                        task.eb_avg,
-                        task.settings,
-                    )
-                opt = None
-            else:
-                # Exact protocol: allgather scalar features, rank 0
-                # solves the deterministic optimization once, bcast.
-                with tb.phase("collective"):
-                    all_feats = comm.allgather(feat)
-                with tracer.span("optimize", rank=rank), tb.phase("optimize"):
-                    opt = task.optimize(all_feats) if rank == 0 else None
-                with tb.phase("collective"):
-                    opt = comm.bcast(opt, root=0)
-                eb = float(opt.ebs[rank])
-            view = task.decomposition[rank].view(task.data)
-            with tracer.span("compress", rank=rank), tb.phase("compress"):
-                fault_point("backend.compress")
-                block = task.compressor.compress(view, eb)
-            return feat, eb, block, opt, tb
-
-        with tracer.span("backend.snapshot", backend=self.name, ranks=task.n_ranks):
-            results = run_spmd(task.n_ranks, rank_fn)
-        features = [r[0] for r in results]
-        ebs = np.array([r[1] for r in results], dtype=np.float64)
-        blocks = [r[2] for r in results]
-        opt = results[0][3]
-        timings = TimingBreakdown()
-        for r in results:
-            timings.merge(r[4])
-        if opt is None:
-            opt = _local_protocol_summary(task, features, ebs)
-        return SnapshotResult(
-            features=features, ebs=ebs, blocks=blocks, optimization=opt,
             timings=timings,
         )
 
@@ -562,6 +448,11 @@ class ProcessBackend(ExecutionBackend):
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if start_method is not None and start_method not in mp.get_all_start_methods():
+            raise ValueError(
+                f"start_method must be one of {mp.get_all_start_methods()}, "
+                f"got {start_method!r}"
+            )
         self.max_workers = max_workers or min(usable_cpus(), 8)
         self.batch_size = batch_size
         self.start_method = start_method
@@ -822,30 +713,17 @@ class ProcessBackend(ExecutionBackend):
         )
 
 
-# -- registry ----------------------------------------------------------------
-
-BACKENDS: dict[str, type[ExecutionBackend]] = {}
-
-
-def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
-    """Register an :class:`ExecutionBackend` subclass under ``cls.name``."""
-    if not (isinstance(cls, type) and issubclass(cls, ExecutionBackend)):
-        raise TypeError(f"expected an ExecutionBackend subclass, got {cls!r}")
-    if not cls.name or cls.name == ExecutionBackend.name:
-        raise ValueError(f"backend class {cls.__name__} must define a name")
-    BACKENDS[cls.name] = cls
-    return cls
-
-
-register_backend(SerialBackend)
-register_backend(ThreadBackend)
-register_backend(ProcessBackend)
+#: The two backends, by the name ``backend=`` and ``--backend`` take.
+BACKENDS: dict[str, type[ExecutionBackend]] = {
+    "serial": SerialBackend,
+    "process": ProcessBackend,
+}
 
 
 def get_backend(
     spec: "str | ExecutionBackend | None" = None, **kwargs: Any
 ) -> ExecutionBackend:
-    """Resolve a backend: instance passthrough, registry name, or default.
+    """Resolve a backend: instance passthrough, name, or default.
 
     ``None`` resolves to the default :class:`SerialBackend`.  Keyword
     arguments are forwarded to the backend constructor (names only).
@@ -861,7 +739,7 @@ def get_backend(
             cls = BACKENDS[spec]
         except KeyError:
             raise ValueError(
-                f"unknown backend {spec!r}; registered: {sorted(BACKENDS)}"
+                f"unknown backend {spec!r}; choose one of {sorted(BACKENDS)}"
             ) from None
         return cls(**kwargs)
     raise TypeError(f"backend must be a name, instance or None, got {type(spec)!r}")

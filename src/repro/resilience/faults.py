@@ -40,8 +40,8 @@ Fault kinds map to the failure modes the stream path must survive:
 Counting is per-process: a forked pool worker inherits the active plan
 and counts its own invocations.  Multi-worker counters are therefore
 only deterministic per worker — chaos tests that need an exact global
-schedule use ``max_workers=1`` or the serial/thread backends (one
-process, invocation counters guarded by a lock).
+schedule use ``max_workers=1`` or the serial backend (one process,
+invocation counters guarded by a lock).
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ class FaultPlan:
 
     One plan instance is armed by tests, activated around the code under
     test, and consulted by every :func:`fault_point` it encloses.  All
-    mutation is lock-guarded so thread-backend chaos runs count
-    invocations consistently.
+    mutation is lock-guarded so fault points reached from several
+    threads count invocations consistently.
     """
 
     seed: int = 0

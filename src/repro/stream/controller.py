@@ -134,7 +134,7 @@ class InSituController:
     settings:
         Optimizer settings.
     backend:
-        Execution backend (registry name or instance) that compresses
+        Execution backend (name or instance) that compresses
         every field; default is the serial rank loop.  A
         :class:`~repro.parallel.backends.ProcessBackend` keeps its
         worker pool alive across fields and snapshots — :meth:`close`
@@ -636,8 +636,9 @@ class InSituController:
         was never interrupted.
 
         Settings recorded in the ``run_start`` event are restored from
-        the ledger; process-local choices it does not record — the
-        execution backend, field specs, retry policy, calibration
+        the ledger; process-local choices it does not restore — the
+        execution backend (its recorded name is never read back), field
+        specs, retry policy, calibration
         ``max_partitions``/``seed`` — are taken from the keyword
         arguments and must match the original run for recalibrations
         after the resume point to reproduce exactly.  Ledgers older than

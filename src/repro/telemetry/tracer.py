@@ -4,7 +4,7 @@ A :class:`Span` is a named interval with a process-unique id, a parent
 link, and free-form attributes; a :class:`Tracer` hands them out and
 collects them as they close.  Nesting is tracked per
 :mod:`contextvars` context: a thread starts with an empty parent stack
-(each ``ThreadBackend`` rank is a root), while work handed to
+(its spans are roots), while work handed to
 :func:`repro.util.fanout.thread_map` runs in a copy of the caller's
 context, so spans opened there nest under the caller's.  Spans recorded in
 worker *processes* are exported as plain dicts and re-homed into the

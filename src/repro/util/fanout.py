@@ -1,8 +1,8 @@
 """The one thread fan-out: an ordered map over a transient pool.
 
-Lives below every package that uses it — the compressors' chunk and
-decode fan-outs and :class:`repro.parallel.backends.ThreadBackend` — so
-``compression`` need not reach up into ``parallel`` for ten lines.
+Lives in ``util``, below the compressors' chunk and decode fan-outs
+that use it, so ``compression`` need not reach up into ``parallel`` for
+ten lines.
 """
 
 from __future__ import annotations

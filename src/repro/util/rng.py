@@ -32,7 +32,7 @@ def default_rng(seed: int | np.random.Generator | None = None) -> np.random.Gene
 def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent child generators from ``seed``.
 
-    Used by the SPMD executor to hand every simulated MPI rank its own
+    Hands each of ``n`` consumers (for example, partitions) its own
     statistically independent stream while staying reproducible from a
     single root seed.
     """

@@ -84,60 +84,25 @@ class TestRun:
 
 
 class TestSpmdEquivalence:
-    """``backend="thread"`` is the SPMD simulator (the default is serial)."""
-
-    def test_spmd_matches_serial_exact_mode(self, snapshot, decomposition, calibrated):
-        data = snapshot["baryon_density"]
-        pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="thread")
-        serial = pipe.run(data, decomposition, eb_avg=0.2)
-        spmd = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
-        assert np.allclose(spmd.ebs, serial.ebs)
-        assert [b.nbytes for b in spmd.blocks] == [b.nbytes for b in serial.blocks]
+    """``run_insitu_spmd`` runs on the backend chosen at construction
+    (the default is serial)."""
 
     def test_spmd_local_protocol_close(self, snapshot, decomposition, calibrated):
         data = snapshot["baryon_density"]
         pipe = AdaptiveCompressionPipeline(
-            calibrated.rate_model,
-            settings=OptimizerSettings(normalization="local"),
-            backend="thread",
+            calibrated.rate_model, settings=OptimizerSettings(normalization="local")
         )
         spmd = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
         assert spmd.ebs.mean() == pytest.approx(0.2, rel=0.25)
-
-    def test_spmd_with_halo(self, snapshot, decomposition, calibrated):
-        data = snapshot["baryon_density"]
-        tb = float(np.percentile(data.astype(np.float64), 99.0))
-        halo = HaloQualitySpec(t_boundary=tb, mass_budget=100.0, reference_eb=0.5)
-        pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="thread")
-        serial = pipe.run(data, decomposition, eb_avg=0.2, halo=halo)
-        spmd = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2, halo=halo)
-        assert np.allclose(spmd.ebs, serial.ebs)
-
-    def test_spmd_timings_populated(self, snapshot, decomposition, calibrated):
-        """Regression: the SPMD path used to return empty timings."""
-        pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="thread")
-        res = pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
-        assert set(res.timings.totals) >= {"features", "optimize", "compress"}
-        assert res.timings.totals["compress"] > 0
-        # One merged entry per rank for the per-rank phases.
-        assert res.timings.counts["features"] == decomposition.n_partitions
-
-    def test_spmd_returns_rank0_optimization(self, snapshot, decomposition, calibrated):
-        """Regression: the SPMD path used to re-solve the optimization on
-        the main thread instead of returning the ranks' own result."""
-        pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="thread")
-        res = pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
-        assert res.optimization is not None
-        assert res.optimization.ebs is res.ebs or np.array_equal(
-            res.optimization.ebs, res.ebs
-        )
 
     def test_backend_argument_accepts_names(self, snapshot, decomposition, calibrated):
         data = snapshot["baryon_density"]
         pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="serial")
         assert pipe.backend.name == "serial"
         via_serial = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
-        threaded = AdaptiveCompressionPipeline(calibrated.rate_model, backend="thread")
-        assert threaded.backend.name == "thread"
-        via_thread = threaded.run_insitu_spmd(data, decomposition, eb_avg=0.2)
-        assert np.array_equal(via_serial.ebs, via_thread.ebs)
+        with AdaptiveCompressionPipeline(
+            calibrated.rate_model, backend="process"
+        ) as pooled:
+            assert pooled.backend.name == "process"
+            via_process = pooled.run_insitu_spmd(data, decomposition, eb_avg=0.2)
+        assert np.array_equal(via_serial.ebs, via_process.ebs)

@@ -317,10 +317,10 @@ class TestBackendEquivalence:
             backend=backend,
         )
 
-    def test_serial_thread_process_identical(self, snapshot, decomposition):
+    def test_serial_process_identical(self, snapshot, decomposition):
         reference = self._sweep(snapshot, decomposition, None)
         with ProcessBackend(max_workers=2) as process:
-            for backend in ("serial", "thread", process):
+            for backend in ("serial", process):
                 records = self._sweep(snapshot, decomposition, backend)
                 assert len(records) == len(reference)
                 for got, want in zip(records, reference):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 
 import numpy as np
@@ -10,17 +12,15 @@ import pytest
 import repro.parallel.backends as backends_mod
 from repro.compression.sz import SZCompressor
 from repro.core.config import HaloQualitySpec, OptimizerSettings
+from repro.core.optimizer import local_protocol_bound, rank_order_mean
 from repro.core.pipeline import AdaptiveCompressionPipeline
 from repro.models.rate_model import RateModel
 from repro.parallel.backends import (
     BACKENDS,
-    ExecutionBackend,
     ProcessBackend,
     SerialBackend,
     SnapshotTask,
-    ThreadBackend,
     get_backend,
-    register_backend,
 )
 from repro.parallel.decomposition import BlockDecomposition
 
@@ -43,12 +43,11 @@ def _halo_spec(data: np.ndarray) -> HaloQualitySpec:
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        assert {"serial", "thread", "process"} <= set(BACKENDS)
+    def test_two_backends(self):
+        assert sorted(BACKENDS) == ["process", "serial"]
 
     def test_get_backend_by_name(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread"), ThreadBackend)
         assert isinstance(get_backend("process"), ProcessBackend)
 
     def test_default_is_serial(self):
@@ -73,34 +72,34 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("gpu")
 
+    def test_thread_is_unknown_everywhere(self, rate_model, decomposition):
+        """The retired thread backend fails in one place, ``get_backend``,
+        whichever front names it."""
+        from repro.foresight import QualityCriteria, run_sweep
+        from repro.stream import InSituController
+
+        fronts = [
+            lambda: AdaptiveCompressionPipeline(rate_model, backend="thread"),
+            lambda: InSituController(decomposition, backend="thread"),
+            lambda: run_sweep(
+                {"f": np.ones(decomposition.shape)},
+                [0.1],
+                {"f": QualityCriteria()},
+                decomposition=decomposition,
+                backend="thread",
+            ),
+        ]
+        for front in fronts:
+            with pytest.raises(ValueError, match=r"\['process', 'serial'\]"):
+                front()
+
     def test_bad_type(self):
         with pytest.raises(TypeError, match="backend"):
             get_backend(42)
 
-    def test_register_custom_backend(self):
-        class EchoBackend(SerialBackend):
-            name = "echo-test"
-
-        try:
-            register_backend(EchoBackend)
-            assert isinstance(get_backend("echo-test"), EchoBackend)
-        finally:
-            BACKENDS.pop("echo-test", None)
-
-    def test_register_requires_name(self):
-        class Nameless(SerialBackend):
-            name = ExecutionBackend.name
-
-        with pytest.raises(ValueError, match="name"):
-            register_backend(Nameless)
-
-    def test_register_requires_subclass(self):
-        with pytest.raises(TypeError, match="ExecutionBackend"):
-            register_backend(dict)
-
 
 class TestBackendEquivalence:
-    """Serial, thread-SPMD and process backends must agree byte for byte."""
+    """Serial and process backends must agree byte for byte."""
 
     @pytest.mark.parametrize("normalization", ["exact", "local"])
     @pytest.mark.parametrize("use_halo", [False, True])
@@ -114,19 +113,15 @@ class TestBackendEquivalence:
             rate_model, settings=OptimizerSettings(normalization=normalization)
         )
         serial = pipe.run(data, decomposition, eb_avg=0.2, halo=halo)
-        thread, process = (
-            AdaptiveCompressionPipeline(
-                rate_model, settings=pipe.settings, backend=backend
-            ).run_insitu_spmd(data, decomposition, eb_avg=0.2, halo=halo)
-            for backend in ("thread", process_backend)
-        )
-        for other in (thread, process):
-            assert np.array_equal(serial.ebs, other.ebs)
-            assert len(serial.blocks) == len(other.blocks)
-            for a, b in zip(serial.blocks, other.blocks):
-                assert a.shape == b.shape
-                assert a.eb == b.eb
-                assert a.payloads == b.payloads  # byte-identical payloads
+        process = AdaptiveCompressionPipeline(
+            rate_model, settings=pipe.settings, backend=process_backend
+        ).run_insitu_spmd(data, decomposition, eb_avg=0.2, halo=halo)
+        assert np.array_equal(serial.ebs, process.ebs)
+        assert len(serial.blocks) == len(process.blocks)
+        for a, b in zip(serial.blocks, process.blocks):
+            assert a.shape == b.shape
+            assert a.eb == b.eb
+            assert a.payloads == b.payloads  # byte-identical payloads
         assert [f.mean_abs for f in serial.features] == [
             f.mean_abs for f in process.features
         ]
@@ -135,26 +130,12 @@ class TestBackendEquivalence:
         self, snapshot, decomposition, rate_model, process_backend
     ):
         data = snapshot["baryon_density"]
-        for backend in (SerialBackend(), ThreadBackend(), process_backend):
+        for backend in (SerialBackend(), process_backend):
             pipe = AdaptiveCompressionPipeline(rate_model, backend=backend)
             res = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
             assert set(res.timings.totals) >= {"features", "optimize", "compress"}
             assert res.timings.totals["compress"] > 0
             assert res.timings.overhead_ratio("features", "compress") >= 0
-
-    def test_local_protocol_reports_optimization_diagnostics(
-        self, snapshot, decomposition, rate_model
-    ):
-        data = snapshot["baryon_density"]
-        pipe = AdaptiveCompressionPipeline(
-            rate_model,
-            settings=OptimizerSettings(normalization="local"),
-            backend="thread",
-        )
-        res = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
-        assert res.optimization is not None
-        assert res.optimization.constraint == "spectrum"
-        assert np.array_equal(res.optimization.ebs, res.ebs)
 
 
 class TestSingleOptimization:
@@ -179,7 +160,7 @@ class TestSingleOptimization:
         monkeypatch.setattr(backends_mod, "optimize_combined", counting_combined)
         return counts
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_exact_mode_optimizes_once(
         self, snapshot, decomposition, rate_model, counters, process_backend, backend
     ):
@@ -189,7 +170,7 @@ class TestSingleOptimization:
         assert counters["spectrum"] == 1
         assert counters["combined"] == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_halo_mode_optimizes_once(
         self, snapshot, decomposition, rate_model, counters, process_backend, backend
     ):
@@ -202,17 +183,31 @@ class TestSingleOptimization:
         assert counters["combined"] == 1
         assert counters["spectrum"] == 0
 
-    def test_local_protocol_needs_no_global_solve(
+    def test_local_protocol_is_per_rank_arithmetic(
         self, snapshot, decomposition, rate_model, counters
     ):
-        pipe = AdaptiveCompressionPipeline(
-            rate_model,
-            settings=OptimizerSettings(normalization="local"),
-            backend="thread",
+        """The paper's local protocol on the serial path: one spectrum
+        call whose bounds are each rank's own solve against the mean one
+        allreduce would share."""
+        settings = OptimizerSettings(normalization="local")
+        pipe = AdaptiveCompressionPipeline(rate_model, settings=settings)
+        res = pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+        assert counters == {"spectrum": 1, "combined": 0}
+
+        means = [f.mean_abs for f in res.features]
+        global_mean = rank_order_mean(means)
+        # allreduce("sum") / size: a left fold over the ranks, in order.
+        assert global_mean == functools.reduce(operator.add, means) / len(means)
+        want = np.array(
+            [
+                local_protocol_bound(f.mean_abs, global_mean, rate_model, 0.2, settings)
+                for f in res.features
+            ],
+            dtype=np.float64,
         )
-        pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
-        assert counters["spectrum"] == 0
-        assert counters["combined"] == 0
+        assert res.ebs.tobytes() == want.tobytes()
+        assert res.optimization.constraint == "spectrum"
+        assert np.array_equal(res.optimization.ebs, res.ebs)
 
 
 class TestProcessBackend:
@@ -328,6 +323,8 @@ class TestProcessBackend:
             ProcessBackend(max_workers=0)
         with pytest.raises(ValueError, match="batch_size"):
             ProcessBackend(batch_size=0)
+        with pytest.raises(ValueError, match="start_method"):
+            ProcessBackend(start_method="frok")
 
     def test_batches_cover_all_ranks(self):
         backend = ProcessBackend(max_workers=2, batch_size=3)
@@ -371,14 +368,6 @@ class TestMapTasks:
         backend = SerialBackend()
         assert backend.parallelism == 1
         assert backend.map_tasks(_square, range(6)) == [0, 1, 4, 9, 16, 25]
-
-    def test_thread_backend_preserves_order(self):
-        backend = ThreadBackend()
-        assert backend.parallelism >= 1
-        assert backend.map_tasks(_square, range(20)) == [x * x for x in range(20)]
-
-    def test_thread_backend_single_item_runs_inline(self):
-        assert ThreadBackend().map_tasks(_square, [7]) == [49]
 
     def test_process_backend_preserves_order(self, process_backend):
         assert process_backend.parallelism == 2

@@ -296,8 +296,7 @@ class TestBatchUse:
         assert set(merged.totals) >= {"features", "optimize", "compress"}
         assert merged.overhead_ratio("features", "compress") >= 0
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_backends_agree_byte_for_byte(self, stream_sim, stream_dec, backend):
+    def test_backends_agree_byte_for_byte(self, stream_sim, stream_dec):
         from repro.parallel.backends import get_backend
 
         snap = stream_sim.snapshot(z=1.0)
@@ -309,8 +308,7 @@ class TestBatchUse:
             return ctl.process_snapshot(snap)
 
         serial = run(None)
-        kwargs = {"max_workers": 2} if backend == "process" else {}
-        with get_backend(backend, **kwargs) as resolved:
+        with get_backend("process", max_workers=2) as resolved:
             other = run(resolved)
         assert [o.field for o in serial] == [o.field for o in other]
         for a, b in zip(serial, other):
@@ -521,20 +519,22 @@ class TestLedgerReplay:
         """The paper's local protocol (per-rank solves from one
         allreduce) must replay bitwise and agree across backends."""
         from repro.core.config import OptimizerSettings
+        from repro.parallel.backends import get_backend
 
         snaps = [stream_sim.snapshot(z=z) for z in (2.0, 1.0)]
         settings = OptimizerSettings(normalization="local")
         reports = {}
-        for backend in ("serial", "thread"):
-            ctl = InSituController(
-                stream_dec, settings=settings, backend=backend, max_partitions=8
-            )
-            reports[backend] = ctl.run(SnapshotSequence(snaps))
+        for name in ("serial", "process"):
+            with get_backend(name) as backend:
+                ctl = InSituController(
+                    stream_dec, settings=settings, backend=backend, max_partitions=8
+                )
+                reports[name] = ctl.run(SnapshotSequence(snaps))
             decisions = replay_ledger(ctl.ledger)
             assert [d.ebs for d in decisions] == [
-                tuple(o.result.ebs.tolist()) for o in reports[backend].outcomes
+                tuple(o.result.ebs.tolist()) for o in reports[name].outcomes
             ]
-        for a, b in zip(reports["serial"].outcomes, reports["thread"].outcomes):
+        for a, b in zip(reports["serial"].outcomes, reports["process"].outcomes):
             assert a.result.ebs.tobytes() == b.result.ebs.tobytes()
 
     def test_live_ledger_replayable_in_memory(self, stream_dec, base_snapshot):

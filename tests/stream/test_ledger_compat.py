@@ -119,6 +119,26 @@ class TestFrozenFixtures:
         ctl.close()
         assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
 
+    def test_thread_stamped_ledger_resumes_and_replays(self, tmp_path):
+        """The thread backend is gone; a ledger whose ``run_start`` names
+        it still replays and resumes, because the recorded backend is
+        written for the reader and never read back."""
+        from repro.stream.controller import InSituController
+
+        lines = (FIXTURES / "v3_ledger.jsonl").read_text().splitlines()
+        start = json.loads(lines[0])
+        assert start["kind"] == "run_start" and start["data"]["backend"] == "serial"
+        start["data"]["backend"] = "thread"
+        lines[0] = json.dumps(start, sort_keys=True, separators=(",", ":"))
+        old = tmp_path / "thread.jsonl"
+        old.write_text("\n".join(lines) + "\n")
+
+        assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
+        ctl = InSituController.resume(old)
+        assert ctl.backend.name == "serial"
+        ctl.close()
+        assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
+
     @pytest.mark.parametrize("retired", ["numba", "numpy"])
     def test_retired_kernels_stamp_resolves_resumes_and_replays(
         self, tmp_path, stream_sim, retired

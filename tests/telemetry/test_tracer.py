@@ -90,7 +90,7 @@ class TestNesting:
 
     def test_per_thread_parent_stacks(self):
         # Two threads nest independently: neither sees the other's
-        # open span as a parent (ThreadBackend rank isolation).
+        # open span as a parent (a new thread starts a fresh context).
         with telemetry.armed() as tracer:
             barrier = threading.Barrier(2)
 

@@ -216,7 +216,7 @@ class TestCommands:
                 "--tolerance",
                 "0.5",
                 "--backend",
-                "thread",
+                "process",
             ]
         )
         assert rc == 0
@@ -261,6 +261,20 @@ class TestCommands:
         assert exc.value.code == 2
         assert "invalid choice: 'estimate'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compress", "--snapshot", "s.npz", "--field", "temperature", "--out", "o"],
+            ["sweep", "--snapshot", "s.npz", "--field", "temperature", "--ebs", "1"],
+            ["stream", "--simulate"],
+        ],
+    )
+    def test_thread_is_no_longer_a_backend(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--backend", "thread"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_compress_model_probe_mode(self, snap_path, tmp_path, capsys):
         out = tmp_path / "blocks-model.npz"
         rc = main(
@@ -281,7 +295,7 @@ class TestCommands:
         assert rc == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_compress_backend_flag(self, snap_path, tmp_path, capsys, backend):
         out = tmp_path / f"blocks-{backend}.npz"
         rc = main(
@@ -307,7 +321,7 @@ class TestCommands:
 
     def test_backend_outputs_identical(self, snap_path, tmp_path):
         outs = {}
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             out = tmp_path / f"b-{backend}.npz"
             main(
                 [
@@ -321,9 +335,9 @@ class TestCommands:
             )
             outs[backend] = load_blocks(str(out))
         serial_blocks, serial_ebs, _ = outs["serial"]
-        thread_blocks, thread_ebs, _ = outs["thread"]
-        assert np.array_equal(serial_ebs, thread_ebs)
-        for a, b in zip(serial_blocks, thread_blocks):
+        process_blocks, process_ebs, _ = outs["process"]
+        assert np.array_equal(serial_ebs, process_ebs)
+        for a, b in zip(serial_blocks, process_blocks):
             assert a.payloads == b.payloads
 
     def test_unknown_command_exits(self):

@@ -6,7 +6,7 @@ Every ``examples/*.py`` guards ``main()`` behind ``__name__ ==
 without running it.  The storage-budget example is additionally *run*:
 it is the batch front door (the controller with frozen models).  The
 prose that shows users what to type — README, ``docs/``, the examples —
-may only name probe modes that exist.
+may only name probe modes and backends that exist.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ from pathlib import Path
 import pytest
 
 from repro.models.calibration import PROBE_MODES
+from repro.parallel.backends import BACKENDS
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 USER_FACING = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")), *EXAMPLES]
 _MODE_LITERAL = re.compile(r"""probe_mode=["'](\w+)["']|--probe-mode[ =](\w+)""")
+_BACKEND_LITERAL = re.compile(r"""backend=["'](\w+)["']|--backend[ =](\w+)""")
 
 
 def _load(path: Path):
@@ -45,6 +47,12 @@ def test_example_imports(path):
 def test_only_real_probe_modes_are_documented(path):
     named = {py or cli for py, cli in _MODE_LITERAL.findall(path.read_text())}
     assert named <= set(PROBE_MODES)
+
+
+@pytest.mark.parametrize("path", USER_FACING, ids=lambda p: p.name)
+def test_only_real_backends_are_documented(path):
+    named = {py or cli for py, cli in _BACKEND_LITERAL.findall(path.read_text())}
+    assert named <= set(BACKENDS)
 
 
 def test_campaign_storage_budget_runs(capsys):
