@@ -112,6 +112,18 @@ def _best_of(fn, rounds: int = ROUNDS) -> float:
     return min(times)
 
 
+def _best_of_interleaved(fns: dict, rounds: int = ROUNDS) -> dict[str, float]:
+    """Best-of-``rounds`` of each of ``fns``, one call of each per round,
+    so a stretch of machine noise lands on every side of a ratio."""
+    times = {key: [] for key in fns}
+    for _ in range(rounds):
+        for key, fn in fns.items():
+            start = time.perf_counter()
+            fn()
+            times[key].append(time.perf_counter() - start)
+    return {key: min(ts) for key, ts in times.items()}
+
+
 def test_hotpath(benchmark):
     sim = NyxSimulator(shape=SHAPE, box_size=float(SHAPE[0]), seed=42, sigma_delta0=2.5)
     snap = sim.snapshot(z=0.5)
@@ -137,13 +149,20 @@ def test_hotpath(benchmark):
         }
         for blocks in CALIBRATION_BLOCKS:
             views = BlockDecomposition(data.shape, blocks=blocks).partition_views(data)
-            # record keys keep the codec-free mode's former name
-            for key, mode in (("exact", "exact"), ("estimate", "model")):
-                t[f"calibration_{key}_b{blocks}_s"] = _best_of(
-                    lambda m=mode, v=views: calibrate_rate_model(
+            # The two modes differ by ~20 % on ~25 ms: separate best-of-3
+            # runs let one noisy stretch of a shared machine flip the ratio.
+            # Record keys keep the codec-free mode's former name.
+            best = _best_of_interleaved(
+                {
+                    key: lambda m=mode, v=views: calibrate_rate_model(
                         v, eb_scale=eb, max_partitions=24, seed=0, probe_mode=m
                     )
-                )
+                    for key, mode in (("exact", "exact"), ("estimate", "model"))
+                },
+                rounds=15,
+            )
+            for key, seconds in best.items():
+                t[f"calibration_{key}_b{blocks}_s"] = seconds
         return t
 
     t = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -23,11 +23,11 @@ Modeling").  The quantize -> Lorenzo -> fold front is shared with the
 exact probe and is now the larger part of it (run-length DEFLATE is
 cheap), so the codec-free probe is 1.3-1.7x faster on 32^3 partitions,
 not the >= 3x it was over an LZ77 entropy stage; fitted coefficients
-stay within the estimator's accuracy band of the exact-mode fit.  All probe
-bounds for one partition run as a *single* batched pass
-(:meth:`~repro.compression.sz.SZCompressor.estimate_many`, or
-``compress_many`` when the codec runs), in process: partitions are
-probed one after another by the calling thread.
+stay within the estimator's accuracy band of the exact-mode fit.  Every
+sampled partition at every probe bound runs through a *single* batched
+call (:meth:`~repro.compression.sz.SZCompressor.estimate_many`, or
+``compress_many`` when the codec runs), in process: its chunks fan out
+over threads once per calibration, not once per partition.
 """
 
 from __future__ import annotations
@@ -92,17 +92,24 @@ def sample_views(
 
 
 def _probe_rates(
-    comp: Compressor, part: np.ndarray, probe_ebs: Sequence[float], probe_mode: str
+    comp: Compressor,
+    parts: Sequence[np.ndarray],
+    probe_ebs: Sequence[float],
+    probe_mode: str,
 ) -> np.ndarray:
-    """Bit rate at each probe bound for one partition.
+    """Bit rate of every partition at every probe bound, one row per
+    partition.
 
-    All bounds go through one batched call — ``compress_many`` when the
-    codec runs, ``estimate_many`` when it does not — so the front is a
-    single kernel pass over a ``(n_ebs, n)`` batch either way.
+    All (partition, bound) pairs go through one batched call —
+    ``compress_many`` when the codec runs, ``estimate_many`` when it does
+    not — so the front is a few chunked kernel passes, fanned out once,
+    however many partitions are sampled.
     """
-    views, ebs = [part] * len(probe_ebs), list(probe_ebs)
+    views = [part for part in parts for _ in probe_ebs]
+    ebs = list(probe_ebs) * len(parts)
     probe = comp.compress_many if probe_mode == "exact" else comp.estimate_many
-    return np.array([p.bit_rate for p in probe(views, ebs)])
+    rates = np.array([p.bit_rate for p in probe(views, ebs)])
+    return rates.reshape(len(parts), len(probe_ebs))
 
 
 def partition_feature(partition: np.ndarray) -> float:
@@ -193,7 +200,7 @@ def calibrate_rate_model(
         raise ValueError("probe error bounds must be positive")
 
     probed = sample_views(partitions, max_partitions, seed)
-    all_rates = [_probe_rates(comp, part, probe_ebs, probe_mode) for part in probed]
+    all_rates = _probe_rates(comp, probed, probe_ebs, probe_mode)
 
     exps: list[float] = []
     feats: list[float] = []

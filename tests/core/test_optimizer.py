@@ -8,9 +8,11 @@ import pytest
 from repro.core.config import HaloQualitySpec, OptimizerSettings
 from repro.core.features import PartitionFeatures
 from repro.core.optimizer import (
+    local_protocol_bound,
     optimize_combined,
     optimize_for_halo,
     optimize_for_spectrum,
+    rank_order_mean,
 )
 from repro.models.halo_error import halo_mass_error_budget
 from repro.models.rate_model import RateModel
@@ -68,6 +70,51 @@ class TestSpectrumOptimization:
     def test_rejects_empty_features(self, model):
         with pytest.raises(ValueError, match="at least one"):
             optimize_for_spectrum([], model, eb_avg=0.5)
+
+
+class TestLocalProtocol:
+    """The paper's one-allreduce protocol as scalar per-rank arithmetic."""
+
+    def test_rank_order_mean_is_a_left_fold(self):
+        # allreduce("sum") folds the ranks left to right, so the order
+        # of the ranks shows in the rounding; a pairwise or exact sum
+        # would give 1/3 both times.
+        assert rank_order_mean([1e16, 1.0, -1e16]) == 0.0
+        assert rank_order_mean([1e16, -1e16, 1.0]) == 1.0 / 3.0
+
+    def test_rank_order_mean_of_one_rank(self):
+        assert rank_order_mean([0.7]) == 0.7
+
+    def test_rank_order_mean_rejects_no_ranks(self):
+        with pytest.raises(ValueError, match="at least one"):
+            rank_order_mean([])
+
+    def test_rank_at_the_global_mean_gets_the_average_bound(self, model):
+        settings = OptimizerSettings(normalization="local")
+        assert local_protocol_bound(2.5, 2.5, model, 0.5, settings) == 0.5
+
+    def test_bound_clamped_around_the_average(self, model):
+        settings = OptimizerSettings(normalization="local", clamp_factor=4.0)
+        assert local_protocol_bound(1e-12, 1.0, model, 0.5, settings) == 0.5 / 4.0
+        assert local_protocol_bound(1e12, 1.0, model, 0.5, settings) == 0.5 * 4.0
+
+    def test_shared_global_coefficient_changes_nothing(self, model):
+        settings = OptimizerSettings(normalization="local")
+        shared = float(model.predict_coefficient(1.3))
+        for mean_abs in (0.2, 1.3, 7.0):
+            assert local_protocol_bound(
+                mean_abs, 1.3, model, 0.5, settings, global_coefficient=shared
+            ) == local_protocol_bound(mean_abs, 1.3, model, 0.5, settings)
+
+    def test_local_branch_is_the_per_rank_bound(self, model):
+        means = [0.3, 1.0, 2.0, 9.0]
+        settings = OptimizerSettings(normalization="local")
+        res = optimize_for_spectrum(_features(means), model, 0.5, settings)
+        want = [
+            local_protocol_bound(m, rank_order_mean(means), model, 0.5, settings)
+            for m in means
+        ]
+        assert res.ebs.tolist() == want
 
 
 class TestHaloOptimization:

@@ -83,9 +83,50 @@ class TestRun:
         assert res.eb_map(decomposition).shape == decomposition.blocks
 
 
+@pytest.fixture(scope="module")
+def process_pipe(request):
+    """A pipeline on a two-worker pool, so ``run_insitu_spmd`` and the
+    serial ``run`` take different paths."""
+    calibrated = request.getfixturevalue("calibrated")
+    with AdaptiveCompressionPipeline(calibrated.rate_model, backend="process") as pipe:
+        yield pipe
+
+
 class TestSpmdEquivalence:
     """``run_insitu_spmd`` runs on the backend chosen at construction
     (the default is serial)."""
+
+    def test_spmd_matches_serial_exact_mode(self, snapshot, decomposition, process_pipe):
+        data = snapshot["baryon_density"]
+        serial = process_pipe.run(data, decomposition, eb_avg=0.2)
+        spmd = process_pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
+        assert np.array_equal(spmd.ebs, serial.ebs)
+        assert [b.nbytes for b in spmd.blocks] == [b.nbytes for b in serial.blocks]
+
+    def test_spmd_with_halo(self, snapshot, decomposition, process_pipe):
+        data = snapshot["baryon_density"]
+        tb = float(np.percentile(data.astype(np.float64), 99.0))
+        halo = HaloQualitySpec(t_boundary=tb, mass_budget=100.0, reference_eb=0.5)
+        serial = process_pipe.run(data, decomposition, eb_avg=0.2, halo=halo)
+        spmd = process_pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2, halo=halo)
+        assert np.array_equal(spmd.ebs, serial.ebs)
+
+    def test_spmd_timings_populated(self, snapshot, decomposition, process_pipe):
+        """Regression: the SPMD path used to return empty timings."""
+        res = process_pipe.run_insitu_spmd(
+            snapshot["baryon_density"], decomposition, eb_avg=0.2
+        )
+        assert set(res.timings.totals) >= {"features", "optimize", "compress"}
+        assert res.timings.totals["compress"] > 0
+
+    def test_spmd_returns_rank0_optimization(self, snapshot, decomposition, process_pipe):
+        """Regression: the SPMD path used to re-solve the optimization
+        instead of returning the result its bounds came from."""
+        res = process_pipe.run_insitu_spmd(
+            snapshot["baryon_density"], decomposition, eb_avg=0.2
+        )
+        assert res.optimization is not None
+        assert np.array_equal(res.optimization.ebs, res.ebs)
 
     def test_spmd_local_protocol_close(self, snapshot, decomposition, calibrated):
         data = snapshot["baryon_density"]

@@ -13,6 +13,7 @@ from repro.models.calibration import (
     partition_feature,
     sample_views,
 )
+from repro.models.rate_model import fit_power_law
 
 
 class TestPartitionFeature:
@@ -173,8 +174,31 @@ class TestExactProbeFanOut:
         assert parts[0].size >= FANOUT_MIN_ELEMENTS
         return parts
 
-    def test_one_fan_out_per_partition(self, map_calls):
+    def test_one_fan_out_per_calibration(self, map_calls):
         parts = self._partitions()
         calibrate_rate_model(parts, eb_scale=0.05, seed=0)
-        # five probe bounds of one partition: one chunk per thread
-        assert map_calls == [2] * len(parts)
+        # three partitions at five probe bounds are one batch: fifteen
+        # 32^3 blocks make two chunks of at most eight, one per thread
+        assert map_calls == [2]
+
+    @pytest.mark.parametrize("probe_mode", ["exact", "model"])
+    def test_one_batch_matches_per_partition_probes(self, probe_mode):
+        """Batching every partition into one probe call changes no rate."""
+        from repro.compression.sz import SZCompressor
+
+        parts = self._partitions()
+        probe_ebs = [0.05 * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
+        comp = SZCompressor()
+        probe = comp.compress_many if probe_mode == "exact" else comp.estimate_many
+        one_by_one = [
+            [p.bit_rate for p in probe([part] * len(probe_ebs), probe_ebs)]
+            for part in parts
+        ]
+        cal = calibrate_rate_model(
+            parts, compressor=comp, probe_ebs=probe_ebs, seed=0, probe_mode=probe_mode
+        )
+        want = [
+            fit_power_law(np.asarray(probe_ebs), np.array(rates))[1]
+            for rates in one_by_one
+        ]
+        assert cal.exponents.tolist() == want

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import multiprocessing as mp
 import operator
 import os
 
@@ -46,6 +47,11 @@ class TestRegistry:
     def test_two_backends(self):
         assert sorted(BACKENDS) == ["process", "serial"]
 
+    def test_builtins_registered(self):
+        assert BACKENDS == {"serial": SerialBackend, "process": ProcessBackend}
+        for name, cls in BACKENDS.items():
+            assert cls.name == name
+
     def test_get_backend_by_name(self):
         assert isinstance(get_backend("serial"), SerialBackend)
         assert isinstance(get_backend("process"), ProcessBackend)
@@ -72,26 +78,26 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("gpu")
 
-    def test_thread_is_unknown_everywhere(self, rate_model, decomposition):
+    @pytest.mark.parametrize("front", ["pipeline", "controller", "sweep"])
+    def test_thread_is_unknown_everywhere(self, rate_model, decomposition, front):
         """The retired thread backend fails in one place, ``get_backend``,
         whichever front names it."""
         from repro.foresight import QualityCriteria, run_sweep
         from repro.stream import InSituController
 
-        fronts = [
-            lambda: AdaptiveCompressionPipeline(rate_model, backend="thread"),
-            lambda: InSituController(decomposition, backend="thread"),
-            lambda: run_sweep(
+        fronts = {
+            "pipeline": lambda: AdaptiveCompressionPipeline(rate_model, backend="thread"),
+            "controller": lambda: InSituController(decomposition, backend="thread"),
+            "sweep": lambda: run_sweep(
                 {"f": np.ones(decomposition.shape)},
                 [0.1],
                 {"f": QualityCriteria()},
                 decomposition=decomposition,
                 backend="thread",
             ),
-        ]
-        for front in fronts:
-            with pytest.raises(ValueError, match=r"\['process', 'serial'\]"):
-                front()
+        }
+        with pytest.raises(ValueError, match=r"\['process', 'serial'\]"):
+            fronts[front]()
 
     def test_bad_type(self):
         with pytest.raises(TypeError, match="backend"):
@@ -326,6 +332,12 @@ class TestProcessBackend:
         with pytest.raises(ValueError, match="start_method"):
             ProcessBackend(start_method="frok")
 
+    @pytest.mark.parametrize("method", mp.get_all_start_methods())
+    def test_accepts_every_platform_start_method(self, method):
+        backend = ProcessBackend(start_method=method)
+        assert backend.start_method == method
+        assert backend._pool is None  # validated without starting a pool
+
     def test_batches_cover_all_ranks(self):
         backend = ProcessBackend(max_workers=2, batch_size=3)
         batches = backend._batches(8)
@@ -377,6 +389,9 @@ class TestMapTasks:
 
     def test_process_backend_empty_items(self, process_backend):
         assert process_backend.map_tasks(_square, []) == []
+
+    def test_process_backend_single_item(self, process_backend):
+        assert process_backend.map_tasks(_square, [7]) == [49]
 
     def test_every_registered_backend_agrees(self):
         want = [x * x for x in range(5)]

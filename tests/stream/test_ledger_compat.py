@@ -139,6 +139,26 @@ class TestFrozenFixtures:
         ctl.close()
         assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
 
+    @pytest.mark.parametrize("name", ["pr4_ledger", "v2_ledger", "v3_ledger"])
+    def test_thread_stamped_runs_replay_to_pinned_decisions(self, tmp_path, name):
+        """Every schema's ``run_start`` carries a backend name; naming the
+        retired thread backend in each of them changes no decision."""
+        lines = []
+        for line in (FIXTURES / f"{name}.jsonl").read_text().splitlines():
+            event = json.loads(line)
+            if event["kind"] == "run_start":
+                assert event["data"]["backend"] == "serial"
+                event["data"]["backend"] = "thread"
+                line = json.dumps(event, sort_keys=True, separators=(",", ":"))
+            lines.append(line)
+        old = tmp_path / f"thread-{name}.jsonl"
+        old.write_text("\n".join(lines) + "\n")
+
+        pinned = json.loads((FIXTURES / f"{name}.decisions.json").read_text())
+        assert _bounds(replay_ledger(old, verify=True)) == [
+            (p["snapshot"], p["field"], p["ebs"]) for p in pinned
+        ]
+
     @pytest.mark.parametrize("retired", ["numba", "numpy"])
     def test_retired_kernels_stamp_resolves_resumes_and_replays(
         self, tmp_path, stream_sim, retired
