@@ -27,7 +27,7 @@ def test_ablation_normalization_protocol(snapshot, decomposition, rate_models, b
                 rate_models[field].rate_model,
                 settings=OptimizerSettings(normalization=norm),
             )
-            res = pipe.run_insitu_spmd(data, decomposition, eb_avg=eb_avg)
+            res = pipe.run(data, decomposition, eb_avg=eb_avg)
             out[norm] = res
         return out
 

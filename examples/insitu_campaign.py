@@ -53,7 +53,7 @@ def main() -> None:
             snap = sim.snapshot(z=z)
             data = snap[FIELD]
             # Workers extract features and compress; this process optimizes.
-            adaptive = pipe.run_insitu_spmd(data, dec, eb_avg=EB_AVG)
+            adaptive = pipe.run(data, dec, eb_avg=EB_AVG)
             frozen_bytes = sum(
                 pipe.compressor.compress(v, float(eb)).nbytes
                 for v, eb in zip(dec.partition_views(data), frozen)

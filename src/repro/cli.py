@@ -271,7 +271,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         cal.rate_model, compressor=compressor, backend=backend
     )
     try:
-        result = pipe.run_insitu_spmd(data, dec, eb_avg=eb_avg)
+        result = pipe.run(data, dec, eb_avg=eb_avg)
     finally:
         backend.close()
     save_blocks(args.out, result.blocks, result.ebs, args.blocks)

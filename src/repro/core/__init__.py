@@ -27,6 +27,7 @@ from repro.core.config import FieldSpec, HaloQualitySpec, OptimizerSettings
 from repro.core.features import PartitionFeatures, extract_features
 from repro.core.optimizer import (
     OptimizationResult,
+    optimize,
     optimize_combined,
     optimize_for_halo,
     optimize_for_spectrum,
@@ -49,6 +50,7 @@ __all__ = [
     "PartitionFeatures",
     "extract_features",
     "OptimizationResult",
+    "optimize",
     "optimize_for_spectrum",
     "optimize_for_halo",
     "optimize_combined",

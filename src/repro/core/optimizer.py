@@ -1,6 +1,7 @@
 """Per-partition error-bound optimization (§3.6).
 
-Three entry points:
+Three solvers behind one dispatch, :func:`optimize`, which both
+execution backends and ledger replay call:
 
 - :func:`optimize_for_spectrum` — power-spectrum constraint: the FFT
   error model (Eq. 10) depends only on the *average* bound, so the
@@ -30,6 +31,7 @@ from repro.util.validation import check_positive
 
 __all__ = [
     "OptimizationResult",
+    "optimize",
     "optimize_for_spectrum",
     "optimize_for_halo",
     "optimize_combined",
@@ -106,6 +108,18 @@ class OptimizationResult:
     @property
     def predicted_mean_bitrate(self) -> float:
         return float(self.predicted_bitrates.mean())
+
+
+def _cell_rates(features: Sequence[PartitionFeatures], who: str) -> np.ndarray:
+    rates = np.array(
+        [np.nan if f.effective_cell_rate is None else f.effective_cell_rate for f in features]
+    )
+    if np.isnan(rates).any():
+        raise ValueError(
+            f"{who} optimization requires effective_cell_rate in every partition's "
+            "features (extract with t_boundary set)"
+        )
+    return rates
 
 
 def _coefficients(features: Sequence[PartitionFeatures], model: RateModel) -> np.ndarray:
@@ -194,14 +208,7 @@ def optimize_for_halo(
     settings = settings or OptimizerSettings()
     coeffs = _coefficients(features, rate_model)
     c = rate_model.exponent
-    rates = np.array(
-        [f.effective_cell_rate if f.effective_cell_rate is not None else np.nan for f in features]
-    )
-    if np.isnan(rates).any():
-        raise ValueError(
-            "halo optimization requires effective_cell_rate in every partition's "
-            "features (extract with t_boundary set)"
-        )
+    rates = _cell_rates(features, "halo")
 
     # Linear budget on sum(rate_m * eb_m).
     weighted_sum_budget = halo.mass_budget / (halo.t_boundary * FAULT_PROBABILITY)
@@ -248,11 +255,7 @@ def optimize_combined(
     """
     settings = settings or OptimizerSettings()
     spec_result = optimize_for_spectrum(features, rate_model, eb_avg, settings)
-    rates = np.array(
-        [f.effective_cell_rate if f.effective_cell_rate is not None else np.nan for f in features]
-    )
-    if np.isnan(rates).any():
-        raise ValueError("combined optimization requires effective_cell_rate features")
+    rates = _cell_rates(features, "combined")
     budget_at_spec = halo_mass_error_budget(halo.t_boundary, rates, spec_result.ebs)
     if budget_at_spec <= halo.mass_budget or rates.sum() == 0:
         return OptimizationResult(
@@ -274,3 +277,17 @@ def optimize_combined(
         halo_budget_used=halo_mass_error_budget(halo.t_boundary, rates, ebs),
         halo_constrained=True,
     )
+
+
+def optimize(
+    features: Sequence[PartitionFeatures],
+    rate_model: RateModel,
+    eb_avg: float,
+    settings: OptimizerSettings | None = None,
+    halo: HaloQualitySpec | None = None,
+) -> OptimizationResult:
+    """One decision's bounds: the combined §3.6 strategy when ``halo`` is
+    set (density fields), the spectrum constraint alone otherwise."""
+    if halo is not None:
+        return optimize_combined(features, rate_model, eb_avg, halo, settings)
+    return optimize_for_spectrum(features, rate_model, eb_avg, settings)

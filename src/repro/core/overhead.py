@@ -14,6 +14,8 @@ import numpy as np
 
 from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.core.features import extract_features
+from repro.core.optimizer import optimize
+from repro.models.rate_model import RateModel
 from repro.parallel.decomposition import BlockDecomposition
 from repro.util.timer import Timer
 
@@ -57,9 +59,12 @@ def measure_overhead(
     """Measure feature-extraction overhead relative to compression.
 
     Phases are timed separately over ``repeats`` passes (minimum taken,
-    standard practice for wall-clock micro-measurements).  ``compressor``
-    is registry-resolvable (instance, spec, spec string or ``None`` for
-    the SZ default), so the §4.3 ratios can be measured per family.
+    standard practice for wall-clock micro-measurements); compression is
+    one ``compress_many`` call and the optimization one
+    :func:`~repro.core.optimizer.optimize` call, as the backends run them.
+    ``compressor`` is registry-resolvable (instance, spec, spec string or
+    ``None`` for the SZ default), so the §4.3 ratios can be measured per
+    family.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -91,13 +96,10 @@ def measure_overhead(
 
     # The optimization itself: closed-form evaluation over M scalars.
     feats = [extract_features(v, rank=i) for i, v in enumerate(views)]
-    from repro.core.optimizer import optimize_for_spectrum
-    from repro.models.rate_model import RateModel
-
     model = RateModel(exponent=-0.8, coef_alpha=0.0, coef_beta=0.2)
-    optimize_time = _time(lambda: optimize_for_spectrum(feats, model, eb))
+    optimize_time = _time(lambda: optimize(feats, model, eb))
 
-    compress_time = _time(lambda: [comp.compress(v, eb) for v in views])
+    compress_time = _time(lambda: comp.compress_many(views, [eb] * len(views)))
     return OverheadReport(
         feature_time=feature_time,
         boundary_time=boundary_time,

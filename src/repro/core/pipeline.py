@@ -13,7 +13,8 @@ Per snapshot and field, the protocol each rank follows is:
 :class:`~repro.parallel.backends.ExecutionBackend`, chosen once when the
 pipeline is built: a serial rank loop (the default) or a process pool
 with shared-memory partition views and batched compression.  Both
-perform exactly one global optimization per snapshot, merge per-rank
+make exactly one :func:`~repro.core.optimizer.optimize` call per
+snapshot (the function ledger replay calls too), merge per-rank
 timings (so the §4.3 overhead claims can be measured rather than assumed
 on either path) and return the
 :class:`~repro.parallel.backends.SnapshotResult` the pipeline hands on
@@ -30,7 +31,6 @@ from repro.core.config import HaloQualitySpec, OptimizerSettings
 from repro.models.rate_model import RateModel
 from repro.parallel.backends import (
     ExecutionBackend,
-    SerialBackend,
     SnapshotResult,
     SnapshotTask,
     get_backend,
@@ -61,7 +61,7 @@ class AdaptiveCompressionPipeline:
     settings:
         Optimizer knobs (clamping, normalization protocol).
     backend:
-        Execution backend for :meth:`run_insitu_spmd` — a name
+        Execution backend for :meth:`run` — a name
         (``"serial"`` or ``"process"``) or an
         :class:`~repro.parallel.backends.ExecutionBackend` instance
         (default: ``"serial"``).  This is the one place a
@@ -109,27 +109,6 @@ class AdaptiveCompressionPipeline:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- internals ---------------------------------------------------------
-
-    def _task(
-        self,
-        data: np.ndarray,
-        decomposition: BlockDecomposition,
-        eb_avg: float,
-        halo: HaloQualitySpec | None,
-    ) -> SnapshotTask:
-        return SnapshotTask(
-            data=data,
-            decomposition=decomposition,
-            eb_avg=eb_avg,
-            rate_model=self.rate_model,
-            compressor=self.compressor,
-            settings=self.settings,
-            halo=halo,
-        )
-
-    # -- serial execution -------------------------------------------------
-
     def run(
         self,
         data: np.ndarray,
@@ -137,26 +116,23 @@ class AdaptiveCompressionPipeline:
         eb_avg: float,
         halo: HaloQualitySpec | None = None,
     ) -> SnapshotResult:
-        """Compress one field adaptively (serial rank loop).
+        """Compress one field adaptively on the pipeline's backend.
 
         ``halo`` activates the combined §3.6 optimization (density
         fields); otherwise the spectrum constraint alone applies.
         """
-        return SerialBackend().run_snapshot(self._task(data, decomposition, eb_avg, halo))
+        return self.backend.run_snapshot(
+            SnapshotTask(
+                data=data,
+                decomposition=decomposition,
+                eb_avg=eb_avg,
+                rate_model=self.rate_model,
+                compressor=self.compressor,
+                settings=self.settings,
+                halo=halo,
+            )
+        )
 
-    # -- backend execution -------------------------------------------------
-
-    def run_insitu_spmd(
-        self,
-        data: np.ndarray,
-        decomposition: BlockDecomposition,
-        eb_avg: float,
-        halo: HaloQualitySpec | None = None,
-    ) -> SnapshotResult:
-        """Compress via the backend the pipeline was built with.
-
-        Produces the same bounds and byte-identical payloads as
-        :meth:`run` (property-tested); with ``backend="process"`` the
-        partitions are compressed in batches across a worker pool.
-        """
-        return self.backend.run_snapshot(self._task(data, decomposition, eb_avg, halo))
+    #: The older name of :meth:`run`, kept for callers that still use it
+    #: (``bench/workloads.py``).
+    run_insitu_spmd = run

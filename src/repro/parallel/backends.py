@@ -46,13 +46,10 @@ from repro import telemetry
 from repro.compression.api import Compressor, decompress_many
 from repro.compression.stats import CompressionStats
 from repro.compression.sz import CompressedBlock
+from repro.core import optimizer
 from repro.core.config import HaloQualitySpec, OptimizerSettings
 from repro.core.features import PartitionFeatures, extract_features
-from repro.core.optimizer import (
-    OptimizationResult,
-    optimize_combined,
-    optimize_for_spectrum,
-)
+from repro.core.optimizer import OptimizationResult
 from repro.models.rate_model import RateModel
 from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience.faults import fault_point
@@ -107,16 +104,6 @@ class SnapshotTask:
             rank=rank,
             t_boundary=self.halo.t_boundary if self.halo else None,
             reference_eb=self.halo.reference_eb if self.halo else 1.0,
-        )
-
-    def optimize(self, features: list[PartitionFeatures]) -> OptimizationResult:
-        """The one global optimization over all ranks' features."""
-        if self.halo is not None:
-            return optimize_combined(
-                features, self.rate_model, self.eb_avg, self.halo, self.settings
-            )
-        return optimize_for_spectrum(
-            features, self.rate_model, self.eb_avg, self.settings
         )
 
 
@@ -225,7 +212,9 @@ class SerialBackend(ExecutionBackend):
                 fault_point("backend.features")
                 features = [task.extract(rank) for rank in range(task.n_ranks)]
             with tracer.span("optimize"), timings.phase("optimize"):
-                opt = task.optimize(features)
+                opt = optimizer.optimize(
+                    features, task.rate_model, task.eb_avg, task.settings, task.halo
+                )
             views = task.decomposition.partition_views(task.data)
             with tracer.span("compress"), timings.phase("compress"):
                 fault_point("backend.compress")
@@ -665,7 +654,9 @@ class ProcessBackend(ExecutionBackend):
                         features[rank] = feat
 
                 with tracer.span("optimize"), timings.phase("optimize"):
-                    opt = task.optimize(features)
+                    opt = optimizer.optimize(
+                        features, task.rate_model, task.eb_avg, task.settings, task.halo
+                    )
 
                 comp_args = [
                     (

@@ -33,7 +33,9 @@ closes the loop one-shot compression leaves open —
 Per-field compression runs on the one
 :class:`~repro.parallel.backends.ExecutionBackend` the controller was
 built with, and each outcome carries the backend's own
-:class:`~repro.parallel.backends.SnapshotResult`.
+:class:`~repro.parallel.backends.SnapshotResult`.  A decision is
+:func:`~repro.stream.state.decision_inputs` then
+:func:`~repro.core.optimizer.optimize`, the two calls replay makes.
 
 *Batch* use (the paper's §1 storage arithmetic: calibrate once, compress
 every field of every dump, budgets re-derived per snapshot) is two
@@ -61,7 +63,6 @@ import numpy as np
 from repro import telemetry
 from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.core.config import FieldSpec, HaloQualitySpec, OptimizerSettings
-from repro.core.pipeline import AdaptiveCompressionPipeline, SnapshotResult
 from repro.core.selection import (
     SelectionResult,
     derive_eb_budget,
@@ -78,6 +79,8 @@ from repro.models.calibration import (
 from repro.parallel.backends import (
     ExecutionBackend,
     ProcessBackend,
+    SnapshotResult,
+    SnapshotTask,
     get_backend,
 )
 from repro.parallel.decomposition import BlockDecomposition
@@ -98,6 +101,7 @@ from repro.stream.state import (
     StreamOutcome,
     StreamReport,
     apply,
+    decision_inputs,
     rederive,
 )
 
@@ -296,9 +300,9 @@ class InSituController:
         self.state = RunState()
         self.report.byte_budget = self.byte_budget
         #: Process-local caches derived from ``state``: each field's
-        #: pipeline (its compressor instance bound to its folded model)
-        #: and the full fits of the calibrations this process ran.
-        self._pipelines: dict[str, AdaptiveCompressionPipeline] = {}
+        #: compressor instance and the full fits of the calibrations this
+        #: process ran.
+        self._compressors: dict[str, Compressor] = {}
         self._fits: dict[str, CalibrationResult] = {}
         self._governor_proto: BudgetGovernor | None = None
         if self.byte_budget is not None and n_snapshots is not None:
@@ -426,21 +430,16 @@ class InSituController:
         if self._governor_proto is not None:
             self._make_governor(self._governor_proto.n_snapshots)
 
-    def _bind(self, name: str, compressor: Any = None) -> AdaptiveCompressionPipeline:
-        """(Re)build ``name``'s pipeline on its folded model, around the
-        instance it was just calibrated with — or, for a field folded
-        from the ledger (a resumed run), around its recorded spec."""
-        fs = self.state.fields[name]
+    def _compressor(self, name: str) -> Compressor:
+        """The instance ``name`` was last calibrated with — or, for a field
+        folded from the ledger (a resumed run), its recorded spec's."""
+        compressor = self._compressors.get(name)
         if compressor is None:
-            compressor = (
-                self.compressor
-                if fs.compressor_spec is None
-                else resolve_compressor(fs.compressor_spec)
+            spec = self.state.fields[name].compressor_spec
+            compressor = self._compressors[name] = (
+                self.compressor if spec is None else resolve_compressor(spec)
             )
-        pipeline = self._pipelines[name] = AdaptiveCompressionPipeline(
-            fs.model, compressor=compressor, settings=self.settings, backend=self.backend
-        )
-        return pipeline
+        return compressor
 
     # -- calibration -----------------------------------------------------
 
@@ -560,7 +559,7 @@ class InSituController:
         )
         # Keep the instance that was probed (caller-owned state such as
         # codec levels is preserved) and the fit's probe diagnostics.
-        self._bind(name, compressor)
+        self._compressors[name] = compressor
         self._fits[name] = calibration
 
     # -- streaming -------------------------------------------------------
@@ -745,21 +744,29 @@ class InSituController:
     ) -> SnapshotResult:
         """Execute one field's compression under the retry policy.
 
-        A transient failure (injected crash, timeout, OSError, ...) is
-        retried with the same inputs — the pipeline is a pure function
-        of them, so a successful retry is bitwise identical to a run
-        that never failed.  A retry-aware :class:`~repro.parallel.
+        The task's rate model is the field's folded one, the model
+        :func:`~repro.stream.state.rederive` replays with.  A transient
+        failure (injected crash, timeout, OSError, ...) is retried with
+        the same task — the backend is a pure function of it, so a
+        successful retry is bitwise identical to a run that never
+        failed.  A retry-aware :class:`~repro.parallel.
         backends.ProcessBackend` retries at batch granularity first;
         only what escapes it (e.g. its own
         :class:`~repro.resilience.retry.RetryExhaustedError`, which is
         not retryable) reaches this per-field site.
         """
-        pipeline = self._pipelines.get(name) or self._bind(name)
+        task = SnapshotTask(
+            data=data,
+            decomposition=self.decomposition,
+            eb_avg=eb_avg,
+            rate_model=self.state.fields[name].model,
+            compressor=self._compressor(name),
+            settings=self.settings,
+            halo=halo,
+        )
 
         def attempt() -> SnapshotResult:
-            return pipeline.run_insitu_spmd(
-                data, self.decomposition, eb_avg=eb_avg, halo=halo
-            )
+            return self.backend.run_snapshot(task)
 
         if self.retry is None:
             return attempt()
@@ -822,8 +829,7 @@ class InSituController:
             halo_params = derive_halo_params(spec, ref) if spec.halo_aware else None
 
         scale = state.scale
-        eb_avg = eb_base * scale
-        halo = _halo_spec(halo_params, eb_avg)
+        eb_avg, halo = decision_inputs(eb_base, scale, halo_params)
         try:
             result = self._run_field(name, data, eb_avg, halo)
         except RetryExhaustedError as exc:
@@ -838,8 +844,7 @@ class InSituController:
             self._degrade_field(index, name, data, exc)
             fs = state.fields[name]
             eb_base = fs.eb_base
-            eb_avg = eb_base * scale
-            halo = _halo_spec(fs.halo_params, eb_avg)
+            eb_avg, halo = decision_inputs(eb_base, scale, fs.halo_params)
             result = self._run_field(name, data, eb_avg, halo)
 
         feats = result.features
@@ -863,18 +868,12 @@ class InSituController:
             ),
             halo=None if halo is None else asdict(halo),
             ebs=result.ebs,
-            constraint=(
-                result.optimization.constraint if result.optimization else "spectrum"
-            ),
+            constraint=result.optimization.constraint,
         )
 
         stats = result.stats
         achieved = float(stats.overall_bit_rate)
-        predicted = (
-            float(result.optimization.predicted_mean_bitrate)
-            if result.optimization is not None
-            else float("nan")
-        )
+        predicted = result.optimization.predicted_mean_bitrate
         residual = (
             math.log(achieved / predicted)
             if achieved > 0 and predicted > 0
@@ -922,14 +921,6 @@ class InSituController:
         outcome.drift_signal = signal
         self.report.timings.merge(result.timings)
         return outcome
-
-
-def _halo_spec(
-    halo_params: tuple[float, float] | None, eb_avg: float
-) -> HaloQualitySpec | None:
-    if halo_params is None:
-        return None
-    return HaloQualitySpec(*halo_params, reference_eb=min(1.0, eb_avg))
 
 
 # -- deterministic ledger replay ---------------------------------------------

@@ -18,13 +18,13 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from typing import Any
 
 from repro.compression.api import CompressorSpec
+from repro.core import optimizer
 from repro.core.config import HaloQualitySpec, OptimizerSettings
 from repro.core.features import PartitionFeatures
-from repro.core.optimizer import optimize_combined, optimize_for_spectrum
 from repro.core.pipeline import SnapshotResult
 from repro.models.rate_model import RateModel
 from repro.stream.drift import DriftConfig, DriftDetector, DriftSignal
@@ -41,6 +41,7 @@ __all__ = [
     "FieldState",
     "RunState",
     "apply",
+    "decision_inputs",
     "rederive",
 ]
 
@@ -620,6 +621,21 @@ def _rewind(state: RunState, cut: int) -> None:
         apply(state, e)
 
 
+# -- one decision's inputs, live and on replay --------------------------------
+
+
+def decision_inputs(
+    eb_base: float, scale: float, halo_params: tuple[float, float] | None
+) -> tuple[float, HaloQualitySpec | None]:
+    """The governed average bound and, for a halo-aware field, the halo
+    constraint counting boundary cells at it (capped at 1): what the
+    controller optimizes under and :func:`rederive` replays."""
+    eb_avg = eb_base * scale
+    if halo_params is None:
+        return eb_avg, None
+    return eb_avg, HaloQualitySpec(*halo_params, reference_eb=min(1.0, eb_avg))
+
+
 # -- re-deriving recorded decisions (replay) ----------------------------------
 
 
@@ -646,11 +662,15 @@ def rederive(
     """Recompute what ``event`` records from the state folded *before* it.
 
     Pure — :func:`apply` is what advances ``state``.  A ``decision``
-    event re-runs the actual optimizer on its recorded features and
-    yields the :class:`ReplayedDecision`; a ``budget`` event re-derives
-    the governor step; every other kind yields ``None``.  With
-    ``verify`` each recomputed quantity is compared with the record and
-    the first divergence raises :class:`~repro.stream.ledger.LedgerError`.
+    event goes through :func:`decision_inputs` and
+    :func:`~repro.core.optimizer.optimize` — the calls the live run
+    made — on its recorded features and yields the
+    :class:`ReplayedDecision`; a ``budget`` event re-derives the governor
+    step; every other kind yields ``None``.  With ``verify`` each
+    recomputed quantity (scale, ``eb_avg``, halo constraint, constraint
+    name, bounds; snapshot bytes and next scale) is compared with the
+    record and the first divergence raises
+    :class:`~repro.stream.ledger.LedgerError`.
     """
     d = event.data
     if event.kind == "budget" and verify and state.governor is not None:
@@ -664,24 +684,21 @@ def rederive(
     if event.kind != "decision":
         return None
     model = _calibrated(state, event).model
-    scale = state.scale
-    if verify and scale != d["scale"]:
-        raise _diverged(event, "governor scale", scale, d["scale"])
-    eb_avg = float(d["eb_base"]) * scale
-    settings = state.config.settings
-    if d.get("halo") is not None:
-        opt = optimize_combined(
-            _features(d), model, eb_avg, HaloQualitySpec(**d["halo"]), settings
-        )
-    else:
-        opt = optimize_for_spectrum(_features(d), model, eb_avg, settings)
+    eb_avg, halo = decision_inputs(
+        float(d["eb_base"]), state.scale, _halo_params(d.get("halo"))
+    )
+    opt = optimizer.optimize(_features(d), model, eb_avg, state.config.settings, halo)
     ebs = tuple(float(e) for e in opt.ebs)
     if verify:
-        recorded = tuple(float(e) for e in d["ebs"])
-        if eb_avg != float(d["eb_avg"]):
-            raise _diverged(event, "eb_avg", eb_avg, d["eb_avg"])
-        if ebs != recorded:
-            raise _diverged(event, "per-partition bounds", ebs, recorded)
+        for what, got, recorded in (
+            ("governor scale", state.scale, d["scale"]),
+            ("eb_avg", eb_avg, float(d["eb_avg"])),
+            ("halo", None if halo is None else asdict(halo), d.get("halo")),
+            ("constraint", opt.constraint, d["constraint"]),
+            ("per-partition bounds", ebs, tuple(float(e) for e in d["ebs"])),
+        ):
+            if got != recorded:
+                raise _diverged(event, what, got, recorded)
     return ReplayedDecision(
         snapshot_index=int(d["snapshot"]),
         redshift=float(d["redshift"]),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compression.sz import SZCompressor
 from repro.core.overhead import measure_overhead
 
 
@@ -37,3 +38,17 @@ class TestOverhead:
     def test_rejects_bad_repeats(self, snapshot, decomposition):
         with pytest.raises(ValueError, match="repeats"):
             measure_overhead(snapshot["baryon_density"], decomposition, 0.2, repeats=0)
+
+    def test_times_the_batched_call_the_backends_make(self, snapshot, decomposition):
+        """Both backends compress through ``compress_many``; the §4.3
+        denominator must not be a per-view ``compress`` loop."""
+
+        class BatchOnly(SZCompressor):
+            def compress(self, data, eb):
+                raise AssertionError("no backend compresses one view at a time")
+
+        report = measure_overhead(
+            snapshot["baryon_density"], decomposition, eb=0.2,
+            compressor=BatchOnly(), repeats=1,
+        )
+        assert report.compress_time > 0

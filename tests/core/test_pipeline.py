@@ -85,46 +85,48 @@ class TestRun:
 
 @pytest.fixture(scope="module")
 def process_pipe(request):
-    """A pipeline on a two-worker pool, so ``run_insitu_spmd`` and the
-    serial ``run`` take different paths."""
+    """A pipeline on a two-worker pool; its results are compared with a
+    separately built default (serial) pipeline's."""
     calibrated = request.getfixturevalue("calibrated")
     with AdaptiveCompressionPipeline(calibrated.rate_model, backend="process") as pipe:
         yield pipe
 
 
 class TestSpmdEquivalence:
-    """``run_insitu_spmd`` runs on the backend chosen at construction
-    (the default is serial)."""
+    """``run`` runs on the backend chosen at construction (the default is
+    serial), and both backends give the same bounds and bytes."""
 
-    def test_spmd_matches_serial_exact_mode(self, snapshot, decomposition, process_pipe):
+    def test_spmd_matches_serial_exact_mode(
+        self, snapshot, decomposition, calibrated, process_pipe
+    ):
         data = snapshot["baryon_density"]
-        serial = process_pipe.run(data, decomposition, eb_avg=0.2)
-        spmd = process_pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
+        serial = AdaptiveCompressionPipeline(calibrated.rate_model).run(
+            data, decomposition, eb_avg=0.2
+        )
+        spmd = process_pipe.run(data, decomposition, eb_avg=0.2)
         assert np.array_equal(spmd.ebs, serial.ebs)
-        assert [b.nbytes for b in spmd.blocks] == [b.nbytes for b in serial.blocks]
+        assert [b.payloads for b in spmd.blocks] == [b.payloads for b in serial.blocks]
 
-    def test_spmd_with_halo(self, snapshot, decomposition, process_pipe):
+    def test_spmd_with_halo(self, snapshot, decomposition, calibrated, process_pipe):
         data = snapshot["baryon_density"]
         tb = float(np.percentile(data.astype(np.float64), 99.0))
         halo = HaloQualitySpec(t_boundary=tb, mass_budget=100.0, reference_eb=0.5)
-        serial = process_pipe.run(data, decomposition, eb_avg=0.2, halo=halo)
-        spmd = process_pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2, halo=halo)
+        serial = AdaptiveCompressionPipeline(calibrated.rate_model).run(
+            data, decomposition, eb_avg=0.2, halo=halo
+        )
+        spmd = process_pipe.run(data, decomposition, eb_avg=0.2, halo=halo)
         assert np.array_equal(spmd.ebs, serial.ebs)
 
     def test_spmd_timings_populated(self, snapshot, decomposition, process_pipe):
         """Regression: the SPMD path used to return empty timings."""
-        res = process_pipe.run_insitu_spmd(
-            snapshot["baryon_density"], decomposition, eb_avg=0.2
-        )
-        assert set(res.timings.totals) >= {"features", "optimize", "compress"}
+        res = process_pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+        assert set(res.timings.totals) >= {"scatter", "features", "optimize", "compress"}
         assert res.timings.totals["compress"] > 0
 
     def test_spmd_returns_rank0_optimization(self, snapshot, decomposition, process_pipe):
         """Regression: the SPMD path used to re-solve the optimization
         instead of returning the result its bounds came from."""
-        res = process_pipe.run_insitu_spmd(
-            snapshot["baryon_density"], decomposition, eb_avg=0.2
-        )
+        res = process_pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
         assert res.optimization is not None
         assert np.array_equal(res.optimization.ebs, res.ebs)
 
@@ -133,17 +135,17 @@ class TestSpmdEquivalence:
         pipe = AdaptiveCompressionPipeline(
             calibrated.rate_model, settings=OptimizerSettings(normalization="local")
         )
-        spmd = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
+        spmd = pipe.run(data, decomposition, eb_avg=0.2)
         assert spmd.ebs.mean() == pytest.approx(0.2, rel=0.25)
 
     def test_backend_argument_accepts_names(self, snapshot, decomposition, calibrated):
         data = snapshot["baryon_density"]
         pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="serial")
         assert pipe.backend.name == "serial"
-        via_serial = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
+        via_serial = pipe.run(data, decomposition, eb_avg=0.2)
         with AdaptiveCompressionPipeline(
             calibrated.rate_model, backend="process"
         ) as pooled:
             assert pooled.backend.name == "process"
-            via_process = pooled.run_insitu_spmd(data, decomposition, eb_avg=0.2)
+            via_process = pooled.run(data, decomposition, eb_avg=0.2)
         assert np.array_equal(via_serial.ebs, via_process.ebs)

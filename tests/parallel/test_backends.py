@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-import repro.parallel.backends as backends_mod
+import repro.core.optimizer as optimizer_mod
 from repro.compression.sz import SZCompressor
 from repro.core.config import HaloQualitySpec, OptimizerSettings
 from repro.core.optimizer import local_protocol_bound, rank_order_mean
@@ -121,7 +121,7 @@ class TestBackendEquivalence:
         serial = pipe.run(data, decomposition, eb_avg=0.2, halo=halo)
         process = AdaptiveCompressionPipeline(
             rate_model, settings=pipe.settings, backend=process_backend
-        ).run_insitu_spmd(data, decomposition, eb_avg=0.2, halo=halo)
+        ).run(data, decomposition, eb_avg=0.2, halo=halo)
         assert np.array_equal(serial.ebs, process.ebs)
         assert len(serial.blocks) == len(process.blocks)
         for a, b in zip(serial.blocks, process.blocks):
@@ -138,67 +138,72 @@ class TestBackendEquivalence:
         data = snapshot["baryon_density"]
         for backend in (SerialBackend(), process_backend):
             pipe = AdaptiveCompressionPipeline(rate_model, backend=backend)
-            res = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
+            res = pipe.run(data, decomposition, eb_avg=0.2)
             assert set(res.timings.totals) >= {"features", "optimize", "compress"}
             assert res.timings.totals["compress"] > 0
             assert res.timings.overhead_ratio("features", "compress") >= 0
 
 
 class TestSingleOptimization:
-    """Regression for the SPMD double-optimization bug: every backend
-    performs exactly one global optimization per snapshot."""
+    """Every decision goes through :func:`repro.core.optimizer.optimize`
+    exactly once: one call per snapshot on either backend, one per
+    decision when a ledger replays."""
 
     @pytest.fixture()
-    def counters(self, monkeypatch):
-        counts = {"spectrum": 0, "combined": 0}
-        real_spectrum = backends_mod.optimize_for_spectrum
-        real_combined = backends_mod.optimize_combined
+    def calls(self, monkeypatch):
+        seen: list[bool] = []
+        real = optimizer_mod.optimize
 
-        def counting_spectrum(*args, **kwargs):
-            counts["spectrum"] += 1
-            return real_spectrum(*args, **kwargs)
+        def counting(*args, **kwargs):
+            result = real(*args, **kwargs)
+            seen.append(result.constraint == "combined")
+            return result
 
-        def counting_combined(*args, **kwargs):
-            counts["combined"] += 1
-            return real_combined(*args, **kwargs)
-
-        monkeypatch.setattr(backends_mod, "optimize_for_spectrum", counting_spectrum)
-        monkeypatch.setattr(backends_mod, "optimize_combined", counting_combined)
-        return counts
+        monkeypatch.setattr(optimizer_mod, "optimize", counting)
+        return seen
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_exact_mode_optimizes_once(
-        self, snapshot, decomposition, rate_model, counters, process_backend, backend
+        self, snapshot, decomposition, rate_model, calls, process_backend, backend
     ):
         resolved = process_backend if backend == "process" else backend
         pipe = AdaptiveCompressionPipeline(rate_model, backend=resolved)
-        pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
-        assert counters["spectrum"] == 1
-        assert counters["combined"] == 0
+        pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+        assert calls == [False]
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_halo_mode_optimizes_once(
-        self, snapshot, decomposition, rate_model, counters, process_backend, backend
+        self, snapshot, decomposition, rate_model, calls, process_backend, backend
     ):
         data = snapshot["baryon_density"]
         resolved = process_backend if backend == "process" else backend
         pipe = AdaptiveCompressionPipeline(rate_model, backend=resolved)
-        pipe.run_insitu_spmd(
-            data, decomposition, eb_avg=0.2, halo=_halo_spec(data)
-        )
-        assert counters["combined"] == 1
-        assert counters["spectrum"] == 0
+        pipe.run(data, decomposition, eb_avg=0.2, halo=_halo_spec(data))
+        assert calls == [True]
+
+    def test_replay_optimizes_once_per_decision(self, calls):
+        from pathlib import Path
+
+        from repro.stream.controller import replay_ledger
+        from repro.stream.ledger import RunLedger
+
+        ledger = Path(__file__).parents[1] / "stream" / "fixtures" / "v2_ledger.jsonl"
+        decisions = [
+            e for e in RunLedger.load(ledger).events if e.kind == "decision"
+        ]
+        assert len(replay_ledger(ledger)) == len(decisions) == len(calls)
+        assert calls == [e.data["halo"] is not None for e in decisions]
 
     def test_local_protocol_is_per_rank_arithmetic(
-        self, snapshot, decomposition, rate_model, counters
+        self, snapshot, decomposition, rate_model, calls
     ):
         """The paper's local protocol on the serial path: one spectrum
         call whose bounds are each rank's own solve against the mean one
         allreduce would share."""
         settings = OptimizerSettings(normalization="local")
         pipe = AdaptiveCompressionPipeline(rate_model, settings=settings)
-        res = pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
-        assert counters == {"spectrum": 1, "combined": 0}
+        res = pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+        assert calls == [False]
 
         means = [f.mean_abs for f in res.features]
         global_mean = rank_order_mean(means)
@@ -227,7 +232,7 @@ class TestProcessBackend:
             with AdaptiveCompressionPipeline(
                 rate_model, backend=ProcessBackend(max_workers=2, batch_size=batch_size)
             ) as batched:
-                res = batched.run_insitu_spmd(data, decomposition, eb_avg=0.2)
+                res = batched.run(data, decomposition, eb_avg=0.2)
             assert np.array_equal(reference.ebs, res.ebs)
             assert all(
                 a.payloads == b.payloads
@@ -237,9 +242,9 @@ class TestProcessBackend:
     def test_pool_is_reused_across_snapshots(self, snapshot, decomposition, rate_model):
         backend = ProcessBackend(max_workers=2)
         with AdaptiveCompressionPipeline(rate_model, backend=backend) as pipe:
-            pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+            pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
             pool = backend._pool
-            pipe.run_insitu_spmd(snapshot["temperature"], decomposition, eb_avg=5.0)
+            pipe.run(snapshot["temperature"], decomposition, eb_avg=5.0)
             assert backend._pool is pool
         assert backend._pool is None  # closed by the context manager
 
@@ -253,11 +258,13 @@ class TestProcessBackend:
         data = snapshot["baryon_density"]
         for level in (1, 9):
             comp = SZCompressor(codec=ZlibCodec(level=level))
+            serial = AdaptiveCompressionPipeline(rate_model, compressor=comp).run(
+                data, decomposition, eb_avg=0.2
+            )
             with AdaptiveCompressionPipeline(
                 rate_model, compressor=comp, backend=ProcessBackend(max_workers=2)
             ) as pipe:
-                serial = pipe.run(data, decomposition, eb_avg=0.2)
-                process = pipe.run_insitu_spmd(data, decomposition, eb_avg=0.2)
+                process = pipe.run(data, decomposition, eb_avg=0.2)
             assert all(
                 a.payloads == b.payloads
                 for a, b in zip(serial.blocks, process.blocks)
@@ -272,7 +279,7 @@ class TestProcessBackend:
             rate_model, compressor=comp, backend=process_backend
         )
         with pytest.raises(ValueError, match="picklable"):
-            pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+            pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
 
     def test_close_releases_the_constructor_backend(
         self, snapshot, decomposition, rate_model
@@ -287,7 +294,7 @@ class TestProcessBackend:
                 super().close()
 
         with AdaptiveCompressionPipeline(rate_model, backend=Recording()) as pipe:
-            pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+            pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
             assert closed == []
         assert closed == [True]
 
@@ -295,14 +302,22 @@ class TestProcessBackend:
         self, snapshot, decomposition, rate_model, process_backend
     ):
         pipe = AdaptiveCompressionPipeline(rate_model, backend=process_backend)
-        pipe.run_insitu_spmd(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+        pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
         assert process_backend._pool is not None  # pooled workers survive a run
 
     def test_no_per_call_backend(self):
         import inspect
 
-        params = inspect.signature(AdaptiveCompressionPipeline.run_insitu_spmd).parameters
+        params = inspect.signature(AdaptiveCompressionPipeline.run).parameters
         assert "backend" not in params
+        assert AdaptiveCompressionPipeline.run_insitu_spmd is AdaptiveCompressionPipeline.run
+
+    def test_run_uses_the_constructor_backend(
+        self, snapshot, decomposition, rate_model, process_backend
+    ):
+        pipe = AdaptiveCompressionPipeline(rate_model, backend=process_backend)
+        res = pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+        assert "scatter" in res.timings.totals  # only the process backend stages
 
     def test_worker_failure_propagates_and_cleans_up(
         self, snapshot, decomposition, rate_model
@@ -317,9 +332,9 @@ class TestProcessBackend:
             backend=ProcessBackend(max_workers=1, batch_size=1),
         ) as pipe:
             with pytest.raises(ValueError, match="positive"):
-                pipe.run_insitu_spmd(data, decomposition, eb_avg=0.01)
+                pipe.run(data, decomposition, eb_avg=0.01)
             # The pool survives the failure and stays usable.
-            ok = pipe.run_insitu_spmd(np.abs(data) + 1.0, decomposition, eb_avg=0.01)
+            ok = pipe.run(np.abs(data) + 1.0, decomposition, eb_avg=0.01)
             assert len(ok.blocks) == decomposition.n_partitions
         leftover = [p for p in os.listdir("/dev/shm") if p.startswith("psm_")] if os.path.isdir("/dev/shm") else []
         assert leftover == []

@@ -154,7 +154,7 @@ class TestWorkerCrash:
         plan = FaultPlan(seed=8).arm("backend.compress", kind="crash", at=0)
         try:
             with plan.activate(), pytest.raises(InjectedCrash):
-                pipe.run_insitu_spmd(data, chaos_dec, eb_avg=0.2)
+                pipe.run(data, chaos_dec, eb_avg=0.2)
         finally:
             pipe.close()
         leaked = set(os.listdir("/dev/shm")) - before

@@ -217,6 +217,28 @@ class TestFrozenFixtures:
         ):
             replay_ledger(bad, verify=True)
 
+    @pytest.mark.parametrize(
+        "what, old, new",
+        [
+            ("halo", '"reference_eb":0.1', '"reference_eb":0.2'),
+            ("constraint", '"constraint":"combined"', '"constraint":"Combined"'),
+        ],
+        ids=["halo", "constraint"],
+    )
+    def test_v2_fixture_one_byte_tamper_names_the_seq(self, tmp_path, what, old, new):
+        """A halo-aware decision's reference bound and its constraint name
+        move no bound, so only replay recomputing them catches an edit."""
+        lines = (FIXTURES / "v2_ledger.jsonl").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if old in line)
+        lines[at] = lines[at].replace(old, new, 1)
+        seq = json.loads(lines[at])["seq"]
+        bad = tmp_path / "tampered.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            LedgerError, match=rf"replay diverged at seq {seq} \(decision\): {what} "
+        ):
+            replay_ledger(bad, verify=True)
+
 
 class TestPR4Fixture:
     def test_fixture_is_schema_v1(self):
