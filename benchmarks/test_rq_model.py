@@ -61,13 +61,10 @@ MIN_SWEEP_SPEEDUP = 1.5
 TRAJECTORY = Path("BENCH_rq.json")
 
 
-def _best_of(fn, rounds: int = ROUNDS) -> float:
-    times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+def _seconds(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 class _CompressCounter:
@@ -197,10 +194,13 @@ def test_rq_model(benchmark, snapshot, decomposition, monkeypatch):
         )
 
     def run():
-        return {
-            "sweep_exact_s": _best_of(exact_sweep),
-            "sweep_model_s": _best_of(model_sweep),
-        }
+        # Interleaved, so a slow spell on this shared box hits both modes
+        # rather than whichever happened to run during it.
+        exact_s, model_s = [], []
+        for _ in range(ROUNDS):
+            exact_s.append(_seconds(exact_sweep))
+            model_s.append(_seconds(model_sweep))
+        return {"sweep_exact_s": min(exact_s), "sweep_model_s": min(model_s)}
 
     t = benchmark.pedantic(run, rounds=1, iterations=1)
     sweep_speedup = t["sweep_exact_s"] / t["sweep_model_s"]

@@ -24,13 +24,13 @@ Quick start::
 The pipeline compresses one field of one snapshot; every field of every
 snapshot — streaming, or batch with ``recalibrate="never",
 warm_start=False`` — goes through :class:`InSituController`, and both
-hand back the execution backend's own :class:`SnapshotResult`.
+hand back the rank loop's own :class:`SnapshotResult`.
 
 Subpackages: :mod:`repro.core` (adaptive configuration),
 :mod:`repro.models` (rate-quality models), :mod:`repro.compression`
 (SZ-style compressor), :mod:`repro.sim` (synthetic Nyx),
 :mod:`repro.analysis` (power spectrum / halo finder),
-:mod:`repro.parallel` (decomposition, execution backends),
+:mod:`repro.parallel` (decomposition, the rank loop),
 :mod:`repro.foresight` (evaluation harness), :mod:`repro.stream` (the in
 situ controller, run ledger, drift detection, budget governor).
 """
@@ -60,13 +60,7 @@ from repro.core import (
     TrialAndErrorSearch,
 )
 from repro.models import RateModel, RateModelBank, calibrate_rate_model
-from repro.parallel import (
-    BlockDecomposition,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    get_backend,
-)
+from repro.parallel import BlockDecomposition
 from repro.sim import NyxSimulator, NyxSnapshot
 from repro.stream import (
     DirectoryStream,
@@ -106,10 +100,6 @@ __all__ = [
     "RateModel",
     "calibrate_rate_model",
     "BlockDecomposition",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessBackend",
-    "get_backend",
     "NyxSimulator",
     "NyxSnapshot",
     "InSituController",

@@ -50,7 +50,6 @@ from repro.compression.api import (
 from repro.compression.sz import CompressedBlock
 from repro.core.pipeline import AdaptiveCompressionPipeline
 from repro.models.calibration import PROBE_MODES, calibrate_rate_model
-from repro.parallel.backends import BACKENDS, get_backend
 from repro.parallel.decomposition import BlockDecomposition
 from repro.sim.io import load_snapshot, save_snapshot
 from repro.sim.nyx import NyxSimulator
@@ -266,14 +265,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     except (UnsupportedCapabilityError, ValueError) as exc:
         print(f"compress: {exc}", file=sys.stderr)
         return 2
-    backend = get_backend(args.backend)
-    pipe = AdaptiveCompressionPipeline(
-        cal.rate_model, compressor=compressor, backend=backend
-    )
-    try:
-        result = pipe.run(data, dec, eb_avg=eb_avg)
-    finally:
-        backend.close()
+    pipe = AdaptiveCompressionPipeline(cal.rate_model, compressor=compressor)
+    result = pipe.run(data, dec, eb_avg=eb_avg)
     save_blocks(args.out, result.blocks, result.ebs, args.blocks)
     phases = " ".join(
         f"{name}={seconds:.3f}s" for name, seconds in result.timings.as_dict().items()
@@ -283,7 +276,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         f"ratio {result.overall_ratio:.2f}x, bit rate {result.overall_bit_rate:.3f}, "
         f"bounds {result.ebs.min():.4g}..{result.ebs.max():.4g}"
     )
-    print(f"backend {backend.name}: {phases}")
+    print(f"timings: {phases}")
     return 0
 
 
@@ -328,7 +321,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             compressors=specs if len(specs) > 1 else None,
             rate_only=args.rate_only,
             probe_mode=args.probe_mode,
-            backend=args.backend,
         )
     except UnsupportedCapabilityError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
@@ -407,7 +399,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         # only process-local choices are taken from the command line.
         controller = InSituController.resume(
             args.ledger,
-            backend=args.backend,
             default_spec=FieldSpec(spectrum_tolerance=args.tolerance),
             retry=retry,
             fallback_compressor=args.fallback_compressor,
@@ -421,7 +412,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         specs = [CompressorSpec.parse(c) for c in (args.compressor or [])]
         controller = InSituController(
             BlockDecomposition(shape, blocks=args.blocks),
-            backend=args.backend,
             compressor=specs[0] if len(specs) == 1 else None,
             candidates=specs if len(specs) > 1 else None,
             ledger=args.ledger,
@@ -615,12 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to switch families",
     )
     c.add_argument(
-        "--backend",
-        default="serial",
-        choices=sorted(BACKENDS),
-        help="execution backend (serial rank loop or process pool)",
-    )
-    c.add_argument(
         "--probe-mode",
         default="exact",
         choices=PROBE_MODES,
@@ -665,13 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         "quality from one quantization probe with the ratio-quality model "
         "(model; add --rate-only to read rates alone)",
     )
-    s.add_argument(
-        "--backend",
-        default="serial",
-        choices=sorted(BACKENDS),
-        help="execution backend fanning out the per-(field, eb) quality "
-        "evaluations (rate probing always runs inline)",
-    )
     _add_telemetry_flag(s)
     s.set_defaults(fn=_cmd_sweep)
 
@@ -706,12 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
         "calibration time (rejections are quantified in the ledger)",
     )
     st.add_argument("--blocks", type=int, default=4)
-    st.add_argument(
-        "--backend",
-        default="serial",
-        choices=sorted(BACKENDS),
-        help="execution backend for every per-field compression",
-    )
     st.add_argument(
         "--probe-mode",
         default="exact",
@@ -761,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries",
         type=int,
         default=None,
-        help="retry transient failures (worker crashes, snapshot-load "
+        help="retry transient failures (compression crashes, snapshot-load "
         "errors, ledger-append errors) up to N attempts per site with "
         "exponential backoff; default is fail-fast",
     )

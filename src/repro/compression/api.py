@@ -248,15 +248,14 @@ class Compressor(Protocol):
     one bound per view, the blocks of per-view ``compress`` calls, in
     order.  ``threads`` is a hard cap on the pool threads the call may
     use (``None``: :func:`~repro.util.fanout.usable_cpus`; ``1`` keeps
-    the call in its thread, what process-pool workers pass); families
+    the call in its thread); families
     without a fan-out ignore it.  ``decompress(block)`` inverts either.  ``eb`` is
     honoured as an error bound only when :attr:`capabilities` declares
     ``error_bounded`` — fixed-rate families accept and ignore it, so the
     call shape stays uniform across the registry.  A compressor that
     declares ``supports_estimate`` also provides ``estimate_many(views,
     ebs)``, the codec-free probe.  ``registry.create(comp.spec)`` gives
-    an equivalent instance, and instances pickle (process-pool workers
-    receive them that way).
+    an equivalent instance.
 
     Scratch is not part of the contract: kernels that want reusable
     buffers take them from the calling thread's arena
@@ -502,8 +501,7 @@ def resolve_compressor(
     The single resolution point every layer funnels through: ``None``
     keeps the historical default (plain SZ), specs go through the
     registry, instances pass through untouched (caller-owned state such
-    as codec levels is preserved — required for byte-identical
-    process-pool output).  It is also the one place an instance is held
+    as codec levels is preserved).  It is also the one place an instance is held
     to the :class:`Compressor` contract: an object that lacks part of it
     raises :class:`UnsupportedCapabilityError` naming what is missing.
     """
@@ -567,8 +565,7 @@ def decompress_many(blocks: Sequence[Any], threads: int | None = None) -> list[n
     prefix sums release the GIL).  ``threads`` caps the number of blocks
     decoded at once: ``None`` (default) is
     :func:`~repro.util.fanout.usable_cpus`, ``1`` keeps
-    everything in the calling thread whatever the block size (what
-    process-pool workers pass to avoid oversubscription).  Either way
+    everything in the calling thread whatever the block size.  Either way
     the arrays are bit-identical to :func:`decompress_any` per block.
     """
     if sum(b.n_elements for b in blocks) < FANOUT_MIN_ELEMENTS * len(blocks):

@@ -240,7 +240,7 @@ class SZCompressor:
     ) -> list[CompressedBlock]:
         """Compress a batch of partitions under per-partition bounds.
 
-        The batched hot path used by the execution backends.  Blocks are
+        The batched hot path the rank loop uses.  Blocks are
         grouped by shape and each group is cut into chunks of at most
         :data:`GROUP_LATTICE_BYTES` of lattice (8 blocks of 32^3).  A
         chunk runs the *whole* pipeline — quantize, Lorenzo, residual
@@ -257,8 +257,7 @@ class SZCompressor:
 
         ``threads`` caps the fan-out: ``None`` (default) uses
         :func:`~repro.util.fanout.usable_cpus`, ``1`` keeps everything in
-        the calling thread whatever the block size (what process-pool
-        workers pass to avoid oversubscription).
+        the calling thread whatever the block size.
         Output blocks are byte-identical to per-partition
         :meth:`compress` calls regardless of grouping, chunking or thread
         count (property-tested).

@@ -11,9 +11,8 @@ compression time (§4.3), so the compressor itself has to be lean.
 A :class:`Workspace` is an arena of named, preallocated buffers.  Each
 slot is grown geometrically to the largest size ever requested and
 served back as a reshaped view, so a batch of partitions (for example
-one :meth:`~repro.compression.sz.SZCompressor.compress_many` call from
-an execution-backend worker) allocates its temporaries once and reuses
-them for every block.
+one :meth:`~repro.compression.sz.SZCompressor.compress_many` call)
+allocates its temporaries once and reuses them for every block.
 
 Ownership
 ---------
@@ -23,10 +22,9 @@ has exactly one owner, the *thread*: :func:`thread_workspace` hands the
 calling thread its arena, and every compressor instance that runs in
 that thread — whatever its configuration, however many the controller
 builds — works in it (slots are keyed by name and dtype, not by
-compressor).  That is cuSZ's one-scratch-per-worker layout: the serial
-path and each process-pool worker hold one arena for their lifetime,
-the pool threads a fanned-out ``compress_many`` runs its chunks on hold
-one each until they exit, and
+compressor).  That is cuSZ's one-scratch-per-worker layout: the calling
+thread holds one arena for its lifetime, the pool threads a fanned-out
+``compress_many`` runs its chunks on hold one each until they exit, and
 nothing is passed around — there is no ``workspace=`` argument.  A
 batched pass works on one chunk of at most
 :data:`~repro.compression.sz.GROUP_LATTICE_BYTES` of lattice, so an

@@ -13,7 +13,7 @@ cheap per-partition features plus one collective.
 - :mod:`repro.core.config` — optimizer settings, the halo constraint's
   inputs and the per-field quality policy (:class:`FieldSpec`),
 - :mod:`repro.core.pipeline` — one field of one snapshot through the in
-  situ protocol on a pluggable execution backend (many fields over many
+  situ protocol, every rank in one process (many fields over many
   snapshots, batch or streaming, are
   :class:`repro.stream.controller.InSituController`),
 - :mod:`repro.core.baselines` — the traditional static configuration and

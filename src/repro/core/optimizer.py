@@ -1,7 +1,7 @@
 """Per-partition error-bound optimization (§3.6).
 
-Three solvers behind one dispatch, :func:`optimize`, which both
-execution backends and ledger replay call:
+Three solvers behind one dispatch, :func:`optimize`, which the rank
+loop and ledger replay call:
 
 - :func:`optimize_for_spectrum` — power-spectrum constraint: the FFT
   error model (Eq. 10) depends only on the *average* bound, so the
@@ -152,8 +152,8 @@ def optimize_for_spectrum(
         # Element-by-element scalar arithmetic, exactly as each rank
         # solves its own bound in the distributed protocol: NumPy's
         # vectorized power can differ from scalar ``pow`` in the last
-        # ulp on some inputs, which would break bitwise backend
-        # equivalence (and ledger replay) for the local protocol.  The
+        # ulp on some inputs, which would break bitwise agreement with
+        # a per-rank solve (and ledger replay) for the local protocol.  The
         # global-mean coefficient is the same for every rank, so it is
         # evaluated once and shared.
         c_a = float(rate_model.predict_coefficient(global_mean))

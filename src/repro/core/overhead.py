@@ -61,7 +61,7 @@ def measure_overhead(
     Phases are timed separately over ``repeats`` passes (minimum taken,
     standard practice for wall-clock micro-measurements); compression is
     one ``compress_many`` call and the optimization one
-    :func:`~repro.core.optimizer.optimize` call, as the backends run them.
+    :func:`~repro.core.optimizer.optimize` call, as the rank loop runs them.
     ``compressor`` is registry-resolvable (instance, spec, spec string or
     ``None`` for the SZ default), so the §4.3 ratios can be measured per
     family.

@@ -9,14 +9,11 @@ Per snapshot and field, the protocol each rank follows is:
 3. evaluate the closed-form optimizer for its own bound,
 4. compress its partition with that bound.
 
-*How* the ranks execute is delegated to an
-:class:`~repro.parallel.backends.ExecutionBackend`, chosen once when the
-pipeline is built: a serial rank loop (the default) or a process pool
-with shared-memory partition views and batched compression.  Both
-make exactly one :func:`~repro.core.optimizer.optimize` call per
-snapshot (the function ledger replay calls too), merge per-rank
-timings (so the §4.3 overhead claims can be measured rather than assumed
-on either path) and return the
+The ranks run in one process: :func:`~repro.parallel.backends.run_snapshot`
+is the rank loop.  It makes exactly one
+:func:`~repro.core.optimizer.optimize` call per snapshot (the function
+ledger replay calls too), records per-phase timings (so the §4.3
+overhead claims can be measured rather than assumed) and returns the
 :class:`~repro.parallel.backends.SnapshotResult` the pipeline hands on
 unchanged.  Many fields over many snapshots are
 :class:`~repro.stream.controller.InSituController`'s job.
@@ -29,12 +26,7 @@ import numpy as np
 from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.core.config import HaloQualitySpec, OptimizerSettings
 from repro.models.rate_model import RateModel
-from repro.parallel.backends import (
-    ExecutionBackend,
-    SnapshotResult,
-    SnapshotTask,
-    get_backend,
-)
+from repro.parallel.backends import SnapshotResult, SnapshotTask, run_snapshot
 from repro.parallel.decomposition import BlockDecomposition
 
 __all__ = ["AdaptiveCompressionPipeline", "SnapshotResult"]
@@ -61,12 +53,9 @@ class AdaptiveCompressionPipeline:
     settings:
         Optimizer knobs (clamping, normalization protocol).
     backend:
-        Execution backend for :meth:`run` — a name
-        (``"serial"`` or ``"process"``) or an
-        :class:`~repro.parallel.backends.ExecutionBackend` instance
-        (default: ``"serial"``).  This is the one place a
-        backend is chosen; :meth:`close` releases it.  Both backends
-        produce byte-identical payloads; they differ only in scheduling.
+        ``None`` or ``"serial"``, the one execution path; any other
+        value is a :class:`ValueError`.  Kept so callers that still
+        name the path keep working.
 
     Examples
     --------
@@ -87,8 +76,13 @@ class AdaptiveCompressionPipeline:
         rate_model: RateModel,
         compressor: "Compressor | CompressorSpec | str | None" = None,
         settings: OptimizerSettings | None = None,
-        backend: str | ExecutionBackend | None = None,
+        backend: str | None = None,
     ) -> None:
+        if backend not in (None, "serial"):
+            raise ValueError(
+                f"unknown backend {backend!r}: ranks run in one process, "
+                "the only path is 'serial'"
+            )
         self.rate_model = rate_model
         self.compressor = resolve_compressor(compressor)
         self.compressor.capabilities.require(
@@ -97,17 +91,6 @@ class AdaptiveCompressionPipeline:
             who=self.compressor,
         )
         self.settings = settings or OptimizerSettings()
-        self.backend = get_backend(backend)
-
-    def close(self) -> None:
-        """Release the configured backend's resources (e.g. a worker pool)."""
-        self.backend.close()
-
-    def __enter__(self) -> "AdaptiveCompressionPipeline":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     def run(
         self,
@@ -116,12 +99,13 @@ class AdaptiveCompressionPipeline:
         eb_avg: float,
         halo: HaloQualitySpec | None = None,
     ) -> SnapshotResult:
-        """Compress one field adaptively on the pipeline's backend.
+        """Compress one field adaptively through the rank loop,
+        :func:`~repro.parallel.backends.run_snapshot`.
 
         ``halo`` activates the combined §3.6 optimization (density
         fields); otherwise the spectrum constraint alone applies.
         """
-        return self.backend.run_snapshot(
+        return run_snapshot(
             SnapshotTask(
                 data=data,
                 decomposition=decomposition,

@@ -30,12 +30,6 @@ inversion, the R-Q model) a full ``rfftn``, kept and re-binned per
 ``nbins``.  A reference and its reconstructions always take the same
 transform, so an unchanged field scores exactly 0.
 
-Evaluators are picklable *with their caches populated* (precomputed
-eagerly at construction), so process-pool quality sweeps ship the cached
-reference analyses to workers instead of recomputing them there — all
-but the full transform, which is as large as the field and only ever
-needed to bin a new ``nbins``.
-
 Report parity with the seed path is exact for halo metrics, within
 1e-12 for spectra (exact where both bin a full ``rfftn``), and
 floating-point-tolerant for the fused PSNR/NRMSE (tested in
@@ -83,19 +77,6 @@ class FieldReference:
     @property
     def data(self) -> np.ndarray:
         return self._data
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        if state["_f64"] is not None:
-            # Don't ship the field twice across pickle boundaries: once
-            # the float64 view exists it serves every analysis, so the
-            # unpickled reference exposes it as ``data`` too
-            # (numerically equal, possibly widened dtype).
-            state["_data"] = state["_f64"]
-        # Nor its full transform (the field's size again, in complex128):
-        # the binned spectra travel, and a new nbins re-transforms.
-        state["_fk"] = None
-        return state
 
     @staticmethod
     def _note_cache(analysis: str, hit: bool) -> None:
@@ -206,8 +187,8 @@ class QualityEvaluator:
         self.reference = reference
         self.criteria = criteria or QualityCriteria()
         self._nbins = _nbins_below(self.criteria.spectrum_k_max)
-        # Eager precompute: pickled evaluators carry populated caches, so
-        # pool workers never re-analyze the original.
+        # Eager precompute: the original-side analyses run here, once,
+        # not inside the first evaluate().
         self._ps_orig = self.reference.spectrum(self._nbins)
         self._moments = self.reference.moments
         if self.criteria.check_halos:

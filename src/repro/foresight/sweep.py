@@ -20,10 +20,8 @@ reads rates off the probe and never builds a field reference.
 Quality sweeps share one :class:`~repro.foresight.evaluator.QualityEvaluator`
 per field, so the original-side analyses (``rfftn`` power spectrum, halo
 catalog, metric moments) run exactly once per field no matter how many
-error bounds are trialed.  The per-``(field, eb)`` evaluations are
-independent, and ``backend=`` fans them out over one of the
-:mod:`repro.parallel.backends` — ``"serial"`` (default in-process loop)
-or ``"process"``; both return identical records.
+error bounds are trialed.  Each bound is evaluated as soon as it is
+compressed, so peak memory holds one bound's blocks, not the ladder's.
 """
 
 from __future__ import annotations
@@ -40,12 +38,10 @@ from repro.compression.api import (
     decompress_many,
     resolve_compressor,
 )
-from repro.compression.sz import CompressedBlock
 from repro.foresight.evaluator import FieldReference, QualityEvaluator
 from repro.foresight.quality import QualityCriteria, QualityReport
 from repro.models.calibration import check_probe_mode
 from repro.models.rq_model import RQModel
-from repro.parallel.backends import ExecutionBackend, get_backend
 from repro.parallel.decomposition import BlockDecomposition
 
 __all__ = ["SweepRecord", "run_sweep"]
@@ -75,56 +71,12 @@ class SweepRecord:
         return self.quality.passed if self.quality is not None else None
 
 
-def _evaluate_chunk(
-    task: tuple[
-        QualityEvaluator,
-        BlockDecomposition | None,
-        list[tuple[int, list[CompressedBlock]]],
-        int | None,
-    ],
-) -> list[tuple[int, QualityReport]]:
-    """Decompress and evaluate a chunk of one field's reconstructions.
-
-    Module-level (and fed plain picklable data) so process backends can
-    ship it to workers; the evaluator arrives with its reference caches
-    already populated, so workers never re-analyze the original field.
-    The last task element is the decode fan-out (``decompress_many``'s
-    ``threads``): ``1`` when chunks already run side by side.
-    """
-    evaluator, decomposition, chunk, threads = task
-    out = []
-    for idx, blocks in chunk:
-        if decomposition is not None:
-            recon = decomposition.assemble(decompress_many(blocks, threads))
-        else:
-            recon = decompress_any(blocks[0])
-        out.append((idx, evaluator.evaluate(recon)))
-    return out
-
-
-def _quality_reports(
-    evaluator: QualityEvaluator,
-    decomposition: BlockDecomposition | None,
-    per_eb_blocks: list[list[CompressedBlock]],
-    backend: ExecutionBackend,
-) -> list[QualityReport]:
-    """Fan every reconstruction's evaluation out over ``backend``.
-
-    Items are chunked to one task per available worker, so the evaluator
-    (whose pickled form carries the cached reference analyses) crosses a
-    process boundary at most ``parallelism`` times per field.
-    """
-    items = list(enumerate(per_eb_blocks))
-    n_chunks = min(len(items), backend.parallelism)
-    bounds = np.linspace(0, len(items), n_chunks + 1).astype(int)
-    chunks = [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    threads = None if len(chunks) == 1 else 1  # chunks already run in parallel
-    tasks = [(evaluator, decomposition, chunk, threads) for chunk in chunks]
-    reports: list[QualityReport | None] = [None] * len(items)
-    for chunk_result in backend.map_tasks(_evaluate_chunk, tasks):
-        for idx, report in chunk_result:
-            reports[idx] = report
-    return reports  # type: ignore[return-value]
+def _reconstruct(blocks: list, decomposition: BlockDecomposition | None) -> np.ndarray:
+    """One bound's reconstruction: the partitions decoded and reassembled,
+    or the one whole-field block decoded."""
+    if decomposition is not None:
+        return decomposition.assemble(decompress_many(blocks))
+    return decompress_any(blocks[0])
 
 
 def run_sweep(
@@ -135,7 +87,6 @@ def run_sweep(
     compressor: "Compressor | CompressorSpec | str | None" = None,
     rate_only: bool = False,
     probe_mode: str = "exact",
-    backend: str | ExecutionBackend | None = None,
     compressors: "Sequence[Compressor | CompressorSpec | str] | None" = None,
     confirm: str = "never",
 ) -> list[SweepRecord]:
@@ -174,17 +125,12 @@ def run_sweep(
         (:func:`~repro.models.calibration.check_probe_mode`;
         :class:`~repro.compression.api.UnsupportedCapabilityError`
         otherwise).
-    backend:
-        Execution backend (name or instance) for the quality
-        evaluations, which are independent per ``(field, eb)``.  ``None``
-        (default) evaluates inline; a name is resolved via
-        :func:`~repro.parallel.backends.get_backend` and closed on exit,
-        while an instance is left open for the caller to manage.
     compressors:
         Fan the whole sweep over several compressor configurations (the
-        family-ablation mode).  Mutually exclusive with ``compressor``;
-        each record then carries the originating
-        :class:`~repro.compression.api.CompressorSpec` in ``record.spec``.
+        family-ablation mode); any iterable, read once.  Mutually
+        exclusive with ``compressor``; each record then carries the
+        originating :class:`~repro.compression.api.CompressorSpec` in
+        ``record.spec``.
     confirm:
         Exact-confirmation policy for ``probe_mode="model"``:
         ``"never"`` (default) trusts every prediction, ``"boundary"``
@@ -201,9 +147,12 @@ def run_sweep(
         raise ValueError("need at least one error bound")
     if compressors is not None and compressor is not None:
         raise ValueError("pass either compressor or compressors, not both")
-    if compressors is not None and not len(list(compressors)):
-        raise ValueError("compressors must name at least one configuration")
     multi = compressors is not None
+    if multi:
+        # Materialized once: the emptiness check must not spend a generator.
+        compressors = list(compressors)
+        if not compressors:
+            raise ValueError("compressors must name at least one configuration")
     comps = (
         [resolve_compressor(c) for c in compressors]
         if multi
@@ -219,8 +168,6 @@ def run_sweep(
             'confirm applies only to probe_mode="model" '
             f"(got confirm={confirm!r} with probe_mode={probe_mode!r})"
         )
-    owns_backend = isinstance(backend, str)
-    exec_backend = get_backend(backend) if backend is not None else None
     records: list[SweepRecord] = []
     # One lazily-built FieldReference per field, shared across every
     # compressor (and with the R-Q models), so the original-side
@@ -233,81 +180,52 @@ def run_sweep(
             refs[name] = FieldReference(data)
         return refs[name]
 
-    try:
-        for comp in comps:
-            # Tag records with the spec only in multi-compressor mode, so
-            # single-compressor sweeps keep their historical record shape.
-            tag = comp.spec if multi else None
-            for name, data in fields.items():
-                crit = criteria.get(name, QualityCriteria())
-                views = (
-                    decomposition.partition_views(data)
-                    if decomposition is not None
-                    else [data]
-                )
-                # Without real fan-out, evaluate each bound as soon as it
-                # is compressed: buffering every bound's blocks would
-                # multiply peak memory by len(ebs) for no scheduling
-                # benefit.
-                fan_out = exec_backend is not None and exec_backend.parallelism > 1
-                evaluator: QualityEvaluator | None = None
-                rq: RQModel | None = None
-                rates: list[tuple[float, int, int, int]] = []  # (eb, nbytes, n, itemsize)
-                per_eb_blocks: list[list[CompressedBlock]] = []
-                qualities: list[QualityReport | None] = []
-                for eb in ebs:
-                    eb = float(eb)
-                    quality: QualityReport | None = None
-                    measure = probe_mode == "exact"
-                    if not measure:
-                        sized = comp.estimate_many(views, [eb] * len(views))
-                        nbytes = sum(e.est_nbytes for e in sized)
-                        if not rate_only:
-                            if rq is None:
-                                rq = RQModel(
-                                    field_ref(name, data), crit, field=name
-                                )
-                            pred = rq.predict(eb, sized)
-                            quality = pred.to_quality_report()
-                            measure = confirm == "always" or (
-                                confirm == "boundary" and pred.near_boundary(crit)
-                            )
-                    if measure:
-                        sized = blocks = comp.compress_many(views, [eb] * len(views))
-                        nbytes = sum(b.nbytes for b in blocks)
-                        if fan_out and probe_mode == "exact" and not rate_only:
-                            per_eb_blocks.append(blocks)  # evaluated below
-                        elif not rate_only:
-                            if evaluator is None:
-                                evaluator = QualityEvaluator(
-                                    data, crit, reference=field_ref(name, data)
-                                )
-                            (_, quality), = _evaluate_chunk(
-                                (evaluator, decomposition, [(0, blocks)], None)
-                            )
-                    n = sum(x.n_elements for x in sized)
-                    itemsize = sized[0].source_itemsize
-                    rates.append((eb, nbytes, n, itemsize))
-                    qualities.append(quality)
-                if per_eb_blocks:
-                    evaluator = QualityEvaluator(
-                        data, crit, reference=field_ref(name, data)
-                    )
-                    qualities = _quality_reports(
-                        evaluator, decomposition, per_eb_blocks, exec_backend
-                    )
-                for (eb, nbytes, n, itemsize), quality in zip(rates, qualities):
-                    records.append(
-                        SweepRecord(
-                            field=name,
-                            eb=eb,
-                            bit_rate=8.0 * nbytes / n,
-                            ratio=itemsize * n / nbytes,
-                            quality=quality,
-                            spec=tag,
+    for comp in comps:
+        # Tag records with the spec only in multi-compressor mode, so
+        # single-compressor sweeps keep their historical record shape.
+        tag = comp.spec if multi else None
+        for name, data in fields.items():
+            crit = criteria.get(name, QualityCriteria())
+            views = (
+                decomposition.partition_views(data)
+                if decomposition is not None
+                else [data]
+            )
+            evaluator: QualityEvaluator | None = None
+            rq: RQModel | None = None
+            for eb in ebs:
+                eb = float(eb)
+                quality: QualityReport | None = None
+                measure = probe_mode == "exact"
+                if not measure:
+                    sized = comp.estimate_many(views, [eb] * len(views))
+                    nbytes = sum(e.est_nbytes for e in sized)
+                    if not rate_only:
+                        if rq is None:
+                            rq = RQModel(field_ref(name, data), crit, field=name)
+                        pred = rq.predict(eb, sized)
+                        quality = pred.to_quality_report()
+                        measure = confirm == "always" or (
+                            confirm == "boundary" and pred.near_boundary(crit)
                         )
+                if measure:
+                    sized = blocks = comp.compress_many(views, [eb] * len(views))
+                    nbytes = sum(b.nbytes for b in blocks)
+                    if not rate_only:
+                        if evaluator is None:
+                            evaluator = QualityEvaluator(
+                                data, crit, reference=field_ref(name, data)
+                            )
+                        quality = evaluator.evaluate(_reconstruct(blocks, decomposition))
+                n = sum(x.n_elements for x in sized)
+                records.append(
+                    SweepRecord(
+                        field=name,
+                        eb=eb,
+                        bit_rate=8.0 * nbytes / n,
+                        ratio=sized[0].source_itemsize * n / nbytes,
+                        quality=quality,
+                        spec=tag,
                     )
-    finally:
-        if owns_backend and exec_backend is not None:
-            exec_backend.close()
+                )
     return records

@@ -1,19 +1,19 @@
 """repro.lint — determinism & contract static analysis for this repo.
 
-The system's headline guarantees (byte-for-byte ledger replay, bitwise
-backend equivalence, payloads byte-identical across refactors) have each
-been broken by the same small class of Python hazards: unsorted
-filesystem iteration, set order escaping into output, global RNG state,
-non-canonical JSON, ad-hoc wall-clock reads, order-sensitive float
-accumulation, swallowed exceptions, mutable defaults, and compressor
-construction that bypasses the capability-checked registry.  This
+The system's headline guarantees (byte-for-byte ledger replay,
+payloads byte-identical across refactors) have each been broken by the
+same small class of Python hazards: unsorted filesystem iteration, set
+order escaping into output, global RNG state, non-canonical JSON, ad-hoc
+wall-clock reads, order-sensitive float accumulation, swallowed
+exceptions, mutable defaults, compressor construction that bypasses the
+capability-checked registry, and pickled state.  This
 package catches those at review time with AST-level rules instead of at
 replay time:
 
 - :mod:`repro.lint.engine` — per-rule :class:`ast.NodeVisitor` passes
   over a shared :class:`ModuleContext` (import/alias resolution, parent
   links), ``# repro-lint: disable=RULE`` line suppressions,
-- :mod:`repro.lint.rules` — the rule catalog (``RL001``..``RL009``),
+- :mod:`repro.lint.rules` — the rule catalog (``RL001``..``RL013``),
 - :mod:`repro.lint.baseline` — a committed baseline for incremental
   adoption whose entries expire loudly once the flagged line is gone,
 - :mod:`repro.lint.reporters` — text and canonical-JSON reports,

@@ -28,6 +28,7 @@ __all__ = [
     "HandRolledRetryRule",
     "HotPathAllocationRule",
     "AdHocTelemetryRule",
+    "PickleRule",
 ]
 
 #: Builtins that consume an iterable without depending on its order;
@@ -793,4 +794,82 @@ class AdHocTelemetryRule(Rule):
                 "bare span-record dict literal; spans come from "
                 "get_tracer().span(...) and export via Tracer.export_spans()",
             )
+        self.generic_visit(node)
+
+
+@register_rule
+class PickleRule(Rule):
+    """RL013 — stored and shipped state is plain data, never a pickle.
+
+    Unpickling runs whatever code the bytes name, and a pickle's layout
+    follows the classes that wrote it, so a refactor can strand stored
+    data.  Containers are plain npz with canonical-JSON metadata, ledgers
+    are canonical JSON lines and compressors rebuild from their spec;
+    none of them needs ``pickle``.  The one sanctioned reader is
+    ``cli._legacy_meta_rows``, which loads the object-dtype ``__meta``
+    of containers written before the JSON form.
+
+    Bad::
+
+        import pickle
+        blob = pickle.dumps(compressor)
+        meta = np.load(path, allow_pickle=True)["__meta"]
+
+    Good::
+
+        spec = compressor.spec.to_dict()   # resolve_compressor(spec) rebuilds it
+        meta = np.load(path, allow_pickle=False)["__meta"]
+    """
+
+    code = "RL013"
+    name = "no-pickle"
+    summary = "pickle import or np.load(allow_pickle=True); store plain data instead"
+    rationale = (
+        "unpickling executes code named by the bytes and ties stored data "
+        "to class layouts; containers, ledgers and compressor specs are plain "
+        "data, and cli._legacy_meta_rows is the one sanctioned legacy reader."
+    )
+
+    _MODULES = frozenset({"pickle", "_pickle", "cloudpickle", "dill"})
+    #: ``numpy.load``'s ``allow_pickle`` is its third positional parameter.
+    _ALLOW_PICKLE_POSITION = 2
+    #: (path suffix, function name) of the readers allowed to unpickle.
+    _SANCTIONED = (("repro/cli.py", "_legacy_meta_rows"),)
+
+    def _sanctioned(self, node: ast.AST) -> bool:
+        path = self.ctx.path.replace("\\", "/")
+        cur = self.ctx.parent(node)
+        while cur is not None:
+            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                path.endswith(suffix) and cur.name == fn
+                for suffix, fn in self._SANCTIONED
+            ):
+                return True
+            cur = self.ctx.parent(cur)
+        return False
+
+    def _check_module(self, node: ast.AST, module: str) -> None:
+        if module.split(".", 1)[0] in self._MODULES and not self._sanctioned(node):
+            self.flag(node, f"import of {module}; {self.summary}")
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            self._check_module(node, alias.name)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.level == 0 and node.module:
+            self._check_module(node, node.module)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if self.ctx.resolve(node.func) == "numpy.load":
+            value = next(
+                (kw.value for kw in node.keywords if kw.arg == "allow_pickle"), None
+            )
+            if value is None and len(node.args) > self._ALLOW_PICKLE_POSITION:
+                value = node.args[self._ALLOW_PICKLE_POSITION]
+            refused = isinstance(value, ast.Constant) and value.value is False
+            if value is not None and not refused and not self._sanctioned(node):
+                self.flag(node, f"numpy.load() that may unpickle; {self.summary}")
         self.generic_visit(node)

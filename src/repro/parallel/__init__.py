@@ -1,39 +1,26 @@
-"""Domain decomposition and execution backends.
+"""Domain decomposition and the rank loop.
 
 Nyx partitions its grid across MPI ranks; the paper's in situ protocol
 is "every rank extracts its partition's features, one ``MPI_Allreduce``
 shares the global mean, every rank solves for its own bound and
-compresses".  This package runs that protocol on one node:
+compresses".  This package runs that protocol in one process:
 
 - :mod:`repro.parallel.decomposition` — 3-D block decomposition mapping
   ranks to grid partitions (views, no copies),
-- :mod:`repro.parallel.backends` — the execution layer: a serial rank
-  loop and a process pool that run the same snapshot task to the same
-  bytes, with a batched compression hot path.
+- :mod:`repro.parallel.backends` — :func:`run_snapshot`, the rank loop
+  with a batched compression hot path.
 """
 
 from repro.parallel.decomposition import BlockDecomposition, Partition
 
 # Imported last: backends pulls in repro.core feature/optimizer modules,
 # which themselves import decomposition above.
-from repro.parallel.backends import (
-    BACKENDS,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    SnapshotResult,
-    SnapshotTask,
-    get_backend,
-)
+from repro.parallel.backends import SnapshotResult, SnapshotTask, run_snapshot
 
 __all__ = [
     "BlockDecomposition",
     "Partition",
-    "BACKENDS",
-    "ExecutionBackend",
-    "ProcessBackend",
-    "SerialBackend",
     "SnapshotResult",
     "SnapshotTask",
-    "get_backend",
+    "run_snapshot",
 ]

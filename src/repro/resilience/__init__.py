@@ -1,7 +1,7 @@
 """repro.resilience — deterministic fault tolerance for the stream path.
 
 The in-situ pipeline runs *inside* a long-lived simulation: a crashed
-compressor worker, a flaky snapshot load, or a torn ledger write must
+compression, a flaky snapshot load, or a torn ledger write must
 not take the run down or silently corrupt provenance.  This package is
 the substrate the execution and stream layers build on:
 
@@ -20,7 +20,7 @@ the substrate the execution and stream layers build on:
   :class:`RetryExhaustedError` so callers can degrade gracefully.
 
 Everything else — the crash-safe ledger (:mod:`repro.stream.ledger`),
-pool rebuilds in :class:`~repro.parallel.backends.ProcessBackend`,
+the controller's per-field retry,
 :meth:`~repro.stream.controller.InSituController.resume`, and the
 fallback-compressor degradation path — consumes these two primitives.
 

@@ -3,7 +3,7 @@
 Production code declares *fault points* — named places where the real
 world can fail::
 
-    fault_point("backend.compress")   # before compressing a batch
+    fault_point("backend.compress")   # before compressing a snapshot
     fault_point("ledger.append")      # before writing a ledger line
     fault_point("source.load")        # before loading a snapshot
 
@@ -25,28 +25,21 @@ Fault kinds map to the failure modes the stream path must survive:
 
 ===========  ==============================================================
 ``crash``    raise :class:`InjectedCrash` (a retryable transient failure —
-             the worker died, the batch can be re-run)
+             the operation died, it can be re-run)
 ``timeout``  raise :class:`InjectedTimeout` (``TimeoutError`` subclass)
 ``corrupt``  raise :class:`CorruptedPayloadError` (payload failed
              verification; re-reading / re-compressing may fix it)
 ``torn``     raise :class:`TornWrite` — the ledger's append path catches
              it, writes a *partial* line, and re-raises: the on-disk
              state a power cut mid-``write`` leaves behind
-``exit``     ``os._exit(exit_code)`` — genuinely kill the process; inside
-             a pool worker this surfaces as ``BrokenProcessPool`` in the
-             parent, the real thing pool-rebuild logic must handle
 ===========  ==============================================================
 
-Counting is per-process: a forked pool worker inherits the active plan
-and counts its own invocations.  Multi-worker counters are therefore
-only deterministic per worker — chaos tests that need an exact global
-schedule use ``max_workers=1`` or the serial backend (one process,
-invocation counters guarded by a lock).
+Invocation counters are per process and guarded by a lock, so fault
+points reached from several threads still count one global schedule.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -110,7 +103,7 @@ class TornWrite(InjectedFault):
         self.fraction = float(fraction)
 
 
-_KINDS = ("crash", "timeout", "corrupt", "torn", "exit")
+_KINDS = ("crash", "timeout", "corrupt", "torn")
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,6 @@ class FaultSpec:
     kind: str
     at: frozenset[int]
     fraction: float = 0.5  # torn writes: how much of the line survives
-    exit_code: int = 82  # exit faults: the worker's _exit status
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -159,13 +151,11 @@ class FaultPlan:
         at: int | Iterable[int] = 0,
         *,
         fraction: float = 0.5,
-        exit_code: int = 82,
     ) -> "FaultPlan":
         """Arm ``site`` to fail on the given 0-based invocation(s)."""
         invocations = frozenset([at] if isinstance(at, int) else at)
         self._specs[site] = FaultSpec(
-            site=site, kind=kind, at=invocations, fraction=fraction,
-            exit_code=exit_code,
+            site=site, kind=kind, at=invocations, fraction=fraction
         )
         return self
 
@@ -204,13 +194,7 @@ class FaultPlan:
         return self
 
     def disarm(self, site: str) -> "FaultPlan":
-        """Remove ``site``'s armed fault (invocation counts are kept).
-
-        Useful for one-shot process-kill faults: a rebuilt (re-forked)
-        pool worker inherits the parent's plan *as of the fork*, so a
-        parent that disarms after the first kill — e.g. from a backend
-        ``on_retry`` hook — guarantees the replacement workers survive.
-        """
+        """Remove ``site``'s armed fault (invocation counts are kept)."""
         self._specs.pop(site, None)
         return self
 
@@ -254,10 +238,7 @@ class FaultPlan:
             raise CorruptedPayloadError(
                 f"injected corrupted payload at {site!r} (invocation {invocation})"
             )
-        if spec.kind == "torn":
-            raise TornWrite(site, fraction=spec.fraction)
-        # kind == "exit": genuinely kill the process (pool-worker chaos).
-        os._exit(spec.exit_code)
+        raise TornWrite(site, fraction=spec.fraction)
 
     # -- activation ------------------------------------------------------
 
@@ -282,8 +263,6 @@ class FaultPlan:
 
 
 #: The process-wide active plan (``None`` = every fault point disarmed).
-#: Forked pool workers inherit the binding at fork time; spawned workers
-#: start disarmed.
 _ACTIVE: FaultPlan | None = None
 
 

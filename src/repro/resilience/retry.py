@@ -4,7 +4,7 @@ A :class:`RetryPolicy` answers three questions, each deterministically:
 
 - *Should this failure be retried?*  Only exceptions matching the
   policy's ``retryable`` types (by default the :class:`TransientError`
-  marker, timeouts, OS-level errors, and a broken process pool).
+  marker, timeouts and OS-level errors).
   Everything else — a ``ValueError`` from bad inputs, a genuine bug —
   propagates immediately; retrying it would only mask the defect.
 - *How long to wait?*  Exponential backoff with *seeded* jitter: the
@@ -26,7 +26,6 @@ from __future__ import annotations
 import time
 import zlib
 from collections.abc import Callable
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
@@ -42,7 +41,7 @@ class TransientError(Exception):
     """Marker base for failures that are expected to succeed on retry.
 
     Raise (or subclass) it for conditions outside the program's control:
-    a worker killed by the OOM killer, a snapshot file mid-copy, a
+    a snapshot file mid-copy, a
     filesystem hiccup.  The injected-fault types in
     :mod:`repro.resilience.faults` subclass it so chaos tests exercise
     the same classification path production failures take.
@@ -73,12 +72,10 @@ class RetryExhaustedError(Exception):
 
 
 #: Exception types retried when a policy does not override ``retryable``.
-#: ``BrokenProcessPool`` is how a crashed worker surfaces in the parent;
 #: ``TimeoutError``/``OSError`` cover stalled collectives and transient
 #: filesystem failures (``ConnectionError`` is an ``OSError`` subclass).
 DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (
     TransientError,
-    BrokenProcessPool,
     TimeoutError,
     OSError,
 )

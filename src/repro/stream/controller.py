@@ -30,9 +30,8 @@ closes the loop one-shot compression leaves open —
   resume` and :func:`replay_ledger` fold too, so a resumed or replayed
   run is the live run by construction (``docs/resilience.md``).
 
-Per-field compression runs on the one
-:class:`~repro.parallel.backends.ExecutionBackend` the controller was
-built with, and each outcome carries the backend's own
+Per-field compression is :func:`~repro.parallel.backends.run_snapshot`,
+the rank loop the pipeline runs too, and each outcome carries its
 :class:`~repro.parallel.backends.SnapshotResult`.  A decision is
 :func:`~repro.stream.state.decision_inputs` then
 :func:`~repro.core.optimizer.optimize`, the two calls replay makes.
@@ -76,13 +75,7 @@ from repro.models.calibration import (
     calibrate_rate_model,
     check_probe_mode,
 )
-from repro.parallel.backends import (
-    ExecutionBackend,
-    ProcessBackend,
-    SnapshotResult,
-    SnapshotTask,
-    get_backend,
-)
+from repro.parallel.backends import SnapshotResult, SnapshotTask, run_snapshot
 from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience.retry import RetryExhaustedError, RetryPolicy
 from repro.sim.nyx import NyxSnapshot
@@ -137,12 +130,6 @@ class InSituController:
         ``compressor`` pins that field to its own configuration.
     settings:
         Optimizer settings.
-    backend:
-        Execution backend (name or instance) that compresses
-        every field; default is the serial rank loop.  A
-        :class:`~repro.parallel.backends.ProcessBackend` keeps its
-        worker pool alive across fields and snapshots — :meth:`close`
-        releases it.
     candidates:
         Compressor candidate slate (specs or spec strings).  When given,
         every field's compressor is *selected* at (re)calibration time
@@ -190,10 +177,7 @@ class InSituController:
     retry:
         A :class:`~repro.resilience.retry.RetryPolicy` (or a plain int,
         shorthand for ``RetryPolicy(max_attempts=n)``) applied to
-        per-field execution and ledger appends; a
-        :class:`~repro.parallel.backends.ProcessBackend` without its own
-        policy additionally inherits it for batch-level re-execution.
-        ``None`` (default) keeps fail-fast semantics.
+        per-field execution and ledger appends.  ``None`` (default) keeps fail-fast semantics.
     fallback_compressor:
         Conservative :class:`~repro.compression.api.CompressorSpec` (or
         spec string) a field degrades to when its retries are
@@ -223,7 +207,6 @@ class InSituController:
         field_specs: dict[str, FieldSpec] | None = None,
         compressor: "Compressor | CompressorSpec | str | None" = None,
         settings: OptimizerSettings | None = None,
-        backend: str | ExecutionBackend | None = None,
         *,
         candidates: "list[CompressorSpec | str] | None" = None,
         ledger: RunLedger | str | os.PathLike | None = None,
@@ -261,7 +244,6 @@ class InSituController:
             ]
         )
         self.settings = settings or OptimizerSettings()
-        self.backend = get_backend(backend)
         self.retry = (
             RetryPolicy(max_attempts=int(retry)) if isinstance(retry, int) else retry
         )
@@ -270,16 +252,6 @@ class InSituController:
             if isinstance(fallback_compressor, str)
             else fallback_compressor
         )
-        if (
-            self.retry is not None
-            and isinstance(self.backend, ProcessBackend)
-            and self.backend.retry_policy is None
-        ):
-            # A backend without its own policy inherits the stream's, so
-            # a BrokenProcessPool rebuilds the pool and re-runs only the
-            # failed batches instead of failing the whole field.
-            self.backend.retry_policy = self.retry
-            self.backend.on_retry = self._note_retry
         self.ledger = (
             ledger
             if isinstance(ledger, RunLedger)
@@ -313,7 +285,7 @@ class InSituController:
     def _note_retry(
         self, site: str, attempt: int, exc: BaseException, delay: float
     ) -> None:
-        """Retry-accounting hook shared with the backend's batch retries."""
+        """Retry-accounting hook for the field and ledger-append sites."""
         self.report.n_retries += 1
 
     def _append(self, kind: str, **data: Any) -> LedgerEvent:
@@ -340,8 +312,7 @@ class InSituController:
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Release the backend pool and the ledger file handle."""
-        self.backend.close()
+        """Release the ledger file handle."""
         self.ledger.close()
 
     def __enter__(self) -> "InSituController":
@@ -425,7 +396,9 @@ class InSituController:
             warm_start=self.warm_start,
             probe_mode=self.probe_mode,
             drift=asdict(self.drift),
-            backend=self.backend.name,
+            # Ledgers name the execution path here; there is one now,
+            # and nothing reads the field back.
+            backend="serial",
         )
         if self._governor_proto is not None:
             self._make_governor(self._governor_proto.n_snapshots)
@@ -611,7 +584,6 @@ class InSituController:
         ledger: "RunLedger | str | os.PathLike",
         *,
         decomposition: BlockDecomposition | None = None,
-        backend: "str | ExecutionBackend | None" = None,
         field_specs: dict[str, FieldSpec] | None = None,
         default_spec: FieldSpec | None = None,
         retry: "RetryPolicy | int | None" = None,
@@ -635,9 +607,9 @@ class InSituController:
         was never interrupted.
 
         Settings recorded in the ``run_start`` event are restored from
-        the ledger; process-local choices it does not restore — the
-        execution backend (its recorded name is never read back), field
-        specs, retry policy, calibration
+        the ledger (its recorded ``backend`` name is never read back);
+        process-local choices it does not restore — field specs, retry
+        policy, calibration
         ``max_partitions``/``seed`` — are taken from the keyword
         arguments and must match the original run for recalibrations
         after the resume point to reproduce exactly.  Ledgers older than
@@ -669,7 +641,6 @@ class InSituController:
         ctl = cls(
             decomposition,
             field_specs=field_specs,
-            backend=backend,
             ledger=run_ledger,
             n_snapshots=None if gov is None else gov.n_snapshots,
             default_spec=default_spec,
@@ -747,13 +718,9 @@ class InSituController:
         The task's rate model is the field's folded one, the model
         :func:`~repro.stream.state.rederive` replays with.  A transient
         failure (injected crash, timeout, OSError, ...) is retried with
-        the same task — the backend is a pure function of it, so a
-        successful retry is bitwise identical to a run that never
-        failed.  A retry-aware :class:`~repro.parallel.
-        backends.ProcessBackend` retries at batch granularity first;
-        only what escapes it (e.g. its own
-        :class:`~repro.resilience.retry.RetryExhaustedError`, which is
-        not retryable) reaches this per-field site.
+        the same task — :func:`~repro.parallel.backends.run_snapshot` is
+        a pure function of it, so a successful retry is bitwise identical
+        to a run that never failed.
         """
         task = SnapshotTask(
             data=data,
@@ -765,13 +732,12 @@ class InSituController:
             halo=halo,
         )
 
-        def attempt() -> SnapshotResult:
-            return self.backend.run_snapshot(task)
-
         if self.retry is None:
-            return attempt()
+            return run_snapshot(task)
         return self.retry.execute(
-            attempt, site=f"stream.field:{name}", on_retry=self._note_retry
+            lambda: run_snapshot(task),
+            site=f"stream.field:{name}",
+            on_retry=self._note_retry,
         )
 
     def _degrade_field(

@@ -170,7 +170,7 @@ class StreamReport:
     recalibrations: list[tuple[int, str, str]] = dataclass_field(default_factory=list)
     byte_budget: int | None = None
     #: Resilience accounting: transient failures retried (across the
-    #: controller, the ledger append path and a retry-aware backend),
+    #: per-field site and the ledger append path),
     #: torn ledger tails truncated on (re)open, and fields that fell
     #: back to the conservative compressor after exhausting retries.
     n_retries: int = 0
@@ -178,8 +178,7 @@ class StreamReport:
     n_degradations: int = 0
     degraded_fields: list[str] = dataclass_field(default_factory=list)
     #: Per-phase wall time merged across every field result the run
-    #: produced (features/optimize/compress/..., rank-summed like the
-    #: backends' own accounting).
+    #: produced (features/optimize/compress/...).
     timings: TimingBreakdown = dataclass_field(default_factory=TimingBreakdown)
 
     @property

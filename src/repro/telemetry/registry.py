@@ -158,11 +158,6 @@ class MetricsRegistry:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         return [m.snapshot() for m in metrics]
 
-    def merge_counts(self, counts: dict[str, float]) -> None:
-        """Fold worker-exported ``{name: delta}`` counter totals in."""
-        for name in sorted(counts):
-            self.counter(name).inc(counts[name])
-
     def reset(self) -> None:
         """Drop every metric (test isolation; not used on live paths)."""
         with self._lock:

@@ -6,16 +6,12 @@ collects them as they close.  Nesting is tracked per
 :mod:`contextvars` context: a thread starts with an empty parent stack
 (its spans are roots), while work handed to
 :func:`repro.util.fanout.thread_map` runs in a copy of the caller's
-context, so spans opened there nest under the caller's.  Spans recorded in
-worker *processes* are exported as plain dicts and re-homed into the
-parent tracer with :meth:`Tracer.adopt` — ids are reassigned there, so
-merged traces stay collision-free no matter how many workers report.
+context, so spans opened there nest under the caller's.
 
 Clock discipline: every timestamp comes from
 :func:`repro.util.timer.monotonic`, the repo's single RL005-sanctioned
 wall-clock entry point.  Spans therefore share an epoch with ``Timer``
-and ``TimingBreakdown`` within a process (cross-process spans are
-rebased on adoption, since ``perf_counter`` epochs differ per process).
+and ``TimingBreakdown``.
 
 The disarmed path is a shared singleton ``_NullSpan`` whose
 ``__enter__``/``__exit__``/``set_attr`` do nothing — no allocation, no
@@ -30,7 +26,7 @@ from __future__ import annotations
 
 import contextvars
 import threading
-from typing import Any, Iterable
+from typing import Any
 
 from repro.util.timer import monotonic
 
@@ -78,7 +74,7 @@ class Span:
         self._tracer._pop(self)
 
     def to_record(self) -> dict[str, Any]:
-        """Plain-dict form (the exporters' and workers' wire format)."""
+        """Plain-dict form (the exporters' wire format)."""
         return {
             "span_id": self.span_id,
             "parent_id": self.parent_id,
@@ -125,15 +121,6 @@ class NullTracer:
 
     def export_spans(self) -> list[dict[str, Any]]:
         return []
-
-    def adopt(
-        self,
-        records: Iterable[dict[str, Any]],
-        parent_id: int | None = None,
-        rebase_to: float | None = None,
-        track: str | None = None,
-    ) -> None:
-        return None
 
 
 #: The process-wide disarmed tracer (what ``get_tracer()`` returns by
@@ -183,52 +170,8 @@ class Tracer:
             return list(self._finished)
 
     def export_spans(self) -> list[dict[str, Any]]:
-        """Finished spans as plain dicts (wire format for workers and
-        exporters), ordered by start time then id for determinism."""
+        """Finished spans as plain dicts (the exporters' wire format),
+        ordered by start time then id for determinism."""
         with self._lock:
             spans = list(self._finished)
         return [s.to_record() for s in sorted(spans, key=lambda s: (s.start, s.span_id))]
-
-    def adopt(
-        self,
-        records: Iterable[dict[str, Any]],
-        parent_id: int | None = None,
-        rebase_to: float | None = None,
-        track: str | None = None,
-    ) -> None:
-        """Re-home spans exported by another tracer (process worker).
-
-        Ids are reassigned from this tracer's sequence with parent links
-        remapped; root spans of the batch are attached under
-        ``parent_id``.  Because ``perf_counter`` epochs differ across
-        processes, ``rebase_to`` shifts the batch so its earliest start
-        lands there (typically the enclosing span's start).  ``track``
-        relabels the batch (e.g. ``"worker"``) for trace viewers.
-        """
-        batch = list(records)
-        if not batch:
-            return
-        offset = 0.0
-        if rebase_to is not None:
-            offset = rebase_to - min(r["start"] for r in batch)
-        id_map: dict[int, int] = {}
-        adopted: list[Span] = []
-        with self._lock:
-            for rec in batch:
-                new_id = self._next_id
-                self._next_id += 1
-                id_map[rec["span_id"]] = new_id
-            for rec in batch:
-                old_parent = rec.get("parent_id")
-                span = Span(
-                    self,
-                    id_map[rec["span_id"]],
-                    id_map.get(old_parent, parent_id) if old_parent is not None else parent_id,
-                    rec["name"],
-                    dict(rec.get("attrs", ())),
-                    track if track is not None else rec.get("track", self.track),
-                )
-                span.start = rec["start"] + offset
-                span.end = rec["end"] + offset
-                adopted.append(span)
-            self._finished.extend(adopted)

@@ -204,7 +204,6 @@ class TestContract:
                 assert float(np.abs(recon - view.astype(np.float64)).max()) <= eb + 1e-12
 
     def test_survives_a_pickle_round_trip(self, spec, views):
-        # Process backends pickle compressors into workers.
         comp = resolve_compressor(spec)
         comp.compress(views[0], self.EBS[0])  # used before it travels
         clone = pickle.loads(pickle.dumps(comp))

@@ -35,7 +35,6 @@ from repro.compression.kernels import (
 from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch_inplace
 from repro.compression.quantizer import encode_residuals_batch, quantize_lattice_batch
 from repro.compression.sz import SZCompressor, decompress
-from repro.parallel.backends import ProcessBackend
 from repro.util.errors import PayloadError
 
 
@@ -224,10 +223,10 @@ class TestNoKernelOption:
         with pytest.raises(ValueError, match=r"unknown parameter\(s\) \['kernels'\]"):
             REGISTRY.canonical("sz_adaptive:kernels=auto")
 
-    def test_pickle_round_trip_the_way_the_process_backend_ships_it(self):
+    def test_pickle_round_trip(self):
         comp = SZCompressor(codec="huffman", radius=64)
         comp.compress(np.zeros((4, 4, 4)), 0.1)  # scratch is the thread's: nothing to travel
-        clone = pickle.loads(ProcessBackend._serialize_compressor(comp))
+        clone = pickle.loads(pickle.dumps(comp))
         assert clone.spec == comp.spec
         rng = np.random.default_rng(12)
         views = [rng.normal(0, 10, (6, 5, 4)) for _ in range(3)]

@@ -16,7 +16,7 @@ class TestStaticBaseline:
         assert res.ebs.tolist() == [50.0] * decomposition.n_partitions
 
     def test_is_the_adaptive_result_type(self, snapshot, decomposition):
-        """One result type from backend to caller: no optimizer ran, so
+        """One result type from rank loop to caller: no optimizer ran, so
         there are no features and no optimization to report."""
         from repro.core.pipeline import SnapshotResult
 

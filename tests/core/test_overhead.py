@@ -39,13 +39,13 @@ class TestOverhead:
         with pytest.raises(ValueError, match="repeats"):
             measure_overhead(snapshot["baryon_density"], decomposition, 0.2, repeats=0)
 
-    def test_times_the_batched_call_the_backends_make(self, snapshot, decomposition):
-        """Both backends compress through ``compress_many``; the §4.3
+    def test_times_the_batched_call_the_rank_loop_makes(self, snapshot, decomposition):
+        """The rank loop compresses through ``compress_many``; the §4.3
         denominator must not be a per-view ``compress`` loop."""
 
         class BatchOnly(SZCompressor):
             def compress(self, data, eb):
-                raise AssertionError("no backend compresses one view at a time")
+                raise AssertionError("the rank loop never compresses one view at a time")
 
         report = measure_overhead(
             snapshot["baryon_density"], decomposition, eb=0.2,

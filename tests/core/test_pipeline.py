@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.baselines import StaticBaseline
 from repro.core.config import HaloQualitySpec, OptimizerSettings
+from repro.core.features import extract_features
+from repro.core.optimizer import optimize
 from repro.core.pipeline import AdaptiveCompressionPipeline
 from repro.models.calibration import calibrate_rate_model
 
@@ -83,50 +85,48 @@ class TestRun:
         assert res.eb_map(decomposition).shape == decomposition.blocks
 
 
-@pytest.fixture(scope="module")
-def process_pipe(request):
-    """A pipeline on a two-worker pool; its results are compared with a
-    separately built default (serial) pipeline's."""
-    calibrated = request.getfixturevalue("calibrated")
-    with AdaptiveCompressionPipeline(calibrated.rate_model, backend="process") as pipe:
-        yield pipe
-
-
 class TestSpmdEquivalence:
-    """``run`` runs on the backend chosen at construction (the default is
-    serial), and both backends give the same bounds and bytes."""
+    """The rank loop in one process is the SPMD protocol: each rank's block
+    is what that rank alone compresses at its bound, and the bounds are the
+    one optimization over every rank's features."""
 
-    def test_spmd_matches_serial_exact_mode(
-        self, snapshot, decomposition, calibrated, process_pipe
-    ):
+    def test_spmd_matches_serial_exact_mode(self, snapshot, decomposition, calibrated):
         data = snapshot["baryon_density"]
-        serial = AdaptiveCompressionPipeline(calibrated.rate_model).run(
-            data, decomposition, eb_avg=0.2
-        )
-        spmd = process_pipe.run(data, decomposition, eb_avg=0.2)
-        assert np.array_equal(spmd.ebs, serial.ebs)
-        assert [b.payloads for b in spmd.blocks] == [b.payloads for b in serial.blocks]
+        pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
+        res = pipe.run(data, decomposition, eb_avg=0.2)
+        per_rank = [
+            pipe.compressor.compress(p.view(data), float(eb))
+            for p, eb in zip(decomposition, res.ebs)
+        ]
+        assert [b.payloads for b in res.blocks] == [b.payloads for b in per_rank]
 
-    def test_spmd_with_halo(self, snapshot, decomposition, calibrated, process_pipe):
+    def test_spmd_with_halo(self, snapshot, decomposition, calibrated):
         data = snapshot["baryon_density"]
         tb = float(np.percentile(data.astype(np.float64), 99.0))
         halo = HaloQualitySpec(t_boundary=tb, mass_budget=100.0, reference_eb=0.5)
-        serial = AdaptiveCompressionPipeline(calibrated.rate_model).run(
-            data, decomposition, eb_avg=0.2, halo=halo
-        )
-        spmd = process_pipe.run(data, decomposition, eb_avg=0.2, halo=halo)
-        assert np.array_equal(spmd.ebs, serial.ebs)
+        pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
+        res = pipe.run(data, decomposition, eb_avg=0.2, halo=halo)
+        features = [
+            extract_features(
+                p.view(data), rank=p.rank, t_boundary=tb, reference_eb=0.5
+            )
+            for p in decomposition
+        ]
+        want = optimize(features, calibrated.rate_model, 0.2, pipe.settings, halo)
+        assert np.array_equal(res.ebs, want.ebs)
 
-    def test_spmd_timings_populated(self, snapshot, decomposition, process_pipe):
+    def test_spmd_timings_populated(self, snapshot, decomposition, calibrated):
         """Regression: the SPMD path used to return empty timings."""
-        res = process_pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
-        assert set(res.timings.totals) >= {"scatter", "features", "optimize", "compress"}
+        pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
+        res = pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+        assert set(res.timings.totals) == {"features", "optimize", "compress"}
         assert res.timings.totals["compress"] > 0
 
-    def test_spmd_returns_rank0_optimization(self, snapshot, decomposition, process_pipe):
+    def test_spmd_returns_rank0_optimization(self, snapshot, decomposition, calibrated):
         """Regression: the SPMD path used to re-solve the optimization
         instead of returning the result its bounds came from."""
-        res = process_pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+        pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
+        res = pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
         assert res.optimization is not None
         assert np.array_equal(res.optimization.ebs, res.ebs)
 
@@ -139,13 +139,14 @@ class TestSpmdEquivalence:
         assert spmd.ebs.mean() == pytest.approx(0.2, rel=0.25)
 
     def test_backend_argument_accepts_names(self, snapshot, decomposition, calibrated):
+        """``"serial"`` is the one name left, kept for callers that pass it."""
         data = snapshot["baryon_density"]
-        pipe = AdaptiveCompressionPipeline(calibrated.rate_model, backend="serial")
-        assert pipe.backend.name == "serial"
-        via_serial = pipe.run(data, decomposition, eb_avg=0.2)
-        with AdaptiveCompressionPipeline(
-            calibrated.rate_model, backend="process"
-        ) as pooled:
-            assert pooled.backend.name == "process"
-            via_process = pooled.run(data, decomposition, eb_avg=0.2)
-        assert np.array_equal(via_serial.ebs, via_process.ebs)
+        via_name = AdaptiveCompressionPipeline(
+            calibrated.rate_model, backend="serial"
+        ).run(data, decomposition, eb_avg=0.2)
+        via_default = AdaptiveCompressionPipeline(calibrated.rate_model).run(
+            data, decomposition, eb_avg=0.2
+        )
+        assert np.array_equal(via_name.ebs, via_default.ebs)
+        with pytest.raises(ValueError, match="'process'"):
+            AdaptiveCompressionPipeline(calibrated.rate_model, backend="process")

@@ -6,13 +6,11 @@ exactly where both bin a full ``rfftn`` and within 1e-12 where the
 evaluator takes the low-k transform, and to floating-point tolerance
 for the fused PSNR/NRMSE, across compressor
 engines and decompositions; quality sweeps must analyze the original
-field exactly once per field; and every execution backend must return
-identical sweep records.
+field exactly once per field; and a sweep's records must be what
+compressing, reconstructing and evaluating each bound by hand gives.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -27,7 +25,6 @@ from repro.compression.sz import SZCompressor, decompress
 from repro.foresight.evaluator import FieldReference, QualityEvaluator, spectrum_deviation
 from repro.foresight.quality import QualityCriteria, QualityReport, evaluate_quality
 from repro.foresight.sweep import run_sweep
-from repro.parallel.backends import ProcessBackend
 
 
 def seed_evaluate_quality(original, reconstructed, criteria) -> QualityReport:
@@ -190,15 +187,6 @@ class TestFieldReference:
         # 32^3: 4 and 2 bins take the low-k transform; None, 9, 16 the rfftn.
         assert calls == {"rfft_of": 1, "power_spectrum": 2}
 
-    def test_pickle_drops_the_transform(self, snapshot):
-        ref = FieldReference(snapshot["temperature"])
-        ps = ref.spectrum(9)
-        assert ref._fk is not None
-        back = pickle.loads(pickle.dumps(ref))
-        assert back._fk is None and ref._fk is not None
-        assert back.spectrum(9).power.tolist() == ps.power.tolist()
-        assert np.array_equal(back.spectrum().power, ref.spectrum().power)
-
     def test_requires_field_or_reference(self):
         with pytest.raises(ValueError, match="original field or a reference"):
             QualityEvaluator()
@@ -267,13 +255,13 @@ class TestOriginalAnalyzedOnce:
         assert counts["halos"] == n_ebs + 1
 
     @pytest.mark.parametrize("k_max", [5, 10])
-    def test_pickled_evaluator_keeps_caches(self, snapshot, monkeypatch, k_max):
+    def test_built_evaluator_keeps_caches(self, snapshot, monkeypatch, k_max):
         data = snapshot["baryon_density"]
         tb = float(np.percentile(data.astype(np.float64), 99.0))
         crit = QualityCriteria(
             spectrum_tolerance=0.5, spectrum_k_max=k_max, check_halos=True, t_boundary=tb
         )
-        ev = pickle.loads(pickle.dumps(QualityEvaluator(data, crit)))
+        ev = QualityEvaluator(data, crit)
         recon = decompress(SZCompressor().compress(data, 0.1))
 
         counts = {"spectrum": 0, "halos": 0}
@@ -293,42 +281,35 @@ class TestOriginalAnalyzedOnce:
         )
         ev.evaluate(recon)
         # Only the reconstruction is analyzed; the original's spectrum
-        # and catalog crossed the pickle boundary with the evaluator.
+        # and catalog were cached when the evaluator was built.
         assert counts == {"spectrum": 1, "halos": 1}
 
 
-class TestBackendEquivalence:
-    def _sweep(self, snapshot, decomposition, backend):
+class TestInlineEvaluation:
+    def test_records_match_a_manual_loop(self, snapshot, decomposition):
+        """Each bound is compressed, reconstructed and evaluated in turn;
+        the records are exactly that loop's."""
         density = snapshot["baryon_density"]
         tb = float(np.percentile(density.astype(np.float64), 99.0))
-        return run_sweep(
-            {
-                "baryon_density": density,
-                "temperature": snapshot["temperature"],
-            },
-            ebs=[0.05, 0.2, 0.8],
-            criteria={
-                "baryon_density": QualityCriteria(
-                    spectrum_tolerance=0.5, check_halos=True, t_boundary=tb
-                ),
-                "temperature": QualityCriteria(spectrum_tolerance=0.5),
-            },
-            decomposition=decomposition,
-            backend=backend,
-        )
-
-    def test_serial_process_identical(self, snapshot, decomposition):
-        reference = self._sweep(snapshot, decomposition, None)
-        with ProcessBackend(max_workers=2) as process:
-            for backend in ("serial", process):
-                records = self._sweep(snapshot, decomposition, backend)
-                assert len(records) == len(reference)
-                for got, want in zip(records, reference):
-                    assert got.field == want.field
-                    assert got.eb == want.eb
-                    assert got.bit_rate == want.bit_rate
-                    assert got.ratio == want.ratio
-                    assert got.quality == want.quality
+        criteria = {
+            "baryon_density": QualityCriteria(
+                spectrum_tolerance=0.5, check_halos=True, t_boundary=tb
+            ),
+            "temperature": QualityCriteria(spectrum_tolerance=0.5),
+        }
+        fields = {"baryon_density": density, "temperature": snapshot["temperature"]}
+        ebs = [0.05, 0.2, 0.8]
+        records = run_sweep(fields, ebs=ebs, criteria=criteria, decomposition=decomposition)
+        comp = resolve_compressor(None)
+        want = []
+        for name, data in fields.items():
+            evaluator = QualityEvaluator(data, criteria[name])
+            views = decomposition.partition_views(data)
+            for eb in ebs:
+                blocks = comp.compress_many(views, [eb] * len(views))
+                recon = decomposition.assemble([decompress(b) for b in blocks])
+                want.append((name, eb, evaluator.evaluate(recon)))
+        assert [(r.field, r.eb, r.quality) for r in records] == want
 
 
 class TestTrialAndErrorCriteria:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,26 @@ class TestSweep:
     def test_rejects_unknown_probe_mode(self, snapshot):
         with pytest.raises(ValueError, match="probe_mode"):
             run_sweep({"t": snapshot["temperature"]}, [1.0], {}, probe_mode="quick")
+
+    def test_compressors_may_be_a_generator(self, snapshot, decomposition):
+        """Regression: the emptiness check used to spend a generator, so
+        the sweep itself saw no compressor and returned no records."""
+        specs = ["sz", "sz:codec=raw"]
+        sweep = functools.partial(
+            run_sweep, {"t": snapshot["temperature"]}, [50.0], {},
+            decomposition=decomposition, rate_only=True,
+        )
+        as_list = sweep(compressors=list(specs))
+        as_generator = sweep(compressors=(s for s in specs))
+        assert len(as_list) == 2
+        assert [(r.spec, r.ratio) for r in as_generator] == [
+            (r.spec, r.ratio) for r in as_list
+        ]
+
+    def test_rejects_empty_compressor_slate(self, snapshot):
+        for empty in ([], iter(())):
+            with pytest.raises(ValueError, match="at least one configuration"):
+                run_sweep({"t": snapshot["temperature"]}, [1.0], {}, compressors=empty)
 
 
 class TestRateOnlySweep:

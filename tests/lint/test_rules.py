@@ -134,6 +134,16 @@ CASES = [
         # A metric-snapshot-shaped dict is not a span record.
         "rec = {'kind': 'counter', 'name': 'retries', 'value': 3}\n",
     ),
+    (
+        "RL013",
+        "import pickle\nblob = pickle.dumps(comp)\n",
+        "import json\nblob = json.dumps(comp.spec.to_dict(), sort_keys=True)\n",
+    ),
+    (
+        "RL013",
+        "import numpy as np\nmeta = np.load(path, allow_pickle=True)['__meta']\n",
+        "import numpy as np\nmeta = np.load(path, allow_pickle=False)['__meta']\n",
+    ),
 ]
 
 
@@ -323,6 +333,65 @@ class TestRuleEdges:
             "            raise\n"
         )
         assert "RL010" not in codes(src)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import pickle\n",
+            "import pickle as pk\n",
+            "from pickle import loads\n",
+            "import _pickle\n",
+            "import cloudpickle\n",
+            "import dill\n",
+            "import numpy as np\nnp.load(p, None, True)\n",
+            # Non-literal: cannot prove it refuses.
+            "import numpy as np\nnp.load(p, allow_pickle=flag)\n",
+            "from numpy import load\nload(p, allow_pickle=True)\n",
+        ],
+    )
+    def test_rl013_flags(self, src):
+        assert codes(src) == ["RL013"]
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import picklescan_report\n",  # only shares the prefix
+            "from .pickle import helper\n",  # package-local module
+            "import numpy as np\nnp.load(p)\n",  # the default refuses
+            "import numpy as np\nnp.load(p, None, False)\n",
+            "import numpy as np\nnp.load(p, mmap_mode='r', allow_pickle=False)\n",
+        ],
+    )
+    def test_rl013_passes(self, src):
+        assert codes(src) == []
+
+    def test_rl013_line_pragma_silences_it(self):
+        assert codes("import pickle  # repro-lint: disable=RL013\n") == []
+
+    def test_rl013_legacy_loader_is_the_one_exception(self):
+        src = (
+            "import numpy as np\n"
+            "def _legacy_meta_rows(path):\n"
+            "    with np.load(path, allow_pickle=True) as data:\n"
+            "        return data['__meta']\n"
+        )
+        assert codes(src, path="src/repro/cli.py") == []
+        assert codes(src, path="src/repro/stream/ledger.py") == ["RL013"]
+        renamed = src.replace("_legacy_meta_rows", "load_meta")
+        assert codes(renamed, path="src/repro/cli.py") == ["RL013"]
+
+    def test_rl013_src_unpickles_only_in_the_legacy_loader(self, monkeypatch):
+        from pathlib import Path
+
+        from repro.lint import run_lint
+        from repro.lint.rules import PickleRule
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        assert run_lint([src], select=["RL013"]).findings == []
+        monkeypatch.setattr(PickleRule, "_SANCTIONED", ())
+        found = run_lint([src], select=["RL013"]).findings
+        assert [f.path.rsplit("/", 1)[-1] for f in found] == ["cli.py"]
+        assert "allow_pickle=True" in found[0].content
 
 
 def test_every_rule_has_metadata_and_examples():

@@ -18,9 +18,12 @@ from repro.resilience.faults import FaultSpec
 
 
 class TestFaultSpec:
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["meltdown", "exit"])
+    def test_unknown_kind_rejected(self, kind):
+        """``exit`` killed a pool worker; with ranks in one process it
+        would kill the run, so it is no longer a fault kind."""
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec(site="s", kind="meltdown", at=frozenset({0}))
+            FaultSpec(site="s", kind=kind, at=frozenset({0}))
 
     def test_empty_invocations_rejected(self):
         with pytest.raises(ValueError, match="no invocations"):
@@ -126,3 +129,25 @@ class TestFaultPlan:
             FaultPlan().arm_random("s", rate=0.0, horizon=10)
         with pytest.raises(ValueError, match="horizon"):
             FaultPlan().arm_random("s", rate=0.5, horizon=0)
+
+
+class TestRankLoopSites:
+    @pytest.mark.parametrize("site", ["backend.features", "backend.compress"])
+    def test_each_site_is_reached_once_per_snapshot(self, site):
+        import numpy as np
+
+        from repro.core.pipeline import AdaptiveCompressionPipeline
+        from repro.models.rate_model import RateModel
+        from repro.parallel.decomposition import BlockDecomposition
+
+        pipe = AdaptiveCompressionPipeline(
+            RateModel(exponent=-0.8, coef_alpha=0.0, coef_beta=0.3)
+        )
+        data = np.random.default_rng(0).random((16, 16, 16))
+        dec = BlockDecomposition(data.shape, blocks=2)
+        plan = FaultPlan().arm(site, kind="crash", at=1)
+        with plan.activate():
+            pipe.run(data, dec, eb_avg=0.01)
+            with pytest.raises(InjectedCrash):
+                pipe.run(data, dec, eb_avg=0.01)
+        assert plan.invocations(site) == 2

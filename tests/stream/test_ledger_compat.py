@@ -119,39 +119,53 @@ class TestFrozenFixtures:
         ctl.close()
         assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
 
-    def test_thread_stamped_ledger_resumes_and_replays(self, tmp_path):
-        """The thread backend is gone; a ledger whose ``run_start`` names
-        it still replays and resumes, because the recorded backend is
-        written for the reader and never read back."""
+    @pytest.mark.parametrize("stamp", ["thread", "process"])
+    def test_backend_stamped_ledger_resumes_and_replays(self, tmp_path, stream_sim, stamp):
+        """The thread and process backends are gone; a ledger whose
+        ``run_start`` names either still replays, and resumes on the one
+        path, because the recorded backend is written for the reader and
+        never read back."""
         from repro.stream.controller import InSituController
 
         lines = (FIXTURES / "v3_ledger.jsonl").read_text().splitlines()
         start = json.loads(lines[0])
         assert start["kind"] == "run_start" and start["data"]["backend"] == "serial"
-        start["data"]["backend"] = "thread"
+        start["data"]["backend"] = stamp
         lines[0] = json.dumps(start, sort_keys=True, separators=(",", ":"))
-        old = tmp_path / "thread.jsonl"
+        old = tmp_path / f"{stamp}.jsonl"
         old.write_text("\n".join(lines) + "\n")
+        pinned = _pinned_v3_bounds()
+        assert _bounds(replay_ledger(old, verify=True)) == pinned
 
-        assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
-        ctl = InSituController.resume(old)
-        assert ctl.backend.name == "serial"
+        # Cut before snapshot 4: the resumed run appends its own events.
+        cut = tmp_path / f"{stamp}-cut.jsonl"
+        cut.write_text("\n".join(lines[:35]) + "\n")
+        ctl = InSituController.resume(cut)
+        ctl.run(
+            SimulatorStream(
+                stream_sim, [3.2, 2.8, 2.4, 2.0, 1.6],
+                fields=["baryon_density", "temperature"],
+            )
+        )
         ctl.close()
-        assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
+        appended = RunLedger.load(cut).events[35:]
+        assert appended[0].kind == "resume" and appended[-1].kind == "run_end"
+        assert _bounds(replay_ledger(cut, verify=True))[:-2] == pinned[:-2]
 
+    @pytest.mark.parametrize("stamp", ["thread", "process"])
     @pytest.mark.parametrize("name", ["pr4_ledger", "v2_ledger", "v3_ledger"])
-    def test_thread_stamped_runs_replay_to_pinned_decisions(self, tmp_path, name):
-        """Every schema's ``run_start`` carries a backend name; naming the
-        retired thread backend in each of them changes no decision."""
+    def test_backend_stamped_runs_replay_to_pinned_decisions(self, tmp_path, name, stamp):
+        """Every schema's ``run_start`` carries a backend name; naming a
+        retired backend in each of them changes no decision."""
         lines = []
         for line in (FIXTURES / f"{name}.jsonl").read_text().splitlines():
             event = json.loads(line)
             if event["kind"] == "run_start":
                 assert event["data"]["backend"] == "serial"
-                event["data"]["backend"] = "thread"
+                event["data"]["backend"] = stamp
                 line = json.dumps(event, sort_keys=True, separators=(",", ":"))
             lines.append(line)
-        old = tmp_path / f"thread-{name}.jsonl"
+        old = tmp_path / f"{stamp}-{name}.jsonl"
         old.write_text("\n".join(lines) + "\n")
 
         pinned = json.loads((FIXTURES / f"{name}.decisions.json").read_text())

@@ -97,6 +97,25 @@ class TestStackInstrumentation:
         snap_ids = {s["span_id"] for s in snaps}
         assert all(s["parent_id"] in snap_ids for s in fields)
 
+    def test_rank_loop_spans(self, sim, dec):
+        """``bench/harness.py`` maps ``backend.snapshot``: the rank loop's
+        three phases nest under it, in protocol order, on one track."""
+        from repro.core.pipeline import AdaptiveCompressionPipeline
+        from repro.models.rate_model import RateModel
+
+        pipe = AdaptiveCompressionPipeline(
+            RateModel(exponent=-0.8, coef_alpha=0.0, coef_beta=0.3)
+        )
+        with telemetry.armed() as tracer:
+            pipe.run(sim.snapshot(z=1.0)["temperature"], dec, eb_avg=1.0)
+        spans = tracer.export_spans()
+        (snap,) = [s for s in spans if s["name"] == "backend.snapshot"]
+        assert snap["parent_id"] is None
+        assert snap["attrs"] == {"ranks": dec.n_partitions}
+        phases = [s["name"] for s in spans if s["parent_id"] == snap["span_id"]]
+        assert phases == ["features", "optimize", "compress"]
+        assert {s["track"] for s in spans} == {"main"}
+
     def test_foresight_cache_counters(self, sim):
         data = sim.snapshot(z=1.0)["temperature"]
         with telemetry.armed():

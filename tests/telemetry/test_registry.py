@@ -87,12 +87,6 @@ class TestRegistryExports:
         names = [m["name"] for m in registry.snapshot()]
         assert names == sorted(names) == ["alpha", "mid", "zebra"]
 
-    def test_merge_counts(self, registry):
-        registry.counter("retries").inc(1)
-        registry.merge_counts({"retries": 2, "rebuilds": 1})
-        assert registry.counter("retries").value == 3
-        assert registry.counter("rebuilds").value == 1
-
     def test_reset(self, registry):
         registry.counter("a").inc()
         registry.reset()

@@ -1,5 +1,5 @@
-"""Tracer: nesting, the disarmed null fast path, worker-span adoption,
-and the module-level arm/disarm switch."""
+"""Tracer: nesting, the disarmed null fast path, and the module-level
+arm/disarm switch."""
 
 from __future__ import annotations
 
@@ -25,9 +25,9 @@ class TestNullFastPath:
             span.set_attr("k", "v")
         assert telemetry.get_tracer().export_spans() == []
 
-    def test_null_adopt_is_noop(self):
-        telemetry.get_tracer().adopt([{"span_id": 0, "start": 0.0, "end": 1.0}])
-        assert telemetry.get_tracer().export_spans() == []
+    def test_null_tracer_has_no_adopt(self):
+        assert not hasattr(telemetry.get_tracer(), "adopt")
+        assert not hasattr(telemetry.Tracer, "adopt")
 
 
 class TestArmDisarm:
@@ -151,38 +151,3 @@ class TestNesting:
         # the workers' pushes never reach the caller's stack
         assert after.parent_id is None
 
-
-class TestAdopt:
-    def _worker_records(self):
-        worker = telemetry.Tracer(track="worker-pid")
-        with worker.span("task") as task:
-            with worker.span("task.step"):
-                pass
-        return worker.export_spans(), task
-
-    def test_ids_reassigned_and_parents_remapped(self):
-        records, _ = self._worker_records()
-        with telemetry.armed() as tracer:
-            with tracer.span("snapshot") as snap:
-                pass
-            tracer.adopt(records, parent_id=snap.span_id, track="worker")
-        merged = {r["name"]: r for r in tracer.export_spans()}
-        assert merged["task"]["parent_id"] == snap.span_id
-        assert merged["task.step"]["parent_id"] == merged["task"]["span_id"]
-        ids = [r["span_id"] for r in merged.values()]
-        assert len(set(ids)) == 3
-        assert merged["task"]["track"] == "worker"
-
-    def test_rebase_shifts_batch_preserving_durations(self):
-        records, _ = self._worker_records()
-        durations = [r["end"] - r["start"] for r in records]
-        with telemetry.armed() as tracer:
-            tracer.adopt(records, rebase_to=1000.0)
-        adopted = tracer.export_spans()
-        assert min(r["start"] for r in adopted) == 1000.0
-        assert [r["end"] - r["start"] for r in adopted] == durations
-
-    def test_adopt_empty_batch(self):
-        with telemetry.armed() as tracer:
-            tracer.adopt([])
-        assert tracer.export_spans() == []

@@ -6,7 +6,8 @@ Every ``examples/*.py`` guards ``main()`` behind ``__name__ ==
 without running it.  The storage-budget example is additionally *run*:
 it is the batch front door (the controller with frozen models).  The
 prose that shows users what to type — README, ``docs/``, the examples —
-may only name probe modes and backends that exist.
+may only name probe modes that exist, and no execution backend: ranks
+run in one process and there is nothing to choose.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from pathlib import Path
 import pytest
 
 from repro.models.calibration import PROBE_MODES
-from repro.parallel.backends import BACKENDS
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 USER_FACING = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")), *EXAMPLES]
 _MODE_LITERAL = re.compile(r"""probe_mode=["'](\w+)["']|--probe-mode[ =](\w+)""")
-_BACKEND_LITERAL = re.compile(r"""backend=["'](\w+)["']|--backend[ =](\w+)""")
+_RETIRED_BACKEND = re.compile(r"""ProcessBackend|backend=["']process["']|--backend\b""")
 
 
 def _load(path: Path):
@@ -51,8 +51,7 @@ def test_only_real_probe_modes_are_documented(path):
 
 @pytest.mark.parametrize("path", USER_FACING, ids=lambda p: p.name)
 def test_only_real_backends_are_documented(path):
-    named = {py or cli for py, cli in _BACKEND_LITERAL.findall(path.read_text())}
-    assert named <= set(BACKENDS)
+    assert _RETIRED_BACKEND.findall(path.read_text()) == []
 
 
 def test_campaign_storage_budget_runs(capsys):
@@ -60,3 +59,11 @@ def test_campaign_storage_budget_runs(capsys):
     out = capsys.readouterr().out
     assert "Per-field ratios" in out and "Per-snapshot ratios" in out
     assert "overall campaign ratio: 6.7x" in out
+
+
+def test_insitu_campaign_runs(capsys):
+    """64 ranks over five snapshots on the one execution path."""
+    _load(next(p for p in EXAMPLES if p.stem == "insitu_campaign")).main()
+    out = capsys.readouterr().out
+    assert "In situ campaign on baryon_density (64 ranks" in out
+    assert out.count("\n") > 5
