@@ -105,7 +105,7 @@ def main() -> None:
                 cell[1] += len(deflate(packed))
                 cell[0] += perf_counter() - start
                 cell[2] += data.dtype.itemsize * row.size
-        blocks += comp.compress_many(views, ebs, threads=1)
+        blocks += comp.compress_many(views, ebs)
     print(format_table(
         ["layout", "zlib level", "deflate s", "ratio"],
         [[name, level, s, raw / nbytes] for (name, level), (s, nbytes) in totals.items()],

@@ -24,7 +24,8 @@ select_compressor`) instead of a hard-coded default:
   payloads (contract-tested per family),
 - :func:`decompress_any` / :func:`decompress_many` — block-type
   dispatch so reconstruction paths work for every registered family,
-  not just SZ; the batch form fans blocks out over threads.
+  not just SZ; the batch form hands SZ blocks to SZ's one chunked
+  decoder.
 
 Terminology note: the *entropy codec* (zlib / huffman / raw) is the SZ
 family's internal entropy stage — one **parameter** of the ``sz`` spec —
@@ -46,7 +47,6 @@ import numpy as np
 # the concrete families are imported lazily — inside the sz factory and
 # :func:`register_builtin_families` — to keep the graph acyclic.
 from repro.compression.quantizer import DEFAULT_RADIUS
-from repro.util.fanout import thread_map, usable_cpus
 
 __all__ = [
     "CompressorCapabilities",
@@ -244,12 +244,9 @@ class Compressor(Protocol):
     """The contract every compressor implements, written once.
 
     ``compress(data, eb)`` returns a self-describing block;
-    ``compress_many(views, ebs, threads=None)`` is the batched way in —
-    one bound per view, the blocks of per-view ``compress`` calls, in
-    order.  ``threads`` is a hard cap on the pool threads the call may
-    use (``None``: :func:`~repro.util.fanout.usable_cpus`; ``1`` keeps
-    the call in its thread); families
-    without a fan-out ignore it.  ``decompress(block)`` inverts either.  ``eb`` is
+    ``compress_many(views, ebs)`` is the batched way in — one bound per
+    view, the blocks of per-view ``compress`` calls, in order.
+    ``decompress(block)`` inverts either.  ``eb`` is
     honoured as an error bound only when :attr:`capabilities` declares
     ``error_bounded`` — fixed-rate families accept and ignore it, so the
     call shape stays uniform across the registry.  A compressor that
@@ -272,9 +269,7 @@ class Compressor(Protocol):
 
     def compress(self, data: np.ndarray, eb: float) -> Any: ...
 
-    def compress_many(
-        self, views: list[np.ndarray], ebs: Any, threads: int | None = None
-    ) -> list[Any]: ...
+    def compress_many(self, views: list[np.ndarray], ebs: Any) -> list[Any]: ...
 
     def decompress(self, block: Any) -> np.ndarray: ...
 
@@ -530,75 +525,24 @@ def decompress_any(block: Any) -> np.ndarray:
     return REGISTRY.decompress(block)
 
 
-#: Fewest elements per block for which handing work to a thread pool
-#: pays: :meth:`~repro.compression.sz.SZCompressor.compress_many` /
-#: ``estimate_many`` fan out chunks of such blocks (each chunk the whole
-#: front and entropy stage of up to 8 blocks of 32^3), and
-#: :func:`decompress_many` decodes them one per thread.  Measured on a
-#: 2-vCPU box whose second core comes and goes, time with ``threads=2``
-#: over time with ``threads=1`` (per-block entropy encodes / decode, 64
-#: blocks per field, medians): 8^3 1.35x / 1.24x, 16^3 1.07x / 1.38x,
-#: 24^3 0.89x / 1.09x, 32^3 0.88x / 0.87x, 48^3 0.95x / 0.76x — the
-#: crossover lies between 24^3 and 32^3 and the constant sits inside it.
-#: Fanning 16^3 chunks out as well gained nothing clear (six 64^3
-#: fields in 16^3 blocks: 45.7 ms gated, 43.9 ms split, quartiles
-#: overlapping), so a 16^3 group keeps its one pass.  Below the constant
-#: the dispatch costs more than the second core returns, and staying in
-#: the calling thread also removes a source of run-to-run spread.  A
-#: property of the input, deliberately not a setting.
-FANOUT_MIN_ELEMENTS = 28**3
+def decompress_many(blocks: Sequence[Any]) -> list[np.ndarray]:
+    """Reconstruct every block of ``blocks`` (any registered families,
+    in any mix), in order.
 
-
-def decompress_many(blocks: Sequence[Any], threads: int | None = None) -> list[np.ndarray]:
-    """Reconstruct every block of ``blocks`` (any registered families), in order.
-
-    Blocks under :data:`FANOUT_MIN_ELEMENTS` elements (on average) are
-    decoded in the calling thread, where they finish sooner, and
-    together: the dual-engine layout-2 SZ blocks of each shape go
-    through one group decode
-    (:func:`repro.compression.sz.decompress_group` — one unfold /
-    prefix-sum / dequantize pass per stack of blocks instead of one
-    interpreter round-trip per block; the arrays are views of its
-    output), every other block through its family's decoder.  Larger
-    blocks decode one by one, concurrently
-    (:func:`repro.util.fanout.thread_map` — inflate and the Lorenzo
-    prefix sums release the GIL).  ``threads`` caps the number of blocks
-    decoded at once: ``None`` (default) is
-    :func:`~repro.util.fanout.usable_cpus`, ``1`` keeps
-    everything in the calling thread whatever the block size.  Either way
+    The SZ blocks go together to :func:`repro.compression.sz.
+    decompress_many`, which chunks and threads them as the encoder does;
+    every other block goes through its family's decoder.  Either way
     the arrays are bit-identical to :func:`decompress_any` per block.
     """
-    if sum(b.n_elements for b in blocks) < FANOUT_MIN_ELEMENTS * len(blocks):
-        return _decompress_grouped(blocks)
-    if threads is None:
-        threads = usable_cpus()
-    threads = min(threads, len(blocks))
-    if threads <= 1:
-        return [decompress_any(b) for b in blocks]
-    # One strided share per thread (neighbouring blocks cost about the
-    # same, so the shares come out even); the share count is the cap.
-    shares = thread_map(
-        lambda share: [decompress_any(b) for b in share],
-        [blocks[i::threads] for i in range(threads)],
-    )
-    out: list[Any] = [None] * len(blocks)
-    for i, share in enumerate(shares):
-        out[i::threads] = share
-    return out
-
-
-def _decompress_grouped(blocks: Sequence[Any]) -> list[np.ndarray]:
-    """:func:`decompress_many`'s small-block path, in the calling thread."""
     from repro.compression import sz
 
     out: list[Any] = [None] * len(blocks)
-    groups: dict[tuple[int, ...], list[int]] = {}
+    mine = []
     for i, block in enumerate(blocks):
-        if sz.groupable(block):
-            groups.setdefault(tuple(block.shape), []).append(i)
+        if isinstance(block, sz.CompressedBlock):
+            mine.append(i)
         else:
             out[i] = decompress_any(block)
-    for idxs in groups.values():
-        for i, recon in zip(idxs, sz.decompress_group([blocks[i] for i in idxs])):
-            out[i] = recon
+    for i, recon in zip(mine, sz.decompress_many([blocks[i] for i in mine])):
+        out[i] = recon
     return out

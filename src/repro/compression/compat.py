@@ -4,7 +4,8 @@ Everything here is read-only history, kept so old containers, ledgers'
 payloads and pickled blocks decode bit-exactly forever (pinned by the
 frozen fixtures in ``tests/compression/fixtures``).  The hot modules
 carry exactly one encoder and one decoder — code-stream **layout 2** —
-and dispatch here for anything older:
+and dispatch here for anything older (:func:`decompress_v1` is the whole
+layout-1 SZ decoder):
 
 - **layout 1 code streams** — every residual stored as ``r + radius``
   (``0`` = outlier), narrowed to the minimal unsigned width and handed to
@@ -27,9 +28,41 @@ from repro.compression.codecs import (
     inflate_exact,
     unpack_positions,
 )
+from repro.compression.kernels import unzigzag
+from repro.compression.lorenzo import lorenzo_inverse
+from repro.compression.sz import (
+    CompressedBlock,
+    _bound_space_eb,
+    _check_positions,
+    _payload_blobs,
+)
 from repro.util.errors import PayloadError
 
-__all__ = ["residuals_v1", "outlier_positions_v1", "inflate_channel_v1"]
+__all__ = ["decompress_v1", "channels_v1", "residuals_v1"]
+
+
+def decompress_v1(block: CompressedBlock) -> np.ndarray:
+    """Reconstruct a dual-engine layout-1 block (float64): scatter the
+    outliers over the residuals, prefix-sum, dequantize."""
+    abs_eb = _bound_space_eb(block)
+    residuals, out_pos, out_val = channels_v1(block)
+    residuals[out_pos] = unzigzag(np.frombuffer(out_val, dtype=np.uint64))
+    q = lorenzo_inverse(residuals.reshape(block.shape))
+    work = np.multiply(q, 2.0 * abs_eb, dtype=np.float64)
+    return work if block.mode == "abs" else np.exp(work, out=work)
+
+
+def channels_v1(block: CompressedBlock) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """A layout-1 block's ``(residuals (n,) fresh int64, outlier
+    positions, outlier value bytes)``, either engine — outlier slots of
+    ``residuals`` hold a placeholder."""
+    n = block.n_elements
+    codes, pos_blob, val_blob = _payload_blobs(block)
+    residuals = residuals_v1(block.codec_name, codes, n, block.radius)
+    out_pos = _outlier_positions_v1(pos_blob, block.n_outliers)
+    out_val = _inflate_channel_v1(val_blob, 8 * block.n_outliers, "outlier values")
+    _check_positions(out_pos, n)
+    return residuals, out_pos, out_val
 
 
 def residuals_v1(codec_name: str, blob: bytes, n: int, radius: int) -> np.ndarray:
@@ -53,7 +86,7 @@ def residuals_v1(codec_name: str, blob: bytes, n: int, radius: int) -> np.ndarra
     return np.subtract(codes, radius, dtype=np.int64)
 
 
-def outlier_positions_v1(blob: bytes, count: int) -> np.ndarray:
+def _outlier_positions_v1(blob: bytes, count: int) -> np.ndarray:
     """Outlier positions of a layout-1 block, legacy forms included."""
     if blob and blob[0] not in (1, 2, 4, 8):
         raw = inflate_exact(blob, 8 * count, "outlier positions (bare zlib int64)")
@@ -61,7 +94,7 @@ def outlier_positions_v1(blob: bytes, count: int) -> np.ndarray:
     return unpack_positions(blob, count)
 
 
-def inflate_channel_v1(blob: bytes, nbytes: int, what: str) -> bytes:
+def _inflate_channel_v1(blob: bytes, nbytes: int, what: str) -> bytes:
     """A layout-1 side channel of ``nbytes`` bytes; an empty one may be
     ``b""`` or a zlib stream of nothing."""
     if blob:

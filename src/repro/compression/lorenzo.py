@@ -96,46 +96,41 @@ def lorenzo_transform_batch_inplace(batch: np.ndarray, scratch: np.ndarray) -> n
     return _mixed_difference_inplace(batch, range(1, batch.ndim), scratch)
 
 
-#: Smallest leading-axis slab (elements) summed with one vectorized add
-#: per index instead of ``cumsum``'s serial walk down the strided axis:
-#: a slab add costs ~0.6 us per call plus ~1 ns per element, the strided
-#: cumsum ~5 ns per element, so slabs win from a few hundred elements up
-#: (32^3 int64 block, leading axis: 54 us vs 157 us).
+#: Smallest first-axis slab (elements) summed with one vectorized add
+#: per index instead of ``cumsum``'s walk with a whole block's stride
+#: (one 32^3 int64 block: 41 us vs 174 us).
 _SLAB_MIN_ELEMENTS = 256
+
+#: An inner axis is summed by slab adds only once its slab holds this
+#: many elements per index of the axis; below that an in-place
+#: ``cumsum`` over short, near-contiguous rows is cheaper (one 32^3
+#: block: 0.33 ms vs 0.47 ms with slab adds on every axis; 64 x 16^3:
+#: 2.26 vs 2.29 ms; ``docs/kernels.md``).
+_SLAB_ROWS_PER_ADD = 128
 
 
 def lorenzo_inverse(residuals: np.ndarray) -> np.ndarray:
-    """Invert :func:`lorenzo_transform`: prefix sums along every axis.
-
-    The sums run **in place** on ``residuals``, which is also the return
-    value — every decoder passes a lattice it has just unfolded; pass a
-    copy to keep the residuals.  Integer sums wrap, and wrapping
-    addition is associative and commutative, so the axis order is free.
-    """
-    arr = residuals
-    if arr.ndim < 1 or arr.ndim > 3:
-        raise ValueError(f"lorenzo_inverse supports 1-3 dimensions, got {arr.ndim}")
-    lead = 0
-    if arr.ndim > 1 and arr[0].size >= _SLAB_MIN_ELEMENTS:
-        lead = 1
-        for i in range(1, arr.shape[0]):
-            arr[i] += arr[i - 1]
-    for axis in range(lead, arr.ndim):
-        if arr.shape[axis] > 1:
-            np.cumsum(arr, axis=axis, dtype=arr.dtype, out=arr)
-    return arr
+    """Invert :func:`lorenzo_transform`: prefix sums along every axis,
+    **in place** on ``residuals`` (also the return value; pass a copy to
+    keep the residuals) — :func:`lorenzo_inverse_batch_inplace` on a
+    stack of one."""
+    if residuals.ndim < 1 or residuals.ndim > 3:
+        raise ValueError(f"lorenzo_inverse supports 1-3 dimensions, got {residuals.ndim}")
+    lorenzo_inverse_batch_inplace(residuals[None])
+    return residuals
 
 
 def lorenzo_inverse_batch_inplace(batch: np.ndarray) -> np.ndarray:
     """Invert :func:`lorenzo_transform_batch_inplace`: prefix sums along
     every block axis of a ``(B, ...)`` stack, in place (and returned).
 
-    Row ``b`` of the result is element-for-element
-    ``lorenzo_inverse(batch[b])`` (wrapping sums: order is free).  Each
-    axis whose slab — the whole stack at one index — holds at least
-    :data:`_SLAB_MIN_ELEMENTS` elements is summed by slab adds, so a
-    stack of 64 16^3 blocks costs 45 vectorized adds instead of 64
-    interpreter round-trips through :func:`lorenzo_inverse`.
+    Integer sums wrap, and wrapping addition is associative and
+    commutative, so how each axis is summed is free: row ``b`` of the
+    result is element-for-element the inverse of row ``b`` alone.  An
+    axis is summed by slab adds (one vectorized add per index over the
+    whole stack) once its slab is big enough — :data:`_SLAB_MIN_ELEMENTS`
+    for the first block axis, :data:`_SLAB_ROWS_PER_ADD` per index for
+    the inner ones — else by an in-place ``cumsum``.
     """
     if batch.ndim < 2 or batch.ndim > 4:
         raise ValueError(
@@ -145,7 +140,8 @@ def lorenzo_inverse_batch_inplace(batch: np.ndarray) -> np.ndarray:
         extent = batch.shape[axis]
         if extent < 2:
             continue
-        if batch.size // extent < _SLAB_MIN_ELEMENTS:
+        slab = batch.size // extent
+        if slab < (_SLAB_MIN_ELEMENTS if axis == 1 else _SLAB_ROWS_PER_ADD * extent):
             np.cumsum(batch, axis=axis, dtype=batch.dtype, out=batch)
             continue
         lead = (slice(None),) * axis

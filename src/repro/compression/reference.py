@@ -27,16 +27,18 @@ from repro.compression.codecs import (
     get_codec,
     pack_positions,
 )
-from repro.compression.quantizer import DEFAULT_RADIUS, pw_rel_to_log_abs
+from repro.compression.quantizer import DEFAULT_RADIUS, pw_rel_to_log_abs, unfold_symbols
 from repro.compression.sz import (
     _MODES,
     LAYOUT,
     CompressedBlock,
     _bound_space_eb,
     _check_batch,
-    _read_channels,
+    _outlier_channels,
+    _payload_blobs,
 )
 from repro.compression.sz import decompress as decompress_any_engine
+from repro.util.errors import PayloadError
 
 __all__ = ["ClassicSZCompressor", "classic_sz_quantize", "decompress"]
 
@@ -72,10 +74,7 @@ class ClassicSZCompressor:
         return self.compress_many([data], [eb])[0]
 
     def compress_many(
-        self,
-        views: list[np.ndarray],
-        ebs: np.ndarray | list[float],
-        threads: int | None = None,
+        self, views: list[np.ndarray], ebs: np.ndarray | list[float]
     ) -> list[CompressedBlock]:
         """One block at a time — there is nothing to batch."""
         arrs, eb_arr = _check_batch(views, ebs)
@@ -189,6 +188,22 @@ def classic_sz_quantize(
 
     recon = _predict_and_place(arr.shape, place)
     return codes.reshape(arr.shape), recon
+
+
+def _read_channels(block: CompressedBlock) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """A classic block's ``(offsets (n,) int64, outlier positions,
+    outlier value bytes)``; layout 1 is read by
+    :mod:`repro.compression.compat`."""
+    if block.layout == 1:
+        from repro.compression import compat  # cold path: retired layout
+
+        return compat.channels_v1(block)
+    if block.layout != LAYOUT:
+        raise PayloadError(f"unknown code-stream layout {block.layout!r}")
+    n = block.n_elements
+    codes, pos_blob, val_blob = _payload_blobs(block)
+    offsets = unfold_symbols(get_codec(block.codec_name).decode(codes, n))
+    return (offsets, *_outlier_channels(block, pos_blob, val_blob, n))
 
 
 def decompress(block: CompressedBlock) -> np.ndarray:

@@ -234,10 +234,7 @@ class AdaptiveSZCompressor:
         )
 
     def compress_many(
-        self,
-        views: list[np.ndarray],
-        ebs: np.ndarray | list[float],
-        threads: int | None = None,
+        self, views: list[np.ndarray], ebs: np.ndarray | list[float]
     ) -> list[AdaptiveBlockStream]:
         """One stream per (view, bound); the per-block predictor
         selection leaves nothing to batch across views."""

@@ -19,14 +19,16 @@ runs):
 
 Steps 1-3 and the byte-plane split of step 4 run batched over ``(B, n)``
 stacks of same-shape blocks — chunks of at most
-:data:`GROUP_LATTICE_BYTES` of lattice, the unit
-:meth:`SZCompressor.compress_many` fans out over threads; a single
-:meth:`~SZCompressor.compress` is a batch of one — so there is one
-front, written once in NumPy.
+:data:`GROUP_LATTICE_BYTES` of lattice, cut and threaded by one chunker
+(:func:`_run_chunks`); a single :meth:`~SZCompressor.compress` is a
+batch of one — so there is one front, written once in NumPy.  Decode
+is its mirror: :func:`decompress_many` runs each chunk of the same
+chunker through one unfold / scatter / prefix-sum / dequantize pass,
+and :func:`decompress` is a chunk of one.
 
-This is code-stream **layout 2**, the only one the encoder writes;
-:func:`decompress` still reads layout 1 (``r + radius`` codes,
-interleaved bytes) through :mod:`repro.compression.compat`.
+This is code-stream **layout 2**, the only one this module reads or
+writes; layout-1 blocks (``r + radius`` codes, interleaved bytes) are
+handed to :mod:`repro.compression.compat`.
 
 CPU-SZ's order (predict from reconstructed neighbours, then quantize)
 is a labelled reference in :mod:`repro.compression.reference`; the only
@@ -49,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro import telemetry
-from repro.compression.api import FANOUT_MIN_ELEMENTS, SZ_CAPABILITIES, CompressorSpec
+from repro.compression.api import SZ_CAPABILITIES, CompressorSpec
 from repro.compression.codecs import (
     Codec,
     _minimal_uint_dtype,
@@ -67,29 +69,25 @@ from repro.compression.estimator import (
 )
 from repro.compression.kernels import byte_planes, unzigzag, zigzag
 from repro.compression.lorenzo import (
-    lorenzo_inverse,
     lorenzo_inverse_batch_inplace,
     lorenzo_transform_batch_inplace,
 )
 from repro.compression.quantizer import (
     DEFAULT_RADIUS,
-    dequantize_abs,
     encode_residuals_batch,
     pw_rel_to_log_abs,
     quantize_lattice_batch,
-    unfold_symbols,
     unfold_symbols_into,
 )
 from repro.compression.workspace import Workspace, thread_workspace
 from repro.util.errors import PayloadError
 from repro.util.fanout import thread_map, usable_cpus
-from repro.util.validation import check_positive
 
 __all__ = [
     "SZCompressor",
     "CompressedBlock",
     "decompress",
-    "decompress_group",
+    "decompress_many",
     "HEADER_BYTES",
 ]
 
@@ -233,10 +231,7 @@ class SZCompressor:
         return self._compress_batch(arrs, eb_arr)[0]
 
     def compress_many(
-        self,
-        views: list[np.ndarray],
-        ebs: np.ndarray | list[float],
-        threads: int | None = None,
+        self, views: list[np.ndarray], ebs: np.ndarray | list[float]
     ) -> list[CompressedBlock]:
         """Compress a batch of partitions under per-partition bounds.
 
@@ -250,20 +245,18 @@ class SZCompressor:
         (:func:`~repro.compression.workspace.thread_workspace`), instead
         of one interpreter round-trip per block; the arena holds one
         chunk, however long the group.  Chunks of blocks with at least
-        :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS` elements fan
-        out over threads (NumPy and zlib release the GIL), a group making
-        at least one chunk per thread; smaller ones run in order in the
-        calling thread.
-
-        ``threads`` caps the fan-out: ``None`` (default) uses
-        :func:`~repro.util.fanout.usable_cpus`, ``1`` keeps everything in
-        the calling thread whatever the block size.
+        :data:`FANOUT_MIN_ELEMENTS` elements fan out over the usable CPUs
+        (NumPy and zlib release the GIL), a group making at least one
+        chunk per thread; smaller ones run in order in the calling
+        thread (:func:`_run_chunks`).
         Output blocks are byte-identical to per-partition
         :meth:`compress` calls regardless of grouping, chunking or thread
         count (property-tested).
         """
         arrs, eb_arr = _check_batch(views, ebs)
-        return _run_chunks(self._compress_batch, arrs, eb_arr, threads)
+        return _run_chunks(
+            lambda idxs: self._compress_batch([arrs[i] for i in idxs], eb_arr[idxs]), arrs
+        )
 
     def estimate(self, data: np.ndarray, eb: float) -> RQEstimate:
         """Predict compressed size *and* quality without running a codec.
@@ -303,7 +296,9 @@ class SZCompressor:
         """
         arrs, eb_arr = _check_batch(views, ebs)
         with telemetry.get_tracer().span("rq.probe", blocks=len(arrs)):
-            return _run_chunks(self._estimate_batch, arrs, eb_arr)
+            return _run_chunks(
+                lambda idxs: self._estimate_batch([arrs[i] for i in idxs], eb_arr[idxs]), arrs
+            )
 
     def _estimate_batch(self, arrs: list[np.ndarray], eb_arr: np.ndarray) -> list[RQEstimate]:
         """Probe a chunk of *same-shape* blocks in one kernel pass, in the
@@ -554,33 +549,38 @@ class SZCompressor:
             ]
 
 
-def _run_chunks(
-    run: Callable[[list[np.ndarray], np.ndarray], list],
-    arrs: list[np.ndarray],
-    eb_arr: np.ndarray,
-    threads: int | None = None,
-) -> list:
-    """``run(chunk views, chunk bounds)`` over every chunk of ``arrs``,
-    results back in input order.
+#: Fewest elements per block for which handing chunks to a thread pool
+#: pays: :func:`_run_chunks` fans out chunks of such blocks — encode,
+#: probe or decode — and keeps smaller ones in the calling thread.
+#: Measured on a 2-vCPU box, time on two threads over time on one (64
+#: blocks per field, medians, per-block entropy encodes / decodes): 8^3
+#: 1.35x / 1.24x, 16^3 1.07x / 1.38x, 24^3 0.89x / 1.09x, 32^3 0.88x /
+#: 0.87x, 48^3 0.95x / 0.76x; the crossover lies between 24^3 and 32^3.
+#: A property of the input, deliberately not a setting.
+FANOUT_MIN_ELEMENTS = 28**3
+
+
+def _run_chunks(run: Callable[[np.ndarray], list], items: Sequence) -> list:
+    """``run(idxs)`` over every chunk ``idxs`` (indices into ``items``,
+    anything with a ``.shape``), results back in input order.
 
     Each same-shape group is cut into the fewest even chunks of at most
     :data:`GROUP_LATTICE_BYTES` of int64 lattice.  Chunks of blocks with
-    at least :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS` elements
-    are at least one per thread and, when there are two or more, run on
-    at most ``threads`` pool threads (default
-    :func:`~repro.util.fanout.usable_cpus`); the rest run in order in
+    at least :data:`FANOUT_MIN_ELEMENTS` elements are at least one per
+    usable CPU (:func:`~repro.util.fanout.usable_cpus`) and, when there
+    are two or more, run on a transient pool
+    (:func:`~repro.util.fanout.thread_map`); the rest run in order in
     the calling thread.  Each chunk is independent, so the outputs do
     not depend on the cut.
     """
-    if threads is None:
-        threads = usable_cpus()
+    threads = usable_cpus()
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, arr in enumerate(arrs):
-        groups.setdefault(arr.shape, []).append(i)
+    for i, item in enumerate(items):
+        groups.setdefault(tuple(item.shape), []).append(i)
     local: list[np.ndarray] = []  # chunks for the calling thread
     fanned: list[np.ndarray] = []  # chunks for the pool
-    for idxs in groups.values():
-        n = int(arrs[idxs[0]].size)
+    for shape, idxs in groups.items():
+        n = math.prod(shape)
         count = -(-len(idxs) // _chunk_len(n))
         wide = threads > 1 and n >= FANOUT_MIN_ELEMENTS
         if wide:
@@ -588,14 +588,10 @@ def _run_chunks(
         (fanned if wide else local).extend(np.array_split(np.asarray(idxs), count))
     if len(fanned) < 2:
         local, fanned = local + fanned, []
-
-    def chunk(idxs: np.ndarray) -> list:
-        return run([arrs[i] for i in idxs], eb_arr[idxs])
-
-    results = [chunk(c) for c in local]
+    results = [run(c) for c in local]
     if fanned:
-        results += thread_map(chunk, fanned, workers=threads)
-    out: list = [None] * len(arrs)
+        results += thread_map(run, fanned)
+    out: list = [None] * len(items)
     for idxs, got in zip(local + fanned, results):
         for i, item in zip(idxs, got):
             out[i] = item
@@ -625,6 +621,16 @@ def _check_batch(
     if not np.isfinite(eb_arr).all() or (eb_arr <= 0).any():
         raise ValueError("all error bounds must be positive and finite")
     return arrs, eb_arr
+
+
+def _check_header(block: CompressedBlock) -> None:
+    """Refuse a header no encoder writes, before any payload inflates:
+    1-3 dimensions, every extent at least 1, a positive finite bound."""
+    shape = tuple(block.shape)
+    if not 1 <= len(shape) <= 3 or min(shape) < 1:
+        raise PayloadError(f"block shape {shape!r} is not 1-3 extents of at least 1")
+    if not 0 < block.eb < math.inf:
+        raise PayloadError(f"block error bound {block.eb!r} is not positive and finite")
 
 
 def _bound_space_eb(block: CompressedBlock) -> float:
@@ -664,91 +670,75 @@ def _check_positions(out_pos: np.ndarray, n: int) -> None:
         raise PayloadError(f"outlier position {int(out_pos.max())} outside the block")
 
 
-def _read_channels(block: CompressedBlock) -> tuple[np.ndarray, np.ndarray, bytes]:
-    """Decode a block's three payloads, whatever their layout, into
-    ``(residuals (n,) fresh int64, outlier positions, outlier value
-    bytes)`` — outlier slots of ``residuals`` hold a placeholder."""
-    n = block.n_elements
-    codes, pos_blob, val_blob = _payload_blobs(block)
-    if block.layout == LAYOUT:
-        residuals = unfold_symbols(get_codec(block.codec_name).decode(codes, n))
-        out_pos, out_val = _outlier_channels(block, pos_blob, val_blob, n)
-    elif block.layout == 1:
-        from repro.compression import compat  # cold path: retired layout
-
-        residuals = compat.residuals_v1(block.codec_name, codes, n, block.radius)
-        out_pos = compat.outlier_positions_v1(pos_blob, block.n_outliers)
-        out_val = compat.inflate_channel_v1(val_blob, 8 * block.n_outliers, "outlier values")
-        _check_positions(out_pos, n)
-    else:
-        raise PayloadError(f"unknown code-stream layout {block.layout!r}")
-    return residuals, out_pos, out_val
+def _chunked(block: CompressedBlock) -> bool:
+    """Check ``block``'s header; whether the chunk decoder reads it (a
+    dual-engine layout-2 block) rather than :func:`_decompress_retired`."""
+    _check_header(block)
+    return block.engine == "dual" and block.layout == LAYOUT
 
 
-def decompress(block: CompressedBlock) -> np.ndarray:
-    """Reconstruct a field from a self-describing :class:`CompressedBlock`.
-
-    Bytes that fail validation (unknown tag or layout, a payload that
-    does not inflate to exactly the size the header promises, a missing
-    channel) raise :class:`~repro.util.errors.PayloadError`.
-    """
+def _decompress_retired(block: CompressedBlock) -> np.ndarray:
+    """The blocks no encoder of this module writes: CPU-SZ's order goes
+    to :mod:`repro.compression.reference`, layout 1 to
+    :mod:`repro.compression.compat`."""
     if block.engine == "classic":
         from repro.compression import reference  # cold path: CPU-SZ order
 
         return reference.decompress(block)
     if block.engine != "dual":
         raise PayloadError(f"unknown engine tag {block.engine!r}")
-    abs_eb = _bound_space_eb(block)
-    residuals, out_pos, out_val = _read_channels(block)
-    residuals[out_pos] = unzigzag(np.frombuffer(out_val, dtype=np.uint64))
-    q = lorenzo_inverse(residuals.reshape(block.shape))
-    work = dequantize_abs(q, abs_eb)
-    return work if block.mode == "abs" else np.exp(work, out=work)
+    if block.layout == 1:
+        from repro.compression import compat  # cold path: retired layout
+
+        return compat.decompress_v1(block)
+    raise PayloadError(f"unknown code-stream layout {block.layout!r}")
 
 
-def groupable(block: object) -> bool:
-    """Whether :func:`decompress_group` reads ``block``: a dual-engine,
-    layout-2 SZ block (classic and layout-1 blocks keep their decoders)."""
-    return (
-        isinstance(block, CompressedBlock)
-        and block.engine == "dual"
-        and block.layout == LAYOUT
-    )
+def decompress(block: CompressedBlock) -> np.ndarray:
+    """Reconstruct a field from a self-describing :class:`CompressedBlock`.
 
-
-def decompress_group(blocks: Sequence[CompressedBlock]) -> list[np.ndarray]:
-    """Decode same-shape :func:`groupable` blocks together.
-
-    Bit for bit the arrays :func:`decompress` returns block by block,
-    after the same per-block validation (so a hostile payload raises the
-    same :class:`~repro.util.errors.PayloadError`), but each chunk of up
-    to :data:`GROUP_LATTICE_BYTES` of lattice runs one unfold per stored
-    width, one outlier scatter, one prefix-sum pass
-    (:func:`~repro.compression.lorenzo.lorenzo_inverse_batch_inplace`)
-    and one dequantize per mode over a ``(B, n)`` lattice in the calling
-    thread's arena.  The arrays returned are views of one fresh float64
-    ``(B, *shape)`` array per chunk.
-
-    Only small blocks gain (16^3: ~0.82x the time of :func:`decompress`
-    one block at a time; 32^3: ~1.05x, slower — ``docs/kernels.md``), so
-    :func:`~repro.compression.api.decompress_many` groups only blocks
-    under :data:`~repro.compression.api.FANOUT_MIN_ELEMENTS`.
+    Decoded as a chunk of one by :func:`decompress_many`'s chunk
+    decoder, after the same checks.  Bytes that fail validation (a hostile header, an unknown
+    tag or layout, a payload that does not inflate to exactly the size
+    the header promises, a missing channel) raise
+    :class:`~repro.util.errors.PayloadError`.
     """
-    if not blocks:
-        return []
-    shape = tuple(blocks[0].shape)
-    if not all(groupable(b) and tuple(b.shape) == shape for b in blocks):
-        raise ValueError("decompress_group takes same-shape dual-engine layout-2 blocks")
-    step = _chunk_len(math.prod(shape))
-    ws = thread_workspace()
-    out: list[np.ndarray] = []
-    for lo in range(0, len(blocks), step):
-        out += _decompress_chunk(blocks[lo : lo + step], shape, ws)
-    return out
+    if _chunked(block):
+        return _decompress_chunk([block], thread_workspace())[0]
+    return _decompress_retired(block)
+
+
+def decompress_many(blocks: Sequence[CompressedBlock]) -> list[np.ndarray]:
+    """Reconstruct every block of ``blocks``, in order: the one decode
+    front, bit for bit :func:`decompress` of each block.
+
+    Every header is checked first.  The dual-engine layout-2 blocks are
+    then cut and threaded exactly as :meth:`SZCompressor.compress_many`
+    cuts its views (:func:`_run_chunks`), and each chunk runs one unfold
+    per stored width, one outlier scatter, one prefix-sum pass
+    (:func:`~repro.compression.lorenzo.lorenzo_inverse_batch_inplace`)
+    and one dequantize per mode over a ``(B, n)`` lattice in its
+    thread's arena; its arrays are views of one fresh float64 ``(B,
+    *shape)`` array.  Classic-engine and layout-1 blocks decode one by
+    one.  A hostile payload raises the
+    :class:`~repro.util.errors.PayloadError` :func:`decompress` raises
+    for its block, from whichever chunk or thread it is in.
+    """
+    chunked = [_chunked(block) for block in blocks]
+    live = [block for block, ok in zip(blocks, chunked) if ok]
+    decoded = iter(
+        _run_chunks(
+            lambda idxs: _decompress_chunk([live[i] for i in idxs], thread_workspace()), live
+        )
+    )
+    return [
+        next(decoded) if ok else _decompress_retired(block)
+        for block, ok in zip(blocks, chunked)
+    ]
 
 
 class _GroupRow(NamedTuple):
-    """One block's validated channels, as the group decoder stacks them."""
+    """One block's validated channels, as the chunk decoder stacks them."""
 
     key: tuple[bool, int]  # (pw_rel, stored width; 0 = decoded symbols)
     symbols: "bytes | np.ndarray"  # the k plane bytes, or decoded symbols
@@ -758,7 +748,7 @@ class _GroupRow(NamedTuple):
 
 
 def _group_row(block: CompressedBlock, n: int) -> _GroupRow:
-    """:func:`decompress`'s checks, in its order, for one block."""
+    """Inflate and validate one block's channels."""
     abs_eb = _bound_space_eb(block)
     codes, pos_blob, val_blob = _payload_blobs(block)
     codec = get_codec(block.codec_name)
@@ -767,17 +757,14 @@ def _group_row(block: CompressedBlock, n: int) -> _GroupRow:
     else:
         k, symbols = 0, codec.decode(codes, n)
     out_pos, out_val = _outlier_channels(block, pos_blob, val_blob, n)
-    return _GroupRow(
-        (block.mode != "abs", k), symbols, out_pos, out_val, 2.0 * check_positive(abs_eb, "eb")
-    )
+    return _GroupRow((block.mode != "abs", k), symbols, out_pos, out_val, 2.0 * abs_eb)
 
 
-def _decompress_chunk(
-    blocks: Sequence[CompressedBlock], shape: tuple[int, ...], ws: Workspace
-) -> list[np.ndarray]:
-    """One pass of :func:`decompress_group` over at most
-    :data:`GROUP_LATTICE_BYTES` of lattice."""
-    n_blocks, n = len(blocks), math.prod(shape)
+def _decompress_chunk(blocks: Sequence[CompressedBlock], ws: Workspace) -> list[np.ndarray]:
+    """Decode a chunk of same-shape dual-engine layout-2 blocks in one
+    pass, in the calling thread's arena ``ws``."""
+    n_blocks, shape = len(blocks), tuple(blocks[0].shape)
+    n = math.prod(shape)
     rows = [_group_row(b, n) for b in blocks]
     # Lattice rows sorted by (mode, width): each width's blocks are one
     # contiguous slab and the pw_rel blocks come last.
@@ -798,20 +785,20 @@ def _decompress_chunk(
         if k == 1:
             unfold_symbols_into(planes[:, 0], dst)
             continue
-        wide = dst.view(np.uint64)  # shift the planes together from the top
+        # Shift the planes together from the top at the stored width.
+        wide = ws.request("group_symbols", (len(run), n), f"<u{k}")
         np.copyto(wide, planes[:, k - 1])
         for plane in range(k - 2, -1, -1):
             wide <<= 8
             wide |= planes[:, plane]
-        unfold_symbols_into(dst, dst)
+        unfold_symbols_into(wide, dst)
     hits = [(r, rows[i]) for r, i in enumerate(order) if rows[i].out_pos.size]
     if hits:
         lattice.reshape(-1)[np.concatenate([row.out_pos + r * n for r, row in hits])] = (
             unzigzag(np.frombuffer(b"".join(row.out_val for _, row in hits), np.uint64))
         )
     stack = lorenzo_inverse_batch_inplace(lattice.reshape((n_blocks,) + shape))
-    scales = ws.request("group_scales_f64", (n_blocks,) + (1,) * len(shape), np.float64)
-    scales.reshape(-1)[:] = [rows[i].scale for i in order]
+    scales = np.array([rows[i].scale for i in order]).reshape((n_blocks,) + (1,) * len(shape))
     recon = np.multiply(stack, scales, dtype=np.float64)
     n_rel = sum(rows[i].key[0] for i in order)
     if n_rel:

@@ -215,7 +215,7 @@ class ZFPLikeCompressor:
         )
 
     def compress_many(
-        self, views: list[np.ndarray], ebs: object, threads: int | None = None
+        self, views: list[np.ndarray], ebs: object
     ) -> list[ZFPBlockStream]:
         """One stream per view; there is no batched kernel to share
         across views, and no bound to read from ``ebs``."""

@@ -1,8 +1,8 @@
 """The one thread fan-out: an ordered map over a transient pool.
 
-Lives in ``util``, below the compressors' chunk and decode fan-outs
-that use it, so ``compression`` need not reach up into ``parallel`` for
-ten lines.
+Lives in ``util``, below the SZ chunker (``repro.compression.sz.
+_run_chunks``, its one caller), so ``compression`` need not reach up
+into ``parallel`` for ten lines.
 """
 
 from __future__ import annotations
@@ -25,17 +25,15 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def thread_map(
-    fn: Callable[[Any], Any], items: Iterable[Any], workers: int | None = None
-) -> list:
-    """Apply ``fn`` to every item over at most ``workers`` threads
-    (default: :func:`usable_cpus`), preserving order; a lone item, or a
-    cap of one, runs in the calling thread.  Each call runs in a copy of
+def thread_map(fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
+    """Apply ``fn`` to every item over at most :func:`usable_cpus`
+    threads, preserving order; a lone item, or a single usable CPU,
+    runs in the calling thread.  Each call runs in a copy of
     the caller's :mod:`contextvars` context, so telemetry spans opened in
     a worker nest under the caller's open span.  The first exception any
     call raises is re-raised here."""
     items = list(items)
-    workers = min(len(items), workers or usable_cpus())
+    workers = min(len(items), usable_cpus())
     if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -10,8 +10,62 @@ import numpy as np
 import pytest
 
 from repro.cli import load_blocks
+from repro.compression.codecs import PLANES_BIT, get_codec
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _unfold(symbol: int) -> int:
+    """The symbol map of ``quantizer``'s docstring, one value at a time."""
+    if symbol == 0:
+        return 0  # outlier slot, overwritten below
+    zz = symbol - 1
+    return zz >> 1 if zz % 2 == 0 else -(zz >> 1) - 1
+
+
+def _inflate(blob: bytes) -> bytes:
+    return zlib.decompress(blob) if blob else b""
+
+
+def _symbols(block) -> list[int]:
+    """A layout-2 block's folded symbols, assembled byte plane by byte
+    plane (Huffman streams go through their codec, whose own reference
+    is frozen in ``test_huffman.py``)."""
+    n = block.n_elements
+    codes = block.payloads["codes"]
+    if block.codec_name == "huffman":
+        return get_codec("huffman").decode(codes, n).tolist()
+    k = codes[0] & ~PLANES_BIT
+    raw = zlib.decompress(codes[1:]) if block.codec_name == "zlib" else codes[1:]
+    planes = np.frombuffer(raw, dtype=np.uint8).reshape(k, n)
+    return [sum(int(planes[p, i]) << (8 * p) for p in range(k)) for i in range(n)]
+
+
+def _reference_decode(block) -> np.ndarray:
+    """A dual-engine layout-2 block decoded the textbook way: unfold each
+    symbol -> scatter the outliers -> ``np.cumsum`` per axis -> ``q * 2eb``."""
+    symbols = _symbols(block)
+    residuals = [_unfold(s) for s in symbols]
+    if block.n_outliers:
+        pos_blob = block.payloads["outlier_pos"]
+        positions = np.frombuffer(_inflate(pos_blob[1:]), dtype=f"<u{pos_blob[0]}")
+        values = np.frombuffer(_inflate(block.payloads["outlier_val"]), dtype=np.uint64)
+        for pos, zz in zip(positions.tolist(), values.tolist()):
+            assert symbols[pos] == 0
+            residuals[pos] = zz >> 1 if zz % 2 == 0 else -(zz >> 1) - 1
+    q = np.array(residuals, dtype=np.int64).reshape(block.shape)
+    for axis in range(q.ndim):
+        q = np.cumsum(q, axis=axis)
+    abs_eb = block.eb if block.mode == "abs" else float(np.log1p(block.eb))
+    work = q.astype(np.float64) * (2.0 * abs_eb)
+    return work if block.mode == "abs" else np.exp(work)
+
+
+@pytest.fixture(scope="session")
+def reference_decode():
+    """``block -> reconstruction`` of a dual-engine layout-2 block, spelled
+    out value by value: what every decode path must equal bit for bit."""
+    return _reference_decode
 
 
 def _reconstruction_crc(block, recon: np.ndarray) -> int:

@@ -180,13 +180,22 @@ class TestContract:
         for view, eb in zip(views, self.EBS):
             assert _frozen(again.compress(view, eb)) == _frozen(comp.compress(view, eb))
 
-    def test_compress_many_equals_per_view_compress(self, spec, views):
+    def test_compress_many_equals_per_view_compress(self, spec, views, monkeypatch):
+        from repro.compression import sz
+
         comp = resolve_compressor(spec)
         singles = [comp.compress(v, eb) for v, eb in zip(views, self.EBS)]
-        for threads in (None, 1, 2):
-            batch = comp.compress_many(views, self.EBS, threads=threads)
+        for cpus in (1, 2):
+            monkeypatch.setattr(sz, "usable_cpus", lambda: cpus)
+            batch = comp.compress_many(views, self.EBS)
             assert [_frozen(b) for b in batch] == [_frozen(b) for b in singles]
         assert comp.compress_many([], []) == []
+
+    def test_compress_many_takes_no_thread_count(self, spec):
+        import inspect
+
+        params = inspect.signature(resolve_compressor(spec).compress_many).parameters
+        assert list(params) == ["views", "ebs"]
 
     def test_decompress_any_equals_instance_decompress(self, spec, views):
         comp = resolve_compressor(spec)
@@ -242,44 +251,49 @@ class TestDecompressAny:
 
 
 class TestDecompressMany:
-    def test_matches_per_block_decode_across_families_and_threads(self, field):
+    def test_matches_per_block_decode_across_families_and_threads(self, field, monkeypatch):
+        from repro.compression import sz
+
         blocks = []
         for spec in ("sz", "sz:codec=huffman", "sz:codec=raw", "zfp_like:rate=12", "sz_adaptive"):
             comp = resolve_compressor(spec)
             data = field if spec != "sz_adaptive" else field[:8, :8, :8]
             blocks += comp.compress_many([data, data[::-1]], [1e-3, 2e-3])
         expected = [decompress_any(b) for b in blocks]
-        for threads in (None, 1, 2, 3, 16):
-            got = decompress_many(blocks, threads=threads)
+        for cpus in (1, 2, 3, 16):
+            monkeypatch.setattr(sz, "usable_cpus", lambda: cpus)
+            got = decompress_many(blocks)
             assert len(got) == len(expected)
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b)
 
-    def test_threads_caps_the_fan_out(self, field, monkeypatch):
-        import threading
+    def test_sz_blocks_decode_together_and_others_alone(self, field, monkeypatch):
+        from repro.compression import api, sz
 
-        from repro.compression import api
+        batches, singles = [], []
+        real_many, real_any = sz.decompress_many, api.decompress_any
+        monkeypatch.setattr(
+            sz, "decompress_many", lambda blocks: batches.append(len(blocks)) or real_many(blocks)
+        )
+        monkeypatch.setattr(
+            api, "decompress_any", lambda block: singles.append(block) or real_any(block)
+        )
+        zfp = resolve_compressor("zfp_like").compress(field)
+        szb = SZCompressor().compress(field, 1e-3)
+        got = decompress_many([szb, zfp, szb])
+        assert batches == [2] and singles == [zfp]
+        assert np.array_equal(got[0], real_any(szb)) and np.array_equal(got[2], got[0])
+        assert np.array_equal(got[1], real_any(zfp))
 
-        seen = set()
+    def test_takes_no_thread_count(self):
+        import inspect
 
-        def decode(block):
-            seen.add(threading.get_ident())
-            return block
-
-        monkeypatch.setattr(api, "decompress_any", decode)
-        # stand-ins large enough to be worth a thread each
-        blocks = [SimpleNamespace(n_elements=api.FANOUT_MIN_ELEMENTS) for _ in range(11)]
-        for threads in (1, 2, 3):
-            seen.clear()
-            assert decompress_many(blocks, threads=threads) == blocks
-            assert len(seen) <= threads
-            if threads == 1:
-                assert seen == {threading.get_ident()}
+        assert list(inspect.signature(decompress_many).parameters) == ["blocks"]
 
     def test_empty_and_single(self, field):
         assert decompress_many([]) == []
         block = SZCompressor().compress(field, 1e-3)
-        (recon,) = decompress_many([block], threads=4)
+        (recon,) = decompress_many([block])
         assert np.array_equal(recon, decompress_any(block))
 
     def test_compress_is_a_batch_of_one(self, field):

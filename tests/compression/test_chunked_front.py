@@ -6,7 +6,7 @@ None of it may change an output: payloads byte for byte and estimates
 field for field are what per-block calls give, whatever the thread
 count, group length, shape mix or input order; an invalid block raises
 what the one-thread path raises; the calling thread's arena holds one
-chunk, not the group; and ``threads`` caps the pool.
+chunk, not the group; and the usable CPU count caps the pool.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import pytest
 
 from repro import telemetry
 from repro.compression import sz
-from repro.compression.api import FANOUT_MIN_ELEMENTS
-from repro.compression.sz import GROUP_LATTICE_BYTES, SZCompressor
+from repro.compression.sz import FANOUT_MIN_ELEMENTS, GROUP_LATTICE_BYTES, SZCompressor
 from repro.compression.workspace import thread_workspace
 from repro.util import fanout
 
@@ -43,9 +42,11 @@ def _ebs(count: int) -> list[float]:
     return [0.01 * (1 + i % 5) for i in range(count)]
 
 
-def _estimates(comp, views, ebs, threads, monkeypatch):
+def _cpus(monkeypatch, threads: int) -> None:
+    """Pretend the process may use ``threads`` CPUs (the chunker's cut
+    and the pool's size), whatever its affinity mask says."""
     monkeypatch.setattr(sz, "usable_cpus", lambda: threads)
-    return comp.estimate_many(views, ebs)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: threads)
 
 
 def _in_fresh_thread(fn):
@@ -80,10 +81,10 @@ class TestSameOutputs:
         count = _chunk(side) + offset
         comp = SZCompressor()
         for threads in THREADS:
-            blocks = comp.compress_many(views[:count], ebs[:count], threads=threads)
+            _cpus(monkeypatch, threads)
+            blocks = comp.compress_many(views[:count], ebs[:count])
             assert [b.payloads for b in blocks] == payloads[:count]
-            got = _estimates(comp, views[:count], ebs[:count], threads, monkeypatch)
-            assert got == estimates[:count]
+            assert comp.estimate_many(views[:count], ebs[:count]) == estimates[:count]
 
     @pytest.mark.parametrize("side", [32, 16])
     @pytest.mark.parametrize("count", [1, 64])
@@ -91,10 +92,10 @@ class TestSameOutputs:
         views, ebs, payloads, estimates = pools[side]
         comp = SZCompressor()
         for threads in THREADS:
-            blocks = comp.compress_many(views[:count], ebs[:count], threads=threads)
+            _cpus(monkeypatch, threads)
+            blocks = comp.compress_many(views[:count], ebs[:count])
             assert [b.payloads for b in blocks] == payloads[:count]
-            got = _estimates(comp, views[:count], ebs[:count], threads, monkeypatch)
-            assert got == estimates[:count]
+            assert comp.estimate_many(views[:count], ebs[:count]) == estimates[:count]
 
     def test_mixed_shapes_in_shuffled_order(self, pools, monkeypatch):
         big, big_ebs, big_payloads, big_est = pools[32]
@@ -113,24 +114,28 @@ class TestSameOutputs:
         views = [items[i][0] for i in order]
         ebs = [items[i][1] for i in order]
         for threads in THREADS:
-            blocks = comp.compress_many(views, ebs, threads=threads)
+            _cpus(monkeypatch, threads)
+            blocks = comp.compress_many(views, ebs)
             assert [b.payloads for b in blocks] == [items[i][2] for i in order]
             assert [b.shape for b in blocks] == [v.shape for v in views]
-            got = _estimates(comp, views, ebs, threads, monkeypatch)
-            assert got == [items[i][3] for i in order]
+            assert comp.estimate_many(views, ebs) == [items[i][3] for i in order]
 
     def test_more_threads_than_cores_and_a_short_switch_interval(self, pools, monkeypatch):
         views, ebs, payloads, estimates = pools[32]
         comp = SZCompressor()
+        serial = [sz.decompress(b) for b in comp.compress_many(views[:9], ebs[:9])]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        _cpus(monkeypatch, 16)
         try:
-            blocks = comp.compress_many(views, ebs, threads=16)
-            got = _estimates(comp, views, ebs, 16, monkeypatch)
+            blocks = comp.compress_many(views, ebs)
+            got = comp.estimate_many(views, ebs)
+            recons = sz.decompress_many(blocks[:9])
         finally:
             sys.setswitchinterval(interval)
         assert [b.payloads for b in blocks] == payloads
         assert got == estimates
+        assert all(np.array_equal(a, b) for a, b in zip(recons, serial, strict=True))
 
     def test_one_view_at_several_bounds(self, pools, monkeypatch):
         """The calibration probe: one partition, five bounds."""
@@ -139,7 +144,8 @@ class TestSameOutputs:
         comp = SZCompressor()
         single = [comp.estimate(view, e) for e in ebs]
         for threads in THREADS:
-            assert _estimates(comp, [view] * 5, ebs, threads, monkeypatch) == single
+            _cpus(monkeypatch, threads)
+            assert comp.estimate_many([view] * 5, ebs) == single
 
 
 class TestErrors:
@@ -149,18 +155,19 @@ class TestErrors:
         views[-2][5, 6, 7] = np.nan
         ebs = _ebs(len(views))
         comp = SZCompressor()
+        _cpus(monkeypatch, threads)
         with pytest.raises(ValueError, match=r"^data contains non-finite values \(NaN or Inf\)$"):
-            comp.compress_many(views, ebs, threads=threads)
-        monkeypatch.setattr(sz, "usable_cpus", lambda: threads)
+            comp.compress_many(views, ebs)
         with pytest.raises(ValueError, match=r"^data contains non-finite values \(NaN or Inf\)$"):
             comp.estimate_many(views, ebs)
 
     @pytest.mark.parametrize("threads", THREADS)
-    def test_a_non_positive_value_in_a_later_chunk_under_pw_rel(self, threads):
+    def test_a_non_positive_value_in_a_later_chunk_under_pw_rel(self, threads, monkeypatch):
         views = [np.abs(v) + 1.0 for v in _views(32, _chunk(32) + 2)]
         views[-1][0, 0, 0] = 0.0
+        _cpus(monkeypatch, threads)
         with pytest.raises(ValueError, match="strictly positive"):
-            SZCompressor(mode="pw_rel").compress_many(views, _ebs(len(views)), threads=threads)
+            SZCompressor(mode="pw_rel").compress_many(views, _ebs(len(views)))
 
 
 class TestArena:
@@ -169,18 +176,19 @@ class TestArena:
 
     BOUND = 12 << 20
 
-    def test_compress_many_in_one_thread(self):
+    def test_compress_many_in_one_thread(self, monkeypatch):
         views = _views(32, 64)
+        _cpus(monkeypatch, 1)
 
         def run():
-            SZCompressor().compress_many(views, _ebs(64), threads=1)
+            SZCompressor().compress_many(views, _ebs(64))
             return thread_workspace().nbytes()
 
         assert 0 < _in_fresh_thread(run) <= self.BOUND
 
     def test_estimate_many_in_one_thread(self, monkeypatch):
         views = _views(32, 64)
-        monkeypatch.setattr(sz, "usable_cpus", lambda: 1)
+        _cpus(monkeypatch, 1)
 
         def run():
             SZCompressor().estimate_many(views, _ebs(64))
@@ -188,17 +196,18 @@ class TestArena:
 
         assert 0 < _in_fresh_thread(run) <= self.BOUND
 
-    def test_a_fanned_out_call_leaves_the_caller_arena_alone(self):
+    def test_a_fanned_out_call_leaves_the_caller_arena_alone(self, monkeypatch):
         views = _views(32, 16)
+        _cpus(monkeypatch, 2)
 
         def run():
-            SZCompressor().compress_many(views, _ebs(16), threads=2)
+            SZCompressor().compress_many(views, _ebs(16))
             return thread_workspace().nbytes()
 
         assert _in_fresh_thread(run) == 0
 
 
-class TestThreadsIsACap:
+class TestUsableCpusIsACap:
     @pytest.fixture()
     def pool_sizes(self, monkeypatch):
         sizes = []
@@ -214,10 +223,11 @@ class TestThreadsIsACap:
         monkeypatch.setattr(sz, "usable_cpus", lambda: 8)
         return sizes
 
-    def test_threads_two_opens_at_most_two_workers(self, pool_sizes):
+    def test_two_usable_cpus_open_at_most_two_workers(self, pool_sizes, monkeypatch):
         views = _views(32, 24)
         assert views[0].size >= FANOUT_MIN_ELEMENTS
-        SZCompressor().compress_many(views, _ebs(24), threads=2)
+        _cpus(monkeypatch, 2)
+        SZCompressor().compress_many(views, _ebs(24))
         assert pool_sizes and max(pool_sizes) <= 2
 
     def test_the_default_is_the_usable_cpu_count(self, pool_sizes):
@@ -228,11 +238,12 @@ class TestThreadsIsACap:
 
 
 class TestSpans:
-    def test_chunk_spans_nest_under_the_callers_span(self):
+    def test_chunk_spans_nest_under_the_callers_span(self, monkeypatch):
         views = _views(32, 20)
+        _cpus(monkeypatch, 2)
         with telemetry.armed() as tracer:
             with tracer.span("compress") as outer:
-                SZCompressor().compress_many(views, _ebs(20), threads=2)
+                SZCompressor().compress_many(views, _ebs(20))
             with tracer.span("probe") as probe:
                 SZCompressor().estimate_many(views, _ebs(20))
         records = tracer.export_spans()

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.compression import sz
 from repro.compression.api import decompress_any, decompress_many
 from repro.compression.codecs import get_codec
 from repro.compression.regression import AdaptiveBlockStream
@@ -44,10 +45,11 @@ class TestFrozenContainer:
         block, _ = v1_blocks["zlib uint16 codes"]
         assert block.payloads["codes"][0] == 2  # width tag without the planes bit
 
-    def test_batch_decode_matches(self, v1_blocks, recon_crc):
+    def test_batch_decode_matches(self, v1_blocks, recon_crc, monkeypatch):
         blocks = [b for b, _ in v1_blocks.values()]
         for threads in (1, 3):
-            for (block, crc), recon in zip(v1_blocks.values(), decompress_many(blocks, threads)):
+            monkeypatch.setattr(sz, "usable_cpus", lambda: threads)
+            for (block, crc), recon in zip(v1_blocks.values(), decompress_many(blocks)):
                 assert recon_crc(block, recon) == crc
 
     def test_pickled_blocks_without_the_layout_field_are_layout_1(self, v1_blocks):
@@ -109,10 +111,11 @@ class TestFrozenDefaultStrategyContainer:
         symbols = codec.decode(block.payloads["codes"], block.n_elements)
         assert codec.encode(symbols) != block.payloads["codes"]
 
-    def test_batch_decode_matches(self, v2_blocks, recon_crc):
+    def test_batch_decode_matches(self, v2_blocks, recon_crc, monkeypatch):
         blocks = [b for b, _ in v2_blocks.values()]
         for threads in (1, 3):
-            for (block, row), recon in zip(v2_blocks.values(), decompress_many(blocks, threads)):
+            monkeypatch.setattr(sz, "usable_cpus", lambda: threads)
+            for (block, row), recon in zip(v2_blocks.values(), decompress_many(blocks)):
                 assert recon_crc(block, recon) == row["crc32"]
 
     def test_adaptive_stream_decodes_to_its_pinned_reconstruction(self, v2_expected):

@@ -1,4 +1,5 @@
-"""The decoder against a reference spelled out value by value.
+"""The decoder against a reference spelled out value by value
+(``conftest.reference_decode``).
 
 :func:`repro.compression.sz.decompress` takes shortcuts — a lookup table
 for one-byte symbols, planes shifted together, prefix sums in place, a
@@ -8,9 +9,9 @@ equal the textbook one (unfold each symbol -> scatter the outliers ->
 ``np.cumsum`` per axis -> ``q * 2eb``).
 
 Also here: the entropy stage's DEFLATE strategy is invisible to readers
-(either side of it is a plain zlib stream), and the thread fan-outs of
-the chunked front and the decoder are gated on block size without
-changing a byte.
+(either side of it is a plain zlib stream), and the chunker's thread
+fan-out — encode, probe and decode alike — is gated on block size
+without changing a byte.
 """
 
 from __future__ import annotations
@@ -24,11 +25,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import api, sz
-from repro.compression.api import FANOUT_MIN_ELEMENTS, decompress_many
+from repro.compression import sz
+from repro.compression.api import decompress_many
 from repro.compression.codecs import PLANES_BIT, ZlibCodec, pack_symbols
-from repro.compression.sz import CompressedBlock, SZCompressor, decompress
+from repro.compression.sz import (
+    FANOUT_MIN_ELEMENTS,
+    CompressedBlock,
+    SZCompressor,
+    decompress,
+)
 from repro.compression.workspace import thread_workspace
+from repro.util import fanout
 from repro.util.fanout import thread_map
 
 SHAPES = [
@@ -40,40 +47,6 @@ SHAPES = [
 WIDTHS = {1: (1 << 15, 0.05), 2: (1 << 15, 1e-4), 4: (1 << 20, 1e-7)}
 #: radii small enough that the same bounds leave outliers behind
 TINY_RADIUS = {1: 2, 2: 150, 4: 70_000}
-
-
-def _unfold(symbol: int) -> int:
-    """The symbol map of ``quantizer``'s docstring, one value at a time."""
-    if symbol == 0:
-        return 0  # outlier slot, overwritten below
-    zz = symbol - 1
-    return zz >> 1 if zz % 2 == 0 else -(zz >> 1) - 1
-
-
-def _inflate(blob: bytes) -> bytes:
-    return zlib.decompress(blob) if blob else b""
-
-
-def reference_decode(block: CompressedBlock) -> np.ndarray:
-    n = block.n_elements
-    codes = block.payloads["codes"]
-    k = codes[0] & ~PLANES_BIT
-    planes = np.frombuffer(zlib.decompress(codes[1:]), dtype=np.uint8).reshape(k, n)
-    symbols = [sum(int(planes[p, i]) << (8 * p) for p in range(k)) for i in range(n)]
-    residuals = [_unfold(s) for s in symbols]
-    if block.n_outliers:
-        pos_blob = block.payloads["outlier_pos"]
-        positions = np.frombuffer(_inflate(pos_blob[1:]), dtype=f"<u{pos_blob[0]}")
-        values = np.frombuffer(_inflate(block.payloads["outlier_val"]), dtype=np.uint64)
-        for pos, zz in zip(positions.tolist(), values.tolist()):
-            assert symbols[pos] == 0
-            residuals[pos] = zz >> 1 if zz % 2 == 0 else -(zz >> 1) - 1
-    q = np.array(residuals, dtype=np.int64).reshape(block.shape)
-    for axis in range(q.ndim):
-        q = np.cumsum(q, axis=axis)
-    abs_eb = block.eb if block.mode == "abs" else float(np.log1p(block.eb))
-    work = q.astype(np.float64) * (2.0 * abs_eb)
-    return work if block.mode == "abs" else np.exp(work)
 
 
 def _field(shape, seed: int) -> np.ndarray:
@@ -109,7 +82,7 @@ class TestDecodeMatchesTheReference:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=150, deadline=None)
-    def test_bit_identical(self, shape, k, dtype, mode, outliers, seed):
+    def test_bit_identical(self, shape, k, dtype, mode, outliers, seed, reference_decode):
         block = self._block(shape, k, dtype, mode, outliers, seed)
         got = decompress(block)
         assert got.dtype == np.float64 and got.shape == tuple(shape)
@@ -153,22 +126,21 @@ class TestStrategyIsInvisibleToReaders:
 class TestFanOutGate:
     @pytest.fixture()
     def seen(self, monkeypatch):
-        """``maps``: ``(items, workers)`` of every pool fan-out;
-        ``threads``: the thread of every arena fetch (one per compress /
-        probe chunk and per group decode)."""
+        """``maps``: the item count of every pool fan-out; ``threads``:
+        the thread of every arena fetch (one per compress, probe or
+        decode chunk)."""
         seen = SimpleNamespace(maps=[], threads=set())
 
-        def counted(fn, items, workers=None):
-            seen.maps.append((len(items), workers))
-            return thread_map(fn, items, workers)
+        def counted(fn, items):
+            seen.maps.append(len(items))
+            return thread_map(fn, items)
 
         def fetched():
             seen.threads.add(threading.get_ident())
             return thread_workspace()
 
-        # the two fan-out sites: the chunked front and decompress_many
+        # the one fan-out site: the chunker
         monkeypatch.setattr(sz, "thread_map", counted)
-        monkeypatch.setattr(api, "thread_map", counted)
         monkeypatch.setattr(sz, "thread_workspace", fetched)
         return seen
 
@@ -178,31 +150,37 @@ class TestFanOutGate:
         views = [np.cumsum(rng.normal(0, 1, (side,) * 3), axis=2) for _ in range(count)]
         return views, [0.01 * (i + 1) for i in range(count)]
 
-    def test_small_blocks_stay_in_the_calling_thread(self, seen):
+    def test_small_blocks_stay_in_the_calling_thread(self, seen, monkeypatch):
         views, ebs = self._views(8, 6)
         assert views[0].size < FANOUT_MIN_ELEMENTS
         comp = SZCompressor()
-        fanned = comp.compress_many(views, ebs, threads=4)
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 4)
+        fanned = comp.compress_many(views, ebs)
         comp.estimate_many(views, ebs)
-        assert fanned == comp.compress_many(views, ebs, threads=1)
-        recons = decompress_many(fanned, 4)
+        recons = decompress_many(fanned)
         assert not seen.maps
         assert seen.threads == {threading.get_ident()}
-        for a, b in zip(recons, decompress_many(fanned, 1)):
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 1)
+        assert fanned == comp.compress_many(views, ebs)
+        for a, b in zip(recons, decompress_many(fanned)):
             assert np.array_equal(a, b)
 
-    def test_large_blocks_still_fan_out(self, seen):
+    def test_large_blocks_still_fan_out(self, seen, monkeypatch):
         views, ebs = self._views(32, 3)
         assert views[0].size >= FANOUT_MIN_ELEMENTS
         comp = SZCompressor()
-        fanned = comp.compress_many(views, ebs, threads=4)
-        assert seen.maps == [(3, 4)]  # one chunk per thread: three of one block
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 4)
+        fanned = comp.compress_many(views, ebs)
+        assert seen.maps == [3]  # one chunk per thread: three of one block
         assert threading.get_ident() not in seen.threads
-        assert fanned == comp.compress_many(views, ebs, threads=1)
-        assert fanned == comp.compress_many(views, ebs, threads=2)
-        assert seen.maps == [(3, 4), (2, 2)]
-        recons = decompress_many(fanned, 4)
-        assert len(seen.maps) == 3
-        for a, b in zip(recons, decompress_many(fanned, 1)):
+        recons = decompress_many(fanned)
+        assert seen.maps == [3, 3]
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 2)
+        assert fanned == comp.compress_many(views, ebs)
+        assert seen.maps == [3, 3, 2]
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 1)
+        assert fanned == comp.compress_many(views, ebs)
+        for a, b in zip(recons, decompress_many(fanned)):
             assert np.array_equal(a, b)
-        assert len(seen.maps) == 3
+        assert seen.maps == [3, 3, 2]

@@ -1,38 +1,50 @@
-"""The group decoder against the per-block one.
+"""The one decode front: every SZ block decodes as a chunk of the
+encoder's chunker.
 
-:func:`repro.compression.api.decompress_many` decodes small dual-engine
-layout-2 SZ blocks through :func:`repro.compression.sz.decompress_group`
-— one unfold per stored width, one outlier scatter, one prefix-sum pass
-and one dequantize per mode over a whole stack.  None of that may change
-a bit or an error: every array equals :func:`decompress_any` of its
-block, and every hostile payload the single-block decoder refuses is
-refused from inside a group with the same :class:`PayloadError`.
+:func:`repro.compression.sz.decompress_many` (what
+:func:`repro.compression.api.decompress_many` hands every SZ block) cuts
+the dual-engine layout-2 blocks with the chunker ``compress_many`` uses
+— same-shape groups, chunks of at most ``GROUP_LATTICE_BYTES`` of
+lattice, chunks of blocks of at least ``FANOUT_MIN_ELEMENTS`` fanned out
+over threads — and decodes each chunk in one unfold / scatter /
+prefix-sum / dequantize pass; :func:`repro.compression.sz.decompress`
+is a chunk of one.  None of that may change a bit or an error: every
+array equals the value-by-value reference (``conftest.reference_decode``)
+or the frozen fixtures' CRCs whatever the cut, the mix or the CPU count,
+and every hostile payload or header is refused with the same
+:class:`PayloadError` from inside any chunk or thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
+import json
+import threading
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import load_blocks, save_blocks
 from repro.compression import api, sz
-from repro.compression.api import FANOUT_MIN_ELEMENTS, decompress_any, decompress_many
+from repro.compression.api import decompress_any, decompress_many
 from repro.compression.codecs import PLANES_BIT
 from repro.compression.lorenzo import lorenzo_inverse, lorenzo_inverse_batch_inplace
 from repro.compression.regression import AdaptiveSZCompressor
 from repro.compression.sz import (
+    FANOUT_MIN_ELEMENTS,
     GROUP_LATTICE_BYTES,
     SZCompressor,
     decompress,
-    decompress_group,
 )
 from repro.compression.workspace import Workspace
 from repro.compression.zfp_like import ZFPLikeCompressor
 from repro.parallel.backends import SnapshotResult
 from repro.parallel.decomposition import BlockDecomposition
+from repro.util import fanout
 from repro.util.errors import PayloadError
 
 #: width k -> (radius, bound as a fraction of the data's spread)
@@ -40,6 +52,7 @@ WIDTHS = {1: (1 << 15, 0.05), 2: (1 << 15, 1e-4), 4: (1 << 20, 1e-7)}
 #: radii small enough that the same bounds leave outliers behind
 TINY_RADIUS = {1: 2, 2: 150, 4: 70_000}
 SHAPES = [(6, 5, 7), (8, 8, 8), (9, 13), (40,), (1, 4, 3)]
+CPUS = (1, 2, 4)
 
 
 def _field(shape, seed: int) -> np.ndarray:
@@ -63,10 +76,10 @@ def _sz_block(shape, k, dtype, mode, outliers, codec, seed):
     return comp.compress(data.astype(dtype), eb)
 
 
-def _assert_same_arrays(got, blocks):
+def _assert_same_arrays(got, blocks, want_of):
     assert len(got) == len(blocks)
     for recon, block in zip(got, blocks):
-        want = decompress_any(block)
+        want = want_of(block)
         assert recon.dtype == want.dtype and recon.shape == want.shape
         assert np.array_equal(recon, want)
 
@@ -81,29 +94,43 @@ block_specs = st.tuples(
 )
 
 
-class TestGroupMatchesPerBlock:
+class TestSameArrays:
     @given(
         shape=st.sampled_from(SHAPES),
         specs=st.lists(block_specs, min_size=1, max_size=7),
     )
     @settings(max_examples=120, deadline=None)
-    def test_one_group_bit_identical(self, shape, specs):
+    def test_one_group_and_each_block_alone(self, shape, specs, reference_decode):
         """Widths 1/2/4, outlier loads, modes, source dtypes and codecs
-        mixed inside one same-shape group."""
+        mixed inside one same-shape group, and each as a chunk of one."""
         blocks = [_sz_block(shape, *spec) for spec in specs]
-        _assert_same_arrays(decompress_group(blocks), blocks)
-        _assert_same_arrays(decompress_many(blocks), blocks)
+        _assert_same_arrays(decompress_many(blocks), blocks, reference_decode)
+        _assert_same_arrays([decompress(b) for b in blocks], blocks, reference_decode)
 
     @given(
         specs=st.lists(
             st.tuples(st.sampled_from(SHAPES), block_specs), min_size=1, max_size=9
         ),
-        threads=st.sampled_from([None, 1, 4]),
+        cpus=st.sampled_from(CPUS),
     )
     @settings(max_examples=60, deadline=None)
-    def test_mixed_shapes_bit_identical(self, specs, threads):
+    def test_mixed_shapes_at_every_cpu_count(self, specs, cpus, reference_decode):
         blocks = [_sz_block(shape, *spec) for shape, spec in specs]
-        _assert_same_arrays(decompress_many(blocks, threads), blocks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sz, "usable_cpus", lambda: cpus)
+            _assert_same_arrays(decompress_many(blocks), blocks, reference_decode)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_group_lengths_around_one_chunk(self, offset, reference_decode, monkeypatch):
+        side = 32
+        count = GROUP_LATTICE_BYTES // (8 * side**3) + offset
+        views = [_field((side,) * 3, s) for s in range(count)]
+        ebs = [0.01 * (1 + i % 3) for i in range(count)]
+        blocks = SZCompressor().compress_many(views, ebs)
+        want = {id(b): reference_decode(b) for b in blocks}
+        for cpus in CPUS:
+            monkeypatch.setattr(sz, "usable_cpus", lambda: cpus)
+            _assert_same_arrays(decompress_many(blocks), blocks, lambda b: want[id(b)])
 
     def test_the_generator_reaches_every_width_and_outliers(self):
         for k in sorted(WIDTHS):
@@ -114,34 +141,50 @@ class TestGroupMatchesPerBlock:
             plain = _sz_block((8, 8, 8), k, np.float64, "abs", False, "zlib", 3)
             assert plain.payloads["codes"][0] & ~PLANES_BIT == k
 
-    def test_mixed_families_in_one_list(self, v1_blocks, v2_blocks):
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_mixed_families_in_one_list(
+        self, cpus, v1_blocks, v2_blocks, recon_crc, reference_decode, monkeypatch
+    ):
         """Classic, layout-1, ``sz_adaptive`` and ``zfp_like`` blocks keep
-        their own decoders; the layout-2 blocks around them are grouped."""
+        their own decoders; the layout-2 blocks around them — the frozen
+        ones included — are chunked."""
+        monkeypatch.setattr(sz, "usable_cpus", lambda: cpus)
         rng = np.random.default_rng(11)
         cube = np.cumsum(rng.normal(0, 1, (8, 8, 8)), axis=0)
-        blocks = [
+        fresh = [
             _sz_block((8, 8, 8), 2, np.float32, "abs", True, "zlib", 5),
-            ZFPLikeCompressor(rate=8).compress(cube),
-            *(block for block, _ in v1_blocks.values()),
             _sz_block((8, 8, 8), 1, np.float64, "pw_rel", False, "huffman", 6),
-            AdaptiveSZCompressor(block=4).compress(cube.astype(np.float32), 0.01),
-            *(block for block, _ in v2_blocks.values()),
-            api.resolve_compressor("sz:engine=classic").compress(cube, 0.05),
             _sz_block((8, 8, 8), 4, np.float64, "abs", False, "raw", 7),
         ]
-        assert sum(map(sz.groupable, blocks)) >= 3 + len(v2_blocks)
-        assert not all(map(sz.groupable, blocks))
-        _assert_same_arrays(decompress_many(blocks), blocks)
+        others = [
+            ZFPLikeCompressor(rate=8).compress(cube),
+            AdaptiveSZCompressor(block=4).compress(cube.astype(np.float32), 0.01),
+            api.resolve_compressor("sz:engine=classic").compress(cube, 0.05),
+        ]
+        frozen = {id(b): crc for b, crc in v1_blocks.values()}
+        frozen.update({id(b): row["crc32"] for b, row in v2_blocks.values()})
+        blocks = [
+            fresh[0], others[0], *(b for b, _ in v1_blocks.values()), fresh[1],
+            others[1], *(b for b, _ in v2_blocks.values()), others[2], fresh[2],
+        ]
+        got = decompress_many(blocks)
+        for recon, block in zip(got, blocks):
+            if id(block) in frozen:
+                assert recon_crc(block, recon) == frozen[id(block)]
+            elif any(block is b for b in fresh):
+                assert np.array_equal(recon, reference_decode(block))
+            else:
+                assert np.array_equal(recon, decompress_any(block))
 
     def test_views_of_one_array_per_chunk(self):
         blocks = [_sz_block((8, 8, 8), 1, np.float64, "abs", False, "zlib", s) for s in range(5)]
-        got = decompress_group(blocks)
+        got = decompress_many(blocks)
         base = got[0].base
         assert base is not None and base.shape == (5, 8, 8, 8)
         assert all(recon.base is base and recon.flags.c_contiguous for recon in got)
 
 
-class TestChunksAndArena:
+class TestChunksAndThreads:
     def test_long_groups_decode_in_bounded_chunks(self, monkeypatch):
         shape = (16, 16, 16)
         per_chunk = GROUP_LATTICE_BYTES // (8 * 16**3)
@@ -158,52 +201,42 @@ class TestChunksAndArena:
             return view
 
         monkeypatch.setattr(Workspace, "request", recording)
-        got = decompress_group(blocks)
-        _assert_same_arrays(got, blocks)
+        got = decompress_many(blocks)
+        # the fewest even chunks: 69 blocks as 35 + 34
+        assert lattices == [35 * 8 * 16**3, 34 * 8 * 16**3]
         assert got[0].base is not got[-1].base
-        assert lattices == [GROUP_LATTICE_BYTES, 5 * 8 * 16**3]
+        _assert_same_arrays(got, blocks, decompress)
 
-    def test_refuses_what_it_cannot_group(self, v1_blocks):
-        a = _sz_block((8, 8, 8), 1, np.float64, "abs", False, "zlib", 1)
-        b = _sz_block((6, 5, 7), 1, np.float64, "abs", False, "zlib", 1)
-        with pytest.raises(ValueError, match="same-shape"):
-            decompress_group([a, b])
-        legacy = v1_blocks["zlib f32"][0]
-        with pytest.raises(ValueError, match="layout-2"):
-            decompress_group([legacy])
-        assert decompress_group([]) == []
-
-
-class TestLargeBlocksKeepTheirPath:
-    @pytest.fixture()
-    def group_calls(self, monkeypatch):
-        calls = []
-        real = sz.decompress_group
-
-        def counted(blocks):
-            calls.append(len(blocks))
-            return real(blocks)
-
-        monkeypatch.setattr(sz, "decompress_group", counted)
-        return calls
-
-    def test_small_blocks_are_grouped(self, group_calls):
+    @pytest.mark.parametrize("side", [16, 32])
+    def test_only_chunks_of_large_blocks_go_through_thread_map(self, side, monkeypatch):
+        """Chunks of blocks of at least ``FANOUT_MIN_ELEMENTS`` elements
+        go through :func:`~repro.util.fanout.thread_map`; smaller ones
+        are decoded in the calling thread."""
         blocks = SZCompressor().compress_many(
-            [_field((16, 16, 16), s) for s in range(3)], [0.01, 0.02, 0.03]
+            [_field((side,) * 3, s) for s in range(3)], [0.01, 0.02, 0.03]
         )
-        for threads in (None, 1, 4):
-            _assert_same_arrays(decompress_many(blocks, threads), blocks)
-        assert group_calls == [3, 3, 3]
+        maps, threads = [], set()
+        real_map, real_chunk = sz.thread_map, sz._decompress_chunk
 
-    def test_large_blocks_decode_one_by_one(self, group_calls):
-        side = 32
-        assert side**3 >= FANOUT_MIN_ELEMENTS
-        blocks = SZCompressor().compress_many(
-            [_field((side,) * 3, s) for s in range(2)], [0.01, 0.02]
-        )
-        for threads in (None, 1, 4):
-            _assert_same_arrays(decompress_many(blocks, threads), blocks)
-        assert group_calls == []
+        def counted_map(fn, items):
+            maps.append(len(items))
+            return real_map(fn, items)
+
+        def counted_chunk(blocks, ws):
+            threads.add(threading.get_ident())
+            return real_chunk(blocks, ws)
+
+        monkeypatch.setattr(sz, "thread_map", counted_map)
+        monkeypatch.setattr(sz, "_decompress_chunk", counted_chunk)
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+        got = decompress_many(blocks)
+        if side**3 >= FANOUT_MIN_ELEMENTS:
+            assert maps == [2]  # one chunk per CPU
+            assert threading.get_ident() not in threads
+        else:
+            assert maps == [] and threads == {threading.get_ident()}
+        _assert_same_arrays(got, blocks, decompress)
 
 
 def test_reconstruct_float32_matches_per_block_path():
@@ -285,6 +318,85 @@ class TestHostilePayloadsInsideAGroup:
         blocks[0].n_outliers -= 1
         self._same_error(blocks, 0)
 
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_in_a_later_fanned_out_chunk(self, cpus, monkeypatch):
+        monkeypatch.setattr(sz, "usable_cpus", lambda: cpus)
+        count = 2 * GROUP_LATTICE_BYTES // (8 * 32**3) + 3  # three chunks
+        blocks = SZCompressor().compress_many(
+            [_field((32, 32, 32), s) for s in range(count)], [0.01] * count
+        )
+        assert blocks[0].n_elements >= FANOUT_MIN_ELEMENTS
+        blocks[-2].payloads["codes"] = blocks[-2].payloads["codes"][:-3]
+        self._same_error(blocks, count - 2)
+
+
+#: headers no encoder writes: name -> the fields to overwrite
+HOSTILE_HEADERS = {
+    "empty extent": {"shape": (0, 8, 8)},
+    "negative extents": {"shape": (-8, -8, 8)},
+    "four dimensions": {"shape": (2, 4, 8, 8)},
+    "zero bound": {"eb": 0.0},
+    "NaN bound": {"eb": float("nan")},
+    "infinite bound": {"eb": float("inf")},
+    "negative bound": {"eb": -0.01},
+}
+
+
+class TestHostileHeaders:
+    """A block header is checked once, before any payload inflates: 1-3
+    dimensions, every extent at least 1, a positive finite bound."""
+
+    @staticmethod
+    def _blocks(engine="dual"):
+        views = [_field((8, 8, 8), s) for s in range(3)]
+        comp = api.resolve_compressor(f"sz:engine={engine}")
+        return comp.compress_many(views, [0.05] * 3)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_HEADERS))
+    def test_decompress_any_and_many(self, name, monkeypatch):
+        blocks = self._blocks()
+        blocks[2] = dataclasses.replace(blocks[2], **HOSTILE_HEADERS[name])
+        with pytest.raises(PayloadError):
+            decompress_any(blocks[2])
+        inflated = []
+        real = sz._group_row
+        monkeypatch.setattr(sz, "_group_row", lambda *a: inflated.append(1) or real(*a))
+        with pytest.raises(PayloadError):
+            decompress_many(blocks)
+        assert not inflated  # refused before the healthy blocks inflate
+
+    def test_classic_engine_blocks_are_checked_too(self):
+        for fields in HOSTILE_HEADERS.values():
+            blocks = self._blocks("classic")
+            blocks[0] = dataclasses.replace(blocks[0], **fields)
+            with pytest.raises(PayloadError):
+                decompress_any(blocks[0])
+            with pytest.raises(PayloadError):
+                decompress_many(blocks)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_HEADERS))
+    def test_through_a_container(self, name, tmp_path):
+        path = str(tmp_path / "blocks.npz")
+        save_blocks(path, self._blocks(), np.full(3, 0.05), 1)
+        with zipfile.ZipFile(path) as zf:
+            members = {info.filename: zf.read(info) for info in zf.infolist()}
+        with zipfile.ZipFile(path) as zf, zf.open("__meta.npy") as f:
+            meta = json.loads(np.lib.format.read_array(f).tobytes())
+        meta["blocks"][1].update(
+            {k: list(v) if k == "shape" else v for k, v in HOSTILE_HEADERS[name].items()}
+        )
+        member = io.BytesIO()
+        np.lib.format.write_array(member, np.frombuffer(json.dumps(meta).encode(), np.uint8))
+        members["__meta.npy"] = member.getvalue()
+        with zipfile.ZipFile(path, "w") as zf:
+            for member_name, data in members.items():
+                zf.writestr(member_name, data)
+        blocks, _, _ = load_blocks(path)
+        with pytest.raises(PayloadError):
+            decompress_many(blocks)
+        with pytest.raises(PayloadError):
+            decompress_any(blocks[1])
+
 
 @pytest.mark.parametrize(
     "shape", [(5, 16, 16, 16), (3, 9, 13), (4, 40), (2, 1, 4, 3), (3, 300, 2), (1, 7, 1, 1)]
@@ -292,5 +404,9 @@ class TestHostilePayloadsInsideAGroup:
 def test_batched_prefix_sums_equal_per_block(shape):
     rng = np.random.default_rng(len(shape))
     stack = rng.integers(-(2**62), 2**62, shape, dtype=np.int64)  # sums wrap
-    want = np.stack([lorenzo_inverse(row.copy()) for row in stack])
+    want = stack.copy()
+    for axis in range(1, stack.ndim):
+        want = np.cumsum(want, axis=axis)
+    rows = [lorenzo_inverse(row.copy()) for row in stack]
     assert np.array_equal(lorenzo_inverse_batch_inplace(stack), want)
+    assert np.array_equal(np.stack(rows), want)

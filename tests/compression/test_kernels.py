@@ -293,12 +293,16 @@ class TestBatchedByteIdentity:
         for blk, s in zip(batched, shapes):
             assert blk.shape == s
 
-    def test_thread_fanout_preserves_bytes_and_order(self):
+    def test_thread_fanout_preserves_bytes_and_order(self, monkeypatch):
+        from repro.compression import sz
+
         rng = np.random.default_rng(9)
         views = [rng.normal(0, 1, (8, 8, 8)) for _ in range(6)]
         comp = SZCompressor()
-        serial = comp.compress_many(views, [0.01] * 6, threads=1)
-        fanned = comp.compress_many(views, [0.01] * 6, threads=4)
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 1)
+        serial = comp.compress_many(views, [0.01] * 6)
+        monkeypatch.setattr(sz, "usable_cpus", lambda: 4)
+        fanned = comp.compress_many(views, [0.01] * 6)
         assert _payloads(serial) == _payloads(fanned)
 
     def test_outlier_heavy_blocks_batch_identically(self):

@@ -112,7 +112,7 @@ class TestErrorBound:
         rng = np.random.default_rng(12)
         comp = ClassicSZCompressor()
         views = [rng.normal(0, 1, (4, 4, 4)) for _ in range(2)]
-        batched = comp.compress_many(views, [0.05] * 2, threads=1)
+        batched = comp.compress_many(views, [0.05] * 2)
         singles = [comp.compress(v, 0.05) for v in views]
         assert [b.payloads for b in batched] == [b.payloads for b in singles]
         with pytest.raises(ValueError, match="one error bound per view"):

@@ -291,7 +291,7 @@ class TestRuleEdges:
         assert codes(src, path="src/repro/compression/sz.py") == []
 
     def test_rl011_covers_the_group_decoder(self):
-        # The group decoder takes its lattice from the arena as ``ws``,
+        # The chunk decoder takes its lattice from the arena as ``ws``,
         # so a fresh allocation there is flagged like one in the front.
         import inspect
 

@@ -155,9 +155,9 @@ class TestExactProbeFanOut:
 
         calls = []
 
-        def counted(fn, items, workers=None):
+        def counted(fn, items):
             calls.append(len(items))
-            return thread_map(fn, items, workers)
+            return thread_map(fn, items)
 
         monkeypatch.setattr(sz, "thread_map", counted)
         monkeypatch.setattr(sz, "usable_cpus", lambda: 2)
@@ -165,7 +165,7 @@ class TestExactProbeFanOut:
 
     @staticmethod
     def _partitions(count: int = 3):
-        from repro.compression.api import FANOUT_MIN_ELEMENTS
+        from repro.compression.sz import FANOUT_MIN_ELEMENTS
 
         rng = np.random.default_rng(5)
         parts = [

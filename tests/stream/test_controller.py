@@ -600,7 +600,7 @@ class TestReportAndLifecycle:
 
 
 class TestGroupDecodeLedgerIdentity:
-    """The quality check reconstructs through the group decoder; its
+    """The quality check reconstructs through the chunked decoder; its
     ledger — quality deviations, fixed-rate measurements, every bound —
     must be byte-identical to one whose check decodes block by block."""
 
@@ -633,20 +633,20 @@ class TestGroupDecodeLedgerIdentity:
         from repro.compression.api import decompress_any
         from repro.parallel.backends import SnapshotResult
 
-        grouped = []
-        real_group = sz.decompress_group
+        batches = []
+        real_many = sz.decompress_many
         monkeypatch.setattr(
-            sz, "decompress_group", lambda blocks: grouped.append(1) or real_group(blocks)
+            sz, "decompress_many", lambda blocks: batches.append(1) or real_many(blocks)
         )
-        with_groups = self._ledger(tmp_path, "grouped.jsonl", simulator)
-        assert grouped  # the check really went through the group decoder
+        with_chunks = self._ledger(tmp_path, "chunked.jsonl", simulator)
+        assert batches  # the check really went through the chunked decoder
 
-        def per_block(self, decomposition, dtype=np.float64, threads=None):
+        def per_block(self, decomposition, dtype=np.float64):
             return decomposition.assemble(
                 [decompress_any(b) for b in self.blocks], dtype=dtype
             )
 
         monkeypatch.setattr(SnapshotResult, "reconstruct", per_block)
-        grouped.clear()
-        assert self._ledger(tmp_path, "per_block.jsonl", simulator) == with_groups
-        assert not grouped
+        batches.clear()
+        assert self._ledger(tmp_path, "per_block.jsonl", simulator) == with_chunks
+        assert not batches

@@ -129,7 +129,11 @@ class TestNesting:
         by_name = {r["name"]: r for r in tracer.export_spans()}
         assert by_name["rank"]["parent_id"] is None
 
-    def test_thread_map_workers_nest_under_the_callers_span(self):
+    def test_thread_map_workers_nest_under_the_callers_span(self, monkeypatch):
+        from repro.util import fanout
+
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+
         def work(i):
             with tracer.span("worker", i=i):
                 with tracer.span("worker.step"):
@@ -137,7 +141,7 @@ class TestNesting:
 
         with telemetry.armed() as tracer:
             with tracer.span("caller") as caller:
-                idents = thread_map(work, range(4), workers=2)
+                idents = thread_map(work, range(4))
             with tracer.span("after") as after:
                 pass
         assert threading.get_ident() not in idents

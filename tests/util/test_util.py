@@ -191,7 +191,7 @@ class TestThreadMap:
         with pytest.raises(KeyError):
             thread_map(fail_on_three, range(6))
 
-    def test_workers_is_a_hard_cap(self, monkeypatch):
+    def test_usable_cpus_is_a_hard_cap(self, monkeypatch):
         sizes = []
 
         class Recording(fanout.ThreadPoolExecutor):
@@ -201,15 +201,20 @@ class TestThreadMap:
 
         monkeypatch.setattr(fanout, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(fanout, "usable_cpus", lambda: 8)
-        assert thread_map(lambda x: x, range(20), workers=2) == list(range(20))
         assert thread_map(lambda x: x, range(20)) == list(range(20))
         assert thread_map(lambda x: x, range(3)) == list(range(3))
-        assert sizes == [2, 8, 3]
-        # a cap of one never opens a pool
-        assert thread_map(lambda _: threading.get_ident(), range(4), workers=1) == (
+        assert sizes == [8, 3]
+        # one usable CPU never opens a pool
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        assert thread_map(lambda _: threading.get_ident(), range(4)) == (
             [threading.get_ident()] * 4
         )
-        assert sizes == [2, 8, 3]
+        assert sizes == [8, 3]
+
+    def test_takes_no_worker_count(self):
+        import inspect
+
+        assert list(inspect.signature(thread_map).parameters) == ["fn", "items"]
 
 
 class TestUsableCpus:
