@@ -15,9 +15,10 @@ select_compressor`) instead of a hard-coded default:
   stream ledger records with every decision, and what the
   :class:`~repro.models.calibration.RateModelBank` keys on,
 - :class:`Compressor` — the one contract every family implements
-  itself (``capabilities``, ``spec``, ``compress``, ``compress_many``,
-  ``decompress``, plus ``estimate_many`` where declared), checked once,
-  in :func:`resolve_compressor`,
+  itself (``capabilities``, ``spec``, ``compress``, ``compress_many``
+  with its ``out=`` reconstruction buffers, ``decompress``, plus
+  ``estimate_many`` where declared), checked once, in
+  :func:`resolve_compressor`,
 - :class:`CompressorRegistry` — ``register``/``create(spec)``/
   ``default()``; a family's factory *is* its compressor class, so
   ``registry.create(comp.spec)`` rebuilds ``comp`` with byte-identical
@@ -36,6 +37,7 @@ for ``--compressor sz:codec=...``.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
@@ -60,6 +62,8 @@ __all__ = [
     "resolve_compressor",
     "decompress_any",
     "decompress_many",
+    "check_out",
+    "decode_into",
 ]
 
 
@@ -244,9 +248,16 @@ class Compressor(Protocol):
     """The contract every compressor implements, written once.
 
     ``compress(data, eb)`` returns a self-describing block;
-    ``compress_many(views, ebs)`` is the batched way in — one bound per
-    view, the blocks of per-view ``compress`` calls, in order.
-    ``decompress(block)`` inverts either.  ``eb`` is
+    ``compress_many(views, ebs, out=None)`` is the batched way in — one
+    bound per view, the blocks of per-view ``compress`` calls, in order.
+    Given ``out`` (one writable float64 array per view, with the view's
+    shape; :func:`check_out` refuses anything else before any work),
+    ``out[i]`` also receives block ``i``'s reconstruction, bit for bit
+    what :func:`decompress_any` returns for it, and the blocks are those
+    of an ``out=None`` call.  SZ writes it from the lattice it already
+    holds; the other families decode their own blocks
+    (:func:`decode_into`).  If compression raises, the contents of
+    ``out`` are unspecified.  ``decompress(block)`` inverts either.  ``eb`` is
     honoured as an error bound only when :attr:`capabilities` declares
     ``error_bounded`` — fixed-rate families accept and ignore it, so the
     call shape stays uniform across the registry.  A compressor that
@@ -269,7 +280,9 @@ class Compressor(Protocol):
 
     def compress(self, data: np.ndarray, eb: float) -> Any: ...
 
-    def compress_many(self, views: list[np.ndarray], ebs: Any) -> list[Any]: ...
+    def compress_many(
+        self, views: list[np.ndarray], ebs: Any, out: list[np.ndarray] | None = None
+    ) -> list[Any]: ...
 
     def decompress(self, block: Any) -> np.ndarray: ...
 
@@ -508,6 +521,8 @@ def resolve_compressor(
     if declared and caps.supports_estimate:
         methods.append("estimate_many")
     missing = [m for m in methods if not callable(getattr(compressor, m, None))]
+    if "compress_many" not in missing and not _takes_out(compressor.compress_many):
+        missing.append("compress_many's out= parameter")
     if not declared:
         missing.append("capabilities")
     if not isinstance(getattr(compressor, "spec", None), CompressorSpec):
@@ -518,6 +533,60 @@ def resolve_compressor(
             f"{', '.join(missing)} of the repro.compression.api.Compressor contract"
         )
     return compressor
+
+
+def _takes_out(method: Callable[..., Any]) -> bool:
+    """Whether ``method`` accepts an ``out=`` keyword."""
+    try:
+        params = inspect.signature(method).parameters
+    except (TypeError, ValueError):  # no introspectable signature
+        return False
+    return "out" in params or any(p.kind is p.VAR_KEYWORD for p in params.values())
+
+
+def check_out(views: Sequence[Any], out: Sequence[np.ndarray] | None) -> list[np.ndarray] | None:
+    """The one check of ``compress_many``'s ``out=``, made before any
+    work: ``None``, or one writable float64 array per view with the
+    view's shape (any strides: partition views of one field buffer are
+    the intended use).  Anything else raises ``ValueError``."""
+    if out is None:
+        return None
+    out = list(out)
+    if len(out) != len(views):
+        raise ValueError(
+            f"need one output array per view: {len(views)} views, {len(out)} outputs"
+        )
+    for i, (view, dst) in enumerate(zip(views, out)):
+        shape = np.shape(view)
+        if not (
+            isinstance(dst, np.ndarray)
+            and dst.dtype == np.float64
+            and dst.shape == shape
+            and dst.flags.writeable
+        ):
+            got = (
+                f"{'writable' if dst.flags.writeable else 'read-only'} {dst.dtype} "
+                f"array of shape {dst.shape}"
+                if isinstance(dst, np.ndarray)
+                else type(dst).__name__
+            )
+            raise ValueError(
+                f"out[{i}] must be a writable float64 array of shape {shape}, got {got}"
+            )
+    return out
+
+
+def decode_into(
+    out: list[np.ndarray] | None, blocks: list[Any], decode: Callable[[Any], np.ndarray]
+) -> list[Any]:
+    """Honour ``out=`` by decoding: each ``out[i]`` receives
+    ``decode(blocks[i])`` (the family's registered decoder).  Returns
+    ``blocks``.  The families with no reconstruction at hand when they
+    encode — classic SZ, ``zfp_like``, ``sz_adaptive`` — share this."""
+    if out is not None:
+        for dst, block in zip(out, blocks):
+            dst[...] = decode(block)
+    return blocks
 
 
 def decompress_any(block: Any) -> np.ndarray:

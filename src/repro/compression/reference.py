@@ -19,7 +19,12 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.compression.api import CompressorCapabilities, CompressorSpec
+from repro.compression.api import (
+    CompressorCapabilities,
+    CompressorSpec,
+    check_out,
+    decode_into,
+)
 from repro.compression.codecs import (
     Codec,
     _minimal_uint_dtype,
@@ -74,11 +79,17 @@ class ClassicSZCompressor:
         return self.compress_many([data], [eb])[0]
 
     def compress_many(
-        self, views: list[np.ndarray], ebs: np.ndarray | list[float]
+        self,
+        views: list[np.ndarray],
+        ebs: np.ndarray | list[float],
+        out: list[np.ndarray] | None = None,
     ) -> list[CompressedBlock]:
-        """One block at a time — there is nothing to batch."""
+        """One block at a time — there is nothing to batch; ``out`` is
+        filled by decoding each block."""
         arrs, eb_arr = _check_batch(views, ebs)
-        return [self._encode(arr, float(eb)) for arr, eb in zip(arrs, eb_arr)]
+        outs = check_out(arrs, out)
+        blocks = [self._encode(arr, float(eb)) for arr, eb in zip(arrs, eb_arr)]
+        return decode_into(outs, blocks, decompress)
 
     def decompress(self, block: CompressedBlock) -> np.ndarray:
         """Blocks are self-describing: any SZ block decodes here."""

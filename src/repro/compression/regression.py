@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.api import CompressorCapabilities, CompressorSpec
+from repro.compression.api import (
+    CompressorCapabilities,
+    CompressorSpec,
+    check_out,
+    decode_into,
+)
 from repro.compression.codecs import Codec, get_codec, inflate_exact
 from repro.compression.estimator import HEADER_BYTES
 from repro.compression.kernels import unzigzag, zigzag
@@ -234,11 +239,17 @@ class AdaptiveSZCompressor:
         )
 
     def compress_many(
-        self, views: list[np.ndarray], ebs: np.ndarray | list[float]
+        self,
+        views: list[np.ndarray],
+        ebs: np.ndarray | list[float],
+        out: list[np.ndarray] | None = None,
     ) -> list[AdaptiveBlockStream]:
         """One stream per (view, bound); the per-block predictor
-        selection leaves nothing to batch across views."""
-        return [self.compress(v, float(eb)) for v, eb in zip(views, ebs)]
+        selection leaves nothing to batch across views.  ``out`` is
+        filled by decoding each stream."""
+        outs = check_out(views, out)
+        streams = [self.compress(v, float(eb)) for v, eb in zip(views, ebs)]
+        return decode_into(outs, streams, decompress)
 
     def decompress(self, stream: AdaptiveBlockStream) -> np.ndarray:
         """Streams are self-describing: any ``sz_adaptive`` one decodes here."""

@@ -70,18 +70,25 @@ class CompressionStats:
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[CompressedBlock]) -> "CompressionStats":
+        """Stats of blocks of any family.  Each block's ``nbytes`` and
+        ``n_elements`` are read once; the rates and ratios are array
+        divisions of those exact integers, the same IEEE results as the
+        blocks' own ``bit_rate`` / ``ratio``."""
         if not blocks:
             raise ValueError("need at least one compressed block")
         itemsizes = {b.source_itemsize for b in blocks}
         if len(itemsizes) != 1:
             raise ValueError(f"mixed source itemsizes: {sorted(itemsizes)}")
+        itemsize = itemsizes.pop()
+        nbytes = np.array([b.nbytes for b in blocks], dtype=np.int64)
+        n_elements = np.array([b.n_elements for b in blocks], dtype=np.int64)
         return cls(
             n_blocks=len(blocks),
-            total_elements=sum(b.n_elements for b in blocks),
-            total_nbytes=sum(b.nbytes for b in blocks),
-            source_itemsize=itemsizes.pop(),
-            per_block_bit_rates=np.array([b.bit_rate for b in blocks]),
-            per_block_ratios=np.array([b.ratio for b in blocks]),
+            total_elements=int(n_elements.sum()),
+            total_nbytes=int(nbytes.sum()),
+            source_itemsize=itemsize,
+            per_block_bit_rates=8.0 * nbytes / n_elements,
+            per_block_ratios=(itemsize * n_elements) / nbytes,
         )
 
     @property

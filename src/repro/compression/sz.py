@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro import telemetry
-from repro.compression.api import SZ_CAPABILITIES, CompressorSpec
+from repro.compression.api import SZ_CAPABILITIES, CompressorSpec, check_out
 from repro.compression.codecs import (
     Codec,
     _minimal_uint_dtype,
@@ -231,7 +231,10 @@ class SZCompressor:
         return self._compress_batch(arrs, eb_arr)[0]
 
     def compress_many(
-        self, views: list[np.ndarray], ebs: np.ndarray | list[float]
+        self,
+        views: list[np.ndarray],
+        ebs: np.ndarray | list[float],
+        out: list[np.ndarray] | None = None,
     ) -> list[CompressedBlock]:
         """Compress a batch of partitions under per-partition bounds.
 
@@ -252,10 +255,23 @@ class SZCompressor:
         Output blocks are byte-identical to per-partition
         :meth:`compress` calls regardless of grouping, chunking or thread
         count (property-tested).
+
+        ``out`` (checked by :func:`~repro.compression.api.check_out`
+        before any work) receives each block's reconstruction, bit for
+        bit what :func:`decompress` returns, with no decode: under dual
+        quantization it is the block's lattice times ``2*eb``
+        (exponentiated in ``pw_rel``), written while the front still
+        holds the lattice.  Pool threads write disjoint ``out`` arrays.
         """
         arrs, eb_arr = _check_batch(views, ebs)
+        outs = check_out(arrs, out)
         return _run_chunks(
-            lambda idxs: self._compress_batch([arrs[i] for i in idxs], eb_arr[idxs]), arrs
+            lambda idxs: self._compress_batch(
+                [arrs[i] for i in idxs],
+                eb_arr[idxs],
+                None if outs is None else [outs[i] for i in idxs],
+            ),
+            arrs,
         )
 
     def estimate(self, data: np.ndarray, eb: float) -> RQEstimate:
@@ -397,12 +413,13 @@ class SZCompressor:
     # -- internals --------------------------------------------------------
 
     def _compress_batch(
-        self, arrs: list[np.ndarray], eb_arr: np.ndarray
+        self, arrs: list[np.ndarray], eb_arr: np.ndarray, out: list[np.ndarray] | None = None
     ) -> list[CompressedBlock]:
         """Compress a chunk of *same-shape* blocks in one kernel pass, in
-        the calling thread's arena."""
+        the calling thread's arena, writing reconstructions into ``out``
+        if given."""
         ws = thread_workspace()
-        symbols, counts, pos, val, maxes = self._quantize_encode_batch(arrs, eb_arr, ws)
+        symbols, counts, pos, val, maxes = self._quantize_encode_batch(arrs, eb_arr, ws, out)
         payloads = self._encode_payloads_batch(symbols, counts, pos, val, maxes, ws)
         blocks = []
         for b, arr in enumerate(arrs):
@@ -424,7 +441,11 @@ class SZCompressor:
         return blocks
 
     def _quantize_encode_batch(
-        self, arrs: list[np.ndarray], eb_arr: np.ndarray, ws: Workspace
+        self,
+        arrs: list[np.ndarray],
+        eb_arr: np.ndarray,
+        ws: Workspace,
+        out: list[np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Batched front: quantize -> Lorenzo -> folded symbols.
 
@@ -432,7 +453,9 @@ class SZCompressor:
         arenas) run in one multi-block pass.  Returns ``(symbols (B, n)
         view, outlier counts, positions, values, per-row largest
         symbol)``; the symbols view is valid until the arena's
-        ``batch_lattice_i64`` slot is requested again.
+        ``batch_lattice_i64`` slot is requested again.  Given ``out``,
+        each block's reconstruction is written there between quantize
+        and Lorenzo (:meth:`_dequantize_into`).
         """
         tracer = telemetry.get_tracer()  # null object when disarmed
         n_blocks = len(arrs)
@@ -479,6 +502,8 @@ class SZCompressor:
                 "error bound too small relative to data magnitude: quantization "
                 "lattice exceeds int64 range"
             )
+        if out is not None:
+            self._dequantize_into(out, lattice, eb_arr, work)
         # Normalize to (B, nx, ny, nz); length-1 axes are the identity
         # under the zero-boundary difference, so padding is free.
         shape3d = shape + (1,) * (3 - len(shape))
@@ -492,6 +517,30 @@ class SZCompressor:
                 lattice, self.radius, scratch, mask
             )
         return lattice, counts, pos, val, maxes
+
+    def _dequantize_into(
+        self, out: list[np.ndarray], lattice: np.ndarray, eb_arr: np.ndarray, work: np.ndarray
+    ) -> None:
+        """The decoder's last step, on the lattice the front holds: each
+        ``out[b]`` gets row ``b`` cast-multiplied by ``2*eb`` in bound
+        space, as :func:`_decompress_chunk` computes it.
+
+        Not from the rounded ``work`` rows: they hold ``-0.0`` where the
+        int64 cast gives ``+0.0``, equal values with other bits.  In
+        ``pw_rel`` the product goes to ``work`` (free once the lattice is
+        cast) so ``np.exp`` runs on a contiguous ``(B, n)`` stack, as the
+        decoder's does, and is then copied out.
+        """
+        for b, dst in enumerate(out):
+            eb = float(eb_arr[b])
+            if self.mode == "abs":
+                np.multiply(lattice[b].reshape(dst.shape), 2.0 * eb, out=dst, dtype=np.float64)
+            else:
+                np.multiply(lattice[b], 2.0 * pw_rel_to_log_abs(eb), out=work[b], dtype=np.float64)
+        if self.mode != "abs":
+            np.exp(work, out=work)
+            for b, dst in enumerate(out):
+                np.copyto(dst, work[b].reshape(dst.shape))
 
     def _encode_payloads_batch(
         self,

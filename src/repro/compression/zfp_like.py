@@ -27,7 +27,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.compression.api import CompressorCapabilities, CompressorSpec
+from repro.compression.api import (
+    CompressorCapabilities,
+    CompressorSpec,
+    check_out,
+    decode_into,
+)
 
 __all__ = ["ZFPLikeCompressor", "ZFPBlockStream", "decompress"]
 
@@ -215,11 +220,13 @@ class ZFPLikeCompressor:
         )
 
     def compress_many(
-        self, views: list[np.ndarray], ebs: object
+        self, views: list[np.ndarray], ebs: object, out: list[np.ndarray] | None = None
     ) -> list[ZFPBlockStream]:
         """One stream per view; there is no batched kernel to share
-        across views, and no bound to read from ``ebs``."""
-        return [self.compress(v) for v in views]
+        across views, and no bound to read from ``ebs``.  ``out`` is
+        filled by decoding each stream."""
+        outs = check_out(views, out)
+        return decode_into(outs, [self.compress(v) for v in views], decompress)
 
     def decompress(self, stream: ZFPBlockStream) -> np.ndarray:
         """Streams are self-describing: one of any rate decodes here."""

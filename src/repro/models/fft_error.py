@@ -224,10 +224,16 @@ def spectrum_ratio_tolerance_to_eb(
         raise ValueError(
             "tolerance unachievable even at the smallest probed error bound"
         )
+    # At most 80 steps, and none past the fixed point: a step that leaves
+    # (lo, hi) as they were would repeat itself every step after.
     for _ in range(80):
         mid = np.sqrt(lo * hi)
         if worst(mid) <= tolerance:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return float(lo)

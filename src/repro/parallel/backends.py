@@ -107,6 +107,10 @@ class SnapshotResult:
     ) -> np.ndarray:
         """Decompress all partitions and reassemble the global field.
 
+        For callers that hold the blocks and not the reconstruction (a
+        result read back, a baseline scored after the fact).  Whoever
+        needs the field while compressing passes ``out=`` to
+        :func:`run_snapshot` instead, which writes it with no decode.
         Blocks dispatch through the compressor registry
         (:func:`~repro.compression.api.decompress_many`), so results from
         any registered family reconstruct.
@@ -118,7 +122,7 @@ class SnapshotResult:
         return decomposition.per_partition_map(self.ebs)
 
 
-def run_snapshot(task: SnapshotTask) -> SnapshotResult:
+def run_snapshot(task: SnapshotTask, out: np.ndarray | None = None) -> SnapshotResult:
     """Extract, optimize and compress every partition of ``task``.
 
     Feature extraction and the optimization run exactly as the in situ
@@ -126,6 +130,10 @@ def run_snapshot(task: SnapshotTask) -> SnapshotResult:
     see :func:`~repro.core.optimizer.local_protocol_bound`); the one
     :func:`~repro.core.optimizer.optimize` call is the function ledger
     replay makes too.  Compression takes the whole snapshot as one batch.
+
+    ``out`` (float64, the field's shape) receives the reconstructed
+    field, bit for bit :meth:`SnapshotResult.reconstruct`: its partition
+    views are the ``out=`` of the compressor's ``compress_many``.
     """
     timings = TimingBreakdown()
     tracer = telemetry.get_tracer()
@@ -138,9 +146,10 @@ def run_snapshot(task: SnapshotTask) -> SnapshotResult:
                 features, task.rate_model, task.eb_avg, task.settings, task.halo
             )
         views = task.decomposition.partition_views(task.data)
+        out_views = None if out is None else task.decomposition.partition_views(out)
         with tracer.span("compress"), timings.phase("compress"):
             fault_point("backend.compress")
-            blocks = task.compressor.compress_many(views, opt.ebs)
+            blocks = task.compressor.compress_many(views, opt.ebs, out=out_views)
     return SnapshotResult(
         features=features, ebs=opt.ebs, blocks=blocks, optimization=opt,
         timings=timings,

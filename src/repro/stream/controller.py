@@ -18,7 +18,9 @@ closes the loop one-shot compression leaves open —
   ``"model"`` reads them off the quantization-code histogram) and
   re-invert the quality budget, reusing one
   :class:`~repro.foresight.evaluator.FieldReference` for the budget
-  inversion, the halo-spec derivation and the optional quality check;
+  inversion, the halo-spec derivation and the optional quality check,
+  which reads the reconstruction compression writes as it goes
+  (``run_snapshot(task, out=...)``) instead of decoding the blocks;
 - **a run-level budget governor**: :class:`BudgetGovernor` tracks
   cumulative compressed bytes against a total-run byte budget and
   scales every field's error bound through the rate model's own power
@@ -266,6 +268,11 @@ class InSituController:
         self.seed = int(seed)
         self.check_quality = bool(check_quality) or self.drift.quality_margin is not None
         self.retain_results = bool(retain_results)
+        #: The one field buffer every quality-checked compression writes
+        #: its reconstruction into, reused field after field.
+        self._recon = (
+            np.empty(decomposition.shape, dtype=np.float64) if self.check_quality else None
+        )
 
         #: Everything decisions derive from.  Owned by the reducer: only
         #: :func:`~repro.stream.state.apply` (via :meth:`_append`) changes it.
@@ -720,7 +727,8 @@ class InSituController:
         failure (injected crash, timeout, OSError, ...) is retried with
         the same task — :func:`~repro.parallel.backends.run_snapshot` is
         a pure function of it, so a successful retry is bitwise identical
-        to a run that never failed.
+        to a run that never failed.  With the quality check on, the
+        reconstruction lands in ``self._recon``.
         """
         task = SnapshotTask(
             data=data,
@@ -733,9 +741,9 @@ class InSituController:
         )
 
         if self.retry is None:
-            return run_snapshot(task)
+            return run_snapshot(task, out=self._recon)
         return self.retry.execute(
-            lambda: run_snapshot(task),
+            lambda: run_snapshot(task, out=self._recon),
             site=f"stream.field:{name}",
             on_retry=self._note_retry,
         )
@@ -851,9 +859,8 @@ class InSituController:
             if ref is None:
                 ref = FieldReference(data)
             # Only the deviation is recorded: no metric moments, no PSNR.
-            quality_dev = spectrum_deviation(
-                ref, result.reconstruct(self.decomposition), spec.spectrum_k_max
-            )
+            # The field is what compression wrote into _recon: no decode.
+            quality_dev = spectrum_deviation(ref, self._recon, spec.spectrum_k_max)
 
         # The verdict comes from a scratch detector continuing the
         # field's window, so the outcome event can carry it; folding the

@@ -195,7 +195,8 @@ class TestContract:
         import inspect
 
         params = inspect.signature(resolve_compressor(spec).compress_many).parameters
-        assert list(params) == ["views", "ebs"]
+        assert list(params) == ["views", "ebs", "out"]
+        assert params["out"].default is None
 
     def test_decompress_any_equals_instance_decompress(self, spec, views):
         comp = resolve_compressor(spec)

@@ -1,0 +1,217 @@
+"""``compress_many(views, ebs, out=...)``: every family writes each
+block's reconstruction into ``out``.
+
+The contract: ``out[i]`` equals :func:`decompress_any` of block ``i`` bit
+for bit (SZ writes it from the lattice it holds, the other families
+decode their own blocks), the blocks are those of an ``out=None`` call,
+and anything but one writable float64 array per view, with the view's
+shape, is a ``ValueError`` before any work.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.compression import sz
+from repro.compression.api import (
+    UnsupportedCapabilityError,
+    decompress_any,
+    resolve_compressor,
+)
+from repro.util import fanout
+
+CODECS = ("zlib", "huffman", "raw")
+
+
+def _frozen(block) -> dict:
+    return {
+        k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(block).items()
+    }
+
+
+def _specs() -> list[tuple[str, str]]:
+    """``(spec, shape kind)`` over every family x mode x codec; the radius
+    of 2 sends most residuals to the outlier channel."""
+    out = []
+    for codec in CODECS:
+        for mode in ("abs", "pw_rel"):
+            for radius in (2, 1 << 15):
+                out.append((f"sz:mode={mode},codec={codec},radius={radius}", "any"))
+                out.append(
+                    (f"sz:engine=classic,mode={mode},codec={codec},radius={radius}", "tiny")
+                )
+        out.append((f"sz_adaptive:block=3,codec={codec},radius=2", "thirds"))
+        out.append((f"sz_adaptive:block=3,codec={codec}", "thirds"))
+    out += [("zfp_like:rate=4", "cube"), ("zfp_like:rate=12", "cube")]
+    return out
+
+
+SPECS = _specs()
+
+
+@st.composite
+def _shapes(draw, kind: str) -> tuple[int, ...]:
+    odd = st.sampled_from([1, 3, 5, 7, 9, 11])
+    if kind == "any":  # 1-D, 2-D and odd 3-D
+        ndim = draw(st.integers(1, 3))
+        if ndim == 1:
+            return (draw(st.integers(1, 300)),)
+        if ndim == 2:
+            return (draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+        return tuple(draw(odd) for _ in range(3))
+    if kind == "tiny":  # the classic order loops over cells in Python
+        ndim = draw(st.integers(1, 3))
+        return tuple(draw(st.sampled_from([1, 2, 3, 5])) for _ in range(ndim))
+    if kind == "thirds":  # odd extents that divide into 3^3 blocks
+        return tuple(draw(st.sampled_from([3, 9, 15])) for _ in range(3))
+    return tuple(draw(odd) for _ in range(3))  # zfp_like is 3-D only
+
+
+@st.composite
+def _cases(draw):
+    spec, kind = draw(st.sampled_from(SPECS))
+    shape = draw(_shapes(kind))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n_views = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    ebs = [float(10.0 ** rng.uniform(-3, -1)) for _ in range(n_views)]
+    views = []
+    for eb in ebs:
+        x = rng.normal(0.0, 10.0 ** rng.uniform(-3, 1), shape)
+        if "pw_rel" in spec:
+            x = np.exp(x)
+        else:
+            # Negatives within eb of zero: they round to -0.0 on the
+            # float lattice, +0.0 once cast to int64 as the decoder does.
+            tiny = rng.random(shape) < 0.3
+            x[tiny] = -eb * rng.uniform(0.01, 0.99, int(tiny.sum()))
+        views.append(x.astype(dtype))
+    return spec, views, ebs
+
+
+def _strided_out(views: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A NaN-filled ``out``: odd entries are strided views into a larger
+    buffer (as partition views of a field are), even ones contiguous."""
+    bufs, out = [], []
+    for i, v in enumerate(views):
+        if i % 2:
+            big = np.full(tuple(2 * s for s in v.shape), np.nan)
+            bufs.append(big)
+            out.append(big[tuple(slice(None, None, 2) for _ in v.shape)])
+        else:
+            out.append(np.full(v.shape, np.nan))
+            bufs.append(out[-1])
+    return out, bufs
+
+
+def _assert_written(out: list[np.ndarray], blocks: list) -> None:
+    for dst, block in zip(out, blocks):
+        want = decompress_any(block)
+        assert dst.dtype == want.dtype == np.float64 and dst.shape == want.shape
+        assert dst.tobytes() == want.tobytes()  # bits, so -0.0 != +0.0
+
+
+@given(_cases())
+@settings(max_examples=150, deadline=None)
+def test_out_is_the_decoded_block_bit_for_bit(case):
+    spec, views, ebs = case
+    comp = resolve_compressor(spec)
+    out, _ = _strided_out(views)
+    blocks = comp.compress_many(views, ebs, out=out)
+    _assert_written(out, blocks)
+    assert [_frozen(b) for b in blocks] == [_frozen(b) for b in comp.compress_many(views, ebs)]
+
+
+def test_negative_zeros_keep_the_decoders_sign():
+    """Values in (-eb, 0) quantize to a lattice zero; ``out`` must hold
+    the decoder's +0.0 there, not the rounded float arena's -0.0."""
+    eb = 0.5
+    view = np.array([-0.1, -0.4, 0.3, 2.0, -3.0])
+    for dtype in (np.float32, np.float64):
+        out = [np.full(view.shape, np.nan)]
+        block = sz.SZCompressor().compress_many([view.astype(dtype)], [eb], out=out)[0]
+        assert not np.signbit(out[0][:3]).any()
+        _assert_written(out, [block])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("mode", ["abs", "pw_rel"])
+def test_in_thread_and_pooled_paths_write_the_same(cpus, mode, monkeypatch):
+    """Blocks of >= FANOUT_MIN_ELEMENTS fan out over pool threads when
+    two CPUs are usable; each writes its own disjoint partition views."""
+    monkeypatch.setattr(sz, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+    pooled = []
+    real_map = sz.thread_map
+    monkeypatch.setattr(sz, "thread_map", lambda *a: pooled.append(1) or real_map(*a))
+    rng = np.random.default_rng(5)
+    field = np.cumsum(rng.normal(0, 1, (58, 29, 29)), axis=0)
+    if mode == "pw_rel":
+        field = np.exp(field / 10.0)
+    views = [field[:29], field[29:], field[:29] * 2.0, field[29:] * 0.5]
+    assert views[0].size >= sz.FANOUT_MIN_ELEMENTS
+    ebs = [0.01, 0.02, 0.005, 0.03]
+    comp = resolve_compressor(f"sz:mode={mode}")
+    recon = np.full((4, 58, 29, 29), np.nan)
+    out = [recon[0, :29], recon[0, 29:], recon[1, :29], recon[1, 29:]]
+    blocks = comp.compress_many(views, ebs, out=out)
+    _assert_written(out, blocks)
+    assert not np.isnan(recon[:2]).any() and np.isnan(recon[2:]).all()
+    assert bool(pooled) == (cpus > 1)
+
+
+@pytest.mark.parametrize("spec", ["sz", "sz:engine=classic", "zfp_like", "sz_adaptive"])
+class TestOutIsCheckedBeforeAnyWork:
+    VIEWS = [np.ones((4, 4, 4)), np.full((4, 4, 4), 2.0)]
+    EBS = [0.1, 0.1]
+
+    def _refused(self, spec, out, match, monkeypatch):
+        comp = resolve_compressor(spec)
+        for worker in ("compress", "_compress_batch", "_encode"):  # per-family encoders
+            if hasattr(type(comp), worker):
+                monkeypatch.setattr(
+                    type(comp), worker, lambda *a, **k: pytest.fail("compressed before the check")
+                )
+        with pytest.raises(ValueError, match=match):
+            comp.compress_many(self.VIEWS, self.EBS, out=out)
+
+    def test_wrong_length(self, spec, monkeypatch):
+        self._refused(spec, [np.empty((4, 4, 4))], "one output array per view", monkeypatch)
+
+    def test_wrong_shape(self, spec, monkeypatch):
+        out = [np.empty((4, 4, 4)), np.empty((4, 4, 5))]
+        self._refused(spec, out, r"out\[1\] must be .* shape \(4, 4, 4\)", monkeypatch)
+
+    def test_wrong_dtype(self, spec, monkeypatch):
+        out = [np.empty((4, 4, 4), np.float32), np.empty((4, 4, 4))]
+        self._refused(spec, out, r"out\[0\] must be a writable float64", monkeypatch)
+
+    def test_not_an_array(self, spec, monkeypatch):
+        out = [np.empty((4, 4, 4)), [[0.0] * 4] * 4]
+        self._refused(spec, out, r"out\[1\] .* got list", monkeypatch)
+
+    def test_read_only(self, spec, monkeypatch):
+        frozen = np.empty((4, 4, 4))
+        frozen.flags.writeable = False
+        self._refused(spec, [np.empty((4, 4, 4)), frozen], "read-only", monkeypatch)
+
+
+def test_a_compress_many_without_out_is_refused():
+    real = sz.SZCompressor()
+
+    class NoOut:
+        capabilities = real.capabilities
+        spec = real.spec
+        compress = real.compress
+        decompress = real.decompress
+        estimate_many = real.estimate_many
+
+        def compress_many(self, views, ebs):  # pragma: no cover - never called
+            return real.compress_many(views, ebs)
+
+    with pytest.raises(UnsupportedCapabilityError, match="out="):
+        resolve_compressor(NoOut())

@@ -82,3 +82,42 @@ class TestAggregation:
         b2 = comp.compress(smooth_field.astype(np.float64), 0.1)
         with pytest.raises(ValueError, match="mixed"):
             CompressionStats.from_blocks([b1, b2])
+
+
+class TestSizesReadOnce:
+    """``from_blocks`` reads each block's ``nbytes`` / ``n_elements`` once
+    and divides arrays; every field must equal the per-block Python
+    arithmetic it replaced, exactly, for every family's blocks."""
+
+    SPECS = ["sz", "sz:engine=classic", "zfp_like:rate=6", "sz_adaptive"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_per_block_values(self, spec, dtype, smooth_field, noisy_field):
+        from repro.compression.api import resolve_compressor
+
+        comp = resolve_compressor(spec)
+        cut = 8 if spec == "sz:engine=classic" else 24  # the classic loop is per cell
+        views = [f[:cut, :cut, :cut].astype(dtype) for f in (smooth_field, noisy_field)]
+        views.append(np.float32(3.0) * views[0])
+        blocks = comp.compress_many(views, [0.1, 0.5, 1e-3])
+        stats = CompressionStats.from_blocks(blocks)
+        assert stats.n_blocks == len(blocks)
+        assert stats.total_elements == sum(b.n_elements for b in blocks)
+        assert stats.total_nbytes == sum(b.nbytes for b in blocks)
+        assert stats.source_itemsize == blocks[0].source_itemsize
+        assert stats.per_block_bit_rates.dtype == np.float64
+        assert stats.per_block_bit_rates.tolist() == [b.bit_rate for b in blocks]
+        assert stats.per_block_ratios.tolist() == [b.ratio for b in blocks]
+
+    def test_reads_each_size_once(self, smooth_field, monkeypatch):
+        from repro.compression import sz
+
+        blocks = SZCompressor().compress_many([smooth_field] * 3, [0.1, 0.2, 0.3])
+        reads = []
+        real = sz.CompressedBlock.nbytes
+        monkeypatch.setattr(
+            sz.CompressedBlock, "nbytes", property(lambda b: reads.append(1) or real.fget(b))
+        )
+        CompressionStats.from_blocks(blocks)
+        assert len(reads) == len(blocks)

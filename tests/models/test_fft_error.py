@@ -161,6 +161,89 @@ class TestToleranceInversion:
             spectrum_ratio_tolerance_to_eb(ps, 100, tolerance=0.0)
 
 
+def _eighty_step_inversion(spectrum, n_elements, tolerance, k_max, sub_power_fn, corr):
+    """The inversion as it was before it stopped at its fixed point:
+    always 80 bisection steps."""
+    from repro.models import fft_error
+
+    mask = spectrum.k < k_max
+    sub = type(spectrum)(
+        k=spectrum.k[mask], power=spectrum.power[mask], n_modes=spectrum.n_modes[mask]
+    )
+
+    def worst(eb):
+        s = float(sub_power_fn(eb)) if sub_power_fn is not None else 0.0
+        return float(
+            fft_error.predicted_spectrum_distortion(
+                sub, n_elements, eb, 2.0, sub_threshold_power=s, correlated_fraction=corr
+            ).max()
+        )
+
+    lo, hi = 1e-12, 1.0
+    while worst(hi) < tolerance and hi < 1e12:
+        lo = hi
+        hi *= 4.0
+    assert worst(lo) <= tolerance
+    for _ in range(80):
+        mid = np.sqrt(lo * hi)
+        if worst(mid) <= tolerance:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+class TestInversionStopsAtItsFixedPoint:
+    """The bisection breaks once a step leaves ``(lo, hi)`` unchanged:
+    the bound keeps its bits, in fewer than 80 steps."""
+
+    @staticmethod
+    def _spectra(snapshot):
+        from repro.analysis.spectrum import PowerSpectrum
+
+        k = np.arange(1.0, 24.0)
+        yield power_spectrum(snapshot["temperature"].astype(np.float64))
+        yield power_spectrum(snapshot["baryon_density"].astype(np.float64))
+        for slope, amp in ((-1.0, 1e3), (-2.5, 50.0), (0.5, 1e-4)):
+            yield PowerSpectrum(k=k, power=amp * k**slope, n_modes=np.rint(4 * np.pi * k**2))
+
+    def test_equals_the_eighty_step_bisection(self, snapshot, monkeypatch):
+        from repro.models import fft_error
+
+        data = snapshot["baryon_density"].astype(np.float64)
+        curve = fft_error.sub_threshold_power_curve(data)
+        calls = []
+        real = fft_error.predicted_spectrum_distortion
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fft_error, "predicted_spectrum_distortion", counting)
+        cases = 0
+        for ps in self._spectra(snapshot):
+            for tolerance in (1e-3, 0.01, 0.2):
+                for sub_fn in (None, curve, lambda eb: 1e-3 * eb**2):
+                    for corr, k_max in ((0.0, 10), (0.4, 6)):
+                        args = (ps, data.size, tolerance, k_max, sub_fn, corr)
+                        calls.clear()
+                        try:
+                            want = _eighty_step_inversion(*args)
+                        except AssertionError:
+                            continue  # unachievable tolerance: nothing to bisect
+                        n_reference = len(calls)
+                        calls.clear()
+                        got = spectrum_ratio_tolerance_to_eb(
+                            ps, data.size, tolerance=tolerance, k_max=k_max,
+                            sub_power_fn=sub_fn, correlated_fraction=corr,
+                        )
+                        assert got == want, args
+                        # Same growth phase, then fewer than 80 steps.
+                        assert len(calls) < n_reference
+                        cases += 1
+        assert cases >= 60
+
+
 class TestSubThresholdEstimate:
     def test_zero_for_tiny_eb(self, snapshot):
         data = snapshot["baryon_density"].astype(np.float64)

@@ -599,14 +599,17 @@ class TestReportAndLifecycle:
             InSituController(stream_dec, byte_budget=0)
 
 
-class TestGroupDecodeLedgerIdentity:
-    """The quality check reconstructs through the chunked decoder; its
-    ledger — quality deviations, fixed-rate measurements, every bound —
-    must be byte-identical to one whose check decodes block by block."""
+class TestQualityCheckLedgerIdentity:
+    """The quality check reads the reconstruction compression wrote into
+    its field buffer, with no decode; its ledger — quality deviations,
+    fixed-rate measurements, every bound — must be byte-identical to one
+    whose check decodes block by block, also across a retried compress
+    and a degradation onto the fallback compressor."""
 
     @staticmethod
-    def _ledger(tmp_path, name, simulator) -> bytes:
+    def _ledger(tmp_path, name, simulator, plan=None, **kwargs) -> bytes:
         from repro.parallel.decomposition import BlockDecomposition
+        from repro.resilience.faults import FaultPlan
 
         snaps = [simulator.snapshot(z=z) for z in (3.0, 1.5, 0.8, 0.3)]
         raw = sum(a.nbytes for s in snaps for a in s.fields.values())
@@ -619,34 +622,89 @@ class TestGroupDecodeLedgerIdentity:
             byte_budget=raw // 8,
             n_snapshots=len(snaps),
             check_quality=True,
+            **kwargs,
         )
-        report = ctl.run(SnapshotSequence(snaps))
+        with (plan or FaultPlan(seed=0)).activate():
+            report = ctl.run(SnapshotSequence(snaps))
         ctl.close()
         assert all(o.quality_deviation is not None for o in report.outcomes)
         assert any(e.kind == "selection" for e in RunLedger.load(str(path)).events)
         return path.read_bytes()
 
+    @staticmethod
+    def _forbid_decode(monkeypatch) -> None:
+        from repro.compression import sz
+
+        def refuse(blocks, ws):
+            raise AssertionError("an SZ block was decoded on the governed stream")
+
+        monkeypatch.setattr(sz, "_decompress_chunk", refuse)
+
+    @staticmethod
+    def _decode_per_block(monkeypatch) -> None:
+        """The reference: compress without ``out=``, then fill the field
+        buffer from :func:`decompress_any` of each block."""
+        from repro.compression.api import decompress_any
+        from repro.stream import controller
+
+        real = controller.run_snapshot
+
+        def per_block(task, out=None):
+            result = real(task)
+            if out is not None:
+                for part, block in zip(task.decomposition, result.blocks):
+                    out[part.slices] = decompress_any(block)
+            return result
+
+        monkeypatch.setattr(controller, "run_snapshot", per_block)
+
+    def _both(self, tmp_path, simulator, monkeypatch, plan=None, **kwargs):
+        """The ledger with no decode allowed, then the per-block reference
+        (each under a fresh copy of the fault plan ``plan()`` builds)."""
+        plans = [plan() if plan else None for _ in range(2)]
+        with monkeypatch.context() as m:
+            self._forbid_decode(m)
+            written = self._ledger(tmp_path, "written.jsonl", simulator, plans[0], **kwargs)
+        self._decode_per_block(monkeypatch)
+        decoded = self._ledger(tmp_path, "decoded.jsonl", simulator, plans[1], **kwargs)
+        return written, decoded, plans
+
     def test_ledger_byte_identical_to_per_block_reconstruction(
         self, tmp_path, simulator, monkeypatch
     ):
-        from repro.compression import sz
-        from repro.compression.api import decompress_any
-        from repro.parallel.backends import SnapshotResult
+        written, decoded, _ = self._both(tmp_path, simulator, monkeypatch)
+        assert written == decoded
 
-        batches = []
-        real_many = sz.decompress_many
-        monkeypatch.setattr(
-            sz, "decompress_many", lambda blocks: batches.append(1) or real_many(blocks)
+    def test_identical_under_an_injected_compress_retry(
+        self, tmp_path, simulator, monkeypatch
+    ):
+        from repro.resilience.faults import FaultPlan
+        from repro.resilience.retry import RetryPolicy
+
+        def plan():
+            return FaultPlan(seed=4).arm("backend.compress", kind="crash", at=(1, 5))
+
+        retry = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        written, decoded, plans = self._both(
+            tmp_path, simulator, monkeypatch, plan, retry=retry
         )
-        with_chunks = self._ledger(tmp_path, "chunked.jsonl", simulator)
-        assert batches  # the check really went through the chunked decoder
+        assert written == decoded
+        assert [p.fired("backend.compress") for p in plans] == [2, 2]
+        assert b'"kind":"degradation"' not in written
 
-        def per_block(self, decomposition, dtype=np.float64):
-            return decomposition.assemble(
-                [decompress_any(b) for b in self.blocks], dtype=dtype
-            )
+    def test_identical_under_degradation_to_the_fallback(
+        self, tmp_path, simulator, monkeypatch
+    ):
+        from repro.resilience.faults import FaultPlan
+        from repro.resilience.retry import RetryPolicy
 
-        monkeypatch.setattr(SnapshotResult, "reconstruct", per_block)
-        batches.clear()
-        assert self._ledger(tmp_path, "per_block.jsonl", simulator) == with_chunks
-        assert not batches
+        def plan():
+            return FaultPlan(seed=4).arm("backend.compress", kind="crash", at=(2, 3))
+
+        written, decoded, _ = self._both(
+            tmp_path, simulator, monkeypatch, plan,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+            fallback_compressor="sz:codec=huffman",
+        )
+        assert written == decoded
+        assert b'"kind":"degradation"' in written
