@@ -545,10 +545,11 @@ def _takes_out(method: Callable[..., Any]) -> bool:
 
 
 def check_out(views: Sequence[Any], out: Sequence[np.ndarray] | None) -> list[np.ndarray] | None:
-    """The one check of ``compress_many``'s ``out=``, made before any
-    work: ``None``, or one writable float64 array per view with the
-    view's shape (any strides: partition views of one field buffer are
-    the intended use).  Anything else raises ``ValueError``."""
+    """The one check of ``out=`` on ``compress_many`` and
+    ``decompress_many``, made before any work: ``None``, or one writable
+    float64 array per view (or compressed block) with its shape (any
+    strides: partition views of one field buffer are the intended use).
+    Anything else raises ``ValueError``."""
     if out is None:
         return None
     out = list(out)
@@ -557,7 +558,7 @@ def check_out(views: Sequence[Any], out: Sequence[np.ndarray] | None) -> list[np
             f"need one output array per view: {len(views)} views, {len(out)} outputs"
         )
     for i, (view, dst) in enumerate(zip(views, out)):
-        shape = np.shape(view)
+        shape = tuple(view.shape) if hasattr(view, "shape") else np.shape(view)
         if not (
             isinstance(dst, np.ndarray)
             and dst.dtype == np.float64
@@ -594,7 +595,9 @@ def decompress_any(block: Any) -> np.ndarray:
     return REGISTRY.decompress(block)
 
 
-def decompress_many(blocks: Sequence[Any]) -> list[np.ndarray]:
+def decompress_many(
+    blocks: Sequence[Any], out: Sequence[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Reconstruct every block of ``blocks`` (any registered families,
     in any mix), in order.
 
@@ -602,16 +605,26 @@ def decompress_many(blocks: Sequence[Any]) -> list[np.ndarray]:
     decompress_many`, which chunks and threads them as the encoder does;
     every other block goes through its family's decoder.  Either way
     the arrays are bit-identical to :func:`decompress_any` per block.
+    ``out`` is checked by :func:`check_out` before anything inflates;
+    given, block ``i`` is decoded into ``out[i]`` (the SZ blocks
+    straight from their lattice, the others through
+    :func:`decode_into`) and ``out``'s own arrays are returned.
     """
     from repro.compression import sz
 
-    out: list[Any] = [None] * len(blocks)
+    outs = check_out(blocks, out)
+    recons: list[Any] = [None] * len(blocks) if outs is None else list(outs)
     mine = []
     for i, block in enumerate(blocks):
         if isinstance(block, sz.CompressedBlock):
             mine.append(i)
+        elif outs is None:
+            recons[i] = decompress_any(block)
         else:
-            out[i] = decompress_any(block)
-    for i, recon in zip(mine, sz.decompress_many([blocks[i] for i in mine])):
-        out[i] = recon
-    return out
+            decode_into([outs[i]], [block], decompress_any)
+    decoded = sz.decompress_many(
+        [blocks[i] for i in mine], None if outs is None else [outs[i] for i in mine]
+    )
+    for i, recon in zip(mine, decoded):
+        recons[i] = recon
+    return recons

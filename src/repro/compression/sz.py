@@ -104,6 +104,16 @@ LAYOUT = 2
 GROUP_LATTICE_BYTES = 2 << 20
 
 
+#: Most scratch a thread's arena keeps between chunks (bytes): the
+#: probe's pass, the largest, holds four lattice-sized slots with the
+#: arena's growth headroom (~5 x :data:`GROUP_LATTICE_BYTES`); what a
+#: chunk leaves beyond this is dropped when it ends
+#: (:meth:`~repro.compression.workspace.Workspace.trim`), so a lone
+#: oversize block does not pin its scratch in a pool thread for the
+#: life of the process.
+ARENA_BYTES = 6 * GROUP_LATTICE_BYTES
+
+
 def _chunk_len(n: int) -> int:
     """Most blocks of ``n`` elements one batched pass takes."""
     return max(1, GROUP_LATTICE_BYTES // (8 * n))
@@ -598,13 +608,17 @@ class SZCompressor:
             ]
 
 
-#: Fewest elements per block for which handing chunks to a thread pool
+#: Fewest elements per block for which handing chunks to the pool
 #: pays: :func:`_run_chunks` fans out chunks of such blocks — encode,
 #: probe or decode — and keeps smaller ones in the calling thread.
 #: Measured on a 2-vCPU box, time on two threads over time on one (64
 #: blocks per field, medians, per-block entropy encodes / decodes): 8^3
 #: 1.35x / 1.24x, 16^3 1.07x / 1.38x, 24^3 0.89x / 1.09x, 32^3 0.88x /
 #: 0.87x, 48^3 0.95x / 0.76x; the crossover lies between 24^3 and 32^3.
+#: The warm pool the caller works in does not move it: gated at 16^3
+#: instead, six 64^3 fields in 16^3 blocks compress no faster (87 ms
+#: either way) and the governed stream, whose blocks are 16^3, lost 14 %
+#: of its throughput and gained 6 MB of peak RSS (``docs/kernels.md``).
 #: A property of the input, deliberately not a setting.
 FANOUT_MIN_ELEMENTS = 28**3
 
@@ -617,17 +631,19 @@ def _run_chunks(run: Callable[[np.ndarray], list], items: Sequence) -> list:
     :data:`GROUP_LATTICE_BYTES` of int64 lattice.  Chunks of blocks with
     at least :data:`FANOUT_MIN_ELEMENTS` elements are at least one per
     usable CPU (:func:`~repro.util.fanout.usable_cpus`) and, when there
-    are two or more, run on a transient pool
-    (:func:`~repro.util.fanout.thread_map`); the rest run in order in
-    the calling thread.  Each chunk is independent, so the outputs do
-    not depend on the cut.
+    are two or more, go to :func:`~repro.util.fanout.thread_map`: the
+    calling thread works through them alongside the process's pool
+    threads (or alone, when they are busy with an outer fan-out); the
+    rest run in order in the calling thread.  Every chunk ends by
+    trimming its thread's arena to :data:`ARENA_BYTES`.  Each chunk is
+    independent, so the outputs do not depend on the cut.
     """
     threads = usable_cpus()
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(tuple(item.shape), []).append(i)
     local: list[np.ndarray] = []  # chunks for the calling thread
-    fanned: list[np.ndarray] = []  # chunks for the pool
+    fanned: list[np.ndarray] = []  # chunks for thread_map
     for shape, idxs in groups.items():
         n = math.prod(shape)
         count = -(-len(idxs) // _chunk_len(n))
@@ -637,9 +653,16 @@ def _run_chunks(run: Callable[[np.ndarray], list], items: Sequence) -> list:
         (fanned if wide else local).extend(np.array_split(np.asarray(idxs), count))
     if len(fanned) < 2:
         local, fanned = local + fanned, []
-    results = [run(c) for c in local]
+
+    def chunk(idxs: np.ndarray) -> list:
+        try:
+            return run(idxs)
+        finally:
+            thread_workspace().trim(ARENA_BYTES)
+
+    results = [chunk(c) for c in local]
     if fanned:
-        results += thread_map(run, fanned)
+        results += thread_map(chunk, fanned)
     out: list = [None] * len(items)
     for idxs, got in zip(local + fanned, results):
         for i, item in zip(idxs, got):
@@ -747,43 +770,72 @@ def decompress(block: CompressedBlock) -> np.ndarray:
     """Reconstruct a field from a self-describing :class:`CompressedBlock`.
 
     Decoded as a chunk of one by :func:`decompress_many`'s chunk
-    decoder, after the same checks.  Bytes that fail validation (a hostile header, an unknown
-    tag or layout, a payload that does not inflate to exactly the size
-    the header promises, a missing channel) raise
+    decoder, after the same checks, with no chunker around it: this is
+    the per-block read path.  Bytes that fail validation (a hostile
+    header, an unknown tag or layout, a payload that does not inflate
+    to exactly the size the header promises, a missing channel) raise
     :class:`~repro.util.errors.PayloadError`.
     """
-    if _chunked(block):
-        return _decompress_chunk([block], thread_workspace())[0]
-    return _decompress_retired(block)
+    if not _chunked(block):
+        return _decompress_retired(block)
+    out = np.empty(tuple(block.shape))
+    ws = thread_workspace()
+    try:
+        _decompress_chunk([block], ws, [out])
+    finally:
+        ws.trim(ARENA_BYTES)
+    return out
 
 
-def decompress_many(blocks: Sequence[CompressedBlock]) -> list[np.ndarray]:
+def decompress_many(
+    blocks: Sequence[CompressedBlock], out: Sequence[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Reconstruct every block of ``blocks``, in order: the one decode
     front, bit for bit :func:`decompress` of each block.
 
-    Every header is checked first.  The dual-engine layout-2 blocks are
+    ``out`` (checked by :func:`~repro.compression.api.check_out` before
+    anything inflates) is ``None`` or one writable float64 array per
+    block with its shape — any strides, so partition views of one field
+    buffer take a decomposition's blocks with no assembly copy; the
+    arrays returned are then ``out``'s own.  Without it, each chunk's
+    arrays are views of one fresh float64 ``(B, *shape)`` array,
+    allocated here and filled by the same pass.
+
+    Every header is checked next.  The dual-engine layout-2 blocks are
     then cut and threaded exactly as :meth:`SZCompressor.compress_many`
     cuts its views (:func:`_run_chunks`), and each chunk runs one unfold
     per stored width, one outlier scatter, one prefix-sum pass
     (:func:`~repro.compression.lorenzo.lorenzo_inverse_batch_inplace`)
-    and one dequantize per mode over a ``(B, n)`` lattice in its
-    thread's arena; its arrays are views of one fresh float64 ``(B,
-    *shape)`` array.  Classic-engine and layout-1 blocks decode one by
-    one.  A hostile payload raises the
+    over a ``(B, n)`` lattice in its thread's arena, and dequantizes
+    each lattice row straight into its output array.  Classic-engine
+    and layout-1 blocks decode one by one.  A hostile payload raises the
     :class:`~repro.util.errors.PayloadError` :func:`decompress` raises
     for its block, from whichever chunk or thread it is in.
     """
+    outs = check_out(blocks, out)
     chunked = [_chunked(block) for block in blocks]
-    live = [block for block, ok in zip(blocks, chunked) if ok]
-    decoded = iter(
-        _run_chunks(
-            lambda idxs: _decompress_chunk([live[i] for i in idxs], thread_workspace()), live
-        )
-    )
-    return [
+    live = [i for i, ok in enumerate(chunked) if ok]
+
+    def decode(idxs: np.ndarray) -> list[np.ndarray]:
+        chunk = [blocks[live[j]] for j in idxs]
+        if outs is None:
+            dsts = list(np.empty((len(chunk),) + tuple(chunk[0].shape)))
+        else:
+            dsts = [outs[live[j]] for j in idxs]
+        _decompress_chunk(chunk, thread_workspace(), dsts)
+        return dsts
+
+    decoded = iter(_run_chunks(decode, [blocks[i] for i in live]))
+    recons = [
         next(decoded) if ok else _decompress_retired(block)
         for block, ok in zip(blocks, chunked)
     ]
+    if outs is None:
+        return recons
+    for dst, recon, ok in zip(outs, recons, chunked):
+        if not ok:
+            dst[...] = recon
+    return outs
 
 
 class _GroupRow(NamedTuple):
@@ -809,16 +861,19 @@ def _group_row(block: CompressedBlock, n: int) -> _GroupRow:
     return _GroupRow((block.mode != "abs", k), symbols, out_pos, out_val, 2.0 * abs_eb)
 
 
-def _decompress_chunk(blocks: Sequence[CompressedBlock], ws: Workspace) -> list[np.ndarray]:
+def _decompress_chunk(
+    blocks: Sequence[CompressedBlock], ws: Workspace, out: list[np.ndarray]
+) -> None:
     """Decode a chunk of same-shape dual-engine layout-2 blocks in one
-    pass, in the calling thread's arena ``ws``."""
+    pass, in the calling thread's arena ``ws``, block ``i`` into
+    ``out[i]``."""
     n_blocks, shape = len(blocks), tuple(blocks[0].shape)
     n = math.prod(shape)
     rows = [_group_row(b, n) for b in blocks]
     # Lattice rows sorted by (mode, width): each width's blocks are one
     # contiguous slab and the pw_rel blocks come last.
     order = sorted(range(n_blocks), key=lambda i: rows[i].key)
-    lattice = ws.request("group_lattice_i64", (n_blocks, n), np.int64)
+    lattice = ws.request("batch_lattice_i64", (n_blocks, n), np.int64)
     lo = 0
     for (_, k), run in itertools.groupby(order, key=lambda i: rows[i].key):
         run = list(run)
@@ -846,14 +901,17 @@ def _decompress_chunk(blocks: Sequence[CompressedBlock], ws: Workspace) -> list[
         lattice.reshape(-1)[np.concatenate([row.out_pos + r * n for r, row in hits])] = (
             unzigzag(np.frombuffer(b"".join(row.out_val for _, row in hits), np.uint64))
         )
-    stack = lorenzo_inverse_batch_inplace(lattice.reshape((n_blocks,) + shape))
-    scales = np.array([rows[i].scale for i in order]).reshape((n_blocks,) + (1,) * len(shape))
-    recon = np.multiply(stack, scales, dtype=np.float64)
-    n_rel = sum(rows[i].key[0] for i in order)
-    if n_rel:
-        tail = recon[n_blocks - n_rel :]
-        np.exp(tail, out=tail)
-    out: list[np.ndarray | None] = [None] * n_blocks
-    for r, i in enumerate(order):
-        out[i] = recon[r]
-    return out  # type: ignore[return-value]
+    lorenzo_inverse_batch_inplace(lattice.reshape((n_blocks,) + shape))
+    # Dequantize: abs rows straight into their outputs; pw_rel rows (the
+    # tail) on a contiguous stack for np.exp, as the encoder's
+    # _dequantize_into does, then copied out.
+    n_abs = n_blocks - sum(rows[i].key[0] for i in order)
+    for r, i in enumerate(order[:n_abs]):
+        np.multiply(lattice[r].reshape(shape), rows[i].scale, out=out[i], dtype=np.float64)
+    if n_abs < n_blocks:
+        work = ws.request("batch_work_f64", (n_blocks - n_abs, n), np.float64)
+        for r, i in enumerate(order[n_abs:]):
+            np.multiply(lattice[n_abs + r], rows[i].scale, out=work[r], dtype=np.float64)
+        np.exp(work, out=work)
+        for r, i in enumerate(order[n_abs:]):
+            np.copyto(out[i], work[r].reshape(shape))

@@ -23,15 +23,18 @@ calling thread its arena, and every compressor instance that runs in
 that thread — whatever its configuration, however many the controller
 builds — works in it (slots are keyed by name and dtype, not by
 compressor).  That is cuSZ's one-scratch-per-worker layout: the calling
-thread holds one arena for its lifetime, the pool threads a fanned-out
-``compress_many`` runs its chunks on hold one each until they exit, and
-nothing is passed around — there is no ``workspace=`` argument.  A
-batched pass works on one chunk of at most
-:data:`~repro.compression.sz.GROUP_LATTICE_BYTES` of lattice, so an
-arena stays about one chunk's scratch however long the group.  A view
-is valid until the same thread next requests its slot, i.e. for the
-duration of one batched kernel pass; nothing that outlives a
-``compress_many`` / ``estimate_many`` call may refer to one.
+thread and each thread of the process's fan-out pool
+(:func:`repro.util.fanout.thread_map`) hold one arena for their
+lifetime, warm from call to call, and nothing is passed around — there
+is no ``workspace=`` argument.  A batched pass works on one chunk of at
+most :data:`~repro.compression.sz.GROUP_LATTICE_BYTES` of lattice, and
+every chunk ends with :meth:`Workspace.trim` to
+:data:`~repro.compression.sz.ARENA_BYTES`, so an arena stays about one
+chunk's scratch however long the group, and however large a lone block
+once was.  A view is valid until the same thread next requests its
+slot, i.e. for the duration of one batched kernel pass; nothing that
+outlives a ``compress_many`` / ``estimate_many`` / ``decompress_many``
+call may refer to one.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ class Workspace:
 
     def __init__(self) -> None:
         self._slots: dict[tuple[str, str], np.ndarray] = {}
+        self._used: set[tuple[str, str]] = set()  # slots requested since the last trim
 
     def request(self, name: str, shape: tuple[int, ...], dtype: np.dtype | type) -> np.ndarray:
         """A C-contiguous scratch view of ``shape``/``dtype`` for slot ``name``.
@@ -74,6 +78,7 @@ class Workspace:
         if base is None or base.size < n:
             base = np.empty(max(int(n * self.GROWTH), 1), dtype=dt)
             self._slots[key] = base
+        self._used.add(key)
         return base[:n].reshape(shape)
 
     def nbytes(self) -> int:
@@ -83,6 +88,18 @@ class Workspace:
     def clear(self) -> None:
         """Drop every buffer (e.g. after a one-off huge block)."""
         self._slots.clear()
+        self._used.clear()
+
+    def trim(self, max_bytes: int) -> None:
+        """Hold at most ``max_bytes``: past it, drop the slots no request
+        has touched since the last trim, then, if one pass alone needed
+        more (a lone oversize block), everything.  Call between passes,
+        when no view is live."""
+        if self.nbytes() > max_bytes:
+            self._slots = {k: v for k, v in self._slots.items() if k in self._used}
+            if self.nbytes() > max_bytes:
+                self._slots.clear()
+        self._used.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Workspace(slots={len(self._slots)}, nbytes={self.nbytes()})"
@@ -93,7 +110,8 @@ _tls = threading.local()
 
 def thread_workspace() -> Workspace:
     """The calling thread's scratch arena, created on first use and
-    released with the thread."""
+    released with the thread (pool threads live as long as the
+    process)."""
     ws = getattr(_tls, "workspace", None)
     if ws is None:
         ws = _tls.workspace = Workspace()

@@ -20,8 +20,21 @@ reads rates off the probe and never builds a field reference.
 Quality sweeps share one :class:`~repro.foresight.evaluator.QualityEvaluator`
 per field, so the original-side analyses (``rfftn`` power spectrum, halo
 catalog, metric moments) run exactly once per field no matter how many
-error bounds are trialed.  Each bound is evaluated as soon as it is
-compressed, so peak memory holds one bound's blocks, not the ladder's.
+error bounds are trialed.
+
+A field's bounds are independent, so they are trialed side by side, in
+two :func:`~repro.util.fanout.thread_map` phases: first every bound's
+probe (``probe_mode="model"``), then every cell that must be measured —
+compress, decode, evaluate.  Between them, in the calling thread, the
+field's :class:`~repro.foresight.evaluator.FieldReference` analyses,
+:class:`~repro.models.rq_model.RQModel` predictions and evaluator are
+built, and only when some cell reads them, so the reference-cache
+counters are those of a bound-by-bound run.  A measured cell decodes
+straight into a float64 field buffer (``decompress_many(...,
+out=partition views)``), one per cell in flight, reused from cell to
+cell, and holds its blocks only until it is scored: peak memory is a
+few bounds' worth, never the ladder's.  Records come back in bound
+order, the same whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -34,7 +47,6 @@ import numpy as np
 from repro.compression.api import (
     Compressor,
     CompressorSpec,
-    decompress_any,
     decompress_many,
     resolve_compressor,
 )
@@ -43,6 +55,7 @@ from repro.foresight.quality import QualityCriteria, QualityReport
 from repro.models.calibration import check_probe_mode
 from repro.models.rq_model import RQModel
 from repro.parallel.decomposition import BlockDecomposition
+from repro.util.fanout import thread_map
 
 __all__ = ["SweepRecord", "run_sweep"]
 
@@ -69,14 +82,6 @@ class SweepRecord:
     @property
     def passed(self) -> bool | None:
         return self.quality.passed if self.quality is not None else None
-
-
-def _reconstruct(blocks: list, decomposition: BlockDecomposition | None) -> np.ndarray:
-    """One bound's reconstruction: the partitions decoded and reassembled,
-    or the one whole-field block decoded."""
-    if decomposition is not None:
-        return decomposition.assemble(decompress_many(blocks))
-    return decompress_any(blocks[0])
 
 
 def run_sweep(
@@ -180,6 +185,7 @@ def run_sweep(
             refs[name] = FieldReference(data)
         return refs[name]
 
+    bounds = [float(eb) for eb in ebs]
     for comp in comps:
         # Tag records with the spec only in multi-compressor mode, so
         # single-compressor sweeps keep their historical record shape.
@@ -191,41 +197,85 @@ def run_sweep(
                 if decomposition is not None
                 else [data]
             )
-            evaluator: QualityEvaluator | None = None
-            rq: RQModel | None = None
-            for eb in ebs:
-                eb = float(eb)
-                quality: QualityReport | None = None
-                measure = probe_mode == "exact"
-                if not measure:
-                    sized = comp.estimate_many(views, [eb] * len(views))
-                    nbytes = sum(e.est_nbytes for e in sized)
-                    if not rate_only:
-                        if rq is None:
-                            rq = RQModel(field_ref(name, data), crit, field=name)
-                        pred = rq.predict(eb, sized)
-                        quality = pred.to_quality_report()
-                        measure = confirm == "always" or (
+            cells = len(bounds)
+            sizes: list = [None] * cells  # (stored bytes, elements, itemsize)
+            quality: list[QualityReport | None] = [None] * cells
+            measure = [probe_mode == "exact"] * cells
+            if probe_mode == "model":
+                # Phase 1: every bound's probe, side by side.
+                probes = thread_map(
+                    lambda eb: comp.estimate_many(views, [eb] * len(views)), bounds
+                )
+                sizes = [_size(estimates, measured=False) for estimates in probes]
+                if not rate_only:
+                    # The first prediction builds the reference analyses
+                    # the model reads; the rest only read them.
+                    rq = RQModel(field_ref(name, data), crit, field=name)
+                    preds = [rq.predict(bounds[0], probes[0])]
+                    preds += thread_map(lambda i: rq.predict(bounds[i], probes[i]), range(1, cells))
+                    for i, pred in enumerate(preds):
+                        quality[i] = pred.to_quality_report()
+                        measure[i] = confirm == "always" or (
                             confirm == "boundary" and pred.near_boundary(crit)
                         )
-                if measure:
-                    sized = blocks = comp.compress_many(views, [eb] * len(views))
-                    nbytes = sum(b.nbytes for b in blocks)
-                    if not rate_only:
-                        if evaluator is None:
-                            evaluator = QualityEvaluator(
-                                data, crit, reference=field_ref(name, data)
-                            )
-                        quality = evaluator.evaluate(_reconstruct(blocks, decomposition))
-                n = sum(x.n_elements for x in sized)
+            todo = [i for i in range(cells) if measure[i]]
+            if todo:
+                # Phase 2: every cell to measure, side by side.
+                evaluator = (
+                    None
+                    if rate_only
+                    else QualityEvaluator(data, crit, reference=field_ref(name, data))
+                )
+                cell = _measure(comp, views, data.shape, decomposition, evaluator)
+                for i, (size, report) in zip(todo, thread_map(cell, [bounds[i] for i in todo])):
+                    sizes[i] = size
+                    if evaluator is not None:
+                        quality[i] = report
+            for eb, (nbytes, n, itemsize), report in zip(bounds, sizes, quality):
                 records.append(
                     SweepRecord(
                         field=name,
                         eb=eb,
                         bit_rate=8.0 * nbytes / n,
-                        ratio=sized[0].source_itemsize * n / nbytes,
-                        quality=quality,
+                        ratio=itemsize * n / nbytes,
+                        quality=report,
                         spec=tag,
                     )
                 )
     return records
+
+
+def _size(units: list, measured: bool) -> tuple[float, int, int]:
+    """A cell's ``(stored bytes, elements, source itemsize)``: from its
+    blocks if it was measured, else from its probe estimates."""
+    nbytes = sum(u.nbytes if measured else u.est_nbytes for u in units)
+    return nbytes, sum(u.n_elements for u in units), units[0].source_itemsize
+
+
+def _measure(
+    comp: Compressor,
+    views: list[np.ndarray],
+    shape: tuple[int, ...],
+    decomposition: BlockDecomposition | None,
+    evaluator: QualityEvaluator | None,
+):
+    """One field's measured cell, as a function of its bound: compress
+    the views, then — unless rates alone are swept — decode the blocks
+    straight into a field buffer and score it; returns the cell's
+    :func:`_size` and report, so no cell's blocks outlive it.  Buffers
+    are kept for the next cell: there is one per cell in flight."""
+    spare: list[np.ndarray] = []
+
+    def cell(eb: float) -> tuple[tuple[float, int, int], QualityReport | None]:
+        blocks = comp.compress_many(views, [eb] * len(views))
+        if evaluator is None:
+            return _size(blocks, measured=True), None
+        field = spare.pop() if spare else np.empty(shape)
+        try:
+            parts = decomposition.partition_views(field) if decomposition is not None else [field]
+            decompress_many(blocks, out=parts)
+            return _size(blocks, measured=True), evaluator.evaluate(field)
+        finally:
+            spare.append(field)
+
+    return cell

@@ -105,17 +105,22 @@ class SnapshotResult:
     def reconstruct(
         self, decomposition: BlockDecomposition, dtype=np.float64
     ) -> np.ndarray:
-        """Decompress all partitions and reassemble the global field.
+        """Decompress all partitions into the global field.
 
         For callers that hold the blocks and not the reconstruction (a
         result read back, a baseline scored after the fact).  Whoever
         needs the field while compressing passes ``out=`` to
         :func:`run_snapshot` instead, which writes it with no decode.
-        Blocks dispatch through the compressor registry
-        (:func:`~repro.compression.api.decompress_many`), so results from
-        any registered family reconstruct.
+        Each block is decoded straight into its partition of one float64
+        field (:func:`~repro.compression.api.decompress_many` with
+        ``out=``), with no per-partition array and no assembly copy, and
+        dispatches through the compressor registry, so results from any
+        registered family reconstruct.  Another ``dtype`` is a cast of
+        that field, the values assembling into it would give.
         """
-        return decomposition.assemble(decompress_many(self.blocks), dtype=dtype)
+        field = np.empty(decomposition.shape)
+        decompress_many(self.blocks, out=decomposition.partition_views(field))
+        return field if np.dtype(dtype) == field.dtype else field.astype(dtype)
 
     def eb_map(self, decomposition: BlockDecomposition) -> np.ndarray:
         """Per-partition bounds on the block grid (Figs. 11/17)."""

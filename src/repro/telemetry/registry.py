@@ -29,18 +29,21 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 
 class Counter:
-    """Monotonically increasing count (events, cache hits, retries)."""
+    """Monotonically increasing count (events, cache hits, retries).
+    Increments are atomic: items of one fan-out may count concurrently."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_lock")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value: float = 0.0
+        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount!r})")
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
     def snapshot(self) -> dict[str, object]:
         return {"kind": "counter", "name": self.name, "value": self.value}

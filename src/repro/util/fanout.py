@@ -1,19 +1,35 @@
-"""The one thread fan-out: an ordered map over a transient pool.
+"""The one thread fan-out: an ordered map over one persistent pool that
+the caller works in.
 
-Lives in ``util``, below the SZ chunker (``repro.compression.sz.
-_run_chunks``, its one caller), so ``compression`` need not reach up
-into ``parallel`` for ten lines.
+Lives in ``util``, below its callers — the SZ chunker
+(``repro.compression.sz._run_chunks``) and the bound sweep
+(``repro.foresight.sweep.run_sweep``) — so ``compression`` need not
+reach up into ``parallel``.
+
+The pool is made once per process, on first use: ``usable_cpus() - 1``
+threads (named ``repro-fanout_<i>``) that live as long as the process,
+so each keeps its warm scratch arena
+(:func:`repro.compression.workspace.thread_workspace`) from call to
+call.  A call posts at most one helper task per spare CPU; the caller
+and the helpers claim items from one shared counter, so the caller
+always works and never waits on an item it could claim itself.  That
+is what makes nesting safe: a call made inside a pool item, with every
+worker busy, runs its own items and returns.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
+import threading
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 __all__ = ["thread_map", "usable_cpus"]
+
+#: Name prefix of the pool's threads.
+POOL_THREAD_PREFIX = "repro-fanout"
 
 
 def usable_cpus() -> int:
@@ -25,19 +41,112 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+
+
+def _helpers(size: int) -> ThreadPoolExecutor:
+    """The process's pool, (re)made with ``size`` threads when the
+    usable CPU count has changed since it was made."""
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool is None or _pool_size != size:
+            old, _pool = _pool, ThreadPoolExecutor(size, thread_name_prefix=POOL_THREAD_PREFIX)
+            _pool_size = size
+            if old is not None:
+                # Its threads finish what they hold, then exit.
+                old.shutdown(wait=False, cancel_futures=True)
+        return _pool
+
+
+def _forget_pool() -> None:
+    """After ``fork``: the parent's threads do not exist in the child."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+class _Batch:
+    """One call's items, claimed in order by whichever thread asks next."""
+
+    def __init__(self, fn: Callable[[Any], Any], items: list) -> None:
+        self._fn, self._items = fn, items
+        self._context = contextvars.copy_context()
+        self._n = len(items)
+        self.results: list = [None] * self._n
+        self.error: BaseException | None = None
+        self._next = 0  # the next unclaimed item; _n once closed
+        self._running = 0  # claimed items not yet finished
+        self._cond = threading.Condition(threading.Lock())
+
+    def _claim(self) -> int | None:
+        with self._cond:
+            if self._next >= self._n:
+                return None
+            self._next += 1
+            self._running += 1
+            return self._next - 1
+
+    def work(self) -> None:
+        """Run items until none is left to claim.  An item's exception
+        stops all further claims and propagates (into the helper's
+        future, or the caller's ``finally``); the caller re-raises the
+        first one recorded."""
+        while (i := self._claim()) is not None:
+            try:
+                self.results[i] = self._context.copy().run(self._fn, self._items[i])
+            except BaseException as exc:  # recorded for the caller, then propagated
+                with self._cond:
+                    if self.error is None:
+                        self.error = exc
+                    self._next = self._n
+                raise
+            finally:
+                with self._cond:
+                    self._running -= 1
+                    if not self._running:
+                        self._cond.notify_all()
+
+    def close(self) -> tuple[list, BaseException | None]:
+        """Stop claims, wait until every claimed item has finished, and
+        hand over ``(results, first error)``, dropping every reference a
+        stale helper task would otherwise keep alive."""
+        with self._cond:
+            self._next = self._n
+            while self._running:
+                self._cond.wait()
+        out = (self.results, self.error)
+        self._fn = self._items = self._context = self.results = self.error = None
+        return out
+
+
 def thread_map(fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
-    """Apply ``fn`` to every item over at most :func:`usable_cpus`
-    threads, preserving order; a lone item, or a single usable CPU,
-    runs in the calling thread.  Each call runs in a copy of
-    the caller's :mod:`contextvars` context, so telemetry spans opened in
-    a worker nest under the caller's open span.  The first exception any
-    call raises is re-raised here."""
-    items = list(items)
-    workers = min(len(items), usable_cpus())
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, fn, item) for item in items
-        ]
-        return [f.result() for f in futures]
+    """Apply ``fn`` to every item, preserving order, with at most
+    :func:`usable_cpus` threads running ``fn`` at once: the calling
+    thread and up to ``usable_cpus() - 1`` threads of the process's
+    pool.  A lone item, or a single usable CPU, runs wholly in the
+    calling thread; so do a nested call's items when every pool thread
+    is busy.  Each item runs in a copy of the caller's
+    :mod:`contextvars` context, so telemetry spans opened in it nest
+    under the caller's open span wherever it runs.  The first exception
+    any item raises is re-raised here, once every claimed item has
+    finished, so nothing an item writes lands after this returns."""
+    batch = _Batch(fn, list(items))
+    cpus = usable_cpus()
+    helpers = []
+    if min(batch._n, cpus) > 1:
+        pool = _helpers(cpus - 1)
+        helpers = [pool.submit(batch.work) for _ in range(min(batch._n, cpus) - 1)]
+    try:
+        batch.work()
+    finally:
+        results, error = batch.close()
+        for helper in helpers:
+            helper.cancel()  # a helper still queued is a no-op
+        if error is not None:
+            raise error
+    return results

@@ -274,7 +274,9 @@ class TestDecompressMany:
         batches, singles = [], []
         real_many, real_any = sz.decompress_many, api.decompress_any
         monkeypatch.setattr(
-            sz, "decompress_many", lambda blocks: batches.append(len(blocks)) or real_many(blocks)
+            sz,
+            "decompress_many",
+            lambda blocks, out=None: batches.append(len(blocks)) or real_many(blocks, out),
         )
         monkeypatch.setattr(
             api, "decompress_any", lambda block: singles.append(block) or real_any(block)
@@ -289,7 +291,7 @@ class TestDecompressMany:
     def test_takes_no_thread_count(self):
         import inspect
 
-        assert list(inspect.signature(decompress_many).parameters) == ["blocks"]
+        assert list(inspect.signature(decompress_many).parameters) == ["blocks", "out"]
 
     def test_empty_and_single(self, field):
         assert decompress_many([]) == []

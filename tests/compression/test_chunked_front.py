@@ -6,20 +6,29 @@ None of it may change an output: payloads byte for byte and estimates
 field for field are what per-block calls give, whatever the thread
 count, group length, shape mix or input order; an invalid block raises
 what the one-thread path raises; the calling thread's arena holds one
-chunk, not the group; and the usable CPU count caps the pool.
+chunk, not the group; and the usable CPU count caps how many chunks
+run at once.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.compression import sz
-from repro.compression.sz import FANOUT_MIN_ELEMENTS, GROUP_LATTICE_BYTES, SZCompressor
+from repro.compression.sz import (
+    FANOUT_MIN_ELEMENTS,
+    GROUP_LATTICE_BYTES,
+    SZCompressor,
+    decompress_many,
+)
 from repro.compression.workspace import thread_workspace
 from repro.util import fanout
 
@@ -196,7 +205,9 @@ class TestArena:
 
         assert 0 < _in_fresh_thread(run) <= self.BOUND
 
-    def test_a_fanned_out_call_leaves_the_caller_arena_alone(self, monkeypatch):
+    def test_a_fanned_out_call_leaves_the_caller_one_chunk(self, monkeypatch):
+        """The caller works through the fanned-out chunks too, in its
+        own arena: it ends holding at most one chunk's scratch."""
         views = _views(32, 16)
         _cpus(monkeypatch, 2)
 
@@ -204,37 +215,82 @@ class TestArena:
             SZCompressor().compress_many(views, _ebs(16))
             return thread_workspace().nbytes()
 
-        assert _in_fresh_thread(run) == 0
+        assert _in_fresh_thread(run) <= self.BOUND
+
+
+    def test_no_arena_keeps_an_oversize_blocks_scratch(self, monkeypatch):
+        """Pool threads keep their arenas for the life of the process, so
+        every chunk trims its own: after two lone oversize blocks (one
+        chunk each, ~4x the lattice cap) through every entry point, no
+        arena — the caller's or any pool thread's — is over the bound."""
+        _cpus(monkeypatch, 2)
+        big = _views(96, 2)
+        assert 8 * big[0].size > 3 * GROUP_LATTICE_BYTES
+        comp = SZCompressor()
+        blocks = comp.compress_many(big, [0.01, 0.02])
+        comp.estimate_many(big, [0.01, 0.02])
+        decompress_many(blocks, out=[np.empty(v.shape) for v in big])
+        decompress_many(blocks)
+
+        def arena(_):
+            time.sleep(0.02)  # long enough for the pool to join in
+            return threading.current_thread().name, thread_workspace().nbytes()
+
+        sizes = dict(fanout.thread_map(arena, range(8)))
+        sizes[threading.current_thread().name] = thread_workspace().nbytes()
+        assert any(name.startswith(fanout.POOL_THREAD_PREFIX) for name in sizes)
+        assert max(sizes.values()) <= self.BOUND == sz.ARENA_BYTES
 
 
 class TestUsableCpusIsACap:
     @pytest.fixture()
-    def pool_sizes(self, monkeypatch):
-        sizes = []
+    def chunks(self, monkeypatch):
+        """Every compress / probe chunk pass: how many ran, the most that
+        ran at once, and the threads they ran on."""
+        seen = SimpleNamespace(count=0, now=0, peak=0, threads=set())
+        lock = threading.Lock()
 
-        class Recording(fanout.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def counted(real):
+            def run(*args, **kwargs):
+                with lock:
+                    seen.count += 1
+                    seen.now += 1
+                    seen.peak = max(seen.peak, seen.now)
+                    seen.threads.add(threading.get_ident())
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    with lock:
+                        seen.now -= 1
 
-        monkeypatch.setattr(fanout, "ThreadPoolExecutor", Recording)
+            return run
+
+        for name in ("_compress_batch", "_estimate_batch"):
+            monkeypatch.setattr(SZCompressor, name, counted(getattr(SZCompressor, name)))
         # an 8-core node
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 8)
-        monkeypatch.setattr(sz, "usable_cpus", lambda: 8)
-        return sizes
+        _cpus(monkeypatch, 8)
+        return seen
 
-    def test_two_usable_cpus_open_at_most_two_workers(self, pool_sizes, monkeypatch):
+    def test_two_usable_cpus_run_at_most_two_chunks_at_once(self, chunks, monkeypatch):
         views = _views(32, 24)
         assert views[0].size >= FANOUT_MIN_ELEMENTS
         _cpus(monkeypatch, 2)
         SZCompressor().compress_many(views, _ebs(24))
-        assert pool_sizes and max(pool_sizes) <= 2
+        assert chunks.count == 3 and chunks.peak <= 2
 
-    def test_the_default_is_the_usable_cpu_count(self, pool_sizes):
+    def test_one_usable_cpu_never_leaves_the_caller(self, chunks, monkeypatch):
+        views = _views(32, 24)
+        _cpus(monkeypatch, 1)
+        SZCompressor().compress_many(views, _ebs(24))
+        SZCompressor().estimate_many(views, _ebs(24))
+        assert chunks.count == 6 and chunks.threads == {threading.get_ident()}
+
+    def test_the_default_is_the_usable_cpu_count(self, chunks):
         views = _views(32, 24)
         SZCompressor().compress_many(views, _ebs(24))
         SZCompressor().estimate_many(views, _ebs(24))
-        assert pool_sizes == [8, 8]  # 24 blocks: eight chunks of three
+        # 24 blocks: eight chunks of three per call, at most eight at once
+        assert chunks.count == 16 and chunks.peak <= 8
 
 
 class TestSpans:

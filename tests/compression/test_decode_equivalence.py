@@ -126,13 +126,15 @@ class TestStrategyIsInvisibleToReaders:
 class TestFanOutGate:
     @pytest.fixture()
     def seen(self, monkeypatch):
-        """``maps``: the item count of every pool fan-out; ``threads``:
-        the thread of every arena fetch (one per compress, probe or
-        decode chunk)."""
-        seen = SimpleNamespace(maps=[], threads=set())
+        """``maps``: the item count of every fan-out; ``chunks``: the
+        chunks (block indices) each one was handed; ``threads``: the
+        thread of every arena fetch (one per compress, probe or decode
+        chunk)."""
+        seen = SimpleNamespace(maps=[], chunks=[], threads=set())
 
         def counted(fn, items):
             seen.maps.append(len(items))
+            seen.chunks.append([[int(i) for i in chunk] for chunk in items])
             return thread_map(fn, items)
 
         def fetched():
@@ -172,8 +174,8 @@ class TestFanOutGate:
         monkeypatch.setattr(sz, "usable_cpus", lambda: 4)
         monkeypatch.setattr(fanout, "usable_cpus", lambda: 4)
         fanned = comp.compress_many(views, ebs)
-        assert seen.maps == [3]  # one chunk per thread: three of one block
-        assert threading.get_ident() not in seen.threads
+        assert seen.maps == [3]  # one chunk per CPU: three of one block
+        assert seen.chunks == [[[0], [1], [2]]]
         recons = decompress_many(fanned)
         assert seen.maps == [3, 3]
         monkeypatch.setattr(sz, "usable_cpus", lambda: 2)

@@ -196,7 +196,7 @@ class TestChunksAndThreads:
 
         def recording(ws, name, shape, dtype):
             view = real(ws, name, shape, dtype)
-            if name == "group_lattice_i64":
+            if name == "batch_lattice_i64":
                 lattices.append(view.nbytes)
             return view
 
@@ -210,8 +210,9 @@ class TestChunksAndThreads:
     @pytest.mark.parametrize("side", [16, 32])
     def test_only_chunks_of_large_blocks_go_through_thread_map(self, side, monkeypatch):
         """Chunks of blocks of at least ``FANOUT_MIN_ELEMENTS`` elements
-        go through :func:`~repro.util.fanout.thread_map`; smaller ones
-        are decoded in the calling thread."""
+        go through :func:`~repro.util.fanout.thread_map` (whichever
+        thread then runs them); smaller ones are decoded in the calling
+        thread."""
         blocks = SZCompressor().compress_many(
             [_field((side,) * 3, s) for s in range(3)], [0.01, 0.02, 0.03]
         )
@@ -219,12 +220,12 @@ class TestChunksAndThreads:
         real_map, real_chunk = sz.thread_map, sz._decompress_chunk
 
         def counted_map(fn, items):
-            maps.append(len(items))
+            maps.append([[int(i) for i in chunk] for chunk in items])
             return real_map(fn, items)
 
-        def counted_chunk(blocks, ws):
+        def counted_chunk(blocks, ws, out):
             threads.add(threading.get_ident())
-            return real_chunk(blocks, ws)
+            return real_chunk(blocks, ws, out)
 
         monkeypatch.setattr(sz, "thread_map", counted_map)
         monkeypatch.setattr(sz, "_decompress_chunk", counted_chunk)
@@ -232,8 +233,7 @@ class TestChunksAndThreads:
         monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
         got = decompress_many(blocks)
         if side**3 >= FANOUT_MIN_ELEMENTS:
-            assert maps == [2]  # one chunk per CPU
-            assert threading.get_ident() not in threads
+            assert maps == [[[0, 1], [2]]]  # one chunk per CPU
         else:
             assert maps == [] and threads == {threading.get_ident()}
         _assert_same_arrays(got, blocks, decompress)

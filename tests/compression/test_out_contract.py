@@ -1,5 +1,6 @@
-"""``compress_many(views, ebs, out=...)``: every family writes each
-block's reconstruction into ``out``.
+"""``out=``: ``compress_many(views, ebs, out=...)`` — every family
+writes each block's reconstruction into ``out`` — and
+``decompress_many(blocks, out=...)``, which decodes into it.
 
 The contract: ``out[i]`` equals :func:`decompress_any` of block ``i`` bit
 for bit (SZ writes it from the lattice it holds, the other families
@@ -19,6 +20,7 @@ from repro.compression import sz
 from repro.compression.api import (
     UnsupportedCapabilityError,
     decompress_any,
+    decompress_many,
     resolve_compressor,
 )
 from repro.util import fanout
@@ -215,3 +217,153 @@ def test_a_compress_many_without_out_is_refused():
 
     with pytest.raises(UnsupportedCapabilityError, match="out="):
         resolve_compressor(NoOut())
+
+
+# -- decompress_many(blocks, out=...) -----------------------------------------
+
+
+def _decode_into(blocks: list, out: list[np.ndarray]) -> None:
+    got = decompress_many(blocks, out=out)
+    assert len(got) == len(out) and all(g is dst for g, dst in zip(got, out))
+    _assert_written(out, blocks)
+
+
+@given(_cases())
+@settings(max_examples=150, deadline=None)
+def test_decompress_many_into_out_is_decompress_any_bit_for_bit(case):
+    """Every family x mode x dtype x codec, into contiguous and strided
+    arrays; the arrays returned are ``out``'s own."""
+    spec, views, ebs = case
+    blocks = resolve_compressor(spec).compress_many(views, ebs)
+    out, _ = _strided_out(views)
+    _decode_into(blocks, out)
+
+
+def _mixed_blocks() -> list:
+    """Blocks of every family, both modes and both source dtypes,
+    interleaved, with lattice zeros from negatives inside the bound."""
+    rng = np.random.default_rng(17)
+    cube = np.cumsum(rng.normal(0, 1, (9, 9, 9)), axis=0)
+    cube[rng.random(cube.shape) < 0.2] = -0.004
+    small = cube[:3, :3, :3]
+    blocks = []
+    for dtype in (np.float32, np.float64):
+        for spec, view in (
+            ("sz", cube),
+            ("sz:codec=huffman", cube[:5]),
+            ("sz:codec=raw", cube[:, :7]),
+            ("sz:mode=pw_rel", np.exp(cube / 4.0)),
+            ("sz:engine=classic", small),
+            ("sz:engine=classic,mode=pw_rel", np.exp(small)),
+            ("sz_adaptive:block=3", cube),
+            ("zfp_like:rate=8", cube),
+        ):
+            blocks += resolve_compressor(spec).compress_many(
+                [view.astype(dtype), view[::-1].astype(dtype)], [0.01, 0.005]
+            )
+    order = rng.permutation(len(blocks))
+    return [blocks[i] for i in order]
+
+
+def test_decompress_many_into_out_with_mixed_families():
+    blocks = _mixed_blocks()
+    out, _ = _strided_out([np.empty(b.shape) for b in blocks])
+    _decode_into(blocks, out)
+
+
+def test_decompress_many_into_partitions_of_one_field():
+    """Partition views of one field buffer, the intended use: no
+    assembly, the field is the assembled decode."""
+    from repro.parallel.decomposition import BlockDecomposition
+
+    rng = np.random.default_rng(3)
+    data = np.cumsum(rng.normal(0, 1, (40, 36, 32)), axis=2)
+    dec = BlockDecomposition(data.shape, blocks=(2, 3, 2))
+    views = dec.partition_views(data)
+    blocks = resolve_compressor("sz").compress_many(views, [0.01] * len(views))
+    field = np.full(data.shape, np.nan)
+    _decode_into(blocks, dec.partition_views(field))
+    assert field.tobytes() == dec.assemble(decompress_many(blocks)).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_decompress_many_into_out_in_thread_and_pooled(cpus, monkeypatch):
+    monkeypatch.setattr(sz, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(8)
+    field = np.cumsum(rng.normal(0, 1, (58, 29, 29)), axis=0)
+    views = [field[:29], field[29:], np.exp(field[:29] / 10.0)]
+    blocks = resolve_compressor("sz").compress_many(views[:2], [0.01, 0.02])
+    blocks += resolve_compressor("sz:mode=pw_rel").compress_many(views[2:], [0.01])
+    assert views[0].size >= sz.FANOUT_MIN_ELEMENTS
+    recon = np.full((2, 58, 29, 29), np.nan)
+    out = [recon[0, :29], recon[0, 29:], recon[1, :29]]
+    _decode_into(blocks, out)
+    assert np.isnan(recon[1, 29:]).all()
+
+
+class TestDecompressOutIsCheckedBeforeAnything:
+    @pytest.fixture()
+    def blocks(self, monkeypatch):
+        blocks = _mixed_blocks()[:6]
+
+        def inflated(*args, **kwargs):
+            pytest.fail("inflated before the check")
+
+        from repro.compression import api
+
+        monkeypatch.setattr(sz, "_group_row", inflated)
+        monkeypatch.setattr(sz, "_decompress_retired", inflated)
+        monkeypatch.setattr(api.REGISTRY, "decompress", inflated)
+        return blocks
+
+    @staticmethod
+    def _out(blocks):
+        return [np.empty(b.shape) for b in blocks]
+
+    def test_wrong_length(self, blocks):
+        with pytest.raises(ValueError, match="one output array per view"):
+            decompress_many(blocks, out=self._out(blocks)[:-1])
+
+    def test_wrong_shape(self, blocks):
+        out = self._out(blocks)
+        out[2] = np.empty(tuple(s + 1 for s in out[2].shape))
+        with pytest.raises(ValueError, match=r"out\[2\] must be .* shape"):
+            decompress_many(blocks, out=out)
+
+    def test_wrong_dtype(self, blocks):
+        out = self._out(blocks)
+        out[1] = out[1].astype(np.float32)
+        with pytest.raises(ValueError, match=r"out\[1\] must be a writable float64"):
+            decompress_many(blocks, out=out)
+
+    def test_read_only(self, blocks):
+        out = self._out(blocks)
+        out[-1].flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            decompress_many(blocks, out=out)
+
+    def test_sz_decompress_many_checks_too(self, blocks):
+        mine = [b for b in blocks if isinstance(b, sz.CompressedBlock)]
+        with pytest.raises(ValueError, match="one output array per view"):
+            sz.decompress_many(mine, out=self._out(mine) + [np.empty(3)])
+
+
+@pytest.mark.parametrize("cut", ["codes", "outlier_val"])
+def test_a_hostile_payload_raises_what_the_no_out_path_raises(cut):
+    import dataclasses
+
+    from repro.util.errors import PayloadError
+
+    rng = np.random.default_rng(31)
+    views = [np.cumsum(rng.normal(0, 30, (8, 8, 8)), axis=1) for _ in range(4)]
+    blocks = sz.SZCompressor(radius=16).compress_many(views, [0.05] * 4)
+    bad = blocks[2]
+    blocks[2] = dataclasses.replace(
+        bad, payloads={**bad.payloads, cut: bad.payloads[cut][:-3]}
+    )
+    with pytest.raises(PayloadError) as plain:
+        decompress_many(blocks)
+    with pytest.raises(PayloadError) as into:
+        decompress_many(blocks, out=[np.empty(v.shape) for v in views])
+    assert str(into.value) == str(plain.value)

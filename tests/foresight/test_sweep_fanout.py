@@ -1,0 +1,105 @@
+"""The sweep trials a field's bounds side by side: its records, its
+reference-cache counters and its errors are those of a bound-by-bound
+run, whatever the usable CPU count."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import telemetry
+from repro.compression import sz
+from repro.foresight.quality import QualityCriteria
+from repro.foresight.sweep import run_sweep
+from repro.parallel.decomposition import BlockDecomposition
+from repro.util import fanout
+
+EBS = [2e-3, 5e-3, 1e-2, 3e-2, 8e-2]
+
+
+def _cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sz, "usable_cpus", lambda: cpus)
+
+
+@pytest.fixture(scope="module")
+def fields():
+    rng = np.random.default_rng(5)
+    smooth = np.cumsum(np.cumsum(rng.normal(0, 0.05, (32, 32, 32)), axis=0), axis=1)
+    density = np.exp(smooth - smooth.mean())
+    return {
+        "density": density.astype(np.float32),
+        "temperature": (smooth + 10.0).astype(np.float64),
+    }
+
+
+@pytest.fixture(scope="module")
+def criteria(fields):
+    t_boundary = float(np.percentile(fields["density"], 97))
+    return {
+        "density": QualityCriteria(
+            spectrum_tolerance=0.01, check_halos=True, t_boundary=t_boundary
+        ),
+        "temperature": QualityCriteria(spectrum_tolerance=0.005),
+    }
+
+
+DEC = BlockDecomposition((32, 32, 32), (2, 2, 2))
+
+CONFIGS = {
+    "exact": dict(decomposition=DEC),
+    "model-never": dict(decomposition=DEC, probe_mode="model"),
+    "model-boundary": dict(decomposition=DEC, probe_mode="model", confirm="boundary"),
+    "model-always": dict(decomposition=DEC, probe_mode="model", confirm="always"),
+    "exact-rate-only": dict(decomposition=DEC, rate_only=True),
+    "model-rate-only": dict(decomposition=DEC, probe_mode="model", rate_only=True),
+    "compressors": dict(decomposition=DEC, compressors=["sz", "sz:codec=huffman", "zfp_like"]),
+    "whole-field": dict(decomposition=None),
+    "whole-field-model": dict(decomposition=None, probe_mode="model", confirm="always"),
+}
+
+
+def _sweep(fields, criteria, config: str) -> str:
+    # repr: floats to the last bit, and a NaN equals itself
+    return repr(run_sweep(fields, EBS, criteria, **CONFIGS[config]))
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_records_do_not_depend_on_the_cpu_count(fields, criteria, config, monkeypatch):
+    got = {}
+    for cpus in (1, 2, 4):
+        _cpus(monkeypatch, cpus)
+        got[cpus] = _sweep(fields, criteria, config)
+    assert got[2] == got[1] and got[4] == got[1]
+
+
+def test_the_boundary_sweep_confirms_some_cells_and_trusts_others(fields, criteria):
+    # The boundary case above is only meaningful if it mixes both.
+    records = run_sweep(fields, EBS, criteria, **CONFIGS["model-boundary"])
+    trusted = run_sweep(fields, EBS, criteria, **CONFIGS["model-never"])
+    confirmed = [r != t for r, t in zip(records, trusted)]
+    assert any(confirmed) and not all(confirmed)
+
+
+@pytest.mark.parametrize("config", ["exact", "model-boundary", "model-always", "compressors"])
+def test_reference_cache_counters_are_a_one_cpu_runs(fields, criteria, config, monkeypatch):
+    counts = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with telemetry.armed():
+            _sweep(fields, criteria, config)
+            counts[cpus] = [
+                (m["name"], m["value"])
+                for m in telemetry.get_registry().snapshot()
+                if m["name"].startswith("foresight.cache.")
+            ]
+    assert counts[1] and counts[2] == counts[1]
+
+
+@pytest.mark.parametrize("probe_mode", ["exact", "model"])
+def test_an_error_in_one_bounds_cell_propagates(fields, criteria, probe_mode, monkeypatch):
+    _cpus(monkeypatch, 2)
+    # a bound so small the lattice overflows int64: that cell alone fails
+    ebs = EBS[:2] + [1e-300] + EBS[2:]
+    with pytest.raises(ValueError, match="error bound too small"):
+        run_sweep(fields, ebs, criteria, decomposition=DEC, probe_mode=probe_mode)

@@ -129,7 +129,10 @@ class TestNesting:
         by_name = {r["name"]: r for r in tracer.export_spans()}
         assert by_name["rank"]["parent_id"] is None
 
-    def test_thread_map_workers_nest_under_the_callers_span(self, monkeypatch):
+    def test_thread_map_items_nest_under_the_callers_span(self, monkeypatch):
+        """Wherever an item runs — a pool thread, or the caller, which
+        works through items too — its spans nest under the caller's open
+        span, and its pushes never reach the caller's own stack."""
         from repro.util import fanout
 
         monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
@@ -141,10 +144,11 @@ class TestNesting:
 
         with telemetry.armed() as tracer:
             with tracer.span("caller") as caller:
-                idents = thread_map(work, range(4))
+                thread_map(work, range(4))
+                with tracer.span("inner") as inner:
+                    pass
             with tracer.span("after") as after:
                 pass
-        assert threading.get_ident() not in idents
         records = tracer.export_spans()
         workers = [r for r in records if r["name"] == "worker"]
         assert sorted(r["attrs"]["i"] for r in workers) == [0, 1, 2, 3]
@@ -152,6 +156,7 @@ class TestNesting:
         worker_ids = {r["span_id"] for r in workers}
         steps = [r for r in records if r["name"] == "worker.step"]
         assert len(steps) == 4 and {r["parent_id"] for r in steps} <= worker_ids
-        # the workers' pushes never reach the caller's stack
+        # the caller's stack is as it left it, during the span and after
+        assert inner.parent_id == caller.span_id
         assert after.parent_id is None
 

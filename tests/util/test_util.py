@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -173,6 +174,28 @@ class TestValidation:
             check_probability(1.5, "p")
 
 
+class _Concurrency:
+    """Wraps functions to record the most calls running at once."""
+
+    def __init__(self) -> None:
+        self.now = self.peak = 0
+        self._lock = threading.Lock()
+
+    def wrap(self, fn):
+        def run(x):
+            with self._lock:
+                self.now += 1
+                self.peak = max(self.peak, self.now)
+            try:
+                time.sleep(0.002)  # long enough for the pool to join in
+                return fn(x)
+            finally:
+                with self._lock:
+                    self.now -= 1
+
+        return run
+
+
 class TestThreadMap:
     def test_preserves_order_and_accepts_any_iterable(self):
         assert thread_map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
@@ -192,29 +215,164 @@ class TestThreadMap:
             thread_map(fail_on_three, range(6))
 
     def test_usable_cpus_is_a_hard_cap(self, monkeypatch):
-        sizes = []
+        """At most ``usable_cpus()`` calls of ``fn`` run at once, nested
+        calls included; one usable CPU never leaves the caller."""
+        gauge = _Concurrency()
 
-        class Recording(fanout.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def nested(x):
+            return thread_map(gauge.wrap(lambda y: y), range(3))
 
-        monkeypatch.setattr(fanout, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 8)
-        assert thread_map(lambda x: x, range(20)) == list(range(20))
-        assert thread_map(lambda x: x, range(3)) == list(range(3))
-        assert sizes == [8, 3]
-        # one usable CPU never opens a pool
+        for cpus in (8, 3, 2):
+            monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+            gauge.peak = 0
+            assert thread_map(gauge.wrap(lambda x: x), range(20)) == list(range(20))
+            assert thread_map(nested, range(6)) == [[0, 1, 2]] * 6
+            assert 1 <= gauge.peak <= cpus
         monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
         assert thread_map(lambda _: threading.get_ident(), range(4)) == (
             [threading.get_ident()] * 4
         )
-        assert sizes == [8, 3]
+        assert thread_map(lambda _: thread_map(lambda _: threading.get_ident(), range(3)), range(2)) == (
+            [[threading.get_ident()] * 3] * 2
+        )
 
     def test_takes_no_worker_count(self):
         import inspect
 
         assert list(inspect.signature(thread_map).parameters) == ["fn", "items"]
+
+
+def _pool_threads() -> list[threading.Thread]:
+    return [
+        t for t in threading.enumerate() if t.name.startswith(fanout.POOL_THREAD_PREFIX)
+    ]
+
+
+def _square(x: int) -> int:
+    return x * x
+
+
+def _in_forked_child(results) -> None:
+    """Runs in a ``fork`` child: fan out, report what came back and
+    whether the pool's threads are this process's own."""
+    got = fanout.thread_map(_square, range(8))
+    alive = [t.is_alive() for t in _pool_threads()]
+    results.put((got, bool(alive) and all(alive)))
+
+
+class TestPersistentPool:
+    """The one pool: caller-inclusive, persistent, nest-safe."""
+
+    @staticmethod
+    def _within(seconds: float, fn):
+        """``fn()``'s value, or a failure if it has not returned in time
+        (a deadlocked fan-out never returns)."""
+        box = []
+        runner = threading.Thread(target=lambda: box.append(fn()), daemon=True)
+        runner.start()
+        runner.join(seconds)
+        assert not runner.is_alive(), f"did not finish in {seconds} s"
+        return box[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4, 8])
+    def test_a_three_deep_nested_call_finishes(self, cpus, monkeypatch):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+
+        def leaf(x):
+            time.sleep(0.001)
+            return x
+
+        def middle(x):
+            return sum(thread_map(leaf, range(x, x + 4)))
+
+        def top(x):
+            return thread_map(middle, range(x, x + 3))
+
+        got = self._within(60, lambda: thread_map(top, range(4)))
+        assert got == [[sum(range(m, m + 4)) for m in range(x, x + 3)] for x in range(4)]
+
+    def test_at_most_usable_cpus_minus_one_pool_threads_exist(self, monkeypatch):
+        for cpus in (4, 2):
+            monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+            names = thread_map(
+                lambda _: time.sleep(0.005) or threading.current_thread().name, range(16)
+            )
+            pooled = {n for n in names if n != threading.current_thread().name}
+            assert all(n.startswith(fanout.POOL_THREAD_PREFIX) for n in pooled)
+            assert len(pooled) <= cpus - 1
+            # a pool made for another CPU count lets its threads go
+            deadline = time.monotonic() + 10
+            while len(_pool_threads()) > cpus - 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert 1 <= len(_pool_threads()) <= cpus - 1
+
+    def test_the_pool_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+        thread_map(lambda x: x, range(4))
+        first = _pool_threads()
+        thread_map(lambda x: x, range(4))
+        assert first and _pool_threads() == first
+
+    def test_a_nested_exception_surfaces_once_after_its_siblings(self, monkeypatch):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 4)
+        started, finished = set(), set()
+        lock = threading.Lock()
+
+        def inner(x):
+            with lock:
+                started.add(x)
+            if x == (0, 1):
+                time.sleep(0.01)
+                raise KeyError(x)
+            time.sleep(0.05)
+            with lock:
+                finished.add(x)
+            return x
+
+        def outer(i):
+            return thread_map(inner, [(i, j) for j in range(4)])
+
+        with pytest.raises(KeyError) as info:
+            thread_map(outer, range(3))
+        assert info.value.args == ((0, 1),)
+        assert info.value.__context__ is None  # raised once, not re-wrapped
+        # every sibling that started had finished by the time it surfaced
+        assert started - {(0, 1)} == finished
+
+    def test_items_run_in_a_copy_of_the_callers_context(self, monkeypatch):
+        import contextvars
+
+        var = contextvars.ContextVar("var", default="unset")
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+        token = var.set("caller")
+        try:
+
+            def read_and_write(_):
+                seen = var.get()
+                var.set("item")  # lands in the item's copy only
+                return seen
+
+            assert thread_map(read_and_write, range(6)) == ["caller"] * 6
+            assert var.get() == "caller"
+        finally:
+            var.reset(token)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_gets_a_pool_of_its_own(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+        thread_map(lambda x: x, range(4))  # the parent's pool exists
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_in_forked_child, args=(results,))
+        child.start()
+        try:
+            got, own_threads = results.get(timeout=60)
+        finally:
+            child.join(60)
+        assert child.exitcode == 0
+        assert got == [x * x for x in range(8)] and own_threads
 
 
 class TestUsableCpus:
