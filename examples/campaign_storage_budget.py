@@ -36,11 +36,12 @@ def main() -> None:
         "velocity_z": FieldSpec(correlated_fraction=0.05),
     }
     campaign = InSituController(
-        dec, field_specs=specs, recalibrate="never", warm_start=False
+        dec, field_specs=specs, recalibrate="never", warm_start=False,
+        max_partitions=12,
     )
 
     print("calibrating rate models on the first snapshot...")
-    campaign.prime(sim.snapshot(z=REDSHIFTS[0]), max_partitions=12)
+    campaign.prime(sim.snapshot(z=REDSHIFTS[0]))
 
     for z in REDSHIFTS:
         campaign.process_snapshot(sim.snapshot(z=z))

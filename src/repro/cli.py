@@ -16,12 +16,11 @@ A small operational layer over the library for shell-driven workflows::
     python -m repro.cli list-compressors
     python -m repro.cli sweep --snapshot snap.npz --field temperature \
         --ebs 100,200 --compressor sz --compressor zfp_like:rate=8
-    python -m repro.cli lint src --format json
 
 Compressors are named by registry specs ``family[:key=value,...]``
-(``list-compressors`` shows the families).  The legacy ``--codec`` flag
-selects SZ's *entropy* stage (zlib/huffman/raw) — one parameter of the
-``sz`` family, not a compressor family — and is folded into the spec.
+(``list-compressors`` shows the families).  SZ's *entropy* stage
+(zlib/huffman/raw) is one parameter of the ``sz`` family, not a
+compressor family: ``--compressor sz:codec=huffman``.
 
 Compressed containers are ``.npz`` archives holding every partition's
 payloads plus layout metadata (one canonical-JSON ``__meta`` member; no
@@ -210,27 +209,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_spec(
-    compressor: str | None, codec: str | None
-) -> CompressorSpec:
-    """Fold the legacy ``--codec`` alias into the ``--compressor`` spec.
-
-    ``--codec`` names SZ's *entropy* stage (zlib/huffman/raw), one
-    parameter of the ``sz`` family — not a compressor family.  It
-    therefore only composes with (implicit or explicit) ``sz`` specs.
-    """
-    spec = CompressorSpec.parse(compressor) if compressor else CompressorSpec("sz")
-    if codec is not None:
-        if spec.family != "sz":
-            raise SystemExit(
-                f"--codec selects SZ's entropy stage and cannot apply to the "
-                f"{spec.family!r} family; parameterize the family instead "
-                f"(e.g. --compressor {spec.family}:...)"
-            )
-        spec = CompressorSpec.make("sz", **{**spec.options, "codec": codec})
-    return spec
-
-
 def _cmd_compress(args: argparse.Namespace) -> int:
     snap = load_snapshot(args.snapshot)
     data = snap[args.field]
@@ -238,7 +216,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     eb_avg = args.eb_avg
     if eb_avg is None:
         eb_avg = float(np.ptp(data.astype(np.float64))) * 3e-3
-    spec = _resolve_spec(args.compressor, args.codec)
+    spec = CompressorSpec.parse(args.compressor or "sz")
     if spec.family in REGISTRY and not (
         REGISTRY.block_type(spec.family) is None
         or issubclass(REGISTRY.block_type(spec.family), CompressedBlock)
@@ -403,7 +381,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             retry=retry,
             fallback_compressor=args.fallback_compressor,
             fsync_ledger=args.fsync_ledger,
-            seed=args.seed,
             retain_results=False,
         )
         done = controller.report.n_snapshots
@@ -537,22 +514,6 @@ def _telemetry_sink(path: str | None):
             print(f"telemetry: wrote {fmt} trace to {path}")
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    # Imported lazily: the lint engine is pure stdlib-AST and must stay
-    # usable even while the rest of the package is being refactored.
-    from repro.lint.cli import run as lint_run
-
-    return lint_run(
-        paths=args.paths,
-        fmt=args.format,
-        select=args.select,
-        baseline=args.baseline,
-        write_baseline=args.write_baseline,
-        output=args.output,
-        list_rules=args.list_rules,
-    )
-
-
 def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--telemetry",
@@ -595,14 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="compressor family spec, family[:key=value,...] (see the "
         "list-compressors subcommand); default sz",
-    )
-    c.add_argument(
-        "--codec",
-        default=None,
-        choices=["zlib", "huffman", "raw"],
-        help="SZ's *entropy* codec (an alias for --compressor "
-        "sz:codec=...); not a compressor family — use --compressor "
-        "to switch families",
     )
     c.add_argument(
         "--probe-mode",
@@ -765,19 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered compressor families, capabilities and defaults",
     )
     lc.set_defaults(fn=_cmd_list_compressors)
-
-    ln = sub.add_parser(
-        "lint",
-        help="determinism & contract static analysis (see docs/lint-rules.md)",
-    )
-    ln.add_argument("paths", nargs="*", default=["src"])
-    ln.add_argument("--format", choices=("text", "json"), default="text")
-    ln.add_argument("--select", action="append", metavar="RULE")
-    ln.add_argument("--baseline", metavar="FILE")
-    ln.add_argument("--write-baseline", action="store_true")
-    ln.add_argument("--output", metavar="FILE")
-    ln.add_argument("--list-rules", action="store_true")
-    ln.set_defaults(fn=_cmd_lint)
     return parser
 
 

@@ -31,8 +31,7 @@ select_compressor`) instead of a hard-coded default:
 Terminology note: the *entropy codec* (zlib / huffman / raw) is the SZ
 family's internal entropy stage — one **parameter** of the ``sz`` spec —
 while the compressor **family** (``sz``, ``zfp_like``, ...) is what the
-registry selects between.  The CLI's legacy ``--codec`` flag is an alias
-for ``--compressor sz:codec=...``.
+registry selects between (``--compressor sz:codec=huffman`` on the CLI).
 """
 
 from __future__ import annotations

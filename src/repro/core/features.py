@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.models.calibration import partition_feature
 from repro.models.halo_error import effective_cell_rate
 
 __all__ = ["PartitionFeatures", "extract_features", "histogram_entropy"]
@@ -65,6 +66,8 @@ def extract_features(
 ) -> PartitionFeatures:
     """Extract the in situ features of one partition.
 
+    ``mean_abs`` is :func:`~repro.models.calibration.partition_feature`,
+    the feature the rate model's calibration regresses on.
     ``t_boundary`` enables the halo feature (density fields only).
     """
     arr = np.asarray(partition)
@@ -78,7 +81,7 @@ def extract_features(
     return PartitionFeatures(
         rank=rank,
         n_cells=int(arr.size),
-        mean_abs=float(np.mean(np.abs(arr))),
+        mean_abs=partition_feature(arr),
         effective_cell_rate=rate,
         entropy=histogram_entropy(arr) if with_entropy else None,
     )

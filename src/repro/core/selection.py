@@ -361,8 +361,7 @@ def select_compressor(
             correlated_fraction=field_spec.correlated_fraction,
         )
 
-    verdicts: list[CandidateVerdict] = []
-    scored: list[tuple[float, int, Any]] = []  # (predicted rate, index, instance)
+    verdicts: list[CandidateVerdict] = []  # one per candidate, in slate order
     for comp in comps:
         spec = comp.spec
         if comp.capabilities.error_bounded:
@@ -384,6 +383,10 @@ def select_compressor(
                 np.mean(model.predict_bitrate(calibration.features, eb_avg))
             )
             _count_probe(probe_mode)
+            eligible, reason = True, (
+                f"error-bounded; predicted {predicted:.3f} bits/value "
+                f"at eb={eb_avg:.4g}"
+            )
             prediction: RQPrediction | None = None
             if rq is not None:
                 prediction = rq.probe(
@@ -391,37 +394,22 @@ def select_compressor(
                 )
                 gate = rq.criteria.spectrum_tolerance * (1.0 + _QUALITY_GATE_SLACK)
                 if not prediction.passed and prediction.spectrum_worst_deviation > gate:
-                    verdicts.append(
-                        CandidateVerdict(
-                            spec=spec,
-                            eligible=False,
-                            reason=(
-                                f"rejected: predicted spectrum deviation "
-                                f"{prediction.spectrum_worst_deviation:.4g} exceeds "
-                                f"tolerance {rq.criteria.spectrum_tolerance:.4g} "
-                                f"at eb={eb_avg:.4g}"
-                            ),
-                            predicted_bit_rate=predicted,
-                            predicted_psnr_db=prediction.predicted_psnr_db,
-                            predicted_quality=prediction,
-                            calibration=calibration,
-                        )
+                    eligible, reason = False, (
+                        f"rejected: predicted spectrum deviation "
+                        f"{prediction.spectrum_worst_deviation:.4g} exceeds "
+                        f"tolerance {rq.criteria.spectrum_tolerance:.4g} "
+                        f"at eb={eb_avg:.4g}"
                     )
-                    continue
-            reason = (
-                f"error-bounded; predicted {predicted:.3f} bits/value "
-                f"at eb={eb_avg:.4g}"
-            )
-            if prediction is not None:
-                reason += (
-                    f"; predicted quality {prediction.predicted_psnr_db:.1f} dB "
-                    f"PSNR, spectrum deviation "
-                    f"{prediction.spectrum_worst_deviation:.4g}"
-                )
+                else:
+                    reason += (
+                        f"; predicted quality {prediction.predicted_psnr_db:.1f} dB "
+                        f"PSNR, spectrum deviation "
+                        f"{prediction.spectrum_worst_deviation:.4g}"
+                    )
             verdicts.append(
                 CandidateVerdict(
                     spec=spec,
-                    eligible=True,
+                    eligible=eligible,
                     reason=reason,
                     predicted_bit_rate=predicted,
                     predicted_psnr_db=(
@@ -431,7 +419,6 @@ def select_compressor(
                     calibration=calibration,
                 )
             )
-            scored.append((predicted, len(verdicts) - 1, comp))
         else:
             _count_probe("exact")
             measured_rate, max_err = _measure_fixed_rate(
@@ -439,66 +426,49 @@ def select_compressor(
             )
             violation = max_err / eb_avg
             if violation > 1.0:
-                verdicts.append(
-                    CandidateVerdict(
-                        spec=spec,
-                        eligible=False,
-                        reason=(
-                            f"rejected: fixed-rate codec cannot enforce "
-                            f"eb={eb_avg:.4g}; measured max|err|={max_err:.4g} "
-                            f"({violation:.1f}x the bound)"
-                        ),
-                        measured_bit_rate=measured_rate,
-                        max_abs_error=max_err,
-                        eb_violation=violation,
-                    )
+                eligible, reason = False, (
+                    f"rejected: fixed-rate codec cannot enforce "
+                    f"eb={eb_avg:.4g}; measured max|err|={max_err:.4g} "
+                    f"({violation:.1f}x the bound)"
                 )
             elif require_error_bounded:
-                verdicts.append(
-                    CandidateVerdict(
-                        spec=spec,
-                        eligible=False,
-                        reason=(
-                            f"rejected: within bound on the sample "
-                            f"(max|err|={max_err:.4g} <= eb={eb_avg:.4g}) but "
-                            "fixed-rate codecs carry no error-bound guarantee, "
-                            "which the adaptive pipeline requires"
-                        ),
-                        measured_bit_rate=measured_rate,
-                        max_abs_error=max_err,
-                        eb_violation=violation,
-                    )
+                eligible, reason = False, (
+                    f"rejected: within bound on the sample "
+                    f"(max|err|={max_err:.4g} <= eb={eb_avg:.4g}) but "
+                    "fixed-rate codecs carry no error-bound guarantee, "
+                    "which the adaptive pipeline requires"
                 )
             else:
-                verdicts.append(
-                    CandidateVerdict(
-                        spec=spec,
-                        eligible=True,
-                        reason=(
-                            f"fixed-rate but within bound on the sample: "
-                            f"max|err|={max_err:.4g} <= eb={eb_avg:.4g} "
-                            f"(measured {measured_rate:.3f} bits/value; "
-                            "no error-bound *guarantee*)"
-                        ),
-                        predicted_bit_rate=measured_rate,
-                        measured_bit_rate=measured_rate,
-                        max_abs_error=max_err,
-                        eb_violation=violation,
-                    )
+                eligible, reason = True, (
+                    f"fixed-rate but within bound on the sample: "
+                    f"max|err|={max_err:.4g} <= eb={eb_avg:.4g} "
+                    f"(measured {measured_rate:.3f} bits/value; "
+                    "no error-bound *guarantee*)"
                 )
-                scored.append((measured_rate, len(verdicts) - 1, comp))
+            verdicts.append(
+                CandidateVerdict(
+                    spec=spec,
+                    eligible=eligible,
+                    reason=reason,
+                    predicted_bit_rate=measured_rate if eligible else None,
+                    measured_bit_rate=measured_rate,
+                    max_abs_error=max_err,
+                    eb_violation=violation,
+                )
+            )
 
+    scored = [(v.predicted_bit_rate, i) for i, v in enumerate(verdicts) if v.eligible]
     if not scored:
         lines = "; ".join(f"{v.spec}: {v.reason}" for v in verdicts)
         raise ValueError(
             f"no candidate compressor can honour the quality targets for "
             f"field {field!r} (eb_avg={eb_avg:.4g}): {lines}"
         )
-    _, best_idx, best_comp = min(scored, key=lambda t: (t[0], t[1]))
+    _, best = min(scored)
     return SelectionResult(
         field=field,
         eb_avg=eb_avg,
-        chosen=verdicts[best_idx].spec,
-        compressor=best_comp,
+        chosen=verdicts[best].spec,
+        compressor=comps[best],
         verdicts=verdicts,
     )

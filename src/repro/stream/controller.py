@@ -16,11 +16,7 @@ closes the loop one-shot compression leaves open —
   standardized residuals drift does the controller re-fit the rate
   model (``probe_mode="exact"`` runs the codec for the probes,
   ``"model"`` reads them off the quantization-code histogram) and
-  re-invert the quality budget, reusing one
-  :class:`~repro.foresight.evaluator.FieldReference` for the budget
-  inversion, the halo-spec derivation and the optional quality check,
-  which reads the reconstruction compression writes as it goes
-  (``run_snapshot(task, out=...)``) instead of decoding the blocks;
+  re-invert the quality budget;
 - **a run-level budget governor**: :class:`BudgetGovernor` tracks
   cumulative compressed bytes against a total-run byte budget and
   scales every field's error bound through the rate model's own power
@@ -32,9 +28,15 @@ closes the loop one-shot compression leaves open —
   resume` and :func:`replay_ledger` fold too, so a resumed or replayed
   run is the live run by construction (``docs/resilience.md``).
 
-Per-field compression is :func:`~repro.parallel.backends.run_snapshot`,
-the rank loop the pipeline runs too, and each outcome carries its
-:class:`~repro.parallel.backends.SnapshotResult`.  A decision is
+A field step is one path: (re)calibrate if due, invert the budget (or
+read it off the field's folded state), decide, compress with
+:func:`~repro.parallel.backends.run_snapshot` (the pipeline's rank
+loop), record.  A field that degrades onto the fallback compressor goes
+round the decide→run part again.  One lazily built
+:class:`~repro.foresight.evaluator.FieldReference` per step serves the
+budget inversion, the halo-spec derivation and the quality check, which
+reads the reconstruction compression writes (``run_snapshot(task,
+out=...)``) instead of decoding.  A decision is
 :func:`~repro.stream.state.decision_inputs` then
 :func:`~repro.core.optimizer.optimize`, the two calls replay makes.
 
@@ -42,7 +44,7 @@ the rank loop the pipeline runs too, and each outcome carries its
 every field of every dump, budgets re-derived per snapshot) is two
 arguments, not another class::
 
-    ctl = InSituController(dec, field_specs=specs,
+    ctl = InSituController(dec, field_specs=specs, max_partitions=12,
                            recalibrate="never", warm_start=False)
     ctl.prime(first_snapshot)                 # the offline §3.5 fit
     for snap in snapshots:
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import asdict
 from types import MappingProxyType
 from typing import Any
@@ -73,7 +75,6 @@ from repro.core.selection import (
 from repro.foresight.evaluator import FieldReference, spectrum_deviation
 from repro.models.calibration import (
     CalibrationResult,
-    RateModelBank,
     calibrate_rate_model,
     check_probe_mode,
 )
@@ -166,10 +167,14 @@ class InSituController:
         quantization-code histogram, and drift-triggered re-selection
         is gated on *predicted* quality-at-bound instead of trial
         compressions.
+    max_partitions, seed:
+        Calibration sampling: each fit probes at most ``max_partitions``
+        partitions, drawn with ``seed`` (as are selection's samples).
     check_quality:
-        Decompress and measure each field's achieved spectrum deviation
-        (feeds the drift detector's quality channel; implied by a
-        :class:`DriftConfig` with ``quality_margin`` set).
+        Measure each field's achieved spectrum deviation on the
+        reconstruction compression writes as it goes — nothing is
+        decoded (feeds the drift detector's quality channel; implied by
+        a :class:`DriftConfig` with ``quality_margin`` set).
     retain_results:
         Keep every field's full :class:`SnapshotResult` (compressed
         payloads included) on the report outcomes — convenient for
@@ -295,6 +300,13 @@ class InSituController:
         """Retry-accounting hook for the field and ledger-append sites."""
         self.report.n_retries += 1
 
+    def _retrying(self, fn: Callable[[], Any], site: str) -> Any:
+        """``fn()`` under the retry policy; without one, fail fast (the
+        raw exception propagates)."""
+        if self.retry is None:
+            return fn()
+        return self.retry.execute(fn, site=site, on_retry=self._note_retry)
+
     def _append(self, kind: str, **data: Any) -> LedgerEvent:
         """Ledger append under the retry policy, then fold the event.
 
@@ -305,14 +317,7 @@ class InSituController:
         retryable — retrying would duplicate the event — and propagates
         (nothing is folded) for crash-recovery tests.
         """
-        if self.retry is None:
-            event = self.ledger.append(kind, **data)
-        else:
-            event = self.retry.execute(
-                lambda: self.ledger.append(kind, **data),
-                site="ledger.append",
-                on_retry=self._note_retry,
-            )
+        event = self._retrying(lambda: self.ledger.append(kind, **data), "ledger.append")
         apply(self.state, event)
         return event
 
@@ -423,46 +428,44 @@ class InSituController:
 
     # -- calibration -----------------------------------------------------
 
-    def prime(
-        self,
-        snapshot: NyxSnapshot,
-        max_partitions: int | None = None,
-        seed: int | None = None,
-    ) -> None:
+    def prime(self, snapshot: NyxSnapshot) -> None:
         """Calibrate every field of ``snapshot`` (the offline §3.5 step).
 
         Optional with ``recalibrate="drift"``/``"always"`` (the first
         snapshot self-calibrates); required before streaming with
         ``recalibrate="never"``.
         """
-        if max_partitions is not None:
-            self.max_partitions = int(max_partitions)
-        if seed is not None:
-            self.seed = int(seed)
         self._ensure_started()
         for name, data in snapshot.fields.items():
             self._calibrate_field(name, data, FieldReference(data), reason="initial")
 
-    def _field_compressor(
-        self,
-        name: str,
-        data: np.ndarray,
-        ref: FieldReference,
-        spec: FieldSpec,
-        eb_base: float,
-        reason: str,
-    ) -> tuple[Any, SelectionResult | None]:
-        """Resolve which compressor this field uses for this calibration.
+    def _budget(
+        self, spec: FieldSpec, ref: FieldReference
+    ) -> tuple[float, tuple[float, float] | None]:
+        """The field's quality budget inverted from ``ref``:
+        ``(eb_base, halo_params)``."""
+        eb_base = derive_eb_budget(spec, ref)
+        return eb_base, derive_halo_params(spec, ref) if spec.halo_aware else None
 
-        Priority: quarantine (a degraded field stays pinned to the
-        conservative fallback — re-selection could hand it back the very
-        compressor that failed) > candidate-slate selection (re-run on
-        every recalibration, so drift triggers *re-selection*) > the
-        field spec's pinned ``compressor`` > the controller default.
+    def _calibrate_field(
+        self, name: str, data: np.ndarray, ref: FieldReference, reason: str
+    ) -> None:
+        """Choose ``name``'s compressor, fit its rate model on ``data`` and
+        record both; the field's new state is what folding the events
+        produces.
+
+        The compressor, by priority: quarantine (a degraded field stays
+        pinned to the conservative fallback — re-selection could hand it
+        back the very compressor that failed) > candidate-slate selection
+        (re-run on every recalibration, so drift triggers *re-selection*)
+        > the field spec's pinned ``compressor`` > the controller default.
         """
+        spec = self.spec_for(name)
+        eb_base, halo_params = self._budget(spec, ref)
+        calibration: CalibrationResult | None = None
         if name in self.state.quarantined and self.fallback_compressor is not None:
-            return resolve_compressor(self.fallback_compressor), None
-        if self.candidates is not None:
+            compressor = resolve_compressor(self.fallback_compressor)
+        elif self.candidates is not None:
             selection = select_compressor(
                 data,
                 self.decomposition,
@@ -471,12 +474,9 @@ class InSituController:
                 field=name,
                 eb_avg=eb_base,
                 reference=ref,
-                bank=RateModelBank(
-                    probe_mode=self.probe_mode,
-                    max_partitions=self.max_partitions,
-                    seed=self.seed,
-                ),
                 probe_mode=self.probe_mode,
+                max_partitions=self.max_partitions,
+                seed=self.seed,
                 require_error_bounded=True,
             )
             self._append(
@@ -488,27 +488,16 @@ class InSituController:
                 chosen=selection.chosen.to_dict(),
                 verdicts=[v.to_dict() for v in selection.verdicts],
             )
-            return selection.compressor, selection
-        if spec.compressor is not None:
-            return resolve_compressor(spec.compressor), None
-        return self.compressor, None
-
-    def _calibrate_field(
-        self, name: str, data: np.ndarray, ref: FieldReference, reason: str
-    ) -> None:
-        """Fit ``name``'s rate model on ``data`` and record it; the
-        field's new state is what folding the event produces."""
-        spec = self.spec_for(name)
-        eb_base = derive_eb_budget(spec, ref)
-        compressor, selection = self._field_compressor(
-            name, data, ref, spec, eb_base, reason
-        )
-        if selection is not None and selection.calibration is not None:
-            # The winning candidate was already calibrated at eb_base
-            # with the controller's probe settings during selection —
-            # reuse the fit instead of probing the field again.
+            compressor = selection.compressor
+            # The winning candidate was already calibrated at eb_base with
+            # the controller's probe settings: reuse the fit instead of
+            # probing the field again.
             calibration = selection.calibration
+        elif spec.compressor is not None:
+            compressor = resolve_compressor(spec.compressor)
         else:
+            compressor = self.compressor
+        if calibration is None:
             calibration = calibrate_rate_model(
                 self.decomposition.partition_views(data),
                 compressor=compressor,
@@ -517,7 +506,6 @@ class InSituController:
                 seed=self.seed,
                 probe_mode=self.probe_mode,
             )
-        halo_params = derive_halo_params(spec, ref) if spec.halo_aware else None
         model = calibration.rate_model
         self._append(
             "calibration" if reason == "initial" else "recalibration",
@@ -739,25 +727,14 @@ class InSituController:
             settings=self.settings,
             halo=halo,
         )
-
-        if self.retry is None:
-            return run_snapshot(task, out=self._recon)
-        return self.retry.execute(
-            lambda: run_snapshot(task, out=self._recon),
-            site=f"stream.field:{name}",
-            on_retry=self._note_retry,
+        return self._retrying(
+            lambda: run_snapshot(task, out=self._recon), f"stream.field:{name}"
         )
 
-    def _degrade_field(
-        self, index: int, name: str, data: np.ndarray, exc: RetryExhaustedError
-    ) -> None:
-        """Quarantine ``name`` onto the fallback compressor after retries.
-
-        Records a ``degradation`` ledger event, then recalibrates the
-        field on the fallback (reason ``"degradation"``) so its rate
-        model matches what will actually compress it from here on.
-        """
-        assert self.fallback_compressor is not None
+    def _degrade_field(self, index: int, name: str, exc: RetryExhaustedError) -> None:
+        """Quarantine ``name`` onto the fallback compressor after retries:
+        a ``degradation`` ledger event, whose fold pins the field's next
+        calibration to the fallback."""
         if telemetry.enabled():
             telemetry.get_registry().counter("resilience.degradations").inc()
         self._append(
@@ -769,131 +746,125 @@ class InSituController:
             error=f"{type(exc.last).__name__}: {exc.last}",
             fallback=self.fallback_compressor.to_dict(),
         )
-        self._calibrate_field(name, data, FieldReference(data), reason="degradation")
 
     def _process_field(
         self, index: int, redshift: float, name: str, data: np.ndarray
     ) -> StreamOutcome:
+        """One field step: (re)calibrate if due, decide, compress, record.
+
+        One :class:`~repro.foresight.evaluator.FieldReference` serves the
+        whole step: calibration, a degradation's recalibration and the
+        quality check.  A field whose retries run out degrades onto the
+        fallback compressor and goes round the decide→run step once more;
+        a second exhaustion propagates.  No decision or outcome events are
+        appended for failed attempts — the ledger sees only what actually
+        happened.
+        """
         with telemetry.get_tracer().span("stream.field", field=name, snapshot=index):
-            return self._process_field_inner(index, redshift, name, data)
-
-    def _process_field_inner(
-        self, index: int, redshift: float, name: str, data: np.ndarray
-    ) -> StreamOutcome:
-        spec = self.spec_for(name)
-        state = self.state
-        ref: FieldReference | None = None
-        if name not in state.fields:
-            if self.recalibrate == "never":
-                raise KeyError(f"field {name!r} was not calibrated")
+            spec = self.spec_for(name)
+            state = self.state
+            reason: str | None = None
+            if name not in state.fields:
+                if self.recalibrate == "never":
+                    raise KeyError(f"field {name!r} was not calibrated")
+                reason = "initial"
+            elif self.recalibrate == "always":
+                reason = "forced"
+            elif name in state.pending:
+                reason = "drift"
             ref = FieldReference(data)
-            self._calibrate_field(name, data, ref, reason="initial")
-        elif self.recalibrate == "always" or name in state.pending:
-            reason = "forced" if self.recalibrate == "always" else "drift"
-            ref = FieldReference(data)
-            self._calibrate_field(name, data, ref, reason=reason)
-        fs = state.fields[name]
-        eb_base, halo_params = fs.eb_base, fs.halo_params
-        if ref is None and not self.warm_start:
-            # Batch semantics: the rate model stays frozen but
-            # the budget inversion re-derives from this snapshot's data
-            # (the decision event is its record).
-            ref = FieldReference(data)
-            eb_base = derive_eb_budget(spec, ref)
-            halo_params = derive_halo_params(spec, ref) if spec.halo_aware else None
+            if reason is not None:
+                self._calibrate_field(name, data, ref, reason=reason)
 
-        scale = state.scale
-        eb_avg, halo = decision_inputs(eb_base, scale, halo_params)
-        try:
-            result = self._run_field(name, data, eb_avg, halo)
-        except RetryExhaustedError as exc:
-            if self.fallback_compressor is None:
-                raise
-            # Graceful degradation: quarantine the field onto the
-            # conservative fallback compressor, recalibrate it there
-            # (the recalibration ledger event carries the new model, so
-            # replay stays bitwise), and compress this snapshot with it.
-            # No decision/outcome events were appended for the failed
-            # attempts — the ledger sees only what actually happened.
-            self._degrade_field(index, name, data, exc)
-            fs = state.fields[name]
-            eb_base = fs.eb_base
-            eb_avg, halo = decision_inputs(eb_base, scale, fs.halo_params)
-            result = self._run_field(name, data, eb_avg, halo)
+            scale = state.scale
+            while True:
+                fs = state.fields[name]
+                if self.warm_start or reason is not None:
+                    eb_base, halo_params = fs.eb_base, fs.halo_params
+                else:
+                    # Batch semantics: the rate model stays frozen but the
+                    # budget re-inverts from this snapshot's data (the
+                    # decision event is its record).
+                    eb_base, halo_params = self._budget(spec, ref)
+                eb_avg, halo = decision_inputs(eb_base, scale, halo_params)
+                try:
+                    result = self._run_field(name, data, eb_avg, halo)
+                    break
+                except RetryExhaustedError as exc:
+                    if self.fallback_compressor is None or reason == "degradation":
+                        raise
+                    # Recalibrated on the fallback, so the rate model is
+                    # the one that will compress it from here on (the
+                    # recalibration event carries it: replay stays bitwise).
+                    reason = "degradation"
+                    self._degrade_field(index, name, exc)
+                    self._calibrate_field(name, data, ref, reason)
 
-        feats = result.features
-        self._append(
-            "decision",
-            snapshot=index,
-            redshift=redshift,
-            field=name,
-            spec=(
-                None
-                if fs.compressor_spec is None
-                else fs.compressor_spec.to_dict()
-            ),
-            eb_base=eb_base,
-            scale=scale,
-            eb_avg=eb_avg,
-            mean_abs=[f.mean_abs for f in feats],
-            n_cells=[f.n_cells for f in feats],
-            cell_rates=(
-                [f.effective_cell_rate for f in feats] if halo is not None else None
-            ),
-            halo=None if halo is None else asdict(halo),
-            ebs=result.ebs,
-            constraint=result.optimization.constraint,
-        )
+            feats = result.features
+            self._append(
+                "decision",
+                snapshot=index,
+                redshift=redshift,
+                field=name,
+                spec=None if fs.compressor_spec is None else fs.compressor_spec.to_dict(),
+                eb_base=eb_base,
+                scale=scale,
+                eb_avg=eb_avg,
+                mean_abs=[f.mean_abs for f in feats],
+                n_cells=[f.n_cells for f in feats],
+                cell_rates=(
+                    [f.effective_cell_rate for f in feats] if halo is not None else None
+                ),
+                halo=None if halo is None else asdict(halo),
+                ebs=result.ebs,
+                constraint=result.optimization.constraint,
+            )
 
-        stats = result.stats
-        achieved = float(stats.overall_bit_rate)
-        predicted = result.optimization.predicted_mean_bitrate
-        residual = (
-            math.log(achieved / predicted)
-            if achieved > 0 and predicted > 0
-            else None
-        )
+            stats = result.stats
+            achieved = float(stats.overall_bit_rate)
+            predicted = result.optimization.predicted_mean_bitrate
+            residual = (
+                math.log(achieved / predicted) if achieved > 0 and predicted > 0 else None
+            )
 
-        quality_dev: float | None = None
-        if self.check_quality:
-            if ref is None:
-                ref = FieldReference(data)
-            # Only the deviation is recorded: no metric moments, no PSNR.
-            # The field is what compression wrote into _recon: no decode.
-            quality_dev = spectrum_deviation(ref, self._recon, spec.spectrum_k_max)
+            quality_dev: float | None = None
+            if self.check_quality:
+                # Only the deviation is recorded: no metric moments, no PSNR.
+                # The field is what compression wrote into _recon: no decode.
+                quality_dev = spectrum_deviation(ref, self._recon, spec.spectrum_k_max)
 
-        # The verdict comes from a scratch detector continuing the
-        # field's window, so the outcome event can carry it; folding the
-        # event is what advances the window.
-        detector = state.detector(name)
-        signal: DriftSignal | None = None
-        if self.recalibrate == "drift":
-            if residual is not None:
-                signal = detector.update_rate(predicted, achieved)
-            if signal is None and quality_dev is not None:
-                signal = detector.update_quality(quality_dev, spec.spectrum_tolerance)
+            # The verdict comes from a scratch detector continuing the
+            # field's window, so the outcome event can carry it; folding the
+            # event is what advances the window.
+            detector = state.detector(name)
+            signal: DriftSignal | None = None
+            if self.recalibrate == "drift":
+                if residual is not None:
+                    signal = detector.update_rate(predicted, achieved)
+                if signal is None and quality_dev is not None:
+                    signal = detector.update_quality(quality_dev, spec.spectrum_tolerance)
 
-        self._append(
-            "outcome",
-            snapshot=index,
-            field=name,
-            raw_bytes=stats.source_itemsize * stats.total_elements,
-            compressed_bytes=stats.total_nbytes,
-            achieved_bit_rate=achieved,
-            predicted_bit_rate=predicted,
-            residual=residual,
-            drift_z=detector.zscore(),
-            quality_deviation=quality_dev,
-            recalibrate_next=signal is not None,
-        )
-        # The row is the one the fold just built; what only this process
-        # has — the payloads, and the quality channel's margin ratio,
-        # which the ledger does not record — is attached to it.
-        outcome = self.report.outcomes[-1]
-        outcome.result = result if self.retain_results else None
-        outcome.drift_signal = signal
-        self.report.timings.merge(result.timings)
-        return outcome
+            self._append(
+                "outcome",
+                snapshot=index,
+                field=name,
+                raw_bytes=stats.source_itemsize * stats.total_elements,
+                compressed_bytes=stats.total_nbytes,
+                achieved_bit_rate=achieved,
+                predicted_bit_rate=predicted,
+                residual=residual,
+                drift_z=detector.zscore(),
+                quality_deviation=quality_dev,
+                recalibrate_next=signal is not None,
+            )
+            # The row is the one the fold just built; what only this process
+            # has — the payloads, and the quality channel's margin ratio,
+            # which the ledger does not record — is attached to it.
+            outcome = self.report.outcomes[-1]
+            outcome.result = result if self.retain_results else None
+            outcome.drift_signal = signal
+            self.report.timings.merge(result.timings)
+            return outcome
 
 
 # -- deterministic ledger replay ---------------------------------------------

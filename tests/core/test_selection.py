@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -133,8 +136,6 @@ class TestMechanics:
         assert [c.family for c in cands] == ["sz", "zfp_like"]
 
     def test_result_to_dict_is_json_ready(self, snapshot, dec):
-        import json
-
         result = select_compressor(
             snapshot["temperature"], dec, field="temperature", max_partitions=8
         )
@@ -183,3 +184,85 @@ class TestBudgetInversion:
         )
         assert derive_eb_budget(spec, ref) == want
         assert derive_eb_budget(spec, FieldReference(snapshot[field])) == want
+
+
+#: What each kind of verdict's ``reason`` starts with.
+VERDICT_KINDS = (
+    "rejected: rate-model calibration failed",
+    "rejected: predicted spectrum deviation",
+    "error-bounded; predicted",
+    "rejected: fixed-rate codec cannot enforce",
+    "rejected: within bound on the sample",
+    "fixed-rate but within bound on the sample",
+)
+
+_PAIR = ["sz", "zfp_like:rate=24"]
+#: name -> (field, select_compressor keywords); the data comes from
+#: :func:`_record_data`.
+RECORD_CASES = {
+    "paper": ("temperature", {}),
+    "loose": ("noise", {"candidates": _PAIR, "eb_avg": 0.02}),
+    "strict": (
+        "noise",
+        {"candidates": _PAIR, "eb_avg": 0.02, "require_error_bounded": True},
+    ),
+    "constant": ("constant", {"candidates": _PAIR, "eb_avg": 0.5}),
+    "coarse": ("baryon_density", {"candidates": _PAIR, "eb_avg": 5.0}),
+}
+
+#: sha256 of ``json.dumps(select_compressor(...).to_dict())`` per (case, mode).
+RECORD_PINS = {
+    ("coarse", "exact"): "c4145ada13e9b4d1275b00981a6f4182b68159336d4f65b42ccb991ef2c0eec8",
+    ("coarse", "model"): "6eb97bf41d06ba49026aa968182d4a103ee29bd6b2485eb9459469cc31638bcd",
+    ("constant", "exact"): "9b315f86efc080620b24c2edd2c0d6b705936c53d4ef76086acffab2b9a424f9",
+    ("constant", "model"): "9b315f86efc080620b24c2edd2c0d6b705936c53d4ef76086acffab2b9a424f9",
+    ("loose", "exact"): "de45a21f1b818d25763787e38f661261920664b57e456aa070bc7bfef48faa5e",
+    ("loose", "model"): "3e5362d8bc3d79b7fc674d018f98e87d910252b544e3162fa7fd09f1c0637c7b",
+    ("paper", "exact"): "259f363cf09127fbffda834ccc9c46265935c7e1d52486cf17cbc181a920bfb2",
+    ("paper", "model"): "cdb3b819705a1abed136866eb8d073b6e3b1810510f1881a7d29ccbc89421b86",
+    ("strict", "exact"): "85049df837265868d70a6bbc73e16a1d056d42a96e6fc24cbe4853ea520a8e06",
+    ("strict", "model"): "cf979fa3eb9cce0deba2be445b8ad98d5e0a18b8c69fefc7c5288a6645c23f51",
+}
+
+
+def _record_data(snapshot, name):
+    if name == "noise":
+        return np.random.default_rng(0).normal(0, 1.0, (16, 16, 16))
+    if name == "constant":
+        return np.full((16, 16, 16), 3.0)
+    return snapshot[name]
+
+
+def _record(snapshot, dec, case, mode):
+    name, kwargs = RECORD_CASES[case]
+    result = select_compressor(
+        _record_data(snapshot, name),
+        dec,
+        field=name,
+        max_partitions=8,
+        probe_mode=mode,
+        **kwargs,
+    )
+    return result.to_dict()
+
+
+class TestRecordPins:
+    """``selection`` ledger events record every verdict's reason and
+    numbers: pinned per verdict kind and probe mode, so a rewording or a
+    moved digit fails here rather than in a ledger diff."""
+
+    @pytest.mark.parametrize("mode", ["exact", "model"])
+    @pytest.mark.parametrize("case", sorted(RECORD_CASES))
+    def test_record_bytes(self, snapshot, dec, case, mode):
+        blob = json.dumps(_record(snapshot, dec, case, mode)).encode()
+        assert hashlib.sha256(blob).hexdigest() == RECORD_PINS[case, mode]
+
+    def test_every_verdict_kind_is_pinned(self, snapshot, dec):
+        reasons = [
+            v["reason"]
+            for case in RECORD_CASES
+            for mode in ("exact", "model")
+            for v in _record(snapshot, dec, case, mode)["verdicts"]
+        ]
+        for kind in VERDICT_KINDS:
+            assert any(r.startswith(kind) for r in reasons), kind

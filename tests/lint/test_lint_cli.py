@@ -95,10 +95,14 @@ class TestDiscovery:
             assert code in out
 
     def test_repro_cli_subcommand(self, tree, capsys):
+        """One front: ``python -m repro.lint`` is the linter's only entry;
+        ``repro.cli`` refuses ``lint`` like any unknown subcommand."""
         from repro.cli import main as repro_main
 
-        assert repro_main(["lint", str(tree)]) == EXIT_FINDINGS
-        assert "RL004" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["lint", str(tree)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
     def test_python_dash_m_entry_point(self, tree):
         proc = subprocess.run(

@@ -221,8 +221,8 @@ class TestBatchUse:
 
     @pytest.fixture(scope="class")
     def batch(self, stream_sim, stream_dec):
-        ctl = _batch_controller(stream_dec)
-        ctl.prime(stream_sim.snapshot(z=2.0), max_partitions=8)
+        ctl = _batch_controller(stream_dec, max_partitions=8)
+        ctl.prime(stream_sim.snapshot(z=2.0))
         snaps = {z: stream_sim.snapshot(z=z) for z in self.REDSHIFTS}
         for snap in snaps.values():
             ctl.process_snapshot(snap)
@@ -277,9 +277,10 @@ class TestBatchUse:
         ctl = _batch_controller(
             stream_dec,
             field_specs={k: FieldSpec(eb_override=v) for k, v in overrides.items()},
+            max_partitions=4,
         )
         snap = stream_sim.snapshot(z=1.0)
-        ctl.prime(snap, max_partitions=4)
+        ctl.prime(snap)
         outcomes = ctl.process_snapshot(snap)
         assert len(outcomes) == len(overrides)
         assert all(o.eb_avg == overrides[o.field] for o in outcomes)
@@ -304,8 +305,8 @@ class TestBatchUse:
 
         snap = stream_sim.snapshot(z=1.0)
         specs = {"baryon_density": FieldSpec(halo_aware=True)}
-        ctl = _batch_controller(stream_dec, field_specs=specs)
-        ctl.prime(snap, max_partitions=4)
+        ctl = _batch_controller(stream_dec, field_specs=specs, max_partitions=4)
+        ctl.prime(snap)
         outcomes = ctl.process_snapshot(snap)
         decisions = {e.data["field"]: e.data for e in ctl.ledger.select("decision")}
         assert decisions["baryon_density"]["halo"] is not None

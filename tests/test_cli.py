@@ -367,6 +367,33 @@ class TestStreamCommand:
         out = capsys.readouterr().out
         assert "replay verified: 6 decisions" in out
 
+    def test_resumed_recalibrations_match_the_uninterrupted_run(
+        self, seq_dir, tmp_path, capsys
+    ):
+        """``--seed`` seeds the simulator, not calibration: a resumed run
+        samples the partitions the original run sampled (64 partitions
+        here, more than one fit probes)."""
+        from repro.stream import replay_ledger
+
+        argv = [
+            "stream",
+            "--dir", str(seq_dir),
+            "--blocks", "4",
+            "--fields", "temperature",
+            "--recalibrate", "always",
+        ]
+        full, cut = tmp_path / "full.jsonl", tmp_path / "cut.jsonl"
+        assert main([*argv, "--ledger", str(full)]) == 0
+        raw = full.read_bytes()
+        cut.write_bytes(raw[: len(raw) // 3])
+        assert main([*argv, "--ledger", str(cut), "--resume"]) == 0
+        capsys.readouterr()
+
+        def bounds(path):
+            return [(d.snapshot_index, list(d.ebs)) for d in replay_ledger(path)]
+
+        assert bounds(cut) == bounds(full)
+
     def test_stream_simulate(self, capsys):
         rc = main(
             [
