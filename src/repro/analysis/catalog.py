@@ -122,7 +122,8 @@ def compare_catalogs(
     oi, ri = match_halos(original, reconstructed, max_distance)
     if len(oi):
         mass_ratios = reconstructed.masses[ri] / original.masses[oi]
-        pos_err = np.linalg.norm(
+        # An axis norm is an elementwise square-sum-root, not a BLAS call.
+        pos_err = np.linalg.norm(  # repro-lint: disable=RL014
             reconstructed.positions[ri] - original.positions[oi], axis=1
         )
         matched_mass = original.masses[oi]

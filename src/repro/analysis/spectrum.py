@@ -266,6 +266,9 @@ def _low_k_power(arr: np.ndarray, nbins: int) -> PowerSpectrum:
     op = _low_k_transform(arr.shape, nbins)
     # z: the field minus its mean (so no sum carries it), slab by slab,
     # against the real [cos, -sin] twiddles: rows come out as complex kz.
+    # The three products are the transform's work, as dgemm/zgemm on one
+    # BLAS thread (repro.util.fanout), so a sweep's spectra fan out
+    # through thread_map alone.
     rows = arr.reshape(-1, nz)
     step = max(1, _SLAB_ELEMENTS // nz)
     fz = np.empty((rows.shape[0], op.tz.shape[1]))
@@ -274,10 +277,10 @@ def _low_k_power(arr: np.ndarray, nbins: int) -> PowerSpectrum:
     for start in range(0, rows.shape[0], step):
         part = rows[start : start + step]
         np.subtract(part, mean, out=slab[: len(part)])
-        np.matmul(slab[: len(part)], op.tz, out=fz[start : start + step])
+        np.matmul(slab[: len(part)], op.tz, out=fz[start : start + step])  # repro-lint: disable=RL014
     # x, then y (on what x left): complex matmuls for k = -nbins..nbins.
-    fxz = op.wx @ fz.view(np.complex128).reshape(nx, -1)
-    f = np.matmul(op.wy, fxz.reshape(len(op.wx), ny, -1))
+    fxz = op.wx @ fz.view(np.complex128).reshape(nx, -1)  # repro-lint: disable=RL014
+    f = np.matmul(op.wy, fxz.reshape(len(op.wx), ny, -1))  # repro-lint: disable=RL014
     return _binned(f.ravel(), op.modes, arr.shape, nbins)
 
 

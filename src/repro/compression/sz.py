@@ -312,9 +312,11 @@ class SZCompressor:
         over its thread's ``(B, n)`` arenas — so probing one partition at
         five bounds, or sixty-four partitions at one bound, costs a few
         batched fronts instead of ``B`` interpreter round-trips, and no
-        entropy codec ever runs.  Value statistics (range, mean square)
-        are computed once per distinct view in a chunk even when it
-        recurs at several bounds.
+        entropy codec ever runs.  The chunk's views are mapped as one
+        float64 stack (:meth:`_map_batch`), and the value statistics come
+        off it: each row's value range is read before the divide, and its
+        observed quantization MSE from a copy of the mapped values taken
+        before the rounding — no second pass over the views.
 
         The whole probe is wrapped in an ``rq.probe`` telemetry span so
         armed traces show the trial compressions the ratio-quality model
@@ -330,70 +332,56 @@ class SZCompressor:
         """Probe a chunk of *same-shape* blocks in one kernel pass, in the
         calling thread's arena."""
         ws = thread_workspace()
-        lattice, counts, pos, _val, _maxes = self._quantize_encode_batch(arrs, eb_arr, ws)
-        mses = self._observed_mse_rows(arrs, eb_arr, pos, counts, ws)
+        ranges = ws.request("rq_ranges_f64", (len(arrs),), np.float64)
+        work, scales = self._map_batch(arrs, eb_arr, ws, ranges)
+        # The mapped values, kept before the quantize step rounds ``work``.
+        mapped = ws.request("rq_err_f64", work.shape, np.float64)
+        np.copyto(mapped, work)
+        lattice, counts, pos, _val, _maxes = self._encode_mapped(work, scales, arrs[0].shape, ws)
+        mses = self._observed_mse_rows(mapped, work, scales, arrs, pos, counts, ws)
         # One sparse census over the sorted symbol matrix (a workspace
         # view we own): at tight bounds the folded symbols span far more
         # values than a row holds.
         est_arr, bits_arr = estimate_nbytes_rows(lattice, counts, self.codec.name)
-        ranges: dict[int, float] = {}  # id(view) -> value range
-        out = []
-        for row, arr in enumerate(arrs):
-            value_range = ranges.get(id(arr))
-            if value_range is None:
-                value_range = ranges[id(arr)] = float(arr.max()) - float(arr.min())
-            out.append(
-                RQEstimate(
-                    n_elements=int(arr.size),
-                    source_itemsize=arr.dtype.itemsize if arr.dtype.kind == "f" else 8,
-                    n_outliers=int(counts[row]),
-                    code_bits_per_value=float(bits_arr[row]),
-                    est_nbytes=float(est_arr[row]),
-                    eb=float(eb_arr[row]),
-                    value_range=value_range,
-                    predicted_mse=float(mses[row]),
-                )
+        return [
+            RQEstimate(
+                n_elements=int(arr.size),
+                source_itemsize=arr.dtype.itemsize if arr.dtype.kind == "f" else 8,
+                n_outliers=int(counts[row]),
+                code_bits_per_value=float(bits_arr[row]),
+                est_nbytes=float(est_arr[row]),
+                eb=float(eb_arr[row]),
+                value_range=float(ranges[row]),
+                predicted_mse=float(mses[row]),
             )
-        return out
+            for row, arr in enumerate(arrs)
+        ]
 
     def _observed_mse_rows(
         self,
+        err: np.ndarray,
+        rounded: np.ndarray,
+        scales: np.ndarray,
         sub: list[np.ndarray],
-        eb_sub: np.ndarray,
         pos: np.ndarray,
         counts: np.ndarray,
         ws: Workspace,
     ) -> np.ndarray:
         """Realised quantization MSE of each probed view, in value space.
 
-        Called right after ``_quantize_encode_batch``:
-        ``quantize_lattice_batch`` rounds the work arena in place, so its
-        rows hold each block's float lattice.  Re-mapping the sources into bound space and
-        differencing against it yields every point's actual lattice
-        error in a few group-wide passes; outlier positions (residual
-        misfits whose values ship exactly) are zeroed.  The uniform
-        U[-eb, eb] model assumes errors fill the bound; on fields whose
-        values sit mostly far below ``eb`` (lognormal density: nearly
-        everything quantizes to code 0 with error << eb) it over-predicts
-        MSE by an order of magnitude, so the probe measures instead of
-        assuming.
+        ``err`` holds each block's mapped values as the front divided
+        them (its ``rq_err_f64`` slot, overwritten here), ``rounded``
+        the same rows rounded onto the lattice by the quantize step.
+        Their difference times the lattice pitch ``scales`` is every
+        point's actual lattice error, in a few group-wide passes;
+        outlier positions (residual misfits whose values ship exactly)
+        are zeroed.  The uniform U[-eb, eb] model assumes errors fill the
+        bound; on fields whose values sit mostly far below ``eb``
+        (lognormal density: nearly everything quantizes to code 0 with
+        error << eb) it over-predicts MSE by an order of magnitude, so
+        the probe measures instead of assuming.
         """
-        n_blocks = len(sub)
-        n = int(sub[0].size)
-        rounded = ws.request("batch_work_f64", (n_blocks, n), np.float64)
-        err = ws.request("rq_err_f64", (n_blocks, n), np.float64)
-        scales = ws.request("rq_scales_f64", (n_blocks,), np.float64)
-        if self.mode == "abs":
-            for row, arr in enumerate(sub):
-                scales[row] = 2.0 * float(eb_sub[row])
-                np.divide(
-                    arr.reshape(-1), scales[row], out=err[row], dtype=np.float64
-                )
-        else:
-            for row, arr in enumerate(sub):
-                scales[row] = 2.0 * pw_rel_to_log_abs(float(eb_sub[row]))
-                np.log(arr.reshape(-1), out=err[row], dtype=np.float64)
-                err[row] /= scales[row]
+        n_blocks, n = err.shape
         err -= rounded
         err *= scales[:, None]
         if self.mode != "abs":
@@ -450,6 +438,55 @@ class SZCompressor:
             )
         return blocks
 
+    def _map_batch(
+        self,
+        arrs: list[np.ndarray],
+        eb_arr: np.ndarray,
+        ws: Workspace,
+        ranges: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The front's map step over the chunk as one ``(B, n)`` stack:
+        each block copied (exactly widened) into its row of the float64
+        work arena, then each check and transform run once over the
+        whole stack — the finite check (``abs``), or the ``<= 0`` check,
+        ``log`` and finite check (``pw_rel``), then the divide by the
+        lattice pitch.  One ``copyto`` per block is all that runs block
+        by block, so a chunk of many small blocks makes a handful of
+        large NumPy calls, which release the GIL, not a few per block.
+
+        Bad input raises before any lattice work.  Given ``ranges``,
+        each row's value range (max - min of the source values) is
+        written there before the map.  Returns ``(work, scales)``:
+        ``work`` holds each block's ``x / (2*eb)`` (``ln x`` over the
+        log-space pitch in ``pw_rel``), ``scales`` each row's pitch.
+        """
+        n_blocks = len(arrs)
+        shape = arrs[0].shape
+        n = int(arrs[0].size)
+        work = ws.request("batch_work_f64", (n_blocks, n), np.float64)
+        mask = ws.request("batch_quant_mask", (n_blocks, n), np.bool_)
+        scales = ws.request("batch_scales_f64", (n_blocks,), np.float64)
+        with telemetry.get_tracer().span("sz.map", blocks=n_blocks, mode=self.mode):
+            for row, arr in zip(work, arrs):
+                np.copyto(row.reshape(shape), arr)
+            if ranges is not None:
+                np.subtract(work.max(axis=1), work.min(axis=1), out=ranges)
+            if self.mode == "abs":
+                np.multiply(eb_arr, 2.0, out=scales)
+            else:
+                np.less_equal(work, 0, out=mask)
+                if mask.any():
+                    raise ValueError("pw_rel mode requires strictly positive data")
+                np.log(work, out=work)
+                for b in range(n_blocks):
+                    scales[b] = 2.0 * pw_rel_to_log_abs(float(eb_arr[b]))
+            np.isfinite(work, out=mask)
+            if not mask.all():
+                raise ValueError("data contains non-finite values (NaN or Inf)")
+            with np.errstate(over="ignore"):
+                np.divide(work, scales[:, None], out=work)
+        return work, scales
+
     def _quantize_encode_batch(
         self,
         arrs: list[np.ndarray],
@@ -457,53 +494,35 @@ class SZCompressor:
         ws: Workspace,
         out: list[np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Batched front: quantize -> Lorenzo -> folded symbols.
+        """Batched front: map -> quantize -> Lorenzo -> folded symbols
+        (:meth:`_map_batch`, then :meth:`_encode_mapped`)."""
+        work, scales = self._map_batch(arrs, eb_arr, ws)
+        return self._encode_mapped(work, scales, arrs[0].shape, ws, out)
 
-        All blocks (same shape, one per row of the ``(B, n)`` workspace
-        arenas) run in one multi-block pass.  Returns ``(symbols (B, n)
-        view, outlier counts, positions, values, per-row largest
+    def _encode_mapped(
+        self,
+        work: np.ndarray,
+        scales: np.ndarray,
+        shape: tuple[int, ...],
+        ws: Workspace,
+        out: list[np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The front after the map: quantize -> Lorenzo -> folded
+        symbols.
+
+        All blocks (shape ``shape``, one per row of the ``(B, n)``
+        workspace arenas; ``work`` and ``scales`` as
+        :meth:`_map_batch` returns them) run in one multi-block pass;
+        ``work`` is left holding the rounded rows.  Returns ``(symbols
+        (B, n) view, outlier counts, positions, values, per-row largest
         symbol)``; the symbols view is valid until the arena's
         ``batch_lattice_i64`` slot is requested again.  Given ``out``,
         each block's reconstruction is written there between quantize
         and Lorenzo (:meth:`_dequantize_into`).
         """
         tracer = telemetry.get_tracer()  # null object when disarmed
-        n_blocks = len(arrs)
-        shape = arrs[0].shape
-        n = int(arrs[0].size)
-        work = ws.request("batch_work_f64", (n_blocks, n), np.float64)
+        n_blocks, n = work.shape
         mask = ws.request("batch_quant_mask", (n_blocks, n), np.bool_)
-        with tracer.span("sz.map", blocks=n_blocks, mode=self.mode):
-            if self.mode == "abs":
-                for b, arr in enumerate(arrs):
-                    np.isfinite(arr, out=mask[b].reshape(shape))
-                if not mask.all():
-                    raise ValueError("data contains non-finite values (NaN or Inf)")
-                with np.errstate(over="ignore"):
-                    for b, arr in enumerate(arrs):
-                        np.divide(
-                            arr,
-                            2.0 * float(eb_arr[b]),
-                            out=work[b].reshape(shape),
-                            dtype=np.float64,
-                        )
-            else:
-                for b, arr in enumerate(arrs):
-                    np.less_equal(arr, 0, out=mask[b].reshape(shape))
-                if mask.any():
-                    raise ValueError("pw_rel mode requires strictly positive data")
-                for b, arr in enumerate(arrs):
-                    np.log(arr, out=work[b].reshape(shape), dtype=np.float64)
-                np.isfinite(work, out=mask)
-                if not mask.all():
-                    raise ValueError("data contains non-finite values (NaN or Inf)")
-                with np.errstate(over="ignore"):
-                    for b in range(n_blocks):
-                        np.divide(
-                            work[b],
-                            2.0 * pw_rel_to_log_abs(float(eb_arr[b])),
-                            out=work[b],
-                        )
         lattice = ws.request("batch_lattice_i64", (n_blocks, n), np.int64)
         with tracer.span("sz.quantize", blocks=n_blocks):
             ok = quantize_lattice_batch(work, lattice, mask)
@@ -513,7 +532,7 @@ class SZCompressor:
                 "lattice exceeds int64 range"
             )
         if out is not None:
-            self._dequantize_into(out, lattice, eb_arr, work)
+            self._dequantize_into(out, lattice, scales, work)
         # Normalize to (B, nx, ny, nz); length-1 axes are the identity
         # under the zero-boundary difference, so padding is free.
         shape3d = shape + (1,) * (3 - len(shape))
@@ -529,11 +548,11 @@ class SZCompressor:
         return lattice, counts, pos, val, maxes
 
     def _dequantize_into(
-        self, out: list[np.ndarray], lattice: np.ndarray, eb_arr: np.ndarray, work: np.ndarray
+        self, out: list[np.ndarray], lattice: np.ndarray, scales: np.ndarray, work: np.ndarray
     ) -> None:
         """The decoder's last step, on the lattice the front holds: each
-        ``out[b]`` gets row ``b`` cast-multiplied by ``2*eb`` in bound
-        space, as :func:`_decompress_chunk` computes it.
+        ``out[b]`` gets row ``b`` cast-multiplied by its pitch ``2*eb``
+        in bound space, as :func:`_decompress_chunk` computes it.
 
         Not from the rounded ``work`` rows: they hold ``-0.0`` where the
         int64 cast gives ``+0.0``, equal values with other bits.  In
@@ -542,11 +561,10 @@ class SZCompressor:
         decoder's does, and is then copied out.
         """
         for b, dst in enumerate(out):
-            eb = float(eb_arr[b])
             if self.mode == "abs":
-                np.multiply(lattice[b].reshape(dst.shape), 2.0 * eb, out=dst, dtype=np.float64)
+                np.multiply(lattice[b].reshape(dst.shape), scales[b], out=dst, dtype=np.float64)
             else:
-                np.multiply(lattice[b], 2.0 * pw_rel_to_log_abs(eb), out=work[b], dtype=np.float64)
+                np.multiply(lattice[b], scales[b], out=work[b], dtype=np.float64)
         if self.mode != "abs":
             np.exp(work, out=work)
             for b, dst in enumerate(out):

@@ -13,7 +13,7 @@ replay time:
 - :mod:`repro.lint.engine` — per-rule :class:`ast.NodeVisitor` passes
   over a shared :class:`ModuleContext` (import/alias resolution, parent
   links), ``# repro-lint: disable=RULE`` line suppressions,
-- :mod:`repro.lint.rules` — the rule catalog (``RL001``..``RL013``),
+- :mod:`repro.lint.rules` — the rule catalog (``RL001``..``RL014``),
 - :mod:`repro.lint.baseline` — a committed baseline for incremental
   adoption whose entries expire loudly once the flagged line is gone,
 - :mod:`repro.lint.reporters` — text and canonical-JSON reports,

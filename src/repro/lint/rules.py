@@ -29,6 +29,7 @@ __all__ = [
     "HotPathAllocationRule",
     "AdHocTelemetryRule",
     "PickleRule",
+    "BlasCallRule",
 ]
 
 #: Builtins that consume an iterable without depending on its order;
@@ -872,4 +873,62 @@ class PickleRule(Rule):
             refused = isinstance(value, ast.Constant) and value.value is False
             if value is not None and not refused and not self._sanctioned(node):
                 self.flag(node, f"numpy.load() that may unpickle; {self.summary}")
+        self.generic_visit(node)
+
+
+@register_rule
+class BlasCallRule(Rule):
+    """RL014 — every BLAS/LAPACK call is a reviewed site.
+
+    NumPy hands ``@``, ``matmul``, ``dot``, ``linalg`` and ``polyfit``
+    (a least-squares solve) to the BLAS it was built with.  How many
+    threads that library uses, and which kernel it picks for the host's
+    CPU, decide how a reduction is split — hence its last bits — and a
+    threaded BLAS keeps a thread pool beside
+    :func:`repro.util.fanout.thread_map`'s.  Importing
+    :mod:`repro.util.fanout` sets NumPy's OpenBLAS to one thread; each
+    call site is still marked, so a new one on a hot or recorded path
+    is a decision, not an accident.  ``einsum`` sums in NumPy's own
+    order and is not flagged.
+
+    Bad::
+
+        sum_sq = float(d @ d)
+
+    Good::
+
+        # ddot on one BLAS thread (repro.util.fanout): one summation order.
+        sum_sq = float(d @ d)  # repro-lint: disable=RL014
+    """
+
+    code = "RL014"
+    name = "blas-call"
+    summary = (
+        "BLAS/LAPACK call (@, matmul, dot, linalg, polyfit); mark a reviewed "
+        "site with a justified disable comment"
+    )
+    rationale = (
+        "the BLAS's thread count and CPU kernel decide how a reduction is "
+        "split, so its last bits; every call site is a reviewed decision "
+        "under the process's one-thread BLAS budget."
+    )
+
+    _CALLS = frozenset({"numpy.matmul", "numpy.dot", "numpy.polyfit"})
+
+    def visit_BinOp(self, node: ast.BinOp) -> None:
+        if isinstance(node.op, ast.MatMult):
+            self.flag(node, f"matrix product '@'; {self.summary}")
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        if isinstance(node.op, ast.MatMult):
+            self.flag(node, f"matrix product '@='; {self.summary}")
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        target = self.ctx.resolve(node.func) or ""
+        if target in self._CALLS or target.startswith("numpy.linalg."):
+            self.flag(node, f"{target}(); {self.summary}")
+        elif isinstance(node.func, ast.Attribute) and node.func.attr == "dot":
+            self.flag(node, f".dot(); {self.summary}")
         self.generic_visit(node)

@@ -244,7 +244,8 @@ def calibrate_rate_model(
     if len(x) < 2 or np.ptp(x) < 1e-9:
         beta, alpha = 0.0, float(np.mean(y))
     else:
-        beta, alpha = np.polyfit(x, y, 1)
+        # A two-parameter least-squares fit: a tiny LAPACK solve.
+        beta, alpha = np.polyfit(x, y, 1)  # repro-lint: disable=RL014
     x = np.log(np.maximum(feats_arr, 1e-12))
     y = np.log(refit_coefs_arr)
     pred = beta * x + alpha

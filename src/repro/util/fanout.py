@@ -15,18 +15,27 @@ and the helpers claim items from one shared counter, so the caller
 always works and never waits on an item it could claim itself.  That
 is what makes nesting safe: a call made inside a pool item, with every
 worker busy, runs its own items and returns.
+
+That pool is the process's only parallelism.  Importing this module
+sets the OpenBLAS that NumPy loaded to one thread, once, for the whole
+process: its own pool would otherwise run beside this one, unbudgeted
+by :func:`usable_cpus`, its threads spinning after every ``@`` / ``dot``
+/ ``matmul`` / ``polyfit`` a pool item makes, and a threaded ``ddot``
+splits its sum, so a reduction's last bits would follow the host's CPU
+count.  :func:`blas_threads` reads the setting back.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
 import threading
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-__all__ = ["thread_map", "usable_cpus"]
+__all__ = ["blas_threads", "thread_map", "usable_cpus"]
 
 #: Name prefix of the pool's threads.
 POOL_THREAD_PREFIX = "repro-fanout"
@@ -39,6 +48,50 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
+
+
+#: ``(set, get)`` thread-count symbols of the OpenBLAS builds NumPy
+#: ships or links: scipy-openblas's 64-bit-integer build, a plain
+#: 64-bit-integer build, a plain build.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _one_blas_thread() -> Callable[[], int] | None:
+    """Set the OpenBLAS NumPy loaded to one thread; its thread-count
+    getter, or ``None`` when NumPy's BLAS is not an OpenBLAS this can
+    reach (the setting is then left alone).  The symbols are looked up
+    through NumPy's core extension module, which resolves them in the
+    libraries it was linked against."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in _OPENBLAS_SYMBOLS:
+        if hasattr(lib, set_name) and hasattr(lib, get_name):
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads(1)
+            return get_threads
+    return None
+
+
+_blas_get_threads = _one_blas_thread()
+
+
+def blas_threads() -> int | None:
+    """Threads NumPy's OpenBLAS runs a call on — 1 once this module is
+    imported — or ``None`` when its BLAS is not an OpenBLAS that could
+    be set."""
+    return None if _blas_get_threads is None else int(_blas_get_threads())
 
 
 _pool: ThreadPoolExecutor | None = None

@@ -144,6 +144,16 @@ CASES = [
         "import numpy as np\nmeta = np.load(path, allow_pickle=True)['__meta']\n",
         "import numpy as np\nmeta = np.load(path, allow_pickle=False)['__meta']\n",
     ),
+    (
+        "RL014",
+        "import numpy as np\nsum_sq = float(d @ d)\n",
+        "import numpy as np\nsum_sq = float(np.einsum('i,i->', d, d))\n",
+    ),
+    (
+        "RL014",
+        "import numpy as np\nslope, icpt = np.polyfit(x, y, 1)\n",
+        "import numpy as np\nslope = np.cov(x, y)[0, 1] / np.var(x)\n",
+    ),
 ]
 
 
@@ -367,6 +377,67 @@ class TestRuleEdges:
     )
     def test_rl013_passes(self, src):
         assert codes(src) == []
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "x = a @ b\n",
+            "a @= b\n",
+            "import numpy as np\nc = np.matmul(a, b)\n",
+            "import numpy as np\nc = np.dot(a, b)\n",
+            "c = a.dot(b)\n",
+            "import numpy as np\nn = np.linalg.norm(v)\n",
+            "import numpy as np\nq, r = np.linalg.qr(m)\n",
+            "from numpy.linalg import lstsq\nsol = lstsq(a, b, rcond=None)\n",
+            "from numpy import matmul as mm\nc = mm(a, b)\n",
+            "import numpy as np\np = np.polyfit(x, y, 2)\n",
+        ],
+    )
+    def test_rl014_flags(self, src):
+        assert codes(src) == ["RL014"]
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import numpy as np\ns = np.einsum('ij,ij->i', e, e)\n",
+            "import numpy as np\ns = np.add.reduce(d * d)\n",
+            "x = 1  # np.dot(a, b) and a @ b, in a comment\n",
+            "doc = 'np.dot(a, b) or a.dot(b) or a @ b, in a string'\n",
+            "import numpy as np\nv = np.polyval(p, x)\n",  # evaluation, no solve
+            "import numpy as np\nerr = np.linalg.LinAlgError\n",  # no call
+            "c = a * b\n",
+            "dot = 3\n",
+        ],
+    )
+    def test_rl014_passes(self, src):
+        assert codes(src) == []
+
+    def test_rl014_line_pragma_silences_it(self):
+        assert codes("s = float(d @ d)  # repro-lint: disable=RL014\n") == []
+
+    def test_rl014_src_sites_are_the_reviewed_ones(self):
+        """``src/`` is clean, and its BLAS calls are the reviewed sites,
+        each with its pragma: a new one needs its own review."""
+        from collections import Counter
+        from pathlib import Path
+
+        from repro.lint import run_lint
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        assert run_lint([src], select=["RL014"]).findings == []
+        sites = Counter(
+            path.relative_to(src).as_posix()
+            for path in src.rglob("*.py")
+            for line in path.read_text().splitlines()
+            if "disable=RL014" in line and "repro/lint/" not in path.as_posix()
+        )
+        assert sites == {
+            "repro/analysis/catalog.py": 1,
+            "repro/analysis/metrics.py": 2,
+            "repro/analysis/spectrum.py": 3,
+            "repro/models/calibration.py": 1,
+            "repro/models/rate_model.py": 1,
+        }
 
     def test_rl013_line_pragma_silences_it(self):
         assert codes("import pickle  # repro-lint: disable=RL013\n") == []
