@@ -14,15 +14,11 @@ replay time:
   over a shared :class:`ModuleContext` (import/alias resolution, parent
   links), ``# repro-lint: disable=RULE`` line suppressions,
 - :mod:`repro.lint.rules` — the rule catalog (``RL001``..``RL014``),
-- :mod:`repro.lint.baseline` — a committed baseline for incremental
-  adoption whose entries expire loudly once the flagged line is gone,
 - :mod:`repro.lint.reporters` — text and canonical-JSON reports,
-- :mod:`repro.lint.cli` — ``python -m repro.lint`` / ``repro lint``
-  with stable exit codes (0 clean, 1 findings or stale baseline,
-  2 usage error).
+- :mod:`repro.lint.cli` — ``python -m repro.lint`` with stable exit
+  codes (0 clean, 1 findings, 2 usage error).
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry, BaselineError
 from repro.lint.engine import (
     PARSE_ERROR,
     Finding,
@@ -41,9 +37,6 @@ from repro.lint.reporters import render_json, render_text
 from repro.lint import rules as _rules  # noqa: F401  (registration side effect)
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "BaselineError",
     "Finding",
     "LintResult",
     "ModuleContext",

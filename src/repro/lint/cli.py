@@ -2,10 +2,12 @@
 
 Stable exit codes (the CI gate keys on them):
 
-- ``0`` — clean: no findings, no stale baseline entries,
-- ``1`` — violations found, or baseline entries whose flagged lines no
-  longer exist (remove them; baselines only shrink),
+- ``0`` — clean: no findings,
+- ``1`` — violations found,
 - ``2`` — usage error (unknown rule, missing path, bad flags).
+
+A finding is accepted only on its own line, with a justified
+``# repro-lint: disable=RULE``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import Baseline, BaselineError
 from repro.lint.engine import iter_rules, run_lint
 from repro.lint.reporters import render_json, render_text
 
@@ -49,16 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only these rule codes (repeatable)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file of accepted findings (missing file = empty)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate --baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--output",
         metavar="FILE",
         help="write the report here instead of stdout",
@@ -82,34 +73,16 @@ def run(
     paths: "list[str] | None" = None,
     fmt: str = "text",
     select: "list[str] | None" = None,
-    baseline: "str | None" = None,
-    write_baseline: bool = False,
     output: "str | None" = None,
     list_rules: bool = False,
 ) -> int:
-    """Programmatic entry point shared by ``repro lint`` and ``-m``."""
+    """Programmatic entry point behind ``python -m repro.lint``."""
     if list_rules:
         print(_list_rules())
         return EXIT_CLEAN
     paths = paths or ["src"]
-    if write_baseline and not baseline:
-        print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        loaded = Baseline.load(baseline) if baseline else None
-    except BaselineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if write_baseline:
-            result = run_lint(paths, select=select, baseline=None)
-            Baseline.from_findings(result.findings).save(baseline)
-            print(
-                f"wrote {baseline}: {len(result.findings)} accepted finding(s) "
-                f"from {result.files_checked} files"
-            )
-            return EXIT_CLEAN
-        result = run_lint(paths, select=select, baseline=loaded)
+        result = run_lint(paths, select=select)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -129,8 +102,6 @@ def main(argv: "list[str] | None" = None) -> int:
         paths=args.paths,
         fmt=args.format,
         select=args.select,
-        baseline=args.baseline,
-        write_baseline=args.write_baseline,
         output=args.output,
         list_rules=args.list_rules,
     )

@@ -4,9 +4,8 @@ One :class:`ModuleContext` is built per file (parsed tree, parent links,
 import-alias resolution); every registered :class:`Rule` is a focused
 :class:`ast.NodeVisitor` that walks the tree once and records
 :class:`Finding`\\ s.  Findings are filtered through per-line
-``# repro-lint: disable=RULE`` suppressions before they are reported,
-and optionally through a committed :class:`~repro.lint.baseline.
-Baseline` for incremental adoption.
+``# repro-lint: disable=RULE`` suppressions before they are reported —
+the one way to accept a finding.
 
 The engine is deliberately self-hosting-clean: it iterates directories
 in sorted order, serializes canonically, and narrows every exception it
@@ -19,10 +18,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.baseline import Baseline, BaselineEntry
+from typing import ClassVar
 
 __all__ = [
     "PARSE_ERROR",
@@ -39,7 +35,7 @@ __all__ = [
 ]
 
 #: Pseudo-rule code attached to findings for files that fail to parse.
-#: Not a registered rule (it cannot be disabled or baselined away — a
+#: Not a registered rule (it cannot be disabled — a
 #: file the engine cannot read is a file no rule has vetted).
 PARSE_ERROR = "E001"
 
@@ -48,9 +44,8 @@ PARSE_ERROR = "E001"
 class Finding:
     """One rule violation, anchored to a file position.
 
-    ``content`` is the stripped source line the finding sits on; the
-    baseline keys on it so entries survive pure line-number drift but
-    expire when the flagged code itself changes or disappears.
+    ``content`` is the stripped source line the finding sits on (the
+    JSON report carries it, so a finding reads without the file).
     """
 
     path: str
@@ -320,22 +315,19 @@ class LintResult:
 
     findings: list[Finding]
     suppressed: int
-    baselined: int
-    stale_baseline: list["BaselineEntry"]
     files_checked: int
 
     @property
     def ok(self) -> bool:
-        """Clean run: nothing new to report and no stale baseline debt."""
-        return not self.findings and not self.stale_baseline
+        """Clean run: nothing to report."""
+        return not self.findings
 
 
 def run_lint(
     paths: "list[str | Path]",
     select: "list[str] | None" = None,
-    baseline: "Baseline | None" = None,
 ) -> LintResult:
-    """Lint every module under ``paths`` and fold in the baseline."""
+    """Lint every module under ``paths``."""
     rules = _select_rules(select)
     files = iter_python_files(paths)
     findings: list[Finding] = []
@@ -347,14 +339,8 @@ def run_lint(
         )
         findings.extend(module_findings)
         suppressed += module_suppressed
-    if baseline is not None:
-        findings, baselined, stale = baseline.apply(findings)
-    else:
-        baselined, stale = 0, []
     return LintResult(
         findings=sorted(findings),
         suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline=stale,
         files_checked=len(files),
     )

@@ -9,7 +9,8 @@ from repro.lint.engine import LintResult
 __all__ = ["render_json", "render_text"]
 
 #: Version of the JSON report schema (CI artifacts key on it).
-REPORT_VERSION = 1
+#: 2 dropped the baseline keys (``baselined``, ``stale_baseline``).
+REPORT_VERSION = 2
 
 
 def render_text(result: LintResult) -> str:
@@ -17,24 +18,12 @@ def render_text(result: LintResult) -> str:
     lines = [
         f"{f.location()}: {f.rule} {f.message}" for f in result.findings
     ]
-    for entry in result.stale_baseline:
-        lines.append(
-            f"{entry.path}: stale baseline entry {entry.rule} "
-            f"(x{entry.count}) — flagged line {entry.content!r} no longer "
-            "exists; remove it from the baseline (or --write-baseline)"
-        )
-    noise = []
-    if result.suppressed:
-        noise.append(f"{result.suppressed} suppressed")
-    if result.baselined:
-        noise.append(f"{result.baselined} baselined")
-    tail = f" ({', '.join(noise)})" if noise else ""
+    tail = f" ({result.suppressed} suppressed)" if result.suppressed else ""
     if result.ok:
         lines.append(f"ok: {result.files_checked} files clean{tail}")
     else:
         lines.append(
-            f"FAILED: {len(result.findings)} finding(s), "
-            f"{len(result.stale_baseline)} stale baseline entr(y/ies) "
+            f"FAILED: {len(result.findings)} finding(s) "
             f"in {result.files_checked} files{tail}"
         )
     return "\n".join(lines)
@@ -47,7 +36,6 @@ def render_json(result: LintResult) -> str:
         "ok": result.ok,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "findings": [
             {
                 "rule": f.rule,
@@ -58,15 +46,6 @@ def render_json(result: LintResult) -> str:
                 "content": f.content,
             }
             for f in result.findings
-        ],
-        "stale_baseline": [
-            {
-                "rule": e.rule,
-                "path": e.path,
-                "content": e.content,
-                "count": e.count,
-            }
-            for e in result.stale_baseline
         ],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -29,15 +29,15 @@ closes the loop one-shot compression leaves open —
   run is the live run by construction (``docs/resilience.md``).
 
 A field step is one path: (re)calibrate if due, invert the budget (or
-read it off the field's folded state), decide, compress with
+read it off the field's state), decide, compress with
 :func:`~repro.parallel.backends.run_snapshot` (the pipeline's rank
-loop), record.  A field that degrades onto the fallback compressor goes
-round the decide→run part again.  One lazily built
+loop).  It writes nothing: it returns its records, and the snapshot loop,
+the one writer, appends and folds them.  A field that degrades onto the
+fallback compressor goes round the decide→run part again.  One
 :class:`~repro.foresight.evaluator.FieldReference` per step serves the
 budget inversion, the halo-spec derivation and the quality check, which
-reads the reconstruction compression writes (``run_snapshot(task,
-out=...)``) instead of decoding.  A decision is
-:func:`~repro.stream.state.decision_inputs` then
+reads the reconstruction compression writes instead of decoding.  A
+decision is :func:`~repro.stream.state.decision_inputs` then
 :func:`~repro.core.optimizer.optimize`, the two calls replay makes.
 
 *Batch* use (the paper's §1 storage arithmetic: calibrate once, compress
@@ -65,7 +65,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
-from repro.core.config import FieldSpec, HaloQualitySpec, OptimizerSettings
+from repro.core.config import FieldSpec, OptimizerSettings
 from repro.core.selection import (
     SelectionResult,
     derive_eb_budget,
@@ -82,7 +82,7 @@ from repro.parallel.backends import SnapshotResult, SnapshotTask, run_snapshot
 from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience.retry import RetryExhaustedError, RetryPolicy
 from repro.sim.nyx import NyxSnapshot
-from repro.stream.drift import DriftConfig, DriftSignal
+from repro.stream.drift import DriftConfig, DriftDetector, DriftSignal
 from repro.stream.ledger import (
     LEDGER_SCHEMA_VERSION,
     LedgerError,
@@ -92,18 +92,18 @@ from repro.stream.ledger import (
 from repro.stream.source import SnapshotStream, as_stream
 from repro.stream.state import (
     BudgetGovernor,
+    FieldState,
     ReplayedDecision,
     RunState,
     StreamOutcome,
     StreamReport,
     apply,
+    calibrated_state,
     decision_inputs,
     rederive,
 )
 
 __all__ = [
-    "derive_eb_budget",
-    "derive_halo_params",
     "BudgetGovernor",
     "StreamOutcome",
     "StreamReport",
@@ -111,6 +111,9 @@ __all__ = [
     "ReplayedDecision",
     "replay_ledger",
 ]
+
+#: A field step's ledger record ``(kind, data)``, for ``_append(kind, **data)``.
+Record = tuple[str, dict[str, Any]]
 
 
 # -- the controller ----------------------------------------------------------
@@ -294,10 +297,9 @@ class InSituController:
 
     # -- resilience plumbing ---------------------------------------------
 
-    def _note_retry(
-        self, site: str, attempt: int, exc: BaseException, delay: float
-    ) -> None:
-        """Retry-accounting hook for the field and ledger-append sites."""
+    def _note_retry(self, *_: object) -> None:
+        """Retry-accounting hook (``on_retry``) for the field and
+        ledger-append sites."""
         self.report.n_retries += 1
 
     def _retrying(self, fn: Callable[[], Any], site: str) -> Any:
@@ -437,7 +439,10 @@ class InSituController:
         """
         self._ensure_started()
         for name, data in snapshot.fields.items():
-            self._calibrate_field(name, data, FieldReference(data), reason="initial")
+            records: list[Record] = []
+            self._calibrate_field(name, data, FieldReference(data), "initial", records)
+            for kind, record in records:
+                self._append(kind, **record)
 
     def _budget(
         self, spec: FieldSpec, ref: FieldReference
@@ -448,22 +453,28 @@ class InSituController:
         return eb_base, derive_halo_params(spec, ref) if spec.halo_aware else None
 
     def _calibrate_field(
-        self, name: str, data: np.ndarray, ref: FieldReference, reason: str
-    ) -> None:
-        """Choose ``name``'s compressor, fit its rate model on ``data`` and
-        record both; the field's new state is what folding the events
-        produces.
+        self,
+        name: str,
+        data: np.ndarray,
+        ref: FieldReference,
+        reason: str,
+        records: list[Record],
+    ) -> FieldState:
+        """Choose ``name``'s compressor and fit its rate model on ``data``,
+        add the ``selection`` and ``(re)calibration`` records to ``records``
+        and return the state the calibration record folds to.
 
-        The compressor, by priority: quarantine (a degraded field stays
-        pinned to the conservative fallback — re-selection could hand it
-        back the very compressor that failed) > candidate-slate selection
+        The compressor, by priority: quarantine (a field degraded now or
+        before stays on the conservative fallback — re-selection could hand
+        it back the very compressor that failed) > candidate-slate selection
         (re-run on every recalibration, so drift triggers *re-selection*)
         > the field spec's pinned ``compressor`` > the controller default.
         """
         spec = self.spec_for(name)
         eb_base, halo_params = self._budget(spec, ref)
         calibration: CalibrationResult | None = None
-        if name in self.state.quarantined and self.fallback_compressor is not None:
+        quarantined = reason == "degradation" or name in self.state.quarantined
+        if quarantined and self.fallback_compressor is not None:
             compressor = resolve_compressor(self.fallback_compressor)
         elif self.candidates is not None:
             selection = select_compressor(
@@ -479,8 +490,7 @@ class InSituController:
                 seed=self.seed,
                 require_error_bounded=True,
             )
-            self._append(
-                "selection",
+            verdict = dict(
                 snapshot=self.report.n_snapshots,
                 field=name,
                 reason=reason,
@@ -488,6 +498,7 @@ class InSituController:
                 chosen=selection.chosen.to_dict(),
                 verdicts=[v.to_dict() for v in selection.verdicts],
             )
+            records.append(("selection", verdict))
             compressor = selection.compressor
             # The winning candidate was already calibrated at eb_base with
             # the controller's probe settings: reuse the fit instead of
@@ -507,8 +518,7 @@ class InSituController:
                 probe_mode=self.probe_mode,
             )
         model = calibration.rate_model
-        self._append(
-            "calibration" if reason == "initial" else "recalibration",
+        record = dict(
             snapshot=self.report.n_snapshots,
             field=name,
             reason=reason,
@@ -525,10 +535,12 @@ class InSituController:
                 else {"t_boundary": halo_params[0], "mass_budget": halo_params[1]}
             ),
         )
+        records.append(("calibration" if reason == "initial" else "recalibration", record))
         # Keep the instance that was probed (caller-owned state such as
         # codec levels is preserved) and the fit's probe diagnostics.
         self._compressors[name] = compressor
         self._fits[name] = calibration
+        return calibrated_state(record)
 
     # -- streaming -------------------------------------------------------
 
@@ -681,10 +693,21 @@ class InSituController:
             redshift=float(snapshot.redshift),
             seq_first=self.ledger.next_seq,
         ) as span:
-            outcomes = [
-                self._process_field(index, snapshot.redshift, name, data)
-                for name, data in snapshot.fields.items()
-            ]
+            outcomes = []
+            for name, data in snapshot.fields.items():
+                records, result, signal = self._field_step(
+                    index, snapshot.redshift, name, data
+                )
+                for kind, record in records:
+                    self._append(kind, **record)
+                # The row is the one the fold just built; what only this process
+                # has — the payloads, and the quality channel's margin ratio,
+                # which the ledger does not record — is attached to it.
+                outcome = self.report.outcomes[-1]
+                outcome.result = result if self.retain_results else None
+                outcome.drift_signal = signal
+                self.report.timings.merge(result.timings)
+                outcomes.append(outcome)
             if self.state.governor is not None:
                 # Worked out ahead of the fold so the event can record it.
                 ahead, exponent_mean = self.state.budget_step()
@@ -701,108 +724,76 @@ class InSituController:
         self.report.n_snapshots += 1
         return outcomes
 
-    def _run_field(
-        self,
-        name: str,
-        data: np.ndarray,
-        eb_avg: float,
-        halo: HaloQualitySpec | None,
-    ) -> SnapshotResult:
-        """Execute one field's compression under the retry policy.
-
-        The task's rate model is the field's folded one, the model
-        :func:`~repro.stream.state.rederive` replays with.  A transient
-        failure (injected crash, timeout, OSError, ...) is retried with
-        the same task — :func:`~repro.parallel.backends.run_snapshot` is
-        a pure function of it, so a successful retry is bitwise identical
-        to a run that never failed.  With the quality check on, the
-        reconstruction lands in ``self._recon``.
-        """
-        task = SnapshotTask(
-            data=data,
-            decomposition=self.decomposition,
-            eb_avg=eb_avg,
-            rate_model=self.state.fields[name].model,
-            compressor=self._compressor(name),
-            settings=self.settings,
-            halo=halo,
-        )
-        return self._retrying(
-            lambda: run_snapshot(task, out=self._recon), f"stream.field:{name}"
-        )
-
-    def _degrade_field(self, index: int, name: str, exc: RetryExhaustedError) -> None:
-        """Quarantine ``name`` onto the fallback compressor after retries:
-        a ``degradation`` ledger event, whose fold pins the field's next
-        calibration to the fallback."""
-        if telemetry.enabled():
-            telemetry.get_registry().counter("resilience.degradations").inc()
-        self._append(
-            "degradation",
-            snapshot=index,
-            field=name,
-            site=exc.site,
-            attempts=exc.attempts,
-            error=f"{type(exc.last).__name__}: {exc.last}",
-            fallback=self.fallback_compressor.to_dict(),
-        )
-
-    def _process_field(
+    def _field_step(
         self, index: int, redshift: float, name: str, data: np.ndarray
-    ) -> StreamOutcome:
-        """One field step: (re)calibrate if due, decide, compress, record.
+    ) -> tuple[list[Record], SnapshotResult, DriftSignal | None]:
+        """One field step: (re)calibrate if due, decide, compress.  Returns
+        the step's records in append order, its result and its drift verdict.
 
-        One :class:`~repro.foresight.evaluator.FieldReference` serves the
-        whole step: calibration, a degradation's recalibration and the
-        quality check.  A field whose retries run out degrades onto the
-        fallback compressor and goes round the decide→run step once more;
-        a second exhaustion propagates.  No decision or outcome events are
-        appended for failed attempts — the ledger sees only what actually
-        happened.
+        The step writes nothing: it decides from the state folded before it
+        and, after a (re)calibration, from the state its own record gives.
+        One :class:`~repro.foresight.evaluator.FieldReference` serves
+        calibration, a degradation's recalibration and the quality check.
+        A retry re-runs the same task (``run_snapshot`` is pure in it, so a
+        retried field is bitwise a clean one).  A field whose retries run
+        out degrades onto the fallback compressor and goes round decide→run
+        once more; a second exhaustion propagates, none of its records kept.
         """
         with telemetry.get_tracer().span("stream.field", field=name, snapshot=index):
             spec = self.spec_for(name)
-            state = self.state
-            reason: str | None = None
-            if name not in state.fields:
-                if self.recalibrate == "never":
-                    raise KeyError(f"field {name!r} was not calibrated")
-                reason = "initial"
-            elif self.recalibrate == "always":
-                reason = "forced"
-            elif name in state.pending:
-                reason = "drift"
+            records: list[Record] = []
+            reason = self.state.calibration_reason(name)
             ref = FieldReference(data)
+            fs = self.state.fields.get(name)
             if reason is not None:
-                self._calibrate_field(name, data, ref, reason=reason)
-
-            scale = state.scale
+                fs = self._calibrate_field(name, data, ref, reason, records)
+            scale = self.state.scale
             while True:
-                fs = state.fields[name]
                 if self.warm_start or reason is not None:
                     eb_base, halo_params = fs.eb_base, fs.halo_params
                 else:
                     # Batch semantics: the rate model stays frozen but the
                     # budget re-inverts from this snapshot's data (the
-                    # decision event is its record).
+                    # decision record is its record).
                     eb_base, halo_params = self._budget(spec, ref)
                 eb_avg, halo = decision_inputs(eb_base, scale, halo_params)
+                task = SnapshotTask(
+                    data=data,
+                    decomposition=self.decomposition,
+                    eb_avg=eb_avg,
+                    rate_model=fs.model,
+                    compressor=self._compressor(name),
+                    settings=self.settings,
+                    halo=halo,
+                )
                 try:
-                    result = self._run_field(name, data, eb_avg, halo)
+                    result = self._retrying(
+                        lambda: run_snapshot(task, out=self._recon),
+                        f"stream.field:{name}",
+                    )
                     break
                 except RetryExhaustedError as exc:
                     if self.fallback_compressor is None or reason == "degradation":
                         raise
                     # Recalibrated on the fallback, so the rate model is
                     # the one that will compress it from here on (the
-                    # recalibration event carries it: replay stays bitwise).
+                    # recalibration record carries it: replay stays bitwise).
                     reason = "degradation"
-                    self._degrade_field(index, name, exc)
-                    self._calibrate_field(name, data, ref, reason)
+                    if telemetry.enabled():
+                        telemetry.get_registry().counter("resilience.degradations").inc()
+                    degradation = dict(
+                        snapshot=index,
+                        field=name,
+                        site=exc.site,
+                        attempts=exc.attempts,
+                        error=f"{type(exc.last).__name__}: {exc.last}",
+                        fallback=self.fallback_compressor.to_dict(),
+                    )
+                    records.append(("degradation", degradation))
+                    fs = self._calibrate_field(name, data, ref, reason, records)
 
             feats = result.features
-            self._append(
-                "decision",
+            decision = dict(
                 snapshot=index,
                 redshift=redshift,
                 field=name,
@@ -819,6 +810,7 @@ class InSituController:
                 ebs=result.ebs,
                 constraint=result.optimization.constraint,
             )
+            records.append(("decision", decision))
 
             stats = result.stats
             achieved = float(stats.overall_bit_rate)
@@ -834,9 +826,9 @@ class InSituController:
                 quality_dev = spectrum_deviation(ref, self._recon, spec.spectrum_k_max)
 
             # The verdict comes from a scratch detector continuing the
-            # field's window, so the outcome event can carry it; folding the
-            # event is what advances the window.
-            detector = state.detector(name)
+            # step's window (empty after a (re)calibration), so the outcome
+            # record can carry it; folding the record advances the window.
+            detector = DriftDetector(name, self.drift, fs.window)
             signal: DriftSignal | None = None
             if self.recalibrate == "drift":
                 if residual is not None:
@@ -844,8 +836,7 @@ class InSituController:
                 if signal is None and quality_dev is not None:
                     signal = detector.update_quality(quality_dev, spec.spectrum_tolerance)
 
-            self._append(
-                "outcome",
+            outcome = dict(
                 snapshot=index,
                 field=name,
                 raw_bytes=stats.source_itemsize * stats.total_elements,
@@ -857,14 +848,8 @@ class InSituController:
                 quality_deviation=quality_dev,
                 recalibrate_next=signal is not None,
             )
-            # The row is the one the fold just built; what only this process
-            # has — the payloads, and the quality channel's margin ratio,
-            # which the ledger does not record — is attached to it.
-            outcome = self.report.outcomes[-1]
-            outcome.result = result if self.retain_results else None
-            outcome.drift_signal = signal
-            self.report.timings.merge(result.timings)
-            return outcome
+            records.append(("outcome", outcome))
+            return records, result, signal
 
 
 # -- deterministic ledger replay ---------------------------------------------

@@ -41,6 +41,7 @@ __all__ = [
     "FieldState",
     "RunState",
     "apply",
+    "calibrated_state",
     "decision_inputs",
     "rederive",
 ]
@@ -426,6 +427,17 @@ class RunState:
         ahead.observe(self.open_bytes, mean)
         return ahead, mean
 
+    def calibration_reason(self, name: str) -> str | None:
+        """Why ``name`` is (re)calibrated before its next decision —
+        ``"initial"``, ``"forced"`` or ``"drift"`` — or ``None`` to warm-start."""
+        if name not in self.fields:
+            if self.config.recalibrate == "never":
+                raise KeyError(f"field {name!r} was not calibrated")
+            return "initial"
+        if self.config.recalibrate == "always":
+            return "forced"
+        return "drift" if name in self.pending else None
+
     def detector(self, name: str) -> DriftDetector:
         """A scratch detector continuing ``name``'s window: the verdict
         folding an outcome will reach, without advancing the state."""
@@ -476,6 +488,20 @@ def _calibrated(state: RunState, event: LedgerEvent) -> FieldState:
     return fs
 
 
+def calibrated_state(d: dict[str, Any]) -> FieldState:
+    """The field state a ``(re)calibration`` record gives: what folding it
+    sets, and what the controller's field step decides from after it."""
+    return FieldState(
+        model=RateModel(
+            d["exponent"], d["coef_alpha"], d["coef_beta"], d["feature_floor"]
+        ),
+        coef_r2=float(d["coef_r2"]),
+        eb_base=float(d["eb_base"]),
+        halo_params=_halo_params(d.get("halo_params")),
+        compressor_spec=_spec(d.get("spec")),
+    )
+
+
 def apply(state: RunState, event: LedgerEvent) -> RunState:
     """Fold one ledger event into ``state`` (mutated and returned)."""
     kind, d = event.kind, event.data
@@ -498,18 +524,7 @@ def apply(state: RunState, event: LedgerEvent) -> RunState:
     elif kind == "selection":
         state.selections[d["field"]] = d
     elif kind in ("calibration", "recalibration"):
-        state.fields[d["field"]] = FieldState(
-            model=RateModel(
-                exponent=d["exponent"],
-                coef_alpha=d["coef_alpha"],
-                coef_beta=d["coef_beta"],
-                feature_floor=d["feature_floor"],
-            ),
-            coef_r2=float(d["coef_r2"]),
-            eb_base=float(d["eb_base"]),
-            halo_params=_halo_params(d.get("halo_params")),
-            compressor_spec=_spec(d.get("spec")),
-        )
+        state.fields[d["field"]] = calibrated_state(d)
         if kind == "recalibration":
             state.pending.discard(d["field"])
             state.report.n_recalibrations += 1

@@ -1,33 +1,23 @@
-"""The repo lints itself clean with an *empty* baseline.
+"""The repo lints itself clean.
 
 This is the end-state acceptance check: every rule the linter ships is
 satisfied by the tree it ships in, with no carried debt.  If this test
 fails, either fix the new violation or add a justified
-``# repro-lint: disable=...`` on the offending line — do not grow the
-baseline.
+``# repro-lint: disable=...`` on the offending line.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import Baseline, run_lint
+from repro.lint import run_lint
 from repro.lint.reporters import render_text
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-SRC = REPO_ROOT / "src"
-BASELINE_FILE = REPO_ROOT / ".repro-lint-baseline.json"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def test_src_is_clean_with_empty_baseline():
-    result = run_lint([SRC], baseline=Baseline())
+def test_src_is_clean():
+    result = run_lint([SRC])
     assert result.files_checked > 50  # sanity: the walk actually found the tree
     assert result.ok, "\n" + render_text(result)
     assert result.findings == []
-    assert result.stale_baseline == []
-
-
-def test_committed_baseline_is_empty():
-    baseline = Baseline.load(BASELINE_FILE)
-    assert BASELINE_FILE.exists(), "commit .repro-lint-baseline.json"
-    assert len(baseline) == 0, "baselines only shrink; this repo's end state is empty"

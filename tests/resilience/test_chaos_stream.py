@@ -231,6 +231,37 @@ class TestInterruptedRunResumes:
         assert report.n_snapshots == 8
         assert replay_ledger(crash_path) == baseline
 
+    def test_crashed_field_step_leaves_no_record(
+        self, chaos_stream, chaos_dec, tmp_path
+    ):
+        """A field step returns its records and the snapshot loop appends
+        them, so a field whose compression raises leaves none on disk —
+        not even the selection and calibration it had already worked out."""
+        settings = dict(candidates=["sz", "zfp_like:rate=8"], retain_results=False)
+        base_path = tmp_path / "base.jsonl"
+        InSituController(chaos_dec, ledger=base_path, **settings).run(chaos_stream(3))
+        baseline = replay_ledger(base_path)
+
+        crash_path = tmp_path / "crash.jsonl"
+        ctl = InSituController(chaos_dec, ledger=crash_path, **settings)
+        # No retry policy: snapshot 0's second field takes the run down.
+        plan = FaultPlan(seed=4).arm("backend.compress", kind="crash", at=1)
+        with plan.activate(), pytest.raises(InjectedCrash):
+            ctl.run(chaos_stream(3))
+        ctl.ledger.close()
+
+        first, second = next(iter(chaos_stream(1))).fields
+        on_disk = RunLedger.load(crash_path).events
+        assert on_disk[-1].kind == "outcome"
+        assert on_disk[-1].data["field"] == first
+        assert not [e for e in on_disk if e.data.get("field") == second]
+
+        resumed = InSituController.resume(crash_path, retain_results=False)
+        assert resumed.report.n_snapshots == 0
+        report = resumed.run(chaos_stream(3))
+        assert report.n_snapshots == 3
+        assert replay_ledger(crash_path) == baseline
+
     def test_ungoverned_crash_reruns_last_snapshot_and_stays_identical(
         self, chaos_stream, chaos_dec, tmp_path
     ):

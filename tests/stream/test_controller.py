@@ -709,3 +709,62 @@ class TestQualityCheckLedgerIdentity:
         )
         assert written == decoded
         assert b'"kind":"degradation"' in written
+
+
+class TestOneWriter:
+    """The snapshot loop is the one writer: a field step computes its
+    records and returns them, and the loop appends exactly those."""
+
+    def test_field_step_writes_nothing_and_returns_what_is_appended(
+        self, monkeypatch
+    ):
+        from repro.parallel.decomposition import BlockDecomposition
+        from repro.resilience import FaultPlan, RetryPolicy
+        from repro.sim.nyx import NyxSimulator
+        from repro.stream import SimulatorStream
+        from repro.stream.ledger import _jsonable
+
+        # The governed run test_writer_pins.py pins: selection, drift
+        # recalibration and one degradation.
+        sim = NyxSimulator((16, 16, 16), box_size=16.0, seed=11, sigma_delta0=2.5)
+        ctl = InSituController(
+            BlockDecomposition((16, 16, 16), blocks=2),
+            field_specs={"baryon_density": FieldSpec(halo_aware=True)},
+            candidates=["sz", "zfp_like:rate=8"],
+            check_quality=True,
+            byte_budget=60_000,
+            drift=DriftConfig(z_threshold=1.5, window=3, rate_sigma=0.03),
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+            fallback_compressor="sz:codec=zlib",
+            retain_results=False,
+        )
+        steps = []
+        real = ctl._field_step
+
+        def watched(*args):
+            before = (ctl.ledger.next_seq, len(ctl.state.log))
+            records, result, signal = real(*args)
+            after = (ctl.ledger.next_seq, len(ctl.state.log))
+            steps.append((before, after, records))
+            return records, result, signal
+
+        monkeypatch.setattr(ctl, "_field_step", watched)
+        plan = FaultPlan(seed=2).arm("backend.compress", kind="crash", at=(2, 3))
+        redshifts = [5.0, 4.0, 3.0, 2.4, 1.8, 1.2]
+        fields = ("baryon_density", "temperature")
+        with plan.activate():
+            ctl.run(SimulatorStream(sim, redshifts, fields=fields))
+
+        assert len(steps) == len(redshifts) * len(fields)
+        events = {e.seq: e for e in ctl.ledger.events}
+        for before, after, records in steps:
+            assert after == before
+            appended = [events[before[0] + i] for i in range(len(records))]
+            assert [(e.kind, e.data) for e in appended] == [
+                (kind, _jsonable(data)) for kind, data in records
+            ]
+        kinds = [(kind, data.get("reason")) for *_, rs in steps for kind, data in rs]
+        assert ("selection", "initial") in kinds
+        assert ("recalibration", "drift") in kinds
+        assert ("degradation", None) in kinds
+        assert ("recalibration", "degradation") in kinds

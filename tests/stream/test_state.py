@@ -17,7 +17,7 @@ from repro.core.config import FieldSpec
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.stream import DriftConfig, InSituController, SimulatorStream
 from repro.stream.ledger import LedgerError, LedgerEvent
-from repro.stream.state import RunState, apply, rederive
+from repro.stream.state import RunState, apply, calibrated_state, rederive
 
 FIELDS = ("baryon_density", "temperature")
 TIGHT = DriftConfig(z_threshold=1.5, window=2, min_points=1, rate_sigma=0.02)
@@ -117,3 +117,112 @@ def test_events_before_run_start_are_rejected():
         apply(state, LedgerEvent(1, "governor", {"total_bytes": 1, "n_snapshots": 1}))
     with pytest.raises(LedgerError, match="has no calibration"):
         rederive(state, LedgerEvent(1, "decision", {"field": "temperature"}))
+
+
+def _folded(recalibrate: str, field: str) -> RunState:
+    """A state folded from hand-written events in which ``temperature``
+    is ``uncalibrated``, ``pending`` (calibrated; its last outcome asked
+    for a refit) or ``clean`` (calibrated; no refit asked)."""
+    events = [
+        (
+            "run_start",
+            {
+                "shape": [16, 16, 16],
+                "settings": {},
+                "drift": {},
+                "recalibrate": recalibrate,
+                "warm_start": True,
+                "probe_mode": "exact",
+            },
+        )
+    ]
+    if field != "uncalibrated":
+        name = {"field": "temperature", "snapshot": 0}
+        events += [
+            (
+                "calibration",
+                {
+                    **name,
+                    "reason": "initial",
+                    "exponent": -0.8,
+                    "coef_alpha": 0.0,
+                    "coef_beta": 0.3,
+                    "feature_floor": 1e-12,
+                    "coef_r2": 1.0,
+                    "eb_base": 0.5,
+                },
+            ),
+            (
+                "decision",
+                {**name, "redshift": 1.0, "eb_base": 0.5, "scale": 1.0, "eb_avg": 0.5},
+            ),
+            (
+                "outcome",
+                {
+                    **name,
+                    "raw_bytes": 8,
+                    "compressed_bytes": 1,
+                    "predicted_bit_rate": 8.0,
+                    "achieved_bit_rate": 8.0,
+                    "residual": None,
+                    "quality_deviation": 0.1,
+                    "recalibrate_next": field == "pending",
+                },
+            ),
+        ]
+    state = RunState()
+    for seq, (kind, data) in enumerate(events):
+        apply(state, LedgerEvent(seq, kind, data))
+    return state
+
+
+@pytest.mark.parametrize(
+    ("recalibrate", "field", "reason"),
+    [
+        ("drift", "uncalibrated", "initial"),
+        ("drift", "pending", "drift"),
+        ("drift", "clean", None),
+        ("always", "uncalibrated", "initial"),
+        ("always", "pending", "forced"),
+        ("always", "clean", "forced"),
+        ("never", "uncalibrated", KeyError),
+        # The recorded flag is authoritative whatever the policy (a live
+        # run records it only under "drift").
+        ("never", "pending", "drift"),
+        ("never", "clean", None),
+    ],
+)
+def test_calibration_reason(recalibrate, field, reason):
+    state = _folded(recalibrate, field)
+    if reason is KeyError:
+        with pytest.raises(KeyError, match="field 'temperature' was not calibrated"):
+            state.calibration_reason("temperature")
+    else:
+        assert state.calibration_reason("temperature") == reason
+
+
+@pytest.mark.parametrize("kind", ["calibration", "recalibration"])
+def test_calibrated_state_is_what_folding_the_record_sets(kind):
+    """The field step decides from ``calibrated_state(record)`` instead of
+    reading back the fold its record causes: the two must be one state."""
+    state = _folded("drift", "pending")
+    record = {
+        "field": "temperature",
+        "snapshot": 1,
+        "reason": "drift",
+        "exponent": -0.7,
+        "coef_alpha": 0.1,
+        "coef_beta": 0.2,
+        "feature_floor": 1e-9,
+        "coef_r2": 0.9,
+        "eb_base": 0.25,
+        "halo_params": {"t_boundary": 81.66, "mass_budget": 0.01},
+        "spec": {"family": "sz", "params": {"codec": "zlib"}},
+    }
+    expected = calibrated_state(record)
+    assert expected.window == ()
+    assert expected.halo_params == (81.66, 0.01)
+    assert expected.compressor_spec.to_dict() == record["spec"]
+    apply(state, LedgerEvent(4, kind, record))
+    assert state.fields["temperature"] == expected
+    assert ("temperature" in state.pending) is (kind == "calibration")
