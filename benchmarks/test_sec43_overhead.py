@@ -2,42 +2,90 @@
 
 Paper: per-partition mean extraction costs ~1-1.5% of compression time
 on CPUs; effective-cell counting adds up to 5% (density field only); the
-optimization itself is negligible.  We measure the same ratios.
+optimization itself is negligible.  We measure the same ratios on the
+rank loop's own phases: the ``features``, ``optimize`` and ``compress``
+timings :func:`~repro.parallel.backends.run_snapshot` records on the
+path every workload runs.  The density field runs with the halo
+constraint the stream controller builds (its ``features`` phase counts
+boundary cells too) and once without it; the difference of the two
+``features`` phases is the boundary-cell count.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from repro.core.overhead import measure_overhead
+from repro.compression.api import resolve_compressor
+from repro.core.config import FieldSpec, OptimizerSettings
+from repro.core.selection import derive_halo_params
+from repro.foresight.evaluator import FieldReference
+from repro.parallel.backends import SnapshotTask, run_snapshot
+from repro.stream.state import decision_inputs
 from repro.util.tables import format_table
 
+EB_AVG = 0.3
+#: Each phase is the minimum over this many rank-loop runs (standard
+#: practice for wall-clock micro-measurements).
+REPEATS = 15
 
-def test_sec43_overhead(snapshot, decomposition, benchmark):
+
+def _min_phases(*tasks: SnapshotTask) -> list[dict[str, float]]:
+    """Per task, each phase's minimum over ``REPEATS`` runs.  The tasks
+    take turns, so a slow spell of the machine falls on all of them
+    rather than skewing one task's phases against another's."""
+    best: list[dict[str, float]] = [{} for _ in tasks]
+    for _ in range(REPEATS):
+        for task, mins in zip(tasks, best):
+            for name, seconds in run_snapshot(task).timings.totals.items():
+                mins[name] = min(mins.get(name, math.inf), seconds)
+    return best
+
+
+def test_sec43_overhead(snapshot, decomposition, rate_models, benchmark):
     data = snapshot["baryon_density"]
-    tb = float(np.percentile(data.astype(np.float64), 99.0))
+    params = derive_halo_params(
+        FieldSpec(halo_aware=True, halo_percentile=99.0), FieldReference(data)
+    )
+    assert params is not None, "the density field must have halos"
+    eb_avg, halo = decision_inputs(EB_AVG, 1.0, params)
 
-    def run():
-        return measure_overhead(
-            data, decomposition, eb=0.3, t_boundary=tb, repeats=3
+    def task(halo_spec):
+        return SnapshotTask(
+            data=data,
+            decomposition=decomposition,
+            eb_avg=eb_avg,
+            rate_model=rate_models["baryon_density"].rate_model,
+            compressor=resolve_compressor(None),
+            settings=OptimizerSettings(),
+            halo=halo_spec,
         )
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    def run():
+        return _min_phases(task(None), task(halo))
+
+    means_only, with_halo = benchmark.pedantic(run, rounds=1, iterations=1)
+    compress = with_halo["compress"]
+    mean_time = means_only["features"]
+    boundary_time = with_halo["features"] - means_only["features"]
+    optimize_time = with_halo["optimize"]
+    total_time = with_halo["features"] + optimize_time
+    feature_overhead = mean_time / compress
+    total_overhead = total_time / compress
     print()
     print(
         format_table(
             ["phase", "seconds", "% of compression"],
             [
-                ["mean extraction", report.feature_time, 100 * report.feature_overhead],
-                ["boundary-cell count", report.boundary_time, 100 * report.boundary_overhead],
-                ["optimization", report.optimize_time, 100 * report.optimize_time / report.compress_time],
-                ["compression", report.compress_time, 100.0],
-                ["total overhead", report.feature_time + report.boundary_time + report.optimize_time, 100 * report.total_overhead],
+                ["mean extraction", mean_time, 100 * feature_overhead],
+                ["boundary-cell count", boundary_time, 100 * boundary_time / compress],
+                ["optimization", optimize_time, 100 * optimize_time / compress],
+                ["compression", compress, 100.0],
+                ["total overhead", total_time, 100 * total_overhead],
             ],
             title="§4.3 reproduction: in situ overhead (paper: ~1% mean, <=5% boundary)",
         )
     )
     # NumPy-vectorized features on laptop-scale data: the claim is that
     # overhead stays a small fraction of compression time.
-    assert report.feature_overhead < 0.15
-    assert report.total_overhead < 0.35
+    assert feature_overhead < 0.15
+    assert total_overhead < 0.35

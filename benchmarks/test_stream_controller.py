@@ -16,9 +16,11 @@ Both produce a complete run ledger; the drift-gated run's ledger is
 replayed (:func:`repro.stream.controller.replay_ledger`) and must
 reproduce every per-partition bound byte-for-byte without reading any
 field data.  Asserted outside smoke mode: the drift-gated path is
->= 2x faster end-to-end, cumulative compressed bytes land within 5% of
-the budget, and the recalibration counts are pinned (the always-path
-count exactly, the drift-path count by a ceiling).
+>= 2x faster end-to-end (each path timed as its minimum over
+``ROUNDS`` runs, the two paths taking turns), cumulative compressed
+bytes land within 5% of the budget, and the recalibration counts are
+pinned (the always-path count exactly, the drift-path count by a
+ceiling).
 
 Each run appends a record to ``BENCH_stream.json`` (repo root / CWD),
 building a trajectory of measured speedups across commits.  Set
@@ -46,6 +48,9 @@ REDSHIFTS = [4.0, 3.0, 2.2, 1.6, 1.2, 0.8, 0.5, 0.3]
 N_SNAPSHOTS = 4 if SMOKE else 8
 BLOCKS = 2
 MAX_PARTITIONS = 8
+#: Each path's time is its minimum over this many runs (standard
+#: practice for wall-clock measurements; every run is deterministic).
+ROUNDS = 1 if SMOKE else 3
 #: Acceptance floors (asserted outside smoke mode).
 MIN_SPEEDUP = 2.0
 BUDGET_TOLERANCE = 0.05
@@ -85,8 +90,15 @@ def test_stream_controller(benchmark):
     budget = int(BUDGET_FRACTION * natural_bytes)
 
     def run():
-        ctl_drift, rep_drift, t_drift = _run_controller(dec, snaps, "drift", budget)
-        _, rep_full, t_full = _run_controller(dec, snaps, "always", budget)
+        # The two paths take turns, each time the minimum over ROUNDS
+        # runs: a slow spell of the machine falls on both paths rather
+        # than on one path's single shot.
+        t_drift = t_full = float("inf")
+        for _ in range(ROUNDS):
+            ctl_drift, rep_drift, t = _run_controller(dec, snaps, "drift", budget)
+            t_drift = min(t_drift, t)
+            _, rep_full, t = _run_controller(dec, snaps, "always", budget)
+            t_full = min(t_full, t)
         return {
             "t_drift_s": t_drift,
             "t_full_s": t_full,

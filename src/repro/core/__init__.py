@@ -17,8 +17,8 @@ cheap per-partition features plus one collective.
   snapshots, batch or streaming, are
   :class:`repro.stream.controller.InSituController`),
 - :mod:`repro.core.baselines` — the traditional static configuration and
-  the Foresight-style trial-and-error search,
-- :mod:`repro.core.overhead` — overhead accounting for §4.3,
+  the Foresight-style trial-and-error search (exact trials only; model
+  screening is :func:`repro.foresight.sweep.run_sweep`),
 - :mod:`repro.core.selection` — per-field compressor selection over the
   capability-typed registry (§2.2 as a measured runtime decision).
 """
@@ -34,7 +34,6 @@ from repro.core.optimizer import (
 )
 from repro.core.pipeline import AdaptiveCompressionPipeline, SnapshotResult
 from repro.core.baselines import StaticBaseline, TrialAndErrorSearch
-from repro.core.overhead import OverheadReport, measure_overhead
 from repro.core.selection import (
     CandidateVerdict,
     SelectionResult,
@@ -58,9 +57,7 @@ __all__ = [
     "SnapshotResult",
     "StaticBaseline",
     "TrialAndErrorSearch",
-    "OverheadReport",
     "FieldSpec",
-    "measure_overhead",
     "CandidateVerdict",
     "SelectionResult",
     "default_candidates",

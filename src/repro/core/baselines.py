@@ -6,22 +6,18 @@
   search: try bounds from a grid, run the *actual* post-hoc analysis on
   the decompressed data, keep the largest bound that passes.  This is
   the expensive empirical procedure (§4.3: compression + decompression
-  + analysis per trial) the models make unnecessary.
+  + analysis per trial) the models make unnecessary; every trial is
+  exact (model screening is :func:`~repro.foresight.sweep.run_sweep`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.foresight.quality import QualityCriteria
-
 from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
-from repro.models.calibration import check_probe_mode
 from repro.parallel.backends import SnapshotResult
 from repro.parallel.decomposition import BlockDecomposition
 from repro.util.timer import TimingBreakdown
@@ -78,62 +74,27 @@ class TrialRecord:
 class TrialAndErrorSearch:
     """Foresight-style empirical bound selection.
 
+    Every trial is exact: compress, decompress, analyse.  Screening
+    candidates with the ratio-quality model before measuring them is
+    :func:`~repro.foresight.sweep.run_sweep`'s ``probe_mode="model"``.
+
     Parameters
     ----------
     quality_check:
         Callable ``(original, reconstructed) -> (passed, metric)`` — e.g.
         :func:`repro.analysis.spectrum.check_spectrum_quality` or a halo
-        criterion.  Mutually exclusive with ``criteria``.
+        criterion.
     compressor:
         Error-bounded compressor to trial.
-    criteria:
-        A :class:`~repro.foresight.quality.QualityCriteria` instead of a
-        callable: the search then builds one reference-cached
-        :class:`~repro.foresight.evaluator.QualityEvaluator` per
-        :meth:`search` call, so the original field's spectrum/halo
-        analyses are computed once instead of once per trial.  A trial
-        passes when the full report does; the recorded metric is the
-        worst spectrum deviation.
-    probe_mode:
-        ``"exact"`` (default) runs the full compress→decompress→analyze
-        pass per trial.  ``"model"`` screens candidates with the
-        closed-form ratio-quality engine (:mod:`repro.models.rq_model`)
-        — one batched quantization probe per candidate, no codec, no
-        decompression — and only ever *compresses* the predicted winner.
-        Requires ``criteria`` (the engine predicts criteria verdicts,
-        not arbitrary callables) and a compressor that can be probed
-        codec-free (:func:`~repro.models.calibration.check_probe_mode`).
-    confirm:
-        Exact-confirmation policy for ``probe_mode="model"``:
-        ``"always"`` (default) runs one real trial on the predicted
-        winner and falls through to the next candidate if it fails —
-        the result is then *verified*, with the whole grid still probed
-        analytically; ``"never"`` trusts the prediction outright (the
-        returned result is compressed but its quality never measured).
     """
 
     def __init__(
         self,
-        quality_check: Callable[[np.ndarray, np.ndarray], tuple[bool, float]] | None = None,
+        quality_check: Callable[[np.ndarray, np.ndarray], tuple[bool, float]],
         compressor: "Compressor | CompressorSpec | str | None" = None,
-        criteria: "QualityCriteria | None" = None,
-        probe_mode: str = "exact",
-        confirm: str = "always",
     ) -> None:
-        if (quality_check is None) == (criteria is None):
-            raise ValueError("provide exactly one of quality_check or criteria")
-        self.compressor = resolve_compressor(compressor)
-        self.probe_mode = check_probe_mode(probe_mode, self.compressor)
-        if confirm not in ("always", "never"):
-            raise ValueError(f"confirm must be 'always' or 'never', got {confirm!r}")
-        if probe_mode == "model" and criteria is None:
-            raise ValueError(
-                'probe_mode="model" needs criteria (the ratio-quality engine '
-                "predicts criteria verdicts, not arbitrary quality callables)"
-            )
         self.quality_check = quality_check
-        self.criteria = criteria
-        self.confirm = confirm
+        self.compressor = resolve_compressor(compressor)
         self.trials: list[TrialRecord] = []
 
     def search(
@@ -144,51 +105,29 @@ class TrialAndErrorSearch:
     ) -> SnapshotResult:
         """Return the static result at the largest passing candidate bound.
 
-        Candidates are tried in descending order, one loop for both
-        modes: probe (``"model"`` only) → decide whether to measure →
-        measure.  A measured trial costs a full compress + decompress +
-        analysis pass (the expense the paper's models eliminate); a
-        candidate the model predicts to fail is recorded with its
-        *predicted* ratio and metric — nothing was compressed for it,
-        which is the point.  ``trials`` restarts on every call.  Raises
-        if no candidate passes.
+        Candidates are tried in descending order; each trial costs a full
+        compress + decompress + analysis pass (the expense the paper's
+        models eliminate).  ``trials`` restarts on every call.  Raises if
+        no candidate passes.
         """
-        from repro.foresight.evaluator import FieldReference, QualityEvaluator
-        from repro.models.rq_model import RQModel
-
         candidates = sorted(set(float(e) for e in candidate_ebs), reverse=True)
         if not candidates:
             raise ValueError("need at least one candidate error bound")
         if any(e <= 0 for e in candidates):
             raise ValueError("candidate error bounds must be positive")
         baseline = StaticBaseline(self.compressor)
-        ref = FieldReference(data)
-        rq = RQModel(ref, self.criteria) if self.probe_mode == "model" else None
-        views = decomposition.partition_views(data)
-        evaluator: QualityEvaluator | None = None
+        original = np.asarray(data, dtype=np.float64)
         self.trials = []
         for eb in candidates:
-            pred = None if rq is None else rq.probe(self.compressor, views, eb)
-            result = None
-            if pred is not None and not pred.passed:
-                passed, ratio = False, pred.predicted_ratio
-                metric = pred.spectrum_worst_deviation
-            else:
-                result = baseline.run(data, decomposition, eb)
-                ratio = result.overall_ratio
-                if pred is not None and self.confirm == "never":
-                    passed, metric = True, pred.spectrum_worst_deviation
-                elif self.criteria is not None:
-                    if evaluator is None:
-                        evaluator = QualityEvaluator(criteria=self.criteria, reference=ref)
-                    report = evaluator.evaluate(result.reconstruct(decomposition))
-                    passed, metric = report.passed, report.spectrum_worst_deviation
-                else:
-                    passed, metric = self.quality_check(
-                        ref.f64, result.reconstruct(decomposition)
-                    )
+            result = baseline.run(data, decomposition, eb)
+            passed, metric = self.quality_check(
+                original, result.reconstruct(decomposition)
+            )
             self.trials.append(
-                TrialRecord(eb=eb, passed=passed, ratio=ratio, quality_metric=metric)
+                TrialRecord(
+                    eb=eb, passed=passed, ratio=result.overall_ratio,
+                    quality_metric=metric,
+                )
             )
             if passed:
                 return result

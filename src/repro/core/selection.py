@@ -39,6 +39,7 @@ from repro.models.calibration import (
     sample_views,
 )
 from repro.models.fft_error import (
+    SUB_POWER_STRIDE,
     spectrum_ratio_tolerance_to_eb,
     sub_threshold_power_curve,
 )
@@ -67,7 +68,8 @@ def derive_eb_budget(spec: FieldSpec, ref: FieldReference) -> float:
     :class:`FieldReference` cache, so a budget inversion, a halo-spec
     derivation and a quality check on the same snapshot pay for one
     float64 cast and one ``rfftn`` between them.  The bisection's
-    sub-threshold power reads one stride-2 subsample built per call.
+    sub-threshold power reads one subsample at
+    :data:`~repro.models.fft_error.SUB_POWER_STRIDE`, built per call.
     """
     if spec.eb_override is not None:
         return float(spec.eb_override)
@@ -80,7 +82,7 @@ def derive_eb_budget(spec: FieldSpec, ref: FieldReference) -> float:
             tolerance=spec.spectrum_tolerance,
             k_max=spec.spectrum_k_max,
             confidence_z=spec.confidence_z,
-            sub_power_fn=sub_threshold_power_curve(f64, stride=2),
+            sub_power_fn=sub_threshold_power_curve(f64, stride=SUB_POWER_STRIDE),
             correlated_fraction=spec.correlated_fraction,
         )
     )
@@ -229,6 +231,10 @@ class SelectionResult:
 #: rejecting bounds that clearly overshoot the quality target.
 _QUALITY_GATE_SLACK = 0.05
 
+#: Partitions a candidate's quality gate (and a fixed-rate candidate's
+#: measurement) reads: a seeded sample of this many.
+_SAMPLE_PARTITIONS = 8
+
 
 def _count_probe(kind: str) -> None:
     """Telemetry counter for one candidate probe (no-op when disarmed)."""
@@ -240,7 +246,6 @@ def _measure_fixed_rate(
     comp: Any,
     views: list[np.ndarray],
     eb_avg: float,
-    sample_partitions: int,
     seed: int,
 ) -> tuple[float, float]:
     """Measured (bit rate, max abs error) of a fixed-rate candidate.
@@ -250,7 +255,7 @@ def _measure_fixed_rate(
     error-bound behaviour are *measured*, exactly the §4.1 empirical
     methodology scoped down to a few partitions.
     """
-    sample = sample_views(views, sample_partitions, seed)
+    sample = sample_views(views, _SAMPLE_PARTITIONS, seed)
     blocks = comp.compress_many(sample, [eb_avg] * len(sample))
     max_err = max(
         float(np.max(np.abs(comp.decompress(block) - np.asarray(view, dtype=np.float64))))
@@ -272,7 +277,6 @@ def select_compressor(
     bank: RateModelBank | None = None,
     probe_mode: str = "exact",
     max_partitions: int = 32,
-    sample_partitions: int = 8,
     seed: int = 0,
     require_error_bounded: bool = False,
 ) -> SelectionResult:
@@ -390,7 +394,7 @@ def select_compressor(
             prediction: RQPrediction | None = None
             if rq is not None:
                 prediction = rq.probe(
-                    comp, sample_views(views, sample_partitions, seed), eb_avg
+                    comp, sample_views(views, _SAMPLE_PARTITIONS, seed), eb_avg
                 )
                 gate = rq.criteria.spectrum_tolerance * (1.0 + _QUALITY_GATE_SLACK)
                 if not prediction.passed and prediction.spectrum_worst_deviation > gate:
@@ -421,9 +425,7 @@ def select_compressor(
             )
         else:
             _count_probe("exact")
-            measured_rate, max_err = _measure_fixed_rate(
-                comp, views, eb_avg, sample_partitions, seed
-            )
+            measured_rate, max_err = _measure_fixed_rate(comp, views, eb_avg, seed)
             violation = max_err / eb_avg
             if violation > 1.0:
                 eligible, reason = False, (

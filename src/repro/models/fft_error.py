@@ -30,6 +30,7 @@ from repro.analysis.spectrum import PowerSpectrum
 from repro.util.validation import check_positive
 
 __all__ = [
+    "SUB_POWER_STRIDE",
     "dft_error_sigma",
     "mixed_partition_sigma",
     "predicted_spectrum_distortion",
@@ -41,6 +42,13 @@ __all__ = [
 #: Per-point error variance of U[-eb, eb] is eb^2/3; projecting on a
 #: sinusoid halves it — hence the 1/6 in Eq. 7.
 _COMPONENT_VAR_FACTOR = 1.0 / 6.0
+
+#: Subsample stride of the sub-threshold power that both the budget
+#: inversion (:func:`repro.core.selection.derive_eb_budget`) and the
+#: ratio-quality engine (:class:`repro.models.rq_model.RQModel`) read:
+#: one value, so a field probed *at* its derived budget predicts inside
+#: the tolerance.
+SUB_POWER_STRIDE = 2
 
 
 def dft_error_sigma(n_elements: int, eb: float, std_factor: float | None = None) -> float:

@@ -21,10 +21,10 @@ verdicts backed by **one** batched quantization probe
 
 No Lorenzo decode, no entropy codec, no decompression, no reconstruction
 analysis.  ``probe_mode="model"`` threads these predictions through
-``select_compressor``, ``run_sweep``, ``TrialAndErrorSearch`` and the
-stream controller's recalibration; `docs/rq-model.md` records the
-equations, the validated tolerances (PSNR within ~1 dB, ratio within
-~10% on Nyx fields) and when to fall back to exact mode.
+``select_compressor``, ``run_sweep`` and the stream controller's
+recalibration; `docs/rq-model.md` records the equations, the validated
+tolerances (PSNR within ~1 dB, ratio within ~10% on Nyx fields) and
+when to fall back to exact mode.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from repro.compression.estimator import (
 )
 from repro.models.error_distribution import UniformErrorModel
 from repro.models.fft_error import (
+    SUB_POWER_STRIDE,
     predicted_spectrum_distortion,
     sub_threshold_power_estimate,
 )
@@ -89,11 +90,10 @@ class RQPrediction:
         """Mirror of :attr:`repro.foresight.quality.QualityReport.passed`."""
         return self.spectrum_ok and (self.halo_ok is None or self.halo_ok)
 
-    def near_boundary(
-        self, criteria: QualityCriteria, factor: float = BOUNDARY_BAND_FACTOR
-    ) -> bool:
-        """Is any verdict close enough to its threshold to deserve an
-        exact confirmation run?"""
+    def near_boundary(self, criteria: QualityCriteria) -> bool:
+        """Is any verdict within :data:`BOUNDARY_BAND_FACTOR` of its
+        threshold, close enough to deserve an exact confirmation run?"""
+        factor = BOUNDARY_BAND_FACTOR
         tol = criteria.spectrum_tolerance
         if tol / factor <= self.spectrum_worst_deviation <= tol * factor:
             return True
@@ -165,12 +165,14 @@ class RQModel:
         Pointwise error model supplying the boundary fault probability
         (default the §3.2 uniform model; pass the §3.5 revised mixture
         for very large bounds).
-    confidence_z / correlated_fraction / sub_power_stride:
+    confidence_z / correlated_fraction:
         Passed through to
         :func:`~repro.models.fft_error.predicted_spectrum_distortion` —
         the same knobs (and defaults) the §3.3/§3.5 budget inversion
-        uses, so a field probed *at* its derived budget predicts inside
-        the tolerance by construction.
+        uses, and the sub-threshold power is read at the same
+        :data:`~repro.models.fft_error.SUB_POWER_STRIDE`, so a field
+        probed *at* its derived budget predicts inside the tolerance by
+        construction.
     """
 
     def __init__(
@@ -181,7 +183,6 @@ class RQModel:
         error_model: UniformErrorModel | None = None,
         confidence_z: float = 2.0,
         correlated_fraction: float = 0.0,
-        sub_power_stride: int = 2,
     ) -> None:
         from repro.foresight.evaluator import FieldReference
         from repro.foresight.quality import QualityCriteria
@@ -194,7 +195,6 @@ class RQModel:
         self.error_model = error_model or UniformErrorModel()
         self.confidence_z = float(confidence_z)
         self.correlated_fraction = float(correlated_fraction)
-        self.sub_power_stride = int(sub_power_stride)
         # Lazy: nothing is analyzed until the first prediction needs it,
         # so building a model on a rate-only path costs nothing.
         self._halo_mass: float | None = None
@@ -223,7 +223,7 @@ class RQModel:
             eb,
             confidence_z=self.confidence_z,
             sub_threshold_power=sub_threshold_power_estimate(
-                f64, eb, stride=self.sub_power_stride
+                f64, eb, stride=SUB_POWER_STRIDE
             ),
             correlated_fraction=self.correlated_fraction,
         )

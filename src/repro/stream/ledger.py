@@ -203,19 +203,14 @@ class RunLedger:
         needs_newline = False
         if self.path.exists() and self.path.stat().st_size > 0:
             if recover:
-                size = self.path.stat().st_size
-                self.events, valid_bytes, tail = self._scan(self.path)
-                if tail is not None:
+                self.events, valid_bytes, self.recovered_tail = self._recover(
+                    self.path
+                )
+                if self.recovered_tail is not None:
                     with open(self.path, "r+b") as raw:
                         raw.truncate(valid_bytes)
                         raw.flush()
                         os.fsync(raw.fileno())
-                    self.recovered_tail = {
-                        "valid_events": len(self.events),
-                        "valid_bytes": valid_bytes,
-                        "truncated_bytes": size - valid_bytes,
-                        "torn_line": tail[:120],
-                    }
             else:
                 self.events = self._read_events(self.path)
             needs_newline = self._missing_final_newline(self.path)
@@ -347,6 +342,24 @@ class RunLedger:
         return events, valid_bytes, None
 
     @staticmethod
+    def _recover(
+        path: Path,
+    ) -> tuple[list[LedgerEvent], int, dict[str, Any] | None]:
+        """:meth:`_scan` plus the ``recovered_tail`` report of a torn
+        final line (``None`` for an undamaged file); the file is left
+        as it is."""
+        size = path.stat().st_size
+        events, valid_bytes, tail = RunLedger._scan(path)
+        if tail is None:
+            return events, valid_bytes, None
+        return events, valid_bytes, {
+            "valid_events": len(events),
+            "valid_bytes": valid_bytes,
+            "truncated_bytes": size - valid_bytes,
+            "torn_line": tail[:120],
+        }
+
+    @staticmethod
     def _read_events(path: Path) -> list[LedgerEvent]:
         events, _, tail = RunLedger._scan(path)
         if tail is not None:
@@ -383,15 +396,7 @@ class RunLedger:
         ledger.fsync = False
         ledger.recovered_tail = None
         if recover:
-            size = ledger.path.stat().st_size
-            ledger.events, valid_bytes, tail = cls._scan(ledger.path)
-            if tail is not None:
-                ledger.recovered_tail = {
-                    "valid_events": len(ledger.events),
-                    "valid_bytes": valid_bytes,
-                    "truncated_bytes": size - valid_bytes,
-                    "torn_line": tail[:120],
-                }
+            ledger.events, _, ledger.recovered_tail = cls._recover(ledger.path)
         else:
             ledger.events = cls._read_events(ledger.path)
         return ledger

@@ -46,13 +46,13 @@ class Timer:
     def __enter__(self) -> "Timer":
         if self._start is not None:
             raise RuntimeError("Timer is not reentrant: __enter__ called while running")
-        self._start = time.perf_counter()
+        self._start = monotonic()
         return self
 
     def __exit__(self, *exc: object) -> None:
         if self._start is None:
             raise RuntimeError("Timer.__exit__ called without a matching __enter__")
-        self.elapsed = time.perf_counter() - self._start
+        self.elapsed = monotonic() - self._start
         self._start = None
 
 
@@ -69,11 +69,11 @@ class TimingBreakdown:
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
+        start = monotonic()
         try:
             yield
         finally:
-            self.totals[name] += time.perf_counter() - start
+            self.totals[name] += monotonic() - start
             self.counts[name] += 1
 
     def add(self, name: str, seconds: float) -> None:

@@ -86,21 +86,56 @@ class TestTrialAndError:
         assert search.trials[0].quality_metric >= 0.0
         assert search.trials[0].ratio > 1.0
 
-    @pytest.mark.parametrize("probe_mode", ["exact", "model"])
-    def test_trials_restart_on_every_search(self, probe_mode):
-        """Regression: model mode returned before ``trials`` was reset,
-        so a second search on the same object reported 1 -> 2 trials."""
-        from repro.foresight.quality import QualityCriteria
+    def test_trials_restart_on_every_search(self):
+        """A second search on the same object reports its own trials,
+        not the first search's plus its own."""
         from repro.parallel.decomposition import BlockDecomposition
         from repro.sim.nyx import NyxSimulator
 
         data = NyxSimulator(shape=(16, 16, 16), seed=0).snapshot(z=1.0)["temperature"]
         dec = BlockDecomposition((16, 16, 16), blocks=2)
         search = TrialAndErrorSearch(
-            criteria=QualityCriteria(spectrum_tolerance=0.5), probe_mode=probe_mode
+            lambda o, r: check_spectrum_quality(o, r, tolerance=0.5)
         )
         first = search.search(data, dec, [1.0])
         assert search.n_trials == 1
         again = search.search(data, dec, [1.0])
         assert search.n_trials == 1
         assert [b.payloads for b in again.blocks] == [b.payloads for b in first.blocks]
+
+    def test_takes_only_a_quality_check_and_a_compressor(self):
+        """Every trial is exact: no model screening, no second quality
+        vocabulary (that is ``run_sweep(probe_mode="model")``)."""
+        import inspect
+
+        params = list(inspect.signature(TrialAndErrorSearch).parameters)
+        assert params == ["quality_check", "compressor"]
+
+    def test_trials_are_static_runs_checked(self, snapshot, decomposition):
+        """Each trial is exactly a static run at its bound, judged by the
+        quality check on the float64 original and the reconstruction;
+        the search returns the first passing run, largest bound first."""
+        data = snapshot["temperature"]
+        seen = []
+
+        def check(original, recon):
+            seen.append(original.dtype)
+            return check_spectrum_quality(original, recon, tolerance=0.02)
+
+        search = TrialAndErrorSearch(check)
+        result = search.search(data, decomposition, [10000.0, 1.0, 100.0])
+        assert seen == [np.float64] * search.n_trials
+        assert [t.eb for t in search.trials] == [10000.0, 100.0, 1.0][: search.n_trials]
+        original = np.asarray(data, dtype=np.float64)
+        for trial in search.trials:
+            static = StaticBaseline().run(data, decomposition, trial.eb)
+            passed, metric = check_spectrum_quality(
+                original, static.reconstruct(decomposition), tolerance=0.02
+            )
+            assert (trial.passed, trial.ratio, trial.quality_metric) == (
+                passed, static.overall_ratio, metric,
+            )
+        accepted = StaticBaseline().run(data, decomposition, search.trials[-1].eb)
+        assert [b.payloads for b in result.blocks] == [
+            b.payloads for b in accepted.blocks
+        ]

@@ -310,37 +310,3 @@ class TestInlineEvaluation:
                 recon = decomposition.assemble([decompress(b) for b in blocks])
                 want.append((name, eb, evaluator.evaluate(recon)))
         assert [(r.field, r.eb, r.quality) for r in records] == want
-
-
-class TestTrialAndErrorCriteria:
-    def test_criteria_path_matches_callable_path(self, snapshot, decomposition):
-        from repro.analysis.spectrum import check_spectrum_quality
-        from repro.core.baselines import TrialAndErrorSearch
-
-        data = snapshot["temperature"]
-        candidates = [1.0, 10.0, 100.0, 10000.0]
-        by_callable = TrialAndErrorSearch(
-            lambda o, r: check_spectrum_quality(o, r, tolerance=0.02)
-        )
-        by_criteria = TrialAndErrorSearch(
-            criteria=QualityCriteria(spectrum_tolerance=0.02)
-        )
-        res_callable = by_callable.search(data, decomposition, candidates)
-        res_criteria = by_criteria.search(data, decomposition, candidates)
-        assert np.array_equal(res_criteria.ebs, res_callable.ebs)
-        assert by_criteria.n_trials == by_callable.n_trials
-        for a, b in zip(by_criteria.trials, by_callable.trials):
-            assert (a.eb, a.passed) == (b.eb, b.passed)
-            assert a.quality_metric == b.quality_metric
-            assert a.ratio == b.ratio
-
-    def test_requires_exactly_one_quality_source(self):
-        from repro.analysis.spectrum import check_spectrum_quality
-        from repro.core.baselines import TrialAndErrorSearch
-
-        with pytest.raises(ValueError, match="exactly one"):
-            TrialAndErrorSearch()
-        with pytest.raises(ValueError, match="exactly one"):
-            TrialAndErrorSearch(
-                check_spectrum_quality, criteria=QualityCriteria()
-            )

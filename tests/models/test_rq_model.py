@@ -25,12 +25,13 @@ from repro.compression.estimator import (
     predicted_quantization_mse,
 )
 from repro.compression.sz import SZCompressor
-from repro.core.baselines import TrialAndErrorSearch
-from repro.core.selection import select_compressor
+from repro.core.config import FieldSpec
+from repro.core.selection import derive_eb_budget, select_compressor
+from repro.foresight.evaluator import FieldReference
 from repro.foresight.quality import QualityCriteria
 from repro.foresight.sweep import run_sweep
 from repro.models.calibration import RateModelBank, calibrate_rate_model
-from repro.models.rq_model import RQModel, RQPrediction
+from repro.models.rq_model import BOUNDARY_BAND_FACTOR, RQModel, RQPrediction
 from repro.parallel.decomposition import BlockDecomposition
 from repro.stream.controller import InSituController
 
@@ -180,6 +181,52 @@ class TestRQModel:
         assert inside.near_boundary(model.criteria)
         assert not far.near_boundary(model.criteria)
 
+    def test_near_boundary_band_is_the_module_factor(self):
+        """The band is ``[tol / F, tol * F]`` with ``F`` =
+        ``BOUNDARY_BAND_FACTOR``, edges included, for the spectrum and
+        the halo-mass verdicts alike."""
+        crit = QualityCriteria(spectrum_tolerance=0.01, halo_mass_rmse=0.02)
+        f = BOUNDARY_BAND_FACTOR
+
+        def pred(spectrum, halo=None):
+            return RQPrediction(
+                field="d", eb=1.0, predicted_bit_rate=1.0, predicted_ratio=1.0,
+                predicted_mse=0.0, predicted_psnr_db=np.inf, predicted_nrmse=0.0,
+                spectrum_worst_deviation=spectrum, spectrum_ok=True,
+                halo_mass_fraction=halo,
+            )
+
+        for tol, make in (
+            (0.01, lambda v: pred(v)),
+            (0.02, lambda v: pred(1e-9, halo=v)),
+        ):
+            assert make(tol / f).near_boundary(crit)
+            assert make(tol * f).near_boundary(crit)
+            assert not make(np.nextafter(tol / f, 0.0)).near_boundary(crit)
+            assert not make(np.nextafter(tol * f, np.inf)).near_boundary(crit)
+
+    @pytest.mark.parametrize("field", ["temperature", "baryon_density", "velocity_x"])
+    def test_probe_at_derived_budget_sits_on_the_tolerance(self, snapshot, field):
+        """Budget inversion and prediction read the same spectrum and the
+        same sub-threshold power (``SUB_POWER_STRIDE``): a field probed
+        at its own derived budget predicts inside the tolerance, and 1 %
+        above it predicts outside."""
+        data = snapshot[field]
+        for tol, corr in ((0.01, 0.0), (0.05, 0.5)):
+            eb = derive_eb_budget(
+                FieldSpec(
+                    spectrum_tolerance=tol, spectrum_k_max=6, correlated_fraction=corr
+                ),
+                FieldReference(data),
+            )
+            model = RQModel(
+                data,
+                QualityCriteria(spectrum_tolerance=tol, spectrum_k_max=6),
+                correlated_fraction=corr,
+            )
+            assert model.predicted_spectrum_deviation(eb) <= tol
+            assert model.predicted_spectrum_deviation(1.01 * eb) > tol
+
 
 class TestCapabilityGates:
     """probe_mode="model" must refuse compressors with no statistics."""
@@ -207,36 +254,21 @@ class TestCapabilityGates:
                 eb_avg=1e-2,
             )
 
-    def test_trial_search_rejects(self):
-        crit = QualityCriteria(spectrum_tolerance=0.01, spectrum_k_max=6)
-        with pytest.raises(UnsupportedCapabilityError, match="supports_estimate"):
-            TrialAndErrorSearch(
-                criteria=crit, compressor="sz_adaptive", probe_mode="model"
-            )
-
     def test_estimate_is_not_a_mode_at_any_entry_point(self):
         """The former third mode raises the one probe_mode ValueError."""
         data = _smooth_field(8)
         dec = BlockDecomposition(data.shape, (2, 2, 2))
-        crit = QualityCriteria(spectrum_tolerance=0.01, spectrum_k_max=6)
         for call in (
             lambda m: calibrate_rate_model([data], eb_scale=1e-2, probe_mode=m),
             lambda m: RateModelBank(probe_mode=m),
             lambda m: select_compressor(data, dec, eb_avg=1e-2, probe_mode=m),
             lambda m: run_sweep({"d": data}, [1e-3], {}, probe_mode=m),
-            lambda m: TrialAndErrorSearch(criteria=crit, probe_mode=m),
             lambda m: InSituController(dec, probe_mode=m),
         ):
             with pytest.raises(
                 ValueError, match="probe_mode must be one of 'exact', 'model', got 'estimate'"
             ):
                 call("estimate")
-
-    def test_trial_search_needs_criteria(self):
-        with pytest.raises(ValueError, match="criteria"):
-            TrialAndErrorSearch(
-                quality_check=lambda a, b: (True, 0.0), probe_mode="model"
-            )
 
     def test_unknown_modes_rejected(self):
         data = _smooth_field(8)

@@ -11,6 +11,7 @@ import pytest
 
 import repro.core.optimizer as optimizer_mod
 import repro.parallel.backends as backends_mod
+from repro.compression.api import resolve_compressor
 from repro.compression.sz import SZCompressor
 from repro.core.config import HaloQualitySpec, OptimizerSettings
 from repro.core.optimizer import local_protocol_bound, rank_order_mean
@@ -118,6 +119,47 @@ class TestBackendEquivalence:
         assert set(res.timings.totals) == {"features", "optimize", "compress"}
         assert res.timings.totals["compress"] > 0
         assert res.timings.overhead_ratio("features", "compress") >= 0
+
+    def test_times_the_batched_call_the_rank_loop_makes(
+        self, snapshot, decomposition, rate_model
+    ):
+        """The rank loop compresses through ``compress_many``: the §4.3
+        denominator, its ``compress`` phase, is not a per-view loop."""
+
+        class BatchOnly(SZCompressor):
+            def compress(self, data, eb):
+                raise AssertionError("the rank loop never compresses one view at a time")
+
+        res = run_snapshot(
+            SnapshotTask(
+                data=snapshot["baryon_density"], decomposition=decomposition,
+                eb_avg=0.2, rate_model=rate_model,
+                compressor=resolve_compressor(BatchOnly()),
+                settings=OptimizerSettings(),
+            )
+        )
+        assert len(res.blocks) == decomposition.n_partitions
+        assert res.timings.totals["compress"] > 0
+
+    @pytest.mark.parametrize("use_halo", [False, True])
+    def test_features_phase_covers_the_boundary_feature(
+        self, snapshot, decomposition, rate_model, use_halo
+    ):
+        """With a halo spec the ``features`` phase also counts boundary
+        cells, so §4.3's boundary cost is the difference of the two runs'
+        ``features`` phases."""
+        data = snapshot["baryon_density"]
+        res = run_snapshot(
+            SnapshotTask(
+                data=data, decomposition=decomposition, eb_avg=0.2,
+                rate_model=rate_model, compressor=resolve_compressor(None),
+                settings=OptimizerSettings(),
+                halo=_halo_spec(data) if use_halo else None,
+            )
+        )
+        assert len(res.features) == decomposition.n_partitions
+        for f in res.features:
+            assert (f.effective_cell_rate is not None) is use_halo
 
     def test_caller_compressor_instance_is_used(
         self, snapshot, decomposition, rate_model

@@ -122,6 +122,32 @@ class TestFileRoundTrip:
         with pytest.raises(LedgerError, match="unknown"):
             RunLedger.load(path)
 
+    def test_open_and_load_report_the_same_torn_tail(self, tmp_path):
+        """Both recovering readers report one ``recovered_tail`` for the
+        same damage; only opening for append truncates the file."""
+        path = tmp_path / "run.jsonl"
+        with RunLedger(path) as ledger:
+            ledger.append("run_start")
+            ledger.append("decision", field="t", ebs=[0.1, 0.2])
+        intact = path.read_bytes()
+        damaged = intact + b'{"seq": 2, "kind": "outc'
+        path.write_bytes(damaged)
+        expected = {
+            "valid_events": 2,
+            "valid_bytes": len(intact),
+            "truncated_bytes": len(damaged) - len(intact),
+            "torn_line": '{"seq": 2, "kind": "outc',
+        }
+        loaded = RunLedger.load(path, recover=True)
+        assert loaded.recovered_tail == expected
+        assert path.read_bytes() == damaged
+        opened = RunLedger(path, recover=True)
+        opened.close()
+        assert opened.recovered_tail == expected
+        assert opened.events[:2] == loaded.events
+        assert path.read_bytes().startswith(intact)
+        assert RunLedger.load(path, recover=True).recovered_tail is None
+
 
 class TestEvent:
     def test_kinds_cover_lifecycle(self):

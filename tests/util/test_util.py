@@ -77,6 +77,24 @@ class TestTimers:
             sum(range(1000))
         assert t.elapsed >= 0.0 and first >= 0.0
 
+    def test_timers_read_the_one_clock(self, monkeypatch):
+        """``Timer`` and ``TimingBreakdown`` read ``util.timer.monotonic``:
+        with a scripted clock their durations are exactly the script's."""
+        import repro.util.timer as timer_mod
+
+        ticks = iter([10.0, 10.5, 20.0, 20.25, 30.0, 31.0])
+        monkeypatch.setattr(timer_mod, "monotonic", lambda: next(ticks))
+        with Timer() as t:
+            pass
+        tb = TimingBreakdown()
+        with tb.phase("a"):
+            pass
+        with tb.phase("a"):
+            pass
+        assert t.elapsed == 0.5
+        assert dict(tb.totals) == {"a": 1.25}
+        assert dict(tb.counts) == {"a": 2}
+
     def test_breakdown_accumulates(self):
         tb = TimingBreakdown()
         with tb.phase("a"):
