@@ -46,6 +46,7 @@ __all__ = [
     "binned_power",
     "spectrum_ratio",
     "binned_worst_deviation",
+    "nbins_below",
     "check_spectrum_quality",
 ]
 
@@ -330,6 +331,14 @@ def binned_worst_deviation(
     return float(np.max(np.abs(ratio[mask] - 1.0)))
 
 
+def nbins_below(k_max: int) -> int:
+    """Bins ``1..k_max-1``: the acceptance test inspects only bins
+    strictly below ``k_max``, so binning further would be wasted work
+    (:func:`power_spectrum` clamps to the grid's Nyquist; the floor of 1
+    keeps the ``k_max <= 1`` "no spectrum bins" error path)."""
+    return max(int(k_max) - 1, 1)
+
+
 def check_spectrum_quality(
     original: np.ndarray,
     reconstructed: np.ndarray,
@@ -343,10 +352,7 @@ def check_spectrum_quality(
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    # Only bins strictly below k_max are inspected, so stop both binning
-    # passes at k_max - 1 instead of running them all the way to Nyquist
-    # (the floor of 1 keeps the k_max<=1 "no spectrum bins" error path).
-    nbins = max(int(k_max) - 1, 1)
+    nbins = nbins_below(k_max)
     ps_orig = power_spectrum(original, nbins=nbins)
     ps_rec = power_spectrum(reconstructed, nbins=nbins)
     worst = binned_worst_deviation(ps_orig, ps_rec, k_max)

@@ -29,12 +29,16 @@ pipeline in vectorized NumPy:
 - :mod:`repro.compression.zfp_like` — a fixed-rate transform codec used
   as the ZFP-style comparator,
 - :mod:`repro.compression.api` — the pluggable compressor backbone:
-  the one :class:`Compressor` contract every family implements, and a
-  capability-typed :class:`CompressorRegistry` resolving serializable
+  the one :class:`Compressor` contract every family implements, and
+  :data:`REGISTRY`, the fixed table of the three families (``sz``,
+  ``sz_adaptive``, ``zfp_like``) resolving serializable
   :class:`CompressorSpec` values into compressor instances, so every
   layer above (calibration, pipeline, sweeps, the stream controller,
-  the CLI) selects a compressor *family* instead of
-  hard-coding SZ.
+  the CLI) selects a compressor *family* instead of hard-coding SZ.
+
+A spec is a compressor's whole configuration: codecs take no arguments
+(their zlib level and Huffman code-length limit are constants), so two
+instances with one spec write the same bytes.
 """
 
 from repro.compression.sz import SZCompressor, CompressedBlock, decompress
@@ -52,7 +56,6 @@ from repro.compression.api import (
     UnsupportedCapabilityError,
     decompress_any,
     decompress_many,
-    register_builtin_families,
     resolve_compressor,
 )
 from repro.compression.stats import (
@@ -62,10 +65,6 @@ from repro.compression.stats import (
     max_abs_error,
     max_pointwise_rel_error,
 )
-
-# The registry's builtin families need the concrete compressor modules
-# fully imported, so registration runs here rather than in api.py.
-register_builtin_families()
 
 __all__ = [
     "SZCompressor",
@@ -87,7 +86,6 @@ __all__ = [
     "UnsupportedCapabilityError",
     "decompress_any",
     "decompress_many",
-    "register_builtin_families",
     "resolve_compressor",
     "CompressionStats",
     "bit_rate",

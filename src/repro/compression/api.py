@@ -19,12 +19,14 @@ select_compressor`) instead of a hard-coded default:
   with its ``out=`` reconstruction buffers, ``decompress``, plus
   ``estimate_many`` where declared), checked once, in
   :func:`resolve_compressor`,
-- :class:`CompressorRegistry` — ``register``/``create(spec)``/
-  ``default()``; a family's factory *is* its compressor class, so
-  ``registry.create(comp.spec)`` rebuilds ``comp`` with byte-identical
-  payloads (contract-tested per family),
+- :class:`CompressorRegistry` — the fixed table of the three families
+  (``sz``, ``sz_adaptive``, ``zfp_like``): ``create(spec)`` /
+  ``default()`` and the read-only views the CLI lists.  A spec is a
+  compressor's whole configuration (no constructor takes a parameter
+  its spec does not record), so ``REGISTRY.create(comp.spec)`` rebuilds
+  ``comp`` with byte-identical payloads (contract-tested per family),
 - :func:`decompress_any` / :func:`decompress_many` — block-type
-  dispatch so reconstruction paths work for every registered family,
+  dispatch so reconstruction paths work for every family,
   not just SZ; the batch form hands SZ blocks to SZ's one chunked
   decoder.
 
@@ -36,6 +38,7 @@ registry selects between (``--compressor sz:codec=huffman`` on the CLI).
 
 from __future__ import annotations
 
+import functools
 import inspect
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -46,7 +49,7 @@ import numpy as np
 # Leaf-module imports only: this module sits *below* the concrete
 # compressors (each imports its capability/spec types from here), so
 # the concrete families are imported lazily — inside the sz factory and
-# :func:`register_builtin_families` — to keep the graph acyclic.
+# the family table — to keep the graph acyclic.
 from repro.compression.quantizer import DEFAULT_RADIUS
 
 __all__ = [
@@ -57,7 +60,6 @@ __all__ = [
     "REGISTRY",
     "UnsupportedCapabilityError",
     "SZ_CAPABILITIES",
-    "register_builtin_families",
     "resolve_compressor",
     "decompress_any",
     "decompress_many",
@@ -290,71 +292,91 @@ class Compressor(Protocol):
 
 
 @dataclass(frozen=True)
-class _FamilyEntry:
+class _Family:
     factory: Callable[..., Any]
     capabilities: CompressorCapabilities
     defaults: tuple[tuple[str, Any], ...]
     description: str
-    block_type: type | None = None
-    block_decompress: Callable[[Any], np.ndarray] | None = None
+    block_type: type
+    block_decompress: Callable[[Any], np.ndarray]
+
+
+def _sz_factory(engine: str = "dual", **params: Any):
+    """The one place the ``engine`` spec key is interpreted: the
+    production class, or the classic-order reference."""
+    if engine == "dual":
+        from repro.compression.sz import SZCompressor
+
+        return SZCompressor(**params)
+    if engine == "classic":
+        from repro.compression.reference import ClassicSZCompressor
+
+        return ClassicSZCompressor(**params)
+    raise ValueError(f"engine must be 'dual' or 'classic', got {engine!r}")
+
+
+@functools.cache
+def _families() -> dict[str, _Family]:
+    """The three families, built on first use: their modules import this
+    one, so the table cannot be built when it is imported."""
+    from repro.compression import regression, sz, zfp_like
+
+    return {
+        "sz": _Family(
+            _sz_factory,
+            SZ_CAPABILITIES,
+            (("codec", "zlib"), ("engine", "dual"), ("mode", "abs"), ("radius", DEFAULT_RADIUS)),
+            "error-bounded SZ-style compressor (quantize -> Lorenzo -> "
+            "entropy codec); 'codec' is the entropy stage, not the family",
+            sz.CompressedBlock,
+            sz.decompress,
+        ),
+        "sz_adaptive": _Family(
+            regression.AdaptiveSZCompressor,
+            regression.AdaptiveSZCompressor.capabilities,
+            (("block", 8), ("codec", "zlib"), ("radius", DEFAULT_RADIUS)),
+            "error-bounded SZ2-style compressor with per-block "
+            "Lorenzo-vs-regression predictor selection",
+            regression.AdaptiveBlockStream,
+            regression.decompress,
+        ),
+        "zfp_like": _Family(
+            zfp_like.ZFPLikeCompressor,
+            zfp_like.ZFPLikeCompressor.capabilities,
+            (("rate", 8.0),),
+            "fixed-rate block-transform codec (ZFP-style comparator); "
+            "cannot enforce an absolute error bound (paper §2.2)",
+            zfp_like.ZFPBlockStream,
+            zfp_like.decompress,
+        ),
+    }
+
+
+@functools.cache
+def _decoders() -> dict[type, Callable[[Any], np.ndarray]]:
+    """Block type -> its family's decoder."""
+    return {f.block_type: f.block_decompress for f in _families().values()}
 
 
 class CompressorRegistry:
-    """Capability-typed factory for compressor families.
+    """The fixed table of compressor families: ``sz`` (the default),
+    ``sz_adaptive`` and ``zfp_like``.
 
-    ``register`` declares a family (factory + capabilities + default
-    params); ``create`` instantiates a :class:`CompressorSpec`;
-    ``default`` names the registry's default configuration (plain SZ,
-    matching every call site that used to default-construct
-    ``SZCompressor()``).
+    ``create`` instantiates a :class:`CompressorSpec`; ``default`` names
+    the default configuration (plain SZ).  A spec is a compressor's whole
+    configuration, so ``create(comp.spec)`` rebuilds ``comp`` with
+    byte-identical payloads.
     """
 
-    def __init__(self) -> None:
-        self._families: dict[str, _FamilyEntry] = {}
-        self._default_family: str | None = None
-
-    # -- registration ----------------------------------------------------
-
-    def register(
-        self,
-        family: str,
-        factory: Callable[..., Any],
-        capabilities: CompressorCapabilities,
-        defaults: Mapping[str, Any] | None = None,
-        description: str = "",
-        block_type: type | None = None,
-        block_decompress: Callable[[Any], np.ndarray] | None = None,
-        default: bool = False,
-    ) -> None:
-        """Declare a compressor family.
-
-        ``defaults`` names every accepted parameter with its default —
-        ``create`` rejects unknown parameters against it.  ``block_type``
-        plus ``block_decompress`` register the family's compressed-block
-        class for :func:`decompress_any` dispatch.
-        """
-        if not family:
-            raise ValueError("family name must be non-empty")
-        self._families[family] = _FamilyEntry(
-            factory=factory,
-            capabilities=capabilities,
-            defaults=tuple(sorted((defaults or {}).items())),
-            description=description,
-            block_type=block_type,
-            block_decompress=block_decompress,
-        )
-        if default or self._default_family is None:
-            self._default_family = family
-
     def families(self) -> list[str]:
-        return sorted(self._families)
+        return sorted(_families())
 
     def __contains__(self, family: str) -> bool:
-        return family in self._families
+        return family in _families()
 
-    def _entry(self, family: str) -> _FamilyEntry:
+    def _entry(self, family: str) -> _Family:
         try:
-            return self._families[family]
+            return _families()[family]
         except KeyError:
             raise ValueError(
                 f"unknown compressor family {family!r}; "
@@ -364,8 +386,8 @@ class CompressorRegistry:
     def capabilities(self, family: str) -> CompressorCapabilities:
         return self._entry(family).capabilities
 
-    def block_type(self, family: str) -> type | None:
-        """The family's compressed-block class (``None`` if undeclared)."""
+    def block_type(self, family: str) -> type:
+        """The family's compressed-block class."""
         return self._entry(family).block_type
 
     def describe(self, family: str) -> str:
@@ -377,10 +399,8 @@ class CompressorRegistry:
     # -- construction ----------------------------------------------------
 
     def default(self) -> CompressorSpec:
-        """The registry's default configuration (the old implicit SZ)."""
-        if self._default_family is None:
-            raise ValueError("no compressor families registered")
-        return CompressorSpec(self._default_family)
+        """The default configuration (plain SZ)."""
+        return CompressorSpec("sz")
 
     def canonical(self, spec: "CompressorSpec | str") -> CompressorSpec:
         """Fill a spec's params with the family defaults (stable cache key)."""
@@ -406,95 +426,22 @@ class CompressorRegistry:
 
     def create(self, spec: "CompressorSpec | str | None" = None) -> Any:
         """Instantiate a compressor from a spec (or the default)."""
-        spec = self.default() if spec is None else self.canonical(spec)
+        spec = self.canonical(self.default() if spec is None else spec)
         return self._entry(spec.family).factory(**spec.options)
 
     # -- block dispatch --------------------------------------------------
 
     def decompress(self, block: Any) -> np.ndarray:
-        """Reconstruct a field from any registered family's block."""
-        for entry in self._families.values():
-            if (
-                entry.block_type is not None
-                and entry.block_decompress is not None
-                and isinstance(block, entry.block_type)
-            ):
-                return entry.block_decompress(block)
-        raise TypeError(
-            f"no registered compressor family decompresses "
-            f"{type(block).__name__} blocks"
-        )
+        """Reconstruct a field from any family's block."""
+        decode = _decoders().get(type(block))
+        if decode is None:
+            raise TypeError(
+                f"no compressor family decompresses {type(block).__name__} blocks"
+            )
+        return decode(block)
 
 
 REGISTRY = CompressorRegistry()
-
-
-def _sz_factory(engine: str = "dual", **params: Any):
-    """The one place the ``engine`` spec key is interpreted: the
-    production class, or the classic-order reference."""
-    if engine == "dual":
-        from repro.compression.sz import SZCompressor
-
-        return SZCompressor(**params)
-    if engine == "classic":
-        from repro.compression.reference import ClassicSZCompressor
-
-        return ClassicSZCompressor(**params)
-    raise ValueError(f"engine must be 'dual' or 'classic', got {engine!r}")
-
-
-def register_builtin_families(registry: CompressorRegistry | None = None) -> None:
-    """Register the built-in families (idempotent).
-
-    Called from :mod:`repro.compression`'s package init, after the
-    concrete compressor modules are importable; re-running simply
-    overwrites the entries with identical ones.
-    """
-    from repro.compression import regression, sz, zfp_like
-
-    reg = registry if registry is not None else REGISTRY
-    reg.register(
-        "sz",
-        _sz_factory,
-        SZ_CAPABILITIES,
-        defaults={
-            "mode": "abs",
-            "codec": "zlib",
-            "radius": DEFAULT_RADIUS,
-            "engine": "dual",
-        },
-        description=(
-            "error-bounded SZ-style compressor (quantize -> Lorenzo -> "
-            "entropy codec); 'codec' is the entropy stage, not the family"
-        ),
-        block_type=sz.CompressedBlock,
-        block_decompress=sz.decompress,
-        default=True,
-    )
-    reg.register(
-        "zfp_like",
-        zfp_like.ZFPLikeCompressor,
-        zfp_like.ZFPLikeCompressor.capabilities,
-        defaults={"rate": 8.0},
-        description=(
-            "fixed-rate block-transform codec (ZFP-style comparator); "
-            "cannot enforce an absolute error bound (paper §2.2)"
-        ),
-        block_type=zfp_like.ZFPBlockStream,
-        block_decompress=zfp_like.decompress,
-    )
-    reg.register(
-        "sz_adaptive",
-        regression.AdaptiveSZCompressor,
-        regression.AdaptiveSZCompressor.capabilities,
-        defaults={"codec": "zlib", "block": 8, "radius": DEFAULT_RADIUS},
-        description=(
-            "error-bounded SZ2-style compressor with per-block "
-            "Lorenzo-vs-regression predictor selection"
-        ),
-        block_type=regression.AdaptiveBlockStream,
-        block_decompress=regression.decompress,
-    )
 
 
 # -- module-level conveniences ------------------------------------------------
@@ -507,10 +454,11 @@ def resolve_compressor(
 
     The single resolution point every layer funnels through: ``None``
     keeps the historical default (plain SZ), specs go through the
-    registry, instances pass through untouched (caller-owned state such
-    as codec levels is preserved).  It is also the one place an instance is held
-    to the :class:`Compressor` contract: an object that lacks part of it
-    raises :class:`UnsupportedCapabilityError` naming what is missing.
+    registry, instances pass through untouched (an instance of a class
+    outside the registry is usable as long as it keeps the contract).
+    It is also the one place an instance is held to the
+    :class:`Compressor` contract: an object that lacks part of it raises
+    :class:`UnsupportedCapabilityError` naming what is missing.
     """
     if compressor is None or isinstance(compressor, (CompressorSpec, str)):
         return REGISTRY.create(compressor)

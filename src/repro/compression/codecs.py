@@ -40,7 +40,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.compression.huffman import DEFAULT_MAX_CODE_LENGTH, MAX_CODE_LENGTH, HuffmanTable
+from repro.compression.huffman import MAX_CODE_LENGTH, HuffmanTable
 from repro.compression.kernels import byte_planes
 from repro.util.errors import PayloadError
 
@@ -62,6 +62,11 @@ __all__ = [
 
 #: High bit of the width tag: the row is stored as byte planes.
 PLANES_BIT = 0x80
+
+#: The zlib level of every DEFLATE this module writes.  A constant, not
+#: a knob: a codec's configuration is its name (all a
+#: :class:`~repro.compression.api.CompressorSpec` records).
+ZLIB_LEVEL = 6
 
 
 def _minimal_uint_dtype(max_value: int) -> np.dtype:
@@ -140,10 +145,10 @@ def _width_of(tag: int, what: str) -> int:
 # -- side channels (outlier positions / values, predictor masks) -------------
 
 
-def deflate_channel(buf: "bytes | np.ndarray", level: int = 6) -> bytes:
+def deflate_channel(buf: "bytes | np.ndarray") -> bytes:
     """zlib-compress a side-channel buffer; empty channels store ``b""``
     (no ~8 dead bytes of zlib framing per outlier-free block)."""
-    return zlib.compress(buf, level) if len(buf) else b""
+    return zlib.compress(buf, ZLIB_LEVEL) if len(buf) else b""
 
 
 def inflate_channel(blob: bytes, nbytes: int, what: str) -> bytes:
@@ -156,7 +161,7 @@ def inflate_channel(blob: bytes, nbytes: int, what: str) -> bytes:
     return inflate_exact(blob, nbytes, what)
 
 
-def pack_positions(arr: np.ndarray, level: int = 6) -> bytes:
+def pack_positions(arr: np.ndarray) -> bytes:
     """Serialize outlier positions: ``[1B itemsize][zlib(narrowed ints)]``.
 
     The caller narrows ``arr`` to the smallest uint dtype covering the
@@ -166,7 +171,7 @@ def pack_positions(arr: np.ndarray, level: int = 6) -> bytes:
     """
     if not arr.size:
         return b""
-    return bytes([arr.dtype.itemsize]) + zlib.compress(arr, level)
+    return bytes([arr.dtype.itemsize]) + zlib.compress(arr, ZLIB_LEVEL)
 
 
 def unpack_positions(blob: bytes, count: int, what: str = "outlier positions") -> np.ndarray:
@@ -256,20 +261,19 @@ class ZlibCodec(Codec):
     library writes they are faster *and* smaller than the default
     strategy (README, "Payload layouts"), and the output is one ordinary
     zlib stream, so :meth:`decode` — which also reads every
-    default-strategy stream written before — is untouched by them.
+    default-strategy stream written before — is untouched by them.  So
+    is the level (:data:`ZLIB_LEVEL`): under ``Z_RLE`` levels 1-9 write
+    the same bytes.
     """
 
     name = "zlib"
-
-    def __init__(self, level: int = 6) -> None:
-        if not 0 <= level <= 9:
-            raise ValueError(f"zlib level must be in [0, 9], got {level}")
-        self.level = level
+    #: A class constant, read by the bench's bare-zlib floor.
+    level = ZLIB_LEVEL
 
     def encode_row(self, row: np.ndarray) -> bytes:
         # zlib consumes each contiguous plane's buffer directly, so the
         # only full copy on this path is DEFLATE's own output.
-        deflater = zlib.compressobj(self.level, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+        deflater = zlib.compressobj(ZLIB_LEVEL, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
         parts = [_tag_of(row)]
         for plane in row[:-1]:
             parts += (deflater.compress(plane), deflater.flush(zlib.Z_BLOCK))
@@ -307,31 +311,24 @@ class HuffmanCodec(Codec):
 
         [4B alphabet size][4B bit count][zlib(code lengths)][zlib(packed bits)]
 
-    where each zlib'd section is prefixed by its 4-byte length.
+    where each zlib'd section is prefixed by its 4-byte length.  The
+    encoder's code-length limit (``huffman.DEFAULT_MAX_CODE_LENGTH``,
+    16) and zlib level (:data:`ZLIB_LEVEL`) are constants; the decoder
+    accepts any prefix code up to ``huffman.MAX_CODE_LENGTH``.
     """
 
     name = "huffman"
     byte_oriented = False
-
-    def __init__(self, max_code_length: int = DEFAULT_MAX_CODE_LENGTH, level: int = 6) -> None:
-        if not 1 <= max_code_length <= MAX_CODE_LENGTH:
-            raise ValueError(
-                f"max_code_length must be in [1, {MAX_CODE_LENGTH}], got {max_code_length}"
-            )
-        if not 0 <= level <= 9:
-            raise ValueError(f"zlib level must be in [0, 9], got {level}")
-        self.max_code_length = max_code_length
-        self.level = level
 
     def encode_row(self, row: np.ndarray) -> bytes:
         if row.size == 0:
             return (0).to_bytes(4, "little") + (0).to_bytes(4, "little")
         freqs = np.bincount(row)
         alphabet = len(freqs)
-        table = HuffmanTable.from_frequencies(freqs, max_length=self.max_code_length)
+        table = HuffmanTable.from_frequencies(freqs)
         bits_blob, nbits = table.encode(row)
-        lens_z = zlib.compress(table.serialize_lengths(), self.level)
-        bits_z = zlib.compress(bits_blob, self.level)
+        lens_z = zlib.compress(table.serialize_lengths(), ZLIB_LEVEL)
+        bits_z = zlib.compress(bits_blob, ZLIB_LEVEL)
         header = alphabet.to_bytes(4, "little") + nbits.to_bytes(4, "little")
         return (
             header
@@ -383,12 +380,9 @@ _CODECS: dict[str, type[Codec]] = {
 }
 
 
-def get_codec(name: str | Codec, **kwargs: object) -> Codec:
-    """Resolve a codec by name (``raw`` / ``zlib`` / ``huffman``) or pass through."""
-    if isinstance(name, Codec):
-        return name
-    try:
-        cls = _CODECS[name]
-    except KeyError:
-        raise ValueError(f"unknown codec {name!r}; options: {sorted(_CODECS)}") from None
-    return cls(**kwargs)  # type: ignore[arg-type]
+def get_codec(name: str) -> Codec:
+    """The codec named ``name`` (``raw`` / ``zlib`` / ``huffman``)."""
+    cls = _CODECS.get(name)
+    if cls is None:
+        raise ValueError(f"unknown codec {name!r}; options: {sorted(_CODECS)}")
+    return cls()

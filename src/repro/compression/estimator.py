@@ -53,11 +53,9 @@ import numpy as np
 __all__ = [
     "HEADER_BYTES",
     "PAYLOAD_CONTAINER_BYTES",
-    "UNIFORM_MSE_FACTOR",
     "RQEstimate",
     "code_census_rows",
     "estimate_nbytes_rows",
-    "predicted_quantization_mse",
     "predicted_psnr_db",
     "predicted_nrmse",
 ]
@@ -116,32 +114,6 @@ _HUFF_TABLE_BASE = 59.0
 _HUFF_TABLE_PER_SYMBOL = 0.44
 
 
-#: Per-point error variance of ``U[-eb, eb]`` in units of ``eb**2``
-#: (:class:`repro.models.error_distribution.UniformErrorModel` squared).
-UNIFORM_MSE_FACTOR = 1.0 / 3.0
-
-
-def predicted_quantization_mse(
-    n_elements: int,
-    n_outliers: int,
-    eb: float,
-    std_factor: float | None = None,
-) -> float:
-    """Predicted reconstruction MSE from quantization statistics alone.
-
-    Quantized points carry error ~``U[-eb, eb]`` (variance ``eb**2/3``,
-    the §3.2 uniform model); outliers are stored exactly and contribute
-    nothing.  ``std_factor`` overrides the per-point error std in units
-    of ``eb`` (default ``sqrt(1/3)``) for the §3.5 revised distribution.
-    """
-    if n_elements <= 0:
-        raise ValueError("n_elements must be positive")
-    if not 0 <= n_outliers <= n_elements:
-        raise ValueError("n_outliers must be in [0, n_elements]")
-    var = eb * eb * (UNIFORM_MSE_FACTOR if std_factor is None else std_factor**2)
-    return float((n_elements - n_outliers) / n_elements * var)
-
-
 def predicted_psnr_db(mse: float, value_range: float) -> float:
     """PSNR (dB) from a predicted MSE and the original's value range.
 
@@ -172,8 +144,8 @@ class RQEstimate:
 
     One quantization-statistics probe yields both halves of the
     ratio-quality trade (Jin et al.'s R-Q modeling follow-up): the size
-    from the code histogram, plus a closed-form distortion prediction
-    from the outlier census and the uniform error model — no Lorenzo
+    from the code histogram, plus the observed quantization MSE of the
+    probe's own lattice (outliers are stored exactly) — no Lorenzo
     decode, no entropy codec, no decompression.
     """
 
@@ -184,7 +156,7 @@ class RQEstimate:
     est_nbytes: float  # total predicted block size (header included)
     eb: float  #: absolute error bound the probe quantized at
     value_range: float  #: original min-max range (PSNR/NRMSE normalizer)
-    predicted_mse: float  #: closed-form MSE (uniform model, outliers exact)
+    predicted_mse: float  #: observed quantization MSE (outliers exact)
 
     @property
     def bit_rate(self) -> float:

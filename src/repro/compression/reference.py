@@ -26,7 +26,6 @@ from repro.compression.api import (
     decode_into,
 )
 from repro.compression.codecs import (
-    Codec,
     _minimal_uint_dtype,
     deflate_channel,
     get_codec,
@@ -58,7 +57,7 @@ class ClassicSZCompressor:
     def __init__(
         self,
         mode: str = "abs",
-        codec: str | Codec = "zlib",
+        codec: str = "zlib",
         radius: int = DEFAULT_RADIUS,
     ) -> None:
         if mode not in _MODES:

@@ -36,7 +36,7 @@ from repro.compression.api import (
     check_out,
     decode_into,
 )
-from repro.compression.codecs import Codec, get_codec, inflate_exact
+from repro.compression.codecs import get_codec, inflate_exact
 from repro.compression.estimator import HEADER_BYTES
 from repro.compression.kernels import unzigzag, zigzag
 from repro.compression.lorenzo import lorenzo_inverse, lorenzo_transform
@@ -168,7 +168,7 @@ class AdaptiveSZCompressor:
     def __init__(
         self,
         block: int = 8,
-        codec: str | Codec = "zlib",
+        codec: str = "zlib",
         radius: int = DEFAULT_RADIUS,
     ) -> None:
         if block < 2:

@@ -53,7 +53,6 @@ import numpy as np
 from repro import telemetry
 from repro.compression.api import SZ_CAPABILITIES, CompressorSpec, check_out
 from repro.compression.codecs import (
-    Codec,
     _minimal_uint_dtype,
     deflate_channel,
     get_codec,
@@ -200,7 +199,7 @@ class SZCompressor:
     def __init__(
         self,
         mode: str = "abs",
-        codec: str | Codec = "zlib",
+        codec: str = "zlib",
         radius: int = DEFAULT_RADIUS,
     ) -> None:
         if mode not in _MODES:

@@ -339,7 +339,7 @@ def select_compressor(
     eb_avg = float(eb_avg)
     if eb_avg <= 0:
         raise ValueError(f"eb_avg must be positive, got {eb_avg}")
-    if bank is None:  # NB: an empty bank is falsy (it has __len__)
+    if bank is None:
         bank = RateModelBank(
             probe_mode=probe_mode, max_partitions=max_partitions, seed=seed
         )

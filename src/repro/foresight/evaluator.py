@@ -49,6 +49,7 @@ from repro.analysis.spectrum import (
     binned_power,
     binned_worst_deviation,
     low_k_only,
+    nbins_below,
     power_spectrum,
     rfft_of,
 )
@@ -129,14 +130,6 @@ class FieldReference:
         return self._catalogs[key]
 
 
-def _nbins_below(k_max: int) -> int:
-    """Bins ``1..k_max-1``: only bins strictly below ``k_max`` are
-    inspected, so binning further would be wasted work (power_spectrum
-    clamps to the grid's Nyquist; the floor of 1 keeps the ``k_max <= 1``
-    error path)."""
-    return max(int(k_max) - 1, 1)
-
-
 def spectrum_deviation(
     reference: FieldReference, reconstructed: np.ndarray, k_max: int
 ) -> float:
@@ -146,7 +139,7 @@ def spectrum_deviation(
     ``spectrum_worst_deviation`` with that ``spectrum_k_max``, without
     the metric moments and the error pass the evaluator adds.
     """
-    nbins = _nbins_below(k_max)
+    nbins = nbins_below(k_max)
     rec = np.asarray(reconstructed, dtype=np.float64)
     return binned_worst_deviation(
         reference.spectrum(nbins), power_spectrum(rec, nbins=nbins), k_max
@@ -186,7 +179,7 @@ class QualityEvaluator:
             reference = FieldReference(original)
         self.reference = reference
         self.criteria = criteria or QualityCriteria()
-        self._nbins = _nbins_below(self.criteria.spectrum_k_max)
+        self._nbins = nbins_below(self.criteria.spectrum_k_max)
         # Eager precompute: the original-side analyses run here, once,
         # not inside the first evaluate().
         self._ps_orig = self.reference.spectrum(self._nbins)

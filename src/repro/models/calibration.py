@@ -271,8 +271,10 @@ class RateModelBank:
     anything that compares candidate specs (``select_compressor``, a
     spec-fanning sweep) would otherwise refit the same power law over
     and over.  The bank memoizes :func:`calibrate_rate_model` results
-    keyed on the field name and the compressor's canonical
-    :class:`~repro.compression.api.CompressorSpec`.
+    keyed on the field name, the compressor's
+    :class:`~repro.compression.api.CompressorSpec` (its whole
+    configuration, so one key is one set of payload bytes) and the probe
+    configuration.
 
     Examples
     --------
@@ -296,42 +298,6 @@ class RateModelBank:
         self.seed = int(seed)
         self._cache: dict[tuple, CalibrationResult] = {}
 
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._cache
-
-    @staticmethod
-    def _key(
-        field: str,
-        spec: CompressorSpec,
-        eb_scale: float,
-        probe_ebs: Sequence[float] | None,
-    ) -> tuple:
-        probes = None if probe_ebs is None else tuple(float(e) for e in probe_ebs)
-        return (field, spec, float(eb_scale), probes)
-
-    def get(
-        self,
-        field: str,
-        spec: CompressorSpec,
-        eb_scale: float = 1.0,
-        probe_ebs: Sequence[float] | None = None,
-    ) -> CalibrationResult | None:
-        """The cached fit for ``(field, spec, probe config)``, if any."""
-        return self._cache.get(self._key(field, spec, eb_scale, probe_ebs))
-
-    def items(self) -> list[tuple[tuple, CalibrationResult]]:
-        return list(self._cache.items())
-
-    def invalidate(self, field: str | None = None) -> None:
-        """Drop cached fits — for one field, or all of them (drift)."""
-        if field is None:
-            self._cache.clear()
-        else:
-            self._cache = {k: v for k, v in self._cache.items() if k[0] != field}
-
     def calibrate(
         self,
         field: str,
@@ -339,12 +305,12 @@ class RateModelBank:
         compressor: "Compressor | CompressorSpec | str | None" = None,
         eb_scale: float = 1.0,
         probe_ebs: Sequence[float] | None = None,
-        refresh: bool = False,
     ) -> CalibrationResult:
         """Fit (or return the cached fit of) one ``(field, spec)`` cell."""
         comp = resolve_compressor(compressor)
-        key = self._key(field, comp.spec, eb_scale, probe_ebs)
-        if not refresh and key in self._cache:
+        probes = None if probe_ebs is None else tuple(float(e) for e in probe_ebs)
+        key = (field, comp.spec, float(eb_scale), probes)
+        if key in self._cache:
             return self._cache[key]
         result = calibrate_rate_model(
             partitions,

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sim.cosmology import Cosmology, growth_factor, matter_power_spectrum
-from repro.sim.grf import gaussian_random_field, wavenumber_grid
+from repro.sim.grf import gaussian_random_field
 from repro.util.rng import default_rng
 
 __all__ = ["FIELD_NAMES", "NyxSnapshot", "NyxSimulator"]
@@ -247,7 +247,3 @@ class NyxSimulator:
             box_size=self.box_size,
             meta={"growth_factor": d, "sigma_b": sigma_b, "sigma_dm": sigma_dm},
         )
-
-    def density_wavenumbers(self) -> np.ndarray:
-        """k-grid matching the snapshot shape (utility for analyses)."""
-        return wavenumber_grid(self.shape, self.box_size)

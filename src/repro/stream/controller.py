@@ -32,8 +32,12 @@ A field step is one path: (re)calibrate if due, invert the budget (or
 read it off the field's state), decide, compress with
 :func:`~repro.parallel.backends.run_snapshot` (the pipeline's rank
 loop).  It writes nothing: it returns its records, and the snapshot loop,
-the one writer, appends and folds them.  A field that degrades onto the
-fallback compressor goes round the decide→run part again.  One
+the one writer, appends and folds them.  It keeps nothing either: the
+compressor it runs is a function of the field's folded
+:class:`~repro.stream.state.FieldState` (its spec, which is the whole
+configuration), so a resumed run compresses with what a live one does.
+A field that degrades onto the fallback compressor goes round the
+decide→run part again.  One
 :class:`~repro.foresight.evaluator.FieldReference` per step serves the
 budget inversion, the halo-spec derivation and the quality check, which
 reads the reconstruction compression writes instead of decoding.  A
@@ -286,11 +290,6 @@ class InSituController:
         #: :func:`~repro.stream.state.apply` (via :meth:`_append`) changes it.
         self.state = RunState()
         self.report.byte_budget = self.byte_budget
-        #: Process-local caches derived from ``state``: each field's
-        #: compressor instance and the full fits of the calibrations this
-        #: process ran.
-        self._compressors: dict[str, Compressor] = {}
-        self._fits: dict[str, CalibrationResult] = {}
         self._governor_proto: BudgetGovernor | None = None
         if self.byte_budget is not None and n_snapshots is not None:
             self._make_governor(n_snapshots)
@@ -347,16 +346,15 @@ class InSituController:
     def calibrations(self) -> Mapping[str, CalibrationResult]:
         """Current per-field rate-model fits (latest recalibration wins).
 
-        A read-only view: calibration state is owned by the controller
-        (mutating the mapping raises rather than silently no-opping).
+        A read-only projection of ``state.fields``, so a live and a
+        resumed controller show the same fits.  Probe diagnostics are not
+        recorded (they feed no decision): each fit carries the model and
+        ``coef_r2`` only.
         """
-        # Probe diagnostics are not recorded (they feed no decision): a
-        # fit folded from the ledger carries the model and coef_r2 only.
         empty = np.array([])
         return MappingProxyType(
             {
-                name: self._fits.get(name)
-                or CalibrationResult(fs.model, empty, empty, empty, empty, fs.coef_r2)
+                name: CalibrationResult(fs.model, empty, empty, empty, empty, fs.coef_r2)
                 for name, fs in self.state.fields.items()
             }
         )
@@ -417,16 +415,15 @@ class InSituController:
         if self._governor_proto is not None:
             self._make_governor(self._governor_proto.n_snapshots)
 
-    def _compressor(self, name: str) -> Compressor:
-        """The instance ``name`` was last calibrated with — or, for a field
-        folded from the ledger (a resumed run), its recorded spec's."""
-        compressor = self._compressors.get(name)
-        if compressor is None:
-            spec = self.state.fields[name].compressor_spec
-            compressor = self._compressors[name] = (
-                self.compressor if spec is None else resolve_compressor(spec)
-            )
-        return compressor
+    def _compressor_for(self, spec: CompressorSpec | None) -> Compressor:
+        """The compressor ``spec`` names: the controller's own instance
+        (possibly of a class outside the registry) when ``spec`` is
+        ``None`` or that instance's spec, else the registry's.  A spec is
+        the whole configuration, so a live and a resumed run compress a
+        field with the same bytes."""
+        if spec is None or spec == self.compressor.spec:
+            return self.compressor
+        return resolve_compressor(spec)
 
     # -- calibration -----------------------------------------------------
 
@@ -475,7 +472,7 @@ class InSituController:
         calibration: CalibrationResult | None = None
         quarantined = reason == "degradation" or name in self.state.quarantined
         if quarantined and self.fallback_compressor is not None:
-            compressor = resolve_compressor(self.fallback_compressor)
+            compressor = self._compressor_for(self.fallback_compressor)
         elif self.candidates is not None:
             selection = select_compressor(
                 data,
@@ -504,10 +501,8 @@ class InSituController:
             # the controller's probe settings: reuse the fit instead of
             # probing the field again.
             calibration = selection.calibration
-        elif spec.compressor is not None:
-            compressor = resolve_compressor(spec.compressor)
         else:
-            compressor = self.compressor
+            compressor = self._compressor_for(spec.compressor)
         if calibration is None:
             calibration = calibrate_rate_model(
                 self.decomposition.partition_views(data),
@@ -536,10 +531,6 @@ class InSituController:
             ),
         )
         records.append(("calibration" if reason == "initial" else "recalibration", record))
-        # Keep the instance that was probed (caller-owned state such as
-        # codec levels is preserved) and the fit's probe diagnostics.
-        self._compressors[name] = compressor
-        self._fits[name] = calibration
         return calibrated_state(record)
 
     # -- streaming -------------------------------------------------------
@@ -762,7 +753,7 @@ class InSituController:
                     decomposition=self.decomposition,
                     eb_avg=eb_avg,
                     rate_model=fs.model,
-                    compressor=self._compressor(name),
+                    compressor=self._compressor_for(fs.compressor_spec),
                     settings=self.settings,
                     halo=halo,
                 )

@@ -152,8 +152,8 @@ class StreamOutcome:
     residual: float | None
     quality_deviation: float | None = None
     drift_signal: DriftSignal | None = None
-    #: The compressor configuration behind this outcome (``None`` when a
-    #: caller-owned instance without a spec was used).
+    #: The compressor configuration behind this outcome (``None`` for
+    #: schema-v1 ledgers, which record none).
     compressor_spec: CompressorSpec | None = None
 
     @property
@@ -359,8 +359,9 @@ class FieldState:
     coef_r2: float
     eb_base: float
     halo_params: tuple[float, float] | None
-    #: Serializable identity of the field's compressor (``None`` for
-    #: schema-v1 ledgers and caller-owned instances that carry no spec).
+    #: The field's compressor configuration, all of it: the controller
+    #: compresses the field with the compressor this names (``None`` for
+    #: schema-v1 ledgers, which record none: the controller's own).
     compressor_spec: CompressorSpec | None
     #: The drift detector's residual window; a (re)calibration empties it.
     window: tuple[float, ...] = ()

@@ -166,6 +166,23 @@ class TestCheckStopsAtKmax:
         k, ratio = spectrum_ratio(f, g)  # full-Nyquist binning
         assert worst == float(np.max(np.abs(ratio[k < 10] - 1.0)))
 
+    @pytest.mark.parametrize("n", [32, 48])
+    @pytest.mark.parametrize("k_max", [2, 10, 40])
+    def test_one_bin_rule_for_the_check_and_the_stream(self, n, k_max):
+        """``check_spectrum_quality`` and the stream's ``spectrum_deviation``
+        bin by the one rule, so they agree bit for bit — through the full
+        ``rfftn`` (32^3 at k_max=10) and the pruned DFT (48^3 at k_max=10)."""
+        from repro.analysis.spectrum import low_k_only, nbins_below
+        from repro.foresight.evaluator import FieldReference, spectrum_deviation
+
+        rng = np.random.default_rng(n + k_max)
+        f = rng.normal(0, 1, (n, n, n))
+        g = f + rng.normal(0, 0.05, f.shape)
+        if k_max == 10:
+            assert low_k_only(f.shape, nbins_below(k_max)) is (n == 48)
+        _, worst = check_spectrum_quality(f, g, k_max=k_max)
+        assert worst == spectrum_deviation(FieldReference(f), g, k_max)
+
 
 def full_grid_spectrum(field: np.ndarray, nbins: int | None = None):
     """The binning as first written: square and weigh every rfft mode,

@@ -180,6 +180,14 @@ class TestContract:
         for view, eb in zip(views, self.EBS):
             assert _frozen(again.compress(view, eb)) == _frozen(comp.compress(view, eb))
 
+    def test_constructor_takes_only_what_its_spec_records(self, spec):
+        """A spec is the whole configuration: every constructor parameter
+        is a spec key."""
+        import inspect
+
+        comp = resolve_compressor(spec)
+        assert set(inspect.signature(type(comp)).parameters) <= set(comp.spec.options)
+
     def test_compress_many_equals_per_view_compress(self, spec, views, monkeypatch):
         from repro.compression import sz
 

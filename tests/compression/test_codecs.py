@@ -52,21 +52,6 @@ class TestCompressionBehaviour:
         big = np.arange(100, dtype=np.int64) + 100_000  # needs uint32
         assert len(RawCodec().encode(small)) < len(RawCodec().encode(big))
 
-    def test_zlib_level_bounds(self):
-        with pytest.raises(ValueError, match="level"):
-            ZlibCodec(level=10)
-
-    def test_huffman_code_length_bounds(self):
-        with pytest.raises(ValueError, match="max_code_length"):
-            HuffmanCodec(max_code_length=0)
-
-    @pytest.mark.parametrize("level", [12, -5])
-    def test_huffman_level_bounds(self, level):
-        """Refused at construction, as ZlibCodec refuses it — not by a bare
-        ``zlib.error`` at the first encode."""
-        with pytest.raises(ValueError, match=r"zlib level must be in \[0, 9\], got"):
-            HuffmanCodec(level=level)
-
 
 class TestHuffmanHeader:
     """The bit count sizes the decode: it is checked against the code
@@ -106,9 +91,15 @@ class TestRegistry:
         assert get_codec("huffman").name == "huffman"
         assert get_codec("raw").name == "raw"
 
-    def test_pass_through_instance(self):
-        codec = ZlibCodec(level=1)
-        assert get_codec(codec) is codec
+    @pytest.mark.parametrize("cls", [RawCodec, ZlibCodec, HuffmanCodec])
+    def test_codecs_are_their_names(self, cls):
+        """A codec's configuration is its name: it takes no arguments, and
+        ``get_codec`` takes a name only — an instance is refused, so no
+        codec state can ride along outside a compressor's spec."""
+        with pytest.raises(TypeError):
+            cls(level=1)
+        with pytest.raises(ValueError, match="unknown codec"):
+            get_codec(cls())
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown codec"):

@@ -22,7 +22,6 @@ from repro.compression.estimator import (
     RQEstimate,
     predicted_nrmse,
     predicted_psnr_db,
-    predicted_quantization_mse,
 )
 from repro.compression.sz import SZCompressor
 from repro.core.config import FieldSpec
@@ -51,18 +50,6 @@ def _smooth_field(seed: int, shape=(16, 16, 16), dtype=np.float64) -> np.ndarray
 
 
 class TestPredictionHelpers:
-    def test_mse_formula(self):
-        # 10% outliers stored exactly: MSE = 0.9 * eb^2 / 3
-        assert predicted_quantization_mse(100, 10, 0.3) == pytest.approx(
-            0.9 * 0.09 / 3.0
-        )
-
-    def test_mse_validates(self):
-        with pytest.raises(ValueError):
-            predicted_quantization_mse(0, 0, 0.1)
-        with pytest.raises(ValueError):
-            predicted_quantization_mse(10, 11, 0.1)
-
     def test_psnr_nrmse_degenerate(self):
         assert predicted_psnr_db(0.0, 1.0) == np.inf
         assert predicted_nrmse(0.0, 1.0) == 0.0
@@ -70,13 +57,11 @@ class TestPredictionHelpers:
             predicted_psnr_db(-1.0, 1.0)
 
     @given(
-        eb=st.floats(1e-6, 1.0),
-        frac=st.floats(0.0, 1.0),
+        mse=st.floats(0.0, 1.0),
         rng=st.floats(0.5, 100.0),
     )
     @settings(max_examples=50, deadline=None)
-    def test_psnr_consistent_with_nrmse(self, eb, frac, rng):
-        mse = predicted_quantization_mse(1000, int(1000 * frac), eb)
+    def test_psnr_consistent_with_nrmse(self, mse, rng):
         psnr = predicted_psnr_db(mse, rng)
         nr = predicted_nrmse(mse, rng)
         if mse > 0:

@@ -164,17 +164,18 @@ class TestBackendEquivalence:
     def test_caller_compressor_instance_is_used(
         self, snapshot, decomposition, rate_model
     ):
-        """Codec state such as the zlib level reaches the payloads."""
-        from repro.compression.codecs import ZlibCodec
-
+        """The caller's configuration reaches the payloads: they are the
+        instance's own, and not the default compressor's."""
         data = snapshot["baryon_density"]
-        for level in (1, 9):
-            comp = SZCompressor(codec=ZlibCodec(level=level))
-            res = AdaptiveCompressionPipeline(rate_model, compressor=comp).run(
-                data, decomposition, eb_avg=0.2
-            )
-            want = comp.compress_many(decomposition.partition_views(data), res.ebs)
-            assert [b.payloads for b in res.blocks] == [b.payloads for b in want]
+        views = decomposition.partition_views(data)
+        comp = resolve_compressor("sz:codec=huffman,radius=64")
+        res = AdaptiveCompressionPipeline(rate_model, compressor=comp).run(
+            data, decomposition, eb_avg=0.2
+        )
+        got = [b.payloads for b in res.blocks]
+        assert got == [b.payloads for b in comp.compress_many(views, res.ebs)]
+        default = resolve_compressor(None).compress_many(views, res.ebs)
+        assert all(g != d.payloads for g, d in zip(got, default))
 
     def test_compress_failure_propagates(self, snapshot, decomposition, rate_model):
         data = np.asarray(snapshot["baryon_density"], dtype=np.float64).copy()

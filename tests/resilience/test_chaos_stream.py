@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.config import FieldSpec
 from repro.core.pipeline import AdaptiveCompressionPipeline
 from repro.models.rate_model import RateModel
 from repro.resilience import (
@@ -37,10 +38,13 @@ from repro.stream.state import BudgetGovernor
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
-def _payload_table(report):
-    """Every compressed byte of a run, keyed for exact comparison."""
+def _payload_table(report, start=0):
+    """Every compressed byte of a run from snapshot ``start`` on, keyed
+    for exact comparison."""
     table = []
     for o in report.outcomes:
+        if o.snapshot_index < start:
+            continue
         assert o.result is not None, "retain_results=True required"
         table.append(
             (
@@ -374,6 +378,46 @@ class TestInterruptedRunResumes:
         # A completed run gains no events — not even a resume marker.
         assert len(RunLedger.load(path).events) == n_events
         assert replay_ledger(path) == baseline
+
+    def test_pinned_field_resumes_onto_its_own_compressor(
+        self, chaos_stream, chaos_dec, tmp_path
+    ):
+        """A field's compressor is a function of its folded state: a field
+        pinned to its own spec compresses after a resume with the bytes
+        of the uninterrupted run, and the live and resumed controllers
+        show the same calibrations, field for field."""
+        first, second = next(iter(chaos_stream(1))).fields
+        settings = dict(
+            field_specs={first: FieldSpec(compressor="sz:codec=huffman")},
+            byte_budget=800_000,
+        )
+        live = InSituController(chaos_dec, **settings)
+        want = _payload_table(live.run(chaos_stream(6)))
+
+        crash_path = tmp_path / "crash.jsonl"
+        ctl = InSituController(chaos_dec, ledger=crash_path, **settings)
+        plan = FaultPlan(seed=1).arm("ledger.append", kind="torn", at=20, fraction=0.5)
+        with plan.activate(), pytest.raises(TornWrite):
+            ctl.run(chaos_stream(6))
+        ctl.ledger.close()
+
+        # The ledger records the budget and drift settings, not the field specs.
+        resumed = InSituController.resume(crash_path, field_specs=settings["field_specs"])
+        start = resumed.report.n_snapshots
+        assert 0 < start < 6
+        report = resumed.run(chaos_stream(6))
+        assert _payload_table(report, start) == [row for row in want if row[0] >= start]
+        assert {
+            b.codec_name
+            for o in report.outcomes[-2:]
+            for b in o.result.blocks
+        } == {"huffman", "zlib"}
+
+        def fits(c):
+            return {n: (f.rate_model, f.coef_r2, f.exponents.size) for n, f in c.items()}
+
+        assert fits(resumed.calibrations) == fits(live.calibrations)
+        assert fits(live.calibrations).keys() == {first, second}
 
 
 class TestDegradation:

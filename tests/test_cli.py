@@ -312,6 +312,27 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_list_compressors_prints_the_family_table(self, capsys):
+        """The registry's one reader of ``describe``, ``defaults`` and
+        ``capabilities``: three families, ``sz`` marked the default."""
+        assert main(["list-compressors"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = {
+            cells[0]: cells[1:3]
+            for cells in ([c.strip() for c in line.split("|")] for line in lines)
+            if len(cells) == 4 and cells[0] != "family"
+        }
+        assert rows == {
+            "sz *": [
+                "error_bounded,supports_estimate",
+                "codec=zlib,engine=dual,mode=abs,radius=32768",
+            ],
+            "sz_adaptive": ["error_bounded", "block=8,codec=zlib,radius=32768"],
+            "zfp_like": ["fixed_rate", "rate=8.0"],
+        }
+        assert lines[0] == "registered compressor families (* = default)"
+        assert lines[-1].startswith("spec grammar: family[:key=value,...]")
+
 
 class TestStreamCommand:
     @pytest.fixture()

@@ -6,8 +6,9 @@ Every ``examples/*.py`` guards ``main()`` behind ``__name__ ==
 without running it.  The storage-budget example is additionally *run*:
 it is the batch front door (the controller with frozen models).  The
 prose that shows users what to type — README, ``docs/``, the examples —
-may only name probe modes that exist, and no execution backend: ranks
-run in one process and there is nothing to choose.
+may only name probe modes that exist, no execution backend (ranks run
+in one process and there is nothing to choose), and none of the retired
+compressor knobs: a compressor is its spec, the registry a fixed table.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 USER_FACING = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")), *EXAMPLES]
 _MODE_LITERAL = re.compile(r"""probe_mode=["'](\w+)["']|--probe-mode[ =](\w+)""")
 _RETIRED_BACKEND = re.compile(r"""ProcessBackend|backend=["']process["']|--backend\b""")
+_RETIRED_KNOBS = re.compile(
+    r"register_builtin_families|\.register\(|ZlibCodec\(level|HuffmanCodec\(level"
+    r"|max_code_length="
+)
 
 
 def _load(path: Path):
@@ -52,6 +57,11 @@ def test_only_real_probe_modes_are_documented(path):
 @pytest.mark.parametrize("path", USER_FACING, ids=lambda p: p.name)
 def test_only_real_backends_are_documented(path):
     assert _RETIRED_BACKEND.findall(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", USER_FACING, ids=lambda p: p.name)
+def test_no_retired_compressor_knobs_are_documented(path):
+    assert _RETIRED_KNOBS.findall(path.read_text()) == []
 
 
 def test_campaign_storage_budget_runs(capsys):
