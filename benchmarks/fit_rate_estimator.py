@@ -24,7 +24,6 @@ from repro import BlockDecomposition, NyxSimulator
 from repro.compression import estimator as est
 from repro.compression.codecs import HuffmanCodec, ZlibCodec, pack_symbols
 from repro.compression.sz import SZCompressor
-from repro.compression.workspace import thread_workspace
 from repro.sim.grf import gaussian_random_field
 
 FRACS = [2.5e-4, 5e-4, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2, 3.2e-2, 6.4e-2]
@@ -40,9 +39,7 @@ def collect() -> tuple[list[dict], list[dict]]:
     deflate, huffman = [], []
 
     def sample(views, eb, with_huffman):
-        symbols = comp._quantize_encode_batch(
-            views, np.full(len(views), eb), thread_workspace()
-        )[0]
+        symbols = comp._quantize_encode_batch(views, np.full(len(views), eb))[0]
         for row in symbols:
             packed = pack_symbols(row)
             planes = [np.bincount(p, minlength=256) for p in packed]

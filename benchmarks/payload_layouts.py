@@ -29,7 +29,6 @@ from repro.cli import load_blocks, save_blocks
 from repro.compression.codecs import ZlibCodec, pack_symbols
 from repro.compression.quantizer import DEFAULT_RADIUS, unfold_symbols
 from repro.compression.sz import SZCompressor
-from repro.compression.workspace import thread_workspace
 from repro.util.tables import format_table
 
 
@@ -90,7 +89,7 @@ def main() -> None:
     for data in snap.fields.values():
         views = dec.partition_views(data)
         ebs = np.full(len(views), float(data.std(dtype=np.float64)) * 1e-2)
-        symbols = comp._quantize_encode_batch(views, ebs, thread_workspace())[0]
+        symbols = comp._quantize_encode_batch(views, ebs)[0]
         for name, rows in _layouts(symbols).items():
             for level in (1, 6):
                 cell = totals.setdefault((name, level), [0.0, 0.0])

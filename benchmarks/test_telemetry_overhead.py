@@ -72,7 +72,7 @@ def _null_dispatch_cost(n_ops: int = 200_000) -> float:
 def test_telemetry_overhead(benchmark):
     data, eb = _field()
     comp = SZCompressor()
-    comp.compress(data, eb)  # warm workspace/caches
+    comp.compress(data, eb)  # warm caches
 
     def run():
         # Sides alternate round by round: a core that comes and goes

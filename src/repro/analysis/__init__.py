@@ -22,18 +22,16 @@ from repro.analysis.spectrum import (
     power_spectrum,
     spectrum_ratio,
 )
-from repro.analysis.correlation import two_point_correlation
 from repro.analysis.labeling import label_components
 from repro.analysis.halos import HaloCatalog, find_halos
 from repro.analysis.catalog import CatalogComparison, compare_catalogs
-from repro.analysis.metrics import mse, nrmse, psnr, mean_relative_error
+from repro.analysis.metrics import mse, nrmse, psnr
 
 __all__ = [
     "PowerSpectrum",
     "power_spectrum",
     "spectrum_ratio",
     "check_spectrum_quality",
-    "two_point_correlation",
     "label_components",
     "HaloCatalog",
     "find_halos",
@@ -42,5 +40,4 @@ __all__ = [
     "psnr",
     "mse",
     "nrmse",
-    "mean_relative_error",
 ]

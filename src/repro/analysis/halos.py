@@ -22,7 +22,7 @@ import numpy as np
 from repro.analysis.labeling import label_components
 from repro.util.validation import check_3d
 
-__all__ = ["HaloCatalog", "find_halos", "candidate_mask"]
+__all__ = ["HaloCatalog", "find_halos"]
 
 
 @dataclass
@@ -53,12 +53,6 @@ class HaloCatalog:
             t_halo=self.t_halo,
             n_candidate_cells=self.n_candidate_cells,
         )
-
-
-def candidate_mask(density: np.ndarray, t_boundary: float) -> np.ndarray:
-    """Boolean mask of halo-candidate cells (density above ``t_boundary``)."""
-    rho = check_3d(density, "density")
-    return rho > t_boundary
 
 
 def find_halos(

@@ -16,7 +16,6 @@ __all__ = [
     "mse",
     "nrmse",
     "psnr",
-    "mean_relative_error",
     "FieldMoments",
     "ErrorSummary",
     "error_summary",
@@ -58,14 +57,6 @@ def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     if rng == 0:
         raise ValueError("original data has zero range; PSNR undefined")
     return float(20.0 * np.log10(rng) - 10.0 * np.log10(err))
-
-
-def mean_relative_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Mean pointwise relative error (original must be nonzero everywhere)."""
-    a, b = _pair(original, reconstructed)
-    if (a == 0).any():
-        raise ValueError("mean relative error undefined: original contains zeros")
-    return float(np.mean(np.abs((b - a) / a)))
 
 
 @dataclass(frozen=True)

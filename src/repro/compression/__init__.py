@@ -13,11 +13,11 @@ pipeline in vectorized NumPy:
   zlib/DEFLATE, raw),
 - :mod:`repro.compression.sz` — the assembled error-bounded compressor;
   its front (quantize, Lorenzo, fold, byte planes) is written once, in
-  NumPy, batched over ``(B, ...)`` stacks of same-shape blocks,
+  NumPy, batched over ``(B, ...)`` stacks of same-shape blocks; each
+  pass allocates its own temporaries and drops them when it returns,
+  and chunking bounds how large one pass's are,
 - :mod:`repro.compression.kernels` — the integer maps more than one
   compressor needs (zigzag, the byte-plane split),
-- :mod:`repro.compression.workspace` — the reusable scratch arena of
-  that allocation-lean batched front, one per thread,
 - :mod:`repro.compression.estimator` — codec-free bit-rate prediction
   from a census of the quantization codes (the calibration/sweep fast
   path),
@@ -42,7 +42,6 @@ instances with one spec write the same bytes.
 """
 
 from repro.compression.sz import SZCompressor, CompressedBlock, decompress
-from repro.compression.workspace import Workspace
 from repro.compression.estimator import RQEstimate
 from repro.compression.zfp_like import ZFPLikeCompressor
 from repro.compression.regression import AdaptiveSZCompressor
@@ -63,14 +62,12 @@ from repro.compression.stats import (
     bit_rate,
     compression_ratio,
     max_abs_error,
-    max_pointwise_rel_error,
 )
 
 __all__ = [
     "SZCompressor",
     "CompressedBlock",
     "decompress",
-    "Workspace",
     "RQEstimate",
     "ZFPLikeCompressor",
     "AdaptiveSZCompressor",
@@ -91,5 +88,4 @@ __all__ = [
     "bit_rate",
     "compression_ratio",
     "max_abs_error",
-    "max_pointwise_rel_error",
 ]

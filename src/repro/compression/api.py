@@ -266,9 +266,9 @@ class Compressor(Protocol):
     ebs)``, the codec-free probe.  ``registry.create(comp.spec)`` gives
     an equivalent instance.
 
-    Scratch is not part of the contract: kernels that want reusable
-    buffers take them from the calling thread's arena
-    (:func:`repro.compression.workspace.thread_workspace`).
+    Scratch is not part of the contract: a compressor holds none
+    between calls, and each batched pass allocates what it needs and
+    drops it when it returns.
 
     :func:`resolve_compressor` is where an object is held to this; code
     behind it calls the methods without looking for them first.

@@ -200,7 +200,7 @@ def code_census_rows(
     the row length, independent of the symbol span — at tight bounds a
     16^3 partition's folded symbols span 1e5+ values, which is what
     makes a dense histogram the wrong tool.  **Sorts the rows of
-    ``codes`` in place** (callers pass a workspace view they own); one
+    ``codes`` in place** (callers pass a matrix they own); one
     group-wide sort plus a handful of flat passes replaces ``B``
     interpreter round-trips.
     """

@@ -45,9 +45,9 @@ Scratch is about 42 bytes per bit position: the window and
 ``JUMP_LOG2 + 1`` tables, all int64 because that is the index type
 ``np.take`` reads without a conversion pass.  So the stream is decoded in
 segments of :data:`SEGMENT_BITS` positions, carrying the exact start
-position from one segment into the next, in the calling thread's
-workspace arena (:func:`repro.compression.workspace.thread_workspace`):
-about 1.4 MB, whatever the size of the block.
+position from one segment into the next, in buffers each decode call
+allocates once and every segment reuses: about 1.4 MB, whatever the
+size of the block, freed when the call returns.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.compression.workspace import Workspace, thread_workspace
 
 __all__ = ["HuffmanTable", "build_code_lengths", "canonical_codewords"]
 
@@ -75,7 +73,7 @@ MAX_CODE_LENGTH = 24
 JUMP_LOG2 = 3
 #: Bit positions per decode segment.  Same rows, ``JUMP_LOG2 = 3``:
 #: 182 / 145 / 135 / 138 / 130 ms at 2**13 / ... / 2**17.  Flat from
-#: 2**15 on, where a bigger segment only grows the arena.
+#: 2**15 on, where a bigger segment only grows the scratch.
 SEGMENT_BITS = 1 << 15
 
 _POSITIONS = np.arange(SEGMENT_BITS + MAX_CODE_LENGTH)
@@ -282,23 +280,30 @@ class HuffmanTable:
         sym_table, len_table, step_table = self._decode_tables()
         L, end = self.max_length, 8 * len(blob)
         data = np.frombuffer(bytes(blob) + bytes(4), dtype=np.uint8)
-        ws = thread_workspace()
         out = np.empty(nsymbols, dtype=np.int64)
+        # One set of segment buffers, sized for the longest segment and
+        # sliced to each one.
+        longest = min(SEGMENT_BITS, end + 1)
+        words = np.empty((longest + 7) // 8, np.intp)
+        window_rows = np.empty((words.size, 8), np.intp)
+        step_buf = np.empty(longest, np.uint8)
+        jumps = np.empty((JUMP_LOG2 + 1, longest + L), np.intp)
         done, pos = 0, 0
         for seg_start in range(0, end + 1, SEGMENT_BITS):
             seg = min(SEGMENT_BITS, end + 1 - seg_start)
-            windows = _windows(data, seg_start, seg, L, ws)
+            windows = _windows(data, seg_start, seg, L, words, window_rows)
             # ``next`` local to the segment.  The L positions after it loop
             # on themselves, so an orbit leaving the segment stops at its
             # first start past it: where the next segment resumes.
-            steps = ws.request("huffman.steps", (seg,), np.uint8)
+            steps = step_buf[:seg]
             np.take(step_table, windows, out=steps, mode="clip")
-            nxt = ws.request("huffman.next0", (seg + L,), np.intp)
+            tables = jumps[:, : seg + L]
+            nxt = tables[0]
             np.add(_POSITIONS[:seg], steps, out=nxt[:seg])
             np.minimum(nxt[:seg], end - seg_start, out=nxt[:seg])
             nxt[seg:] = _POSITIONS[seg : seg + L]
             need = nsymbols - done
-            starts = _orbit(nxt, pos - seg_start, seg, need, ws)
+            starts = _orbit(tables, pos - seg_start, seg, need)
             inside = int(np.searchsorted(starts, seg))
             found = np.take(windows, starts[: min(inside, need)])
             if not np.take(len_table, found).all():
@@ -321,33 +326,42 @@ class HuffmanTable:
         return cls.from_lengths(np.frombuffer(blob, dtype=np.uint8))
 
 
-def _windows(data: np.ndarray, first: int, count: int, width: int, ws: Workspace) -> np.ndarray:
+def _windows(
+    data: np.ndarray,
+    first: int,
+    count: int,
+    width: int,
+    words: np.ndarray,
+    windows: np.ndarray,
+) -> np.ndarray:
     """The ``width``-bit window at each of ``count`` bit positions from
     ``first`` (a multiple of 8) of the MSB-first stream ``data``, which
-    carries 4 zero bytes past the stream."""
+    carries 4 zero bytes past the stream, computed in the leading rows
+    of the caller's ``words`` (intp) and ``windows`` (``(rows, 8)``
+    intp) buffers."""
     nwords = (count + 7) // 8
-    words = ws.request("huffman.words", (nwords,), np.intp)
+    words = words[:nwords]
     # The big-endian 32-bit word at every byte: overlapping, unaligned reads.
     np.copyto(words, np.ndarray((nwords,), ">u4", data, first // 8, (1,)))
-    windows = ws.request("huffman.windows", (nwords, 8), np.intp)
+    windows = windows[:nwords]
     for r in range(8):
         np.right_shift(words, 32 - width - r, out=windows[:, r])
     windows &= (1 << width) - 1
     return windows.reshape(-1)[:count]
 
 
-def _orbit(nxt: np.ndarray, first: int, seg: int, need: int, ws: Workspace) -> np.ndarray:
-    """The orbit of ``first`` under ``nxt``, in order, until it holds
-    ``need`` positions or one at or past ``seg``.
+def _orbit(tables: np.ndarray, first: int, seg: int, need: int) -> np.ndarray:
+    """The orbit of ``first`` under ``next`` (row 0 of ``tables``), in
+    order, until it holds ``need`` positions or one at or past ``seg``.
 
-    ``nxt`` never decreases a position, so the orbit is sorted.  It is
-    walked in strides of ``2**JUMP_LOG2`` steps by a composed table, and
-    each stride is expanded back through the smaller ones.
+    ``next`` never decreases a position, so the orbit is sorted.  Row
+    ``k`` of ``tables`` is overwritten with ``next`` composed ``2**k``
+    times; the orbit is walked in strides of ``2**JUMP_LOG2`` steps by
+    the last row, and each stride is expanded back through the smaller
+    ones.
     """
-    tables = [nxt]
     for k in range(1, JUMP_LOG2 + 1):
-        composed = ws.request(f"huffman.next{k}", nxt.shape, np.intp)
-        tables.append(np.take(tables[-1], tables[-1], out=composed, mode="clip"))
+        np.take(tables[k - 1], tables[k - 1], out=tables[k], mode="clip")
     far, cur = tables[-1].item, first
     strides = [cur]
     for _ in range(-(-need >> JUMP_LOG2) - 1):

@@ -155,8 +155,9 @@ def encode_residuals_batch(
     per-block within-block flat indices and exact residuals in block
     order, and ``maxes[b]`` is row ``b``'s largest symbol (what fixes its
     stored width).  ``scratch`` (int64, ``>= B*n``) and ``misfit`` (bool,
-    ``res``'s shape) are optional scratch the batched front passes from
-    its workspace; :func:`encode_residuals` allocates instead.
+    ``res``'s shape) are optional scratch: the batched front passes the
+    buffers its Lorenzo and quantize steps are done with;
+    :func:`encode_residuals` allocates instead.
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")

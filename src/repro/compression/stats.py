@@ -18,7 +18,6 @@ __all__ = [
     "bit_rate",
     "compression_ratio",
     "max_abs_error",
-    "max_pointwise_rel_error",
     "CompressionStats",
 ]
 
@@ -44,17 +43,6 @@ def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a - b)))
-
-
-def max_pointwise_rel_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Largest pointwise relative deviation (requires nonzero original)."""
-    a = np.asarray(original, dtype=np.float64)
-    b = np.asarray(reconstructed, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if (a == 0).any():
-        raise ValueError("relative error undefined: original contains zeros")
-    return float(np.max(np.abs(b / a - 1.0)))
 
 
 @dataclass

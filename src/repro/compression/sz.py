@@ -78,7 +78,6 @@ from repro.compression.quantizer import (
     quantize_lattice_batch,
     unfold_symbols_into,
 )
-from repro.compression.workspace import Workspace, thread_workspace
 from repro.util.errors import PayloadError
 from repro.util.fanout import thread_map, usable_cpus
 
@@ -98,19 +97,10 @@ LAYOUT = 2
 
 #: Largest int64 lattice one batched pass works in (bytes): 64 blocks of
 #: 16^3, 8 of 32^3.  Longer groups compress, probe and decode in chunks
-#: of this size, so the arena stays bounded — and cache-sized — per
-#: thread.
+#: of this size, so the temporaries one pass allocates — a few
+#: lattice-sized arrays, freed when it returns — stay bounded, and
+#: cache-sized, however long the group.
 GROUP_LATTICE_BYTES = 2 << 20
-
-
-#: Most scratch a thread's arena keeps between chunks (bytes): the
-#: probe's pass, the largest, holds four lattice-sized slots with the
-#: arena's growth headroom (~5 x :data:`GROUP_LATTICE_BYTES`); what a
-#: chunk leaves beyond this is dropped when it ends
-#: (:meth:`~repro.compression.workspace.Workspace.trim`), so a lone
-#: oversize block does not pin its scratch in a pool thread for the
-#: life of the process.
-ARENA_BYTES = 6 * GROUP_LATTICE_BYTES
 
 
 def _chunk_len(n: int) -> int:
@@ -252,11 +242,10 @@ class SZCompressor:
         :data:`GROUP_LATTICE_BYTES` of lattice (8 blocks of 32^3).  A
         chunk runs the *whole* pipeline — quantize, Lorenzo, residual
         fold, narrowing / byte planes, outlier side channels, entropy
-        encodes — as one multi-block pass over ``(B, n)`` views of its
-        thread's scratch arena
-        (:func:`~repro.compression.workspace.thread_workspace`), instead
-        of one interpreter round-trip per block; the arena holds one
-        chunk, however long the group.  Chunks of blocks with at least
+        encodes — as one multi-block pass over ``(B, n)`` temporaries it
+        allocates and drops, instead of one interpreter round-trip per
+        block; so the scratch live at once is one chunk's per thread,
+        however long the group.  Chunks of blocks with at least
         :data:`FANOUT_MIN_ELEMENTS` elements fan out over the usable CPUs
         (NumPy and zlib release the GIL), a group making at least one
         chunk per thread; smaller ones run in order in the calling
@@ -308,7 +297,7 @@ class SZCompressor:
         The probe analogue of :meth:`compress_many`, chunked and fanned
         out the same way: each chunk of a same-shape group runs **one**
         multi-block kernel pass (quantize -> Lorenzo -> residual codes)
-        over its thread's ``(B, n)`` arenas — so probing one partition at
+        over ``(B, n)`` temporaries of its own — so probing one partition at
         five bounds, or sixty-four partitions at one bound, costs a few
         batched fronts instead of ``B`` interpreter round-trips, and no
         entropy codec ever runs.  The chunk's views are mapped as one
@@ -328,19 +317,16 @@ class SZCompressor:
             )
 
     def _estimate_batch(self, arrs: list[np.ndarray], eb_arr: np.ndarray) -> list[RQEstimate]:
-        """Probe a chunk of *same-shape* blocks in one kernel pass, in the
-        calling thread's arena."""
-        ws = thread_workspace()
-        ranges = ws.request("rq_ranges_f64", (len(arrs),), np.float64)
-        work, scales = self._map_batch(arrs, eb_arr, ws, ranges)
+        """Probe a chunk of *same-shape* blocks in one kernel pass."""
+        ranges = np.empty(len(arrs), np.float64)
+        work, scales = self._map_batch(arrs, eb_arr, ranges)
         # The mapped values, kept before the quantize step rounds ``work``.
-        mapped = ws.request("rq_err_f64", work.shape, np.float64)
-        np.copyto(mapped, work)
-        lattice, counts, pos, _val, _maxes = self._encode_mapped(work, scales, arrs[0].shape, ws)
-        mses = self._observed_mse_rows(mapped, work, scales, arrs, pos, counts, ws)
-        # One sparse census over the sorted symbol matrix (a workspace
-        # view we own): at tight bounds the folded symbols span far more
-        # values than a row holds.
+        mapped = work.copy()
+        lattice, counts, pos, _val, _maxes = self._encode_mapped(work, scales, arrs[0].shape)
+        mses = self._observed_mse_rows(mapped, work, scales, arrs, pos, counts)
+        # One sparse census over the sorted symbol matrix (this pass's
+        # own, sorted in place): at tight bounds the folded symbols span
+        # far more values than a row holds.
         est_arr, bits_arr = estimate_nbytes_rows(lattice, counts, self.codec.name)
         return [
             RQEstimate(
@@ -364,12 +350,11 @@ class SZCompressor:
         sub: list[np.ndarray],
         pos: np.ndarray,
         counts: np.ndarray,
-        ws: Workspace,
     ) -> np.ndarray:
         """Realised quantization MSE of each probed view, in value space.
 
         ``err`` holds each block's mapped values as the front divided
-        them (its ``rq_err_f64`` slot, overwritten here), ``rounded``
+        them (a copy, overwritten here), ``rounded``
         the same rows rounded onto the lattice by the quantize step.
         Their difference times the lattice pitch ``scales`` is every
         point's actual lattice error, in a few group-wide passes;
@@ -387,8 +372,7 @@ class SZCompressor:
             # first order: value error ~ |x| * log-space error
             for row, arr in enumerate(sub):
                 err[row] *= arr.reshape(-1)
-        offs = ws.request("rq_offs_i64", (n_blocks + 1,), np.int64)
-        offs[0] = 0
+        offs = np.zeros(n_blocks + 1, np.int64)
         np.cumsum(counts, out=offs[1:])
         for row in np.flatnonzero(counts):
             err[row, pos[offs[row]:offs[row + 1]]] = 0.0
@@ -412,12 +396,10 @@ class SZCompressor:
     def _compress_batch(
         self, arrs: list[np.ndarray], eb_arr: np.ndarray, out: list[np.ndarray] | None = None
     ) -> list[CompressedBlock]:
-        """Compress a chunk of *same-shape* blocks in one kernel pass, in
-        the calling thread's arena, writing reconstructions into ``out``
-        if given."""
-        ws = thread_workspace()
-        symbols, counts, pos, val, maxes = self._quantize_encode_batch(arrs, eb_arr, ws, out)
-        payloads = self._encode_payloads_batch(symbols, counts, pos, val, maxes, ws)
+        """Compress a chunk of *same-shape* blocks in one kernel pass,
+        writing reconstructions into ``out`` if given."""
+        symbols, counts, pos, val, maxes = self._quantize_encode_batch(arrs, eb_arr, out)
+        payloads = self._encode_payloads_batch(symbols, counts, pos, val, maxes)
         blocks = []
         for b, arr in enumerate(arrs):
             source_itemsize = arr.dtype.itemsize if arr.dtype.kind == "f" else 8
@@ -441,12 +423,11 @@ class SZCompressor:
         self,
         arrs: list[np.ndarray],
         eb_arr: np.ndarray,
-        ws: Workspace,
         ranges: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The front's map step over the chunk as one ``(B, n)`` stack:
-        each block copied (exactly widened) into its row of the float64
-        work arena, then each check and transform run once over the
+        each block copied (exactly widened) into its row of a float64
+        work array, then each check and transform run once over the
         whole stack — the finite check (``abs``), or the ``<= 0`` check,
         ``log`` and finite check (``pw_rel``), then the divide by the
         lattice pitch.  One ``copyto`` per block is all that runs block
@@ -462,9 +443,9 @@ class SZCompressor:
         n_blocks = len(arrs)
         shape = arrs[0].shape
         n = int(arrs[0].size)
-        work = ws.request("batch_work_f64", (n_blocks, n), np.float64)
-        mask = ws.request("batch_quant_mask", (n_blocks, n), np.bool_)
-        scales = ws.request("batch_scales_f64", (n_blocks,), np.float64)
+        work = np.empty((n_blocks, n), np.float64)
+        mask = np.empty((n_blocks, n), np.bool_)
+        scales = np.empty(n_blocks, np.float64)
         with telemetry.get_tracer().span("sz.map", blocks=n_blocks, mode=self.mode):
             for row, arr in zip(work, arrs):
                 np.copyto(row.reshape(shape), arr)
@@ -490,39 +471,35 @@ class SZCompressor:
         self,
         arrs: list[np.ndarray],
         eb_arr: np.ndarray,
-        ws: Workspace,
         out: list[np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Batched front: map -> quantize -> Lorenzo -> folded symbols
         (:meth:`_map_batch`, then :meth:`_encode_mapped`)."""
-        work, scales = self._map_batch(arrs, eb_arr, ws)
-        return self._encode_mapped(work, scales, arrs[0].shape, ws, out)
+        work, scales = self._map_batch(arrs, eb_arr)
+        return self._encode_mapped(work, scales, arrs[0].shape, out)
 
     def _encode_mapped(
         self,
         work: np.ndarray,
         scales: np.ndarray,
         shape: tuple[int, ...],
-        ws: Workspace,
         out: list[np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The front after the map: quantize -> Lorenzo -> folded
         symbols.
 
         All blocks (shape ``shape``, one per row of the ``(B, n)``
-        workspace arenas; ``work`` and ``scales`` as
-        :meth:`_map_batch` returns them) run in one multi-block pass;
-        ``work`` is left holding the rounded rows.  Returns ``(symbols
-        (B, n) view, outlier counts, positions, values, per-row largest
-        symbol)``; the symbols view is valid until the arena's
-        ``batch_lattice_i64`` slot is requested again.  Given ``out``,
+        stacks; ``work`` and ``scales`` as :meth:`_map_batch` returns
+        them) run in one multi-block pass; ``work`` is left holding the
+        rounded rows.  Returns ``(symbols (B, n), outlier counts,
+        positions, values, per-row largest symbol)``.  Given ``out``,
         each block's reconstruction is written there between quantize
         and Lorenzo (:meth:`_dequantize_into`).
         """
         tracer = telemetry.get_tracer()  # null object when disarmed
         n_blocks, n = work.shape
-        mask = ws.request("batch_quant_mask", (n_blocks, n), np.bool_)
-        lattice = ws.request("batch_lattice_i64", (n_blocks, n), np.int64)
+        mask = np.empty((n_blocks, n), np.bool_)
+        lattice = np.empty((n_blocks, n), np.int64)
         with tracer.span("sz.quantize", blocks=n_blocks):
             ok = quantize_lattice_batch(work, lattice, mask)
         if not ok:
@@ -535,7 +512,7 @@ class SZCompressor:
         # Normalize to (B, nx, ny, nz); length-1 axes are the identity
         # under the zero-boundary difference, so padding is free.
         shape3d = shape + (1,) * (3 - len(shape))
-        scratch = ws.request("batch_lorenzo_scratch", (n_blocks * n,), np.int64)
+        scratch = np.empty(n_blocks * n, np.int64)
         with tracer.span("sz.lorenzo", blocks=n_blocks):
             lorenzo_transform_batch_inplace(
                 lattice.reshape((n_blocks,) + shape3d), scratch
@@ -576,7 +553,6 @@ class SZCompressor:
         pos: np.ndarray,
         val: np.ndarray,
         maxes: np.ndarray,
-        ws: Workspace,
     ) -> list[dict[str, bytes]]:
         """Vectorized side channels + the per-block entropy stage.
 
@@ -594,21 +570,19 @@ class SZCompressor:
             if codec.byte_oriented:
                 widths = _minimal_itemsize(maxes)
                 ends = np.cumsum(widths * n)
-                arena = ws.request("batch_planes", (int(ends[-1]),), np.uint8)
+                stacked = np.empty(int(ends[-1]), np.uint8)
                 cuts = (np.flatnonzero(np.diff(widths)) + 1).tolist()
                 for lo, hi in zip([0] + cuts, cuts + [n_blocks]):
                     k = int(widths[lo])
-                    planes = arena[int(ends[lo]) - k * n : int(ends[hi - 1])]
+                    planes = stacked[int(ends[lo]) - k * n : int(ends[hi - 1])]
                     planes = planes.reshape(hi - lo, k, n)
                     byte_planes(symbols[lo:hi], planes)
                     rows[lo:hi] = planes
-            offsets = ws.request("batch_offsets", (n_blocks + 1,), np.int64)
-            offsets[0] = 0
+            offsets = np.zeros(n_blocks + 1, np.int64)
             np.cumsum(counts, out=offsets[1:])
             if pos.size:
                 pos_dt = _minimal_uint_dtype(n - 1)
-                pos_narrow = ws.request("batch_pos_narrow", pos.shape, pos_dt)
-                np.copyto(pos_narrow, pos, casting="unsafe")  # pos < n: exact
+                pos_narrow = pos.astype(pos_dt)  # pos < n: exact
                 zz = zigzag(val)
             else:
                 pos_narrow = pos
@@ -651,9 +625,8 @@ def _run_chunks(run: Callable[[np.ndarray], list], items: Sequence) -> list:
     are two or more, go to :func:`~repro.util.fanout.thread_map`: the
     calling thread works through them alongside the process's pool
     threads (or alone, when they are busy with an outer fan-out); the
-    rest run in order in the calling thread.  Every chunk ends by
-    trimming its thread's arena to :data:`ARENA_BYTES`.  Each chunk is
-    independent, so the outputs do not depend on the cut.
+    rest run in order in the calling thread.  Each chunk is independent,
+    so the outputs do not depend on the cut.
     """
     threads = usable_cpus()
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -671,15 +644,9 @@ def _run_chunks(run: Callable[[np.ndarray], list], items: Sequence) -> list:
     if len(fanned) < 2:
         local, fanned = local + fanned, []
 
-    def chunk(idxs: np.ndarray) -> list:
-        try:
-            return run(idxs)
-        finally:
-            thread_workspace().trim(ARENA_BYTES)
-
-    results = [chunk(c) for c in local]
+    results = [run(c) for c in local]
     if fanned:
-        results += thread_map(chunk, fanned)
+        results += thread_map(run, fanned)
     out: list = [None] * len(items)
     for idxs, got in zip(local + fanned, results):
         for i, item in zip(idxs, got):
@@ -796,11 +763,7 @@ def decompress(block: CompressedBlock) -> np.ndarray:
     if not _chunked(block):
         return _decompress_retired(block)
     out = np.empty(tuple(block.shape))
-    ws = thread_workspace()
-    try:
-        _decompress_chunk([block], ws, [out])
-    finally:
-        ws.trim(ARENA_BYTES)
+    _decompress_chunk([block], [out])
     return out
 
 
@@ -823,7 +786,7 @@ def decompress_many(
     cuts its views (:func:`_run_chunks`), and each chunk runs one unfold
     per stored width, one outlier scatter, one prefix-sum pass
     (:func:`~repro.compression.lorenzo.lorenzo_inverse_batch_inplace`)
-    over a ``(B, n)`` lattice in its thread's arena, and dequantizes
+    over a ``(B, n)`` lattice the pass allocates, and dequantizes
     each lattice row straight into its output array.  Classic-engine
     and layout-1 blocks decode one by one.  A hostile payload raises the
     :class:`~repro.util.errors.PayloadError` :func:`decompress` raises
@@ -839,7 +802,7 @@ def decompress_many(
             dsts = list(np.empty((len(chunk),) + tuple(chunk[0].shape)))
         else:
             dsts = [outs[live[j]] for j in idxs]
-        _decompress_chunk(chunk, thread_workspace(), dsts)
+        _decompress_chunk(chunk, dsts)
         return dsts
 
     decoded = iter(_run_chunks(decode, [blocks[i] for i in live]))
@@ -878,19 +841,16 @@ def _group_row(block: CompressedBlock, n: int) -> _GroupRow:
     return _GroupRow((block.mode != "abs", k), symbols, out_pos, out_val, 2.0 * abs_eb)
 
 
-def _decompress_chunk(
-    blocks: Sequence[CompressedBlock], ws: Workspace, out: list[np.ndarray]
-) -> None:
+def _decompress_chunk(blocks: Sequence[CompressedBlock], out: list[np.ndarray]) -> None:
     """Decode a chunk of same-shape dual-engine layout-2 blocks in one
-    pass, in the calling thread's arena ``ws``, block ``i`` into
-    ``out[i]``."""
+    pass, block ``i`` into ``out[i]``."""
     n_blocks, shape = len(blocks), tuple(blocks[0].shape)
     n = math.prod(shape)
     rows = [_group_row(b, n) for b in blocks]
     # Lattice rows sorted by (mode, width): each width's blocks are one
     # contiguous slab and the pw_rel blocks come last.
     order = sorted(range(n_blocks), key=lambda i: rows[i].key)
-    lattice = ws.request("batch_lattice_i64", (n_blocks, n), np.int64)
+    lattice = np.empty((n_blocks, n), np.int64)
     lo = 0
     for (_, k), run in itertools.groupby(order, key=lambda i: rows[i].key):
         run = list(run)
@@ -906,8 +866,9 @@ def _decompress_chunk(
         if k == 1:
             unfold_symbols_into(planes[:, 0], dst)
             continue
-        # Shift the planes together from the top at the stored width.
-        wide = ws.request("group_symbols", (len(run), n), f"<u{k}")
+        # Shift the planes together from the top at the stored width:
+        # one array per stored width present, whose dtype it is.
+        wide = np.empty((len(run), n), f"<u{k}")  # repro-lint: disable=RL011
         np.copyto(wide, planes[:, k - 1])
         for plane in range(k - 2, -1, -1):
             wide <<= 8
@@ -926,7 +887,7 @@ def _decompress_chunk(
     for r, i in enumerate(order[:n_abs]):
         np.multiply(lattice[r].reshape(shape), rows[i].scale, out=out[i], dtype=np.float64)
     if n_abs < n_blocks:
-        work = ws.request("batch_work_f64", (n_blocks - n_abs, n), np.float64)
+        work = np.empty((n_blocks - n_abs, n), np.float64)
         for r, i in enumerate(order[n_abs:]):
             np.multiply(lattice[n_abs + r], rows[i].scale, out=work[r], dtype=np.float64)
         np.exp(work, out=work)

@@ -1,15 +1,13 @@
-"""Rendering sweep results as tables / CSV."""
+"""Rendering sweep results as tables."""
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Sequence
 
 from repro.foresight.sweep import SweepRecord
 from repro.util.tables import format_table
 
-__all__ = ["records_to_table", "records_to_csv"]
+__all__ = ["records_to_table"]
 
 _COLUMNS = (
     "field",
@@ -62,18 +60,3 @@ def records_to_table(records: Sequence[SweepRecord], title: str | None = None) -
     cols, rows = _columns_and_rows(records)
     return format_table(cols, rows, title=title)
 
-
-def records_to_csv(records: Sequence[SweepRecord]) -> str:
-    """CSV rendering (header + one line per record).
-
-    Written through :mod:`csv` with minimal quoting: plain sweep rows
-    come out identical to the historical join, while multi-compressor
-    rows — whose spec labels contain commas — are quoted correctly.
-    """
-    cols, rows = _columns_and_rows(records)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for cells in rows:
-        writer.writerow([str(c) for c in cells])
-    return buf.getvalue()

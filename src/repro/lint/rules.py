@@ -619,102 +619,82 @@ class HandRolledRetryRule(Rule):
 
 @register_rule
 class HotPathAllocationRule(Rule):
-    """RL011 — compression hot paths reuse the workspace arena.
+    """RL011 — the batched compression front allocates once per pass.
 
-    PR 2 moved every per-block scratch buffer in the compress path into
-    :class:`repro.compression.workspace.Workspace` so steady-state
-    compression allocates nothing, and PR 8 batched the per-block Python
-    loops into single kernel passes.  A fresh ``np.empty``/``np.zeros``
-    inside a workspace-accepting function, or a Python loop that calls
-    ``compress`` per block, quietly regresses both: the allocation
-    defeats the arena, the loop defeats the batching.  The rule applies
-    only under ``repro/compression/`` and only inside functions that
-    take a ``ws`` parameter — the batched front's internals, which the
-    public entry points hand the calling thread's arena
-    (:func:`~repro.compression.workspace.thread_workspace`); no public
-    signature carries one.
+    The SZ front runs each chunk of blocks as one multi-block pass: its
+    scratch is a handful of ``(B, n)`` arrays, allocated once when the
+    pass starts and freed when it returns, and its blocks go through the
+    batch entry points in one call.  An ``np.empty``/``np.zeros``/
+    ``np.ones``/``np.full`` inside a Python loop or comprehension
+    allocates per block (or per segment) instead of per pass, and a loop
+    that calls ``.compress()`` per block undoes the batching; both keep
+    the bytes and only cost throughput.  The rule applies to the two
+    modules of that front, ``repro/compression/sz.py`` and
+    ``repro/compression/huffman.py``; an allocation whose shape or
+    dtype changes with each iteration carries a disable comment saying
+    so.
 
     Bad::
 
-        def _encode(self, arr, ws):
+        for row, arr in enumerate(arrs):
             scratch = np.empty(arr.shape, dtype=np.int64)
 
     Good::
 
-        def _encode(self, arr, ws):
-            scratch = ws.request("encode_scratch", arr.shape, np.int64)
+        scratch = np.empty((len(arrs), n), dtype=np.int64)
+        for row, arr in enumerate(arrs):
+            ...  # works in scratch[row]
     """
 
     code = "RL011"
     name = "hot-path-allocation"
     summary = (
-        "fresh array allocation / per-block compress loop inside a "
-        "workspace-accepting compression hot path"
+        "array allocation / per-block compress call inside a loop of the "
+        "batched compression front"
     )
     rationale = (
-        "workspace-accepting functions are the steady-state compress path: "
-        "fresh np.empty/np.zeros defeats the PR 2 arena reuse and per-block "
-        "compress loops defeat the PR 8 batched kernels; route scratch "
-        "through Workspace.request and blocks through the batch entry points."
+        "the batched front allocates its scratch once per pass and "
+        "compresses a chunk's blocks in one call; np.empty/zeros/ones/full "
+        "in a loop allocates per block, and a per-block compress loop "
+        "undoes the batching: hoist the allocation out of the loop and "
+        "send blocks through the batch entry points."
     )
-    only = ("repro/compression/",)
+    only = ("repro/compression/sz.py", "repro/compression/huffman.py")
 
     _ALLOCATORS = frozenset(
         {"numpy.empty", "numpy.zeros", "numpy.ones", "numpy.full"}
     )
     _BLOCK_CALLS = frozenset({"compress"})
-    _WS_PARAMS = frozenset({"ws"})
-
-    def _is_hot(self, node: "ast.FunctionDef | ast.AsyncFunctionDef") -> bool:
-        args = node.args
-        names = [
-            a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
-        ]
-        return any(name in self._WS_PARAMS for name in names)
-
     _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
-    def _inside_loop(self, node: ast.AST, func: ast.AST) -> bool:
+    def _inside_loop(self, node: ast.AST) -> bool:
+        """Whether a loop of ``node``'s own scope encloses it."""
         cur = self.ctx.parent(node)
-        while cur is not None and cur is not func:
+        while cur is not None and not isinstance(cur, self._SCOPES):
             if isinstance(cur, self._LOOPS):
                 return True
             cur = self.ctx.parent(cur)
         return False
 
-    def _check_hot_function(
-        self, node: "ast.FunctionDef | ast.AsyncFunctionDef"
-    ) -> None:
-        if not self._is_hot(node):
-            return
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            target = self.ctx.resolve(sub.func)
+    def visit_Call(self, node: ast.Call) -> None:
+        if self._inside_loop(node):
+            target = self.ctx.resolve(node.func)
             if target in self._ALLOCATORS:
                 self.flag(
-                    sub,
-                    f"{target}() in workspace-accepting "
-                    f"{node.name}(); use Workspace.request",
+                    node,
+                    f"{target}() inside a loop; allocate once per pass, "
+                    "outside the loop",
                 )
             elif (
-                isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in self._BLOCK_CALLS
-                and self._inside_loop(sub, node)
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in self._BLOCK_CALLS
             ):
                 self.flag(
-                    sub,
-                    f".{sub.func.attr}() called per block in a Python "
-                    f"loop inside {node.name}(); use the batched "
-                    "compress_many path",
+                    node,
+                    f".{node.func.attr}() called per block in a Python "
+                    "loop; use the batched compress_many path",
                 )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_hot_function(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_hot_function(node)
         self.generic_visit(node)
 
 

@@ -36,7 +36,6 @@ from repro.resilience.faults import (
     InjectedFault,
     InjectedTimeout,
     TornWrite,
-    active_plan,
     fault_point,
 )
 from repro.resilience.retry import (
@@ -54,7 +53,6 @@ __all__ = [
     "CorruptedPayloadError",
     "TornWrite",
     "fault_point",
-    "active_plan",
     "RetryPolicy",
     "RetryExhaustedError",
     "TransientError",

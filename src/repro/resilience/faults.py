@@ -58,7 +58,6 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "fault_point",
-    "active_plan",
 ]
 
 
@@ -264,11 +263,6 @@ class FaultPlan:
 
 #: The process-wide active plan (``None`` = every fault point disarmed).
 _ACTIVE: FaultPlan | None = None
-
-
-def active_plan() -> FaultPlan | None:
-    """The currently installed :class:`FaultPlan`, if any."""
-    return _ACTIVE
 
 
 def fault_point(site: str) -> None:

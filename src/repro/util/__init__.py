@@ -2,14 +2,13 @@
 
 from repro.util.errors import PayloadError
 from repro.util.fanout import thread_map, usable_cpus
-from repro.util.rng import default_rng, spawn_rngs
+from repro.util.rng import default_rng
 from repro.util.timer import Timer, TimingBreakdown, monotonic
 from repro.util.tables import format_table
 from repro.util.validation import (
     check_3d,
     check_finite,
     check_positive,
-    check_probability,
 )
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "thread_map",
     "usable_cpus",
     "default_rng",
-    "spawn_rngs",
     "Timer",
     "TimingBreakdown",
     "monotonic",
@@ -25,5 +23,4 @@ __all__ = [
     "check_3d",
     "check_finite",
     "check_positive",
-    "check_probability",
 ]

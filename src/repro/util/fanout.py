@@ -7,12 +7,12 @@ Lives in ``util``, below its callers — the SZ chunker
 reach up into ``parallel``.
 
 The pool is made once per process, on first use: ``usable_cpus() - 1``
-threads (named ``repro-fanout_<i>``) that live as long as the process,
-so each keeps its warm scratch arena
-(:func:`repro.compression.workspace.thread_workspace`) from call to
-call.  A call posts at most one helper task per spare CPU; the caller
-and the helpers claim items from one shared counter, so the caller
-always works and never waits on an item it could claim itself.  That
+threads (named ``repro-fanout_<i>``) that live as long as the process.
+They keep nothing between items: each compress, probe or decode chunk
+allocates its own scratch and frees it when it returns.  A call posts
+at most one helper task per spare CPU; the caller and the helpers
+claim items from one shared counter, so the caller always works and
+never waits on an item it could claim itself.  That
 is what makes nesting safe: a call made inside a pool item, with every
 worker busy, runs its own items and returns.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["default_rng", "spawn_rngs"]
+__all__ = ["default_rng"]
 
 
 def default_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -28,15 +28,3 @@ def default_rng(seed: int | np.random.Generator | None = None) -> np.random.Gene
         return seed
     return np.random.default_rng(seed)
 
-
-def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``seed``.
-
-    Hands each of ``n`` consumers (for example, partitions) its own
-    statistically independent stream while staying reproducible from a
-    single root seed.
-    """
-    if n < 0:
-        raise ValueError(f"number of child RNGs must be non-negative, got {n}")
-    root = default_rng(seed)
-    return [np.random.default_rng(s) for s in root.bit_generator.seed_seq.spawn(n)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_3d", "check_finite", "check_positive", "check_probability"]
+__all__ = ["check_3d", "check_finite", "check_positive"]
 
 
 def check_3d(data: np.ndarray, name: str = "data") -> np.ndarray:
@@ -34,9 +34,3 @@ def check_positive(value: float, name: str) -> float:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
 
-
-def check_probability(value: float, name: str) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value

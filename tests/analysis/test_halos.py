@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.halos import candidate_mask, find_halos
+from repro.analysis.halos import find_halos
 
 
 def _field_with_blobs() -> np.ndarray:
@@ -78,10 +78,6 @@ class TestFindHalos:
     def test_rejects_t_halo_below_boundary(self):
         with pytest.raises(ValueError, match="t_halo"):
             find_halos(_field_with_blobs(), t_boundary=10.0, t_halo=5.0)
-
-    def test_candidate_mask(self):
-        mask = candidate_mask(_field_with_blobs(), 10.0)
-        assert mask.sum() == 35
 
     def test_periodic_halo_across_boundary(self):
         rho = np.full((12, 12, 12), 0.1)

@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.metrics import (
     FieldMoments,
     error_summary,
-    mean_relative_error,
     mse,
     nrmse,
     psnr,
@@ -47,15 +46,6 @@ class TestMetrics:
         a = np.ones(5)
         with pytest.raises(ValueError, match="range"):
             nrmse(a, a)
-
-    def test_mre(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([1.1, 2.2])
-        assert mean_relative_error(a, b) == pytest.approx(0.1)
-
-    def test_mre_rejects_zero(self):
-        with pytest.raises(ValueError, match="zeros"):
-            mean_relative_error(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

@@ -5,16 +5,16 @@ lattice and fan chunks of large blocks out over threads.
 None of it may change an output: payloads byte for byte and estimates
 field for field are what per-block calls give, whatever the thread
 count, group length, shape mix or input order; an invalid block raises
-what the one-thread path raises; the calling thread's arena holds one
-chunk, not the group; and the usable CPU count caps how many chunks
-run at once.
+what the one-thread path raises; a call's scratch peaks at one chunk's,
+not the group's, and none outlives it; and the usable CPU count caps
+how many chunks run at once.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -29,7 +29,6 @@ from repro.compression.sz import (
     SZCompressor,
     decompress_many,
 )
-from repro.compression.workspace import thread_workspace
 from repro.util import fanout
 
 THREADS = (1, 2, 4)
@@ -59,7 +58,7 @@ def _cpus(monkeypatch, threads: int) -> None:
 
 
 def _in_fresh_thread(fn):
-    """Run ``fn`` in a thread whose arena starts empty."""
+    """Run ``fn`` in a thread of its own and return its result."""
     with ThreadPoolExecutor(max_workers=1) as pool:
         return pool.submit(fn).result(timeout=120)
 
@@ -179,67 +178,44 @@ class TestErrors:
             SZCompressor(mode="pw_rel").compress_many(views, _ebs(len(views)))
 
 
-class TestArena:
-    """After a whole 64 x 32^3 decomposition the calling thread's arena
-    holds about one chunk's scratch, not the group's (70+ MB)."""
+class TestMemory:
+    """A whole 64 x 32^3 decomposition on one CPU: each entry point's
+    scratch peaks at about one chunk's (8 blocks), not the group's
+    (70+ MB), and nothing outlives the call — no thread, the caller's
+    or a fresh one, keeps scratch once the outputs are dropped."""
 
-    BOUND = 12 << 20
+    PEAK = 12 << 20
+    LEFT = 100 << 10
 
-    def test_compress_many_in_one_thread(self, monkeypatch):
+    def test_each_entry_point_peaks_at_one_chunk_and_keeps_nothing(self, monkeypatch):
         views = _views(32, 64)
-        _cpus(monkeypatch, 1)
-
-        def run():
-            SZCompressor().compress_many(views, _ebs(64))
-            return thread_workspace().nbytes()
-
-        assert 0 < _in_fresh_thread(run) <= self.BOUND
-
-    def test_estimate_many_in_one_thread(self, monkeypatch):
-        views = _views(32, 64)
-        _cpus(monkeypatch, 1)
-
-        def run():
-            SZCompressor().estimate_many(views, _ebs(64))
-            return thread_workspace().nbytes()
-
-        assert 0 < _in_fresh_thread(run) <= self.BOUND
-
-    def test_a_fanned_out_call_leaves_the_caller_one_chunk(self, monkeypatch):
-        """The caller works through the fanned-out chunks too, in its
-        own arena: it ends holding at most one chunk's scratch."""
-        views = _views(32, 16)
-        _cpus(monkeypatch, 2)
-
-        def run():
-            SZCompressor().compress_many(views, _ebs(16))
-            return thread_workspace().nbytes()
-
-        assert _in_fresh_thread(run) <= self.BOUND
-
-
-    def test_no_arena_keeps_an_oversize_blocks_scratch(self, monkeypatch):
-        """Pool threads keep their arenas for the life of the process, so
-        every chunk trims its own: after two lone oversize blocks (one
-        chunk each, ~4x the lattice cap) through every entry point, no
-        arena — the caller's or any pool thread's — is over the bound."""
-        _cpus(monkeypatch, 2)
-        big = _views(96, 2)
-        assert 8 * big[0].size > 3 * GROUP_LATTICE_BYTES
+        ebs = _ebs(64)
         comp = SZCompressor()
-        blocks = comp.compress_many(big, [0.01, 0.02])
-        comp.estimate_many(big, [0.01, 0.02])
-        decompress_many(blocks, out=[np.empty(v.shape) for v in big])
-        decompress_many(blocks)
+        _cpus(monkeypatch, 1)
+        blocks = comp.compress_many(views, ebs)  # also warms module-level state
+        comp.estimate_many(views, ebs)
+        dsts = [np.empty(v.shape) for v in views]
+        decompress_many(blocks, out=dsts)
 
-        def arena(_):
-            time.sleep(0.02)  # long enough for the pool to join in
-            return threading.current_thread().name, thread_workspace().nbytes()
+        def run():
+            peaks = []
+            tracemalloc.start()
+            try:
+                for call in (
+                    lambda: comp.compress_many(views, ebs),
+                    lambda: comp.estimate_many(views, ebs),
+                    lambda: decompress_many(blocks, out=dsts),
+                ):
+                    tracemalloc.reset_peak()
+                    call()  # the output is dropped here
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                return peaks, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
 
-        sizes = dict(fanout.thread_map(arena, range(8)))
-        sizes[threading.current_thread().name] = thread_workspace().nbytes()
-        assert any(name.startswith(fanout.POOL_THREAD_PREFIX) for name in sizes)
-        assert max(sizes.values()) <= self.BOUND == sz.ARENA_BYTES
+        peaks, left = _in_fresh_thread(run)
+        assert max(peaks) < self.PEAK, peaks
+        assert left < self.LEFT, left
 
 
 class TestUsableCpusIsACap:

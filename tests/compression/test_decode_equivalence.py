@@ -34,7 +34,6 @@ from repro.compression.sz import (
     SZCompressor,
     decompress,
 )
-from repro.compression.workspace import thread_workspace
 from repro.util import fanout
 from repro.util.fanout import thread_map
 
@@ -129,8 +128,7 @@ class TestFanOutGate:
     def seen(self, monkeypatch):
         """``maps``: the item count of every fan-out; ``chunks``: the
         chunks (block indices) each one was handed; ``threads``: the
-        thread of every arena fetch (one per compress, probe or decode
-        chunk)."""
+        thread of every compress, probe or decode chunk pass."""
         seen = SimpleNamespace(maps=[], chunks=[], threads=set())
 
         def counted(fn, items):
@@ -138,13 +136,20 @@ class TestFanOutGate:
             seen.chunks.append([[int(i) for i in chunk] for chunk in items])
             return thread_map(fn, items)
 
-        def fetched():
-            seen.threads.add(threading.get_ident())
-            return thread_workspace()
+        def recorded(owner, name):
+            real = getattr(owner, name)
+
+            def chunk_pass(*args, **kwargs):
+                seen.threads.add(threading.get_ident())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, chunk_pass)
 
         # the one fan-out site: the chunker
         monkeypatch.setattr(sz, "thread_map", counted)
-        monkeypatch.setattr(sz, "thread_workspace", fetched)
+        recorded(SZCompressor, "_compress_batch")
+        recorded(SZCompressor, "_estimate_batch")
+        recorded(sz, "_decompress_chunk")
         return seen
 
     @staticmethod

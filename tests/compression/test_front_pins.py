@@ -4,7 +4,7 @@ reconstructions and model-mode sweep records.
 
 Each digest is a sha256 over the outputs, computed before the front
 mapped its chunk as one stack (one ``copyto`` per block into the
-float64 arena, then each check and transform once over the stack);
+float64 work array, then each check and transform once over the stack);
 the front must give them back bit for bit — f32 and f64, ``abs`` and
 ``pw_rel``, partition views of one field and an odd-shape batch whose
 groups include one-block chunks.  Bad input raises the same

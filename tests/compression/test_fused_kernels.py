@@ -1,9 +1,11 @@
-"""The workspace arena and the fused-kernel equivalence contract.
+"""The fused-kernel equivalence contract.
 
-The fused compress path (reusable scratch buffers, in-place Lorenzo,
-single narrowing pass) must be a pure performance change: payloads
+The fused compress path (batched passes, in-place Lorenzo, single
+narrowing pass) must be a pure performance change: payloads
 byte-identical to composing the unfused public primitives exactly as
-the original implementation did, across modes and codecs.
+the original implementation did, across modes and codecs — and
+compressors hold no scratch, so threads sharing one, or each holding
+its own, write the serial bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.compression.kernels import zigzag
 from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch_inplace
 from repro.compression.quantizer import encode_residuals, quantize_abs
 from repro.compression.sz import SZCompressor, decompress
-from repro.compression.workspace import Workspace, thread_workspace
 from repro.util.errors import PayloadError
 
 
@@ -33,7 +34,7 @@ def reference_compress_payloads(
 ) -> dict[str, bytes]:
     """The unfused reference pipeline, composed from public primitives.
 
-    Mirrors the original (pre-workspace) implementation step for step:
+    Mirrors the original (unfused) implementation step for step:
     float64 upcast, allocating quantize, ``np.diff``-style Lorenzo,
     allocating residual fold (code-stream layout 2: ``0`` = outlier,
     ``r -> zigzag(r) + 1``), codec over the int64 symbols.  The outlier
@@ -65,49 +66,6 @@ def reference_compress_payloads(
             else b""
         ),
     }
-
-
-class TestWorkspace:
-    def test_views_are_reused_not_reallocated(self):
-        ws = Workspace()
-        a = ws.request("x", (4, 4), np.int64)
-        b = ws.request("x", (4, 4), np.int64)
-        assert a.base is b.base
-
-    def test_distinct_names_never_alias(self):
-        ws = Workspace()
-        a = ws.request("a", (8,), np.int64)
-        b = ws.request("b", (8,), np.int64)
-        a[:] = 1
-        b[:] = 2
-        assert (a == 1).all()
-
-    def test_grows_to_largest_request(self):
-        ws = Workspace()
-        ws.request("x", (4,), np.float64)
-        big = ws.request("x", (100,), np.float64)
-        assert big.size == 100
-        small = ws.request("x", (10,), np.float64)
-        assert small.base is big.base
-
-    def test_growth_headroom_absorbs_ragged_batches(self):
-        ws = Workspace()
-        ws.request("x", (100,), np.float64)
-        base = ws.request("x", (110,), np.float64).base  # within headroom
-        assert ws.request("x", (100,), np.float64).base is base
-
-    def test_same_name_different_dtypes_are_separate_slots(self):
-        ws = Workspace()
-        a = ws.request("x", (8,), np.int64)
-        b = ws.request("x", (8,), np.float64)
-        assert a.dtype == np.int64 and b.dtype == np.float64
-
-    def test_clear_and_nbytes(self):
-        ws = Workspace()
-        ws.request("x", (128,), np.float64)
-        assert ws.nbytes() >= 128 * 8  # allocation includes growth headroom
-        ws.clear()
-        assert ws.nbytes() == 0
 
 
 class TestFusedKernels:
@@ -216,50 +174,14 @@ class TestFusedKernels:
         recon = decompress(block)
         assert np.max(np.abs(recon - data)) <= 0.01 * (1 + 1e-9) + 1e-12
 
-    def test_repeated_compress_reuses_workspace(self):
-        comp = SZCompressor()
-        rng = np.random.default_rng(7)
-        data = rng.normal(0, 1, (16, 16, 16))
-        b1 = comp.compress(data, 0.01)
-        nbytes_after_first = thread_workspace().nbytes()
-        b2 = comp.compress(data, 0.01)
-        assert thread_workspace().nbytes() == nbytes_after_first
-        assert b1.payloads == b2.payloads
 
-
-def _in_fresh_thread(fn):
-    """Run ``fn`` in a thread that has never compressed (its arena
-    starts empty whatever earlier tests did) and return its result."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(fn).result(timeout=60)
-
-
-class TestOneArenaPerThread:
-    """Scratch belongs to the thread, not to the compressor instance."""
-
-    def test_instances_in_one_thread_share_one_arena_that_does_not_grow(self):
-        rng = np.random.default_rng(21)
-        fields = [rng.normal(0, 1, (16, 16, 16)) for _ in range(6)]
-
-        def run():
-            ws = thread_workspace()
-            assert ws.nbytes() == 0
-            sizes = []
-            for codec, field in zip(("zlib", "huffman", "raw") * 2, fields):
-                comp = SZCompressor(codec=codec)
-                comp.compress(field, 0.01)
-                comp.estimate_many([field], [0.01])
-                assert thread_workspace() is ws
-                sizes.append(ws.nbytes())
-            return sizes
-
-        sizes = _in_fresh_thread(run)
-        assert sizes[0] > 0
-        assert sizes == [sizes[0]] * 6  # six instances, one arena's worth
+class TestNoScratchInTheCompressor:
+    """A compressor is its configuration: it keeps no scratch between
+    calls, so it pickles as plain state and threads need no care."""
 
     def test_compressors_hold_no_scratch_and_pickle_as_plain_state(self):
         comp = SZCompressor(codec="huffman")
-        comp.compress(np.linspace(0, 1, 64), 0.01)  # populate the arena
+        comp.compress(np.linspace(0, 1, 64), 0.01)
         assert set(vars(comp)) == {"mode", "codec", "radius"}
         clone = pickle.loads(pickle.dumps(comp))
         assert clone.mode == comp.mode and clone.codec.name == "huffman"
@@ -268,17 +190,14 @@ class TestOneArenaPerThread:
 
     @pytest.mark.parametrize("shared", [True, False], ids=["same-instance", "own-instances"])
     def test_concurrent_threads_produce_the_serial_bytes(self, shared):
-        """More threads than cores, a short switch interval, and arenas
-        that would scribble over each other if two threads shared one."""
+        """More threads than cores and a short switch interval: scratch
+        shared between two threads would be scribbled over."""
         rng = np.random.default_rng(13)
         arrays = [rng.normal(0, 1 + i, (12, 12, 12)) for i in range(24)]
         one = SZCompressor()
         expected = [one.compress(a, 0.01).payloads for a in arrays]
-        main_arena = thread_workspace()
-        arenas = set()
 
         def work(a):
-            arenas.add(id(thread_workspace()))
             comp = one if shared else SZCompressor()
             block, est = comp.compress(a, 0.01), comp.estimate_many([a, a], [0.01, 0.02])
             assert est[0].n_elements == a.size
@@ -292,4 +211,3 @@ class TestOneArenaPerThread:
         finally:
             sys.setswitchinterval(interval)
         assert results == expected
-        assert id(main_arena) not in arenas and len(arenas) > 1

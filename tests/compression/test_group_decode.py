@@ -40,7 +40,6 @@ from repro.compression.sz import (
     SZCompressor,
     decompress,
 )
-from repro.compression.workspace import Workspace
 from repro.compression.zfp_like import ZFPLikeCompressor
 from repro.parallel.backends import SnapshotResult
 from repro.parallel.decomposition import BlockDecomposition
@@ -192,15 +191,13 @@ class TestChunksAndThreads:
         views = [_field(shape, s) for s in range(per_chunk + 5)]
         blocks = SZCompressor().compress_many(views, [0.01] * len(views))
         lattices = []
-        real = Workspace.request
+        real = sz.lorenzo_inverse_batch_inplace
 
-        def recording(ws, name, shape, dtype):
-            view = real(ws, name, shape, dtype)
-            if name == "batch_lattice_i64":
-                lattices.append(view.nbytes)
-            return view
+        def recording(lattice):
+            lattices.append(lattice.nbytes)
+            return real(lattice)
 
-        monkeypatch.setattr(Workspace, "request", recording)
+        monkeypatch.setattr(sz, "lorenzo_inverse_batch_inplace", recording)
         got = decompress_many(blocks)
         # the fewest even chunks: 69 blocks as 35 + 34
         assert lattices == [35 * 8 * 16**3, 34 * 8 * 16**3]
@@ -223,9 +220,9 @@ class TestChunksAndThreads:
             maps.append([[int(i) for i in chunk] for chunk in items])
             return real_map(fn, items)
 
-        def counted_chunk(blocks, ws, out):
+        def counted_chunk(blocks, out):
             threads.add(threading.get_ident())
-            return real_chunk(blocks, ws, out)
+            return real_chunk(blocks, out)
 
         monkeypatch.setattr(sz, "thread_map", counted_map)
         monkeypatch.setattr(sz, "_decompress_chunk", counted_chunk)

@@ -165,7 +165,7 @@ class TestThroughTheCompressor:
 class TestMixedWidthGroups:
     def test_runs_of_equal_width_pack_like_single_blocks(self):
         """A shape group whose blocks need different widths — the plane
-        arena is cut into runs; bytes must not depend on the neighbours."""
+        buffer is cut into runs; bytes must not depend on the neighbours."""
         rng = np.random.default_rng(21)
         scales = [0.5, 0.5, 40.0, 0.5, 40.0, 40.0, 0.5]  # uint8 / uint16 symbols
         views = [np.cumsum(rng.normal(0, s, (6, 6, 6)), axis=0) for s in scales]

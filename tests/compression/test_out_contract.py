@@ -130,7 +130,7 @@ def test_out_is_the_decoded_block_bit_for_bit(case):
 
 def test_negative_zeros_keep_the_decoders_sign():
     """Values in (-eb, 0) quantize to a lattice zero; ``out`` must hold
-    the decoder's +0.0 there, not the rounded float arena's -0.0."""
+    the decoder's +0.0 there, not the rounded float work array's -0.0."""
     eb = 0.5
     view = np.array([-0.1, -0.4, 0.3, 2.0, -3.0])
     for dtype in (np.float32, np.float64):

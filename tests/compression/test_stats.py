@@ -10,7 +10,6 @@ from repro.compression.stats import (
     bit_rate,
     compression_ratio,
     max_abs_error,
-    max_pointwise_rel_error,
 )
 from repro.compression.sz import SZCompressor
 
@@ -39,15 +38,6 @@ class TestScalarMetrics:
     def test_max_abs_error_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             max_abs_error(np.zeros(3), np.zeros(4))
-
-    def test_max_rel_error(self):
-        a = np.array([2.0, 4.0])
-        b = np.array([2.2, 4.0])
-        assert max_pointwise_rel_error(a, b) == pytest.approx(0.1)
-
-    def test_max_rel_error_rejects_zero(self):
-        with pytest.raises(ValueError, match="zeros"):
-            max_pointwise_rel_error(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
 
 class TestAggregation:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.foresight.quality import QualityCriteria, evaluate_quality
-from repro.foresight.report import records_to_csv, records_to_table
+from repro.foresight.report import records_to_table
 from repro.foresight.sweep import run_sweep
 
 
@@ -149,16 +149,12 @@ class TestRateOnlySweep:
         assert records[0].bit_rate > 0 and records[0].quality is None
 
     def test_rate_only_records_render_in_reports(self, snapshot):
-        from repro.foresight.report import records_to_csv, records_to_table
-
         records = run_sweep(
             {"temperature": snapshot["temperature"]}, ebs=[25.0], criteria={},
             probe_mode="model", rate_only=True,
         )
         table = records_to_table(records, title="rate only")
-        csv = records_to_csv(records)
         assert "temperature" in table
-        assert "-" in csv.splitlines()[1].split(",")
 
 
 class TestReports:
@@ -176,10 +172,3 @@ class TestReports:
         assert "temperature" in table
         assert "ratio" in table
         assert len(table.splitlines()) == 5  # title + header + sep + 2 rows
-
-    def test_csv_renders(self, records):
-        csv = records_to_csv(records)
-        lines = csv.strip().splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("field,eb,")
-        assert lines[1].split(",")[0] == "temperature"

@@ -273,66 +273,87 @@ class TestRuleEdges:
         )
         assert "RL010" in codes(loop)
 
-    def test_rl011_only_fires_in_compression_package(self):
+    def test_rl011_only_fires_in_the_batched_front(self):
         src = (
             "import numpy as np\n"
-            "def encode(arr, ws):\n"
-            "    scratch = np.empty(arr.shape, dtype=np.int64)\n"
+            "def encode(arrs):\n"
+            "    for arr in arrs:\n"
+            "        scratch = np.empty(arr.shape, dtype=np.int64)\n"
         )
         assert codes(src, path="src/repro/compression/sz.py") == ["RL011"]
-        # Outside the compression package the arena contract doesn't apply.
+        assert codes(src, path="src/repro/compression/huffman.py") == ["RL011"]
+        # Outside the front's two modules allocation is not policed.
+        assert codes(src, path="src/repro/compression/zfp_like.py") == []
         assert codes(src) == []
 
-    def test_rl011_workspace_request_is_the_clean_form(self):
+    def test_rl011_one_allocation_per_pass_is_the_clean_form(self):
         src = (
             "import numpy as np\n"
-            "def encode(arr, ws):\n"
-            "    scratch = ws.request('encode_scratch', arr.shape, np.int64)\n"
+            "def encode(arrs, n):\n"
+            "    scratch = np.empty((len(arrs), n), np.int64)\n"
+            "    for row, arr in zip(scratch, arrs):\n"
+            "        np.copyto(row, arr.reshape(-1))\n"
         )
         assert codes(src, path="src/repro/compression/sz.py") == []
 
-    def test_rl011_requires_workspace_param(self):
-        # Decoders and one-shot helpers own their output arrays.
+    def test_rl011_fresh_allocation_in_the_fronts_comprehension(self):
         src = (
             "import numpy as np\n"
-            "def decompress(block):\n"
-            "    return np.zeros(block.shape)\n"
+            "def _map_batch(arrs):\n"
+            "    return [np.zeros(a.shape) for a in arrs]\n"
+        )
+        assert codes(src, path="src/repro/compression/sz.py") == ["RL011"]
+
+    def test_rl011_a_function_defined_in_a_loop_is_its_own_scope(self):
+        src = (
+            "import numpy as np\n"
+            "def outer(shapes):\n"
+            "    for shape in shapes:\n"
+            "        def make():\n"
+            "            return np.zeros(shape)\n"
         )
         assert codes(src, path="src/repro/compression/sz.py") == []
 
     def test_rl011_covers_the_group_decoder(self):
-        # The chunk decoder takes its lattice from the arena as ``ws``,
-        # so a fresh allocation there is flagged like one in the front.
+        # The chunk decoder allocates its lattice once per pass; its one
+        # allocation inside a loop (a buffer per stored width, whose
+        # dtype that width sets) is disabled with its reason, and the
+        # rule fires on it without the disable.
         import inspect
 
         from repro.compression import sz
 
-        # The encoder requests the same slot, so cut the decoder out.
         src = inspect.getsource(sz)
         start = src.index("def _decompress_chunk(")
         src = "import numpy as np\n\n" + src[start:]
-        lattice = 'ws.request("batch_lattice_i64", (n_blocks, n), np.int64)'
-        assert src.count(lattice) == 1
+        assert src.count("np.empty((n_blocks, n), np.int64)") == 1
+        disable = "  # repro-lint: disable=RL011"
+        assert src.count(disable) == 1
         assert codes(src, path="src/repro/compression/sz.py") == []
-        fresh = src.replace(lattice, "np.empty((n_blocks, n), np.int64)")
-        assert codes(fresh, path="src/repro/compression/sz.py") == ["RL011"]
+        bare = src.replace(disable, "")
+        assert codes(bare, path="src/repro/compression/sz.py") == ["RL011"]
+        # A lattice allocated per width run instead of once per chunk.
+        slab = "dst = lattice[lo : lo + len(run)]"
+        assert src.count(slab) == 1
+        per_run = src.replace(slab, "dst = np.empty((len(run), n), np.int64)")
+        assert codes(per_run, path="src/repro/compression/sz.py") == ["RL011"]
 
     def test_rl011_per_block_compress_loop(self):
         src = (
             "class C:\n"
-            "    def _compress_groups(self, views, ebs, ws):\n"
+            "    def _compress_groups(self, views, ebs):\n"
             "        return [self.compress(v, e) for v, e in zip(views, ebs)]\n"
         )
-        assert codes(src, path="src/repro/compression/api.py") == ["RL011"]
+        assert codes(src, path="src/repro/compression/sz.py") == ["RL011"]
 
     def test_rl011_single_dispatch_call_not_flagged(self):
         # One call outside a loop IS the batched path's entry point.
         src = (
             "class C:\n"
-            "    def _compress_one(self, data, eb, ws):\n"
+            "    def _compress_one(self, data, eb):\n"
             "        return self._inner.compress(data, eb)\n"
         )
-        assert codes(src, path="src/repro/compression/api.py") == []
+        assert codes(src, path="src/repro/compression/sz.py") == []
 
     def test_rl010_bounded_while_not_flagged(self):
         # The loop condition itself bounds the attempts — not `while True`.

@@ -11,7 +11,6 @@ from repro.resilience import (
     InjectedTimeout,
     TornWrite,
     TransientError,
-    active_plan,
     fault_point,
 )
 from repro.resilience.faults import FaultSpec
@@ -96,14 +95,15 @@ class TestFaultPlan:
         assert plan.fired("unarmed") == 0
 
     def test_no_plan_installed_is_noop(self):
-        assert active_plan() is None
         fault_point("anything")  # must not raise, must not need a plan
 
     def test_activate_restores_previous_state(self):
-        plan = FaultPlan()
+        plan = FaultPlan().arm("s", kind="crash", at=(0, 1))
         with plan.activate():
-            assert active_plan() is plan
-        assert active_plan() is None
+            with pytest.raises(InjectedCrash):
+                fault_point("s")
+        fault_point("s")  # armed for this invocation, but no plan installed
+        assert plan.invocations("s") == 1
 
     def test_arm_random_is_seed_deterministic(self):
         a = FaultPlan(seed=9).arm_random("s", rate=0.3, horizon=50)

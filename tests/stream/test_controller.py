@@ -636,7 +636,7 @@ class TestQualityCheckLedgerIdentity:
     def _forbid_decode(monkeypatch) -> None:
         from repro.compression import sz
 
-        def refuse(blocks, ws):
+        def refuse(blocks, out):
             raise AssertionError("an SZ block was decoded on the governed stream")
 
         monkeypatch.setattr(sz, "_decompress_chunk", refuse)

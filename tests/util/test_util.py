@@ -11,14 +11,13 @@ import pytest
 
 from repro.util import fanout
 from repro.util.fanout import thread_map, usable_cpus
-from repro.util.rng import default_rng, spawn_rngs
+from repro.util.rng import default_rng
 from repro.util.tables import format_table
 from repro.util.timer import Timer, TimingBreakdown
 from repro.util.validation import (
     check_3d,
     check_finite,
     check_positive,
-    check_probability,
 )
 
 
@@ -29,20 +28,6 @@ class TestRng:
     def test_generator_passthrough(self):
         g = np.random.default_rng(0)
         assert default_rng(g) is g
-
-    def test_spawn_independent_streams(self):
-        rngs = spawn_rngs(7, 4)
-        draws = [r.random() for r in rngs]
-        assert len(set(draws)) == 4
-
-    def test_spawn_deterministic(self):
-        a = [r.random() for r in spawn_rngs(7, 3)]
-        b = [r.random() for r in spawn_rngs(7, 3)]
-        assert a == b
-
-    def test_spawn_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            spawn_rngs(0, -1)
 
 
 class TestTimers:
@@ -185,11 +170,6 @@ class TestValidation:
             check_positive(0, "x")
         with pytest.raises(ValueError, match="x"):
             check_positive(float("nan"), "x")
-
-    def test_check_probability(self):
-        assert check_probability(0.5, "p") == 0.5
-        with pytest.raises(ValueError, match="p"):
-            check_probability(1.5, "p")
 
 
 class _Concurrency:
