@@ -97,6 +97,90 @@ class TestLorenzoKernel:
         assert np.array_equal(as_3d.reshape(3, 17), expected)
 
 
+def _diff_chain(batch: np.ndarray) -> np.ndarray:
+    """The Lorenzo residuals of each row of ``batch`` spelled out as the
+    seed computed them: one zero-prepended ``np.diff`` per block axis."""
+    out = np.array(batch)
+    for axis in range(1, out.ndim):
+        pre = np.zeros([1 if ax == axis else s for ax, s in enumerate(out.shape)], out.dtype)
+        out = np.diff(out, axis=axis, prepend=pre)
+    return out
+
+
+class TestLorenzoPasses:
+    """Each block axis is one pass over the flat buffers, ping-ponged
+    between the batch and its scratch; the axis's index-0 plane is
+    restored from the source, and an odd pass count copies back."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1, 8, 8, 8),  # three passes: ends in scratch, copied back
+            (5, 4, 6, 3),
+            (4, 2, 2, 2),
+            (3, 1, 6, 5),  # two passes: ends in the batch
+            (3, 6, 1, 5),
+            (3, 6, 5, 1),
+            (2, 1, 1, 7),  # one pass along the innermost axis
+            (2, 7, 1, 1),  # one pass along the outermost axis
+            (1, 1, 1, 1),  # no pass
+            (3, 16),
+            (3, 5, 7),
+        ],
+    )
+    def test_matches_the_diff_chain(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        batch = rng.integers(-1000, 1000, shape)
+        expected = _diff_chain(batch)
+        got = batch.copy()
+        out = lorenzo_transform_batch_inplace(got, np.empty(got.size, dtype=got.dtype))
+        assert out is got
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_non_contiguous_batch_is_written_in_place(self, layout):
+        rng = np.random.default_rng(6)
+        base = rng.integers(-1000, 1000, (3, 10, 6, 5))
+        if layout == "strided":
+            before = base.copy()
+            batch = base[:, ::2]
+        else:
+            batch = np.asfortranarray(base)
+        expected = _diff_chain(batch)
+        out = lorenzo_transform_batch_inplace(batch, np.empty(batch.size, dtype=batch.dtype))
+        assert out is batch
+        assert np.array_equal(batch, expected)
+        if layout == "strided":
+            # the skipped planes of the base are untouched
+            assert np.array_equal(base[:, 1::2], before[:, 1::2])
+
+    def test_a_larger_scratch_is_used_by_its_prefix(self):
+        rng = np.random.default_rng(7)
+        batch = rng.integers(-50, 50, (2, 5, 4, 3))
+        scratch = np.full(batch.size + 11, 99, dtype=batch.dtype)
+        expected = _diff_chain(batch)
+        lorenzo_transform_batch_inplace(batch, scratch)
+        assert np.array_equal(batch, expected)
+        assert (scratch[batch.size :] == 99).all()
+
+    def test_int64_differences_wrap_as_the_diff_chain_does(self):
+        batch = np.zeros((2, 3, 3, 3), dtype=np.int64)
+        batch[:, ::2, 1::2, ::2] = np.iinfo(np.int64).max
+        batch[:, 1::2, ::2, 1::2] = np.iinfo(np.int64).min
+        with np.errstate(over="ignore"):
+            expected = _diff_chain(batch)
+        lorenzo_transform_batch_inplace(batch, np.empty(batch.size, dtype=batch.dtype))
+        assert np.array_equal(batch, expected)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    def test_single_block_transform_keeps_the_dtype(self, dtype):
+        rng = np.random.default_rng(8)
+        block = rng.integers(-100, 100, (6, 5, 4)).astype(dtype)
+        got = lorenzo_transform(block)
+        assert got.dtype == dtype
+        assert np.array_equal(got, _diff_chain(block[None])[0])
+
+
 #: Residuals at every stored-width edge of the fold (uint8 holds
 #: |r| <= 127, uint16 the rest of the default radius), the outlier
 #: threshold and the int64 extremes.

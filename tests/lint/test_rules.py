@@ -304,6 +304,41 @@ class TestRuleEdges:
         )
         assert codes(src, path="src/repro/compression/sz.py") == ["RL011"]
 
+    @pytest.mark.parametrize(
+        "call", ["np.empty(n)", "np.zeros(n)", "np.ones(n)", "np.full(n, 7)"]
+    )
+    def test_rl011_flags_each_allocator_in_a_loop(self, call):
+        src = (
+            "import numpy as np\n"
+            "def encode(arrs, n):\n"
+            "    for arr in arrs:\n"
+            f"        scratch = {call}\n"
+        )
+        assert codes(src, path="src/repro/compression/sz.py") == ["RL011"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "    while n:\n        n -= 1\n        buf = np.empty(n)\n",
+            "    return {np.zeros(a.shape).size for a in arrs}\n",
+            "    return {i: np.zeros(a.shape) for i, a in enumerate(arrs)}\n",
+            "    return sum(np.ones(a.shape).sum() for a in arrs)\n",
+        ],
+        ids=["while", "set-comprehension", "dict-comprehension", "generator"],
+    )
+    def test_rl011_flags_every_loop_form(self, body):
+        src = "import numpy as np\ndef encode(arrs, n):\n" + body
+        assert codes(src, path="src/repro/compression/huffman.py") == ["RL011"]
+
+    @pytest.mark.parametrize(
+        "header, call",
+        [("import numpy\n", "numpy.empty(n)"), ("from numpy import zeros\n", "zeros(n)")],
+        ids=["module", "from-import"],
+    )
+    def test_rl011_resolves_how_numpy_is_imported(self, header, call):
+        src = header + f"def encode(arrs, n):\n    for arr in arrs:\n        b = {call}\n"
+        assert codes(src, path="src/repro/compression/sz.py") == ["RL011"]
+
     def test_rl011_a_function_defined_in_a_loop_is_its_own_scope(self):
         src = (
             "import numpy as np\n"
