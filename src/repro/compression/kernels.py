@@ -6,7 +6,7 @@ whole SZ pipeline is block-parallelizable end to end; here that is one
 batched NumPy front over ``(B, n)`` / ``(B, nx, ny, nz)`` stacks of
 same-shape blocks, written once.  Its steps live where their maths is
 defined — :func:`repro.compression.quantizer.quantize_lattice_batch`,
-:func:`repro.compression.lorenzo.lorenzo_transform_batch_inplace`,
+:func:`repro.compression.lorenzo.lorenzo_transform_batch`,
 :func:`repro.compression.quantizer.encode_residuals_batch` — and
 :mod:`repro.compression.sz` calls them directly.  This module holds the
 two maps more than one compressor needs: the signed <-> unsigned zigzag

@@ -25,16 +25,17 @@ import numpy as np
 
 __all__ = [
     "lorenzo_transform",
-    "lorenzo_transform_batch_inplace",
+    "lorenzo_transform_batch",
     "lorenzo_inverse",
     "lorenzo_inverse_batch_inplace",
 ]
 
 
-def _mixed_difference_inplace(
+def _mixed_difference(
     arr: np.ndarray, axes: "tuple[int, ...] | range", scratch: np.ndarray
 ) -> np.ndarray:
-    """First difference (zero boundary) along each of ``axes``, in place.
+    """First difference (zero boundary) along each of ``axes``; returns
+    whichever of ``arr`` (C-contiguous) and ``scratch`` holds the result.
 
     The shared core of the single-block and batched transforms.  Each
     axis is one ping-pong pass between ``arr`` and ``scratch`` (``arr``'s
@@ -44,15 +45,14 @@ def _mixed_difference_inplace(
     index is 0, which then takes its source value back in one strided
     copy.  That beats a subtract over the ``[1:]``/``[:-1]`` slices,
     whose last axis runs as one short row per call (one 64^3 int64
-    block: 0.82 ms against 1.21 ms).  An odd number of passes ends with
-    one copy back into ``arr``.  Length-1 axes are skipped (their
+    block: 0.82 ms against 1.21 ms).  After an even number of passes
+    the result is ``arr`` itself; after an odd one it is the first
+    ``arr.size`` elements of ``scratch`` in ``arr``'s shape, and
+    nothing is copied back.  Length-1 axes are skipped (their
     zero-boundary diff is the identity), which is also what makes
     trailing singleton padding a no-op for the batched 3-D
     normalization.
     """
-    if not arr.flags.c_contiguous:
-        arr[...] = _mixed_difference_inplace(np.ascontiguousarray(arr), axes, scratch)
-        return arr
     src = arr
     dst = scratch.reshape(-1)[: arr.size].reshape(arr.shape)
     for axis in axes:
@@ -64,36 +64,47 @@ def _mixed_difference_inplace(
         first = tuple(0 if ax == axis else slice(None) for ax in range(arr.ndim))
         dst[first] = src[first]
         src, dst = dst, src
-    if src is not arr:
-        arr[...] = src
-    return arr
+    return src
 
 
 def lorenzo_transform(data: np.ndarray) -> np.ndarray:
-    """Residuals of the n-D Lorenzo predictor (zero boundary condition).
+    """Residuals of the n-D Lorenzo predictor (zero boundary condition),
+    as a fresh array of ``data``'s dtype.
 
     Works on any integer or float array; for the compressor it is applied
-    to the int64 quantization lattice so the round trip is exact.
+    to the integer quantization lattice so the round trip is exact.
     """
     arr = np.asarray(data)
     if arr.ndim < 1 or arr.ndim > 3:
         raise ValueError(f"lorenzo_transform supports 1-3 dimensions, got {arr.ndim}")
-    out = np.array(arr)
+    out = np.array(arr, order="C")
     scratch = np.empty(out.size, dtype=out.dtype)
-    return _mixed_difference_inplace(out, range(out.ndim), scratch)
+    return _mixed_difference(out, range(out.ndim), scratch)
 
 
-def lorenzo_transform_batch_inplace(batch: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Lorenzo-transform every block of a ``(B, ...)`` stack in place.
+def lorenzo_transform_batch(
+    batch: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lorenzo-transform every block of a ``(B, ...)`` stack, using
+    ``batch`` and ``scratch`` as the two buffers of a ping-pong; returns
+    ``(residuals, spare)``.
 
     ``batch`` stacks same-shape blocks along a leading batch axis; the
-    transform runs over the trailing (block) axes only, so the result of
-    row ``b`` is element-for-element identical to
+    transform runs over the trailing (block) axes only, so row ``b`` of
+    ``residuals`` is element-for-element identical to
     ``lorenzo_transform(batch[b])``.  ``scratch`` is a buffer of
-    ``batch``'s dtype with at least ``batch.size`` elements.  This is
-    the one-pass multi-block kernel behind the batched compress path:
-    each per-axis difference is a single strided ufunc over the whole
-    stack instead of one Python-level call per block.
+    ``batch``'s dtype with at least ``batch.size`` elements.  The
+    passes alternate between the two (:func:`_mixed_difference`), so
+    ``residuals`` is ``batch`` itself after an even number of
+    non-trivial axes (a 2-D block, or none) and ``scratch``'s prefix in
+    ``batch``'s shape after an odd one (1-D and 3-D blocks); nothing is
+    copied back.  ``spare`` is the other buffer, flat: its contents are
+    undefined and the caller may use it as scratch for the next step.
+    A non-contiguous ``batch`` is transformed through a contiguous copy
+    and written back, and is then ``residuals``.  This is the one-pass
+    multi-block kernel behind the batched compress path: each per-axis
+    difference is a single ufunc over the whole stack instead of one
+    Python-level call per block.
     """
     if batch.ndim < 2 or batch.ndim > 4:
         raise ValueError(
@@ -103,7 +114,14 @@ def lorenzo_transform_batch_inplace(batch: np.ndarray, scratch: np.ndarray) -> n
         raise ValueError(
             f"scratch must provide >= {batch.size} elements of dtype {batch.dtype}"
         )
-    return _mixed_difference_inplace(batch, range(1, batch.ndim), scratch)
+    axes = range(1, batch.ndim)
+    if not batch.flags.c_contiguous:
+        batch[...] = _mixed_difference(np.ascontiguousarray(batch), axes, scratch)
+        return batch, scratch.reshape(-1)
+    res = _mixed_difference(batch, axes, scratch)
+    if res is batch:
+        return res, scratch.reshape(-1)
+    return res, batch.reshape(-1)
 
 
 #: Smallest first-axis slab (elements) summed with one vectorized add
@@ -131,7 +149,7 @@ def lorenzo_inverse(residuals: np.ndarray) -> np.ndarray:
 
 
 def lorenzo_inverse_batch_inplace(batch: np.ndarray) -> np.ndarray:
-    """Invert :func:`lorenzo_transform_batch_inplace`: prefix sums along
+    """Invert :func:`lorenzo_transform_batch`: prefix sums along
     every block axis of a ``(B, ...)`` stack, in place (and returned).
 
     Integer sums wrap, and wrapping addition is associative and

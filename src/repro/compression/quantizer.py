@@ -67,24 +67,37 @@ def quantize_abs(data: np.ndarray, eb: float) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def quantize_lattice_batch(work: np.ndarray, lattice: np.ndarray, mask: np.ndarray) -> bool:
-    """Batched tail of :func:`quantize_abs` over caller-owned buffers.
+#: Largest ``max |q|`` (exclusive) the front runs on an int32 lattice.
+#: Every 1-3-D Lorenzo residual is a mixed difference of at most eight
+#: lattice values, so ``|r| <= 8 * (2**27 - 1) < 2**30``, its zigzag is
+#: below ``2**31`` and its folded symbol fits int32: the narrow lattice
+#: gives the wide one's residuals, symbols and outliers value for value.
+INT32_LATTICE_LIMIT = 1 << 27
+
+#: Largest ``max |q|`` (exclusive) the int64 lattice takes.
+INT64_LATTICE_LIMIT = 1 << 62
+
+
+def quantize_lattice_batch(work: np.ndarray) -> np.ndarray | None:
+    """Batched tail of :func:`quantize_abs`: round, then cast to the
+    narrowest lattice the rows' range proves exact.
 
     ``work`` is a ``(B, n)`` float64 stack already holding each block's
     ``data / (2*eb)`` (the caller owns the divide so ``pw_rel`` can fuse
-    its log pass into the same buffer); it is rounded in place and
-    exact-cast into the int64 ``lattice`` of the same shape — zero fresh
-    full-array allocations.  Returns ``False`` when any value is
-    non-finite or outside the int64-safe lattice range; the caller, which
-    knows what the rows are, raises.  ``mask`` is bool scratch of the
-    same shape.
+    its log pass into the same buffer); it is rounded in place.  Returns
+    the lattice, allocated here with ``work``'s shape: int32 when every
+    ``|q| < INT32_LATTICE_LIMIT``, else int64.  Returns ``None`` when a
+    value is non-finite or ``|q|`` reaches :data:`INT64_LATTICE_LIMIT`
+    (a NaN fails the range test too); the caller, which knows what the
+    rows are, raises.
     """
     np.rint(work, out=work)
-    np.isfinite(work, out=mask)
-    if not mask.all() or max(float(work.max()), -float(work.min())) >= 2**62:
-        return False
+    top = max(float(work.max()), -float(work.min()))
+    if not top < INT64_LATTICE_LIMIT:
+        return None
+    lattice = np.empty(work.shape, np.int32 if top < INT32_LATTICE_LIMIT else np.int64)
     np.copyto(lattice, work, casting="unsafe")  # values are integral: cast is exact
-    return True
+    return lattice
 
 
 def dequantize_abs(q: np.ndarray, eb: float) -> np.ndarray:
@@ -142,38 +155,43 @@ def encode_residuals_batch(
     res: np.ndarray,
     radius: int,
     scratch: np.ndarray | None = None,
-    misfit: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fold a ``(B, n)`` stack of int64 residuals into symbols, in place.
+    """Fold a ``(B, n)`` stack of int32 or int64 residuals into symbols,
+    in place.
 
     ``res`` holds one flattened block of Lorenzo residuals per row and is
     overwritten with the folded symbols (see the module docstring).  The
-    zigzag is a bijection on 64-bit patterns, so residuals that wrapped
-    in the Lorenzo pass still round-trip through the outlier channel.
+    sign shift and the unsigned view follow ``res``'s dtype.  The zigzag
+    is a bijection on the dtype's bit patterns, so int64 residuals that
+    wrapped in the Lorenzo pass still round-trip through the outlier
+    channel; an int32 stack is one :func:`quantize_lattice_batch` proved
+    never wraps, so its symbols are the int64 ones value for value.
     Returns ``(counts, positions, values, maxes)``: ``counts[b]`` is
     block ``b``'s outlier count, ``positions``/``values`` concatenate the
-    per-block within-block flat indices and exact residuals in block
-    order, and ``maxes[b]`` is row ``b``'s largest symbol (what fixes its
-    stored width).  ``scratch`` (int64, ``>= B*n``) and ``misfit`` (bool,
-    ``res``'s shape) are optional scratch: the batched front passes the
-    buffers its Lorenzo and quantize steps are done with;
-    :func:`encode_residuals` allocates instead.
+    per-block within-block flat indices and exact int64 residuals in
+    block order, and ``maxes[b]`` is row ``b``'s largest symbol (what
+    fixes its stored width).  ``scratch`` (``res``'s dtype, ``>= B*n``
+    elements) is optional: the batched front passes the buffer its
+    Lorenzo step is done with; :func:`encode_residuals` allocates
+    instead.
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
     n_blocks, block_len = res.shape
     flat = res.reshape(-1)
-    sign = np.empty(flat.size, np.int64) if scratch is None else scratch[: flat.size]
-    if misfit is None:
-        misfit = np.empty(res.shape, dtype=np.bool_)
-    np.right_shift(flat, 63, out=sign)
+    unsigned = np.dtype(f"u{res.dtype.itemsize}")
+    if scratch is None:
+        scratch = np.empty(flat.size, res.dtype)
+    sign = scratch.reshape(-1)[: flat.size]
+    np.right_shift(flat, 8 * res.dtype.itemsize - 1, out=sign)
     np.left_shift(flat, 1, out=flat)
-    np.bitwise_xor(flat, sign, out=flat)  # zigzag(r), read as uint64
-    folded = flat.view(np.uint64)
-    # |r| < radius  <=>  zigzag(r) <= 2*radius - 2.
-    np.greater(folded, np.uint64(2 * radius - 2), out=misfit.reshape(-1))
-    idx = np.flatnonzero(misfit.reshape(-1))
-    sub = folded[idx]
+    np.bitwise_xor(flat, sign, out=flat)  # zigzag(r), read as unsigned
+    folded = flat.view(unsigned)
+    # |r| < radius  <=>  zigzag(r) <= 2*radius - 2; a bound past the
+    # unsigned range clamps to its top, which no zigzag exceeds.
+    limit = min(2 * radius - 2, int(np.iinfo(unsigned).max))
+    idx = np.flatnonzero(folded > unsigned.type(limit))
+    sub = folded[idx].astype(np.uint64, copy=False)
     val = (sub >> np.uint64(1)).astype(np.int64) ^ -(sub & np.uint64(1)).astype(np.int64)
     flat[idx] = -1
     flat += 1  # fits: zigzag + 1; outliers: -1 + 1 = 0, the marker

@@ -5,7 +5,9 @@ runs):
 
 1. **Quantize** the field onto the integer lattice of pitch ``2*eb``
    (:mod:`repro.compression.quantizer`) — this alone fixes the pointwise
-   error bound.
+   error bound.  The lattice is int32 where the rounded range proves
+   every later value fits it, int64 otherwise; steps 2-3 run at that
+   width and give the same values either way.
 2. **Predict** with the Lorenzo transform on the integer lattice
    (:mod:`repro.compression.lorenzo`) — smooth data collapses to small
    residuals.
@@ -69,7 +71,7 @@ from repro.compression.estimator import (
 from repro.compression.kernels import byte_planes, unzigzag, zigzag
 from repro.compression.lorenzo import (
     lorenzo_inverse_batch_inplace,
-    lorenzo_transform_batch_inplace,
+    lorenzo_transform_batch,
 )
 from repro.compression.quantizer import (
     DEFAULT_RADIUS,
@@ -95,11 +97,14 @@ _MODES = ("abs", "pw_rel")
 #: docstring); blocks without the field are layout 1.
 LAYOUT = 2
 
-#: Largest int64 lattice one batched pass works in (bytes): 64 blocks of
+#: Most lattice elements one batched pass works in, as a byte budget at
+#: 8 bytes an element (int64, and the float64 work stack): 64 blocks of
 #: 16^3, 8 of 32^3.  Longer groups compress, probe and decode in chunks
-#: of this size, so the temporaries one pass allocates — a few
+#: of this many elements, so the temporaries one pass allocates — a few
 #: lattice-sized arrays, freed when it returns — stay bounded, and
-#: cache-sized, however long the group.
+#: cache-sized, however long the group.  The chunk is cut before the
+#: encode front knows its lattice width, so an int32 chunk holds the
+#: same blocks in half the bytes.
 GROUP_LATTICE_BYTES = 2 << 20
 
 
@@ -322,12 +327,12 @@ class SZCompressor:
         work, scales = self._map_batch(arrs, eb_arr, ranges)
         # The mapped values, kept before the quantize step rounds ``work``.
         mapped = work.copy()
-        lattice, counts, pos, _val, _maxes = self._encode_mapped(work, scales, arrs[0].shape)
+        symbols, counts, pos, _val, _maxes = self._encode_mapped(work, scales, arrs[0].shape)
         mses = self._observed_mse_rows(mapped, work, scales, arrs, pos, counts)
         # One sparse census over the sorted symbol matrix (this pass's
         # own, sorted in place): at tight bounds the folded symbols span
         # far more values than a row holds.
-        est_arr, bits_arr = estimate_nbytes_rows(lattice, counts, self.codec.name)
+        est_arr, bits_arr = estimate_nbytes_rows(symbols, counts, self.codec.name)
         return [
             RQEstimate(
                 n_elements=int(arr.size),
@@ -491,18 +496,22 @@ class SZCompressor:
         All blocks (shape ``shape``, one per row of the ``(B, n)``
         stacks; ``work`` and ``scales`` as :meth:`_map_batch` returns
         them) run in one multi-block pass; ``work`` is left holding the
-        rounded rows.  Returns ``(symbols (B, n), outlier counts,
-        positions, values, per-row largest symbol)``.  Given ``out``,
+        rounded rows.  The lattice is int32 when the rounded range proves
+        every residual and symbol fits it, else int64
+        (:func:`~repro.compression.quantizer.quantize_lattice_batch`);
+        the symbols come back at that width, the outlier values as int64.
+        Returns ``(symbols (B, n), outlier counts, positions, values,
+        per-row largest symbol)``.  Given ``out``,
         each block's reconstruction is written there between quantize
         and Lorenzo (:meth:`_dequantize_into`).
         """
         tracer = telemetry.get_tracer()  # null object when disarmed
         n_blocks, n = work.shape
-        mask = np.empty((n_blocks, n), np.bool_)
-        lattice = np.empty((n_blocks, n), np.int64)
-        with tracer.span("sz.quantize", blocks=n_blocks):
-            ok = quantize_lattice_batch(work, lattice, mask)
-        if not ok:
+        with tracer.span("sz.quantize", blocks=n_blocks) as span:
+            lattice = quantize_lattice_batch(work)
+            if lattice is not None:
+                span.set_attr("lattice", 8 * lattice.itemsize)
+        if lattice is None:
             raise ValueError(
                 "error bound too small relative to data magnitude: quantization "
                 "lattice exceeds int64 range"
@@ -511,17 +520,14 @@ class SZCompressor:
             self._dequantize_into(out, lattice, scales, work)
         # Normalize to (B, nx, ny, nz); length-1 axes are the identity
         # under the zero-boundary difference, so padding is free.
-        shape3d = shape + (1,) * (3 - len(shape))
-        scratch = np.empty(n_blocks * n, np.int64)
+        stack = lattice.reshape((n_blocks,) + shape + (1,) * (3 - len(shape)))
+        scratch = np.empty_like(lattice)
         with tracer.span("sz.lorenzo", blocks=n_blocks):
-            lorenzo_transform_batch_inplace(
-                lattice.reshape((n_blocks,) + shape3d), scratch
-            )
+            res, spare = lorenzo_transform_batch(stack, scratch)
+        symbols = res.reshape(n_blocks, n)
         with tracer.span("sz.residual", blocks=n_blocks):
-            counts, pos, val, maxes = encode_residuals_batch(
-                lattice, self.radius, scratch, mask
-            )
-        return lattice, counts, pos, val, maxes
+            counts, pos, val, maxes = encode_residuals_batch(symbols, self.radius, spare)
+        return symbols, counts, pos, val, maxes
 
     def _dequantize_into(
         self, out: list[np.ndarray], lattice: np.ndarray, scales: np.ndarray, work: np.ndarray
@@ -619,13 +625,15 @@ def _run_chunks(run: Callable[[np.ndarray], list], items: Sequence) -> list:
     anything with a ``.shape``), results back in input order.
 
     Each same-shape group is cut into the fewest even chunks of at most
-    :data:`GROUP_LATTICE_BYTES` of int64 lattice.  Chunks of blocks with
-    at least :data:`FANOUT_MIN_ELEMENTS` elements are at least one per
-    usable CPU (:func:`~repro.util.fanout.usable_cpus`) and, when there
-    are two or more, go to :func:`~repro.util.fanout.thread_map`: the
-    calling thread works through them alongside the process's pool
-    threads (or alone, when they are busy with an outer fan-out); the
-    rest run in order in the calling thread.  Each chunk is independent,
+    :data:`GROUP_LATTICE_BYTES` / 8 lattice elements (the budget at 8
+    bytes an element, whatever width the lattice then takes).  Chunks
+    of blocks with at least :data:`FANOUT_MIN_ELEMENTS` elements are at
+    least one per usable CPU (:func:`~repro.util.fanout.usable_cpus`)
+    and, when there are two or more, go to
+    :func:`~repro.util.fanout.thread_map`: the calling thread works
+    through them alongside the process's pool threads (or alone, when
+    they are busy with an outer fan-out); the rest run in order in the
+    calling thread.  Each chunk is independent,
     so the outputs do not depend on the cut.
     """
     threads = usable_cpus()

@@ -628,9 +628,12 @@ class HotPathAllocationRule(Rule):
     ``np.ones``/``np.full`` inside a Python loop or comprehension
     allocates per block (or per segment) instead of per pass, and a loop
     that calls ``.compress()`` per block undoes the batching; both keep
-    the bytes and only cost throughput.  The rule applies to the two
-    modules of that front, ``repro/compression/sz.py`` and
-    ``repro/compression/huffman.py``; an allocation whose shape or
+    the bytes and only cost throughput.  The rule applies to the four
+    modules of that front: ``repro/compression/sz.py``,
+    ``repro/compression/huffman.py``, ``repro/compression/quantizer.py``
+    (which allocates the chunk's lattice at the width it picks) and
+    ``repro/compression/lorenzo.py`` (whose transform hands its
+    ping-pong buffer back to the caller); an allocation whose shape or
     dtype changes with each iteration carries a disable comment saying
     so.
 
@@ -659,7 +662,12 @@ class HotPathAllocationRule(Rule):
         "undoes the batching: hoist the allocation out of the loop and "
         "send blocks through the batch entry points."
     )
-    only = ("repro/compression/sz.py", "repro/compression/huffman.py")
+    only = (
+        "repro/compression/sz.py",
+        "repro/compression/huffman.py",
+        "repro/compression/quantizer.py",
+        "repro/compression/lorenzo.py",
+    )
 
     _ALLOCATORS = frozenset(
         {"numpy.empty", "numpy.zeros", "numpy.ones", "numpy.full"}

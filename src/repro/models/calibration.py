@@ -120,7 +120,13 @@ def partition_feature(partition: np.ndarray) -> float:
     formula to the signed velocity fields (whose plain mean is ~0 and
     carries no compressibility information).
     """
-    return float(np.mean(np.abs(partition)))
+    mags = np.abs(partition)
+    if mags.dtype not in (np.float32, np.float64):
+        return float(np.mean(mags))
+    # ``np.mean``'s own sum and divide without its Python wrapper, which
+    # is half the cost on a 16^3 partition: the same value bit for bit.
+    total = np.add.reduce(mags, axis=None)
+    return float(total.dtype.type(total / np.intp(mags.size)))
 
 
 @dataclass

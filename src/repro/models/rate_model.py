@@ -203,9 +203,17 @@ def _clipped_waterfill(
         return np.full_like(base, hi)
     k_lo = lo / float(base.max())  # every bound at (or below) lo
     k_hi = hi / float(base.min())  # every bound at (or above) hi
+    # Each step is ``sum(w * clip(k * base, lo, hi))`` as bare ufuncs on
+    # one buffer: the same values as ``np.clip`` / ``np.sum``, without
+    # their Python wrappers (the loop is most of the optimize phase).
+    trial = np.empty_like(base)
     for _ in range(max(64, max_iterations)):
         k = 0.5 * (k_lo + k_hi)
-        if float(np.sum(weights * np.clip(k * base, lo, hi))) < target:
+        np.multiply(base, k, out=trial)
+        np.maximum(trial, lo, out=trial)
+        np.minimum(trial, hi, out=trial)
+        trial *= weights
+        if float(np.add.reduce(trial)) < target:
             k_lo = k
         else:
             k_hi = k

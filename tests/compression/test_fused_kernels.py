@@ -23,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.compression.codecs import _minimal_uint_dtype, get_codec
 from repro.compression.kernels import zigzag
-from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch_inplace
+from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch
 from repro.compression.quantizer import encode_residuals, quantize_abs
 from repro.compression.sz import SZCompressor, decompress
 from repro.util.errors import PayloadError
@@ -87,9 +87,9 @@ class TestFusedKernels:
     def test_lorenzo_batch_rejects_bad_scratch(self):
         batch = np.zeros((2, 4, 4), dtype=np.int64)
         with pytest.raises(ValueError, match="scratch"):
-            lorenzo_transform_batch_inplace(batch, np.zeros(2, dtype=np.int64))
+            lorenzo_transform_batch(batch, np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="scratch"):
-            lorenzo_transform_batch_inplace(batch, np.zeros(batch.size, dtype=np.int32))
+            lorenzo_transform_batch(batch, np.zeros(batch.size, dtype=np.int32))
 
     @pytest.mark.parametrize("codec", ["zlib", "huffman", "raw"])
     def test_payloads_match_reference_across_codecs(self, codec):

@@ -32,7 +32,7 @@ from repro.compression.kernels import (
     unzigzag,
     zigzag,
 )
-from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch_inplace
+from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch
 from repro.compression.quantizer import encode_residuals_batch, quantize_lattice_batch
 from repro.compression.sz import SZCompressor, decompress
 from repro.util.errors import PayloadError
@@ -63,19 +63,39 @@ class TestQuantizeKernel:
     def test_matches_rint_and_cast(self):
         rng = np.random.default_rng(0)
         work = rng.normal(0, 100, (3, 50))
-        lattice = np.empty(work.shape, dtype=np.int64)
-        mask = np.empty(work.shape, dtype=np.bool_)
-        assert quantize_lattice_batch(work.copy(), lattice, mask) is True
-        assert mask.all()
+        lattice = quantize_lattice_batch(work.copy())
+        assert lattice.shape == work.shape and lattice.dtype == np.int32
         assert np.array_equal(lattice, np.rint(work).astype(np.int64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
     def test_reports_unrepresentable_without_raising(self, bad):
         work = np.ones((2, 8))
         work[1, 3] = bad
-        lattice = np.empty(work.shape, dtype=np.int64)
-        mask = np.empty(work.shape, dtype=np.bool_)
-        assert quantize_lattice_batch(work, lattice, mask) is False
+        assert quantize_lattice_batch(work) is None
+
+    @pytest.mark.parametrize(
+        "top, dtype",
+        [
+            (2**27 - 1, np.int32),
+            (2**27, np.int64),
+            (2**40, np.int64),
+            (2**62 - 2**10, np.int64),
+            (2**62, None),
+        ],
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_rounded_range_picks_the_width(self, top, dtype, sign):
+        """``max |q|`` below 2**27 is int32, below 2**62 int64, else
+        unrepresentable; a negative extreme counts as its magnitude."""
+        work = np.zeros((2, 9))
+        work[1, 4] = sign * float(top) - sign * 0.25  # rounds to +-top
+        lattice = quantize_lattice_batch(work.copy())
+        if dtype is None:
+            assert lattice is None
+            return
+        assert lattice.dtype == dtype
+        assert int(lattice[1, 4]) == sign * top
+        assert np.array_equal(lattice, np.rint(work).astype(np.int64))
 
 
 class TestLorenzoKernel:
@@ -85,16 +105,16 @@ class TestLorenzoKernel:
         batch = rng.integers(-1000, 1000, (4,) + shape)
         expected = np.stack([lorenzo_transform(b) for b in batch])
         got = batch.copy()
-        lorenzo_transform_batch_inplace(got, np.empty(got.size, dtype=got.dtype))
-        assert np.array_equal(got, expected)
+        out, _ = lorenzo_transform_batch(got, np.empty(got.size, dtype=got.dtype))
+        assert np.array_equal(out, expected)
 
     def test_trailing_singleton_padding_is_identity(self):
         rng = np.random.default_rng(2)
         flat = rng.integers(-50, 50, (3, 17))
         as_3d = flat.reshape(3, 17, 1, 1).copy()
         expected = np.stack([lorenzo_transform(row) for row in flat])
-        lorenzo_transform_batch_inplace(as_3d, np.empty(as_3d.size, dtype=as_3d.dtype))
-        assert np.array_equal(as_3d.reshape(3, 17), expected)
+        out, _ = lorenzo_transform_batch(as_3d, np.empty(as_3d.size, dtype=as_3d.dtype))
+        assert np.array_equal(out.reshape(3, 17), expected)
 
 
 def _diff_chain(batch: np.ndarray) -> np.ndarray:
@@ -110,12 +130,14 @@ def _diff_chain(batch: np.ndarray) -> np.ndarray:
 class TestLorenzoPasses:
     """Each block axis is one pass over the flat buffers, ping-ponged
     between the batch and its scratch; the axis's index-0 plane is
-    restored from the source, and an odd pass count copies back."""
+    restored from the source, and the residuals stay in whichever buffer
+    the last pass wrote: the batch after an even pass count, the
+    scratch's prefix after an odd one."""
 
     @pytest.mark.parametrize(
         "shape",
         [
-            (1, 8, 8, 8),  # three passes: ends in scratch, copied back
+            (1, 8, 8, 8),  # three passes: ends in scratch
             (5, 4, 6, 3),
             (4, 2, 2, 2),
             (3, 1, 6, 5),  # two passes: ends in the batch
@@ -133,9 +155,44 @@ class TestLorenzoPasses:
         batch = rng.integers(-1000, 1000, shape)
         expected = _diff_chain(batch)
         got = batch.copy()
-        out = lorenzo_transform_batch_inplace(got, np.empty(got.size, dtype=got.dtype))
-        assert out is got
-        assert np.array_equal(got, expected)
+        out, _ = lorenzo_transform_batch(got, np.empty(got.size, dtype=got.dtype))
+        assert out.shape == got.shape
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize(
+        "shape, passes",
+        [
+            ((2, 1, 1, 1), 0),
+            ((3, 1, 1, 6), 1),
+            ((3, 5, 1, 1), 1),
+            ((3, 1, 6, 5), 2),
+            ((3, 6, 5), 2),
+            ((2, 5, 4, 3), 3),
+        ],
+        ids=["zero", "one-inner", "one-outer", "two", "two-2d", "three"],
+    )
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_returns_the_buffer_holding_the_residuals(self, shape, passes, dtype):
+        """Even pass counts leave the residuals in ``batch`` (returned
+        as itself), odd ones in ``scratch`` (its prefix, in ``batch``'s
+        shape); ``spare`` is the other buffer, flat, and free: the
+        caller's scratch for the next step."""
+        rng = np.random.default_rng(len(shape) + passes)
+        batch = rng.integers(-1000, 1000, shape).astype(dtype)
+        expected = _diff_chain(batch)
+        scratch = np.empty(batch.size + 3, dtype=dtype)
+        out, spare = lorenzo_transform_batch(batch, scratch)
+        if passes % 2:
+            assert out is not batch and np.shares_memory(out, scratch)
+            assert out.base is not None and out.shape == batch.shape
+            assert np.shares_memory(spare, batch) and spare.size == batch.size
+        else:
+            assert out is batch and not np.shares_memory(out, scratch)
+            assert np.shares_memory(spare, scratch) and spare.size == scratch.size
+        assert spare.ndim == 1 and not np.shares_memory(out, spare)
+        spare[...] = 7  # clobbering the spare buffer leaves the result
+        assert out.dtype == dtype
+        assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("layout", ["strided", "fortran"])
     def test_non_contiguous_batch_is_written_in_place(self, layout):
@@ -147,8 +204,9 @@ class TestLorenzoPasses:
         else:
             batch = np.asfortranarray(base)
         expected = _diff_chain(batch)
-        out = lorenzo_transform_batch_inplace(batch, np.empty(batch.size, dtype=batch.dtype))
-        assert out is batch
+        scratch = np.empty(batch.size, dtype=batch.dtype)
+        out, spare = lorenzo_transform_batch(batch, scratch)
+        assert out is batch and np.shares_memory(spare, scratch)
         assert np.array_equal(batch, expected)
         if layout == "strided":
             # the skipped planes of the base are untouched
@@ -159,8 +217,9 @@ class TestLorenzoPasses:
         batch = rng.integers(-50, 50, (2, 5, 4, 3))
         scratch = np.full(batch.size + 11, 99, dtype=batch.dtype)
         expected = _diff_chain(batch)
-        lorenzo_transform_batch_inplace(batch, scratch)
-        assert np.array_equal(batch, expected)
+        out, _ = lorenzo_transform_batch(batch, scratch)  # three passes
+        assert np.array_equal(out, expected)
+        assert np.shares_memory(out, scratch[: batch.size])
         assert (scratch[batch.size :] == 99).all()
 
     def test_int64_differences_wrap_as_the_diff_chain_does(self):
@@ -169,8 +228,8 @@ class TestLorenzoPasses:
         batch[:, 1::2, ::2, 1::2] = np.iinfo(np.int64).min
         with np.errstate(over="ignore"):
             expected = _diff_chain(batch)
-        lorenzo_transform_batch_inplace(batch, np.empty(batch.size, dtype=batch.dtype))
-        assert np.array_equal(batch, expected)
+        out, _ = lorenzo_transform_batch(batch, np.empty(batch.size, dtype=batch.dtype))
+        assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.float64])
     def test_single_block_transform_keeps_the_dtype(self, dtype):
@@ -218,8 +277,7 @@ class TestEncodeResidualsKernel:
         rng = np.random.default_rng(4)
         res = rng.integers(-30, 30, (3, 16))
         scratch = np.empty(res.size + 5, dtype=np.int64)
-        misfit = np.empty(res.shape, dtype=np.bool_)
-        a = encode_residuals_batch(res.copy(), 8, scratch, misfit)
+        a = encode_residuals_batch(res.copy(), 8, scratch)
         b = encode_residuals_batch(res.copy(), 8)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
@@ -235,6 +293,67 @@ class TestEncodeResidualsKernel:
         assert counts.tolist() == [6] and maxes.tolist() == [65535]
         assert pos.tolist() == list(range(13, 19))
         assert np.array_equal(val, FOLD_EDGES[13:])
+
+
+#: Residuals an int32 lattice can hold (``|r| < 2**30``, the Lorenzo
+#: bound of ``max |q| < 2**27``), with the fold's width edges.
+INT32_EDGES = np.array(
+    [0, -1, 1, 127, -127, 128, -128, 32767, -32767, 32768, -32768,
+     2**30 - 8, -(2**30 - 8), 2**30 - 1, -(2**30 - 1)],
+    dtype=np.int64,
+)
+
+
+class TestEncodeResidualsWidths:
+    """An int32 stack folds to the int64 stack's symbols, outliers and
+    maxes value for value; only the symbols keep the narrow dtype."""
+
+    @pytest.mark.parametrize(
+        "radius",
+        [2, 8, 1 << 15, 2**30, 2**31, 2**31 + 1, 2**40],
+        ids=["2", "8", "default", "2^30", "2^31", "clamped", "2^40"],
+    )
+    def test_int32_stack_folds_as_the_int64_one(self, radius):
+        rng = np.random.default_rng(radius % 1000)
+        res = np.concatenate(
+            [INT32_EDGES, rng.integers(-(2**30) + 1, 2**30, 49)]
+        ).reshape(4, 16)
+        wide, narrow = res.copy(), res.astype(np.int32)
+        a = encode_residuals_batch(wide, radius)
+        b = encode_residuals_batch(narrow, radius, np.empty(narrow.size, np.int32))
+        assert narrow.dtype == np.int32
+        assert np.array_equal(narrow, wide)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+        assert b[2].dtype == np.int64  # outlier values come back wide
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("edge", [-1, 1], ids=["minus-radius", "plus-radius"])
+    def test_a_lone_misfit_just_past_the_bound_is_found(self, dtype, edge):
+        """The only misfit of the chunk is ``+-radius``, whose zigzag is
+        ``2*radius - 1`` or ``2*radius``: one or two past the compare's
+        bound, and it must be found."""
+        radius = 1 << 15
+        res = np.zeros((2, 8), dtype)
+        res[0, :] = [radius - 1, -(radius - 1), 3, -3, 0, 1, -1, 2]
+        res[1, 5] = edge * radius
+        counts, pos, val, maxes = encode_residuals_batch(res, radius)
+        assert counts.tolist() == [0, 1]
+        assert pos.tolist() == [5] and val.tolist() == [edge * radius]
+        assert res[1, 5] == 0 and maxes.tolist() == [2 * radius - 1, 1]
+
+    def test_a_radius_past_the_unsigned_range_clamps(self):
+        """``2*radius - 2`` over 2**32 - 1 compares as 2**32 - 1 on an
+        int32 stack: every residual fits, as it does on int64."""
+        res = INT32_EDGES.reshape(1, -1)
+        for radius in (2**31 + 1, 2**33, 2**62):
+            narrow = res.astype(np.int32)
+            counts, pos, val, maxes = encode_residuals_batch(narrow, radius)
+            assert counts.tolist() == [0] and pos.size == val.size == 0
+            assert narrow[0].tolist() == [
+                (2 * r if r >= 0 else -2 * r - 1) + 1 for r in INT32_EDGES.tolist()
+            ]
+            assert maxes.tolist() == [2 * (2**30 - 1) + 1]
 
 
 class TestBytePlanes:

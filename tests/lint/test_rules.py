@@ -282,7 +282,9 @@ class TestRuleEdges:
         )
         assert codes(src, path="src/repro/compression/sz.py") == ["RL011"]
         assert codes(src, path="src/repro/compression/huffman.py") == ["RL011"]
-        # Outside the front's two modules allocation is not policed.
+        assert codes(src, path="src/repro/compression/quantizer.py") == ["RL011"]
+        assert codes(src, path="src/repro/compression/lorenzo.py") == ["RL011"]
+        # Outside the front's four modules allocation is not policed.
         assert codes(src, path="src/repro/compression/zfp_like.py") == []
         assert codes(src) == []
 
@@ -372,6 +374,59 @@ class TestRuleEdges:
         assert src.count(slab) == 1
         per_run = src.replace(slab, "dst = np.empty((len(run), n), np.int64)")
         assert codes(per_run, path="src/repro/compression/sz.py") == ["RL011"]
+
+    def test_rl011_covers_the_lattice_allocation(self):
+        """The quantize step allocates the chunk's lattice once, at the
+        width it picks; one per row is the defect."""
+        clean = (
+            "import numpy as np\n"
+            "def quantize_lattice_batch(work):\n"
+            "    np.rint(work, out=work)\n"
+            "    lattice = np.empty(work.shape, np.int32)\n"
+            "    np.copyto(lattice, work, casting='unsafe')\n"
+            "    return lattice\n"
+        )
+        per_row = (
+            "import numpy as np\n"
+            "def quantize_lattice_batch(work):\n"
+            "    np.rint(work, out=work)\n"
+            "    rows = []\n"
+            "    for row in work:\n"
+            "        lattice = np.empty(row.shape, np.int32)\n"
+            "        np.copyto(lattice, row, casting='unsafe')\n"
+            "        rows.append(lattice)\n"
+            "    return rows\n"
+        )
+        path = "src/repro/compression/quantizer.py"
+        assert codes(clean, path=path) == []
+        assert codes(per_row, path=path) == ["RL011"]
+
+    def test_rl011_covers_the_lorenzo_buffer_handoff(self):
+        """The transform ping-pongs between the caller's two buffers and
+        hands back the one holding the result; a fresh buffer per axis
+        is the defect."""
+        clean = (
+            "import numpy as np\n"
+            "def transform(arr, axes, scratch):\n"
+            "    src, dst = arr, scratch.reshape(arr.shape)\n"
+            "    for axis in axes:\n"
+            "        np.subtract(src[1:], src[:-1], out=dst[1:])\n"
+            "        src, dst = dst, src\n"
+            "    return src\n"
+        )
+        per_axis = (
+            "import numpy as np\n"
+            "def transform(arr, axes):\n"
+            "    src = arr\n"
+            "    for axis in axes:\n"
+            "        dst = np.empty(arr.shape, arr.dtype)\n"
+            "        np.subtract(src[1:], src[:-1], out=dst[1:])\n"
+            "        src = dst\n"
+            "    return src\n"
+        )
+        path = "src/repro/compression/lorenzo.py"
+        assert codes(clean, path=path) == []
+        assert codes(per_axis, path=path) == ["RL011"]
 
     def test_rl011_per_block_compress_loop(self):
         src = (

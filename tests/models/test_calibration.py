@@ -25,6 +25,31 @@ class TestPartitionFeature:
         arr = np.array([[[-3.0, 3.0]]])
         assert partition_feature(arr) == 3.0
 
+    @pytest.mark.parametrize(
+        "dtype", [np.float32, np.float64, np.float16, np.int32, np.int64]
+    )
+    @pytest.mark.parametrize(
+        "shape", [(16, 16, 16), (7, 5, 3), (3001,), (301, 1, 1)], ids=str
+    )
+    def test_bit_equal_to_the_mean_of_magnitudes(self, dtype, shape):
+        """The float32/float64 path skips ``np.mean``'s wrapper; every
+        dtype still gets ``np.mean(np.abs(x))`` bit for bit, strided
+        views included."""
+        rng = np.random.default_rng(len(shape))
+        base = rng.lognormal(0, 2, (2,) + shape) * rng.choice([-1, 1], (2,) + shape)
+        arr = np.clip(base, -6e4, 6e4).astype(dtype)[::2][0]
+        view = np.asarray(arr)[::-1]
+        for part in (arr, view):
+            got = partition_feature(part)
+            assert type(got) is float
+            assert got == float(np.mean(np.abs(part)))
+
+    def test_bit_equal_past_float32_exact_sizes(self):
+        """A float32 partition of 2**24 + 3 elements: the divide is
+        ``np.mean``'s (by the exact count, rounded once to float32)."""
+        arr = np.random.default_rng(9).random(2**24 + 3).astype(np.float32)
+        assert partition_feature(arr) == float(np.mean(np.abs(arr)))
+
 
 class TestCalibration:
     def test_exponent_negative_and_shared(self, snapshot, decomposition):

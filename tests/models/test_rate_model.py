@@ -128,6 +128,35 @@ class TestOptimalErrorBounds:
             static = np.mean(coeffs * 1.0**c)
             assert adaptive <= static * (1 + 1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+    @pytest.mark.parametrize("clamp", [1.5, 4.0, 100.0])
+    def test_water_level_is_the_clip_and_sum_bisection(self, n, clamp):
+        """The bisection runs on bare ufuncs over one buffer; the bounds
+        are those of ``np.sum(w * np.clip(k * base, lo, hi))`` bit for
+        bit."""
+        rng = np.random.default_rng(n)
+        coeffs = rng.lognormal(0, 2, n)
+        weights = rng.lognormal(0, 1, n)
+        c, eb_avg = -1.3, 0.3
+        base = (coeffs / weights) ** (1.0 / (1.0 - c))
+        target = float(np.sum(weights)) * eb_avg
+        lo, hi = eb_avg / clamp, eb_avg * clamp
+        k_lo, k_hi = lo / float(base.max()), hi / float(base.min())
+        for _ in range(64):
+            k = 0.5 * (k_lo + k_hi)
+            if float(np.sum(weights * np.clip(k * base, lo, hi))) < target:
+                k_lo = k
+            else:
+                k_hi = k
+        expected = np.clip(0.5 * (k_lo + k_hi) * base, lo, hi)
+        free = (expected > lo) & (expected < hi)
+        if free.any():
+            deficit = target - float(np.sum(weights[~free] * expected[~free]))
+            scale = deficit / float(np.sum(weights[free] * expected[free]))
+            expected[free] = np.clip(expected[free] * scale, lo, hi)
+        got = optimal_error_bounds(coeffs, eb_avg, c, weights=weights, clamp_factor=clamp)
+        assert got.tobytes() == expected.tobytes()
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="coefficients"):
             optimal_error_bounds(np.array([]), 1.0, -0.5)

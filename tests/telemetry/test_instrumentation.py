@@ -80,6 +80,31 @@ class TestStackInstrumentation:
             "sz.entropy",
         }
 
+    @pytest.mark.parametrize(
+        "eb, width", [(1e-3, 32), (1e-12, 64)], ids=["int32", "int64"]
+    )
+    @pytest.mark.parametrize("probe", [False, True], ids=["compress", "estimate"])
+    def test_quantize_span_names_the_lattice_width(self, sim, eb, width, probe):
+        """``sz.quantize`` carries ``lattice`` = 32 where the rounded
+        range fits ``|q| < 2**27``, else 64; the other spans carry none."""
+        data = sim.snapshot(z=1.0)["temperature"].astype(np.float64)
+        eb *= float(np.ptp(data))
+        comp = SZCompressor()
+        with telemetry.armed() as tracer:
+            (comp.estimate if probe else comp.compress)(data, eb)
+        spans = tracer.export_spans()
+        (quantize,) = [s for s in spans if s["name"] == "sz.quantize"]
+        assert quantize["attrs"]["lattice"] == width
+        assert all("lattice" not in s["attrs"] for s in spans if s is not quantize)
+
+    def test_an_unrepresentable_lattice_names_no_width(self, sim):
+        data = sim.snapshot(z=1.0)["temperature"].astype(np.float64)
+        with telemetry.armed() as tracer:
+            with pytest.raises(ValueError, match="exceeds int64 range"):
+                SZCompressor().compress(data, float(np.ptp(data)) * 1e-30)
+        (quantize,) = [s for s in tracer.export_spans() if s["name"] == "sz.quantize"]
+        assert "lattice" not in quantize["attrs"]
+
     def test_stream_spans_carry_ledger_seq_window(self, sim, dec, tmp_path):
         with telemetry.armed() as tracer:
             _stream(sim, dec, tmp_path / "run.jsonl", n_snapshots=2)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import load_blocks, main, save_blocks
 from repro.compression.sz import SZCompressor, decompress
+from repro.util.errors import PayloadError
 
 
 class TestBlockContainer:
@@ -130,6 +131,184 @@ class TestBlockContainer:
         monkeypatch.setattr(np, "load", counting_load)
         load_blocks(str(path))
         assert len(scans) == 1
+
+
+class TestMalformedContainer:
+    """A hostile ``.npz`` fails ``load_blocks`` with a ``PayloadError``
+    naming the file and the member, not a bare ``ValueError``,
+    ``KeyError`` or ``JSONDecodeError``."""
+
+    @pytest.fixture()
+    def good(self, tmp_path):
+        comp = SZCompressor()
+        rng = np.random.default_rng(3)
+        views = [rng.normal(0, 1, (6, 5, 4)) for _ in range(2)]
+        blocks = comp.compress_many(views, [0.01] * 2)
+        path = tmp_path / "good.npz"
+        save_blocks(str(path), blocks, np.array([0.01, 0.01]), blocks_per_axis=1)
+        return path
+
+    @staticmethod
+    def _rewrite(src, dst, drop=(), replace=None):
+        """Copy the zip ``src`` to ``dst`` without the members in
+        ``drop`` and with ``replace``'s ``{name: npy bytes}`` added."""
+        import io
+        import zipfile
+
+        with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+            for info in zin.infolist():
+                if info.filename[:-4] not in drop:
+                    zout.writestr(info, zin.read(info))
+            for name, arr in (replace or {}).items():
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, arr, allow_pickle=False)
+                zout.writestr(name + ".npy", buf.getvalue())
+        return str(dst)
+
+    @staticmethod
+    def _meta(path) -> dict:
+        with np.load(path, allow_pickle=False) as data:
+            return json.loads(data["__meta"].tobytes())
+
+    def _with_meta(self, good, tmp_path, meta) -> str:
+        """``good`` with its ``__meta`` replaced by ``meta`` (a dict
+        dumped as JSON, or raw bytes)."""
+        raw = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
+        member = np.frombuffer(raw, dtype=np.uint8)
+        return self._rewrite(
+            good, tmp_path / "bad.npz", drop=("__meta",), replace={"__meta": member}
+        )
+
+    def test_the_good_container_loads(self, good):
+        blocks, ebs, bpa = load_blocks(str(good))
+        assert len(blocks) == 2 and bpa == 1 and ebs.shape == (2,)
+
+    def test_a_payload_member_without_an_index(self, good, tmp_path):
+        path = self._rewrite(
+            good, tmp_path / "bad.npz", replace={"pX_codes": np.zeros(3, np.uint8)}
+        )
+        with pytest.raises(PayloadError, match=r"bad\.npz.*'pX_codes'"):
+            load_blocks(path)
+
+    @pytest.mark.parametrize("member", ["__meta", "__ebs", "__blocks_per_axis"])
+    def test_a_missing_member(self, good, tmp_path, member):
+        path = self._rewrite(good, tmp_path / "bad.npz", drop=(member,))
+        with pytest.raises(PayloadError, match=rf"bad\.npz.*'{member}'"):
+            load_blocks(path)
+
+    @pytest.mark.parametrize("field", ["source_itemsize", "shape", "eb", "codec"])
+    def test_a_meta_row_without_a_field(self, good, tmp_path, field):
+        meta = self._meta(good)
+        del meta["blocks"][1][field]
+        path = self._with_meta(good, tmp_path, meta)
+        with pytest.raises(PayloadError, match=rf"bad\.npz.*'__meta' block 1.*'{field}'"):
+            load_blocks(path)
+
+    def test_a_meta_row_with_a_bad_value(self, good, tmp_path):
+        meta = self._meta(good)
+        meta["blocks"][0]["radius"] = "wide"
+        path = self._with_meta(good, tmp_path, meta)
+        with pytest.raises(PayloadError, match=r"bad\.npz.*'__meta' block 0"):
+            load_blocks(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [None, b"[1, 2]", b'{"rows": []}', b'{"blocks": [1]}'],
+        ids=["truncated", "a-list", "no-blocks", "rows-not-objects"],
+    )
+    def test_a_meta_that_is_not_a_block_table(self, good, tmp_path, raw):
+        with np.load(good, allow_pickle=False) as data:
+            whole = data["__meta"].tobytes()
+        raw = whole[: len(whole) // 2] if raw is None else raw
+        path = self._with_meta(good, tmp_path, raw)
+        with pytest.raises(PayloadError, match=r"bad\.npz.*'__meta'"):
+            load_blocks(path)
+
+    def test_errors_are_value_errors_the_legacy_fallback_does_not_swallow(
+        self, good, tmp_path
+    ):
+        """``PayloadError`` is a ``ValueError``: a broken JSON ``__meta``
+        must not be read as a legacy object array."""
+        path = self._with_meta(good, tmp_path, b"{")
+        with pytest.raises(PayloadError) as err:
+            load_blocks(path)
+        assert isinstance(err.value, ValueError)
+        assert "allow_pickle" not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.array([1, 2]), np.array(1.5), np.array("two")],
+        ids=["two-values", "float", "string"],
+    )
+    def test_a_blocks_per_axis_that_is_not_one_integer(self, good, tmp_path, value):
+        path = self._rewrite(
+            good,
+            tmp_path / "bad.npz",
+            drop=("__blocks_per_axis",),
+            replace={"__blocks_per_axis": value},
+        )
+        with pytest.raises(PayloadError, match=r"bad\.npz.*'__blocks_per_axis'"):
+            load_blocks(path)
+
+    @pytest.mark.parametrize(
+        "names",
+        [3, [1, 2], [["codes"]], "codes"],
+        ids=["a-number", "numbers", "lists", "a-string"],
+    )
+    def test_a_meta_row_whose_payloads_are_not_names(self, good, tmp_path, names):
+        meta = self._meta(good)
+        meta["blocks"][1]["payloads"] = names
+        path = self._with_meta(good, tmp_path, meta)
+        with pytest.raises(PayloadError, match=r"bad\.npz.*'__meta' block 1.*'payloads'"):
+            load_blocks(path)
+
+    @staticmethod
+    def _corrupt(src, dst, member, keep):
+        """Copy the zip ``src`` to ``dst`` with member ``member``'s
+        ``.npy`` bytes cut to their first ``keep`` (a negative ``keep``
+        drops that many from the end) and ``b"junk"`` appended."""
+        import zipfile
+
+        with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+            for info in zin.infolist():
+                raw = zin.read(info)
+                if info.filename == member + ".npy":
+                    raw = raw[:keep] + b"junk"
+                zout.writestr(info, raw)
+        return str(dst)
+
+    @pytest.mark.parametrize(
+        "member", ["p0_codes", "__ebs", "__blocks_per_axis", "__meta"]
+    )
+    @pytest.mark.parametrize("keep", [3, -20], ids=["bad-header", "truncated-data"])
+    def test_a_corrupt_member(self, good, tmp_path, member, keep):
+        path = self._corrupt(good, tmp_path / "bad.npz", member, keep)
+        with pytest.raises(PayloadError, match=rf"bad\.npz.*'{member}'"):
+            load_blocks(path)
+
+    def test_a_member_failing_its_crc(self, good, tmp_path):
+        """One flipped byte in a stored payload member's data: the zip
+        reader's CRC check fails, and that is a ``PayloadError`` too."""
+        import struct
+        import zipfile
+
+        with zipfile.ZipFile(good) as zf:
+            info = zf.getinfo("p0_codes.npy")
+        assert info.compress_type == zipfile.ZIP_STORED
+        raw = bytearray(good.read_bytes())
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        start = info.header_offset + 30 + name_len + extra_len
+        raw[start + info.file_size - 1] ^= 0xFF
+        path = tmp_path / "bad.npz"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PayloadError, match=r"bad\.npz.*'p0_codes'.*CRC"):
+            load_blocks(str(path))
+
+    def test_a_listed_payload_without_a_member_is_an_empty_channel(self, good, tmp_path):
+        path = self._rewrite(good, tmp_path / "short.npz", drop=("p1_codes",))
+        blocks, _, _ = load_blocks(path)
+        assert blocks[1].payloads["codes"] == b""
+        assert blocks[0].payloads["codes"] != b""
 
 
 class TestCommands:
