@@ -34,12 +34,18 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def symbol_rows(comp: SZCompressor, views: list[np.ndarray], eb: float) -> np.ndarray:
+    """The compressor front's folded symbols of ``views`` at bound
+    ``eb``: one row per view, what the entropy stage codes."""
+    return comp._quantize_encode_batch(views, np.full(len(views), eb))[0]
+
+
 def collect() -> tuple[list[dict], list[dict]]:
     comp, huff, deflater = SZCompressor(), HuffmanCodec(), ZlibCodec()
     deflate, huffman = [], []
 
     def sample(views, eb, with_huffman):
-        symbols = comp._quantize_encode_batch(views, np.full(len(views), eb))[0]
+        symbols = symbol_rows(comp, views, eb)
         for row in symbols:
             packed = pack_symbols(row)
             planes = [np.bincount(p, minlength=256) for p in packed]

@@ -27,7 +27,7 @@ import numpy as np
 from repro import BlockDecomposition, NyxSimulator
 from repro.cli import load_blocks, save_blocks
 from repro.compression.codecs import ZlibCodec, pack_symbols
-from repro.compression.quantizer import DEFAULT_RADIUS, unfold_symbols
+from repro.compression.quantizer import DEFAULT_RADIUS, unfold_symbols_into
 from repro.compression.sz import SZCompressor
 from repro.util.tables import format_table
 
@@ -39,7 +39,8 @@ def _planes(values: np.ndarray) -> np.ndarray:
 
 def _layouts(symbols: np.ndarray) -> dict[str, list[np.ndarray]]:
     """Byte rows of one shape group under each candidate layout."""
-    offset = (unfold_symbols(symbols) + DEFAULT_RADIUS).astype(np.uint16)
+    residuals = unfold_symbols_into(symbols, np.empty(symbols.shape, np.int64))
+    offset = (residuals + DEFAULT_RADIUS).astype(np.uint16)
     packed = [pack_symbols(row) for row in symbols]
     # whole-group chunks: every width's rows concatenated plane-major
     chunks = [

@@ -352,9 +352,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     snap = load_snapshot(args.snapshot)
     data = snap[args.field].astype(np.float64)
-    blocks, ebs, bpa = load_blocks(args.compressed)
-    dec = BlockDecomposition(data.shape, blocks=bpa)
-    recon = dec.assemble(decompress_many(blocks))
+    recon = np.empty(data.shape)
+    try:
+        blocks, ebs, bpa = load_blocks(args.compressed)
+        dec = BlockDecomposition(data.shape, blocks=bpa)
+        # Each block decodes straight into its partition of one field.
+        decompress_many(blocks, out=dec.partition_views(recon))
+    except ValueError as exc:  # a PayloadError, or blocks that do not tile the field
+        print(f"analyze: {exc}", file=sys.stderr)
+        return 2
     ok, dev = check_spectrum_quality(data, recon, tolerance=args.tolerance)
     rows = [
         ["max abs error", float(np.max(np.abs(recon - data)))],

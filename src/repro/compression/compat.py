@@ -29,7 +29,7 @@ from repro.compression.codecs import (
     unpack_positions,
 )
 from repro.compression.kernels import unzigzag
-from repro.compression.lorenzo import lorenzo_inverse
+from repro.compression.lorenzo import lorenzo_inverse_batch_inplace
 from repro.compression.sz import (
     CompressedBlock,
     _bound_space_eb,
@@ -47,7 +47,8 @@ def decompress_v1(block: CompressedBlock) -> np.ndarray:
     abs_eb = _bound_space_eb(block)
     residuals, out_pos, out_val = channels_v1(block)
     residuals[out_pos] = unzigzag(np.frombuffer(out_val, dtype=np.uint64))
-    q = lorenzo_inverse(residuals.reshape(block.shape))
+    q = residuals.reshape(block.shape)
+    lorenzo_inverse_batch_inplace(q[None])  # a stack of one
     work = np.multiply(q, 2.0 * abs_eb, dtype=np.float64)
     return work if block.mode == "abs" else np.exp(work, out=work)
 

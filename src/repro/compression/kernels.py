@@ -8,7 +8,11 @@ same-shape blocks, written once.  Its steps live where their maths is
 defined — :func:`repro.compression.quantizer.quantize_lattice_batch`,
 :func:`repro.compression.lorenzo.lorenzo_transform_batch`,
 :func:`repro.compression.quantizer.encode_residuals_batch` — and
-:mod:`repro.compression.sz` calls them directly.  This module holds the
+their callers call them directly: :mod:`repro.compression.sz` on its
+chunks, :mod:`repro.compression.regression` on its tile stack, and the
+retired-layout decoders (:mod:`repro.compression.compat`,
+:mod:`repro.compression.reference`).  None has a single-block form; a
+lone block is a stack of one.  This module holds the
 two maps more than one compressor needs: the signed <-> unsigned zigzag
 (outlier values, the regression predictor's coefficients) and the
 narrow-and-split into little-endian byte planes the entropy stage codes.

@@ -12,8 +12,12 @@ i.e. applying ``diff`` (with a zero boundary) once along every axis.
 That formulation is exactly invertible on integers (``cumsum`` along the
 axes in reverse order) and fully vectorizable — which is why cuSZ
 quantizes *first* and runs Lorenzo on the integer lattice ("dual
-quantization").  This module implements the transform pair the
-compressor runs; CPU-SZ's sequential predict-then-quantize loop is in
+quantization").  This module implements the transform pair as batched
+kernels over ``(B, ...)`` stacks of same-shape blocks, the only form
+there is (a lone block is a stack of one): :mod:`repro.compression.sz`
+runs them on its chunks, :mod:`repro.compression.regression` on its
+tile stack and :mod:`repro.compression.compat` on a layout-1 block.
+CPU-SZ's sequential predict-then-quantize loop is in
 :mod:`repro.compression.reference`.
 """
 
@@ -24,9 +28,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "lorenzo_transform",
     "lorenzo_transform_batch",
-    "lorenzo_inverse",
     "lorenzo_inverse_batch_inplace",
 ]
 
@@ -37,7 +39,7 @@ def _mixed_difference(
     """First difference (zero boundary) along each of ``axes``; returns
     whichever of ``arr`` (C-contiguous) and ``scratch`` holds the result.
 
-    The shared core of the single-block and batched transforms.  Each
+    The core of :func:`lorenzo_transform_batch`.  Each
     axis is one ping-pong pass between ``arr`` and ``scratch`` (``arr``'s
     dtype, at least ``arr.size`` elements): on the C-order flat buffers,
     the difference along an axis of stride ``s`` is one contiguous
@@ -67,21 +69,6 @@ def _mixed_difference(
     return src
 
 
-def lorenzo_transform(data: np.ndarray) -> np.ndarray:
-    """Residuals of the n-D Lorenzo predictor (zero boundary condition),
-    as a fresh array of ``data``'s dtype.
-
-    Works on any integer or float array; for the compressor it is applied
-    to the integer quantization lattice so the round trip is exact.
-    """
-    arr = np.asarray(data)
-    if arr.ndim < 1 or arr.ndim > 3:
-        raise ValueError(f"lorenzo_transform supports 1-3 dimensions, got {arr.ndim}")
-    out = np.array(arr, order="C")
-    scratch = np.empty(out.size, dtype=out.dtype)
-    return _mixed_difference(out, range(out.ndim), scratch)
-
-
 def lorenzo_transform_batch(
     batch: np.ndarray, scratch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -91,8 +78,8 @@ def lorenzo_transform_batch(
 
     ``batch`` stacks same-shape blocks along a leading batch axis; the
     transform runs over the trailing (block) axes only, so row ``b`` of
-    ``residuals`` is element-for-element identical to
-    ``lorenzo_transform(batch[b])``.  ``scratch`` is a buffer of
+    ``residuals`` is the mixed first difference of ``batch[b]`` alone,
+    element for element.  ``scratch`` is a buffer of
     ``batch``'s dtype with at least ``batch.size`` elements.  The
     passes alternate between the two (:func:`_mixed_difference`), so
     ``residuals`` is ``batch`` itself after an even number of
@@ -135,17 +122,6 @@ _SLAB_MIN_ELEMENTS = 256
 #: block: 0.33 ms vs 0.47 ms with slab adds on every axis; 64 x 16^3:
 #: 2.26 vs 2.29 ms; ``docs/kernels.md``).
 _SLAB_ROWS_PER_ADD = 128
-
-
-def lorenzo_inverse(residuals: np.ndarray) -> np.ndarray:
-    """Invert :func:`lorenzo_transform`: prefix sums along every axis,
-    **in place** on ``residuals`` (also the return value; pass a copy to
-    keep the residuals) — :func:`lorenzo_inverse_batch_inplace` on a
-    stack of one."""
-    if residuals.ndim < 1 or residuals.ndim > 3:
-        raise ValueError(f"lorenzo_inverse supports 1-3 dimensions, got {residuals.ndim}")
-    lorenzo_inverse_batch_inplace(residuals[None])
-    return residuals
 
 
 def lorenzo_inverse_batch_inplace(batch: np.ndarray) -> np.ndarray:

@@ -21,50 +21,29 @@ bound holds for every point regardless of data pathology.  This module
 is the only place the symbol map is written down; the retired layout-1
 map (``r + radius``) survives as a decoder in
 :mod:`repro.compression.compat`.
+
+Each step is one batched kernel over a ``(B, n)`` stack of same-shape
+blocks, and there is no single-block form: a lone block is a stack of
+one.  :mod:`repro.compression.sz` runs them on its chunks,
+:mod:`repro.compression.regression` on its tile stack, and the
+retired-layout decoders call the same unfold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.util.validation import check_finite, check_positive
+from repro.util.validation import check_positive
 
 __all__ = [
     "DEFAULT_RADIUS",
-    "QuantizedResiduals",
-    "quantize_abs",
     "quantize_lattice_batch",
-    "dequantize_abs",
     "pw_rel_to_log_abs",
-    "encode_residuals",
     "encode_residuals_batch",
-    "unfold_symbols",
     "unfold_symbols_into",
-    "decode_residuals",
 ]
 
 DEFAULT_RADIUS = 1 << 15
-
-
-def quantize_abs(data: np.ndarray, eb: float) -> np.ndarray:
-    """Snap ``data`` to the integer lattice of pitch ``2*eb`` (int64).
-
-    The reconstruction ``2*eb*q`` satisfies ``|x - 2*eb*q| <= eb``
-    exactly (ties round to even, still within the bound).
-    """
-    eb = check_positive(eb, "eb")
-    arr = np.asarray(data, dtype=np.float64)
-    check_finite(arr, "data")
-    with np.errstate(over="ignore"):
-        q = np.rint(arr / (2.0 * eb))
-    if not np.isfinite(q).all() or np.abs(q).max(initial=0.0) >= 2**62:
-        raise ValueError(
-            "error bound too small relative to data magnitude: quantization "
-            "lattice exceeds int64 range"
-        )
-    return q.astype(np.int64)
 
 
 #: Largest ``max |q|`` (exclusive) the front runs on an int32 lattice.
@@ -79,8 +58,10 @@ INT64_LATTICE_LIMIT = 1 << 62
 
 
 def quantize_lattice_batch(work: np.ndarray) -> np.ndarray | None:
-    """Batched tail of :func:`quantize_abs`: round, then cast to the
-    narrowest lattice the rows' range proves exact.
+    """The quantize step: round onto the lattice, then cast to the
+    narrowest integer type the rows' range proves exact.  The
+    reconstruction ``2*eb*q`` satisfies ``|x - 2*eb*q| <= eb`` exactly
+    (ties round to even, still within the bound).
 
     ``work`` is a ``(B, n)`` float64 stack already holding each block's
     ``data / (2*eb)`` (the caller owns the divide so ``pw_rel`` can fuse
@@ -100,13 +81,6 @@ def quantize_lattice_batch(work: np.ndarray) -> np.ndarray | None:
     return lattice
 
 
-def dequantize_abs(q: np.ndarray, eb: float) -> np.ndarray:
-    """Reconstruct values (float64) from lattice integers: one multiply
-    that casts as it goes, so no float copy of the lattice is made."""
-    eb = check_positive(eb, "eb")
-    return np.multiply(q, 2.0 * eb, dtype=np.float64)
-
-
 def pw_rel_to_log_abs(rel_eb: float) -> float:
     """Absolute log-space bound equivalent to a pointwise relative bound.
 
@@ -117,38 +91,6 @@ def pw_rel_to_log_abs(rel_eb: float) -> float:
     """
     rel_eb = check_positive(rel_eb, "rel_eb")
     return float(np.log1p(rel_eb))
-
-
-@dataclass
-class QuantizedResiduals:
-    """Folded residual symbols plus the outlier channel.
-
-    Attributes
-    ----------
-    codes:
-        1-D non-negative symbols in ``[0, 2*radius)``; the value 0 marks
-        an outlier slot, residual ``r`` is stored as ``zigzag(r) + 1``.
-    outlier_positions:
-        Flat indices into ``codes`` whose residual did not fit.
-    outlier_values:
-        The exact int64 residuals for those positions.
-    radius:
-        Residuals with ``|r| < radius`` fit; the rest are outliers.
-    """
-
-    codes: np.ndarray
-    outlier_positions: np.ndarray
-    outlier_values: np.ndarray
-    radius: int
-
-
-def encode_residuals(residuals: np.ndarray, radius: int = DEFAULT_RADIUS) -> QuantizedResiduals:
-    """Fold int64 residuals into symbols + outlier channel (a batch of one)."""
-    codes = np.array(residuals, dtype=np.int64).reshape(1, -1)
-    _counts, pos, val, _maxes = encode_residuals_batch(codes, radius)
-    return QuantizedResiduals(
-        codes=codes[0], outlier_positions=pos, outlier_values=val, radius=radius
-    )
 
 
 def encode_residuals_batch(
@@ -172,8 +114,7 @@ def encode_residuals_batch(
     block order, and ``maxes[b]`` is row ``b``'s largest symbol (what
     fixes its stored width).  ``scratch`` (``res``'s dtype, ``>= B*n``
     elements) is optional: the batched front passes the buffer its
-    Lorenzo step is done with; :func:`encode_residuals` allocates
-    instead.
+    Lorenzo step is done with; without it the fold allocates one.
     """
     if radius < 2:
         raise ValueError(f"radius must be >= 2, got {radius}")
@@ -210,35 +151,19 @@ def _unfold_inplace(res: np.ndarray) -> np.ndarray:
     return res
 
 
-#: ``unfold_symbols`` of every one-byte symbol: the map a 256-entry
-#: lookup applies in one pass.
+#: The unfold of every one-byte symbol: the map a 256-entry lookup
+#: applies in one pass.
 _UNFOLD_BYTE = _unfold_inplace(np.arange(256, dtype=np.int64))
 
 
-def unfold_symbols(symbols: np.ndarray) -> np.ndarray:
-    """Residuals (fresh int64 array) of folded ``symbols`` of any integer
-    dtype.  Outlier slots (symbol 0) come back as 0; the caller scatters
-    the outlier channel over them."""
-    symbols = np.asarray(symbols)
-    if symbols.dtype == np.uint8:
-        return _UNFOLD_BYTE.take(symbols)
-    return _unfold_inplace(symbols.astype(np.int64))
-
-
 def unfold_symbols_into(symbols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`unfold_symbols` written into ``out`` (int64, ``symbols``'
-    shape) and returned; ``symbols`` may be ``out`` itself, an int64
-    stack of symbols unfolded in place."""
+    """Residuals of folded ``symbols`` (any integer dtype), written into
+    ``out`` (int64, ``symbols``' shape) and returned.  Outlier slots
+    (symbol 0) come back as 0; the caller scatters the outlier channel
+    over them.  ``symbols`` may be ``out`` itself, an int64 stack of
+    symbols unfolded in place."""
     if symbols.dtype == np.uint8:
         return _UNFOLD_BYTE.take(symbols, out=out, mode="clip")  # every byte indexes
     if out is not symbols:
         np.copyto(out, symbols, casting="unsafe")  # uint64 wraps as astype does
     return _unfold_inplace(out)
-
-
-def decode_residuals(qr: QuantizedResiduals) -> np.ndarray:
-    """Invert :func:`encode_residuals` back to int64 residuals."""
-    res = unfold_symbols(qr.codes)
-    if qr.outlier_positions.size:
-        res[qr.outlier_positions] = qr.outlier_values
-    return res

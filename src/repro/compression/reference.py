@@ -31,7 +31,11 @@ from repro.compression.codecs import (
     get_codec,
     pack_positions,
 )
-from repro.compression.quantizer import DEFAULT_RADIUS, pw_rel_to_log_abs, unfold_symbols
+from repro.compression.quantizer import (
+    DEFAULT_RADIUS,
+    pw_rel_to_log_abs,
+    unfold_symbols_into,
+)
 from repro.compression.sz import (
     _MODES,
     LAYOUT,
@@ -212,7 +216,8 @@ def _read_channels(block: CompressedBlock) -> tuple[np.ndarray, np.ndarray, byte
         raise PayloadError(f"unknown code-stream layout {block.layout!r}")
     n = block.n_elements
     codes, pos_blob, val_blob = _payload_blobs(block)
-    offsets = unfold_symbols(get_codec(block.codec_name).decode(codes, n))
+    symbols = get_codec(block.codec_name).decode(codes, n)
+    offsets = unfold_symbols_into(symbols, np.empty(n, np.int64))
     return (offsets, *_outlier_channels(block, pos_blob, val_blob, n))
 
 

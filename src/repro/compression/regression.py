@@ -6,17 +6,26 @@ between the Lorenzo predictor and a fitted hyperplane
 smooth-but-sloped data where Lorenzo's residuals carry the local noise
 twice.
 
-This module implements that predictor in the dual-quantization setting:
+This module implements that predictor in the dual-quantization setting,
+on the batched integer front :mod:`repro.compression.sz` runs, with the
+``(n_tiles, b, b, b)`` stack of ``block``-sized cubes as its batch:
 
-- the field is tiled into ``block``-sized cubes,
+- the field is tiled and quantized in one pass
+  (:func:`~repro.compression.quantizer.quantize_lattice_batch`),
 - per cube, the four regression coefficients have *closed-form*
   least-squares solutions (the design matrix is fixed, so its
   pseudo-inverse reduces to three first-moment sums — fully vectorized
   across blocks),
 - coefficients are themselves quantized (so the decoder reproduces the
   identical prediction) and charged to the stream,
-- per block, the cheaper of {Lorenzo, regression} is selected by
-  residual magnitude, with a one-bit-per-block mode mask.
+- the Lorenzo candidate is one
+  :func:`~repro.compression.lorenzo.lorenzo_transform_batch` over the
+  stack, and per block the cheaper of {Lorenzo, regression} is selected
+  by residual magnitude, with a one-bit-per-block mode mask,
+- the chosen residuals are folded by
+  :func:`~repro.compression.quantizer.encode_residuals_batch`; the
+  decoder unfolds them and inverts every Lorenzo tile in one
+  :func:`~repro.compression.lorenzo.lorenzo_inverse_batch_inplace`.
 
 The public entry point is :class:`AdaptiveSZCompressor`, a drop-in
 alternative to :class:`repro.compression.sz.SZCompressor` (``abs`` mode).
@@ -39,16 +48,18 @@ from repro.compression.api import (
 from repro.compression.codecs import get_codec, inflate_exact
 from repro.compression.estimator import HEADER_BYTES
 from repro.compression.kernels import unzigzag, zigzag
-from repro.compression.lorenzo import lorenzo_inverse, lorenzo_transform
+from repro.compression.lorenzo import (
+    lorenzo_inverse_batch_inplace,
+    lorenzo_transform_batch,
+)
 from repro.compression.quantizer import (
     DEFAULT_RADIUS,
-    dequantize_abs,
-    encode_residuals,
-    quantize_abs,
-    unfold_symbols,
+    encode_residuals_batch,
+    quantize_lattice_batch,
+    unfold_symbols_into,
 )
 from repro.util.errors import PayloadError
-from repro.util.validation import check_positive
+from repro.util.validation import check_finite, check_positive
 
 __all__ = [
     "AdaptiveSZCompressor",
@@ -81,7 +92,7 @@ def regression_coefficients(blocks: np.ndarray) -> np.ndarray:
     n, b, _, _ = blocks.shape
     i, j, k = _block_axes(b)
     denom = float((i**2).sum() * b * b)  # sum over the cube of i^2
-    vals = blocks.astype(np.float64)
+    vals = np.asarray(blocks, dtype=np.float64)
     b0 = vals.mean(axis=(1, 2, 3))
     b1 = (vals * i).sum(axis=(1, 2, 3)) / denom
     b2 = (vals * j).sum(axis=(1, 2, 3)) / denom
@@ -100,16 +111,12 @@ def _predict(coeffs: np.ndarray, block: int) -> np.ndarray:
     )
 
 
-def _tile(arr: np.ndarray, block: int) -> np.ndarray:
+def _tiled(arr: np.ndarray, block: int) -> np.ndarray:
+    """A 3-D ``arr`` as its ``(nx, ny, nz, b, b, b)`` tiles: a view, whose
+    C-ordered copy is the ``(n_tiles, b, b, b)`` stack."""
     nx, ny, nz = (s // block for s in arr.shape)
     t = arr.reshape(nx, block, ny, block, nz, block)
-    return t.transpose(0, 2, 4, 1, 3, 5).reshape(-1, block, block, block)
-
-
-def _untile(blocks: np.ndarray, shape: tuple[int, int, int], block: int) -> np.ndarray:
-    nx, ny, nz = (s // block for s in shape)
-    t = blocks.reshape(nx, ny, nz, block, block, block)
-    return t.transpose(0, 3, 1, 4, 2, 5).reshape(shape)
+    return t.transpose(0, 2, 4, 1, 3, 5)
 
 
 #: The code-stream layout :class:`AdaptiveSZCompressor` writes: folded
@@ -196,35 +203,56 @@ class AdaptiveSZCompressor:
         eb = check_positive(eb, "eb")
         source_itemsize = arr.dtype.itemsize if arr.dtype.kind == "f" else 8
 
-        q = quantize_abs(np.asarray(arr, dtype=np.float64), eb)
-        tiles = _tile(q, self.block)
+        b = self.block
+        n_tiles = arr.size // b**3
+        # Quantize: tile, widen and divide in one pass, then round.  The
+        # rounded ``work`` holds the lattice as floats (a zero may be
+        # -0.0), which is what the hyperplane fit reads.
+        src = _tiled(arr, b)
+        work = np.empty(src.shape)
+        with np.errstate(over="ignore"):
+            np.divide(src, 2.0 * eb, out=work, dtype=np.float64)
+        work = work.reshape(n_tiles, b**3)
+        lattice = quantize_lattice_batch(work)
+        if lattice is None:
+            check_finite(arr, "data")
+            raise ValueError(
+                "error bound too small relative to data magnitude: quantization "
+                "lattice exceeds int64 range"
+            )
+        tiles = lattice.reshape(n_tiles, b, b, b)
 
-        # Candidate 1: Lorenzo residuals (per block, zero boundary).
-        lor = np.stack([lorenzo_transform(t) for t in tiles])
-        # Candidate 2: regression residuals with quantized coefficients.
-        coeffs = regression_coefficients(tiles)
+        # Candidate 2 first, while the lattice is intact: regression
+        # residuals with quantized coefficients.
+        coeffs = regression_coefficients(work.reshape(n_tiles, b, b, b))
         qcoeffs = np.rint(coeffs * _COEF_QUANT).astype(np.int64)
-        pred = np.rint(_predict(qcoeffs / _COEF_QUANT, self.block)).astype(np.int64)
-        reg = tiles - pred
+        pred = np.rint(_predict(qcoeffs / _COEF_QUANT, b)).astype(np.int64)
+        residuals = tiles - pred  # int64 whatever the lattice width
+        # Candidate 1: Lorenzo residuals (per tile, zero boundary), one
+        # pass over the stack, at the lattice's width.
+        lor, _ = lorenzo_transform_batch(tiles, np.empty_like(lattice))
 
         # Selection: estimated bits per block.  log2(1+|r|) approximates
         # the code length of a residual under a Laplacian-shaped entropy
         # coder; regression additionally pays for its 4 coefficients.
-        def bits(residuals: np.ndarray) -> np.ndarray:
-            return np.log2(1.0 + np.abs(residuals)).reshape(len(tiles), -1).sum(axis=1)
+        def bits(r: np.ndarray) -> np.ndarray:
+            return np.log2(1.0 + np.abs(r)).reshape(n_tiles, -1).sum(axis=1)
 
         cost_lor = bits(lor)
-        cost_reg = bits(reg) + np.log2(1.0 + np.abs(qcoeffs)).sum(axis=1)
+        cost_reg = bits(residuals) + np.log2(1.0 + np.abs(qcoeffs)).sum(axis=1)
         use_reg = cost_reg < cost_lor
 
-        residuals = np.where(use_reg[:, None, None, None], reg, lor)
-        qr = encode_residuals(residuals.ravel(), self.radius)
+        np.copyto(residuals, lor, where=~use_reg[:, None, None, None])
+        # Folded in place as one row, so outlier positions index the
+        # whole stack; ``pred`` is free to be the fold's scratch.
+        codes = residuals.reshape(1, -1)
+        _, out_pos, out_val, _ = encode_residuals_batch(codes, self.radius, pred)
         payloads = {
-            "codes": self.codec.encode(qr.codes),
+            "codes": self.codec.encode(codes[0]),
             "modes": zlib.compress(np.packbits(use_reg).tobytes(), 6),
             "coeffs": zlib.compress(zigzag(qcoeffs[use_reg].ravel()).tobytes(), 6),
-            "outlier_pos": zlib.compress(qr.outlier_positions.tobytes(), 6),
-            "outlier_val": zlib.compress(zigzag(qr.outlier_values).tobytes(), 6),
+            "outlier_pos": zlib.compress(out_pos.tobytes(), 6),
+            "outlier_val": zlib.compress(zigzag(out_val).tobytes(), 6),
         }
         return AdaptiveBlockStream(
             shape=tuple(arr.shape),
@@ -233,7 +261,7 @@ class AdaptiveSZCompressor:
             block=self.block,
             codec_name=self.codec.name,
             radius=self.radius,
-            n_outliers=int(qr.outlier_positions.size),
+            n_outliers=int(out_pos.size),
             payloads=payloads,
             layout=LAYOUT,
         )
@@ -285,7 +313,8 @@ def decompress(stream: AdaptiveBlockStream) -> np.ndarray:
         raise PayloadError("outlier position outside the stream")
     codes = stream.payloads.get("codes", b"")
     if stream.layout == LAYOUT:
-        res = unfold_symbols(get_codec(stream.codec_name).decode(codes, n))
+        symbols = get_codec(stream.codec_name).decode(codes, n)
+        res = unfold_symbols_into(symbols, np.empty(n, np.int64))
     elif stream.layout == 1:
         from repro.compression import compat  # cold path: retired layout
 
@@ -293,19 +322,19 @@ def decompress(stream: AdaptiveBlockStream) -> np.ndarray:
     else:
         raise PayloadError(f"unknown code-stream layout {stream.layout!r}")
     res[out_pos] = unzigzag(out_val)
-    residuals = res.reshape(nblocks, stream.block, stream.block, stream.block)
+    b = stream.block
+    tiles = res.reshape(nblocks, b, b, b)  # residuals, inverted in place
 
-    tiles = np.empty_like(residuals)
-    # Lorenzo blocks: cumulative-sum inversion.
-    for idx in np.flatnonzero(~use_reg):
-        tiles[idx] = lorenzo_inverse(residuals[idx])
-    # Regression blocks: add back the quantized hyperplane.
-    reg_idx = np.flatnonzero(use_reg)
-    if len(reg_idx):
-        pred = np.rint(
-            _predict(qcoeffs.astype(np.float64) / _COEF_QUANT, stream.block)
-        ).astype(np.int64)
-        tiles[reg_idx] = residuals[reg_idx] + pred
+    # Lorenzo tiles: prefix sums over their stack in one pass.
+    use_lor = ~use_reg
+    tiles[use_lor] = lorenzo_inverse_batch_inplace(tiles[use_lor])
+    # Regression tiles: add back the quantized hyperplane.
+    if len(qcoeffs):
+        tiles[use_reg] += np.rint(_predict(qcoeffs / _COEF_QUANT, b)).astype(np.int64)
 
-    q = _untile(tiles, stream.shape, stream.block)
-    return dequantize_abs(q, stream.eb)
+    # Dequantize straight into the field's layout: one cast-multiply.
+    eb = check_positive(stream.eb, "eb")
+    out = np.empty(stream.shape)
+    dst = _tiled(out, b)
+    np.multiply(tiles.reshape(dst.shape), 2.0 * eb, out=dst, dtype=np.float64)
+    return out

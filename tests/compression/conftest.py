@@ -9,18 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import unfold
+
 from repro.cli import load_blocks
 from repro.compression.codecs import PLANES_BIT, get_codec
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def _unfold(symbol: int) -> int:
-    """The symbol map of ``quantizer``'s docstring, one value at a time."""
-    if symbol == 0:
-        return 0  # outlier slot, overwritten below
-    zz = symbol - 1
-    return zz >> 1 if zz % 2 == 0 else -(zz >> 1) - 1
 
 
 def _inflate(blob: bytes) -> bytes:
@@ -45,7 +39,7 @@ def _reference_decode(block) -> np.ndarray:
     """A dual-engine layout-2 block decoded the textbook way: unfold each
     symbol -> scatter the outliers -> ``np.cumsum`` per axis -> ``q * 2eb``."""
     symbols = _symbols(block)
-    residuals = [_unfold(s) for s in symbols]
+    residuals = [unfold(s) for s in symbols]  # outlier slots: 0, overwritten below
     if block.n_outliers:
         pos_blob = block.payloads["outlier_pos"]
         positions = np.frombuffer(_inflate(pos_blob[1:]), dtype=f"<u{pos_blob[0]}")

@@ -2,8 +2,9 @@
 
 The fused compress path (batched passes, in-place Lorenzo, single
 narrowing pass) must be a pure performance change: payloads
-byte-identical to composing the unfused public primitives exactly as
-the original implementation did, across modes and codecs — and
+byte-identical to composing the textbook forms of each step
+(``oracles.py``) exactly as the original implementation did, across
+modes and codecs — and
 compressors hold no scratch, so threads sharing one, or each holding
 its own, write the serial bytes.
 """
@@ -20,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import fold, lorenzo, quantize
 
 from repro.compression.codecs import _minimal_uint_dtype, get_codec
 from repro.compression.kernels import zigzag
-from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch
-from repro.compression.quantizer import encode_residuals, quantize_abs
+from repro.compression.lorenzo import lorenzo_transform_batch
 from repro.compression.sz import SZCompressor, decompress
 from repro.util.errors import PayloadError
 
@@ -32,11 +33,11 @@ from repro.util.errors import PayloadError
 def reference_compress_payloads(
     data: np.ndarray, eb: float, mode: str, codec: str, radius: int
 ) -> dict[str, bytes]:
-    """The unfused reference pipeline, composed from public primitives.
+    """The unfused reference pipeline, composed from textbook forms.
 
     Mirrors the original (unfused) implementation step for step:
-    float64 upcast, allocating quantize, ``np.diff``-style Lorenzo,
-    allocating residual fold (code-stream layout 2: ``0`` = outlier,
+    float64 upcast, ``np.rint`` quantize, ``np.diff`` Lorenzo, the
+    value-by-value residual fold (code-stream layout 2: ``0`` = outlier,
     ``r -> zigzag(r) + 1``), codec over the int64 symbols.  The outlier
     position channel follows the serialization contract: positions
     narrowed to the smallest uint covering the block size, prefixed by
@@ -48,21 +49,19 @@ def reference_compress_payloads(
         work = np.log(work)
     else:
         abs_eb = eb
-    q = quantize_abs(work, abs_eb)
-    residuals = lorenzo_transform(q)
-    qr = encode_residuals(residuals.ravel(), radius)
-    pos_dt = _minimal_uint_dtype(max(int(qr.codes.size) - 1, 0))
-    pos = qr.outlier_positions.astype(pos_dt)
+    symbols, positions, values = fold(lorenzo(quantize(work, abs_eb)), radius)
+    pos_dt = _minimal_uint_dtype(max(len(symbols) - 1, 0))
+    pos = np.array(positions, dtype=pos_dt)
     return {
-        "codes": get_codec(codec).encode(qr.codes),
+        "codes": get_codec(codec).encode(np.array(symbols, dtype=np.int64)),
         "outlier_pos": (
             bytes([pos_dt.itemsize]) + zlib.compress(pos.tobytes(), 6)
             if pos.size
             else b""
         ),
         "outlier_val": (
-            zlib.compress(zigzag(qr.outlier_values).tobytes(), 6)
-            if qr.outlier_values.size
+            zlib.compress(zigzag(np.array(values, dtype=np.int64)).tobytes(), 6)
+            if values
             else b""
         ),
     }
@@ -73,16 +72,9 @@ class TestFusedKernels:
         rng = np.random.default_rng(0)
         for shape in ((17,), (9, 13), (5, 6, 7)):
             arr = rng.integers(-1000, 1000, shape)
-            expected = arr.copy()
-            for axis in range(arr.ndim):
-                pre = np.zeros(
-                    [1 if ax == axis else s for ax, s in enumerate(expected.shape)],
-                    dtype=expected.dtype,
-                )
-                expected = np.diff(expected, axis=axis, prepend=pre)
-            before = arr.copy()
-            assert np.array_equal(lorenzo_transform(arr), expected)
-            assert np.array_equal(arr, before)  # works on a copy
+            stack = arr[None].copy()  # one block: a stack of one
+            got, _ = lorenzo_transform_batch(stack, np.empty(stack.size, stack.dtype))
+            assert np.array_equal(got[0], lorenzo(arr))
 
     def test_lorenzo_batch_rejects_bad_scratch(self):
         batch = np.zeros((2, 4, 4), dtype=np.int64)

@@ -2,8 +2,9 @@
 
 Two layers of guarantee, weakest to strongest:
 
-1. op-level — each batched function matches the scalar / per-block
-   reference primitives it batches;
+1. op-level — each batched function matches the textbook form of its
+   map (``oracles.py``: ``np.rint`` + cast, the ``np.diff`` chain, the
+   value-by-value fold), block by block;
 2. path-level — batched ``compress_many`` produces payloads
    byte-identical to looping single-block ``compress``, across codecs,
    shapes (odd sides, 1-voxel slabs), dtypes and thread counts.
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import fold, lorenzo
 
 from repro.compression.api import REGISTRY
 from repro.compression.kernels import (
@@ -32,13 +34,13 @@ from repro.compression.kernels import (
     unzigzag,
     zigzag,
 )
-from repro.compression.lorenzo import lorenzo_transform, lorenzo_transform_batch
+from repro.compression.lorenzo import lorenzo_transform_batch
 from repro.compression.quantizer import encode_residuals_batch, quantize_lattice_batch
 from repro.compression.sz import SZCompressor, decompress
 from repro.util.errors import PayloadError
 
 
-# -- op level: the batched functions vs the unbatched reference --------------
+# -- op level: the batched functions vs the textbook forms -------------------
 
 
 class TestZigzag:
@@ -103,7 +105,7 @@ class TestLorenzoKernel:
     def test_batch_matches_per_block_transform(self, shape):
         rng = np.random.default_rng(1)
         batch = rng.integers(-1000, 1000, (4,) + shape)
-        expected = np.stack([lorenzo_transform(b) for b in batch])
+        expected = np.stack([lorenzo(b) for b in batch])
         got = batch.copy()
         out, _ = lorenzo_transform_batch(got, np.empty(got.size, dtype=got.dtype))
         assert np.array_equal(out, expected)
@@ -112,19 +114,15 @@ class TestLorenzoKernel:
         rng = np.random.default_rng(2)
         flat = rng.integers(-50, 50, (3, 17))
         as_3d = flat.reshape(3, 17, 1, 1).copy()
-        expected = np.stack([lorenzo_transform(row) for row in flat])
+        expected = np.stack([lorenzo(row) for row in flat])
         out, _ = lorenzo_transform_batch(as_3d, np.empty(as_3d.size, dtype=as_3d.dtype))
         assert np.array_equal(out.reshape(3, 17), expected)
 
 
 def _diff_chain(batch: np.ndarray) -> np.ndarray:
-    """The Lorenzo residuals of each row of ``batch`` spelled out as the
-    seed computed them: one zero-prepended ``np.diff`` per block axis."""
-    out = np.array(batch)
-    for axis in range(1, out.ndim):
-        pre = np.zeros([1 if ax == axis else s for ax, s in enumerate(out.shape)], out.dtype)
-        out = np.diff(out, axis=axis, prepend=pre)
-    return out
+    """The Lorenzo residuals of each row of ``batch``: one zero-prepended
+    ``np.diff`` per block axis."""
+    return lorenzo(batch, first_axis=1)
 
 
 class TestLorenzoPasses:
@@ -233,11 +231,12 @@ class TestLorenzoPasses:
 
     @pytest.mark.parametrize("dtype", [np.int32, np.float64])
     def test_single_block_transform_keeps_the_dtype(self, dtype):
+        """A lone block is a stack of one, and any dtype passes through."""
         rng = np.random.default_rng(8)
         block = rng.integers(-100, 100, (6, 5, 4)).astype(dtype)
-        got = lorenzo_transform(block)
+        got, _ = lorenzo_transform_batch(block[None].copy(), np.empty(block.size, dtype))
         assert got.dtype == dtype
-        assert np.array_equal(got, _diff_chain(block[None])[0])
+        assert np.array_equal(got[0], lorenzo(block))
 
 
 #: Residuals at every stored-width edge of the fold (uint8 holds
@@ -252,24 +251,21 @@ FOLD_EDGES = np.array(
 
 class TestEncodeResidualsKernel:
     def test_matches_per_block_encode(self):
-        """Against the symbol map spelled out value by value (the scalar
-        ``encode_residuals`` is a batch of one of this same kernel)."""
+        """Against the symbol map spelled out value by value, block by
+        block."""
         rng = np.random.default_rng(3)
         radius = 8
         res = rng.integers(-30, 30, (5, 40))
         got = res.copy()
         counts, pos, val, maxes = encode_residuals_batch(got, radius)
         lo = 0
-        for b, row in enumerate(res.tolist()):
-            fits = [abs(r) < radius for r in row]
-            symbols = [(2 * r if r >= 0 else -2 * r - 1) + 1 if ok else 0
-                       for r, ok in zip(row, fits)]
-            outliers = [i for i, ok in enumerate(fits) if not ok]
+        for b, row in enumerate(res):
+            symbols, outliers, values = fold(row, radius)
             hi = lo + len(outliers)
             assert got[b].tolist() == symbols
             assert counts[b] == len(outliers) and maxes[b] == max(symbols)
             assert pos[lo:hi].tolist() == outliers
-            assert val[lo:hi].tolist() == [row[i] for i in outliers]
+            assert val[lo:hi].tolist() == values
             lo = hi
         assert lo == pos.size == val.size
 

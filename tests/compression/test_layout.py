@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fold, unfold
+
 from repro.compression.api import CompressorSpec, resolve_compressor
 from repro.compression.codecs import PLANES_BIT, get_codec
 from repro.compression.quantizer import (
-    decode_residuals,
-    encode_residuals,
+    encode_residuals_batch,
     pw_rel_to_log_abs,
-    unfold_symbols,
+    unfold_symbols_into,
 )
 from repro.compression.sz import LAYOUT, SZCompressor, decompress
 
@@ -71,19 +72,26 @@ def _expected_symbols(res: np.ndarray) -> np.ndarray:
     return np.where(np.abs(res) < RADIUS, folded, 0)
 
 
+def _fold(res: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fold kernel on one row: ``(symbols, positions, values)``."""
+    symbols = np.array(res, dtype=np.int64).reshape(1, -1)
+    _counts, pos, val, _maxes = encode_residuals_batch(symbols, radius)
+    return symbols[0], pos, val
+
+
 class TestFoldPrimitive:
     def test_symbol_map(self):
         res = np.array([0, -1, 1, -2, 2, 127, -127, -128, 128], dtype=np.int64)
-        assert encode_residuals(res, RADIUS).codes.tolist() == [
+        assert _fold(res, RADIUS)[0].tolist() == [
             1, 2, 3, 4, 5, 255, 254, 256, 257,
         ]
 
     def test_radius_edge(self):
         res = np.array([32767, -32767, 32768, -32768], dtype=np.int64)
-        qr = encode_residuals(res, RADIUS)
-        assert qr.codes.tolist() == [65535, 65534, 0, 0]
-        assert qr.outlier_positions.tolist() == [2, 3]
-        assert qr.outlier_values.tolist() == [32768, -32768]
+        symbols, pos, val = _fold(res, RADIUS)
+        assert symbols.tolist() == [65535, 65534, 0, 0]
+        assert pos.tolist() == [2, 3]
+        assert val.tolist() == [32768, -32768]
 
     @given(
         st.lists(
@@ -99,16 +107,18 @@ class TestFoldPrimitive:
     @settings(max_examples=80, deadline=None)
     def test_round_trip_over_the_full_int64_range(self, values, radius):
         res = np.array(values, dtype=np.int64)
-        qr = encode_residuals(res, radius)
-        fits = np.abs(res.astype(object)) < radius
-        assert np.array_equal(qr.codes == 0, ~fits.astype(bool))
-        assert qr.codes.min() >= 0 and qr.codes.max() <= 2 * radius - 1
-        assert np.array_equal(decode_residuals(qr), res)
-        # every stored width unfolds the same way
+        symbols, pos, val = _fold(res, radius)
+        assert (symbols.tolist(), pos.tolist(), val.tolist()) == fold(values, radius)
+        assert symbols.min() >= 0 and symbols.max() <= 2 * radius - 1
+        fits = symbols != 0
+        # every stored width unfolds as the value-by-value map does
         for dt in (np.uint8, np.uint16, np.uint32, np.uint64, np.int64):
-            if int(qr.codes.max()) <= np.iinfo(dt).max:
-                got = unfold_symbols(qr.codes.astype(dt))
-                assert np.array_equal(got[fits.astype(bool)], res[fits.astype(bool)])
+            if int(symbols.max()) <= np.iinfo(dt).max:
+                got = unfold_symbols_into(symbols.astype(dt), np.empty(res.size, np.int64))
+                assert got.tolist() == [unfold(s) for s in symbols.tolist()]
+                assert np.array_equal(got[fits], res[fits])
+                got[pos] = val
+                assert np.array_equal(got, res)
 
 
 def _compressor(mode, codec, engine, radius=RADIUS):

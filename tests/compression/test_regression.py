@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import regression
 from repro.compression.regression import (
     AdaptiveSZCompressor,
     regression_coefficients,
@@ -98,3 +99,54 @@ class TestAdaptiveCompressor:
         comp = AdaptiveSZCompressor(block=4)
         recon = comp.decompress(comp.compress(data, eb))
         assert np.max(np.abs(recon - data)) <= eb * (1 + 1e-9) + 1e-12
+
+
+NON_FINITE = "data contains non-finite values (NaN or Inf)"
+OVERFLOW = (
+    "error bound too small relative to data magnitude: quantization "
+    "lattice exceeds int64 range"
+)
+
+
+class TestInputContract:
+    """Bad input raises its ``ValueError`` before any stream is built."""
+
+    @pytest.fixture(autouse=True)
+    def _no_stream(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bad input reached the stream")
+
+        monkeypatch.setattr(regression, "AdaptiveBlockStream", refuse)
+
+    @staticmethod
+    def _run(batched: bool, data: np.ndarray, eb: float) -> None:
+        comp = AdaptiveSZCompressor(block=4)
+        if batched:
+            comp.compress_many([data, np.zeros((4, 4, 4))], [eb, eb])
+        else:
+            comp.compress(data, eb)
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["compress", "compress_many"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value(self, bad, dtype, batched):
+        data = np.ones((8, 8, 4), dtype)
+        data[5, 2, 3] = bad
+        with pytest.raises(ValueError) as err:
+            self._run(batched, data, 0.1)
+        assert str(err.value) == NON_FINITE
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["compress", "compress_many"])
+    def test_lattice_overflow(self, batched):
+        data = np.zeros((4, 8, 4))
+        data[1, 6, 2] = 1e300
+        with pytest.raises(ValueError) as err:
+            self._run(batched, data, 1e-10)
+        assert str(err.value) == OVERFLOW
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["compress", "compress_many"])
+    @pytest.mark.parametrize("eb", [0.0, -0.5])
+    def test_non_positive_bound(self, eb, batched):
+        with pytest.raises(ValueError) as err:
+            self._run(batched, np.ones((4, 4, 4)), eb)
+        assert str(err.value) == f"eb must be a positive finite number, got {eb!r}"

@@ -360,6 +360,97 @@ class TestCommands:
         assert "PSNR" in captured
         assert rc == 0
 
+    @pytest.fixture()
+    def compressed(self, snap_path, tmp_path):
+        """A good container of the snapshot's temperature in 2^3 blocks."""
+        out = tmp_path / "blocks.npz"
+        args = ["--snapshot", str(snap_path), "--field", "temperature", "--blocks", "2"]
+        assert main(["compress", *args, "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def _analyze(snap_path, container) -> int:
+        return main(
+            [
+                "analyze",
+                "--snapshot",
+                str(snap_path),
+                "--field",
+                "temperature",
+                "--compressed",
+                str(container),
+                "--tolerance",
+                "0.5",
+            ]
+        )
+
+    def test_analyze_prints_the_table_of_the_assembled_blocks(
+        self, snap_path, compressed, capsys
+    ):
+        """Decoding into one field buffer prints the table that
+        assembling each block's own decode gives."""
+        from repro.analysis.metrics import nrmse, psnr
+        from repro.analysis.spectrum import check_spectrum_quality
+        from repro.compression.api import decompress_any
+        from repro.parallel.decomposition import BlockDecomposition
+        from repro.sim.io import load_snapshot
+        from repro.util.tables import format_table
+
+        capsys.readouterr()
+        assert self._analyze(snap_path, compressed) == 0
+        captured = capsys.readouterr()
+        data = load_snapshot(snap_path)["temperature"].astype(np.float64)
+        blocks, ebs, bpa = load_blocks(str(compressed))
+        dec = BlockDecomposition(data.shape, blocks=bpa)
+        recon = dec.assemble([decompress_any(b) for b in blocks])
+        ok, dev = check_spectrum_quality(data, recon, tolerance=0.5)
+        rows = [
+            ["max abs error", float(np.max(np.abs(recon - data)))],
+            ["largest bound", float(ebs.max())],
+            ["PSNR (dB)", psnr(data, recon)],
+            ["NRMSE", nrmse(data, recon)],
+            ["P(k) worst deviation (k<10)", dev],
+            ["P(k) within band", "yes" if ok else "NO"],
+        ]
+        table = format_table(["metric", "value"], rows, title="analysis: temperature")
+        assert captured.out == table + "\n" and captured.err == ""
+
+    @staticmethod
+    def _bad_container(kind: str, good, path) -> str:
+        blocks, ebs, bpa = load_blocks(str(good))
+        if kind == "no-meta":
+            import zipfile
+
+            with zipfile.ZipFile(good) as zin, zipfile.ZipFile(path, "w") as zout:
+                for info in zin.infolist():
+                    if info.filename != "__meta.npy":
+                        zout.writestr(info, zin.read(info))
+            return str(path)
+        if kind == "truncated-codes":
+            blocks[3].payloads["codes"] = blocks[3].payloads["codes"][:-5]
+        else:
+            bpa = {"blocks-per-axis-3": 3, "one-partition": 1, "64-partitions": 4}[kind]
+        save_blocks(str(path), blocks, ebs, blocks_per_axis=bpa)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["no-meta", "truncated-codes", "blocks-per-axis-3", "one-partition", "64-partitions"],
+    )
+    def test_analyze_refuses_a_bad_container_in_one_line(
+        self, snap_path, compressed, tmp_path, capsys, kind
+    ):
+        """A malformed container, or blocks that do not tile the
+        snapshot under the container's blocks per axis: one
+        ``analyze: ...`` line on stderr and exit code 2, no traceback."""
+        bad = self._bad_container(kind, compressed, tmp_path / "bad.npz")
+        capsys.readouterr()
+        assert self._analyze(snap_path, bad) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("analyze: ")
+
     def test_sweep(self, snap_path, capsys):
         rc = main(
             [
