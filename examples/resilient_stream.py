@@ -64,7 +64,11 @@ def main() -> None:
 
     # 2. Transient faults, retried away. --------------------------------
     retried_path = workdir / "retried.jsonl"
-    plan = FaultPlan(seed=3).arm("backend.compress", kind="crash", at=(2, 7))
+    # baryon_density's first attempt in snapshots 1 and 3 (its count runs
+    # on across snapshots: snapshot 1's retry is invocation 2).
+    plan = FaultPlan(seed=3).arm(
+        "backend.compress", kind="crash", at=(1, 4), field="baryon_density"
+    )
     ctl = InSituController(
         dec, ledger=retried_path, byte_budget=BUDGET, retry=RETRY,
         retain_results=False,
@@ -101,7 +105,9 @@ def main() -> None:
 
     # 4. Retries exhausted: degrade one field, keep streaming. ----------
     degraded_path = workdir / "degraded.jsonl"
-    storm = FaultPlan(seed=2).arm("backend.compress", kind="crash", at=(0, 1))
+    storm = FaultPlan(seed=2).arm(
+        "backend.compress", kind="crash", at=(0, 1), field="baryon_density"
+    )
     ctl = InSituController(
         dec, ledger=degraded_path, byte_budget=BUDGET,
         retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),

@@ -530,7 +530,7 @@ def decode_into(
     """Honour ``out=`` by decoding: each ``out[i]`` receives
     ``decode(blocks[i])`` (the family's registered decoder).  Returns
     ``blocks``.  The families with no reconstruction at hand when they
-    encode — classic SZ, ``zfp_like``, ``sz_adaptive`` — share this."""
+    encode — classic SZ and ``zfp_like`` — share this."""
     if out is not None:
         for dst, block in zip(out, blocks):
             dst[...] = decode(block)

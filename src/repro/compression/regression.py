@@ -39,12 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.api import (
-    CompressorCapabilities,
-    CompressorSpec,
-    check_out,
-    decode_into,
-)
+from repro.compression.api import CompressorCapabilities, CompressorSpec, check_out
 from repro.compression.codecs import get_codec, inflate_exact
 from repro.compression.estimator import HEADER_BYTES
 from repro.compression.kernels import unzigzag, zigzag
@@ -193,6 +188,13 @@ class AdaptiveSZCompressor:
     # -- compress ----------------------------------------------------------
 
     def compress(self, data: np.ndarray, eb: float) -> AdaptiveBlockStream:
+        return self._encode(data, eb, None)
+
+    def _encode(
+        self, data: np.ndarray, eb: float, out: np.ndarray | None
+    ) -> AdaptiveBlockStream:
+        """:meth:`compress`; with ``out``, also write the reconstruction
+        there, bit for bit :func:`decompress` of the stream."""
         arr = np.asarray(data)
         if arr.ndim != 3:
             raise ValueError(f"AdaptiveSZCompressor expects 3-D data, got {arr.ndim}-D")
@@ -221,6 +223,11 @@ class AdaptiveSZCompressor:
                 "lattice exceeds int64 range"
             )
         tiles = lattice.reshape(n_tiles, b, b, b)
+        if out is not None:
+            # Every tile the decoder rebuilds, Lorenzo or regression, is
+            # its lattice tile, and it dequantizes with this one multiply.
+            dst = _tiled(out, b)
+            np.multiply(tiles.reshape(dst.shape), 2.0 * eb, out=dst, dtype=np.float64)
 
         # Candidate 2 first, while the lattice is intact: regression
         # residuals with quantized coefficients.
@@ -273,11 +280,14 @@ class AdaptiveSZCompressor:
         out: list[np.ndarray] | None = None,
     ) -> list[AdaptiveBlockStream]:
         """One stream per (view, bound); the per-block predictor
-        selection leaves nothing to batch across views.  ``out`` is
-        filled by decoding each stream."""
+        selection leaves nothing to batch across views.  ``out[i]``
+        receives view ``i``'s reconstruction from its encoder's lattice:
+        nothing is decoded."""
         outs = check_out(views, out)
-        streams = [self.compress(v, float(eb)) for v, eb in zip(views, ebs)]
-        return decode_into(outs, streams, decompress)
+        return [
+            self._encode(v, float(eb), None if outs is None else outs[i])
+            for i, (v, eb) in enumerate(zip(views, ebs))
+        ]
 
     def decompress(self, stream: AdaptiveBlockStream) -> np.ndarray:
         """Streams are self-describing: any ``sz_adaptive`` one decodes here."""
@@ -287,10 +297,27 @@ class AdaptiveSZCompressor:
         return f"AdaptiveSZCompressor(codec={self.codec.name!r}, block={self.block})"
 
 
+def _check_header(stream: AdaptiveBlockStream) -> None:
+    """Refuse a header no encoder writes, before any payload inflates:
+    a block of at least 2, a 3-D shape that divides into its cubes, an
+    outlier count within the stream and a positive finite bound."""
+    b, shape = stream.block, tuple(stream.shape)
+    if not (isinstance(b, int | np.integer) and b >= 2):
+        raise PayloadError(f"stream block {b!r} is not an integer of at least 2")
+    if len(shape) != 3 or min(shape) < 1 or any(s % b for s in shape):
+        raise PayloadError(f"stream shape {shape!r} is not 3-D in whole {b}^3 blocks")
+    if not 0 <= stream.n_outliers <= math.prod(shape):
+        raise PayloadError(f"stream outlier count {stream.n_outliers!r} is out of range")
+    if not 0 < stream.eb < math.inf:
+        raise PayloadError(f"stream error bound {stream.eb!r} is not positive and finite")
+
+
 def decompress(stream: AdaptiveBlockStream) -> np.ndarray:
     """Reconstruct a field from an :class:`AdaptiveBlockStream` (it
     records its own block size, codec and radius; no compressor
-    instance is needed)."""
+    instance is needed).  A hostile header is a
+    :class:`~repro.util.errors.PayloadError` before anything inflates."""
+    _check_header(stream)
     n = stream.n_elements
     nblocks = n // stream.block**3
 
@@ -333,8 +360,7 @@ def decompress(stream: AdaptiveBlockStream) -> np.ndarray:
         tiles[use_reg] += np.rint(_predict(qcoeffs / _COEF_QUANT, b)).astype(np.int64)
 
     # Dequantize straight into the field's layout: one cast-multiply.
-    eb = check_positive(stream.eb, "eb")
     out = np.empty(stream.shape)
     dst = _tiled(out, b)
-    np.multiply(tiles.reshape(dst.shape), 2.0 * eb, out=dst, dtype=np.float64)
+    np.multiply(tiles.reshape(dst.shape), 2.0 * float(stream.eb), out=dst, dtype=np.float64)
     return out

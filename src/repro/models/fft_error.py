@@ -131,20 +131,41 @@ def predicted_spectrum_distortion(
       derived fields (calibrated in the Fig. 5 bench).
     """
     eb = check_positive(eb, "eb")
-    if confidence_z <= 0:
-        raise ValueError(f"confidence_z must be positive, got {confidence_z}")
+    _check_distortion_args(confidence_z, correlated_fraction)
     if sub_threshold_power < 0:
         raise ValueError("sub_threshold_power must be non-negative")
+    p, modes = _spectrum_arrays(spectrum)
+    return _distortion(p, modes, eb, confidence_z, sub_threshold_power, correlated_fraction)
+
+
+def _check_distortion_args(confidence_z: float, correlated_fraction: float) -> None:
+    if confidence_z <= 0:
+        raise ValueError(f"confidence_z must be positive, got {confidence_z}")
     if not 0.0 <= correlated_fraction <= 1.0:
         raise ValueError("correlated_fraction must be in [0, 1]")
+
+
+def _spectrum_arrays(spectrum: PowerSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """``(power, max(n_modes, 1))`` as float64, validated: what
+    :func:`_distortion` reads, built once per spectrum."""
     p = np.asarray(spectrum.power, dtype=np.float64)
-    n_modes = np.asarray(spectrum.n_modes, dtype=np.float64)
     if (p <= 0).any():
         raise ValueError("spectrum contains empty bins")
+    return p, np.maximum(np.asarray(spectrum.n_modes, dtype=np.float64), 1.0)
+
+
+def _distortion(
+    p: np.ndarray,
+    modes: np.ndarray,
+    eb: float,
+    confidence_z: float,
+    sub_threshold_power: float,
+    correlated_fraction: float,
+) -> np.ndarray:
+    """:func:`predicted_spectrum_distortion`'s arithmetic on validated
+    inputs (``modes`` already clamped to 1)."""
     noise_floor = eb**2 / 3.0
-    var_bin = (4.0 * p * eb**2 * _COMPONENT_VAR_FACTOR + noise_floor**2) / np.maximum(
-        n_modes, 1.0
-    )
+    var_bin = (4.0 * p * eb**2 * _COMPONENT_VAR_FACTOR + noise_floor**2) / modes
     coherent = sub_threshold_power
     cross_sub = 2.0 * np.sqrt(coherent * np.minimum(p, coherent)) if coherent > 0 else 0.0
     cross_corr = 2.0 * correlated_fraction * np.sqrt((noise_floor + coherent) / p)
@@ -168,15 +189,24 @@ def sub_threshold_power_estimate(field: np.ndarray, eb: float, stride: int = 4) 
 def sub_threshold_power_curve(field: np.ndarray, stride: int = 4) -> Callable[[float], float]:
     """:func:`sub_threshold_power_estimate` of ``field`` as a function of
     ``eb``, bit-identical to it, with the strided subsample's squares
-    and magnitudes built once — what a bisection over ``eb`` calls."""
+    and magnitudes built once — what a bisection over ``eb`` calls.
+
+    The sets ``{|x| < eb}`` of two bounds are nested, so the count of
+    cells below ``eb`` names the set, and so the mean: each is computed
+    once per count (a bisection's late steps mostly move no cell)."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     sub = np.asarray(field, dtype=np.float64)[::stride, ::stride, ::stride]
     squares, mags = sub**2, np.abs(sub)
+    by_count: dict[int, float] = {}
 
     def estimate(eb: float) -> float:
         eb = check_positive(eb, "eb")
-        return float(np.mean(np.where(mags < eb, squares, 0.0)))
+        below = mags < eb
+        count = int(np.count_nonzero(below))
+        if count not in by_count:
+            by_count[count] = float(np.mean(np.where(below, squares, 0.0)))
+        return by_count[count]
 
     return estimate
 
@@ -206,21 +236,19 @@ def spectrum_ratio_tolerance_to_eb(
     mask = spectrum.k < k_max
     if not mask.any():
         raise ValueError(f"no spectrum bins below k_max={k_max}")
-    sub = PowerSpectrum(
-        k=spectrum.k[mask], power=spectrum.power[mask], n_modes=spectrum.n_modes[mask]
+    _check_distortion_args(confidence_z, correlated_fraction)
+    p, modes = _spectrum_arrays(
+        PowerSpectrum(
+            k=spectrum.k[mask], power=spectrum.power[mask], n_modes=spectrum.n_modes[mask]
+        )
     )
 
     def worst(eb: float) -> float:
         s = float(sub_power_fn(eb)) if sub_power_fn is not None else 0.0
+        if s < 0:
+            raise ValueError("sub_threshold_power must be non-negative")
         return float(
-            predicted_spectrum_distortion(
-                sub,
-                n_elements,
-                eb,
-                confidence_z,
-                sub_threshold_power=s,
-                correlated_fraction=correlated_fraction,
-            ).max()
+            _distortion(p, modes, float(eb), confidence_z, s, correlated_fraction).max()
         )
 
     lo, hi = 1e-12, 1.0

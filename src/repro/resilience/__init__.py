@@ -9,7 +9,8 @@ the substrate the execution and stream layers build on:
   injection.  Production code declares named *fault points*
   (``fault_point("backend.compress")``); a :class:`FaultPlan` arms them
   to raise crashes, timeouts, corrupted-payload errors, or torn ledger
-  writes on chosen invocations.  Chaos tests replay bit-for-bit because
+  writes on chosen invocations, counted per ``(site, field)`` inside a
+  stream field step.  Chaos tests replay bit-for-bit because
   every firing schedule is a pure function of the plan's seed and
   arming calls — never of global RNG state.
 - :mod:`repro.resilience.retry` — :class:`RetryPolicy`: exponential

@@ -12,9 +12,9 @@ return immediately), so the hooks stay in production builds.  A chaos
 test arms a :class:`FaultPlan`::
 
     plan = FaultPlan(seed=7)
-    plan.arm("backend.compress", kind="crash", at=0)   # first invocation
+    plan.arm("backend.compress", kind="crash", at=0, field="temperature")
     with plan.activate():
-        controller.run(stream)                          # fault fires
+        controller.run(stream)   # temperature's first compression fails
 
 Everything about the firing schedule is a pure function of the plan's
 seed and arming calls — :meth:`FaultPlan.arm_random` draws invocation
@@ -34,13 +34,25 @@ Fault kinds map to the failure modes the stream path must survive:
              state a power cut mid-``write`` leaves behind
 ===========  ==============================================================
 
-Invocation counters are per process and guarded by a lock, so fault
-points reached from several threads still count one global schedule.
+Fault addressing is per ``(site, field, invocation)``.  A fault point
+reached inside a stream field step counts its invocations per
+``(site, field)``: the controller names the field with
+:func:`field_scope` (a :mod:`contextvars` variable, which
+:func:`~repro.util.fanout.thread_map` carries into every item), and
+``arm(..., field=name)`` addresses that count.  So a schedule names the
+field it hits and fires on the same attempt however the snapshot's
+fields are spread over threads.  A site reached outside a field step
+(``ledger.append``, ``source.load``, a direct
+:func:`~repro.parallel.backends.run_snapshot`) counts under
+``field=None``, one schedule for the process.  Counters are guarded by
+a lock.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
+import zlib
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -58,6 +70,7 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "fault_point",
+    "field_scope",
 ]
 
 
@@ -107,12 +120,14 @@ _KINDS = ("crash", "timeout", "corrupt", "torn")
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One armed fault: where, what, and on which invocations."""
+    """One armed fault: where (the site, and the field step it is
+    reached in, ``None`` outside one), what, and on which invocations."""
 
     site: str
     kind: str
     at: frozenset[int]
     fraction: float = 0.5  # torn writes: how much of the line survives
+    field: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -130,15 +145,16 @@ class FaultPlan:
     """A seeded, exactly-reproducible schedule of armed faults.
 
     One plan instance is armed by tests, activated around the code under
-    test, and consulted by every :func:`fault_point` it encloses.  All
-    mutation is lock-guarded so fault points reached from several
-    threads count invocations consistently.
+    test, and consulted by every :func:`fault_point` it encloses.  Specs
+    and counts are keyed by ``(site, field)``; all mutation is
+    lock-guarded so fault points reached from several threads count
+    invocations consistently.
     """
 
     seed: int = 0
-    _specs: dict[str, FaultSpec] = field(default_factory=dict)
-    _counts: dict[str, int] = field(default_factory=dict)
-    _fired: dict[str, int] = field(default_factory=dict)
+    _specs: dict[tuple[str, str | None], FaultSpec] = field(default_factory=dict)
+    _counts: dict[tuple[str, str | None], int] = field(default_factory=dict)
+    _fired: dict[tuple[str, str | None], int] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # -- arming ----------------------------------------------------------
@@ -150,11 +166,13 @@ class FaultPlan:
         at: int | Iterable[int] = 0,
         *,
         fraction: float = 0.5,
+        field: str | None = None,
     ) -> "FaultPlan":
-        """Arm ``site`` to fail on the given 0-based invocation(s)."""
+        """Arm ``site`` to fail on the given 0-based invocation(s) of it
+        inside ``field``'s steps (``None``: outside any field step)."""
         invocations = frozenset([at] if isinstance(at, int) else at)
-        self._specs[site] = FaultSpec(
-            site=site, kind=kind, at=invocations, fraction=fraction
+        self._specs[site, field] = FaultSpec(
+            site=site, kind=kind, at=invocations, fraction=fraction, field=field
         )
         return self
 
@@ -166,11 +184,13 @@ class FaultPlan:
         rate: float,
         horizon: int,
         fraction: float = 0.5,
+        field: str | None = None,
     ) -> "FaultPlan":
-        """Arm ``site`` on a seeded random subset of the next ``horizon``
-        invocations (each selected with probability ``rate``).
+        """Arm ``site`` (in ``field``'s steps, as :meth:`arm`) on a seeded
+        random subset of the next ``horizon`` invocations (each selected
+        with probability ``rate``).
 
-        The subset is a pure function of ``(self.seed, site, rate,
+        The subset is a pure function of ``(self.seed, site, field, rate,
         horizon)`` via :func:`repro.util.rng.default_rng` — rerunning the
         same plan fires the same invocations.
         """
@@ -178,10 +198,9 @@ class FaultPlan:
             raise ValueError(f"rate must be in (0, 1], got {rate}")
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
-        import zlib
-
+        label = site if field is None else f"{site}@{field}"
         rng = default_rng(
-            (int(self.seed) & 0xFFFFFFFF) ^ zlib.crc32(site.encode("utf-8"))
+            (int(self.seed) & 0xFFFFFFFF) ^ zlib.crc32(label.encode("utf-8"))
         )
         draws = rng.random(horizon)
         chosen = frozenset(int(i) for i in range(horizon) if draws[i] < rate)
@@ -189,53 +208,57 @@ class FaultPlan:
             # Deterministic fallback: an armed-but-never-firing plan is a
             # test that silently checks nothing.
             chosen = frozenset({int(rng.integers(horizon))})
-        self._specs[site] = FaultSpec(site=site, kind=kind, at=chosen, fraction=fraction)
+        self._specs[site, field] = FaultSpec(
+            site=site, kind=kind, at=chosen, fraction=fraction, field=field
+        )
         return self
 
-    def disarm(self, site: str) -> "FaultPlan":
+    def disarm(self, site: str, field: str | None = None) -> "FaultPlan":
         """Remove ``site``'s armed fault (invocation counts are kept)."""
-        self._specs.pop(site, None)
+        self._specs.pop((site, field), None)
         return self
 
     # -- introspection ---------------------------------------------------
 
-    def invocations(self, site: str) -> int:
-        """How many times ``site`` has been reached under this plan."""
+    def invocations(self, site: str, field: str | None = None) -> int:
+        """How many times ``site`` has been reached under this plan in
+        ``field``'s steps (``None``: outside any field step)."""
         with self._lock:
-            return self._counts.get(site, 0)
+            return self._counts.get((site, field), 0)
 
-    def fired(self, site: str) -> int:
-        """How many times ``site`` actually raised under this plan."""
+    def fired(self, site: str, field: str | None = None) -> int:
+        """How many of those invocations actually raised."""
         with self._lock:
-            return self._fired.get(site, 0)
+            return self._fired.get((site, field), 0)
 
-    def armed_at(self, site: str) -> frozenset[int]:
-        spec = self._specs.get(site)
+    def armed_at(self, site: str, field: str | None = None) -> frozenset[int]:
+        spec = self._specs.get((site, field))
         return frozenset() if spec is None else spec.at
 
     # -- firing ----------------------------------------------------------
 
     def fire(self, site: str) -> None:
-        """Count one invocation of ``site``; raise if it is armed for it."""
-        spec = self._specs.get(site)
+        """Count one invocation of ``site`` in the current field step (or
+        outside any); raise if it is armed for it."""
+        key = (site, _FIELD.get())
+        spec = self._specs.get(key)
         with self._lock:
-            invocation = self._counts.get(site, 0)
-            self._counts[site] = invocation + 1
+            invocation = self._counts.get(key, 0)
+            self._counts[key] = invocation + 1
             hit = spec is not None and invocation in spec.at
             if hit:
-                self._fired[site] = self._fired.get(site, 0) + 1
+                self._fired[key] = self._fired.get(key, 0) + 1
         if not hit:
             return
         assert spec is not None
+        where = repr(site) if spec.field is None else f"{site!r} in field {spec.field!r}"
         if spec.kind == "crash":
-            raise InjectedCrash(f"injected crash at {site!r} (invocation {invocation})")
+            raise InjectedCrash(f"injected crash at {where} (invocation {invocation})")
         if spec.kind == "timeout":
-            raise InjectedTimeout(
-                f"injected timeout at {site!r} (invocation {invocation})"
-            )
+            raise InjectedTimeout(f"injected timeout at {where} (invocation {invocation})")
         if spec.kind == "corrupt":
             raise CorruptedPayloadError(
-                f"injected corrupted payload at {site!r} (invocation {invocation})"
+                f"injected corrupted payload at {where} (invocation {invocation})"
             )
         raise TornWrite(site, fraction=spec.fraction)
 
@@ -263,6 +286,22 @@ class FaultPlan:
 
 #: The process-wide active plan (``None`` = every fault point disarmed).
 _ACTIVE: FaultPlan | None = None
+
+#: The field whose step is running in this context (``None`` outside one).
+_FIELD: contextvars.ContextVar[str | None] = contextvars.ContextVar(
+    "repro.resilience.field", default=None
+)
+
+
+@contextmanager
+def field_scope(name: str):
+    """Count the fault points reached in this block under field ``name``
+    (the stream controller wraps each field step in one)."""
+    token = _FIELD.set(name)
+    try:
+        yield
+    finally:
+        _FIELD.reset(token)
 
 
 def fault_point(site: str) -> None:

@@ -32,7 +32,12 @@ A field step is one path: (re)calibrate if due, invert the budget (or
 read it off the field's state), decide, compress with
 :func:`~repro.parallel.backends.run_snapshot` (the pipeline's rank
 loop).  It writes nothing: it returns its records, and the snapshot loop,
-the one writer, appends and folds them.  It keeps nothing either: the
+the one writer, appends and folds them.  So a snapshot's field steps run
+side by side on the fan-out pool (:func:`~repro.util.fanout.thread_map`)
+and their records are appended in field order afterwards: the ledger is
+the serial loop's, byte for byte, on any CPU count.  The snapshot is the
+barrier: every step decides from the state folded before it, the
+governor scale included.  It keeps nothing either: the
 compressor it runs is a function of the field's folded
 :class:`~repro.stream.state.FieldState` (its spec, which is the whole
 configuration), so a resumed run compresses with what a live one does.
@@ -60,8 +65,9 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Mapping
-from dataclasses import asdict
+from collections.abc import Callable, Iterator, Mapping
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from types import MappingProxyType
 from typing import Any
 
@@ -84,6 +90,7 @@ from repro.models.calibration import (
 )
 from repro.parallel.backends import SnapshotResult, SnapshotTask, run_snapshot
 from repro.parallel.decomposition import BlockDecomposition
+from repro.resilience.faults import field_scope
 from repro.resilience.retry import RetryExhaustedError, RetryPolicy
 from repro.sim.nyx import NyxSnapshot
 from repro.stream.drift import DriftConfig, DriftDetector, DriftSignal
@@ -106,6 +113,7 @@ from repro.stream.state import (
     decision_inputs,
     rederive,
 )
+from repro.util.fanout import thread_map
 
 __all__ = [
     "BudgetGovernor",
@@ -118,6 +126,30 @@ __all__ = [
 
 #: A field step's ledger record ``(kind, data)``, for ``_append(kind, **data)``.
 Record = tuple[str, dict[str, Any]]
+
+#: A step's retry hook: ``on_retry`` of :meth:`RetryPolicy.execute`.
+RetryHook = Callable[..., Any]
+
+
+@dataclass
+class _Step:
+    """What one field's step handed back from the pool: its value or the
+    exception it raised, and the retries it made either way.  The
+    snapshot loop adds the retries when it reaches the step in field
+    order, then re-raises the error or appends the value's records."""
+
+    value: Any = None
+    error: BaseException | None = None
+    retries: int = 0
+
+    def note_retry(self, *_: object) -> None:
+        self.retries += 1
+
+    def commit(self, report: StreamReport) -> Any:
+        report.n_retries += self.retries
+        if self.error is not None:
+            raise self.error
+        return self.value
 
 
 # -- the controller ----------------------------------------------------------
@@ -203,6 +235,14 @@ class InSituController:
         loss, not just process death); only meaningful for path-backed
         ledgers constructed by the controller.
 
+    A snapshot's field steps run side by side on the process's fan-out
+    pool and their records are appended in field order, so the ledger
+    does not depend on the CPU count; with one usable CPU every step runs
+    in the calling thread.  A step that fails leaves the serial loop's
+    ledger: the fields before it are appended, its exception propagates,
+    and nothing of the fields after it (not their retries either) is
+    kept.
+
     Examples
     --------
     >>> from repro.sim.nyx import NyxSimulator
@@ -280,11 +320,10 @@ class InSituController:
         self.seed = int(seed)
         self.check_quality = bool(check_quality) or self.drift.quality_margin is not None
         self.retain_results = bool(retain_results)
-        #: The one field buffer every quality-checked compression writes
-        #: its reconstruction into, reused field after field.
-        self._recon = (
-            np.empty(decomposition.shape, dtype=np.float64) if self.check_quality else None
-        )
+        #: Field buffers quality-checked compressions write their
+        #: reconstructions into: a step takes one (or makes one) and puts
+        #: it back, so there is one per field step in flight.
+        self._spare_recon: list[np.ndarray] = []
 
         #: Everything decisions derive from.  Owned by the reducer: only
         #: :func:`~repro.stream.state.apply` (via :meth:`_append`) changes it.
@@ -297,16 +336,66 @@ class InSituController:
     # -- resilience plumbing ---------------------------------------------
 
     def _note_retry(self, *_: object) -> None:
-        """Retry-accounting hook (``on_retry``) for the field and
-        ledger-append sites."""
+        """Retry-accounting hook (``on_retry``) for ledger appends, which
+        the snapshot loop makes itself."""
         self.report.n_retries += 1
 
-    def _retrying(self, fn: Callable[[], Any], site: str) -> Any:
-        """``fn()`` under the retry policy; without one, fail fast (the
-        raw exception propagates)."""
+    def _retrying(self, fn: Callable[[], Any], site: str, on_retry: RetryHook) -> Any:
+        """``fn()`` under the retry policy, each retry reported to
+        ``on_retry``; without a policy, fail fast (the raw exception
+        propagates)."""
         if self.retry is None:
             return fn()
-        return self.retry.execute(fn, site=site, on_retry=self._note_retry)
+        return self.retry.execute(fn, site=site, on_retry=on_retry)
+
+    def _side_by_side(
+        self,
+        fields: Mapping[str, np.ndarray],
+        step: Callable[[str, np.ndarray, RetryHook], Any],
+    ) -> list[_Step]:
+        """``step(name, data, on_retry)`` for every field on the fan-out
+        pool, each inside :func:`~repro.resilience.faults.field_scope`;
+        the steps in field order, for the caller to :meth:`_Step.commit`.
+
+        Every item returns its step, never raises, so a failure cannot
+        cost an earlier field its value.  An item whose earlier field has
+        already failed is not run: the serial loop would never have
+        reached it (with one usable CPU, none after a failure runs; on
+        more, a later field already claimed runs to its end, unused)."""
+        failed: list[int] = []
+
+        def run(item: tuple[int, tuple[str, np.ndarray]]) -> _Step | None:
+            i, (name, data) = item
+            if any(j < i for j in failed):
+                return None
+            out = _Step()
+            try:
+                with field_scope(name):
+                    out.value = step(name, data, out.note_retry)
+            # Not swallowed: _Step.commit re-raises it in field order.  An
+            # interrupt is not caught: thread_map raises it at once.
+            except Exception as exc:  # repro-lint: disable=RL007
+                failed.append(i)
+                out.error = exc
+            return out
+
+        return thread_map(run, enumerate(fields.items()))
+
+    @contextmanager
+    def _reconstruction(self) -> Iterator[np.ndarray | None]:
+        """A field buffer for one step's reconstruction (``None`` when
+        quality goes unchecked), put back for the next step on exit."""
+        if not self.check_quality:
+            yield None
+            return
+        try:
+            buffer = self._spare_recon.pop()
+        except IndexError:  # every spare is in use by another step
+            buffer = np.empty(self.decomposition.shape, dtype=np.float64)
+        try:
+            yield buffer
+        finally:
+            self._spare_recon.append(buffer)
 
     def _append(self, kind: str, **data: Any) -> LedgerEvent:
         """Ledger append under the retry policy, then fold the event.
@@ -318,7 +407,9 @@ class InSituController:
         retryable — retrying would duplicate the event — and propagates
         (nothing is folded) for crash-recovery tests.
         """
-        event = self._retrying(lambda: self.ledger.append(kind, **data), "ledger.append")
+        event = self._retrying(
+            lambda: self.ledger.append(kind, **data), "ledger.append", self._note_retry
+        )
         apply(self.state, event)
         return event
 
@@ -435,10 +526,14 @@ class InSituController:
         ``recalibrate="never"``.
         """
         self._ensure_started()
-        for name, data in snapshot.fields.items():
+
+        def calibrate(name: str, data: np.ndarray, _: RetryHook) -> list[Record]:
             records: list[Record] = []
             self._calibrate_field(name, data, FieldReference(data), "initial", records)
-            for kind, record in records:
+            return records
+
+        for step in self._side_by_side(snapshot.fields, calibrate):
+            for kind, record in step.commit(self.report):
                 self._append(kind, **record)
 
     def _budget(
@@ -667,7 +762,13 @@ class InSituController:
         return ctl
 
     def process_snapshot(self, snapshot: NyxSnapshot) -> list[StreamOutcome]:
-        """Decide, compress and account every field of one snapshot."""
+        """Decide, compress and account every field of one snapshot.
+
+        The field steps run side by side (:meth:`_field_step`, each on the
+        state folded before the snapshot); their records are then appended
+        and folded in field order, then the ``budget`` event.  If a step
+        raised, the fields before it are appended and its exception
+        propagates; nothing of a later field is kept."""
         if self.byte_budget is not None and self.governor is None:
             raise RuntimeError(
                 "a byte budget requires n_snapshots (pass it to the "
@@ -684,11 +785,15 @@ class InSituController:
             redshift=float(snapshot.redshift),
             seq_first=self.ledger.next_seq,
         ) as span:
+            steps = self._side_by_side(
+                snapshot.fields,
+                lambda name, data, on_retry: self._field_step(
+                    index, snapshot.redshift, name, data, on_retry
+                ),
+            )
             outcomes = []
-            for name, data in snapshot.fields.items():
-                records, result, signal = self._field_step(
-                    index, snapshot.redshift, name, data
-                )
+            for step in steps:
+                records, result, signal = step.commit(self.report)
                 for kind, record in records:
                     self._append(kind, **record)
                 # The row is the one the fold just built; what only this process
@@ -716,13 +821,20 @@ class InSituController:
         return outcomes
 
     def _field_step(
-        self, index: int, redshift: float, name: str, data: np.ndarray
+        self,
+        index: int,
+        redshift: float,
+        name: str,
+        data: np.ndarray,
+        on_retry: RetryHook,
     ) -> tuple[list[Record], SnapshotResult, DriftSignal | None]:
         """One field step: (re)calibrate if due, decide, compress.  Returns
-        the step's records in append order, its result and its drift verdict.
+        the step's records in append order, its result and its drift verdict;
+        each retry it makes is reported to ``on_retry``.
 
         The step writes nothing: it decides from the state folded before it
-        and, after a (re)calibration, from the state its own record gives.
+        and, after a (re)calibration, from the state its own record gives,
+        so the steps of one snapshot may run at once.
         One :class:`~repro.foresight.evaluator.FieldReference` serves
         calibration, a degradation's recalibration and the quality check.
         A retry re-runs the same task (``run_snapshot`` is pure in it, so a
@@ -730,7 +842,10 @@ class InSituController:
         out degrades onto the fallback compressor and goes round decide→run
         once more; a second exhaustion propagates, none of its records kept.
         """
-        with telemetry.get_tracer().span("stream.field", field=name, snapshot=index):
+        with (
+            telemetry.get_tracer().span("stream.field", field=name, snapshot=index),
+            self._reconstruction() as recon,
+        ):
             spec = self.spec_for(name)
             records: list[Record] = []
             reason = self.state.calibration_reason(name)
@@ -759,8 +874,9 @@ class InSituController:
                 )
                 try:
                     result = self._retrying(
-                        lambda: run_snapshot(task, out=self._recon),
+                        lambda: run_snapshot(task, out=recon),
                         f"stream.field:{name}",
+                        on_retry,
                     )
                     break
                 except RetryExhaustedError as exc:
@@ -813,8 +929,8 @@ class InSituController:
             quality_dev: float | None = None
             if self.check_quality:
                 # Only the deviation is recorded: no metric moments, no PSNR.
-                # The field is what compression wrote into _recon: no decode.
-                quality_dev = spectrum_deviation(ref, self._recon, spec.spectrum_k_max)
+                # The field is what compression wrote into recon: no decode.
+                quality_dev = spectrum_deviation(ref, recon, spec.spectrum_k_max)
 
             # The verdict comes from a scratch detector continuing the
             # step's window (empty after a (re)calibration), so the outcome

@@ -2,9 +2,10 @@
 the caller works in.
 
 Lives in ``util``, below its callers — the SZ chunker
-(``repro.compression.sz._run_chunks``) and the bound sweep
-(``repro.foresight.sweep.run_sweep``) — so ``compression`` need not
-reach up into ``parallel``.
+(``repro.compression.sz._run_chunks``), the bound sweep
+(``repro.foresight.sweep.run_sweep``) and the stream controller's
+field steps (``repro.stream.controller``) — so ``compression`` need
+not reach up into ``parallel``.
 
 The pool is made once per process, on first use: ``usable_cpus() - 1``
 threads (named ``repro-fanout_<i>``) that live as long as the process.

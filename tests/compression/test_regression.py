@@ -150,3 +150,57 @@ class TestInputContract:
         with pytest.raises(ValueError) as err:
             self._run(batched, np.ones((4, 4, 4)), eb)
         assert str(err.value) == f"eb must be a positive finite number, got {eb!r}"
+
+
+class TestHostileHeader:
+    """``decompress`` refuses a header no encoder writes with a
+    ``PayloadError``, before any channel inflates."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        data = np.random.default_rng(3).normal(size=(8, 8, 4))
+        return AdaptiveSZCompressor(block=4).compress(data, 0.05)
+
+    @pytest.fixture(autouse=True)
+    def _no_inflate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hostile header reached a payload")
+
+        monkeypatch.setattr(regression, "inflate_exact", refuse)
+
+    @staticmethod
+    def _refused(stream, match: str, **header) -> None:
+        from dataclasses import replace
+
+        from repro.util.errors import PayloadError
+
+        with pytest.raises(PayloadError, match=match):
+            regression.decompress(replace(stream, **header))
+
+    def test_block_zero(self, stream):
+        self._refused(stream, "block 0", block=0)
+
+    def test_block_one(self, stream):
+        self._refused(stream, "block 1", block=1)
+
+    def test_negative_outlier_count(self, stream):
+        self._refused(stream, "outlier count -1", n_outliers=-1)
+
+    def test_outlier_count_past_the_stream(self, stream):
+        self._refused(stream, "outlier count 257", n_outliers=8 * 8 * 4 + 1)
+
+    @pytest.mark.parametrize("eb", [0.0, -0.05, np.nan, np.inf])
+    def test_bound_not_positive_and_finite(self, stream, eb):
+        self._refused(stream, "error bound", eb=eb)
+
+    @pytest.mark.parametrize("shape", [(8, 32), (8, 8, 4, 1), (8, 8, 0)])
+    def test_shape_not_3d(self, stream, shape):
+        self._refused(stream, "is not 3-D", shape=shape)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 6), (9, 8, 4)])
+    def test_shape_not_divisible_by_the_block(self, stream, shape):
+        self._refused(stream, "is not 3-D in whole 4", shape=shape)
+
+    def test_the_good_stream_still_decodes(self, stream, monkeypatch):
+        monkeypatch.undo()
+        assert regression.decompress(stream).shape == (8, 8, 4)

@@ -213,13 +213,14 @@ class TestInversionStopsAtItsFixedPoint:
         data = snapshot["baryon_density"].astype(np.float64)
         curve = fft_error.sub_threshold_power_curve(data)
         calls = []
-        real = fft_error.predicted_spectrum_distortion
+        real = fft_error._distortion
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(fft_error, "predicted_spectrum_distortion", counting)
+        # The arithmetic both the public prediction and the inversion run.
+        monkeypatch.setattr(fft_error, "_distortion", counting)
         cases = 0
         for ps in self._spectra(snapshot):
             for tolerance in (1e-3, 0.01, 0.2):
@@ -242,6 +243,69 @@ class TestInversionStopsAtItsFixedPoint:
                         assert len(calls) < n_reference
                         cases += 1
         assert cases >= 60
+
+
+#: ``(z, field, (tolerance 0.01 / k < 10, tolerance 0.05 / k < 6 with
+#: correlated fraction 0.5, derive_eb_budget at the default spec))`` as
+#: ``float.hex``, from the inversion before its sub-threshold power was
+#: memoised by count and its validation hoisted out of the bisection.
+BUDGET_PINS = [
+    (1.0, 'baryon_density', ('0x1.078c6a0000000p-2', '0x1.10637c450df1ap-2', '0x1.078c6a0000000p-2')),
+    (1.0, 'dark_matter_density', ('0x1.4ce8660000000p-2', '0x1.48e12e0000000p-2', '0x1.4ce8660000000p-2')),
+    (1.0, 'temperature', ('0x1.8b05cb69fd9c9p+10', '0x1.a34e4d5e1ca8bp+10', '0x1.8b05cb69fd9c9p+10')),
+    (1.0, 'velocity_x', ('0x1.9063667883534p+19', '0x1.834eea900f0dbp+20', '0x1.9063667883534p+19')),
+    (1.0, 'velocity_y', ('0x1.91bd124aa826cp+19', '0x1.913522a0a729cp+20', '0x1.91bd124aa826cp+19')),
+    (1.0, 'velocity_z', ('0x1.d7b85e7a2846fp+19', '0x1.be9a4314c16adp+20', '0x1.d7b85e7a2846fp+19')),
+    (0.3, 'baryon_density', ('0x1.0385180000000p-1', '0x1.fde197543b4f8p-2', '0x1.0385180000000p-1')),
+    (0.3, 'dark_matter_density', ('0x1.f3f5a691400cdp-2', '0x1.66a574b70567ep-1', '0x1.f3f5a691400cdp-2')),
+    (0.3, 'temperature', ('0x1.b72be8aa0e62ap+10', '0x1.d1f3ae0000000p+10', '0x1.b72be8aa0e62ap+10')),
+    (0.3, 'velocity_x', ('0x1.19011482a8fd1p+20', '0x1.0fd3040e33473p+21', '0x1.19011482a8fd1p+20')),
+    (0.3, 'velocity_y', ('0x1.19f3ae980a1c2p+20', '0x1.19944736862d5p+21', '0x1.19f3ae980a1c2p+20')),
+    (0.3, 'velocity_z', ('0x1.4b11299d9b93fp+20', '0x1.3970533e702d8p+21', '0x1.4b11299d9b93fp+20')),
+]
+
+
+class TestInversionPins:
+    """The budget inversion keeps its bits: same bisection, same float
+    operations in the same order, a memoised mean only where the set of
+    cells below the bound is the same."""
+
+    def test_bounds_equal_their_pins(self):
+        from repro.core.config import FieldSpec
+        from repro.core.selection import derive_eb_budget
+        from repro.foresight.evaluator import FieldReference
+        from repro.models.fft_error import SUB_POWER_STRIDE, sub_threshold_power_curve
+        from repro.sim.nyx import NyxSimulator
+
+        sim = NyxSimulator(shape=(32, 32, 32), seed=5)
+        got = []
+        for z in (1.0, 0.3):
+            snap = sim.snapshot(z=z)
+            for name in sorted(snap.fields):
+                f64 = snap[name].astype(np.float64)
+                ps = power_spectrum(f64)
+                curve = sub_threshold_power_curve(f64, stride=SUB_POWER_STRIDE)
+                row = [
+                    spectrum_ratio_tolerance_to_eb(
+                        ps, f64.size, tolerance=tol, k_max=k_max,
+                        sub_power_fn=curve, correlated_fraction=corr,
+                    ).hex()
+                    for tol, k_max, corr in ((0.01, 10, 0.0), (0.05, 6, 0.5))
+                ]
+                row.append(derive_eb_budget(FieldSpec(), FieldReference(snap[name])).hex())
+                got.append((z, name, tuple(row)))
+        assert got == BUDGET_PINS
+
+    def test_memoised_curve_equals_the_mean_at_every_bound(self, snapshot):
+        from repro.models.fft_error import sub_threshold_power_curve
+
+        data = snapshot["baryon_density"].astype(np.float64)
+        curve = sub_threshold_power_curve(data, stride=2)
+        sub = data[::2, ::2, ::2]
+        # Revisited bounds and bounds that move no cell hit the memo.
+        for eb in (0.5, 0.01, 0.5, 0.5000001, 2.0, 0.01, 1e-12, 1e9):
+            want = float(np.mean(np.where(np.abs(sub) < eb, sub**2, 0.0)))
+            assert curve(eb) == want
 
 
 class TestSubThresholdEstimate:

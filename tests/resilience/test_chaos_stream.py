@@ -63,12 +63,16 @@ class TestTransientFaultsAreInvisible:
     ):
         clean = InSituController(chaos_dec).run(chaos_stream(3))
 
-        plan = FaultPlan(seed=3).arm("backend.compress", kind="crash", at=(1, 4))
+        # temperature's first attempt in snapshots 0 and 1 (its count
+        # runs on across snapshots: snapshot 0's retry is invocation 1).
+        plan = FaultPlan(seed=3).arm(
+            "backend.compress", kind="crash", at=(0, 2), field="temperature"
+        )
         ctl = InSituController(chaos_dec, retry=FAST_RETRY)
         with plan.activate():
             chaotic = ctl.run(chaos_stream(3))
 
-        assert plan.fired("backend.compress") == 2
+        assert plan.fired("backend.compress", "temperature") == 2
         assert chaotic.n_retries == 2
         assert chaotic.n_degradations == 0
         assert _payload_table(chaotic) == _payload_table(clean)
@@ -123,12 +127,15 @@ class TestFieldSiteRetry:
         pure, so the retried field is the field a clean run compresses."""
         clean = InSituController(chaos_dec).run(chaos_stream(2))
 
-        plan = FaultPlan(seed=5).arm("backend.features", kind="crash", at=(0, 3))
+        # baryon_density's first attempt in snapshots 0 and 1.
+        plan = FaultPlan(seed=5).arm(
+            "backend.features", kind="crash", at=(0, 2), field="baryon_density"
+        )
         ctl = InSituController(chaos_dec, retry=FAST_RETRY)
         with plan.activate():
             chaotic = ctl.run(chaos_stream(2))
 
-        assert plan.fired("backend.features") == 2
+        assert plan.fired("backend.features", "baryon_density") == 2
         assert chaotic.n_retries == 2
         assert _payload_table(chaotic) == _payload_table(clean)
 
@@ -219,8 +226,11 @@ class TestInterruptedRunResumes:
             chaos_dec, ledger=crash_path, byte_budget=800_000, retain_results=False
         )
         # No retry policy: the crashed worker takes the whole run down
-        # after the snapshot's first field was already ledgered.
-        plan = FaultPlan(seed=9).arm("backend.compress", kind="crash", at=9)
+        # after the snapshot's first field was already ledgered
+        # (temperature's 5th step: snapshot 4).
+        plan = FaultPlan(seed=9).arm(
+            "backend.compress", kind="crash", at=4, field="temperature"
+        )
         with plan.activate(), pytest.raises(InjectedCrash):
             ctl.run(chaos_stream(8))
         ctl.ledger.close()
@@ -249,7 +259,9 @@ class TestInterruptedRunResumes:
         crash_path = tmp_path / "crash.jsonl"
         ctl = InSituController(chaos_dec, ledger=crash_path, **settings)
         # No retry policy: snapshot 0's second field takes the run down.
-        plan = FaultPlan(seed=4).arm("backend.compress", kind="crash", at=1)
+        plan = FaultPlan(seed=4).arm(
+            "backend.compress", kind="crash", at=0, field="temperature"
+        )
         with plan.activate(), pytest.raises(InjectedCrash):
             ctl.run(chaos_stream(3))
         ctl.ledger.close()
@@ -427,7 +439,9 @@ class TestDegradation:
         path = tmp_path / "degraded.jsonl"
         # Both attempts of the first field run fail; the budget is
         # exhausted and the field must degrade to the fallback spec.
-        plan = FaultPlan(seed=2).arm("backend.compress", kind="crash", at=(0, 1))
+        plan = FaultPlan(seed=2).arm(
+            "backend.compress", kind="crash", at=(0, 1), field="baryon_density"
+        )
         ctl = InSituController(
             chaos_dec,
             ledger=path,
@@ -461,7 +475,9 @@ class TestDegradation:
     ):
         from repro.resilience import RetryExhaustedError
 
-        plan = FaultPlan(seed=2).arm("backend.compress", kind="crash", at=(0, 1))
+        plan = FaultPlan(seed=2).arm(
+            "backend.compress", kind="crash", at=(0, 1), field="baryon_density"
+        )
         ctl = InSituController(
             chaos_dec, retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         )

@@ -131,6 +131,64 @@ class TestFaultPlan:
             FaultPlan().arm_random("s", rate=0.5, horizon=0)
 
 
+class TestFieldScope:
+    """Inside a field step a site counts per ``(site, field)``; outside
+    one it counts under ``field=None``."""
+
+    def test_each_field_counts_its_own_invocations(self):
+        from repro.resilience.faults import field_scope
+
+        plan = FaultPlan().arm("s", kind="crash", at=1, field="b")
+        with plan.activate():
+            for _ in range(3):
+                with field_scope("a"):
+                    fault_point("s")  # a's count never fires b's arm
+            with field_scope("b"):
+                fault_point("s")  # b: 0
+                with pytest.raises(InjectedCrash, match="'s' in field 'b' \\(invocation 1\\)"):
+                    fault_point("s")  # b: 1, armed
+            fault_point("s")  # outside any step
+        assert [plan.invocations("s", f) for f in ("a", "b", None)] == [3, 2, 1]
+        assert [plan.fired("s", f) for f in ("a", "b", None)] == [0, 1, 0]
+        assert plan.armed_at("s", "b") == frozenset({1}) and plan.armed_at("s") == frozenset()
+
+    def test_an_unscoped_arm_fires_outside_field_steps_only(self):
+        from repro.resilience.faults import field_scope
+
+        plan = FaultPlan().arm("s", kind="crash", at=0)
+        with plan.activate():
+            with field_scope("a"):
+                fault_point("s")
+            with pytest.raises(InjectedCrash, match="^injected crash at 's' \\(invocation 0\\)$"):
+                fault_point("s")
+        plan.disarm("s")
+        assert plan.armed_at("s") == frozenset()
+
+    def test_the_scope_is_the_threads_own(self):
+        """Each ``thread_map`` item runs in its own copy of the caller's
+        context, so a scope set in one item is not seen by another."""
+        from repro.resilience.faults import field_scope
+        from repro.util.fanout import thread_map
+
+        def step(name):
+            with field_scope(name):
+                for _ in range(50):
+                    fault_point("s")
+            fault_point("s")
+
+        plan = FaultPlan()
+        with plan.activate():
+            thread_map(step, ["a", "b", "c", "d"])
+        assert [plan.invocations("s", f) for f in "abcd"] == [50] * 4
+        assert plan.invocations("s") == 4
+
+    def test_arm_random_differs_by_field(self):
+        plan = FaultPlan(seed=9)
+        plan.arm_random("s", rate=0.3, horizon=50)
+        plan.arm_random("s", rate=0.3, horizon=50, field="a")
+        assert plan.armed_at("s") != plan.armed_at("s", "a")
+
+
 class TestRankLoopSites:
     @pytest.mark.parametrize("site", ["backend.features", "backend.compress"])
     def test_each_site_is_reached_once_per_snapshot(self, site):

@@ -19,8 +19,10 @@ TWO_TRIES = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
 
 
 def _degrading_plan() -> FaultPlan:
-    """The 3rd field step's compression fails on both attempts."""
-    return FaultPlan(seed=2).arm("backend.compress", kind="crash", at=(2, 3))
+    """baryon_density's compression in snapshot 1 fails on both attempts."""
+    return FaultPlan(seed=2).arm(
+        "backend.compress", kind="crash", at=(1, 2), field="baryon_density"
+    )
 
 
 def test_one_reference_per_field_step(chaos_stream, chaos_dec):

@@ -683,14 +683,22 @@ class TestQualityCheckLedgerIdentity:
         from repro.resilience.retry import RetryPolicy
 
         def plan():
-            return FaultPlan(seed=4).arm("backend.compress", kind="crash", at=(1, 5))
+            # The first attempt of two fields in snapshot 0.
+            return (
+                FaultPlan(seed=4)
+                .arm("backend.compress", kind="crash", at=0, field="dark_matter_density")
+                .arm("backend.compress", kind="crash", at=0, field="velocity_y")
+            )
 
         retry = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         written, decoded, plans = self._both(
             tmp_path, simulator, monkeypatch, plan, retry=retry
         )
         assert written == decoded
-        assert [p.fired("backend.compress") for p in plans] == [2, 2]
+        assert [
+            [p.fired("backend.compress", f) for f in ("dark_matter_density", "velocity_y")]
+            for p in plans
+        ] == [[1, 1], [1, 1]]
         assert b'"kind":"degradation"' not in written
 
     def test_identical_under_degradation_to_the_fallback(
@@ -700,7 +708,10 @@ class TestQualityCheckLedgerIdentity:
         from repro.resilience.retry import RetryPolicy
 
         def plan():
-            return FaultPlan(seed=4).arm("backend.compress", kind="crash", at=(2, 3))
+            # Both attempts of temperature's step in snapshot 0.
+            return FaultPlan(seed=4).arm(
+                "backend.compress", kind="crash", at=(0, 1), field="temperature"
+            )
 
         written, decoded, _ = self._both(
             tmp_path, simulator, monkeypatch, plan,
@@ -713,7 +724,8 @@ class TestQualityCheckLedgerIdentity:
 
 class TestOneWriter:
     """The snapshot loop is the one writer: a field step computes its
-    records and returns them, and the loop appends exactly those."""
+    records and returns them, and the loop appends exactly those, in
+    field order once the snapshot's steps are done."""
 
     def test_field_step_writes_nothing_and_returns_what_is_appended(
         self, monkeypatch
@@ -741,15 +753,17 @@ class TestOneWriter:
         steps = []
         real = ctl._field_step
 
-        def watched(*args):
+        def watched(index, redshift, name, *args):
             before = (ctl.ledger.next_seq, len(ctl.state.log))
-            records, result, signal = real(*args)
+            records, result, signal = real(index, redshift, name, *args)
             after = (ctl.ledger.next_seq, len(ctl.state.log))
-            steps.append((before, after, records))
+            steps.append((index, fields.index(name), before, after, records))
             return records, result, signal
 
         monkeypatch.setattr(ctl, "_field_step", watched)
-        plan = FaultPlan(seed=2).arm("backend.compress", kind="crash", at=(2, 3))
+        plan = FaultPlan(seed=2).arm(
+            "backend.compress", kind="crash", at=(1, 2), field="baryon_density"
+        )
         redshifts = [5.0, 4.0, 3.0, 2.4, 1.8, 1.2]
         fields = ("baryon_density", "temperature")
         with plan.activate():
@@ -757,8 +771,16 @@ class TestOneWriter:
 
         assert len(steps) == len(redshifts) * len(fields)
         events = {e.seq: e for e in ctl.ledger.events}
-        for before, after, records in steps:
-            assert after == before
+        # Steps may have run side by side: take them in field order.
+        steps.sort(key=lambda step: step[:2])
+        for index in range(len(redshifts)):
+            snapshot = [step for step in steps if step[0] == index]
+            # Every step of a snapshot starts from the same fold and
+            # appends nothing itself.
+            (before,) = {step[2] for step in snapshot}
+            assert all(step[3] == before for step in snapshot)
+            # The loop then appends exactly their records, field by field.
+            records = [record for step in snapshot for record in step[4]]
             appended = [events[before[0] + i] for i in range(len(records))]
             assert [(e.kind, e.data) for e in appended] == [
                 (kind, _jsonable(data)) for kind, data in records

@@ -70,7 +70,7 @@ def test_live_state_equals_fold_of_its_ledger(scenario, stream_sim, stream_dec):
         ctl.prime(next(iter(stream)))
     plan = FaultPlan(seed=2)
     if crash_at is not None:
-        plan.arm("backend.compress", kind="crash", at=crash_at)
+        plan.arm("backend.compress", kind="crash", at=crash_at, field=FIELDS[0])
     with plan.activate():
         ctl.run(stream)
 

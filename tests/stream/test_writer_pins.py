@@ -57,16 +57,22 @@ def test_governed_run_bytes(sim, dec, tmp_path):
         ledger=path,
         retain_results=False,
     )
-    # The 3rd field step's compression fails twice: retries exhausted.
-    plan = FaultPlan(seed=2).arm("backend.compress", kind="crash", at=(2, 3))
+    # baryon_density's compression in snapshot 1 fails on both attempts:
+    # retries exhausted.
+    plan = FaultPlan(seed=2).arm(
+        "backend.compress", kind="crash", at=(1, 2), field="baryon_density"
+    )
     with plan.activate():
         report = ctl.run(SimulatorStream(sim, REDSHIFTS, fields=FIELDS))
     ctl.close()
 
     assert (report.n_recalibrations, report.n_degradations) == (3, 1)
+    # The degradation record quotes the injected fault's message, which
+    # names the field and its own invocation count (faults are addressed
+    # per field); every other line is the one the serial loop wrote.
     assert _digest(path) == (
-        18_430,
-        "164e0be2423936811d81e6836ccd0869fdc23f98981e5d87b7d174230b919440",
+        18_456,
+        "f09ee7d859b676373b08f4de5f14704a61dde4b0f30bcff32923ae12b3de2b6e",
     )
     assert len(replay_ledger(path)) == len(REDSHIFTS) * len(FIELDS)
 
