@@ -4,8 +4,8 @@ Paper: per-partition mean extraction costs ~1-1.5% of compression time
 on CPUs; effective-cell counting adds up to 5% (density field only); the
 optimization itself is negligible.  We measure the same ratios on the
 rank loop's own phases: the ``features``, ``optimize`` and ``compress``
-timings :func:`~repro.parallel.backends.run_snapshot` records on the
-path every workload runs.  The density field runs with the halo
+timings :meth:`~repro.core.pipeline.AdaptiveCompressionPipeline.run`
+records on the path every workload runs.  The density field runs with the halo
 constraint the stream controller builds (its ``features`` phase counts
 boundary cells too) and once without it; the difference of the two
 ``features`` phases is the boundary-cell count.
@@ -14,12 +14,12 @@ boundary cells too) and once without it; the difference of the two
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
-from repro.compression.api import resolve_compressor
-from repro.core.config import FieldSpec, OptimizerSettings
+from repro.core.config import FieldSpec
+from repro.core.pipeline import AdaptiveCompressionPipeline, SnapshotResult
 from repro.core.selection import derive_halo_params
 from repro.foresight.evaluator import FieldReference
-from repro.parallel.backends import SnapshotTask, run_snapshot
 from repro.stream.state import decision_inputs
 from repro.util.tables import format_table
 
@@ -29,14 +29,14 @@ EB_AVG = 0.3
 REPEATS = 15
 
 
-def _min_phases(*tasks: SnapshotTask) -> list[dict[str, float]]:
-    """Per task, each phase's minimum over ``REPEATS`` runs.  The tasks
+def _min_phases(*runs: Callable[[], SnapshotResult]) -> list[dict[str, float]]:
+    """Per run, each phase's minimum over ``REPEATS`` calls.  The runs
     take turns, so a slow spell of the machine falls on all of them
-    rather than skewing one task's phases against another's."""
-    best: list[dict[str, float]] = [{} for _ in tasks]
+    rather than skewing one run's phases against another's."""
+    best: list[dict[str, float]] = [{} for _ in runs]
     for _ in range(REPEATS):
-        for task, mins in zip(tasks, best):
-            for name, seconds in run_snapshot(task).timings.totals.items():
+        for run, mins in zip(runs, best):
+            for name, seconds in run().timings.totals.items():
                 mins[name] = min(mins.get(name, math.inf), seconds)
     return best
 
@@ -49,19 +49,13 @@ def test_sec43_overhead(snapshot, decomposition, rate_models, benchmark):
     assert params is not None, "the density field must have halos"
     eb_avg, halo = decision_inputs(EB_AVG, 1.0, params)
 
-    def task(halo_spec):
-        return SnapshotTask(
-            data=data,
-            decomposition=decomposition,
-            eb_avg=eb_avg,
-            rate_model=rate_models["baryon_density"].rate_model,
-            compressor=resolve_compressor(None),
-            settings=OptimizerSettings(),
-            halo=halo_spec,
-        )
+    pipe = AdaptiveCompressionPipeline(rate_models["baryon_density"].rate_model)
 
     def run():
-        return _min_phases(task(None), task(halo))
+        return _min_phases(
+            lambda: pipe.run(data, decomposition, eb_avg),
+            lambda: pipe.run(data, decomposition, eb_avg, halo=halo),
+        )
 
     means_only, with_halo = benchmark.pedantic(run, rounds=1, iterations=1)
     compress = with_halo["compress"]

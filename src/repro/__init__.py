@@ -23,14 +23,16 @@ Quick start::
 
 The pipeline compresses one field of one snapshot; every field of every
 snapshot — streaming, or batch with ``recalibrate="never",
-warm_start=False`` — goes through :class:`InSituController`, and both
-hand back the rank loop's own :class:`SnapshotResult`.
+warm_start=False`` — goes through :class:`InSituController`, whose
+field step runs the pipeline's rank loop
+(:meth:`AdaptiveCompressionPipeline.run`); both hand back its
+:class:`SnapshotResult`.
 
 Subpackages: :mod:`repro.core` (adaptive configuration),
 :mod:`repro.models` (rate-quality models), :mod:`repro.compression`
 (SZ-style compressor), :mod:`repro.sim` (synthetic Nyx),
 :mod:`repro.analysis` (power spectrum / halo finder),
-:mod:`repro.parallel` (decomposition, the rank loop),
+:mod:`repro.parallel` (block decomposition),
 :mod:`repro.foresight` (evaluation harness), :mod:`repro.stream` (the in
 situ controller, run ledger, drift detection, budget governor).
 """

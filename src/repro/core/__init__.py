@@ -12,9 +12,9 @@ cheap per-partition features plus one collective.
   closed form with §3.6's clamping), spectrum- and halo-constrained,
 - :mod:`repro.core.config` — optimizer settings, the halo constraint's
   inputs and the per-field quality policy (:class:`FieldSpec`),
-- :mod:`repro.core.pipeline` — one field of one snapshot through the in
-  situ protocol, every rank in one process (many fields over many
-  snapshots, batch or streaming, are
+- :mod:`repro.core.pipeline` — the rank loop: one field of one snapshot
+  through the in situ protocol, every rank in one process (many fields
+  over many snapshots, batch or streaming, are
   :class:`repro.stream.controller.InSituController`),
 - :mod:`repro.core.baselines` — the traditional static configuration and
   the Foresight-style trial-and-error search (exact trials only; model

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
-from repro.parallel.backends import SnapshotResult
+from repro.core.pipeline import SnapshotResult
 from repro.parallel.decomposition import BlockDecomposition
 from repro.util.timer import TimingBreakdown
 

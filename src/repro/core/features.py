@@ -7,8 +7,9 @@ The whole point of the paper's design is that the optimizer needs only
   (1-1.5% of compression time on CPUs per the paper),
 - the boundary-cell rate around ``t_boundary`` — the halo-finder
   feature, extracted only for the density field (up to 5%),
-- optionally the value-histogram entropy, the more expensive feature the
-  paper considered and rejected (kept for the ablation bench).
+- :func:`histogram_entropy`, the more expensive feature the paper
+  considered and rejected, which only the C_m-feature ablation bench
+  computes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class PartitionFeatures:
     n_cells: int
     mean_abs: float
     effective_cell_rate: float | None = None  # boundary cells per unit eb
-    entropy: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_cells <= 0:
@@ -62,7 +62,6 @@ def extract_features(
     rank: int = 0,
     t_boundary: float | None = None,
     reference_eb: float = 1.0,
-    with_entropy: bool = False,
 ) -> PartitionFeatures:
     """Extract the in situ features of one partition.
 
@@ -83,5 +82,4 @@ def extract_features(
         n_cells=int(arr.size),
         mean_abs=partition_feature(arr),
         effective_cell_rate=rate,
-        entropy=histogram_entropy(arr) if with_entropy else None,
     )

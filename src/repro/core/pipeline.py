@@ -1,4 +1,4 @@
-"""The in situ adaptive compression pipeline (§3.1/§3.6).
+"""The in situ adaptive compression pipeline (§3.1/§3.6) and its rank loop.
 
 Per snapshot and field, the protocol each rank follows is:
 
@@ -9,27 +9,99 @@ Per snapshot and field, the protocol each rank follows is:
 3. evaluate the closed-form optimizer for its own bound,
 4. compress its partition with that bound.
 
-The ranks run in one process: :func:`~repro.parallel.backends.run_snapshot`
-is the rank loop.  It makes exactly one
+The protocol is a property of the *decision*, not of how ranks are
+scheduled, so every rank of a snapshot runs in one process:
+:meth:`AdaptiveCompressionPipeline.run` is that rank loop, and the
+stream controller's field step calls it too.  It makes exactly one
 :func:`~repro.core.optimizer.optimize` call per snapshot (the function
-ledger replay calls too), records per-phase timings (so the §4.3
-overhead claims can be measured rather than assumed) and returns the
-:class:`~repro.parallel.backends.SnapshotResult` the pipeline hands on
-unchanged.  Many fields over many snapshots are
+ledger replay calls too), compresses the whole snapshot as one batch
+through the compressor's ``compress_many``, records per-phase timings
+(so the §4.3 overhead claims can be measured rather than assumed) and
+returns a :class:`SnapshotResult`, the value every caller up to the
+stream report sees.  Many fields over many snapshots are
 :class:`~repro.stream.controller.InSituController`'s job.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
+from repro import telemetry
+from repro.compression.api import (
+    Compressor,
+    CompressorSpec,
+    decompress_many,
+    resolve_compressor,
+)
+from repro.compression.stats import CompressionStats
+from repro.compression.sz import CompressedBlock
+from repro.core import optimizer
 from repro.core.config import HaloQualitySpec, OptimizerSettings
+from repro.core.features import PartitionFeatures, extract_features
+from repro.core.optimizer import OptimizationResult
 from repro.models.rate_model import RateModel
-from repro.parallel.backends import SnapshotResult, SnapshotTask, run_snapshot
 from repro.parallel.decomposition import BlockDecomposition
+from repro.resilience.faults import fault_point
+from repro.util.timer import TimingBreakdown
 
 __all__ = ["AdaptiveCompressionPipeline", "SnapshotResult"]
+
+
+@dataclass
+class SnapshotResult:
+    """One field of one snapshot, compressed: what
+    :meth:`AdaptiveCompressionPipeline.run` returns and every caller up
+    to the stream report sees.
+
+    ``features`` and ``optimization`` are empty/``None`` for results no
+    optimizer produced (:class:`~repro.core.baselines.StaticBaseline`
+    compresses every partition at one bound).
+    """
+
+    ebs: np.ndarray
+    blocks: list[CompressedBlock]
+    features: list[PartitionFeatures]
+    optimization: OptimizationResult | None
+    timings: TimingBreakdown = field(repr=False, default_factory=TimingBreakdown)
+
+    @property
+    def stats(self) -> CompressionStats:
+        return CompressionStats.from_blocks(self.blocks)
+
+    @property
+    def overall_ratio(self) -> float:
+        return self.stats.overall_ratio
+
+    @property
+    def overall_bit_rate(self) -> float:
+        return self.stats.overall_bit_rate
+
+    def reconstruct(
+        self, decomposition: BlockDecomposition, dtype=np.float64
+    ) -> np.ndarray:
+        """Decompress all partitions into the global field.
+
+        For callers that hold the blocks and not the reconstruction (a
+        result read back, a baseline scored after the fact).  Whoever
+        needs the field while compressing passes ``out=`` to
+        :meth:`AdaptiveCompressionPipeline.run` instead, which writes it
+        with no decode.  Each block is decoded straight into its
+        partition of one float64 field
+        (:func:`~repro.compression.api.decompress_many` with ``out=``),
+        with no per-partition array and no assembly copy, and dispatches
+        through the compressor registry, so results from any registered
+        family reconstruct.  Another ``dtype`` is a cast of that field,
+        the values assembling into it would give.
+        """
+        field = np.empty(decomposition.shape)
+        decompress_many(self.blocks, out=decomposition.partition_views(field))
+        return field if np.dtype(dtype) == field.dtype else field.astype(dtype)
+
+    def eb_map(self, decomposition: BlockDecomposition) -> np.ndarray:
+        """Per-partition bounds on the block grid (Figs. 11/17)."""
+        return decomposition.per_partition_map(self.ebs)
 
 
 class AdaptiveCompressionPipeline:
@@ -98,23 +170,52 @@ class AdaptiveCompressionPipeline:
         decomposition: BlockDecomposition,
         eb_avg: float,
         halo: HaloQualitySpec | None = None,
+        out: np.ndarray | None = None,
     ) -> SnapshotResult:
-        """Compress one field adaptively through the rank loop,
-        :func:`~repro.parallel.backends.run_snapshot`.
+        """Extract, optimize and compress every partition of one field:
+        the rank loop.
 
-        ``halo`` activates the combined §3.6 optimization (density
-        fields); otherwise the spectrum constraint alone applies.
+        Feature extraction and the optimization run exactly as the in situ
+        protocol prescribes (the local protocol's per-rank solves included:
+        see :func:`~repro.core.optimizer.local_protocol_bound`); the one
+        :func:`~repro.core.optimizer.optimize` call is the function ledger
+        replay makes too.  ``halo`` activates the combined §3.6
+        optimization (density fields); otherwise the spectrum constraint
+        alone applies.
+
+        ``out`` (float64, the field's shape) receives the reconstructed
+        field, bit for bit :meth:`SnapshotResult.reconstruct`: its
+        partition views are the ``out=`` of the compressor's
+        ``compress_many``.
         """
-        return run_snapshot(
-            SnapshotTask(
-                data=data,
-                decomposition=decomposition,
-                eb_avg=eb_avg,
-                rate_model=self.rate_model,
-                compressor=self.compressor,
-                settings=self.settings,
-                halo=halo,
-            )
+        views = decomposition.partition_views(data)  # checks the shape
+        if eb_avg <= 0:
+            raise ValueError(f"eb_avg must be positive, got {eb_avg}")
+        t_boundary = halo.t_boundary if halo else None
+        reference_eb = halo.reference_eb if halo else 1.0
+        timings = TimingBreakdown()
+        tracer = telemetry.get_tracer()
+        with tracer.span("backend.snapshot", ranks=decomposition.n_partitions):
+            with tracer.span("features"), timings.phase("features"):
+                fault_point("backend.features")
+                features = [
+                    extract_features(
+                        view, rank=rank, t_boundary=t_boundary,
+                        reference_eb=reference_eb,
+                    )
+                    for rank, view in enumerate(views)
+                ]
+            with tracer.span("optimize"), timings.phase("optimize"):
+                opt = optimizer.optimize(
+                    features, self.rate_model, eb_avg, self.settings, halo
+                )
+            out_views = None if out is None else decomposition.partition_views(out)
+            with tracer.span("compress"), timings.phase("compress"):
+                fault_point("backend.compress")
+                blocks = self.compressor.compress_many(views, opt.ebs, out=out_views)
+        return SnapshotResult(
+            features=features, ebs=opt.ebs, blocks=blocks, optimization=opt,
+            timings=timings,
         )
 
     #: The older name of :meth:`run`, kept for callers that still use it

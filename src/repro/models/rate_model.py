@@ -34,6 +34,7 @@ partitions renormalized so the constraint still holds exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,6 @@ def optimal_error_bounds(
     exponent: float,
     weights: np.ndarray | None = None,
     clamp_factor: float = 4.0,
-    max_iterations: int = 50,
     constraint: str = "mean",
 ) -> np.ndarray:
     """Closed-form per-partition bounds maximizing ratio at fixed budget.
@@ -157,7 +157,7 @@ def optimal_error_bounds(
     if constraint == "rms":
         if weights is not None:
             raise ValueError("rms constraint does not support weights")
-        return _optimal_bounds_rms(c_arr, eb_avg, exponent, clamp_factor, max_iterations)
+        return _optimal_bounds_rms(c_arr, eb_avg, exponent, clamp_factor)
     if weights is None:
         w = np.ones_like(c_arr)
     else:
@@ -173,7 +173,7 @@ def optimal_error_bounds(
     base = (c_arr / w) ** (1.0 / (1.0 - exponent))
     target_sum = float(np.sum(w)) * eb_avg
     lo, hi = eb_avg / clamp_factor, eb_avg * clamp_factor
-    return _clipped_waterfill(base, w, target_sum, lo, hi, max_iterations)
+    return _clipped_waterfill(base, w, target_sum, lo, hi)
 
 
 def _clipped_waterfill(
@@ -182,11 +182,12 @@ def _clipped_waterfill(
     target: float,
     lo: float,
     hi: float,
-    max_iterations: int,
+    power: int = 1,
 ) -> np.ndarray:
-    """Solve ``sum(w * clip(K * base, lo, hi)) = target`` for ``K``.
+    """Solve ``sum(w * clip(K * base, lo, hi) ** power) = target`` for ``K``.
 
-    The clamped stationary point keeps every *interior* bound
+    ``power`` is 1 for the (weighted) mean constraint and 2 for the rms
+    one.  The clamped stationary point keeps every *interior* bound
     proportional to ``base``; entries ride the box boundaries.  The
     left-hand side is continuous and monotone non-decreasing in ``K``,
     so bisection finds the water level robustly — including the case an
@@ -197,21 +198,23 @@ def _clipped_waterfill(
     interior entries makes the constraint hold to machine precision.
     """
     w_total = float(np.sum(weights))
-    if target <= w_total * lo:
+    if target <= w_total * lo**power:
         return np.full_like(base, lo)
-    if target >= w_total * hi:
+    if target >= w_total * hi**power:
         return np.full_like(base, hi)
     k_lo = lo / float(base.max())  # every bound at (or below) lo
     k_hi = hi / float(base.min())  # every bound at (or above) hi
-    # Each step is ``sum(w * clip(k * base, lo, hi))`` as bare ufuncs on
-    # one buffer: the same values as ``np.clip`` / ``np.sum``, without
-    # their Python wrappers (the loop is most of the optimize phase).
+    # Each step is ``sum(w * clip(k * base, lo, hi) ** power)`` as bare
+    # ufuncs on one buffer: the same values as ``np.clip`` / ``np.sum``,
+    # without their Python wrappers (the loop is most of the optimize phase).
     trial = np.empty_like(base)
-    for _ in range(max(64, max_iterations)):
+    for _ in range(64):
         k = 0.5 * (k_lo + k_hi)
         np.multiply(base, k, out=trial)
         np.maximum(trial, lo, out=trial)
         np.minimum(trial, hi, out=trial)
+        if power == 2:
+            np.multiply(trial, trial, out=trial)
         trial *= weights
         if float(np.add.reduce(trial)) < target:
             k_lo = k
@@ -220,8 +223,10 @@ def _clipped_waterfill(
     ebs = np.clip(0.5 * (k_lo + k_hi) * base, lo, hi)
     free = (ebs > lo) & (ebs < hi)
     if free.any():
-        deficit = target - float(np.sum(weights[~free] * ebs[~free]))
-        scale = deficit / float(np.sum(weights[free] * ebs[free]))
+        deficit = target - float(np.sum(weights[~free] * ebs[~free] ** power))
+        scale = deficit / float(np.sum(weights[free] * ebs[free] ** power))
+        if power == 2:
+            scale = math.sqrt(scale)
         ebs[free] = np.clip(ebs[free] * scale, lo, hi)
     return ebs
 
@@ -231,38 +236,15 @@ def _optimal_bounds_rms(
     eb_rms: float,
     exponent: float,
     clamp_factor: float,
-    max_iterations: int,
 ) -> np.ndarray:
     """Optimum under the quadratic constraint ``mean(eb^2) = eb_rms^2``.
 
     Stationarity of ``sum C_m eb_m^c`` against ``sum eb_m^2`` gives
     ``eb_m ∝ C_m^{1/(2-c)}`` — a gentler redistribution than the mean
     constraint's ``1/(1-c)``, because spreading bounds is itself charged
-    quadratically.
+    quadratically.  The water-fill is the mean constraint's, squared.
     """
     base = coefficients ** (1.0 / (2.0 - exponent))
     lo, hi = eb_rms / clamp_factor, eb_rms * clamp_factor
-    n = len(coefficients)
-    target_sq = n * eb_rms**2
-
-    # Same clipped water-fill as the mean constraint, on squared bounds:
-    # sum(clip(K*base, lo, hi)^2) is continuous and monotone in K.
-    if target_sq <= n * lo**2:
-        return np.full_like(base, lo)
-    if target_sq >= n * hi**2:
-        return np.full_like(base, hi)
-    k_lo = lo / float(base.max())
-    k_hi = hi / float(base.min())
-    for _ in range(max(64, max_iterations)):
-        k = 0.5 * (k_lo + k_hi)
-        if float(np.sum(np.clip(k * base, lo, hi) ** 2)) < target_sq:
-            k_lo = k
-        else:
-            k_hi = k
-    ebs = np.clip(0.5 * (k_lo + k_hi) * base, lo, hi)
-    free = (ebs > lo) & (ebs < hi)
-    if free.any():
-        deficit = target_sq - float(np.sum(ebs[~free] ** 2))
-        scale = np.sqrt(deficit / float(np.sum(ebs[free] ** 2)))
-        ebs[free] = np.clip(ebs[free] * scale, lo, hi)
-    return ebs
+    target_sq = len(coefficients) * eb_rms**2
+    return _clipped_waterfill(base, np.ones_like(base), target_sq, lo, hi, power=2)

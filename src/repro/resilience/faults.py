@@ -43,7 +43,7 @@ reached inside a stream field step counts its invocations per
 field it hits and fires on the same attempt however the snapshot's
 fields are spread over threads.  A site reached outside a field step
 (``ledger.append``, ``source.load``, a direct
-:func:`~repro.parallel.backends.run_snapshot`) counts under
+:meth:`~repro.core.pipeline.AdaptiveCompressionPipeline.run`) counts under
 ``field=None``, one schedule for the process.  Counters are guarded by
 a lock.
 """

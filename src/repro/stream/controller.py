@@ -30,7 +30,7 @@ closes the loop one-shot compression leaves open —
 
 A field step is one path: (re)calibrate if due, invert the budget (or
 read it off the field's state), decide, compress with
-:func:`~repro.parallel.backends.run_snapshot` (the pipeline's rank
+:meth:`~repro.core.pipeline.AdaptiveCompressionPipeline.run` (the rank
 loop).  It writes nothing: it returns its records, and the snapshot loop,
 the one writer, appends and folds them.  So a snapshot's field steps run
 side by side on the fan-out pool (:func:`~repro.util.fanout.thread_map`)
@@ -76,6 +76,7 @@ import numpy as np
 from repro import telemetry
 from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.core.config import FieldSpec, OptimizerSettings
+from repro.core.pipeline import AdaptiveCompressionPipeline, SnapshotResult
 from repro.core.selection import (
     SelectionResult,
     derive_eb_budget,
@@ -88,7 +89,6 @@ from repro.models.calibration import (
     calibrate_rate_model,
     check_probe_mode,
 )
-from repro.parallel.backends import SnapshotResult, SnapshotTask, run_snapshot
 from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience.faults import field_scope
 from repro.resilience.retry import RetryExhaustedError, RetryPolicy
@@ -837,10 +837,11 @@ class InSituController:
         so the steps of one snapshot may run at once.
         One :class:`~repro.foresight.evaluator.FieldReference` serves
         calibration, a degradation's recalibration and the quality check.
-        A retry re-runs the same task (``run_snapshot`` is pure in it, so a
-        retried field is bitwise a clean one).  A field whose retries run
-        out degrades onto the fallback compressor and goes round decide→run
-        once more; a second exhaustion propagates, none of its records kept.
+        A retry re-runs the same pipeline on the same inputs (its ``run`` is
+        pure in them, so a retried field is bitwise a clean one).  A field
+        whose retries run out degrades onto the fallback compressor and goes
+        round decide→run once more; a second exhaustion propagates, none of
+        its records kept.
         """
         with (
             telemetry.get_tracer().span("stream.field", field=name, snapshot=index),
@@ -863,18 +864,14 @@ class InSituController:
                     # decision record is its record).
                     eb_base, halo_params = self._budget(spec, ref)
                 eb_avg, halo = decision_inputs(eb_base, scale, halo_params)
-                task = SnapshotTask(
-                    data=data,
-                    decomposition=self.decomposition,
-                    eb_avg=eb_avg,
-                    rate_model=fs.model,
-                    compressor=self._compressor_for(fs.compressor_spec),
-                    settings=self.settings,
-                    halo=halo,
+                pipe = AdaptiveCompressionPipeline(
+                    fs.model, self._compressor_for(fs.compressor_spec), self.settings
                 )
                 try:
                     result = self._retrying(
-                        lambda: run_snapshot(task, out=recon),
+                        lambda: pipe.run(
+                            data, self.decomposition, eb_avg, halo, out=recon
+                        ),
                         f"stream.field:{name}",
                         on_retry,
                     )

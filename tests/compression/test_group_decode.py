@@ -41,7 +41,7 @@ from repro.compression.sz import (
     decompress,
 )
 from repro.compression.zfp_like import ZFPLikeCompressor
-from repro.parallel.backends import SnapshotResult
+from repro.core.pipeline import SnapshotResult
 from repro.parallel.decomposition import BlockDecomposition
 from repro.util import fanout
 from repro.util.errors import PayloadError

@@ -22,12 +22,13 @@ class TestExtractFeatures:
         f = extract_features(arr, t_boundary=10.5, reference_eb=1.0)
         assert f.effective_cell_rate == 64.0
 
-    def test_entropy_optional(self):
-        rng = np.random.default_rng(0)
-        arr = rng.normal(0, 1, (6, 6, 6))
-        assert extract_features(arr).entropy is None
-        f = extract_features(arr, with_entropy=True)
-        assert f.entropy is not None and f.entropy > 0
+    def test_entropy_is_not_an_in_situ_feature(self):
+        """The rejected feature stays out of the rank loop: the ablation
+        bench calls :func:`histogram_entropy` itself."""
+        arr = np.random.default_rng(0).normal(0, 1, (6, 6, 6))
+        assert not hasattr(extract_features(arr), "entropy")
+        with pytest.raises(TypeError, match="with_entropy"):
+            extract_features(arr, with_entropy=True)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="non-empty"):

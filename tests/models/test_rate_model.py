@@ -203,3 +203,105 @@ class TestOptimalErrorBounds:
         # Mean constraint holds whenever it is feasible inside the clamp
         # box (it always is, since eb_avg itself is feasible).
         assert ebs.mean() == pytest.approx(eb_avg, rel=1e-6)
+
+
+#: Bounds :func:`optimal_error_bounds` returns for ``COEFFS`` at
+#: ``eb_avg=0.25``, ``exponent=-0.8``, as ``float.hex``: one water-fill
+#: serves the mean, the halo-weighted mean and the rms constraint, and
+#: each must keep these bits.  Cases are ``(constraint, weights,
+#: clamp_factor, bounds)``; each comment counts the clamped entries.
+COEFFS = [0.3, 1.7, 2.2, 5.0, 0.05, 9.1, 3.3, 0.8]
+WEIGHTS = {
+    None: None,
+    "halo": [0.5, 0.25, 1.0, 0.5, 0.125, 2.0, 0.75, 1.5],
+    # A partition with no boundary cells: its weight is floored, not zero.
+    "halo_empty": [0.0, 0.25, 1.0, 0.5, 0.125, 2.0, 0.75, 1.5],
+}
+WATERFILL_PINS = [
+    # 0 at lo, 0 at hi
+    ('mean', None, 100.0, [
+        '0x1.55e7d5e9ad6ccp-4', '0x1.c01dffce21945p-3', '0x1.029090b6ba2e0p-2',
+        '0x1.97fdd19c8c73fp-2', '0x1.f96dc45256677p-6', '0x1.1c83d8848d67cp-1',
+        '0x1.43e3e013a97ebp-2', '0x1.26cc75d2a7081p-3',
+    ]),
+    # 2 at lo, 1 at hi
+    ('mean', None, 2.0, [
+        '0x1.0000000000000p-3', '0x1.a52aea3ca0337p-3', '0x1.e6078dbf9a023p-3',
+        '0x1.7f747f99d56cap-2', '0x1.0000000000000p-3', '0x1.0000000000000p-1',
+        '0x1.30695aee22a3ep-2', '0x1.1511d2f3d5a9cp-3',
+    ]),
+    # 8 at lo, 8 at hi
+    ('mean', None, 1.0, [
+        '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x1.0000000000000p-2',
+        '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x1.0000000000000p-2',
+        '0x1.0000000000000p-2', '0x1.0000000000000p-2',
+    ]),
+    # 0 at lo, 0 at hi
+    ('mean', 'halo', 100.0, [
+        '0x1.ac24f9acd4b24p-4', '0x1.9c5e1d1f5add0p-2', '0x1.b89995cae9453p-3',
+        '0x1.fee62e204fa4fp-2', '0x1.55cabd08863d4p-4', '0x1.49de76cd033efp-2',
+        '0x1.43c84fb05907bp-2', '0x1.910696110cbf9p-4',
+    ]),
+    # 3 at lo, 0 at hi
+    ('mean', 'halo', 2.0, [
+        '0x1.0000000000000p-3', '0x1.8c629cfafe2f0p-2', '0x1.a785f6dfbfbe4p-3',
+        '0x1.eb190d79b58c4p-2', '0x1.0000000000000p-3', '0x1.3d15834151320p-2',
+        '0x1.373bc017d9e3ep-2', '0x1.0000000000000p-3',
+    ]),
+    # 0 at lo, 1 at hi
+    ('mean', 'halo_empty', 100.0, [
+        '0x1.9000000000000p+4', '0x1.89aac8810235fp-2', '0x1.a49e7ebf5e6c9p-3',
+        '0x1.e7baf5db8bc53p-2', '0x1.464abf5a70f41p-4', '0x1.3ae8e41e68548p-2',
+        '0x1.3519662fdef6dp-2', '0x1.7ed6ed96bc1cap-4',
+    ]),
+    # 8 at lo, 8 at hi
+    ('mean', 'halo', 1.0, [
+        '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x1.0000000000000p-2',
+        '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x1.0000000000000p-2',
+        '0x1.0000000000000p-2', '0x1.0000000000000p-2',
+    ]),
+    # 0 at lo, 0 at hi
+    ('rms', None, 100.0, [
+        '0x1.e7306928add20p-4', '0x1.c4993b28647e8p-3', '0x1.f040f5483b4afp-3',
+        '0x1.4cab396035c09p-2', '0x1.00e9c70118645p-4', '0x1.9bff67cc2db40p-2',
+        '0x1.1eca292400851p-2', '0x1.59c78e5740136p-3',
+    ]),
+    # 2 at lo, 0 at hi
+    ('rms', None, 2.0, [
+        '0x1.0000000000000p-3', '0x1.be5f405da64c0p-3', '0x1.e96d3b5e73023p-3',
+        '0x1.48179e22f03f1p-2', '0x1.0000000000000p-3', '0x1.96546a652e7b5p-2',
+        '0x1.1ad8222252c02p-2', '0x1.5505c6a350bc5p-3',
+    ]),
+    # 3 at lo, 2 at hi
+    ('rms', None, 1.25, [
+        '0x1.999999999999ap-3', '0x1.c302399ca429ap-3', '0x1.ee82b1cbd22fep-3',
+        '0x1.4000000000000p-2', '0x1.999999999999ap-3', '0x1.4000000000000p-2',
+        '0x1.1dc842c251d10p-2', '0x1.999999999999ap-3',
+    ]),
+    # 8 at lo, 8 at hi
+    ('rms', None, 1.0, [
+        '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x1.0000000000000p-2',
+        '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x1.0000000000000p-2',
+        '0x1.0000000000000p-2', '0x1.0000000000000p-2',
+    ]),
+]
+
+
+class TestWaterfillPins:
+    @pytest.mark.parametrize(
+        "constraint, weights, clamp, want",
+        WATERFILL_PINS,
+        ids=[f"{c}-{w}-{k}" for c, w, k, _ in WATERFILL_PINS],
+    )
+    def test_bounds_are_bit_identical(self, constraint, weights, clamp, want):
+        ebs = optimal_error_bounds(
+            np.array(COEFFS), 0.25, -0.8,
+            weights=None if weights is None else np.array(WEIGHTS[weights]),
+            clamp_factor=clamp,
+            constraint=constraint,
+        )
+        assert [float(x).hex() for x in ebs] == want
+
+    def test_no_iteration_count(self):
+        with pytest.raises(TypeError, match="max_iterations"):
+            optimal_error_bounds(np.array(COEFFS), 0.25, -0.8, max_iterations=100)

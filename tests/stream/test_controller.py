@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import FieldSpec
+from repro.core.pipeline import AdaptiveCompressionPipeline
 from repro.sim.nyx import FIELD_NAMES, NyxSnapshot
 from repro.stream.controller import (
     BudgetGovernor,
@@ -646,18 +647,17 @@ class TestQualityCheckLedgerIdentity:
         """The reference: compress without ``out=``, then fill the field
         buffer from :func:`decompress_any` of each block."""
         from repro.compression.api import decompress_any
-        from repro.stream import controller
 
-        real = controller.run_snapshot
+        real = AdaptiveCompressionPipeline.run
 
-        def per_block(task, out=None):
-            result = real(task)
+        def per_block(self, data, decomposition, eb_avg, halo=None, out=None):
+            result = real(self, data, decomposition, eb_avg, halo)
             if out is not None:
-                for part, block in zip(task.decomposition, result.blocks):
+                for part, block in zip(decomposition, result.blocks):
                     out[part.slices] = decompress_any(block)
             return result
 
-        monkeypatch.setattr(controller, "run_snapshot", per_block)
+        monkeypatch.setattr(AdaptiveCompressionPipeline, "run", per_block)
 
     def _both(self, tmp_path, simulator, monkeypatch, plan=None, **kwargs):
         """The ledger with no decode allowed, then the per-block reference
