@@ -25,8 +25,8 @@ from time import perf_counter
 import numpy as np
 
 from repro import BlockDecomposition, NyxSimulator
-from repro.cli import load_blocks, save_blocks
 from repro.compression.codecs import ZlibCodec, pack_symbols
+from repro.compression.container import load_blocks, save_blocks
 from repro.compression.quantizer import DEFAULT_RADIUS, unfold_symbols_into
 from repro.compression.sz import SZCompressor
 from repro.util.tables import format_table

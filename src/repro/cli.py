@@ -22,19 +22,15 @@ Compressors are named by registry specs ``family[:key=value,...]``
 (zlib/huffman/raw) is one parameter of the ``sz`` family, not a
 compressor family: ``--compressor sz:codec=huffman``.
 
-Compressed containers are ``.npz`` archives holding every partition's
-payloads plus layout metadata (one canonical-JSON ``__meta`` member; no
-pickle), loadable back into
-:class:`repro.compression.sz.CompressedBlock` objects.
+``compress`` writes, and ``analyze`` reads, the ``.npz`` block
+container of :mod:`repro.compression.container` (its ``save_blocks`` /
+``load_blocks`` are re-exported here).
 """
 
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import sys
-import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -46,6 +42,7 @@ from repro.compression.api import (
     UnsupportedCapabilityError,
     decompress_many,
 )
+from repro.compression.container import load_blocks, save_blocks
 from repro.compression.sz import CompressedBlock
 from repro.core.pipeline import AdaptiveCompressionPipeline
 from repro.models.calibration import PROBE_MODES, calibrate_rate_model
@@ -56,210 +53,6 @@ from repro.util.errors import PayloadError
 from repro.util.tables import format_table
 
 __all__ = ["main", "save_blocks", "load_blocks"]
-
-
-#: Block fields a container's ``__meta`` records, in the column order of
-#: the legacy object-dtype rows (which had no ``layout``: they are 1).
-_META_FIELDS = (
-    "shape", "source_itemsize", "eb", "mode", "engine", "codec", "radius", "n_outliers",
-)
-
-
-def _npy_member(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, arr, allow_pickle=False)
-    return buf.getvalue()
-
-
-def save_blocks(path: str, blocks: list[CompressedBlock], ebs: np.ndarray, blocks_per_axis: int) -> None:
-    """Persist compressed partitions to an ``.npz`` container.
-
-    The file stays a plain ``np.load``-able zip of ``.npy`` members, but
-    each member is stored the cheapest way that does not lose ratio:
-    payloads of entropy-coded blocks are already DEFLATE/Huffman output,
-    so they go in ``ZIP_STORED`` (re-deflating them bought ~2 % for most
-    of the save time); raw-codec payloads and the metadata members are
-    deflated.  ``__meta`` is one canonical-JSON document (a uint8
-    member) with a row per block — shape, bound, mode, engine, codec,
-    radius, outlier count, the code-stream ``layout`` of its payloads
-    and the payload names; empty payloads get no member.  Nothing in the
-    file needs ``pickle`` to load.
-    """
-    path = str(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
-    meta = {
-        "blocks": [
-            {
-                "shape": list(b.shape),
-                "source_itemsize": b.source_itemsize,
-                "eb": b.eb,
-                "mode": b.mode,
-                "engine": b.engine,
-                "codec": b.codec_name,
-                "radius": b.radius,
-                "n_outliers": b.n_outliers,
-                "layout": b.layout,
-                "payloads": list(b.payloads),
-            }
-            for b in blocks
-        ],
-    }
-    meta_json = json.dumps(meta, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
-
-        def write(name: str, arr: np.ndarray, method: int) -> None:
-            info = zipfile.ZipInfo(name + ".npy")  # fixed timestamp: same blocks, same file
-            info.compress_type = method
-            zf.writestr(info, _npy_member(arr))
-
-        write("__ebs", np.asarray(ebs, dtype=np.float64), zipfile.ZIP_DEFLATED)
-        write("__blocks_per_axis", np.array(blocks_per_axis), zipfile.ZIP_DEFLATED)
-        write("__meta", np.frombuffer(meta_json.encode(), dtype=np.uint8), zipfile.ZIP_DEFLATED)
-        for i, b in enumerate(blocks):
-            method = zipfile.ZIP_DEFLATED if b.codec_name == "raw" else zipfile.ZIP_STORED
-            for name, blob in b.payloads.items():
-                if blob:
-                    write(f"p{i}_{name}", np.frombuffer(blob, dtype=np.uint8), method)
-
-
-def _legacy_meta_rows(path: str) -> list[dict]:
-    """``__meta`` of a container written before the JSON form: an
-    object-dtype array, the one member (and the one path) that needs
-    ``pickle`` to load.  A ``__meta`` that is neither (an unreadable
-    member, rows of the wrong form) is a :class:`PayloadError`."""
-    try:
-        with np.load(path, allow_pickle=True) as data:
-            rows = [dict(zip(_META_FIELDS, row)) for row in data["__meta"]]
-        for row in rows:
-            row["shape"] = [int(s) for s in row["shape"].split(",")]
-    except (ValueError, TypeError, AttributeError, EOFError) as exc:
-        raise PayloadError(
-            f"{path}: member '__meta' is neither a JSON nor a legacy block table: {exc}"
-        ) from None
-    return rows
-
-
-def _container_member(data, path: str, name: str) -> np.ndarray:
-    """Member ``name`` of the open container; a missing or unreadable
-    member (bad ``.npy`` header, truncated data, failed CRC) is a
-    :class:`PayloadError`."""
-    try:
-        arr = data[name]
-    except KeyError:
-        raise PayloadError(f"{path}: container has no {name!r} member") from None
-    except (ValueError, EOFError, OSError, zipfile.BadZipFile) as exc:
-        raise PayloadError(f"{path}: member {name!r} is unreadable: {exc}") from None
-    return _npy_array(path, name, arr)
-
-
-def _npy_array(path: str, name: str, arr) -> np.ndarray:
-    # ``NpzFile`` hands back a member without the ``.npy`` magic as raw bytes.
-    if not isinstance(arr, np.ndarray):
-        raise PayloadError(f"{path}: member {name!r} is not an .npy array")
-    return arr
-
-
-def _blocks_per_axis(data, path: str) -> int:
-    arr = _container_member(data, path, "__blocks_per_axis")
-    if arr.size != 1 or arr.dtype.kind not in "iu":
-        raise PayloadError(
-            f"{path}: member '__blocks_per_axis' is not one integer "
-            f"(dtype {arr.dtype}, shape {arr.shape})"
-        )
-    return int(arr.reshape(()))
-
-
-def _block_from_row(row: dict, payloads: dict[str, bytes]) -> CompressedBlock:
-    return CompressedBlock(
-        shape=tuple(int(s) for s in row["shape"]),
-        source_itemsize=int(row["source_itemsize"]),
-        eb=float(row["eb"]),
-        mode=str(row["mode"]),
-        engine=str(row["engine"]),
-        codec_name=str(row["codec"]),
-        radius=int(row["radius"]),
-        n_outliers=int(row["n_outliers"]),
-        payloads=payloads,
-        layout=int(row.get("layout", 1)),
-    )
-
-
-def _meta_rows(path: str, meta: np.ndarray) -> list[dict]:
-    """The block rows of a JSON ``__meta`` member."""
-    try:
-        rows = json.loads(meta.tobytes())["blocks"]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise PayloadError(f"{path}: member '__meta' is not a block table: {exc!r}") from None
-    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-        raise PayloadError(f"{path}: member '__meta' is not a list of block rows")
-    return rows
-
-
-def _payload_names(path: str, i: int, names) -> list[str]:
-    """Block ``i``'s payload names: a row's ``payloads`` list, or the
-    keys of its stored members when the row has none (legacy rows)."""
-    if not isinstance(names, (list, dict)) or not all(isinstance(n, str) for n in names):
-        raise PayloadError(
-            f"{path}: member '__meta' block {i}: 'payloads' is not a list of names"
-        )
-    return list(names)
-
-
-def load_blocks(path: str) -> tuple[list[CompressedBlock], np.ndarray, int]:
-    """Inverse of :func:`save_blocks` (reads legacy containers too).
-
-    These malformed containers raise
-    :class:`~repro.util.errors.PayloadError` naming the file and the
-    member: a missing or unreadable (bad header, truncated, failed CRC)
-    ``__ebs``, ``__blocks_per_axis``, ``__meta`` or payload member; a
-    ``__blocks_per_axis`` that is not one integer; a ``p*`` member that
-    is not ``p<index>_<payload>``; a ``__meta`` that is not a JSON block
-    table; a block row without one of its fields, with a value of the
-    wrong type, or whose ``payloads`` is not a list of names.  A payload
-    a row lists with no member is an empty channel (:func:`save_blocks`
-    writes none for empty payloads).
-    """
-    with np.load(path, allow_pickle=False) as data:
-        ebs = _container_member(data, path, "__ebs")
-        bpa = _blocks_per_axis(data, path)
-        # One pass over the member list: block index -> payload members.
-        members: dict[int, dict[str, str]] = {}
-        for key in data.files:
-            if key.startswith("p"):
-                index, _, name = key[1:].partition("_")
-                try:
-                    members.setdefault(int(index), {})[name] = key
-                except ValueError:
-                    raise PayloadError(
-                        f"{path}: member {key!r} is not named p<index>_<payload>"
-                    ) from None
-        try:
-            meta = data["__meta"]
-        except KeyError:
-            raise PayloadError(f"{path}: container has no '__meta' member") from None
-        except ValueError:  # object array: refused without pickle
-            rows = _legacy_meta_rows(path)
-        else:
-            rows = _meta_rows(path, _npy_array(path, "__meta", meta))
-        blocks = []
-        for i, row in enumerate(rows):
-            stored = members.get(i, {})
-            payloads = {
-                name: _container_member(data, path, stored[name]).tobytes()
-                if name in stored
-                else b""
-                for name in _payload_names(path, i, row.get("payloads", stored))
-            }
-            try:
-                blocks.append(_block_from_row(row, payloads))
-            except KeyError as exc:
-                raise PayloadError(
-                    f"{path}: member '__meta' block {i} has no {exc.args[0]!r} field"
-                ) from None
-            except (ValueError, TypeError) as exc:
-                raise PayloadError(f"{path}: member '__meta' block {i}: {exc}") from None
-    return blocks, ebs, bpa
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -818,7 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     with _telemetry_sink(getattr(args, "telemetry", None)):
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except PayloadError as exc:  # a damaged snapshot or container
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ pipeline in vectorized NumPy:
   (``sz:engine=classic``; the quantization-order ablation),
 - :mod:`repro.compression.compat` — read-only decoders for retired
   stored forms (code-stream layout 1, legacy outlier channels),
+- :mod:`repro.compression.container` — the ``.npz`` block container
+  (``save_blocks`` / ``load_blocks``; nothing read through pickle),
 - :mod:`repro.compression.zfp_like` — a fixed-rate transform codec used
   as the ZFP-style comparator,
 - :mod:`repro.compression.api` — the pluggable compressor backbone:

@@ -1,11 +1,12 @@
 """Decoders for stored forms no encoder writes any more.
 
-Everything here is read-only history, kept so old containers, ledgers'
-payloads and pickled blocks decode bit-exactly forever (pinned by the
-frozen fixtures in ``tests/compression/fixtures``).  The hot modules
-carry exactly one encoder and one decoder — code-stream **layout 2** —
-and dispatch here for anything older (:func:`decompress_v1` is the whole
-layout-1 SZ decoder):
+Everything here is read-only history, kept so blocks built from old
+stored bytes decode bit-exactly forever (pinned by the frozen fixtures
+in ``tests/compression/fixtures``; the container that holds the
+layout-1 ones is of the pre-JSON form, which only the tests read).  The
+hot modules carry exactly one encoder and one decoder — code-stream
+**layout 2** — and dispatch here for anything older
+(:func:`decompress_v1` is the whole layout-1 SZ decoder):
 
 - **layout 1 code streams** — every residual stored as ``r + radius``
   (``0`` = outlier), narrowed to the minimal unsigned width and handed to

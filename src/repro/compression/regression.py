@@ -134,10 +134,6 @@ class AdaptiveBlockStream:
     payloads: dict[str, bytes]
     layout: int = 1  # streams that predate the field
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("layout", 1)
-
     @property
     def n_elements(self) -> int:
         return math.prod(self.shape)

@@ -121,9 +121,8 @@ class CompressedBlock:
     instance.  ``nbytes`` (and hence :attr:`bit_rate` / :attr:`ratio`)
     charges all payloads plus a fixed :data:`HEADER_BYTES` header.
     ``layout`` names the code-stream layout of the payloads; it defaults
-    to 1 so blocks built (or unpickled) from stores that predate the
-    field decode as what they are, and the encoder always sets
-    :data:`LAYOUT`.
+    to 1 so blocks built from stores that predate the field decode as
+    what they are, and the encoder always sets :data:`LAYOUT`.
     """
 
     shape: tuple[int, ...]
@@ -136,10 +135,6 @@ class CompressedBlock:
     n_outliers: int
     payloads: dict[str, bytes] = field(repr=False)
     layout: int = 1
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("layout", 1)  # pre-layout pickles
 
     @property
     def n_elements(self) -> int:

@@ -794,9 +794,7 @@ class PickleRule(Rule):
     follows the classes that wrote it, so a refactor can strand stored
     data.  Containers are plain npz with canonical-JSON metadata, ledgers
     are canonical JSON lines and compressors rebuild from their spec;
-    none of them needs ``pickle``.  The one sanctioned reader is
-    ``cli._legacy_meta_rows``, which loads the object-dtype ``__meta``
-    of containers written before the JSON form.
+    none of them needs ``pickle``, and no reader is exempt.
 
     Bad::
 
@@ -816,29 +814,15 @@ class PickleRule(Rule):
     rationale = (
         "unpickling executes code named by the bytes and ties stored data "
         "to class layouts; containers, ledgers and compressor specs are plain "
-        "data, and cli._legacy_meta_rows is the one sanctioned legacy reader."
+        "data, and nothing is exempt."
     )
 
     _MODULES = frozenset({"pickle", "_pickle", "cloudpickle", "dill"})
     #: ``numpy.load``'s ``allow_pickle`` is its third positional parameter.
     _ALLOW_PICKLE_POSITION = 2
-    #: (path suffix, function name) of the readers allowed to unpickle.
-    _SANCTIONED = (("repro/cli.py", "_legacy_meta_rows"),)
-
-    def _sanctioned(self, node: ast.AST) -> bool:
-        path = self.ctx.path.replace("\\", "/")
-        cur = self.ctx.parent(node)
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                path.endswith(suffix) and cur.name == fn
-                for suffix, fn in self._SANCTIONED
-            ):
-                return True
-            cur = self.ctx.parent(cur)
-        return False
 
     def _check_module(self, node: ast.AST, module: str) -> None:
-        if module.split(".", 1)[0] in self._MODULES and not self._sanctioned(node):
+        if module.split(".", 1)[0] in self._MODULES:
             self.flag(node, f"import of {module}; {self.summary}")
 
     def visit_Import(self, node: ast.Import) -> None:
@@ -859,7 +843,7 @@ class PickleRule(Rule):
             if value is None and len(node.args) > self._ALLOW_PICKLE_POSITION:
                 value = node.args[self._ALLOW_PICKLE_POSITION]
             refused = isinstance(value, ast.Constant) and value.value is False
-            if value is not None and not refused and not self._sanctioned(node):
+            if value is not None and not refused:
                 self.flag(node, f"numpy.load() that may unpickle; {self.summary}")
         self.generic_visit(node)
 

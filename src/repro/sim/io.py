@@ -2,18 +2,19 @@
 
 Nyx writes HDF5/AMReX plotfiles; the offline environment has no h5py, so
 snapshots round-trip through a compressed ``.npz`` container with the
-same logical layout (one array per field plus scalar metadata).
+same logical layout (one array per field plus scalar metadata).  A
+damaged file (empty, truncated, not a zip, an unreadable member) is a
+:class:`~repro.util.errors.PayloadError` naming it.
 """
 
 from __future__ import annotations
 
 import os
-import zipfile
 
 import numpy as np
-from numpy.lib import format as _npy_format
 
 from repro.sim.nyx import NyxSnapshot
+from repro.util.npz import member_header, open_npz, read_member
 
 __all__ = ["save_snapshot", "load_snapshot", "peek_snapshot_shape"]
 
@@ -38,39 +39,30 @@ def peek_snapshot_shape(path: str | os.PathLike) -> tuple[int, ...]:
     bytes of zip + array-header metadata instead of decompressing a
     whole field.
     """
-    with zipfile.ZipFile(path) as zf:
-        for name in sorted(zf.namelist()):
-            stem = name[: -len(".npy")] if name.endswith(".npy") else name
-            if stem.startswith("__"):  # scalar metadata entries
-                continue
-            with zf.open(name) as fh:
-                version = _npy_format.read_magic(fh)
-                if version == (1, 0):
-                    shape, _f, _d = _npy_format.read_array_header_1_0(fh)
-                elif version == (2, 0):
-                    shape, _f, _d = _npy_format.read_array_header_2_0(fh)
-                else:  # pragma: no cover - future .npy format revisions
-                    shape, _f, _d = _npy_format._read_array_header(fh, version)
-                return tuple(int(s) for s in shape)
+    with open_npz(path) as data:
+        for name in sorted(data.files):
+            if not name.startswith("__"):  # skip the scalar metadata entries
+                return member_header(data, path, name)[0]
     raise ValueError(f"{path!r} is not a snapshot container (no field arrays)")
 
 
 def load_snapshot(path: str | os.PathLike) -> NyxSnapshot:
     """Read a snapshot written by :func:`save_snapshot`."""
-    with np.load(path) as data:
+    with open_npz(path) as data:
         fields = {}
         meta = {}
         redshift = None
         box_size = None
         for key in data.files:
+            value = read_member(data, path, key)
             if key == "__redshift":
-                redshift = float(data[key])
+                redshift = float(value)
             elif key == "__box_size":
-                box_size = float(data[key])
+                box_size = float(value)
             elif key.startswith(_META_PREFIX):
-                meta[key[len(_META_PREFIX) :]] = float(data[key])
+                meta[key[len(_META_PREFIX) :]] = float(value)
             else:
-                fields[key] = data[key]
+                fields[key] = value
     if redshift is None or box_size is None:
         raise ValueError(f"{path!r} is not a snapshot container (missing metadata)")
     return NyxSnapshot(fields=fields, redshift=redshift, box_size=box_size, meta=meta)

@@ -1,4 +1,5 @@
-"""Shared utilities: RNG handling, timers, ascii tables, validation, thread fan-out."""
+"""Shared utilities: RNG handling, timers, ascii tables, validation, thread
+fan-out, and :mod:`repro.util.npz` (``.npz`` opened without pickle)."""
 
 from repro.util.errors import PayloadError
 from repro.util.fanout import thread_map, usable_cpus

@@ -11,8 +11,9 @@ import pytest
 
 from oracles import unfold
 
-from repro.cli import load_blocks
 from repro.compression.codecs import PLANES_BIT, get_codec
+from repro.compression.container import load_blocks
+from repro.compression.sz import CompressedBlock
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -81,11 +82,34 @@ def v1_expected() -> dict:
     return json.loads((FIXTURES / "v1_expected.json").read_text())
 
 
+def _load_v1_container(path) -> list:
+    """The layout-1 blocks of the frozen v1 container.  Its ``__meta`` is
+    the pre-JSON object array, ``(shape "8,8,8", source_itemsize, eb,
+    mode, engine, codec, radius, n_outliers)`` per row, which only pickle
+    reads and ``load_blocks`` refuses; the file's bytes are pinned by
+    ``tests/test_frozen_fixtures.py``."""
+    with np.load(path, allow_pickle=True) as data:
+        return [
+            CompressedBlock(
+                shape=tuple(int(s) for s in shape.split(",")),
+                source_itemsize=itemsize, eb=eb, mode=mode, engine=engine,
+                codec_name=codec, radius=radius, n_outliers=n_outliers,
+                payloads={
+                    name: data[f"p{i}_{name}"].tobytes()
+                    for name in ("codes", "outlier_pos", "outlier_val")
+                },
+                layout=1,
+            )
+            for i, (shape, itemsize, eb, mode, engine, codec, radius, n_outliers)
+            in enumerate(data["__meta"].tolist())
+        ]
+
+
 @pytest.fixture()
 def v1_blocks(v1_expected) -> dict:
     """``note -> (block, expected CRC32)`` of the frozen v1 container,
     loaded fresh per test (tests mutate payloads)."""
-    blocks, _, _ = load_blocks(str(FIXTURES / "v1_container.npz"))
+    blocks = _load_v1_container(FIXTURES / "v1_container.npz")
     rows = v1_expected["v1_container.npz"]
     assert len(blocks) == len(rows)
     return {row["note"]: (block, row["crc32"]) for block, row in zip(blocks, rows)}

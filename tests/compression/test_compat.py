@@ -9,6 +9,7 @@ either set of bytes any more.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import zlib
 from pathlib import Path
@@ -52,12 +53,11 @@ class TestFrozenContainer:
             for (block, crc), recon in zip(v1_blocks.values(), decompress_many(blocks)):
                 assert recon_crc(block, recon) == crc
 
-    def test_pickled_blocks_without_the_layout_field_are_layout_1(self, v1_blocks):
+    def test_blocks_built_without_the_layout_field_are_layout_1(self, v1_blocks):
         block, _ = v1_blocks["zlib f32"]
-        state = dict(block.__dict__)
-        del state["layout"]
-        old = CompressedBlock.__new__(CompressedBlock)
-        old.__setstate__(state)
+        fields = {f.name: getattr(block, f.name) for f in dataclasses.fields(block)}
+        del fields["layout"]
+        old = CompressedBlock(**fields)
         assert old.layout == 1
         assert np.array_equal(decompress(old), decompress(block))
 

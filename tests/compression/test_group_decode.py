@@ -28,10 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import load_blocks, save_blocks
 from repro.compression import api, sz
 from repro.compression.api import decompress_any, decompress_many
 from repro.compression.codecs import PLANES_BIT
+from repro.compression.container import load_blocks, save_blocks
 from repro.compression.lorenzo import lorenzo_inverse_batch_inplace
 from repro.compression.regression import AdaptiveSZCompressor
 from repro.compression.sz import (

@@ -16,9 +16,9 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.cli import load_blocks, save_blocks
 from repro.compression.api import decompress_any
 from repro.compression.codecs import get_codec
+from repro.compression.container import load_blocks, save_blocks
 from repro.compression.regression import AdaptiveSZCompressor
 from repro.compression.sz import SZCompressor, decompress
 from repro.resilience import CorruptedPayloadError

@@ -553,19 +553,21 @@ class TestRuleEdges:
     def test_rl013_line_pragma_silences_it(self):
         assert codes("import pickle  # repro-lint: disable=RL013\n") == []
 
-    def test_rl013_legacy_loader_is_the_one_exception(self):
+    @pytest.mark.parametrize(
+        "path", ["src/repro/cli.py", "src/repro/compression/container.py"]
+    )
+    def test_rl013_exempts_nothing(self, path):
+        """The reader of the pre-JSON ``__meta`` is gone, and with it
+        the one function the rule used to skip."""
         src = (
             "import numpy as np\n"
             "def _legacy_meta_rows(path):\n"
             "    with np.load(path, allow_pickle=True) as data:\n"
             "        return data['__meta']\n"
         )
-        assert codes(src, path="src/repro/cli.py") == []
-        assert codes(src, path="src/repro/stream/ledger.py") == ["RL013"]
-        renamed = src.replace("_legacy_meta_rows", "load_meta")
-        assert codes(renamed, path="src/repro/cli.py") == ["RL013"]
+        assert codes(src, path=path) == ["RL013"]
 
-    def test_rl013_src_unpickles_only_in_the_legacy_loader(self, monkeypatch):
+    def test_rl013_src_never_unpickles(self):
         from pathlib import Path
 
         from repro.lint import run_lint
@@ -573,10 +575,12 @@ class TestRuleEdges:
 
         src = Path(__file__).resolve().parents[2] / "src"
         assert run_lint([src], select=["RL013"]).findings == []
-        monkeypatch.setattr(PickleRule, "_SANCTIONED", ())
-        found = run_lint([src], select=["RL013"]).findings
-        assert [f.path.rsplit("/", 1)[-1] for f in found] == ["cli.py"]
-        assert "allow_pickle=True" in found[0].content
+        assert not hasattr(PickleRule, "_SANCTIONED")
+        assert not any(
+            "disable=RL013" in path.read_text() or "allow_pickle=True" in path.read_text()
+            for path in src.rglob("*.py")
+            if "repro/lint/" not in path.as_posix()
+        )
 
 
 def test_every_rule_has_metadata_and_examples():

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from npz_damage import DAMAGES, damaged_copy
 
 from repro.sim.io import load_snapshot, peek_snapshot_shape, save_snapshot
 from repro.sim.nyx import FIELD_NAMES
+from repro.util.errors import PayloadError
 
 
 class TestSnapshotIO:
@@ -43,6 +45,19 @@ class TestSnapshotIO:
         np.savez(path, __redshift=np.array(1.0))
         with pytest.raises(ValueError, match="no field arrays"):
             peek_snapshot_shape(path)
+
+    @pytest.mark.parametrize("read", [load_snapshot, peek_snapshot_shape])
+    @pytest.mark.parametrize("kind", sorted(DAMAGES))
+    def test_a_damaged_file_is_a_payload_error(self, snapshot, tmp_path, kind, read):
+        """A dump cut short, emptied or replaced by other bytes: a ``PayloadError``
+        naming the file, not ``BadZipFile``, ``EOFError`` or numpy's
+        advice to unpickle."""
+        good = tmp_path / "snap.npz"
+        save_snapshot(snapshot, good)
+        path = damaged_copy(good, tmp_path / "bad.npz", kind)
+        with pytest.raises(PayloadError, match=r"bad\.npz") as err:
+            read(path)
+        assert "allow_pickle" not in str(err.value)
 
     def test_compressed_on_disk(self, snapshot, tmp_path):
         """The container must actually compress (it stands in for HDF5+filters)."""
