@@ -40,8 +40,10 @@ SHAPE = (32, 32, 32) if SMOKE else (64, 64, 64)
 #: Best-of rounds per side.  One 64^3 compress is ~8 ms (42 ms while the
 #: entropy stage was an LZ77 search), and a best-of over 7 of those moved
 #: +-10 % run to run against a 5 % gate; 35 cost what 7 used to and
-#: resolve it (-5 .. +2 % over eight runs).
-ROUNDS = 3 if SMOKE else 35
+#: resolved it (-5 .. +2 % over eight runs) until the compress fell to
+#: ~6.6 ms: on a 2-vCPU VM 35 rounds then read -11 .. +7 % over eight
+#: runs, 175 read -4 .. +2 % over twelve (~2.4 s).
+ROUNDS = 3 if SMOKE else 175
 MAX_NOOP_OVERHEAD = 0.01
 MAX_ARMED_OVERHEAD = 0.05
 TRAJECTORY = Path("BENCH_telemetry.json")

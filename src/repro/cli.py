@@ -47,6 +47,7 @@ from repro.compression.sz import CompressedBlock
 from repro.core.pipeline import AdaptiveCompressionPipeline
 from repro.models.calibration import PROBE_MODES, calibrate_rate_model
 from repro.parallel.decomposition import BlockDecomposition
+from repro.resilience.retry import RetryExhaustedError
 from repro.sim.io import load_snapshot, save_snapshot
 from repro.sim.nyx import NyxSimulator
 from repro.util.errors import PayloadError
@@ -613,7 +614,9 @@ def main(argv: list[str] | None = None) -> int:
     with _telemetry_sink(getattr(args, "telemetry", None)):
         try:
             return args.fn(args)
-        except PayloadError as exc:  # a damaged snapshot or container
+        # A damaged snapshot or container, or one that stayed damaged
+        # through every retry (e.g. a dump whose copy never finished).
+        except (PayloadError, RetryExhaustedError) as exc:
             print(f"{args.command}: {exc}", file=sys.stderr)
             return 2
 

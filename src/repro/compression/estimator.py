@@ -144,9 +144,10 @@ class RQEstimate:
 
     One quantization-statistics probe yields both halves of the
     ratio-quality trade (Jin et al.'s R-Q modeling follow-up): the size
-    from the code histogram, plus the observed quantization MSE of the
-    probe's own lattice (outliers are stored exactly) — no Lorenzo
-    decode, no entropy codec, no decompression.
+    from the code histogram, plus the MSE of the values the decoder will
+    return, read off the probe's own lattice (every cell, outliers
+    included, decodes to its lattice point) — no Lorenzo decode, no
+    entropy codec, no decompression.
     """
 
     n_elements: int
@@ -156,7 +157,7 @@ class RQEstimate:
     est_nbytes: float  # total predicted block size (header included)
     eb: float  #: absolute error bound the probe quantized at
     value_range: float  #: original min-max range (PSNR/NRMSE normalizer)
-    predicted_mse: float  #: observed quantization MSE (outliers exact)
+    predicted_mse: float  #: MSE of the decoded values (exact for the dual engine)
 
     @property
     def bit_rate(self) -> float:

@@ -279,9 +279,9 @@ class SZCompressor:
         residual codes) and reads the predicted entropy-coded size off
         a census of the quantization codes
         (:mod:`repro.compression.estimator`) — no DEFLATE/Huffman pass,
-        no payload bytes.  The same quantization statistics (outlier
-        census, error bound, value range) also pin the closed-form
-        distortion prediction, so the returned
+        no payload bytes.  The same pass yields the MSE of the values
+        the decoder will return (each cell, outliers included, decodes
+        to its lattice point), so the returned
         :class:`~repro.compression.estimator.RQEstimate` carries
         predicted PSNR/NRMSE alongside the rate.  This is the fast path
         behind ``probe_mode="model"``: rate-model calibration, rate-only
@@ -303,8 +303,9 @@ class SZCompressor:
         entropy codec ever runs.  The chunk's views are mapped as one
         float64 stack (:meth:`_map_batch`), and the value statistics come
         off it: each row's value range is read before the divide, and its
-        observed quantization MSE from a copy of the mapped values taken
-        before the rounding — no second pass over the views.
+        MSE after decode from the rounded rows the quantize step leaves
+        there (the decoder's values, so the MSE is exact, outliers and
+        ``pw_rel`` included).
 
         The whole probe is wrapped in an ``rq.probe`` telemetry span so
         armed traces show the trial compressions the ratio-quality model
@@ -320,10 +321,8 @@ class SZCompressor:
         """Probe a chunk of *same-shape* blocks in one kernel pass."""
         ranges = np.empty(len(arrs), np.float64)
         work, scales = self._map_batch(arrs, eb_arr, ranges)
-        # The mapped values, kept before the quantize step rounds ``work``.
-        mapped = work.copy()
-        symbols, counts, pos, _val, _maxes = self._encode_mapped(work, scales, arrs[0].shape)
-        mses = self._observed_mse_rows(mapped, work, scales, arrs, pos, counts)
+        symbols, counts, _pos, _val, _maxes = self._encode_mapped(work, scales, arrs[0].shape)
+        mses = self._decoded_mse_rows(work, scales, arrs)
         # One sparse census over the sorted symbol matrix (this pass's
         # own, sorted in place): at tight bounds the folded symbols span
         # far more values than a row holds.
@@ -342,40 +341,30 @@ class SZCompressor:
             for row, arr in enumerate(arrs)
         ]
 
-    def _observed_mse_rows(
-        self,
-        err: np.ndarray,
-        rounded: np.ndarray,
-        scales: np.ndarray,
-        sub: list[np.ndarray],
-        pos: np.ndarray,
-        counts: np.ndarray,
+    def _decoded_mse_rows(
+        self, rounded: np.ndarray, scales: np.ndarray, sub: list[np.ndarray]
     ) -> np.ndarray:
-        """Realised quantization MSE of each probed view, in value space.
+        """MSE of each probed view after decode, in value space.
 
-        ``err`` holds each block's mapped values as the front divided
-        them (a copy, overwritten here), ``rounded``
-        the same rows rounded onto the lattice by the quantize step.
-        Their difference times the lattice pitch ``scales`` is every
-        point's actual lattice error, in a few group-wide passes;
-        outlier positions (residual misfits whose values ship exactly)
-        are zeroed.  The uniform U[-eb, eb] model assumes errors fill the
-        bound; on fields whose values sit mostly far below ``eb``
-        (lognormal density: nearly everything quantizes to code 0 with
-        error << eb) it over-predicts MSE by an order of magnitude, so
-        the probe measures instead of assuming.
+        ``rounded`` holds each block's rows as the quantize step rounded
+        them onto the lattice (overwritten here).  Times the pitch
+        ``scales`` (exponentiated in ``pw_rel``) they are the decoder's
+        values, outliers included: an outlier is a Lorenzo residual that
+        ships in a side channel, and its cell still decodes to its
+        lattice point.  Minus the source, every point's actual error, in
+        a few group-wide passes.  The uniform U[-eb, eb] model assumes
+        errors fill the bound; on fields whose values sit mostly far
+        below ``eb`` (lognormal density: nearly everything quantizes to
+        code 0 with error << eb) it over-predicts MSE by an order of
+        magnitude, so the probe measures instead of assuming.
         """
-        n_blocks, n = err.shape
-        err -= rounded
+        n_blocks, n = rounded.shape
+        err = rounded
         err *= scales[:, None]
         if self.mode != "abs":
-            # first order: value error ~ |x| * log-space error
-            for row, arr in enumerate(sub):
-                err[row] *= arr.reshape(-1)
-        offs = np.zeros(n_blocks + 1, np.int64)
-        np.cumsum(counts, out=offs[1:])
-        for row in np.flatnonzero(counts):
-            err[row, pos[offs[row]:offs[row + 1]]] = 0.0
+            np.exp(err, out=err)
+        for row, arr in zip(err, sub):
+            row.reshape(arr.shape)[...] -= arr
         # einsum sums a lone row in another order than the rows of a
         # stack, so a one-row chunk is summed as a stack of two: a
         # block's MSE has the same bits however its group was chunked.

@@ -12,8 +12,9 @@ verdicts backed by **one** batched quantization probe
 (:meth:`repro.compression.sz.SZCompressor.estimate_many`):
 
 - predicted bitrate / ratio from the code histogram (the PR 2 estimator),
-- predicted PSNR / NRMSE from the probe's *observed* quantization MSE
-  (the quantize pass's realised lattice error),
+- predicted PSNR / NRMSE from the probe's MSE, which is the MSE of the
+  values the decoder returns (the quantize pass's lattice times its
+  pitch, minus the source),
 - a predicted worst spectrum-ratio deviation over ``k < k_max`` (and its
   pass/fail verdict against the criteria tolerance),
 - a predicted halo mass-error fraction and verdict when the criteria
@@ -23,8 +24,8 @@ No Lorenzo decode, no entropy codec, no decompression, no reconstruction
 analysis.  ``probe_mode="model"`` threads these predictions through
 ``select_compressor``, ``run_sweep`` and the stream controller's
 recalibration; `docs/rq-model.md` records the equations, the validated
-tolerances (PSNR within ~1 dB, ratio within ~10% on Nyx fields) and
-when to fall back to exact mode.
+tolerances (ratio within ~10% on Nyx fields; PSNR is the measured one)
+and when to fall back to exact mode.
 """
 
 from __future__ import annotations

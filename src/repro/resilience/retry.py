@@ -4,7 +4,7 @@ A :class:`RetryPolicy` answers three questions, each deterministically:
 
 - *Should this failure be retried?*  Only exceptions matching the
   policy's ``retryable`` types (by default the :class:`TransientError`
-  marker, timeouts and OS-level errors).
+  marker, timeouts, OS-level errors and archives cut short).
   Everything else — a ``ValueError`` from bad inputs, a genuine bug —
   propagates immediately; retrying it would only mask the defect.
 - *How long to wait?*  Exponential backoff with *seeded* jitter: the
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, TypeVar
 
 from repro import telemetry
+from repro.util.errors import IncompleteArchiveError
 from repro.util.rng import default_rng
 
 __all__ = ["TransientError", "RetryExhaustedError", "RetryPolicy"]
@@ -73,11 +74,14 @@ class RetryExhaustedError(Exception):
 
 #: Exception types retried when a policy does not override ``retryable``.
 #: ``TimeoutError``/``OSError`` cover stalled collectives and transient
-#: filesystem failures (``ConnectionError`` is an ``OSError`` subclass).
+#: filesystem failures (``ConnectionError`` is an ``OSError`` subclass);
+#: an :class:`~repro.util.errors.IncompleteArchiveError` is a snapshot
+#: file read while it is still being copied.
 DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (
     TransientError,
     TimeoutError,
     OSError,
+    IncompleteArchiveError,
 )
 
 

@@ -6,8 +6,9 @@ evolves with redshift.  This package is the long-running service around
 that machinery:
 
 - :mod:`repro.stream.source` — where snapshots come from
-  (:class:`SnapshotStream` protocol: a live simulator schedule, an
-  on-disk ``.npz`` sequence, or an in-memory list),
+  (one :class:`SnapshotStream` class with one retried load path, built
+  from a live simulator schedule, an on-disk ``.npz`` sequence, or an
+  in-memory list),
 - :mod:`repro.stream.ledger` — an append-only JSONL event ledger with
   monotonic sequence ids recording every calibration, decision and
   outcome, the subsystem's persistent state,

@@ -105,6 +105,7 @@ from repro.stream.state import (
     BudgetGovernor,
     FieldState,
     ReplayedDecision,
+    RunConfig,
     RunState,
     StreamOutcome,
     StreamReport,
@@ -150,6 +151,18 @@ class _Step:
         if self.error is not None:
             raise self.error
         return self.value
+
+
+def _governor_record(byte_budget: int, n_snapshots: int) -> Record:
+    """The ``governor`` record steering ``byte_budget`` over ``n_snapshots``
+    dumps (:class:`BudgetGovernor` checks the count)."""
+    gov = BudgetGovernor(byte_budget, n_snapshots)
+    return "governor", dict(
+        total_bytes=gov.total_bytes,
+        n_snapshots=gov.n_snapshots,
+        gain=gov.gain,
+        max_scale=gov.max_scale,
+    )
 
 
 # -- the controller ----------------------------------------------------------
@@ -289,15 +302,6 @@ class InSituController:
         self.field_specs = dict(field_specs or {})
         self.default_spec = default_spec or FieldSpec()
         self.compressor = resolve_compressor(compressor)
-        self.candidates = (
-            None
-            if not candidates
-            else [
-                CompressorSpec.parse(c) if isinstance(c, str) else c
-                for c in candidates
-            ]
-        )
-        self.settings = settings or OptimizerSettings()
         self.retry = (
             RetryPolicy(max_attempts=int(retry)) if isinstance(retry, int) else retry
         )
@@ -311,27 +315,57 @@ class InSituController:
             if isinstance(ledger, RunLedger)
             else RunLedger(ledger, fsync=fsync_ledger)
         )
-        self.byte_budget = None if byte_budget is None else int(byte_budget)
-        self.drift = drift or DriftConfig()
-        self.recalibrate = recalibrate
-        self.warm_start = bool(warm_start)
-        self.probe_mode = check_probe_mode(probe_mode)
+        drift = drift or DriftConfig()
         self.max_partitions = int(max_partitions)
         self.seed = int(seed)
-        self.check_quality = bool(check_quality) or self.drift.quality_margin is not None
+        self.check_quality = bool(check_quality) or drift.quality_margin is not None
         self.retain_results = bool(retain_results)
         #: Field buffers quality-checked compressions write their
         #: reconstructions into: a step takes one (or makes one) and puts
         #: it back, so there is one per field step in flight.
         self._spare_recon: list[np.ndarray] = []
 
-        #: Everything decisions derive from.  Owned by the reducer: only
-        #: :func:`~repro.stream.state.apply` (via :meth:`_append`) changes it.
+        #: Everything decisions derive from, the run's settings
+        #: (``state.config``) and governor included.  Owned by the reducer:
+        #: only :func:`~repro.stream.state.apply` (via :meth:`_append`)
+        #: changes it.
         self.state = RunState()
-        self.report.byte_budget = self.byte_budget
-        self._governor_proto: BudgetGovernor | None = None
-        if self.byte_budget is not None and n_snapshots is not None:
-            self._make_governor(n_snapshots)
+        #: The records the run opens with, appended by :meth:`_start`: the
+        #: settings are read back from their fold, never kept here.
+        self._opening: list[Record] = [
+            (
+                "run_start",
+                dict(
+                    schema=LEDGER_SCHEMA_VERSION,
+                    shape=list(decomposition.shape),
+                    # Schema v3: the block layout, so resume() can rebuild
+                    # the decomposition without re-specifying it.
+                    blocks=list(decomposition.blocks),
+                    n_partitions=decomposition.n_partitions,
+                    byte_budget=None if byte_budget is None else int(byte_budget),
+                    compressor=self.compressor.spec.to_dict(),
+                    candidates=(
+                        [
+                            (CompressorSpec.parse(c) if isinstance(c, str) else c).to_dict()
+                            for c in candidates
+                        ]
+                        if candidates
+                        else None
+                    ),
+                    # Field for field what RunConfig.from_record reads back.
+                    settings=asdict(settings or OptimizerSettings()),
+                    recalibrate=recalibrate,
+                    warm_start=bool(warm_start),
+                    probe_mode=check_probe_mode(probe_mode),
+                    drift=asdict(drift),
+                    # Ledgers name the execution path here; there is one
+                    # now, and nothing reads the field back.
+                    backend="serial",
+                ),
+            )
+        ]
+        if byte_budget is not None and n_snapshots is not None:
+            self._opening.append(_governor_record(byte_budget, n_snapshots))
 
     # -- resilience plumbing ---------------------------------------------
 
@@ -459,52 +493,18 @@ class InSituController:
 
     @property
     def governor(self) -> BudgetGovernor | None:
-        return self.state.governor or self._governor_proto
+        """The governor folded from the ``governor`` event (``None``
+        before it, or for a run without a byte budget)."""
+        return self.state.governor
 
-    def _make_governor(self, n_snapshots: int) -> None:
-        # Validated here; the governor that steers the run is the one
-        # ``apply`` builds from the event (recorded separately from
-        # ``run_start``: the dump count may only be known at ``run()``).
-        gov = self._governor_proto = BudgetGovernor(self.byte_budget, n_snapshots)
-        if self.state.config is not None:  # the run has started
-            self._append(
-                "governor",
-                total_bytes=gov.total_bytes,
-                n_snapshots=gov.n_snapshots,
-                gain=gov.gain,
-                max_scale=gov.max_scale,
-            )
-
-    def _ensure_started(self) -> None:
-        if self.state.config is not None:
-            return
-        self._append(
-            "run_start",
-            schema=LEDGER_SCHEMA_VERSION,
-            shape=list(self.decomposition.shape),
-            # Schema v3: the block layout, so resume() can rebuild the
-            # decomposition without re-specifying it.
-            blocks=list(self.decomposition.blocks),
-            n_partitions=self.decomposition.n_partitions,
-            byte_budget=self.byte_budget,
-            compressor=self.compressor.spec.to_dict(),
-            candidates=(
-                None
-                if self.candidates is None
-                else [c.to_dict() for c in self.candidates]
-            ),
-            # Field for field what RunConfig.from_record reads back.
-            settings=asdict(self.settings),
-            recalibrate=self.recalibrate,
-            warm_start=self.warm_start,
-            probe_mode=self.probe_mode,
-            drift=asdict(self.drift),
-            # Ledgers name the execution path here; there is one now,
-            # and nothing reads the field back.
-            backend="serial",
-        )
-        if self._governor_proto is not None:
-            self._make_governor(self._governor_proto.n_snapshots)
+    def _start(self) -> RunConfig:
+        """Append the opening records unless the run has started; the
+        run's settings as the fold holds them."""
+        if self.state.config is None:
+            for kind, record in self._opening:
+                self._append(kind, **record)
+            self._opening.clear()
+        return self.state.config
 
     def _compressor_for(self, spec: CompressorSpec | None) -> Compressor:
         """The compressor ``spec`` names: the controller's own instance
@@ -525,7 +525,7 @@ class InSituController:
         snapshot self-calibrates); required before streaming with
         ``recalibrate="never"``.
         """
-        self._ensure_started()
+        self._start()
 
         def calibrate(name: str, data: np.ndarray, _: RetryHook) -> list[Record]:
             records: list[Record] = []
@@ -562,22 +562,23 @@ class InSituController:
         (re-run on every recalibration, so drift triggers *re-selection*)
         > the field spec's pinned ``compressor`` > the controller default.
         """
+        config = self.state.config
         spec = self.spec_for(name)
         eb_base, halo_params = self._budget(spec, ref)
         calibration: CalibrationResult | None = None
         quarantined = reason == "degradation" or name in self.state.quarantined
         if quarantined and self.fallback_compressor is not None:
             compressor = self._compressor_for(self.fallback_compressor)
-        elif self.candidates is not None:
+        elif config.candidates is not None:
             selection = select_compressor(
                 data,
                 self.decomposition,
-                candidates=self.candidates,
+                candidates=config.candidates,
                 field_spec=spec,
                 field=name,
                 eb_avg=eb_base,
                 reference=ref,
-                probe_mode=self.probe_mode,
+                probe_mode=config.probe_mode,
                 max_partitions=self.max_partitions,
                 seed=self.seed,
                 require_error_bounded=True,
@@ -605,7 +606,7 @@ class InSituController:
                 eb_scale=eb_base,
                 max_partitions=self.max_partitions,
                 seed=self.seed,
-                probe_mode=self.probe_mode,
+                probe_mode=config.probe_mode,
             )
         model = calibration.rate_model
         record = dict(
@@ -633,25 +634,21 @@ class InSituController:
     def run(self, stream: "SnapshotStream | list[NyxSnapshot]") -> StreamReport:
         """Consume every snapshot of ``stream``; returns the final report.
 
-        Accepts any :class:`SnapshotStream` or a plain snapshot list
-        (coerced via :func:`~repro.stream.source.as_stream`).
+        Accepts a :class:`SnapshotStream` or a plain snapshot list
+        (coerced via :func:`~repro.stream.source.as_stream`).  A byte
+        budget without a governor yet gets one over ``len(stream)``
+        dumps.
 
         On a resumed controller (:meth:`resume`) the first
         ``report.n_snapshots`` dumps are already accounted in the
-        ledger and are skipped — without loading or generating them when
-        the stream supports ``iter_from``.
+        ledger and are skipped without being loaded or generated.
         """
         stream = as_stream(stream)
-        if self.byte_budget is not None and self.governor is None:
-            self._make_governor(len(stream))
-        start = self.report.n_snapshots
-        if start == 0:
-            iterator = iter(stream)
-        elif hasattr(stream, "iter_from"):
-            iterator = stream.iter_from(start)
-        else:
-            iterator = (s for i, s in enumerate(stream) if i >= start)
-        for snapshot in iterator:
+        config = self._start()
+        if config.byte_budget is not None and self.state.governor is None:
+            kind, record = _governor_record(config.byte_budget, len(stream))
+            self._append(kind, **record)
+        for snapshot in stream.iter_from(self.report.n_snapshots):
             self.process_snapshot(snapshot)
         self.finish()
         return self.report
@@ -727,7 +724,6 @@ class InSituController:
                     "block layout; pass decomposition= explicitly"
                 )
             decomposition = BlockDecomposition(config.shape, blocks=config.blocks)
-        gov = state.governor
         recorded = {
             k: v for k, v in vars(config).items() if k not in ("shape", "blocks")
         }
@@ -735,7 +731,6 @@ class InSituController:
             decomposition,
             field_specs=field_specs,
             ledger=run_ledger,
-            n_snapshots=None if gov is None else gov.n_snapshots,
             default_spec=default_spec,
             max_partitions=max_partitions,
             seed=seed,
@@ -769,12 +764,12 @@ class InSituController:
         and folded in field order, then the ``budget`` event.  If a step
         raised, the fields before it are appended and its exception
         propagates; nothing of a later field is kept."""
-        if self.byte_budget is not None and self.governor is None:
+        config = self._start()
+        if config.byte_budget is not None and self.state.governor is None:
             raise RuntimeError(
                 "a byte budget requires n_snapshots (pass it to the "
                 "constructor, or use run() on a sized stream)"
             )
-        self._ensure_started()
         index = self.report.n_snapshots  # the cursor: dumps fully accounted
         # The span carries the ledger seq window this snapshot appended
         # (attributes only — telemetry never writes INTO the ledger, so
@@ -847,6 +842,7 @@ class InSituController:
             telemetry.get_tracer().span("stream.field", field=name, snapshot=index),
             self._reconstruction() as recon,
         ):
+            config = self.state.config
             spec = self.spec_for(name)
             records: list[Record] = []
             reason = self.state.calibration_reason(name)
@@ -856,7 +852,7 @@ class InSituController:
                 fs = self._calibrate_field(name, data, ref, reason, records)
             scale = self.state.scale
             while True:
-                if self.warm_start or reason is not None:
+                if config.warm_start or reason is not None:
                     eb_base, halo_params = fs.eb_base, fs.halo_params
                 else:
                     # Batch semantics: the rate model stays frozen but the
@@ -865,7 +861,7 @@ class InSituController:
                     eb_base, halo_params = self._budget(spec, ref)
                 eb_avg, halo = decision_inputs(eb_base, scale, halo_params)
                 pipe = AdaptiveCompressionPipeline(
-                    fs.model, self._compressor_for(fs.compressor_spec), self.settings
+                    fs.model, self._compressor_for(fs.compressor_spec), config.settings
                 )
                 try:
                     result = self._retrying(
@@ -932,9 +928,9 @@ class InSituController:
             # The verdict comes from a scratch detector continuing the
             # step's window (empty after a (re)calibration), so the outcome
             # record can carry it; folding the record advances the window.
-            detector = DriftDetector(name, self.drift, fs.window)
+            detector = DriftDetector(name, config.drift, fs.window)
             signal: DriftSignal | None = None
-            if self.recalibrate == "drift":
+            if config.recalibrate == "drift":
                 if residual is not None:
                     signal = detector.update_rate(predicted, achieved)
                 if signal is None and quality_dev is not None:

@@ -1,28 +1,39 @@
 """Snapshot sources: where an in situ stream's dumps come from.
 
-The controller consumes any :class:`SnapshotStream` — an iterable of
-:class:`~repro.sim.nyx.NyxSnapshot` with a known length — so it is
-decoupled from the producer:
+The controller consumes a :class:`SnapshotStream`: an ordered list of
+items, each turned into a :class:`~repro.sim.nyx.NyxSnapshot` by the
+stream's ``load`` when iteration reaches it.  ``len``, iteration,
+:meth:`~SnapshotStream.iter_from` (how a resumed run skips the dumps it
+has accounted without loading them) and ``shape`` are written once
+there.  Every load passes through the ``source.load`` fault point and,
+when the stream has a ``retry`` policy, is retried under it.  The
+sources differ only in their items and their ``load``:
 
 - :class:`SimulatorStream` drives a :class:`~repro.sim.nyx.NyxSimulator`
   through a redshift schedule (the "simulation is running next door"
   deployment),
 - :class:`DirectoryStream` replays an on-disk ``.npz`` sequence written
   by :func:`repro.sim.io.save_snapshot` (e.g. by
-  ``python -m repro.cli generate --redshifts ...``),
+  ``python -m repro.cli generate --redshifts ...``).  A dump still being
+  copied is an empty or truncated archive, or one without a zip
+  signature yet: :func:`~repro.sim.io.load_snapshot` raises an
+  :class:`~repro.util.errors.IncompleteArchiveError` for it, which a
+  retry policy treats as transient.  Damage inside a member, or an
+  archive that is not a snapshot, fails at once,
 - :class:`SnapshotSequence` wraps an in-memory list (tests, notebooks,
   synthetic distribution-shift experiments).
 
-All sources accept a ``fields`` subset so a stream can be restricted to
-the fields under study without touching the snapshots on disk.
+Every source accepts a ``fields`` subset so a stream can be restricted
+to the fields under study without touching the snapshots on disk.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from functools import cached_property
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Any
 
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
@@ -36,15 +47,6 @@ __all__ = [
     "SnapshotSequence",
     "as_stream",
 ]
-
-
-@runtime_checkable
-class SnapshotStream(Protocol):
-    """A finite, ordered sequence of snapshots (one pass, in dump order)."""
-
-    def __iter__(self) -> Iterator[NyxSnapshot]: ...
-
-    def __len__(self) -> int: ...
 
 
 def _restrict(snapshot: NyxSnapshot, fields: tuple[str, ...] | None) -> NyxSnapshot:
@@ -64,17 +66,76 @@ def _restrict(snapshot: NyxSnapshot, fields: tuple[str, ...] | None) -> NyxSnaps
     )
 
 
-def _field_tuple(fields: Sequence[str] | None) -> tuple[str, ...] | None:
-    if fields is None:
-        return None
-    out = tuple(fields)
-    if not out:
-        raise ValueError("fields subset must not be empty")
-    return out
+class SnapshotStream:
+    """A finite, ordered sequence of snapshots (one pass, in dump order).
+
+    Parameters
+    ----------
+    items:
+        What each dump is made from, in stream order.
+    load:
+        ``load(item)`` -> the dump's snapshot.
+    fields:
+        Optional subset of field names to expose.
+    retry:
+        A :class:`~repro.resilience.retry.RetryPolicy` each load runs
+        under (site ``source.load``); ``None`` fails fast.
+    peek:
+        ``peek(item)`` -> the grid shape, without loading the dump
+        (default: load it).
+    """
+
+    def __init__(
+        self,
+        items: Sequence[Any],
+        load: Callable[[Any], NyxSnapshot],
+        fields: Sequence[str] | None = None,
+        retry: RetryPolicy | None = None,
+        peek: Callable[[Any], tuple[int, ...]] | None = None,
+    ) -> None:
+        self.items = list(items)
+        self.load = load
+        self.fields = None if fields is None else tuple(fields)
+        if self.fields == ():
+            raise ValueError("fields subset must not be empty")
+        self.retry = retry
+        self._peek = peek or (lambda item: load(item).shape)
+
+    @cached_property
+    def shape(self) -> tuple[int, int, int]:
+        """Grid shape of the stream, read off its first item."""
+        return tuple(self._peek(self.items[0]))
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def _load(self, item: Any) -> NyxSnapshot:
+        def attempt() -> NyxSnapshot:
+            fault_point("source.load")
+            return self.load(item)
+
+        if self.retry is None:
+            return attempt()
+        return self.retry.execute(attempt, site="source.load")
+
+    def __iter__(self) -> Iterator[NyxSnapshot]:
+        yield from self.iter_from(0)
+
+    def iter_from(self, start: int) -> Iterator[NyxSnapshot]:
+        """Iterate from dump index ``start`` without loading the skipped
+        items — how a resumed run fast-forwards a long stream."""
+        for item in self.items[start:]:
+            yield _restrict(self._load(item), self.fields)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={len(self)})"
 
 
-class SimulatorStream:
+class SimulatorStream(SnapshotStream):
     """Snapshots generated on demand from a redshift schedule.
+
+    Each dump is a pure function of the simulator's seed and its
+    redshift, so a resumed stream sees identical data.
 
     Parameters
     ----------
@@ -99,44 +160,26 @@ class SimulatorStream:
             raise ValueError("redshift schedule must not be empty")
         if any(z < 0 for z in self.redshifts):
             raise ValueError("redshifts must be non-negative")
-        self.fields = _field_tuple(fields)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.simulator.shape
-
-    def __len__(self) -> int:
-        return len(self.redshifts)
-
-    def __iter__(self) -> Iterator[NyxSnapshot]:
-        yield from self.iter_from(0)
-
-    def iter_from(self, start: int) -> Iterator[NyxSnapshot]:
-        """Iterate from dump index ``start`` without generating the
-        skipped snapshots (each dump is a pure function of the seed and
-        its redshift, so a resumed stream sees identical data)."""
-        for z in self.redshifts[start:]:
-            yield _restrict(self.simulator.snapshot(z=z), self.fields)
-
-    def __repr__(self) -> str:
-        return (
-            f"SimulatorStream(shape={self.simulator.shape}, "
-            f"redshifts={self.redshifts})"
+        super().__init__(
+            self.redshifts,
+            lambda z: simulator.snapshot(z=z),
+            fields,
+            peek=lambda _: simulator.shape,
         )
 
 
-class DirectoryStream:
+class DirectoryStream(SnapshotStream):
     """An on-disk snapshot sequence, replayed in sorted filename order.
 
     Files are discovered eagerly (so ``len`` is cheap and the order is
     fixed at construction) but *loaded* lazily, one snapshot per
     iteration step — a 200-dump campaign never holds two snapshots in
-    memory at once.
+    memory at once.  ``shape`` reads the first file's array headers (a
+    few hundred bytes — no field is decompressed).
 
-    Loads pass through the ``source.load`` fault point and, when a
-    ``retry`` policy is given, are retried under it — a snapshot file
-    observed mid-copy (``OSError``) resolves on a later attempt instead
-    of killing the stream.
+    Under a ``retry`` policy, a snapshot file observed mid-copy (an
+    ``OSError``, or an archive cut short) resolves on a later attempt
+    instead of killing the stream.
     """
 
     def __init__(
@@ -154,44 +197,10 @@ class DirectoryStream:
             raise FileNotFoundError(
                 f"no snapshots matching {pattern!r} in {self.directory}"
             )
-        self.fields = _field_tuple(fields)
-        self.retry = retry
-        self._shape: tuple[int, int, int] | None = None
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Grid shape of the sequence, read from the first container's
-        array headers (a few hundred bytes — no field is decompressed)."""
-        if self._shape is None:
-            self._shape = tuple(peek_snapshot_shape(self.paths[0]))
-        return self._shape
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def _load(self, path: Path) -> NyxSnapshot:
-        def attempt() -> NyxSnapshot:
-            fault_point("source.load")
-            return load_snapshot(path)
-
-        if self.retry is None:
-            return attempt()
-        return self.retry.execute(attempt, site="source.load")
-
-    def __iter__(self) -> Iterator[NyxSnapshot]:
-        yield from self.iter_from(0)
-
-    def iter_from(self, start: int) -> Iterator[NyxSnapshot]:
-        """Iterate from dump index ``start`` without reading the skipped
-        files — how a resumed run fast-forwards a long directory."""
-        for path in self.paths[start:]:
-            yield _restrict(self._load(path), self.fields)
-
-    def __repr__(self) -> str:
-        return f"DirectoryStream({str(self.directory)!r}, n={len(self.paths)})"
+        super().__init__(self.paths, load_snapshot, fields, retry, peek_snapshot_shape)
 
 
-class SnapshotSequence:
+class SnapshotSequence(SnapshotStream):
     """An in-memory snapshot list as a stream (tests and experiments)."""
 
     def __init__(
@@ -202,34 +211,15 @@ class SnapshotSequence:
         self.snapshots = list(snapshots)
         if not self.snapshots:
             raise ValueError("snapshot sequence must not be empty")
-        self.fields = _field_tuple(fields)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.snapshots[0].shape
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def __iter__(self) -> Iterator[NyxSnapshot]:
-        yield from self.iter_from(0)
-
-    def iter_from(self, start: int) -> Iterator[NyxSnapshot]:
-        for snap in self.snapshots[start:]:
-            yield _restrict(snap, self.fields)
-
-    def __repr__(self) -> str:
-        return f"SnapshotSequence(n={len(self.snapshots)})"
+        super().__init__(self.snapshots, lambda snap: snap, fields)
 
 
-def as_stream(source: "SnapshotStream | Sequence[NyxSnapshot]") -> SnapshotStream:
-    """Coerce a plain snapshot list into a stream; pass streams through."""
-    if isinstance(source, (SimulatorStream, DirectoryStream, SnapshotSequence)):
+def as_stream(source: "SnapshotStream | Sequence[NyxSnapshot] | NyxSnapshot") -> SnapshotStream:
+    """Coerce a snapshot, or a list of them, into a stream; pass streams through."""
+    if isinstance(source, SnapshotStream):
         return source
     if isinstance(source, NyxSnapshot):
         return SnapshotSequence([source])
     if isinstance(source, Sequence):
         return SnapshotSequence(source)
-    if isinstance(source, SnapshotStream):
-        return source
     raise TypeError(f"cannot interpret {type(source).__name__} as a snapshot stream")

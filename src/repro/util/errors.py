@@ -7,7 +7,7 @@ importing the resilience layer.
 
 from __future__ import annotations
 
-__all__ = ["PayloadError"]
+__all__ = ["PayloadError", "IncompleteArchiveError"]
 
 
 class PayloadError(ValueError):
@@ -20,4 +20,15 @@ class PayloadError(ValueError):
     wrong array.  :class:`repro.resilience.CorruptedPayloadError` derives
     from it, so ``except PayloadError`` covers injected and real
     corruption alike.
+    """
+
+
+class IncompleteArchiveError(PayloadError):
+    """A file that is not a whole archive: empty, cut short, or without
+    a zip signature.
+
+    That is what a dump still being copied looks like, so a retry policy
+    treats it as transient (:data:`repro.resilience.retry.
+    DEFAULT_RETRYABLE`); damage inside a member of a whole archive stays
+    a plain :class:`PayloadError` and is never retried.
     """

@@ -1,8 +1,9 @@
 """``.npz`` archives opened without pickle, damage as a typed error.
 
 Block containers and snapshots both open here: an empty, truncated or
-non-zip file, or a missing or unreadable member, is a
-:class:`~repro.util.errors.PayloadError` naming the file (and member).
+non-zip file is an :class:`~repro.util.errors.IncompleteArchiveError`,
+a missing or unreadable member a :class:`~repro.util.errors.PayloadError`,
+each naming the file (and member).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 from numpy.lib import format as _npy_format
 
-from repro.util.errors import PayloadError
+from repro.util.errors import IncompleteArchiveError, PayloadError
 
 __all__ = ["open_npz", "read_member", "member_header"]
 
@@ -30,11 +31,13 @@ def open_npz(path: str | os.PathLike) -> Iterator[np.lib.npyio.NpzFile]:
     try:
         data = np.load(path, allow_pickle=False)
     except EOFError:
-        raise PayloadError(f"{path}: empty file, not an .npz archive") from None
+        raise IncompleteArchiveError(f"{path}: empty file, not an .npz archive") from None
     except zipfile.BadZipFile as exc:
-        raise PayloadError(f"{path}: damaged .npz archive: {exc}") from None
+        raise IncompleteArchiveError(f"{path}: damaged .npz archive: {exc}") from None
     except ValueError:  # neither zip nor .npy magic: numpy takes it for a pickle
-        raise PayloadError(f"{path}: not an .npz archive (no zip signature)") from None
+        raise IncompleteArchiveError(
+            f"{path}: not an .npz archive (no zip signature)"
+        ) from None
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise PayloadError(f"{path}: an .npy array, not an .npz archive")
     with data:

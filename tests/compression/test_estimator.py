@@ -170,3 +170,33 @@ class TestAccuracy:
         data = snapshot["temperature"]
         eb = float(np.ptp(data.astype(np.float64))) * 1e-3
         assert comp.estimate(data, eb).bit_rate > 0
+
+
+class TestPredictedMSE:
+    """The probe's ``predicted_mse`` is the MSE of what the decoder
+    returns: outlier cells decode to their lattice points like every
+    other cell, and ``pw_rel`` is exponentiated, not linearised."""
+
+    @staticmethod
+    def _assert_decoded_mse(comp: SZCompressor, views, ebs) -> list:
+        estimates = comp.estimate_many(views, ebs)
+        blocks = comp.compress_many(views, ebs)
+        for est, block, view in zip(estimates, blocks, views):
+            decoded = comp.decompress(block)
+            mse = float(np.mean((decoded - view.astype(np.float64)) ** 2))
+            assert est.predicted_mse == pytest.approx(mse, rel=1e-12, abs=0.0)
+        return blocks
+
+    @pytest.mark.parametrize("radius", [None, 8], ids=["default-radius", "radius-8"])
+    def test_with_outliers(self, radius):
+        data = np.random.default_rng(0).normal(0.0, 1000.0, (16, 16, 16))
+        comp = SZCompressor() if radius is None else SZCompressor(radius=radius)
+        views = BlockDecomposition(data.shape, blocks=2).partition_views(data)
+        blocks = self._assert_decoded_mse(comp, [data, *views], [0.01] * (1 + len(views)))
+        assert all(b.n_outliers > 0 for b in blocks)
+
+    def test_pw_rel(self, snapshot):
+        data = snapshot["baryon_density"]
+        views = BlockDecomposition(data.shape, blocks=2).partition_views(data)
+        ebs = [0.1, 0.3] * (len(views) // 2)
+        self._assert_decoded_mse(SZCompressor(mode="pw_rel"), [data, *views], [0.1, *ebs])

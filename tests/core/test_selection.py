@@ -211,17 +211,19 @@ RECORD_CASES = {
 }
 
 #: sha256 of ``json.dumps(select_compressor(...).to_dict())`` per (case, mode).
+#: ``loose``/``strict`` in model mode were recomputed when the probe's
+#: MSE became the decoded one: their predicted NRMSE moved in the last digit.
 RECORD_PINS = {
     ("coarse", "exact"): "c4145ada13e9b4d1275b00981a6f4182b68159336d4f65b42ccb991ef2c0eec8",
     ("coarse", "model"): "6eb97bf41d06ba49026aa968182d4a103ee29bd6b2485eb9459469cc31638bcd",
     ("constant", "exact"): "9b315f86efc080620b24c2edd2c0d6b705936c53d4ef76086acffab2b9a424f9",
     ("constant", "model"): "9b315f86efc080620b24c2edd2c0d6b705936c53d4ef76086acffab2b9a424f9",
     ("loose", "exact"): "de45a21f1b818d25763787e38f661261920664b57e456aa070bc7bfef48faa5e",
-    ("loose", "model"): "3e5362d8bc3d79b7fc674d018f98e87d910252b544e3162fa7fd09f1c0637c7b",
+    ("loose", "model"): "b007332eff9cce24aa545409b725728eec35d99bf9c957c0be9fe143982642c7",
     ("paper", "exact"): "259f363cf09127fbffda834ccc9c46265935c7e1d52486cf17cbc181a920bfb2",
     ("paper", "model"): "cdb3b819705a1abed136866eb8d073b6e3b1810510f1881a7d29ccbc89421b86",
     ("strict", "exact"): "85049df837265868d70a6bbc73e16a1d056d42a96e6fc24cbe4853ea520a8e06",
-    ("strict", "model"): "cf979fa3eb9cce0deba2be445b8ad98d5e0a18b8c69fefc7c5288a6645c23f51",
+    ("strict", "model"): "9420695f4b923d57b8b7d50231d9d3698881cb5a16df39c244cc232698cebf4f",
 }
 
 

@@ -115,7 +115,7 @@ class TestFrozenFixtures:
         old.write_text("\n".join(lines) + "\n")
 
         ctl = InSituController.resume(old)
-        assert ctl.state.config.probe_mode == ctl.probe_mode == "model"
+        assert ctl.state.config.probe_mode == "model"
         ctl.close()
         assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
+from npz_damage import damaged_copy
 
+from repro.resilience import retry as retry_module
+from repro.resilience.faults import FaultPlan
+from repro.resilience.retry import RetryExhaustedError, RetryPolicy
 from repro.sim.io import save_snapshot
 from repro.sim.nyx import FIELD_NAMES, NyxSimulator, NyxSnapshot
 from repro.stream.source import (
@@ -14,6 +20,7 @@ from repro.stream.source import (
     SnapshotStream,
     as_stream,
 )
+from repro.util.errors import IncompleteArchiveError, PayloadError
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +92,115 @@ class TestDirectoryStream:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no snapshots"):
             DirectoryStream(tmp_path)
+
+
+class TestDumpBeingCopied:
+    """A directory dump read while it is still being copied is an archive
+    cut short: retried under a policy, loaded whole once the copy is done.
+    Damage inside a member, or an archive that is not a snapshot, is not
+    what a copy in flight looks like and fails on the first attempt."""
+
+    @pytest.fixture()
+    def seq_dir(self, tmp_path, small_sim):
+        for i, z in enumerate([2.0, 1.0]):
+            save_snapshot(small_sim.snapshot(z=z), tmp_path / f"snapshot_{i:04d}.npz")
+        return tmp_path
+
+    @pytest.fixture()
+    def waits(self, monkeypatch):
+        """The retry loop's backoff waits, recorded instead of slept."""
+        waits: list[float] = []
+        monkeypatch.setattr(retry_module.time, "sleep", waits.append)
+        return waits
+
+    def test_a_dump_cut_on_the_first_attempt_loads_whole_on_the_second(
+        self, seq_dir, monkeypatch
+    ):
+        dump = sorted(seq_dir.glob("*.npz"))[1]
+        whole = dump.read_bytes()
+        clean = list(DirectoryStream(seq_dir))
+        damaged_copy(dump, dump, "truncated")
+        restores: list[float] = []
+
+        def copy_finishes(delay: float) -> None:
+            restores.append(delay)
+            dump.write_bytes(whole)
+
+        monkeypatch.setattr(retry_module.time, "sleep", copy_finishes)
+        loaded = list(DirectoryStream(seq_dir, retry=RetryPolicy(max_attempts=3)))
+        assert len(restores) == 1
+        assert [s.redshift for s in loaded] == [s.redshift for s in clean]
+        for got, want in zip(loaded, clean):
+            for name in want.fields:
+                assert np.array_equal(got[name], want[name])
+
+    @pytest.mark.parametrize("kind", ["truncated", "empty", "not-a-zip"])
+    def test_archive_damage_is_retried(self, seq_dir, waits, kind):
+        dump = sorted(seq_dir.glob("*.npz"))[0]
+        damaged_copy(dump, dump, kind)
+        stream = DirectoryStream(seq_dir, retry=RetryPolicy(max_attempts=3))
+        with pytest.raises(RetryExhaustedError) as err:
+            next(iter(stream))
+        assert err.value.attempts == 3 and len(waits) == 2
+        assert isinstance(err.value.last, IncompleteArchiveError)
+        assert dump.name in str(err.value)
+
+    def test_member_damage_is_not_retried(self, seq_dir, small_sim, waits):
+        dump = sorted(seq_dir.glob("*.npz"))[0]
+        # Stored members, so one flipped data byte fails the member's CRC
+        # while the archive around it stays whole.
+        np.savez(dump, **small_sim.snapshot(z=2.0).fields, __redshift=2.0, __box_size=8.0)
+        with zipfile.ZipFile(dump) as zf:
+            info = zf.getinfo("temperature.npy")
+        raw = bytearray(dump.read_bytes())
+        raw[info.header_offset + 200] ^= 0xFF
+        dump.write_bytes(bytes(raw))
+        stream = DirectoryStream(seq_dir, retry=RetryPolicy(max_attempts=3))
+        with pytest.raises(PayloadError, match="temperature") as err:
+            next(iter(stream))
+        assert not isinstance(err.value, IncompleteArchiveError)
+        assert waits == []
+
+    @pytest.mark.parametrize("kind", ["an-npy-array", "not-a-snapshot"])
+    def test_an_archive_that_is_not_a_snapshot_is_not_retried(self, seq_dir, waits, kind):
+        dump = sorted(seq_dir.glob("*.npz"))[0]
+        if kind == "not-a-snapshot":
+            np.savez(dump, temperature=np.zeros((8, 8, 8)))
+        else:
+            damaged_copy(dump, dump, kind)
+        stream = DirectoryStream(seq_dir, retry=RetryPolicy(max_attempts=3))
+        with pytest.raises(ValueError) as err:
+            next(iter(stream))
+        assert not isinstance(err.value, IncompleteArchiveError)
+        assert waits == []
+
+
+class TestEveryLoadIsAFaultPoint:
+    """``source.load`` fires once per dump loaded, whatever the source,
+    and a resumed stream's skipped dumps are never loaded."""
+
+    @pytest.mark.parametrize("source", ["simulator", "sequence", "directory"])
+    def test_one_invocation_per_load(self, tmp_path, small_sim, source):
+        redshifts = [2.0, 1.0, 0.5]
+        if source == "simulator":
+            stream = SimulatorStream(small_sim, redshifts)
+        elif source == "sequence":
+            stream = SnapshotSequence([small_sim.snapshot(z=z) for z in redshifts])
+        else:
+            for i, z in enumerate(redshifts):
+                save_snapshot(small_sim.snapshot(z=z), tmp_path / f"snapshot_{i:04d}.npz")
+            stream = DirectoryStream(tmp_path)
+        plan = FaultPlan()
+        with plan.activate():
+            assert [s.redshift for s in stream.iter_from(1)] == redshifts[1:]
+        assert plan.invocations("source.load") == 2
+
+    def test_an_armed_load_fails_an_in_memory_source(self, small_sim):
+        stream = SnapshotSequence([small_sim.snapshot(z=1.0)])
+        plan = FaultPlan().arm("source.load", kind="crash", at=0)
+        with plan.activate(), pytest.raises(Exception, match="source.load"):
+            next(iter(stream))
+        assert plan.fired("source.load") == 1
 
 
 class TestSnapshotSequence:

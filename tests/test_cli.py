@@ -438,6 +438,26 @@ class TestStreamCommand:
         assert len(lines) == 1 and lines[0].startswith("stream: ")
         assert dump.name in lines[0]
 
+    def test_a_dump_that_stays_damaged_is_retried_then_one_line(
+        self, seq_dir, capsys, monkeypatch
+    ):
+        """Under ``--max-retries`` a cut dump is retried (it may still be
+        being copied); when every attempt finds it cut, the run ends in
+        one ``stream: ...`` line naming the file and the attempts."""
+        from repro.resilience import retry as retry_module
+
+        waits: list[float] = []
+        monkeypatch.setattr(retry_module.time, "sleep", waits.append)
+        dump = sorted(seq_dir.glob("*.npz"))[1]
+        damaged_copy(dump, dump, "truncated")
+        capsys.readouterr()
+        argv = ["stream", "--dir", str(seq_dir), "--blocks", "2", "--max-retries", "3"]
+        assert main(argv) == 2
+        assert len(waits) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("stream: ")
+        assert dump.name in lines[0] and "3 attempt(s)" in lines[0]
+
     def test_stream_needs_a_source(self, capsys):
         rc = main(["stream"])
         assert rc == 2
