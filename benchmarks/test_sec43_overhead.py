@@ -4,8 +4,8 @@ Paper: per-partition mean extraction costs ~1-1.5% of compression time
 on CPUs; effective-cell counting adds up to 5% (density field only); the
 optimization itself is negligible.  We measure the same ratios on the
 rank loop's own phases: the ``features``, ``optimize`` and ``compress``
-timings :meth:`~repro.core.pipeline.AdaptiveCompressionPipeline.run`
-records on the path every workload runs.  The density field runs with the halo
+spans :meth:`~repro.core.pipeline.AdaptiveCompressionPipeline.run`
+opens on the path every workload runs, read from an armed tracer.  The density field runs with the halo
 constraint the stream controller builds (its ``features`` phase counts
 boundary cells too) and once without it; the difference of the two
 ``features`` phases is the boundary-cell count.
@@ -18,9 +18,11 @@ from collections.abc import Callable
 
 from repro.core.config import FieldSpec
 from repro.core.pipeline import AdaptiveCompressionPipeline, SnapshotResult
+from repro import telemetry
 from repro.core.selection import derive_halo_params
 from repro.foresight.evaluator import FieldReference
 from repro.stream.state import decision_inputs
+from repro.telemetry.report import BASE_PHASE, OVERHEAD_PHASES, overhead_summary
 from repro.util.tables import format_table
 
 EB_AVG = 0.3
@@ -30,14 +32,18 @@ REPEATS = 15
 
 
 def _min_phases(*runs: Callable[[], SnapshotResult]) -> list[dict[str, float]]:
-    """Per run, each phase's minimum over ``REPEATS`` calls.  The runs
-    take turns, so a slow spell of the machine falls on all of them
-    rather than skewing one run's phases against another's."""
+    """Per run, each phase's minimum over ``REPEATS`` calls, each phase
+    the total of its spans in the call's own armed trace.  The runs take
+    turns, so a slow spell of the machine falls on all of them rather
+    than skewing one run's phases against another's."""
     best: list[dict[str, float]] = [{} for _ in runs]
     for _ in range(REPEATS):
         for run, mins in zip(runs, best):
-            for name, seconds in run().timings.totals.items():
-                mins[name] = min(mins.get(name, math.inf), seconds)
+            with telemetry.armed() as tracer:
+                run()
+            totals = overhead_summary(tracer.export_spans())
+            for name in (*OVERHEAD_PHASES, BASE_PHASE):
+                mins[name] = min(mins.get(name, math.inf), totals[name])
     return best
 
 

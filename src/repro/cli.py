@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
 
+from repro import telemetry
 from repro.compression.api import (
     REGISTRY,
     CompressorSpec,
@@ -50,6 +51,7 @@ from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience.retry import RetryExhaustedError
 from repro.sim.io import load_snapshot, save_snapshot
 from repro.sim.nyx import NyxSimulator
+from repro.telemetry.report import BASE_PHASE, OVERHEAD_PHASES, overhead_summary
 from repro.util.errors import PayloadError
 from repro.util.tables import format_table
 
@@ -99,9 +101,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     if eb_avg is None:
         eb_avg = float(np.ptp(data.astype(np.float64))) * 3e-3
     spec = CompressorSpec.parse(args.compressor or "sz")
-    if spec.family in REGISTRY and not (
-        REGISTRY.block_type(spec.family) is None
-        or issubclass(REGISTRY.block_type(spec.family), CompressedBlock)
+    if spec.family in REGISTRY and not issubclass(
+        REGISTRY.block_type(spec.family), CompressedBlock
     ):
         # Fail before calibrating/compressing anything: the .npz block
         # container only stores SZ-family blocks.
@@ -126,11 +127,14 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         print(f"compress: {exc}", file=sys.stderr)
         return 2
     pipe = AdaptiveCompressionPipeline(cal.rate_model, compressor=compressor)
-    result = pipe.run(data, dec, eb_avg=eb_avg)
+    # The run's spans are its timings: those of the --telemetry trace, or
+    # of a tracer armed for the run alone.
+    tracer = telemetry.get_tracer()
+    with nullcontext(tracer) if tracer.enabled else telemetry.armed() as tracer:
+        result = pipe.run(data, dec, eb_avg=eb_avg)
     save_blocks(args.out, result.blocks, result.ebs, args.blocks)
-    phases = " ".join(
-        f"{name}={seconds:.3f}s" for name, seconds in result.timings.as_dict().items()
-    )
+    totals = overhead_summary(tracer.export_spans())
+    phases = " ".join(f"{p}={totals[p]:.3f}s" for p in (*OVERHEAD_PHASES, BASE_PHASE))
     print(
         f"wrote {args.out}: {dec.n_partitions} partitions, "
         f"ratio {result.overall_ratio:.2f}x, bit rate {result.overall_bit_rate:.3f}, "
@@ -389,7 +393,6 @@ def _telemetry_sink(path: str | None):
     if path is None:
         yield
         return
-    from repro import telemetry
     from repro.telemetry.export import write_export
 
     with telemetry.armed() as tracer:

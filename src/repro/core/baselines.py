@@ -20,7 +20,6 @@ import numpy as np
 from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.core.pipeline import SnapshotResult
 from repro.parallel.decomposition import BlockDecomposition
-from repro.util.timer import TimingBreakdown
 
 __all__ = ["StaticBaseline", "TrialAndErrorSearch", "TrialRecord"]
 
@@ -48,16 +47,13 @@ class StaticBaseline:
         uniform ``ebs`` vector, no features and no optimization."""
         if eb <= 0:
             raise ValueError(f"error bound must be positive, got {eb}")
-        timings = TimingBreakdown()
         views = decomposition.partition_views(data)
-        with timings.phase("compress"):
-            blocks = self.compressor.compress_many(views, [eb] * len(views))
+        blocks = self.compressor.compress_many(views, [eb] * len(views))
         return SnapshotResult(
             ebs=np.full(len(blocks), float(eb)),
             blocks=blocks,
             features=[],
             optimization=None,
-            timings=timings,
         )
 
 

@@ -15,16 +15,18 @@ scheduled, so every rank of a snapshot runs in one process:
 stream controller's field step calls it too.  It makes exactly one
 :func:`~repro.core.optimizer.optimize` call per snapshot (the function
 ledger replay calls too), compresses the whole snapshot as one batch
-through the compressor's ``compress_many``, records per-phase timings
-(so the §4.3 overhead claims can be measured rather than assumed) and
-returns a :class:`SnapshotResult`, the value every caller up to the
-stream report sees.  Many fields over many snapshots are
+through the compressor's ``compress_many``, opens a telemetry span per
+phase (``features``, ``optimize``, ``compress`` under one
+``backend.snapshot``; the one record of time, from which
+:func:`~repro.telemetry.report.overhead_summary` reads the §4.3 overhead
+ratio of an armed run) and returns a :class:`SnapshotResult`, the value
+every caller up to the stream report sees.  Many fields over many snapshots are
 :class:`~repro.stream.controller.InSituController`'s job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from repro.core.optimizer import OptimizationResult
 from repro.models.rate_model import RateModel
 from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience.faults import fault_point
-from repro.util.timer import TimingBreakdown
 
 __all__ = ["AdaptiveCompressionPipeline", "SnapshotResult"]
 
@@ -64,7 +65,6 @@ class SnapshotResult:
     blocks: list[CompressedBlock]
     features: list[PartitionFeatures]
     optimization: OptimizationResult | None
-    timings: TimingBreakdown = field(repr=False, default_factory=TimingBreakdown)
 
     @property
     def stats(self) -> CompressionStats:
@@ -193,10 +193,9 @@ class AdaptiveCompressionPipeline:
             raise ValueError(f"eb_avg must be positive, got {eb_avg}")
         t_boundary = halo.t_boundary if halo else None
         reference_eb = halo.reference_eb if halo else 1.0
-        timings = TimingBreakdown()
         tracer = telemetry.get_tracer()
         with tracer.span("backend.snapshot", ranks=decomposition.n_partitions):
-            with tracer.span("features"), timings.phase("features"):
+            with tracer.span("features"):
                 fault_point("backend.features")
                 features = [
                     extract_features(
@@ -205,17 +204,16 @@ class AdaptiveCompressionPipeline:
                     )
                     for rank, view in enumerate(views)
                 ]
-            with tracer.span("optimize"), timings.phase("optimize"):
+            with tracer.span("optimize"):
                 opt = optimizer.optimize(
                     features, self.rate_model, eb_avg, self.settings, halo
                 )
             out_views = None if out is None else decomposition.partition_views(out)
-            with tracer.span("compress"), timings.phase("compress"):
+            with tracer.span("compress"):
                 fault_point("backend.compress")
                 blocks = self.compressor.compress_many(views, opt.ebs, out=out_views)
         return SnapshotResult(
-            features=features, ebs=opt.ebs, blocks=blocks, optimization=opt,
-            timings=timings,
+            features=features, ebs=opt.ebs, blocks=blocks, optimization=opt
         )
 
     #: The older name of :meth:`run`, kept for callers that still use it

@@ -269,8 +269,9 @@ class WallClockRule(Rule):
     """RL005 — wall-clock reads live in :mod:`repro.util.timer`.
 
     Scattered ``time.*``/``datetime.now`` reads sneak nondeterministic
-    values into results and make overhead accounting inconsistent; the
-    ``Timer``/``TimingBreakdown`` wrappers are the sanctioned clock.
+    values into results and make overhead accounting inconsistent;
+    :func:`repro.util.timer.monotonic` is the one sanctioned clock, and
+    time is recorded as telemetry spans, which read it.
 
     Bad::
 
@@ -278,17 +279,20 @@ class WallClockRule(Rule):
 
     Good::
 
-        with Timer() as t: ...
-        elapsed = t.elapsed
+        with telemetry.get_tracer().span("work"): ...
+        stamp = monotonic()  # from repro.util.timer
     """
 
     code = "RL005"
     name = "wall-clock"
-    summary = "wall-clock read outside repro.util.timer; use Timer/TimingBreakdown"
+    summary = (
+        "wall-clock read outside repro.util.timer; time with telemetry spans "
+        "or read util.timer.monotonic()"
+    )
     rationale = (
         "timestamps in outputs are nondeterministic by construction; "
         "confining clock reads to util.timer keeps them out of data paths "
-        "and the overhead accounting uniform."
+        "and the overhead accounting, which spans do, uniform."
     )
     exempt = ("repro/util/timer.py",)
 

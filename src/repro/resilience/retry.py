@@ -37,6 +37,9 @@ __all__ = ["TransientError", "RetryExhaustedError", "RetryPolicy"]
 
 T = TypeVar("T")
 
+#: ``on_retry(site, attempt, exc, delay)`` of :meth:`RetryPolicy.execute`.
+RetryHook = Callable[[str, int, BaseException, float], Any]
+
 
 class TransientError(Exception):
     """Marker base for failures that are expected to succeed on retry.
@@ -178,7 +181,7 @@ class RetryPolicy:
         *,
         site: str,
         sleep: Callable[[float], Any] | None = None,
-        on_retry: Callable[[str, int, BaseException, float], Any] | None = None,
+        on_retry: RetryHook | None = None,
     ) -> T:
         """Run ``fn`` under this policy's budget for call site ``site``.
 

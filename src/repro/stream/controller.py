@@ -91,7 +91,7 @@ from repro.models.calibration import (
 )
 from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience.faults import field_scope
-from repro.resilience.retry import RetryExhaustedError, RetryPolicy
+from repro.resilience.retry import RetryExhaustedError, RetryHook, RetryPolicy
 from repro.sim.nyx import NyxSnapshot
 from repro.stream.drift import DriftConfig, DriftDetector, DriftSignal
 from repro.stream.ledger import (
@@ -127,9 +127,6 @@ __all__ = [
 
 #: A field step's ledger record ``(kind, data)``, for ``_append(kind, **data)``.
 Record = tuple[str, dict[str, Any]]
-
-#: A step's retry hook: ``on_retry`` of :meth:`RetryPolicy.execute`.
-RetryHook = Callable[..., Any]
 
 
 @dataclass
@@ -370,8 +367,8 @@ class InSituController:
     # -- resilience plumbing ---------------------------------------------
 
     def _note_retry(self, *_: object) -> None:
-        """Retry-accounting hook (``on_retry``) for ledger appends, which
-        the snapshot loop makes itself."""
+        """Retry-accounting hook (``on_retry``) for ledger appends and
+        snapshot loads, which the snapshot loop makes itself."""
         self.report.n_retries += 1
 
     def _retrying(self, fn: Callable[[], Any], site: str, on_retry: RetryHook) -> Any:
@@ -648,7 +645,7 @@ class InSituController:
         if config.byte_budget is not None and self.state.governor is None:
             kind, record = _governor_record(config.byte_budget, len(stream))
             self._append(kind, **record)
-        for snapshot in stream.iter_from(self.report.n_snapshots):
+        for snapshot in stream.iter_from(self.report.n_snapshots, self._note_retry):
             self.process_snapshot(snapshot)
         self.finish()
         return self.report
@@ -797,7 +794,6 @@ class InSituController:
                 outcome = self.report.outcomes[-1]
                 outcome.result = result if self.retain_results else None
                 outcome.drift_signal = signal
-                self.report.timings.merge(result.timings)
                 outcomes.append(outcome)
             if self.state.governor is not None:
                 # Worked out ahead of the fold so the event can record it.

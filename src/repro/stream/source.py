@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.resilience.faults import fault_point
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryHook, RetryPolicy
 from repro.sim.io import load_snapshot, peek_snapshot_shape
 from repro.sim.nyx import NyxSimulator, NyxSnapshot
 
@@ -109,23 +109,27 @@ class SnapshotStream:
     def __len__(self) -> int:
         return len(self.items)
 
-    def _load(self, item: Any) -> NyxSnapshot:
+    def _load(self, item: Any, on_retry: RetryHook | None) -> NyxSnapshot:
         def attempt() -> NyxSnapshot:
             fault_point("source.load")
             return self.load(item)
 
         if self.retry is None:
             return attempt()
-        return self.retry.execute(attempt, site="source.load")
+        return self.retry.execute(attempt, site="source.load", on_retry=on_retry)
 
     def __iter__(self) -> Iterator[NyxSnapshot]:
         yield from self.iter_from(0)
 
-    def iter_from(self, start: int) -> Iterator[NyxSnapshot]:
+    def iter_from(
+        self, start: int, on_retry: RetryHook | None = None
+    ) -> Iterator[NyxSnapshot]:
         """Iterate from dump index ``start`` without loading the skipped
-        items — how a resumed run fast-forwards a long stream."""
+        items — how a resumed run fast-forwards a long stream.
+        ``on_retry`` is the retry policy's hook, called before each
+        backoff wait of a load (the controller counts them)."""
         for item in self.items[start:]:
-            yield _restrict(self._load(item), self.fields)
+            yield _restrict(self._load(item, on_retry), self.fields)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={len(self)})"

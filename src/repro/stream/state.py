@@ -30,7 +30,6 @@ from repro.models.rate_model import RateModel
 from repro.stream.drift import DriftConfig, DriftDetector, DriftSignal
 from repro.stream.ledger import LedgerError, LedgerEvent
 from repro.util.tables import format_table
-from repro.util.timer import TimingBreakdown
 
 __all__ = [
     "BudgetGovernor",
@@ -171,16 +170,13 @@ class StreamReport:
     recalibrations: list[tuple[int, str, str]] = dataclass_field(default_factory=list)
     byte_budget: int | None = None
     #: Resilience accounting: transient failures retried (across the
-    #: per-field site and the ledger append path),
+    #: per-field site, the ledger append path and snapshot loads),
     #: torn ledger tails truncated on (re)open, and fields that fell
     #: back to the conservative compressor after exhausting retries.
     n_retries: int = 0
     n_recoveries: int = 0
     n_degradations: int = 0
     degraded_fields: list[str] = dataclass_field(default_factory=list)
-    #: Per-phase wall time merged across every field result the run
-    #: produced (features/optimize/compress/...).
-    timings: TimingBreakdown = dataclass_field(default_factory=TimingBreakdown)
 
     @property
     def raw_bytes(self) -> int:
@@ -254,9 +250,6 @@ class StreamReport:
                 "n_recoveries": self.n_recoveries,
                 "n_degradations": self.n_degradations,
                 "degraded_fields": list(self.degraded_fields),
-                # Additive since PR 9: per-phase seconds *and* counts
-                # (as_dict() would drop the counts).
-                "timings": self.timings.phase_stats(),
                 "raw_bytes": self.raw_bytes,
                 "compressed_bytes": self.compressed_bytes,
                 "overall_ratio": self.overall_ratio if self.outcomes else None,
@@ -371,8 +364,8 @@ class RunState:
     """The projection of a ledger: what :func:`apply` has folded so far.
 
     Only :func:`apply` changes it — except ``report``'s process-local
-    counters the ledger does not record (``n_snapshots``, ``n_retries``,
-    ``timings``), which belong to whoever drives the run.
+    counters the ledger does not record (``n_snapshots``, ``n_retries``),
+    which belong to whoever drives the run.
     """
 
     def __init__(self) -> None:

@@ -23,8 +23,8 @@ returned by :func:`repro.telemetry.export.load_spans`.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Any, Iterable
+from collections.abc import Callable, Iterable
+from typing import Any
 
 from repro.util.tables import format_table
 
@@ -48,52 +48,62 @@ OVERHEAD_PHASES = ("features", "optimize")
 BASE_PHASE = "compress"
 
 
-def _duration(rec: dict[str, Any]) -> float:
-    return rec["end"] - rec["start"]
+def _totals(
+    spans: Iterable[dict[str, Any]], key: Callable[[dict[str, Any]], str | None]
+) -> dict[str, dict[str, float | int]]:
+    """``{key(rec): {"seconds", "count"}}``: span durations totalled per
+    name ``key`` gives, in span order; spans it maps to ``None`` are
+    skipped.  Every summary below is one call."""
+    out: dict[str, dict[str, float | int]] = {}
+    for rec in spans:
+        name = key(rec)
+        if name is None:
+            continue
+        stats = out.setdefault(name, {"seconds": 0.0, "count": 0})
+        stats["seconds"] += rec["end"] - rec["start"]
+        stats["count"] += 1
+    return out
 
 
 def stage_summary(spans: Iterable[dict[str, Any]]) -> dict[str, dict[str, float | int]]:
     """``{stage: {"seconds", "count"}}`` for the ``sz.*`` stage spans."""
-    out: dict[str, dict[str, float | int]] = {}
-    for rec in spans:
-        name = rec["name"]
-        if not name.startswith(STAGE_PREFIX):
-            continue
-        stage = name[len(STAGE_PREFIX):]
-        stats = out.setdefault(stage, {"seconds": 0.0, "count": 0})
-        stats["seconds"] += _duration(rec)
-        stats["count"] += 1
-    return out
+    return _totals(
+        spans,
+        lambda rec: rec["name"][len(STAGE_PREFIX):]
+        if rec["name"].startswith(STAGE_PREFIX)
+        else None,
+    )
 
 
 def field_summary(spans: Iterable[dict[str, Any]]) -> dict[str, dict[str, float | int]]:
     """``{field: {"seconds", "count"}}`` from spans carrying a ``field``
     attribute (the controller's per-field spans)."""
-    out: dict[str, dict[str, float | int]] = {}
-    for rec in spans:
-        field = rec.get("attrs", {}).get("field")
-        if field is None or rec["name"] != "stream.field":
-            continue
-        stats = out.setdefault(str(field), {"seconds": 0.0, "count": 0})
-        stats["seconds"] += _duration(rec)
-        stats["count"] += 1
-    return out
+
+    def field(rec: dict[str, Any]) -> str | None:
+        name = rec.get("attrs", {}).get("field")
+        return None if name is None or rec["name"] != "stream.field" else str(name)
+
+    return _totals(spans, field)
 
 
 def overhead_summary(spans: Iterable[dict[str, Any]]) -> dict[str, float]:
     """§4.3 accounting: phase totals plus ``overhead_ratio``.
 
     ``overhead_ratio`` is ``(features + optimize) / compress``; 0.0 when
-    no compress spans were recorded (empty/foreign trace).
+    no compress spans were recorded (empty/foreign trace).  This is the
+    one place the ratio is computed.
     """
-    totals: dict[str, float] = defaultdict(float)
-    for rec in spans:
-        if rec["name"] in OVERHEAD_PHASES or rec["name"] == BASE_PHASE:
-            totals[rec["name"]] += _duration(rec)
+    phases = (*OVERHEAD_PHASES, BASE_PHASE)
+    totals = {
+        name: stats["seconds"]
+        for name, stats in _totals(
+            spans, lambda rec: rec["name"] if rec["name"] in phases else None
+        ).items()
+    }
     base = totals.get(BASE_PHASE, 0.0)
     overhead = math.fsum(totals.get(p, 0.0) for p in OVERHEAD_PHASES)
     return {
-        **{p: totals.get(p, 0.0) for p in (*OVERHEAD_PHASES, BASE_PHASE)},
+        **{p: totals.get(p, 0.0) for p in phases},
         "overhead_ratio": overhead / base if base > 0 else 0.0,
     }
 
@@ -106,16 +116,13 @@ def probe_summary(spans: Iterable[dict[str, Any]]) -> dict[str, float | int]:
     trial compressions the model replaced.  Empty dict when the trace
     has no probes.
     """
-    out: dict[str, float | int] = {}
-    for rec in spans:
-        if rec["name"] != PROBE_SPAN:
-            continue
-        if not out:
-            out = {"seconds": 0.0, "count": 0, "blocks": 0}
-        out["seconds"] += _duration(rec)
-        out["count"] += 1
-        out["blocks"] += int(rec.get("attrs", {}).get("blocks", 0))
-    return out
+    probes = [rec for rec in spans if rec["name"] == PROBE_SPAN]
+    if not probes:
+        return {}
+    return {
+        **_totals(probes, lambda rec: PROBE_SPAN)[PROBE_SPAN],
+        "blocks": sum(int(rec.get("attrs", {}).get("blocks", 0)) for rec in probes),
+    }
 
 
 def render_trace_report(spans: Iterable[dict[str, Any]]) -> str:

@@ -10,8 +10,10 @@ context, so spans opened there nest under the caller's.
 
 Clock discipline: every timestamp comes from
 :func:`repro.util.timer.monotonic`, the repo's single RL005-sanctioned
-wall-clock entry point.  Spans therefore share an epoch with ``Timer``
-and ``TimingBreakdown``.
+wall-clock entry point.  Spans are the repository's only record of
+time: the rank loop's ``features``/``optimize``/``compress`` spans are
+what :func:`repro.telemetry.report.overhead_summary` reads the §4.3
+overhead ratio from, and what ``repro.cli compress`` prints.
 
 The disarmed path is a shared singleton ``_NullSpan`` whose
 ``__enter__``/``__exit__``/``set_attr`` do nothing — no allocation, no

@@ -59,7 +59,7 @@ CASES = [
     (
         "RL005",
         "import time\nstamp = time.perf_counter()\n",
-        "from repro.util.timer import Timer\nwith Timer() as t:\n    pass\n",
+        "from repro.util.timer import monotonic\nstamp = monotonic()\n",
     ),
     (
         "RL006",

@@ -293,11 +293,6 @@ class TestBatchUse:
             err = np.max(np.abs(recon - snaps[o.redshift][o.field].astype(np.float64)))
             assert err <= o.result.ebs.max() * (1 + 1e-9) + 1e-12
 
-    def test_report_merges_timings(self, batch):
-        merged = batch[0].report.timings
-        assert set(merged.totals) >= {"features", "optimize", "compress"}
-        assert merged.overhead_ratio("features", "compress") >= 0
-
     def test_controller_and_pipeline_agree_byte_for_byte(self, stream_sim, stream_dec):
         """The controller runs the pipeline's rank loop: its decision's
         inputs through the pipeline give the same bounds and bytes."""

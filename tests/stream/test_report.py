@@ -2,8 +2,8 @@
 
 The JSON report is what ``repro.cli stream --report`` writes and CI
 artifact uploads ingest, so its schema is pinned here: the resilience
-counters PR 7 added (retries/recoveries/degradations) and the
-counts-preserving ``timings`` block PR 9 added must all round-trip.
+counters (retries/recoveries/degradations) must round-trip.
+Time is not in the report: the run's telemetry spans are its record.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.stream.controller import StreamOutcome, StreamReport
-from repro.util.timer import TimingBreakdown
 
 
 def _outcome(field: str = "temperature", snapshot: int = 0, **kw) -> StreamOutcome:
@@ -36,7 +35,7 @@ def _outcome(field: str = "temperature", snapshot: int = 0, **kw) -> StreamOutco
 
 
 def _report() -> StreamReport:
-    report = StreamReport(
+    return StreamReport(
         outcomes=[
             _outcome("temperature", 0),
             _outcome("baryon_density", 0, compressed_bytes=4096),
@@ -51,11 +50,6 @@ def _report() -> StreamReport:
         n_degradations=1,
         degraded_fields=["baryon_density"],
     )
-    report.timings.add("compress", 0.50)
-    report.timings.add("compress", 0.25)
-    report.timings.add("features", 0.10)
-    report.timings.add("optimize", 0.05)
-    return report
 
 
 class TestToJson:
@@ -65,12 +59,6 @@ class TestToJson:
         assert doc["n_recoveries"] == 1
         assert doc["n_degradations"] == 1
         assert doc["degraded_fields"] == ["baryon_density"]
-
-    def test_timings_preserve_counts(self):
-        doc = json.loads(_report().to_json())
-        assert doc["timings"]["compress"] == {"seconds": 0.75, "count": 2}
-        assert doc["timings"]["features"]["count"] == 1
-        assert doc["timings"]["optimize"]["seconds"] == 0.05
 
     def test_totals_and_budget(self):
         doc = json.loads(_report().to_json())
@@ -93,7 +81,7 @@ class TestToJson:
         doc = json.loads(StreamReport().to_json())
         assert doc["overall_ratio"] is None
         assert doc["outcomes"] == []
-        assert doc["timings"] == {}
+        assert "timings" not in doc
         assert doc["n_retries"] == 0
 
     def test_canonical_json(self):
@@ -118,17 +106,3 @@ class TestToTable:
         for col in ("snap", "z", "field", "eb_avg", "scale", "ratio", "bytes", "drift"):
             assert col in header
 
-
-def test_merged_timings_from_field_results():
-    # The controller folds each field result's breakdown into the
-    # report; merging is associative so per-phase counts accumulate.
-    report = StreamReport()
-    for _ in range(3):
-        t = TimingBreakdown()
-        t.add("compress", 0.1)
-        t.add("features", 0.02)
-        report.timings.merge(t)
-    stats = report.timings.phase_stats()
-    assert stats["compress"]["count"] == 3
-    assert stats["compress"]["seconds"] == pytest.approx(0.3)
-    assert stats["features"]["count"] == 3

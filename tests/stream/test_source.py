@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from npz_damage import damaged_copy
 
+from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience import retry as retry_module
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryExhaustedError, RetryPolicy
 from repro.sim.io import save_snapshot
 from repro.sim.nyx import FIELD_NAMES, NyxSimulator, NyxSnapshot
+from repro.stream.controller import InSituController
 from repro.stream.source import (
     DirectoryStream,
     SimulatorStream,
@@ -133,6 +135,29 @@ class TestDumpBeingCopied:
         for got, want in zip(loaded, clean):
             for name in want.fields:
                 assert np.array_equal(got[name], want[name])
+
+    def test_a_controller_counts_the_source_retry(self, tmp_path, monkeypatch):
+        """A load retried under the source's policy is a retry of the run:
+        ``InSituController.run`` hands the stream its retry hook."""
+        sim = NyxSimulator(shape=(16, 16, 16), box_size=16.0, seed=11)
+        for i, z in enumerate([2.0, 1.0]):
+            save_snapshot(sim.snapshot(z=z), tmp_path / f"snapshot_{i:04d}.npz")
+        dump = tmp_path / "snapshot_0001.npz"
+        whole = dump.read_bytes()
+        damaged_copy(dump, dump, "truncated")
+        restores: list[float] = []
+
+        def copy_finishes(delay: float) -> None:
+            restores.append(delay)
+            dump.write_bytes(whole)
+
+        monkeypatch.setattr(retry_module.time, "sleep", copy_finishes)
+        policy = RetryPolicy(max_attempts=3)
+        ctl = InSituController(BlockDecomposition((16, 16, 16), blocks=2), retry=policy)
+        report = ctl.run(DirectoryStream(tmp_path, retry=policy))
+        assert len(restores) == 1
+        assert report.n_snapshots == 2
+        assert report.n_retries == 1
 
     @pytest.mark.parametrize("kind", ["truncated", "empty", "not-a-zip"])
     def test_archive_damage_is_retried(self, seq_dir, waits, kind):

@@ -56,7 +56,7 @@ SCENARIOS = {
 def _ledger_accounting(report) -> dict:
     """The report minus what only the driving process knows."""
     payload = json.loads(report.to_json())
-    for local in ("n_snapshots", "n_retries", "timings"):
+    for local in ("n_snapshots", "n_retries"):
         del payload[local]
     return payload
 

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from npz_damage import DAMAGES, damaged_copy
 
+from repro import telemetry
 from repro.cli import load_blocks, main, save_blocks
+from repro.telemetry.export import load_spans
+from repro.telemetry.report import overhead_summary
 
 
 class TestCommands:
@@ -268,22 +271,60 @@ class TestCommands:
         assert rc == 0
         assert out.exists()
 
-    def test_compress_reports_timings(self, snap_path, tmp_path, capsys):
-        out = tmp_path / "blocks.npz"
+    @staticmethod
+    def _printed_timings(printed: str) -> dict[str, str]:
+        (line,) = [ln for ln in printed.splitlines() if ln.startswith("timings: ")]
+        return dict(
+            item.removesuffix("s").split("=")
+            for item in line.removeprefix("timings: ").split()
+        )
+
+    def test_compress_timings_are_the_trace_totals(self, snap_path, tmp_path, capsys):
+        """The printed phases are the rank loop's spans in the
+        ``--telemetry`` trace, which keeps them."""
+        trace = tmp_path / "t.jsonl"
         rc = main(
             [
                 "compress",
                 "--snapshot", str(snap_path),
                 "--field", "temperature",
                 "--blocks", "2",
-                "--out", str(out),
+                "--out", str(tmp_path / "blocks.npz"),
+                "--telemetry", str(trace),
             ]
         )
         assert rc == 0
-        assert out.exists()
-        printed = capsys.readouterr().out
-        assert "timings: features=" in printed
-        assert "compress=" in printed  # per-phase timings are reported
+        printed = self._printed_timings(capsys.readouterr().out)
+        spans = load_spans(trace)
+        assert {"backend.snapshot", "features", "optimize", "compress"} <= {
+            s["name"] for s in spans
+        }
+        totals = overhead_summary(spans)
+        assert printed == {
+            p: f"{totals[p]:.3f}" for p in ("features", "optimize", "compress")
+        }
+
+    def test_compress_arms_a_tracer_only_for_its_run(self, snap_path, tmp_path, capsys):
+        """Without ``--telemetry`` the command arms a tracer for the run
+        and disarms it after; under an armed caller it uses the caller's."""
+        args = [
+            "compress",
+            "--snapshot", str(snap_path),
+            "--field", "temperature",
+            "--blocks", "2",
+            "--out", str(tmp_path / "blocks.npz"),
+        ]
+        assert main(args) == 0
+        assert not telemetry.enabled()
+        assert list(self._printed_timings(capsys.readouterr().out)) == [
+            "features", "optimize", "compress"
+        ]
+        with telemetry.armed() as outer:
+            assert main(args) == 0
+            assert telemetry.get_tracer() is outer
+        printed = self._printed_timings(capsys.readouterr().out)
+        totals = overhead_summary(outer.export_spans())
+        assert printed == {p: f"{totals[p]:.3f}" for p in printed}
 
     def test_compress_outputs_identical(self, snap_path, tmp_path):
         """Two runs write the same container, byte for byte (the container

@@ -1,4 +1,4 @@
-"""Utility helpers: RNG, timers, tables, validation, thread fan-out."""
+"""Utility helpers: RNG, tables, validation, thread fan-out."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.util import fanout
 from repro.util.fanout import thread_map, usable_cpus
 from repro.util.rng import default_rng
 from repro.util.tables import format_table
-from repro.util.timer import Timer, TimingBreakdown
 from repro.util.validation import (
     check_3d,
     check_finite,
@@ -28,97 +27,6 @@ class TestRng:
     def test_generator_passthrough(self):
         g = np.random.default_rng(0)
         assert default_rng(g) is g
-
-
-class TestTimers:
-    def test_timer_measures(self):
-        with Timer() as t:
-            sum(range(10000))
-        assert t.elapsed > 0
-
-    def test_timer_exit_without_enter_raises(self):
-        """Regression: this guard was a bare assert, erased by ``python -O``."""
-        with pytest.raises(RuntimeError, match="__enter__"):
-            Timer().__exit__(None, None, None)
-
-    def test_timer_double_exit_raises(self):
-        t = Timer()
-        with t:
-            pass
-        with pytest.raises(RuntimeError, match="__enter__"):
-            t.__exit__(None, None, None)
-
-    def test_timer_reenter_while_running_raises(self):
-        with Timer() as t:
-            with pytest.raises(RuntimeError, match="reentrant"):
-                t.__enter__()
-
-    def test_timer_reusable_after_exit(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            sum(range(1000))
-        assert t.elapsed >= 0.0 and first >= 0.0
-
-    def test_timers_read_the_one_clock(self, monkeypatch):
-        """``Timer`` and ``TimingBreakdown`` read ``util.timer.monotonic``:
-        with a scripted clock their durations are exactly the script's."""
-        import repro.util.timer as timer_mod
-
-        ticks = iter([10.0, 10.5, 20.0, 20.25, 30.0, 31.0])
-        monkeypatch.setattr(timer_mod, "monotonic", lambda: next(ticks))
-        with Timer() as t:
-            pass
-        tb = TimingBreakdown()
-        with tb.phase("a"):
-            pass
-        with tb.phase("a"):
-            pass
-        assert t.elapsed == 0.5
-        assert dict(tb.totals) == {"a": 1.25}
-        assert dict(tb.counts) == {"a": 2}
-
-    def test_breakdown_accumulates(self):
-        tb = TimingBreakdown()
-        with tb.phase("a"):
-            pass
-        with tb.phase("a"):
-            pass
-        assert tb.counts["a"] == 2
-        assert tb.totals["a"] >= 0
-
-    def test_breakdown_add_and_fraction(self):
-        tb = TimingBreakdown()
-        tb.add("x", 3.0)
-        tb.add("y", 1.0)
-        assert tb.fraction("x") == pytest.approx(0.75)
-        assert tb.total == pytest.approx(4.0)
-
-    def test_overhead_ratio(self):
-        tb = TimingBreakdown()
-        tb.add("features", 0.01)
-        tb.add("compress", 1.0)
-        assert tb.overhead_ratio("features", "compress") == pytest.approx(0.01)
-
-    def test_overhead_ratio_requires_base(self):
-        tb = TimingBreakdown()
-        with pytest.raises(ValueError, match="no time recorded"):
-            tb.overhead_ratio("a", "b")
-
-    def test_add_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            TimingBreakdown().add("a", -1.0)
-
-    def test_merge(self):
-        a, b = TimingBreakdown(), TimingBreakdown()
-        a.add("x", 1.0)
-        b.add("x", 2.0)
-        b.add("y", 1.0)
-        a.merge(b)
-        assert a.totals["x"] == pytest.approx(3.0)
-        assert a.totals["y"] == pytest.approx(1.0)
 
 
 class TestTables:
