@@ -35,7 +35,10 @@ N_SNAPSHOTS = 4 if SMOKE else 8
 REDSHIFTS = [4.0, 3.0, 2.2, 1.6, 1.2, 0.8, 0.5, 0.3][:N_SNAPSHOTS]
 FIELDS = ("baryon_density", "temperature")
 BLOCKS = 2
-ROUNDS = 3  # best-of: one stream run is short; timer noise is not
+#: Best-of, interleaved with the side that runs first alternating: one
+#: stream run is ~100 ms, and on a shared box a best-of-3 min still
+#: caught noise bursts past the bound.
+ROUNDS = 9
 #: Disarmed fault points + retry closures are a few native calls per
 #: field; anything beyond this bound means the hot path grew real work.
 MAX_OVERHEAD = 0.25
@@ -73,12 +76,11 @@ def test_resilience_overhead(benchmark, tmp_path):
         bare = [float("inf")] * ROUNDS
         armored = [float("inf")] * ROUNDS
         for i in range(ROUNDS):
-            bare[i] = _timed_run(
-                dec, stream, tmp_path / f"bare_{i}.jsonl", resilient=False
-            )
-            armored[i] = _timed_run(
-                dec, stream, tmp_path / f"armored_{i}.jsonl", resilient=True
-            )
+            sides = [(bare, "bare", False), (armored, "armored", True)]
+            for times, name, resilient in sides[:: 1 if i % 2 == 0 else -1]:
+                times[i] = _timed_run(
+                    dec, stream, tmp_path / f"{name}_{i}.jsonl", resilient=resilient
+                )
         return min(bare), min(armored)
 
     t_bare, t_armored = benchmark.pedantic(run, rounds=1, iterations=1)

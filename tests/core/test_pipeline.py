@@ -98,6 +98,25 @@ class TestRun:
         assert res.optimization.constraint == "combined"
         assert res.features[0].effective_cell_rate is not None
 
+    def test_timings_recorded(self, snapshot, decomposition, calibrated):
+        """The run's time is its spans: each phase once, inside the
+        snapshot span, so the §4.3 phases never outlast the run."""
+        pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
+        with telemetry.armed() as tracer:
+            pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
+        spans = tracer.export_spans()
+        (snap,) = [s for s in spans if s["name"] == "backend.snapshot"]
+        phases = [s for s in spans if s["parent_id"] == snap["span_id"]]
+        assert [s["name"] for s in phases] == ["features", "optimize", "compress"]
+        assert all(
+            snap["start"] <= s["start"] <= s["end"] <= snap["end"] for s in phases
+        )
+        totals = overhead_summary(spans)
+        assert totals["compress"] > 0
+        assert sum(totals[p] for p in ("features", "optimize", "compress")) <= (
+            snap["end"] - snap["start"]
+        )
+
     def test_eb_map_shape(self, snapshot, decomposition, calibrated):
         pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
         res = pipe.run(snapshot["baryon_density"], decomposition, eb_avg=0.2)
@@ -133,6 +152,23 @@ class TestSpmdEquivalence:
         ]
         want = optimize(features, calibrated.rate_model, 0.2, pipe.settings, halo)
         assert np.array_equal(res.ebs, want.ebs)
+
+    def test_spmd_timings_populated(self, snapshot, decomposition, calibrated):
+        """Each run records its own phases: two runs under one tracer are
+        two snapshot spans, each with the three phases beneath it."""
+        data = snapshot["baryon_density"]
+        pipe = AdaptiveCompressionPipeline(calibrated.rate_model)
+        with telemetry.armed() as tracer:
+            pipe.run(data, decomposition, eb_avg=0.2)
+            pipe.run(data, decomposition, eb_avg=0.2, halo=_halo_spec(data))
+        spans = tracer.export_spans()
+        snaps = [s for s in spans if s["name"] == "backend.snapshot"]
+        assert len(snaps) == 2
+        for snap in snaps:
+            assert [s["name"] for s in spans if s["parent_id"] == snap["span_id"]] == [
+                "features", "optimize", "compress"
+            ]
+        assert overhead_summary(spans)["overhead_ratio"] > 0
 
     def test_spmd_returns_rank0_optimization(self, snapshot, decomposition, calibrated):
         """Regression: the SPMD path used to re-solve the optimization

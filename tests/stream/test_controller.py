@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.config import FieldSpec
 from repro.core.pipeline import AdaptiveCompressionPipeline
 from repro.sim.nyx import FIELD_NAMES, NyxSnapshot
@@ -20,6 +21,7 @@ from repro.stream.drift import DriftConfig
 from repro.stream.ledger import LedgerError, RunLedger
 from repro.stream.source import SnapshotSequence
 from repro.stream.state import StreamReport
+from repro.telemetry.report import overhead_summary
 
 
 def _single_field(snapshot: NyxSnapshot, name: str, data=None) -> NyxSnapshot:
@@ -292,6 +294,25 @@ class TestBatchUse:
             recon = o.result.reconstruct(stream_dec)
             err = np.max(np.abs(recon - snaps[o.redshift][o.field].astype(np.float64)))
             assert err <= o.result.ebs.max() * (1 + 1e-9) + 1e-12
+
+    def test_every_field_is_timed_by_its_rank_loop(self, stream_sim, stream_dec):
+        """The run's time is its spans: each field's rank loop records its
+        phases under that field's ``stream.field`` span."""
+        ctl = _batch_controller(stream_dec, max_partitions=8)
+        ctl.prime(stream_sim.snapshot(z=2.0))
+        with telemetry.armed() as tracer:
+            ctl.process_snapshot(stream_sim.snapshot(z=self.REDSHIFTS[0]))
+        spans = tracer.export_spans()
+        by_id = {s["span_id"]: s for s in spans}
+
+        def owning_field(span):
+            while span["name"] != "stream.field":
+                span = by_id[span["parent_id"]]
+            return span["attrs"]["field"]
+
+        runs = [s for s in spans if s["name"] == "backend.snapshot"]
+        assert sorted(owning_field(s) for s in runs) == sorted(FIELD_NAMES)
+        assert overhead_summary(spans)["compress"] > 0
 
     def test_controller_and_pipeline_agree_byte_for_byte(self, stream_sim, stream_dec):
         """The controller runs the pipeline's rank loop: its decision's

@@ -6,6 +6,7 @@ from __future__ import annotations
 import threading
 
 from repro import telemetry
+from repro.telemetry import tracer as tracer_mod
 from repro.util.fanout import thread_map
 
 
@@ -160,3 +161,16 @@ class TestNesting:
         assert inner.parent_id == caller.span_id
         assert after.parent_id is None
 
+
+class TestClock:
+    def test_spans_read_the_one_clock(self, monkeypatch):
+        """Every span's start and end is a ``util.timer.monotonic`` read:
+        with a scripted clock the durations are exactly the script's."""
+        ticks = iter([10.0, 10.5, 11.25, 20.0])
+        monkeypatch.setattr(tracer_mod, "monotonic", lambda: next(ticks))
+        tracer = tracer_mod.Tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        spans = {s["name"]: (s["start"], s["end"]) for s in tracer.export_spans()}
+        assert spans == {"outer": (10.0, 20.0), "inner": (10.5, 11.25)}

@@ -1,4 +1,4 @@
-"""Utility helpers: RNG, tables, validation, thread fan-out."""
+"""Utility helpers: RNG, the clock, tables, validation, thread fan-out."""
 
 from __future__ import annotations
 
@@ -9,10 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.util import fanout
+from repro.util import fanout, timer
 from repro.util.fanout import thread_map, usable_cpus
 from repro.util.rng import default_rng
 from repro.util.tables import format_table
+from repro.util.timer import monotonic
 from repro.util.validation import (
     check_3d,
     check_finite,
@@ -27,6 +28,28 @@ class TestRng:
     def test_generator_passthrough(self):
         g = np.random.default_rng(0)
         assert default_rng(g) is g
+
+
+class TestClock:
+    def test_monotonic_never_goes_back(self):
+        stamps = [monotonic() for _ in range(1000)]
+        assert stamps == sorted(stamps)
+
+    def test_monotonic_advances_across_work(self):
+        start = monotonic()
+        sum(range(100_000))
+        assert monotonic() > start
+
+    def test_timer_module_defines_only_monotonic(self):
+        """Spans are the one record of time: ``util.timer`` keeps the
+        clock and no accounting of its own."""
+        defined = [
+            name
+            for name, value in vars(timer).items()
+            if callable(value) and getattr(value, "__module__", None) == timer.__name__
+        ]
+        assert defined == ["monotonic"]
+        assert timer.__all__ == ["monotonic"]
 
 
 class TestTables:
