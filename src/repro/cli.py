@@ -24,7 +24,10 @@ compressor family: ``--compressor sz:codec=huffman``.
 
 ``compress`` writes, and ``analyze`` reads, the ``.npz`` block
 container of :mod:`repro.compression.container` (its ``save_blocks`` /
-``load_blocks`` are re-exported here).
+``load_blocks`` are re-exported here).  A name given to ``generate`` or
+``compress`` reads back as it was given (``--out c`` writes ``c.npz``,
+which ``--compressed c`` opens); a missing or damaged input is one
+``<command>: ...`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -41,9 +44,8 @@ from repro.compression.api import (
     REGISTRY,
     CompressorSpec,
     UnsupportedCapabilityError,
-    decompress_many,
 )
-from repro.compression.container import load_blocks, save_blocks
+from repro.compression.container import load_blocks, load_field, save_blocks
 from repro.compression.sz import CompressedBlock
 from repro.core.pipeline import AdaptiveCompressionPipeline
 from repro.models.calibration import PROBE_MODES, calibrate_rate_model
@@ -88,8 +90,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         print(f"wrote {len(schedule)} snapshots to {out_dir}")
         return 0
     snap = sim.snapshot(z=args.redshift)
-    save_snapshot(snap, args.out)
-    print(f"wrote {args.out}: shape {snap.shape}, z={snap.redshift}")
+    path = save_snapshot(snap, args.out)
+    print(f"wrote {path}: shape {snap.shape}, z={snap.redshift}")
     return 0
 
 
@@ -132,11 +134,11 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     tracer = telemetry.get_tracer()
     with nullcontext(tracer) if tracer.enabled else telemetry.armed() as tracer:
         result = pipe.run(data, dec, eb_avg=eb_avg)
-    save_blocks(args.out, result.blocks, result.ebs, args.blocks)
+    path = save_blocks(args.out, result.blocks, result.ebs, args.blocks)
     totals = overhead_summary(tracer.export_spans())
     phases = " ".join(f"{p}={totals[p]:.3f}s" for p in (*OVERHEAD_PHASES, BASE_PHASE))
     print(
-        f"wrote {args.out}: {dec.n_partitions} partitions, "
+        f"wrote {path}: {dec.n_partitions} partitions, "
         f"ratio {result.overall_ratio:.2f}x, bit rate {result.overall_bit_rate:.3f}, "
         f"bounds {result.ebs.min():.4g}..{result.ebs.max():.4g}"
     )
@@ -150,15 +152,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     snap = load_snapshot(args.snapshot)
     data = snap[args.field].astype(np.float64)
-    recon = np.empty(data.shape)
-    try:
-        blocks, ebs, bpa = load_blocks(args.compressed)
-        dec = BlockDecomposition(data.shape, blocks=bpa)
-        # Each block decodes straight into its partition of one field.
-        decompress_many(blocks, out=dec.partition_views(recon))
-    except ValueError as exc:  # a PayloadError, or blocks that do not tile the field
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
+    # Each block decodes straight into its partition of one field buffer;
+    # a damaged container, or blocks that do not tile the snapshot, is a
+    # PayloadError that main turns into one line.
+    recon = load_field(args.compressed, out=np.empty(data.shape))
+    _, ebs, _ = load_blocks(args.compressed)  # the bounds, for the table
     ok, dev = check_spectrum_quality(data, recon, tolerance=args.tolerance)
     rows = [
         ["max abs error", float(np.max(np.abs(recon - data)))],
@@ -617,9 +615,9 @@ def main(argv: list[str] | None = None) -> int:
     with _telemetry_sink(getattr(args, "telemetry", None)):
         try:
             return args.fn(args)
-        # A damaged snapshot or container, or one that stayed damaged
-        # through every retry (e.g. a dump whose copy never finished).
-        except (PayloadError, RetryExhaustedError) as exc:
+        # A missing or damaged snapshot or container, or one that stayed
+        # damaged through every retry (e.g. a dump whose copy never finished).
+        except (FileNotFoundError, PayloadError, RetryExhaustedError) as exc:
             print(f"{args.command}: {exc}", file=sys.stderr)
             return 2
 

@@ -3,6 +3,7 @@ typed refusal of every malformed or damaged file."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -10,11 +11,23 @@ import numpy as np
 import pytest
 from npz_damage import DAMAGES, damaged_copy
 
-from repro.compression.container import load_blocks, save_blocks
+from repro.compression.container import load_blocks, load_field, save_blocks
 from repro.compression.sz import SZCompressor, decompress
 from repro.util.errors import PayloadError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _refused(path, match: str = "") -> PayloadError:
+    """``load_blocks`` and ``load_field`` refuse ``path`` with one and
+    the same ``PayloadError`` (matching ``match``); returns it."""
+    errors = []
+    for load in (load_blocks, load_field):
+        with pytest.raises(PayloadError, match=match) as err:
+            load(str(path))
+        errors.append(err.value)
+    assert str(errors[0]) == str(errors[1])
+    return errors[0]
 
 
 class TestBlockContainer:
@@ -101,9 +114,8 @@ class TestBlockContainer:
         """The frozen v1 container carries the old object-dtype
         ``__meta``, which only pickle reads: a typed refusal that names
         the member and the form, and never advises ``allow_pickle``."""
-        with pytest.raises(PayloadError, match=r"v1_container\.npz.*'__meta'.*JSON form") as err:
-            load_blocks(str(FIXTURES / "v1_container.npz"))
-        assert "allow_pickle" not in str(err.value)
+        err = _refused(FIXTURES / "v1_container.npz", r"v1_container\.npz.*'__meta'.*JSON form")
+        assert "allow_pickle" not in str(err)
 
     def test_layout_1_blocks_resave_in_the_json_form(self, v1_blocks, tmp_path):
         """Blocks built from the frozen v1 bytes save as a JSON container
@@ -124,25 +136,41 @@ class TestBlockContainer:
         assert out.read_bytes() == frozen.read_bytes()
 
     def test_load_indexes_members_once(self, mixed_blocks, tmp_path, monkeypatch):
-        """One pass over the member list, not one scan per block."""
+        """One open of the archive, one pass over its member list (not
+        one scan per block) and one ``ZipFile.read`` per member."""
+        import collections
+        import zipfile
+
+        from repro.compression import container
+        from repro.util import npz
+
         path = tmp_path / "blocks.npz"
         save_blocks(str(path), mixed_blocks, np.ones(len(mixed_blocks)), blocks_per_axis=4)
-        scans = []
-        real_load = np.load
+        scans, opens, reads = [], [], collections.Counter()
+        real_open, real_read = npz.open_npz, zipfile.ZipFile.read
 
-        class CountingFiles(list):
+        class CountingNames(list):
             def __iter__(self):
                 scans.append(1)
                 return super().__iter__()
 
-        def counting_load(*args, **kwargs):
-            data = real_load(*args, **kwargs)
-            data.files = CountingFiles(data.files)
-            return data
+        @contextlib.contextmanager
+        def counting_open(*args, **kwargs):
+            opens.append(1)
+            with real_open(*args, **kwargs) as archive:
+                archive.names = CountingNames(archive.names)
+                yield archive
 
-        monkeypatch.setattr(np, "load", counting_load)
+        def counting_read(zf, name, *args):
+            reads[name] += 1
+            return real_read(zf, name, *args)
+
+        monkeypatch.setattr(container, "open_npz", counting_open)
+        monkeypatch.setattr(zipfile.ZipFile, "read", counting_read)
         load_blocks(str(path))
-        assert len(scans) == 1
+        assert len(scans) == 1 and len(opens) == 1
+        with zipfile.ZipFile(path) as zf:
+            assert reads == {name: 1 for name in zf.namelist()}
 
 
 class TestMalformedContainer:
@@ -204,29 +232,25 @@ class TestMalformedContainer:
         path = self._rewrite(
             good, tmp_path / "bad.npz", replace={member: np.zeros(3, np.uint8)}
         )
-        with pytest.raises(PayloadError, match=rf"bad\.npz.*'{member}'"):
-            load_blocks(path)
+        _refused(path, rf"bad\.npz.*'{member}'")
 
     @pytest.mark.parametrize("member", ["__meta", "__ebs", "__blocks_per_axis"])
     def test_a_missing_member(self, good, tmp_path, member):
         path = self._rewrite(good, tmp_path / "bad.npz", drop=(member,))
-        with pytest.raises(PayloadError, match=rf"bad\.npz.*'{member}'"):
-            load_blocks(path)
+        _refused(path, rf"bad\.npz.*'{member}'")
 
     @pytest.mark.parametrize("field", ["source_itemsize", "shape", "eb", "codec"])
     def test_a_meta_row_without_a_field(self, good, tmp_path, field):
         meta = self._meta(good)
         del meta["blocks"][1][field]
         path = self._with_meta(good, tmp_path, meta)
-        with pytest.raises(PayloadError, match=rf"bad\.npz.*'__meta' block 1.*'{field}'"):
-            load_blocks(path)
+        _refused(path, rf"bad\.npz.*'__meta' block 1.*'{field}'")
 
     def test_a_meta_row_with_a_bad_value(self, good, tmp_path):
         meta = self._meta(good)
         meta["blocks"][0]["radius"] = "wide"
         path = self._with_meta(good, tmp_path, meta)
-        with pytest.raises(PayloadError, match=r"bad\.npz.*'__meta' block 0"):
-            load_blocks(path)
+        _refused(path, r"bad\.npz.*'__meta' block 0")
 
     @pytest.mark.parametrize(
         "raw",
@@ -238,17 +262,15 @@ class TestMalformedContainer:
             whole = data["__meta"].tobytes()
         raw = whole[: len(whole) // 2] if raw is None else raw
         path = self._with_meta(good, tmp_path, raw)
-        with pytest.raises(PayloadError, match=r"bad\.npz.*'__meta'"):
-            load_blocks(path)
+        _refused(path, r"bad\.npz.*'__meta'")
 
     def test_errors_are_value_errors_that_never_advise_pickle(self, good, tmp_path):
         """``PayloadError`` is a ``ValueError``, and a broken JSON
         ``__meta`` is not taken for an object array that pickle reads."""
         path = self._with_meta(good, tmp_path, b"{")
-        with pytest.raises(PayloadError) as err:
-            load_blocks(path)
-        assert isinstance(err.value, ValueError)
-        assert "allow_pickle" not in str(err.value)
+        err = _refused(path)
+        assert isinstance(err, ValueError)
+        assert "allow_pickle" not in str(err)
 
     @pytest.mark.parametrize(
         "value",
@@ -262,8 +284,7 @@ class TestMalformedContainer:
             drop=("__blocks_per_axis",),
             replace={"__blocks_per_axis": value},
         )
-        with pytest.raises(PayloadError, match=r"bad\.npz.*'__blocks_per_axis'"):
-            load_blocks(path)
+        _refused(path, r"bad\.npz.*'__blocks_per_axis'")
 
     @pytest.mark.parametrize(
         "names",
@@ -274,8 +295,7 @@ class TestMalformedContainer:
         meta = self._meta(good)
         meta["blocks"][1]["payloads"] = names
         path = self._with_meta(good, tmp_path, meta)
-        with pytest.raises(PayloadError, match=r"bad\.npz.*'__meta' block 1.*'payloads'"):
-            load_blocks(path)
+        _refused(path, r"bad\.npz.*'__meta' block 1.*'payloads'")
 
     @staticmethod
     def _corrupt(src, dst, member, keep):
@@ -298,8 +318,7 @@ class TestMalformedContainer:
     @pytest.mark.parametrize("keep", [3, -20], ids=["bad-header", "truncated-data"])
     def test_a_corrupt_member(self, good, tmp_path, member, keep):
         path = self._corrupt(good, tmp_path / "bad.npz", member, keep)
-        with pytest.raises(PayloadError, match=rf"bad\.npz.*'{member}'"):
-            load_blocks(path)
+        _refused(path, rf"bad\.npz.*'{member}'")
 
     def test_a_member_failing_its_crc(self, good, tmp_path):
         """One flipped byte in a stored payload member's data: the zip
@@ -316,8 +335,7 @@ class TestMalformedContainer:
         raw[start + info.file_size - 1] ^= 0xFF
         path = tmp_path / "bad.npz"
         path.write_bytes(bytes(raw))
-        with pytest.raises(PayloadError, match=r"bad\.npz.*'p0_codes'.*CRC"):
-            load_blocks(str(path))
+        _refused(path, r"bad\.npz.*'p0_codes'.*CRC")
 
     def test_a_listed_payload_without_a_member_is_an_empty_channel(self, good, tmp_path):
         path = self._rewrite(good, tmp_path / "short.npz", drop=("p1_codes",))
@@ -331,9 +349,8 @@ class TestMalformedContainer:
         naming the file, not ``BadZipFile``, ``EOFError`` or numpy's
         advice to unpickle."""
         path = damaged_copy(good, tmp_path / "bad.npz", kind)
-        with pytest.raises(PayloadError, match=r"bad\.npz") as err:
-            load_blocks(path)
-        assert "allow_pickle" not in str(err.value)
+        err = _refused(path, r"bad\.npz")
+        assert "allow_pickle" not in str(err)
 
     @pytest.mark.parametrize(
         "ebs",
@@ -344,6 +361,79 @@ class TestMalformedContainer:
         path = self._rewrite(
             good, tmp_path / "bad.npz", drop=("__ebs",), replace={"__ebs": ebs}
         )
-        with pytest.raises(PayloadError, match=r"bad\.npz.*'__ebs'"):
-            load_blocks(path)
+        _refused(path, r"bad\.npz.*'__ebs'")
 
+
+
+class TestLoadField:
+    """``load_field`` decodes a container into one float64 field: the
+    bits of ``load_blocks`` -> ``decompress_any`` -> ``assemble``."""
+
+    GRID = (16, 24, 8)
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        rng = np.random.default_rng(21)
+        return np.cumsum(rng.normal(0, 1, self.GRID), axis=0) + 60.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["sz", "sz:codec=huffman", "sz:codec=raw", "sz:mode=pw_rel", "sz:engine=classic"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_assembled_blocks(self, field, tmp_path, spec, dtype):
+        from repro.compression.api import decompress_any, resolve_compressor
+        from repro.parallel.decomposition import BlockDecomposition
+
+        dec = BlockDecomposition(self.GRID, blocks=2)
+        views = dec.partition_views(field.astype(dtype))
+        eb = 0.01 if "pw_rel" in spec else 0.05
+        blocks = resolve_compressor(spec).compress_many(views, [eb] * len(views))
+        path = tmp_path / "c.npz"
+        save_blocks(path, blocks, np.full(len(blocks), eb), 2)
+        loaded, _, bpa = load_blocks(path)
+        want = dec.assemble([decompress_any(b) for b in loaded], dtype=np.float64)
+        got = load_field(path)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        out = np.full(self.GRID, np.nan)
+        assert load_field(path, out=out) is out and out.tobytes() == want.tobytes()
+
+    @pytest.fixture()
+    def container(self, field, tmp_path):
+        from repro.parallel.decomposition import BlockDecomposition
+
+        views = BlockDecomposition(self.GRID, blocks=2).partition_views(field)
+        blocks = SZCompressor().compress_many(views, [0.05] * len(views))
+        return tmp_path, blocks
+
+    @pytest.mark.parametrize(
+        "blocks_per_axis, grid",
+        [(1, None), (4, None), (2, (16, 24, 16)), (2, (16, 24))],
+        ids=["too-few-partitions", "too-many-partitions", "another-grid", "a-2d-grid"],
+    )
+    def test_blocks_that_do_not_tile_are_refused_before_decoding(
+        self, container, monkeypatch, blocks_per_axis, grid
+    ):
+        from repro.compression import container as module
+
+        tmp_path, blocks = container
+        path = tmp_path / "bad.npz"
+        save_blocks(path, blocks, np.full(len(blocks), 0.05), blocks_per_axis)
+        monkeypatch.setattr(module, "decompress_many", lambda *a, **k: pytest.fail("decoded"))
+        with pytest.raises(PayloadError, match=r"bad\.npz.*'__blocks_per_axis'"):
+            load_field(path, out=None if grid is None else np.empty(grid))
+
+    def test_a_payload_that_does_not_decode(self, container):
+        tmp_path, blocks = container
+        blocks[3].payloads["codes"] = blocks[3].payloads["codes"][:-5]
+        path = tmp_path / "bad.npz"
+        save_blocks(path, blocks, np.full(len(blocks), 0.05), 2)
+        with pytest.raises(PayloadError):
+            load_field(path)
+
+    def test_an_out_that_is_not_a_float64_buffer_is_the_callers_error(self, container):
+        tmp_path, blocks = container
+        path = save_blocks(tmp_path / "c", blocks, np.full(len(blocks), 0.05), 2)
+        with pytest.raises(ValueError, match="float64") as err:
+            load_field(path, out=np.empty(self.GRID, dtype=np.float32))
+        assert not isinstance(err.value, PayloadError)

@@ -179,6 +179,47 @@ class TestCommands:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"{command}: ") and "bad.npz" in lines[0]
 
+    def test_a_name_given_to_a_writer_reads_back(self, tmp_path, capsys):
+        """``--out`` without ``.npz``: the writers add it, each command
+        prints the file it wrote, and the readers open the name as given."""
+        snap, blocks = tmp_path / "snap", tmp_path / "c"
+        assert main(["generate", "--shape", "16", "--out", str(snap)]) == 0
+        args = ["--snapshot", str(snap), "--field", "temperature"]
+        assert main(["compress", *args, "--blocks", "2", "--out", str(blocks)]) == 0
+        out = capsys.readouterr().out
+        assert f"wrote {snap}.npz:" in out and f"wrote {blocks}.npz:" in out
+        assert (tmp_path / "snap.npz").exists() and (tmp_path / "c.npz").exists()
+        assert not snap.exists() and not blocks.exists()
+        assert main(["analyze", *args, "--compressed", str(blocks), "--tolerance", "0.5"]) == 0
+        assert "PSNR" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("compress", ["--out", "blocks.npz"]),
+            ("analyze", ["--compressed", "{snap}"]),
+            ("sweep", ["--ebs", "50"]),
+        ],
+    )
+    def test_a_missing_snapshot_is_one_line(self, snap_path, tmp_path, capsys, command, args):
+        missing = str(tmp_path / "nowhere.npz")
+        capsys.readouterr()
+        argv = [command, "--snapshot", missing, "--field", "temperature"]
+        assert main(argv + [a.format(snap=snap_path) for a in args]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{command}: ") and "nowhere.npz" in lines[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["gone", "gone.npz"])
+    def test_a_missing_container_is_one_line(self, snap_path, tmp_path, capsys, name):
+        capsys.readouterr()
+        assert self._analyze(snap_path, tmp_path / name) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("analyze: ") and name in lines[0]
+        assert captured.out == ""
+
     def test_sweep(self, snap_path, capsys):
         rc = main(
             [
