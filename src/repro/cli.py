@@ -125,7 +125,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             seed=0,
             probe_mode=args.probe_mode,
         )
-    except (UnsupportedCapabilityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"compress: {exc}", file=sys.stderr)
         return 2
     pipe = AdaptiveCompressionPipeline(cal.rate_model, compressor=compressor)
@@ -179,20 +179,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ebs = [float(e) for e in args.ebs.split(",")]
     specs = [CompressorSpec.parse(c) for c in (args.compressor or [])]
     single = specs[0] if len(specs) == 1 else None
-    try:
-        records = run_sweep(
-            {args.field: data},
-            ebs,
-            {args.field: QualityCriteria(spectrum_tolerance=args.tolerance)},
-            decomposition=dec,
-            compressor=single,
-            compressors=specs if len(specs) > 1 else None,
-            rate_only=args.rate_only,
-            probe_mode=args.probe_mode,
-        )
-    except UnsupportedCapabilityError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+    records = run_sweep(
+        {args.field: data},
+        ebs,
+        {args.field: QualityCriteria(spectrum_tolerance=args.tolerance)},
+        decomposition=dec,
+        compressor=single,
+        compressors=specs if len(specs) > 1 else None,
+        rate_only=args.rate_only,
+        probe_mode=args.probe_mode,
+    )
     print(records_to_table(records, title=f"sweep: {args.field}"))
     return 0
 
@@ -298,9 +294,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
     try:
         report = controller.run(stream)
-    except (UnsupportedCapabilityError, ValueError) as exc:
-        # e.g. a fixed-rate --compressor hitting calibration, or a
-        # candidate slate with no eligible member for some field.
+    except ValueError as exc:
+        # e.g. a candidate slate with no eligible member for some field.
         print(f"stream: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -615,9 +610,14 @@ def main(argv: list[str] | None = None) -> int:
     with _telemetry_sink(getattr(args, "telemetry", None)):
         try:
             return args.fn(args)
-        # A missing or damaged snapshot or container, or one that stayed
-        # damaged through every retry (e.g. a dump whose copy never finished).
-        except (FileNotFoundError, PayloadError, RetryExhaustedError) as exc:
+        # A missing or damaged input (retried or not: a dump whose copy
+        # never finished), or a compressor the command cannot use.
+        except (
+            FileNotFoundError,
+            PayloadError,
+            RetryExhaustedError,
+            UnsupportedCapabilityError,
+        ) as exc:
             print(f"{args.command}: {exc}", file=sys.stderr)
             return 2
 

@@ -1,17 +1,15 @@
-"""Per-field compressor selection: §2.2 as a measured runtime decision.
+"""Per-field compressor selection: §2.2 as a runtime decision.
 
-The paper *argues* SZ over ZFP in prose — fixed-rate ZFP cannot enforce
-an absolute error bound, and the whole rate-quality machinery optimizes
-error bounds.  With the capability-typed registry
-(:mod:`repro.compression.api`) that argument becomes something the
-pipeline can check at runtime: :func:`select_compressor` calibrates every
-candidate :class:`~repro.compression.api.CompressorSpec` against a
-field, measures whether each candidate can honour the field's derived
-quality budget, and picks the cheapest (lowest predicted bitrate)
-candidate that can.  Fixed-rate candidates are rejected with a
-*quantified* error-bound violation — the measured ``max|err|`` against
-the admissible bound — so the §2.2 trade-off appears in the result as
-data rather than as a comment.
+The paper *argues* SZ over ZFP in prose: fixed-rate ZFP cannot enforce
+an absolute error bound, which the registry records as the
+``error_bounded`` capability (:mod:`repro.compression.api`).
+:func:`select_compressor` calibrates every error-bounded candidate
+against a field and picks the cheapest (lowest predicted bitrate) one
+that honours the field's quality budget.  Where a bound is required
+(the streaming controller) a fixed-rate candidate is rejected from its
+capabilities, never run; otherwise it is measured on a partition sample
+and rejected with a *quantified* violation (``max|err|`` against the
+admissible bound), so the §2.2 trade-off appears in the result as data.
 
 This module is also the home of the per-field quality-budget inversion
 (:func:`derive_eb_budget` / :func:`derive_halo_params`), which the
@@ -118,10 +116,10 @@ def default_candidates() -> list[CompressorSpec]:
 class CandidateVerdict:
     """What selection concluded about one candidate spec on one field.
 
-    ``eb_violation`` quantifies §2.2 for ineligible fixed-rate
-    candidates: the measured ``max|err| / eb_avg`` factor by which the
-    candidate overshoots the admissible bound (``> 1`` means the quality
-    target cannot be guaranteed).
+    ``eb_violation`` quantifies §2.2 for a measured fixed-rate
+    candidate: the ``max|err| / eb_avg`` factor by which it overshoots
+    the admissible bound (``> 1``: the quality target is missed); one
+    rejected from its capabilities alone carries no measurement.
     """
 
     spec: CompressorSpec
@@ -235,6 +233,12 @@ _QUALITY_GATE_SLACK = 0.05
 #: measurement) reads: a seeded sample of this many.
 _SAMPLE_PARTITIONS = 8
 
+#: A fixed-rate candidate's reason where a bound is required (unmeasured).
+_NO_BOUND = (
+    "rejected: fixed-rate: no absolute error bound, "
+    "which the adaptive pipeline requires"
+)
+
 
 def _count_probe(kind: str) -> None:
     """Telemetry counter for one candidate probe (no-op when disarmed)."""
@@ -287,21 +291,18 @@ def select_compressor(
     - **error-bounded** candidates are calibrated (through ``bank``, so
       repeated selections share fits) and scored by the rate model's
       predicted mean bitrate at the field's admissible average bound;
-    - **fixed-rate** candidates are *measured* on a partition sample:
-      compress, decompress, compare ``max|err|`` against the bound.  A
-      violation disqualifies the candidate and is recorded quantified
-      (``eb_violation = max|err| / eb_avg``) — the paper's §2.2
-      SZ-over-ZFP argument reproduced as a runtime decision.
+    - **fixed-rate** candidates under ``require_error_bounded=True``
+      (what the streaming controller passes: its per-partition bound
+      vector needs a *guarantee*) are rejected from their capabilities,
+      nothing compressed or decoded, the measurements ``None``;
+    - **fixed-rate** candidates otherwise are *measured* on a partition
+      sample: compress, decompress, compare ``max|err|`` against the
+      bound.  A violation disqualifies the candidate, quantified
+      (``eb_violation = max|err| / eb_avg``): §2.2 reproduced as data.
 
     The admissible bound comes from ``eb_avg`` if given, else from the
     §3.3/§3.5 budget inversion of ``field_spec`` (default
     :class:`~repro.core.config.FieldSpec`, the paper's targets).
-
-    ``require_error_bounded=True`` additionally disqualifies fixed-rate
-    candidates even when they happen to stay within the bound on the
-    measured sample — the adaptive pipeline's per-partition bound vector
-    needs a *guarantee*, not a sample — which is what the streaming
-    controller passes.
 
     ``probe_mode="model"`` swaps the trial compressions for the
     closed-form ratio-quality engine (:mod:`repro.models.rq_model`):
@@ -312,11 +313,7 @@ def select_compressor(
     Error-bounded candidates that cannot be probed codec-free raise
     :class:`~repro.compression.api.UnsupportedCapabilityError`
     (:func:`~repro.models.calibration.check_probe_mode`) before any
-    candidate is calibrated.
-    Fixed-rate candidates are still measured (a codec with no
-    quantization stage has nothing to model), which keeps their §2.2
-    violation quantified and the slate's verdicts identical to exact
-    mode while eliminating every error-bounded trial compression.
+    candidate is calibrated; fixed-rate ones are treated as in exact mode.
 
     The probe mode has one source: a passed ``bank`` must have been
     built with the same ``probe_mode`` (``ValueError`` otherwise), so an
@@ -326,11 +323,7 @@ def select_compressor(
     verdict in the message.
     """
     comps = [resolve_compressor(c) for c in candidates or default_candidates()]
-    # Fixed-rate candidates are measured in either mode; only the
-    # error-bounded ones are probed.
-    check_probe_mode(
-        probe_mode, *(c for c in comps if c.capabilities.error_bounded)
-    )
+    check_probe_mode(probe_mode, *(c for c in comps if c.capabilities.error_bounded))
     field_spec = field_spec or FieldSpec()
     ref = reference
     if eb_avg is None:
@@ -423,6 +416,8 @@ def select_compressor(
                     calibration=calibration,
                 )
             )
+        elif require_error_bounded:
+            verdicts.append(CandidateVerdict(spec=spec, eligible=False, reason=_NO_BOUND))
         else:
             _count_probe("exact")
             measured_rate, max_err = _measure_fixed_rate(comp, views, eb_avg, seed)
@@ -432,13 +427,6 @@ def select_compressor(
                     f"rejected: fixed-rate codec cannot enforce "
                     f"eb={eb_avg:.4g}; measured max|err|={max_err:.4g} "
                     f"({violation:.1f}x the bound)"
-                )
-            elif require_error_bounded:
-                eligible, reason = False, (
-                    f"rejected: within bound on the sample "
-                    f"(max|err|={max_err:.4g} <= eb={eb_avg:.4g}) but "
-                    "fixed-rate codecs carry no error-bound guarantee, "
-                    "which the adaptive pipeline requires"
                 )
             else:
                 eligible, reason = True, (

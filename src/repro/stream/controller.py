@@ -74,7 +74,12 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
+from repro.compression.api import (
+    Compressor,
+    CompressorSpec,
+    UnsupportedCapabilityError,
+    resolve_compressor,
+)
 from repro.core.config import FieldSpec, OptimizerSettings
 from repro.core.pipeline import AdaptiveCompressionPipeline, SnapshotResult
 from repro.core.selection import (
@@ -185,11 +190,11 @@ class InSituController:
     candidates:
         Compressor candidate slate (specs or spec strings).  When given,
         every field's compressor is *selected* at (re)calibration time
-        by :func:`~repro.core.selection.select_compressor` — candidates
-        that cannot honour the field's bound are rejected with the
-        violation quantified, the verdicts land in a ``selection``
-        ledger event, and drift therefore triggers *re-selection*, not
-        just recalibration.
+        by :func:`~repro.core.selection.select_compressor` with
+        ``require_error_bounded=True`` — a fixed-rate candidate is
+        rejected from its capabilities, nothing compressed, the verdicts
+        land in a ``selection`` ledger event, and drift therefore
+        triggers *re-selection*, not just recalibration.
     ledger:
         A :class:`~repro.stream.ledger.RunLedger`, a JSONL path, or
         ``None`` for an in-memory ledger.
@@ -235,9 +240,9 @@ class InSituController:
         shorthand for ``RetryPolicy(max_attempts=n)``) applied to
         per-field execution and ledger appends.  ``None`` (default) keeps fail-fast semantics.
     fallback_compressor:
-        Conservative :class:`~repro.compression.api.CompressorSpec` (or
-        spec string) a field degrades to when its retries are
-        exhausted: the field is quarantined onto the fallback, a
+        Conservative error-bounded :class:`~repro.compression.api.
+        CompressorSpec` (or spec string) a field degrades to when its
+        retries are exhausted: the field is quarantined onto it, a
         ``degradation`` ledger event is recorded, and the stream
         continues.  ``None`` (default) re-raises instead.
     fsync_ledger:
@@ -307,6 +312,17 @@ class InSituController:
             if isinstance(fallback_compressor, str)
             else fallback_compressor
         )
+        # A run that could never compress fails before any record is made.
+        need = "the in situ controller (its output is a per-partition bound vector)"
+        fallback = fallback_compressor and resolve_compressor(fallback_compressor)
+        for comp in filter(None, (self.compressor, fallback)):
+            comp.capabilities.require("error_bounded", need, who=comp)
+        slate = [resolve_compressor(c) for c in candidates or ()]
+        if slate and not any(c.capabilities.error_bounded for c in slate):
+            raise UnsupportedCapabilityError(
+                f"{need} requires a candidate with the 'error_bounded' capability; "
+                f"no member of {[c.spec.label for c in slate]} declares it"
+            )
         self.ledger = (
             ledger
             if isinstance(ledger, RunLedger)
@@ -355,9 +371,6 @@ class InSituController:
                     warm_start=bool(warm_start),
                     probe_mode=check_probe_mode(probe_mode),
                     drift=asdict(drift),
-                    # Ledgers name the execution path here; there is one
-                    # now, and nothing reads the field back.
-                    backend="serial",
                 ),
             )
         ]
@@ -694,14 +707,13 @@ class InSituController:
         was never interrupted.
 
         Settings recorded in the ``run_start`` event are restored from
-        the ledger (its recorded ``backend`` name is never read back);
-        process-local choices it does not restore — field specs, retry
-        policy, calibration
-        ``max_partitions``/``seed`` — are taken from the keyword
-        arguments and must match the original run for recalibrations
-        after the resume point to reproduce exactly.  Ledgers older than
-        schema v3 do not record the block layout, so ``decomposition``
-        is required for them.
+        the ledger (the ``backend`` older ledgers name is never read
+        back); process-local choices it does not restore — field specs,
+        retry policy, calibration ``max_partitions``/``seed`` — are taken
+        from the keyword arguments and must match the original run for
+        recalibrations after the resume point to reproduce exactly.
+        Ledgers older than schema v3 do not record the block layout, so
+        ``decomposition`` is required for them.
         """
         run_ledger = (
             ledger

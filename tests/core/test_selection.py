@@ -117,10 +117,42 @@ class TestMechanics:
             max_partitions=8,
             require_error_bounded=True,
         )
-        assert not strict.verdict_for(
-            CompressorSpec.make("zfp_like", rate=24.0)
-        ).eligible
+        verdict = strict.verdict_for(CompressorSpec.make("zfp_like", rate=24.0))
+        assert not verdict.eligible
+        assert verdict.reason.startswith("rejected: fixed-rate: no absolute error bound")
+        measured = (verdict.measured_bit_rate, verdict.max_abs_error, verdict.eb_violation)
+        assert measured == (None, None, None)
         assert strict.chosen.family == "sz"
+
+    @pytest.mark.parametrize("mode", ["exact", "model"])
+    def test_required_bound_rejects_fixed_rate_without_a_trial(
+        self, snapshot, dec, monkeypatch, mode
+    ):
+        """Where a bound is required, a fixed-rate candidate is rejected
+        from its capabilities: it is never compressed or decoded, and no
+        probe is counted for it."""
+        from repro import telemetry
+        from repro.compression.zfp_like import ZFPLikeCompressor
+
+        def refuse(*_, **__):
+            raise AssertionError("a fixed-rate candidate was run")
+
+        for name in ("compress", "compress_many", "decompress"):
+            monkeypatch.setattr(ZFPLikeCompressor, name, refuse)
+        with telemetry.armed():
+            result = select_compressor(
+                snapshot["temperature"],
+                dec,
+                candidates=["sz", "zfp_like:rate=8", "zfp_like:rate=32"],
+                max_partitions=8,
+                probe_mode=mode,
+                require_error_bounded=True,
+            )
+            counters = {m["name"]: m["value"] for m in telemetry.get_registry().snapshot()}
+        assert result.chosen.family == "sz"
+        assert [v.eligible for v in result.verdicts] == [True, False, False]
+        # Only sz's calibration is counted, and under its own mode.
+        assert counters.get("selection.probes.exact", 0) == (1 if mode == "exact" else 0)
 
     def test_no_eligible_candidate_raises_with_verdicts(self, snapshot, dec):
         with pytest.raises(ValueError, match="no candidate"):
@@ -192,7 +224,7 @@ VERDICT_KINDS = (
     "rejected: predicted spectrum deviation",
     "error-bounded; predicted",
     "rejected: fixed-rate codec cannot enforce",
-    "rejected: within bound on the sample",
+    "rejected: fixed-rate: no absolute error bound",
     "fixed-rate but within bound on the sample",
 )
 
@@ -213,6 +245,8 @@ RECORD_CASES = {
 #: sha256 of ``json.dumps(select_compressor(...).to_dict())`` per (case, mode).
 #: ``loose``/``strict`` in model mode were recomputed when the probe's
 #: MSE became the decoded one: their predicted NRMSE moved in the last digit.
+#: ``strict`` was recomputed when its fixed-rate verdict became the
+#: capability rejection, which carries no measurement.
 RECORD_PINS = {
     ("coarse", "exact"): "c4145ada13e9b4d1275b00981a6f4182b68159336d4f65b42ccb991ef2c0eec8",
     ("coarse", "model"): "6eb97bf41d06ba49026aa968182d4a103ee29bd6b2485eb9459469cc31638bcd",
@@ -222,8 +256,8 @@ RECORD_PINS = {
     ("loose", "model"): "b007332eff9cce24aa545409b725728eec35d99bf9c957c0be9fe143982642c7",
     ("paper", "exact"): "259f363cf09127fbffda834ccc9c46265935c7e1d52486cf17cbc181a920bfb2",
     ("paper", "model"): "cdb3b819705a1abed136866eb8d073b6e3b1810510f1881a7d29ccbc89421b86",
-    ("strict", "exact"): "85049df837265868d70a6bbc73e16a1d056d42a96e6fc24cbe4853ea520a8e06",
-    ("strict", "model"): "9420695f4b923d57b8b7d50231d9d3698881cb5a16df39c244cc232698cebf4f",
+    ("strict", "exact"): "65af847f5b2ff7f0bb97eaa6543834f39893ba02ad54da0c8264b880513a2ab8",
+    ("strict", "model"): "94b8f4e11806c04d78ba801a49105458ac860aa7035a2cb06732d03ca5b4964a",
 }
 
 

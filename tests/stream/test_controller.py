@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.compression.api import UnsupportedCapabilityError
+from repro.compression.zfp_like import ZFPLikeCompressor
 from repro.core.config import FieldSpec
 from repro.core.pipeline import AdaptiveCompressionPipeline
 from repro.sim.nyx import FIELD_NAMES, NyxSnapshot
@@ -22,6 +24,12 @@ from repro.stream.ledger import LedgerError, RunLedger
 from repro.stream.source import SnapshotSequence
 from repro.stream.state import StreamReport
 from repro.telemetry.report import overhead_summary
+
+
+#: A stream selection's verdict on a fixed-rate candidate.
+_NO_BOUND = (
+    "rejected: fixed-rate: no absolute error bound, which the adaptive pipeline requires"
+)
 
 
 def _single_field(snapshot: NyxSnapshot, name: str, data=None) -> NyxSnapshot:
@@ -127,8 +135,14 @@ class TestDriftGating:
             for v in e.data["verdicts"]
             if v["spec"]["family"] == "zfp_like"
         ]
+        # Rejected from its capabilities: nothing was measured.
         assert all(not v["eligible"] for v in zfp_verdicts)
-        assert all(v["eb_violation"] > 1.0 for v in zfp_verdicts)
+        assert all(v["reason"] == _NO_BOUND for v in zfp_verdicts)
+        assert all(
+            v[k] is None
+            for v in zfp_verdicts
+            for k in ("measured_bit_rate", "max_abs_error", "eb_violation")
+        )
         # The decision events carry the selected spec throughout.
         assert all(
             e.data["spec"]["family"] == "sz"
@@ -138,6 +152,31 @@ class TestDriftGating:
         from repro.stream.controller import replay_ledger as _replay
 
         assert len(_replay(ctl.ledger.events)) == 5
+
+    def test_governed_selection_never_runs_a_fixed_rate_candidate(
+        self, stream_sim, stream_dec, monkeypatch
+    ):
+        """The stream requires a bound, so its selections reject
+        ``zfp_like`` from its capabilities: the codec is never run."""
+
+        def refuse(*_, **__):
+            raise AssertionError("a fixed-rate candidate was run")
+
+        for name in ("compress", "compress_many", "decompress"):
+            monkeypatch.setattr(ZFPLikeCompressor, name, refuse)
+        ctl = InSituController(
+            stream_dec,
+            max_partitions=8,
+            candidates=["sz", "zfp_like:rate=8"],
+            byte_budget=40_000,
+            recalibrate="always",
+        )
+        snaps = [stream_sim.snapshot(z=z) for z in (2.0, 1.5, 1.0)]
+        ctl.run(SnapshotSequence([_single_field(s, "temperature") for s in snaps]))
+        selections = ctl.ledger.select("selection")
+        assert len(selections) == 3
+        assert all(e.data["verdicts"][1]["reason"] == _NO_BOUND for e in selections)
+        assert len(replay_ledger(ctl.ledger, verify=True)) == 3
 
     def test_always_policy_recalibrates_every_snapshot(
         self, stream_dec, base_snapshot
@@ -561,14 +600,43 @@ class TestLedgerReplay:
 
 
 class TestReportAndLifecycle:
-    def test_run_start_still_names_the_serial_path(self, stream_dec, base_snapshot):
-        """Ledger bytes do not change: ``run_start`` keeps recording the
-        execution path as ``"serial"``, though nothing chooses it now."""
+    def test_run_start_names_no_backend(self, stream_dec, base_snapshot):
+        """There is one execution path, so ``run_start`` names none (older
+        ledgers' ``backend`` key is never read back)."""
         ctl = InSituController(stream_dec, max_partitions=8)
         ctl.run(SnapshotSequence([_single_field(base_snapshot, "temperature")]))
         (start,) = ctl.ledger.select("run_start")
-        assert start.data["backend"] == "serial"
+        assert "backend" not in start.data
         assert not hasattr(ctl, "backend")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"compressor": "zfp_like:rate=8"},
+            {"candidates": ["zfp_like:rate=8", "zfp_like:rate=16"]},
+            {"fallback_compressor": "zfp_like"},
+        ],
+        ids=["compressor", "slate", "fallback"],
+    )
+    def test_a_run_that_cannot_compress_fails_at_construction(
+        self, stream_dec, tmp_path, monkeypatch, kwargs
+    ):
+        """A fixed-rate compressor or fallback, or a slate with no
+        error-bounded member, is refused before the ledger is opened and
+        before anything is compressed."""
+
+        def refuse(*_, **__):
+            raise AssertionError("a fixed-rate compressor was run")
+
+        monkeypatch.setattr(ZFPLikeCompressor, "compress_many", refuse)
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(UnsupportedCapabilityError, match="'error_bounded'"):
+            InSituController(stream_dec, ledger=path, **kwargs)
+        assert not path.exists()
+
+    def test_one_error_bounded_candidate_is_enough(self, stream_dec):
+        """The slate needs one error-bounded member, wherever it stands."""
+        InSituController(stream_dec, candidates=["zfp_like:rate=8", "sz"]).close()
 
     def test_report_exports(self, stream_dec, base_snapshot):
         snap = _single_field(base_snapshot, "temperature")

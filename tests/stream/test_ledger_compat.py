@@ -378,6 +378,7 @@ class TestMixedCompressorLedger:
         assert sel.data["chosen"]["family"] == "sz"
         verdicts = {v["spec"]["family"]: v for v in sel.data["verdicts"]}
         assert not verdicts["zfp_like"]["eligible"]
-        assert verdicts["zfp_like"]["eb_violation"] > 1.0
+        assert verdicts["zfp_like"]["reason"].startswith("rejected: fixed-rate:")
+        assert verdicts["zfp_like"]["eb_violation"] is None
         decisions = replay_ledger(path, verify=True)
         assert decisions and decisions[0].compressor.family == "sz"

@@ -70,9 +70,10 @@ def test_governed_run_bytes(sim, dec, tmp_path):
     # The degradation record quotes the injected fault's message, which
     # names the field and its own invocation count (faults are addressed
     # per field); every other line is the one the serial loop wrote.
+    # The selections reject zfp_like from its capabilities, unmeasured.
     assert _digest(path) == (
-        18_456,
-        "f09ee7d859b676373b08f4de5f14704a61dde4b0f30bcff32923ae12b3de2b6e",
+        18_326,
+        "4e5298cf4f2a3ca1453af1c0585f21d30193abe7e5d8ee3a6deac9255c817952",
     )
     assert len(replay_ledger(path)) == len(REDSHIFTS) * len(FIELDS)
 
@@ -96,7 +97,7 @@ def test_batch_run_bytes(sim, dec, tmp_path):
     ctl.close()
 
     assert _digest(path) == (
-        14_265,
-        "eacbbb41cdf8cef6e9f3950f777c2f21919efad7fdf9219745dd9f8b51fd6b76",
+        14_246,
+        "b25701f343193e7a025f4dbbaf50db8b74742e8fc2371752a53c5b194a89f281",
     )
     assert len(replay_ledger(path)) == 12

@@ -540,6 +540,34 @@ class TestStreamCommand:
         assert len(lines) == 1 and lines[0].startswith("stream: ")
         assert dump.name in lines[0] and "3 attempt(s)" in lines[0]
 
+    @pytest.mark.parametrize(
+        "compressors",
+        [["zfp_like:rate=8"], ["zfp_like:rate=8", "zfp_like:rate=16"]],
+        ids=["compressor", "slate"],
+    )
+    def test_a_fixed_rate_stream_is_one_line(
+        self, tmp_path, capsys, monkeypatch, compressors
+    ):
+        """A run that could never compress is refused before a snapshot is
+        synthesized or a ledger line written: one line, exit 2."""
+        from repro.sim.nyx import NyxSimulator
+
+        def refuse(*_, **__):
+            raise AssertionError("a snapshot was synthesized")
+
+        monkeypatch.setattr(NyxSimulator, "snapshot", refuse)
+        ledger = tmp_path / "x.jsonl"
+        argv = ["stream", "--simulate", "--shape", "16", "--redshifts", "2,1"]
+        argv += ["--blocks", "2", "--ledger", str(ledger)]
+        for spec in compressors:
+            argv += ["--compressor", spec]
+        capsys.readouterr()
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("stream: ")
+        assert "'error_bounded'" in lines[0]
+        assert not ledger.exists()
+
     def test_stream_needs_a_source(self, capsys):
         rc = main(["stream"])
         assert rc == 2
