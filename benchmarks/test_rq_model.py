@@ -8,9 +8,9 @@ Three claims, all on the session Nyx snapshot (64^3, every field):
 2. **Selection parity at >= 10x fewer compressor invocations** —
    ``select_compressor(probe_mode="model")`` reaches the same chosen
    spec and per-candidate eligibility as exact mode on every field,
-   while the counted ``compress`` calls drop by >= 10x (calibration and
-   quality gating both run on the batched quantization probe; only the
-   fixed-rate candidate's measured sample remains).
+   while the counted ``compress`` calls drop by >= 10x (calibration runs
+   on the batched quantization probe; only the fixed-rate candidate's
+   measured sample remains).
 3. **Sweep fast path** — a quality sweep under ``probe_mode="model"``
    returns the same per-(field, eb) verdicts as the exact sweep and is
    wall-clock faster (a floor is asserted outside smoke mode).
@@ -134,9 +134,9 @@ def test_rq_model(benchmark, snapshot, decomposition, monkeypatch):
                 correlated_fraction=correlated_fraction(name),
             )
             # No eb_avg: both modes derive the admissible bound from the
-            # field spec's budget inversion, so the model-mode quality
-            # gate judges candidates at a bound the spectrum model deems
-            # acceptable — the production decision being reproduced.
+            # field spec's budget inversion and rank the candidates by
+            # predicted rate at it — the production decision being
+            # reproduced; only the rate probes differ.
             results[name] = select_compressor(
                 data,
                 decomposition,

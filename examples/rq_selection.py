@@ -1,10 +1,11 @@
 """Model-mode selection: the ratio-quality engine as a runtime decision.
 
-Exact selection calibrates and quality-gates every candidate by
-compressing sample partitions; model mode answers the same questions
-from one batched quantization probe per bound (``docs/rq-model.md``).
-This demo runs both on a Nyx-like snapshot and shows that the verdicts
-agree while the compressor is invoked an order of magnitude less, then
+Exact selection calibrates every error-bounded candidate by compressing
+sample partitions; model mode reads the same rates from one batched
+quantization probe per bound (``docs/rq-model.md``).  Both rank the
+candidates by predicted rate at the field's admissible bound.  This demo
+runs both on a Nyx-like snapshot and shows that the verdicts agree while
+the compressor is invoked an order of magnitude less, then
 prints the per-field predicted-vs-measured PSNR/ratio deltas behind
 that trust.
 
@@ -28,13 +29,16 @@ from repro.util.tables import format_table
 
 
 class CallCounter:
-    """Count ``compress`` invocations across the candidate families."""
+    """Count the blocks the candidate families compress: one per
+    ``compress`` call, one per view of an SZ ``compress_many`` batch
+    (``zfp_like``'s batch is a loop over its own ``compress``)."""
 
     def __init__(self) -> None:
         self.calls = 0
         self._originals = [
             (cls, cls.compress) for cls in (SZCompressor, ZFPLikeCompressor)
         ]
+        self._original_many = SZCompressor.compress_many
 
     def __enter__(self) -> "CallCounter":
         for cls, original in self._originals:
@@ -44,11 +48,18 @@ class CallCounter:
                 return _original(comp, *args, **kwargs)
 
             cls.compress = counted
+
+        def counted_many(comp, views, *args, **kwargs):
+            self.calls += len(views)
+            return self._original_many(comp, views, *args, **kwargs)
+
+        SZCompressor.compress_many = counted_many
         return self
 
     def __exit__(self, *exc) -> None:
         for cls, original in self._originals:
             cls.compress = original
+        SZCompressor.compress_many = self._original_many
 
 
 def main() -> None:

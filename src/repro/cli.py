@@ -254,52 +254,53 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print("stream: need a source (--dir or --simulate) or --replay", file=sys.stderr)
         return 2
 
-    if args.resume:
-        if not args.ledger:
-            print("stream: --resume requires --ledger", file=sys.stderr)
-            return 2
-        # Run settings (drift, budget, compressor, candidates, ...) come
-        # from the ledger's run_start event, not from the flags above;
-        # only process-local choices are taken from the command line.
-        controller = InSituController.resume(
-            args.ledger,
-            default_spec=FieldSpec(spectrum_tolerance=args.tolerance),
-            retry=retry,
-            fallback_compressor=args.fallback_compressor,
-            fsync_ledger=args.fsync_ledger,
-            retain_results=False,
-        )
-        done = controller.report.n_snapshots
-        print(f"resuming at snapshot {done}/{len(stream)} (ledger: {args.ledger})")
-    else:
-        specs = [CompressorSpec.parse(c) for c in (args.compressor or [])]
-        controller = InSituController(
-            BlockDecomposition(shape, blocks=args.blocks),
-            compressor=specs[0] if len(specs) == 1 else None,
-            candidates=specs if len(specs) > 1 else None,
-            ledger=args.ledger,
-            byte_budget=args.budget_bytes,
-            drift=DriftConfig(
-                z_threshold=args.z_threshold,
-                window=args.drift_window,
-                min_points=args.drift_min_points,
-            ),
-            recalibrate=args.recalibrate,
-            probe_mode=args.probe_mode,
-            default_spec=FieldSpec(spectrum_tolerance=args.tolerance),
-            retain_results=False,  # stream accounting only: O(1) memory
-            retry=retry,
-            fallback_compressor=args.fallback_compressor,
-            fsync_ledger=args.fsync_ledger,
-        )
+    if args.resume and not args.ledger:
+        print("stream: --resume requires --ledger", file=sys.stderr)
+        return 2
     try:
-        report = controller.run(stream)
+        if args.resume:
+            # Run settings (drift, budget, compressor, candidates, ...) come
+            # from the ledger's run_start event, not from the flags above;
+            # only process-local choices are taken from the command line.
+            controller = InSituController.resume(
+                args.ledger,
+                default_spec=FieldSpec(spectrum_tolerance=args.tolerance),
+                retry=retry,
+                fallback_compressor=args.fallback_compressor,
+                fsync_ledger=args.fsync_ledger,
+                retain_results=False,
+            )
+            done = controller.report.n_snapshots
+            print(f"resuming at snapshot {done}/{len(stream)} (ledger: {args.ledger})")
+        else:
+            specs = [CompressorSpec.parse(c) for c in (args.compressor or [])]
+            controller = InSituController(
+                BlockDecomposition(shape, blocks=args.blocks),
+                compressor=specs[0] if len(specs) == 1 else None,
+                candidates=specs if len(specs) > 1 else None,
+                ledger=args.ledger,
+                byte_budget=args.budget_bytes,
+                drift=DriftConfig(
+                    z_threshold=args.z_threshold,
+                    window=args.drift_window,
+                    min_points=args.drift_min_points,
+                ),
+                recalibrate=args.recalibrate,
+                probe_mode=args.probe_mode,
+                default_spec=FieldSpec(spectrum_tolerance=args.tolerance),
+                retain_results=False,  # stream accounting only: O(1) memory
+                retry=retry,
+                fallback_compressor=args.fallback_compressor,
+                fsync_ledger=args.fsync_ledger,
+            )
+        with controller:
+            report = controller.run(stream)
     except ValueError as exc:
-        # e.g. a candidate slate with no eligible member for some field.
+        # A setting the controller refuses (a non-positive byte budget, a
+        # ledger with no run to resume), or a candidate slate with no
+        # eligible member for some field.
         print(f"stream: {exc}", file=sys.stderr)
         return 2
-    finally:
-        controller.close()
     print(report.to_table(title=f"stream: {len(stream)} snapshots"))
     if controller.selections:
         for name, sel in controller.selections.items():
@@ -517,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="compressor spec family[:key=value,...]; one flag pins every "
         "field to that configuration, repeating it builds a candidate "
         "slate from which each field's compressor is *selected* at "
-        "calibration time (rejections are quantified in the ledger)",
+        "calibration time by predicted rate (every verdict is recorded in "
+        "the ledger)",
     )
     st.add_argument("--blocks", type=int, default=4)
     st.add_argument(
@@ -525,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         choices=PROBE_MODES,
         help="rate-model (re)calibration probes: the full codec (exact), or "
-        "the codec-free ratio-quality model (model), which also gates "
-        "re-selection on predicted quality",
+        "the codec-free quantization-code histogram (model)",
     )
     st.add_argument(
         "--budget-bytes",

@@ -4,8 +4,8 @@ The paper *argues* SZ over ZFP in prose: fixed-rate ZFP cannot enforce
 an absolute error bound, which the registry records as the
 ``error_bounded`` capability (:mod:`repro.compression.api`).
 :func:`select_compressor` calibrates every error-bounded candidate
-against a field and picks the cheapest (lowest predicted bitrate) one
-that honours the field's quality budget.  Where a bound is required
+against a field and picks the cheapest (lowest predicted bitrate at the
+field's admissible bound, §3.5) of them.  Where a bound is required
 (the streaming controller) a fixed-rate candidate is rejected from its
 capabilities, never run; otherwise it is measured on a partition sample
 and rejected with a *quantified* violation (``max|err|`` against the
@@ -29,7 +29,6 @@ from repro import telemetry
 from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.core.config import FieldSpec
 from repro.foresight.evaluator import FieldReference
-from repro.foresight.quality import QualityCriteria
 from repro.models.calibration import (
     CalibrationResult,
     RateModelBank,
@@ -41,7 +40,6 @@ from repro.models.fft_error import (
     spectrum_ratio_tolerance_to_eb,
     sub_threshold_power_curve,
 )
-from repro.models.rq_model import RQModel, RQPrediction
 from repro.parallel.decomposition import BlockDecomposition
 
 __all__ = [
@@ -129,21 +127,13 @@ class CandidateVerdict:
     measured_bit_rate: float | None = None
     max_abs_error: float | None = None
     eb_violation: float | None = None
-    predicted_psnr_db: float | None = None
-    predicted_quality: RQPrediction | None = dataclass_field(
-        default=None, repr=False, compare=False
-    )
     calibration: CalibrationResult | None = dataclass_field(
         default=None, repr=False, compare=False
     )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (what the stream ledger records).
-
-        Model-mode keys appear only when predictions were made, so
-        exact-mode ledger records keep their pre-R-Q shape.
-        """
-        out: dict[str, Any] = {
+        """JSON-ready summary (what the stream ledger records)."""
+        return {
             "spec": self.spec.to_dict(),
             "eligible": self.eligible,
             "reason": self.reason,
@@ -152,11 +142,12 @@ class CandidateVerdict:
             "max_abs_error": self.max_abs_error,
             "eb_violation": self.eb_violation,
         }
-        if self.predicted_psnr_db is not None:
-            out["predicted_psnr_db"] = self.predicted_psnr_db
-        if self.predicted_quality is not None:
-            out["predicted_quality"] = self.predicted_quality.to_dict()
-        return out
+
+
+#: Verdict record keys that model-mode ledgers written before selection
+#: stopped gating on predicted quality carry; :meth:`SelectionResult.from_dict`
+#: drops them.
+_RETIRED_KEYS = ("predicted_psnr_db", "predicted_quality")
 
 
 @dataclass
@@ -199,8 +190,8 @@ class SelectionResult:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SelectionResult":
         """Inverse of :meth:`to_dict` (what a ledger ``selection`` event
-        records); probe diagnostics are not recorded, so the verdicts
-        come back without their fits and R-Q prediction objects."""
+        records); fits are not recorded, so the verdicts come back
+        without them, and :data:`_RETIRED_KEYS` are dropped."""
         chosen = CompressorSpec.from_dict(d["chosen"])
         return cls(
             field=d["field"],
@@ -211,9 +202,8 @@ class SelectionResult:
             verdicts=[
                 CandidateVerdict(
                     **{
-                        **v,
+                        **{k: x for k, x in v.items() if k not in _RETIRED_KEYS},
                         "spec": CompressorSpec.from_dict(v["spec"]),
-                        "predicted_quality": None,
                     }
                 )
                 for v in d["verdicts"]
@@ -221,16 +211,8 @@ class SelectionResult:
         )
 
 
-#: Relative slack on the model-mode quality gate.  The admissible bound
-#: comes from bisecting the *same* spectrum-distortion model to equality
-#: with the tolerance, so a field probed at its own budget predicts a
-#: deviation of exactly the tolerance up to bisection error; the slack
-#: keeps that boundary case eligible (matching exact mode) while still
-#: rejecting bounds that clearly overshoot the quality target.
-_QUALITY_GATE_SLACK = 0.05
-
-#: Partitions a candidate's quality gate (and a fixed-rate candidate's
-#: measurement) reads: a seeded sample of this many.
+#: Partitions a fixed-rate candidate's measurement reads: a seeded
+#: sample of this many.
 _SAMPLE_PARTITIONS = 8
 
 #: A fixed-rate candidate's reason where a bound is required (unmeasured).
@@ -277,7 +259,6 @@ def select_compressor(
     field_spec: FieldSpec | None = None,
     field: str = "field",
     eb_avg: float | None = None,
-    reference: FieldReference | None = None,
     bank: RateModelBank | None = None,
     probe_mode: str = "exact",
     max_partitions: int = 32,
@@ -290,7 +271,9 @@ def select_compressor(
 
     - **error-bounded** candidates are calibrated (through ``bank``, so
       repeated selections share fits) and scored by the rate model's
-      predicted mean bitrate at the field's admissible average bound;
+      predicted mean bitrate at the field's admissible average bound —
+      the bound is what carries the quality target, and it is the same
+      for every candidate;
     - **fixed-rate** candidates under ``require_error_bounded=True``
       (what the streaming controller passes: its per-partition bound
       vector needs a *guarantee*) are rejected from their capabilities,
@@ -304,31 +287,26 @@ def select_compressor(
     §3.3/§3.5 budget inversion of ``field_spec`` (default
     :class:`~repro.core.config.FieldSpec`, the paper's targets).
 
-    ``probe_mode="model"`` swaps the trial compressions for the
-    closed-form ratio-quality engine (:mod:`repro.models.rq_model`):
-    error-bounded candidates are calibrated codec-free, probed once at
-    the admissible bound (one batched quantization pass over a seeded
-    partition sample), and gated on the *predicted* quality-at-bound —
-    their verdicts carry the predicted PSNR and spectrum/halo verdicts.
+    ``probe_mode`` changes only how the rates are probed:
+    ``"model"`` calibrates error-bounded candidates codec-free, off the
+    quantization-code histogram, instead of with trial compressions.
     Error-bounded candidates that cannot be probed codec-free raise
     :class:`~repro.compression.api.UnsupportedCapabilityError`
     (:func:`~repro.models.calibration.check_probe_mode`) before any
     candidate is calibrated; fixed-rate ones are treated as in exact mode.
 
     The probe mode has one source: a passed ``bank`` must have been
-    built with the same ``probe_mode`` (``ValueError`` otherwise), so an
-    exact-probed fit never meets a model-mode quality gate or vice versa.
+    built with the same ``probe_mode`` (``ValueError`` otherwise), so
+    the candidates of one selection are never ranked by rates probed
+    two different ways.
 
     Raises ``ValueError`` when no candidate is eligible, with every
     verdict in the message.
     """
     comps = [resolve_compressor(c) for c in candidates or default_candidates()]
     check_probe_mode(probe_mode, *(c for c in comps if c.capabilities.error_bounded))
-    field_spec = field_spec or FieldSpec()
-    ref = reference
     if eb_avg is None:
-        ref = ref if ref is not None else FieldReference(data)
-        eb_avg = derive_eb_budget(field_spec, ref)
+        eb_avg = derive_eb_budget(field_spec or FieldSpec(), FieldReference(data))
     eb_avg = float(eb_avg)
     if eb_avg <= 0:
         raise ValueError(f"eb_avg must be positive, got {eb_avg}")
@@ -343,20 +321,6 @@ def select_compressor(
             "pass the same mode to both"
         )
     views = decomposition.partition_views(data)
-
-    rq: RQModel | None = None
-    if probe_mode == "model":
-        ref = ref if ref is not None else FieldReference(data)
-        rq = RQModel(
-            ref,
-            QualityCriteria(
-                spectrum_tolerance=field_spec.spectrum_tolerance,
-                spectrum_k_max=field_spec.spectrum_k_max,
-            ),
-            field=field,
-            confidence_z=field_spec.confidence_z,
-            correlated_fraction=field_spec.correlated_fraction,
-        )
 
     verdicts: list[CandidateVerdict] = []  # one per candidate, in slate order
     for comp in comps:
@@ -380,39 +344,15 @@ def select_compressor(
                 np.mean(model.predict_bitrate(calibration.features, eb_avg))
             )
             _count_probe(probe_mode)
-            eligible, reason = True, (
-                f"error-bounded; predicted {predicted:.3f} bits/value "
-                f"at eb={eb_avg:.4g}"
-            )
-            prediction: RQPrediction | None = None
-            if rq is not None:
-                prediction = rq.probe(
-                    comp, sample_views(views, _SAMPLE_PARTITIONS, seed), eb_avg
-                )
-                gate = rq.criteria.spectrum_tolerance * (1.0 + _QUALITY_GATE_SLACK)
-                if not prediction.passed and prediction.spectrum_worst_deviation > gate:
-                    eligible, reason = False, (
-                        f"rejected: predicted spectrum deviation "
-                        f"{prediction.spectrum_worst_deviation:.4g} exceeds "
-                        f"tolerance {rq.criteria.spectrum_tolerance:.4g} "
-                        f"at eb={eb_avg:.4g}"
-                    )
-                else:
-                    reason += (
-                        f"; predicted quality {prediction.predicted_psnr_db:.1f} dB "
-                        f"PSNR, spectrum deviation "
-                        f"{prediction.spectrum_worst_deviation:.4g}"
-                    )
             verdicts.append(
                 CandidateVerdict(
                     spec=spec,
-                    eligible=eligible,
-                    reason=reason,
-                    predicted_bit_rate=predicted,
-                    predicted_psnr_db=(
-                        None if prediction is None else prediction.predicted_psnr_db
+                    eligible=True,
+                    reason=(
+                        f"error-bounded; predicted {predicted:.3f} bits/value "
+                        f"at eb={eb_avg:.4g}"
                     ),
-                    predicted_quality=prediction,
+                    predicted_bit_rate=predicted,
                     calibration=calibration,
                 )
             )

@@ -21,18 +21,18 @@ verdicts backed by **one** batched quantization probe
   check halos.
 
 No Lorenzo decode, no entropy codec, no decompression, no reconstruction
-analysis.  ``probe_mode="model"`` threads these predictions through
-``select_compressor``, ``run_sweep`` and the stream controller's
-recalibration; `docs/rq-model.md` records the equations, the validated
-tolerances (ratio within ~10% on Nyx fields; PSNR is the measured one)
-and when to fall back to exact mode.
+analysis.  ``run_sweep(probe_mode="model")`` scores its cells with these
+predictions (selection and the stream controller take only the rates,
+through codec-free calibration); `docs/rq-model.md` records the
+equations, the validated tolerances (ratio within ~10% on Nyx fields;
+PSNR is the measured one) and when to fall back to exact mode.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -125,22 +125,6 @@ class RQPrediction:
             nrmse_value=self.predicted_nrmse,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (benchmarks, ledgers)."""
-        return {
-            "field": self.field,
-            "eb": self.eb,
-            "predicted_bit_rate": self.predicted_bit_rate,
-            "predicted_ratio": self.predicted_ratio,
-            "predicted_psnr_db": self.predicted_psnr_db,
-            "predicted_nrmse": self.predicted_nrmse,
-            "spectrum_worst_deviation": self.spectrum_worst_deviation,
-            "spectrum_ok": self.spectrum_ok,
-            "halo_ok": self.halo_ok,
-            "halo_mass_fraction": self.halo_mass_fraction,
-            "passed": self.passed,
-        }
-
 
 class RQModel:
     """Per-field composition of the rate and quality models.
@@ -162,18 +146,16 @@ class RQModel:
         ``criteria.check_halos`` is set.
     field:
         Name stamped on predictions.
-    error_model:
-        Pointwise error model supplying the boundary fault probability
-        (default the §3.2 uniform model; pass the §3.5 revised mixture
-        for very large bounds).
-    confidence_z / correlated_fraction:
-        Passed through to
-        :func:`~repro.models.fft_error.predicted_spectrum_distortion` —
-        the same knobs (and defaults) the §3.3/§3.5 budget inversion
-        uses, and the sub-threshold power is read at the same
-        :data:`~repro.models.fft_error.SUB_POWER_STRIDE`, so a field
-        probed *at* its derived budget predicts inside the tolerance by
-        construction.
+
+    The boundary fault probability is the §3.2 uniform model's.  The
+    spectrum prediction uses
+    :func:`~repro.models.fft_error.predicted_spectrum_distortion`'s
+    default ``confidence_z`` and ``correlated_fraction`` — a default
+    :class:`~repro.core.config.FieldSpec`'s, which the §3.3/§3.5 budget
+    inversion reads — and the sub-threshold power at the same
+    :data:`~repro.models.fft_error.SUB_POWER_STRIDE`, so a field probed
+    *at* its derived budget predicts inside the tolerance by
+    construction.
     """
 
     def __init__(
@@ -181,9 +163,6 @@ class RQModel:
         reference: "FieldReference | np.ndarray",
         criteria: QualityCriteria | None = None,
         field: str = "field",
-        error_model: UniformErrorModel | None = None,
-        confidence_z: float = 2.0,
-        correlated_fraction: float = 0.0,
     ) -> None:
         from repro.foresight.evaluator import FieldReference
         from repro.foresight.quality import QualityCriteria
@@ -193,9 +172,6 @@ class RQModel:
         self.reference = reference
         self.criteria = criteria or QualityCriteria()
         self.field = field
-        self.error_model = error_model or UniformErrorModel()
-        self.confidence_z = float(confidence_z)
-        self.correlated_fraction = float(correlated_fraction)
         # Lazy: nothing is analyzed until the first prediction needs it,
         # so building a model on a rate-only path costs nothing.
         self._halo_mass: float | None = None
@@ -222,11 +198,9 @@ class RQModel:
             sub,
             f64.size,
             eb,
-            confidence_z=self.confidence_z,
             sub_threshold_power=sub_threshold_power_estimate(
                 f64, eb, stride=SUB_POWER_STRIDE
             ),
-            correlated_fraction=self.correlated_fraction,
         )
         return float(np.max(dist))
 
@@ -254,7 +228,7 @@ class RQModel:
             return None
         n_bc = boundary_cell_count(self.reference.f64, crit.t_boundary, eb)
         faults = float(
-            expected_fault_cells(n_bc, self.error_model.fault_probability())
+            expected_fault_cells(n_bc, UniformErrorModel().fault_probability())
         )
         mass_error = float(crit.t_boundary) * faults
         fraction = mass_error / self._halo_mass
@@ -301,19 +275,3 @@ class RQModel:
             halo_mass_fraction=None if halo is None else halo[1],
             halo_fault_cells=None if halo is None else halo[2],
         )
-
-    def probe(
-        self,
-        compressor: Any,
-        views: Sequence[np.ndarray],
-        eb: float,
-    ) -> RQPrediction:
-        """One-call probe + predict for a partitioned field at one bound.
-
-        Runs the compressor's batched ``estimate_many`` front; every
-        ``probe_mode=`` entry point has already required it
-        (:func:`~repro.models.calibration.check_probe_mode`).
-        """
-        views = list(views)
-        ests = compressor.estimate_many(views, [float(eb)] * len(views))
-        return self.predict(eb, ests)

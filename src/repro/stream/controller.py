@@ -216,11 +216,11 @@ class InSituController:
         keeping the rate model warm.
     probe_mode:
         Rate-model calibration probes: ``"exact"`` (the codec runs) or
-        ``"model"`` — the closed-form ratio-quality engine
-        (:mod:`repro.models.rq_model`): rates come off the
-        quantization-code histogram, and drift-triggered re-selection
-        is gated on *predicted* quality-at-bound instead of trial
-        compressions.
+        ``"model"`` (codec-free: rates come off the quantization-code
+        histogram).  It changes only how rates are probed; a slate is
+        ranked by predicted rate either way.  Under ``"model"`` every
+        compressor the run may compress with must support the
+        ``estimate_many`` front, checked before the ledger opens.
     max_partitions, seed:
         Calibration sampling: each fit probes at most ``max_partitions``
         partitions, drawn with ``seed`` (as are selection's samples).
@@ -312,17 +312,28 @@ class InSituController:
             if isinstance(fallback_compressor, str)
             else fallback_compressor
         )
-        # A run that could never compress fails before any record is made.
+        # A run that could never compress fails before the ledger opens:
+        # whatever it may compress with must be error-bounded and must take
+        # the run's probes.  With a slate, selection drops the fixed-rate
+        # members and the field specs' pins are never read.
         need = "the in situ controller (its output is a per-partition bound vector)"
-        fallback = fallback_compressor and resolve_compressor(fallback_compressor)
-        for comp in filter(None, (self.compressor, fallback)):
-            comp.capabilities.require("error_bounded", need, who=comp)
         slate = [resolve_compressor(c) for c in candidates or ()]
         if slate and not any(c.capabilities.error_bounded for c in slate):
             raise UnsupportedCapabilityError(
                 f"{need} requires a candidate with the 'error_bounded' capability; "
                 f"no member of {[c.spec.label for c in slate]} declares it"
             )
+        used = [self.compressor]
+        if fallback_compressor is not None:
+            used.append(resolve_compressor(fallback_compressor))
+        if slate:
+            used += [c for c in slate if c.capabilities.error_bounded]
+        else:
+            specs = (*self.field_specs.values(), self.default_spec)
+            used += [self._compressor_for(s.compressor) for s in specs]
+        for comp in used:
+            comp.capabilities.require("error_bounded", need, who=comp)
+        check_probe_mode(probe_mode, *used)
         self.ledger = (
             ledger
             if isinstance(ledger, RunLedger)
@@ -369,7 +380,7 @@ class InSituController:
                     settings=asdict(settings or OptimizerSettings()),
                     recalibrate=recalibrate,
                     warm_start=bool(warm_start),
-                    probe_mode=check_probe_mode(probe_mode),
+                    probe_mode=probe_mode,
                     drift=asdict(drift),
                 ),
             )
@@ -587,7 +598,6 @@ class InSituController:
                 field_spec=spec,
                 field=name,
                 eb_avg=eb_base,
-                reference=ref,
                 probe_mode=config.probe_mode,
                 max_partitions=self.max_partitions,
                 seed=self.seed,

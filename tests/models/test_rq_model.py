@@ -121,14 +121,12 @@ class TestRQModel:
         data = _smooth_field(1)
         crit = QualityCriteria(spectrum_tolerance=0.01, spectrum_k_max=6)
         model = RQModel(data, crit, field="d")
-        pred = model.probe(SZCompressor(), [data], 1e-3)
+        pred = model.predict(1e-3, SZCompressor().estimate_many([data], [1e-3]))
         assert isinstance(pred, RQPrediction)
-        assert pred.field == "d"
+        assert pred.field == "d" and pred.eb == 1e-3
         report = pred.to_quality_report()
         assert report.passed == pred.passed
         assert report.psnr_db == pred.predicted_psnr_db
-        d = pred.to_dict()
-        assert d["eb"] == 1e-3 and d["passed"] == pred.passed
 
     def test_spectrum_verdict_monotone(self):
         data = _smooth_field(2)
@@ -145,7 +143,7 @@ class TestRQModel:
             spectrum_tolerance=0.05, spectrum_k_max=6, check_halos=True, t_boundary=t
         )
         model = RQModel(data, crit)
-        pred = model.probe(SZCompressor(), [data], 1e-4)
+        pred = model.predict(1e-4, SZCompressor().estimate_many([data], [1e-4]))
         assert pred.halo_ok is not None
         assert pred.halo_mass_fraction is not None and pred.halo_mass_fraction >= 0
 
@@ -197,17 +195,13 @@ class TestRQModel:
         at its own derived budget predicts inside the tolerance, and 1 %
         above it predicts outside."""
         data = snapshot[field]
-        for tol, corr in ((0.01, 0.0), (0.05, 0.5)):
+        for tol in (0.01, 0.05):
             eb = derive_eb_budget(
-                FieldSpec(
-                    spectrum_tolerance=tol, spectrum_k_max=6, correlated_fraction=corr
-                ),
+                FieldSpec(spectrum_tolerance=tol, spectrum_k_max=6),
                 FieldReference(data),
             )
             model = RQModel(
-                data,
-                QualityCriteria(spectrum_tolerance=tol, spectrum_k_max=6),
-                correlated_fraction=corr,
+                data, QualityCriteria(spectrum_tolerance=tol, spectrum_k_max=6)
             )
             assert model.predicted_spectrum_deviation(eb) <= tol
             assert model.predicted_spectrum_deviation(1.01 * eb) > tol

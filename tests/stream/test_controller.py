@@ -178,6 +178,33 @@ class TestDriftGating:
         assert all(e.data["verdicts"][1]["reason"] == _NO_BOUND for e in selections)
         assert len(replay_ledger(ctl.ledger, verify=True)) == 3
 
+    def test_model_mode_slate_runs_above_the_derived_budget(
+        self, stream_sim, stream_dec
+    ):
+        """``probe_mode`` changes only how rates are probed: a bound set
+        above the Eq. 10 budget runs in model mode as it does in exact
+        mode, and a model-mode slate picks what an exact one does."""
+        spec = FieldSpec(eb_override=5000.0)  # the derived budget is ~1000
+        snaps = [stream_sim.snapshot(z=z) for z in (2.0, 1.0)]
+        chosen = {}
+        for mode in ("exact", "model"):
+            ctl = InSituController(
+                stream_dec,
+                max_partitions=8,
+                candidates=["sz", "sz:codec=huffman"],
+                field_specs={"temperature": spec},
+                probe_mode=mode,
+            )
+            report = ctl.run(
+                SnapshotSequence([_single_field(s, "temperature") for s in snaps])
+            )
+            assert report.n_snapshots == 2
+            assert {o.eb_avg for o in report.outcomes} == {5000.0}
+            (verdict,) = [e.data for e in ctl.ledger.select("selection")]
+            assert all(v["eligible"] for v in verdict["verdicts"])
+            chosen[mode] = ctl.selections["temperature"].chosen
+        assert chosen["model"] == chosen["exact"]
+
     def test_always_policy_recalibrates_every_snapshot(
         self, stream_dec, base_snapshot
     ):
@@ -610,33 +637,68 @@ class TestReportAndLifecycle:
         assert not hasattr(ctl, "backend")
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, needs",
         [
-            {"compressor": "zfp_like:rate=8"},
-            {"candidates": ["zfp_like:rate=8", "zfp_like:rate=16"]},
-            {"fallback_compressor": "zfp_like"},
+            ({"compressor": "zfp_like:rate=8"}, "'error_bounded'"),
+            (
+                {"candidates": ["zfp_like:rate=8", "zfp_like:rate=16"]},
+                "'error_bounded'",
+            ),
+            ({"fallback_compressor": "zfp_like"}, "'error_bounded'"),
+            (
+                {"field_specs": {"temperature": FieldSpec(compressor="zfp_like")}},
+                "'error_bounded'",
+            ),
+            ({"default_spec": FieldSpec(compressor="zfp_like")}, "'error_bounded'"),
+            ({"compressor": "sz_adaptive"}, "supports_estimate"),
+            (
+                {"field_specs": {"temperature": FieldSpec(compressor="sz_adaptive")}},
+                "supports_estimate",
+            ),
+            ({"candidates": ["sz", "sz_adaptive"]}, "supports_estimate"),
+            ({"fallback_compressor": "sz_adaptive"}, "supports_estimate"),
         ],
-        ids=["compressor", "slate", "fallback"],
+        ids=[
+            "compressor",
+            "slate",
+            "fallback",
+            "pinned-fixed-rate",
+            "default-pin-fixed-rate",
+            "model-compressor",
+            "model-pin",
+            "model-slate-member",
+            "model-fallback",
+        ],
     )
     def test_a_run_that_cannot_compress_fails_at_construction(
-        self, stream_dec, tmp_path, monkeypatch, kwargs
+        self, stream_dec, tmp_path, monkeypatch, kwargs, needs
     ):
-        """A fixed-rate compressor or fallback, or a slate with no
-        error-bounded member, is refused before the ledger is opened and
-        before anything is compressed."""
+        """A fixed-rate compressor, fallback or field pin, or a slate with
+        no error-bounded member, is refused before the ledger is opened
+        and before anything is compressed; so, under the codec-free probe
+        mode, is anything the run may compress with that cannot take the
+        probe."""
 
         def refuse(*_, **__):
             raise AssertionError("a fixed-rate compressor was run")
 
         monkeypatch.setattr(ZFPLikeCompressor, "compress_many", refuse)
         path = tmp_path / "run.jsonl"
-        with pytest.raises(UnsupportedCapabilityError, match="'error_bounded'"):
-            InSituController(stream_dec, ledger=path, **kwargs)
+        probe_mode = "exact" if needs == "'error_bounded'" else "model"
+        with pytest.raises(UnsupportedCapabilityError, match=needs):
+            InSituController(stream_dec, ledger=path, probe_mode=probe_mode, **kwargs)
         assert not path.exists()
 
     def test_one_error_bounded_candidate_is_enough(self, stream_dec):
-        """The slate needs one error-bounded member, wherever it stands."""
+        """The slate needs one error-bounded member, wherever it stands,
+        and a slate leaves the field specs' pins unread."""
         InSituController(stream_dec, candidates=["zfp_like:rate=8", "sz"]).close()
+        InSituController(
+            stream_dec,
+            candidates=["sz", "zfp_like:rate=8"],
+            default_spec=FieldSpec(compressor="zfp_like"),
+            probe_mode="model",
+        ).close()
 
     def test_report_exports(self, stream_dec, base_snapshot):
         snap = _single_field(base_snapshot, "temperature")

@@ -49,7 +49,9 @@ def _pinned_v3_bounds():
 
 
 class TestFrozenFixtures:
-    @pytest.mark.parametrize("name", ["pr4_ledger", "v2_ledger", "v3_ledger"])
+    @pytest.mark.parametrize(
+        "name", ["pr4_ledger", "v2_ledger", "v3_ledger", "v3_model_ledger"]
+    )
     def test_replays_to_pinned_decisions(self, name):
         decisions = replay_ledger(FIXTURES / f"{name}.jsonl", verify=True)
         pinned = json.loads((FIXTURES / f"{name}.decisions.json").read_text())
@@ -99,6 +101,58 @@ class TestFrozenFixtures:
             (i, f) for i in range(5) for f in ("baryon_density", "temperature")
         ]
         assert state.governor.spent == state.report.compressed_bytes
+
+    def test_model_ledger_selections_read_without_their_predicted_quality(self):
+        """Model-mode selection used to gate on predicted quality and
+        record each verdict's predicted PSNR and quality; a ledger that
+        carries them still folds to readable selections."""
+        from repro.stream.controller import InSituController
+
+        path = FIXTURES / "v3_model_ledger.jsonl"
+        events = RunLedger.load(path).events
+        assert events[0].data["probe_mode"] == "model"
+        selections = [e.data for e in events if e.kind == "selection"]
+        assert len(selections) == 6
+        assert all(
+            "predicted_psnr_db" in v and "predicted_quality" in v
+            for sel in selections
+            for v in sel["verdicts"]
+            if v["eligible"]
+        )
+        ctl = InSituController.resume(path)
+        ctl.close()
+        assert sorted(ctl.selections) == ["baryon_density", "temperature"]
+        latest = {sel["field"]: sel for sel in selections}
+        retired = ("predicted_psnr_db", "predicted_quality")
+        for name, sel in ctl.selections.items():
+            assert sel.chosen == resolve_compressor("sz").spec
+            assert sel.to_dict()["verdicts"] == [
+                {k: x for k, x in v.items() if k not in retired}
+                for v in latest[name]["verdicts"]
+            ]
+
+    def test_model_ledger_resumes_to_its_pinned_decisions(self, tmp_path, stream_sim):
+        """Cut before its last snapshot, the model-mode run resumes under
+        rate-only selection and re-makes that snapshot's decisions."""
+        from repro.stream.controller import InSituController
+
+        lines = (FIXTURES / "v3_model_ledger.jsonl").read_text().splitlines()
+        assert json.loads(lines[20])["data"]["snapshot"] == 2
+        cut = tmp_path / "model-cut.jsonl"
+        cut.write_text("\n".join(lines[:20]) + "\n")
+        ctl = InSituController.resume(cut, max_partitions=8)
+        ctl.run(
+            SimulatorStream(
+                stream_sim, [2.0, 1.5, 1.0], fields=["baryon_density", "temperature"]
+            )
+        )
+        ctl.close()
+        appended = RunLedger.load(cut).events[20:]
+        assert appended[0].kind == "resume" and appended[-1].kind == "run_end"
+        pinned = json.loads((FIXTURES / "v3_model_ledger.decisions.json").read_text())
+        assert _bounds(replay_ledger(cut, verify=True)) == [
+            (p["snapshot"], p["field"], p["ebs"]) for p in pinned
+        ]
 
     def test_estimate_stamped_ledger_folds_to_model_mode(self, tmp_path):
         """``"estimate"`` stopped being a probe mode; a ledger whose

@@ -541,14 +541,25 @@ class TestStreamCommand:
         assert dump.name in lines[0] and "3 attempt(s)" in lines[0]
 
     @pytest.mark.parametrize(
-        "compressors",
-        [["zfp_like:rate=8"], ["zfp_like:rate=8", "zfp_like:rate=16"]],
-        ids=["compressor", "slate"],
+        "flags, needs",
+        [
+            (["--compressor", "zfp_like:rate=8"], "'error_bounded'"),
+            (
+                ["--compressor", "zfp_like:rate=8", "--compressor", "zfp_like:rate=16"],
+                "'error_bounded'",
+            ),
+            (
+                ["--compressor", "sz_adaptive", "--probe-mode", "model"],
+                "'supports_estimate'",
+            ),
+        ],
+        ids=["compressor", "slate", "model-probe"],
     )
     def test_a_fixed_rate_stream_is_one_line(
-        self, tmp_path, capsys, monkeypatch, compressors
+        self, tmp_path, capsys, monkeypatch, flags, needs
     ):
-        """A run that could never compress is refused before a snapshot is
+        """A run that could never compress (a fixed-rate compressor, or
+        one the probe mode cannot serve) is refused before a snapshot is
         synthesized or a ledger line written: one line, exit 2."""
         from repro.sim.nyx import NyxSimulator
 
@@ -558,15 +569,34 @@ class TestStreamCommand:
         monkeypatch.setattr(NyxSimulator, "snapshot", refuse)
         ledger = tmp_path / "x.jsonl"
         argv = ["stream", "--simulate", "--shape", "16", "--redshifts", "2,1"]
-        argv += ["--blocks", "2", "--ledger", str(ledger)]
-        for spec in compressors:
-            argv += ["--compressor", spec]
+        argv += ["--blocks", "2", "--ledger", str(ledger)] + flags
         capsys.readouterr()
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("stream: ")
-        assert "'error_bounded'" in lines[0]
+        assert needs in lines[0]
         assert not ledger.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--budget-bytes", "0"], "byte_budget must be positive"),
+            (["--resume", "--ledger", "EMPTY"], "no run_start event"),
+        ],
+        ids=["zero-budget", "resume-empty-ledger"],
+    )
+    def test_a_refused_controller_is_one_line(self, tmp_path, capsys, flags, message):
+        """Settings the controller refuses at construction or resume end
+        in one ``stream: ...`` line and exit 2, not a traceback."""
+        empty = tmp_path / "empty.jsonl"
+        empty.touch()
+        argv = ["stream", "--simulate", "--shape", "16", "--redshifts", "2,1"]
+        argv += ["--blocks", "2"] + [str(empty) if f == "EMPTY" else f for f in flags]
+        capsys.readouterr()
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("stream: ")
+        assert message in lines[0]
 
     def test_stream_needs_a_source(self, capsys):
         rc = main(["stream"])

@@ -29,6 +29,8 @@ PINNED = {
     "stream/fixtures/v2_ledger.jsonl": "f60ff81ab0504b20f7650b62f8fe450db6c8ae0926e4f5e32cce5cad88c5c5d3",
     "stream/fixtures/v3_ledger.decisions.json": "32fd1245b41cd64c091754e8e0d7dcf808c0e6db7d3b881a6a132d19a7a443ef",
     "stream/fixtures/v3_ledger.jsonl": "cb09ad576c38b073798c0ac33bf45b45c3f30a8d7354937bc093b8db67094362",
+    "stream/fixtures/v3_model_ledger.decisions.json": "4832627691b8af3bbd648343197155e6cd10612fd8490b5c6aaea1f26e9a9e8d",
+    "stream/fixtures/v3_model_ledger.jsonl": "2c520a8af1f022d99cfb627d1d3399a34631ba1c1e9288c0f0f682d4f76896ea",
 }
 
 
