@@ -477,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--rate-only",
         action="store_true",
-        help="skip decompression and quality evaluation (rate curves only)",
+        help="read rates alone: no quality evaluation, records carry no "
+        "quality (rate curves only)",
     )
     s.add_argument(
         "--probe-mode",

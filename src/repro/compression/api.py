@@ -96,9 +96,12 @@ class CompressorCapabilities:
         the data or a bound — §2.2's ZFP fixed-rate mode.  Mutually
         exclusive with ``error_bounded`` in practice.
     supports_estimate:
-        Provides ``estimate_many(views, ebs)`` — the batched
-        codec-free rate/quality probe behind
-        ``probe_mode="model"``.
+        Provides the codec-free rate/quality probe behind
+        ``probe_mode="model"`` in both its batched forms:
+        ``estimate_many(views, ebs)``, one bound per view, and
+        ``estimate_ladder(views, ebs)``, every view at each bound of a
+        ladder (what the bound sweep probes), equal to
+        ``[estimate_many(views, [eb] * len(views)) for eb in ebs]``.
     """
 
     error_bounded: bool = False
@@ -263,8 +266,8 @@ class Compressor(Protocol):
     ``error_bounded`` — fixed-rate families accept and ignore it, so the
     call shape stays uniform across the registry.  A compressor that
     declares ``supports_estimate`` also provides ``estimate_many(views,
-    ebs)``, the codec-free probe.  ``registry.create(comp.spec)`` gives
-    an equivalent instance.
+    ebs)`` and ``estimate_ladder(views, ebs)``, the codec-free probe.
+    ``registry.create(comp.spec)`` gives an equivalent instance.
 
     Scratch is not part of the contract: a compressor holds none
     between calls, and each batched pass allocates what it needs and
@@ -466,7 +469,7 @@ def resolve_compressor(
     declared = isinstance(caps, CompressorCapabilities)
     methods = ["compress", "compress_many", "decompress"]
     if declared and caps.supports_estimate:
-        methods.append("estimate_many")
+        methods += ["estimate_many", "estimate_ladder"]
     missing = [m for m in methods if not callable(getattr(compressor, m, None))]
     if "compress_many" not in missing and not _takes_out(compressor.compress_many):
         missing.append("compress_many's out= parameter")

@@ -317,12 +317,91 @@ class SZCompressor:
                 lambda idxs: self._estimate_batch([arrs[i] for i in idxs], eb_arr[idxs]), arrs
             )
 
+    def estimate_ladder(
+        self, views: list[np.ndarray], ebs: np.ndarray | list[float]
+    ) -> list[list[RQEstimate]]:
+        """The probe of every view at each bound of a ladder: equal to
+        ``[estimate_many(views, [eb] * len(views)) for eb in ebs]``, and
+        raising its error for a bad view or bound, with the bound-free
+        work done once.
+
+        Each same-shape group is cut into chunks of at most
+        :data:`GROUP_LATTICE_BYTES` of lattice, as :func:`_run_chunks`
+        cuts it, and each chunk is mapped once (:meth:`_map_source`: the
+        copy and widen, the value ranges, the checks and, in ``pw_rel``,
+        the ``log``).  Each of its bounds then does only its own divide,
+        quantize -> Lorenzo -> residual codes, MSE and census; in ``abs``
+        mode the MSE subtracts the mapped stack in one contiguous pass.
+        The chunks go through :func:`~repro.util.fanout.thread_map`, and
+        each chunk's bounds through a nested one, so a field of one
+        chunk still fans out over its bounds and a field of many keeps
+        every thread on its own chunk.  Peak memory is one mapped chunk
+        plus one bound's pass per thread.  One ``rq.probe`` span wraps
+        the whole ladder, with an ``sz.map`` span per chunk and per
+        bound's divide.
+        """
+        arrs = [_check_array(np.asarray(v)) for v in views]
+        eb_arr = _check_bounds(ebs)
+        if eb_arr.ndim != 1:
+            raise ValueError(f"need a 1-D ladder of error bounds, got shape {eb_arr.shape}")
+        bounds = eb_arr.tolist()
+        ladder: list[list] = [[None] * len(arrs) for _ in bounds]
+        with telemetry.get_tracer().span("rq.probe", blocks=len(arrs), bounds=len(bounds)):
+            if bounds:
+                chunks = [
+                    idxs
+                    for shape, group in _shape_groups(arrs).items()
+                    for idxs in _cut(group, math.prod(shape))
+                ]
+                runs = thread_map(
+                    lambda idxs: self._ladder_chunk([arrs[i] for i in idxs], bounds), chunks
+                )
+                for idxs, rungs in zip(chunks, runs):
+                    for row, got in zip(ladder, rungs):
+                        for i, estimate in zip(idxs, got):
+                            row[i] = estimate
+        return ladder
+
+    def _ladder_chunk(self, arrs: list[np.ndarray], bounds: list[float]) -> list[list[RQEstimate]]:
+        """One chunk of *same-shape* blocks probed at every bound: mapped
+        once, then one probe pass per bound, side by side."""
+        tracer = telemetry.get_tracer()
+        ranges = np.empty(len(arrs), np.float64)
+        with tracer.span("sz.map", blocks=len(arrs), mode=self.mode):
+            source = self._map_source(arrs, ranges)
+        # In abs mode the mapped rows are the source values, widened: the
+        # MSE subtracts them as one stack.
+        truth = source if self.mode == "abs" else arrs
+
+        def rung(eb: float) -> list[RQEstimate]:
+            eb_arr = np.full(len(arrs), eb)
+            with tracer.span("sz.map", blocks=len(arrs), mode=self.mode):
+                scales = self._pitches(eb_arr)
+                with np.errstate(over="ignore"):
+                    work = np.divide(source, scales[:, None])
+            return self._estimate_mapped(arrs, work, scales, eb_arr, ranges, truth)
+
+        return thread_map(rung, bounds)
+
     def _estimate_batch(self, arrs: list[np.ndarray], eb_arr: np.ndarray) -> list[RQEstimate]:
         """Probe a chunk of *same-shape* blocks in one kernel pass."""
         ranges = np.empty(len(arrs), np.float64)
         work, scales = self._map_batch(arrs, eb_arr, ranges)
+        return self._estimate_mapped(arrs, work, scales, eb_arr, ranges, arrs)
+
+    def _estimate_mapped(
+        self,
+        arrs: list[np.ndarray],
+        work: np.ndarray,
+        scales: np.ndarray,
+        eb_arr: np.ndarray,
+        ranges: np.ndarray,
+        truth: "list[np.ndarray] | np.ndarray",
+    ) -> list[RQEstimate]:
+        """The probe after the map: encode ``work`` (overwritten), then
+        each row's MSE against ``truth`` and its predicted size."""
         symbols, counts, _pos, _val, _maxes = self._encode_mapped(work, scales, arrs[0].shape)
-        mses = self._decoded_mse_rows(work, scales, arrs)
+        mses = self._decoded_mse_rows(work, scales, truth)
         # One sparse census over the sorted symbol matrix (this pass's
         # own, sorted in place): at tight bounds the folded symbols span
         # far more values than a row holds.
@@ -342,7 +421,7 @@ class SZCompressor:
         ]
 
     def _decoded_mse_rows(
-        self, rounded: np.ndarray, scales: np.ndarray, sub: list[np.ndarray]
+        self, rounded: np.ndarray, scales: np.ndarray, truth: "list[np.ndarray] | np.ndarray"
     ) -> np.ndarray:
         """MSE of each probed view after decode, in value space.
 
@@ -351,20 +430,24 @@ class SZCompressor:
         ``scales`` (exponentiated in ``pw_rel``) they are the decoder's
         values, outliers included: an outlier is a Lorenzo residual that
         ships in a side channel, and its cell still decodes to its
-        lattice point.  Minus the source, every point's actual error, in
-        a few group-wide passes.  The uniform U[-eb, eb] model assumes
-        errors fill the bound; on fields whose values sit mostly far
-        below ``eb`` (lognormal density: nearly everything quantizes to
-        code 0 with error << eb) it over-predicts MSE by an order of
-        magnitude, so the probe measures instead of assuming.
+        lattice point.  Minus the source — ``truth``, the views, or their
+        float64 ``(B, n)`` stack, subtracted in one pass — every point's
+        actual error, in a few group-wide passes.  The uniform U[-eb, eb]
+        model assumes errors fill the bound; on fields whose values sit
+        mostly far below ``eb`` (lognormal density: nearly everything
+        quantizes to code 0 with error << eb) it over-predicts MSE by an
+        order of magnitude, so the probe measures instead of assuming.
         """
         n_blocks, n = rounded.shape
         err = rounded
         err *= scales[:, None]
         if self.mode != "abs":
             np.exp(err, out=err)
-        for row, arr in zip(err, sub):
-            row.reshape(arr.shape)[...] -= arr
+        if isinstance(truth, np.ndarray):
+            err -= truth
+        else:
+            for row, arr in zip(err, truth):
+                row.reshape(arr.shape)[...] -= arr
         # einsum sums a lone row in another order than the rows of a
         # stack, so a one-row chunk is summed as a stack of two: a
         # block's MSE has the same bits however its group was chunked.
@@ -415,46 +498,58 @@ class SZCompressor:
         ranges: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The front's map step over the chunk as one ``(B, n)`` stack:
-        each block copied (exactly widened) into its row of a float64
-        work array, then each check and transform run once over the
-        whole stack — the finite check (``abs``), or the ``<= 0`` check,
-        ``log`` and finite check (``pw_rel``), then the divide by the
-        lattice pitch.  One ``copyto`` per block is all that runs block
-        by block, so a chunk of many small blocks makes a handful of
-        large NumPy calls, which release the GIL, not a few per block.
+        :meth:`_map_source`, then the divide by each row's lattice pitch
+        (:meth:`_pitches`), in place.
 
         Bad input raises before any lattice work.  Given ``ranges``,
-        each row's value range (max - min of the source values) is
-        written there before the map.  Returns ``(work, scales)``:
-        ``work`` holds each block's ``x / (2*eb)`` (``ln x`` over the
-        log-space pitch in ``pw_rel``), ``scales`` each row's pitch.
+        each row's value range is written there.  Returns ``(work,
+        scales)``: ``work`` holds each block's ``x / (2*eb)`` (``ln x``
+        over the log-space pitch in ``pw_rel``), ``scales`` each row's
+        pitch.
         """
-        n_blocks = len(arrs)
-        shape = arrs[0].shape
-        n = int(arrs[0].size)
-        work = np.empty((n_blocks, n), np.float64)
-        mask = np.empty((n_blocks, n), np.bool_)
-        scales = np.empty(n_blocks, np.float64)
-        with telemetry.get_tracer().span("sz.map", blocks=n_blocks, mode=self.mode):
-            for row, arr in zip(work, arrs):
-                np.copyto(row.reshape(shape), arr)
-            if ranges is not None:
-                np.subtract(work.max(axis=1), work.min(axis=1), out=ranges)
-            if self.mode == "abs":
-                np.multiply(eb_arr, 2.0, out=scales)
-            else:
-                np.less_equal(work, 0, out=mask)
-                if mask.any():
-                    raise ValueError("pw_rel mode requires strictly positive data")
-                np.log(work, out=work)
-                for b in range(n_blocks):
-                    scales[b] = 2.0 * pw_rel_to_log_abs(float(eb_arr[b]))
-            np.isfinite(work, out=mask)
-            if not mask.all():
-                raise ValueError("data contains non-finite values (NaN or Inf)")
+        with telemetry.get_tracer().span("sz.map", blocks=len(arrs), mode=self.mode):
+            work = self._map_source(arrs, ranges)
+            scales = self._pitches(eb_arr)
             with np.errstate(over="ignore"):
                 np.divide(work, scales[:, None], out=work)
         return work, scales
+
+    def _map_source(self, arrs: list[np.ndarray], ranges: np.ndarray | None = None) -> np.ndarray:
+        """The bound-free half of the map: each block copied (exactly
+        widened) into its row of a float64 ``(B, n)`` work array, then
+        each check and transform run once over the whole stack — the
+        finite check (``abs``), or the ``<= 0`` check, ``log`` and finite
+        check (``pw_rel``).  One ``copyto`` per block is all that runs
+        block by block, so a chunk of many small blocks makes a handful
+        of large NumPy calls, which release the GIL, not a few per block.
+
+        Bad input raises here.  Given ``ranges``, each row's value range
+        (max - min of the source values) is written there before the
+        ``log``.  Returns the stack.
+        """
+        shape = arrs[0].shape
+        work = np.empty((len(arrs), int(arrs[0].size)), np.float64)
+        mask = np.empty(work.shape, np.bool_)
+        for row, arr in zip(work, arrs):
+            np.copyto(row.reshape(shape), arr)
+        if ranges is not None:
+            np.subtract(work.max(axis=1), work.min(axis=1), out=ranges)
+        if self.mode != "abs":
+            np.less_equal(work, 0, out=mask)
+            if mask.any():
+                raise ValueError("pw_rel mode requires strictly positive data")
+            np.log(work, out=work)
+        np.isfinite(work, out=mask)
+        if not mask.all():
+            raise ValueError("data contains non-finite values (NaN or Inf)")
+        return work
+
+    def _pitches(self, eb_arr: np.ndarray) -> np.ndarray:
+        """Each row's lattice pitch: ``2*eb``, or twice the log-space
+        bound in ``pw_rel``."""
+        if self.mode == "abs":
+            return np.multiply(eb_arr, 2.0)
+        return np.array([2.0 * pw_rel_to_log_abs(float(eb)) for eb in eb_arr])
 
     def _quantize_encode_batch(
         self,
@@ -621,18 +716,12 @@ def _run_chunks(run: Callable[[np.ndarray], list], items: Sequence) -> list:
     so the outputs do not depend on the cut.
     """
     threads = usable_cpus()
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(tuple(item.shape), []).append(i)
     local: list[np.ndarray] = []  # chunks for the calling thread
     fanned: list[np.ndarray] = []  # chunks for thread_map
-    for shape, idxs in groups.items():
+    for shape, idxs in _shape_groups(items).items():
         n = math.prod(shape)
-        count = -(-len(idxs) // _chunk_len(n))
         wide = threads > 1 and n >= FANOUT_MIN_ELEMENTS
-        if wide:
-            count = max(count, min(threads, len(idxs)))
-        (fanned if wide else local).extend(np.array_split(np.asarray(idxs), count))
+        (fanned if wide else local).extend(_cut(idxs, n, min(threads, len(idxs)) if wide else 1))
     if len(fanned) < 2:
         local, fanned = local + fanned, []
 
@@ -644,6 +733,22 @@ def _run_chunks(run: Callable[[np.ndarray], list], items: Sequence) -> list:
         for i, item in zip(idxs, got):
             out[i] = item
     return out
+
+
+def _shape_groups(items: Sequence) -> dict[tuple[int, ...], list[int]]:
+    """Indices into ``items`` (anything with a ``.shape``) by shape, in
+    first-seen order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(tuple(item.shape), []).append(i)
+    return groups
+
+
+def _cut(idxs: list[int], n: int, at_least: int = 1) -> list[np.ndarray]:
+    """A group of blocks of ``n`` elements each, cut into the fewest even
+    chunks — but at least ``at_least`` — that keep within the lattice
+    budget."""
+    return np.array_split(np.asarray(idxs), max(at_least, -(-len(idxs) // _chunk_len(n))))
 
 
 def _check_array(arr: np.ndarray) -> np.ndarray:
@@ -666,9 +771,15 @@ def _check_batch(
             f"need one error bound per view: {len(arrs)} views, "
             f"ebs shape {eb_arr.shape}"
         )
+    return arrs, _check_bounds(eb_arr)
+
+
+def _check_bounds(ebs: np.ndarray | Sequence[float]) -> np.ndarray:
+    """Bounds as a float64 array, each positive and finite."""
+    eb_arr = np.asarray(ebs, dtype=np.float64)
     if not np.isfinite(eb_arr).all() or (eb_arr <= 0).any():
         raise ValueError("all error bounds must be positive and finite")
-    return arrs, eb_arr
+    return eb_arr
 
 
 def _check_header(block: CompressedBlock) -> None:

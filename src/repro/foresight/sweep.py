@@ -1,4 +1,4 @@
-"""Configuration sweeps: compress -> decompress -> analyze over a grid.
+"""Configuration sweeps: compress -> analyze the reconstruction over a grid.
 
 This is the broad-spectrum empirical methodology (Foresight) the paper
 uses for ground truth and baselines.  Each record carries rate *and*
@@ -6,35 +6,38 @@ quality, so downstream code can pick operating points or validate the
 models' predictions.
 
 Rate-curve studies don't need the quality half: ``rate_only=True``
-skips decompression and quality evaluation.  ``probe_mode="model"``
+skips the reconstruction and its evaluation.  ``probe_mode="model"``
 skips the entropy codec too: each ``(field, eb)`` cell is sized from
 the quantization-code histogram (:mod:`repro.compression.estimator`)
 and gets a *predicted* quality report from the closed-form
-ratio-quality engine (:mod:`repro.models.rq_model`) — one batched
-quantization probe, no compression, no decompression, no
-reconstruction analysis — with an exact-confirmation knob
-(``confirm=``) that re-runs borderline cells through the real
-pipeline.  The two compose: a ``"model"`` sweep with ``rate_only=True``
-reads rates off the probe and never builds a field reference.
+ratio-quality engine (:mod:`repro.models.rq_model`) — one quantization
+probe per bound, no compression, no reconstruction analysis — with an
+exact-confirmation knob (``confirm=``) that re-runs cells through the
+real pipeline.  The two compose: a ``"model"`` sweep with
+``rate_only=True`` reads rates off the probe and never builds a field
+reference, unless ``confirm="always"`` measures every rate instead.
 
 Quality sweeps share one :class:`~repro.foresight.evaluator.QualityEvaluator`
 per field, so the original-side analyses (``rfftn`` power spectrum, halo
 catalog, metric moments) run exactly once per field no matter how many
 error bounds are trialed.
 
-A field's bounds are independent, so they are trialed side by side, in
-two :func:`~repro.util.fanout.thread_map` phases: first every bound's
-probe (``probe_mode="model"``), then every cell that must be measured —
-compress, decode, evaluate.  Between them, in the calling thread, the
-field's :class:`~repro.foresight.evaluator.FieldReference` analyses,
-:class:`~repro.models.rq_model.RQModel` predictions and evaluator are
-built, and only when some cell reads them, so the reference-cache
-counters are those of a bound-by-bound run.  A measured cell decodes
-straight into a float64 field buffer (``decompress_many(...,
-out=partition views)``), one per cell in flight, reused from cell to
-cell, and holds its blocks only until it is scored: peak memory is a
-few bounds' worth, never the ladder's.  Records come back in bound
-order, the same whatever the CPU count.
+A field's bounds are independent, so they are trialed side by side
+through :func:`~repro.util.fanout.thread_map`.  In model mode, phase 1
+runs the ladder probe (``estimate_ladder``: each chunk of the field
+mapped once, then one probe pass per bound) beside the build of the
+:class:`~repro.foresight.evaluator.FieldReference` analyses the
+:class:`~repro.models.rq_model.RQModel` predictions read; the
+predictions then only read them, side by side, so the reference-cache
+counters do not depend on the CPU count.  Phase 2 runs every cell that
+must be measured: compress with ``compress_many(..., out=partition
+views)``, which writes the encoder's own reconstruction — bit for bit
+the decoder's — into a float64 field buffer, and evaluate that buffer;
+no cell decodes what it has just encoded.  There is one buffer per cell
+in flight, reused from cell to cell, and a cell holds its blocks only
+until it is scored: peak memory is a few bounds' worth, never the
+ladder's.  Records come back in bound order, the same whatever the CPU
+count.
 """
 
 from __future__ import annotations
@@ -44,12 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.api import (
-    Compressor,
-    CompressorSpec,
-    decompress_many,
-    resolve_compressor,
-)
+from repro.compression.api import Compressor, CompressorSpec, resolve_compressor
 from repro.foresight.evaluator import FieldReference, QualityEvaluator
 from repro.foresight.quality import QualityCriteria, QualityReport
 from repro.models.calibration import check_probe_mode
@@ -116,15 +114,16 @@ def run_sweep(
         A single registry-resolvable compressor (instance, spec, spec
         string or ``None`` for the SZ default).
     rate_only:
-        Skip decompression and quality evaluation; records carry
-        ``quality=None``.
+        Skip the reconstruction and its quality evaluation; records
+        carry ``quality=None``.
     probe_mode:
         ``"exact"`` (default) runs the full compressor; ``"model"``
         predicts rate *and* quality without running the entropy codec —
         each record's ``quality`` is the ratio-quality engine's
         predicted :class:`QualityReport` (predicted PSNR/NRMSE,
-        predicted spectrum and halo verdicts), from one batched
-        quantization probe per ``(field, eb)``; with ``rate_only=True``
+        predicted spectrum and halo verdicts), from one quantization
+        probe of each field's bound ladder (``estimate_ladder``: one
+        pass per ``(field, eb)``); with ``rate_only=True``
         only the rate half of the probe is read.  Every swept
         compressor must be able to serve the probe
         (:func:`~repro.models.calibration.check_probe_mode`;
@@ -141,10 +140,13 @@ def run_sweep(
         ``"never"`` (default) trusts every prediction, ``"boundary"``
         re-runs cells whose predicted verdicts sit within
         :data:`~repro.models.rq_model.BOUNDARY_BAND_FACTOR` of a
-        threshold through the real compress→decompress→analyze pipeline
+        threshold through the real compress→analyze pipeline
         (replacing both the rate and the quality of that record with
         measurements), ``"always"`` confirms every cell (predictions
-        become a cross-check only).
+        become a cross-check only).  With ``rate_only=True``,
+        ``"always"`` measures every cell's rate (the records are the
+        exact rate-only sweep's) and ``"boundary"`` is a
+        ``ValueError``: there is no verdict to be near.
     """
     if not fields:
         raise ValueError("need at least one field")
@@ -173,6 +175,11 @@ def run_sweep(
             'confirm applies only to probe_mode="model" '
             f"(got confirm={confirm!r} with probe_mode={probe_mode!r})"
         )
+    if confirm == "boundary" and rate_only:
+        raise ValueError(
+            'confirm="boundary" needs quality verdicts to be near, and '
+            "rate_only=True sweeps none: use confirm='always' or 'never'"
+        )
     records: list[SweepRecord] = []
     # One lazily-built FieldReference per field, shared across every
     # compressor (and with the R-Q models), so the original-side
@@ -200,22 +207,24 @@ def run_sweep(
             cells = len(bounds)
             sizes: list = [None] * cells  # (stored bytes, elements, itemsize)
             quality: list[QualityReport | None] = [None] * cells
-            measure = [probe_mode == "exact"] * cells
-            if probe_mode == "model":
-                # Phase 1: every bound's probe, side by side.
-                probes = thread_map(
-                    lambda eb: comp.estimate_many(views, [eb] * len(views)), bounds
-                )
+            measure = [probe_mode == "exact" or confirm == "always"] * cells
+            # A rate-only sweep that measures every cell reads no probe.
+            if probe_mode == "model" and not (rate_only and confirm == "always"):
+                # Phase 1, side by side: the probe of every bound and,
+                # unless rates alone are read, the reference analyses the
+                # model's predictions read (so the predictions only read
+                # them, in any order, on any thread).
+                rq = None if rate_only else RQModel(field_ref(name, data), crit, field=name)
+                jobs = [lambda: comp.estimate_ladder(views, bounds)]
+                if rq is not None:
+                    jobs.append(rq.analyze)
+                probes = thread_map(lambda job: job(), jobs)[0]
                 sizes = [_size(estimates, measured=False) for estimates in probes]
-                if not rate_only:
-                    # The first prediction builds the reference analyses
-                    # the model reads; the rest only read them.
-                    rq = RQModel(field_ref(name, data), crit, field=name)
-                    preds = [rq.predict(bounds[0], probes[0])]
-                    preds += thread_map(lambda i: rq.predict(bounds[i], probes[i]), range(1, cells))
+                if rq is not None:
+                    preds = thread_map(lambda i: rq.predict(bounds[i], probes[i]), range(cells))
                     for i, pred in enumerate(preds):
                         quality[i] = pred.to_quality_report()
-                        measure[i] = confirm == "always" or (
+                        measure[i] = measure[i] or (
                             confirm == "boundary" and pred.near_boundary(crit)
                         )
             todo = [i for i in range(cells) if measure[i]]
@@ -260,20 +269,21 @@ def _measure(
     evaluator: QualityEvaluator | None,
 ):
     """One field's measured cell, as a function of its bound: compress
-    the views, then — unless rates alone are swept — decode the blocks
-    straight into a field buffer and score it; returns the cell's
-    :func:`_size` and report, so no cell's blocks outlive it.  Buffers
-    are kept for the next cell: there is one per cell in flight."""
+    the views and — unless rates alone are swept — score the encoder's
+    own reconstruction, which ``compress_many(..., out=)`` writes into a
+    field buffer's partition views (bit for bit the decoder's, with no
+    decode); returns the cell's :func:`_size` and report, so no cell's
+    blocks outlive it.  Buffers are kept for the next cell: there is one
+    per cell in flight."""
     spare: list[np.ndarray] = []
 
     def cell(eb: float) -> tuple[tuple[float, int, int], QualityReport | None]:
-        blocks = comp.compress_many(views, [eb] * len(views))
         if evaluator is None:
-            return _size(blocks, measured=True), None
+            return _size(comp.compress_many(views, [eb] * len(views)), measured=True), None
         field = spare.pop() if spare else np.empty(shape)
         try:
             parts = decomposition.partition_views(field) if decomposition is not None else [field]
-            decompress_many(blocks, out=parts)
+            blocks = comp.compress_many(views, [eb] * len(views), out=parts)
             return _size(blocks, measured=True), evaluator.evaluate(field)
         finally:
             spare.append(field)

@@ -62,7 +62,7 @@ def check_probe_mode(value: str, *compressors: Compressor) -> str:
     Returns ``value`` if it is one of :data:`PROBE_MODES` (else the one
     ``ValueError`` every entry point raises) and, for the codec-free
     mode, requires the ``supports_estimate`` capability — the batched
-    ``estimate_many`` front — of each of ``compressors``
+    ``estimate_many`` / ``estimate_ladder`` front — of each of ``compressors``
     (:class:`~repro.compression.api.UnsupportedCapabilityError`).
     """
     if value not in PROBE_MODES:

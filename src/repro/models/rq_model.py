@@ -219,22 +219,38 @@ class RQModel:
         crit = self.criteria
         if not crit.check_halos or crit.t_boundary is None:
             return None
-        if self._halo_mass is None:
-            catalog = self.reference.halos(crit.t_boundary, crit.t_halo)
-            self._halo_mass = (
-                float(catalog.masses.sum()) if catalog.n_halos else 0.0
-            )
-        if self._halo_mass <= 0:
+        catalog_mass = self._catalog_mass()
+        if catalog_mass <= 0:
             return None
         n_bc = boundary_cell_count(self.reference.f64, crit.t_boundary, eb)
         faults = float(
             expected_fault_cells(n_bc, UniformErrorModel().fault_probability())
         )
         mass_error = float(crit.t_boundary) * faults
-        fraction = mass_error / self._halo_mass
+        fraction = mass_error / catalog_mass
         return mass_error, fraction, faults, fraction <= crit.halo_mass_rmse
 
+    def _catalog_mass(self) -> float:
+        """Total mass of the reference's halo catalog (0 when empty),
+        found on first use; the criteria must check halos."""
+        if self._halo_mass is None:
+            crit = self.criteria
+            catalog = self.reference.halos(crit.t_boundary, crit.t_halo)
+            self._halo_mass = float(catalog.masses.sum()) if catalog.n_halos else 0.0
+        return self._halo_mass
+
     # -- the prediction ----------------------------------------------------
+
+    def analyze(self) -> None:
+        """Build every reference analysis a prediction reads — the value
+        moments, the binned spectrum and, when the criteria check halos,
+        the catalog's mass — so that predictions made after it only read
+        them and may run side by side."""
+        self.reference.moments
+        self.reference.spectrum()
+        crit = self.criteria
+        if crit.check_halos and crit.t_boundary is not None:
+            self._catalog_mass()
 
     def predict(
         self, eb: float, estimates: "Sequence[RQEstimate] | RQEstimate"
@@ -242,8 +258,9 @@ class RQModel:
         """Compose one probe's statistics into a full R-Q verdict.
 
         ``estimates`` is the per-partition output of one
-        ``estimate_many`` probe at ``eb`` (a single estimate is accepted
-        for whole-field probes).  Rate aggregates over partitions.  MSE
+        ``estimate_many`` probe at ``eb``, or that bound's row of an
+        ``estimate_ladder`` (a single estimate is accepted for
+        whole-field probes).  Rate aggregates over partitions.  MSE
         pools each partition's *observed* quantization MSE, element-count
         weighted.  The PSNR normalizer is the *field's* value range, so
         per-partition ranges never skew it.

@@ -358,6 +358,7 @@ class TestContractIsCheckedOnEntry:
             "compress_many": real.compress_many,
             "decompress": real.decompress,
             "estimate_many": real.estimate_many,
+            "estimate_ladder": real.estimate_ladder,
         }
         members.update(overrides)
         return SimpleNamespace(**{k: v for k, v in members.items() if v is not None})
@@ -368,16 +369,26 @@ class TestContractIsCheckedOnEntry:
 
     @pytest.mark.parametrize(
         "missing",
-        ["capabilities", "spec", "compress", "compress_many", "decompress", "estimate_many"],
+        [
+            "capabilities",
+            "spec",
+            "compress",
+            "compress_many",
+            "decompress",
+            "estimate_many",
+            "estimate_ladder",
+        ],
     )
     def test_a_missing_member_is_refused_by_name(self, missing):
         obj = self._stand_in(**{missing: None})
         with pytest.raises(UnsupportedCapabilityError, match=rf"lacks .*\b{missing}\b"):
             resolve_compressor(obj)
 
-    def test_estimate_many_is_owed_only_where_declared(self):
+    def test_the_probe_is_owed_only_where_declared(self):
         obj = self._stand_in(
-            capabilities=CompressorCapabilities(error_bounded=True), estimate_many=None
+            capabilities=CompressorCapabilities(error_bounded=True),
+            estimate_many=None,
+            estimate_ladder=None,
         )
         assert resolve_compressor(obj) is obj
 

@@ -194,6 +194,7 @@ class TestMemory:
         _cpus(monkeypatch, 1)
         blocks = comp.compress_many(views, ebs)  # also warms module-level state
         comp.estimate_many(views, ebs)
+        comp.estimate_ladder(views, ebs[:3])
         dsts = [np.empty(v.shape) for v in views]
         decompress_many(blocks, out=dsts)
 
@@ -204,6 +205,7 @@ class TestMemory:
                 for call in (
                     lambda: comp.compress_many(views, ebs),
                     lambda: comp.estimate_many(views, ebs),
+                    lambda: comp.estimate_ladder(views, ebs[:3]),
                     lambda: decompress_many(blocks, out=dsts),
                 ):
                     tracemalloc.reset_peak()

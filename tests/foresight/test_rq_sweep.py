@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.foresight.sweep as sweep_mod
+from repro.compression.sz import SZCompressor
 from repro.foresight.evaluator import FieldReference
 from repro.foresight.quality import QualityCriteria
 from repro.foresight.sweep import run_sweep
@@ -76,6 +77,32 @@ class TestModelMode:
             probe_mode="model", confirm="boundary",
         )
         assert [r.passed for r in exact] == [r.passed for r in boundary]
+
+
+class TestRateOnlyConfirm:
+    def test_confirm_always_measures_every_rate(self, field, crit, monkeypatch):
+        dec = BlockDecomposition(field.shape, (2, 2, 2))
+        exact = run_sweep({"d": field}, EBS, crit, decomposition=dec, rate_only=True)
+        predicted = run_sweep(
+            {"d": field}, EBS, crit, decomposition=dec, probe_mode="model", rate_only=True
+        )
+        assert [r.bit_rate for r in predicted] != [r.bit_rate for r in exact]
+        # Every cell is measured, so no probe is read.
+        monkeypatch.setattr(
+            SZCompressor, "estimate_ladder", lambda *a, **k: pytest.fail("probed")
+        )
+        confirmed = run_sweep(
+            {"d": field}, EBS, crit, decomposition=dec,
+            probe_mode="model", rate_only=True, confirm="always",
+        )
+        assert repr(confirmed) == repr(exact)
+
+    def test_confirm_boundary_has_no_verdict_to_be_near(self, field, crit):
+        with pytest.raises(ValueError, match=r'confirm="boundary".*rate_only=True'):
+            run_sweep(
+                {"d": field}, EBS, crit,
+                probe_mode="model", rate_only=True, confirm="boundary",
+            )
 
 
 class TestLazyReferences:

@@ -4,6 +4,8 @@ run, whatever the usable CPU count."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,9 +61,30 @@ CONFIGS = {
 }
 
 
+#: sha256 of each config's ``repr(records)``, as the sweep wrote them
+#: when every measured cell still decoded its blocks; "compressors"
+#: covers ``zfp_like`` and Huffman, "whole-field" ``decomposition=None``.
+PINS = {
+    "compressors": "f688427c74764402bbe953225827a01ec5aee4ac498b7d09411e10fd323b80c0",
+    "exact": "93fcd0bf7355dba08c2317555df9e5cfe4b0e30c3f064adb79f2671fb60a8583",
+    "exact-rate-only": "a2da7af0877ab307dca74d372f872fed2eefb39a79ce68cae909e0585bd174f1",
+    "model-always": "93fcd0bf7355dba08c2317555df9e5cfe4b0e30c3f064adb79f2671fb60a8583",
+    "model-boundary": "e09ff4001c6d5b6402abdde1c94c78035e31447ef70b5ffeea271520bb599e0e",
+    "model-never": "5f245f60aa43719a7c43e40d4398ba54d3c3f0ea1edc3a7e0bb5f6f1e4b08796",
+    "model-rate-only": "cc37a5e6aad63b590bfaf016331e3a27a9da24d6004218e26b4213a73b7065a4",
+    "whole-field": "1cc8bd646c670f1f8df34634963e811c7736eba15352a8cbfc65cb27c87b454d",
+    "whole-field-model": "1cc8bd646c670f1f8df34634963e811c7736eba15352a8cbfc65cb27c87b454d",
+}
+
+
 def _sweep(fields, criteria, config: str) -> str:
     # repr: floats to the last bit, and a NaN equals itself
     return repr(run_sweep(fields, EBS, criteria, **CONFIGS[config]))
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_records_are_pinned(fields, criteria, config):
+    assert hashlib.sha256(_sweep(fields, criteria, config).encode()).hexdigest() == PINS[config]
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.analysis.metrics import error_summary
 from repro.compression.api import UnsupportedCapabilityError
 from repro.compression.estimator import (
@@ -146,6 +147,26 @@ class TestRQModel:
         pred = model.predict(1e-4, SZCompressor().estimate_many([data], [1e-4]))
         assert pred.halo_ok is not None
         assert pred.halo_mass_fraction is not None and pred.halo_mass_fraction >= 0
+
+    def test_after_analyze_predictions_only_read_the_reference(self):
+        data = _smooth_field(3)
+        data[4:9, 4:9, 4:9] += 10.0
+        crit = QualityCriteria(
+            spectrum_tolerance=0.05, spectrum_k_max=6, check_halos=True,
+            t_boundary=float(np.percentile(data, 90.0)),
+        )
+        probe = SZCompressor().estimate_many([data], [1e-3])
+        expected = RQModel(data, crit).predict(1e-3, probe)
+        model = RQModel(data, crit)
+        model.analyze()
+        with telemetry.armed():
+            assert model.predict(1e-3, probe) == expected
+            counts = {
+                m["name"]: m["value"]
+                for m in telemetry.get_registry().snapshot()
+                if m["name"].startswith("foresight.cache.")
+            }
+        assert counts and not any(name.endswith(".misses") for name in counts)
 
     def test_near_boundary_band(self):
         data = _smooth_field(4)
