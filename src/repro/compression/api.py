@@ -17,7 +17,7 @@ select_compressor`) instead of a hard-coded default:
 - :class:`Compressor` — the one contract every family implements
   itself (``capabilities``, ``spec``, ``compress``, ``compress_many``
   with its ``out=`` reconstruction buffers, ``decompress``, plus
-  ``estimate_many`` where declared), checked once, in
+  ``estimate_ladder`` where declared), checked once, in
   :func:`resolve_compressor`,
 - :class:`CompressorRegistry` — the fixed table of the three families
   (``sz``, ``sz_adaptive``, ``zfp_like``): ``create(spec)`` /
@@ -97,11 +97,9 @@ class CompressorCapabilities:
         exclusive with ``error_bounded`` in practice.
     supports_estimate:
         Provides the codec-free rate/quality probe behind
-        ``probe_mode="model"`` in both its batched forms:
-        ``estimate_many(views, ebs)``, one bound per view, and
-        ``estimate_ladder(views, ebs)``, every view at each bound of a
-        ladder (what the bound sweep probes), equal to
-        ``[estimate_many(views, [eb] * len(views)) for eb in ebs]``.
+        ``probe_mode="model"``: ``estimate_ladder(views, ebs)``, every
+        view at each bound of a ladder, one row of estimates per bound
+        (what calibration and the bound sweep probe).
     """
 
     error_bounded: bool = False
@@ -265,8 +263,8 @@ class Compressor(Protocol):
     honoured as an error bound only when :attr:`capabilities` declares
     ``error_bounded`` — fixed-rate families accept and ignore it, so the
     call shape stays uniform across the registry.  A compressor that
-    declares ``supports_estimate`` also provides ``estimate_many(views,
-    ebs)`` and ``estimate_ladder(views, ebs)``, the codec-free probe.
+    declares ``supports_estimate`` also provides ``estimate_ladder(views,
+    ebs)``, the codec-free probe.
     ``registry.create(comp.spec)`` gives an equivalent instance.
 
     Scratch is not part of the contract: a compressor holds none
@@ -469,7 +467,7 @@ def resolve_compressor(
     declared = isinstance(caps, CompressorCapabilities)
     methods = ["compress", "compress_many", "decompress"]
     if declared and caps.supports_estimate:
-        methods += ["estimate_many", "estimate_ladder"]
+        methods.append("estimate_ladder")
     missing = [m for m in methods if not callable(getattr(compressor, m, None))]
     if "compress_many" not in missing and not _takes_out(compressor.compress_many):
         missing.append("compress_many's out= parameter")

@@ -26,7 +26,10 @@ stacks of same-shape blocks — chunks of at most
 batch of one — so there is one front, written once in NumPy.  Decode
 is its mirror: :func:`decompress_many` runs each chunk of the same
 chunker through one unfold / scatter / prefix-sum / dequantize pass,
-and :func:`decompress` is a chunk of one.
+and :func:`decompress` is a chunk of one.  The codec-free probe,
+:meth:`~SZCompressor.estimate_ladder`, maps each chunk once for a whole
+ladder of bounds and runs steps 1-3 per bound with no entropy codec;
+:meth:`~SZCompressor.estimate` is a ladder of one.
 
 This is code-stream **layout 2**, the only one this module reads or
 writes; layout-1 blocks (``r + radius`` codes, interleaved bytes) are
@@ -273,7 +276,8 @@ class SZCompressor:
         )
 
     def estimate(self, data: np.ndarray, eb: float) -> RQEstimate:
-        """Predict compressed size *and* quality without running a codec.
+        """Predict compressed size *and* quality without running a codec:
+        :meth:`estimate_ladder` of one view at one bound.
 
         Runs the cheap front of the pipeline (quantize -> Lorenzo ->
         residual codes) and reads the predicted entropy-coded size off
@@ -283,62 +287,36 @@ class SZCompressor:
         the decoder will return (each cell, outliers included, decodes
         to its lattice point), so the returned
         :class:`~repro.compression.estimator.RQEstimate` carries
-        predicted PSNR/NRMSE alongside the rate.  This is the fast path
-        behind ``probe_mode="model"``: rate-model calibration, rate-only
-        sweeps and the ratio-quality engine.
+        predicted PSNR/NRMSE alongside the rate.
         """
-        return self.estimate_many([data], [eb])[0]
-
-    def estimate_many(
-        self, views: list[np.ndarray], ebs: np.ndarray | list[float]
-    ) -> list[RQEstimate]:
-        """Batched quantization-statistics probe over many (view, eb) pairs.
-
-        The probe analogue of :meth:`compress_many`, chunked and fanned
-        out the same way: each chunk of a same-shape group runs **one**
-        multi-block kernel pass (quantize -> Lorenzo -> residual codes)
-        over ``(B, n)`` temporaries of its own — so probing one partition at
-        five bounds, or sixty-four partitions at one bound, costs a few
-        batched fronts instead of ``B`` interpreter round-trips, and no
-        entropy codec ever runs.  The chunk's views are mapped as one
-        float64 stack (:meth:`_map_batch`), and the value statistics come
-        off it: each row's value range is read before the divide, and its
-        MSE after decode from the rounded rows the quantize step leaves
-        there (the decoder's values, so the MSE is exact, outliers and
-        ``pw_rel`` included).
-
-        The whole probe is wrapped in an ``rq.probe`` telemetry span so
-        armed traces show the trial compressions the ratio-quality model
-        eliminated.
-        """
-        arrs, eb_arr = _check_batch(views, ebs)
-        with telemetry.get_tracer().span("rq.probe", blocks=len(arrs)):
-            return _run_chunks(
-                lambda idxs: self._estimate_batch([arrs[i] for i in idxs], eb_arr[idxs]), arrs
-            )
+        return self.estimate_ladder([data], [eb])[0][0]
 
     def estimate_ladder(
         self, views: list[np.ndarray], ebs: np.ndarray | list[float]
     ) -> list[list[RQEstimate]]:
-        """The probe of every view at each bound of a ladder: equal to
-        ``[estimate_many(views, [eb] * len(views)) for eb in ebs]``, and
-        raising its error for a bad view or bound, with the bound-free
-        work done once.
+        """The codec-free probe of every view at each bound of a ladder:
+        ``ladder[j][i]`` is view ``i`` at bound ``ebs[j]``, the same
+        estimate whatever the other views and bounds, the chunking or
+        the thread count.  The fast path behind ``probe_mode="model"``:
+        rate-model calibration, model-mode sweeps and the ratio-quality
+        engine.  A bad view or bound raises the ``ValueError`` of
+        :meth:`compress_many`.
 
         Each same-shape group is cut into chunks of at most
-        :data:`GROUP_LATTICE_BYTES` of lattice, as :func:`_run_chunks`
-        cuts it, and each chunk is mapped once (:meth:`_map_source`: the
-        copy and widen, the value ranges, the checks and, in ``pw_rel``,
-        the ``log``).  Each of its bounds then does only its own divide,
-        quantize -> Lorenzo -> residual codes, MSE and census; in ``abs``
-        mode the MSE subtracts the mapped stack in one contiguous pass.
-        The chunks go through :func:`~repro.util.fanout.thread_map`, and
+        :data:`GROUP_LATTICE_BYTES` of lattice, and each chunk is mapped
+        once (:meth:`_map_source`: the copy and widen, the value ranges,
+        the checks and, in ``pw_rel``, the ``log``).  Each of its bounds
+        then does only its own divide, quantize -> Lorenzo -> residual
+        codes, MSE and census, with no entropy codec; in ``abs`` mode the
+        MSE subtracts the mapped stack in one contiguous pass.  The
+        chunks go through :func:`~repro.util.fanout.thread_map`, and
         each chunk's bounds through a nested one, so a field of one
         chunk still fans out over its bounds and a field of many keeps
         every thread on its own chunk.  Peak memory is one mapped chunk
         plus one bound's pass per thread.  One ``rq.probe`` span wraps
-        the whole ladder, with an ``sz.map`` span per chunk and per
-        bound's divide.
+        the whole ladder, so armed traces show the trial compressions
+        the ratio-quality model eliminated, with an ``sz.map`` span per
+        chunk and per bound's divide.
         """
         arrs = [_check_array(np.asarray(v)) for v in views]
         eb_arr = _check_bounds(ebs)
@@ -379,46 +357,27 @@ class SZCompressor:
                 scales = self._pitches(eb_arr)
                 with np.errstate(over="ignore"):
                     work = np.divide(source, scales[:, None])
-            return self._estimate_mapped(arrs, work, scales, eb_arr, ranges, truth)
+            symbols, counts, _pos, _val, _maxes = self._encode_mapped(work, scales, arrs[0].shape)
+            mses = self._decoded_mse_rows(work, scales, truth)
+            # One sparse census over the sorted symbol matrix (this pass's
+            # own, sorted in place): at tight bounds the folded symbols
+            # span far more values than a row holds.
+            est_arr, bits_arr = estimate_nbytes_rows(symbols, counts, self.codec.name)
+            return [
+                RQEstimate(
+                    n_elements=int(arr.size),
+                    source_itemsize=arr.dtype.itemsize if arr.dtype.kind == "f" else 8,
+                    n_outliers=int(counts[row]),
+                    code_bits_per_value=float(bits_arr[row]),
+                    est_nbytes=float(est_arr[row]),
+                    eb=eb,
+                    value_range=float(ranges[row]),
+                    predicted_mse=float(mses[row]),
+                )
+                for row, arr in enumerate(arrs)
+            ]
 
         return thread_map(rung, bounds)
-
-    def _estimate_batch(self, arrs: list[np.ndarray], eb_arr: np.ndarray) -> list[RQEstimate]:
-        """Probe a chunk of *same-shape* blocks in one kernel pass."""
-        ranges = np.empty(len(arrs), np.float64)
-        work, scales = self._map_batch(arrs, eb_arr, ranges)
-        return self._estimate_mapped(arrs, work, scales, eb_arr, ranges, arrs)
-
-    def _estimate_mapped(
-        self,
-        arrs: list[np.ndarray],
-        work: np.ndarray,
-        scales: np.ndarray,
-        eb_arr: np.ndarray,
-        ranges: np.ndarray,
-        truth: "list[np.ndarray] | np.ndarray",
-    ) -> list[RQEstimate]:
-        """The probe after the map: encode ``work`` (overwritten), then
-        each row's MSE against ``truth`` and its predicted size."""
-        symbols, counts, _pos, _val, _maxes = self._encode_mapped(work, scales, arrs[0].shape)
-        mses = self._decoded_mse_rows(work, scales, truth)
-        # One sparse census over the sorted symbol matrix (this pass's
-        # own, sorted in place): at tight bounds the folded symbols span
-        # far more values than a row holds.
-        est_arr, bits_arr = estimate_nbytes_rows(symbols, counts, self.codec.name)
-        return [
-            RQEstimate(
-                n_elements=int(arr.size),
-                source_itemsize=arr.dtype.itemsize if arr.dtype.kind == "f" else 8,
-                n_outliers=int(counts[row]),
-                code_bits_per_value=float(bits_arr[row]),
-                est_nbytes=float(est_arr[row]),
-                eb=float(eb_arr[row]),
-                value_range=float(ranges[row]),
-                predicted_mse=float(mses[row]),
-            )
-            for row, arr in enumerate(arrs)
-        ]
 
     def _decoded_mse_rows(
         self, rounded: np.ndarray, scales: np.ndarray, truth: "list[np.ndarray] | np.ndarray"
@@ -492,23 +451,19 @@ class SZCompressor:
         return blocks
 
     def _map_batch(
-        self,
-        arrs: list[np.ndarray],
-        eb_arr: np.ndarray,
-        ranges: np.ndarray | None = None,
+        self, arrs: list[np.ndarray], eb_arr: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The front's map step over the chunk as one ``(B, n)`` stack:
         :meth:`_map_source`, then the divide by each row's lattice pitch
         (:meth:`_pitches`), in place.
 
-        Bad input raises before any lattice work.  Given ``ranges``,
-        each row's value range is written there.  Returns ``(work,
+        Bad input raises before any lattice work.  Returns ``(work,
         scales)``: ``work`` holds each block's ``x / (2*eb)`` (``ln x``
         over the log-space pitch in ``pw_rel``), ``scales`` each row's
         pitch.
         """
         with telemetry.get_tracer().span("sz.map", blocks=len(arrs), mode=self.mode):
-            work = self._map_source(arrs, ranges)
+            work = self._map_source(arrs)
             scales = self._pitches(eb_arr)
             with np.errstate(over="ignore"):
                 np.divide(work, scales[:, None], out=work)
@@ -685,8 +640,8 @@ class SZCompressor:
 
 
 #: Fewest elements per block for which handing chunks to the pool
-#: pays: :func:`_run_chunks` fans out chunks of such blocks — encode,
-#: probe or decode — and keeps smaller ones in the calling thread.
+#: pays: :func:`_run_chunks` fans out chunks of such blocks — encode or
+#: decode — and keeps smaller ones in the calling thread.
 #: Measured on a 2-vCPU box, time on two threads over time on one (64
 #: blocks per field, medians, per-block entropy encodes / decodes): 8^3
 #: 1.35x / 1.24x, 16^3 1.07x / 1.38x, 24^3 0.89x / 1.09x, 32^3 0.88x /

@@ -12,10 +12,10 @@ the quantization-code histogram (:mod:`repro.compression.estimator`)
 and gets a *predicted* quality report from the closed-form
 ratio-quality engine (:mod:`repro.models.rq_model`) — one quantization
 probe per bound, no compression, no reconstruction analysis — with an
-exact-confirmation knob (``confirm=``) that re-runs cells through the
-real pipeline.  The two compose: a ``"model"`` sweep with
-``rate_only=True`` reads rates off the probe and never builds a field
-reference, unless ``confirm="always"`` measures every rate instead.
+exact-confirmation knob (``confirm="boundary"``) that re-runs the cells
+whose predicted verdicts sit near a threshold through the real
+pipeline.  The two compose: a ``"model"`` sweep with ``rate_only=True``
+reads rates off the probe and never builds a field reference.
 
 Quality sweeps share one :class:`~repro.foresight.evaluator.QualityEvaluator`
 per field, so the original-side analyses (``rfftn`` power spectrum, halo
@@ -56,6 +56,14 @@ from repro.parallel.decomposition import BlockDecomposition
 from repro.util.fanout import thread_map
 
 __all__ = ["SweepRecord", "run_sweep"]
+
+#: A predicted verdict counts as *near the acceptance boundary* when its
+#: worst spectrum deviation, or its predicted halo mass-error fraction,
+#: lies within this factor of its threshold (either side).
+#: ``confirm="boundary"`` measures only those cells, where the model's
+#: few-percent bias could flip a verdict; far from the boundary the
+#: prediction is decisive.
+BOUNDARY_BAND_FACTOR = 3.0
 
 
 @dataclass
@@ -139,14 +147,12 @@ def run_sweep(
         Exact-confirmation policy for ``probe_mode="model"``:
         ``"never"`` (default) trusts every prediction, ``"boundary"``
         re-runs cells whose predicted verdicts sit within
-        :data:`~repro.models.rq_model.BOUNDARY_BAND_FACTOR` of a
-        threshold through the real compress→analyze pipeline
-        (replacing both the rate and the quality of that record with
-        measurements), ``"always"`` confirms every cell (predictions
-        become a cross-check only).  With ``rate_only=True``,
-        ``"always"`` measures every cell's rate (the records are the
-        exact rate-only sweep's) and ``"boundary"`` is a
-        ``ValueError``: there is no verdict to be near.
+        :data:`BOUNDARY_BAND_FACTOR` of a threshold through the real
+        compress→analyze pipeline (replacing both the rate and the
+        quality of that record with measurements).  With
+        ``rate_only=True``, ``"boundary"`` is a ``ValueError``: there
+        is no verdict to be near.  A sweep that measures every cell is
+        the exact one (``probe_mode="exact"``).
     """
     if not fields:
         raise ValueError("need at least one field")
@@ -166,10 +172,8 @@ def run_sweep(
         else [resolve_compressor(compressor)]
     )
     check_probe_mode(probe_mode, *comps)
-    if confirm not in ("never", "boundary", "always"):
-        raise ValueError(
-            f"confirm must be 'never', 'boundary' or 'always', got {confirm!r}"
-        )
+    if confirm not in ("never", "boundary"):
+        raise ValueError(f"confirm must be 'never' or 'boundary', got {confirm!r}")
     if confirm != "never" and probe_mode != "model":
         raise ValueError(
             'confirm applies only to probe_mode="model" '
@@ -178,7 +182,7 @@ def run_sweep(
     if confirm == "boundary" and rate_only:
         raise ValueError(
             'confirm="boundary" needs quality verdicts to be near, and '
-            "rate_only=True sweeps none: use confirm='always' or 'never'"
+            "rate_only=True sweeps none: use confirm='never'"
         )
     records: list[SweepRecord] = []
     # One lazily-built FieldReference per field, shared across every
@@ -207,26 +211,22 @@ def run_sweep(
             cells = len(bounds)
             sizes: list = [None] * cells  # (stored bytes, elements, itemsize)
             quality: list[QualityReport | None] = [None] * cells
-            measure = [probe_mode == "exact" or confirm == "always"] * cells
-            # A rate-only sweep that measures every cell reads no probe.
-            if probe_mode == "model" and not (rate_only and confirm == "always"):
+            measure = [probe_mode == "exact"] * cells
+            if probe_mode == "model":
                 # Phase 1, side by side: the probe of every bound and,
                 # unless rates alone are read, the reference analyses the
                 # model's predictions read (so the predictions only read
                 # them, in any order, on any thread).
-                rq = None if rate_only else RQModel(field_ref(name, data), crit, field=name)
+                rq = None if rate_only else RQModel(field_ref(name, data), crit)
                 jobs = [lambda: comp.estimate_ladder(views, bounds)]
                 if rq is not None:
                     jobs.append(rq.analyze)
                 probes = thread_map(lambda job: job(), jobs)[0]
                 sizes = [_size(estimates, measured=False) for estimates in probes]
                 if rq is not None:
-                    preds = thread_map(lambda i: rq.predict(bounds[i], probes[i]), range(cells))
-                    for i, pred in enumerate(preds):
-                        quality[i] = pred.to_quality_report()
-                        measure[i] = measure[i] or (
-                            confirm == "boundary" and pred.near_boundary(crit)
-                        )
+                    quality = thread_map(lambda i: rq.predict(bounds[i], probes[i]), range(cells))
+                    if confirm == "boundary":
+                        measure = [_near_boundary(report, crit) for report in quality]
             todo = [i for i in range(cells) if measure[i]]
             if todo:
                 # Phase 2: every cell to measure, side by side.
@@ -252,6 +252,17 @@ def run_sweep(
                     )
                 )
     return records
+
+
+def _near_boundary(report: QualityReport, crit: QualityCriteria) -> bool:
+    """Does a predicted verdict sit within :data:`BOUNDARY_BAND_FACTOR`
+    of its threshold?  A predicted report's ``halo_mass_rmse`` is the
+    predicted mass-error fraction."""
+    bands = [(report.spectrum_worst_deviation, crit.spectrum_tolerance)]
+    if report.halo_mass_rmse is not None:
+        bands.append((report.halo_mass_rmse, crit.halo_mass_rmse))
+    factor = BOUNDARY_BAND_FACTOR
+    return any(tol / factor <= value <= tol * factor for value, tol in bands)
 
 
 def _size(units: list, measured: bool) -> tuple[float, int, int]:

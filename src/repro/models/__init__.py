@@ -15,7 +15,7 @@
   exponent and coefficient-vs-mean relation from sampled partitions,
 - :mod:`repro.models.rq_model` — the closed-form ratio-quality engine
   composing the above into per-``(field, eb)`` predicted
-  bitrate/PSNR/spectrum/halo verdicts from one quantization probe.
+  PSNR/spectrum/halo verdicts from one quantization probe.
 """
 
 from repro.models.error_distribution import (
@@ -42,7 +42,7 @@ from repro.models.calibration import (
     RateModelBank,
     calibrate_rate_model,
 )
-from repro.models.rq_model import BOUNDARY_BAND_FACTOR, RQModel, RQPrediction
+from repro.models.rq_model import RQModel
 
 __all__ = [
     "UniformErrorModel",
@@ -63,7 +63,5 @@ __all__ = [
     "CalibrationResult",
     "RateModelBank",
     "calibrate_rate_model",
-    "BOUNDARY_BAND_FACTOR",
     "RQModel",
-    "RQPrediction",
 ]

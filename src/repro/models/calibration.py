@@ -25,9 +25,12 @@ cheap), so the codec-free probe is 1.3-1.7x faster on 32^3 partitions,
 not the >= 3x it was over an LZ77 entropy stage; fitted coefficients
 stay within the estimator's accuracy band of the exact-mode fit.  Every
 sampled partition at every probe bound runs through a *single* batched
-call (:meth:`~repro.compression.sz.SZCompressor.estimate_many`, or
-``compress_many`` when the codec runs), in process: its chunks fan out
-over threads once per calibration, not once per partition.
+call, in process, so its chunks fan out over threads once per
+calibration, not once per partition: the bound ladder
+(:meth:`~repro.compression.sz.SZCompressor.estimate_ladder`, which maps
+each sampled partition once for all the probe bounds), or
+``compress_many`` over every (partition, bound) pair when the codec
+runs.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ def check_probe_mode(value: str, *compressors: Compressor) -> str:
 
     Returns ``value`` if it is one of :data:`PROBE_MODES` (else the one
     ``ValueError`` every entry point raises) and, for the codec-free
-    mode, requires the ``supports_estimate`` capability — the batched
-    ``estimate_many`` / ``estimate_ladder`` front — of each of ``compressors``
+    mode, requires the ``supports_estimate`` capability — the
+    ``estimate_ladder`` probe — of each of ``compressors``
     (:class:`~repro.compression.api.UnsupportedCapabilityError`).
     """
     if value not in PROBE_MODES:
@@ -100,16 +103,18 @@ def _probe_rates(
     """Bit rate of every partition at every probe bound, one row per
     partition.
 
-    All (partition, bound) pairs go through one batched call —
-    ``compress_many`` when the codec runs, ``estimate_many`` when it does
-    not — so the front is a few chunked kernel passes, fanned out once,
-    however many partitions are sampled.
+    One batched call, fanned out once however many partitions are
+    sampled: without the codec, the ladder probe of the partitions at
+    the probe bounds (each partition mapped once, its rates read off the
+    ladder transposed); with it, ``compress_many`` over every
+    (partition, bound) pair.
     """
+    if probe_mode != "exact":
+        ladder = comp.estimate_ladder(parts, probe_ebs)
+        return np.array([[e.bit_rate for e in rung] for rung in ladder]).T
     views = [part for part in parts for _ in probe_ebs]
-    ebs = list(probe_ebs) * len(parts)
-    probe = comp.compress_many if probe_mode == "exact" else comp.estimate_many
-    rates = np.array([p.bit_rate for p in probe(views, ebs)])
-    return rates.reshape(len(parts), len(probe_ebs))
+    blocks = comp.compress_many(views, list(probe_ebs) * len(parts))
+    return np.array([b.bit_rate for b in blocks]).reshape(len(parts), len(probe_ebs))
 
 
 def partition_feature(partition: np.ndarray) -> float:
@@ -181,8 +186,8 @@ def calibrate_rate_model(
         ``"exact"`` runs the full compressor per probe and reads the
         real bit rate; ``"model"`` predicts it from the
         quantization-code histogram without running the entropy
-        codec — all probe bounds in one batched pass
-        (:meth:`~repro.compression.sz.SZCompressor.estimate_many`) —
+        codec — all probe bounds in one ladder probe
+        (:meth:`~repro.compression.sz.SZCompressor.estimate_ladder`) —
         1.3-1.7x faster, accurate to the estimator's tolerance.
         (Calibration reads only the rate half of the probe; downstream,
         ``"model"`` also predicts quality — see

@@ -9,17 +9,20 @@ has — the §3.2 uniform error distribution
 (:mod:`repro.models.fft_error`) and the §3.4 halo fault model
 (:mod:`repro.models.halo_error`) — into per-``(field, spec, eb)``
 verdicts backed by **one** batched quantization probe
-(:meth:`repro.compression.sz.SZCompressor.estimate_many`):
+(:meth:`repro.compression.sz.SZCompressor.estimate_ladder`).  A verdict
+is the :class:`~repro.foresight.quality.QualityReport` a measured cell
+gets, predicted:
 
-- predicted bitrate / ratio from the code histogram (the PR 2 estimator),
-- predicted PSNR / NRMSE from the probe's MSE, which is the MSE of the
-  values the decoder returns (the quantize pass's lattice times its
-  pitch, minus the source),
-- a predicted worst spectrum-ratio deviation over ``k < k_max`` (and its
+- PSNR / NRMSE from the probe's MSE, which is the MSE of the values the
+  decoder returns (the quantize pass's lattice times its pitch, minus
+  the source),
+- the worst spectrum-ratio deviation over ``k < k_max`` (and its
   pass/fail verdict against the criteria tolerance),
-- a predicted halo mass-error fraction and verdict when the criteria
-  check halos.
+- the halo mass-error fraction and verdict when the criteria check
+  halos.
 
+The rate half of the probe (bitrate / ratio from the code histogram) is
+read by whoever holds the estimates; the report carries quality only.
 No Lorenzo decode, no entropy codec, no decompression, no reconstruction
 analysis.  ``run_sweep(probe_mode="model")`` scores its cells with these
 predictions (selection and the stream controller take only the rates,
@@ -31,7 +34,6 @@ PSNR is the measured one) and when to fall back to exact mode.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,76 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.foresight.evaluator import FieldReference
     from repro.foresight.quality import QualityCriteria, QualityReport
 
-__all__ = [
-    "BOUNDARY_BAND_FACTOR",
-    "RQPrediction",
-    "RQModel",
-]
-
-#: A prediction counts as *near the acceptance boundary* when its worst
-#: spectrum deviation lies within this factor of the tolerance (either
-#: side).  The exact-confirmation knob (``confirm="boundary"``) re-checks
-#: only those cells, where the model's few-percent bias could flip a
-#: verdict; far from the boundary the prediction is decisive.
-BOUNDARY_BAND_FACTOR = 3.0
-
-
-@dataclass(frozen=True)
-class RQPrediction:
-    """Closed-form rate and quality verdicts for one ``(field, eb)`` cell."""
-
-    field: str
-    eb: float
-    predicted_bit_rate: float
-    predicted_ratio: float
-    predicted_mse: float
-    predicted_psnr_db: float
-    predicted_nrmse: float
-    spectrum_worst_deviation: float
-    spectrum_ok: bool
-    halo_ok: bool | None = None
-    halo_mass_error: float | None = None  # predicted |ΔM| (absolute mass units)
-    halo_mass_fraction: float | None = None  # |ΔM| / total catalog mass
-    halo_fault_cells: float | None = None  # expected flipped boundary cells
-
-    @property
-    def passed(self) -> bool:
-        """Mirror of :attr:`repro.foresight.quality.QualityReport.passed`."""
-        return self.spectrum_ok and (self.halo_ok is None or self.halo_ok)
-
-    def near_boundary(self, criteria: QualityCriteria) -> bool:
-        """Is any verdict within :data:`BOUNDARY_BAND_FACTOR` of its
-        threshold, close enough to deserve an exact confirmation run?"""
-        factor = BOUNDARY_BAND_FACTOR
-        tol = criteria.spectrum_tolerance
-        if tol / factor <= self.spectrum_worst_deviation <= tol * factor:
-            return True
-        if self.halo_mass_fraction is not None:
-            h = criteria.halo_mass_rmse
-            if h / factor <= self.halo_mass_fraction <= h * factor:
-                return True
-        return False
-
-    def to_quality_report(self) -> QualityReport:
-        """The prediction in :class:`QualityReport` shape, so consumers of
-        sweep records (``record.passed``, tables, CSV) work unchanged.
-
-        ``halo_mass_rmse`` carries the predicted mass-error *fraction*
-        (the budget analogue of the measured relative RMSE) and
-        ``halo_count_change`` is predicted zero — the fault model bounds
-        mass drift, not catalog membership.
-        """
-        from repro.foresight.quality import QualityReport
-
-        return QualityReport(
-            spectrum_ok=self.spectrum_ok,
-            spectrum_worst_deviation=self.spectrum_worst_deviation,
-            halo_ok=self.halo_ok,
-            halo_mass_rmse=self.halo_mass_fraction,
-            halo_count_change=0 if self.halo_ok is not None else None,
-            psnr_db=self.predicted_psnr_db,
-            nrmse_value=self.predicted_nrmse,
-        )
+__all__ = ["RQModel"]
 
 
 class RQModel:
@@ -133,7 +66,8 @@ class RQModel:
     original-side spectrum is computed once and shared with evaluators
     and budget inversions) to one
     :class:`~repro.foresight.quality.QualityCriteria`, and turns
-    quantization-probe statistics into :class:`RQPrediction` verdicts.
+    quantization-probe statistics into predicted
+    :class:`~repro.foresight.quality.QualityReport` verdicts.
 
     Parameters
     ----------
@@ -144,8 +78,6 @@ class RQModel:
         Acceptance thresholds; defaults to the spectrum-only
         :class:`QualityCriteria`.  Halo verdicts are predicted only when
         ``criteria.check_halos`` is set.
-    field:
-        Name stamped on predictions.
 
     The boundary fault probability is the §3.2 uniform model's.  The
     spectrum prediction uses
@@ -162,7 +94,6 @@ class RQModel:
         self,
         reference: "FieldReference | np.ndarray",
         criteria: QualityCriteria | None = None,
-        field: str = "field",
     ) -> None:
         from repro.foresight.evaluator import FieldReference
         from repro.foresight.quality import QualityCriteria
@@ -171,7 +102,6 @@ class RQModel:
             reference = FieldReference(reference)
         self.reference = reference
         self.criteria = criteria or QualityCriteria()
-        self.field = field
         # Lazy: nothing is analyzed until the first prediction needs it,
         # so building a model on a rate-only path costs nothing.
         self._halo_mass: float | None = None
@@ -204,10 +134,8 @@ class RQModel:
         )
         return float(np.max(dist))
 
-    def predicted_halo_error(
-        self, eb: float
-    ) -> tuple[float, float, float, bool] | None:
-        """``(mass_error, mass_fraction, fault_cells, ok)`` or ``None``.
+    def predicted_halo_error(self, eb: float) -> tuple[float, bool] | None:
+        """``(mass_fraction, ok)`` or ``None``.
 
         ``None`` when the criteria do not check halos or the reference
         catalog is empty (the constraint is vacuous).  Eqs. 11-13: cells
@@ -226,9 +154,8 @@ class RQModel:
         faults = float(
             expected_fault_cells(n_bc, UniformErrorModel().fault_probability())
         )
-        mass_error = float(crit.t_boundary) * faults
-        fraction = mass_error / catalog_mass
-        return mass_error, fraction, faults, fraction <= crit.halo_mass_rmse
+        fraction = float(crit.t_boundary) * faults / catalog_mass
+        return fraction, fraction <= crit.halo_mass_rmse
 
     def _catalog_mass(self) -> float:
         """Total mass of the reference's halo catalog (0 when empty),
@@ -252,43 +179,37 @@ class RQModel:
         if crit.check_halos and crit.t_boundary is not None:
             self._catalog_mass()
 
-    def predict(
-        self, eb: float, estimates: "Sequence[RQEstimate] | RQEstimate"
-    ) -> RQPrediction:
-        """Compose one probe's statistics into a full R-Q verdict.
+    def predict(self, eb: float, estimates: Sequence[RQEstimate]) -> QualityReport:
+        """One bound's probe statistics as the cell's predicted
+        :class:`~repro.foresight.quality.QualityReport`, so consumers of
+        sweep records (``record.passed``, tables, CSV) read it as they
+        read a measured one.
 
-        ``estimates`` is the per-partition output of one
-        ``estimate_many`` probe at ``eb``, or that bound's row of an
-        ``estimate_ladder`` (a single estimate is accepted for
-        whole-field probes).  Rate aggregates over partitions.  MSE
-        pools each partition's *observed* quantization MSE, element-count
-        weighted.  The PSNR normalizer is the *field's* value range, so
-        per-partition ranges never skew it.
+        ``estimates`` is that bound's row of an ``estimate_ladder``, one
+        estimate per partition.  MSE pools each partition's *observed*
+        quantization MSE, element-count weighted.  The PSNR normalizer
+        is the *field's* value range, so per-partition ranges never skew
+        it.  ``halo_mass_rmse`` carries the predicted mass-error
+        *fraction* (the budget analogue of the measured relative RMSE)
+        and ``halo_count_change`` is predicted zero — the fault model
+        bounds mass drift, not catalog membership.
         """
+        from repro.foresight.quality import QualityReport
+
         eb = check_positive(eb, "eb")
-        if isinstance(estimates, RQEstimate):
-            estimates = [estimates]
         if not estimates:
             raise ValueError("need at least one probe estimate")
         n = sum(e.n_elements for e in estimates)
-        nbytes = float(sum(e.est_nbytes for e in estimates))
-        itemsize = estimates[0].source_itemsize
         mse = float(sum(e.n_elements * e.predicted_mse for e in estimates) / n)
         value_range = self.reference.moments.value_range
         worst = self.predicted_spectrum_deviation(eb)
         halo = self.predicted_halo_error(eb)
-        return RQPrediction(
-            field=self.field,
-            eb=float(eb),
-            predicted_bit_rate=8.0 * nbytes / n,
-            predicted_ratio=itemsize * n / nbytes,
-            predicted_mse=mse,
-            predicted_psnr_db=predicted_psnr_db(mse, value_range),
-            predicted_nrmse=predicted_nrmse(mse, value_range),
-            spectrum_worst_deviation=worst,
+        return QualityReport(
             spectrum_ok=worst <= self.criteria.spectrum_tolerance,
-            halo_ok=None if halo is None else halo[3],
-            halo_mass_error=None if halo is None else halo[0],
-            halo_mass_fraction=None if halo is None else halo[1],
-            halo_fault_cells=None if halo is None else halo[2],
+            spectrum_worst_deviation=worst,
+            halo_ok=None if halo is None else halo[1],
+            halo_mass_rmse=None if halo is None else halo[0],
+            halo_count_change=None if halo is None else 0,
+            psnr_db=predicted_psnr_db(mse, value_range),
+            nrmse_value=predicted_nrmse(mse, value_range),
         )

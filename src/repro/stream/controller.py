@@ -220,7 +220,7 @@ class InSituController:
         histogram).  It changes only how rates are probed; a slate is
         ranked by predicted rate either way.  Under ``"model"`` every
         compressor the run may compress with must support the
-        ``estimate_many`` front, checked before the ledger opens.
+        ``estimate_ladder`` probe, checked before the ledger opens.
     max_partitions, seed:
         Calibration sampling: each fit probes at most ``max_partitions``
         partitions, drawn with ``seed`` (as are selection's samples).

@@ -229,15 +229,17 @@ class TestContract:
         for view, eb in zip(views, self.EBS):
             assert _frozen(clone.compress(view, eb)) == _frozen(comp.compress(view, eb))
 
-    def test_estimate_many_where_declared(self, spec, views):
+    def test_estimate_ladder_where_declared(self, spec, views):
         comp = resolve_compressor(spec)
         if not comp.capabilities.supports_estimate:
             with pytest.raises(UnsupportedCapabilityError, match="supports_estimate"):
                 comp.capabilities.require("supports_estimate", "a codec-free probe", comp)
             return
-        ests = comp.estimate_many(views, self.EBS)
-        assert [e.n_elements for e in ests] == [v.size for v in views]
-        assert [e.eb for e in ests] == self.EBS
+        ladder = comp.estimate_ladder(views, self.EBS)
+        assert [[e.n_elements for e in rung] for rung in ladder] == [
+            [v.size for v in views]
+        ] * len(self.EBS)
+        assert [[e.eb for e in rung] for rung in ladder] == [[eb] * len(views) for eb in self.EBS]
 
 
 class TestDecompressAny:
@@ -357,7 +359,6 @@ class TestContractIsCheckedOnEntry:
             "compress": real.compress,
             "compress_many": real.compress_many,
             "decompress": real.decompress,
-            "estimate_many": real.estimate_many,
             "estimate_ladder": real.estimate_ladder,
         }
         members.update(overrides)
@@ -375,7 +376,6 @@ class TestContractIsCheckedOnEntry:
             "compress",
             "compress_many",
             "decompress",
-            "estimate_many",
             "estimate_ladder",
         ],
     )
@@ -387,7 +387,6 @@ class TestContractIsCheckedOnEntry:
     def test_the_probe_is_owed_only_where_declared(self):
         obj = self._stand_in(
             capabilities=CompressorCapabilities(error_bounded=True),
-            estimate_many=None,
             estimate_ladder=None,
         )
         assert resolve_compressor(obj) is obj

@@ -1,6 +1,7 @@
-"""The chunked batch front: ``compress_many`` / ``estimate_many`` cut
-each same-shape group into chunks of at most ``GROUP_LATTICE_BYTES`` of
-lattice and fan chunks of large blocks out over threads.
+"""The chunked batch front: ``compress_many`` and ``estimate_ladder``
+cut each same-shape group into chunks of at most ``GROUP_LATTICE_BYTES``
+of lattice; ``compress_many`` fans chunks of large blocks out over
+threads, the ladder every chunk and, within it, every bound.
 
 None of it may change an output: payloads byte for byte and estimates
 field for field are what per-block calls give, whatever the thread
@@ -50,6 +51,14 @@ def _ebs(count: int) -> list[float]:
     return [0.01 * (1 + i % 5) for i in range(count)]
 
 
+def _probe(comp: SZCompressor, views, ebs) -> list:
+    """Each view's estimate at its own bound, read off one ladder of
+    the distinct bounds."""
+    bounds = sorted(set(ebs))
+    ladder = comp.estimate_ladder(views, bounds)
+    return [ladder[bounds.index(eb)][i] for i, eb in enumerate(ebs)]
+
+
 def _cpus(monkeypatch, threads: int) -> None:
     """Pretend the process may use ``threads`` CPUs (the chunker's cut
     and the pool's size), whatever its affinity mask says."""
@@ -66,7 +75,8 @@ def _in_fresh_thread(fn):
 @pytest.fixture(scope="module")
 def pools():
     """Per-block reference payloads and estimates of every view used
-    below (the single-block path: no grouping, no chunking, no pool)."""
+    below (the single-block path: no grouping, no chunking, no pool;
+    ``estimate`` is the ladder of one view at one bound)."""
     comp = SZCompressor()
     out = {}
     for side in (32, 16):
@@ -92,7 +102,7 @@ class TestSameOutputs:
             _cpus(monkeypatch, threads)
             blocks = comp.compress_many(views[:count], ebs[:count])
             assert [b.payloads for b in blocks] == payloads[:count]
-            assert comp.estimate_many(views[:count], ebs[:count]) == estimates[:count]
+            assert _probe(comp, views[:count], ebs[:count]) == estimates[:count]
 
     @pytest.mark.parametrize("side", [32, 16])
     @pytest.mark.parametrize("count", [1, 64])
@@ -103,7 +113,7 @@ class TestSameOutputs:
             _cpus(monkeypatch, threads)
             blocks = comp.compress_many(views[:count], ebs[:count])
             assert [b.payloads for b in blocks] == payloads[:count]
-            assert comp.estimate_many(views[:count], ebs[:count]) == estimates[:count]
+            assert _probe(comp, views[:count], ebs[:count]) == estimates[:count]
 
     def test_mixed_shapes_in_shuffled_order(self, pools, monkeypatch):
         big, big_ebs, big_payloads, big_est = pools[32]
@@ -126,7 +136,7 @@ class TestSameOutputs:
             blocks = comp.compress_many(views, ebs)
             assert [b.payloads for b in blocks] == [items[i][2] for i in order]
             assert [b.shape for b in blocks] == [v.shape for v in views]
-            assert comp.estimate_many(views, ebs) == [items[i][3] for i in order]
+            assert _probe(comp, views, ebs) == [items[i][3] for i in order]
 
     def test_more_threads_than_cores_and_a_short_switch_interval(self, pools, monkeypatch):
         views, ebs, payloads, estimates = pools[32]
@@ -137,7 +147,7 @@ class TestSameOutputs:
         _cpus(monkeypatch, 16)
         try:
             blocks = comp.compress_many(views, ebs)
-            got = comp.estimate_many(views, ebs)
+            got = _probe(comp, views, ebs)
             recons = sz.decompress_many(blocks[:9])
         finally:
             sys.setswitchinterval(interval)
@@ -150,10 +160,10 @@ class TestSameOutputs:
         (view,) = pools[32][0][:1]
         ebs = [0.0025, 0.005, 0.01, 0.02, 0.04]
         comp = SZCompressor()
-        single = [comp.estimate(view, e) for e in ebs]
+        single = [[comp.estimate(view, e)] for e in ebs]
         for threads in THREADS:
             _cpus(monkeypatch, threads)
-            assert comp.estimate_many([view] * 5, ebs) == single
+            assert comp.estimate_ladder([view], ebs) == single
 
 
 class TestErrors:
@@ -167,7 +177,7 @@ class TestErrors:
         with pytest.raises(ValueError, match=r"^data contains non-finite values \(NaN or Inf\)$"):
             comp.compress_many(views, ebs)
         with pytest.raises(ValueError, match=r"^data contains non-finite values \(NaN or Inf\)$"):
-            comp.estimate_many(views, ebs)
+            comp.estimate_ladder(views, ebs[:2])
 
     @pytest.mark.parametrize("threads", THREADS)
     def test_a_non_positive_value_in_a_later_chunk_under_pw_rel(self, threads, monkeypatch):
@@ -193,7 +203,8 @@ class TestMemory:
         comp = SZCompressor()
         _cpus(monkeypatch, 1)
         blocks = comp.compress_many(views, ebs)  # also warms module-level state
-        comp.estimate_many(views, ebs)
+        for view, eb in zip(views, ebs):
+            comp.estimate(view, eb)
         comp.estimate_ladder(views, ebs[:3])
         dsts = [np.empty(v.shape) for v in views]
         decompress_many(blocks, out=dsts)
@@ -204,7 +215,7 @@ class TestMemory:
             try:
                 for call in (
                     lambda: comp.compress_many(views, ebs),
-                    lambda: comp.estimate_many(views, ebs),
+                    lambda: [comp.estimate(v, e) for v, e in zip(views, ebs)],
                     lambda: comp.estimate_ladder(views, ebs[:3]),
                     lambda: decompress_many(blocks, out=dsts),
                 ):
@@ -223,8 +234,8 @@ class TestMemory:
 class TestUsableCpusIsACap:
     @pytest.fixture()
     def chunks(self, monkeypatch):
-        """Every compress / probe chunk pass: how many ran, the most that
-        ran at once, and the threads they ran on."""
+        """Every compress / ladder chunk pass: how many ran, the most
+        that ran at once, and the threads they ran on."""
         seen = SimpleNamespace(count=0, now=0, peak=0, threads=set())
         lock = threading.Lock()
 
@@ -243,7 +254,7 @@ class TestUsableCpusIsACap:
 
             return run
 
-        for name in ("_compress_batch", "_estimate_batch"):
+        for name in ("_compress_batch", "_ladder_chunk"):
             monkeypatch.setattr(SZCompressor, name, counted(getattr(SZCompressor, name)))
         # an 8-core node
         _cpus(monkeypatch, 8)
@@ -260,15 +271,18 @@ class TestUsableCpusIsACap:
         views = _views(32, 24)
         _cpus(monkeypatch, 1)
         SZCompressor().compress_many(views, _ebs(24))
-        SZCompressor().estimate_many(views, _ebs(24))
+        SZCompressor().estimate_ladder(views, [0.01, 0.02])
+        # three chunks of eight per call, bounds and all in the caller
         assert chunks.count == 6 and chunks.threads == {threading.get_ident()}
 
     def test_the_default_is_the_usable_cpu_count(self, chunks):
         views = _views(32, 24)
         SZCompressor().compress_many(views, _ebs(24))
-        SZCompressor().estimate_many(views, _ebs(24))
-        # 24 blocks: eight chunks of three per call, at most eight at once
-        assert chunks.count == 16 and chunks.peak <= 8
+        SZCompressor().estimate_ladder(views, [0.01, 0.02])
+        # 24 blocks: eight chunks of three to compress, one per CPU; the
+        # ladder cuts by the lattice budget alone, three chunks of eight
+        # (its bounds fan out within each); at most eight at once
+        assert chunks.count == 11 and chunks.peak <= 8
 
 
 class TestSpans:
@@ -279,7 +293,7 @@ class TestSpans:
             with tracer.span("compress") as outer:
                 SZCompressor().compress_many(views, _ebs(20))
             with tracer.span("probe") as probe:
-                SZCompressor().estimate_many(views, _ebs(20))
+                SZCompressor().estimate_ladder(views, [0.01])
         records = tracer.export_spans()
         by_id = {r["span_id"]: r for r in records}
         stages = [r for r in records if r["name"].startswith("sz.")]
@@ -289,4 +303,5 @@ class TestSpans:
         assert [r["parent_id"] for r in maps].count(outer.span_id) == 3
         (rq,) = [r for r in records if r["name"] == "rq.probe"]
         assert rq["parent_id"] == probe.span_id
-        assert [by_id[r["parent_id"]]["name"] for r in maps].count("rq.probe") == 3
+        # the ladder's three chunks: one map each, one divide at its bound
+        assert [by_id[r["parent_id"]]["name"] for r in maps].count("rq.probe") == 6

@@ -10,7 +10,7 @@ equal the textbook one (unfold each symbol -> scatter the outliers ->
 
 Also here: the entropy stage's DEFLATE strategy is invisible to readers
 (either side of it is a plain zlib stream), and the chunker's thread
-fan-out — encode, probe and decode alike — is gated on block size
+fan-out — encode and decode alike — is gated on block size
 without changing a byte.
 """
 
@@ -128,7 +128,7 @@ class TestFanOutGate:
     def seen(self, monkeypatch):
         """``maps``: the item count of every fan-out; ``chunks``: the
         chunks (block indices) each one was handed; ``threads``: the
-        thread of every compress, probe or decode chunk pass."""
+        thread of every compress or decode chunk pass."""
         seen = SimpleNamespace(maps=[], chunks=[], threads=set())
 
         def counted(fn, items):
@@ -148,7 +148,6 @@ class TestFanOutGate:
         # the one fan-out site: the chunker
         monkeypatch.setattr(sz, "thread_map", counted)
         recorded(SZCompressor, "_compress_batch")
-        recorded(SZCompressor, "_estimate_batch")
         recorded(sz, "_decompress_chunk")
         return seen
 
@@ -164,7 +163,6 @@ class TestFanOutGate:
         comp = SZCompressor()
         monkeypatch.setattr(sz, "usable_cpus", lambda: 4)
         fanned = comp.compress_many(views, ebs)
-        comp.estimate_many(views, ebs)
         recons = decompress_many(fanned)
         assert not seen.maps
         assert seen.threads == {threading.get_ident()}

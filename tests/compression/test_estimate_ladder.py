@@ -1,6 +1,7 @@
 """``estimate_ladder`` probes a set of views at a ladder of bounds, mapping
-each chunk once: it must equal one ``estimate_many`` per bound, estimate
-for estimate, and raise what that loop raises."""
+each chunk once: it must equal one ``estimate`` (the ladder of one view
+at one bound) per view and bound, estimate for estimate, whatever the
+grouping, chunking and thread count, and raise what that loop raises."""
 
 from __future__ import annotations
 
@@ -44,14 +45,14 @@ def _views(dtype) -> list[np.ndarray]:
 
 
 def _loop(comp: SZCompressor, views, bounds):
-    return [comp.estimate_many(views, [eb] * len(views)) for eb in bounds]
+    return [[comp.estimate(view, eb) for view in views] for eb in bounds]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("codec", ["zlib", "huffman", "raw"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", ["abs", "pw_rel"])
-def test_the_ladder_is_one_estimate_many_per_bound(mode, dtype, codec, cpus, monkeypatch):
+def test_the_ladder_is_one_estimate_per_view_and_bound(mode, dtype, codec, cpus, monkeypatch):
     comp = SZCompressor(mode=mode, codec=codec)
     views = _views(dtype)
     _cpus(monkeypatch, 1)
@@ -64,7 +65,9 @@ def test_the_ladder_is_one_estimate_many_per_bound(mode, dtype, codec, cpus, mon
 def test_one_view_at_one_bound(shape):
     view = _positive(np.random.default_rng(2), shape, np.float64)
     comp = SZCompressor()
-    assert comp.estimate_ladder([view], [0.01]) == [comp.estimate_many([view], [0.01])]
+    (rung,) = comp.estimate_ladder([view], [0.01])
+    assert rung == [comp.estimate(view, 0.01)]
+    assert rung[0].n_elements == view.size and rung[0].eb == 0.01
 
 
 def test_an_empty_ladder_or_view_list():

@@ -179,7 +179,7 @@ class TestPredictedMSE:
 
     @staticmethod
     def _assert_decoded_mse(comp: SZCompressor, views, ebs) -> list:
-        estimates = comp.estimate_many(views, ebs)
+        estimates = [comp.estimate_ladder([v], [eb])[0][0] for v, eb in zip(views, ebs)]
         blocks = comp.compress_many(views, ebs)
         for est, block, view in zip(estimates, blocks, views):
             decoded = comp.decompress(block)

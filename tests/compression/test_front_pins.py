@@ -86,7 +86,7 @@ def front_digests(batch: str, dtype, mode: str) -> dict[str, str]:
     outs = [np.empty(v.shape) for v in views]
     blocks = comp.compress_many(views, ebs, out=outs)
     return {
-        "estimates": _sha(comp.estimate_many(views, ebs)),
+        "estimates": _sha(comp.estimate_ladder([v], [e])[0][0] for v, e in zip(views, ebs)),
         "payloads": _sha(
             piece
             for b in blocks
@@ -194,7 +194,7 @@ def test_non_finite_block_raises_before_the_lattice(monkeypatch, probe, dtype, m
     views[5][3, 4, 5] = bad
     _no_lattice(monkeypatch)
     comp = SZCompressor(mode=mode)
-    run = comp.estimate_many if probe else comp.compress_many
+    run = comp.estimate_ladder if probe else comp.compress_many
     # -Inf is not positive: pw_rel refuses it as such, as it always has.
     message = NON_POSITIVE if mode == "pw_rel" and bad < 0 else NON_FINITE
     with pytest.raises(ValueError) as err:
@@ -216,7 +216,7 @@ def test_non_positive_block_under_pw_rel_raises_before_the_lattice(
     views[0][0, 0, 0] = np.nan
     _no_lattice(monkeypatch)
     comp = SZCompressor(mode="pw_rel")
-    run = comp.estimate_many if probe else comp.compress_many
+    run = comp.estimate_ladder if probe else comp.compress_many
     with pytest.raises(ValueError) as err:
         run(views, ebs)
     assert str(err.value) == NON_POSITIVE

@@ -191,8 +191,8 @@ class TestNoScratchInTheCompressor:
 
         def work(a):
             comp = one if shared else SZCompressor()
-            block, est = comp.compress(a, 0.01), comp.estimate_many([a, a], [0.01, 0.02])
-            assert est[0].n_elements == a.size
+            block, est = comp.compress(a, 0.01), comp.estimate_ladder([a, a], [0.01, 0.02])
+            assert est[0][0].n_elements == a.size
             return block.payloads
 
         interval = sys.getswitchinterval()

@@ -6,7 +6,7 @@ Lorenzo residual is then at most ``8 * max|q| < 2**30`` and its folded
 symbol fits int32.  These tests sit on both sides of that boundary in
 every dimension, on the checkerboard that reaches the 8x worst case, and
 on a radius so large that the fold's unsigned compare clamps.  Each one
-checks the width the front chose and that payloads, ``estimate_many``
+checks the width the front chose and that payloads, ``estimate_ladder``
 results and ``out=`` reconstructions equal those of the same front held
 to int64, and the value-by-value reference decoder of ``conftest.py``.
 """
@@ -46,10 +46,15 @@ def _checkerboard(shape: tuple[int, ...], top: int) -> np.ndarray:
 
 
 def _run(comp: SZCompressor, views, ebs):
-    """``(payloads, estimates, out= reconstructions)`` of one front."""
+    """``(payloads, estimates, out= reconstructions)`` of one front; the
+    estimates are each view's at its own bound, read off one ladder of
+    the distinct bounds (one probe pass per bound over the whole
+    chunk)."""
     outs = [np.empty(v.shape) for v in views]
     blocks = comp.compress_many(views, ebs, out=outs)
-    return blocks, comp.estimate_many(views, ebs), outs
+    bounds = sorted(set(ebs))
+    ladder = comp.estimate_ladder(views, bounds)
+    return blocks, [ladder[bounds.index(eb)][i] for i, eb in enumerate(ebs)], outs
 
 
 @pytest.fixture()

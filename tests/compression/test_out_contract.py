@@ -228,7 +228,6 @@ def test_a_compress_many_without_out_is_refused():
         spec = real.spec
         compress = real.compress
         decompress = real.decompress
-        estimate_many = real.estimate_many
         estimate_ladder = real.estimate_ladder
 
         def compress_many(self, views, ebs):  # pragma: no cover - never called

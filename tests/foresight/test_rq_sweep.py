@@ -6,8 +6,8 @@ import pytest
 import repro.foresight.sweep as sweep_mod
 from repro.compression.sz import SZCompressor
 from repro.foresight.evaluator import FieldReference
-from repro.foresight.quality import QualityCriteria
-from repro.foresight.sweep import run_sweep
+from repro.foresight.quality import QualityCriteria, QualityReport
+from repro.foresight.sweep import BOUNDARY_BAND_FACTOR, _near_boundary, run_sweep
 from repro.parallel.decomposition import BlockDecomposition
 
 
@@ -57,17 +57,12 @@ class TestModelMode:
         records = run_sweep({"d": field}, EBS, crit, probe_mode="model")
         assert all(r.quality is not None for r in records)
 
-    def test_confirm_always_measures(self, field, crit):
-        dec = BlockDecomposition(field.shape, (2, 2, 2))
-        exact = run_sweep({"d": field}, EBS, crit, decomposition=dec)
-        confirmed = run_sweep(
-            {"d": field}, EBS, crit, decomposition=dec,
-            probe_mode="model", confirm="always",
-        )
-        # Confirmed cells are real measurements: identical to exact mode.
-        for re_, rc in zip(exact, confirmed):
-            assert rc.quality.psnr_db == re_.quality.psnr_db
-            assert rc.ratio == re_.ratio
+    def test_confirm_always_is_refused(self, field, crit):
+        """A model sweep that measures every cell is the exact sweep."""
+        with pytest.raises(
+            ValueError, match="^confirm must be 'never' or 'boundary', got 'always'$"
+        ):
+            run_sweep({"d": field}, EBS, crit, probe_mode="model", confirm="always")
 
     def test_confirm_boundary_only_reruns_borderline(self, field, crit):
         dec = BlockDecomposition(field.shape, (2, 2, 2))
@@ -80,22 +75,18 @@ class TestModelMode:
 
 
 class TestRateOnlyConfirm:
-    def test_confirm_always_measures_every_rate(self, field, crit, monkeypatch):
-        dec = BlockDecomposition(field.shape, (2, 2, 2))
-        exact = run_sweep({"d": field}, EBS, crit, decomposition=dec, rate_only=True)
-        predicted = run_sweep(
-            {"d": field}, EBS, crit, decomposition=dec, probe_mode="model", rate_only=True
-        )
-        assert [r.bit_rate for r in predicted] != [r.bit_rate for r in exact]
-        # Every cell is measured, so no probe is read.
+    def test_confirm_always_is_refused(self, field, crit, monkeypatch):
+        """The exact rate-only sweep measures every rate; the model one
+        is refused the value before it probes anything."""
         monkeypatch.setattr(
             SZCompressor, "estimate_ladder", lambda *a, **k: pytest.fail("probed")
         )
-        confirmed = run_sweep(
-            {"d": field}, EBS, crit, decomposition=dec,
-            probe_mode="model", rate_only=True, confirm="always",
-        )
-        assert repr(confirmed) == repr(exact)
+        with pytest.raises(
+            ValueError, match="^confirm must be 'never' or 'boundary', got 'always'$"
+        ):
+            run_sweep(
+                {"d": field}, EBS, crit, probe_mode="model", rate_only=True, confirm="always"
+            )
 
     def test_confirm_boundary_has_no_verdict_to_be_near(self, field, crit):
         with pytest.raises(ValueError, match=r'confirm="boundary".*rate_only=True'):
@@ -103,6 +94,38 @@ class TestRateOnlyConfirm:
                 {"d": field}, EBS, crit,
                 probe_mode="model", rate_only=True, confirm="boundary",
             )
+
+
+def _report(spectrum: float, halo: float | None = None) -> QualityReport:
+    """A predicted report: ``halo_mass_rmse`` is the mass-error fraction."""
+    return QualityReport(
+        spectrum_ok=True, spectrum_worst_deviation=spectrum,
+        halo_ok=None if halo is None else True, halo_mass_rmse=halo,
+        halo_count_change=None if halo is None else 0,
+        psnr_db=np.inf, nrmse_value=0.0,
+    )
+
+
+class TestBoundaryBand:
+    def test_near_and_far(self):
+        crit = QualityCriteria(spectrum_tolerance=0.01, spectrum_k_max=6)
+        assert _near_boundary(_report(0.011), crit)
+        assert not _near_boundary(_report(1e-6), crit)
+
+    def test_the_band_is_the_module_factor(self):
+        """The band is ``[tol / F, tol * F]`` with ``F`` =
+        ``BOUNDARY_BAND_FACTOR``, edges included, for the spectrum and
+        the halo-mass verdicts alike."""
+        crit = QualityCriteria(spectrum_tolerance=0.01, halo_mass_rmse=0.02)
+        f = BOUNDARY_BAND_FACTOR
+        for tol, make in (
+            (0.01, lambda v: _report(v)),
+            (0.02, lambda v: _report(1e-9, halo=v)),
+        ):
+            assert _near_boundary(make(tol / f), crit)
+            assert _near_boundary(make(tol * f), crit)
+            assert not _near_boundary(make(np.nextafter(tol / f, 0.0)), crit)
+            assert not _near_boundary(make(np.nextafter(tol * f, np.inf)), crit)
 
 
 class TestLazyReferences:

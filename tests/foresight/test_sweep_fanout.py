@@ -52,28 +52,28 @@ CONFIGS = {
     "exact": dict(decomposition=DEC),
     "model-never": dict(decomposition=DEC, probe_mode="model"),
     "model-boundary": dict(decomposition=DEC, probe_mode="model", confirm="boundary"),
-    "model-always": dict(decomposition=DEC, probe_mode="model", confirm="always"),
     "exact-rate-only": dict(decomposition=DEC, rate_only=True),
     "model-rate-only": dict(decomposition=DEC, probe_mode="model", rate_only=True),
     "compressors": dict(decomposition=DEC, compressors=["sz", "sz:codec=huffman", "zfp_like"]),
     "whole-field": dict(decomposition=None),
-    "whole-field-model": dict(decomposition=None, probe_mode="model", confirm="always"),
+    "whole-field-model": dict(decomposition=None, probe_mode="model", confirm="boundary"),
 }
 
 
 #: sha256 of each config's ``repr(records)``, as the sweep wrote them
 #: when every measured cell still decoded its blocks; "compressors"
 #: covers ``zfp_like`` and Huffman, "whole-field" ``decomposition=None``.
+#: "whole-field-model" (trusted and confirmed cells mixed) was taken
+#: before the R-Q engine returned each cell's report itself.
 PINS = {
     "compressors": "f688427c74764402bbe953225827a01ec5aee4ac498b7d09411e10fd323b80c0",
     "exact": "93fcd0bf7355dba08c2317555df9e5cfe4b0e30c3f064adb79f2671fb60a8583",
     "exact-rate-only": "a2da7af0877ab307dca74d372f872fed2eefb39a79ce68cae909e0585bd174f1",
-    "model-always": "93fcd0bf7355dba08c2317555df9e5cfe4b0e30c3f064adb79f2671fb60a8583",
     "model-boundary": "e09ff4001c6d5b6402abdde1c94c78035e31447ef70b5ffeea271520bb599e0e",
     "model-never": "5f245f60aa43719a7c43e40d4398ba54d3c3f0ea1edc3a7e0bb5f6f1e4b08796",
     "model-rate-only": "cc37a5e6aad63b590bfaf016331e3a27a9da24d6004218e26b4213a73b7065a4",
     "whole-field": "1cc8bd646c670f1f8df34634963e811c7736eba15352a8cbfc65cb27c87b454d",
-    "whole-field-model": "1cc8bd646c670f1f8df34634963e811c7736eba15352a8cbfc65cb27c87b454d",
+    "whole-field-model": "9df680841b5a93042c462db3846c632ff8dbb379b6b86bfc3a8e2ae936877e27",
 }
 
 
@@ -104,7 +104,7 @@ def test_the_boundary_sweep_confirms_some_cells_and_trusts_others(fields, criter
     assert any(confirmed) and not all(confirmed)
 
 
-@pytest.mark.parametrize("config", ["exact", "model-boundary", "model-always", "compressors"])
+@pytest.mark.parametrize("config", ["exact", "model-boundary", "whole-field-model", "compressors"])
 def test_reference_cache_counters_are_a_one_cpu_runs(fields, criteria, config, monkeypatch):
     counts = {}
     for cpus in (1, 2):

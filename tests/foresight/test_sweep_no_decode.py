@@ -45,10 +45,11 @@ def test_exact_cells_never_decode(field, spec, decomposition, monkeypatch):
 
 def test_confirmed_cells_never_decode(field, monkeypatch):
     crit = {"f": QualityCriteria(spectrum_tolerance=0.01)}
-    dec = BlockDecomposition((32, 32, 32), (2, 2, 2))
-    exact = run_sweep({"f": field}, EBS, crit, decomposition=dec)
+    kw = dict(decomposition=BlockDecomposition((32, 32, 32), (2, 2, 2)), probe_mode="model")
+    expected = run_sweep({"f": field}, EBS, crit, confirm="boundary", **kw)
+    # Some cells are confirmed (measured), some trusted.
+    trusted = run_sweep({"f": field}, EBS, crit, **kw)
+    confirmed = [r != t for r, t in zip(expected, trusted)]
+    assert any(confirmed) and not all(confirmed)
     _forbid_decode(monkeypatch)
-    confirmed = run_sweep(
-        {"f": field}, EBS, crit, decomposition=dec, probe_mode="model", confirm="always"
-    )
-    assert repr(confirmed) == repr(exact)
+    assert repr(run_sweep({"f": field}, EBS, crit, confirm="boundary", **kw)) == repr(expected)

@@ -214,11 +214,16 @@ class TestExactProbeFanOut:
         parts = self._partitions()
         probe_ebs = [0.05 * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
         comp = SZCompressor()
-        probe = comp.compress_many if probe_mode == "exact" else comp.estimate_many
-        one_by_one = [
-            [p.bit_rate for p in probe([part] * len(probe_ebs), probe_ebs)]
-            for part in parts
-        ]
+        if probe_mode == "exact":
+            one_by_one = [
+                [b.bit_rate for b in comp.compress_many([part] * len(probe_ebs), probe_ebs)]
+                for part in parts
+            ]
+        else:
+            one_by_one = [
+                [rung[0].bit_rate for rung in comp.estimate_ladder([part], probe_ebs)]
+                for part in parts
+            ]
         cal = calibrate_rate_model(
             parts, compressor=comp, probe_ebs=probe_ebs, seed=0, probe_mode=probe_mode
         )
@@ -227,3 +232,68 @@ class TestExactProbeFanOut:
             for rates in one_by_one
         ]
         assert cal.exponents.tolist() == want
+
+
+def _pin_field(mode: str, dtype) -> np.ndarray:
+    """A smooth 64^3 field: a signed random walk in ``abs`` mode, its
+    exponential (strictly positive) in ``pw_rel``."""
+    rng = np.random.default_rng(17)
+    walk = np.cumsum(np.cumsum(rng.normal(0, 0.05, (64, 64, 64)), axis=0), axis=2)
+    return (walk if mode == "abs" else np.exp(walk - walk.mean())).astype(dtype)
+
+
+def calibration_digest(mode: str, dtype, side: int) -> str:
+    """sha256 of a model-mode calibration over the ``side^3`` partitions
+    of a 64^3 field (24 sampled of 64 at 16^3, all 8 at 32^3): the rate
+    model's and ``coef_r2``'s reprs, then the per-partition arrays'
+    bytes."""
+    import hashlib
+
+    from repro.compression.sz import SZCompressor
+    from repro.parallel.decomposition import BlockDecomposition
+
+    field = _pin_field(mode, dtype)
+    views = BlockDecomposition(field.shape, 64 // side).partition_views(field)
+    eb_scale = 1e-2 if mode == "pw_rel" else 1e-2 * float(np.std(field))
+    cal = calibrate_rate_model(
+        views,
+        compressor=SZCompressor(mode=mode),
+        eb_scale=eb_scale,
+        max_partitions=24,
+        seed=0,
+        probe_mode="model",
+    )
+    h = hashlib.sha256(repr((cal.rate_model, cal.coef_r2)).encode())
+    for arr in (cal.exponents, cal.coefficients, cal.features, cal.fit_r2):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+#: (mode, dtype, partition side) -> :func:`calibration_digest`, taken
+#: when model-mode calibration probed every (partition, bound) pair as
+#: one interleaved batch of views, before it read the bound ladder.
+CALIBRATION_PINS = {
+    ("abs", "float32", 16): "db86495b260a719ccf4fcbf3acbb6c7673bda8f2f6b56b999d4ec55db73d35aa",
+    ("abs", "float32", 32): "c358f7f03995fc168cd768f792632222e3c9d666d21b9fcfda81c67f8f699cb8",
+    ("abs", "float64", 16): "5bb1a54e8e5027cbafde19edbfd76ed573cea3ea3b94f6adb69d5e3f9af9dbf6",
+    ("abs", "float64", 32): "13d80c6c1e9cef9ca8e2f0ab3c7b0d54a476c67d4d80de38a23a703f0218d623",
+    ("pw_rel", "float32", 16): "1c570965223f68f0a3039f1ebf013546e2080f70df355ec8421501435e4be1c0",
+    ("pw_rel", "float32", 32): "c383b8ff3a9cc1d5cbe717d34fca1bbdb18cfc199d1a255e26374ef8e77af6f5",
+    ("pw_rel", "float64", 16): "4751884ba7f4e0fafb2459a0de7f06e5d9983d745a48a4139899f1f5f1070c77",
+    ("pw_rel", "float64", 32): "1826823d83c8fe94cd7498627204f960c868faaaaef365a8461e6c088665f870",
+}
+
+
+class TestModelCalibrationPins:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("side", [16, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("mode", ["abs", "pw_rel"])
+    def test_fit_is_pinned(self, mode, dtype, side, cpus, monkeypatch):
+        from repro.compression import sz
+        from repro.util import fanout
+
+        monkeypatch.setattr(sz, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+        key = (mode, np.dtype(dtype).name, side)
+        assert calibration_digest(mode, dtype, side) == CALIBRATION_PINS[key]

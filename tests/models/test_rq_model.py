@@ -28,10 +28,10 @@ from repro.compression.sz import SZCompressor
 from repro.core.config import FieldSpec
 from repro.core.selection import derive_eb_budget, select_compressor
 from repro.foresight.evaluator import FieldReference
-from repro.foresight.quality import QualityCriteria
+from repro.foresight.quality import QualityCriteria, QualityReport
 from repro.foresight.sweep import run_sweep
 from repro.models.calibration import RateModelBank, calibrate_rate_model
-from repro.models.rq_model import BOUNDARY_BAND_FACTOR, RQModel, RQPrediction
+from repro.models.rq_model import RQModel
 from repro.parallel.decomposition import BlockDecomposition
 from repro.stream.controller import InSituController
 
@@ -78,15 +78,12 @@ class TestRQEstimate:
         assert 0 <= est.predicted_nrmse < 1
         assert est.eb == 1e-3
 
-    def test_estimate_many_matches_estimate(self):
+    def test_ladder_matches_estimate(self):
         comp = SZCompressor()
         views = [_smooth_field(s) for s in range(3)]
         ebs = [1e-3, 5e-3, 2e-2]
-        many = comp.estimate_many(views, ebs)
-        for v, eb, got in zip(views, ebs, many):
-            single = comp.estimate(v, eb)
-            assert got.est_nbytes == single.est_nbytes
-            assert got.predicted_mse == single.predicted_mse
+        ladder = comp.estimate_ladder(views, ebs)
+        assert ladder == [[comp.estimate(v, eb) for v in views] for eb in ebs]
 
     @given(seed=st.integers(0, 20))
     @settings(max_examples=10, deadline=None)
@@ -95,10 +92,7 @@ class TestRQEstimate:
         data = _smooth_field(seed)
         comp = SZCompressor()
         ebs = [1e-4, 1e-3, 1e-2, 1e-1]
-        psnrs = [
-            e.predicted_psnr_db
-            for e in comp.estimate_many([data] * len(ebs), ebs)
-        ]
+        psnrs = [rung[0].predicted_psnr_db for rung in comp.estimate_ladder([data], ebs)]
         assert all(a >= b for a, b in zip(psnrs, psnrs[1:]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -118,16 +112,24 @@ class TestRQEstimate:
 
 
 class TestRQModel:
-    def test_prediction_shape(self):
+    def test_prediction_is_a_quality_report(self):
         data = _smooth_field(1)
         crit = QualityCriteria(spectrum_tolerance=0.01, spectrum_k_max=6)
-        model = RQModel(data, crit, field="d")
-        pred = model.predict(1e-3, SZCompressor().estimate_many([data], [1e-3]))
-        assert isinstance(pred, RQPrediction)
-        assert pred.field == "d" and pred.eb == 1e-3
-        report = pred.to_quality_report()
-        assert report.passed == pred.passed
-        assert report.psnr_db == pred.predicted_psnr_db
+        model = RQModel(data, crit)
+        est = SZCompressor().estimate(data, 1e-3)
+        report = model.predict(1e-3, [est])
+        assert isinstance(report, QualityReport)
+        assert report.spectrum_ok == (report.spectrum_worst_deviation <= 0.01)
+        assert report.passed == report.spectrum_ok
+        assert report.halo_ok is report.halo_mass_rmse is report.halo_count_change is None
+        # One whole-field partition: the pooled MSE is the estimate's own.
+        assert report.psnr_db == est.predicted_psnr_db
+        assert report.nrmse_value == est.predicted_nrmse
+
+    def test_prediction_needs_an_estimate(self):
+        model = RQModel(_smooth_field(1))
+        with pytest.raises(ValueError, match="at least one probe estimate"):
+            model.predict(1e-3, [])
 
     def test_spectrum_verdict_monotone(self):
         data = _smooth_field(2)
@@ -144,9 +146,10 @@ class TestRQModel:
             spectrum_tolerance=0.05, spectrum_k_max=6, check_halos=True, t_boundary=t
         )
         model = RQModel(data, crit)
-        pred = model.predict(1e-4, SZCompressor().estimate_many([data], [1e-4]))
-        assert pred.halo_ok is not None
-        assert pred.halo_mass_fraction is not None and pred.halo_mass_fraction >= 0
+        report = model.predict(1e-4, [SZCompressor().estimate(data, 1e-4)])
+        assert report.halo_ok is not None and report.halo_count_change == 0
+        # the predicted mass-error fraction
+        assert report.halo_mass_rmse is not None and report.halo_mass_rmse >= 0
 
     def test_after_analyze_predictions_only_read_the_reference(self):
         data = _smooth_field(3)
@@ -155,7 +158,7 @@ class TestRQModel:
             spectrum_tolerance=0.05, spectrum_k_max=6, check_halos=True,
             t_boundary=float(np.percentile(data, 90.0)),
         )
-        probe = SZCompressor().estimate_many([data], [1e-3])
+        (probe,) = SZCompressor().estimate_ladder([data], [1e-3])
         expected = RQModel(data, crit).predict(1e-3, probe)
         model = RQModel(data, crit)
         model.analyze()
@@ -167,47 +170,6 @@ class TestRQModel:
                 if m["name"].startswith("foresight.cache.")
             }
         assert counts and not any(name.endswith(".misses") for name in counts)
-
-    def test_near_boundary_band(self):
-        data = _smooth_field(4)
-        crit = QualityCriteria(spectrum_tolerance=0.01, spectrum_k_max=6)
-        model = RQModel(data, crit)
-        inside = RQPrediction(
-            field="d", eb=1.0, predicted_bit_rate=1.0, predicted_ratio=1.0,
-            predicted_mse=0.0, predicted_psnr_db=np.inf, predicted_nrmse=0.0,
-            spectrum_worst_deviation=0.011, spectrum_ok=False,
-        )
-        far = RQPrediction(
-            field="d", eb=1.0, predicted_bit_rate=1.0, predicted_ratio=1.0,
-            predicted_mse=0.0, predicted_psnr_db=np.inf, predicted_nrmse=0.0,
-            spectrum_worst_deviation=1e-6, spectrum_ok=True,
-        )
-        assert inside.near_boundary(model.criteria)
-        assert not far.near_boundary(model.criteria)
-
-    def test_near_boundary_band_is_the_module_factor(self):
-        """The band is ``[tol / F, tol * F]`` with ``F`` =
-        ``BOUNDARY_BAND_FACTOR``, edges included, for the spectrum and
-        the halo-mass verdicts alike."""
-        crit = QualityCriteria(spectrum_tolerance=0.01, halo_mass_rmse=0.02)
-        f = BOUNDARY_BAND_FACTOR
-
-        def pred(spectrum, halo=None):
-            return RQPrediction(
-                field="d", eb=1.0, predicted_bit_rate=1.0, predicted_ratio=1.0,
-                predicted_mse=0.0, predicted_psnr_db=np.inf, predicted_nrmse=0.0,
-                spectrum_worst_deviation=spectrum, spectrum_ok=True,
-                halo_mass_fraction=halo,
-            )
-
-        for tol, make in (
-            (0.01, lambda v: pred(v)),
-            (0.02, lambda v: pred(1e-9, halo=v)),
-        ):
-            assert make(tol / f).near_boundary(crit)
-            assert make(tol * f).near_boundary(crit)
-            assert not make(np.nextafter(tol / f, 0.0)).near_boundary(crit)
-            assert not make(np.nextafter(tol * f, np.inf)).near_boundary(crit)
 
     @pytest.mark.parametrize("field", ["temperature", "baryon_density", "velocity_x"])
     def test_probe_at_derived_budget_sits_on_the_tolerance(self, snapshot, field):
