@@ -308,11 +308,14 @@ class SZCompressor:
         the checks and, in ``pw_rel``, the ``log``).  Each of its bounds
         then does only its own divide, quantize -> Lorenzo -> residual
         codes, MSE and census, with no entropy codec; in ``abs`` mode the
-        MSE subtracts the mapped stack in one contiguous pass.  The
-        chunks go through :func:`~repro.util.fanout.thread_map`, and
-        each chunk's bounds through a nested one, so a field of one
-        chunk still fans out over its bounds and a field of many keeps
-        every thread on its own chunk.  Peak memory is one mapped chunk
+        MSE subtracts the mapped stack in one contiguous pass.  When the
+        views hold at least :data:`PROBE_FANOUT_MIN_ELEMENTS` elements
+        together, the chunks go through
+        :func:`~repro.util.fanout.thread_map`, and each chunk's bounds
+        through a nested one, so a field of one chunk still fans out over
+        its bounds and a field of many keeps every thread on its own
+        chunk; a smaller probe runs its chunks and bounds in order in the
+        calling thread.  Peak memory is one mapped chunk
         plus one bound's pass per thread.  One ``rq.probe`` span wraps
         the whole ladder, so armed traces show the trial compressions
         the ratio-quality model eliminated, with an ``sz.map`` span per
@@ -331,8 +334,10 @@ class SZCompressor:
                     for shape, group in _shape_groups(arrs).items()
                     for idxs in _cut(group, math.prod(shape))
                 ]
-                runs = thread_map(
-                    lambda idxs: self._ladder_chunk([arrs[i] for i in idxs], bounds), chunks
+                wide = sum(arr.size for arr in arrs) >= PROBE_FANOUT_MIN_ELEMENTS
+                fan = thread_map if wide else _in_order
+                runs = fan(
+                    lambda idxs: self._ladder_chunk([arrs[i] for i in idxs], bounds, fan), chunks
                 )
                 for idxs, rungs in zip(chunks, runs):
                     for row, got in zip(ladder, rungs):
@@ -340,9 +345,11 @@ class SZCompressor:
                             row[i] = estimate
         return ladder
 
-    def _ladder_chunk(self, arrs: list[np.ndarray], bounds: list[float]) -> list[list[RQEstimate]]:
+    def _ladder_chunk(
+        self, arrs: list[np.ndarray], bounds: list[float], fan: Callable
+    ) -> list[list[RQEstimate]]:
         """One chunk of *same-shape* blocks probed at every bound: mapped
-        once, then one probe pass per bound, side by side."""
+        once, then one probe pass per bound, through ``fan``."""
         tracer = telemetry.get_tracer()
         ranges = np.empty(len(arrs), np.float64)
         with tracer.span("sz.map", blocks=len(arrs), mode=self.mode):
@@ -377,7 +384,7 @@ class SZCompressor:
                 for row, arr in enumerate(arrs)
             ]
 
-        return thread_map(rung, bounds)
+        return fan(rung, bounds)
 
     def _decoded_mse_rows(
         self, rounded: np.ndarray, scales: np.ndarray, truth: "list[np.ndarray] | np.ndarray"
@@ -652,6 +659,25 @@ class SZCompressor:
 #: of its throughput and gained 6 MB of peak RSS (``docs/kernels.md``).
 #: A property of the input, deliberately not a setting.
 FANOUT_MIN_ELEMENTS = 28**3
+
+
+#: Fewest elements, all views together, for which the ladder probe
+#: (:meth:`SZCompressor.estimate_ladder`) hands its chunks and bounds to
+#: the pool.  Its passes have no per-block entropy stage, so what pays
+#: for the dispatch is the elements one bound's pass covers, whatever the
+#: block size.  Measured on a 2-vCPU box, five bounds, median time with
+#: the fan-out over time in the calling thread: 2^15 elements 1.27-1.38x,
+#: 2^16 1.04-1.08x, 2^17 0.81-0.87x, 2^18 0.71-0.78x, alike in 8^3, 16^3,
+#: 32^3 and 64^3 blocks.  So calibration's 24 sampled 16^3 or 8^3
+#: partitions stay in the calling thread, and a sweep of a 64^3 field
+#: in any partitioning fans out.  A property of the input, not a setting.
+PROBE_FANOUT_MIN_ELEMENTS = 2**17
+
+
+def _in_order(fn: Callable, items: Sequence) -> list:
+    """:func:`~repro.util.fanout.thread_map`'s results, in the calling
+    thread alone."""
+    return [fn(item) for item in items]
 
 
 def _run_chunks(run: Callable[[np.ndarray], list], items: Sequence) -> list:

@@ -9,9 +9,9 @@ equal the textbook one (unfold each symbol -> scatter the outliers ->
 ``np.cumsum`` per axis -> ``q * 2eb``).
 
 Also here: the entropy stage's DEFLATE strategy is invisible to readers
-(either side of it is a plain zlib stream), and the chunker's thread
-fan-out — encode and decode alike — is gated on block size
-without changing a byte.
+(either side of it is a plain zlib stream), and the thread fan-out is
+gated on the input without changing a byte: the chunker's, encode and
+decode alike, on block size; the ladder probe's on the elements probed.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.compression.api import decompress_many
 from repro.compression.codecs import PLANES_BIT, ZlibCodec, pack_symbols
 from repro.compression.sz import (
     FANOUT_MIN_ELEMENTS,
+    PROBE_FANOUT_MIN_ELEMENTS,
     CompressedBlock,
     SZCompressor,
     decompress,
@@ -127,13 +128,15 @@ class TestFanOutGate:
     @pytest.fixture()
     def seen(self, monkeypatch):
         """``maps``: the item count of every fan-out; ``chunks``: the
-        chunks (block indices) each one was handed; ``threads``: the
-        thread of every compress or decode chunk pass."""
+        chunks (block indices) or bounds each one was handed; ``threads``: the
+        thread of every compress, probe or decode chunk pass."""
         seen = SimpleNamespace(maps=[], chunks=[], threads=set())
 
         def counted(fn, items):
             seen.maps.append(len(items))
-            seen.chunks.append([[int(i) for i in chunk] for chunk in items])
+            seen.chunks.append(
+                [[int(i) for i in c] if isinstance(c, np.ndarray) else c for c in items]
+            )
             return thread_map(fn, items)
 
         def recorded(owner, name):
@@ -148,6 +151,8 @@ class TestFanOutGate:
         # the one fan-out site: the chunker
         monkeypatch.setattr(sz, "thread_map", counted)
         recorded(SZCompressor, "_compress_batch")
+        recorded(SZCompressor, "_ladder_chunk")
+        recorded(SZCompressor, "_encode_mapped")
         recorded(sz, "_decompress_chunk")
         return seen
 
@@ -160,14 +165,17 @@ class TestFanOutGate:
     def test_small_blocks_stay_in_the_calling_thread(self, seen, monkeypatch):
         views, ebs = self._views(8, 6)
         assert views[0].size < FANOUT_MIN_ELEMENTS
+        assert sum(v.size for v in views) < PROBE_FANOUT_MIN_ELEMENTS
         comp = SZCompressor()
         monkeypatch.setattr(sz, "usable_cpus", lambda: 4)
         fanned = comp.compress_many(views, ebs)
+        ladder = comp.estimate_ladder(views, ebs)
         recons = decompress_many(fanned)
         assert not seen.maps
         assert seen.threads == {threading.get_ident()}
         monkeypatch.setattr(sz, "usable_cpus", lambda: 1)
         assert fanned == comp.compress_many(views, ebs)
+        assert ladder == comp.estimate_ladder(views, ebs)
         for a, b in zip(recons, decompress_many(fanned)):
             assert np.array_equal(a, b)
 
@@ -190,3 +198,18 @@ class TestFanOutGate:
         for a, b in zip(recons, decompress_many(fanned)):
             assert np.array_equal(a, b)
         assert seen.maps == [3, 3, 2]
+
+    @pytest.mark.parametrize("side, count", [(32, 4), (8, 256)])
+    def test_large_probes_fan_out_over_chunks_and_bounds(self, seen, monkeypatch, side, count):
+        """The probe's gate is the elements probed, whatever the block
+        size: 4 x 32^3 or 256 x 8^3 blocks are one chunk, whose three
+        bounds fan out."""
+        views, ebs = self._views(side, count)
+        assert sum(v.size for v in views) >= PROBE_FANOUT_MIN_ELEMENTS
+        comp = SZCompressor()
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 4)
+        ladder = comp.estimate_ladder(views, ebs[:3])
+        assert seen.maps == [1, 3]
+        assert seen.chunks == [[list(range(count))], ebs[:3]]
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        assert ladder == comp.estimate_ladder(views, ebs[:3])

@@ -63,11 +63,16 @@ def test_the_ladder_is_one_estimate_per_view_and_bound(mode, dtype, codec, cpus,
 
 @pytest.mark.parametrize("shape", [(257,), (13, 31), (5, 6, 7), (40, 40, 40)])
 def test_one_view_at_one_bound(shape):
+    """Checked against the codec: the encoder's outlier count and the
+    MSE of what the decoder returns."""
     view = _positive(np.random.default_rng(2), shape, np.float64)
     comp = SZCompressor()
-    (rung,) = comp.estimate_ladder([view], [0.01])
-    assert rung == [comp.estimate(view, 0.01)]
-    assert rung[0].n_elements == view.size and rung[0].eb == 0.01
+    ((est,),) = comp.estimate_ladder([view], [0.01])
+    block = comp.compress(view, 0.01)
+    mse = float(np.mean((comp.decompress(block) - view) ** 2))
+    assert est.n_elements == view.size and est.eb == 0.01
+    assert est.n_outliers == block.n_outliers
+    assert est.predicted_mse == pytest.approx(mse, rel=1e-12, abs=0.0)
 
 
 def test_an_empty_ladder_or_view_list():

@@ -167,6 +167,20 @@ def test_front_outputs_match_their_pins(batch, dtype, mode):
     assert front_digests(batch, dtype, mode) == FRONT_PINS[(batch, np.dtype(dtype).name, mode)]
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+def test_one_ladder_over_the_batch_matches_the_estimate_pins(batch, dtype, mode):
+    """The batched probe: one ``estimate_ladder`` of every view at the
+    batch's distinct bounds, each view read at its own bound."""
+    views = BATCHES[batch](dtype)
+    ebs = _ebs(views, mode).tolist()
+    rungs = sorted(set(ebs))
+    ladder = SZCompressor(mode=mode).estimate_ladder(views, rungs)
+    picked = (ladder[rungs.index(eb)][i] for i, eb in enumerate(ebs))
+    assert _sha(picked) == FRONT_PINS[(batch, np.dtype(dtype).name, mode)]["estimates"]
+
+
 def test_model_sweep_records_match_their_pin():
     assert model_sweep_digest() == MODEL_SWEEP_PIN
 
