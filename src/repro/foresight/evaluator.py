@@ -204,11 +204,15 @@ class QualityEvaluator:
             cat_o = self.reference.halos(crit.t_boundary, crit.t_halo)
             cat_r = find_halos(rec, crit.t_boundary, crit.t_halo)
             cmp = compare_catalogs(cat_o, cat_r, max_distance=crit.halo_match_distance)
-            halo_rmse = cmp.mass_rmse
             halo_dcount = cmp.count_change
-            halo_ok = bool(
-                np.isfinite(halo_rmse) and halo_rmse <= crit.halo_mass_rmse
-            )
+            # No halo above t_boundary in either field leaves nothing to
+            # check (vacuous, as the model's verdict); a lost or grown
+            # catalog has no matched mass, so its RMSE is nan and fails.
+            if cmp.n_original or cmp.n_reconstructed:
+                halo_rmse = cmp.mass_rmse
+                halo_ok = bool(
+                    np.isfinite(halo_rmse) and halo_rmse <= crit.halo_mass_rmse
+                )
 
         err = error_summary(self.reference.f64, rec, moments=self._moments)
         return QualityReport(

@@ -98,7 +98,7 @@ from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience.faults import field_scope
 from repro.resilience.retry import RetryExhaustedError, RetryHook, RetryPolicy
 from repro.sim.nyx import NyxSnapshot
-from repro.stream.drift import DriftConfig, DriftDetector, DriftSignal
+from repro.stream.drift import DriftConfig, DriftDetector
 from repro.stream.ledger import (
     LEDGER_SCHEMA_VERSION,
     LedgerError,
@@ -227,8 +227,8 @@ class InSituController:
     check_quality:
         Measure each field's achieved spectrum deviation on the
         reconstruction compression writes as it goes — nothing is
-        decoded (feeds the drift detector's quality channel; implied by
-        a :class:`DriftConfig` with ``quality_margin`` set).
+        decoded.  A measurement only: the outcome records it and no
+        decision reads it (drift is judged on rate alone).
     retain_results:
         Keep every field's full :class:`SnapshotResult` (compressed
         payloads included) on the report outcomes — convenient for
@@ -339,10 +339,9 @@ class InSituController:
             if isinstance(ledger, RunLedger)
             else RunLedger(ledger, fsync=fsync_ledger)
         )
-        drift = drift or DriftConfig()
         self.max_partitions = int(max_partitions)
         self.seed = int(seed)
-        self.check_quality = bool(check_quality) or drift.quality_margin is not None
+        self.check_quality = bool(check_quality)
         self.retain_results = bool(retain_results)
         #: Field buffers quality-checked compressions write their
         #: reconstructions into: a step takes one (or makes one) and puts
@@ -381,7 +380,7 @@ class InSituController:
                     recalibrate=recalibrate,
                     warm_start=bool(warm_start),
                     probe_mode=probe_mode,
-                    drift=asdict(drift),
+                    drift=asdict(drift or DriftConfig()),
                 ),
             )
         ]
@@ -807,15 +806,13 @@ class InSituController:
             )
             outcomes = []
             for step in steps:
-                records, result, signal = step.commit(self.report)
+                records, result = step.commit(self.report)
                 for kind, record in records:
                     self._append(kind, **record)
-                # The row is the one the fold just built; what only this process
-                # has — the payloads, and the quality channel's margin ratio,
-                # which the ledger does not record — is attached to it.
+                # The row is the one the fold just built, its drift verdict
+                # included; only the payloads live in this process alone.
                 outcome = self.report.outcomes[-1]
                 outcome.result = result if self.retain_results else None
-                outcome.drift_signal = signal
                 outcomes.append(outcome)
             if self.state.governor is not None:
                 # Worked out ahead of the fold so the event can record it.
@@ -840,10 +837,10 @@ class InSituController:
         name: str,
         data: np.ndarray,
         on_retry: RetryHook,
-    ) -> tuple[list[Record], SnapshotResult, DriftSignal | None]:
+    ) -> tuple[list[Record], SnapshotResult]:
         """One field step: (re)calibrate if due, decide, compress.  Returns
-        the step's records in append order, its result and its drift verdict;
-        each retry it makes is reported to ``on_retry``.
+        the step's records in append order and its result; each retry it
+        makes is reported to ``on_retry``.
 
         The step writes nothing: it decides from the state folded before it
         and, after a (re)calibration, from the state its own record gives,
@@ -943,16 +940,15 @@ class InSituController:
                 # The field is what compression wrote into recon: no decode.
                 quality_dev = spectrum_deviation(ref, recon, spec.spectrum_k_max)
 
-            # The verdict comes from a scratch detector continuing the
-            # step's window (empty after a (re)calibration), so the outcome
-            # record can carry it; folding the record advances the window.
+            # A scratch detector continuing the step's window (empty after a
+            # (re)calibration) gives the flag the outcome records; folding
+            # the record re-runs it on the same numbers, to the same verdict.
             detector = DriftDetector(name, config.drift, fs.window)
-            signal: DriftSignal | None = None
-            if config.recalibrate == "drift":
-                if residual is not None:
-                    signal = detector.update_rate(predicted, achieved)
-                if signal is None and quality_dev is not None:
-                    signal = detector.update_quality(quality_dev, spec.spectrum_tolerance)
+            drifted = (
+                config.recalibrate == "drift"
+                and residual is not None
+                and detector.update_rate(predicted, achieved) is not None
+            )
 
             outcome = dict(
                 snapshot=index,
@@ -964,10 +960,10 @@ class InSituController:
                 residual=residual,
                 drift_z=detector.zscore(),
                 quality_deviation=quality_dev,
-                recalibrate_next=signal is not None,
+                recalibrate_next=drifted,
             )
             records.append(("outcome", outcome))
-            return records, result, signal
+            return records, result
 
 
 # -- deterministic ledger replay ---------------------------------------------

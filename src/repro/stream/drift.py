@@ -20,15 +20,16 @@ and emits a :class:`DriftSignal` when ``|z|`` exceeds ``z_threshold`` —
 a persistent bias several sigma beyond the estimator's own noise, not a
 one-snapshot fluctuation (unless the window is configured that tight).
 
-An optional *quality* channel compares the achieved spectrum deviation
-of decompressed snapshots against the field's tolerance and fires when
-the margin is exhausted (``achieved > quality_margin * tolerance``);
-rate drift says "the storage model is stale", quality drift says "the
-error-bound budget itself is stale".
+Rate is the only channel.  A field's achieved spectrum deviation, when
+the controller measures it, is recorded but never acted on: the one
+actuator a detector has, a refit that re-inverts the Eq. 10 budget,
+cannot lower a deviation that Eq. 10 mis-predicts.
 
 Detectors are deliberately pure, deterministic state machines: the
-recalibration schedule they induce is recorded in the run ledger and
-never needs to be re-derived at replay time.
+ledger records each snapshot's predicted and achieved bitrates, so
+folding it re-runs the detector to the verdict the live run reached
+(:func:`repro.stream.state.apply` checks the recorded
+``recalibrate_next`` flag against it).
 """
 
 from __future__ import annotations
@@ -57,17 +58,12 @@ class DriftConfig:
     rate_sigma:
         Reference scatter of the log bitrate residual — the estimator's
         own accuracy band; residuals are standardized against it.
-    quality_margin:
-        Fraction of the field's spectrum tolerance the achieved
-        deviation may consume before the quality channel fires.
-        ``None`` disables the channel.
     """
 
     z_threshold: float = 4.0
     window: int = 4
     min_points: int = 2
     rate_sigma: float = 0.08
-    quality_margin: float | None = None
 
     def __post_init__(self) -> None:
         if self.z_threshold <= 0:
@@ -78,23 +74,20 @@ class DriftConfig:
             raise ValueError("min_points must be in [1, window]")
         if self.rate_sigma <= 0:
             raise ValueError("rate_sigma must be positive")
-        if self.quality_margin is not None and self.quality_margin <= 0:
-            raise ValueError("quality_margin must be positive")
 
 
 @dataclass(frozen=True)
 class DriftSignal:
-    """One detector firing: which channel tripped, and how hard."""
+    """One detector firing: which field's rate model drifted, and how hard."""
 
     field: str
-    channel: str  # "rate" or "quality"
-    z: float  # standardized window statistic (rate) or margin ratio (quality)
+    z: float  # standardized window statistic
     n_points: int
-    residual: float  # the most recent raw residual / deviation
+    residual: float  # the most recent raw log residual
 
     def __str__(self) -> str:
         return (
-            f"drift[{self.field}/{self.channel}]: z={self.z:.2f} "
+            f"drift[{self.field}]: z={self.z:.2f} "
             f"over {self.n_points} snapshot(s)"
         )
 
@@ -146,27 +139,9 @@ class DriftDetector:
         if abs(z) > self.config.z_threshold:
             return DriftSignal(
                 field=self.field,
-                channel="rate",
                 z=z,
                 n_points=len(self._residuals),
                 residual=residual,
-            )
-        return None
-
-    def update_quality(self, achieved_deviation: float, tolerance: float) -> DriftSignal | None:
-        """Feed one snapshot's achieved spectrum deviation (optional channel)."""
-        if self.config.quality_margin is None:
-            return None
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        ratio = achieved_deviation / tolerance
-        if ratio > self.config.quality_margin:
-            return DriftSignal(
-                field=self.field,
-                channel="quality",
-                z=ratio,
-                n_points=1,
-                residual=achieved_deviation,
             )
         return None
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from typing import Any
 
@@ -328,6 +327,24 @@ class RunConfig:
 
     @classmethod
     def from_record(cls, d: dict[str, Any]) -> "RunConfig":
+        """Read a ``run_start`` record back.
+
+        Raises
+        ------
+        LedgerError
+            If its ``drift`` dict sets ``quality_margin``.  Ledgers written
+            while the detector had a quality channel record the key;
+            ``null`` (the channel off, its default) reads as today's
+            rate-only detector, but a run that had the channel on
+            recalibrated on verdicts no fold can reproduce.
+        """
+        drift = dict(d["drift"])
+        margin = drift.pop("quality_margin", None)
+        if margin is not None:
+            raise LedgerError(
+                f"run_start sets drift quality_margin={margin!r}: the quality "
+                "drift channel is gone, so this run cannot be folded"
+            )
         return cls(
             shape=tuple(d["shape"]),
             blocks=None if d.get("blocks") is None else tuple(d["blocks"]),
@@ -335,7 +352,7 @@ class RunConfig:
             candidates=[_spec(c) for c in d.get("candidates") or ()] or None,
             byte_budget=d.get("byte_budget"),
             settings=OptimizerSettings(**d["settings"]),
-            drift=DriftConfig(**d["drift"]),
+            drift=DriftConfig(**drift),
             recalibrate=d["recalibrate"],
             warm_start=d["warm_start"],
             # Ledgers written before the codec-free modes merged may
@@ -575,18 +592,15 @@ def _outcome(state: RunState, event: LedgerEvent) -> None:
             float(d["predicted_bit_rate"]), float(d["achieved_bit_rate"])
         )
         state.fields[name] = replace(fs, window=detector.window)
-    # The recorded flag is authoritative for what the next snapshot must
-    # recalibrate (it folds in both drift channels).
-    if d.get("recalibrate_next"):
-        state.pending.add(name)
-        # The quality channel's margin ratio needs the field's
-        # tolerance, which the ledger does not record.
-        signal = signal or DriftSignal(
-            name, "quality", math.nan, 1, d["quality_deviation"]
+    # The re-run detector is the verdict; the recorded flag only checks it.
+    if (signal is not None) != bool(d.get("recalibrate_next")):
+        raise _diverged(
+            event, "recalibrate_next", signal is not None, d.get("recalibrate_next")
         )
-    else:
+    if signal is None:
         state.pending.discard(name)
-        signal = None
+    else:
+        state.pending.add(name)
     state.open_bytes += int(d["compressed_bytes"])
     state.report.outcomes.append(
         StreamOutcome(

@@ -310,3 +310,48 @@ class TestInlineEvaluation:
                 recon = decomposition.assemble([decompress(b) for b in blocks])
                 want.append((name, eb, evaluator.evaluate(recon)))
         assert [(r.field, r.eb, r.quality) for r in records] == want
+
+
+class TestEmptyHaloCatalogs:
+    """With no halo above ``t_boundary`` in either field there is nothing
+    for the halo check to judge: its verdict is vacuous, as the R-Q
+    model's is.  A catalog lost or grown still fails it."""
+
+    CRITERIA = QualityCriteria(check_halos=True, t_boundary=100.0)
+
+    @pytest.fixture
+    def flat(self):
+        return np.random.default_rng(0).normal(1.0, 0.1, (32, 32, 32))
+
+    @pytest.fixture
+    def spiked(self, flat):
+        out = flat.copy()
+        out[8:10, 8:10, 8:10] = 500.0  # one halo above t_boundary
+        return out
+
+    def test_a_field_against_itself_passes(self, flat):
+        report = QualityEvaluator(flat, self.CRITERIA).evaluate(flat)
+        assert (report.halo_ok, report.halo_mass_rmse) == (None, None)
+        assert report.halo_count_change == 0
+        assert report.passed
+
+    def test_exact_sweep_cells_pass_like_the_models(self, flat):
+        ebs = [1e-3, 1e-2]
+        records = {
+            mode: run_sweep(
+                {"rho": flat}, ebs, {"rho": self.CRITERIA}, probe_mode=mode
+            )
+            for mode in ("exact", "model")
+        }
+        assert [r.quality.halo_ok for r in records["exact"]] == [None, None]
+        assert records["exact"][0].passed and records["model"][0].passed
+
+    def test_losing_every_halo_fails(self, flat, spiked):
+        report = QualityEvaluator(spiked, self.CRITERIA).evaluate(flat)
+        assert report.halo_ok is False and not report.passed
+        assert report.halo_count_change == -1
+
+    def test_growing_a_halo_fails(self, flat, spiked):
+        report = QualityEvaluator(flat, self.CRITERIA).evaluate(spiked)
+        assert report.halo_ok is False and not report.passed
+        assert report.halo_count_change == 1

@@ -18,12 +18,16 @@ class TestConfig:
             {"min_points": 0},
             {"min_points": 5, "window": 4},
             {"rate_sigma": 0.0},
-            {"quality_margin": -1.0},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             DriftConfig(**kwargs)
+
+    def test_has_no_quality_margin(self):
+        # Drift is judged on rate alone: the quality channel is gone.
+        with pytest.raises(TypeError, match="quality_margin"):
+            DriftConfig(quality_margin=1.0)
 
 
 class TestRateChannel:
@@ -41,7 +45,6 @@ class TestRateChannel:
         for _ in range(4):
             signal = det.update_rate(1.0, 1.5) or signal
         assert signal is not None
-        assert signal.channel == "rate"
         assert signal.field == "t"
         assert abs(signal.z) > 3.0
 
@@ -95,20 +98,3 @@ class TestRateChannel:
         with pytest.raises(ValueError):
             det.update_rate(0.0, 1.0)
 
-
-class TestQualityChannel:
-    def test_disabled_by_default(self):
-        det = DriftDetector("t", DriftConfig())
-        assert det.update_quality(1e9, 0.01) is None
-
-    def test_fires_when_margin_exhausted(self):
-        det = DriftDetector("t", DriftConfig(quality_margin=1.0))
-        assert det.update_quality(0.005, 0.01) is None
-        signal = det.update_quality(0.02, 0.01)
-        assert signal is not None
-        assert signal.channel == "quality"
-        assert signal.z == pytest.approx(2.0)
-
-    def test_margin_scales_threshold(self):
-        det = DriftDetector("t", DriftConfig(quality_margin=0.5))
-        assert det.update_quality(0.006, 0.01) is not None

@@ -173,6 +173,27 @@ class TestFrozenFixtures:
         ctl.close()
         assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
 
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_a_flipped_drift_flag_is_refused_at_its_seq(self, tmp_path, recorded):
+        """The fold re-runs the rate detector on each outcome's recorded
+        bitrates: that is the drift verdict, and a ``recalibrate_next``
+        flag that disagrees with it is a corrupt ledger."""
+        lines = (FIXTURES / "v3_ledger.jsonl").read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        i = next(
+            i
+            for i, e in enumerate(events)
+            if e["kind"] == "outcome" and e["data"]["recalibrate_next"] is recorded
+        )
+        events[i]["data"]["recalibrate_next"] = not recorded
+        lines[i] = json.dumps(events[i], sort_keys=True, separators=(",", ":"))
+        flipped = tmp_path / "flipped.jsonl"
+        flipped.write_text("\n".join(lines) + "\n")
+        seq = events[i]["seq"]
+        for verify in (True, False):
+            with pytest.raises(LedgerError, match=rf"seq {seq} \(outcome\)"):
+                replay_ledger(flipped, verify=verify)
+
     @pytest.mark.parametrize("stamp", ["thread", "process"])
     def test_backend_stamped_ledger_resumes_and_replays(self, tmp_path, stream_sim, stamp):
         """The thread and process backends are gone; a ledger whose

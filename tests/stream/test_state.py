@@ -10,6 +10,7 @@ run can go.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.core.config import FieldSpec
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.stream import DriftConfig, InSituController, SimulatorStream
 from repro.stream.ledger import LedgerError, LedgerEvent
-from repro.stream.state import RunState, apply, calibrated_state, rederive
+from repro.stream.state import RunConfig, RunState, apply, calibrated_state, rederive
 
 FIELDS = ("baryon_density", "temperature")
 TIGHT = DriftConfig(z_threshold=1.5, window=2, min_points=1, rate_sigma=0.02)
@@ -38,7 +39,7 @@ SCENARIOS = {
         False,
         None,
     ),
-    "quality-channel": ({"drift": DriftConfig(quality_margin=1e-9)}, False, None),
+    "check-quality": ({"check_quality": True, "drift": TIGHT}, False, None),
     "cold-never-primed": ({"warm_start": False, "recalibrate": "never"}, True, None),
     "always": ({"recalibrate": "always"}, False, None),
     "degradation": (
@@ -99,11 +100,13 @@ def test_live_state_equals_fold_of_its_ledger(scenario, stream_sim, stream_dec):
     report = ctl.report
     if scenario == "degradation":
         assert live.quarantined and report.n_degradations == 1
-    if scenario in ("candidates-drift", "quality-channel", "degradation"):
+    if scenario in ("candidates-drift", "check-quality", "degradation"):
         assert report.n_recalibrations > 0
         assert any(o.drift_signal is not None for o in report.outcomes)
-    if scenario == "quality-channel":
-        assert {o.drift_signal.channel for o in report.outcomes} == {"quality"}
+    # The deviation is measured and recorded; the fold carries it.
+    deviations = [o.quality_deviation for o in folded.report.outcomes]
+    assert deviations == [o.quality_deviation for o in report.outcomes]
+    assert all((d is not None) is (scenario == "check-quality") for d in deviations)
     if scenario == "always":
         assert [r[2] for r in report.recalibrations] == ["forced"] * 6
     if scenario == "cold-never-primed":
@@ -119,17 +122,37 @@ def test_events_before_run_start_are_rejected():
         rederive(state, LedgerEvent(1, "decision", {"field": "temperature"}))
 
 
+@pytest.mark.parametrize("margin", [None, 1.0])
+def test_run_config_reads_an_older_drift_record(margin):
+    """Older ledgers record the quality channel's margin; ``null`` (the
+    channel off) reads as today's detector, a set margin is refused."""
+    record = {
+        "shape": [16, 16, 16],
+        "settings": {},
+        "drift": {"z_threshold": 3.0, "quality_margin": margin},
+        "recalibrate": "drift",
+        "warm_start": True,
+        "probe_mode": "exact",
+    }
+    if margin is None:
+        assert RunConfig.from_record(record).drift == DriftConfig(z_threshold=3.0)
+    else:
+        with pytest.raises(LedgerError, match="quality_margin=1.0"):
+            RunConfig.from_record(record)
+
+
 def _folded(recalibrate: str, field: str) -> RunState:
     """A state folded from hand-written events in which ``temperature``
-    is ``uncalibrated``, ``pending`` (calibrated; its last outcome asked
-    for a refit) or ``clean`` (calibrated; no refit asked)."""
+    is ``uncalibrated``, ``pending`` (calibrated; its last outcome missed
+    the predicted rate by a factor 2, which fires a one-point detector
+    where one runs) or ``clean`` (calibrated; it hit the prediction)."""
     events = [
         (
             "run_start",
             {
                 "shape": [16, 16, 16],
                 "settings": {},
-                "drift": {},
+                "drift": {"min_points": 1},
                 "recalibrate": recalibrate,
                 "warm_start": True,
                 "probe_mode": "exact",
@@ -163,10 +186,11 @@ def _folded(recalibrate: str, field: str) -> RunState:
                     "raw_bytes": 8,
                     "compressed_bytes": 1,
                     "predicted_bit_rate": 8.0,
-                    "achieved_bit_rate": 8.0,
-                    "residual": None,
+                    "achieved_bit_rate": 16.0 if field == "pending" else 8.0,
+                    "residual": math.log(2.0) if field == "pending" else 0.0,
                     "quality_deviation": 0.1,
-                    "recalibrate_next": field == "pending",
+                    # Only a "drift" run's detector runs, so only it can fire.
+                    "recalibrate_next": field == "pending" and recalibrate == "drift",
                 },
             ),
         ]
@@ -186,9 +210,7 @@ def _folded(recalibrate: str, field: str) -> RunState:
         ("always", "pending", "forced"),
         ("always", "clean", "forced"),
         ("never", "uncalibrated", KeyError),
-        # The recorded flag is authoritative whatever the policy (a live
-        # run records it only under "drift").
-        ("never", "pending", "drift"),
+        ("never", "pending", None),
         ("never", "clean", None),
     ],
 )

@@ -72,8 +72,8 @@ def test_governed_run_bytes(sim, dec, tmp_path):
     # per field); every other line is the one the serial loop wrote.
     # The selections reject zfp_like from its capabilities, unmeasured.
     assert _digest(path) == (
-        18_326,
-        "4e5298cf4f2a3ca1453af1c0585f21d30193abe7e5d8ee3a6deac9255c817952",
+        18_304,
+        "4c7a430f8574bb548abd44813f5af2222d0a672cf9539b49ab75937cdadcd0fe",
     )
     assert len(replay_ledger(path)) == len(REDSHIFTS) * len(FIELDS)
 
@@ -97,7 +97,7 @@ def test_batch_run_bytes(sim, dec, tmp_path):
     ctl.close()
 
     assert _digest(path) == (
-        14_246,
-        "b25701f343193e7a025f4dbbaf50db8b74742e8fc2371752a53c5b194a89f281",
+        14_224,
+        "c7a7b04540c135a98deeb7aed124bd38291e1d966f4020bca73e67eec63944eb",
     )
     assert len(replay_ledger(path)) == 12
