@@ -944,11 +944,9 @@ class InSituController:
             # (re)calibration) gives the flag the outcome records; folding
             # the record re-runs it on the same numbers, to the same verdict.
             detector = DriftDetector(name, config.drift, fs.window)
-            drifted = (
-                config.recalibrate == "drift"
-                and residual is not None
-                and detector.update_rate(predicted, achieved) is not None
-            )
+            signal = None
+            if config.recalibrate == "drift" and residual is not None:
+                signal = detector.update_rate(predicted, achieved)
 
             outcome = dict(
                 snapshot=index,
@@ -960,7 +958,7 @@ class InSituController:
                 residual=residual,
                 drift_z=detector.zscore(),
                 quality_deviation=quality_dev,
-                recalibrate_next=drifted,
+                recalibrate_next=signal is not None,
             )
             records.append(("outcome", outcome))
             return records, result
