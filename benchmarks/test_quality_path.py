@@ -11,7 +11,7 @@ engine against frozen copies of the seed implementation:
    reconstruction with one spectrum transform, one vectorized halo
    find, and one fused error pass;
 2. ``label_components`` on a dense candidate mask — per-edge Python
-   ``uf.union`` loop (seed) vs the batched ``union_many`` hooking.
+   ``uf.union`` loop (seed) vs the one-pass batched min-root hooking.
 
 Reconstructions are precompressed outside the timers so both paths time
 the *quality* half the PR changes (the rate half was PR 2's benchmark);
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.analysis.catalog import compare_catalogs
 from repro.analysis.halos import HaloCatalog
-from repro.analysis.labeling import UnionFind, label_components
+from repro.analysis.labeling import label_components
 from repro.analysis.metrics import nrmse, psnr
 from repro.compression.sz import SZCompressor, decompress
 from repro.foresight.evaluator import QualityEvaluator
@@ -65,6 +65,42 @@ TRAJECTORY = Path("BENCH_quality.json")
 
 
 # -- frozen seed implementation, the comparison baseline ---------------------
+
+
+class _SeedUnionFind:
+    """Seed union-find: path halving and union by size, one edge at a time."""
+
+    def __init__(self, n: int) -> None:
+        if n < 0:
+            raise ValueError(f"size must be non-negative, got {n}")
+        self.parent = np.arange(n, dtype=np.int64)
+        self.size = np.ones(n, dtype=np.int64)
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return int(x)
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+    def roots(self) -> np.ndarray:
+        """Root id of every element (fully compressed)."""
+        # Iterated gather converges in O(log depth) passes.
+        parent = self.parent
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                return parent
+            parent = grand
 
 
 def _seed_power_spectrum(field: np.ndarray):
@@ -109,7 +145,7 @@ def _seed_label_components(mask: np.ndarray, periodic: bool = True):
         return labels, 0
     nx, ny, nz = mask.shape
     cx, cy, cz = np.unravel_index(flat_idx, mask.shape)
-    uf = UnionFind(m)
+    uf = _SeedUnionFind(m)
     strides = (ny * nz, nz, 1)
     dims = (nx, ny, nz)
     coords = (cx, cy, cz)

@@ -2,7 +2,10 @@
 
 Per the paper (§3.4): cells with density above ``t_boundary`` are
 *candidates*; connected candidate groups whose maximum density exceeds
-``t_halo`` are *halos*.  For each halo we record
+``t_halo`` are *halos*.  One pass over the candidates
+(:func:`~repro.analysis.labeling.candidate_components`) gives each its
+6-connected group; every per-halo quantity is then reduced from those
+candidate indices and group ids, with no full-grid label array:
 
 - mass — cell-weighted density sum times cell volume,
 - position — centroid of member cells,
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.labeling import label_components
+from repro.analysis.labeling import candidate_components
 from repro.util.validation import check_3d
 
 __all__ = ["HaloCatalog", "find_halos"]
@@ -89,40 +92,19 @@ def find_halos(
             f"t_halo ({t_halo}) must be >= t_boundary ({t_boundary})"
         )
 
-    mask = rho > t_boundary
-    labels, n_groups = label_components(mask, periodic=periodic)
-    n_candidates = int(mask.sum())
-    if n_groups == 0:
-        empty = np.empty(0)
-        return HaloCatalog(
-            masses=empty,
-            positions=np.empty((0, 3)),
-            sizes=np.empty(0, dtype=np.int64),
-            peak_densities=empty,
-            t_boundary=float(t_boundary),
-            t_halo=float(t_halo),
-            n_candidate_cells=n_candidates,
-        )
-
-    lab_flat = labels.ravel()
-    member = lab_flat > 0
-    lab_m = lab_flat[member]
-    rho_m = rho.ravel()[member]
-
-    sizes = np.bincount(lab_m, minlength=n_groups + 1)[1:]
-    masses = np.bincount(lab_m, weights=rho_m, minlength=n_groups + 1)[1:] * cell_volume
-    peaks = np.zeros(n_groups + 1)
-    np.maximum.at(peaks, lab_m, rho_m)
-    peaks = peaks[1:]
-
-    coords = np.stack(np.unravel_index(np.flatnonzero(member), rho.shape), axis=1)
+    flat, ids, n_groups = candidate_components(rho > t_boundary, periodic=periodic)
+    rho_m = rho.ravel()[flat]
+    sizes = np.bincount(ids)
+    masses = np.bincount(ids, weights=rho_m) * cell_volume
+    peaks = np.zeros(n_groups)
+    np.maximum.at(peaks, ids, rho_m)
     centroids = np.stack(
         [
-            np.bincount(lab_m, weights=coords[:, d], minlength=n_groups + 1)[1:]
-            for d in range(3)
+            np.bincount(ids, weights=c)
+            for c in np.unravel_index(flat, rho.shape)
         ],
         axis=1,
-    ) / np.maximum(sizes, 1)[:, None]
+    ) / sizes[:, None]
 
     is_halo = (peaks > t_halo) & (sizes >= min_cells)
     order = np.argsort(-masses[is_halo], kind="stable")
@@ -133,5 +115,5 @@ def find_halos(
         peak_densities=peaks[is_halo][order],
         t_boundary=float(t_boundary),
         t_halo=float(t_halo),
-        n_candidate_cells=n_candidates,
+        n_candidate_cells=int(flat.size),
     )

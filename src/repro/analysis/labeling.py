@@ -3,97 +3,106 @@
 The grid halo finder needs connected components of the boolean mask
 ``density > t_boundary`` under 6-connectivity.  Halo candidates are
 sparse (a small fraction of cells), so instead of a dense two-pass scan
-we work on the candidate list directly:
+one pass works on the candidate list alone, indexed by candidate:
 
-1. extract flat indices of candidate cells (sorted by construction),
-2. for each of the three positive axis directions, compute candidate
+1. the flat indices of the candidate cells (``flatnonzero``, ascending),
+2. for each of the three positive axis directions, the candidate
    neighbours via a vectorized ``searchsorted`` membership test,
-3. batched union-find over the resulting edges
-   (:meth:`UnionFind.union_many`, iterated min-root hooking).
+3. iterated min-root hooking over those edges (:func:`_min_roots`),
+   which leaves every candidate pointing at its component's smallest
+   member, so ``np.unique`` numbers the components by first appearance.
 
-Everything is vectorized — including the union pass, which converges in
-O(log n) array rounds instead of looping over edges in Python.
-Equivalence with ``scipy.ndimage.label`` is property-tested.
+:func:`candidate_components` returns that per-candidate result, which is
+what :func:`~repro.analysis.halos.find_halos` reduces; only
+:func:`label_components` scatters it into a full-grid label array.
+Everything is vectorized: the hooking converges in O(log n) array
+rounds, never a per-edge Python loop.  Equality with a brute-force
+breadth-first search is property-tested.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["label_components", "UnionFind"]
+__all__ = ["candidate_components", "label_components"]
 
 
-class UnionFind:
-    """Array-based union-find with path halving and union by size."""
+def _min_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each of ``n`` elements' component root once every ``a[i]``–``b[i]``
+    edge joins: the component's smallest member.
 
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"size must be non-negative, got {n}")
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def union_many(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Union many ``(a[i], b[i])`` pairs without a per-edge Python loop.
-
-        Iterated min-root hooking: fully compress the forest (pointer
-        doubling via :meth:`roots`, O(log depth) array passes — never a
-        per-element chase, so chain-shaped edge sets stay loglinear),
-        attach every edge's larger root under its smaller
-        (``np.minimum.at`` arbitrates edges hooking the same root), and
-        repeat on the surviving edges until all endpoints agree; the
-        distinct roots along any merge chain at least halve per round,
-        so O(log n) rounds suffice.
-
-        Roots end up being each component's minimum member index, and the
-        tree is left fully compressed with size bookkeeping refreshed, so
-        scalar :meth:`union` / :meth:`find` calls remain valid afterwards.
-        """
-        a = np.asarray(a, dtype=np.int64).ravel()
-        b = np.asarray(b, dtype=np.int64).ravel()
-        if a.shape != b.shape:
-            raise ValueError(f"edge arrays differ in length: {a.shape} vs {b.shape}")
-        if a.size == 0:
-            return
-        while True:
-            self.parent = self.roots()
-            ra = self.parent[a]
-            rb = self.parent[b]
-            live = ra != rb
-            if not live.any():
-                break
-            lo = np.minimum(ra[live], rb[live])
-            hi = np.maximum(ra[live], rb[live])
-            np.minimum.at(self.parent, hi, lo)
-            a, b = lo, hi
-        # The forest is fully compressed now; one bincount refreshes the
-        # per-root sizes.
-        self.size = np.bincount(self.parent, minlength=len(self.parent))
-
-    def roots(self) -> np.ndarray:
-        """Root id of every element (fully compressed)."""
-        # Iterated gather converges in O(log depth) passes.
-        parent = self.parent
-        while True:
-            grand = parent[parent]
-            if (grand == parent).all():
-                return parent
+    Iterated min-root hooking: fully compress the forest by pointer
+    doubling (O(log depth) gathers, never a per-element chase, so
+    chain-shaped edge sets stay loglinear), attach every edge's larger
+    root under its smaller (``np.minimum.at`` arbitrates edges hooking
+    the same root), and repeat on the surviving edges until all
+    endpoints agree.  The distinct roots along any merge chain at least
+    halve per round, so O(log n) rounds suffice.
+    """
+    parent = np.arange(n)
+    while True:
+        grand = parent[parent]
+        if not (grand == parent).all():
             parent = grand
+            continue
+        ra, rb = parent[a], parent[b]
+        live = ra != rb
+        if not live.any():
+            return parent
+        a = np.minimum(ra[live], rb[live])
+        b = np.maximum(ra[live], rb[live])
+        np.minimum.at(parent, b, a)
+
+
+def candidate_components(
+    mask: np.ndarray, periodic: bool = False
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """6-connected components of a 3-D mask, one entry per candidate.
+
+    Parameters
+    ----------
+    mask:
+        3-D array; its nonzero cells are the candidates.
+    periodic:
+        If True, components wrap around the box boundaries (cosmology
+        boxes are periodic).
+
+    Returns
+    -------
+    flat, ids, n_components:
+        ``flat`` holds the candidates' flat (C-order) indices, ascending;
+        ``ids[i]`` is candidate ``i``'s component, ``0..n-1`` in order of
+        each component's first flat index.
+    """
+    mask = np.asarray(mask)
+    if mask.ndim != 3:
+        raise ValueError(f"mask must be 3-D, got shape {mask.shape}")
+    flat = np.flatnonzero(mask)
+    m = flat.size
+    _, ny, nz = mask.shape
+    srcs: list[np.ndarray] = []
+    dsts: list[np.ndarray] = []
+    for c, dim, stride in zip(
+        np.unravel_index(flat, mask.shape), mask.shape, (ny * nz, nz, 1)
+    ):
+        # Flat index of each candidate's +1 neighbour along this axis.
+        nbr = flat + stride
+        wraps = c == dim - 1
+        if periodic:
+            nbr[wraps] -= dim * stride
+            src = np.arange(m)
+        else:
+            src = np.flatnonzero(~wraps)
+            nbr = nbr[src]
+        # Membership test: which neighbours are candidates themselves?
+        pos = np.minimum(np.searchsorted(flat, nbr), m - 1)
+        hits = flat[pos] == nbr
+        srcs.append(src[hits])
+        dsts.append(pos[hits])
+    roots = _min_roots(m, np.concatenate(srcs), np.concatenate(dsts))
+    # Roots are smallest members, so sorted roots are first appearances.
+    roots, ids = np.unique(roots, return_inverse=True)
+    return flat, ids, int(roots.size)
 
 
 def label_components(mask: np.ndarray, periodic: bool = False) -> tuple[np.ndarray, int]:
@@ -104,8 +113,7 @@ def label_components(mask: np.ndarray, periodic: bool = False) -> tuple[np.ndarr
     mask:
         3-D boolean array.
     periodic:
-        If True, components wrap around the box boundaries (cosmology
-        boxes are periodic).
+        If True, components wrap around the box boundaries.
 
     Returns
     -------
@@ -114,51 +122,7 @@ def label_components(mask: np.ndarray, periodic: bool = False) -> tuple[np.ndarr
         components (ordering follows the first flat index of each
         component).
     """
-    mask = np.asarray(mask)
-    if mask.ndim != 3:
-        raise ValueError(f"mask must be 3-D, got shape {mask.shape}")
-    if mask.dtype != np.bool_:
-        mask = mask.astype(bool)
-
-    flat_idx = np.flatnonzero(mask.ravel())
-    labels = np.zeros(mask.shape, dtype=np.int64)
-    m = len(flat_idx)
-    if m == 0:
-        return labels, 0
-
-    nx, ny, nz = mask.shape
-    # Recover coordinates of candidate cells once.
-    cx, cy, cz = np.unravel_index(flat_idx, mask.shape)
-
-    uf = UnionFind(m)
-    strides = (ny * nz, nz, 1)
-    dims = (nx, ny, nz)
-    coords = (cx, cy, cz)
-
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    for axis in range(3):
-        c = coords[axis]
-        if periodic:
-            neighbor_coord = (c + 1) % dims[axis]
-            valid = np.ones(m, dtype=bool)
-        else:
-            neighbor_coord = c + 1
-            valid = neighbor_coord < dims[axis]
-        # Flat index of the +1 neighbour along this axis.
-        delta = (neighbor_coord.astype(np.int64) - c) * strides[axis]
-        nbr_flat = flat_idx + delta
-        # Membership test: which neighbours are candidates themselves?
-        pos = np.searchsorted(flat_idx, nbr_flat[valid])
-        pos_clipped = np.minimum(pos, m - 1)
-        hits = flat_idx[pos_clipped] == nbr_flat[valid]
-        srcs.append(np.flatnonzero(valid)[hits])
-        dsts.append(pos_clipped[hits])
-    uf.union_many(np.concatenate(srcs), np.concatenate(dsts))
-
-    roots = uf.roots()
-    # Compact root ids to 1..n in order of first appearance.
-    _, first_pos, compact = np.unique(roots, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first_pos))
-    labels.ravel()[flat_idx] = order[compact] + 1
-    return labels, int(len(first_pos))
+    flat, ids, n = candidate_components(mask, periodic=periodic)
+    labels = np.zeros(np.shape(mask), dtype=np.int64)
+    labels.ravel()[flat] = ids + 1
+    return labels, n

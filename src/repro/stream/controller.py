@@ -724,40 +724,46 @@ class InSituController:
         Ledgers older than schema v3 do not record the block layout, so
         ``decomposition`` is required for them.
         """
+        owned = not isinstance(ledger, RunLedger)
         run_ledger = (
-            ledger
-            if isinstance(ledger, RunLedger)
-            else RunLedger(ledger, recover=True, fsync=fsync_ledger)
+            RunLedger(ledger, recover=True, fsync=fsync_ledger) if owned else ledger
         )
-        state = RunState()
-        for event in run_ledger.events:
-            apply(state, event)
-        config = state.config
-        if config is None:
-            raise LedgerError("cannot resume: ledger has no run_start event")
-        if decomposition is None:
-            if config.blocks is None:
-                raise LedgerError(
-                    "cannot resume: ledger predates schema v3 and records no "
-                    "block layout; pass decomposition= explicitly"
-                )
-            decomposition = BlockDecomposition(config.shape, blocks=config.blocks)
-        recorded = {
-            k: v for k, v in vars(config).items() if k not in ("shape", "blocks")
-        }
-        ctl = cls(
-            decomposition,
-            field_specs=field_specs,
-            ledger=run_ledger,
-            default_spec=default_spec,
-            max_partitions=max_partitions,
-            seed=seed,
-            check_quality=check_quality,
-            retain_results=retain_results,
-            retry=retry,
-            fallback_compressor=fallback_compressor,
-            **recorded,
-        )
+        try:
+            state = RunState()
+            for event in run_ledger.events:
+                apply(state, event)
+            config = state.config
+            if config is None:
+                raise LedgerError("cannot resume: ledger has no run_start event")
+            if decomposition is None:
+                if config.blocks is None:
+                    raise LedgerError(
+                        "cannot resume: ledger predates schema v3 and records no "
+                        "block layout; pass decomposition= explicitly"
+                    )
+                decomposition = BlockDecomposition(config.shape, blocks=config.blocks)
+            recorded = {
+                k: v for k, v in vars(config).items() if k not in ("shape", "blocks")
+            }
+            ctl = cls(
+                decomposition,
+                field_specs=field_specs,
+                ledger=run_ledger,
+                default_spec=default_spec,
+                max_partitions=max_partitions,
+                seed=seed,
+                check_quality=check_quality,
+                retain_results=retain_results,
+                retry=retry,
+                fallback_compressor=fallback_compressor,
+                **recorded,
+            )
+        except BaseException:
+            # Until the controller holds it, a ledger opened here is ours
+            # to close.
+            if owned:
+                run_ledger.close()
+            raise
         ctl.state = state
         # A sealed run is complete: run() on the same stream skips every
         # snapshot and finish() is a no-op.  Otherwise the resume event

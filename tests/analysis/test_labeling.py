@@ -1,40 +1,61 @@
-"""Connected-component labeling vs the scipy oracle."""
+"""Connected-component labeling vs a brute-force search and the scipy oracle."""
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from repro.analysis.labeling import UnionFind, label_components
+from repro.analysis.labeling import _min_roots, candidate_components, label_components
 
 
-class TestUnionFind:
-    def test_initially_disjoint(self):
-        uf = UnionFind(4)
-        assert len({uf.find(i) for i in range(4)}) == 4
+def _bfs_labels(mask: np.ndarray, periodic: bool) -> tuple[np.ndarray, int]:
+    """Reference labeling: flood each unlabelled candidate over its face
+    neighbours, visiting cells in flat order (so labels number the
+    components by first appearance)."""
+    labels = np.zeros(mask.shape, dtype=np.int64)
+    n = 0
+    for start in zip(*np.nonzero(mask)):
+        if labels[start]:
+            continue
+        n += 1
+        labels[start] = n
+        queue = deque([start])
+        while queue:
+            cell = queue.popleft()
+            for axis in range(3):
+                for step in (-1, 1):
+                    nbr = list(cell)
+                    nbr[axis] += step
+                    if periodic:
+                        nbr[axis] %= mask.shape[axis]
+                    elif not 0 <= nbr[axis] < mask.shape[axis]:
+                        continue
+                    nbr = tuple(nbr)
+                    if mask[nbr] and not labels[nbr]:
+                        labels[nbr] = n
+                        queue.append(nbr)
+    return labels, n
 
-    def test_union_merges(self):
-        uf = UnionFind(4)
-        uf.union(0, 1)
-        uf.union(2, 3)
-        assert uf.find(0) == uf.find(1)
-        assert uf.find(2) == uf.find(3)
-        assert uf.find(0) != uf.find(2)
 
-    def test_roots_vectorized_matches_find(self):
-        uf = UnionFind(10)
-        for a, b in [(0, 1), (1, 2), (5, 6), (8, 9), (6, 8)]:
-            uf.union(a, b)
-        roots = uf.roots()
-        for i in range(10):
-            assert roots[i] == uf.find(i)
-
-    def test_rejects_negative_size(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            UnionFind(-1)
+def _snake(n: int) -> np.ndarray:
+    """One chain through an ``n``-cubed grid: z-lines at every even
+    ``(x, y)``, visited in boustrophedon order and joined end to end at
+    alternate z faces, with no cell touching the chain anywhere else."""
+    mask = np.zeros((n, n, n), dtype=bool)
+    evens = range(0, n, 2)
+    lines = [(x, y) for x in evens for y in (evens if x % 4 == 0 else evens[::-1])]
+    for t, (x, y) in enumerate(lines):
+        mask[x, y, :] = True
+        if t + 1 < len(lines):
+            nx, ny = lines[t + 1]
+            mask[(x + nx) // 2, (y + ny) // 2, n - 1 if t % 2 == 0 else 0] = True
+    return mask
 
 
 class TestLabeling:
@@ -107,71 +128,99 @@ class TestLabeling:
         assert n_ours == n_scipy
 
 
-def _canonical_partition(roots: np.ndarray) -> np.ndarray:
-    """Component id per element, numbered by first appearance (root-value
-    agnostic, so partitions from different union orders compare equal)."""
-    _, first, inv = np.unique(roots, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first))
-    return order[inv]
+class TestAgainstBreadthFirstSearch:
+    @given(
+        arrays(
+            np.bool_,
+            st.tuples(*[st.integers(1, 8)] * 3),
+            elements=st.booleans(),
+            fill=st.nothing(),  # draw every cell: dense masks, not one value
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_labels_equal_bfs(self, mask, periodic):
+        """Labels and count equal a brute-force search, with and without
+        wrap-around, on non-cubic masks with axes of length 1 and 2."""
+        ours, n = label_components(mask, periodic=periodic)
+        ref, n_ref = _bfs_labels(mask, periodic)
+        assert n == n_ref
+        assert np.array_equal(ours, ref)
+
+    def test_snake_spanning_the_grid_is_one_component(self):
+        """A chain of ~8 400 cells, each joined only to the next: the
+        hooking must converge along the whole chain."""
+        mask = _snake(32)
+        assert mask.sum() == 256 * 32 + 255
+        labels, n = label_components(mask)
+        assert n == 1
+        assert (labels[mask] == 1).all()
+        assert ndimage.label(mask)[1] == 1
+        # Cut the chain in its middle: two components, numbered by first cell.
+        flat = np.flatnonzero(mask)
+        cut = mask.copy()
+        cut.ravel()[flat[len(flat) // 2]] = False
+        assert label_components(cut)[1] == ndimage.label(cut)[1] == 2
 
 
-class TestUnionMany:
-    def test_matches_scalar_unions(self):
-        rng = np.random.default_rng(3)
-        n = 200
-        edges = rng.integers(0, n, size=(500, 2))
-        scalar = UnionFind(n)
-        for a, b in edges.tolist():
-            scalar.union(a, b)
-        batched = UnionFind(n)
-        batched.union_many(edges[:, 0], edges[:, 1])
-        # Same partition: elements are grouped identically.
-        assert np.array_equal(
-            _canonical_partition(scalar.roots()),
-            _canonical_partition(batched.roots()),
-        )
+class TestCandidateComponents:
+    def test_ids_follow_each_components_smallest_member(self):
+        """Component ids count up in order of each component's first
+        (smallest) flat index; wrapped, the last run joins the first."""
+        mask = np.zeros((1, 1, 7), dtype=bool)
+        mask[0, 0, [0, 2, 3, 5, 6]] = True
+        flat, ids, n = candidate_components(mask)
+        assert flat.tolist() == [0, 2, 3, 5, 6]
+        assert ids.tolist() == [0, 1, 1, 2, 2]
+        assert n == 3
+        _, wrapped, n_wrapped = candidate_components(mask, periodic=True)
+        assert wrapped.tolist() == [0, 1, 1, 0, 0]
+        assert n_wrapped == 2
 
-    def test_roots_are_min_member_and_sizes_refresh(self):
-        uf = UnionFind(6)
-        uf.union_many(np.array([5, 3]), np.array([1, 2]))
-        assert uf.find(5) == 1 and uf.find(1) == 1
-        assert uf.find(3) == 2 and uf.find(2) == 2
-        assert uf.size[1] == 2 and uf.size[2] == 2
+    def test_no_edges_each_candidate_its_own_component(self):
+        """A checkerboard has no face-adjacent candidate pair."""
+        x, y, z = np.indices((4, 6, 5))
+        mask = (x + y + z) % 2 == 0
+        flat, ids, n = candidate_components(mask)
+        assert n == flat.size == mask.sum()
+        assert ids.tolist() == list(range(n))
 
-    def test_scalar_union_still_valid_after_batch(self):
-        uf = UnionFind(8)
-        uf.union_many(np.array([0, 2, 4]), np.array([1, 3, 5]))
-        uf.union(1, 3)
-        assert uf.find(0) == uf.find(2)
-        assert uf.find(4) != uf.find(0)
 
-    def test_empty_and_mismatched_edges(self):
-        uf = UnionFind(4)
-        uf.union_many(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert len({uf.find(i) for i in range(4)}) == 4
-        with pytest.raises(ValueError, match="differ in length"):
-            uf.union_many(np.array([0, 1]), np.array([2]))
+def _edge_components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Smallest member of each element's component, by graph search."""
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges.tolist():
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    root = np.full(n, -1)
+    for start in range(n):
+        if root[start] >= 0:
+            continue
+        root[start] = start
+        stack = [start]
+        while stack:
+            for nbr in adjacent[stack.pop()]:
+                if root[nbr] < 0:
+                    root[nbr] = start
+                    stack.append(nbr)
+    return root
+
+
+class TestMinRoots:
+    def test_roots_are_min_members(self):
+        roots = _min_roots(6, np.array([5, 3]), np.array([1, 2]))
+        assert roots.tolist() == [0, 1, 2, 2, 4, 1]
 
     def test_long_chain_converges(self):
-        n = 1000
-        a = np.arange(n - 1)
-        uf = UnionFind(n)
-        uf.union_many(a, a + 1)
-        assert (uf.roots() == 0).all()
-        assert uf.size[0] == n
+        a = np.arange(999)
+        assert (_min_roots(1000, a[::-1] + 1, a[::-1]) == 0).all()
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_partition_property(self, seed, n):
+        """Arbitrary edge sets: each element's root is the smallest member
+        of its component, as a graph search finds it."""
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(0, 4 * n))
-        edges = rng.integers(0, n, size=(m, 2))
-        scalar = UnionFind(n)
-        for a, b in edges.tolist():
-            scalar.union(a, b)
-        batched = UnionFind(n)
-        batched.union_many(edges[:, 0], edges[:, 1])
-        assert np.array_equal(
-            _canonical_partition(scalar.roots()),
-            _canonical_partition(batched.roots()),
-        )
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        roots = _min_roots(n, edges[:, 0], edges[:, 1])
+        assert np.array_equal(roots, _edge_components(n, edges))

@@ -19,7 +19,9 @@ against itself.
 
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +174,32 @@ class TestFrozenFixtures:
         assert ctl.state.config.probe_mode == "model"
         ctl.close()
         assert _bounds(replay_ledger(old, verify=True)) == _pinned_v3_bounds()
+
+    def test_a_refused_resume_closes_the_ledger_it_opened(self, tmp_path):
+        """A ``run_start`` that sets the retired quality margin is refused
+        while the ledger is folded: the append handle ``resume`` opened
+        is closed, not left to the garbage collector; a ``RunLedger`` the
+        caller passed in stays open."""
+        from repro.stream.controller import InSituController
+
+        lines = (FIXTURES / "v3_ledger.jsonl").read_text().splitlines()
+        start = json.loads(lines[0])
+        start["data"]["drift"]["quality_margin"] = 1.0
+        lines[0] = json.dumps(start, sort_keys=True, separators=(",", ":"))
+        margin = tmp_path / "margin.jsonl"
+        margin.write_text("\n".join(lines) + "\n")
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(LedgerError, match="quality_margin"):
+                InSituController.resume(margin)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+        with RunLedger(margin, recover=True) as passed:
+            with pytest.raises(LedgerError, match="quality_margin"):
+                InSituController.resume(passed)
+            assert passed.append("recovery", truncated_bytes=0).seq == len(lines)
 
     @pytest.mark.parametrize("recorded", [True, False])
     def test_a_flipped_drift_flag_is_refused_at_its_seq(self, tmp_path, recorded):
