@@ -96,7 +96,7 @@ def find_halos(
     rho_m = rho.ravel()[flat]
     sizes = np.bincount(ids)
     masses = np.bincount(ids, weights=rho_m) * cell_volume
-    peaks = np.zeros(n_groups)
+    peaks = np.full(n_groups, -np.inf)  # every group has a member, so none stays -inf
     np.maximum.at(peaks, ids, rho_m)
     centroids = np.stack(
         [

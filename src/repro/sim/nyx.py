@@ -27,6 +27,21 @@ Construction choices that matter for the reproduction:
 - **Heterogeneous partitions.**  The lognormal transform concentrates
   mass in few dense clumps; per-partition means span orders of
   magnitude, which is the variance the adaptive optimizer exploits.
+
+Memory, since the simulator shares its node with the compressor: a
+simulator keeps six contiguous float64 grids and nothing else — the two
+Gaussian density fields, the heating factor ``exp(0.35*theta)`` and the
+three velocity patterns, all z-independent.  Building it peaks at nine
+grids (while the second velocity component is transformed).  A
+``snapshot()`` allocates its outputs and one float64 scratch, in which
+each density and the temperature are computed in place and cast into
+their outputs as soon as they are final; velocities are scaled straight
+into theirs.  The scratch is allocated after the density outputs and
+freed before the velocity outputs, so it leaves no hole between the
+long-lived outputs of a stream of snapshots.  Every operation runs in the
+order a field-at-a-time evaluation would run it, and every reduction
+(mean, std) reads the same memory layout, so the snapshots are
+bit-identical to that evaluation: ``tests/sim/test_nyx.py`` pins them.
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sim.cosmology import Cosmology, growth_factor, matter_power_spectrum
-from repro.sim.grf import gaussian_random_field
+from repro.sim.grf import gaussian_random_field, wavenumber_axes
 from repro.util.rng import default_rng
 
 __all__ = ["FIELD_NAMES", "NyxSnapshot", "NyxSimulator"]
@@ -154,58 +169,73 @@ class NyxSimulator:
         self._delta_b = gaussian_random_field(
             self.shape, pk, seed=rng, box_size=self.box_size, target_sigma=1.0
         )
-        self._delta_dm = 0.9 * self._delta_b + 0.44 * gaussian_random_field(
+        delta_dm = gaussian_random_field(
             self.shape, pk, seed=rng, box_size=self.box_size, target_sigma=1.0
         )
-        self._delta_dm /= self._delta_dm.std()
+        delta_dm *= 0.44
+        delta_dm += 0.9 * self._delta_b
+        delta_dm /= delta_dm.std()
+        self._delta_dm = delta_dm
         # Small-scale thermal scatter (shock heating proxy), fixed phases.
-        self._theta = gaussian_random_field(
+        # Only its factor ``exp(0.35*theta)`` enters a snapshot, and it does
+        # not depend on z, so that factor is what the simulator keeps.
+        heating = gaussian_random_field(
             self.shape,
             lambda k: np.where(k > 0, 1.0 / np.maximum(k, 1e-30), 0.0),
             seed=rng,
             box_size=self.box_size,
             target_sigma=1.0,
         )
-        self._delta_b_fft = np.fft.fftn(self._delta_b)
-        # Wavenumber grids for the velocity solve, built once: a redshift
-        # schedule asks for the same three components per snapshot, and
-        # rebuilding three meshgrids per axis per snapshot dominated the
-        # velocity cost.  Broadcastable 1-D axes carry the same values as
-        # the full ``meshgrid`` arrays (velocities are bitwise identical).
-        k_axes = [
-            np.fft.fftfreq(n, d=self.box_size / n) * 2.0 * np.pi for n in self.shape
-        ]
-        self._vel_k_axes = (
-            k_axes[0][:, None, None],
-            k_axes[1][None, :, None],
-            k_axes[2][None, None, :],
-        )
-        k2 = (
-            self._vel_k_axes[0] ** 2
-            + self._vel_k_axes[1] ** 2
-            + self._vel_k_axes[2] ** 2
-        )
-        k2[0, 0, 0] = 1.0  # avoid division by zero; DC mode forced to zero below
-        self._vel_k2 = k2
+        heating *= 0.35
+        self._heating = np.exp(heating, out=heating)
+        self._velocities = self._linear_velocities()
 
     # -- field constructors ------------------------------------------------
 
-    def _lognormal_density(self, delta: np.ndarray, sigma: float) -> np.ndarray:
-        """Mean-1 lognormal density from a unit-variance Gaussian field."""
-        g = sigma * delta
-        rho = np.exp(g - 0.5 * sigma**2)
+    @staticmethod
+    def _lognormal_density(delta: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
+        """Mean-1 lognormal density from a unit-variance Gaussian field, in ``out``."""
+        np.multiply(sigma, delta, out=out)
+        out -= 0.5 * sigma**2
+        np.exp(out, out=out)
         # Exact mean-1 normalization (the analytic factor is only exact for
         # infinite volumes).
-        return rho / rho.mean()
+        out /= out.mean()
+        return out
 
-    def _velocity(self, z: float, axis: int) -> np.ndarray:
-        """Linear-theory peculiar velocity component: ``v_k = i f aH delta_k k/k^2``."""
-        vk = 1j * self._vel_k_axes[axis] / self._vel_k2 * self._delta_b_fft
-        vk[0, 0, 0] = 0.0
-        v = np.fft.ifftn(vk).real
-        d = growth_factor(z, self.cosmo)
-        scale = self.velocity_scale * d / max(v.std(), 1e-30)
-        return v * scale
+    def _linear_velocities(self) -> list[tuple[np.ndarray, float]]:
+        """Linear-theory velocity patterns ``v_k = i k delta_k / k^2``.
+
+        The pattern of each component does not depend on z (a snapshot
+        only rescales it by ``D(z)``), so it is transformed once here and
+        kept as a contiguous float64 copy with its standard deviation,
+        taken on the transform's real view as the pins require.  The
+        modes are filled one x-plane at a time (``k^2`` summed in the same
+        order as the full grid), so no full ``k^2`` grid or complex
+        temporary is built; the last component overwrites the spectrum of
+        ``delta_b``, whose last reader it is.
+        """
+        axes = wavenumber_axes(self.shape, self.box_size)
+        kxy2 = axes[0] ** 2 + axes[1] ** 2
+        kz2 = axes[2][0] ** 2
+        delta_k = self._delta_b.astype(np.complex128)
+        np.fft.fftn(delta_k, out=delta_k)
+        velocities = []
+        for axis, k in enumerate(axes):
+            vk = np.empty_like(delta_k) if axis < 2 else delta_k
+            ik = np.broadcast_to(1j * k, (self.shape[0], *k.shape[1:]))
+            for x in range(self.shape[0]):
+                k2 = kxy2[x] + kz2
+                if x == 0:
+                    k2[0, 0] = 1.0  # avoid division by zero; DC mode forced to zero below
+                np.multiply(ik[x] / k2, delta_k[x], out=vk[x])
+            vk[0, 0, 0] = 0.0
+            np.fft.ifftn(vk, out=vk)
+            v = vk.real
+            std = max(v.std(), 1e-30)
+            velocities.append((v.copy(), std))
+            del v, vk  # freed before the next component's buffer is allocated
+        return velocities
 
     # -- public API ---------------------------------------------------------
 
@@ -222,25 +252,26 @@ class NyxSimulator:
         sigma_b = self.sigma_delta0 * d
         sigma_dm = 1.1 * self.sigma_delta0 * d
 
-        rho_b = self._lognormal_density(self._delta_b, sigma_b)
-        rho_dm = self._lognormal_density(self._delta_dm, sigma_dm)
-
-        temp = (
-            self.temperature_t0
-            * np.power(np.maximum(rho_b, 1e-6), self.gamma - 1.0)
-            * np.exp(0.35 * self._theta)
+        # All float64 work happens in one scratch grid, allocated after the
+        # density outputs so that freeing it leaves no hole below them.
+        fields = {name: np.empty(self.shape, dtype) for name in FIELD_NAMES[:3]}
+        scratch = np.empty(self.shape)
+        fields["baryon_density"][...] = self._lognormal_density(self._delta_b, sigma_b, scratch)
+        # Temperature ``T0 * max(rho_b, 1e-6)**(gamma-1) * exp(0.35*theta)``,
+        # from the float64 baryon density still in the scratch.
+        np.maximum(scratch, 1e-6, out=scratch)
+        np.power(scratch, self.gamma - 1.0, out=scratch)
+        scratch *= self.temperature_t0
+        scratch *= self._heating
+        np.clip(scratch, *FIELD_RANGES["temperature"], out=scratch)
+        fields["temperature"][...] = scratch
+        fields["dark_matter_density"][...] = self._lognormal_density(
+            self._delta_dm, sigma_dm, scratch
         )
-        np.clip(temp, *FIELD_RANGES["temperature"], out=temp)
-
-        fields = {
-            "baryon_density": rho_b,
-            "dark_matter_density": rho_dm,
-            "temperature": temp,
-            "velocity_x": self._velocity(z, 0),
-            "velocity_y": self._velocity(z, 1),
-            "velocity_z": self._velocity(z, 2),
-        }
-        fields = {name: np.ascontiguousarray(arr, dtype=dtype) for name, arr in fields.items()}
+        del scratch
+        for name, (v, std) in zip(FIELD_NAMES[3:], self._velocities):
+            fields[name] = out = np.empty(self.shape, dtype)
+            np.multiply(v, self.velocity_scale * d / std, out=out, casting="unsafe")
         return NyxSnapshot(
             fields=fields,
             redshift=float(z),

@@ -90,6 +90,18 @@ class TestFindHalos:
         assert cat_p.n_halos == 1
         assert cat_o.n_halos == 2
 
+    @pytest.mark.parametrize(
+        ("t_halo", "n_halos"), [(-2.0, 0), (-6.0, 1)]
+    )
+    def test_negative_densities_peak_is_the_densest_member(self, t_halo, n_halos):
+        """A group's peak is its densest cell even when every density is
+        negative, so it is judged against ``t_halo`` on that value."""
+        rho = np.full((4, 4, 4), -20.0)
+        rho[1, 2, 3] = -5.0
+        cat = find_halos(rho, t_boundary=-10.0, t_halo=t_halo)
+        assert cat.n_halos == n_halos
+        assert list(cat.peak_densities) == [-5.0] * n_halos
+
     def test_realistic_snapshot(self, snapshot):
         rho = snapshot["baryon_density"].astype(np.float64)
         tb = float(np.percentile(rho, 99.0))
