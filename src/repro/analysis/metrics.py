@@ -19,6 +19,7 @@ __all__ = [
     "FieldMoments",
     "ErrorSummary",
     "error_summary",
+    "difference_summary",
 ]
 
 
@@ -122,12 +123,18 @@ def error_summary(
     unfused ``psnr``-then-``nrmse`` sequence would have hit first.
     """
     a, b = _pair(original, reconstructed)
-    d = (a - b).ravel()
+    if moments is None:
+        moments = FieldMoments.from_field(a)
+    return difference_summary(a - b, moments)
+
+
+def difference_summary(d: np.ndarray, moments: FieldMoments) -> ErrorSummary:
+    """:func:`error_summary` of ``d = original - reconstructed``, formed
+    by the caller (in the reconstruction's own buffer, say)."""
+    d = d.ravel()
     # ddot on one BLAS thread (repro.util.fanout): the recorded PSNR's
     # last bits do not follow the host's CPU count.
     err = float(d @ d) / d.size  # repro-lint: disable=RL014
-    if moments is None:
-        moments = FieldMoments.from_field(a)
     rng = moments.value_range
     if rng == 0:
         if err == 0:

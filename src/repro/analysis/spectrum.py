@@ -14,17 +14,24 @@ nbins)`` (:func:`low_k_only`):
   ``[cos | -sin]`` twiddles for ``kz = 0..nbins``, then complex matmuls
   along x and y for ``k = -nbins..nbins`` (the rule keeps ``nbins <
   n/2`` on every axis, so ``+-nbins`` never alias);
-- otherwise (Nyquist binning included): a full ``rfftn``.
+- otherwise (Nyquist binning included): :func:`fft_spectrum`, the
+  centred field ``rfft``'d along z a few x-planes at a time and cut to
+  ``kz <= nbins``, then ``fft``'d in place along y and, on the ``|ky| <=
+  nbins`` rows, along x: the bits of masking the whole ``rfftn``.  The
+  R-Q model and the budget inversion read it below ``k_max`` (128^3,
+  ``nbins = 9``: ~8 ms and ~3 MB traced, against ~22 ms and ~51 MB for
+  the whole ``rfftn``).
 
-Measured crossover (2-vCPU x86-64 VM, NumPy 2.4 with OpenBLAS, one or
-two BLAS threads): the pruned DFT is the faster one up to ``nbins`` of
-0.34-0.42 ``* min(shape)`` (12 at 32^3, 22-23 at 64^3, 50-54 at 128^3).
-The rule stops at 0.25 for margin; at its edge the pruned DFT is still
-1.5-2x faster, and at the quality check's ``nbins = 9`` it takes 0.7 ms
-against 5 ms at 64^3 and 5.5 ms against 45 ms at 128^3.  Both transforms
-remove the mean before summing, so they agree to ~1e-15 relative (both
-within 7e-16 of a long-double ``rfftn``), and they sum each bin's modes
-in the same order.
+Only the pruned DFT's O(n * nbins) operands are cached, per ``(shape,
+nbins)``; the FFT path selects its modes on its plane box per call, and
+no bin, weight or transform array of the full grid is kept.
+
+Measured crossover (2-vCPU x86-64 VM, NumPy 2.4 with OpenBLAS): the
+pruned DFT beats a full ``rfftn`` up to ``nbins`` of 0.34-0.42 ``*
+min(shape)``; the rule stops at 0.25 for margin (``nbins = 9``: 0.7 ms
+at 64^3, 5.5 ms at 128^3).  Both transforms remove the mean before
+summing, so they agree to ~1e-15 relative, and they sum each bin's
+modes in the same order.
 """
 
 from __future__ import annotations
@@ -42,8 +49,7 @@ __all__ = [
     "PowerSpectrum",
     "power_spectrum",
     "low_k_only",
-    "rfft_of",
-    "binned_power",
+    "fft_spectrum",
     "spectrum_ratio",
     "binned_worst_deviation",
     "nbins_below",
@@ -73,40 +79,6 @@ class PowerSpectrum:
     n_modes: np.ndarray
 
 
-#: Largest rfft mode count whose bin/weight arrays are worth pinning in
-#: the per-shape caches (~17 MB of int64 bins at the limit; covers grids
-#: to ~128^3).  Bigger grids rebuild per call rather than retaining
-#: hundreds of MB for the process lifetime.
-_CACHE_MAX_MODES = 1 << 21
-
-
-def _rfft_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
-    return (*shape[:-1], shape[-1] // 2 + 1)
-
-
-def _build_mode_bins(shape: tuple[int, ...]) -> np.ndarray:
-    kx = np.fft.fftfreq(shape[0]) * shape[0]
-    ky = np.fft.fftfreq(shape[1]) * shape[1]
-    kz = np.fft.rfftfreq(shape[2]) * shape[2]
-    kk = np.sqrt(
-        kx[:, None, None] ** 2 + ky[None, :, None] ** 2 + kz[None, None, :] ** 2
-    )
-    bins = np.rint(kk).astype(np.int64)
-    bins.setflags(write=False)
-    return bins
-
-
-def _build_rfft_weights(shape: tuple[int, ...]) -> np.ndarray:
-    # rfftn stores only half the kz modes; interior planes weigh 2 so
-    # binned power matches the full fftn result.
-    weights = np.full(_rfft_shape(shape), 2.0)
-    weights[..., 0] = 1.0
-    if shape[2] % 2 == 0:
-        weights[..., -1] = 1.0
-    weights.setflags(write=False)
-    return weights
-
-
 class _LowKModes(NamedTuple):
     """The modes with ``1 <= bin <= nbins`` of one transform's output."""
 
@@ -116,20 +88,35 @@ class _LowKModes(NamedTuple):
     counts: np.ndarray  # modes per bin, bins 0..nbins (what is binned)
 
 
-def _select_low_k(
-    bins_flat: np.ndarray, weights_flat: np.ndarray, nbins: int
+def _box_modes(
+    kx: np.ndarray, ky: np.ndarray, kz: np.ndarray, nz: int, nbins: int
 ) -> _LowKModes:
-    index = np.flatnonzero((bins_flat >= 1) & (bins_flat <= nbins))
-    bins = bins_flat[index]
-    weights = weights_flat[index]
+    """The binned modes of a plane box: the transform's output at integer
+    wavenumbers ``kx`` x ``ky`` x ``kz`` (its C order, which is rfftn's
+    order on the modes kept), of a grid ``nz`` cells deep in z."""
+    r2 = (kx**2)[:, None, None] + (ky**2)[None, :, None] + kz**2
+    # A mode's bin is rint(|k|): 1..nbins exactly for |k|^2 in 1..nbins^2 +
+    # nbins (no integer's square root is a half-integer).
+    keep = (r2 >= 1) & (r2 <= nbins * (nbins + 1))
+    index = np.flatnonzero(keep)
+    bins = np.rint(np.sqrt(r2[keep])).astype(np.int64)
+    # rfftn stores only half the kz modes: interior planes weigh 2, the
+    # kz = 0 plane (and an even grid's Nyquist plane) 1, so binned power
+    # matches the full fftn result.
+    plane_weights = np.where((kz == 0) | (2 * kz == nz), 1.0, 2.0)
+    weights = np.broadcast_to(plane_weights, r2.shape)[keep]
     counts = np.bincount(bins, weights=weights, minlength=nbins + 1)
     for arr in (index, bins, weights, counts):
         arr.setflags(write=False)
     return _LowKModes(index, bins, weights, counts)
 
 
-def _build_low_k_modes(shape: tuple[int, ...], nbins: int) -> _LowKModes:
-    return _select_low_k(_mode_bins(shape).ravel(), _rfft_weights(shape).ravel(), nbins)
+def _axis_modes(n: int, nbins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an ``n``-point FFT's output (``fftfreq`` order) with
+    ``|k| <= nbins``, and their ``k``."""
+    k = np.r_[0 : (n + 1) // 2, -(n // 2) : 0]
+    rows = np.flatnonzero(np.abs(k) <= nbins)
+    return rows, k[rows]
 
 
 class _LowKTransform(NamedTuple):
@@ -147,57 +134,20 @@ def _twiddles(ks: np.ndarray, size: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.outer(ks, np.arange(size)) % size) / size)
 
 
-def _build_low_k_transform(shape: tuple[int, ...], nbins: int) -> _LowKTransform:
+@lru_cache(maxsize=16)
+def _low_k_transform(shape: tuple[int, ...], nbins: int) -> _LowKTransform:
+    """Twiddles are O(n * nbins) and the output cube O(nbins^3): always
+    cached, read-only."""
     # kx, ky = 0..nbins, -nbins..-1 (rfftn's order, so the selected modes
-    # are summed in the order binned_power sums them); kz = 0..nbins.
+    # are summed in the order the FFT path sums them); kz = 0..nbins.
     k = np.r_[0 : nbins + 1, -nbins:0]
     kz = np.arange(nbins + 1)
     tz = np.empty((shape[2], 2 * (nbins + 1)))
     tz.view(np.complex128)[...] = _twiddles(kz, shape[2]).T
-    kk = np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + kz[None, None, :] ** 2)
-    bins = np.rint(kk).astype(np.int64).ravel()
-    # Every kz here is below the z Nyquist plane: 1 for kz = 0, else 2.
-    weights = np.broadcast_to(np.where(kz == 0, 1.0, 2.0), kk.shape).ravel()
     wx, wy = _twiddles(k, shape[0]), _twiddles(k, shape[1])
     for arr in (tz, wx, wy):
         arr.setflags(write=False)
-    return _LowKTransform(tz, wx, wy, _select_low_k(bins, weights, nbins))
-
-
-_cached_mode_bins = lru_cache(maxsize=8)(_build_mode_bins)
-_cached_rfft_weights = lru_cache(maxsize=8)(_build_rfft_weights)
-_cached_low_k_modes = lru_cache(maxsize=16)(_build_low_k_modes)
-#: Twiddles are O(n * nbins) and the output cube O(nbins^3): always cached.
-_low_k_transform = lru_cache(maxsize=16)(_build_low_k_transform)
-
-
-def _cacheable(shape: tuple[int, ...]) -> bool:
-    return math.prod(_rfft_shape(shape)) <= _CACHE_MAX_MODES
-
-
-def _mode_bins(shape: tuple[int, ...]) -> np.ndarray:
-    """Integer |k| bin index for every rfft mode of a grid of ``shape``.
-
-    Cached per grid shape (read-only) up to ``_CACHE_MAX_MODES``: sweeps
-    evaluate many same-shape fields, and rebuilding the 3-D sqrt/rint
-    arrays dominated the binning cost.
-    """
-    return _cached_mode_bins(shape) if _cacheable(shape) else _build_mode_bins(shape)
-
-
-def _rfft_weights(shape: tuple[int, ...]) -> np.ndarray:
-    """Mode multiplicity for every rfft mode of a grid of ``shape``,
-    cached like :func:`_mode_bins`."""
-    return _cached_rfft_weights(shape) if _cacheable(shape) else _build_rfft_weights(shape)
-
-
-def _low_k_modes(shape: tuple[int, ...], nbins: int) -> _LowKModes:
-    """The modes :func:`binned_power` bins, cached per ``(shape, nbins)``
-    like :func:`_mode_bins`: below Nyquist they are a small share of
-    the grid (1.5 % of a 64^3 grid's rfft modes for ``nbins=9``)."""
-    if _cacheable(shape):
-        return _cached_low_k_modes(shape, nbins)
-    return _build_low_k_modes(shape, nbins)
+    return _LowKTransform(tz, wx, wy, _box_modes(k, k, kz, shape[2], nbins))
 
 
 def _resolve_nbins(shape: tuple[int, ...], nbins: int | None) -> int:
@@ -211,24 +161,19 @@ def _resolve_nbins(shape: tuple[int, ...], nbins: int | None) -> int:
 
 def low_k_only(shape: tuple[int, ...], nbins: int | None = None) -> bool:
     """Whether :func:`power_spectrum` of a field of ``shape`` computes only
-    the modes of its ``nbins`` bins (a pruned DFT) instead of a full
-    ``rfftn`` — the fixed rule ``4 * nbins <= min(shape)``."""
+    the modes of its ``nbins`` bins (a pruned DFT) instead of the FFT
+    path — the fixed rule ``4 * nbins <= min(shape)``."""
     shape = tuple(shape)
     return 4 * _resolve_nbins(shape, nbins) <= min(shape)
-
-
-def rfft_of(field: np.ndarray) -> np.ndarray:
-    """The ``rfftn`` of the field minus its mean, which :func:`binned_power`
-    bins — keep it to bin one field at several ``nbins``."""
-    arr = check_3d(field, "field")
-    return np.fft.rfftn(arr - arr.mean())
 
 
 def _binned(
     values: np.ndarray, modes: _LowKModes, shape: tuple[int, ...], nbins: int
 ) -> PowerSpectrum:
     """Bin a transform's flat ``values`` at ``modes`` (either transform)."""
-    power = np.abs(values[modes.index]) ** 2 * modes.weights
+    power = np.abs(values[modes.index])
+    np.square(power, out=power)
+    power *= modes.weights
     sums = np.bincount(modes.bins, weights=power, minlength=nbins + 1)
     counts = modes.counts
     k = np.arange(1, nbins + 1)
@@ -240,24 +185,37 @@ def _binned(
     )
 
 
-def binned_power(
-    fk: np.ndarray, shape: tuple[int, ...], nbins: int | None = None
-) -> PowerSpectrum:
-    """Bin :func:`rfft_of` of a field of ``shape`` into ``nbins`` bins
-    (default: up to the 1-D Nyquist frequency).
-
-    Only the modes in bins ``1..nbins`` are squared and summed; bin sums
-    come out bit-identical to binning the whole grid under a mask (the
-    same modes, summed in the same order).
-    """
-    shape = tuple(shape)
-    nbins = _resolve_nbins(shape, nbins)
-    return _binned(fk.ravel(), _low_k_modes(shape, nbins), shape, nbins)
-
-
-#: Elements of the field centred per z-matmul: a 256 KB slab stays in
-#: cache, where centring the whole field first would write it out again.
+#: Elements of the field centred per transform step: a 256 KB slab stays
+#: in cache, where centring the whole field first would write it out again.
 _SLAB_ELEMENTS = 1 << 15
+
+
+def fft_spectrum(field: np.ndarray, nbins: int | None = None) -> PowerSpectrum:
+    """Bins ``1..nbins`` (default: to the 1-D Nyquist frequency) of the
+    ``rfftn`` of the field minus its mean, from its ``kz <= nbins``
+    planes alone, whatever :func:`low_k_only` says: the bits of masking
+    the whole ``rfftn`` (rfftn's axis order and 1-D transforms)."""
+    arr = check_3d(field, "field")
+    nbins = _resolve_nbins(arr.shape, nbins)
+    nx, ny, nz = arr.shape
+    rx, kx = _axis_modes(nx, nbins)
+    ry, ky = _axis_modes(ny, nbins)
+    kz = np.arange(min(nbins, nz // 2) + 1)
+    # Selected before the transform exists, so the two never peak together.
+    modes = _box_modes(kx, ky, kz, nz, nbins)
+    box = np.empty((nx, ny, kz.size), np.complex128)
+    step = max(1, _SLAB_ELEMENTS // (ny * nz))
+    slab = np.empty((min(step, nx), ny, nz))
+    mean = arr.mean()
+    for start in range(0, nx, step):
+        m = min(step, nx - start)
+        np.subtract(arr[start : start + m], mean, out=slab[:m])
+        box[start : start + m] = np.fft.rfft(slab[:m], axis=2)[..., : kz.size]
+    np.fft.fft(box, axis=1, out=box)
+    box = box[:, ry] if ry.size < ny else box
+    np.fft.fft(box, axis=0, out=box)
+    box = box[rx] if rx.size < nx else box
+    return _binned(box.ravel(), modes, arr.shape, nbins)
 
 
 def _low_k_power(arr: np.ndarray, nbins: int) -> PowerSpectrum:
@@ -295,13 +253,13 @@ def power_spectrum(field: np.ndarray, nbins: int | None = None) -> PowerSpectrum
     nbins:
         Number of k bins (default: up to the 1-D Nyquist frequency).
         Where :func:`low_k_only` holds, only these bins' modes are
-        transformed.
+        transformed (a pruned DFT); elsewhere :func:`fft_spectrum`.
     """
     arr = check_3d(field, "field")
     nbins = _resolve_nbins(arr.shape, nbins)
     if low_k_only(arr.shape, nbins):
         return _low_k_power(arr, nbins)
-    return binned_power(rfft_of(arr), arr.shape, nbins)
+    return fft_spectrum(arr, nbins)
 
 
 def spectrum_ratio(original: np.ndarray, reconstructed: np.ndarray, nbins: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -63,14 +63,15 @@ def derive_eb_budget(spec: FieldSpec, ref: FieldReference) -> float:
     All original-field analyses go through the shared
     :class:`FieldReference` cache, so a budget inversion, a halo-spec
     derivation and a quality check on the same snapshot pay for one
-    float64 cast and one ``rfftn`` between them.  The bisection's
+    float64 cast between them; the inversion reads the reference's
+    ``model_spectrum(k_max)``, as the R-Q model does.  The bisection's
     sub-threshold power reads one subsample at
     :data:`~repro.models.fft_error.SUB_POWER_STRIDE`, built per call.
     """
     if spec.eb_override is not None:
         return float(spec.eb_override)
     f64 = ref.f64
-    ps = ref.spectrum()
+    ps = ref.model_spectrum(spec.spectrum_k_max)
     return float(
         spectrum_ratio_tolerance_to_eb(
             ps,

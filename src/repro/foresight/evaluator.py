@@ -10,8 +10,8 @@ redundant transforms and E redundant halo finds of identical data.
 This module amortizes that cost:
 
 - :class:`FieldReference` lazily caches per-field invariants (float64
-  view, :class:`~repro.analysis.metrics.FieldMoments`, power spectra per
-  ``nbins``, halo catalogs per threshold pair),
+  view, :class:`~repro.analysis.metrics.FieldMoments`, binned power
+  spectra per ``nbins``, halo catalogs per threshold pair),
 - :class:`QualityEvaluator` binds a reference to one
   :class:`~repro.foresight.quality.QualityCriteria` and evaluates each
   reconstruction with exactly one spectrum transform, at most one halo
@@ -23,15 +23,18 @@ This module amortizes that cost:
 Which transform a spectrum takes is the fixed rule of
 :func:`~repro.analysis.spectrum.low_k_only`, ``4 * nbins <=
 min(shape)``: the evaluators' ``nbins = k_max - 1`` (9) gets the pruned
-low-k DFT on grids from 36 cells a side (5.5 ms against 45 ms for a full
-``rfftn`` at 128^3; the pruned DFT stays the faster one up to ``nbins``
-of about 0.35-0.4 ``* min(shape)``), and Nyquist binning (the budget
-inversion, the R-Q model) a full ``rfftn``, kept and re-binned per
-``nbins``.  A reference and its reconstructions always take the same
-transform, so an unchanged field scores exactly 0.
+low-k DFT on grids from 36 cells a side, anything else
+:func:`~repro.analysis.spectrum.fft_spectrum`.  A reference and its
+reconstructions always take the same transform, so an unchanged field
+scores exactly 0.  The R-Q model and the budget inversion read
+:meth:`FieldReference.model_spectrum`, ``fft_spectrum``'s bins below
+``k_max``.  A reference caches binned spectra, never a transform.  The
+sweep's measured cell gives its buffer up to the error pass, which
+forms ``original - reconstructed`` in it; :meth:`QualityEvaluator.evaluate`
+leaves its input untouched.
 
 Report parity with the seed path is exact for halo metrics, within
-1e-12 for spectra (exact where both bin a full ``rfftn``), and
+1e-12 for spectra (exact where both take the FFT path), and
 floating-point-tolerant for the fused PSNR/NRMSE (tested in
 ``tests/foresight/test_evaluator.py``).
 """
@@ -43,15 +46,14 @@ import numpy as np
 from repro import telemetry
 from repro.analysis.catalog import compare_catalogs
 from repro.analysis.halos import find_halos
-from repro.analysis.metrics import FieldMoments, error_summary
+from repro.analysis.metrics import FieldMoments, difference_summary, error_summary
 from repro.analysis.spectrum import (
     PowerSpectrum,
-    binned_power,
     binned_worst_deviation,
+    fft_spectrum,
     low_k_only,
     nbins_below,
     power_spectrum,
-    rfft_of,
 )
 from repro.foresight.quality import QualityCriteria, QualityReport
 
@@ -70,9 +72,8 @@ class FieldReference:
     def __init__(self, data: np.ndarray) -> None:
         self._data = np.asarray(data)
         self._f64: np.ndarray | None = None
-        self._fk: np.ndarray | None = None
         self._moments: FieldMoments | None = None
-        self._spectra: dict[int | None, PowerSpectrum] = {}
+        self._spectra: dict[tuple[int | None, bool], PowerSpectrum] = {}
         self._catalogs: dict[tuple[float, float | None], object] = {}
 
     @property
@@ -108,18 +109,23 @@ class FieldReference:
 
         It takes the transform :func:`power_spectrum` takes for ``nbins``
         (so a reconstruction's spectrum is always comparable): the pruned
-        low-k DFT where :func:`low_k_only` holds, else the one full
-        ``rfftn``, kept after the first and binned per ``nbins``."""
-        self._note_cache("spectrum", nbins in self._spectra)
-        if nbins not in self._spectra:
-            f64 = self.f64
-            if low_k_only(f64.shape, nbins):
-                self._spectra[nbins] = power_spectrum(f64, nbins=nbins)
-            else:
-                if self._fk is None:
-                    self._fk = rfft_of(f64)
-                self._spectra[nbins] = binned_power(self._fk, f64.shape, nbins)
-        return self._spectra[nbins]
+        low-k DFT where :func:`low_k_only` holds, else
+        :func:`fft_spectrum`."""
+        return self._spectrum(nbins, low_k_only(self._data.shape, nbins))
+
+    def model_spectrum(self, k_max: int) -> PowerSpectrum:
+        """Bins ``1..k_max-1`` of :func:`fft_spectrum` whatever
+        :func:`low_k_only` says (the bits of those bins binned to
+        Nyquist): what the R-Q model and the budget inversion read."""
+        return self._spectrum(nbins_below(k_max), False)
+
+    def _spectrum(self, nbins: int | None, low_k: bool) -> PowerSpectrum:
+        key = (nbins, low_k)
+        self._note_cache("spectrum", key in self._spectra)
+        if key not in self._spectra:
+            transform = power_spectrum if low_k else fft_spectrum
+            self._spectra[key] = transform(self.f64, nbins=nbins)
+        return self._spectra[key]
 
     def halos(self, t_boundary: float, t_halo: float | None = None):
         """Halo catalog of the original, cached per threshold pair."""
@@ -190,8 +196,12 @@ class QualityEvaluator:
 
     def evaluate(self, reconstructed: np.ndarray) -> QualityReport:
         """Run every configured check on one reconstructed field."""
+        return self._evaluate(np.asarray(reconstructed, dtype=np.float64), owned=False)
+
+    def _evaluate(self, rec: np.ndarray, owned: bool) -> QualityReport:
+        """:meth:`evaluate` of float64 ``rec``; if ``owned`` (a C-contiguous
+        buffer given up), the error pass, run last, writes over it."""
         crit = self.criteria
-        rec = np.asarray(reconstructed, dtype=np.float64)
         ps_rec = power_spectrum(rec, nbins=self._nbins)
         worst = binned_worst_deviation(self._ps_orig, ps_rec, crit.spectrum_k_max)
         spectrum_ok = worst <= crit.spectrum_tolerance
@@ -214,7 +224,11 @@ class QualityEvaluator:
                     np.isfinite(halo_rmse) and halo_rmse <= crit.halo_mass_rmse
                 )
 
-        err = error_summary(self.reference.f64, rec, moments=self._moments)
+        f64 = self.reference.f64
+        if owned:
+            err = difference_summary(np.subtract(f64, rec, out=rec), self._moments)
+        else:
+            err = error_summary(f64, rec, moments=self._moments)
         return QualityReport(
             spectrum_ok=spectrum_ok,
             spectrum_worst_deviation=worst,

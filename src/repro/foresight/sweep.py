@@ -18,7 +18,7 @@ pipeline.  The two compose: a ``"model"`` sweep with ``rate_only=True``
 reads rates off the probe and never builds a field reference.
 
 Quality sweeps share one :class:`~repro.foresight.evaluator.QualityEvaluator`
-per field, so the original-side analyses (``rfftn`` power spectrum, halo
+per field, so the original-side analyses (binned power spectrum, halo
 catalog, metric moments) run exactly once per field no matter how many
 error bounds are trialed.
 
@@ -35,9 +35,11 @@ views)``, which writes the encoder's own reconstruction — bit for bit
 the decoder's — into a float64 field buffer, and evaluate that buffer;
 no cell decodes what it has just encoded.  There is one buffer per cell
 in flight, reused from cell to cell, and a cell holds its blocks only
-until it is scored: peak memory is a few bounds' worth, never the
-ladder's.  Records come back in bound order, the same whatever the CPU
-count.
+until it is scored; its error pass runs in its buffer, and the field's
+reference keeps no transform.  Peak memory is a few bounds' worth
+(sweep-128: ~262 MB resident, its 128^3 synthesis included), never
+the ladder's.
+Records come back in bound order, the same whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -283,9 +285,9 @@ def _measure(
     the views and — unless rates alone are swept — score the encoder's
     own reconstruction, which ``compress_many(..., out=)`` writes into a
     field buffer's partition views (bit for bit the decoder's, with no
-    decode); returns the cell's :func:`_size` and report, so no cell's
-    blocks outlive it.  Buffers are kept for the next cell: there is one
-    per cell in flight."""
+    decode), then given up to the error pass; returns the cell's
+    :func:`_size` and report, so no cell's blocks outlive it.  Buffers
+    are kept for the next cell: there is one per cell in flight."""
     spare: list[np.ndarray] = []
 
     def cell(eb: float) -> tuple[tuple[float, int, int], QualityReport | None]:
@@ -295,7 +297,7 @@ def _measure(
         try:
             parts = decomposition.partition_views(field) if decomposition is not None else [field]
             blocks = comp.compress_many(views, [eb] * len(views), out=parts)
-            return _size(blocks, measured=True), evaluator.evaluate(field)
+            return _size(blocks, measured=True), evaluator._evaluate(field, owned=True)
         finally:
             spare.append(field)
 

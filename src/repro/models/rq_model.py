@@ -63,7 +63,7 @@ class RQModel:
     """Per-field composition of the rate and quality models.
 
     Binds one :class:`~repro.foresight.evaluator.FieldReference` (so the
-    original-side spectrum is computed once and shared with evaluators
+    original-side analyses are computed once and shared with evaluators
     and budget inversions) to one
     :class:`~repro.foresight.quality.QualityCriteria`, and turns
     quantization-probe statistics into predicted
@@ -111,14 +111,14 @@ class RQModel:
     def predicted_spectrum_deviation(self, eb: float) -> float:
         """Predicted worst ``|P'(k)/P(k) - 1|`` over ``k < k_max``.
 
-        Uses the same full-resolution binned spectrum (and sub-threshold
-        power estimate) as
+        Uses the same binned spectrum (the reference's ``model_spectrum``)
+        and sub-threshold power estimate as
         :func:`repro.core.selection.derive_eb_budget`'s inversion, so
         predictions and budgets agree at the boundary.
         """
         eb = check_positive(eb, "eb")
         crit = self.criteria
-        ps = self.reference.spectrum()
+        ps = self.reference.model_spectrum(crit.spectrum_k_max)
         mask = ps.k < crit.spectrum_k_max
         if not mask.any():
             raise ValueError(f"no spectrum bins below k_max={crit.spectrum_k_max}")
@@ -173,9 +173,9 @@ class RQModel:
         moments, the binned spectrum and, when the criteria check halos,
         the catalog's mass — so that predictions made after it only read
         them and may run side by side."""
-        self.reference.moments
-        self.reference.spectrum()
         crit = self.criteria
+        self.reference.moments
+        self.reference.model_spectrum(crit.spectrum_k_max)
         if crit.check_halos and crit.t_boundary is not None:
             self._catalog_mass()
 

@@ -80,16 +80,24 @@ def bbks_transfer(k: np.ndarray, cosmo: Cosmology | None = None) -> np.ndarray:
     if (k < 0).any():
         raise ValueError("wavenumbers must be non-negative")
     gamma = cosmo.omega_m * cosmo.h  # shape parameter
-    q = np.where(k > 0, k / max(gamma, 1e-12), 0.0)
+    # log1p(2.34q)/(2.34q) * (1 + 3.89q + (16.1q)^2 + (5.46q)^3 + (6.71q)^4)^-0.25
+    # in three grids, in the expression's operation order (T = 1 at q = 0).
+    q = np.divide(k, max(gamma, 1e-12), out=np.empty_like(k))
+    at_zero = ~(q > 0)
+    t = np.multiply(q, 3.89, out=np.empty_like(k))
+    t += 1
+    term = np.empty_like(q)
+    for coeff, power in ((16.1, 2), (5.46, 3), (6.71, 4)):
+        np.multiply(q, coeff, out=term)
+        np.power(term, power, out=term)
+        t += term
+    np.power(t, -0.25, out=t)
+    q *= 2.34
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(
-            q > 0,
-            np.log1p(2.34 * q)
-            / (2.34 * q)
-            * (1 + 3.89 * q + (16.1 * q) ** 2 + (5.46 * q) ** 3 + (6.71 * q) ** 4)
-            ** -0.25,
-            1.0,
-        )
+        np.log1p(q, out=term)
+        term /= q
+    t *= term
+    t[at_zero] = 1.0
     return t
 
 
@@ -108,4 +116,12 @@ def matter_power_spectrum(
     cosmo = cosmo or Cosmology()
     k = np.asarray(k, dtype=np.float64)
     d = growth_factor(z, cosmo)
-    return amplitude * np.where(k > 0, k**cosmo.n_s, 0.0) * bbks_transfer(k, cosmo) ** 2 * d**2
+    # amplitude * k^n_s * T^2 * D^2, left to right (k^n_s = 0 at k = 0).
+    t2 = bbks_transfer(k, cosmo)
+    np.square(t2, out=t2)
+    p = np.power(k, cosmo.n_s, out=np.empty_like(k))
+    p[~(k > 0)] = 0.0
+    p *= amplitude
+    t2 *= p
+    t2 *= d**2
+    return t2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,23 +108,30 @@ class TestQualityCheck:
             check_spectrum_quality(f, f, k_max=1)
 
 
-class TestModeBinCaching:
-    def test_bins_and_weights_cached_per_shape(self):
-        from repro.analysis.spectrum import _mode_bins, _rfft_weights
+class TestNoFullGridCaches:
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already in use")
+    def test_no_cache_holds_a_full_rfft_grid(self):
+        """Spectra at several ``nbins``, through both transforms, leave
+        less behind than one int64 array of the full rfft grid (the
+        per-shape mode caches kept two such arrays); what stays is the
+        pruned DFT's operands, O(n * nbins) each."""
+        from repro.analysis.spectrum import fft_spectrum
 
-        assert _mode_bins((8, 8, 8)) is _mode_bins((8, 8, 8))
-        assert _rfft_weights((8, 8, 8)) is _rfft_weights((8, 8, 8))
-        assert _mode_bins((8, 8, 8)) is not _mode_bins((8, 8, 6))
+        shape = (64, 48, 40)
+        field = np.random.default_rng(9).normal(0, 1, shape)
+        rfft_grid_bytes = 8 * shape[0] * shape[1] * (shape[2] // 2 + 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for nbins in (None, 2, 5, 9, 16, 20):
+                power_spectrum(field, nbins)
+                fft_spectrum(field, nbins)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < rfft_grid_bytes
 
-    def test_cached_arrays_are_readonly(self):
-        from repro.analysis.spectrum import _mode_bins, _rfft_weights
-
-        for arr in (_mode_bins((8, 8, 8)), _rfft_weights((8, 8, 8))):
-            with pytest.raises(ValueError):
-                arr[0, 0, 0] = 1
-
-    def test_spectrum_unchanged_by_caching(self):
-        """Cached bins/weights reproduce a from-scratch fftn binning."""
+    def test_spectrum_matches_a_from_scratch_fftn(self):
         rng = np.random.default_rng(9)
         f = rng.normal(0, 1, (12, 12, 12))
         ps = power_spectrum(f, nbins=6)
@@ -185,14 +194,23 @@ class TestCheckStopsAtKmax:
 
 
 def full_grid_spectrum(field: np.ndarray, nbins: int | None = None):
-    """The binning as first written: square and weigh every rfft mode,
-    then mask the grid down to bins ``1..nbins``."""
-    from repro.analysis.spectrum import PowerSpectrum, _mode_bins, _rfft_weights
+    """The binning as first written: square and weigh every mode of the
+    full ``rfftn``, then mask the grid down to bins ``1..nbins``."""
+    from repro.analysis.spectrum import PowerSpectrum
 
     arr = np.asarray(field, dtype=np.float64)
     arr = arr - arr.mean()
     fk = np.fft.rfftn(arr)
-    weights, bins = _rfft_weights(arr.shape), _mode_bins(arr.shape)
+    kx = np.fft.fftfreq(arr.shape[0]) * arr.shape[0]
+    ky = np.fft.fftfreq(arr.shape[1]) * arr.shape[1]
+    kz = np.fft.rfftfreq(arr.shape[2]) * arr.shape[2]
+    kk = np.sqrt(kx[:, None, None] ** 2 + ky[None, :, None] ** 2 + kz[None, None, :] ** 2)
+    bins = np.rint(kk).astype(np.int64)
+    # rfftn keeps half the kz modes: interior planes weigh 2.
+    weights = np.full(fk.shape, 2.0)
+    weights[..., 0] = 1.0
+    if arr.shape[2] % 2 == 0:
+        weights[..., -1] = 1.0
     kmax = min(s // 2 for s in arr.shape)
     nbins = kmax if nbins is None else min(nbins, kmax)
     power_flat = (np.abs(fk) ** 2 * weights).ravel()
@@ -212,48 +230,60 @@ def full_grid_spectrum(field: np.ndarray, nbins: int | None = None):
 SHAPES = [(16, 16, 16), (32, 32, 32), (15, 17, 19), (9, 9, 9), (24, 16, 10), (5, 40, 8), (40, 12, 64)]
 
 
-class TestLowKBinning:
-    """Only the modes in bins ``1..nbins`` of the full ``rfftn`` are
-    squared and summed; the result must equal masking the full grid, bit
-    for bit."""
+def _assert_same_bits(got, want):
+    assert np.array_equal(got.k, want.k)
+    assert np.array_equal(got.power, want.power)
+    assert np.array_equal(got.n_modes, want.n_modes)
+
+
+class TestFFTSpectrum:
+    """``fft_spectrum`` transforms only the ``kz <= nbins`` planes of the
+    ``rfftn`` and bins only bins ``1..nbins``; the result must equal
+    masking the full grid, bit for bit."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_equal_to_full_grid_masking_for_every_nbins(self, shape):
-        from repro.analysis.spectrum import binned_power, rfft_of
+        from repro.analysis.spectrum import fft_spectrum
 
         rng = np.random.default_rng(sum(shape))
         field = np.exp(rng.normal(0, 1, shape))
-        fk = rfft_of(field)
         kmax = min(s // 2 for s in shape)
         for nbins in [None, *range(1, kmax + 3)]:
-            got, want = binned_power(fk, shape, nbins), full_grid_spectrum(field, nbins)
-            assert np.array_equal(got.k, want.k)
-            assert np.array_equal(got.power, want.power)
-            assert np.array_equal(got.n_modes, want.n_modes)
+            _assert_same_bits(fft_spectrum(field, nbins), full_grid_spectrum(field, nbins))
 
-    def test_low_k_modes_cached_per_shape_and_nbins(self):
-        from repro.analysis.spectrum import _low_k_modes
+    @pytest.mark.parametrize("nbins", [9, None])
+    def test_equal_to_full_grid_masking_at_128(self, nbins):
+        from repro.analysis.spectrum import fft_spectrum
 
-        assert _low_k_modes((12, 12, 12), 4) is _low_k_modes((12, 12, 12), 4)
-        assert _low_k_modes((12, 12, 12), 4) is not _low_k_modes((12, 12, 12), 5)
-        modes = _low_k_modes((12, 12, 12), 4)
-        assert np.all(np.diff(modes.index) > 0)  # summed in grid order
-        with pytest.raises(ValueError):
-            modes.index[0] = 0
+        field = 50.0 + np.exp(np.random.default_rng(42).normal(0, 1, (128, 128, 128)))
+        _assert_same_bits(fft_spectrum(field, nbins), full_grid_spectrum(field, nbins))
 
-    def test_one_transform_binned_at_several_nbins(self):
-        from repro.analysis.spectrum import binned_power, low_k_only, rfft_of
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_rule_picks_it_at_and_past_min_shape_over_4(self, dtype):
+        """Where :func:`low_k_only` fails, ``power_spectrum`` is
+        ``fft_spectrum``; where it holds, the two agree to 1e-12."""
+        from repro.analysis.spectrum import fft_spectrum, low_k_only
 
-        rng = np.random.default_rng(3)
-        field = rng.normal(0, 1, (16, 12, 20))
-        fk = rfft_of(field)
+        field = np.random.default_rng(3).normal(0, 1, (16, 12, 20)).astype(dtype)
         for nbins in (None, 1, 3, 6):
-            got, want = binned_power(fk, field.shape, nbins), power_spectrum(field, nbins)
+            got, want = fft_spectrum(field, nbins), power_spectrum(field, nbins)
             assert np.array_equal(got.n_modes, want.n_modes)
             if low_k_only(field.shape, nbins):
                 np.testing.assert_allclose(got.power, want.power, rtol=1e-12, atol=0)
             else:
                 assert np.array_equal(got.power, want.power)
+
+    def test_input_untouched_and_errors_as_power_spectrum(self):
+        from repro.analysis.spectrum import fft_spectrum
+
+        field = np.random.default_rng(4).normal(0, 1, (10, 12, 14))
+        before = field.copy()
+        fft_spectrum(field, 3)
+        assert np.array_equal(field, before)
+        with pytest.raises(ValueError, match="3-D"):
+            fft_spectrum(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="too small"):
+            fft_spectrum(np.ones((16, 16, 16)), nbins=0)
 
 
 class TestLowKTransform:

@@ -12,6 +12,8 @@ compressing, reconstructing and evaluating each bound by hand gives.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,12 +166,13 @@ class TestFieldReference:
         assert ref.f64 is ref.f64
 
     def test_one_transform_for_every_nbins(self, snapshot, monkeypatch):
-        """The budget inversion bins to Nyquist, the evaluator below
-        ``k_max``: one ``rfftn`` serves every full-transform ``nbins``,
-        and each low-k ``nbins`` is its own pruned transform — each the
-        bits ``power_spectrum`` gives."""
+        """Each ``nbins`` the reference is asked for is one transform —
+        ``fft_spectrum`` where :func:`low_k_only` fails, the pruned DFT
+        (``power_spectrum``) where it holds — each the bits
+        ``power_spectrum`` gives; the models' spectrum at ``k_max`` is
+        the FFT path's at ``k_max - 1`` bins, and no transform is kept."""
         data = snapshot["temperature"]
-        calls = {"rfft_of": 0, "power_spectrum": 0}
+        calls = {"fft_spectrum": 0, "power_spectrum": 0}
         for name in calls:
             real = getattr(evaluator_mod, name)
 
@@ -184,8 +187,30 @@ class TestFieldReference:
             want = power_spectrum(data.astype(np.float64), nbins=nbins)
             assert np.array_equal(got.power, want.power)
             assert np.array_equal(got.n_modes, want.n_modes)
-        # 32^3: 4 and 2 bins take the low-k transform; None, 9, 16 the rfftn.
-        assert calls == {"rfft_of": 1, "power_spectrum": 2}
+        # 32^3: 4 and 2 bins take the low-k transform; None, 9, 16 the FFT.
+        assert calls == {"fft_spectrum": 3, "power_spectrum": 2}
+        # k_max = 10 reads bins 1..9 of the FFT path: the cached spectrum(9).
+        assert ref.model_spectrum(10) is ref.spectrum(9)
+        # k_max = 5: 4 bins of the FFT path, though low_k_only(32^3, 4) holds.
+        four = ref.model_spectrum(5)
+        assert calls == {"fft_spectrum": 4, "power_spectrum": 2}
+        assert four is not ref.spectrum(4) and ref.model_spectrum(5) is four
+        arrays = [v for v in vars(ref).values() if isinstance(v, np.ndarray)]
+        assert all(a is ref.data or a is ref.f64 for a in arrays)
+
+    def test_model_spectrum_is_nyquist_binning_below_k_max(self, snapshot):
+        """The R-Q model and the budget inversion read bins below
+        ``k_max``: the same bits as the same bins of a Nyquist binning."""
+        from repro.analysis.spectrum import fft_spectrum
+
+        data = snapshot["baryon_density"].astype(np.float64)
+        full = fft_spectrum(data)
+        for k_max in (2, 5, 10, 17, 40):
+            got = FieldReference(data).model_spectrum(k_max)
+            below = full.k < k_max
+            assert np.array_equal(got.k, full.k[below])
+            assert np.array_equal(got.power, full.power[below])
+            assert np.array_equal(got.n_modes, full.n_modes[below])
 
     def test_requires_field_or_reference(self):
         with pytest.raises(ValueError, match="original field or a reference"):
@@ -196,7 +221,7 @@ class TestFieldReference:
         ref = FieldReference(data)
         QualityEvaluator(criteria=QualityCriteria(), reference=ref)
         calls = {"n": 0}
-        for name in ("power_spectrum", "rfft_of", "binned_power"):
+        for name in ("power_spectrum", "fft_spectrum"):
             real = getattr(evaluator_mod, name)
 
             def counting(*args, _real=real, **kwargs):
@@ -227,10 +252,10 @@ class TestOriginalAnalyzedOnce:
 
             monkeypatch.setattr(evaluator_mod, name, counted)
 
-        # A spectrum is one transform: the reference's full one
-        # (``rfft_of``, binned per nbins), or a low-k one of the reference
-        # or a reconstruction (``power_spectrum``, either transform).
-        counting("rfft_of", "spectrum")
+        # A spectrum is one transform: the reference's FFT one
+        # (``fft_spectrum``), or one of the reference or a reconstruction
+        # through ``power_spectrum`` (either transform).
+        counting("fft_spectrum", "spectrum")
         counting("power_spectrum", "spectrum")
         counting("find_halos", "halos")
 
@@ -283,6 +308,59 @@ class TestOriginalAnalyzedOnce:
         # Only the reconstruction is analyzed; the original's spectrum
         # and catalog were cached when the evaluator was built.
         assert counts == {"spectrum": 1, "halos": 1}
+
+
+def _traced_peak(fn) -> int:
+    """Traced bytes ``fn()`` allocates above the start, at most."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already in use")
+class TestTracedMemory:
+    """Allocation counts in float64 grids of a 64^3 field, not timings."""
+
+    @pytest.fixture
+    def field(self):
+        return np.exp(np.random.default_rng(5).normal(0, 1, (64, 64, 64)))
+
+    def test_the_models_reference_spectrum_peaks_under_one_grid(self, field):
+        """The R-Q model's analyses and the budget inversion read bins
+        below ``k_max`` from the kz planes those bins use: under one
+        grid above the field (a full ``rfftn`` with its mode caches took
+        about three)."""
+        from repro.core.config import FieldSpec
+        from repro.core.selection import derive_eb_budget
+        from repro.models.rq_model import RQModel
+
+        for analyze in (
+            lambda ref: RQModel(ref).analyze(),
+            lambda ref: derive_eb_budget(FieldSpec(), ref),
+        ):
+            ref = FieldReference(field)
+            ref.moments  # the float64 view and the moments are no transform
+            assert _traced_peak(lambda: analyze(ref)) < field.nbytes
+
+    def test_an_owned_buffer_takes_the_error_pass_in_place(self, field):
+        """The sweep gives its reconstruction buffer up: the error field
+        is written over it, so no field-sized array is allocated and the
+        report is the same; ``evaluate`` leaves its input untouched."""
+        rec = field + np.random.default_rng(1).normal(0, 0.01, field.shape)
+        kept = rec.copy()
+        ev = QualityEvaluator(field, QualityCriteria())
+        want = ev.evaluate(rec)
+        assert np.array_equal(rec, kept)
+        assert _traced_peak(lambda: ev.evaluate(rec)) >= field.nbytes
+        buf = rec.copy()
+        reports = []
+        assert _traced_peak(lambda: reports.append(ev._evaluate(buf, owned=True))) < field.nbytes
+        assert reports == [want]
+        assert np.array_equal(buf, field - rec)
 
 
 class TestInlineEvaluation:

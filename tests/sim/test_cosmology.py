@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.sim.cosmology import (
     growth_factor,
     matter_power_spectrum,
 )
+from repro.sim.grf import wavenumber_grid
 
 
 class TestCosmology:
@@ -93,3 +97,43 @@ class TestPowerSpectrum:
 
     def test_zero_mode_is_zero(self):
         assert matter_power_spectrum(np.array([0.0]))[0] == 0.0
+
+
+class TestInPlaceEvaluation:
+    """``bbks_transfer`` and ``matter_power_spectrum`` evaluate in place,
+    in the order the written-out expressions evaluate."""
+
+    @pytest.mark.parametrize(
+        "cosmo, want_p, want_t",
+        [
+            (None, "87faba6820efcafc", "ebb06a04034adfae"),
+            (Cosmology(omega_m=0.2, h=0.5, n_s=1.1), "2970bc65afe1222a", "d96de887776dd440"),
+        ],
+    )
+    def test_bits_pinned(self, cosmo, want_p, want_t):
+        """sha256 prefixes taken from the full-grid-temporary evaluation."""
+        k = wavenumber_grid((24, 16, 10), 12.0)  # k = 0 included
+        p = matter_power_spectrum(k, z=0.5, cosmo=cosmo, amplitude=2.5)
+        assert hashlib.sha256(p.tobytes()).hexdigest()[:16] == want_p
+        assert hashlib.sha256(bbks_transfer(k, cosmo).tobytes()).hexdigest()[:16] == want_t
+
+    def test_zero_dimensional_input(self):
+        assert float(bbks_transfer(0.0)) == 1.0
+        assert float(matter_power_spectrum(np.array(0.0))) == 0.0
+        assert float(matter_power_spectrum(0.5)) == matter_power_spectrum(np.array([0.5]))[0]
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc is already in use")
+    def test_traced_memory_in_float64_grids(self):
+        """On a 64^3 k grid, each peaks under 3.5 float64 grids above the
+        grid, its output included (a full-grid temporary per
+        sub-expression peaked at 6.1).  Allocation counts, not timings."""
+        k = wavenumber_grid((64, 64, 64), 64.0)
+        for fn in (bbks_transfer, matter_power_spectrum):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn(k)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak / k.nbytes < 3.5, fn.__name__

@@ -74,9 +74,13 @@ def _governed(path, sim, plan: FaultPlan) -> InSituController:
 
     ctl._field_step = watched
     ctl.threads = threads
-    with plan.activate():
-        ctl.run(_stream(sim))
-    ctl.close()
+    # Closed also when the run raises (a torn append), so no ledger
+    # handle is left for the garbage collector to find in a later test.
+    try:
+        with plan.activate():
+            ctl.run(_stream(sim))
+    finally:
+        ctl.close()
     return ctl
 
 
