@@ -37,11 +37,10 @@ Fault kinds map to the failure modes the stream path must survive:
 Fault addressing is per ``(site, field, invocation)``.  A fault point
 reached inside a stream field step counts its invocations per
 ``(site, field)``: the controller names the field with
-:func:`field_scope` (a :mod:`contextvars` variable, which
-:func:`~repro.util.fanout.thread_map` carries into every item), and
+:func:`field_scope` (a :mod:`contextvars` variable), and
 ``arm(..., field=name)`` addresses that count.  So a schedule names the
-field it hits and fires on the same attempt however the snapshot's
-fields are spread over threads.  A site reached outside a field step
+field it hits and fires on the same attempt whichever other fields the
+run streams.  A site reached outside a field step
 (``ledger.append``, ``source.load``, a direct
 :meth:`~repro.core.pipeline.AdaptiveCompressionPipeline.run`) counts under
 ``field=None``, one schedule for the process.  Counters are guarded by

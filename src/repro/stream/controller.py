@@ -32,16 +32,13 @@ A field step is one path: (re)calibrate if due, invert the budget (or
 read it off the field's state), decide, compress with
 :meth:`~repro.core.pipeline.AdaptiveCompressionPipeline.run` (the rank
 loop).  It writes nothing: it returns its records, and the snapshot loop,
-the one writer, appends and folds them.  So a snapshot's field steps run
-side by side on the fan-out pool (:func:`~repro.util.fanout.thread_map`)
-and their records are appended in field order afterwards: the ledger is
-the serial loop's, byte for byte, on any CPU count.  The snapshot is the
-barrier: every step decides from the state folded before it, the
-governor scale included.  It keeps nothing either: the
-compressor it runs is a function of the field's folded
-:class:`~repro.stream.state.FieldState` (its spec, which is the whole
-configuration), so a resumed run compresses with what a live one does.
-A field that degrades onto the fallback compressor goes round the
+the one writer, appends and folds them as soon as the step returns, field
+after field.  A step reads only its own field's state and the governor
+scale, which moves only with the snapshot's closing ``budget`` event.  It
+keeps nothing either: the compressor it runs is a function of the field's
+folded :class:`~repro.stream.state.FieldState` (its spec, which is the
+whole configuration), so a resumed run compresses with what a live one
+does.  A field that degrades onto the fallback compressor goes round the
 decide→run part again.  One
 :class:`~repro.foresight.evaluator.FieldReference` per step serves the
 budget inversion, the halo-spec derivation and the quality check, which
@@ -65,9 +62,8 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterator, Mapping
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import asdict
 from types import MappingProxyType
 from typing import Any
 
@@ -96,7 +92,7 @@ from repro.models.calibration import (
 )
 from repro.parallel.decomposition import BlockDecomposition
 from repro.resilience.faults import field_scope
-from repro.resilience.retry import RetryExhaustedError, RetryHook, RetryPolicy
+from repro.resilience.retry import RetryExhaustedError, RetryPolicy
 from repro.sim.nyx import NyxSnapshot
 from repro.stream.drift import DriftConfig, DriftDetector
 from repro.stream.ledger import (
@@ -119,7 +115,6 @@ from repro.stream.state import (
     decision_inputs,
     rederive,
 )
-from repro.util.fanout import thread_map
 
 __all__ = [
     "BudgetGovernor",
@@ -132,27 +127,6 @@ __all__ = [
 
 #: A field step's ledger record ``(kind, data)``, for ``_append(kind, **data)``.
 Record = tuple[str, dict[str, Any]]
-
-
-@dataclass
-class _Step:
-    """What one field's step handed back from the pool: its value or the
-    exception it raised, and the retries it made either way.  The
-    snapshot loop adds the retries when it reaches the step in field
-    order, then re-raises the error or appends the value's records."""
-
-    value: Any = None
-    error: BaseException | None = None
-    retries: int = 0
-
-    def note_retry(self, *_: object) -> None:
-        self.retries += 1
-
-    def commit(self, report: StreamReport) -> Any:
-        report.n_retries += self.retries
-        if self.error is not None:
-            raise self.error
-        return self.value
 
 
 def _governor_record(byte_budget: int, n_snapshots: int) -> Record:
@@ -250,13 +224,10 @@ class InSituController:
         loss, not just process death); only meaningful for path-backed
         ledgers constructed by the controller.
 
-    A snapshot's field steps run side by side on the process's fan-out
-    pool and their records are appended in field order, so the ledger
-    does not depend on the CPU count; with one usable CPU every step runs
-    in the calling thread.  A step that fails leaves the serial loop's
-    ledger: the fields before it are appended, its exception propagates,
-    and nothing of the fields after it (not their retries either) is
-    kept.
+    A snapshot's field steps run one after another in the calling
+    thread, each step's records appended as soon as it returns.  A step
+    that fails leaves the fields before it appended; its exception
+    propagates, and nothing of it or of a later field is kept.
 
     Examples
     --------
@@ -343,10 +314,11 @@ class InSituController:
         self.seed = int(seed)
         self.check_quality = bool(check_quality)
         self.retain_results = bool(retain_results)
-        #: Field buffers quality-checked compressions write their
-        #: reconstructions into: a step takes one (or makes one) and puts
-        #: it back, so there is one per field step in flight.
-        self._spare_recon: list[np.ndarray] = []
+        #: The field buffer a quality-checked compression writes its
+        #: reconstruction into (``None`` when quality goes unchecked).
+        self._recon = (
+            np.empty(decomposition.shape, dtype=np.float64) if self.check_quality else None
+        )
 
         #: Everything decisions derive from, the run's settings
         #: (``state.config``) and governor included.  Owned by the reducer:
@@ -390,66 +362,16 @@ class InSituController:
     # -- resilience plumbing ---------------------------------------------
 
     def _note_retry(self, *_: object) -> None:
-        """Retry-accounting hook (``on_retry``) for ledger appends and
-        snapshot loads, which the snapshot loop makes itself."""
+        """Retry-accounting hook (``on_retry``) for field steps, ledger
+        appends and snapshot loads."""
         self.report.n_retries += 1
 
-    def _retrying(self, fn: Callable[[], Any], site: str, on_retry: RetryHook) -> Any:
-        """``fn()`` under the retry policy, each retry reported to
-        ``on_retry``; without a policy, fail fast (the raw exception
-        propagates)."""
+    def _retrying(self, fn: Callable[[], Any], site: str) -> Any:
+        """``fn()`` under the retry policy, each retry counted; without a
+        policy, fail fast (the raw exception propagates)."""
         if self.retry is None:
             return fn()
-        return self.retry.execute(fn, site=site, on_retry=on_retry)
-
-    def _side_by_side(
-        self,
-        fields: Mapping[str, np.ndarray],
-        step: Callable[[str, np.ndarray, RetryHook], Any],
-    ) -> list[_Step]:
-        """``step(name, data, on_retry)`` for every field on the fan-out
-        pool, each inside :func:`~repro.resilience.faults.field_scope`;
-        the steps in field order, for the caller to :meth:`_Step.commit`.
-
-        Every item returns its step, never raises, so a failure cannot
-        cost an earlier field its value.  An item whose earlier field has
-        already failed is not run: the serial loop would never have
-        reached it (with one usable CPU, none after a failure runs; on
-        more, a later field already claimed runs to its end, unused)."""
-        failed: list[int] = []
-
-        def run(item: tuple[int, tuple[str, np.ndarray]]) -> _Step | None:
-            i, (name, data) = item
-            if any(j < i for j in failed):
-                return None
-            out = _Step()
-            try:
-                with field_scope(name):
-                    out.value = step(name, data, out.note_retry)
-            # Not swallowed: _Step.commit re-raises it in field order.  An
-            # interrupt is not caught: thread_map raises it at once.
-            except Exception as exc:  # repro-lint: disable=RL007
-                failed.append(i)
-                out.error = exc
-            return out
-
-        return thread_map(run, enumerate(fields.items()))
-
-    @contextmanager
-    def _reconstruction(self) -> Iterator[np.ndarray | None]:
-        """A field buffer for one step's reconstruction (``None`` when
-        quality goes unchecked), put back for the next step on exit."""
-        if not self.check_quality:
-            yield None
-            return
-        try:
-            buffer = self._spare_recon.pop()
-        except IndexError:  # every spare is in use by another step
-            buffer = np.empty(self.decomposition.shape, dtype=np.float64)
-        try:
-            yield buffer
-        finally:
-            self._spare_recon.append(buffer)
+        return self.retry.execute(fn, site=site, on_retry=self._note_retry)
 
     def _append(self, kind: str, **data: Any) -> LedgerEvent:
         """Ledger append under the retry policy, then fold the event.
@@ -461,9 +383,7 @@ class InSituController:
         retryable — retrying would duplicate the event — and propagates
         (nothing is folded) for crash-recovery tests.
         """
-        event = self._retrying(
-            lambda: self.ledger.append(kind, **data), "ledger.append", self._note_retry
-        )
+        event = self._retrying(lambda: self.ledger.append(kind, **data), "ledger.append")
         apply(self.state, event)
         return event
 
@@ -546,14 +466,11 @@ class InSituController:
         ``recalibrate="never"``.
         """
         self._start()
-
-        def calibrate(name: str, data: np.ndarray, _: RetryHook) -> list[Record]:
+        for name, data in snapshot.fields.items():
             records: list[Record] = []
-            self._calibrate_field(name, data, FieldReference(data), "initial", records)
-            return records
-
-        for step in self._side_by_side(snapshot.fields, calibrate):
-            for kind, record in step.commit(self.report):
+            with field_scope(name):
+                self._calibrate_field(name, data, FieldReference(data), "initial", records)
+            for kind, record in records:
                 self._append(kind, **record)
 
     def _budget(
@@ -783,11 +700,11 @@ class InSituController:
     def process_snapshot(self, snapshot: NyxSnapshot) -> list[StreamOutcome]:
         """Decide, compress and account every field of one snapshot.
 
-        The field steps run side by side (:meth:`_field_step`, each on the
-        state folded before the snapshot); their records are then appended
-        and folded in field order, then the ``budget`` event.  If a step
-        raised, the fields before it are appended and its exception
-        propagates; nothing of a later field is kept."""
+        Each field step (:meth:`_field_step`) runs inside
+        :func:`~repro.resilience.faults.field_scope`, and its records are
+        appended and folded as soon as it returns; the ``budget`` event
+        closes the snapshot.  If a step raises, the fields before it are
+        appended and its exception propagates."""
         config = self._start()
         if config.byte_budget is not None and self.state.governor is None:
             raise RuntimeError(
@@ -804,15 +721,10 @@ class InSituController:
             redshift=float(snapshot.redshift),
             seq_first=self.ledger.next_seq,
         ) as span:
-            steps = self._side_by_side(
-                snapshot.fields,
-                lambda name, data, on_retry: self._field_step(
-                    index, snapshot.redshift, name, data, on_retry
-                ),
-            )
             outcomes = []
-            for step in steps:
-                records, result = step.commit(self.report)
+            for name, data in snapshot.fields.items():
+                with field_scope(name):
+                    records, result = self._field_step(index, snapshot.redshift, name, data)
                 for kind, record in records:
                     self._append(kind, **record)
                 # The row is the one the fold just built, its drift verdict
@@ -842,15 +754,12 @@ class InSituController:
         redshift: float,
         name: str,
         data: np.ndarray,
-        on_retry: RetryHook,
     ) -> tuple[list[Record], SnapshotResult]:
         """One field step: (re)calibrate if due, decide, compress.  Returns
-        the step's records in append order and its result; each retry it
-        makes is reported to ``on_retry``.
+        the step's records in append order and its result.
 
         The step writes nothing: it decides from the state folded before it
-        and, after a (re)calibration, from the state its own record gives,
-        so the steps of one snapshot may run at once.
+        and, after a (re)calibration, from the state its own record gives.
         One :class:`~repro.foresight.evaluator.FieldReference` serves
         calibration, a degradation's recalibration and the quality check.
         A retry re-runs the same pipeline on the same inputs (its ``run`` is
@@ -859,10 +768,7 @@ class InSituController:
         round decide→run once more; a second exhaustion propagates, none of
         its records kept.
         """
-        with (
-            telemetry.get_tracer().span("stream.field", field=name, snapshot=index),
-            self._reconstruction() as recon,
-        ):
+        with telemetry.get_tracer().span("stream.field", field=name, snapshot=index):
             config = self.state.config
             spec = self.spec_for(name)
             records: list[Record] = []
@@ -887,10 +793,9 @@ class InSituController:
                 try:
                     result = self._retrying(
                         lambda: pipe.run(
-                            data, self.decomposition, eb_avg, halo, out=recon
+                            data, self.decomposition, eb_avg, halo, out=self._recon
                         ),
                         f"stream.field:{name}",
-                        on_retry,
                     )
                     break
                 except RetryExhaustedError as exc:
@@ -943,8 +848,8 @@ class InSituController:
             quality_dev: float | None = None
             if self.check_quality:
                 # Only the deviation is recorded: no metric moments, no PSNR.
-                # The field is what compression wrote into recon: no decode.
-                quality_dev = spectrum_deviation(ref, recon, spec.spectrum_k_max)
+                # The field is what compression wrote into _recon: no decode.
+                quality_dev = spectrum_deviation(ref, self._recon, spec.spectrum_k_max)
 
             # A scratch detector continuing the step's window (empty after a
             # (re)calibration) gives the flag the outcome records; folding

@@ -18,9 +18,9 @@ from repro.util.errors import PayloadError
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _refused(path, match: str = "") -> PayloadError:
+def _refused(path, match: str | None = None) -> PayloadError:
     """``load_blocks`` and ``load_field`` refuse ``path`` with one and
-    the same ``PayloadError`` (matching ``match``); returns it."""
+    the same ``PayloadError`` (matching ``match`` when given); returns it."""
     errors = []
     for load in (load_blocks, load_field):
         with pytest.raises(PayloadError, match=match) as err:

@@ -857,8 +857,8 @@ class TestQualityCheckLedgerIdentity:
 
 class TestOneWriter:
     """The snapshot loop is the one writer: a field step computes its
-    records and returns them, and the loop appends exactly those, in
-    field order once the snapshot's steps are done."""
+    records and returns them, and the loop appends exactly those as soon
+    as the step returns, field after field."""
 
     def test_field_step_writes_nothing_and_returns_what_is_appended(
         self, monkeypatch
@@ -903,21 +903,27 @@ class TestOneWriter:
             ctl.run(SimulatorStream(sim, redshifts, fields=fields))
 
         assert len(steps) == len(redshifts) * len(fields)
+        assert [step[:2] for step in steps] == [
+            (index, i) for index in range(len(redshifts)) for i in range(len(fields))
+        ]
         events = {e.seq: e for e in ctl.ledger.events}
-        # Steps may have run side by side: take them in field order.
-        steps.sort(key=lambda step: step[:2])
-        for index in range(len(redshifts)):
-            snapshot = [step for step in steps if step[0] == index]
-            # Every step of a snapshot starts from the same fold and
-            # appends nothing itself.
-            (before,) = {step[2] for step in snapshot}
-            assert all(step[3] == before for step in snapshot)
-            # The loop then appends exactly their records, field by field.
-            records = [record for step in snapshot for record in step[4]]
-            appended = [events[before[0] + i] for i in range(len(records))]
+        start = steps[0][2]
+        assert events[start[0] - 1].kind == "governor"
+        for index, i, before, after, records in steps:
+            # A step starts at the fold that ends with the previous step's
+            # records (or the previous snapshot's budget event) and appends
+            # nothing itself.
+            assert before == after == start
+            # The loop then appends exactly its records.
+            appended = [events[before[0] + n] for n in range(len(records))]
             assert [(e.kind, e.data) for e in appended] == [
                 (kind, _jsonable(data)) for kind, data in records
             ]
+            start = (before[0] + len(records), before[1] + len(records))
+            if i == len(fields) - 1:
+                assert events[start[0]].kind == "budget"
+                assert events[start[0]].data["snapshot"] == index
+                start = (start[0] + 1, start[1] + 1)
         kinds = [(kind, data.get("reason")) for *_, rs in steps for kind, data in rs]
         assert ("selection", "initial") in kinds
         assert ("recalibration", "drift") in kinds

@@ -1,13 +1,13 @@
 """The ledger does not depend on how many CPUs the controller may use.
 
-A snapshot's field steps run side by side on the fan-out pool and their
-records are appended in field order, so a governed run writes the same
-bytes on one CPU (every step in the calling thread, one after another)
-as on two or three.  The run walks the whole field step: selection
-between ``sz`` and ``zfp_like``, a halo-aware field, drift
-recalibration, the quality check, the budget governor and a fault plan
-that degrades one field.  A run torn mid-ledger and resumed must match
-across CPU counts too.
+A snapshot's field steps run one after another in the calling thread
+on any CPU count (inside a step, only the SZ chunk and probe fan-outs
+use the pool, and they gather their results in order), so a governed
+run writes the same bytes on one CPU as on two or three.  The run walks
+the whole field step: selection between ``sz`` and ``zfp_like``, a
+halo-aware field, drift recalibration, the quality check, the budget
+governor and a fault plan that degrades one field.  A run torn
+mid-ledger and resumed must match across CPU counts too.
 """
 
 from __future__ import annotations
@@ -101,8 +101,7 @@ def test_ledger_bytes_do_not_depend_on_the_cpu_count(sim, tmp_path, monkeypatch)
         assert {o.field for o in report.outcomes if o.quality_deviation is not None} == set(
             FIELDS
         )
-        if cpus == 1:
-            assert ctl.threads == {threading.current_thread().name}
+        assert ctl.threads == {threading.current_thread().name}
     assert b'"halo":{' in ledgers[1]
     assert b'"family":"zfp_like"' in ledgers[1]
     assert ledgers[1] == ledgers[2] == ledgers[3]
@@ -133,9 +132,8 @@ def test_a_resumed_run_does_not_depend_on_the_cpu_count(sim, tmp_path, monkeypat
 
 
 def test_more_workers_than_cores_with_fast_thread_switches(sim, tmp_path, monkeypatch):
-    """Six fields on six workers, switching threads every 10 µs: a lost
-    update to anything the steps share (the spare reconstruction
-    buffers, the fault counters) would change a byte."""
+    """Six fields with six CPUs granted, switching threads every 10 µs:
+    the ledger is the one-CPU run's, byte for byte."""
     import sys
 
     fields = ("baryon_density", "dark_matter_density", "temperature",
